@@ -3,7 +3,9 @@
 // a report containing key paths the schema does not know, or missing
 // required paths, exits non-zero. CI runs it over freshly generated
 // reports so the JSON contract of internal/harness/report.go cannot
-// change without updating the schema in the same commit.
+// change without updating the schema in the same commit. A record that
+// counted transactions but reports an all-zero latency block fails too:
+// that is a runner that forgot to measure, not a fast one.
 //
 // With -fail-on-violations it additionally fails when any recoverable
 // crash record reports durability violations, when any consistency block
@@ -13,42 +15,16 @@
 // replica diverging from the acknowledged-write model — which is what
 // turns the crash, TPC-C and chaos soaks into correctness gates.
 //
-// With -alloc-budget it enforces the committed allocation budget
-// (testdata/alloc_budget.json) against the reports' memory blocks: the
-// budgeted system's measured allocs/op must stay under an absolute ceiling
-// and under (1 - min_reduction) of the named baseline system at the same
-// thread count — the regression gate for the allocation-free hot path.
-//
-// With -fastpath-budget it enforces the committed commit fast-path budget
-// (testdata/fastpath_budget.json): at every thread count at or above the
-// budget's floor, the fast-path system must beat its -fastpaths=off
-// baseline by the required margin, its fastpath_share must show the fast
-// paths are actually taken, and its allocs/op must stay under the
-// read-only allocation ceiling.
-//
-// With -groupcommit-budget it enforces the committed group-commit budget
-// (testdata/groupcommit_budget.json) the same way: the grouped system
-// must beat its -groupcommit=off baseline by the required margin at every
-// thread count at or above the floor, and its group_share must show that
-// a non-trivial fraction of logical commits actually rode inside merged
-// groups.
-//
-// With -faults-budget it enforces the committed fault-tolerance budget
-// (testdata/faults_budget.json) against the reports' service blocks: the
-// chaos run must have survived the required number of restarts, kept
-// availability above the floor, completed enough transactions for the
-// gate to mean anything, and reported zero wire-level durability
-// violations (the recovery block of chaos records).
-//
-// With -replica-budget it enforces the committed replication budget
-// (testdata/replica_budget.json) against the reports' replica blocks: the
-// chaos run must have performed the required number of leader kill +
-// promotion cycles (or partition episodes), kept availability above the
-// floor, completed enough transactions to judge, and reported zero
-// divergence violations outside the enumerated-and-tainted promotion
-// losses.
+// With -budget (repeatable) it enforces a committed regression budget
+// (testdata/*_budget.json; format in budget.go) against the reports: a
+// record selector — scenario, phase, system — and a list of rules, each
+// bounding one number of every selected record from above or below,
+// absolutely or relative to a named baseline system at the same thread
+// count. Reports of other scenarios pass vacuously; within a matching
+// report a rule that finds nothing to judge is itself a violation.
 //
 //	bench-schema -schema testdata/bench_schema.json BENCH_*.json
+//	bench-schema -budget testdata/fastpath_budget.json BENCH_readmostly.json
 package main
 
 import (
@@ -56,40 +32,46 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"medley/internal/harness"
 )
 
+// budgetList collects the repeatable -budget flag.
+type budgetList []string
+
+func (l *budgetList) String() string     { return strings.Join(*l, ",") }
+func (l *budgetList) Set(v string) error { *l = append(*l, v); return nil }
+
 var (
 	schemaFlag     = flag.String("schema", "testdata/bench_schema.json", "committed schema file")
 	violationsFlag = flag.Bool("fail-on-violations", false,
-		"also fail on durability, consistency or final-state violations in any record")
-	budgetFlag = flag.String("alloc-budget", "",
-		"also enforce this allocation-budget file against the reports' memory blocks")
-	fastpathFlag = flag.String("fastpath-budget", "",
-		"also enforce this fast-path budget file against the reports' fastpath blocks")
-	groupcommitFlag = flag.String("groupcommit-budget", "",
-		"also enforce this group-commit budget file against the reports' fastpath blocks")
-	faultsFlag = flag.String("faults-budget", "",
-		"also enforce this fault-tolerance budget file against the reports' service blocks")
-	replicaFlag = flag.String("replica-budget", "",
-		"also enforce this replication budget file against the reports' replica blocks")
+		"also fail on durability, consistency, final-state or replica-divergence violations in any record")
+	budgetFlags budgetList
 )
 
 func main() {
+	flag.Var(&budgetFlags, "budget", "also enforce this budget file against the reports (repeatable)")
 	os.Exit(run())
 }
 
 func run() int {
 	flag.Parse()
 	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: bench-schema [-schema file] [-fail-on-violations] report.json...")
+		fmt.Fprintln(os.Stderr, "usage: bench-schema [-schema file] [-fail-on-violations] [-budget file]... report.json...")
 		return 2
 	}
 	schema, err := harness.LoadSchema(*schemaFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
+	}
+	budgets := make([]budget, len(budgetFlags))
+	for i, path := range budgetFlags {
+		if budgets[i], err = loadBudget(path); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 2
+		}
 	}
 	failed := false
 	for _, path := range flag.Args() {
@@ -99,76 +81,9 @@ func run() int {
 			failed = true
 			continue
 		}
-		paths, err := harness.CanonicalPaths(data)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", path, err)
+		for _, msg := range check(schema, budgets, *violationsFlag, data) {
+			fmt.Fprintf(os.Stderr, "%s: %s\n", path, msg)
 			failed = true
-			continue
-		}
-		for _, msg := range schema.Diff(paths) {
-			fmt.Fprintf(os.Stderr, "%s: schema drift: %s\n", path, msg)
-			failed = true
-		}
-		if *violationsFlag {
-			for _, msg := range durabilityViolations(data) {
-				fmt.Fprintf(os.Stderr, "%s: %s\n", path, msg)
-				failed = true
-			}
-		}
-		if *budgetFlag != "" {
-			budget, err := loadBudget(*budgetFlag)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 2
-			}
-			for _, msg := range budget.violations(data) {
-				fmt.Fprintf(os.Stderr, "%s: alloc budget: %s\n", path, msg)
-				failed = true
-			}
-		}
-		if *fastpathFlag != "" {
-			budget, err := loadFastpathBudget(*fastpathFlag)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 2
-			}
-			for _, msg := range budget.violations(data) {
-				fmt.Fprintf(os.Stderr, "%s: fastpath budget: %s\n", path, msg)
-				failed = true
-			}
-		}
-		if *groupcommitFlag != "" {
-			budget, err := loadGroupcommitBudget(*groupcommitFlag)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 2
-			}
-			for _, msg := range budget.violations(data) {
-				fmt.Fprintf(os.Stderr, "%s: groupcommit budget: %s\n", path, msg)
-				failed = true
-			}
-		}
-		if *faultsFlag != "" {
-			budget, err := loadFaultsBudget(*faultsFlag)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 2
-			}
-			for _, msg := range budget.violations(data) {
-				fmt.Fprintf(os.Stderr, "%s: faults budget: %s\n", path, msg)
-				failed = true
-			}
-		}
-		if *replicaFlag != "" {
-			budget, err := loadReplicaBudget(*replicaFlag)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 2
-			}
-			for _, msg := range budget.violations(data) {
-				fmt.Fprintf(os.Stderr, "%s: replica budget: %s\n", path, msg)
-				failed = true
-			}
 		}
 	}
 	if failed {
@@ -178,622 +93,70 @@ func run() int {
 	return 0
 }
 
-// durabilityViolations scans a report for records whose verifiers counted
-// violations: recoverable crash records with durability violations,
-// consistency blocks with failed domain invariants, final-check blocks
-// whose live state diverged from the journaled model, and replica blocks
-// whose surviving replica diverged from the acknowledged-write model.
-func durabilityViolations(data []byte) []string {
+// check runs every gate over one report and returns what failed.
+func check(schema harness.Schema, budgets []budget, verifiers bool, data []byte) []string {
+	paths, err := harness.CanonicalPaths(data)
+	if err != nil {
+		return []string{err.Error()}
+	}
+	var out []string
+	for _, msg := range schema.Diff(paths) {
+		out = append(out, "schema drift: "+msg)
+	}
+	out = append(out, recordViolations(data, verifiers)...)
+	for _, b := range budgets {
+		for _, msg := range b.violations(data) {
+			out = append(out, fmt.Sprintf("budget %s: %s", b.file, msg))
+		}
+	}
+	return out
+}
+
+// recordViolations scans a report's records: always for the zero-latency
+// lie (txns counted, latency block all zero), and with verifiers set for
+// records whose verifiers counted violations — recoverable crash records
+// with durability violations, consistency blocks with failed domain
+// invariants, final-check blocks whose live state diverged from the
+// journaled model, and replica blocks whose surviving replica diverged
+// from the acknowledged-write model.
+func recordViolations(data []byte, verifiers bool) []string {
 	var doc struct {
-		Results []struct {
-			System      string                     `json:"system"`
-			Phase       string                     `json:"phase"`
-			Threads     int                        `json:"threads"`
-			Recovery    *harness.RecoveryRecord    `json:"recovery"`
-			Consistency *harness.ConsistencyRecord `json:"consistency"`
-			FinalCheck  *harness.FinalCheckRecord  `json:"final_check"`
-			Replica     *harness.ReplicaRecord     `json:"replica"`
-		} `json:"results"`
+		Results []harness.Record `json:"results"`
 	}
 	if err := json.Unmarshal(data, &doc); err != nil {
 		return []string{err.Error()}
 	}
 	var out []string
 	for _, r := range doc.Results {
+		who := fmt.Sprintf("%s threads=%d phase=%s", r.System, r.Threads, r.Phase)
+		if r.Txns > 0 && r.Latency == (harness.LatencySummary{}) {
+			out = append(out, fmt.Sprintf("%s: %d txns but an all-zero latency block", who, r.Txns))
+		}
+		if !verifiers {
+			continue
+		}
 		if rec := r.Recovery; rec != nil && rec.Recoverable && rec.Violations > 0 {
 			out = append(out, fmt.Sprintf(
-				"%s threads=%d: %d durability violations (missing=%d mismatched=%d leaked=%d)",
-				r.System, r.Threads, rec.Violations, rec.MissingWrites,
-				rec.MismatchedWrites, rec.LeakedWrites))
+				"%s: %d durability violations (missing=%d mismatched=%d leaked=%d)",
+				who, rec.Violations, rec.MissingWrites, rec.MismatchedWrites, rec.LeakedWrites))
 		}
 		if c := r.Consistency; c != nil && c.Checked && c.Violations > 0 {
-			classes := ""
-			for i, cc := range c.Classes {
-				if i > 0 {
-					classes += " "
-				}
-				classes += fmt.Sprintf("%s=%d", cc.Class, cc.Count)
+			var classes []string
+			for _, cc := range c.Classes {
+				classes = append(classes, fmt.Sprintf("%s=%d", cc.Class, cc.Count))
 			}
-			out = append(out, fmt.Sprintf(
-				"%s threads=%d phase=%s: %d consistency violations (%s)",
-				r.System, r.Threads, r.Phase, c.Violations, classes))
+			out = append(out, fmt.Sprintf("%s: %d consistency violations (%s)",
+				who, c.Violations, strings.Join(classes, " ")))
 		}
 		if fc := r.FinalCheck; fc != nil && fc.Checked && fc.Violations > 0 {
 			out = append(out, fmt.Sprintf(
-				"%s threads=%d: %d final-state violations (missing=%d mismatched=%d leaked=%d)",
-				r.System, r.Threads, fc.Violations, fc.MissingWrites,
-				fc.MismatchedWrites, fc.LeakedWrites))
+				"%s: %d final-state violations (missing=%d mismatched=%d leaked=%d)",
+				who, fc.Violations, fc.MissingWrites, fc.MismatchedWrites, fc.LeakedWrites))
 		}
 		if rp := r.Replica; rp != nil && rp.Violations > 0 {
 			out = append(out, fmt.Sprintf(
-				"%s threads=%d: %d replica divergence violations (missing=%d stale=%d mismatched=%d leaked=%d)",
-				r.System, r.Threads, rp.Violations, rp.MissingKeys,
-				rp.StaleKeys, rp.MismatchedKeys, rp.LeakedKeys))
-		}
-	}
-	return out
-}
-
-// allocBudget is the committed allocation budget (testdata/
-// alloc_budget.json): the regression contract for the recycling arenas.
-type allocBudget struct {
-	// Scenario restricts the check to reports of this scenario ("" = any).
-	Scenario string `json:"scenario"`
-	// System is the budgeted (pooled) system; its measured records must
-	// satisfy both bounds below.
-	System string `json:"system"`
-	// Baseline is the unpooled comparison system; "" skips the relative
-	// check.
-	Baseline string `json:"baseline"`
-	// MaxAllocsPerOp is the absolute ceiling on the budgeted system's
-	// measured allocs/op.
-	MaxAllocsPerOp float64 `json:"max_allocs_per_op"`
-	// MinReduction requires System's allocs/op <= (1-MinReduction) x
-	// Baseline's at the same thread count (0.40 = at least 40% fewer).
-	MinReduction float64 `json:"min_reduction"`
-}
-
-func loadBudget(path string) (allocBudget, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return allocBudget{}, err
-	}
-	var b allocBudget
-	if err := json.Unmarshal(data, &b); err != nil {
-		return allocBudget{}, fmt.Errorf("%s: %w", path, err)
-	}
-	if b.System == "" {
-		return allocBudget{}, fmt.Errorf("%s: budget names no system", path)
-	}
-	return b, nil
-}
-
-// fastpathBudget is the committed commit fast-path budget
-// (testdata/fastpath_budget.json): the regression contract for the
-// read-only/single-write commit elision. It gates the committed
-// BENCH_readmostly.json — deterministic inputs, so the check is exact —
-// rather than a freshly measured run.
-type fastpathBudget struct {
-	// Scenario restricts the check to reports of this scenario ("" = any);
-	// reports of other scenarios pass vacuously.
-	Scenario string `json:"scenario"`
-	// Phase selects the records to judge ("" = "measured").
-	Phase string `json:"phase"`
-	// System is the fast-path system; Baseline the -fastpaths=off
-	// configuration it must beat.
-	System   string `json:"system"`
-	Baseline string `json:"baseline"`
-	// MinThreads: the speedup must hold at every thread count >= this, and
-	// at least one such record must exist (the gate cannot pass vacuously).
-	MinThreads int `json:"min_threads"`
-	// MinSpeedup requires System's throughput >= (1+MinSpeedup) x
-	// Baseline's at the same thread count (0.15 = at least 15% faster).
-	MinSpeedup float64 `json:"min_speedup"`
-	// MinFastpathShare is the floor on System's fastpath_share — the
-	// fraction of commits that actually skipped the handshake. A fast path
-	// nothing takes is a dead gate.
-	MinFastpathShare float64 `json:"min_fastpath_share"`
-	// MaxAllocsPerOp is the absolute ceiling on System's allocs/op over
-	// the judged records: the read-only allocation budget.
-	MaxAllocsPerOp float64 `json:"max_allocs_per_op"`
-}
-
-func loadFastpathBudget(path string) (fastpathBudget, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fastpathBudget{}, err
-	}
-	var b fastpathBudget
-	if err := json.Unmarshal(data, &b); err != nil {
-		return fastpathBudget{}, fmt.Errorf("%s: %w", path, err)
-	}
-	if b.System == "" || b.Baseline == "" {
-		return fastpathBudget{}, fmt.Errorf("%s: budget must name system and baseline", path)
-	}
-	return b, nil
-}
-
-// violations checks one report against the fast-path budget.
-func (b fastpathBudget) violations(data []byte) []string {
-	phase := b.Phase
-	if phase == "" {
-		phase = "measured"
-	}
-	var doc struct {
-		Scenario string `json:"scenario"`
-		Results  []struct {
-			System   string                  `json:"system"`
-			Phase    string                  `json:"phase"`
-			Threads  int                     `json:"threads"`
-			TxnSec   float64                 `json:"throughput_txn_per_sec"`
-			Memory   *harness.MemoryRecord   `json:"memory"`
-			Fastpath *harness.FastpathRecord `json:"fastpath"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return []string{err.Error()}
-	}
-	if b.Scenario != "" && doc.Scenario != b.Scenario {
-		return nil
-	}
-	type measured struct {
-		threads  int
-		txnSec   float64
-		allocs   float64
-		hasMem   bool
-		share    float64
-		hasShare bool
-	}
-	var sys []measured
-	baseline := map[int]float64{} // threads -> baseline txn/s
-	for _, r := range doc.Results {
-		if r.Phase != phase {
-			continue
-		}
-		switch r.System {
-		case b.System:
-			m := measured{threads: r.Threads, txnSec: r.TxnSec}
-			if r.Memory != nil {
-				m.allocs, m.hasMem = r.Memory.AllocsPerOp, true
-			}
-			if r.Fastpath != nil {
-				m.share, m.hasShare = r.Fastpath.FastpathShare, true
-			}
-			sys = append(sys, m)
-		case b.Baseline:
-			baseline[r.Threads] = r.TxnSec
-		}
-	}
-	if len(sys) == 0 {
-		return []string{fmt.Sprintf("no %q records for system %q", phase, b.System)}
-	}
-	var out []string
-	judged := 0
-	for _, m := range sys {
-		if b.MinFastpathShare > 0 {
-			if !m.hasShare {
-				out = append(out, fmt.Sprintf("%s threads=%d: no fastpath block", b.System, m.threads))
-			} else if m.share < b.MinFastpathShare {
-				out = append(out, fmt.Sprintf("%s threads=%d: fastpath share %.2f below floor %.2f",
-					b.System, m.threads, m.share, b.MinFastpathShare))
-			}
-		}
-		if b.MaxAllocsPerOp > 0 && m.hasMem && m.allocs > b.MaxAllocsPerOp {
-			out = append(out, fmt.Sprintf("%s threads=%d: %.3f allocs/op exceeds ceiling %.3f",
-				b.System, m.threads, m.allocs, b.MaxAllocsPerOp))
-		}
-		if m.threads < b.MinThreads {
-			continue
-		}
-		judged++
-		base, ok := baseline[m.threads]
-		if !ok {
-			out = append(out, fmt.Sprintf("no baseline %q record at threads=%d", b.Baseline, m.threads))
-			continue
-		}
-		if limit := (1 + b.MinSpeedup) * base; m.txnSec < limit {
-			out = append(out, fmt.Sprintf(
-				"%s threads=%d: %.0f txn/s not %.0f%% above baseline %.0f (limit %.0f)",
-				b.System, m.threads, m.txnSec, 100*b.MinSpeedup, base, limit))
-		}
-	}
-	if judged == 0 {
-		out = append(out, fmt.Sprintf("no %q records for %q at threads >= %d (gate would pass vacuously)",
-			phase, b.System, b.MinThreads))
-	}
-	return out
-}
-
-// groupcommitBudget is the committed group-commit budget
-// (testdata/groupcommit_budget.json): the regression contract for merged
-// group commits. It gates the committed BENCH_groupcommit.json the same
-// way the fast-path budget gates BENCH_readmostly.json: at every thread
-// count at or above the floor, the grouped system must beat its
-// -groupcommit=off baseline by the required margin, and its group_share
-// must show the merges are actually happening — a group-commit path
-// nothing takes is a dead gate.
-type groupcommitBudget struct {
-	// Scenario restricts the check to reports of this scenario ("" = any);
-	// reports of other scenarios pass vacuously.
-	Scenario string `json:"scenario"`
-	// Phase selects the records to judge ("" = "measured").
-	Phase string `json:"phase"`
-	// System is the grouped system; Baseline the -groupcommit=off
-	// configuration it must beat.
-	System   string `json:"system"`
-	Baseline string `json:"baseline"`
-	// MinThreads: the speedup must hold at every thread count >= this, and
-	// at least one such record must exist (the gate cannot pass vacuously).
-	MinThreads int `json:"min_threads"`
-	// MinSpeedup requires System's throughput >= (1+MinSpeedup) x
-	// Baseline's at the same thread count (0.15 = at least 15% faster).
-	MinSpeedup float64 `json:"min_speedup"`
-	// MinGroupShare is the floor on System's group_share — the fraction of
-	// logical commits that actually rode inside merged groups.
-	MinGroupShare float64 `json:"min_group_share"`
-}
-
-func loadGroupcommitBudget(path string) (groupcommitBudget, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return groupcommitBudget{}, err
-	}
-	var b groupcommitBudget
-	if err := json.Unmarshal(data, &b); err != nil {
-		return groupcommitBudget{}, fmt.Errorf("%s: %w", path, err)
-	}
-	if b.System == "" || b.Baseline == "" {
-		return groupcommitBudget{}, fmt.Errorf("%s: budget must name system and baseline", path)
-	}
-	return b, nil
-}
-
-// violations checks one report against the group-commit budget.
-func (b groupcommitBudget) violations(data []byte) []string {
-	phase := b.Phase
-	if phase == "" {
-		phase = "measured"
-	}
-	var doc struct {
-		Scenario string `json:"scenario"`
-		Results  []struct {
-			System   string                  `json:"system"`
-			Phase    string                  `json:"phase"`
-			Threads  int                     `json:"threads"`
-			TxnSec   float64                 `json:"throughput_txn_per_sec"`
-			Fastpath *harness.FastpathRecord `json:"fastpath"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return []string{err.Error()}
-	}
-	if b.Scenario != "" && doc.Scenario != b.Scenario {
-		return nil
-	}
-	type measured struct {
-		threads  int
-		txnSec   float64
-		share    float64
-		hasShare bool
-	}
-	var sys []measured
-	baseline := map[int]float64{} // threads -> baseline txn/s
-	for _, r := range doc.Results {
-		if r.Phase != phase {
-			continue
-		}
-		switch r.System {
-		case b.System:
-			m := measured{threads: r.Threads, txnSec: r.TxnSec}
-			if r.Fastpath != nil {
-				m.share, m.hasShare = r.Fastpath.GroupShare, true
-			}
-			sys = append(sys, m)
-		case b.Baseline:
-			baseline[r.Threads] = r.TxnSec
-		}
-	}
-	if len(sys) == 0 {
-		return []string{fmt.Sprintf("no %q records for system %q", phase, b.System)}
-	}
-	var out []string
-	judged := 0
-	for _, m := range sys {
-		if b.MinGroupShare > 0 {
-			if !m.hasShare {
-				out = append(out, fmt.Sprintf("%s threads=%d: no fastpath block", b.System, m.threads))
-			} else if m.share < b.MinGroupShare {
-				out = append(out, fmt.Sprintf("%s threads=%d: group share %.2f below floor %.2f",
-					b.System, m.threads, m.share, b.MinGroupShare))
-			}
-		}
-		if m.threads < b.MinThreads {
-			continue
-		}
-		judged++
-		base, ok := baseline[m.threads]
-		if !ok {
-			out = append(out, fmt.Sprintf("no baseline %q record at threads=%d", b.Baseline, m.threads))
-			continue
-		}
-		if limit := (1 + b.MinSpeedup) * base; m.txnSec < limit {
-			out = append(out, fmt.Sprintf(
-				"%s threads=%d: %.0f txn/s not %.0f%% above baseline %.0f (limit %.0f)",
-				b.System, m.threads, m.txnSec, 100*b.MinSpeedup, base, limit))
-		}
-	}
-	if judged == 0 {
-		out = append(out, fmt.Sprintf("no %q records for %q at threads >= %d (gate would pass vacuously)",
-			phase, b.System, b.MinThreads))
-	}
-	return out
-}
-
-// faultsBudget is the committed fault-tolerance budget
-// (testdata/faults_budget.json): the regression contract for the chaos
-// service runs. It gates the committed BENCH_faults.json — a chaos
-// record that survived too few restarts, dipped below the availability
-// floor, completed too little work to judge, or reported wire-level
-// durability violations fails the build.
-type faultsBudget struct {
-	// Scenario restricts the check to reports of this scenario ("" = any);
-	// reports of other scenarios pass vacuously.
-	Scenario string `json:"scenario"`
-	// Phase selects the records to judge ("" = "chaos").
-	Phase string `json:"phase"`
-	// System is the budgeted system; "" judges every chaos record.
-	System string `json:"system"`
-	// MinRestarts: each judged record must have survived at least this many
-	// kill/recover/restart cycles (a chaos gate with no restarts is dead).
-	MinRestarts int `json:"min_restarts"`
-	// MinAvailability is the floor on completed / (completed + errors +
-	// expired + in-doubt).
-	MinAvailability float64 `json:"min_availability"`
-	// MinCompleted is the floor on completed transactions, so the gate
-	// cannot pass on a run that barely offered load.
-	MinCompleted uint64 `json:"min_completed"`
-}
-
-func loadFaultsBudget(path string) (faultsBudget, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return faultsBudget{}, err
-	}
-	var b faultsBudget
-	if err := json.Unmarshal(data, &b); err != nil {
-		return faultsBudget{}, fmt.Errorf("%s: %w", path, err)
-	}
-	if b.MinRestarts <= 0 && b.MinAvailability <= 0 {
-		return faultsBudget{}, fmt.Errorf("%s: budget sets no restart or availability floor", path)
-	}
-	return b, nil
-}
-
-// violations checks one report against the fault-tolerance budget.
-func (b faultsBudget) violations(data []byte) []string {
-	phase := b.Phase
-	if phase == "" {
-		phase = "chaos"
-	}
-	var doc struct {
-		Scenario string `json:"scenario"`
-		Results  []struct {
-			System   string                  `json:"system"`
-			Phase    string                  `json:"phase"`
-			Threads  int                     `json:"threads"`
-			Service  *harness.ServiceRecord  `json:"service"`
-			Recovery *harness.RecoveryRecord `json:"recovery"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return []string{err.Error()}
-	}
-	if b.Scenario != "" && doc.Scenario != b.Scenario {
-		return nil
-	}
-	var out []string
-	judged := 0
-	for _, r := range doc.Results {
-		if r.Phase != phase || (b.System != "" && r.System != b.System) {
-			continue
-		}
-		if r.Service == nil {
-			out = append(out, fmt.Sprintf("%s threads=%d: no service block on %s record", r.System, r.Threads, phase))
-			continue
-		}
-		judged++
-		s := r.Service
-		if s.Restarts < b.MinRestarts {
-			out = append(out, fmt.Sprintf("%s threads=%d: %d restarts below floor %d",
-				r.System, r.Threads, s.Restarts, b.MinRestarts))
-		}
-		if b.MinAvailability > 0 && s.Availability < b.MinAvailability {
-			out = append(out, fmt.Sprintf("%s threads=%d: availability %.4f below floor %.4f",
-				r.System, r.Threads, s.Availability, b.MinAvailability))
-		}
-		if s.CompletedTxns < b.MinCompleted {
-			out = append(out, fmt.Sprintf("%s threads=%d: %d completed txns below floor %d",
-				r.System, r.Threads, s.CompletedTxns, b.MinCompleted))
-		}
-		if rec := r.Recovery; rec != nil && rec.Violations > 0 {
-			out = append(out, fmt.Sprintf("%s threads=%d: %d wire-level durability violations",
-				r.System, r.Threads, rec.Violations))
-		}
-	}
-	if judged == 0 {
-		out = append(out, fmt.Sprintf("no %q records to judge (gate would pass vacuously)", phase))
-	}
-	return out
-}
-
-// replicaBudget is the committed replication budget
-// (testdata/replica_budget.json): the regression contract for the
-// replication chaos runs. It gates the committed BENCH_replica.json — a
-// replica-chaos record that performed too few leader kill + promotion
-// cycles (or partition episodes), dipped below the availability floor,
-// completed too little work to judge, or reported any divergence
-// violation between the surviving replica and the acknowledged-write
-// model fails the build. Divergence is a hard zero: promotion-time
-// losses are enumerated and tainted by the harness, so anything the
-// verifier still counts is a real replication bug.
-type replicaBudget struct {
-	// Scenario restricts the check to reports of this scenario ("" = any);
-	// reports of other scenarios pass vacuously.
-	Scenario string `json:"scenario"`
-	// Phase selects the records to judge ("" = "replica-chaos").
-	Phase string `json:"phase"`
-	// System is the budgeted system; "" judges every replica-chaos record.
-	System string `json:"system"`
-	// MinFailovers: each judged record must have survived at least this
-	// many leader kill + follower promotion cycles.
-	MinFailovers int `json:"min_failovers"`
-	// MinPartitions: each judged record must have ridden out at least this
-	// many replication-path partition episodes.
-	MinPartitions int `json:"min_partitions"`
-	// MinAvailability is the floor on completed / (completed + errors +
-	// expired + in-doubt).
-	MinAvailability float64 `json:"min_availability"`
-	// MinCompleted is the floor on completed transactions, so the gate
-	// cannot pass on a run that barely offered load.
-	MinCompleted uint64 `json:"min_completed"`
-}
-
-func loadReplicaBudget(path string) (replicaBudget, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return replicaBudget{}, err
-	}
-	var b replicaBudget
-	if err := json.Unmarshal(data, &b); err != nil {
-		return replicaBudget{}, fmt.Errorf("%s: %w", path, err)
-	}
-	if b.MinFailovers <= 0 && b.MinPartitions <= 0 && b.MinAvailability <= 0 {
-		return replicaBudget{}, fmt.Errorf("%s: budget sets no failover, partition or availability floor", path)
-	}
-	return b, nil
-}
-
-// violations checks one report against the replication budget.
-func (b replicaBudget) violations(data []byte) []string {
-	phase := b.Phase
-	if phase == "" {
-		phase = "replica-chaos"
-	}
-	var doc struct {
-		Scenario string `json:"scenario"`
-		Results  []struct {
-			System  string                 `json:"system"`
-			Threads int                    `json:"threads"`
-			Phase   string                 `json:"phase"`
-			Service *harness.ServiceRecord `json:"service"`
-			Replica *harness.ReplicaRecord `json:"replica"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return []string{err.Error()}
-	}
-	if b.Scenario != "" && doc.Scenario != b.Scenario {
-		return nil
-	}
-	var out []string
-	judged := 0
-	for _, r := range doc.Results {
-		if r.Phase != phase || (b.System != "" && r.System != b.System) {
-			continue
-		}
-		if r.Service == nil || r.Replica == nil {
-			out = append(out, fmt.Sprintf("%s threads=%d: %s record missing service or replica block",
-				r.System, r.Threads, phase))
-			continue
-		}
-		judged++
-		s, rp := r.Service, r.Replica
-		if rp.Failovers < b.MinFailovers {
-			out = append(out, fmt.Sprintf("%s threads=%d: %d failover cycles below floor %d",
-				r.System, r.Threads, rp.Failovers, b.MinFailovers))
-		}
-		if rp.Partitions < b.MinPartitions {
-			out = append(out, fmt.Sprintf("%s threads=%d: %d partition episodes below floor %d",
-				r.System, r.Threads, rp.Partitions, b.MinPartitions))
-		}
-		if b.MinAvailability > 0 && s.Availability < b.MinAvailability {
-			out = append(out, fmt.Sprintf("%s threads=%d: availability %.4f below floor %.4f",
-				r.System, r.Threads, s.Availability, b.MinAvailability))
-		}
-		if s.CompletedTxns < b.MinCompleted {
-			out = append(out, fmt.Sprintf("%s threads=%d: %d completed txns below floor %d",
-				r.System, r.Threads, s.CompletedTxns, b.MinCompleted))
-		}
-		if rp.Violations > 0 {
-			out = append(out, fmt.Sprintf(
-				"%s threads=%d: %d divergence violations (missing=%d stale=%d mismatched=%d leaked=%d)",
-				r.System, r.Threads, rp.Violations, rp.MissingKeys, rp.StaleKeys,
-				rp.MismatchedKeys, rp.LeakedKeys))
-		}
-	}
-	if judged == 0 {
-		out = append(out, fmt.Sprintf("no %q records to judge (gate would pass vacuously)", phase))
-	}
-	return out
-}
-
-// violations checks one report against the budget. Only phase=="measured"
-// records count (the headline aggregate); reports of other scenarios pass
-// vacuously.
-func (b allocBudget) violations(data []byte) []string {
-	var doc struct {
-		Scenario string `json:"scenario"`
-		Results  []struct {
-			System  string                `json:"system"`
-			Phase   string                `json:"phase"`
-			Threads int                   `json:"threads"`
-			Memory  *harness.MemoryRecord `json:"memory"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return []string{err.Error()}
-	}
-	if b.Scenario != "" && doc.Scenario != b.Scenario {
-		return nil
-	}
-	baseline := map[int]float64{} // threads -> baseline allocs/op
-	type measured struct {
-		threads int
-		allocs  float64
-	}
-	var sys []measured
-	for _, r := range doc.Results {
-		if r.Phase != "measured" || r.Memory == nil {
-			continue
-		}
-		switch r.System {
-		case b.System:
-			sys = append(sys, measured{r.Threads, r.Memory.AllocsPerOp})
-		case b.Baseline:
-			baseline[r.Threads] = r.Memory.AllocsPerOp
-		}
-	}
-	var out []string
-	if len(sys) == 0 {
-		return []string{fmt.Sprintf("no measured records for budgeted system %q", b.System)}
-	}
-	for _, m := range sys {
-		if b.MaxAllocsPerOp > 0 && m.allocs > b.MaxAllocsPerOp {
-			out = append(out, fmt.Sprintf("%s threads=%d: %.2f allocs/op exceeds ceiling %.2f",
-				b.System, m.threads, m.allocs, b.MaxAllocsPerOp))
-		}
-		if b.Baseline == "" || b.MinReduction <= 0 {
-			continue
-		}
-		base, ok := baseline[m.threads]
-		if !ok {
-			out = append(out, fmt.Sprintf("no baseline %q record at threads=%d", b.Baseline, m.threads))
-			continue
-		}
-		if limit := (1 - b.MinReduction) * base; m.allocs > limit {
-			out = append(out, fmt.Sprintf(
-				"%s threads=%d: %.2f allocs/op not %.0f%% below baseline %.2f (limit %.2f)",
-				b.System, m.threads, m.allocs, 100*b.MinReduction, base, limit))
+				"%s: %d replica divergence violations (missing=%d stale=%d mismatched=%d leaked=%d)",
+				who, rp.Violations, rp.MissingKeys, rp.StaleKeys, rp.MismatchedKeys, rp.LeakedKeys))
 		}
 	}
 	return out

@@ -5,113 +5,104 @@ import (
 	"strings"
 	"time"
 
+	"medley/internal/chaos"
 	"medley/internal/faultnet"
 	"medley/internal/harness"
 	"medley/internal/service"
 )
 
-// Chaos-service mode: scenarios marked ServiceChaos run through the
-// crash-restart chaos runner (internal/service chaos.go) instead of the
-// closed-loop engine — medleyd hosted over a durable backend behind a
-// faultnet proxy, SIGKILL-equivalent restarts mid-traffic, and wire-level
-// journal verification against the recovered state. The scenario name
-// keys the fault plan and kill schedule below; its distribution and first
-// run phase's mix shape the workload, like open-loop mode.
+// Chaos mode: scenarios marked ServiceChaos or ReplicaChaos run through
+// the fault-verification runner (internal/chaos) instead of the
+// closed-loop engine — medleyd hosted in-process behind real listeners,
+// fault events landing mid-traffic, and a wire-level journal diff against
+// the state that survives. The scenario name keys the plan below; its
+// distribution and first run phase's mix shape the workload, like
+// open-loop mode. The positive event count picks the topology: restarts
+// run one durable daemon behind a client-path fault proxy, failovers and
+// partitions a leader/follower pair.
 
-// chaosPlan is one scenario's fault plan and kill schedule.
+// chaosPlan is one scenario's part of the runner's config — fault
+// schedule, fault proxy settings, replication knobs, offered rate, client
+// policy — which the run loop completes from the flags.
 type chaosPlan struct {
-	restarts int
-	rate     float64
-	faults   faultnet.Faults
-	client   service.HTTPDriverConfig
+	chaos.Config
+	// maxPreload caps the wire preload (0 = uncapped). The replica plans
+	// measure failover availability and divergence, not load scale, and
+	// the preload must fit the feed rings with room for the run's writes:
+	// the dead leader's feed is read back for the lost-suffix accounting.
+	maxPreload int
 }
 
-// chaosPlanFor maps a ServiceChaos scenario to its plan. Unknown names
-// get the restart-only plan, so new scenario entries fail safe (clean
-// network, kills only).
-func chaosPlanFor(name string) chaosPlan {
-	base := service.HTTPDriverConfig{Deadline: 250 * time.Millisecond}
-	switch name {
-	case "chaos-net-flaky":
-		// Flaky network on top of the restarts: small base latency, heavy
-		// jitter, and every 7th connection reset mid-request — the retry,
-		// dedup and in-doubt machinery all stay hot.
-		return chaosPlan{
-			restarts: 3, rate: 4000,
-			faults: faultnet.Faults{
-				Latency:     200 * time.Microsecond,
-				Jitter:      2 * time.Millisecond,
-				ResetEveryN: 7,
-			},
-			client: base,
-		}
-	case "chaos-slow-client":
-		// Slow links against tight deadlines: most of the deadline is
-		// eaten on the wire, so admission-time and pre-commit expiry both
-		// fire; slow-close keeps resets from looking instantaneous.
-		return chaosPlan{
-			restarts: 1, rate: 2000,
-			faults: faultnet.Faults{
-				Latency:   2 * time.Millisecond,
-				Jitter:    5 * time.Millisecond,
-				SlowClose: 10 * time.Millisecond,
-			},
-			client: service.HTTPDriverConfig{Deadline: 50 * time.Millisecond},
-		}
-	default: // chaos-service-restart and future entries
-		return chaosPlan{restarts: 3, rate: 4000, client: base}
-	}
+var (
+	restartClient = service.HTTPDriverConfig{Deadline: 250 * time.Millisecond}
+	replicaClient = service.HTTPDriverConfig{Deadline: 2 * time.Second, RetryBudget: -1}
+)
+
+var chaosPlans = map[string]chaosPlan{
+	"chaos-service-restart": {Config: chaos.Config{Restarts: 3, Rate: 4000, Client: restartClient}},
+	// Flaky network on top of the restarts: small base latency, heavy
+	// jitter, and every 7th connection reset mid-request — the retry,
+	// dedup and in-doubt machinery all stay hot.
+	"chaos-net-flaky": {Config: chaos.Config{
+		Restarts: 3, Rate: 4000, Client: restartClient,
+		Faults: faultnet.Faults{Latency: 200 * time.Microsecond, Jitter: 2 * time.Millisecond, ResetEveryN: 7},
+	}},
+	// Slow links against tight deadlines: most of the deadline is eaten
+	// on the wire, so admission-time and pre-commit expiry both fire;
+	// slow-close keeps resets from looking instantaneous.
+	"chaos-slow-client": {Config: chaos.Config{
+		Restarts: 1, Rate: 2000, Client: service.HTTPDriverConfig{Deadline: 50 * time.Millisecond},
+		Faults: faultnet.Faults{Latency: 2 * time.Millisecond, Jitter: 5 * time.Millisecond, SlowClose: 10 * time.Millisecond},
+	}},
+	"chaos-replica-failover": {maxPreload: 1 << 14, Config: chaos.Config{
+		Failovers: 3, FeedShards: 4, MaxLag: 4096,
+		Rate: 2000, Client: replicaClient,
+	}},
+	// Two partition episodes long enough to push replay lag past the
+	// bound; MaxSilence below the episode length so a cut feed (which
+	// freezes the follower's own lag estimate at zero) still trips the
+	// staleness gate.
+	"chaos-replica-lag": {maxPreload: 1 << 14, Config: chaos.Config{
+		Partitions: 2, PartitionDur: 500 * time.Millisecond,
+		FeedShards: 4, MaxLag: 16, MaxSilence: 150 * time.Millisecond,
+		Rate: 2000, Client: replicaClient,
+	}},
 }
 
-// chaosSystems resolves -systems for a chaos scenario (auto → the durable
-// default set).
-func chaosSystems(sc harness.Scenario) []string {
-	if *systemsFlag == "auto" {
-		return harness.DefaultSystems(sc)
-	}
-	var names []string
-	for _, part := range strings.Split(*systemsFlag, ",") {
-		names = append(names, strings.TrimSpace(part))
-	}
-	return names
-}
-
-// runChaosScenario is the ServiceChaos entry point: one chaos run per
-// selected system, senders = the largest -threads count, one Report. The
-// dedup window stays at the medleyd default so retries under connection
-// resets stay exactly-once.
+// runChaosScenario is the chaos entry point: one run per selected system
+// (auto → the scenario's default set), senders = the largest -threads
+// count, one Report. The dedup window stays at the medleyd default so
+// retries under connection resets stay exactly-once.
 func runChaosScenario(sc harness.Scenario, threads []int) error {
-	plan := chaosPlanFor(sc.Name)
-	senders := threads[len(threads)-1]
-	var mix harness.Mix
-	for _, ph := range sc.Phases {
-		if ph.Kind == harness.PhaseRun {
-			mix = ph.Mix
-			break
-		}
+	plan, ok := chaosPlans[sc.Name]
+	if !ok {
+		return fmt.Errorf("chaos scenario %q has no fault plan", sc.Name)
+	}
+	cfg := plan.Config
+	cfg.SystemOpts = systemOpts()
+	cfg.Service = service.Config{DedupWindow: 4096}
+	cfg.Senders = threads[len(threads)-1]
+	cfg.Duration = *durationFlag
+	cfg.KeyRange = uint64(*keyRange)
+	cfg.Preload = *preload
+	if plan.maxPreload > 0 && cfg.Preload > plan.maxPreload {
+		cfg.Preload = plan.maxPreload
+	}
+	cfg.Seed = *seedFlag
+	cfg.Mix = firstRunMix(sc)
+	cfg.Dist = sc.Dist
+	names := harness.DefaultSystems(sc)
+	if *systemsFlag != "auto" {
+		names = strings.Split(*systemsFlag, ",")
 	}
 
-	rep := harness.NewReport(sc.Name, threads, *durationFlag, uint64(*keyRange), *preload, *seedFlag)
-	for _, name := range chaosSystems(sc) {
-		if err := harness.ValidateSystemSpec(name, systemOpts()); err != nil {
+	rep := harness.NewReport(sc.Name, threads, cfg.Duration, cfg.KeyRange, cfg.Preload, cfg.Seed)
+	for _, name := range names {
+		cfg.System = strings.TrimSpace(name)
+		if err := harness.ValidateSystemSpec(cfg.System, cfg.SystemOpts); err != nil {
 			return err
 		}
-		res, err := service.RunChaos(service.ChaosConfig{
-			System:     name,
-			SystemOpts: systemOpts(),
-			Service:    service.Config{DedupWindow: 4096},
-			Client:     plan.client,
-			Faults:     plan.faults,
-			Restarts:   plan.restarts,
-			Senders:    senders,
-			Rate:       plan.rate,
-			Duration:   *durationFlag,
-			KeyRange:   uint64(*keyRange),
-			Preload:    *preload,
-			Seed:       *seedFlag,
-			Mix:        mix,
-			Dist:       sc.Dist,
-		})
+		res, err := chaos.Run(cfg)
 		if err != nil {
 			return err
 		}
@@ -126,13 +117,16 @@ func runChaosScenario(sc harness.Scenario, threads []int) error {
 	return writeReport(rep)
 }
 
-// chaosRecord converts a chaos run into one report record, phase "chaos":
-// the service block carries dispositions and availability, the recovery
-// block carries the accumulated recovery time and the wire-level
-// verification diff (model entries and violations come from VerifyWire,
-// not an in-process journal).
-func chaosRecord(scenario string, res service.ChaosResult) harness.Record {
-	return harness.Record{
+// chaosRecord converts a run into one report record. The service block
+// (dispositions, availability) is always there; the verification diff
+// rides in the recovery block for the crash-restart topology (phase
+// "chaos": accumulated recovery time, stale counted as mismatched — model
+// entries and violations come from the wire journals, not an in-process
+// one) and in the replica block for the replicated one (phase
+// "replica-chaos": fault schedule, leadership tracking, promotion-time
+// loss and the classified diff).
+func chaosRecord(scenario string, res chaos.Result) harness.Record {
+	rec := harness.Record{
 		System:    res.System,
 		Scenario:  scenario,
 		Phase:     "chaos",
@@ -151,7 +145,6 @@ func chaosRecord(scenario string, res service.ChaosResult) harness.Record {
 			ExpiredTxns:   res.Expired,
 			InDoubtTxns:   res.InDoubt,
 			RetriedTxns:   res.Retries,
-			BreakerOpens:  res.BreakerOpens,
 			Restarts:      res.Restarts,
 			DowntimeNs:    res.DowntimeNs,
 			Availability:  res.Availability,
@@ -159,32 +152,66 @@ func chaosRecord(scenario string, res service.ChaosResult) harness.Record {
 			Goodput:       res.Goodput,
 			P999Ns:        res.P999Ns,
 		},
-		Recovery: &harness.RecoveryRecord{
+	}
+	if res.Restarts > 0 {
+		// Not on replica records: a leader kill trips the breaker by
+		// design, and their driver story is the replica block's swaps
+		// and recoveries.
+		rec.Service.BreakerOpens = res.BreakerOpens
+		fc := res.Verify.FinalCheck()
+		rec.Recovery = &harness.RecoveryRecord{
 			Recoverable:      true,
 			RecoveryNs:       res.RecoveryNs,
-			RecoveredEntries: res.Verify.ModelEntries,
-			ModelEntries:     res.Verify.ModelEntries,
-			MissingWrites:    res.Verify.Missing,
-			MismatchedWrites: res.Verify.Mismatched,
-			LeakedWrites:     res.Verify.Leaked,
-			Violations:       res.Violations(),
-		},
+			RecoveredEntries: fc.ModelEntries,
+			ModelEntries:     fc.ModelEntries,
+			MissingWrites:    fc.Missing,
+			MismatchedWrites: fc.Mismatched,
+			LeakedWrites:     fc.Leaked,
+			Violations:       fc.Violations(),
+		}
+		return rec
 	}
+	rec.Phase = "replica-chaos"
+	rec.Replica = &harness.ReplicaRecord{
+		Failovers:        res.Failovers,
+		Partitions:       res.Partitions,
+		DriverFailovers:  res.DriverFailovers,
+		DriverRecoveries: res.DriverRecoveries,
+		StaleRejections:  res.StaleRejections,
+		LostWrites:       res.LostWrites,
+		MaxReplayLag:     res.MaxReplayLag,
+		ModelEntries:     res.Verify.ModelEntries,
+		MissingKeys:      res.Verify.Missing,
+		StaleKeys:        res.Verify.Stale,
+		MismatchedKeys:   res.Verify.Mismatched,
+		LeakedKeys:       res.Verify.Leaked,
+		Violations:       res.Violations(),
+	}
+	return rec
 }
 
-func printChaosResult(scenario string, res service.ChaosResult) {
-	fmt.Printf("%-22s %-24s senders=%-3d goodput=%8.0f txn/s  avail=%6.4f  p50=%8.0fns  p99=%8.0fns  p99.9=%8.0fns\n",
+func printChaosResult(scenario string, res chaos.Result) {
+	fmt.Printf("%-24s %-24s senders=%-3d goodput=%8.0f txn/s  avail=%6.4f  p50=%8.0fns  p99=%8.0fns  p99.9=%8.0fns\n",
 		scenario, res.System, res.Senders, res.Goodput, res.Availability,
 		res.P50Ns, res.P99Ns, res.P999Ns)
 	fmt.Printf("  disposition           completed=%d shed=%d errors=%d expired=%d in-doubt=%d retries=%d breaker-opens=%d\n",
 		res.Completed, res.Shed, res.Errors, res.Expired, res.InDoubt, res.Retries, res.BreakerOpens)
-	fmt.Printf("  restarts              n=%d downtime=%v recovery=%v\n",
-		res.Restarts, time.Duration(res.DowntimeNs), time.Duration(res.RecoveryNs))
-	if v := res.Violations(); v == 0 {
-		fmt.Printf("  wire-verify           OK (%d entries, %d tainted keys excluded)\n",
-			res.Verify.ModelEntries, res.Tainted)
+	switch {
+	case res.Restarts > 0:
+		fmt.Printf("  restarts              n=%d downtime=%v recovery=%v\n",
+			res.Restarts, time.Duration(res.DowntimeNs), time.Duration(res.RecoveryNs))
+	case res.Failovers > 0:
+		fmt.Printf("  failovers             cycles=%d driver-swaps=%d driver-recoveries=%d lost-at-promotion=%d downtime=%v\n",
+			res.Failovers, res.DriverFailovers, res.DriverRecoveries, res.LostWrites, time.Duration(res.DowntimeNs))
+	case res.Partitions > 0:
+		fmt.Printf("  partitions            episodes=%d max-replay-lag=%d stale-rejections=%d lost=%d\n",
+			res.Partitions, res.MaxReplayLag, res.StaleRejections, res.LostWrites)
+	}
+	v := res.Verify
+	if res.Violations() == 0 {
+		fmt.Printf("  wire-verify           OK (%d entries, %d tainted keys excluded)\n", v.ModelEntries, res.Tainted)
 	} else {
-		fmt.Printf("  wire-verify           FAILED: %d violations (missing=%d mismatched=%d leaked=%d; %d tainted)\n",
-			v, res.Verify.Missing, res.Verify.Mismatched, res.Verify.Leaked, res.Tainted)
+		fmt.Printf("  wire-verify           FAILED: %d violations (missing=%d stale=%d mismatched=%d leaked=%d; %d tainted)\n",
+			res.Violations(), v.Missing, v.Stale, v.Mismatched, v.Leaked, res.Tainted)
 	}
 }

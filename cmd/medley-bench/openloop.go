@@ -91,13 +91,6 @@ func runOpenLoop() error {
 	if err != nil {
 		return err
 	}
-	var mix harness.Mix
-	for _, ph := range sc.Phases {
-		if ph.Kind == harness.PhaseRun {
-			mix = ph.Mix
-			break
-		}
-	}
 	d, err := openLoopDriver(sc)
 	if err != nil {
 		return err
@@ -109,7 +102,7 @@ func runOpenLoop() error {
 		KeyRange:    uint64(*keyRange),
 		Preload:     *preload,
 		Seed:        *seedFlag,
-		Mix:         mix,
+		Mix:         firstRunMix(sc),
 		Dist:        sc.Dist,
 	})
 	if err != nil {

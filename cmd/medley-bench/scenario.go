@@ -111,11 +111,8 @@ func runScenario(name string, threads []int) error {
 	if err != nil {
 		return err
 	}
-	if sc.ServiceChaos {
+	if sc.ServiceChaos || sc.ReplicaChaos {
 		return runChaosScenario(sc, threads)
-	}
-	if sc.ReplicaChaos {
-		return runReplicaScenario(sc, threads)
 	}
 	mks, err := selectSystems(sc)
 	if err != nil {
@@ -143,6 +140,17 @@ func runScenario(name string, threads []int) error {
 		return nil
 	}
 	return writeReport(rep)
+}
+
+// firstRunMix is the mix of the scenario's first run phase: what shapes
+// the workload in the modes that bypass the phase script (open-loop, chaos).
+func firstRunMix(sc harness.Scenario) harness.Mix {
+	for _, ph := range sc.Phases {
+		if ph.Kind == harness.PhaseRun {
+			return ph.Mix
+		}
+	}
+	return harness.Mix{}
 }
 
 // writeReport emits the JSON report to stdout or -out, surfacing close

@@ -264,7 +264,7 @@ func TestPartitionKeyOwnership(t *testing.T) {
 	for _, threads := range []int{1, 2, 3, 4, 7, 8} {
 		for tid := 0; tid < threads; tid++ {
 			for k := uint64(0); k < keyRange; k += 13 {
-				p := partitionKey(k, tid, threads, keyRange)
+				p := PartitionKey(k, tid, threads, keyRange)
 				if p >= keyRange {
 					t.Fatalf("threads=%d tid=%d k=%d: partitioned key %d out of range", threads, tid, k, p)
 				}
@@ -275,7 +275,7 @@ func TestPartitionKeyOwnership(t *testing.T) {
 		}
 	}
 	// Degenerate range equal to thread count still stays in bounds.
-	if p := partitionKey(3, 3, 4, 4); p != 3 {
+	if p := PartitionKey(3, 3, 4, 4); p != 3 {
 		t.Fatalf("tight range: got %d", p)
 	}
 }

@@ -133,15 +133,3 @@ func (s *inprocSession) Do(ops []kv.Op, res []kv.Result) error {
 }
 
 func (s *inprocSession) Close() error { return nil }
-
-// KvOps translates harness ops into the kv batch request API — the
-// adapter between the scenario generators (which speak harness Op) and
-// the Driver seam (which speaks kv.Op). dst is reused; the returned slice
-// aliases it.
-func KvOps(dst []kv.Op, ops []Op) []kv.Op {
-	dst = dst[:0]
-	for _, op := range ops {
-		dst = append(dst, kv.Op{Kind: kvKind(op.Kind), Key: op.Key, Val: op.Val})
-	}
-	return dst
-}

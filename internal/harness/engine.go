@@ -197,23 +197,10 @@ type ScenarioResult struct {
 // line. Counters are plain: only the owning worker writes them, and the
 // engine reads them after the phase barrier.
 type workerShard struct {
-	txns    uint64
-	ops     uint64
-	samples []int64 // latency reservoir, ns
-	seen    int64   // transactions offered to the reservoir
-	r       *rand.Rand
-	_       [40]byte
-}
-
-func (w *workerShard) record(d time.Duration, max int) {
-	w.seen++
-	if len(w.samples) < max {
-		w.samples = append(w.samples, int64(d))
-		return
-	}
-	if j := w.r.Int63n(w.seen); j < int64(max) {
-		w.samples[j] = int64(d)
-	}
+	txns uint64
+	ops  uint64
+	Reservoir
+	_ [40]byte
 }
 
 // RunScenario executes sc against sys: preload once, then each phase in
@@ -405,7 +392,7 @@ func runGroupedWorker(gw GroupWorker, gen *TxGen, size int, shard *workerShard, 
 			if vs != nil && vs.partition {
 				for i := range ops {
 					if ops[i].Kind == OpInsert || ops[i].Kind == OpRemove {
-						ops[i].Key = partitionKey(ops[i].Key, tid, workers, cfg.KeyRange)
+						ops[i].Key = PartitionKey(ops[i].Key, tid, workers, cfg.KeyRange)
 					}
 				}
 			}
@@ -417,7 +404,7 @@ func runGroupedWorker(gw GroupWorker, gen *TxGen, size int, shard *workerShard, 
 			tick = 0
 			t0 := time.Now()
 			gw.DoGroup(group)
-			shard.record(time.Since(t0), cfg.MaxLatencySamples)
+			shard.Record(time.Since(t0), cfg.MaxLatencySamples)
 		} else {
 			gw.DoGroup(group)
 		}
@@ -485,7 +472,7 @@ func runPhase(sys System, caps Caps, sc Scenario, ph Phase, phaseIdx int, cfg En
 	ws := make([]Worker, workers)
 	for t := 0; t < workers; t++ {
 		seed := cfg.Seed + int64(phaseIdx)*104729 + int64(t)*7919
-		shard := &workerShard{r: rand.New(rand.NewSource(seed ^ 0x5DEECE66D))}
+		shard := &workerShard{Reservoir: NewReservoir(seed ^ 0x5DEECE66D)}
 		shards[t] = shard
 		var jm map[uint64]modelVal
 		if journals != nil {
@@ -513,7 +500,7 @@ func runPhase(sys System, caps Caps, sc Scenario, ph Phase, phaseIdx int, cfg En
 				if vs != nil && vs.partition {
 					for i := range ops {
 						if ops[i].Kind == OpInsert || ops[i].Kind == OpRemove {
-							ops[i].Key = partitionKey(ops[i].Key, tid, workers, cfg.KeyRange)
+							ops[i].Key = PartitionKey(ops[i].Key, tid, workers, cfg.KeyRange)
 						}
 					}
 				}
@@ -521,7 +508,7 @@ func runPhase(sys System, caps Caps, sc Scenario, ph Phase, phaseIdx int, cfg En
 					tick = 0
 					t0 := time.Now()
 					w.Do(ops)
-					shard.record(time.Since(t0), cfg.MaxLatencySamples)
+					shard.Record(time.Since(t0), cfg.MaxLatencySamples)
 				} else {
 					w.Do(ops)
 				}
@@ -562,7 +549,7 @@ func runPhase(sys System, caps Caps, sc Scenario, ph Phase, phaseIdx int, cfg En
 	for _, s := range shards {
 		pr.Txns += s.txns
 		pr.Ops += s.ops
-		samples = append(samples, s.samples...)
+		samples = append(samples, s.Samples...)
 	}
 	var pg, phits, pret uint64
 	if caps.PoolStats != nil {
@@ -643,32 +630,7 @@ func finishPhaseResult(pr *PhaseResult, samples []int64) {
 	if total := pr.Txns + pr.Aborts; total > 0 {
 		pr.AbortRate = float64(pr.Aborts) / float64(total)
 	}
-	if len(samples) == 0 {
-		return
-	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	var sum int64
-	for _, s := range samples {
-		sum += s
-	}
-	pr.AvgLatencyNs = float64(sum) / float64(len(samples))
-	pr.P50LatencyNs = float64(percentile(samples, 50))
-	pr.P99LatencyNs = float64(percentile(samples, 99))
-}
-
-// percentile is nearest-rank over a sorted slice.
-func percentile(sorted []int64, p int) int64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := (p*len(sorted) + 99) / 100 // ceil(p/100 * n)
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
-	return sorted[rank-1]
+	pr.AvgLatencyNs, pr.P50LatencyNs, pr.P99LatencyNs, _ = LatencyDigest(samples)
 }
 
 // phaseSamples pairs one measured phase's latency reservoir with the

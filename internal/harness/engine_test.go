@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"math/rand"
 	"sort"
 	"testing"
 	"time"
@@ -94,14 +93,14 @@ func TestPercentileNearestRank(t *testing.T) {
 		want int64
 	}{{50, 50}, {99, 99}, {100, 100}, {1, 1}}
 	for _, c := range cases {
-		if got := percentile(sorted, c.p); got != c.want {
+		if got := Quantile(sorted, 10*c.p); got != c.want {
 			t.Fatalf("p%d of 1..100 = %d, want %d", c.p, got, c.want)
 		}
 	}
-	if got := percentile([]int64{7}, 99); got != 7 {
+	if got := Quantile([]int64{7}, 990); got != 7 {
 		t.Fatalf("p99 of singleton = %d", got)
 	}
-	if got := percentile(nil, 50); got != 0 {
+	if got := Quantile(nil, 500); got != 0 {
 		t.Fatalf("p50 of empty = %d", got)
 	}
 }
@@ -181,46 +180,46 @@ func TestZeroWeightPhaseDefaultsToEqualShare(t *testing.T) {
 }
 
 // TestReservoirQuantilesMatchSortedReference feeds a known population
-// through the worker latency reservoir and compares its percentiles with
+// through the latency reservoir and compares its percentiles with
 // the exact ones from the full sorted population: below capacity they are
 // identical, above it within a sampling tolerance.
 func TestReservoirQuantilesMatchSortedReference(t *testing.T) {
 	exactPercentile := func(population []int64, p int) int64 {
 		sorted := append([]int64(nil), population...)
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		return percentile(sorted, p)
+		return Quantile(sorted, 10*p)
 	}
-	quantiles := func(w *workerShard) (p50, p99 int64) {
-		sorted := append([]int64(nil), w.samples...)
+	quantiles := func(w *Reservoir) (p50, p99 int64) {
+		sorted := append([]int64(nil), w.Samples...)
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		return percentile(sorted, 50), percentile(sorted, 99)
+		return Quantile(sorted, 500), Quantile(sorted, 990)
 	}
 
 	// Below capacity: the reservoir holds everything, quantiles are exact.
-	small := &workerShard{r: rand.New(rand.NewSource(1))}
+	small := NewReservoir(1)
 	var population []int64
 	for i := int64(1); i <= 100; i++ {
-		small.record(time.Duration(i), 4096)
+		small.Record(time.Duration(i), 4096)
 		population = append(population, i)
 	}
-	p50, p99 := quantiles(small)
+	p50, p99 := quantiles(&small)
 	if p50 != exactPercentile(population, 50) || p99 != exactPercentile(population, 99) {
 		t.Fatalf("sub-capacity reservoir inexact: p50=%d p99=%d", p50, p99)
 	}
 
 	// Above capacity: uniform reservoir sampling keeps quantiles close to
 	// the reference. Population 1..100_000 with a 2048 reservoir.
-	big := &workerShard{r: rand.New(rand.NewSource(2))}
+	big := NewReservoir(2)
 	population = population[:0]
 	const n, cap = 100_000, 2048
 	for i := int64(1); i <= n; i++ {
-		big.record(time.Duration(i), cap)
+		big.Record(time.Duration(i), cap)
 		population = append(population, i)
 	}
-	if len(big.samples) != cap || big.seen != n {
-		t.Fatalf("reservoir holds %d of %d seen, want %d", len(big.samples), big.seen, cap)
+	if len(big.Samples) != cap || big.seen != n {
+		t.Fatalf("reservoir holds %d of %d seen, want %d", len(big.Samples), big.seen, cap)
 	}
-	p50, p99 = quantiles(big)
+	p50, p99 = quantiles(&big)
 	if ref := exactPercentile(population, 50); absInt64(p50-ref) > n/20 {
 		t.Fatalf("sampled p50=%d, reference %d", p50, ref)
 	}

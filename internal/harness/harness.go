@@ -15,29 +15,29 @@ package harness
 import (
 	"math/rand"
 	"time"
+
+	"medley/internal/kv"
 )
 
-// OpKind enumerates microbenchmark operations.
-type OpKind uint8
+// Op and OpKind are the kv batch request types: generators, workers and
+// drivers all speak one op type, so nothing is translated at the seam. The
+// paper's names for the kinds are kept as aliases of the kv constants.
+type (
+	OpKind = kv.OpKind
+	Op     = kv.Op
+)
 
 // Operation kinds: the paper's get:insert:remove mixes plus bounded
-// range scans (the range-scan scenario).
+// range scans (the range-scan scenario). OpRange scans up to Val entries
+// through the structure's native (non-linearizable) Range iteration; Key
+// is unused. Scans ride along inside transactions but are not part of the
+// read set.
 const (
-	OpGet OpKind = iota
-	OpInsert
-	OpRemove
-	// OpRange scans up to Val entries through the structure's native
-	// (non-linearizable) Range iteration; Key is unused. Scans ride along
-	// inside transactions but are not part of the read set.
-	OpRange
+	OpGet    = kv.OpGet
+	OpInsert = kv.OpPut
+	OpRemove = kv.OpDelete
+	OpRange  = kv.OpScan
 )
-
-// Op is one operation of a generated transaction.
-type Op struct {
-	Kind OpKind
-	Key  uint64
-	Val  uint64
-}
 
 // Worker executes transactions for one goroutine.
 type Worker interface {

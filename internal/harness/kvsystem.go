@@ -294,15 +294,13 @@ func (s *KVSystem) Preload(keys []uint64) {
 
 // kvWorker drives a bound TxMap; it is the worker of KVSystem and
 // MontageSystem both, and doubles as the kv.Executor behind NewExecutor.
-// Harness ops are translated into the kv batch request API and executed
-// through kv.Apply — the same shard-grouped routing path the network
-// service's tick executor uses.
+// Harness ops are kv batch requests and execute through kv.Apply — the
+// same shard-grouped routing path the network service's tick executor
+// uses.
 type kvWorker struct {
 	m  kv.TxMap
 	tx *core.Tx // nil: execute outside transactions
 	h  *ebr.Handle
-
-	kops []kv.Op // translation scratch, reused across transactions
 
 	// Change-feed tap (SetChangeFeed): committed batches publish their
 	// writes under the transaction's commit ticket. pub and feedRes are
@@ -312,10 +310,9 @@ type kvWorker struct {
 	pub     []cdc.Write
 	feedRes []kv.Result
 
-	// Group scratch, reused across DoGroup/ExecGroup calls: per-member
-	// translated op slices, the Batch headers over them, and the
-	// ApplyGroup flatten buffers.
-	gtrans   [][]kv.Op
+	// Group scratch, reused across DoGroup/ExecGroup calls: the Batch
+	// headers over the members' op slices and the ApplyGroup flatten
+	// buffers.
 	gbatches []kv.Batch
 	gsc      kv.GroupScratch
 }
@@ -414,13 +411,7 @@ func (s *KVSystem) newWorker() *kvWorker {
 	return w
 }
 
-func (w *kvWorker) Do(ops []Op) {
-	w.kops = w.kops[:0]
-	for _, op := range ops {
-		w.kops = append(w.kops, kv.Op{Kind: kvKind(op.Kind), Key: op.Key, Val: op.Val})
-	}
-	_ = w.ExecBatch(w.kops, nil)
-}
+func (w *kvWorker) Do(ops []Op) { _ = w.ExecBatch(ops, nil) }
 
 // DoGroup implements GroupWorker: each op list is one generated logical
 // transaction; the group commits through ExecGroup so compatible members
@@ -429,16 +420,10 @@ func (w *kvWorker) Do(ops []Op) {
 func (w *kvWorker) DoGroup(opss [][]Op) {
 	if cap(w.gbatches) < len(opss) {
 		w.gbatches = make([]kv.Batch, len(opss))
-		w.gtrans = make([][]kv.Op, len(opss))
 	}
 	batches := w.gbatches[:len(opss)]
 	for i, ops := range opss {
-		t := w.gtrans[i][:0]
-		for _, op := range ops {
-			t = append(t, kv.Op{Kind: kvKind(op.Kind), Key: op.Key, Val: op.Val})
-		}
-		w.gtrans[i] = t
-		batches[i] = kv.Batch{Ops: t}
+		batches[i] = kv.Batch{Ops: ops}
 	}
 	w.ExecGroup(batches, nil)
 }
@@ -629,19 +614,4 @@ func (w *kvWorker) ExecBatch(ops []kv.Op, res []kv.Result) error {
 		}
 	}
 	return nil
-}
-
-// kvKind maps a harness op kind onto the kv batch request API.
-func kvKind(k OpKind) kv.OpKind {
-	switch k {
-	case OpGet:
-		return kv.OpGet
-	case OpInsert:
-		return kv.OpPut
-	case OpRemove:
-		return kv.OpDelete
-	case OpRange:
-		return kv.OpScan
-	}
-	return kv.OpGet
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 
@@ -156,21 +155,8 @@ type olSender struct {
 	errors    uint64
 	expired   uint64
 	ops       uint64
-	samples   []int64
-	seen      int64
-	r         *rand.Rand
-	_         [40]byte
-}
-
-func (s *olSender) record(d time.Duration, max int) {
-	s.seen++
-	if len(s.samples) < max {
-		s.samples = append(s.samples, int64(d))
-		return
-	}
-	if j := s.r.Int63n(s.seen); j < int64(max) {
-		s.samples[j] = int64(d)
-	}
+	Reservoir
+	_ [40]byte
 }
 
 // runOpenLoopStep runs one offered-rate step: a dispatcher goroutine
@@ -184,7 +170,7 @@ func runOpenLoopStep(d Driver, cfg OpenLoopConfig, rate float64, step int) (Open
 	var sessErrOnce sync.Once
 	for i := 0; i < cfg.MaxInFlight; i++ {
 		seed := cfg.Seed + int64(step)*104729 + int64(i)*7919
-		s := &olSender{r: rand.New(rand.NewSource(seed ^ 0x5DEECE66D))}
+		s := &olSender{Reservoir: NewReservoir(seed ^ 0x5DEECE66D)}
 		senders[i] = s
 		sess, err := d.NewSession()
 		if err != nil {
@@ -204,7 +190,7 @@ func runOpenLoopStep(d Driver, cfg OpenLoopConfig, rate float64, step int) (Open
 				case err == nil:
 					s.completed++
 					s.ops += uint64(len(req.ops))
-					s.record(lat, cfg.MaxLatencySamples)
+					s.Record(lat, cfg.MaxLatencySamples)
 				case errors.Is(err, ErrOverload):
 					s.shed++
 				case errors.Is(err, ErrExpired):
@@ -236,7 +222,7 @@ func runOpenLoopStep(d Driver, cfg OpenLoopConfig, rate float64, step int) (Open
 		if wait := time.Until(next); wait > 0 {
 			time.Sleep(wait)
 		}
-		ops := KvOps(nil, gen.Next())
+		ops := append([]kv.Op(nil), gen.Next()...) // the generator reuses its buffer
 		offered++
 		select {
 		case work <- olReq{ops: ops, sched: next}:
@@ -262,43 +248,16 @@ func runOpenLoopStep(d Driver, cfg OpenLoopConfig, rate float64, step int) (Open
 		ph.Errors += s.errors
 		ph.Expired += s.expired
 		ph.Ops += s.ops
-		samples = append(samples, s.samples...)
+		samples = append(samples, s.Samples...)
 	}
 	if elapsed > 0 {
 		ph.OfferedRate = float64(offered) / elapsed.Seconds()
 		ph.Goodput = float64(ph.Completed) / elapsed.Seconds()
 	}
-	if len(samples) > 0 {
-		sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-		var sum int64
-		for _, s := range samples {
-			sum += s
-		}
-		ph.AvgNs = float64(sum) / float64(len(samples))
-		ph.P50Ns = float64(permille(samples, 500))
-		ph.P99Ns = float64(permille(samples, 990))
-		ph.P999Ns = float64(permille(samples, 999))
-	}
+	ph.AvgNs, ph.P50Ns, ph.P99Ns, ph.P999Ns = LatencyDigest(samples)
 	ph.Memory = memoryResult(mem0, mem1, ph.Ops, 0, 0, 0)
 	if ph.Completed == 0 && sessErr != nil {
 		return ph, fmt.Errorf("open-loop: no transaction completed at rate %v: %w", rate, sessErr)
 	}
 	return ph, nil
-}
-
-// permille is nearest-rank over a sorted slice, in tenths of a percent —
-// the open-loop tail needs p99.9, which the percent-grained percentile
-// helper cannot express.
-func permille(sorted []int64, p int) int64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := (p*len(sorted) + 999) / 1000
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
-	return sorted[rank-1]
 }

@@ -141,14 +141,14 @@ func TestPermilleNearestRank(t *testing.T) {
 	}{
 		{500, 500}, {990, 990}, {999, 999}, {1000, 1000},
 	} {
-		if got := permille(s, tc.p); got != tc.want {
-			t.Errorf("permille(1..1000, %d) = %d, want %d", tc.p, got, tc.want)
+		if got := Quantile(s, tc.p); got != tc.want {
+			t.Errorf("Quantile(1..1000, %d) = %d, want %d", tc.p, got, tc.want)
 		}
 	}
-	if got := permille([]int64{7}, 999); got != 7 {
+	if got := Quantile([]int64{7}, 999); got != 7 {
 		t.Errorf("singleton permille = %d, want 7", got)
 	}
-	if got := permille(nil, 500); got != 0 {
+	if got := Quantile(nil, 500); got != 0 {
 		t.Errorf("empty permille = %d, want 0", got)
 	}
 }

@@ -112,22 +112,20 @@ type Scenario struct {
 	// not just timed.
 	VerifyFinal bool
 
-	// ServiceChaos marks scenarios that run the service-layer chaos
-	// harness instead of the closed-loop engine: medleyd hosted over a
-	// durable backend behind a fault-injecting proxy, killed and
-	// restarted mid-run, with wire-level journal verification against
-	// the recovered state (internal/service RunChaos). The scenario's
-	// Dist and first phase's Mix shape the workload; the fault plan and
-	// kill schedule are keyed by scenario name in the bench driver.
+	// ServiceChaos and ReplicaChaos mark scenarios that run the
+	// fault-verification runner (internal/chaos Run) instead of the
+	// closed-loop engine: medleyd hosted in-process behind real listeners,
+	// fault events landing mid-traffic, and a wire-level journal diff
+	// against the state that survives. ServiceChaos deploys one daemon over
+	// a durable backend behind a fault-injecting proxy, killed and
+	// restarted mid-run, and verifies the recovered state. ReplicaChaos
+	// deploys a leader and a follower replaying its commit-ordered feed,
+	// with either leader kill + promotion cycles or replication-path
+	// partitions mid-run, and classifies every replica/model difference.
+	// The scenario's Dist and first phase's Mix shape the workload; the
+	// fault plan (event counts, fault proxy settings, staleness bounds,
+	// rates) is keyed by scenario name in the bench driver.
 	ServiceChaos bool
-
-	// ReplicaChaos marks scenarios that run the replication chaos
-	// harness (internal/service RunReplicaChaos): a leader and a
-	// follower replaying its commit-ordered feed, with either leader
-	// kill + promotion cycles or replication-path partitions mid-run,
-	// and a divergence check classifying every replica/model difference.
-	// The fault plan (cycle count, staleness bounds, rates) is keyed by
-	// scenario name in the bench driver, like ServiceChaos.
 	ReplicaChaos bool
 }
 

@@ -405,6 +405,9 @@ func (s *OneFileSystem) Preload(keys []uint64) {
 	}
 }
 
+// onefileWorker is OneFile's Worker and, like kvWorker, doubles as its
+// kv.Executor: harness ops are kv batch requests, so Do is ExecBatch with
+// the results discarded.
 type onefileWorker struct{ s *OneFileSystem }
 
 // NewWorker implements System.
@@ -414,16 +417,16 @@ func (s *OneFileSystem) NewWorker() Worker { return &onefileWorker{s} }
 // can serve OneFile — in the persistent flavor, a store whose every
 // acked commit is already durable, the property the crash-restart chaos
 // scenarios gate on.
-func (s *OneFileSystem) NewExecutor() kv.Executor { return &onefileExecutor{s} }
+func (s *OneFileSystem) NewExecutor() kv.Executor { return &onefileWorker{s} }
 
-// onefileExecutor adapts OneFile to the kv batch request API with the
-// same discipline as onefileWorker.Do: scans hoisted out of the
-// transaction through the structure's own Range, keyed ops in one
-// read-only or write transaction. OpAdd is read-modify-write inside the
-// transaction — OneFile's opacity makes the fetch-and-add atomic.
-type onefileExecutor struct{ s *OneFileSystem }
+func (w *onefileWorker) Do(ops []Op) { _ = w.ExecBatch(ops, nil) }
 
-func (e *onefileExecutor) ExecBatch(ops []kv.Op, res []kv.Result) error {
+// ExecBatch implements kv.Executor. Scans run through the structure's own
+// Range (its own read transaction), hoisted out so they never nest inside
+// the write transaction; keyed ops run in one read-only or write
+// transaction. OpAdd is read-modify-write inside the transaction —
+// OneFile's opacity makes the fetch-and-add atomic.
+func (w *onefileWorker) ExecBatch(ops []kv.Op, res []kv.Result) error {
 	readOnly, keyed := true, false
 	for i := range ops {
 		switch ops[i].Kind {
@@ -441,7 +444,7 @@ func (e *onefileExecutor) ExecBatch(ops []kv.Op, res []kv.Result) error {
 		}
 		n := int(ops[i].Val)
 		var visited uint64
-		e.s.m.Range(func(_, _ uint64) bool { visited++; n--; return n > 0 })
+		w.s.m.Range(func(_, _ uint64) bool { visited++; n--; return n > 0 })
 		if res != nil {
 			res[i] = kv.Result{Val: visited, Ok: true}
 		}
@@ -455,15 +458,15 @@ func (e *onefileExecutor) ExecBatch(ops []kv.Op, res []kv.Result) error {
 			var r kv.Result
 			switch op.Kind {
 			case kv.OpGet:
-				r.Val, r.Ok = e.s.m.Get(tx, op.Key)
+				r.Val, r.Ok = w.s.m.Get(tx, op.Key)
 			case kv.OpPut:
-				r.Val, r.Ok = e.s.m.Put(tx, op.Key, op.Val)
+				r.Val, r.Ok = w.s.m.Put(tx, op.Key, op.Val)
 			case kv.OpDelete:
-				r.Val, r.Ok = e.s.m.Remove(tx, op.Key)
+				r.Val, r.Ok = w.s.m.Remove(tx, op.Key)
 			case kv.OpAdd:
-				v, ok := e.s.m.Get(tx, op.Key)
+				v, ok := w.s.m.Get(tx, op.Key)
 				v += op.Val
-				e.s.m.Put(tx, op.Key, v)
+				w.s.m.Put(tx, op.Key, v)
 				r = kv.Result{Val: v, Ok: ok}
 			default:
 				continue
@@ -475,54 +478,9 @@ func (e *onefileExecutor) ExecBatch(ops []kv.Op, res []kv.Result) error {
 		return nil
 	}
 	if readOnly {
-		return e.s.stm.ReadTx(body)
+		return w.s.stm.ReadTx(body)
 	}
-	return e.s.stm.WriteTx(body)
-}
-
-func (w *onefileWorker) Do(ops []Op) {
-	readOnly := true
-	hasWork := false
-	for _, op := range ops {
-		switch op.Kind {
-		case OpRange:
-			// Scans run through the structure's own Range (its own read
-			// transaction); they must not nest inside the write tx below.
-			continue
-		case OpGet:
-			hasWork = true
-		default:
-			hasWork = true
-			readOnly = false
-		}
-	}
-	for _, op := range ops {
-		if op.Kind == OpRange {
-			n := int(op.Val)
-			w.s.m.Range(func(_, _ uint64) bool { n--; return n > 0 })
-		}
-	}
-	if !hasWork {
-		return
-	}
-	body := func(tx *onefile.Tx) error {
-		for _, op := range ops {
-			switch op.Kind {
-			case OpGet:
-				w.s.m.Get(tx, op.Key)
-			case OpInsert:
-				w.s.m.Put(tx, op.Key, op.Val)
-			case OpRemove:
-				w.s.m.Remove(tx, op.Key)
-			}
-		}
-		return nil
-	}
-	if readOnly {
-		_ = w.s.stm.ReadTx(body)
-	} else {
-		_ = w.s.stm.WriteTx(body)
-	}
+	return w.s.stm.WriteTx(body)
 }
 
 // ------------------------------------------------------------------ TDSL

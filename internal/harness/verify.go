@@ -37,10 +37,11 @@ type verifyState struct {
 	model     map[uint64]modelVal
 }
 
-// partitionKey maps k into worker tid's residue class modulo threads,
-// staying inside [0, keyRange). RunScenario guarantees keyRange >= threads
-// for crash scenarios, so the wrap below never underflows.
-func partitionKey(k uint64, tid, threads int, keyRange uint64) uint64 {
+// PartitionKey maps k into worker tid's residue class modulo threads,
+// staying inside [0, keyRange). Callers guarantee keyRange >= threads
+// (RunScenario for crash scenarios, the chaos runner for its senders), so
+// the wrap below never underflows.
+func PartitionKey(k uint64, tid, threads int, keyRange uint64) uint64 {
 	t := uint64(threads)
 	p := k - k%t + uint64(tid)
 	if p >= keyRange {
@@ -171,14 +172,6 @@ func (f FinalCheckResult) Violations() uint64 {
 // retry ambiguity. Exactness still requires partitioned writes
 // (PartitionKey): one sender per residue class, sole writer of its keys.
 
-// PartitionKey is the exported form of partitionKey for wire-level
-// verifiers whose senders journal outside the engine: it maps k into
-// sender tid's residue class modulo senders, staying inside
-// [0, keyRange) (callers ensure keyRange >= senders).
-func PartitionKey(k uint64, tid, senders int, keyRange uint64) uint64 {
-	return partitionKey(k, tid, senders, keyRange)
-}
-
 // WireJournal is one sender's client-side record of what it knows about
 // the server's state: the last committed value of every key it wrote
 // with a definitive acknowledgement, and the set of keys whose state is
@@ -234,44 +227,20 @@ func (j *WireJournal) Taint(ops []kv.Op) {
 	}
 }
 
-// VerifyWire merges the senders' journals and diffs them against a
-// server state snapshot (quiesced — typically just recovered), after
-// removing tainted keys from both sides. It returns the diff and the
-// number of keys excluded as tainted, so reports can show how much
-// coverage ambiguity cost.
+// VerifyWire is the crash-restart view of the one journal-merge verifier
+// (VerifyReplicaWire): a recovered store has no replay stream to fall
+// behind on, so an older acked value there is a wrong value, not a lagging
+// one — stale folds into mismatched and the rest carries over unchanged.
 func VerifyWire(journals []*WireJournal, snap func(fn func(key, val uint64) bool)) (FinalCheckResult, int) {
-	model := make(map[uint64]modelVal)
-	taint := make(map[uint64]struct{})
-	for _, j := range journals {
-		// Partitioned writes make per-key overrides impossible across
-		// journals; plain merge is exact.
-		for k, v := range j.model {
-			model[k] = v
-		}
-		for k := range j.taint {
-			taint[k] = struct{}{}
-		}
-	}
-	for k := range taint {
-		delete(model, k)
-	}
-	got := make(map[uint64]uint64, len(model))
-	snap(func(k, v uint64) bool {
-		if _, bad := taint[k]; !bad {
-			got[k] = v
-		}
-		return true
-	})
-	fc := FinalCheckResult{Checked: true}
-	fc.ModelEntries, fc.Missing, fc.Mismatched, fc.Leaked = diffCounts(model, got)
-	return fc, len(taint)
+	rc, tainted := VerifyReplicaWire(journals, snap)
+	return rc.FinalCheck(), tainted
 }
 
 // ----------------------------------------------- replica divergence check
 //
-// The replica verifier is VerifyWire pointed at a follower instead of a
-// recovered leader, with one refinement: per-key acked-value histories
-// let it CLASSIFY a divergence instead of just counting it. A replica
+// The replica verifier diffs a follower (or a recovered store) against the
+// merged journals, and per-key acked-value histories let it CLASSIFY a
+// divergence instead of just counting it. A replica
 // holding an older acked value lost a replay suffix (stale); a value no
 // client ever acked is corruption (mismatched); a key the model has that
 // the replica lacks vanished in flight (missing); a key the replica has
@@ -299,6 +268,15 @@ func (r ReplicaCheckResult) Violations() uint64 {
 	return r.Missing + r.Stale + r.Mismatched + r.Leaked
 }
 
+// FinalCheck projects the classified diff onto the three-way final-state
+// taxonomy, stale counted as mismatched; the violation total is unchanged.
+func (r ReplicaCheckResult) FinalCheck() FinalCheckResult {
+	return FinalCheckResult{
+		Checked: r.Checked, ModelEntries: r.ModelEntries,
+		Missing: r.Missing, Mismatched: r.Mismatched + r.Stale, Leaked: r.Leaked,
+	}
+}
+
 // VerifyReplicaWire merges the senders' journals and diffs a quiesced,
 // caught-up replica snapshot against them, classifying each divergent
 // key. Tainted keys (in-doubt outcomes, lost-at-promotion suffixes) are
@@ -310,9 +288,11 @@ func VerifyReplicaWire(journals []*WireJournal, snap func(fn func(key, val uint6
 	taint := make(map[uint64]struct{})
 	for _, j := range journals {
 		// Partitioned writes: per key exactly one SENDER journal wrote, so
-		// plain assignment merges the models exactly. Histories append: a
-		// preload journal and the key's sender both hold acked values, and
-		// staleness classification needs every one of them.
+		// plain assignment merges the models exactly — provided a preload
+		// journal comes before the senders', whose later value for a key
+		// must win. Histories append: a preload journal and the key's
+		// sender both hold acked values, and staleness classification
+		// needs every one of them.
 		for k, v := range j.model {
 			model[k] = v
 		}

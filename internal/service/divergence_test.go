@@ -146,7 +146,6 @@ func TestSeededFaultDivergenceDetectedAndClassed(t *testing.T) {
 // mangling the same pipeline verifies clean.
 func TestCleanReplicationZeroDivergence(t *testing.T) {
 	leader, lts := startNode(t, NodeConfig{FeedShards: 2})
-	_ = leader
 	follower, _ := startNode(t, NodeConfig{Follow: lts.URL, FeedShards: 2})
 	journal := harness.NewWireJournal()
 	for i := uint64(0); i < 200; i++ {
@@ -160,13 +159,7 @@ func TestCleanReplicationZeroDivergence(t *testing.T) {
 		}
 		journal.Commit(ops)
 	}
-	waitFor(t, 10*time.Second, "follower caught up", func() bool {
-		st := follower.Follower().Stats()
-		// Fewer entries than ops: deletes of absent keys are no-op
-		// commits and publish nothing.
-		return st.Ready && st.Lag == 0 && st.Applied >= 150
-	})
-	time.Sleep(30 * time.Millisecond)
+	waitFor(t, 10*time.Second, "follower caught up", func() bool { return caughtUp(leader, follower) })
 	snap := follower.Service().Backend().(harness.Snapshotter)
 	rc, tainted := harness.VerifyReplicaWire([]*harness.WireJournal{journal}, snap.StateSnapshot)
 	if rc.Violations() != 0 || tainted != 0 {

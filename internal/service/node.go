@@ -28,7 +28,7 @@ import (
 // PromoteAfter consecutive leader round trips fail) stops the replay
 // loops and flips the role; acked-but-unreplicated leader writes are
 // lost, which the divergence harness measures rather than hides (see
-// RunReplicaChaos).
+// internal/chaos).
 type Node struct {
 	svc        *Service
 	feed       *cdc.Feed

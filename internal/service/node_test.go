@@ -67,6 +67,24 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
+// caughtUp reports whether follower f has applied everything leader l has
+// published: cursors against the leader's TRUE feed heads. The follower's
+// own Lag() reads zero whenever its known head is stale (between the last
+// admission and the next heartbeat), so waiting on it can hand a test a
+// replica still missing the final writes.
+func caughtUp(l, f *Node) bool {
+	fol := f.Follower()
+	if !fol.Ready() {
+		return false
+	}
+	for s := 0; s < l.Feed().ShardCount(); s++ {
+		if fol.Applied(s) < l.Feed().Head(s) {
+			return false
+		}
+	}
+	return true
+}
+
 func TestNodeFollowerReplaysAndServesReads(t *testing.T) {
 	leader, lts := startNode(t, NodeConfig{})
 	_ = leader
@@ -266,7 +284,6 @@ func TestNodeFollowerResyncsAfterCompaction(t *testing.T) {
 	// Tiny ring + follower that cannot keep up bootstraps again and still
 	// converges (overflow-to-snapshot end to end).
 	leader, lts := startNode(t, NodeConfig{FeedRing: 8, FeedShards: 1})
-	_ = leader
 	follower, _ := startNode(t, NodeConfig{Follow: lts.URL, FeedShards: 1, FeedRing: 8})
 	waitFor(t, 5*time.Second, "follower ready", func() bool {
 		return follower.Follower().Ready()
@@ -277,10 +294,7 @@ func TestNodeFollowerResyncsAfterCompaction(t *testing.T) {
 			{Op: "put", Key: uint64(i % 32), Val: uint64(i)},
 		}})
 	}
-	waitFor(t, 10*time.Second, "follower converged", func() bool {
-		return follower.Follower().Ready() && follower.Follower().Lag() == 0
-	})
-	time.Sleep(30 * time.Millisecond)
+	waitFor(t, 10*time.Second, "follower converged", func() bool { return caughtUp(leader, follower) })
 	// Spot-check convergence through the service pipelines.
 	lres := make([]kv.Result, 1)
 	fres := make([]kv.Result, 1)
