@@ -34,11 +34,16 @@
 //
 // Witnesses in a stale published read set are the one reference that can
 // outlive rule 1 (the read set keeps cells reachable after they are
-// unlinked); the per-cell generation counter plus the atomicity of
-// cell.gen/cell.slot make that path safe (see cell.witnessValid).
+// unlinked); the per-cell generation counter, read atomically and the only
+// field such a witness touches, makes that path safe (see
+// cell.witnessValid).
 package core
 
-import "medley/internal/ebr"
+import (
+	"unsafe"
+
+	"medley/internal/ebr"
+)
 
 // poolRetirer is the capability Tx.SetSMR detects to enable pooling: an
 // SMR domain handle that can retire objects into pools without allocating.
@@ -64,12 +69,14 @@ type deferredCAS[T comparable] struct {
 	obj               any
 }
 
-// cellArena is the per-Tx freelist of cell[T] plus the deferred-CAS list
-// for T. Single-owner; see the package comment.
+// cellArena is the per-Tx pair of cell[T] freelists — value cells and
+// descriptor cells, which differ in size and never change kind — plus the
+// deferred-CAS list for T. Single-owner; see the package comment.
 type cellArena[T comparable] struct {
-	tx   *Tx
-	free []*cell[T]
-	def  []deferredCAS[T]
+	tx       *Tx
+	free     []*cell[T] // value cells (d == nil)
+	freeDesc []*cell[T] // descriptor cells (d != nil)
+	def      []deferredCAS[T]
 
 	// pending accumulates displaced cells between settles; each settle
 	// ships the whole batch to EBR limbo as ONE entry (a cellBatch whose
@@ -80,14 +87,15 @@ type cellArena[T comparable] struct {
 	pending     []*cell[T]
 	freeBatches []*cellBatch[T]
 
-	// slab is the bump allocator behind pool misses: cells are carved from
-	// a block of cellSlabSize instead of allocated one by one, so a burst
-	// of misses (a cold pool, or EBR advance starved by oversubscription
-	// parking readers mid-transaction) costs one GC allocation per slab
-	// rather than one per cell. Pooled cells are immortal — once carved
-	// they circulate through freelists forever — so slab backing memory
-	// never needs to free individually.
-	slab []cell[T]
+	// slab and descSlab are the bump allocators behind pool misses: cells
+	// are carved from a block of slabCells instead of allocated one by
+	// one, so a burst of misses (a cold pool, or EBR advance starved by
+	// oversubscription parking readers mid-transaction) costs one GC
+	// allocation per slab rather than one per cell. Pooled cells are
+	// immortal — once carved they circulate through freelists forever — so
+	// slab backing memory never needs to free individually.
+	slab     []cell[T]
+	descSlab []descCell[T]
 
 	// Plain counters, owner-only; flushed to the owner's StatShard once
 	// per settle so the hot path performs no atomic ops for telemetry.
@@ -114,40 +122,70 @@ func arenaFor[T comparable](tx *Tx) *cellArena[T] {
 	return a
 }
 
-// cellSlabSize is how many cells one pool-miss slab carves into.
-const cellSlabSize = 32
+// slabCells is how many cells of the given size one pool-miss slab carves
+// into: as many as fit in 512 bytes, the largest block the Go allocator
+// serves without prepending a malloc header. A 1 KB slab of 32-byte cells
+// lands in the 1152-byte size class for that header's sake — an eighth
+// wasted on every cell of a store at rest; 512 bytes is its own class.
+func slabCells(size uintptr) int { return max(1, int(512/size)) }
 
-// get pops a recycled cell (grace period already elapsed) or carves one
-// from the miss slab, binding it to slot o.
-func (a *cellArena[T]) get(o *CASObj[T]) *cell[T] {
+// pop takes the most recently recycled cell off a freelist, nil if empty.
+func pop[T comparable](free *[]*cell[T]) *cell[T] {
+	n := len(*free)
+	if n == 0 {
+		return nil
+	}
+	c := (*free)[n-1]
+	(*free)[n-1] = nil
+	*free = (*free)[:n-1]
+	return c
+}
+
+// get pops a recycled value cell (grace period already elapsed) or carves
+// one from the miss slab.
+func (a *cellArena[T]) get() *cell[T] {
 	a.gets++
-	if n := len(a.free); n > 0 {
-		c := a.free[n-1]
-		a.free[n-1] = nil
-		a.free = a.free[:n-1]
-		c.slot.Store(o)
+	if c := pop(&a.free); c != nil {
 		a.hits++
 		return c
 	}
 	if len(a.slab) == 0 {
-		a.slab = make([]cell[T], cellSlabSize)
+		a.slab = make([]cell[T], slabCells(unsafe.Sizeof(cell[T]{})))
 	}
 	c := &a.slab[0]
 	a.slab = a.slab[1:]
-	c.slot.Store(o)
 	return c
 }
 
-// put returns a never-published cell for immediate reuse (a CAS install
-// that lost its race). No grace period or generation bump is needed: no
-// other thread can have observed the cell.
+// getDesc is get for descriptor cells; the caller fills the descPart.
+func (a *cellArena[T]) getDesc() *cell[T] {
+	a.gets++
+	if c := pop(&a.freeDesc); c != nil {
+		a.hits++
+		return c
+	}
+	if len(a.descSlab) == 0 {
+		a.descSlab = make([]descCell[T], slabCells(unsafe.Sizeof(descCell[T]{})))
+	}
+	dc := &a.descSlab[0]
+	a.descSlab = a.descSlab[1:]
+	dc.d = &dc.descPart
+	return &dc.cell
+}
+
+// put clears c of everything it references and returns it to the freelist
+// of its kind. Called directly for a never-published cell (a CAS install
+// that lost its race): no grace period or generation bump is needed, since
+// no other thread can have observed the cell.
 func (a *cellArena[T]) put(c *cell[T]) {
 	var zero T
 	c.val = zero
-	c.desc = nil
-	c.serial = 0
-	c.prev = nil
-	a.free = append(a.free, c)
+	if c.d == nil {
+		a.free = append(a.free, c)
+		return
+	}
+	*c.d = descPart[T]{}
+	a.freeDesc = append(a.freeDesc, c)
 }
 
 // Recycle implements ebr.Pool: called by the EBR flush on the owning
@@ -169,17 +207,7 @@ func (a *cellArena[T]) Recycle(obj any) {
 
 func (a *cellArena[T]) recycleCell(c *cell[T]) {
 	c.gen.Add(1)
-	var zero T
-	c.val = zero
-	c.desc = nil
-	c.serial = 0
-	c.prev = nil
-	// slot is deliberately left stale: witnessValid reads it only when the
-	// generation still matches, and re-checks the generation after the slot
-	// load, so a stale (always-valid-memory) slot pointer can never produce
-	// a false validation — and skipping the atomic store plus its write
-	// barrier is measurable at recycle rates of millions per second.
-	a.free = append(a.free, c)
+	a.put(c)
 }
 
 // settle implements txPool: on commit, execute the deferred CASes in
@@ -231,14 +259,27 @@ func flushPoolStats(tx *Tx, gets, hits, retires *uint64) {
 	}
 }
 
-// newCell sources a cell for slot o: from tx's arena under pooling, from
-// the heap otherwise (including tx == nil).
-func newCell[T comparable](tx *Tx, o *CASObj[T]) *cell[T] {
+// newCell sources a value cell: from tx's arena under pooling, from the
+// heap otherwise (including tx == nil).
+func newCell[T comparable](tx *Tx) *cell[T] {
 	if tx != nil && tx.pooled {
-		return arenaFor[T](tx).get(o)
+		return arenaFor[T](tx).get()
 	}
-	c := &cell[T]{}
-	c.slot.Store(o)
+	return &cell[T]{}
+}
+
+// newDescCell sources a descriptor cell for tx's open transaction to
+// install in slot o over value cell prev.
+func newDescCell[T comparable](tx *Tx, o *CASObj[T], prev *cell[T]) *cell[T] {
+	var c *cell[T]
+	if tx.pooled {
+		c = arenaFor[T](tx).getDesc()
+	} else {
+		dc := &descCell[T]{}
+		dc.d = &dc.descPart
+		c = &dc.cell
+	}
+	*c.d = descPart[T]{desc: tx.desc, serial: tx.serial, prev: prev, slot: o}
 	return c
 }
 
@@ -303,21 +344,23 @@ func DeferCASRetire[T comparable, N any](tx *Tx, o *CASObj[T], expected, desired
 }
 
 // ResetSlot prepares a pooled node's embedded CASObj for reuse: the
-// resident cell, if any, stays attached (InitTx will reuse it in place)
-// but has its generation bumped and contents cleared so it retains no
-// references and can never satisfy an old witness. Only call on nodes
-// whose grace period has elapsed (i.e., from a NodePool reset function).
+// resident cell stays attached (InitTx will reuse it in place) but has its
+// generation bumped and contents cleared so it retains no references and
+// can never satisfy an old witness. A slot that was never written gets a
+// zero-valued cell, because its old witnesses name no cell to bump: they
+// hold only while the state is nil. (So does one holding a descriptor cell,
+// which no post-grace slot should: a cell never changes kind.) Only call on
+// nodes whose grace period has elapsed (i.e., from a NodePool reset
+// function).
 func ResetSlot[T comparable](o *CASObj[T]) {
 	c := o.state.Load()
-	if c == nil {
+	if c == nil || c.d != nil {
+		o.state.Store(&cell[T]{})
 		return
 	}
 	c.gen.Add(1)
 	var zero T
 	c.val = zero
-	c.desc = nil
-	c.serial = 0
-	c.prev = nil
 }
 
 // NodePool is a per-Tx freelist of structure nodes of type N with the same

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync/atomic"
+	"unsafe"
 )
 
 // cell is the unit of state held by a CASObj. Cells are immutable after
@@ -21,54 +22,93 @@ import (
 // generation counter additionally covers witnesses that outlive the grace
 // period inside a stale published read set (see publishedReads).
 //
-// A cell with desc == nil is a value cell holding the slot's real value.
-// A cell with desc != nil is a descriptor cell: a critical CAS of the
-// transaction identified by (desc, serial) has been installed; val is the
-// speculative new value and prev the displaced value cell. slot points back
-// at the owning CASObj so that any thread holding the cell can uninstall it.
+// There are two kinds of cell, and a cell keeps its kind for life. A value
+// cell (d == nil) holds the slot's real value and nothing else: it is what
+// a store at rest consists of, so it carries no descriptor state — 32 bytes
+// for a pointer-plus-mark T, 24 for a pointer. A descriptor cell is the
+// head of a descCell: d points at the descPart laid out behind it in the
+// same allocation, val is the speculative new value of the critical CAS
+// that installed it. Every reader therefore handles one pointer type and
+// tells the kinds apart with c.d != nil.
 //
-// gen and slot are atomic because they are the only fields a thread may
-// read on a cell that has possibly been recycled (via a stale witness);
-// every other field is read only on cells reached through a live slot,
-// which the reader's EBR critical section keeps stable.
+// A nil *cell is the third state a slot can be in: a CASObj nobody has
+// written yet holds the zero value of T without any cell at all — loading
+// it allocates nothing, so a lookup that ends in an empty bucket leaves the
+// bucket as it found it — and every method that can meet one is
+// nil-receiver safe.
+//
+// gen is atomic because it is the only field a thread may read on a cell
+// that has possibly been recycled (via a stale witness), and d is written
+// once, before the cell is first published; every other field is read only
+// on cells reached through a live slot, which the reader's EBR critical
+// section keeps stable.
 type cell[T comparable] struct {
-	val    T
+	val T
+	gen atomic.Uint64
+	d   *descPart[T]
+}
+
+// descPart is what a descriptor cell knows beyond its speculative value:
+// the installing transaction (desc, serial), the displaced value cell prev
+// (nil when the slot had never been written), and the owning slot, so that
+// any thread holding the cell can uninstall it.
+type descPart[T comparable] struct {
 	desc   *Desc
 	serial uint64
 	prev   *cell[T]
-	slot   atomic.Pointer[CASObj[T]]
-	gen    atomic.Uint64
+	slot   *CASObj[T]
 }
 
-// witnessValid implements witnessCell: the slot still holds this cell (or a
-// descriptor of the validating transaction that displaced it), and the cell
-// has not been recycled since the witness was taken. The generation is
-// checked first — a mismatch means the cell was reused and nothing else in
-// it may be read — and re-checked after the slot load so that a concurrent
-// recycle-and-reinstall into the same slot can never validate.
-func (c *cell[T]) witnessValid(d *Desc, serial, gen uint64) bool {
-	if c.gen.Load() != gen {
-		return false
-	}
-	slot := c.slot.Load()
-	if slot == nil {
-		return false
-	}
-	cur := slot.state.Load()
-	if cur == c {
-		return c.gen.Load() == gen
-	}
-	// cur is freshly loaded from a live slot, so its plain fields are
-	// stable for this (EBR-protected) reader.
-	if cur != nil && cur.desc == d && cur.serial == serial && cur.prev == c {
-		return c.gen.Load() == gen
-	}
-	return false
+// descCell is the allocation unit of a descriptor cell; only its embedded
+// cell is ever pointed at from outside.
+type descCell[T comparable] struct {
+	cell[T]
+	descPart[T]
 }
 
-// witness captures this cell's identity and generation as read evidence.
-func (c *cell[T]) witness() ReadWitness {
-	return ReadWitness{c: c, gen: c.gen.Load()}
+// value is c.val, with a nil cell standing for the zero value.
+func (c *cell[T]) value() T {
+	if c == nil {
+		var zero T
+		return zero
+	}
+	return c.val
+}
+
+// isDesc reports whether c is an installed descriptor cell.
+func (c *cell[T]) isDesc() bool { return c != nil && c.d != nil }
+
+// ownedBy reports whether descriptor cell c was installed by tx's open
+// transaction.
+func (c *cell[T]) ownedBy(tx *Tx) bool {
+	return c.d.desc == tx.desc && c.d.serial == tx.serial
+}
+
+// witnessValid implements witnessCell: slot (the *CASObj[T] the witness was
+// loaded from) still holds this cell, or a descriptor of the validating
+// transaction that displaced it, and the cell has not been recycled since
+// the witness was taken. The generation is checked first and re-checked
+// after the slot load so that a concurrent recycle-and-reinstall into the
+// same slot can never validate. The slot travels in the witness and not in
+// the cell: a value cell has no use for it otherwise, and a recycled cell
+// then exposes nothing but gen.
+//
+// A nil receiver is the witness of a never-written slot: it holds while the
+// slot's state is still nil (a state that no commit ever restores), or is
+// shadowed by the validating transaction's own first write to it.
+func (c *cell[T]) witnessValid(slot unsafe.Pointer, d *Desc, serial, gen uint64) bool {
+	if c != nil && c.gen.Load() != gen {
+		return false
+	}
+	// cur is freshly loaded from a slot, so its plain fields are stable for
+	// this (EBR-protected) reader.
+	cur := (*CASObj[T])(slot).state.Load()
+	if cur != c {
+		if !cur.isDesc() || cur.d.desc != d || cur.d.serial != serial || cur.d.prev != c {
+			return false
+		}
+	}
+	return c == nil || c.gen.Load() == gen
 }
 
 // helpFinalize gets a foreign descriptor out of the way, following the
@@ -78,12 +118,12 @@ func (c *cell[T]) witness() ReadWitness {
 // state and uninstall this one cell. tx is the helping thread's context
 // (nil outside transactions), used to source and retire cells.
 func (c *cell[T]) helpFinalize(tx *Tx) {
-	d := c.desc
-	st := d.status.Load()
-	if c.slot.Load().state.Load() != c {
+	dp := c.d
+	st := dp.desc.status.Load()
+	if dp.slot.state.Load() != c {
 		return // already uninstalled; st may belong to a later serial
 	}
-	st, ok := d.finalize(st, c.serial)
+	st, ok := dp.desc.finalize(st, dp.serial)
 	if !ok {
 		return
 	}
@@ -97,19 +137,19 @@ func (c *cell[T]) helpFinalize(tx *Tx) {
 // winner owns retirement: the displaced descriptor cell, and on commit the
 // original value cell it shadowed, go to the winner's arena limbo.
 func (c *cell[T]) uninstall(tx *Tx, committed bool) {
-	slot := c.slot.Load()
+	slot := c.d.slot
 	if committed {
-		nc := newCell(tx, slot)
+		nc := newCell[T](tx)
 		nc.val = c.val
 		if slot.state.CompareAndSwap(c, nc) {
-			retireCell(tx, c.prev)
+			retireCell(tx, c.d.prev)
 			retireCell(tx, c)
 		} else {
 			freeCell(tx, nc) // lost the uninstall race; nc never published
 		}
 		return
 	}
-	if slot.state.CompareAndSwap(c, c.prev) {
+	if slot.state.CompareAndSwap(c, c.d.prev) {
 		retireCell(tx, c)
 	}
 }
@@ -135,45 +175,36 @@ func NewCASObj[T comparable](v T) *CASObj[T] {
 // before the object is shared (e.g., in constructors), like a plain store
 // to a not-yet-published atomic.
 func (o *CASObj[T]) Init(v T) {
-	c := &cell[T]{val: v}
-	c.slot.Store(o)
-	o.state.Store(c)
+	o.state.Store(&cell[T]{val: v})
 }
 
 // InitTx is Init with a transaction context: the initial cell is drawn from
 // tx's arena when pooling is on. Like Init it must only be called while the
 // object is private to the caller (a node under construction, or a node
-// just popped from a pool whose grace period has passed). If a cell is
-// already installed it is reinitialized in place with a bumped generation,
-// so witnesses taken during the cell's previous life can never validate.
+// just popped from a pool whose grace period has passed). If a value cell
+// is already installed it is reinitialized in place with a bumped
+// generation, so witnesses taken during the cell's previous life can never
+// validate. (A resident descriptor cell — which no private slot should
+// hold — would be replaced, never reinterpreted as a value cell.)
 func (o *CASObj[T]) InitTx(tx *Tx, v T) {
-	if c := o.state.Load(); c != nil {
+	if c := o.state.Load(); c != nil && c.d == nil {
 		c.gen.Add(1)
 		c.val = v
-		c.desc = nil
-		c.serial = 0
-		c.prev = nil
-		c.slot.Store(o)
 		return
 	}
-	nc := newCell(tx, o)
+	nc := newCell[T](tx)
 	nc.val = v
 	o.state.Store(nc)
 }
 
-// loadCell returns the current cell, lazily installing a zero-value cell in
-// a zero-valued CASObj.
-func (o *CASObj[T]) loadCell() *cell[T] {
-	c := o.state.Load()
+// witness captures c — the cell just loaded from o, possibly nil — and its
+// generation as read evidence.
+func (o *CASObj[T]) witness(c *cell[T]) ReadWitness {
+	w := ReadWitness{c: c, slot: unsafe.Pointer(o)}
 	if c != nil {
-		return c
+		w.gen = c.gen.Load()
 	}
-	nc := &cell[T]{}
-	nc.slot.Store(o)
-	if o.state.CompareAndSwap(nil, nc) {
-		return nc
-	}
-	return o.state.Load()
+	return w
 }
 
 // spinYield yields the processor every spinYieldEvery iterations of a help
@@ -193,13 +224,14 @@ func spinYield(i int) {
 
 const spinYieldEvery = 1024
 
-// resolve returns the current value cell, finalizing and uninstalling any
-// foreign descriptor cells it encounters along the way.
+// resolve returns the current value cell (nil for a never-written slot),
+// finalizing and uninstalling any foreign descriptor cells it encounters
+// along the way.
 func (o *CASObj[T]) resolve(tx *Tx) *cell[T] {
 	for i := 0; ; i++ {
 		spinYield(i)
-		c := o.loadCell()
-		if c.desc == nil {
+		c := o.state.Load()
+		if !c.isDesc() {
 			return c
 		}
 		c.helpFinalize(tx)
@@ -214,7 +246,7 @@ func (o *CASObj[T]) resolve(tx *Tx) *cell[T] {
 // nbtcLoad fallback (readers do not publish metadata, so this costs nothing
 // in the common case).
 func (o *CASObj[T]) Load() T {
-	return o.resolve(nil).val
+	return o.resolve(nil).value()
 }
 
 // Store is the regular atomic store, implemented as a swap loop so that it
@@ -222,9 +254,7 @@ func (o *CASObj[T]) Load() T {
 func (o *CASObj[T]) Store(v T) {
 	for {
 		c := o.resolve(nil)
-		nc := &cell[T]{val: v}
-		nc.slot.Store(o)
-		if o.state.CompareAndSwap(c, nc) {
+		if o.state.CompareAndSwap(c, &cell[T]{val: v}) {
 			return
 		}
 	}
@@ -241,17 +271,26 @@ func (o *CASObj[T]) CAS(expected, desired T) bool {
 func (o *CASObj[T]) casTx(tx *Tx, expected, desired T) bool {
 	for {
 		c := o.resolve(tx)
-		if c.val != expected {
+		if c.value() != expected {
 			return false
 		}
-		nc := newCell(tx, o)
-		nc.val = desired
-		if o.state.CompareAndSwap(c, nc) {
-			retireCell(tx, c)
+		if o.swapValue(tx, c, desired) {
 			return true
 		}
-		freeCell(tx, nc)
 	}
+}
+
+// swapValue replaces value cell cur (nil for a never-written slot) with a
+// fresh value cell holding v, retiring cur on success.
+func (o *CASObj[T]) swapValue(tx *Tx, cur *cell[T], v T) bool {
+	nc := newCell[T](tx)
+	nc.val = v
+	if o.state.CompareAndSwap(cur, nc) {
+		retireCell(tx, cur)
+		return true
+	}
+	freeCell(tx, nc)
+	return false
 }
 
 // NbtcLoad is the transactional load of the paper's Figure 5. Inside a
@@ -264,16 +303,16 @@ func (o *CASObj[T]) casTx(tx *Tx, expected, desired T) bool {
 func (o *CASObj[T]) NbtcLoad(tx *Tx) (T, ReadWitness) {
 	if !tx.InTx() {
 		c := o.resolve(tx)
-		return c.val, c.witness()
+		return c.value(), o.witness(c)
 	}
 	tx.checkDoomed()
 	for i := 0; ; i++ {
 		spinYield(i)
-		c := o.loadCell()
-		if c.desc == nil {
-			return c.val, c.witness()
+		c := o.state.Load()
+		if !c.isDesc() {
+			return c.value(), o.witness(c)
 		}
-		if c.desc == tx.desc && c.serial == tx.serial {
+		if c.ownedBy(tx) {
 			tx.startSpec()
 			return c.val, ReadWitness{}
 		}
@@ -298,49 +337,28 @@ func (o *CASObj[T]) NbtcCAS(tx *Tx, expected, desired T, linPt, pubPt bool) bool
 		return o.casTx(tx, expected, desired)
 	}
 	tx.checkDoomed()
-	d := tx.desc
 	for i := 0; ; i++ {
 		spinYield(i)
 		if i == debugWedgeThreshold {
 			panic("medley: NbtcCAS wedged (invariant violation): " + o.debugState(tx))
 		}
-		cur := o.loadCell()
-		if cur.desc != nil {
-			if cur.desc != d || cur.serial != tx.serial {
+		cur := o.state.Load()
+		// prev is the value cell an abort restores: what a fresh install
+		// displaces, or what our own earlier install on this slot displaced.
+		prev, own := cur, false
+		if cur.isDesc() {
+			if !cur.ownedBy(tx) {
 				cur.helpFinalize(tx)
 				bump(&tx.desc.shard.HelpEvents)
 				continue
 			}
 			// Our own descriptor: the speculation interval covers this
 			// access. Compare against the speculative value and, on match,
-			// replace our own cell in place (prev still names the original
-			// displaced value cell, so abort restores pre-transaction
-			// state).
+			// replace our own cell in place.
 			tx.startSpec()
-			if cur.val != expected {
-				return false
-			}
-			nc := newCell(tx, o)
-			nc.val = desired
-			nc.desc = d
-			nc.serial = tx.serial
-			nc.prev = cur.prev
-			if o.state.CompareAndSwap(cur, nc) {
-				// cur (the superseded intermediate descriptor cell) is dead:
-				// the slot now holds nc, and settle's uninstall of the stale
-				// write-set entry will fail its CAS harmlessly.
-				retireCell(tx, cur)
-				tx.addWrite(nc)
-				if linPt {
-					tx.endSpec()
-				}
-				return true
-			}
-			freeCell(tx, nc)
-			// A helper finalized us concurrently; loop to rediscover state.
-			continue
+			prev, own = cur.d.prev, true
 		}
-		if cur.val != expected {
+		if cur.value() != expected {
 			return false
 		}
 		if pubPt {
@@ -349,21 +367,20 @@ func (o *CASObj[T]) NbtcCAS(tx *Tx, expected, desired T, linPt, pubPt bool) bool
 		if !tx.inSpec {
 			// Non-critical CAS (helping work before the speculation
 			// interval): execute immediately.
-			nc := newCell(tx, o)
-			nc.val = desired
-			if o.state.CompareAndSwap(cur, nc) {
-				retireCell(tx, cur)
+			if o.swapValue(tx, cur, desired) {
 				return true
 			}
-			freeCell(tx, nc)
 			continue
 		}
-		nc := newCell(tx, o)
+		nc := newDescCell(tx, o, prev)
 		nc.val = desired
-		nc.desc = d
-		nc.serial = tx.serial
-		nc.prev = cur
 		if o.state.CompareAndSwap(cur, nc) {
+			if own {
+				// cur (the superseded intermediate descriptor cell) is dead:
+				// the slot now holds nc, and settle's uninstall of the stale
+				// write-set entry will fail its CAS harmlessly.
+				retireCell(tx, cur)
+			}
 			tx.addWrite(nc)
 			if linPt {
 				tx.endSpec()
@@ -371,6 +388,10 @@ func (o *CASObj[T]) NbtcCAS(tx *Tx, expected, desired T, linPt, pubPt bool) bool
 			return true
 		}
 		freeCell(tx, nc)
+		if own {
+			// A helper finalized us concurrently; loop to rediscover state.
+			continue
+		}
 		// As in the paper, a failed install is reported to the data
 		// structure, whose own retry loop re-runs planning.
 		return false
@@ -386,14 +407,11 @@ const debugWedgeThreshold = 200_000_000
 // debugState renders the slot's current cell for wedge diagnostics.
 func (o *CASObj[T]) debugState(tx *Tx) string {
 	c := o.state.Load()
-	if c == nil {
-		return "<nil cell>"
+	if !c.isDesc() {
+		return fmt.Sprintf("value{%v}", c.value())
 	}
-	if c.desc == nil {
-		return fmt.Sprintf("value{%v}", c.val)
-	}
-	own := tx.InTx() && c.desc == tx.desc && c.serial == tx.serial
-	st := c.desc.status.Load()
+	own := tx.InTx() && c.ownedBy(tx)
+	st := c.d.desc.status.Load()
 	return fmt.Sprintf("desc{val=%v serial=%d own=%v status(serial=%d,st=%d)}",
-		c.val, c.serial, own, serialOf(st), statusOf(st))
+		c.val, c.d.serial, own, serialOf(st), statusOf(st))
 }

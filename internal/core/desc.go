@@ -1,6 +1,9 @@
 package core
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+	"unsafe"
+)
 
 // Transaction status codes, stored in the low two bits of a descriptor's
 // status word. The remaining 62 bits hold the descriptor's serial number,
@@ -43,46 +46,49 @@ func statusOf(word uint64) uint64             { return word & statusMask }
 //
 // ReadWitness is a small concrete struct rather than an interface so that
 // the common path — appending to and scanning the read set — involves no
-// interface boxing and only one indirect call per entry. The zero
-// ReadWitness is always valid and is ignored by Tx.AddToReadSet.
+// interface boxing and only one indirect call per entry. It names the slot
+// as well as the cell: a value cell does not know where it is installed
+// (see cell), so the witness carries the one back-pointer validation needs,
+// type-erased because ReadWitness is not generic; the cell's method restores
+// the type. The zero ReadWitness is always valid and is ignored by
+// Tx.AddToReadSet.
 //
 // A ReadWitness is opaque; pass it to Tx.AddToReadSet from the linearizing
 // load of a read-only operation.
 type ReadWitness struct {
-	c   witnessCell // witnessed cell; nil for predicate or always-valid
-	gen uint64      // cell generation observed at load time
-	chk func() bool // predicate witness (Tx.AddReadCheck); nil otherwise
+	c    witnessCell    // witnessed cell (typed nil: slot never written), or a readCheck
+	gen  uint64         // cell generation observed at load time
+	slot unsafe.Pointer // the *CASObj[T] c was loaded from; nil for a readCheck
 }
 
-// witnessCell is the one indirect call a cell-backed witness needs; it is
-// implemented by *cell[T] for every T, and holding the pointer in the
+// witnessCell is the one indirect call a witness needs; it is implemented
+// by *cell[T] for every T and by readCheck, and holding either in the
 // interface does not allocate.
 type witnessCell interface {
-	witnessValid(d *Desc, serial, gen uint64) bool
+	witnessValid(slot unsafe.Pointer, d *Desc, serial, gen uint64) bool
 }
+
+// readCheck is a predicate witness (Tx.AddReadCheck).
+type readCheck func() bool
+
+func (f readCheck) witnessValid(unsafe.Pointer, *Desc, uint64, uint64) bool { return f() }
 
 // isZero reports whether the witness carries no evidence (the witness of a
 // speculative self-read, or an unset field).
-func (w ReadWitness) isZero() bool { return w.c == nil && w.chk == nil }
+func (w ReadWitness) isZero() bool { return w.c == nil }
 
 // valid re-checks the witness for transaction (d, serial).
 func (w ReadWitness) valid(d *Desc, serial uint64) bool {
-	if w.c != nil {
-		return w.c.witnessValid(d, serial, w.gen)
-	}
-	if w.chk != nil {
-		return w.chk()
-	}
-	return true
+	return w.c == nil || w.c.witnessValid(w.slot, d, serial, w.gen)
 }
 
 // writeCell is an installed descriptor cell recorded in the owner's write
 // set so the owner can uninstall everything on commit or abort. Helpers
 // never touch the write set: the cell itself carries enough state
-// (slot back-pointer, speculative value, displaced cell) for a helper to
-// uninstall the one cell it encountered. The *Tx argument is the
-// uninstalling thread's context (nil outside transactions): displaced cells
-// are retired into its arena when pooling is on.
+// (speculative value and, in its descPart, slot back-pointer and displaced
+// cell) for a helper to uninstall the one cell it encountered. The *Tx
+// argument is the uninstalling thread's context (nil outside transactions):
+// displaced cells are retired into its arena when pooling is on.
 type writeCell interface {
 	uninstall(tx *Tx, committed bool)
 }

@@ -135,17 +135,20 @@ func (tx *Tx) addWrite(w writeCell) { tx.writes = append(tx.writes, w) }
 // validation (the paper's addToReadSet). Calling it outside a transaction,
 // or with a zero witness, is a no-op.
 //
-// A witness naming the same cell and generation as the read set's last
-// entry is dropped: it is evidence of the same fact, so validating it twice
-// proves nothing. Hand-over-hand range reads re-witness their anchor cell
-// on every step, which would otherwise grow the read set — and commit-time
-// validation cost — quadratically in the scan length.
+// A witness naming the same slot, cell and generation as the read set's
+// last entry is dropped: it is evidence of the same fact, so validating it
+// twice proves nothing. Hand-over-hand range reads re-witness their anchor
+// cell on every step, which would otherwise grow the read set — and
+// commit-time validation cost — quadratically in the scan length.
 func (tx *Tx) AddToReadSet(w ReadWitness) {
 	if !tx.InTx() || w.isZero() {
 		return
 	}
-	if n := len(tx.reads); n > 0 && w.c != nil {
-		if last := &tx.reads[n-1]; last.c == w.c && last.gen == w.gen {
+	if n := len(tx.reads); n > 0 {
+		// Slot first: last may be a predicate entry (AddReadCheck), whose
+		// func value must not reach the interface comparison, and it has no
+		// slot.
+		if last := &tx.reads[n-1]; last.slot == w.slot && last.gen == w.gen && last.c == w.c {
 			return
 		}
 	}
@@ -160,7 +163,7 @@ func (tx *Tx) AddReadCheck(f func() bool) {
 	if !tx.InTx() {
 		return
 	}
-	tx.reads = append(tx.reads, ReadWitness{chk: f})
+	tx.reads = append(tx.reads, ReadWitness{c: readCheck(f)})
 }
 
 // Defer registers post-critical cleanup work to run after the transaction

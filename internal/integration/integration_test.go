@@ -172,12 +172,14 @@ func TestStatsPlumbing(t *testing.T) {
 	sk := fraserskip.New[uint64](mgr)
 	smr := ebr.New(16)
 	var wg sync.WaitGroup
-	for g := 0; g < 3; g++ {
+	handles := make([]*ebr.Handle, 3)
+	for g := range handles {
 		wg.Add(1)
+		h := smr.Register()
+		handles[g] = h
 		go func(seed int64) {
 			defer wg.Done()
 			tx := mgr.Register()
-			h := smr.Register()
 			tx.SetSMR(h)
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 400; i++ {
@@ -190,10 +192,14 @@ func TestStatsPlumbing(t *testing.T) {
 				})
 				h.Exit()
 			}
-			h.Drain()
 		}(int64(g) + 2)
 	}
 	wg.Wait()
+	// Drain skips the grace period, so it waits until every worker is done:
+	// a worker draining while another still ran recycled cells under it.
+	for _, h := range handles {
+		h.Drain()
+	}
 	st := mgr.Stats()
 	if st.Commits != 1200 {
 		t.Fatalf("commits = %d, want 1200", st.Commits)

@@ -290,17 +290,25 @@ func (f *Follower) bootstrap(shard int) error {
 			snap.Shards, f.cfg.Shards)
 	}
 
+	// Local keys the snapshot does not hold are stale. The scan runs first:
+	// on a first bootstrap it finds an empty shard, and the snapshot's key
+	// set is never built.
 	var stale []uint64
 	if f.cfg.Scan != nil {
+		f.cfg.Scan(shard, func(key, _ uint64) { stale = append(stale, key) })
+	}
+	if len(stale) > 0 {
 		in := make(map[uint64]struct{}, len(snap.Entries))
 		for _, e := range snap.Entries {
 			in[e.Key] = struct{}{}
 		}
-		f.cfg.Scan(shard, func(key, _ uint64) {
-			if _, ok := in[key]; !ok {
-				stale = append(stale, key)
+		local := stale
+		stale = stale[:0]
+		for _, k := range local {
+			if _, ok := in[k]; !ok {
+				stale = append(stale, k)
 			}
-		})
+		}
 	}
 
 	ops := make([]kv.Op, 0, applyBatchMax)

@@ -1,6 +1,7 @@
 package mhash
 
 import (
+	"runtime"
 	"testing"
 
 	"medley/internal/core"
@@ -152,4 +153,90 @@ func TestAllocsBaselineNonZero(t *testing.T) {
 	if allocs < 3 {
 		t.Fatalf("unpooled Put allocates %.2f objects/run; expected the heap-allocating baseline (did pooling become the default?)", allocs)
 	}
+}
+
+// TestBytesPerKey pins the store's footprint where it is decided — node,
+// link cell, bucket slot, head cell — on the configuration medleyd builds
+// (pooling on, as many buckets as keys). Each key costs a 24-byte node, a
+// 32-byte value cell for its link, an 8-byte bucket slot, and a 32-byte
+// head cell for each of the ~63% of buckets that scattered keys leave
+// non-empty: ~84 bytes, against ~144 when every cell carried descriptor
+// state and every bucket a manager pointer. The second half is the read
+// side of the same contract: looking up absent keys — a third of them in
+// buckets nobody has ever written — must leave no cell behind.
+func TestBytesPerKey(t *testing.T) {
+	const keys = 1 << 16
+	const ceiling = 92 // bytes of live heap per preloaded key
+
+	// Scattered keys (splitmix64 of the index): dense ones pile into a
+	// ninth of the buckets under Map.hash and would hide the head cells.
+	key := func(i uint64) uint64 {
+		z := (i + 1) * 0x9E3779B97F4A7C15
+		z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
+		z = (z ^ z>>27) * 0x94D049BB133111EB
+		return z ^ z>>31
+	}
+
+	mgr := core.NewTxManager()
+	mgr.EnablePooling()
+	tx := mgr.Register()
+	h := ebr.New(1).Register()
+	tx.SetSMR(h)
+
+	heap := func() (ms runtime.MemStats) {
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms
+	}
+	before := heap()
+	m := NewMap[uint64](mgr, keys)
+	base := uint64(0)
+	const perTx = 16
+	run := func(body func() error) {
+		h.Enter()
+		if err := tx.RunRetry(body); err != nil {
+			t.Fatal(err)
+		}
+		h.Exit()
+	}
+	put := func() error {
+		for i := base; i < base+perTx; i++ {
+			m.Put(tx, key(i), i)
+		}
+		return nil
+	}
+	for base = 0; base < keys; base += perTx {
+		run(put)
+	}
+	after := heap()
+	perKey := float64(after.HeapAlloc-before.HeapAlloc) / keys
+	t.Logf("%.1f bytes of live heap per key", perKey)
+	if perKey > ceiling {
+		t.Errorf("preload of %d keys into %d buckets holds %.1f bytes/key, ceiling %d", keys, keys, perKey, ceiling)
+	}
+
+	missed := 0
+	get := func() error {
+		for i := base; i < base+perTx; i++ {
+			if _, ok := m.Get(tx, key(i)); !ok {
+				missed++
+			}
+		}
+		return nil
+	}
+	base = keys
+	run(get) // the read set grows to its working size once
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for base = keys; base < 2*keys; base += perTx {
+		run(get)
+	}
+	runtime.ReadMemStats(&m1)
+	if missed != keys+perTx {
+		t.Fatalf("%d of %d absent keys missed", missed, keys+perTx)
+	}
+	if n, b := m1.Mallocs-m0.Mallocs, m1.TotalAlloc-m0.TotalAlloc; n != 0 || b != 0 {
+		t.Errorf("looking up %d absent keys allocated %d objects, %d bytes; want 0", keys, n, b)
+	}
+	runtime.KeepAlive(m)
 }

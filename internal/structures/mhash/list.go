@@ -66,11 +66,17 @@ func newNode[V any](tx *core.Tx, key uint64, val V, next ref[V]) *node[V] {
 	return n
 }
 
-// List is one NBTC-transformed Michael list (a sorted set keyed by uint64).
-// It is the building block of Map and is usable on its own.
-type List[V any] struct {
+// chain is one NBTC-transformed Michael list (a sorted set keyed by uint64)
+// and nothing but its head link: 8 bytes, which is what a Map pays per
+// bucket. Every list operation is a method of chain.
+type chain[V any] struct {
 	head core.CASObj[ref[V]]
-	mgr  *core.TxManager
+}
+
+// List is a chain usable on its own, attached to a TxManager.
+type List[V any] struct {
+	chain[V]
+	mgr *core.TxManager
 }
 
 // NewList creates an empty list attached to mgr.
@@ -101,7 +107,7 @@ type findResult[V any] struct {
 // original algorithm; inside one (i.e., after this transaction has seen its
 // own speculative value) they are treated as critical, which is the
 // conservative instrumentation the paper describes.
-func (l *List[V]) find(tx *core.Tx, key uint64) findResult[V] {
+func (l *chain[V]) find(tx *core.Tx, key uint64) findResult[V] {
 retry:
 	for {
 		prev := &l.head
@@ -143,7 +149,7 @@ retry:
 // curr.next when the key is present (the word a committed replace or remove
 // must change) and the load of prev when absent (the word an insert into
 // the gap must change); the corresponding witness joins the read set.
-func (l *List[V]) Get(tx *core.Tx, key uint64) (V, bool) {
+func (l *chain[V]) Get(tx *core.Tx, key uint64) (V, bool) {
 	tx.OpStart()
 	r := l.find(tx, key)
 	if r.found {
@@ -157,7 +163,7 @@ func (l *List[V]) Get(tx *core.Tx, key uint64) (V, bool) {
 
 // Contains reports whether key is present, with the same read evidence as
 // Get.
-func (l *List[V]) Contains(tx *core.Tx, key uint64) bool {
+func (l *chain[V]) Contains(tx *core.Tx, key uint64) bool {
 	_, ok := l.Get(tx, key)
 	return ok
 }
@@ -166,7 +172,7 @@ func (l *List[V]) Contains(tx *core.Tx, key uint64) bool {
 // value, if any. The linearization point is a single CAS in both paths:
 // marking the victim's next with the replacement spliced in (update), or
 // linking the new node (insert).
-func (l *List[V]) Put(tx *core.Tx, key uint64, val V) (V, bool) {
+func (l *chain[V]) Put(tx *core.Tx, key uint64, val V) (V, bool) {
 	tx.OpStart()
 	var nn *node[V]
 	for {
@@ -204,7 +210,7 @@ func reuseNode[V any](tx *core.Tx, n *node[V], key uint64, val V, next ref[V]) *
 // Insert adds key only if absent, returning false when the key already
 // exists. A failed insert is a read-only outcome whose evidence is the
 // observation of the existing node.
-func (l *List[V]) Insert(tx *core.Tx, key uint64, val V) bool {
+func (l *chain[V]) Insert(tx *core.Tx, key uint64, val V) bool {
 	tx.OpStart()
 	var nn *node[V]
 	for {
@@ -226,7 +232,7 @@ func (l *List[V]) Insert(tx *core.Tx, key uint64, val V) bool {
 // Remove deletes key, returning the removed value. A failed remove (key
 // absent) is a read-only outcome witnessed on prev. The linearization point
 // of a successful remove is the marking CAS on curr.next.
-func (l *List[V]) Remove(tx *core.Tx, key uint64) (V, bool) {
+func (l *chain[V]) Remove(tx *core.Tx, key uint64) (V, bool) {
 	tx.OpStart()
 	for {
 		r := l.find(tx, key)
@@ -245,7 +251,7 @@ func (l *List[V]) Remove(tx *core.Tx, key uint64) (V, bool) {
 
 // Len counts unmarked nodes; it is not linearizable and is intended for
 // tests and diagnostics.
-func (l *List[V]) Len() int {
+func (l *chain[V]) Len() int {
 	n := 0
 	cr := l.head.Load()
 	for c := cr.node; c != nil; {
@@ -261,7 +267,7 @@ func (l *List[V]) Len() int {
 // Range invokes fn over a non-linearizable snapshot of unmarked nodes in
 // ascending key order, stopping if fn returns false. For tests and
 // diagnostics.
-func (l *List[V]) Range(fn func(key uint64, val V) bool) {
+func (l *chain[V]) Range(fn func(key uint64, val V) bool) {
 	cr := l.head.Load()
 	for c := cr.node; c != nil; {
 		nr := c.next.Load()

@@ -8,7 +8,7 @@ import (
 // lock-free lists. The paper's microbenchmark uses 1M buckets for a 1M key
 // space; the bucket count is fixed at construction, as in the original.
 type Map[V any] struct {
-	buckets []List[V]
+	buckets []chain[V]
 	mask    uint64
 	mgr     *core.TxManager
 }
@@ -20,11 +20,7 @@ func NewMap[V any](mgr *core.TxManager, nBuckets int) *Map[V] {
 	for n < nBuckets {
 		n <<= 1
 	}
-	m := &Map[V]{buckets: make([]List[V], n), mask: uint64(n - 1), mgr: mgr}
-	for i := range m.buckets {
-		m.buckets[i].mgr = mgr
-	}
-	return m
+	return &Map[V]{buckets: make([]chain[V], n), mask: uint64(n - 1), mgr: mgr}
 }
 
 // Manager returns the TxManager this map participates in.
@@ -36,7 +32,7 @@ func (m *Map[V]) hash(key uint64) uint64 {
 	return (key * 0x9E3779B97F4A7C15) >> 32 & m.mask
 }
 
-func (m *Map[V]) bucket(key uint64) *List[V] {
+func (m *Map[V]) bucket(key uint64) *chain[V] {
 	return &m.buckets[m.hash(key)]
 }
 
