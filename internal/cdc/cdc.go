@@ -123,10 +123,17 @@ type Feed struct {
 	compacted atomic.Uint64
 }
 
+// routeMul is the default routing's multiplier: the multiplicative-hash
+// family kv.ShardOf uses, with a different odd constant so a key's stream
+// is independent of its store shard.
+const routeMul = 0xD6E8FEB86659FD93
+
 // New creates a feed over nshards per-shard streams of ringCap retained
 // entries each. shardOf routes keys to streams; it must be deterministic
 // (per-key order is only preserved within a stream). nil shardOf routes
-// key % nshards.
+// by the top bits of key × routeMul, scaled to nshards — key % nshards
+// would put a strided key space (the paper's even keys over four streams)
+// on half the streams.
 func New(nshards, ringCap int, shardOf func(key uint64) int) *Feed {
 	if nshards <= 0 {
 		nshards = 1
@@ -136,7 +143,7 @@ func New(nshards, ringCap int, shardOf func(key uint64) int) *Feed {
 	}
 	if shardOf == nil {
 		n := uint64(nshards)
-		shardOf = func(key uint64) int { return int(key % n) }
+		shardOf = func(key uint64) int { return int((key * routeMul >> 32) * n >> 32) }
 	}
 	f := &Feed{
 		shardOf: shardOf,

@@ -23,7 +23,8 @@ func readAll(t *testing.T, f *Feed, shard int, from uint64) []Entry {
 }
 
 func TestFeedOrderAndSeqs(t *testing.T) {
-	f := New(2, 8, nil)
+	// Fixed placement: even keys on stream 0, odd on 1.
+	f := New(2, 8, func(key uint64) int { return int(key % 2) })
 	t1 := f.DrawTicket()
 	t2 := f.DrawTicket()
 	if t1 != 1 || t2 != 2 {
@@ -55,6 +56,27 @@ func TestFeedOrderAndSeqs(t *testing.T) {
 	s1 := readAll(t, f, 1, 1)
 	if len(s1) != 1 || s1[0].Key != 3 || s1[0].Seq != 1 {
 		t.Fatalf("shard 1 entries = %v, want key 3 at seq 1", s1)
+	}
+}
+
+// The default routing spreads a strided key space over every stream: the
+// paper's (and the benchmark's) keys are all even, which key % 4 would put
+// on streams 0 and 2 only.
+func TestDefaultRoutingSpreadsEvenKeys(t *testing.T) {
+	const shards, keys = 4, 1 << 16
+	f := New(shards, 8, nil)
+	var n [shards]int
+	for k := uint64(0); k < 2*keys; k += 2 {
+		s := f.ShardOf(k)
+		if s != f.ShardOf(k) || s < 0 || s >= shards {
+			t.Fatalf("ShardOf(%d) = %d: not a deterministic stream in [0,%d)", k, s, shards)
+		}
+		n[s]++
+	}
+	for s, c := range n {
+		if share := float64(c) / keys; share < 0.20 || share > 0.30 {
+			t.Errorf("stream %d holds %.1f%% of %d even keys, want 20-30%% (all: %v)", s, 100*share, keys, n)
+		}
 	}
 }
 

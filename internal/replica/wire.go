@@ -10,11 +10,19 @@ import "medley/internal/cdc"
 //	    heartbeats (hb, head) while it is caught up, a compacted marker
 //	    when the cursor fell off the leader's ring mid-stream. A cursor
 //	    already compacted at connect time is answered 410 Gone.
-//	GET /v1/snapshot?shard=S — one SnapshotResponse: the shard's live
-//	    keys plus the feed position replay must resume from. The leader
-//	    reads the feed head BEFORE scanning state, so every committed
-//	    write the scan might miss has seq > head and is replayed; entries
-//	    the scan caught twice converge because feed values are absolute.
+//	GET /v1/snapshot[?shard=S] — chunked application/x-ndjson stream of
+//	    the store's live keys: one SnapshotHeader line, SnapshotChunk
+//	    lines written as the leader's scan proceeds (it holds one chunk,
+//	    whatever the store's size), and a trailer chunk (done, count).
+//	    Without shard the one scan covers every feed shard — a follower's
+//	    initial bootstrap; ?shard=S keeps only that shard's keys, for the
+//	    resync of one compacted stream. The leader reads the feed heads
+//	    BEFORE scanning state, so every committed write the scan might
+//	    miss has seq >= from_seq and is replayed; entries the scan caught
+//	    twice converge because feed values are absolute. A stream that
+//	    ends before its trailer, or whose trailer counts other than what
+//	    arrived, is a failed snapshot: the follower publishes no cursor
+//	    from it.
 //	POST /v1/promote — flip a follower into a leader (see service.Node).
 
 // WatchChunk is one line of a watch stream.
@@ -31,20 +39,32 @@ type WatchChunk struct {
 	Compacted bool `json:"compacted,omitempty"`
 }
 
-// SnapshotResponse is the body of GET /v1/snapshot: a fuzzy snapshot of
-// one feed shard plus the replay cursor (overflow-to-snapshot protocol).
-type SnapshotResponse struct {
-	Shard   int          `json:"shard"`
-	Shards  int          `json:"shards"` // feed shard count, for config validation
-	FromSeq uint64       `json:"from_seq"`
-	Entries []SnapshotKV `json:"entries"`
+// SnapshotHeader is the first line of a snapshot stream, written before
+// the scan starts.
+type SnapshotHeader struct {
+	// Shards is the feed shard count, for config validation.
+	Shards int `json:"shards"`
+	// FromSeq is, per feed shard, the sequence replay resumes from: the
+	// shard's head when the request arrived, plus one.
+	FromSeq []uint64 `json:"from_seq"`
 }
 
-// SnapshotKV is one live key in a snapshot.
-type SnapshotKV struct {
-	Key uint64 `json:"key"`
-	Val uint64 `json:"val"`
+// SnapshotChunk is every later line of a snapshot stream: up to
+// SnapshotChunkKeys live keys, or the trailer.
+type SnapshotChunk struct {
+	// KV is key, value, key, value, ... — flat, so a line is one array of
+	// numbers for both ends' codecs rather than an object per key.
+	KV []uint64 `json:"kv,omitempty"`
+	// Done marks the trailer, the stream's last line; Count is how many
+	// keys the chunks before it carried.
+	Done  bool   `json:"done,omitempty"`
+	Count uint64 `json:"count,omitempty"`
 }
+
+// SnapshotChunkKeys bounds the keys of one SnapshotChunk: one chunk is
+// one Apply on the follower, so it stays under the service layer's
+// per-request op limit.
+const SnapshotChunkKeys = 512
 
 // PromoteResponse is the body of POST /v1/promote.
 type PromoteResponse struct {

@@ -116,7 +116,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if snap, ok := cfg.Backend.(harness.Snapshotter); ok {
 		scan = func(shard int, fn func(key, val uint64)) {
 			snap.StateSnapshot(func(key, val uint64) bool {
-				if feed.ShardOf(key) == shard {
+				if shard == replica.AllShards || feed.ShardOf(key) == shard {
 					fn(key, val)
 				}
 				return true
@@ -154,8 +154,9 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 
 // applyReplay runs one replay batch through the node's own pipeline —
 // the same admission, execution, and feed publication path client writes
-// take. Shed means the pool is momentarily full of reads; replay retries
-// rather than dropping entries.
+// take, safe for the concurrent calls of a bootstrap (Submit is). Shed
+// means the pool is momentarily full of reads; replay retries rather than
+// dropping entries.
 func (n *Node) applyReplay(ops []kv.Op) error {
 	for {
 		err := n.svc.Submit(ops, nil)
@@ -288,6 +289,8 @@ func (n *Node) replMetrics() []harness.Metric {
 			harness.Metric{Name: "repl_lag", Value: st.Lag},
 			harness.Metric{Name: "repl_ready", Value: ready},
 			harness.Metric{Name: "repl_leader_down", Value: down},
+			harness.Metric{Name: "repl_bootstrap_keys", Value: st.BootstrapKeys},
+			harness.Metric{Name: "repl_bootstrap_ms", Value: st.BootstrapNanos / 1e6},
 		)
 	}
 	return out

@@ -22,7 +22,7 @@ import (
 //	GET  /metrics     — counter/gauge snapshot of the whole stack
 //	GET  /healthz     — liveness + system identity + replication role
 //	GET  /v1/watch    — chunked change-feed stream (replication enabled)
-//	GET  /v1/snapshot — fuzzy state snapshot of one feed shard
+//	GET  /v1/snapshot — streamed fuzzy state snapshot (all feed shards, or one)
 //	POST /v1/promote  — flip a follower node into a leader (Node only)
 //
 // Handlers are thin: decode, Submit, encode. Admission control lives in
@@ -205,7 +205,11 @@ func serveWatch(feed *cdc.Feed, w http.ResponseWriter, r *http.Request) {
 	started := false
 	hb := time.NewTicker(watchHeartbeat)
 	defer hb.Stop()
+	beat := true // the first caught-up pass tells the follower the head
 	for {
+		// Armed before the read, so an admission between the read and the
+		// wait below wakes this pass rather than the next heartbeat.
+		wake := feed.Notify()
 		got, rerr := feed.ReadFrom(shard, from, buf)
 		if rerr != nil { // ErrCompacted
 			if !started {
@@ -229,28 +233,37 @@ func serveWatch(feed *cdc.Feed, w http.ResponseWriter, r *http.Request) {
 			from = got[len(got)-1].Seq + 1
 			continue
 		}
-		// Caught up: heartbeat, then wait for an admission, the heartbeat
-		// tick, client departure, or feed close.
-		if err := enc.Encode(replica.WatchChunk{Hb: true, Head: feed.Head(shard)}); err != nil {
-			return
+		// Caught up. Notify is feed-wide: a wake for another shard's
+		// admission reads nothing here and goes back to waiting, so an idle
+		// stream carries heartbeats at the ticker's pace, not one line per
+		// write elsewhere.
+		if beat {
+			if err := enc.Encode(replica.WatchChunk{Hb: true, Head: feed.Head(shard)}); err != nil {
+				return
+			}
+			fl.Flush()
+			beat = false
 		}
-		fl.Flush()
 		if feed.Closed() {
 			return
 		}
 		select {
 		case <-r.Context().Done():
 			return
-		case <-feed.Notify():
+		case <-wake:
 		case <-hb.C:
+			beat = true
 		}
 	}
 }
 
-// serveSnapshot answers one shard's fuzzy snapshot. The feed head is
-// read BEFORE the state scan: every committed write the scan might miss
-// has a feed seq above the returned anchor, so snapshot + replay from
-// from_seq converges (feed values are absolute).
+// serveSnapshot streams a fuzzy snapshot (replica/wire.go): header,
+// chunks written as the one state scan proceeds, trailer. It holds one
+// chunk whatever the store's size, and a departed client ends the scan.
+// The feed heads are read BEFORE the scan: every committed write the scan
+// might miss has a feed seq at or above the header's from_seq, so snapshot
+// + replay from from_seq converges (feed values are absolute). Without a
+// shard parameter the scan serves every feed shard; with one, that shard.
 func serveSnapshot(s *Service, w http.ResponseWriter, r *http.Request) {
 	feed := s.cfg.Feed
 	snap, ok := s.be.(harness.Snapshotter)
@@ -258,24 +271,58 @@ func serveSnapshot(s *Service, w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotImplemented, "backend cannot snapshot state")
 		return
 	}
-	shard, err := feedShard(feed, r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	shard := replica.AllShards
+	if r.URL.Query().Has("shard") {
+		var err error
+		if shard, err = feedShard(feed, r); err != nil {
+			writeError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+	}
+	hdr := replica.SnapshotHeader{Shards: feed.ShardCount(), FromSeq: feed.Heads()}
+	for i := range hdr.FromSeq {
+		hdr.FromSeq[i]++
+	}
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	enc := json.NewEncoder(w)
+	if enc.Encode(hdr) != nil {
 		return
 	}
-	resp := replica.SnapshotResponse{
-		Shard:   shard,
-		Shards:  feed.ShardCount(),
-		FromSeq: feed.Head(shard) + 1,
-		Entries: []replica.SnapshotKV{},
+	if fl, ok := w.(http.Flusher); ok {
+		fl.Flush() // the follower validates the header while the scan runs
+	}
+
+	const open = `{"kv":[`
+	line := append(make([]byte, 0, 16<<10), open...)
+	var count uint64
+	live := true // false once a write failed or the client went away
+	emit := func() {
+		line = append(line, "]}\n"...)
+		_, err := w.Write(line)
+		line = line[:len(open)] // keeps whatever the line grew to
+		live = err == nil && r.Context().Err() == nil
 	}
 	snap.StateSnapshot(func(key, val uint64) bool {
-		if feed.ShardOf(key) == shard {
-			resp.Entries = append(resp.Entries, replica.SnapshotKV{Key: key, Val: val})
+		if shard != replica.AllShards && feed.ShardOf(key) != shard {
+			return true
 		}
-		return true
+		if len(line) > len(open) {
+			line = append(line, ',')
+		}
+		line = strconv.AppendUint(line, key, 10)
+		line = append(line, ',')
+		line = strconv.AppendUint(line, val, 10)
+		if count++; count%replica.SnapshotChunkKeys == 0 {
+			emit()
+		}
+		return live
 	})
-	writeJSON(w, http.StatusOK, resp)
+	if live && len(line) > len(open) {
+		emit()
+	}
+	if live {
+		_ = enc.Encode(replica.SnapshotChunk{Done: true, Count: count})
+	}
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
