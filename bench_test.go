@@ -24,9 +24,23 @@ const (
 	benchBuckets  = 1 << 16
 )
 
-// benchLoop preloads sys and measures b.N transactions of the given mix.
-func benchLoop(b *testing.B, sys harness.System, ratio harness.Ratio) {
+// benchOpts sizes every registry system for benchmark time, with the NVM
+// latencies cmd/medley-bench injects by default.
+var benchOpts = harness.SystemOpts{
+	Buckets: benchBuckets, KeyRange: benchKeyRange,
+	WriteBackLatency: 300 * time.Nanosecond, FenceLatency: 100 * time.Nanosecond,
+	StoreLatency: 60 * time.Nanosecond,
+}
+
+// benchTxns builds the system a spec names, preloads it and measures b.N
+// transactions drawn from dist and mix — the per-transaction cost view of
+// the thread sweeps cmd/medley-bench performs.
+func benchTxns(b *testing.B, spec string, dist harness.Dist, mix harness.Mix) {
 	b.Helper()
+	sys, err := harness.NewSystem(spec, benchOpts)
+	if err != nil {
+		b.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(42))
 	keys := make([]uint64, benchPreload)
 	for i := range keys {
@@ -36,125 +50,40 @@ func benchLoop(b *testing.B, sys harness.System, ratio harness.Ratio) {
 	stop := sys.Start()
 	defer stop()
 	w := sys.NewWorker()
-	ops := make([]harness.Op, 0, 10)
+	gen := harness.NewTxGen(dist, benchKeyRange, mix, 42)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n := 1 + rng.Intn(10)
-		ops = ops[:0]
-		for j := 0; j < n; j++ {
-			var kind harness.OpKind
-			total := ratio.Get + ratio.Insert + ratio.Remove
-			x := rng.Intn(total)
-			switch {
-			case x < ratio.Get:
-				kind = harness.OpGet
-			case x < ratio.Get+ratio.Insert:
-				kind = harness.OpInsert
-			default:
-				kind = harness.OpRemove
+		w.Do(gen.Next())
+	}
+}
+
+// BenchmarkFigure is Figures 7, 8 and 10 as sub-benchmarks,
+// Fig<N>/<spec>/<mix>: each figure is the set of system specs it compares
+// (the same table cmd/medley-bench -fig resolves), under the paper's
+// write-only 0:1:1 (W), mixed 2:1:1 (M) and read-mostly 18:1:1 (R) mixes
+// of 1-10 uniform-random operations.
+func BenchmarkFigure(b *testing.B) {
+	figures := []struct {
+		name  string
+		specs []string
+	}{
+		{"Fig7", []string{"medley-hash", "txmontage-hash", "onefile-hash", "ponefile-hash"}},
+		{"Fig8", []string{"medley-skip", "txmontage-skip", "onefile-skip", "ponefile-skip", "tdsl", "lftt"}},
+		{"Fig10a", []string{"plain-skip", "txoff-skip", "medley-skip"}},
+		{"Fig10b", []string{"txmontage-skip-persistoff"}},
+		{"Fig10c", []string{"txmontage-skip"}},
+	}
+	for _, f := range figures {
+		for _, spec := range f.specs {
+			for i, mix := range []string{"W", "M", "R"} {
+				b.Run(f.name+"/"+spec+"/"+mix, func(b *testing.B) {
+					benchTxns(b, spec, harness.Dist{Kind: harness.DistUniform},
+						harness.Mix{Ratio: harness.PaperRatios[i], TxMin: 1, TxMax: 10, Mixed: 1})
+				})
 			}
-			ops = append(ops, harness.Op{Kind: kind, Key: uint64(rng.Int63n(benchKeyRange)), Val: rng.Uint64()})
 		}
-		w.Do(ops)
 	}
 }
-
-// ratioFor maps the benchmark suffix to the paper's mixes.
-func ratioFor(name string) harness.Ratio {
-	switch name {
-	case "W": // write-only 0:1:1
-		return harness.Ratio{Get: 0, Insert: 1, Remove: 1}
-	case "M": // mixed 2:1:1
-		return harness.Ratio{Get: 2, Insert: 1, Remove: 1}
-	default: // read-mostly 18:1:1
-		return harness.Ratio{Get: 18, Insert: 1, Remove: 1}
-	}
-}
-
-// ---- Figure 7: transactional hash tables ----
-
-func BenchmarkFig7_Medley_W(b *testing.B) {
-	benchLoop(b, harness.NewMedleyHash(benchBuckets), ratioFor("W"))
-}
-func BenchmarkFig7_Medley_M(b *testing.B) {
-	benchLoop(b, harness.NewMedleyHash(benchBuckets), ratioFor("M"))
-}
-func BenchmarkFig7_Medley_R(b *testing.B) {
-	benchLoop(b, harness.NewMedleyHash(benchBuckets), ratioFor("R"))
-}
-
-func fig7Montage() harness.System {
-	return harness.NewMontage(harness.MontageOpts{
-		Buckets: benchBuckets, RegionWords: 1 << 24,
-		WriteBackLatency: 300 * time.Nanosecond, FenceLatency: 100 * time.Nanosecond,
-		StoreLatency: 60 * time.Nanosecond,
-	})
-}
-
-func BenchmarkFig7_TxMontage_W(b *testing.B) { benchLoop(b, fig7Montage(), ratioFor("W")) }
-func BenchmarkFig7_TxMontage_M(b *testing.B) { benchLoop(b, fig7Montage(), ratioFor("M")) }
-func BenchmarkFig7_TxMontage_R(b *testing.B) { benchLoop(b, fig7Montage(), ratioFor("R")) }
-
-func BenchmarkFig7_OneFile_W(b *testing.B) {
-	benchLoop(b, harness.NewOneFile(harness.OneFileOpts{Buckets: benchBuckets}), ratioFor("W"))
-}
-func BenchmarkFig7_OneFile_M(b *testing.B) {
-	benchLoop(b, harness.NewOneFile(harness.OneFileOpts{Buckets: benchBuckets}), ratioFor("M"))
-}
-func BenchmarkFig7_OneFile_R(b *testing.B) {
-	benchLoop(b, harness.NewOneFile(harness.OneFileOpts{Buckets: benchBuckets}), ratioFor("R"))
-}
-
-func fig7POneFile() harness.System {
-	return harness.NewOneFile(harness.OneFileOpts{
-		Buckets: benchBuckets, Persistent: true, RegionWords: 1 << 22,
-		WriteBackLatency: 300 * time.Nanosecond, FenceLatency: 100 * time.Nanosecond,
-	})
-}
-
-func BenchmarkFig7_POneFile_W(b *testing.B) { benchLoop(b, fig7POneFile(), ratioFor("W")) }
-func BenchmarkFig7_POneFile_R(b *testing.B) { benchLoop(b, fig7POneFile(), ratioFor("R")) }
-
-// ---- Figure 8: transactional skiplists ----
-
-func BenchmarkFig8_Medley_W(b *testing.B) { benchLoop(b, harness.NewMedleySkip(), ratioFor("W")) }
-func BenchmarkFig8_Medley_M(b *testing.B) { benchLoop(b, harness.NewMedleySkip(), ratioFor("M")) }
-func BenchmarkFig8_Medley_R(b *testing.B) { benchLoop(b, harness.NewMedleySkip(), ratioFor("R")) }
-
-func fig8Montage() harness.System {
-	return harness.NewMontage(harness.MontageOpts{
-		Skiplist: true, RegionWords: 1 << 24,
-		WriteBackLatency: 300 * time.Nanosecond, FenceLatency: 100 * time.Nanosecond,
-		StoreLatency: 60 * time.Nanosecond,
-	})
-}
-
-func BenchmarkFig8_TxMontage_W(b *testing.B) { benchLoop(b, fig8Montage(), ratioFor("W")) }
-func BenchmarkFig8_TxMontage_R(b *testing.B) { benchLoop(b, fig8Montage(), ratioFor("R")) }
-
-func BenchmarkFig8_OneFile_W(b *testing.B) {
-	benchLoop(b, harness.NewOneFile(harness.OneFileOpts{Skiplist: true}), ratioFor("W"))
-}
-func BenchmarkFig8_OneFile_R(b *testing.B) {
-	benchLoop(b, harness.NewOneFile(harness.OneFileOpts{Skiplist: true}), ratioFor("R"))
-}
-
-func fig8POneFile() harness.System {
-	return harness.NewOneFile(harness.OneFileOpts{
-		Skiplist: true, Persistent: true, RegionWords: 1 << 22,
-		WriteBackLatency: 300 * time.Nanosecond, FenceLatency: 100 * time.Nanosecond,
-	})
-}
-
-func BenchmarkFig8_POneFile_W(b *testing.B) { benchLoop(b, fig8POneFile(), ratioFor("W")) }
-
-func BenchmarkFig8_TDSL_W(b *testing.B) { benchLoop(b, harness.NewTDSL(), ratioFor("W")) }
-func BenchmarkFig8_TDSL_M(b *testing.B) { benchLoop(b, harness.NewTDSL(), ratioFor("M")) }
-func BenchmarkFig8_TDSL_R(b *testing.B) { benchLoop(b, harness.NewTDSL(), ratioFor("R")) }
-
-func BenchmarkFig8_LFTT_W(b *testing.B) { benchLoop(b, harness.NewLFTT(), ratioFor("W")) }
-func BenchmarkFig8_LFTT_M(b *testing.B) { benchLoop(b, harness.NewLFTT(), ratioFor("M")) }
-func BenchmarkFig8_LFTT_R(b *testing.B) { benchLoop(b, harness.NewLFTT(), ratioFor("R")) }
 
 // ---- Figure 9: TPC-C subset ----
 
@@ -199,87 +128,33 @@ func BenchmarkFig9_TPCC_TDSL(b *testing.B) {
 	benchTPCC(b, func() tpcc.Backend { return tpcc.NewTDSLBackend() })
 }
 
-// ---- Figure 10: latency decomposition ----
-
-func BenchmarkFig10a_Original_W(b *testing.B) {
-	benchLoop(b, harness.NewOriginalSkip(), ratioFor("W"))
-}
-func BenchmarkFig10a_Original_M(b *testing.B) {
-	benchLoop(b, harness.NewOriginalSkip(), ratioFor("M"))
-}
-func BenchmarkFig10a_Original_R(b *testing.B) {
-	benchLoop(b, harness.NewOriginalSkip(), ratioFor("R"))
-}
-
-func BenchmarkFig10a_TxOff_W(b *testing.B) { benchLoop(b, harness.NewTxOffSkip(), ratioFor("W")) }
-func BenchmarkFig10a_TxOff_M(b *testing.B) { benchLoop(b, harness.NewTxOffSkip(), ratioFor("M")) }
-func BenchmarkFig10a_TxOff_R(b *testing.B) { benchLoop(b, harness.NewTxOffSkip(), ratioFor("R")) }
-
-func BenchmarkFig10a_TxOn_W(b *testing.B) { benchLoop(b, harness.NewMedleySkip(), ratioFor("W")) }
-func BenchmarkFig10a_TxOn_M(b *testing.B) { benchLoop(b, harness.NewMedleySkip(), ratioFor("M")) }
-func BenchmarkFig10a_TxOn_R(b *testing.B) { benchLoop(b, harness.NewMedleySkip(), ratioFor("R")) }
-
-func fig10bNVM() harness.System {
-	return harness.NewMontage(harness.MontageOpts{
-		Skiplist: true, RegionWords: 1 << 24, PersistOff: true,
-		StoreLatency: 60 * time.Nanosecond,
-	})
-}
-
-func BenchmarkFig10b_NVMTransient_W(b *testing.B) { benchLoop(b, fig10bNVM(), ratioFor("W")) }
-func BenchmarkFig10b_NVMTransient_R(b *testing.B) { benchLoop(b, fig10bNVM(), ratioFor("R")) }
-
-func BenchmarkFig10c_TxMontage_W(b *testing.B) { benchLoop(b, fig8Montage(), ratioFor("W")) }
-func BenchmarkFig10c_TxMontage_R(b *testing.B) { benchLoop(b, fig8Montage(), ratioFor("R")) }
-
 // ---- Workload-engine scenarios (beyond the paper's figures) ----
 
-// benchScenario preloads sys and measures b.N transactions drawn from the
-// named scenario's steady-state mix — the per-transaction cost view of the
-// thread sweeps cmd/medley-bench -scenario performs.
-func benchScenario(b *testing.B, sys harness.System, name string) {
-	b.Helper()
-	sc, err := harness.LookupScenario(name)
-	if err != nil {
-		b.Fatal(err)
+// BenchmarkScenario measures the named scenarios' steady-state mixes as
+// sub-benchmarks, <scenario>/<spec>.
+func BenchmarkScenario(b *testing.B) {
+	for _, c := range []struct{ scenario, spec string }{
+		{"zipfian-mixed", "medley-hash"},
+		{"zipfian-mixed", "onefile-hash"},
+		{"hotspot-readmostly", "medley-hash"},
+		{"transfer", "medley-hash"},
+		{"tpcc-mini", "medley-hash"},
+	} {
+		b.Run(c.scenario+"/"+c.spec, func(b *testing.B) {
+			sc, err := harness.LookupScenario(c.scenario)
+			if err != nil {
+				b.Fatal(err)
+			}
+			mix := sc.Phases[len(sc.Phases)-1].Mix
+			for _, ph := range sc.Phases {
+				if ph.Measure {
+					mix = ph.Mix
+					break
+				}
+			}
+			benchTxns(b, c.spec, sc.Dist, mix)
+		})
 	}
-	rng := rand.New(rand.NewSource(42))
-	keys := make([]uint64, benchPreload)
-	for i := range keys {
-		keys[i] = uint64(rng.Int63n(benchKeyRange))
-	}
-	sys.Preload(keys)
-	stop := sys.Start()
-	defer stop()
-	w := sys.NewWorker()
-	mix := sc.Phases[len(sc.Phases)-1].Mix
-	for _, ph := range sc.Phases {
-		if ph.Measure {
-			mix = ph.Mix
-			break
-		}
-	}
-	gen := harness.NewTxGen(sc.Dist, benchKeyRange, mix, 42)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.Do(gen.Next())
-	}
-}
-
-func BenchmarkScenario_ZipfianMixed_Medley(b *testing.B) {
-	benchScenario(b, harness.NewMedleyHash(benchBuckets), "zipfian-mixed")
-}
-func BenchmarkScenario_ZipfianMixed_OneFile(b *testing.B) {
-	benchScenario(b, harness.NewOneFile(harness.OneFileOpts{Buckets: benchBuckets}), "zipfian-mixed")
-}
-func BenchmarkScenario_HotspotReadMostly_Medley(b *testing.B) {
-	benchScenario(b, harness.NewMedleyHash(benchBuckets), "hotspot-readmostly")
-}
-func BenchmarkScenario_Transfer_Medley(b *testing.B) {
-	benchScenario(b, harness.NewMedleyHash(benchBuckets), "transfer")
-}
-func BenchmarkScenario_TpccMini_Medley(b *testing.B) {
-	benchScenario(b, harness.NewMedleyHash(benchBuckets), "tpcc-mini")
 }
 
 // BenchmarkTxGen isolates workload generation itself, which must stay far

@@ -138,7 +138,7 @@ func recordViolations(data []byte, verifiers bool) []string {
 		if rec := r.Recovery; rec != nil && rec.Recoverable && rec.Violations > 0 {
 			out = append(out, fmt.Sprintf(
 				"%s: %d durability violations (missing=%d mismatched=%d leaked=%d)",
-				who, rec.Violations, rec.MissingWrites, rec.MismatchedWrites, rec.LeakedWrites))
+				who, rec.Violations, rec.Missing, rec.Mismatched, rec.Leaked))
 		}
 		if c := r.Consistency; c != nil && c.Checked && c.Violations > 0 {
 			var classes []string
@@ -151,7 +151,7 @@ func recordViolations(data []byte, verifiers bool) []string {
 		if fc := r.FinalCheck; fc != nil && fc.Checked && fc.Violations > 0 {
 			out = append(out, fmt.Sprintf(
 				"%s: %d final-state violations (missing=%d mismatched=%d leaked=%d)",
-				who, fc.Violations, fc.MissingWrites, fc.MismatchedWrites, fc.LeakedWrites))
+				who, fc.Violations, fc.Missing, fc.Mismatched, fc.Leaked))
 		}
 		if rp := r.Replica; rp != nil && rp.Violations > 0 {
 			out = append(out, fmt.Sprintf(

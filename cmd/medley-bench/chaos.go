@@ -99,7 +99,7 @@ func runChaosScenario(sc harness.Scenario, threads []int) error {
 	rep := harness.NewReport(sc.Name, threads, cfg.Duration, cfg.KeyRange, cfg.Preload, cfg.Seed)
 	for _, name := range names {
 		cfg.System = strings.TrimSpace(name)
-		if err := harness.ValidateSystemSpec(cfg.System, cfg.SystemOpts); err != nil {
+		if err := harness.ValidateSystemSpec(cfg.System); err != nil {
 			return err
 		}
 		res, err := chaos.Run(cfg)
@@ -127,15 +127,11 @@ func runChaosScenario(sc harness.Scenario, threads []int) error {
 // loss and the classified diff).
 func chaosRecord(scenario string, res chaos.Result) harness.Record {
 	rec := harness.Record{
-		System:    res.System,
-		Scenario:  scenario,
-		Phase:     "chaos",
-		Threads:   res.Senders,
-		Shards:    1,
-		Txns:      res.Completed,
-		ElapsedNs: int64(res.Elapsed),
-		TxnPerSec: res.Goodput,
-		Latency:   harness.LatencySummary{AvgNs: res.AvgNs, P50Ns: res.P50Ns, P99Ns: res.P99Ns},
+		System: res.System, Scenario: scenario, Threads: res.Senders, Shards: 1,
+		PhaseResult: harness.PhaseResult{
+			Phase: "chaos", Txns: res.Completed, Elapsed: res.Elapsed, Throughput: res.Goodput,
+			Latency: harness.LatencySummary{AvgNs: res.AvgNs, P50Ns: res.P50Ns, P99Ns: res.P99Ns},
+		},
 		Service: &harness.ServiceRecord{
 			Driver:        "http",
 			OfferedTxns:   res.Completed + res.Shed + res.Errors + res.Expired + res.InDoubt,
@@ -159,15 +155,11 @@ func chaosRecord(scenario string, res chaos.Result) harness.Record {
 		// and recoveries.
 		rec.Service.BreakerOpens = res.BreakerOpens
 		fc := res.Verify.FinalCheck()
-		rec.Recovery = &harness.RecoveryRecord{
-			Recoverable:      true,
-			RecoveryNs:       res.RecoveryNs,
-			RecoveredEntries: fc.ModelEntries,
-			ModelEntries:     fc.ModelEntries,
-			MissingWrites:    fc.Missing,
-			MismatchedWrites: fc.Mismatched,
-			LeakedWrites:     fc.Leaked,
-			Violations:       fc.Violations(),
+		rec.Recovery = &harness.RecoveryResult{
+			Recoverable: true, RecoveryNs: res.RecoveryNs,
+			Recovered: fc.ModelEntries, ModelEntries: fc.ModelEntries,
+			Missing: fc.Missing, Mismatched: fc.Mismatched, Leaked: fc.Leaked,
+			Violations: fc.Violations,
 		}
 		return rec
 	}

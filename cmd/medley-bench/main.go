@@ -26,10 +26,12 @@
 //	medley-bench -scenario crash-recover-zipfian -json
 //	medley-bench -scenario sharded-zipfian -systems medley-hash,medley-hash@8
 //
-// Systems resolve through the harness registry (internal/harness). A
-// "name@N" suffix (or the global -shards flag) runs a shardable system
-// over an N-way hash-partitioned ShardedStore (internal/kv): N structure
-// instances under one TxManager, cross-shard transactions still strictly
+// Systems resolve through the harness registry (internal/harness) by one
+// spec grammar, base{-nopool|-nofast|-nogroup|-persistoff}[@N]: a suffix
+// switches one ablation axis off on a base that has it ('-systems list'
+// shows which), and "@N" runs a shardable system over an N-way
+// hash-partitioned ShardedStore (internal/kv): N structure instances
+// under one TxManager, cross-shard transactions still strictly
 // serializable. Competitor systems (OneFile, TDSL, LFTT) cannot shard —
 // their transactions live in their own STMs — and refuse a shard count.
 //
@@ -77,20 +79,13 @@ var (
 	keyRange     = flag.Int("keyrange", 1<<20, "microbenchmark key space (paper: 1M)")
 	preload      = flag.Int("preload", 1<<19, "preloaded pairs (paper: 0.5M)")
 	buckets      = flag.Int("buckets", 1<<20, "hash table buckets (paper: 1M)")
-	shardsFlag   = flag.Int("shards", 1, "store partitions for shardable systems (or per-system name@N)")
 	nvmWB        = flag.Duration("nvm-writeback", 300*time.Nanosecond, "injected NVM write-back latency per line")
 	nvmFence     = flag.Duration("nvm-fence", 100*time.Nanosecond, "injected NVM fence latency")
 	nvmStore     = flag.Duration("nvm-store", 60*time.Nanosecond, "injected NVM store latency per word")
 	advEvery     = flag.Duration("advance-every", 20*time.Millisecond, "txMontage epoch length (paper: ~10-100ms)")
 	short        = flag.Bool("short", false, "tiny configuration for smoke runs")
-	poolingFlag  = flag.String("pooling", "on",
-		"cell/node recycling arenas for Medley systems: on|off (-pooling=off is the unpooled allocation baseline)")
-	fastpathsFlag = flag.String("fastpaths", "on",
-		"commit fast paths for Medley systems: on|off (-fastpaths=off forces every commit through the full descriptor handshake)")
-	groupcommitFlag = flag.String("groupcommit", "on",
-		"merged group commits for Medley systems: on|off (-groupcommit=off commits every grouped transaction individually)")
-	cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile = flag.String("memprofile", "", "write an allocation profile to this file at exit")
+	cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
+	memProfile   = flag.String("memprofile", "", "write an allocation profile to this file at exit")
 )
 
 func main() {
@@ -141,18 +136,6 @@ func profiles() (func(), error) {
 // values failing the job, not just printing).
 func run() int {
 	flag.Parse()
-	if _, err := poolingEnabled(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	if _, err := fastpathsEnabled(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	if _, err := groupcommitEnabled(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
 	stopProfiles, err := profiles()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -166,8 +149,8 @@ func run() int {
 		*durationFlag = 300 * time.Millisecond
 	}
 	if *systemsFlag == "list" {
-		for _, n := range harness.SystemNames() {
-			fmt.Println(" ", n)
+		for _, line := range harness.SystemUsage() {
+			fmt.Println(" ", line)
 		}
 		return 0
 	}
@@ -190,27 +173,14 @@ func run() int {
 		}
 		return 0
 	}
-	switch *figFlag {
-	case "7":
-		fig7(threads)
-	case "8":
-		fig8(threads)
-	case "9":
-		fig9(threads)
-	case "10a":
-		fig10("a", threads)
-	case "10b":
-		fig10("b", threads)
-	case "10c":
-		fig10("c", threads)
-	case "all":
-		fig7(threads)
-		fig8(threads)
-		fig9(threads)
-		fig10("a", threads)
-		fig10("b", threads)
-		fig10("c", threads)
-	default:
+	ran := false
+	for _, f := range figures {
+		if *figFlag == f.name || *figFlag == "all" {
+			f.run(threads)
+			ran = true
+		}
+	}
+	if !ran {
 		fmt.Fprintf(os.Stderr, "unknown -fig %q\n", *figFlag)
 		return 2
 	}
@@ -233,81 +203,56 @@ func cfg(th int, ratio harness.Ratio) harness.Config {
 	return harness.Config{
 		Threads: th, Duration: *durationFlag,
 		KeyRange: uint64(*keyRange), Preload: *preload,
-		TxMin: 1, TxMax: 10, Ratio: ratio, Seed: 42,
+		TxMin: 1, TxMax: 10, Ratio: ratio, Seed: *seedFlag,
 	}
 }
 
-// sweep measures one system at every thread count and prints its series.
-func sweep(mk func() harness.System, threads []int, ratio harness.Ratio) {
-	for _, th := range threads {
-		res := harness.Run(mk(), cfg(th, ratio))
-		fmt.Printf("  %-24s threads=%-3d throughput=%12.0f txn/s  latency=%8.0f ns/txn\n",
-			res.System, th, res.Throughput, res.LatencyNs)
-	}
+// figure is one -fig value. The microbenchmark figures are a title and
+// the system specs they compare, resolved through the same registry and
+// flags (-buckets, -keyrange, -nvm-*, -advance-every) as scenario mode.
+type figure struct {
+	name string
+	run  func(threads []int)
 }
 
-// medleyPooling resolves the -pooling flag for figure-mode Medley systems
-// (validated in run; scenario mode routes it through SystemOpts instead).
-func medleyPooling() bool {
-	on, _ := poolingEnabled()
-	return on
+var figures = []figure{
+	{"7", micro("Figure 7 (hash table)", false,
+		"medley-hash", "txmontage-hash", "onefile-hash", "ponefile-hash")},
+	{"8", micro("Figure 8 (skiplist)", false,
+		"medley-skip", "txmontage-skip", "onefile-skip", "ponefile-skip", "tdsl", "lftt")},
+	{"9", fig9},
+	// The paper reports Figure 10 at 40 threads; we use the largest
+	// requested thread count.
+	{"10a", micro("Figure 10a (skiplist latency, DRAM)", true,
+		"plain-skip", "txoff-skip", "medley-skip")},
+	{"10b", micro("Figure 10b (latency, payloads on NVM, persistence off)", true,
+		"txmontage-skip-persistoff")},
+	{"10c", micro("Figure 10c (latency, txMontage fully persistent)", true,
+		"txmontage-skip")},
 }
 
-// medleyFastpaths resolves the -fastpaths flag the same way.
-func medleyFastpaths() bool {
-	on, _ := fastpathsEnabled()
-	return on
-}
-
-// medleyGroupcommit resolves the -groupcommit flag the same way.
-func medleyGroupcommit() bool {
-	on, _ := groupcommitEnabled()
-	return on
-}
-
-func fig7(threads []int) {
-	for _, ratio := range harness.PaperRatios {
-		fmt.Printf("\n== Figure 7 (hash table) get:insert:remove %s ==\n", ratio)
-		sweep(func() harness.System {
-			return harness.NewMedleyKV("hash", 1, *buckets, medleyPooling(), medleyFastpaths(), medleyGroupcommit())
-		}, threads, ratio)
-		sweep(func() harness.System {
-			return harness.NewMontage(harness.MontageOpts{
-				Buckets: *buckets, RegionWords: 1 << 26,
-				WriteBackLatency: *nvmWB, FenceLatency: *nvmFence, StoreLatency: *nvmStore,
-			})
-		}, threads, ratio)
-		sweep(func() harness.System { return harness.NewOneFile(harness.OneFileOpts{Buckets: *buckets}) }, threads, ratio)
-		sweep(func() harness.System {
-			return harness.NewOneFile(harness.OneFileOpts{
-				Buckets: *buckets, Persistent: true, RegionWords: 1 << 24,
-				WriteBackLatency: *nvmWB, FenceLatency: *nvmFence,
-			})
-		}, threads, ratio)
-	}
-}
-
-func fig8(threads []int) {
-	for _, ratio := range harness.PaperRatios {
-		fmt.Printf("\n== Figure 8 (skiplist) get:insert:remove %s ==\n", ratio)
-		sweep(func() harness.System {
-			return harness.NewMedleyKV("skip", 1, 0, medleyPooling(), medleyFastpaths(), medleyGroupcommit())
-		}, threads, ratio)
-		sweep(func() harness.System {
-			return harness.NewMontage(harness.MontageOpts{
-				Skiplist: true, RegionWords: 1 << 26,
-				WriteBackLatency: *nvmWB, FenceLatency: *nvmFence, StoreLatency: *nvmStore,
-			})
-		}, threads, ratio)
-		sweep(func() harness.System { return harness.NewOneFile(harness.OneFileOpts{Skiplist: true}) }, threads, ratio)
-		sweep(func() harness.System {
-			return harness.NewOneFile(harness.OneFileOpts{
-				Skiplist: true, Persistent: true, RegionWords: 1 << 24,
-				WriteBackLatency: *nvmWB, FenceLatency: *nvmFence,
-			})
-		}, threads, ratio)
-		sweep(func() harness.System { return harness.NewTDSL() }, threads, ratio)
-		sweep(func() harness.System { return harness.NewLFTT() }, threads, ratio)
+// micro runs the paper's microbenchmark: each spec, fresh per point, at
+// every thread count (or only the largest) and each get:insert:remove
+// ratio, one whitespace-aligned row per point.
+func micro(title string, largestOnly bool, specs ...string) func([]int) {
+	return func(threads []int) {
+		if largestOnly {
+			threads = threads[len(threads)-1:]
+		}
+		for _, ratio := range harness.PaperRatios {
+			fmt.Printf("\n== %s get:insert:remove %s ==\n", title, ratio)
+			for _, spec := range specs {
+				for _, th := range threads {
+					sys, err := harness.NewSystem(spec, systemOpts())
+					if err != nil {
+						panic(err) // the specs above are literals
+					}
+					res := harness.Run(sys, cfg(th, ratio))
+					fmt.Printf("  %-24s threads=%-3d throughput=%12.0f txn/s  latency=%8.0f ns/txn\n",
+						res.System, th, res.Throughput, res.LatencyNs)
+				}
+			}
+		}
 	}
 }
 
@@ -341,7 +286,7 @@ func fig9(threads []int) {
 			}
 			var stopMontage func()
 			if mb, ok := b.(*tpcc.MontageBackend); ok {
-				stopMontage = mb.StartAdvancer(20 * time.Millisecond)
+				stopMontage = mb.StartAdvancer(*advEvery)
 			}
 			var txns atomic.Uint64
 			var stop atomic.Bool
@@ -372,39 +317,6 @@ func fig9(threads []int) {
 			}
 			fmt.Printf("  %-24s threads=%-3d throughput=%12.0f txn/s\n",
 				be.name, th, float64(txns.Load())/elapsed.Seconds())
-		}
-	}
-}
-
-func fig10(sub string, threads []int) {
-	// The paper reports Figure 10 at 40 threads; we use the largest
-	// requested thread count.
-	th := threads[len(threads)-1]
-	for _, ratio := range harness.PaperRatios {
-		switch sub {
-		case "a":
-			fmt.Printf("\n== Figure 10a (skiplist latency, DRAM) %s, %d threads ==\n", ratio, th)
-			sweep(func() harness.System { return harness.NewOriginalSkip() }, []int{th}, ratio)
-			sweep(func() harness.System { return harness.NewTxOffSkip() }, []int{th}, ratio)
-			sweep(func() harness.System {
-				return harness.NewMedleyKV("skip", 1, 0, medleyPooling(), medleyFastpaths(), medleyGroupcommit())
-			}, []int{th}, ratio)
-		case "b":
-			fmt.Printf("\n== Figure 10b (latency, payloads on NVM, persistence off) %s, %d threads ==\n", ratio, th)
-			sweep(func() harness.System {
-				return harness.NewMontage(harness.MontageOpts{
-					Skiplist: true, RegionWords: 1 << 26, PersistOff: true,
-					StoreLatency: *nvmStore,
-				})
-			}, []int{th}, ratio)
-		case "c":
-			fmt.Printf("\n== Figure 10c (latency, txMontage fully persistent) %s, %d threads ==\n", ratio, th)
-			sweep(func() harness.System {
-				return harness.NewMontage(harness.MontageOpts{
-					Skiplist: true, RegionWords: 1 << 26,
-					WriteBackLatency: *nvmWB, FenceLatency: *nvmFence, StoreLatency: *nvmStore,
-				})
-			}, []int{th}, ratio)
 		}
 	}
 }

@@ -54,7 +54,7 @@ func TestDefaultSystemsAuto(t *testing.T) {
 		t.Fatalf("plain default %v should not include persistent systems", p)
 	}
 	for _, n := range append(got, harness.DefaultSystems(plain)...) {
-		if err := harness.ValidateSystemSpec(n, systemOpts()); err != nil {
+		if err := harness.ValidateSystemSpec(n); err != nil {
 			t.Fatalf("default system %q not valid: %v", n, err)
 		}
 	}

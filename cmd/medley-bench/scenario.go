@@ -10,52 +10,12 @@ import (
 	"medley/internal/tpcc"
 )
 
-// poolingEnabled parses the -pooling flag; unknown values are a usage
-// error (exit 2), validated up front in run.
-func poolingEnabled() (bool, error) {
-	switch *poolingFlag {
-	case "on", "true", "1":
-		return true, nil
-	case "off", "false", "0":
-		return false, nil
-	}
-	return false, fmt.Errorf("bad -pooling %q (want on|off)", *poolingFlag)
-}
-
-// fastpathsEnabled parses the -fastpaths flag the same way.
-func fastpathsEnabled() (bool, error) {
-	switch *fastpathsFlag {
-	case "on", "true", "1":
-		return true, nil
-	case "off", "false", "0":
-		return false, nil
-	}
-	return false, fmt.Errorf("bad -fastpaths %q (want on|off)", *fastpathsFlag)
-}
-
-// groupcommitEnabled parses the -groupcommit flag the same way.
-func groupcommitEnabled() (bool, error) {
-	switch *groupcommitFlag {
-	case "on", "true", "1":
-		return true, nil
-	case "off", "false", "0":
-		return false, nil
-	}
-	return false, fmt.Errorf("bad -groupcommit %q (want on|off)", *groupcommitFlag)
-}
-
 // systemOpts bundles the shared sizing flags for the harness system
-// registry; every -systems name (optionally suffixed "@N" for N shards)
-// resolves through harness.NewSystem against these options.
+// registry; every system spec resolves through harness.NewSystem against
+// these options.
 func systemOpts() harness.SystemOpts {
-	pooling, _ := poolingEnabled() // validated in run
-	fastpaths, _ := fastpathsEnabled()
-	groupcommit, _ := groupcommitEnabled()
 	return harness.SystemOpts{
-		Buckets: *buckets, Shards: *shardsFlag, KeyRange: uint64(*keyRange),
-		NoPooling:        !pooling,
-		NoFastPaths:      !fastpaths,
-		NoGroupCommit:    !groupcommit,
+		Buckets: *buckets, KeyRange: uint64(*keyRange),
 		WriteBackLatency: *nvmWB, FenceLatency: *nvmFence, StoreLatency: *nvmStore,
 		AdvanceEvery: *advEvery,
 	}
@@ -86,7 +46,7 @@ func selectSystems(sc harness.Scenario) ([]func() (harness.System, error), error
 		n := n
 		// Validate now (parse + lookup only, no construction) so unknown
 		// names fail before any benchmarking.
-		if err := harness.ValidateScenarioSystemSpec(sc, n, systemOpts()); err != nil {
+		if err := harness.ValidateScenarioSystemSpec(sc, n); err != nil {
 			return nil, err
 		}
 		mks = append(mks, func() (harness.System, error) {
@@ -174,7 +134,7 @@ func printScenarioResult(res harness.ScenarioResult) {
 	m := res.Measured
 	sys := res.System
 	fmt.Printf("%-20s %-24s threads=%-3d throughput=%12.0f txn/s  abort=%6.2f%%  p50=%8.0fns  p99=%8.0fns\n",
-		res.Scenario, sys, res.Threads, m.Throughput, 100*m.AbortRate, m.P50LatencyNs, m.P99LatencyNs)
+		res.Scenario, sys, res.Threads, m.Throughput, 100*m.AbortRate, m.Latency.P50Ns, m.Latency.P99Ns)
 	if mm := m.Memory; mm != nil {
 		fmt.Printf("  memory              allocs/op=%8.2f  bytes/op=%8.1f  gc-pause=%8v  pool-hit=%5.1f%%\n",
 			mm.AllocsPerOp, mm.BytesPerOp, time.Duration(mm.GCPauseNs), 100*mm.PoolHitRate)
@@ -193,7 +153,7 @@ func printScenarioResult(res harness.ScenarioResult) {
 				continue // summarized by the recovery line below
 			}
 			fmt.Printf("  phase %-12s throughput=%12.0f txn/s  abort=%6.2f%%  p50=%8.0fns  p99=%8.0fns\n",
-				ph.Phase, ph.Throughput, 100*ph.AbortRate, ph.P50LatencyNs, ph.P99LatencyNs)
+				ph.Phase, ph.Throughput, 100*ph.AbortRate, ph.Latency.P50Ns, ph.Latency.P99Ns)
 		}
 	}
 	for _, k := range m.Kinds {
@@ -212,7 +172,7 @@ func printScenarioResult(res harness.ScenarioResult) {
 		}
 	}
 	if fc := res.FinalCheck; fc != nil && fc.Checked {
-		if v := fc.Violations(); v == 0 {
+		if v := fc.Violations; v == 0 {
 			fmt.Printf("  final-check         OK (%d entries)\n", fc.ModelEntries)
 		} else {
 			fmt.Printf("  final-check         FAILED: %d violations (missing=%d mismatched=%d leaked=%d)\n",
@@ -231,7 +191,7 @@ func printScenarioResult(res harness.ScenarioResult) {
 			fmt.Printf("  crash-recover       recoverable=false\n")
 		} else {
 			fmt.Printf("  crash-recover       recovered=%d/%d entries  violations=%d  recovery=%v\n",
-				r.Recovered, r.ModelEntries, r.Violations(), time.Duration(r.RecoveryNs))
+				r.Recovered, r.ModelEntries, r.Violations, time.Duration(r.RecoveryNs))
 		}
 	}
 }

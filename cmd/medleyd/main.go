@@ -39,18 +39,16 @@ import (
 
 func main() {
 	var (
-		listen      = flag.String("listen", ":7654", "address to serve on")
-		system      = flag.String("system", "medley-hash@8", "system spec from the benchmark registry (see -list)")
-		list        = flag.Bool("list", false, "list registered systems and exit")
-		buckets     = flag.Int("buckets", 1<<16, "hash buckets for hash-structured systems")
-		keyRange    = flag.Uint64("keyrange", 1<<20, "key range hint (sizes simulated NVM regions)")
-		pool        = flag.Int("pool", 4096, "txpool bound; arrivals beyond it are shed with 429")
-		tick        = flag.Duration("tick", time.Millisecond, "batch tick period")
-		batch       = flag.Int("batch", 0, "max requests drained per tick (0 = pool size)")
-		workers     = flag.Int("workers", 0, "executor goroutines per tick (0 = GOMAXPROCS)")
-		groupcommit = flag.Bool("groupcommit", true,
-			"merge each worker chunk's requests into group commits (Medley systems; false commits each request individually)")
-		dedup = flag.Int("dedup", 4096,
+		listen   = flag.String("listen", ":7654", "address to serve on")
+		system   = flag.String("system", "medley-hash@8", "system spec from the benchmark registry: base{-suffix}[@N] (see -list)")
+		list     = flag.Bool("list", false, "list registered systems with the suffixes each accepts and exit")
+		buckets  = flag.Int("buckets", 1<<16, "hash buckets for hash-structured systems")
+		keyRange = flag.Uint64("keyrange", 1<<20, "key range hint (sizes simulated NVM regions)")
+		pool     = flag.Int("pool", 4096, "txpool bound; arrivals beyond it are shed with 429")
+		tick     = flag.Duration("tick", time.Millisecond, "batch tick period")
+		batch    = flag.Int("batch", 0, "max requests drained per tick (0 = pool size)")
+		workers  = flag.Int("workers", 0, "executor goroutines per tick (0 = GOMAXPROCS)")
+		dedup    = flag.Int("dedup", 4096,
 			"idempotency window: remembered outcomes for request-ID dedup (0 disables; retried IDs then re-execute)")
 		cdcShards = flag.Int("cdc-shards", 4,
 			"commit-ordered change feed streams for /v1/watch (0 disables the feed; the node is then not followable)")
@@ -66,8 +64,8 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, n := range harness.SystemNames() {
-			fmt.Println(n)
+		for _, line := range harness.SystemUsage() {
+			fmt.Println(line)
 		}
 		return
 	}
@@ -76,9 +74,8 @@ func main() {
 	}
 
 	sys, err := harness.NewSystem(*system, harness.SystemOpts{
-		Buckets:       *buckets,
-		KeyRange:      *keyRange,
-		NoGroupCommit: !*groupcommit,
+		Buckets:  *buckets,
+		KeyRange: *keyRange,
 	})
 	if err != nil {
 		log.Fatalf("medleyd: %v", err)

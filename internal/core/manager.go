@@ -48,16 +48,12 @@ func (m *TxManager) PoolingEnabled() bool { return m.pooling.Load() }
 // DisableFastPaths turns the commit fast paths off for Txs registered
 // afterwards: every transaction then runs the full publish/InProg commit
 // handshake regardless of its write-set size. The fast paths are on by
-// default; the switch exists for ablation (cmd/medley-bench -fastpaths=off)
+// default; the switch exists for ablation (the -nofast system suffix)
 // and mirrors the EnablePooling pattern — call before registering workers.
 //
 // The fast paths are pure eliding optimizations (see Tx.End): disabling
 // them changes the atomic-operation count of a commit, never its outcome.
 func (m *TxManager) DisableFastPaths() { m.nofast.Store(true) }
-
-// EnableFastPaths re-enables the commit fast paths for Txs registered
-// afterwards (the default).
-func (m *TxManager) EnableFastPaths() { m.nofast.Store(false) }
 
 // FastPathsEnabled reports whether Txs registered now take the commit fast
 // paths.
@@ -66,18 +62,13 @@ func (m *TxManager) FastPathsEnabled() bool { return !m.nofast.Load() }
 // DisableGroupCommit turns the group-commit path off for Txs registered
 // afterwards: Tx.RunGroup then executes every member as its own
 // transaction instead of merging the group into one commit. Group commit
-// is on by default; the switch exists for ablation
-// (cmd/medley-bench -groupcommit=off) and mirrors DisableFastPaths — call
-// before registering workers.
+// is on by default; the switch exists for ablation (the -nogroup system
+// suffix) and mirrors DisableFastPaths — call before registering workers.
 //
 // Like the fast paths, group commit is outcome-preserving: a merged group
 // commits its members atomically in member order, which is one of the
 // serial orders the individual path could also have produced.
 func (m *TxManager) DisableGroupCommit() { m.nogroup.Store(true) }
-
-// EnableGroupCommit re-enables group commit for Txs registered afterwards
-// (the default).
-func (m *TxManager) EnableGroupCommit() { m.nogroup.Store(false) }
 
 // GroupCommitEnabled reports whether Txs registered now merge commit
 // groups.

@@ -13,8 +13,10 @@
 package ebr
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // generations is the classic three-epoch limbo depth: a block retired in
@@ -38,6 +40,25 @@ type Manager struct {
 	// retires on a single handle.
 	advanceEvery int
 }
+
+// A handle whose limbo holds limboSlack advance attempts' worth of retires
+// has seen that many attempts in a row reclaim nothing: some participant
+// sits in a critical section at a stale epoch — preempted, or on a
+// processor the host took away. Until it moves, everything this handle
+// retires is unreclaimable, and a pooled structure allocates a fresh block
+// for each one — blocks that then circulate for the life of the process. At
+// a few hundred thousand transactions a second one 100 ms stall is tens of
+// megabytes, so the footprint of a run used to be set by the longest stall
+// it happened to meet. Enter therefore paces such a handle (awaitGrace):
+// a bounded wait for the laggard before each critical section, not a
+// block — after graceTries the section starts regardless, so a stalled
+// participant slows its peers' retiring down without ever stopping them.
+const (
+	limboSlack  = 8
+	graceYields = 4 // Gosched first: the laggard is usually a parked goroutine
+	graceTries  = 24
+	graceNap    = 100 * time.Microsecond
+)
 
 // New creates an EBR domain. advanceEvery controls how many retires a
 // thread accumulates before attempting to advance the global epoch
@@ -92,6 +113,7 @@ type Handle struct {
 
 	limbo        [generations][]limboEntry
 	limboEpochs  [generations]uint64
+	pending      int // entries across the three limbo slots
 	sinceAdvance int
 
 	// Per-handle stat counters: written only by the owning goroutine on
@@ -113,9 +135,32 @@ func (m *Manager) Register() *Handle {
 
 // Enter begins a critical section: the handle announces the current global
 // epoch and is counted as a potential holder of references retired since.
+// A handle over its limbo bound first waits, boundedly, for the grace
+// period it is owed (see limboSlack): between critical sections it holds
+// no references, so this is the one point where it can.
 func (h *Handle) Enter() {
+	if h.pending >= limboSlack*h.mgr.advanceEvery {
+		h.awaitGrace()
+	}
 	e := h.mgr.globalEpoch.Load()
 	h.localEpoch.Store(e<<1 | 1)
+}
+
+// awaitGrace tries to advance the epoch until this handle's limbo is back
+// under its bound, handing the processor to whoever holds the epoch back
+// between attempts. Owner-only, outside any critical section.
+func (h *Handle) awaitGrace() {
+	bound := limboSlack * h.mgr.advanceEvery
+	for i := 0; i < graceTries && h.pending >= bound; i++ {
+		if h.TryAdvance() {
+			continue
+		}
+		if i < graceYields {
+			runtime.Gosched()
+		} else {
+			time.Sleep(graceNap)
+		}
+	}
 }
 
 // Exit ends the critical section.
@@ -151,6 +196,7 @@ func (h *Handle) retire(e limboEntry) {
 		h.limboEpochs[slot] = ge
 	}
 	h.limbo[slot] = append(h.limbo[slot], e)
+	h.pending++
 	h.retired.Add(1)
 	h.sinceAdvance++
 	if h.sinceAdvance >= m.advanceEvery {
@@ -171,6 +217,7 @@ func (h *Handle) flushSlot(slot int) {
 		h.limbo[slot][i] = limboEntry{}
 	}
 	h.reclaimed.Add(uint64(len(h.limbo[slot])))
+	h.pending -= len(h.limbo[slot])
 	h.limbo[slot] = h.limbo[slot][:0]
 }
 

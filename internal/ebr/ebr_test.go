@@ -198,3 +198,41 @@ func TestRetireIntoBlockedByActiveReader(t *testing.T) {
 		t.Fatalf("object not recycled after reader exit: %d", len(p.got))
 	}
 }
+
+// TestEnterWaitsOutOverfullLimbo pins the pacing in Enter: a handle whose
+// limbo has outgrown limboSlack advance attempts gets its grace period at
+// the next Enter when nothing holds the epoch back; when a stalled reader
+// does, Enter still returns (the wait is bounded) and reclaims nothing.
+func TestEnterWaitsOutOverfullLimbo(t *testing.T) {
+	const every = 4
+	m := New(every)
+	w, r := m.Register(), m.Register()
+	p := &recordPool{}
+	fill := func() {
+		for i := 0; i < limboSlack*every; i++ {
+			w.RetireInto(p, new(int))
+		}
+	}
+
+	r.Enter() // a reader stalled in its critical section
+	fill()
+	if w.pending < limboSlack*every {
+		t.Fatalf("pending = %d with a stalled reader, want >= %d", w.pending, limboSlack*every)
+	}
+	held := len(p.got)
+	w.Enter() // must return although the epoch cannot move
+	w.Exit()
+	if len(p.got) != held {
+		t.Fatalf("recycled %d objects past a stalled reader", len(p.got)-held)
+	}
+
+	r.Exit()
+	w.Enter() // advances until the limbo is back under its bound
+	w.Exit()
+	if w.pending >= limboSlack*every || len(p.got) == held {
+		t.Fatalf("after the reader left: pending %d (bound %d), recycled %d", w.pending, limboSlack*every, len(p.got)-held)
+	}
+	if st := m.Stats(); st.Retired-st.Reclaimed != uint64(w.pending) {
+		t.Fatalf("pending %d disagrees with stats %+v", w.pending, st)
+	}
+}

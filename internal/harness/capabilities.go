@@ -20,40 +20,14 @@ type TxStatser interface {
 	TxStats() (commits, aborts uint64)
 }
 
-// PoolStatser is implemented by systems with recycling arenas (the
-// Medley KVSystem under pooling); the engine differences snapshots around
-// each phase to report pool hit rates in the memory block.
-type PoolStatser interface {
-	PoolStats() (gets, hits, retires uint64)
-}
-
-// FastPathStatser is implemented by systems whose commit protocol has the
-// tiered fast paths (the Medley KVSystem); the engine differences
-// snapshots around each phase to report what share of commits skipped the
-// descriptor handshake. ok must be false when the system runs no commit
-// protocol (a baseline executing outside transactions), in which case no
-// fastpath block is reported.
-type FastPathStatser interface {
-	FastPathStats() (readOnly, fastpath, commits uint64, ok bool)
-}
-
-// GroupStatser is implemented by systems whose commit protocol can merge
-// a batch of logical transactions into one group commit (the Medley
-// KVSystem); the engine differences snapshots around each phase to report
-// how many commits merged and how many logical transactions rode in them.
-// ok follows the FastPathStatser convention: false when the system runs
-// no commit protocol, true with zero merges under the -groupcommit=off
-// ablation.
-type GroupStatser interface {
-	GroupStats() (groups, grouped, commits uint64, ok bool)
-}
-
 // MetricsSnapshotter is implemented by systems that can export their
 // engine-level counters (commits by path, aborts by cause, pool traffic,
 // EBR reclamation) as a point-in-time snapshot. Snapshots are cumulative
 // since system construction; the engine differences two snapshots to
-// produce a phase's telemetry block, and the network service layer
-// (internal/service) serves the same snapshot from its /metrics endpoint.
+// produce a phase's telemetry block — and, from the same deltas, the
+// memory block's pool_* fields and the fastpath block, each present iff
+// its counter is — and the network service layer (internal/service)
+// serves the same snapshot from its /metrics endpoint.
 type MetricsSnapshotter interface {
 	MetricsSnapshot() []Metric
 }
@@ -145,9 +119,6 @@ type ShardCounter interface {
 // when unimplemented. Probe once with Capabilities and branch on fields.
 type Caps struct {
 	TxStats     TxStatser
-	PoolStats   PoolStatser
-	FastPaths   FastPathStatser
-	Groups      GroupStatser
 	Metrics     MetricsSnapshotter
 	Consistency ConsistencyChecker
 	Kinds       TxKindStatser
@@ -162,9 +133,6 @@ type Caps struct {
 func Capabilities(sys System) Caps {
 	var c Caps
 	c.TxStats, _ = sys.(TxStatser)
-	c.PoolStats, _ = sys.(PoolStatser)
-	c.FastPaths, _ = sys.(FastPathStatser)
-	c.Groups, _ = sys.(GroupStatser)
 	c.Metrics, _ = sys.(MetricsSnapshotter)
 	c.Consistency, _ = sys.(ConsistencyChecker)
 	c.Kinds, _ = sys.(TxKindStatser)

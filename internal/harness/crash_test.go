@@ -35,7 +35,7 @@ func requireCleanRecovery(t *testing.T, sys System, scenario string) {
 	if !r.Recoverable {
 		t.Fatalf("%s: expected recoverable system", sys.Name())
 	}
-	if v := r.Violations(); v != 0 {
+	if v := r.Violations; v != 0 {
 		t.Fatalf("%s: %d durability violations (missing=%d mismatched=%d leaked=%d)",
 			sys.Name(), v, r.Missing, r.Mismatched, r.Leaked)
 	}
@@ -95,7 +95,7 @@ func TestNonPersistentReportsNotRecoverable(t *testing.T) {
 		if r == nil {
 			t.Fatalf("%s: crash scenario produced no recovery result", sys.Name())
 		}
-		if r.Recoverable || r.Violations() != 0 || r.RecoveryNs != 0 {
+		if r.Recoverable || r.Violations != 0 || r.RecoveryNs != 0 {
 			t.Fatalf("%s: want clean recoverable=false result, got %+v", sys.Name(), r)
 		}
 		// The system keeps running: the scenario completes all phases.
@@ -233,7 +233,7 @@ func TestVerifierDetectsInjectedFaults(t *testing.T) {
 			if res.Recovery == nil || !res.Recovery.Recoverable {
 				t.Fatalf("no recovery result: %+v", res.Recovery)
 			}
-			if res.Recovery.Violations() == 0 {
+			if res.Recovery.Violations == 0 {
 				t.Fatalf("verifier reported zero violations despite injected fault")
 			}
 			c.check(t, res.Recovery)
@@ -249,7 +249,7 @@ func TestVerifierCleanOnHonestSystem(t *testing.T) {
 	if r == nil || !r.Recoverable {
 		t.Fatalf("no recovery result: %+v", r)
 	}
-	if v := r.Violations(); v != 0 {
+	if v := r.Violations; v != 0 {
 		t.Fatalf("honest system reported %d violations: %+v", v, r)
 	}
 	if r.ModelEntries == 0 || r.Recovered != r.ModelEntries {

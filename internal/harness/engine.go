@@ -15,51 +15,74 @@ import (
 // counter and latency sample kept in a per-worker shard so that the
 // harness adds no shared-memory traffic of its own to the measurement.
 
-// FastpathResult is the commit-protocol digest of one phase: how many
-// commits took the read-only elision, how many took any fast path
-// (read-only + single-write), how many were merged group commits and how
-// many logical transactions rode in them, and the derived shares.
+// FastpathResult is the commit-protocol digest of one record: how many
+// commits skipped the descriptor handshake (the read-only elision, and any
+// fast path = read-only + single-write fold), how many merged a group of
+// logical transactions into one physical commit, and the derived shares.
+// Present on run-phase records of systems exporting tx_commits (everything
+// built on the core's commit protocol); absent on crash phases, on
+// competitors and on the no-transaction baselines.
 type FastpathResult struct {
-	ReadOnlyCommits uint64  // commits via the read-only elision
-	FastPathCommits uint64  // commits via any fast path
-	Commits         uint64  // all physical commits in the phase
-	FastpathShare   float64 // FastPathCommits / Commits, 0 when no commits
-	GroupCommits    uint64  // merged group commits (each counted once in Commits)
-	GroupedTxns     uint64  // logical transactions committed inside merged groups
-	GroupShare      float64 // GroupedTxns / logical commits, 0 when no commits
+	ReadOnlyCommits uint64  `json:"read_only_commits"`
+	FastPathCommits uint64  `json:"fastpath_commits"`
+	Commits         uint64  `json:"commits"`        // all physical commits
+	FastpathShare   float64 `json:"fastpath_share"` // FastPathCommits / Commits
+	GroupCommits    uint64  `json:"group_commits"`  // each counted once in Commits
+	GroupedTxns     uint64  `json:"grouped_txns"`   // logical transactions inside merged groups
+	GroupShare      float64 `json:"group_share"`    // GroupedTxns / logical commits
 }
 
-// logicalCommits re-expands merged groups: each group commit is one
-// physical commit standing for GroupedTxns logical transactions.
-func (f *FastpathResult) logicalCommits() uint64 {
-	return f.Commits - f.GroupCommits + f.GroupedTxns
-}
-
-// deriveShares fills the ratio fields from the counter fields.
-func (f *FastpathResult) deriveShares() {
-	if f.Commits > 0 {
-		f.FastpathShare = float64(f.FastPathCommits) / float64(f.Commits)
+// fastpathResult derives the digest from a phase's counter deltas; nil
+// when the system exports no tx_commits (it runs no commit protocol).
+func fastpathResult(v map[string]uint64) *FastpathResult {
+	commits, ok := v["tx_commits"]
+	if !ok {
+		return nil
 	}
-	if lc := f.logicalCommits(); lc > 0 {
+	f := &FastpathResult{
+		ReadOnlyCommits: v["tx_commits_read_only"], FastPathCommits: v["tx_commits_fastpath"],
+		Commits: commits, GroupCommits: v["tx_group_commits"], GroupedTxns: v["tx_grouped_txns"],
+	}
+	if commits > 0 {
+		f.FastpathShare = float64(f.FastPathCommits) / float64(commits)
+	}
+	// Logical commits re-expand merged groups: each group commit is one
+	// physical commit standing for GroupedTxns logical transactions.
+	if lc := commits - f.GroupCommits + f.GroupedTxns; lc > 0 {
 		f.GroupShare = float64(f.GroupedTxns) / float64(lc)
 	}
+	return f
 }
 
-// MemoryResult is the memory-pressure digest of one phase: allocation
+// MemoryResult is the memory-pressure digest of one record: allocation
 // deltas (runtime/metrics), GC pause deltas (runtime.ReadMemStats), and
 // recycling-arena counters. Process-wide, so it is meaningful because the
-// engine runs one system at a time.
+// engine runs one system at a time. Present on every run-phase record;
+// absent on crash phases.
 type MemoryResult struct {
-	TotalAllocs uint64  // heap objects allocated during the phase
-	TotalBytes  uint64  // heap bytes allocated during the phase
-	AllocsPerOp float64 // TotalAllocs / executed ops
-	BytesPerOp  float64 // TotalBytes / executed ops
-	GCPauseNs   int64   // total stop-the-world pause during the phase
-	NumGC       uint32  // GC cycles during the phase
-	PoolGets    uint64  // arena requests (cells + nodes)
-	PoolHits    uint64  // arena requests served from a freelist
-	PoolRetires uint64  // blocks retired into arenas
-	PoolHitRate float64 // PoolHits / PoolGets, 0 when no requests
+	AllocsPerOp float64 `json:"allocs_per_op"`
+	BytesPerOp  float64 `json:"bytes_per_op"`
+	TotalAllocs uint64  `json:"total_allocs"` // heap objects allocated
+	TotalBytes  uint64  `json:"total_bytes"`
+	GCPauseNs   int64   `json:"gc_pause_total_ns"` // stop-the-world total
+	NumGC       uint32  `json:"num_gc"`
+	PoolGets    uint64  `json:"pool_gets"`    // arena requests (cells + nodes)
+	PoolHits    uint64  `json:"pool_hits"`    // served from a freelist
+	PoolRetires uint64  `json:"pool_retires"` // blocks retired into arenas
+	PoolHitRate float64 `json:"pool_hit_rate"`
+}
+
+// finish fills the arena counters from the counter deltas v (zeros for a
+// system exporting none) and derives the per-op and hit-rate ratios.
+func (m *MemoryResult) finish(ops uint64, v map[string]uint64) {
+	m.PoolGets, m.PoolHits, m.PoolRetires = v["pool_gets"], v["pool_hits"], v["pool_retires"]
+	if ops > 0 {
+		m.AllocsPerOp = float64(m.TotalAllocs) / float64(ops)
+		m.BytesPerOp = float64(m.TotalBytes) / float64(ops)
+	}
+	if m.PoolGets > 0 {
+		m.PoolHitRate = float64(m.PoolHits) / float64(m.PoolGets)
+	}
 }
 
 // memSample is one point-in-time memory reading; phases report the delta
@@ -94,25 +117,16 @@ func readMemSample() memSample {
 	return s
 }
 
-// memoryResult folds two samples and the phase's pool counter deltas into
-// the reported block.
-func memoryResult(before, after memSample, ops uint64, poolGets, poolHits, poolRetires uint64) *MemoryResult {
+// memoryResult folds two samples and the phase's counter deltas into the
+// reported block.
+func memoryResult(before, after memSample, ops uint64, v map[string]uint64) *MemoryResult {
 	m := &MemoryResult{
 		TotalAllocs: after.allocObjs - before.allocObjs,
 		TotalBytes:  after.allocBytes - before.allocBytes,
 		GCPauseNs:   int64(after.pauseNs - before.pauseNs),
 		NumGC:       after.numGC - before.numGC,
-		PoolGets:    poolGets,
-		PoolHits:    poolHits,
-		PoolRetires: poolRetires,
 	}
-	if ops > 0 {
-		m.AllocsPerOp = float64(m.TotalAllocs) / float64(ops)
-		m.BytesPerOp = float64(m.TotalBytes) / float64(ops)
-	}
-	if poolGets > 0 {
-		m.PoolHitRate = float64(poolHits) / float64(poolGets)
-	}
+	m.finish(ops, v)
 	return m
 }
 
@@ -136,40 +150,37 @@ type EngineConfig struct {
 }
 
 // PhaseResult is the measurement of one phase (or the aggregate of the
-// measured phases).
+// measured phases), and the phase half of a report Record.
 type PhaseResult struct {
-	Phase      string
-	Crash      bool // crash phase: Elapsed is the recovery latency
-	Txns       uint64
-	Ops        uint64
-	Aborts     uint64
-	Elapsed    time.Duration
-	Throughput float64 // committed txn/s
-	AbortRate  float64 // aborted attempts / total attempts, 0 if unknown
-
-	AvgLatencyNs float64
-	P50LatencyNs float64
-	P99LatencyNs float64
+	Phase      string         `json:"phase"`
+	Crash      bool           `json:"-"` // crash phase: Elapsed is the recovery latency
+	Txns       uint64         `json:"txns"`
+	Ops        uint64         `json:"ops"`
+	Aborts     uint64         `json:"aborts"`
+	Elapsed    time.Duration  `json:"elapsed_ns"`
+	Throughput float64        `json:"throughput_txn_per_sec"` // committed txn/s
+	AbortRate  float64        `json:"abort_rate"`             // aborted attempts / total attempts, 0 if unknown
+	Latency    LatencySummary `json:"latency"`
 
 	// Memory is the phase's memory-pressure digest; nil on crash phases.
-	Memory *MemoryResult
+	Memory *MemoryResult `json:"memory,omitempty"`
 
-	// Fastpath is the commit fast-path digest; nil on crash phases and on
-	// systems without the tiered commit protocol.
-	Fastpath *FastpathResult
+	// Fastpath is the commit-protocol digest; nil on crash phases and on
+	// systems exporting no tx_commits counter.
+	Fastpath *FastpathResult `json:"fastpath,omitempty"`
 
 	// Telemetry is the phase's counter/gauge snapshot deltas; nil on crash
 	// phases and on systems without MetricsSnapshotter.
-	Telemetry *TelemetryResult
+	Telemetry *TelemetryResult `json:"telemetry,omitempty"`
 
 	// Kinds attributes the phase's transactions per kind; nil on systems
 	// without TxKindStatser.
-	Kinds []KindResult
+	Kinds []KindResult `json:"kinds,omitempty"`
 
 	// Consistency is the domain-invariant check run at the phase barrier;
 	// nil unless the system implements ConsistencyChecker and the phase is
 	// measured or a crash phase.
-	Consistency *ConsistencyResult
+	Consistency *ConsistencyResult `json:"consistency,omitempty"`
 }
 
 // ScenarioResult is one (system, scenario, thread count) measurement.
@@ -321,19 +332,6 @@ func RunScenario(sys System, sc Scenario, cfg EngineConfig) ScenarioResult {
 				agg.Memory.TotalBytes += pr.Memory.TotalBytes
 				agg.Memory.GCPauseNs += pr.Memory.GCPauseNs
 				agg.Memory.NumGC += pr.Memory.NumGC
-				agg.Memory.PoolGets += pr.Memory.PoolGets
-				agg.Memory.PoolHits += pr.Memory.PoolHits
-				agg.Memory.PoolRetires += pr.Memory.PoolRetires
-			}
-			if pr.Fastpath != nil {
-				if agg.Fastpath == nil {
-					agg.Fastpath = &FastpathResult{}
-				}
-				agg.Fastpath.ReadOnlyCommits += pr.Fastpath.ReadOnlyCommits
-				agg.Fastpath.FastPathCommits += pr.Fastpath.FastPathCommits
-				agg.Fastpath.Commits += pr.Fastpath.Commits
-				agg.Fastpath.GroupCommits += pr.Fastpath.GroupCommits
-				agg.Fastpath.GroupedTxns += pr.Fastpath.GroupedTxns
 			}
 			if pr.Telemetry != nil {
 				if agg.Telemetry == nil {
@@ -352,70 +350,23 @@ func RunScenario(sys System, sc Scenario, cfg EngineConfig) ScenarioResult {
 			}
 		}
 	}
-	if agg.Memory != nil {
-		if agg.Ops > 0 {
-			agg.Memory.AllocsPerOp = float64(agg.Memory.TotalAllocs) / float64(agg.Ops)
-			agg.Memory.BytesPerOp = float64(agg.Memory.TotalBytes) / float64(agg.Ops)
-		}
-		if agg.Memory.PoolGets > 0 {
-			agg.Memory.PoolHitRate = float64(agg.Memory.PoolHits) / float64(agg.Memory.PoolGets)
-		}
-	}
-	if agg.Fastpath != nil {
-		agg.Fastpath.deriveShares()
-	}
+	// The aggregate's gauges, arena counters and fastpath block derive from
+	// its summed counters exactly as a phase's do from its deltas.
+	var v map[string]uint64
 	if agg.Telemetry != nil {
-		agg.Telemetry.Gauges = deriveGauges(agg.Telemetry.Counters)
+		v = counterMap(agg.Telemetry.Counters)
+		agg.Telemetry.Gauges = deriveGauges(v)
 	}
+	if agg.Memory != nil {
+		agg.Memory.finish(agg.Ops, v)
+	}
+	agg.Fastpath = fastpathResult(v)
 	finishAggregate(&agg, parts)
 	res.Measured = agg
 	if sc.VerifyFinal {
 		res.FinalCheck = runFinalCheck(caps, vs)
 	}
 	return res
-}
-
-// runGroupedWorker is the GroupSize > 1 worker loop: it buffers size
-// generated transactions — each copied out of the generator's reused
-// buffer — and submits the run through DoGroup. Every member remains its
-// own logical transaction (journaled and counted individually); one
-// latency sample covers a whole run, so grouped latencies are
-// per-group, comparable across systems at equal GroupSize.
-func runGroupedWorker(gw GroupWorker, gen *TxGen, size int, shard *workerShard, jm map[uint64]modelVal, vs *verifyState, tid, workers int, cfg EngineConfig, every int, stopFlag *atomic.Bool) {
-	bufs := make([][]Op, size)
-	group := make([][]Op, size)
-	tick := 0
-	for !stopFlag.Load() {
-		total := 0
-		for n := 0; n < size; n++ {
-			ops := gen.Next()
-			if vs != nil && vs.partition {
-				for i := range ops {
-					if ops[i].Kind == OpInsert || ops[i].Kind == OpRemove {
-						ops[i].Key = PartitionKey(ops[i].Key, tid, workers, cfg.KeyRange)
-					}
-				}
-			}
-			bufs[n] = append(bufs[n][:0], ops...)
-			group[n] = bufs[n]
-			total += len(ops)
-		}
-		if tick++; tick >= every {
-			tick = 0
-			t0 := time.Now()
-			gw.DoGroup(group)
-			shard.Record(time.Since(t0), cfg.MaxLatencySamples)
-		} else {
-			gw.DoGroup(group)
-		}
-		if jm != nil {
-			for _, ops := range group {
-				applyOps(jm, ops)
-			}
-		}
-		shard.txns += uint64(size)
-		shard.ops += uint64(total)
-	}
 }
 
 // runPhase spawns the phase's workers (cfg.Threads, multiplied by the
@@ -428,20 +379,6 @@ func runPhase(sys System, caps Caps, sc Scenario, ph Phase, phaseIdx int, cfg En
 	var aborts0 uint64
 	if caps.TxStats != nil {
 		_, aborts0 = caps.TxStats.TxStats()
-	}
-	var pg0, ph0, pr0 uint64
-	if caps.PoolStats != nil {
-		pg0, ph0, pr0 = caps.PoolStats.PoolStats()
-	}
-	var ro0, fp0, cm0 uint64
-	hasFast := false
-	if caps.FastPaths != nil {
-		ro0, fp0, cm0, hasFast = caps.FastPaths.FastPathStats()
-	}
-	var gc0, gt0 uint64
-	hasGroups := false
-	if caps.Groups != nil {
-		gc0, gt0, _, hasGroups = caps.Groups.GroupStats()
 	}
 	var met0 []Metric
 	if caps.Metrics != nil {
@@ -486,37 +423,60 @@ func runPhase(sys System, caps Caps, sc Scenario, ph Phase, phaseIdx int, cfg En
 			w := sys.NewWorker()
 			ws[tid] = w
 			gen := NewTxGen(dist, cfg.KeyRange, ph.Mix, seed)
-			if sc.GroupSize > 1 {
-				if gw, ok := w.(GroupWorker); ok {
-					<-start
-					runGroupedWorker(gw, gen, sc.GroupSize, shard, jm, vs, tid, workers, cfg, every, &stopFlag)
-					return
-				}
+			// One loop for both shapes: a group scenario on a GroupWorker
+			// buffers size generated transactions — each copied out of the
+			// generator's reused buffer — and submits the run through
+			// DoGroup; everything else runs size 1 through Do. Every member
+			// remains its own logical transaction (journaled and counted
+			// individually); one latency sample covers a whole run, so
+			// grouped latencies are per-group, comparable across systems at
+			// equal GroupSize.
+			gw, _ := w.(GroupWorker)
+			size := 1
+			if sc.GroupSize > 1 && gw != nil {
+				size = sc.GroupSize
 			}
+			group := make([][]Op, size)
 			tick := 0
 			<-start
 			for !stopFlag.Load() {
-				ops := gen.Next()
-				if vs != nil && vs.partition {
-					for i := range ops {
-						if ops[i].Kind == OpInsert || ops[i].Kind == OpRemove {
-							ops[i].Key = PartitionKey(ops[i].Key, tid, workers, cfg.KeyRange)
+				total := 0
+				for n := range group {
+					ops := gen.Next()
+					if vs != nil && vs.partition {
+						for i := range ops {
+							if ops[i].Kind == OpInsert || ops[i].Kind == OpRemove {
+								ops[i].Key = PartitionKey(ops[i].Key, tid, workers, cfg.KeyRange)
+							}
 						}
 					}
+					if size > 1 {
+						ops = append(group[n][:0], ops...)
+					}
+					group[n] = ops
+					total += len(ops)
 				}
-				if tick++; tick >= every {
-					tick = 0
-					t0 := time.Now()
-					w.Do(ops)
-					shard.Record(time.Since(t0), cfg.MaxLatencySamples)
+				tick++
+				timed := tick >= every
+				var t0 time.Time
+				if timed {
+					tick, t0 = 0, time.Now()
+				}
+				if size > 1 {
+					gw.DoGroup(group)
 				} else {
-					w.Do(ops)
+					w.Do(group[0])
+				}
+				if timed {
+					shard.Record(time.Since(t0), cfg.MaxLatencySamples)
 				}
 				if jm != nil {
-					applyOps(jm, ops)
+					for _, ops := range group {
+						applyOps(jm, ops)
+					}
 				}
-				shard.txns++
-				shard.ops += uint64(len(ops))
+				shard.txns += uint64(size)
+				shard.ops += uint64(total)
 			}
 		}()
 	}
@@ -551,27 +511,14 @@ func runPhase(sys System, caps Caps, sc Scenario, ph Phase, phaseIdx int, cfg En
 		pr.Ops += s.ops
 		samples = append(samples, s.Samples...)
 	}
-	var pg, phits, pret uint64
-	if caps.PoolStats != nil {
-		pg1, ph1, pr1 := caps.PoolStats.PoolStats()
-		pg, phits, pret = pg1-pg0, ph1-ph0, pr1-pr0
+	var v map[string]uint64
+	if caps.Metrics != nil {
+		counters := diffMetrics(met0, caps.Metrics.MetricsSnapshot())
+		v = counterMap(counters)
+		pr.Telemetry = &TelemetryResult{Counters: counters, Gauges: deriveGauges(v)}
 	}
-	pr.Memory = memoryResult(mem0, mem1, pr.Ops, pg, phits, pret)
-	if hasFast {
-		ro1, fp1, cm1, _ := caps.FastPaths.FastPathStats()
-		fp := &FastpathResult{
-			ReadOnlyCommits: ro1 - ro0,
-			FastPathCommits: fp1 - fp0,
-			Commits:         cm1 - cm0,
-		}
-		if hasGroups {
-			gc1, gt1, _, _ := caps.Groups.GroupStats()
-			fp.GroupCommits = gc1 - gc0
-			fp.GroupedTxns = gt1 - gt0
-		}
-		fp.deriveShares()
-		pr.Fastpath = fp
-	}
+	pr.Memory = memoryResult(mem0, mem1, pr.Ops, v)
+	pr.Fastpath = fastpathResult(v)
 	// Worker write domains are disjoint (residue classes), so merging the
 	// journals is conflict-free.
 	for _, jm := range journals {
@@ -582,10 +529,6 @@ func runPhase(sys System, caps Caps, sc Scenario, ph Phase, phaseIdx int, cfg En
 	if caps.TxStats != nil {
 		_, aborts1 := caps.TxStats.TxStats()
 		pr.Aborts = aborts1 - aborts0
-	}
-	if caps.Metrics != nil {
-		counters := diffMetrics(met0, caps.Metrics.MetricsSnapshot())
-		pr.Telemetry = &TelemetryResult{Counters: counters, Gauges: deriveGauges(counters)}
 	}
 	if caps.Kinds != nil {
 		pr.Kinds = diffKinds(kin0, caps.Kinds.TxKindStats())
@@ -630,7 +573,7 @@ func finishPhaseResult(pr *PhaseResult, samples []int64) {
 	if total := pr.Txns + pr.Aborts; total > 0 {
 		pr.AbortRate = float64(pr.Aborts) / float64(total)
 	}
-	pr.AvgLatencyNs, pr.P50LatencyNs, pr.P99LatencyNs, _ = LatencyDigest(samples)
+	pr.Latency.AvgNs, pr.Latency.P50Ns, pr.Latency.P99Ns, _ = LatencyDigest(samples)
 }
 
 // phaseSamples pairs one measured phase's latency reservoir with the
@@ -674,9 +617,11 @@ func finishAggregate(pr *PhaseResult, parts []phaseSamples) {
 		return
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].ns < all[j].ns })
-	pr.AvgLatencyNs = weightedSum / totalW
-	pr.P50LatencyNs = float64(weightedPercentile(all, totalW, 0.50))
-	pr.P99LatencyNs = float64(weightedPercentile(all, totalW, 0.99))
+	pr.Latency = LatencySummary{
+		AvgNs: weightedSum / totalW,
+		P50Ns: float64(weightedPercentile(all, totalW, 0.50)),
+		P99Ns: float64(weightedPercentile(all, totalW, 0.99)),
+	}
 }
 
 // weightedPercentile returns the smallest sample whose cumulative weight

@@ -19,7 +19,7 @@ func TestRunScenarioAllBuiltinsOnMedley(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := RunScenario(NewMedleyHash(1<<10), sc, tinyEngineConfig(2))
+		res := RunScenario(testSystem("medley-hash"), sc, tinyEngineConfig(2))
 		if res.Scenario != name || res.System != "Medley-hash" {
 			t.Fatalf("%s: bad labels %+v", name, res)
 		}
@@ -30,10 +30,10 @@ func TestRunScenarioAllBuiltinsOnMedley(t *testing.T) {
 		if m.Txns == 0 || m.Throughput <= 0 {
 			t.Errorf("%s: no progress: %+v", name, m)
 		}
-		if m.P50LatencyNs <= 0 || m.P99LatencyNs < m.P50LatencyNs {
-			t.Errorf("%s: bad percentiles p50=%f p99=%f", name, m.P50LatencyNs, m.P99LatencyNs)
+		if m.Latency.P50Ns <= 0 || m.Latency.P99Ns < m.Latency.P50Ns {
+			t.Errorf("%s: bad percentiles p50=%f p99=%f", name, m.Latency.P50Ns, m.Latency.P99Ns)
 		}
-		if m.AvgLatencyNs <= 0 {
+		if m.Latency.AvgNs <= 0 {
 			t.Errorf("%s: no average latency", name)
 		}
 	}
@@ -67,7 +67,7 @@ func TestRunScenarioPhaseIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := RunScenario(NewMedleyHash(1<<10), sc, tinyEngineConfig(2))
+	res := RunScenario(testSystem("medley-hash"), sc, tinyEngineConfig(2))
 	names := []string{"load", "mixed", "drain"}
 	for i, ph := range res.Phases {
 		if ph.Phase != names[i] {
@@ -116,14 +116,14 @@ func TestWeightedPercentileWeighsByTxns(t *testing.T) {
 		{samples: []int64{1000, 1000, 1000, 1000}, txns: 4},
 		{samples: []int64{10, 10, 10, 10}, txns: 996},
 	})
-	if pr.P50LatencyNs != 10 {
-		t.Fatalf("weighted p50 = %f, want 10", pr.P50LatencyNs)
+	if pr.Latency.P50Ns != 10 {
+		t.Fatalf("weighted p50 = %f, want 10", pr.Latency.P50Ns)
 	}
-	if pr.P99LatencyNs != 10 {
-		t.Fatalf("weighted p99 = %f, want 10 (slow phase is only 0.4%% of txns)", pr.P99LatencyNs)
+	if pr.Latency.P99Ns != 10 {
+		t.Fatalf("weighted p99 = %f, want 10 (slow phase is only 0.4%% of txns)", pr.Latency.P99Ns)
 	}
-	if pr.AvgLatencyNs >= 100 {
-		t.Fatalf("weighted avg = %f, want ~14", pr.AvgLatencyNs)
+	if pr.Latency.AvgNs >= 100 {
+		t.Fatalf("weighted avg = %f, want ~14", pr.Latency.AvgNs)
 	}
 }
 
@@ -135,11 +135,11 @@ func TestWorkerShardReservoirBounded(t *testing.T) {
 	}
 	cfg := tinyEngineConfig(2)
 	cfg.MaxLatencySamples = 64
-	res := RunScenario(NewOriginalSkip(), sc, cfg)
+	res := RunScenario(testSystem("plain-skip"), sc, cfg)
 	if res.Measured.Txns < 64 {
 		t.Skip("machine too slow to fill the reservoir")
 	}
-	if res.Measured.P50LatencyNs <= 0 {
+	if res.Measured.Latency.P50Ns <= 0 {
 		t.Fatal("reservoir produced no percentile")
 	}
 }
@@ -160,7 +160,7 @@ func TestZeroWeightPhaseDefaultsToEqualShare(t *testing.T) {
 		},
 	}
 	cfg := tinyEngineConfig(2)
-	res := RunScenario(NewMedleyHash(1<<10), sc, cfg)
+	res := RunScenario(testSystem("medley-hash"), sc, cfg)
 	if len(res.Phases) != 2 {
 		t.Fatalf("%d phase results, want 2", len(res.Phases))
 	}
@@ -237,14 +237,14 @@ func absInt64(x int64) int64 {
 
 // TestFastpathBlockReported checks that the engine reports the commit
 // fast-path digest for Medley systems: on a read-mostly workload the
-// fast-path share must dominate, and the -fastpaths=off ablation must
+// fast-path share must dominate, and the -nofast ablation must
 // report a present-but-zero block.
 func TestFastpathBlockReported(t *testing.T) {
 	sc, err := LookupScenario("read-mostly")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := RunScenario(NewMedleyHash(1<<10), sc, tinyEngineConfig(2))
+	res := RunScenario(testSystem("medley-hash"), sc, tinyEngineConfig(2))
 	fp := res.Measured.Fastpath
 	if fp == nil {
 		t.Fatal("Medley system reported no fastpath block")
@@ -259,7 +259,7 @@ func TestFastpathBlockReported(t *testing.T) {
 		t.Fatalf("fastpath counters inconsistent: %+v", fp)
 	}
 
-	off := RunScenario(NewMedleyKV("hash", 1, 1<<10, true, false, true), sc, tinyEngineConfig(2))
+	off := RunScenario(testSystem("medley-hash-nofast"), sc, tinyEngineConfig(2))
 	fp = off.Measured.Fastpath
 	if fp == nil || fp.Commits == 0 {
 		t.Fatalf("nofast system reported no commits: %+v", fp)
@@ -272,7 +272,7 @@ func TestFastpathBlockReported(t *testing.T) {
 // TestGroupCommitBlockReported checks that the engine reports the
 // group-commit digest for Medley systems on a grouped scenario: merged
 // commits must dominate (each merge carries >= 2 members), the
-// -groupcommit=off ablation must report a present-but-zero block, and
+// -nogroup ablation must report a present-but-zero block, and
 // the VerifyFinal chaos variant must find the grouped execution
 // serializable (no state-vs-model violations).
 func TestGroupCommitBlockReported(t *testing.T) {
@@ -280,7 +280,7 @@ func TestGroupCommitBlockReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := RunScenario(NewMedleyHash(1<<10), sc, tinyEngineConfig(2))
+	res := RunScenario(testSystem("medley-hash"), sc, tinyEngineConfig(2))
 	fp := res.Measured.Fastpath
 	if fp == nil {
 		t.Fatal("Medley system reported no fastpath block")
@@ -295,7 +295,7 @@ func TestGroupCommitBlockReported(t *testing.T) {
 		t.Fatalf("group share %.2f on a GroupSize-8 scenario, want > 0.5", fp.GroupShare)
 	}
 
-	off := RunScenario(NewMedleyKV("hash", 1, 1<<10, true, true, false), sc, tinyEngineConfig(2))
+	off := RunScenario(testSystem("medley-hash-nogroup"), sc, tinyEngineConfig(2))
 	fp = off.Measured.Fastpath
 	if fp == nil || fp.Commits == 0 {
 		t.Fatalf("nogroup system reported no commits: %+v", fp)
@@ -308,12 +308,12 @@ func TestGroupCommitBlockReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cres := RunScenario(NewMedleyHash(1<<10), chaos, tinyEngineConfig(4))
+	cres := RunScenario(testSystem("medley-hash"), chaos, tinyEngineConfig(4))
 	fc := cres.FinalCheck
 	if fc == nil || !fc.Checked {
 		t.Fatalf("chaos-group-commit skipped the final check: %+v", fc)
 	}
-	if v := fc.Violations(); v != 0 {
+	if v := fc.Violations; v != 0 {
 		t.Fatalf("grouped execution diverged from the serial model: %d violations (%+v)", v, fc)
 	}
 	if cfp := cres.Measured.Fastpath; cfp == nil || cfp.GroupCommits == 0 {

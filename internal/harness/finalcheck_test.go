@@ -82,7 +82,7 @@ func TestFinalCheckDetectsTornTransfer(t *testing.T) {
 	if fc == nil || !fc.Checked {
 		t.Fatalf("no final check: %+v", fc)
 	}
-	if fc.Violations() == 0 {
+	if fc.Violations == 0 {
 		t.Fatal("torn transfers verified clean")
 	}
 	if fc.Missing+fc.Mismatched == 0 {
@@ -101,7 +101,7 @@ func TestFinalCheckCleanOnHonestTransfers(t *testing.T) {
 	if fc == nil || !fc.Checked {
 		t.Fatalf("no final check: %+v", fc)
 	}
-	if v := fc.Violations(); v != 0 {
+	if v := fc.Violations; v != 0 {
 		t.Fatalf("honest transfers reported %d violations (missing=%d mismatched=%d leaked=%d)",
 			v, fc.Missing, fc.Mismatched, fc.Leaked)
 	}

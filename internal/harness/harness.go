@@ -14,6 +14,7 @@ package harness
 
 import (
 	"math/rand"
+	"strconv"
 	"time"
 
 	"medley/internal/kv"
@@ -74,21 +75,7 @@ type Ratio struct {
 }
 
 func (r Ratio) String() string {
-	return itoa(r.Get) + ":" + itoa(r.Insert) + ":" + itoa(r.Remove)
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [8]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
+	return strconv.Itoa(r.Get) + ":" + strconv.Itoa(r.Insert) + ":" + strconv.Itoa(r.Remove)
 }
 
 // PaperRatios are the three workload mixes of Figures 7, 8 and 10.
@@ -154,7 +141,7 @@ func Run(sys System, cfg Config) Result {
 		System: r.System, Ratio: cfg.Ratio.String(), Threads: cfg.Threads,
 		Txns: m.Txns, Ops: m.Ops, Aborts: m.Aborts, Elapsed: m.Elapsed,
 		Throughput: m.Throughput, AbortRate: m.AbortRate,
-		LatencyNs: m.AvgLatencyNs, P50Ns: m.P50LatencyNs, P99Ns: m.P99LatencyNs,
+		LatencyNs: m.Latency.AvgNs, P50Ns: m.Latency.P50Ns, P99Ns: m.Latency.P99Ns,
 	}
 }
 

@@ -14,10 +14,20 @@ func tinyConfig(threads int, ratio Ratio) Config {
 	}
 }
 
+// testSystem resolves spec at test scale. Specs here are literals, so a
+// parse failure is a bug in the test.
+func testSystem(spec string) System {
+	sys, err := NewSystem(spec, SystemOpts{Buckets: 1 << 10, KeyRange: 1 << 10})
+	if err != nil {
+		panic(err)
+	}
+	return sys
+}
+
 func allSystems() []System {
 	return []System{
-		NewMedleyHash(1 << 10),
-		NewMedleySkip(),
+		testSystem("medley-hash"),
+		testSystem("medley-skip"),
 		NewMontage(MontageOpts{Skiplist: false, Buckets: 1 << 10, RegionWords: 1 << 20}),
 		NewMontage(MontageOpts{Skiplist: true, RegionWords: 1 << 20}),
 		NewMontage(MontageOpts{Skiplist: true, RegionWords: 1 << 20, PersistOff: true}),
@@ -26,8 +36,8 @@ func allSystems() []System {
 		NewOneFile(OneFileOpts{Skiplist: true, Persistent: true, RegionWords: 1 << 20}),
 		NewTDSL(),
 		NewLFTT(),
-		NewOriginalSkip(),
-		NewTxOffSkip(),
+		testSystem("plain-skip"),
+		testSystem("txoff-skip"),
 	}
 }
 
@@ -46,7 +56,7 @@ func TestEverySystemRunsEveryRatio(t *testing.T) {
 }
 
 func TestThreadSweepMonotoneAccounting(t *testing.T) {
-	sys := NewMedleyHash(1 << 10)
+	sys := testSystem("medley-hash")
 	for _, th := range []int{1, 2, 4} {
 		res := Run(sys, tinyConfig(th, Ratio{2, 1, 1}))
 		if res.Threads != th || res.Txns == 0 {

@@ -42,24 +42,28 @@ type KVSystem struct {
 	pump *ebr.Handle
 }
 
-// newKVSystem builds a system over the named registry structure,
-// hash-partitioned over shards instances when shards > 1. pooling enables
-// the core's cell/node recycling arenas (sound here because every worker
+// newKVSystem is the one constructor: a system over the named registry
+// structure, hash-partitioned over spec.shards instances when > 1, named
+// with one suffix per axis the spec switched off so every configuration
+// stays distinguishable in one report. notx runs operations outside any
+// transaction (Original/TxOff). Pooling is sound here because every worker
 // holds its EBR handle's critical section across each transaction — see
-// kvWorker.Do — and background maintenance is guarded the same way);
-// fastpaths keeps the core's commit fast paths on (the default — false is
-// the -fastpaths=off ablation baseline that forces every commit through
-// the full descriptor handshake); groupcommit keeps the core's merged
-// group-commit path on (the default — false is the -groupcommit=off
-// ablation baseline that runs every RunGroup member as its own commit).
-func newKVSystem(name, structure string, shards, buckets int, notx, pooling, fastpaths, groupcommit bool) *KVSystem {
+// kvWorker.ExecBatch — and background maintenance is guarded the same way.
+// -nofast forces every commit through the full descriptor handshake;
+// -nogroup runs every RunGroup member as its own commit.
+func newKVSystem(name, structure string, notx bool, buckets int, spec sysSpec) *KVSystem {
 	var mgr *core.TxManager
 	if kv.Composable(structure) {
 		mgr = core.NewTxManager()
 	}
-	store, err := kv.NewShardedNamed(structure, shards, kv.Options{Mgr: mgr, Buckets: buckets})
+	store, err := kv.NewShardedNamed(structure, spec.shards, kv.Options{Mgr: mgr, Buckets: buckets})
 	if err != nil {
 		panic(err) // registry names here are static; a failure is a bug
+	}
+	for _, suffix := range specSuffixes {
+		if spec.off[suffix] {
+			name += "-" + suffix
+		}
 	}
 	s := &KVSystem{name: shardedName(name, store.ShardCount()), mgr: mgr,
 		notx: notx, shard: store.ShardCount()}
@@ -70,78 +74,17 @@ func newKVSystem(name, structure string, shards, buckets int, notx, pooling, fas
 	}
 	if !notx && mgr != nil {
 		s.smr = ebr.New(256)
-		if pooling {
+		if !spec.off["nopool"] {
 			mgr.EnablePooling()
 		}
-		if !fastpaths {
+		if spec.off["nofast"] {
 			mgr.DisableFastPaths()
 		}
-		if !groupcommit {
+		if spec.off["nogroup"] {
 			mgr.DisableGroupCommit()
 		}
 	}
 	return s
-}
-
-// NewMedleyHash is the Figure 7 Medley configuration (Michael's hash
-// table, 1M buckets in the paper).
-func NewMedleyHash(buckets int) *KVSystem {
-	return newKVSystem("Medley-hash", "hash", 1, buckets, false, true, true, true)
-}
-
-// NewMedleySkip is the Figure 8 Medley configuration (Fraser's skiplist).
-func NewMedleySkip() *KVSystem {
-	return newKVSystem("Medley-skip", "skip", 1, 0, false, true, true, true)
-}
-
-// NewMedleySharded is Medley over a ShardedStore of the named registry
-// structure ("hash", "skip", "bst", "rotating"): N instances under one
-// TxManager, so cross-shard transactions stay strictly serializable.
-func NewMedleySharded(structure string, shards, buckets int) *KVSystem {
-	return NewMedleyShardedPooling(structure, shards, buckets, true)
-}
-
-// NewMedleyShardedPooling is NewMedleySharded with recycling arenas
-// toggleable: pooling=false is the unpooled baseline of the alloc-pressure
-// comparison (every displaced cell and unlinked node goes to the GC, the
-// pre-recycling behavior), named with a "-nopool" suffix so both
-// configurations are distinguishable in one report.
-func NewMedleyShardedPooling(structure string, shards, buckets int, pooling bool) *KVSystem {
-	return NewMedleyKV(structure, shards, buckets, pooling, true, true)
-}
-
-// NewMedleyKV is the fully-parameterized Medley constructor: recycling
-// arenas (pooling), commit fast paths (fastpaths) and merged group
-// commits (groupcommit) are independently ablatable, and each disabled
-// axis suffixes the system name ("-nopool", "-nofast", "-nogroup") so
-// every configuration stays distinguishable when several appear in one
-// report.
-func NewMedleyKV(structure string, shards, buckets int, pooling, fastpaths, groupcommit bool) *KVSystem {
-	name := "Medley-" + structure
-	if !pooling {
-		name += "-nopool"
-	}
-	if !fastpaths {
-		name += "-nofast"
-	}
-	if !groupcommit {
-		name += "-nogroup"
-	}
-	return newKVSystem(name, structure, shards, buckets, false, pooling, fastpaths, groupcommit)
-}
-
-// NewOriginalSkip is Fraser's untransformed skiplist ("Original" in
-// Figure 10): operations execute directly, one group of 1-10 counted as a
-// "transaction" for latency comparability.
-func NewOriginalSkip() *KVSystem {
-	return newKVSystem("Original-skip", "plain-skip", 1, 0, true, false, true, true)
-}
-
-// NewTxOffSkip is the NBTC-transformed skiplist with transactions off
-// ("TxOff" in Figure 10): the transformed code paths run, but outside any
-// transaction, so all instrumentation is dynamically elided.
-func NewTxOffSkip() *KVSystem {
-	return newKVSystem("TxOff-skip", "skip", 1, 0, true, false, true, true)
 }
 
 // Name implements System.
@@ -167,64 +110,15 @@ func (s *KVSystem) TxStats() (commits, aborts uint64) {
 	return st.Commits, st.Aborts
 }
 
-// PoolStats implements PoolStatser: cumulative recycling-arena counters
-// aggregated over all workers (zeros for baselines and unpooled runs).
-func (s *KVSystem) PoolStats() (gets, hits, retires uint64) {
-	if s.mgr == nil {
-		return 0, 0, 0
-	}
-	st := s.mgr.Stats()
-	return st.PoolGets, st.PoolHits, st.PoolRetires
-}
-
-// FastPathStats implements FastPathStatser: cumulative commit fast-path
-// counters aggregated over all workers. ok is false for systems that run
-// no commit protocol at all (Original/TxOff execute outside transactions),
-// so their reports carry no fastpath block; a -fastpaths=off Medley run
-// reports ok with zero fast-path counts — the ablation is a measurement,
-// not an absence.
-func (s *KVSystem) FastPathStats() (readOnly, fastpath, commits uint64, ok bool) {
-	if s.notx || s.mgr == nil {
-		return 0, 0, 0, false
-	}
-	st := s.mgr.Stats()
-	return st.ReadOnlyCommits, st.FastPathCommits, st.Commits, true
-}
-
-// GroupStats implements GroupStatser: cumulative group-commit counters
-// aggregated over all workers, plus the physical commit count the share
-// derivation needs. ok mirrors FastPathStats: false for systems running
-// no commit protocol, true with zero merges for a -groupcommit=off run.
-func (s *KVSystem) GroupStats() (groups, grouped, commits uint64, ok bool) {
-	if s.notx || s.mgr == nil {
-		return 0, 0, 0, false
-	}
-	st := s.mgr.Stats()
-	return st.GroupCommits, st.GroupedTxns, st.Commits, true
-}
-
 // MetricsSnapshot implements MetricsSnapshotter: cumulative transaction,
-// pool and EBR counters under stable statsd-style names. Baselines without
-// a manager export nothing (no block is reported).
+// pool and EBR counters under stable statsd-style names. Systems running
+// no commit protocol (Original, TxOff) export nothing, so their reports
+// carry no fastpath block and an empty telemetry block.
 func (s *KVSystem) MetricsSnapshot() []Metric {
-	if s.mgr == nil {
+	if s.notx || s.mgr == nil {
 		return nil
 	}
-	st := s.mgr.Stats()
-	out := []Metric{
-		{Name: "tx_begins", Value: st.Begins},
-		{Name: "tx_commits", Value: st.Commits},
-		{Name: "tx_commits_read_only", Value: st.ReadOnlyCommits},
-		{Name: "tx_commits_fastpath", Value: st.FastPathCommits},
-		{Name: "tx_group_commits", Value: st.GroupCommits},
-		{Name: "tx_grouped_txns", Value: st.GroupedTxns},
-		{Name: "tx_aborts", Value: st.Aborts},
-		{Name: "tx_aborts_by_others", Value: st.AbortsByOthers},
-		{Name: "tx_help_events", Value: st.HelpEvents},
-		{Name: "pool_gets", Value: st.PoolGets},
-		{Name: "pool_hits", Value: st.PoolHits},
-		{Name: "pool_retires", Value: st.PoolRetires},
-	}
+	out := txCounters(s.mgr.Stats())
 	if s.smr != nil {
 		es := s.smr.Stats()
 		out = append(out,
@@ -415,8 +309,8 @@ func (w *kvWorker) Do(ops []Op) { _ = w.ExecBatch(ops, nil) }
 
 // DoGroup implements GroupWorker: each op list is one generated logical
 // transaction; the group commits through ExecGroup so compatible members
-// merge into group commits (or run individually under the -groupcommit
-// ablation — same loop, different commit protocol).
+// merge into group commits (or run individually under the
+// -nogroup ablation — same loop, different commit protocol).
 func (w *kvWorker) DoGroup(opss [][]Op) {
 	if cap(w.gbatches) < len(opss) {
 		w.gbatches = make([]kv.Batch, len(opss))

@@ -255,7 +255,7 @@ func runOpenLoopStep(d Driver, cfg OpenLoopConfig, rate float64, step int) (Open
 		ph.Goodput = float64(ph.Completed) / elapsed.Seconds()
 	}
 	ph.AvgNs, ph.P50Ns, ph.P99Ns, ph.P999Ns = LatencyDigest(samples)
-	ph.Memory = memoryResult(mem0, mem1, ph.Ops, 0, 0, 0)
+	ph.Memory = memoryResult(mem0, mem1, ph.Ops, nil)
 	if ph.Completed == 0 && sessErr != nil {
 		return ph, fmt.Errorf("open-loop: no transaction completed at rate %v: %w", rate, sessErr)
 	}

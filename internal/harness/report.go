@@ -21,118 +21,6 @@ type LatencySummary struct {
 	P99Ns float64 `json:"p99_ns"`
 }
 
-// MemoryRecord is the memory-pressure digest of one record: allocation and
-// GC-pause deltas over the phase (sampled via runtime/metrics and
-// runtime.ReadMemStats at the phase barriers) plus recycling-arena
-// counters. Present on every run-phase record; absent on crash phases.
-type MemoryRecord struct {
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	BytesPerOp  float64 `json:"bytes_per_op"`
-	TotalAllocs uint64  `json:"total_allocs"`
-	TotalBytes  uint64  `json:"total_bytes"`
-	GCPauseNs   int64   `json:"gc_pause_total_ns"`
-	NumGC       uint32  `json:"num_gc"`
-	PoolGets    uint64  `json:"pool_gets"`
-	PoolHits    uint64  `json:"pool_hits"`
-	PoolRetires uint64  `json:"pool_retires"`
-	PoolHitRate float64 `json:"pool_hit_rate"`
-}
-
-// FastpathRecord is the commit-protocol digest of one record: how many
-// commits skipped the descriptor handshake (read-only elision and the
-// single-write fold), how many merged a group of logical transactions
-// into one physical commit, and the derived shares. group_share is
-// grouped_txns over logical commits (commits − group_commits +
-// grouped_txns). Present on run-phase records of systems with the tiered
-// commit protocol (the Medley family); absent on crash phases and on
-// competitors.
-type FastpathRecord struct {
-	ReadOnlyCommits uint64  `json:"read_only_commits"`
-	FastPathCommits uint64  `json:"fastpath_commits"`
-	Commits         uint64  `json:"commits"`
-	FastpathShare   float64 `json:"fastpath_share"`
-	GroupCommits    uint64  `json:"group_commits"`
-	GroupedTxns     uint64  `json:"grouped_txns"`
-	GroupShare      float64 `json:"group_share"`
-}
-
-// RecoveryRecord is the recovery digest of a crash-phase record: how long
-// recovery took, how much came back, and whether the recovered state
-// matched the ground-truth model of committed operations (see verify.go).
-type RecoveryRecord struct {
-	Recoverable      bool   `json:"recoverable"`
-	RecoveryNs       int64  `json:"recovery_ns"`
-	RecoveredEntries int    `json:"recovered_entries"`
-	ModelEntries     int    `json:"model_entries"`
-	MissingWrites    uint64 `json:"missing_writes"`
-	MismatchedWrites uint64 `json:"mismatched_writes"`
-	LeakedWrites     uint64 `json:"leaked_writes"`
-	Violations       uint64 `json:"durability_violations"`
-}
-
-// CounterRecord is one named counter delta in the telemetry block.
-// Counters are emitted as an array, not a JSON map, so new counter names
-// extend the report without shifting the schema's canonical path set.
-type CounterRecord struct {
-	Name  string `json:"name"`
-	Value uint64 `json:"value"`
-}
-
-// GaugeRecord is one named derived ratio in the telemetry block.
-type GaugeRecord struct {
-	Name  string  `json:"name"`
-	Value float64 `json:"value"`
-}
-
-// TelemetryRecord is the engine-counter digest of one record: per-phase
-// counter deltas from the system's MetricsSnapshot plus the standard
-// gauges derived from them. Present on run-phase records of systems
-// exporting metrics.
-type TelemetryRecord struct {
-	Counters []CounterRecord `json:"counters"`
-	Gauges   []GaugeRecord   `json:"gauges"`
-}
-
-// KindRecord attributes one transaction kind's share of a record: how many
-// committed, how many attempts aborted, and the mean committed latency.
-// Present on records of systems running a closed transaction mix (TPC-C).
-type KindRecord struct {
-	Kind   string  `json:"kind"`
-	Txns   uint64  `json:"txns"`
-	Aborts uint64  `json:"aborts"`
-	AvgNs  float64 `json:"avg_latency_ns"`
-}
-
-// ClassCountRecord is one violation class's tally in a consistency block.
-type ClassCountRecord struct {
-	Class string `json:"class"`
-	Count int    `json:"count"`
-}
-
-// ConsistencyRecord is the domain-invariant digest of one record: whether
-// the system's consistency check ran at this phase's barrier and what it
-// found, tallied by violation class. Present on measured and crash-phase
-// records of systems with a ConsistencyCheck (the TPC-C clause 3.3.2
-// conditions).
-type ConsistencyRecord struct {
-	Checked    bool               `json:"checked"`
-	Violations int                `json:"violations"`
-	Classes    []ClassCountRecord `json:"classes,omitempty"`
-}
-
-// FinalCheckRecord is the end-of-run state-vs-model digest of a VerifyFinal
-// scenario: the live state diffed against the journaled ground-truth model
-// of committed operations, the transient-system counterpart of the
-// recovery digest. Present only on the measured aggregate record.
-type FinalCheckRecord struct {
-	Checked          bool   `json:"checked"`
-	ModelEntries     int    `json:"model_entries"`
-	MissingWrites    uint64 `json:"missing_writes"`
-	MismatchedWrites uint64 `json:"mismatched_writes"`
-	LeakedWrites     uint64 `json:"leaked_writes"`
-	Violations       uint64 `json:"state_violations"`
-}
-
 // ServiceRecord is the open-loop service digest of one record: how the
 // offered load was disposed of (completed, shed by admission control,
 // failed, dropped at the client queue) and the tail the completions saw.
@@ -191,37 +79,20 @@ type ReplicaRecord struct {
 	Violations       uint64 `json:"divergence_violations"`
 }
 
-// Record is one (system, scenario, phase, thread count) measurement.
+// Record is one (system, scenario, phase, thread count) measurement: the
+// engine's PhaseResult beside what identifies the run, plus the blocks
+// that belong to a run rather than a phase.
 type Record struct {
-	System    string         `json:"system"`
-	Scenario  string         `json:"scenario"`
-	Phase     string         `json:"phase"`
-	Threads   int            `json:"threads"`
-	Shards    int            `json:"shards"`
-	Txns      uint64         `json:"txns"`
-	Ops       uint64         `json:"ops"`
-	Aborts    uint64         `json:"aborts"`
-	ElapsedNs int64          `json:"elapsed_ns"`
-	TxnPerSec float64        `json:"throughput_txn_per_sec"`
-	AbortRate float64        `json:"abort_rate"`
-	Latency   LatencySummary `json:"latency"`
-	// Memory is present on run-phase records (absent on crash phases).
-	Memory *MemoryRecord `json:"memory,omitempty"`
-	// Fastpath is present on run-phase records of systems with the tiered
-	// commit protocol.
-	Fastpath *FastpathRecord `json:"fastpath,omitempty"`
+	System   string `json:"system"`
+	Scenario string `json:"scenario"`
+	Threads  int    `json:"threads"`
+	Shards   int    `json:"shards"`
+	PhaseResult
 	// Recovery is present only on crash-phase records of crash scenarios.
-	Recovery *RecoveryRecord `json:"recovery,omitempty"`
-	// Telemetry is present on run-phase records of metrics-exporting systems.
-	Telemetry *TelemetryRecord `json:"telemetry,omitempty"`
-	// Kinds is present on records of systems running a closed transaction mix.
-	Kinds []KindRecord `json:"kinds,omitempty"`
-	// Consistency is present on measured and crash-phase records of systems
-	// with a domain consistency check.
-	Consistency *ConsistencyRecord `json:"consistency,omitempty"`
+	Recovery *RecoveryResult `json:"recovery,omitempty"`
 	// FinalCheck is present only on the measured aggregate record of
 	// VerifyFinal scenarios.
-	FinalCheck *FinalCheckRecord `json:"final_check,omitempty"`
+	FinalCheck *FinalCheckResult `json:"final_check,omitempty"`
 	// Service is present on open-loop records (AddOpenLoop).
 	Service *ServiceRecord `json:"service,omitempty"`
 	// Replica is present only on replica-chaos records.
@@ -265,24 +136,15 @@ func NewReport(scenario string, threads []int, duration time.Duration, keyRange 
 // selector for the headline number regardless of phase count. Crash-phase
 // records carry the recovery digest.
 func (rep *Report) Add(res ScenarioResult) {
+	rec := Record{System: res.System, Scenario: res.Scenario, Threads: res.Threads, Shards: max(res.Shards, 1)}
 	for _, ph := range res.Phases {
-		rec := recordOf(res, ph)
-		if ph.Crash && res.Recovery != nil {
-			rec.Recovery = recoveryRecordOf(*res.Recovery)
+		rec.PhaseResult, rec.Recovery = ph, nil
+		if ph.Crash {
+			rec.Recovery = res.Recovery
 		}
 		rep.Results = append(rep.Results, rec)
 	}
-	rec := recordOf(res, res.Measured)
-	if res.FinalCheck != nil {
-		rec.FinalCheck = &FinalCheckRecord{
-			Checked:          res.FinalCheck.Checked,
-			ModelEntries:     res.FinalCheck.ModelEntries,
-			MissingWrites:    res.FinalCheck.Missing,
-			MismatchedWrites: res.FinalCheck.Mismatched,
-			LeakedWrites:     res.FinalCheck.Leaked,
-			Violations:       res.FinalCheck.Violations(),
-		}
-	}
+	rec.PhaseResult, rec.Recovery, rec.FinalCheck = res.Measured, nil, res.FinalCheck
 	rep.Results = append(rep.Results, rec)
 }
 
@@ -293,27 +155,17 @@ func (rep *Report) Add(res ScenarioResult) {
 // throughput = goodput); threads reports the in-flight bound, the
 // open-loop analogue of the worker count.
 func (rep *Report) AddOpenLoop(res OpenLoopResult, scenario string, inFlight int) {
-	shards := res.Shards
-	if shards == 0 {
-		shards = 1
-	}
 	for _, ph := range res.Phases {
-		var mem *MemoryRecord
-		if ph.Memory != nil {
-			mem = &MemoryRecord{
-				AllocsPerOp: ph.Memory.AllocsPerOp, BytesPerOp: ph.Memory.BytesPerOp,
-				TotalAllocs: ph.Memory.TotalAllocs, TotalBytes: ph.Memory.TotalBytes,
-				GCPauseNs: ph.Memory.GCPauseNs, NumGC: ph.Memory.NumGC,
-			}
-		}
 		rep.Results = append(rep.Results, Record{
 			System: res.System, Scenario: scenario,
-			Phase:   fmt.Sprintf("rate-%.0f", ph.TargetRate),
-			Threads: inFlight, Shards: shards,
-			Txns: ph.Completed, Ops: ph.Ops,
-			ElapsedNs: int64(ph.Elapsed), TxnPerSec: ph.Goodput,
-			Latency: LatencySummary{AvgNs: ph.AvgNs, P50Ns: ph.P50Ns, P99Ns: ph.P99Ns},
-			Memory:  mem,
+			Threads: inFlight, Shards: max(res.Shards, 1),
+			PhaseResult: PhaseResult{
+				Phase: fmt.Sprintf("rate-%.0f", ph.TargetRate),
+				Txns:  ph.Completed, Ops: ph.Ops,
+				Elapsed: ph.Elapsed, Throughput: ph.Goodput,
+				Latency: LatencySummary{AvgNs: ph.AvgNs, P50Ns: ph.P50Ns, P99Ns: ph.P99Ns},
+				Memory:  ph.Memory,
+			},
 			Service: &ServiceRecord{
 				Driver:      res.Driver,
 				TargetRate:  ph.TargetRate,
@@ -324,84 +176,6 @@ func (rep *Report) AddOpenLoop(res OpenLoopResult, scenario string, inFlight int
 				Goodput:     ph.Goodput, P999Ns: ph.P999Ns,
 			},
 		})
-	}
-}
-
-func recoveryRecordOf(r RecoveryResult) *RecoveryRecord {
-	return &RecoveryRecord{
-		Recoverable:      r.Recoverable,
-		RecoveryNs:       r.RecoveryNs,
-		RecoveredEntries: r.Recovered,
-		ModelEntries:     r.ModelEntries,
-		MissingWrites:    r.Missing,
-		MismatchedWrites: r.Mismatched,
-		LeakedWrites:     r.Leaked,
-		Violations:       r.Violations(),
-	}
-}
-
-func recordOf(res ScenarioResult, ph PhaseResult) Record {
-	shards := res.Shards
-	if shards == 0 {
-		shards = 1
-	}
-	var mem *MemoryRecord
-	if ph.Memory != nil {
-		mem = &MemoryRecord{
-			AllocsPerOp: ph.Memory.AllocsPerOp, BytesPerOp: ph.Memory.BytesPerOp,
-			TotalAllocs: ph.Memory.TotalAllocs, TotalBytes: ph.Memory.TotalBytes,
-			GCPauseNs: ph.Memory.GCPauseNs, NumGC: ph.Memory.NumGC,
-			PoolGets: ph.Memory.PoolGets, PoolHits: ph.Memory.PoolHits,
-			PoolRetires: ph.Memory.PoolRetires, PoolHitRate: ph.Memory.PoolHitRate,
-		}
-	}
-	var fp *FastpathRecord
-	if ph.Fastpath != nil {
-		fp = &FastpathRecord{
-			ReadOnlyCommits: ph.Fastpath.ReadOnlyCommits,
-			FastPathCommits: ph.Fastpath.FastPathCommits,
-			Commits:         ph.Fastpath.Commits,
-			FastpathShare:   ph.Fastpath.FastpathShare,
-			GroupCommits:    ph.Fastpath.GroupCommits,
-			GroupedTxns:     ph.Fastpath.GroupedTxns,
-			GroupShare:      ph.Fastpath.GroupShare,
-		}
-	}
-	var tel *TelemetryRecord
-	if ph.Telemetry != nil {
-		tel = &TelemetryRecord{
-			Counters: make([]CounterRecord, 0, len(ph.Telemetry.Counters)),
-			Gauges:   make([]GaugeRecord, 0, len(ph.Telemetry.Gauges)),
-		}
-		for _, m := range ph.Telemetry.Counters {
-			tel.Counters = append(tel.Counters, CounterRecord{Name: m.Name, Value: m.Value})
-		}
-		for _, g := range ph.Telemetry.Gauges {
-			tel.Gauges = append(tel.Gauges, GaugeRecord{Name: g.Name, Value: g.Value})
-		}
-	}
-	var kinds []KindRecord
-	for _, k := range ph.Kinds {
-		kinds = append(kinds, KindRecord{Kind: k.Kind, Txns: k.Txns, Aborts: k.Aborts, AvgNs: k.AvgNs})
-	}
-	var cons *ConsistencyRecord
-	if ph.Consistency != nil {
-		cons = &ConsistencyRecord{Checked: ph.Consistency.Checked, Violations: ph.Consistency.Violations}
-		for _, c := range ph.Consistency.Classes {
-			cons.Classes = append(cons.Classes, ClassCountRecord{Class: c.Class, Count: c.Count})
-		}
-	}
-	return Record{
-		Memory: mem, Fastpath: fp,
-		Telemetry: tel, Kinds: kinds, Consistency: cons,
-		System: res.System, Scenario: res.Scenario, Phase: ph.Phase,
-		Threads: res.Threads, Shards: shards,
-		Txns: ph.Txns, Ops: ph.Ops, Aborts: ph.Aborts,
-		ElapsedNs: int64(ph.Elapsed), TxnPerSec: ph.Throughput,
-		AbortRate: ph.AbortRate,
-		Latency: LatencySummary{
-			AvgNs: ph.AvgLatencyNs, P50Ns: ph.P50LatencyNs, P99Ns: ph.P99LatencyNs,
-		},
 	}
 }
 

@@ -3,6 +3,8 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -11,7 +13,7 @@ func sampleResult() ScenarioResult {
 	mixed := PhaseResult{
 		Phase: "mixed", Txns: 1000, Ops: 5000, Aborts: 10,
 		Elapsed: time.Second, Throughput: 1000, AbortRate: 10.0 / 1010,
-		AvgLatencyNs: 900, P50LatencyNs: 800, P99LatencyNs: 4000,
+		Latency: LatencySummary{AvgNs: 900, P50Ns: 800, P99Ns: 4000},
 		Memory: &MemoryResult{
 			TotalAllocs: 25000, TotalBytes: 800000,
 			AllocsPerOp: 5, BytesPerOp: 160, GCPauseNs: 120000, NumGC: 2,
@@ -94,5 +96,32 @@ func TestReportAddMultiPhase(t *testing.T) {
 	}
 	if rep.Results[2].Phase != "measured" {
 		t.Fatalf("aggregate record missing: %+v", rep.Results)
+	}
+}
+
+// TestReportGolden pins values as well as shape: the document Add and
+// AddOpenLoop emit for schemaReport(true) must decode to the one captured
+// before the engine's result types became the records (same keys, same
+// values; key order is free).
+func TestReportGolden(t *testing.T) {
+	rep := schemaReport(true)
+	rep.Config.GoMaxProcs = 1 // the one machine-dependent field
+	var buf bytes.Buffer
+	if err := rep.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile("testdata/report_golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, want any
+	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(golden, &want); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("report differs from testdata/report_golden.json:\n%s", buf.Bytes())
 	}
 }

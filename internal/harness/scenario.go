@@ -367,7 +367,7 @@ var builtin = map[string]Scenario{
 		}),
 	},
 	"sharded-uniform": {
-		Description: "partitioned scaling: paper 2:1:1 mix for sharded stores vs single instances (-shards / name@N)",
+		Description: "partitioned scaling: paper 2:1:1 mix for sharded stores vs single instances (name@N)",
 		Dist:        Dist{Kind: DistUniform},
 		Phases:      onePhase(paperMix(Ratio{Get: 2, Insert: 1, Remove: 1})),
 	},
@@ -433,7 +433,7 @@ var builtin = map[string]Scenario{
 		}),
 	},
 	"groupcommit": {
-		Description: "group-commit showcase: workers submit pipelined runs of 8 independent 2:1:1 transactions (see GroupSize), measured under Zipf(1.2) skew and under a 90/10 hotspot after an unmeasured warm phase (recycling arenas at steady state) — compares merged group commits (Medley-hash) against the -groupcommit=off ablation (Medley-hash-nogroup)",
+		Description: "group-commit showcase: workers submit pipelined runs of 8 independent 2:1:1 transactions (see GroupSize), measured under Zipf(1.2) skew and under a 90/10 hotspot after an unmeasured warm phase (recycling arenas at steady state) — compares merged group commits (Medley-hash) against the -nogroup ablation (Medley-hash-nogroup)",
 		Dist:        Dist{Kind: DistZipfian, Theta: 1.2},
 		GroupSize:   8,
 		Phases: []Phase{

@@ -51,10 +51,11 @@ func schemaReport(full bool) *Report {
 			}},
 		}, "service-mixed", 64)
 		rep.Results = append(rep.Results, Record{
-			System: "medley-hash", Scenario: "chaos-net-flaky", Phase: "chaos",
-			Threads: 8, Shards: 1, Txns: 900, Ops: 4500,
-			ElapsedNs: int64(time.Second), TxnPerSec: 900,
-			Latency: LatencySummary{AvgNs: 1000, P50Ns: 900, P99Ns: 5000},
+			System: "medley-hash", Scenario: "chaos-net-flaky", Threads: 8, Shards: 1,
+			PhaseResult: PhaseResult{
+				Phase: "chaos", Txns: 900, Ops: 4500, Elapsed: time.Second, Throughput: 900,
+				Latency: LatencySummary{AvgNs: 1000, P50Ns: 900, P99Ns: 5000},
+			},
 			Service: &ServiceRecord{
 				Driver: "http", OfferedTxns: 1000, CompletedTxns: 900,
 				ShedTxns: 50, ErrorTxns: 20, DroppedTxns: 5,
@@ -64,13 +65,12 @@ func schemaReport(full bool) *Report {
 				Availability: 0.97, TaintedKeys: 4,
 				Goodput: 900, P999Ns: 9000,
 			},
-			Recovery: &RecoveryRecord{Recoverable: true,
-				RecoveryNs: int64(time.Millisecond), RecoveredEntries: 10, ModelEntries: 10},
+			Recovery: &RecoveryResult{Recoverable: true,
+				RecoveryNs: int64(time.Millisecond), Recovered: 10, ModelEntries: 10},
 		})
 		rep.Results = append(rep.Results, Record{
-			System: "medley-hash@2", Scenario: "chaos-replica-failover", Phase: "replica-chaos",
-			Threads: 8, Shards: 1, Txns: 900,
-			ElapsedNs: int64(time.Second), TxnPerSec: 900,
+			System: "medley-hash@2", Scenario: "chaos-replica-failover", Threads: 8, Shards: 1,
+			PhaseResult: PhaseResult{Phase: "replica-chaos", Txns: 900, Elapsed: time.Second, Throughput: 900},
 			Service: &ServiceRecord{
 				Driver: "http", OfferedTxns: 1000, CompletedTxns: 900,
 				ErrorTxns: 20, ExpiredTxns: 20, InDoubtTxns: 5, RetriedTxns: 30,

@@ -2,34 +2,30 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 )
 
-// This file is the named-constructor registry for benchmark systems: the
-// -systems flag of cmd/medley-bench resolves here, and every system under
-// test is registered exactly once. A spec may carry a shard suffix,
-// "medley-hash@8", overriding SystemOpts.Shards for that system — which
-// is how one report compares a single instance against its 8-shard
-// ShardedStore configuration side by side.
+// This file is the registry of benchmark systems and the one parser of
+// the system spec every CLI, scenario default and budget file names a
+// configuration by:
+//
+//	base{-nopool|-nofast|-nogroup|-persistoff}[@N]
+//
+// base is a registered name. A suffix switches one ablation axis off
+// (recycling arenas, commit fast paths, merged group commits, txMontage
+// persistence) and is an error on a base without that axis or when
+// repeated; @N hash-partitions a shardable base over N stores. The spec is
+// the lower-cased reported name: "medley-hash-nopool@8" reports as
+// "Medley-hash-nopool-8shard".
 
 // SystemOpts carries the shared sizing knobs every constructor may read.
 // Zero values mean "benchmark default".
 type SystemOpts struct {
 	Buckets int // hash structures (default 1<<20)
-	Shards  int // store partitions for shardable systems (default 1)
-	// NoPooling disables the core's cell/node recycling arenas for Medley
-	// systems (the -pooling=off baseline); the zero value keeps pooling on.
-	NoPooling bool
-	// NoFastPaths disables the core's commit fast paths for Medley systems
-	// (the -fastpaths=off ablation baseline); the zero value keeps them on.
-	NoFastPaths bool
-	// NoGroupCommit disables the core's merged group commits for Medley
-	// systems (the -groupcommit=off ablation baseline); the zero value
-	// keeps them on.
-	NoGroupCommit bool
 	// KeyRange sizes the simulated NVM regions: region size never changes
 	// measured latencies, only footprint, so smoke runs with small key
 	// spaces stop allocating paper-scale half-gigabyte regions.
@@ -46,13 +42,6 @@ func (o SystemOpts) buckets() int {
 		return 1 << 20
 	}
 	return o.Buckets
-}
-
-func (o SystemOpts) shards() int {
-	if o.Shards <= 0 {
-		return 1
-	}
-	return o.Shards
 }
 
 // montageRegionWords sizes the simulated NVM with the key space.
@@ -75,154 +64,142 @@ func (o SystemOpts) ponefileRegionWords() int {
 	return words
 }
 
-func (o SystemOpts) montageOpts(skiplist bool) MontageOpts {
-	return MontageOpts{
-		Skiplist: skiplist, Buckets: o.buckets(), Shards: o.shards(),
-		RegionWords:      o.montageRegionWords(),
-		WriteBackLatency: o.WriteBackLatency, FenceLatency: o.FenceLatency,
-		StoreLatency: o.StoreLatency, AdvanceEvery: o.AdvanceEvery,
-	}
-}
+// specSuffixes are the ablation suffixes of the grammar, in the order
+// reported names carry them.
+var specSuffixes = []string{"nopool", "nofast", "nogroup", "persistoff"}
 
-// SystemCtor builds one benchmark system from the shared options.
-type SystemCtor func(SystemOpts) (System, error)
+// sysSpec is a parsed system spec.
+type sysSpec struct {
+	base   string
+	shards int             // @N, 1 when absent
+	off    map[string]bool // suffixes present, keyed as in specSuffixes
+}
 
 type sysEntry struct {
-	ctor SystemCtor
-	// shardable systems honor SystemOpts.Shards; the rest are built
-	// single-instance (their transactions live in their own STMs, so
-	// shards could not join one transaction — the gap documented in
-	// internal/kv).
+	ctor func(SystemOpts, sysSpec) System
+	// shardable systems honor @N; the rest are single-instance (their
+	// transactions live in their own STMs, so shards could not join one
+	// transaction — the gap documented in internal/kv).
 	shardable bool
+	axes      []string // the suffixes this base accepts
 }
 
-var systemRegistry = map[string]sysEntry{}
-
-// RegisterSystem adds a named system constructor; duplicate names panic
-// (names are CLI API).
-func RegisterSystem(name string, shardable bool, c SystemCtor) {
-	if _, dup := systemRegistry[name]; dup {
-		panic("harness: duplicate system registration of " + name)
-	}
-	systemRegistry[name] = sysEntry{ctor: c, shardable: shardable}
+func medleyEntry(structure string) sysEntry {
+	return sysEntry{shardable: true, axes: []string{"nopool", "nofast", "nogroup"}, ctor: func(o SystemOpts, s sysSpec) System {
+		return newKVSystem("Medley-"+structure, structure, false, o.buckets(), s)
+	}}
 }
 
-func init() {
-	// Medley-family: any registry structure, shardable.
-	for _, c := range []struct{ cli, structure string }{
-		{"medley-hash", "hash"},
-		{"medley-skip", "skip"},
-		{"medley-bst", "bst"},
-		{"medley-rotating", "rotating"},
-	} {
-		c := c
-		RegisterSystem(c.cli, true, func(o SystemOpts) (System, error) {
-			return NewMedleyKV(c.structure, o.shards(), o.buckets(), !o.NoPooling, !o.NoFastPaths, !o.NoGroupCommit), nil
+// montageEntry is txMontage: shardable (N PStores over one System + one
+// TxManager); -persistoff is the Figure 10b payloads-on-NVM variant.
+func montageEntry(skiplist bool) sysEntry {
+	return sysEntry{shardable: true, axes: []string{"persistoff"}, ctor: func(o SystemOpts, s sysSpec) System {
+		return NewMontage(MontageOpts{
+			Skiplist: skiplist, Buckets: o.buckets(), Shards: s.shards,
+			PersistOff:       s.off["persistoff"],
+			RegionWords:      o.montageRegionWords(),
+			WriteBackLatency: o.WriteBackLatency, FenceLatency: o.FenceLatency,
+			StoreLatency: o.StoreLatency, AdvanceEvery: o.AdvanceEvery,
 		})
-	}
-	// Unpooled baseline for the alloc-pressure comparison: identical to
-	// medley-hash but with recycling arenas off regardless of -pooling.
-	RegisterSystem("medley-hash-nopool", true, func(o SystemOpts) (System, error) {
-		return NewMedleyKV("hash", o.shards(), o.buckets(), false, !o.NoFastPaths, !o.NoGroupCommit), nil
-	})
-	// Full-handshake baseline for the commit fast-path comparison:
-	// identical to medley-hash but with the fast paths off regardless of
-	// -fastpaths, so one report carries the ablation side by side.
-	RegisterSystem("medley-hash-nofast", true, func(o SystemOpts) (System, error) {
-		return NewMedleyKV("hash", o.shards(), o.buckets(), !o.NoPooling, false, !o.NoGroupCommit), nil
-	})
-	// Ungrouped baseline for the group-commit comparison: identical to
-	// medley-hash but with merged group commits off regardless of
-	// -groupcommit, so one report carries the ablation side by side.
-	RegisterSystem("medley-hash-nogroup", true, func(o SystemOpts) (System, error) {
-		return NewMedleyKV("hash", o.shards(), o.buckets(), !o.NoPooling, !o.NoFastPaths, false), nil
-	})
-	// txMontage: shardable (N PStores over one System + one TxManager).
-	RegisterSystem("txmontage-hash", true, func(o SystemOpts) (System, error) {
-		return NewMontage(o.montageOpts(false)), nil
-	})
-	RegisterSystem("txmontage-skip", true, func(o SystemOpts) (System, error) {
-		return NewMontage(o.montageOpts(true)), nil
-	})
-	// Competitors and baselines: single-instance only.
-	RegisterSystem("onefile-hash", false, func(o SystemOpts) (System, error) {
-		return NewOneFile(OneFileOpts{Buckets: o.buckets()}), nil
-	})
-	RegisterSystem("onefile-skip", false, func(SystemOpts) (System, error) {
-		return NewOneFile(OneFileOpts{Skiplist: true}), nil
-	})
-	RegisterSystem("ponefile-hash", false, func(o SystemOpts) (System, error) {
-		return NewOneFile(OneFileOpts{
-			Buckets: o.buckets(), Persistent: true, RegionWords: o.ponefileRegionWords(),
-			WriteBackLatency: o.WriteBackLatency, FenceLatency: o.FenceLatency,
-		}), nil
-	})
-	RegisterSystem("ponefile-skip", false, func(o SystemOpts) (System, error) {
-		return NewOneFile(OneFileOpts{
-			Skiplist: true, Persistent: true, RegionWords: o.ponefileRegionWords(),
-			WriteBackLatency: o.WriteBackLatency, FenceLatency: o.FenceLatency,
-		}), nil
-	})
-	RegisterSystem("tdsl", false, func(SystemOpts) (System, error) { return NewTDSL(), nil })
-	RegisterSystem("lftt", false, func(SystemOpts) (System, error) { return NewLFTT(), nil })
-	RegisterSystem("plain-skip", false, func(SystemOpts) (System, error) {
-		return NewOriginalSkip(), nil
-	})
-	RegisterSystem("txoff-skip", false, func(SystemOpts) (System, error) {
-		return NewTxOffSkip(), nil
-	})
+	}}
 }
 
-// resolveSpec parses a -systems spec — a registered name, optionally
-// with an "@N" shard-count suffix — and applies the shardability rules:
-// an explicit "@N" on a single-instance system is an error (a "sharded"
-// competitor would silently lose cross-key atomicity), while the global
-// Shards default is simply ignored by single-instance systems so that
-// "-shards 8" composes with mixed system sets.
-func resolveSpec(spec string, o SystemOpts) (sysEntry, SystemOpts, error) {
-	name := spec
-	explicit := 0
+func onefileEntry(skiplist, persistent bool) sysEntry {
+	return sysEntry{ctor: func(o SystemOpts, _ sysSpec) System {
+		of := OneFileOpts{Skiplist: skiplist, Buckets: o.buckets()}
+		if persistent {
+			of.Persistent, of.RegionWords = true, o.ponefileRegionWords()
+			of.WriteBackLatency, of.FenceLatency = o.WriteBackLatency, o.FenceLatency
+		}
+		return NewOneFile(of)
+	}}
+}
+
+// systemRegistry names every system under test exactly once.
+var systemRegistry = map[string]sysEntry{
+	"medley-hash":     medleyEntry("hash"),
+	"medley-skip":     medleyEntry("skip"),
+	"medley-bst":      medleyEntry("bst"),
+	"medley-rotating": medleyEntry("rotating"),
+	"txmontage-hash":  montageEntry(false),
+	"txmontage-skip":  montageEntry(true),
+	"onefile-hash":    onefileEntry(false, false),
+	"onefile-skip":    onefileEntry(true, false),
+	"ponefile-hash":   onefileEntry(false, true),
+	"ponefile-skip":   onefileEntry(true, true),
+	"tdsl":            {ctor: func(SystemOpts, sysSpec) System { return NewTDSL() }},
+	"lftt":            {ctor: func(SystemOpts, sysSpec) System { return NewLFTT() }},
+	// Fraser's untransformed skiplist ("Original" in Figure 10) and the
+	// NBTC-transformed one with transactions off ("TxOff"): operations
+	// execute directly, one generated group counted as a "transaction" for
+	// latency comparability.
+	"plain-skip": {ctor: func(_ SystemOpts, s sysSpec) System {
+		return newKVSystem("Original-skip", "plain-skip", true, 0, s)
+	}},
+	"txoff-skip": {ctor: func(_ SystemOpts, s sysSpec) System {
+		return newKVSystem("TxOff-skip", "skip", true, 0, s)
+	}},
+}
+
+// parseSpec is the one parser of the grammar above. It strips "@N", then
+// peels suffixes off the end until a registered base remains, and applies
+// the two refusals: a suffix on a base without that axis, and "@N" on a
+// single-instance system (a "sharded" competitor would silently lose
+// cross-key atomicity).
+func parseSpec(spec string) (sysSpec, sysEntry, error) {
+	s := sysSpec{base: spec, shards: 1, off: map[string]bool{}}
 	if at := strings.LastIndexByte(spec, '@'); at >= 0 {
 		n, err := strconv.Atoi(spec[at+1:])
 		if err != nil || n < 1 {
-			return sysEntry{}, o, fmt.Errorf("bad shard suffix in system spec %q", spec)
+			return s, sysEntry{}, fmt.Errorf("bad shard suffix in system spec %q", spec)
 		}
-		name = spec[:at]
-		explicit = n
+		s.base, s.shards = spec[:at], n
 	}
-	e, ok := systemRegistry[name]
-	if !ok {
-		return sysEntry{}, o, fmt.Errorf("unknown system %q (known: %s)", name, strings.Join(SystemNames(), ", "))
+	name := s.base
+	e, ok := systemRegistry[s.base]
+	for !ok {
+		dash := strings.LastIndexByte(s.base, '-')
+		suffix := s.base[dash+1:]
+		if dash < 0 || !slices.Contains(specSuffixes, suffix) {
+			return s, sysEntry{}, fmt.Errorf("unknown system %q (known: %s; suffixes: -%s)",
+				name, strings.Join(SystemNames(), ", "), strings.Join(specSuffixes, ", -"))
+		}
+		if s.off[suffix] {
+			return s, sysEntry{}, fmt.Errorf("system spec %q repeats -%s", spec, suffix)
+		}
+		s.off[suffix] = true
+		s.base = s.base[:dash]
+		e, ok = systemRegistry[s.base]
 	}
-	switch {
-	case explicit > 1 && !e.shardable:
-		return sysEntry{}, o, fmt.Errorf(
-			"system %q cannot shard: its transactions live in its own STM, not the shared TxManager (see internal/kv)", name)
-	case explicit > 0:
-		o.Shards = explicit
-	case !e.shardable:
-		o.Shards = 1
+	for _, suffix := range specSuffixes {
+		if s.off[suffix] && !slices.Contains(e.axes, suffix) {
+			return s, sysEntry{}, fmt.Errorf("system %q has no -%s variant", s.base, suffix)
+		}
 	}
-	return e, o, nil
+	if s.shards > 1 && !e.shardable {
+		return s, sysEntry{}, fmt.Errorf(
+			"system %q cannot shard: its transactions live in its own STM, not the shared TxManager (see internal/kv)", s.base)
+	}
+	return s, e, nil
 }
 
-// ValidateSystemSpec checks a -systems spec without constructing the
-// system (construction allocates paper-scale tables and regions).
-func ValidateSystemSpec(spec string, o SystemOpts) error {
-	_, _, err := resolveSpec(spec, o)
+// ValidateSystemSpec checks a system spec without constructing the system
+// (construction allocates paper-scale tables and regions).
+func ValidateSystemSpec(spec string) error {
+	_, _, err := parseSpec(spec)
 	return err
 }
 
-// NewSystem resolves a -systems spec into a system.
+// NewSystem resolves a system spec into a system.
 func NewSystem(spec string, o SystemOpts) (System, error) {
-	e, o, err := resolveSpec(spec, o)
+	s, e, err := parseSpec(spec)
 	if err != nil {
 		return nil, err
 	}
-	return e.ctor(o)
+	return e.ctor(o, s), nil
 }
 
-// SystemNames lists registered systems in stable order.
+// SystemNames lists the registered bases in stable order.
 func SystemNames() []string {
 	names := make([]string, 0, len(systemRegistry))
 	for n := range systemRegistry {
@@ -230,6 +207,22 @@ func SystemNames() []string {
 	}
 	sort.Strings(names)
 	return names
+}
+
+// SystemUsage lists each base with the suffixes it accepts, one grammar
+// line per base, for the CLIs' list output.
+func SystemUsage() []string {
+	lines := SystemNames()
+	for i, n := range lines {
+		e := systemRegistry[n]
+		if len(e.axes) > 0 {
+			lines[i] += "{-" + strings.Join(e.axes, "|-") + "}"
+		}
+		if e.shardable {
+			lines[i] += "[@N]"
+		}
+	}
+	return lines
 }
 
 // DefaultSystems is the -systems 'auto' set for a scenario: persistent

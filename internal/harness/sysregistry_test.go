@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -37,15 +38,9 @@ func TestNewSystemShardSuffix(t *testing.T) {
 			!strings.Contains(err.Error(), "cannot shard") {
 			t.Fatalf("spec %q: want cannot-shard error, got %v", spec, err)
 		}
-		if err := ValidateSystemSpec(spec, SystemOpts{}); err == nil {
+		if err := ValidateSystemSpec(spec); err == nil {
 			t.Fatalf("ValidateSystemSpec(%q) did not error", spec)
 		}
-	}
-	// The global Shards default, by contrast, is ignored by
-	// single-instance systems so "-shards 8" composes with mixed sets.
-	sys, err = NewSystem("tdsl", SystemOpts{Shards: 8})
-	if err != nil || sys.Name() != "TDSL-skip" {
-		t.Fatalf("global shards on competitor: %v, %v", sys, err)
 	}
 	// Non-power-of-two counts round up everywhere, including txMontage
 	// (whose recovery routing assumes power-of-two).
@@ -64,8 +59,73 @@ func TestNewSystemShardSuffix(t *testing.T) {
 	}
 }
 
+// TestSpecGrammar is the table test of the one spec parser: every suffix
+// with and without @N yields the reported name (suffixes in canonical
+// order however the spec wrote them), and everything the grammar refuses
+// is an error from NewSystem and ValidateSystemSpec alike.
+func TestSpecGrammar(t *testing.T) {
+	good := map[string]string{
+		"medley-hash-nopool":               "Medley-hash-nopool",
+		"medley-hash-nofast":               "Medley-hash-nofast",
+		"medley-hash-nogroup":              "Medley-hash-nogroup",
+		"medley-hash-nopool@8":             "Medley-hash-nopool-8shard",
+		"medley-hash-nofast@8":             "Medley-hash-nofast-8shard",
+		"medley-hash-nogroup@8":            "Medley-hash-nogroup-8shard",
+		"medley-skip-nogroup-nopool@2":     "Medley-skip-nopool-nogroup-2shard",
+		"medley-bst-nopool-nofast-nogroup": "Medley-bst-nopool-nofast-nogroup",
+		"txmontage-skip-persistoff":        "txMontage-skip-persistOff",
+		"txmontage-hash-persistoff@2":      "txMontage-hash-persistOff-2shard",
+		"tdsl@1":                           "TDSL-skip",
+	}
+	for spec, reported := range good {
+		if err := ValidateSystemSpec(spec); err != nil {
+			t.Errorf("%s: %v", spec, err)
+			continue
+		}
+		if sys := testSystem(spec); sys.Name() != reported {
+			t.Errorf("%s reports %q, want %q", spec, sys.Name(), reported)
+		}
+	}
+	for spec, want := range map[string]string{
+		"medley-hash-nopool-nopool":  "repeats -nopool",
+		"medley-hash-nofoo":          "unknown system",
+		"medley-hash-":               "unknown system",
+		"nopool":                     "unknown system",
+		"onefile-hash-nopool":        "no -nopool variant",
+		"medley-hash-persistoff":     "no -persistoff variant",
+		"txmontage-hash-nofast":      "no -nofast variant",
+		"tdsl@8":                     "cannot shard",
+		"medley-hash@0":              "bad shard suffix",
+		"medley-hash@8-nopool":       "bad shard suffix",
+		"medley-hash-nopool@":        "bad shard suffix",
+		"medley-hash-nopool@8@8":     "unknown system",
+		"Medley-hash":                "unknown system",
+		"medley-hash-nopool-8shard":  "unknown system",
+		"plain-skip-nogroup":         "no -nogroup variant",
+		"txmontage-skip-persistoff-": "unknown system",
+	} {
+		err := ValidateSystemSpec(spec)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("ValidateSystemSpec(%q) = %v, want an error containing %q", spec, err, want)
+		}
+		if _, nerr := NewSystem(spec, SystemOpts{}); nerr == nil {
+			t.Errorf("NewSystem(%q) did not error", spec)
+		}
+	}
+	// The ablations take effect, not just the name.
+	mgr := testSystem("medley-hash-nopool-nofast-nogroup").(*KVSystem).Manager()
+	if mgr.PoolingEnabled() || mgr.FastPathsEnabled() || mgr.GroupCommitEnabled() {
+		t.Error("suffixes parsed but an axis is still on")
+	}
+	mgr = testSystem("medley-hash").(*KVSystem).Manager()
+	if !mgr.PoolingEnabled() || !mgr.FastPathsEnabled() || !mgr.GroupCommitEnabled() {
+		t.Error("plain spec has an axis off")
+	}
+}
+
 // TestRegistryNamesUnchanged pins the reported system names: benchmark
-// history across PRs depends on them.
+// history across PRs depends on them. The three ablation names were
+// registered pseudo-systems once; they resolve through the parser now.
 func TestRegistryNamesUnchanged(t *testing.T) {
 	want := map[string]string{
 		"medley-hash":         "Medley-hash",
@@ -86,9 +146,8 @@ func TestRegistryNamesUnchanged(t *testing.T) {
 		"plain-skip":          "Original-skip",
 		"txoff-skip":          "TxOff-skip",
 	}
-	names := SystemNames()
-	if len(names) != len(want) {
-		t.Fatalf("registry has %d systems, want %d: %v", len(names), len(want), names)
+	if names := SystemNames(); len(names) != len(want)-3 {
+		t.Fatalf("registry has %d bases, want %d: %v", len(names), len(want)-3, names)
 	}
 	for cli, reported := range want {
 		sys, err := NewSystem(cli, SystemOpts{Buckets: 1 << 8, KeyRange: 1 << 10})
@@ -177,7 +236,7 @@ func TestMedleyShardedMatchesSingleSemantics(t *testing.T) {
 		return got
 	}
 	run := func(shards int) map[uint64]uint64 {
-		sys := NewMedleySharded("hash", shards, 1<<10)
+		sys := testSystem("medley-hash@" + strconv.Itoa(shards)).(*KVSystem)
 		w := sys.NewWorker()
 		gen := NewTxGen(Dist{Kind: DistUniform}, 1<<10, Mix{
 			Ratio: Ratio{Get: 1, Insert: 2, Remove: 1}, TxMin: 1, TxMax: 8, Mixed: 1,

@@ -197,18 +197,7 @@ func (s *MontageSystem) StateSnapshot(fn func(key, val uint64) bool) { s.Snapsho
 
 // MetricsSnapshot implements MetricsSnapshotter from the shared manager's
 // counters.
-func (s *MontageSystem) MetricsSnapshot() []Metric {
-	st := s.mgr.Stats()
-	return []Metric{
-		{Name: "tx_begins", Value: st.Begins},
-		{Name: "tx_commits", Value: st.Commits},
-		{Name: "tx_commits_read_only", Value: st.ReadOnlyCommits},
-		{Name: "tx_commits_fastpath", Value: st.FastPathCommits},
-		{Name: "tx_aborts", Value: st.Aborts},
-		{Name: "tx_aborts_by_others", Value: st.AbortsByOthers},
-		{Name: "tx_help_events", Value: st.HelpEvents},
-	}
-}
+func (s *MontageSystem) MetricsSnapshot() []Metric { return txCounters(s.mgr.Stats()) }
 
 // Start implements System.
 func (s *MontageSystem) Start() (stop func()) {

@@ -1,6 +1,10 @@
 package harness
 
-import "sort"
+import (
+	"sort"
+
+	"medley/internal/core"
+)
 
 // This file defines the observability data types the capability
 // interfaces in capabilities.go produce — counter/gauge snapshots,
@@ -25,11 +29,43 @@ type Gauge struct {
 	Value float64 `json:"value"`
 }
 
-// TelemetryResult is one phase's telemetry block: counter deltas plus the
-// gauges derived from them, both sorted by name for stable reports.
+// txCounters names a TxManager's cumulative counters; every system built
+// on the core (KVSystem, MontageSystem, TPCCSystem) exports this one list.
+func txCounters(st core.Stats) []Metric {
+	return []Metric{
+		{Name: "tx_begins", Value: st.Begins},
+		{Name: "tx_commits", Value: st.Commits},
+		{Name: "tx_commits_read_only", Value: st.ReadOnlyCommits},
+		{Name: "tx_commits_fastpath", Value: st.FastPathCommits},
+		{Name: "tx_group_commits", Value: st.GroupCommits},
+		{Name: "tx_grouped_txns", Value: st.GroupedTxns},
+		{Name: "tx_aborts", Value: st.Aborts},
+		{Name: "tx_aborts_by_others", Value: st.AbortsByOthers},
+		{Name: "tx_help_events", Value: st.HelpEvents},
+		{Name: "pool_gets", Value: st.PoolGets},
+		{Name: "pool_hits", Value: st.PoolHits},
+		{Name: "pool_retires", Value: st.PoolRetires},
+	}
+}
+
+// TelemetryResult is one record's telemetry block: per-phase counter
+// deltas from the system's MetricsSnapshot plus the gauges derived from
+// them, both sorted by name for stable reports. Counters are emitted as an
+// array, not a JSON map, so new counter names extend the report without
+// shifting the schema's canonical path set. Both slices are never nil: an
+// empty one must encode as [], which contributes no schema path.
 type TelemetryResult struct {
-	Counters []Metric
-	Gauges   []Gauge
+	Counters []Metric `json:"counters"`
+	Gauges   []Gauge  `json:"gauges"`
+}
+
+// counterMap indexes a counter list by name.
+func counterMap(counters []Metric) map[string]uint64 {
+	v := make(map[string]uint64, len(counters))
+	for _, m := range counters {
+		v[m.Name] = m.Value
+	}
+	return v
 }
 
 // diffMetrics subtracts before from after by counter name, dropping
@@ -53,12 +89,8 @@ func diffMetrics(before, after []Metric) []Metric {
 
 // deriveGauges computes the standard ratios from well-known counter names,
 // omitting any whose denominator is zero.
-func deriveGauges(counters []Metric) []Gauge {
-	v := make(map[string]uint64, len(counters))
-	for _, m := range counters {
-		v[m.Name] = m.Value
-	}
-	var out []Gauge
+func deriveGauges(v map[string]uint64) []Gauge {
+	out := []Gauge{}
 	add := func(name string, num, den uint64) {
 		if den > 0 {
 			out = append(out, Gauge{Name: name, Value: float64(num) / float64(den)})
@@ -81,14 +113,11 @@ func deriveGauges(counters []Metric) []Gauge {
 // summing counters by name; gauges are re-derived by the caller once all
 // phases are folded.
 func mergeTelemetry(agg *TelemetryResult, ph *TelemetryResult) {
-	sum := make(map[string]uint64, len(agg.Counters))
-	for _, m := range agg.Counters {
-		sum[m.Name] = m.Value
-	}
+	sum := counterMap(agg.Counters)
 	for _, m := range ph.Counters {
 		sum[m.Name] += m.Value
 	}
-	agg.Counters = agg.Counters[:0]
+	agg.Counters = make([]Metric, 0, len(sum))
 	for name, val := range sum {
 		agg.Counters = append(agg.Counters, Metric{Name: name, Value: val})
 	}
@@ -104,15 +133,17 @@ type ConsistencyViolation struct {
 
 // ClassCount is one violation class's tally.
 type ClassCount struct {
-	Class string
-	Count int
+	Class string `json:"class"`
+	Count int    `json:"count"`
 }
 
-// ConsistencyResult is a phase's consistency digest.
+// ConsistencyResult is the domain-invariant digest of one record: whether
+// the system's consistency check ran at this phase's barrier and what it
+// found, tallied by violation class.
 type ConsistencyResult struct {
-	Checked    bool
-	Violations int
-	Classes    []ClassCount
+	Checked    bool         `json:"checked"`
+	Violations int          `json:"violations"`
+	Classes    []ClassCount `json:"classes,omitempty"`
 }
 
 // consistencyResult tallies violations by class, sorted by class name.
@@ -156,12 +187,13 @@ type KindStat struct {
 	TotalNs uint64
 }
 
-// KindResult is one kind's per-phase attribution.
+// KindResult attributes one transaction kind's share of a record: how many
+// committed, how many attempts aborted, and the mean committed latency.
 type KindResult struct {
-	Kind   string
-	Txns   uint64
-	Aborts uint64
-	AvgNs  float64
+	Kind   string  `json:"kind"`
+	Txns   uint64  `json:"txns"`
+	Aborts uint64  `json:"aborts"`
+	AvgNs  float64 `json:"avg_latency_ns"`
 }
 
 // diffKinds subtracts two kind snapshots, preserving after's kind order and

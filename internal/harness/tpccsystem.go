@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -31,21 +30,16 @@ var tpccStructures = map[string]string{
 	"medley-bst":  "bst",
 }
 
-// resolveTPCCSpec parses a TPC-C -systems spec (a tpccStructures name with
-// an optional "@N" shard suffix) without building tables.
-func resolveTPCCSpec(spec string, o SystemOpts) (structure string, shards int, err error) {
-	name := spec
-	shards = o.shards()
-	if at := strings.LastIndexByte(spec, '@'); at >= 0 {
-		n, err := strconv.Atoi(spec[at+1:])
-		if err != nil || n < 1 {
-			return "", 0, fmt.Errorf("bad shard suffix in system spec %q", spec)
-		}
-		name = spec[:at]
-		shards = n
+// resolveTPCCSpec checks a system spec for the TPC-C backend without
+// building tables: a tpccStructures base, optionally "@N", no ablation
+// suffix (the TPC-C backend builds its own manager).
+func resolveTPCCSpec(spec string) (structure string, shards int, err error) {
+	s, _, err := parseSpec(spec)
+	if err != nil {
+		return "", 0, err
 	}
-	structure, ok := tpccStructures[name]
-	if !ok {
+	structure, ok := tpccStructures[s.base]
+	if !ok || len(s.off) > 0 {
 		known := make([]string, 0, len(tpccStructures))
 		for n := range tpccStructures {
 			known = append(known, n)
@@ -54,13 +48,13 @@ func resolveTPCCSpec(spec string, o SystemOpts) (structure string, shards int, e
 		return "", 0, fmt.Errorf("TPC-C scenarios support systems %s (optionally @N), not %q",
 			strings.Join(known, ", "), spec)
 	}
-	return structure, shards, nil
+	return structure, s.shards, nil
 }
 
 // NewTPCCSystem resolves a -systems spec into a TPC-C benchmark system at
 // the given scale.
-func NewTPCCSystem(spec string, sc tpcc.Scale, o SystemOpts) (System, error) {
-	structure, shards, err := resolveTPCCSpec(spec, o)
+func NewTPCCSystem(spec string, sc tpcc.Scale) (System, error) {
+	structure, shards, err := resolveTPCCSpec(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -129,35 +123,14 @@ func (s *TPCCSystem) TxStats() (commits, aborts uint64) {
 	return st.Commits, st.Aborts
 }
 
-// FastPathStats implements FastPathStatser: the read-only TPC-C
+// MetricsSnapshot implements MetricsSnapshotter. The read-only TPC-C
 // transactions (orderStatus, stockLevel) commit through the read-only
-// elision, so the fast-path block is meaningful here.
-func (s *TPCCSystem) FastPathStats() (readOnly, fastpath, commits uint64, ok bool) {
-	if s.kvb == nil {
-		return 0, 0, 0, false
-	}
-	st := s.kvb.Manager().Stats()
-	return st.ReadOnlyCommits, st.FastPathCommits, st.Commits, true
-}
-
-// MetricsSnapshot implements MetricsSnapshotter.
+// elision, so the fastpath block derived from these is meaningful here.
 func (s *TPCCSystem) MetricsSnapshot() []Metric {
 	if s.kvb == nil {
 		return nil
 	}
-	st := s.kvb.Manager().Stats()
-	return []Metric{
-		{Name: "tx_begins", Value: st.Begins},
-		{Name: "tx_commits", Value: st.Commits},
-		{Name: "tx_commits_read_only", Value: st.ReadOnlyCommits},
-		{Name: "tx_commits_fastpath", Value: st.FastPathCommits},
-		{Name: "tx_aborts", Value: st.Aborts},
-		{Name: "tx_aborts_by_others", Value: st.AbortsByOthers},
-		{Name: "tx_help_events", Value: st.HelpEvents},
-		{Name: "pool_gets", Value: st.PoolGets},
-		{Name: "pool_hits", Value: st.PoolHits},
-		{Name: "pool_retires", Value: st.PoolRetires},
-	}
+	return txCounters(s.kvb.Manager().Stats())
 }
 
 // TxKindStats implements TxKindStatser by summing the per-worker kind
@@ -255,17 +228,17 @@ func (w *tpccWorker) Do([]Op) {
 // else through the ordinary system registry.
 func NewScenarioSystem(sc Scenario, spec string, scale tpcc.Scale, o SystemOpts) (System, error) {
 	if sc.TPCC {
-		return NewTPCCSystem(spec, scale, o)
+		return NewTPCCSystem(spec, scale)
 	}
 	return NewSystem(spec, o)
 }
 
 // ValidateScenarioSystemSpec checks a spec for the scenario without
 // constructing tables or regions.
-func ValidateScenarioSystemSpec(sc Scenario, spec string, o SystemOpts) error {
+func ValidateScenarioSystemSpec(sc Scenario, spec string) error {
 	if sc.TPCC {
-		_, _, err := resolveTPCCSpec(spec, o)
+		_, _, err := resolveTPCCSpec(spec)
 		return err
 	}
-	return ValidateSystemSpec(spec, o)
+	return ValidateSystemSpec(spec)
 }

@@ -32,7 +32,7 @@ func TestTPCCFullScenario(t *testing.T) {
 	if !sc.TPCC || !sc.HasCrash() {
 		t.Fatalf("tpcc-full misdeclared: %+v", sc)
 	}
-	sys, err := NewTPCCSystem("medley-hash", tinyTPCCScale(), SystemOpts{})
+	sys, err := NewTPCCSystem("medley-hash", tinyTPCCScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestTPCCFullScenario(t *testing.T) {
 // TestTPCCSystemSpecs pins the TPC-C spec grammar: shard suffixes resolve,
 // and names outside the supported set fail validation before construction.
 func TestTPCCSystemSpecs(t *testing.T) {
-	sys, err := NewTPCCSystem("medley-hash@4", tinyTPCCScale(), SystemOpts{})
+	sys, err := NewTPCCSystem("medley-hash@4", tinyTPCCScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,15 +119,15 @@ func TestTPCCSystemSpecs(t *testing.T) {
 	}
 	tsc := Scenario{TPCC: true}
 	for _, bad := range []string{"medley-rotating", "medley-hash@0", "medley-hash@x", "onefile-hash", "tdsl", ""} {
-		if _, err := NewTPCCSystem(bad, tinyTPCCScale(), SystemOpts{}); err == nil {
+		if _, err := NewTPCCSystem(bad, tinyTPCCScale()); err == nil {
 			t.Errorf("spec %q did not error", bad)
 		}
-		if err := ValidateScenarioSystemSpec(tsc, bad, SystemOpts{}); err == nil {
+		if err := ValidateScenarioSystemSpec(tsc, bad); err == nil {
 			t.Errorf("ValidateScenarioSystemSpec(tpcc, %q) did not error", bad)
 		}
 	}
 	// Non-TPC-C scenarios keep routing through the ordinary registry.
-	if err := ValidateScenarioSystemSpec(Scenario{}, "onefile-hash", SystemOpts{}); err != nil {
+	if err := ValidateScenarioSystemSpec(Scenario{}, "onefile-hash"); err != nil {
 		t.Fatalf("registry delegation broken: %v", err)
 	}
 }
@@ -143,7 +143,7 @@ func TestEveryScenarioDefaultSystemsSmoke(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, spec := range DefaultSystems(sc) {
-			if err := ValidateScenarioSystemSpec(sc, spec, opts); err != nil {
+			if err := ValidateScenarioSystemSpec(sc, spec); err != nil {
 				t.Fatalf("%s: default system %q invalid: %v", scName, spec, err)
 			}
 			sys, err := NewScenarioSystem(sc, spec, tinyTPCCScale(), opts)
@@ -161,9 +161,9 @@ func TestEveryScenarioDefaultSystemsSmoke(t *testing.T) {
 				fc := res.FinalCheck
 				if fc == nil {
 					t.Errorf("%s/%s: no final check", scName, sys.Name())
-				} else if fc.Checked && fc.Violations() != 0 {
+				} else if fc.Checked && fc.Violations != 0 {
 					t.Errorf("%s/%s: %d final-state violations (missing=%d mismatched=%d leaked=%d)",
-						scName, sys.Name(), fc.Violations(), fc.Missing, fc.Mismatched, fc.Leaked)
+						scName, sys.Name(), fc.Violations, fc.Missing, fc.Mismatched, fc.Leaked)
 				}
 			}
 			if sc.TPCC {

@@ -64,34 +64,32 @@ func applyOps(j map[uint64]modelVal, ops []Op) {
 	}
 }
 
-// RecoveryResult is the outcome of one crash phase: how recovery went and
-// whether the recovered state matches the ground-truth model.
+// RecoveryResult is the outcome of one crash phase, and the recovery
+// block of a crash-phase record: how recovery went and whether the
+// recovered state matches the ground-truth model.
 type RecoveryResult struct {
 	// Recoverable is false for systems that keep no durable state (or run
 	// with persistence off); all other fields are then zero.
-	Recoverable bool
+	Recoverable bool `json:"recoverable"`
 
 	// RecoveryNs is the wall time of crash + recovery (device reset, log
 	// replay or payload scan, index rebuild).
-	RecoveryNs int64
+	RecoveryNs int64 `json:"recovery_ns"`
 
 	// Recovered counts the entries the system reported rebuilding;
 	// ModelEntries counts the keys the ground-truth model expects present.
-	Recovered    int
-	ModelEntries int
+	Recovered    int `json:"recovered_entries"`
+	ModelEntries int `json:"model_entries"`
 
 	// Durability violations by kind: a committed write absent after
 	// recovery (Missing), present with the wrong value (Mismatched), or a
 	// key visible that the model says was never committed or was removed
 	// (Leaked — an aborted or unborn write surviving the crash).
-	Missing    uint64
-	Mismatched uint64
-	Leaked     uint64
-}
-
-// Violations is the total durability-violation count.
-func (r RecoveryResult) Violations() uint64 {
-	return r.Missing + r.Mismatched + r.Leaked
+	// Violations is their sum.
+	Missing    uint64 `json:"missing_writes"`
+	Mismatched uint64 `json:"mismatched_writes"`
+	Leaked     uint64 `json:"leaked_writes"`
+	Violations uint64 `json:"durability_violations"`
 }
 
 // merge folds a second crash phase's outcome into r (scenarios may crash
@@ -104,12 +102,14 @@ func (r *RecoveryResult) merge(o RecoveryResult) {
 	r.Missing += o.Missing
 	r.Mismatched += o.Mismatched
 	r.Leaked += o.Leaked
+	r.Violations += o.Violations
 }
 
 // diffModel compares the recovered state against the ground-truth model
 // and fills r's violation counters.
 func diffModel(r *RecoveryResult, model map[uint64]modelVal, got map[uint64]uint64) {
 	r.ModelEntries, r.Missing, r.Mismatched, r.Leaked = diffCounts(model, got)
+	r.Violations = r.Missing + r.Mismatched + r.Leaked
 }
 
 // diffCounts compares a live or recovered key→value state against the
@@ -138,23 +138,20 @@ func diffCounts(model map[uint64]modelVal, got map[uint64]uint64) (entries int, 
 }
 
 // FinalCheckResult is the outcome of a VerifyFinal scenario's end-of-run
-// state check: the system's live contents diffed against the journaled
-// model of committed effects. Unlike RecoveryResult this involves no crash
-// — it proves the system under chaos conditions (hot keys, oversubscription,
+// state check, and the final_check block of its measured aggregate record:
+// the system's live contents diffed against the journaled model of
+// committed effects. Unlike RecoveryResult this involves no crash — it
+// proves the system under chaos conditions (hot keys, oversubscription,
 // skew, scan races) neither lost nor invented committed writes.
 type FinalCheckResult struct {
 	// Checked is false when the system cannot iterate its state (no
 	// Snapshotter) or the scenario did not request the check.
-	Checked      bool
-	ModelEntries int
-	Missing      uint64
-	Mismatched   uint64
-	Leaked       uint64
-}
-
-// Violations is the total final-state violation count.
-func (f FinalCheckResult) Violations() uint64 {
-	return f.Missing + f.Mismatched + f.Leaked
+	Checked      bool   `json:"checked"`
+	ModelEntries int    `json:"model_entries"`
+	Missing      uint64 `json:"missing_writes"`
+	Mismatched   uint64 `json:"mismatched_writes"`
+	Leaked       uint64 `json:"leaked_writes"`
+	Violations   uint64 `json:"state_violations"` // the three above, summed
 }
 
 // --------------------------------------------------- wire-level verification
@@ -274,6 +271,7 @@ func (r ReplicaCheckResult) FinalCheck() FinalCheckResult {
 	return FinalCheckResult{
 		Checked: r.Checked, ModelEntries: r.ModelEntries,
 		Missing: r.Missing, Mismatched: r.Mismatched + r.Stale, Leaked: r.Leaked,
+		Violations: r.Violations(),
 	}
 }
 
@@ -370,5 +368,6 @@ func runFinalCheck(caps Caps, vs *verifyState) *FinalCheckResult {
 	})
 	fc := &FinalCheckResult{Checked: true}
 	fc.ModelEntries, fc.Missing, fc.Mismatched, fc.Leaked = diffCounts(vs.model, got)
+	fc.Violations = fc.Missing + fc.Mismatched + fc.Leaked
 	return fc
 }

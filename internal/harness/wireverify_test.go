@@ -37,13 +37,13 @@ func TestVerifyWireFoldsStaleIntoMismatched(t *testing.T) {
 		t.Fatalf("replica verifier = %+v, want %+v", rc, want)
 	}
 	fc, tainted := VerifyWire(journals, snap)
-	if want := (FinalCheckResult{Checked: true, ModelEntries: 3, Missing: 1, Mismatched: 3, Leaked: 1}); fc != want {
+	if want := (FinalCheckResult{Checked: true, ModelEntries: 3, Missing: 1, Mismatched: 3, Leaked: 1, Violations: 5}); fc != want {
 		t.Errorf("VerifyWire = %+v, want %+v", fc, want)
 	}
 	if tainted != 1 || tainted != rTainted {
 		t.Errorf("tainted = %d (replica verifier %d), want 1", tainted, rTainted)
 	}
-	if fc.Violations() != rc.Violations() {
-		t.Errorf("violation totals differ: %d vs %d", fc.Violations(), rc.Violations())
+	if fc.Violations != rc.Violations() {
+		t.Errorf("violation totals differ: %d vs %d", fc.Violations, rc.Violations())
 	}
 }
