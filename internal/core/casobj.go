@@ -185,9 +185,16 @@ func (o *CASObj[T]) Init(v T) {
 // is already installed it is reinitialized in place with a bumped
 // generation, so witnesses taken during the cell's previous life can never
 // validate. (A resident descriptor cell — which no private slot should
-// hold — would be replaced, never reinterpreted as a value cell.)
+// hold — would be replaced, never reinterpreted as a value cell.) The zero
+// value needs no cell in a slot that has never had one: nil already reads
+// as zero, so the last node of a chain is a single allocation.
 func (o *CASObj[T]) InitTx(tx *Tx, v T) {
-	if c := o.state.Load(); c != nil && c.d == nil {
+	c := o.state.Load()
+	var zero T
+	if c == nil && v == zero {
+		return
+	}
+	if c != nil && c.d == nil {
 		c.gen.Add(1)
 		c.val = v
 		return

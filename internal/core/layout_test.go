@@ -11,7 +11,7 @@ import (
 // rest costs beyond its 8-byte CASObj; a ReadWitness is what every read of a
 // transaction appends to its read set.
 func TestCellLayout(t *testing.T) {
-	type link struct { // mhash's and the skiplists' ref: pointer plus mark
+	type link struct { // the skiplists' ref: pointer plus mark
 		node *int
 		mark bool
 	}
@@ -20,7 +20,7 @@ func TestCellLayout(t *testing.T) {
 		size, max uintptr
 	}{
 		{"cell[pointer+bool] (value cell of a marked link)", unsafe.Sizeof(cell[link]{}), 32},
-		{"cell[pointer] (value cell of a plain link)", unsafe.Sizeof(cell[*int]{}), 24},
+		{"cell[pointer] (value cell of a plain link, or of mhash's mark-in-pointer ref)", unsafe.Sizeof(cell[unsafe.Pointer]{}), 24},
 		{"descCell[pointer+bool] (descriptor cell, one allocation)", unsafe.Sizeof(descCell[link]{}), 64},
 		{"ReadWitness", unsafe.Sizeof(ReadWitness{}), 32},
 		{"CASObj[pointer+bool]", unsafe.Sizeof(CASObj[link]{}), 8},

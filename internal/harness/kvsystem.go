@@ -7,6 +7,7 @@ package harness
 // replaces lived in systems.go.
 
 import (
+	"runtime"
 	"sync"
 	"time"
 
@@ -179,11 +180,23 @@ func (s *KVSystem) Start() (stop func()) {
 	}
 }
 
-// Preload implements System.
+// Preload implements System: one contiguous range of keys per CPU, loaded
+// concurrently (a Put outside a transaction is the structure's own
+// lock-free insert).
 func (s *KVSystem) Preload(keys []uint64) {
-	for _, k := range keys {
-		s.m.Put(nil, k, k)
+	n := runtime.GOMAXPROCS(0)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		part := keys[len(keys)*i/n : len(keys)*(i+1)/n]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, k := range part {
+				s.m.Put(nil, k, k)
+			}
+		}()
 	}
+	wg.Wait()
 }
 
 // kvWorker drives a bound TxMap; it is the worker of KVSystem and

@@ -3,6 +3,7 @@ package harness
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -106,12 +107,14 @@ func NewMontage(o MontageOpts) *MontageSystem {
 
 // newIndex builds one fresh transient index. The montage index holds
 // Entry values, not bare uint64s, so it comes from the structure packages
-// directly rather than the uint64 registry.
-func (s *MontageSystem) newIndex(buckets int) montage.Index[montage.Entry[uint64]] {
+// directly rather than the uint64 registry — and is told, as
+// kv.NewShardedNamed tells a registry shard, how many hash bits kv.ShardOf
+// spends routing to one of shards stores.
+func (s *MontageSystem) newIndex(shards int) montage.Index[montage.Entry[uint64]] {
 	if s.skiplist {
 		return fraserskip.New[montage.Entry[uint64]](s.mgr)
 	}
-	return mhash.NewMap[montage.Entry[uint64]](s.mgr, buckets)
+	return mhash.NewMapShard[montage.Entry[uint64]](s.mgr, s.buckets, uint(bits.Len(uint(shards-1))))
 }
 
 // newStores builds n fresh persistent stores over fresh indices (used at
@@ -120,7 +123,7 @@ func (s *MontageSystem) newIndex(buckets int) montage.Index[montage.Entry[uint64
 func (s *MontageSystem) newStores(n int) []*montage.PStore[uint64] {
 	stores := make([]*montage.PStore[uint64], n)
 	for i := range stores {
-		stores[i] = montage.NewPStore[uint64](s.sys, s.newIndex(s.buckets), montage.U64Codec())
+		stores[i] = montage.NewPStore[uint64](s.sys, s.newIndex(n), montage.U64Codec())
 	}
 	return stores
 }
@@ -157,7 +160,7 @@ func (s *MontageSystem) CrashAndRecover() int {
 		parts[i] = append(parts[i], r)
 	}
 	for i := range s.stores {
-		s.stores[i] = montage.RebuildPStore(s.sys, s.newIndex(s.buckets), montage.U64Codec(), parts[i])
+		s.stores[i] = montage.RebuildPStore(s.sys, s.newIndex(n), montage.U64Codec(), parts[i])
 	}
 	return len(payloads)
 }

@@ -22,6 +22,10 @@ type Options struct {
 	Mgr *core.TxManager
 	// Buckets sizes hash-based structures (default 1<<20, the paper's 1M).
 	Buckets int
+	// ShardBits is how many top bits of the key hash a partitioner above
+	// this structure has already spent choosing it. NewShardedNamed sets
+	// it; hash-based structures take their bucket bits below it.
+	ShardBits uint
 }
 
 func (o Options) buckets() int {
@@ -99,7 +103,7 @@ func Names() []string {
 // registering them is the whole adapter.
 func init() {
 	Register("hash", true, func(o Options) (TxMap, error) {
-		return mhash.NewMap[uint64](o.Mgr, o.buckets()), nil
+		return mhash.NewMapShard[uint64](o.Mgr, o.buckets(), o.ShardBits), nil
 	})
 	Register("skip", true, func(o Options) (TxMap, error) {
 		return fraserskip.New[uint64](o.Mgr), nil

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"medley/internal/core"
+	"medley/internal/structures/mhash"
 )
 
 // ShardedStore hash-partitions a uint64 key space over N TxMap shards.
@@ -23,10 +24,13 @@ type ShardedStore struct {
 	mask   uint64
 }
 
-// shardMul spreads keys over shards with a multiplicative hash
-// independent of the bucket hash inside mhash (which consumes bits
-// 32..32+b of the same product; the shard index takes the top bits).
-const shardMul = 0x9E3779B97F4A7C15
+// shardMul spreads keys over shards with the multiplicative hash mhash
+// spreads them over buckets with: one product, of which the shard index is
+// the top log2(shards) bits and a hash shard's bucket index the
+// log2(buckets) bits below those (Options.ShardBits tells it how many to
+// skip). Two fields of one Fibonacci product are as well distributed as a
+// single field of their combined width.
+const shardMul = mhash.HashMul
 
 // RoundShards rounds a requested shard count up to the power of two
 // every routing path (shardIndex, ShardOf) assumes; n <= 0 means 1.
@@ -56,7 +60,8 @@ func NewSharded(n int, mk func(i int) TxMap) *ShardedStore {
 // implementation, all sharing o.Mgr. Each shard is provisioned with the
 // full o.Buckets like an independent instance — the way a partitioned
 // deployment provisions its partitions — so sharding trades memory for
-// shorter chains and disjoint allocation domains per shard.
+// shorter chains and disjoint allocation domains per shard. Each shard is
+// told, through Options.ShardBits, how many hash bits routing to it spent.
 // Non-composable implementations are refused for n > 1: their shards
 // could not join one transaction, so multi-key operations would silently
 // lose atomicity.
@@ -64,6 +69,7 @@ func NewShardedNamed(name string, n int, o Options) (*ShardedStore, error) {
 	if n > 1 && !Composable(name) {
 		return nil, fmt.Errorf("kv: %w: %q must use a single shard", errNotComposable, name)
 	}
+	o.ShardBits += uint(bits.Len(uint(RoundShards(n) - 1)))
 	var err error
 	s := NewSharded(n, func(int) TxMap {
 		var m TxMap

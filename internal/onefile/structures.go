@@ -6,11 +6,13 @@ package onefile
 // skiplist derived from Fraser's STM skiplist. All mutable fields are
 // Words; the structures themselves contain no synchronization.
 
+import "math/bits"
+
 // HashMap is a sequential chained hash table over STM words.
 type HashMap struct {
 	stm     *STM
 	buckets []Word[*hmNode]
-	mask    uint64
+	shift   uint // 64 - log2(len(buckets))
 }
 
 type hmNode struct {
@@ -26,14 +28,17 @@ func NewHashMap(stm *STM, nBuckets int) *HashMap {
 	for n < nBuckets {
 		n <<= 1
 	}
-	return &HashMap{stm: stm, buckets: make([]Word[*hmNode], n), mask: uint64(n - 1)}
+	return &HashMap{stm: stm, buckets: make([]Word[*hmNode], n), shift: uint(64 - bits.Len(uint(n-1)))}
 }
 
 // STM returns the STM instance this map runs on.
 func (m *HashMap) STM() *STM { return m.stm }
 
+// bucket is Fibonacci hashing on the product's top bits — the bucket
+// function of the Medley table it is compared with (mhash.Map.hash), so the
+// two walk chains of the same length over the same keys.
 func (m *HashMap) bucket(key uint64) *Word[*hmNode] {
-	return &m.buckets[(key*0x9E3779B97F4A7C15)>>32&m.mask]
+	return &m.buckets[key*0x9E3779B97F4A7C15>>m.shift]
 }
 
 // Get looks up key inside tx.

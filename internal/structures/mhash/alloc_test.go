@@ -157,25 +157,28 @@ func TestAllocsBaselineNonZero(t *testing.T) {
 
 // TestBytesPerKey pins the store's footprint where it is decided — node,
 // link cell, bucket slot, head cell — on the configuration medleyd builds
-// (pooling on, as many buckets as keys). Each key costs a 24-byte node, a
-// 32-byte value cell for its link, an 8-byte bucket slot, and a 32-byte
-// head cell for each of the ~63% of buckets that scattered keys leave
-// non-empty: ~84 bytes, against ~144 when every cell carried descriptor
-// state and every bucket a manager pointer. The second half is the read
-// side of the same contract: looking up absent keys — a third of them in
-// buckets nobody has ever written — must leave no cell behind.
+// (pooling on, as many buckets as keys). Each key costs a 24-byte node, an
+// 8-byte bucket slot, and one 24-byte cell: the one behind the link that
+// leads to it, a bucket head or its predecessor's, since a link that leads
+// nowhere has none. That is 56 bytes however the keys fall into chains,
+// against ~84 when a link was two words and every node's link had a cell.
+// The second half is the read side of the same contract: looking up absent
+// keys — many of them in buckets nobody has ever written — must leave no
+// cell behind.
 func TestBytesPerKey(t *testing.T) {
-	const keys = 1 << 16
-	const ceiling = 92 // bytes of live heap per preloaded key
-
-	// Scattered keys (splitmix64 of the index): dense ones pile into a
-	// ninth of the buckets under Map.hash and would hide the head cells.
-	key := func(i uint64) uint64 {
+	scattered := func(i uint64) uint64 { // splitmix64 of the index
 		z := (i + 1) * 0x9E3779B97F4A7C15
 		z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
 		z = (z ^ z>>27) * 0x94D049BB133111EB
 		return z ^ z>>31
 	}
+	t.Run("scattered", func(t *testing.T) { testBytesPerKey(t, scattered) })
+	t.Run("dense", func(t *testing.T) { testBytesPerKey(t, func(i uint64) uint64 { return i }) })
+}
+
+func testBytesPerKey(t *testing.T, key func(i uint64) uint64) {
+	const keys = 1 << 16
+	const ceiling = 62 // bytes of live heap per preloaded key
 
 	mgr := core.NewTxManager()
 	mgr.EnablePooling()

@@ -9,16 +9,55 @@
 package mhash
 
 import (
+	"unsafe"
+
 	"medley/internal/core"
 )
 
-// ref is the content of a list link: a successor pointer plus Michael's
-// logical-deletion mark. Packing both into one CASObj value preserves the
-// algorithm's key property that a marked node's link can no longer change
-// (every CAS expects mark == false).
-type ref[V any] struct {
-	node *node[V]
-	mark bool
+// ref is the content of a list link: a successor pointer with Michael's
+// logical-deletion mark in its low bit, one word as in the paper. Packing
+// both into one CASObj value preserves the algorithm's key property that a
+// marked node's link can no longer change (every CAS expects an unmarked
+// link); packing them into 8 bytes makes the value cell behind every link
+// 24 bytes rather than 32.
+//
+// The marked form of a link to n is the address one byte inside n. That is
+// an interior pointer, so the collector keeps n alive through it exactly as
+// it does through the unmarked form, and it is only ever built and undone
+// with unsafe.Add — never by way of a uintptr. A marked link to nothing
+// cannot be nil+1 (the collector and checkptr reject small integers posing
+// as pointers), so it points one byte inside markedNil instead.
+type ref[V any] struct{ p unsafe.Pointer }
+
+// markedNil is the object a marked nil link points into. Only its address
+// is used; it is a word so that the address is even.
+var markedNil uint64
+
+// link is the unmarked link to n (the zero ref for a nil n).
+func link[V any](n *node[V]) ref[V] { return ref[V]{unsafe.Pointer(n)} }
+
+// marked is the marked link to n.
+func marked[V any](n *node[V]) ref[V] {
+	base := unsafe.Pointer(n)
+	if n == nil {
+		base = unsafe.Pointer(&markedNil)
+	}
+	return ref[V]{unsafe.Add(base, 1)}
+}
+
+// mark reports whether the link carries the logical-deletion mark.
+func (r ref[V]) mark() bool { return uintptr(r.p)&1 != 0 }
+
+// node is the successor the link names, marked or not.
+func (r ref[V]) node() *node[V] {
+	if !r.mark() {
+		return (*node[V])(r.p)
+	}
+	base := unsafe.Add(r.p, -1)
+	if base == unsafe.Pointer(&markedNil) {
+		return nil
+	}
+	return (*node[V])(base)
 }
 
 // node is a list cell. key and val are immutable after insertion; updates
@@ -54,7 +93,8 @@ func pool[V any](tx *core.Tx) *core.NodePool[node[V]] {
 
 // newNode sources a node, recycling when possible. The link cell is
 // (re)initialized via InitTx, which reuses a resident recycled cell in
-// place with a bumped generation.
+// place with a bumped generation — and allocates none for a fresh node at
+// the tail of its chain, whose link is the zero ref.
 func newNode[V any](tx *core.Tx, key uint64, val V, next ref[V]) *node[V] {
 	n := pool[V](tx).Get()
 	if n == nil {
@@ -112,35 +152,36 @@ retry:
 	for {
 		prev := &l.head
 		cr, prevW := prev.NbtcLoad(tx)
-		curr := cr.node
+		curr := cr.node()
 		for {
 			if curr == nil {
 				return findResult[V]{prev: prev, prevWitness: prevW}
 			}
 			nr, currW := curr.next.NbtcLoad(tx)
-			if nr.mark {
-				// curr is logically deleted; unlink it. The successor nr.node
-				// may be a replacement node carrying the same key. The
+			next := nr.node()
+			if nr.mark() {
+				// curr is logically deleted; unlink it. Its successor may be
+				// a replacement node carrying the same key. The
 				// unlinking thread retires the node: commit-gated inside a
 				// transaction (a critical unlink takes effect only then),
 				// straight to EBR limbo outside one.
-				if !prev.NbtcCAS(tx, ref[V]{curr, false}, ref[V]{nr.node, false}, false, false) {
+				if !prev.NbtcCAS(tx, link(curr), link(next), false, false) {
 					continue retry
 				}
 				pool[V](tx).Retire(curr)
-				curr = nr.node
+				curr = next
 				continue
 			}
 			if curr.key >= key {
 				return findResult[V]{
-					prev: prev, curr: curr, next: nr.node,
+					prev: prev, curr: curr, next: next,
 					found:       curr.key == key,
 					prevWitness: prevW, currWitness: currW,
 				}
 			}
 			prev = &curr.next
 			prevW = currW
-			curr = nr.node
+			curr = next
 		}
 	}
 }
@@ -179,17 +220,17 @@ func (l *chain[V]) Put(tx *core.Tx, key uint64, val V) (V, bool) {
 		r := l.find(tx, key)
 		if r.found {
 			curr, next, prev := r.curr, r.next, r.prev
-			nn = reuseNode(tx, nn, key, val, ref[V]{next, false})
-			if curr.next.NbtcCAS(tx, ref[V]{next, false}, ref[V]{nn, true}, true, true) {
+			nn = reuseNode(tx, nn, key, val, link(next))
+			if curr.next.NbtcCAS(tx, link(next), marked(nn), true, true) {
 				// Unlink (and retire) the replaced node post-commit; if the
 				// unlink CAS fails, a later find unlinks and retires it on
 				// our behalf.
-				core.DeferCASRetire(tx, prev, ref[V]{curr, false}, ref[V]{nn, false}, pool[V](tx), curr)
+				core.DeferCASRetire(tx, prev, link(curr), link(nn), pool[V](tx), curr)
 				return curr.val, true
 			}
 		} else {
-			nn = reuseNode(tx, nn, key, val, ref[V]{r.curr, false})
-			if r.prev.NbtcCAS(tx, ref[V]{r.curr, false}, ref[V]{nn, false}, true, true) {
+			nn = reuseNode(tx, nn, key, val, link(r.curr))
+			if r.prev.NbtcCAS(tx, link(r.curr), link(nn), true, true) {
 				var zero V
 				return zero, false
 			}
@@ -222,8 +263,8 @@ func (l *chain[V]) Insert(tx *core.Tx, key uint64, val V) bool {
 			}
 			return false
 		}
-		nn = reuseNode(tx, nn, key, val, ref[V]{r.curr, false})
-		if r.prev.NbtcCAS(tx, ref[V]{r.curr, false}, ref[V]{nn, false}, true, true) {
+		nn = reuseNode(tx, nn, key, val, link(r.curr))
+		if r.prev.NbtcCAS(tx, link(r.curr), link(nn), true, true) {
 			return true
 		}
 	}
@@ -242,8 +283,8 @@ func (l *chain[V]) Remove(tx *core.Tx, key uint64) (V, bool) {
 			return zero, false
 		}
 		curr, next, prev := r.curr, r.next, r.prev
-		if curr.next.NbtcCAS(tx, ref[V]{next, false}, ref[V]{next, true}, true, true) {
-			core.DeferCASRetire(tx, prev, ref[V]{curr, false}, ref[V]{next, false}, pool[V](tx), curr)
+		if curr.next.NbtcCAS(tx, link(next), marked(next), true, true) {
+			core.DeferCASRetire(tx, prev, link(curr), link(next), pool[V](tx), curr)
 			return curr.val, true
 		}
 	}
@@ -253,13 +294,12 @@ func (l *chain[V]) Remove(tx *core.Tx, key uint64) (V, bool) {
 // tests and diagnostics.
 func (l *chain[V]) Len() int {
 	n := 0
-	cr := l.head.Load()
-	for c := cr.node; c != nil; {
+	for c := l.head.Load().node(); c != nil; {
 		nr := c.next.Load()
-		if !nr.mark {
+		if !nr.mark() {
 			n++
 		}
-		c = nr.node
+		c = nr.node()
 	}
 	return n
 }
@@ -268,14 +308,13 @@ func (l *chain[V]) Len() int {
 // ascending key order, stopping if fn returns false. For tests and
 // diagnostics.
 func (l *chain[V]) Range(fn func(key uint64, val V) bool) {
-	cr := l.head.Load()
-	for c := cr.node; c != nil; {
+	for c := l.head.Load().node(); c != nil; {
 		nr := c.next.Load()
-		if !nr.mark {
+		if !nr.mark() {
 			if !fn(c.key, c.val) {
 				return
 			}
 		}
-		c = nr.node
+		c = nr.node()
 	}
 }
