@@ -1,7 +1,8 @@
 // Benchmarks regenerating the paper's evaluation at testing.B scale: one
-// benchmark family per figure. These run each system's transaction loop on
-// a preloaded structure with the paper's workload parameters scaled to
-// laptop size; cmd/medley-bench performs the full thread sweeps.
+// sub-benchmark per figure, system and scenario row. These run each
+// system's transaction loop on a preloaded structure with the paper's
+// workload parameters scaled to laptop size; cmd/medley-bench performs the
+// full thread sweeps.
 package medley_test
 
 import (
@@ -11,18 +12,19 @@ import (
 	"time"
 
 	"medley/internal/harness"
-	"medley/internal/montage"
-	"medley/internal/onefile"
 	"medley/internal/tpcc"
 )
 
 // benchKeyRange and benchPreload are scaled-down versions of the paper's
-// 1M/0.5M microbenchmark parameters so the preload fits in benchmark time.
+// 1M/0.5M microbenchmark parameters so the preload fits in benchmark time;
+// benchScale is the TPC-C population at the same size.
 const (
 	benchKeyRange = 1 << 16
 	benchPreload  = 1 << 15
 	benchBuckets  = 1 << 16
 )
+
+var benchScale = tpcc.Scale{Warehouses: 2, Districts: 4, Customers: 30, Items: 200}
 
 // benchOpts sizes every registry system for benchmark time, with the NVM
 // latencies cmd/medley-bench injects by default.
@@ -32,12 +34,18 @@ var benchOpts = harness.SystemOpts{
 	StoreLatency: 60 * time.Nanosecond,
 }
 
-// benchTxns builds the system a spec names, preloads it and measures b.N
-// transactions drawn from dist and mix — the per-transaction cost view of
-// the thread sweeps cmd/medley-bench performs.
-func benchTxns(b *testing.B, spec string, dist harness.Dist, mix harness.Mix) {
+// benchTxns builds the system a spec names for the named scenario,
+// preloads it and measures b.N transactions of the scenario's first
+// measured phase — the per-transaction cost view of the thread sweeps
+// cmd/medley-bench performs. (A TPC-C system loads its own population and
+// runs one transaction of its mix per call, whatever the generator says.)
+func benchTxns(b *testing.B, scenario, spec string) {
 	b.Helper()
-	sys, err := harness.NewSystem(spec, benchOpts)
+	sc, err := harness.LookupScenario(scenario)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys, err := harness.NewScenarioSystem(sc, spec, benchScale, benchOpts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -50,82 +58,35 @@ func benchTxns(b *testing.B, spec string, dist harness.Dist, mix harness.Mix) {
 	stop := sys.Start()
 	defer stop()
 	w := sys.NewWorker()
-	gen := harness.NewTxGen(dist, benchKeyRange, mix, 42)
+	mix := sc.Phases[len(sc.Phases)-1].Mix
+	for _, ph := range sc.Phases {
+		if ph.Measure {
+			mix = ph.Mix
+			break
+		}
+	}
+	gen := harness.NewTxGen(sc.Dist, benchKeyRange, mix, 42)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.Do(gen.Next())
 	}
 }
 
-// BenchmarkFigure is Figures 7, 8 and 10 as sub-benchmarks,
-// Fig<N>/<spec>/<mix>: each figure is the set of system specs it compares
-// (the same table cmd/medley-bench -fig resolves), under the paper's
-// write-only 0:1:1 (W), mixed 2:1:1 (M) and read-mostly 18:1:1 (R) mixes
-// of 1-10 uniform-random operations.
+// BenchmarkFigure is Figures 7-10 as sub-benchmarks,
+// Fig<N>/<spec>/<scenario>, over the same table cmd/medley-bench -fig
+// runs: each figure is scenario rows (the paper's write-only 0:1:1, mixed
+// 2:1:1 and read-mostly 18:1:1 mixes of 1-10 uniform-random operations;
+// TPC-C newOrder+payment for Figure 9) on the system specs it compares.
 func BenchmarkFigure(b *testing.B) {
-	figures := []struct {
-		name  string
-		specs []string
-	}{
-		{"Fig7", []string{"medley-hash", "txmontage-hash", "onefile-hash", "ponefile-hash"}},
-		{"Fig8", []string{"medley-skip", "txmontage-skip", "onefile-skip", "ponefile-skip", "tdsl", "lftt"}},
-		{"Fig10a", []string{"plain-skip", "txoff-skip", "medley-skip"}},
-		{"Fig10b", []string{"txmontage-skip-persistoff"}},
-		{"Fig10c", []string{"txmontage-skip"}},
-	}
-	for _, f := range figures {
-		for _, spec := range f.specs {
-			for i, mix := range []string{"W", "M", "R"} {
-				b.Run(f.name+"/"+spec+"/"+mix, func(b *testing.B) {
-					benchTxns(b, spec, harness.Dist{Kind: harness.DistUniform},
-						harness.Mix{Ratio: harness.PaperRatios[i], TxMin: 1, TxMax: 10, Mixed: 1})
+	for _, f := range harness.Figures {
+		for _, scenario := range f.Scenarios {
+			for _, spec := range f.Systems {
+				b.Run("Fig"+f.Name+"/"+spec+"/"+scenario, func(b *testing.B) {
+					benchTxns(b, scenario, spec)
 				})
 			}
 		}
 	}
-}
-
-// ---- Figure 9: TPC-C subset ----
-
-func benchTPCC(b *testing.B, mk func() tpcc.Backend) {
-	b.Helper()
-	scale := tpcc.Scale{Warehouses: 2, Districts: 4, Customers: 30, Items: 200}
-	back := mk()
-	if err := tpcc.Load(back, scale); err != nil {
-		b.Fatal(err)
-	}
-	var stopAdv func()
-	if mb, ok := back.(*tpcc.MontageBackend); ok {
-		stopAdv = mb.StartAdvancer(20 * time.Millisecond)
-		defer stopAdv()
-	}
-	d := tpcc.NewDriver(back, scale, 7)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := d.Step(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig9_TPCC_Medley(b *testing.B) {
-	benchTPCC(b, func() tpcc.Backend { return tpcc.NewMedleyBackend() })
-}
-func BenchmarkFig9_TPCC_TxMontage(b *testing.B) {
-	benchTPCC(b, func() tpcc.Backend {
-		return tpcc.NewMontageBackend(montage.NewSystem(montage.Config{
-			RegionWords:      1 << 24,
-			WriteBackLatency: 300 * time.Nanosecond,
-			FenceLatency:     100 * time.Nanosecond,
-			StoreLatency:     60 * time.Nanosecond,
-		}))
-	})
-}
-func BenchmarkFig9_TPCC_OneFile(b *testing.B) {
-	benchTPCC(b, func() tpcc.Backend { return tpcc.NewOneFileBackend(onefile.New(), "OneFile") })
-}
-func BenchmarkFig9_TPCC_TDSL(b *testing.B) {
-	benchTPCC(b, func() tpcc.Backend { return tpcc.NewTDSLBackend() })
 }
 
 // ---- Workload-engine scenarios (beyond the paper's figures) ----
@@ -141,18 +102,7 @@ func BenchmarkScenario(b *testing.B) {
 		{"tpcc-mini", "medley-hash"},
 	} {
 		b.Run(c.scenario+"/"+c.spec, func(b *testing.B) {
-			sc, err := harness.LookupScenario(c.scenario)
-			if err != nil {
-				b.Fatal(err)
-			}
-			mix := sc.Phases[len(sc.Phases)-1].Mix
-			for _, ph := range sc.Phases {
-				if ph.Measure {
-					mix = ph.Mix
-					break
-				}
-			}
-			benchTxns(b, c.spec, sc.Dist, mix)
+			benchTxns(b, c.scenario, c.spec)
 		})
 	}
 }

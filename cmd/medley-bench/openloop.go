@@ -51,8 +51,8 @@ func openLoopScenario() (harness.Scenario, error) {
 	if err != nil {
 		return harness.Scenario{}, err
 	}
-	if sc.TPCC || sc.HasCrash() || sc.ServiceChaos || sc.ReplicaChaos {
-		return harness.Scenario{}, fmt.Errorf("open-loop mode cannot run scenario %q (TPC-C, crash and chaos scripts have their own drivers)", name)
+	if sc.IsTPCC() || sc.HasCrash() {
+		return harness.Scenario{}, fmt.Errorf("open-loop mode cannot run scenario %q (TPC-C and crash scripts have their own drivers)", name)
 	}
 	return sc, nil
 }
@@ -64,12 +64,14 @@ func openLoopDriver(sc harness.Scenario) (harness.Driver, error) {
 	if *serverFlag != "" {
 		return service.NewHTTPDriver(*serverFlag), nil
 	}
-	name := *systemsFlag
-	if name == "auto" {
-		name = harness.DefaultSystems(sc)[0]
-	} else if i := strings.IndexByte(name, ','); i >= 0 {
-		return nil, fmt.Errorf("open-loop mode drives one system per run, got -systems %q", name)
+	systems, err := selectSystems(sc, sc.Systems[:1])
+	if err != nil {
+		return nil, err
 	}
+	if len(systems) != 1 {
+		return nil, fmt.Errorf("open-loop mode drives one system per run, got -systems %q", *systemsFlag)
+	}
+	name := systems[0]
 	sys, err := harness.NewSystem(name, systemOpts())
 	if err != nil {
 		return nil, err
@@ -102,7 +104,7 @@ func runOpenLoop() error {
 		KeyRange:    uint64(*keyRange),
 		Preload:     *preload,
 		Seed:        *seedFlag,
-		Mix:         firstRunMix(sc),
+		Mix:         sc.Phases[0].Mix, // a run phase: crash scripts were refused above
 		Dist:        sc.Dist,
 	})
 	if err != nil {
@@ -120,11 +122,8 @@ func runOpenLoop() error {
 			}
 		}
 	}
-	if !*jsonFlag && *outFlag == "" {
-		return nil
-	}
 	rep := harness.NewReport(sc.Name, []int{*inflightFlag}, *durationFlag,
 		uint64(*keyRange), *preload, *seedFlag)
 	rep.AddOpenLoop(res, sc.Name, *inflightFlag)
-	return writeReport(rep)
+	return emitReport(rep)
 }

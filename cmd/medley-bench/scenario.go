@@ -2,7 +2,9 @@ package main
 
 import (
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -30,92 +32,136 @@ func tpccScale() tpcc.Scale {
 	return tpcc.DefaultScale()
 }
 
-// selectSystems resolves the -systems flag for the given scenario: TPC-C
-// scenarios construct through the TPC-C backend adapter, everything else
-// through the harness system registry.
-func selectSystems(sc harness.Scenario) ([]func() (harness.System, error), error) {
-	names := harness.DefaultSystems(sc)
+// selectSystems is the one -systems resolver: the comma-separated flag,
+// or auto's list when it says "auto", trimmed and validated for the
+// scenario (parse + lookup only, no construction) so an unknown name fails
+// before any benchmarking.
+func selectSystems(sc harness.Scenario, auto []string) ([]string, error) {
+	specs := auto
 	if *systemsFlag != "auto" {
-		names = nil
-		for _, part := range strings.Split(*systemsFlag, ",") {
-			names = append(names, strings.TrimSpace(part))
-		}
+		specs = strings.Split(*systemsFlag, ",")
 	}
-	var mks []func() (harness.System, error)
-	for _, n := range names {
-		n := n
-		// Validate now (parse + lookup only, no construction) so unknown
-		// names fail before any benchmarking.
-		if err := harness.ValidateScenarioSystemSpec(sc, n); err != nil {
+	out := make([]string, len(specs))
+	for i, spec := range specs {
+		out[i] = strings.TrimSpace(spec)
+		if err := harness.ValidateScenarioSystemSpec(sc, out[i]); err != nil {
 			return nil, err
 		}
-		mks = append(mks, func() (harness.System, error) {
-			return harness.NewScenarioSystem(sc, n, tpccScale(), systemOpts())
-		})
 	}
-	return mks, nil
+	return out, nil
 }
 
-// runScenario is the -scenario entry point: every selected system, every
-// thread count, one Report. Any error (unknown scenario, unknown system,
-// unwritable -out) propagates to main's non-zero exit.
+// experiment is one scenario on a list of systems at a list of thread
+// counts: what -scenario runs one of and -fig several of.
+type experiment struct {
+	heading string // printed above the rows in text mode, when set
+	sc      harness.Scenario
+	systems []string
+	threads []int
+}
+
+// runExperiments is the one run loop: every experiment, system and thread
+// count, a fresh system per point, one Report named report. Any error
+// (unknown system, unwritable -out) propagates to main's non-zero exit.
+func runExperiments(report string, exps []experiment) error {
+	var ran []int
+	for _, e := range exps {
+		for _, th := range e.threads {
+			if !slices.Contains(ran, th) {
+				ran = append(ran, th)
+			}
+		}
+	}
+	rep := harness.NewReport(report, ran, *durationFlag, uint64(*keyRange), *preload, *seedFlag)
+	for _, e := range exps {
+		if e.heading != "" && !*jsonFlag {
+			fmt.Printf("\n== %s ==\n", e.heading)
+		}
+		for _, spec := range e.systems {
+			for _, th := range e.threads {
+				sys, err := harness.NewScenarioSystem(e.sc, spec, tpccScale(), systemOpts())
+				if err != nil {
+					return err
+				}
+				res := harness.RunScenario(sys, e.sc, harness.EngineConfig{
+					Threads: th, Duration: *durationFlag,
+					KeyRange: uint64(*keyRange), Preload: *preload, Seed: *seedFlag,
+				})
+				rep.Add(res)
+				if !*jsonFlag {
+					printScenarioResult(res, e.heading == "")
+				}
+			}
+		}
+	}
+	return emitReport(rep)
+}
+
+// runScenario is the -scenario entry point: one row of the scenario table
+// (or of the chaos table beside it) on its systems.
 func runScenario(name string, threads []int) error {
 	if name == "list" {
-		for _, n := range harness.ScenarioNames() {
-			sc, _ := harness.LookupScenario(n)
-			fmt.Printf("  %-26s %s\n", n, sc.Description)
+		usage := harness.ScenarioUsage()
+		for n, row := range chaosRows {
+			usage[n] = row.description
+		}
+		for _, n := range slices.Sorted(maps.Keys(usage)) {
+			fmt.Printf("  %-26s %s\n", n, usage[n])
 		}
 		return nil
+	}
+	if row, ok := chaosRows[name]; ok {
+		return runChaosScenario(name, row, threads)
 	}
 	sc, err := harness.LookupScenario(name)
 	if err != nil {
-		return err
+		return fmt.Errorf("%w; chaos: %v", err, slices.Sorted(maps.Keys(chaosRows)))
 	}
-	if sc.ServiceChaos || sc.ReplicaChaos {
-		return runChaosScenario(sc, threads)
-	}
-	mks, err := selectSystems(sc)
+	systems, err := selectSystems(sc, sc.Systems)
 	if err != nil {
 		return err
 	}
+	return runExperiments(name, []experiment{{sc: sc, systems: systems, threads: threads}})
+}
 
-	rep := harness.NewReport(name, threads, *durationFlag, uint64(*keyRange), *preload, *seedFlag)
-	for _, mk := range mks {
-		for _, th := range threads {
-			sys, err := mk()
+// runFigures is the -fig entry point: a figure is scenario rows on one
+// system list (harness.Figures), so it runs — and reports — like any
+// other experiment.
+func runFigures(name string, threads []int) error {
+	var exps []experiment
+	for _, f := range harness.Figures {
+		if name != f.Name && name != "all" {
+			continue
+		}
+		ths := threads
+		if f.LargestOnly {
+			ths = []int{slices.Max(threads)}
+		}
+		for _, scName := range f.Scenarios {
+			sc, err := harness.LookupScenario(scName)
 			if err != nil {
 				return err
 			}
-			res := harness.RunScenario(sys, sc, harness.EngineConfig{
-				Threads: th, Duration: *durationFlag,
-				KeyRange: uint64(*keyRange), Preload: *preload, Seed: *seedFlag,
-			})
-			rep.Add(res)
-			if !*jsonFlag {
-				printScenarioResult(res)
+			systems, err := selectSystems(sc, f.Systems)
+			if err != nil {
+				return err
 			}
+			exps = append(exps, experiment{heading: f.Title + ": " + scName, sc: sc, systems: systems, threads: ths})
 		}
 	}
+	if exps == nil {
+		return fmt.Errorf("unknown -fig %q", name)
+	}
+	return runExperiments("fig"+name, exps)
+}
+
+// emitReport writes the JSON report when -json or -out asks for one: to
+// stdout or -out, surfacing close errors (a truncated BENCH_*.json must
+// fail the run, not pass silently).
+func emitReport(rep *harness.Report) error {
 	if !*jsonFlag && *outFlag == "" {
 		return nil
 	}
-	return writeReport(rep)
-}
-
-// firstRunMix is the mix of the scenario's first run phase: what shapes
-// the workload in the modes that bypass the phase script (open-loop, chaos).
-func firstRunMix(sc harness.Scenario) harness.Mix {
-	for _, ph := range sc.Phases {
-		if ph.Kind == harness.PhaseRun {
-			return ph.Mix
-		}
-	}
-	return harness.Mix{}
-}
-
-// writeReport emits the JSON report to stdout or -out, surfacing close
-// errors (a truncated BENCH_*.json must fail the run, not pass silently).
-func writeReport(rep *harness.Report) error {
 	if *outFlag == "" {
 		return rep.WriteJSON(os.Stdout)
 	}
@@ -130,11 +176,34 @@ func writeReport(rep *harness.Report) error {
 	return f.Close()
 }
 
-func printScenarioResult(res harness.ScenarioResult) {
+// printScenarioResult prints the headline row of one point and, below it,
+// every block the run produced. Under a figure heading (named false) a
+// point is its headline and consistency verdict alone — one aligned row
+// per system and thread count, the scenario left to the heading.
+func printScenarioResult(res harness.ScenarioResult, named bool) {
 	m := res.Measured
-	sys := res.System
-	fmt.Printf("%-20s %-24s threads=%-3d throughput=%12.0f txn/s  abort=%6.2f%%  p50=%8.0fns  p99=%8.0fns\n",
-		res.Scenario, sys, res.Threads, m.Throughput, 100*m.AbortRate, m.Latency.P50Ns, m.Latency.P99Ns)
+	if named {
+		fmt.Printf("%-20s ", res.Scenario)
+	} else {
+		fmt.Print("  ")
+	}
+	fmt.Printf("%-24s threads=%-3d throughput=%12.0f txn/s  abort=%6.2f%%  avg=%8.0fns  p50=%8.0fns  p99=%8.0fns\n",
+		res.System, res.Threads, m.Throughput, 100*m.AbortRate, m.Latency.AvgNs, m.Latency.P50Ns, m.Latency.P99Ns)
+	if c := m.Consistency; c != nil {
+		if c.Violations == 0 {
+			fmt.Printf("  consistency         OK\n")
+		} else {
+			var classes []string
+			for _, cc := range c.Classes {
+				classes = append(classes, fmt.Sprintf("%s=%d", cc.Class, cc.Count))
+			}
+			fmt.Printf("  consistency         FAILED: %d violations (%s)\n",
+				c.Violations, strings.Join(classes, " "))
+		}
+	}
+	if !named {
+		return
+	}
 	if mm := m.Memory; mm != nil {
 		fmt.Printf("  memory              allocs/op=%8.2f  bytes/op=%8.1f  gc-pause=%8v  pool-hit=%5.1f%%\n",
 			mm.AllocsPerOp, mm.BytesPerOp, time.Duration(mm.GCPauseNs), 100*mm.PoolHitRate)
@@ -158,18 +227,6 @@ func printScenarioResult(res harness.ScenarioResult) {
 	}
 	for _, k := range m.Kinds {
 		fmt.Printf("  tx %-16s txns=%-10d aborts=%-8d avg=%8.0fns\n", k.Kind, k.Txns, k.Aborts, k.AvgNs)
-	}
-	if c := m.Consistency; c != nil {
-		if c.Violations == 0 {
-			fmt.Printf("  consistency         OK\n")
-		} else {
-			var classes []string
-			for _, cc := range c.Classes {
-				classes = append(classes, fmt.Sprintf("%s=%d", cc.Class, cc.Count))
-			}
-			fmt.Printf("  consistency         FAILED: %d violations (%s)\n",
-				c.Violations, strings.Join(classes, " "))
-		}
 	}
 	if fc := res.FinalCheck; fc != nil && fc.Checked {
 		if v := fc.Violations; v == 0 {

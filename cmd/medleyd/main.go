@@ -27,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -38,39 +39,55 @@ import (
 )
 
 func main() {
+	// Serve until SIGINT/SIGTERM, then drain: in-flight transactions
+	// finish, new ones get connection refused.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:])
+	stop()
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatalf("medleyd: %v", err)
+	}
+}
+
+// run is the daemon: parse args, build the store and its pipeline, serve
+// until ctx is cancelled, drain. Every refusal is a returned error.
+func run(ctx context.Context, args []string) error {
+	fs := flag.NewFlagSet("medleyd", flag.ContinueOnError)
 	var (
-		listen   = flag.String("listen", ":7654", "address to serve on")
-		system   = flag.String("system", "medley-hash@8", "system spec from the benchmark registry: base{-suffix}[@N] (see -list)")
-		list     = flag.Bool("list", false, "list registered systems with the suffixes each accepts and exit")
-		buckets  = flag.Int("buckets", 1<<16, "hash buckets for hash-structured systems")
-		keyRange = flag.Uint64("keyrange", 1<<20, "key range hint (sizes simulated NVM regions)")
-		pool     = flag.Int("pool", 4096, "txpool bound; arrivals beyond it are shed with 429")
-		tick     = flag.Duration("tick", time.Millisecond, "batch tick period")
-		batch    = flag.Int("batch", 0, "max requests drained per tick (0 = pool size)")
-		workers  = flag.Int("workers", 0, "executor goroutines per tick (0 = GOMAXPROCS)")
-		dedup    = flag.Int("dedup", 4096,
+		listen   = fs.String("listen", ":7654", "address to serve on")
+		system   = fs.String("system", "medley-hash@8", "system spec from the benchmark registry: base{-suffix}[@N] (see -list)")
+		list     = fs.Bool("list", false, "list registered systems with the suffixes each accepts and exit")
+		buckets  = fs.Int("buckets", 1<<16, "hash buckets for hash-structured systems")
+		keyRange = fs.Uint64("keyrange", 1<<20, "key range hint (sizes simulated NVM regions)")
+		pool     = fs.Int("pool", 4096, "txpool bound; arrivals beyond it are shed with 429")
+		tick     = fs.Duration("tick", time.Millisecond, "batch tick period")
+		batch    = fs.Int("batch", 0, "max requests drained per tick (0 = pool size)")
+		workers  = fs.Int("workers", 0, "executor goroutines per tick (0 = GOMAXPROCS)")
+		dedup    = fs.Int("dedup", 4096,
 			"idempotency window: remembered outcomes for request-ID dedup (0 disables; retried IDs then re-execute)")
-		cdcShards = flag.Int("cdc-shards", 4,
+		cdcShards = fs.Int("cdc-shards", 4,
 			"commit-ordered change feed streams for /v1/watch (0 disables the feed; the node is then not followable)")
-		follow = flag.String("follow", "",
+		follow = fs.String("follow", "",
 			"start as a follower replaying the leader at this base URL (requires -cdc-shards > 0)")
-		maxLag = flag.Uint64("max-lag", 4096,
+		maxLag = fs.Uint64("max-lag", 4096,
 			"follower staleness bound: reads answer 409 while replay lag exceeds this many entries")
-		maxSilence = flag.Duration("max-silence", time.Second,
+		maxSilence = fs.Duration("max-silence", time.Second,
 			"follower staleness bound a partition cannot fool: reads answer 409 once the leader has been silent this long (negative disables)")
-		promoteAfter = flag.Int("promote-after", 0,
+		promoteAfter = fs.Int("promote-after", 0,
 			"auto-promote the follower to leader after this many consecutive failed leader round trips (0 = manual POST /v1/promote only)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *list {
 		for _, line := range harness.SystemUsage() {
 			fmt.Println(line)
 		}
-		return
+		return nil
 	}
 	if *follow != "" && *cdcShards <= 0 {
-		log.Fatalf("medleyd: -follow requires -cdc-shards > 0 (the follower replays the leader's feed into its own)")
+		return errors.New("-follow requires -cdc-shards > 0 (the follower replays the leader's feed into its own)")
 	}
 
 	sys, err := harness.NewSystem(*system, harness.SystemOpts{
@@ -78,11 +95,11 @@ func main() {
 		KeyRange: *keyRange,
 	})
 	if err != nil {
-		log.Fatalf("medleyd: %v", err)
+		return err
 	}
 	be, ok := sys.(service.Backend)
 	if !ok {
-		log.Fatalf("medleyd: system %q does not support batch execution (no NewExecutor)", *system)
+		return fmt.Errorf("system %q does not support batch execution (no NewExecutor)", *system)
 	}
 
 	svcCfg := service.Config{
@@ -112,7 +129,7 @@ func main() {
 			PromoteAfter: *promoteAfter,
 		})
 		if err != nil {
-			log.Fatalf("medleyd: %v", err)
+			return err
 		}
 		defer node.Close()
 		handler, svc, role = node.Handler(), node.Service(), node.Role()
@@ -122,8 +139,11 @@ func main() {
 		handler = service.Handler(svc)
 	}
 
+	ln, err := net.Listen("tcp", *listen)
+	if err != nil {
+		return err
+	}
 	srv := &http.Server{
-		Addr:        *listen,
 		Handler:     handler,
 		ReadTimeout: 30 * time.Second,
 		// No write timeout: /v1/watch streams hold their response open for
@@ -132,15 +152,11 @@ func main() {
 		WriteTimeout: 0,
 	}
 
-	// Serve until SIGINT/SIGTERM, then drain: in-flight transactions
-	// finish, new ones get connection refused.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe() }()
+	go func() { errCh <- srv.Serve(ln) }()
 	cfg := svc.Config()
 	log.Printf("medleyd: serving %s on %s as %s (pool=%d tick=%v batch=%d workers=%d cdc-shards=%d)",
-		be.Name(), *listen, role, cfg.PoolSize, cfg.Tick, cfg.MaxBatch, cfg.Workers, *cdcShards)
+		be.Name(), ln.Addr(), role, cfg.PoolSize, cfg.Tick, cfg.MaxBatch, cfg.Workers, *cdcShards)
 	if *follow != "" {
 		log.Printf("medleyd: following %s (max-lag=%d max-silence=%v promote-after=%d)",
 			*follow, *maxLag, *maxSilence, *promoteAfter)
@@ -148,15 +164,15 @@ func main() {
 
 	select {
 	case err := <-errCh:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Fatalf("medleyd: %v", err)
-		}
+		return err // Serve never returns nil; nothing has shut it down yet
 	case <-ctx.Done():
 		log.Printf("medleyd: shutting down")
-		shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		shutCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 10*time.Second)
 		defer cancel()
 		if err := srv.Shutdown(shutCtx); err != nil {
 			log.Printf("medleyd: shutdown: %v", err)
 		}
+		<-errCh // Serve has returned http.ErrServerClosed
+		return nil
 	}
 }

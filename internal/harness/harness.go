@@ -1,11 +1,12 @@
-// Package harness is the workload engine behind cmd/medley-bench. It
-// drives the paper's evaluation (Section 6) — the microbenchmark of
-// Figures 7, 8 and 10 (1M key space, 0.5M preload, transactions of 1-10
-// uniform-random operations with a configurable get:insert:remove ratio)
-// and the TPC-C subset of Figure 9 — and generalizes it into pluggable
-// scenarios: key-distribution generators (generator.go), transaction
-// mixes with multi-key compositions and working-set phases (scenario.go),
-// a phase-scripted measurement engine with per-worker statistics shards
+// Package harness is the workload engine behind cmd/medley-bench. The
+// paper's evaluation (Section 6) — the microbenchmark of Figures 7, 8 and
+// 10 (1M key space, 0.5M preload, transactions of 1-10 uniform-random
+// operations at three get:insert:remove ratios) and the TPC-C subset of
+// Figure 9 — is rows of one scenario table (scenario.go: Figures names the
+// rows and systems of each plot), beside the scenarios that go beyond it:
+// key-distribution generators (generator.go), transaction mixes with
+// multi-key compositions and working-set phases (scenario.go), a
+// phase-scripted measurement engine with per-worker statistics shards
 // and latency reservoirs (engine.go), crash–recovery verification of the
 // paper's durability claim (verify.go, the Recoverable capability in
 // systems.go), and machine-readable reports with a CI-pinned schema
@@ -15,7 +16,6 @@ package harness
 import (
 	"math/rand"
 	"strconv"
-	"time"
 
 	"medley/internal/kv"
 )
@@ -76,73 +76,6 @@ type Ratio struct {
 
 func (r Ratio) String() string {
 	return strconv.Itoa(r.Get) + ":" + strconv.Itoa(r.Insert) + ":" + strconv.Itoa(r.Remove)
-}
-
-// PaperRatios are the three workload mixes of Figures 7, 8 and 10.
-var PaperRatios = []Ratio{{0, 1, 1}, {2, 1, 1}, {18, 1, 1}}
-
-// Config parameterizes one microbenchmark run.
-type Config struct {
-	Threads  int
-	Duration time.Duration
-	KeyRange uint64 // paper: 1M
-	Preload  int    // paper: 0.5M
-	TxMin    int    // paper: 1
-	TxMax    int    // paper: 10
-	Ratio    Ratio
-	Seed     int64
-}
-
-// PaperConfig returns the paper's microbenchmark parameters at the given
-// thread count and duration.
-func PaperConfig(threads int, d time.Duration, ratio Ratio) Config {
-	return Config{
-		Threads: threads, Duration: d,
-		KeyRange: 1 << 20, Preload: 1 << 19,
-		TxMin: 1, TxMax: 10,
-		Ratio: ratio, Seed: 42,
-	}
-}
-
-// Result is one measured point.
-type Result struct {
-	System     string
-	Ratio      string
-	Threads    int
-	Txns       uint64
-	Ops        uint64
-	Aborts     uint64
-	Elapsed    time.Duration
-	Throughput float64 // committed txn/s
-	AbortRate  float64 // aborted attempts / total attempts, 0 if unknown
-	LatencyNs  float64 // avg per-transaction latency (sampled)
-	P50Ns      float64
-	P99Ns      float64
-}
-
-// Run measures sys under cfg: the paper's microbenchmark loop, expressed
-// as a single-phase uniform scenario on the workload engine. RunScenario
-// is the general entry point.
-func Run(sys System, cfg Config) Result {
-	sc := Scenario{
-		Name: "uniform-" + cfg.Ratio.String(),
-		Dist: Dist{Kind: DistUniform},
-		Phases: []Phase{{
-			Name: "mixed", Weight: 1, Measure: true,
-			Mix: Mix{Ratio: cfg.Ratio, TxMin: cfg.TxMin, TxMax: cfg.TxMax, Mixed: 1},
-		}},
-	}
-	r := RunScenario(sys, sc, EngineConfig{
-		Threads: cfg.Threads, Duration: cfg.Duration,
-		KeyRange: cfg.KeyRange, Preload: cfg.Preload, Seed: cfg.Seed,
-	})
-	m := r.Measured
-	return Result{
-		System: r.System, Ratio: cfg.Ratio.String(), Threads: cfg.Threads,
-		Txns: m.Txns, Ops: m.Ops, Aborts: m.Aborts, Elapsed: m.Elapsed,
-		Throughput: m.Throughput, AbortRate: m.AbortRate,
-		LatencyNs: m.Latency.AvgNs, P50Ns: m.Latency.P50Ns, P99Ns: m.Latency.P99Ns,
-	}
 }
 
 func pickKind(r *rand.Rand, ratio Ratio) OpKind {

@@ -6,12 +6,21 @@ import (
 )
 
 // tinyConfig keeps harness tests fast: small key space, short duration.
-func tinyConfig(threads int, ratio Ratio) Config {
-	return Config{
+func tinyConfig(threads int) EngineConfig {
+	return EngineConfig{
 		Threads: threads, Duration: 50 * time.Millisecond,
-		KeyRange: 1 << 10, Preload: 1 << 9,
-		TxMin: 1, TxMax: 10, Ratio: ratio, Seed: 7,
+		KeyRange: 1 << 10, Preload: 1 << 9, Seed: 7,
 	}
+}
+
+// mustScenario resolves a scenario name that is a literal in the test.
+func mustScenario(t *testing.T, name string) Scenario {
+	t.Helper()
+	sc, err := LookupScenario(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc
 }
 
 // testSystem resolves spec at test scale. Specs here are literals, so a
@@ -43,13 +52,13 @@ func allSystems() []System {
 
 func TestEverySystemRunsEveryRatio(t *testing.T) {
 	for _, sys := range allSystems() {
-		for _, ratio := range PaperRatios {
-			res := Run(sys, tinyConfig(2, ratio))
-			if res.Txns == 0 {
-				t.Errorf("%s @ %s: zero transactions completed", sys.Name(), ratio)
+		for _, name := range uniformRatios {
+			m := RunScenario(sys, mustScenario(t, name), tinyConfig(2)).Measured
+			if m.Txns == 0 {
+				t.Errorf("%s @ %s: zero transactions completed", sys.Name(), name)
 			}
-			if res.Throughput <= 0 || res.LatencyNs <= 0 {
-				t.Errorf("%s @ %s: bad metrics %+v", sys.Name(), ratio, res)
+			if m.Throughput <= 0 || m.Latency.AvgNs <= 0 {
+				t.Errorf("%s @ %s: bad metrics %+v", sys.Name(), name, m)
 			}
 		}
 	}
@@ -57,22 +66,23 @@ func TestEverySystemRunsEveryRatio(t *testing.T) {
 
 func TestThreadSweepMonotoneAccounting(t *testing.T) {
 	sys := testSystem("medley-hash")
+	sc := mustScenario(t, "uniform-mixed")
 	for _, th := range []int{1, 2, 4} {
-		res := Run(sys, tinyConfig(th, Ratio{2, 1, 1}))
-		if res.Threads != th || res.Txns == 0 {
+		res := RunScenario(sys, sc, tinyConfig(th))
+		if res.Threads != th || res.Measured.Txns == 0 {
 			t.Fatalf("bad result at %d threads: %+v", th, res)
 		}
-		if res.Ops < res.Txns {
-			t.Fatalf("ops < txns: %+v", res)
+		if res.Measured.Ops < res.Measured.Txns {
+			t.Fatalf("ops < txns: %+v", res.Measured)
 		}
 	}
 }
 
 func TestRatioStringsMatchPaper(t *testing.T) {
 	want := []string{"0:1:1", "2:1:1", "18:1:1"}
-	for i, r := range PaperRatios {
-		if r.String() != want[i] {
-			t.Fatalf("ratio %d = %s, want %s", i, r.String(), want[i])
+	for i, r := range paperRatios {
+		if r.ratio.String() != want[i] {
+			t.Fatalf("ratio %d (%s) = %s, want %s", i, r.name, r.ratio, want[i])
 		}
 	}
 }

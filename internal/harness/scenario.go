@@ -2,8 +2,12 @@ package harness
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
-	"sort"
+	"slices"
+	"strings"
+
+	"medley/internal/tpcc"
 )
 
 // This file defines the scenario layer of the workload engine: what a
@@ -80,19 +84,26 @@ type Phase struct {
 }
 
 // Scenario is a named, self-contained workload: a key distribution plus a
-// phase script. Scenarios are pure data — the engine owns execution — so
-// adding a scenario never touches the engine or the systems under test.
+// phase script, and the systems it runs on by default. Scenarios are pure
+// data — the engine owns execution — so adding a scenario never touches
+// the engine or the systems under test.
 type Scenario struct {
 	Name        string
 	Description string
 	Dist        Dist
 	Phases      []Phase
 
-	// TPCC marks scenarios whose systems run the TPC-C driver instead of
-	// the generated key mixes; the driver resolves system specs through
-	// NewTPCCSystem and the engine's generated ops are ignored by the
-	// workers (each Do call runs one TPC-C transaction).
-	TPCC bool
+	// Systems is the -systems 'auto' set: the specs this workload is
+	// meant to compare. LookupScenario fills in the full transient set
+	// (every registry structure plus the competitors) on a row that names
+	// none.
+	Systems []string
+
+	// TPCC, when non-zero, makes this a TPC-C scenario and is its
+	// transaction mix: system specs resolve through NewTPCCSystem and the
+	// engine's generated ops are ignored by the workers (each Do call runs
+	// one TPC-C transaction drawn from the mix).
+	TPCC tpcc.MixWeights
 
 	// WorkersPerThread, when > 1, multiplies the worker goroutines per
 	// configured thread — the oversubscription chaos knob (workers ≫
@@ -111,23 +122,10 @@ type Scenario struct {
 	// state against the model (see verify.go) — chaos runs are checked,
 	// not just timed.
 	VerifyFinal bool
-
-	// ServiceChaos and ReplicaChaos mark scenarios that run the
-	// fault-verification runner (internal/chaos Run) instead of the
-	// closed-loop engine: medleyd hosted in-process behind real listeners,
-	// fault events landing mid-traffic, and a wire-level journal diff
-	// against the state that survives. ServiceChaos deploys one daemon over
-	// a durable backend behind a fault-injecting proxy, killed and
-	// restarted mid-run, and verifies the recovered state. ReplicaChaos
-	// deploys a leader and a follower replaying its commit-ordered feed,
-	// with either leader kill + promotion cycles or replication-path
-	// partitions mid-run, and classifies every replica/model difference.
-	// The scenario's Dist and first phase's Mix shape the workload; the
-	// fault plan (event counts, fault proxy settings, staleness bounds,
-	// rates) is keyed by scenario name in the bench driver.
-	ServiceChaos bool
-	ReplicaChaos bool
 }
+
+// IsTPCC reports whether the scenario runs the TPC-C driver.
+func (sc Scenario) IsTPCC() bool { return sc.TPCC != tpcc.MixWeights{} }
 
 // HasCrash reports whether the scenario contains a crash phase. Crash
 // scenarios run with partitioned writes (see verify.go) on every system so
@@ -264,45 +262,79 @@ func crashPhases(ratio Ratio) []Phase {
 	}
 }
 
-// builtin is the scenario registry. Keys are the -scenario names of
+// paperDists and paperRatios span the paper-microbenchmark family: the
+// scenario "<dist>-<ratio>" is one measured phase of 1-10 op transactions
+// at that get:insert:remove ratio over that key distribution. Section 6
+// runs the uniform column; the skewed ones are the same transaction under
+// contention.
+var paperDists = []struct {
+	name, desc string
+	dist       Dist
+}{
+	{"uniform", "uniform keys", Dist{Kind: DistUniform}},
+	{"zipfian", "Zipf(1.2) scrambled keys", Dist{Kind: DistZipfian, Theta: 1.2}},
+	{"latest", "Zipf(1.2) head at the newest keys", Dist{Kind: DistLatest, Theta: 1.2}},
+	{"hotspot", "90% of ops on 10% of keys", Dist{Kind: DistHotspot, HotFrac: 0.1, HotOpFrac: 0.9}},
+}
+
+var paperRatios = []struct {
+	name  string
+	ratio Ratio
+}{
+	{"writeheavy", Ratio{Get: 0, Insert: 1, Remove: 1}},
+	{"mixed", Ratio{Get: 2, Insert: 1, Remove: 1}},
+	{"readmostly", Ratio{Get: 18, Insert: 1, Remove: 1}},
+}
+
+// paperGrammar is the family's one line in ScenarioUsage.
+const paperGrammar = "{uniform|zipfian|latest|hotspot}-{mixed|readmostly|writeheavy}"
+
+// paperScenario resolves a "<dist>-<ratio>" name of the family.
+func paperScenario(name string) (Scenario, bool) {
+	d, r, _ := strings.Cut(name, "-")
+	for _, pd := range paperDists {
+		for _, pr := range paperRatios {
+			if pd.name == d && pr.name == r {
+				return Scenario{
+					Description: fmt.Sprintf("paper microbenchmark: %s, %s get:insert:remove, 1-10 ops/txn", pd.desc, pr.ratio),
+					Dist:        pd.dist,
+					Phases:      onePhase(paperMix(pr.ratio)),
+				}, true
+			}
+		}
+	}
+	return Scenario{}, false
+}
+
+// paperOn is a family member under its own name: the same workload, run
+// by default on the systems one comparison is about.
+func paperOn(name, description string, systems ...string) Scenario {
+	sc, ok := paperScenario(name)
+	if !ok {
+		panic("harness: no paper scenario " + name)
+	}
+	sc.Description, sc.Systems = description, systems
+	return sc
+}
+
+// transientSystems is the Systems of a row that names none; crashSystems
+// runs the durability verification on both persistent designs plus one
+// transient system for the recoverable:false path.
+var (
+	transientSystems = []string{
+		"medley-hash", "medley-skip", "medley-bst", "medley-rotating",
+		"onefile-hash", "tdsl", "lftt",
+	}
+	crashSystems = []string{"txmontage-hash", "ponefile-hash", "medley-hash"}
+)
+
+// builtin is the table of hand-written scenario rows; the paper family
+// above resolves beside it. Keys are the -scenario names of
 // cmd/medley-bench; EXPERIMENTS.md documents how they map to the paper's
-// figures and beyond.
+// figures and beyond. The service and replica chaos rows, which the
+// closed-loop engine cannot run, live beside their fault plans in
+// cmd/medley-bench/chaos.go.
 var builtin = map[string]Scenario{
-	"uniform-mixed": {
-		Description: "paper microbenchmark: uniform keys, 2:1:1 get:insert:remove, 1-10 ops/txn",
-		Dist:        Dist{Kind: DistUniform},
-		Phases:      onePhase(paperMix(Ratio{Get: 2, Insert: 1, Remove: 1})),
-	},
-	"uniform-readmostly": {
-		Description: "paper microbenchmark: uniform keys, 18:1:1",
-		Dist:        Dist{Kind: DistUniform},
-		Phases:      onePhase(paperMix(Ratio{Get: 18, Insert: 1, Remove: 1})),
-	},
-	"uniform-writeheavy": {
-		Description: "paper microbenchmark: uniform keys, 0:1:1",
-		Dist:        Dist{Kind: DistUniform},
-		Phases:      onePhase(paperMix(Ratio{Get: 0, Insert: 1, Remove: 1})),
-	},
-	"zipfian-mixed": {
-		Description: "skewed contention: Zipf(1.2) scrambled keys, 2:1:1",
-		Dist:        Dist{Kind: DistZipfian, Theta: 1.2},
-		Phases:      onePhase(paperMix(Ratio{Get: 2, Insert: 1, Remove: 1})),
-	},
-	"zipfian-readmostly": {
-		Description: "skewed read-mostly: Zipf(1.2) scrambled keys, 18:1:1",
-		Dist:        Dist{Kind: DistZipfian, Theta: 1.2},
-		Phases:      onePhase(paperMix(Ratio{Get: 18, Insert: 1, Remove: 1})),
-	},
-	"latest-mixed": {
-		Description: "recency skew: Zipf head at the newest keys, 2:1:1",
-		Dist:        Dist{Kind: DistLatest, Theta: 1.2},
-		Phases:      onePhase(paperMix(Ratio{Get: 2, Insert: 1, Remove: 1})),
-	},
-	"hotspot-readmostly": {
-		Description: "90% of ops on 10% of keys, 18:1:1",
-		Dist:        Dist{Kind: DistHotspot, HotFrac: 0.1, HotOpFrac: 0.9},
-		Phases:      onePhase(paperMix(Ratio{Get: 18, Insert: 1, Remove: 1})),
-	},
 	"transfer": {
 		Description: "bank transfers: 2-key read-modify-write compositions, uniform keys",
 		Dist:        Dist{Kind: DistUniform},
@@ -325,22 +357,23 @@ var builtin = map[string]Scenario{
 		Description: "durability: load, 2:1:1 steady state, crash + verified recovery, post-crash steady state; uniform keys",
 		Dist:        Dist{Kind: DistUniform},
 		Phases:      crashPhases(Ratio{Get: 2, Insert: 1, Remove: 1}),
+		Systems:     crashSystems,
 	},
 	"crash-recover-zipfian": {
 		Description: "durability under skew: crash + verified recovery with Zipf(1.2) keys, 2:1:1",
 		Dist:        Dist{Kind: DistZipfian, Theta: 1.2},
 		Phases:      crashPhases(Ratio{Get: 2, Insert: 1, Remove: 1}),
+		Systems:     crashSystems,
 	},
 	"crash-recover-writeheavy": {
 		Description: "durability under churn: crash + verified recovery at 0:1:1 (stresses payload retirement and block reuse)",
 		Dist:        Dist{Kind: DistUniform},
 		Phases:      crashPhases(Ratio{Get: 0, Insert: 1, Remove: 1}),
+		Systems:     crashSystems,
 	},
-	"alloc-pressure": {
-		Description: "GC pressure: the mixed-zipfian microbenchmark instrumented for allocs/op — compares recycling arenas (Medley-hash) against the unpooled baseline (Medley-hash-nopool) in one report",
-		Dist:        Dist{Kind: DistZipfian, Theta: 1.2},
-		Phases:      onePhase(paperMix(Ratio{Get: 2, Insert: 1, Remove: 1})),
-	},
+	"alloc-pressure": paperOn("zipfian-mixed",
+		"GC pressure: zipfian-mixed instrumented for allocs/op — compares recycling arenas (Medley-hash) against the unpooled baseline (Medley-hash-nopool) in one report",
+		"medley-hash", "medley-hash-nopool"),
 	"read-mostly": {
 		Description: "commit fast-path showcase: 95/5 point mix (2.5% inserts, 2.5% removes), short 1-4 op transactions, uniform and Zipf(1.2) phases measured separately",
 		Dist:        Dist{Kind: DistUniform},
@@ -349,6 +382,7 @@ var builtin = map[string]Scenario{
 			{Name: "zipfian", Weight: 0.5, Mix: readMostlyMix(), Measure: true,
 				Dist: &Dist{Kind: DistZipfian, Theta: 1.2}},
 		},
+		Systems: []string{"medley-hash", "medley-hash-nofast"},
 	},
 	"scan-heavy": {
 		Description: "read-only range scans interleaved 1:2 with 95/5 point transactions: scans commit through the read-only fast path, point writes through the single-write fold",
@@ -357,6 +391,7 @@ var builtin = map[string]Scenario{
 			Ratio: Ratio{Get: 38, Insert: 1, Remove: 1}, TxMin: 1, TxMax: 4,
 			Mixed: 2, Scan: 1, ScanLen: 128,
 		}),
+		Systems: []string{"medley-hash", "medley-hash-nofast"},
 	},
 	"range-scan": {
 		Description: "scan-heavy mix: 2:1:1 point ops with 64-entry range scans interleaved 3:1",
@@ -366,29 +401,25 @@ var builtin = map[string]Scenario{
 			Mixed: 3, Scan: 1, ScanLen: 64,
 		}),
 	},
-	"sharded-uniform": {
-		Description: "partitioned scaling: paper 2:1:1 mix for sharded stores vs single instances (name@N)",
-		Dist:        Dist{Kind: DistUniform},
-		Phases:      onePhase(paperMix(Ratio{Get: 2, Insert: 1, Remove: 1})),
-	},
-	"sharded-zipfian": {
-		Description: "partitioned scaling under write-heavy skew: Zipf(1.2) keys, 0:1:1",
-		Dist:        Dist{Kind: DistZipfian, Theta: 1.2},
-		Phases:      onePhase(paperMix(Ratio{Get: 0, Insert: 1, Remove: 1})),
-	},
-	"sharded-transfer": {
-		Description: "cross-shard atomicity under load: 2-key transfers that straddle shard boundaries",
-		Dist:        Dist{Kind: DistUniform},
-		Phases:      onePhase(Mix{Transfer: 1}),
+	"sharded-zipfian": paperOn("zipfian-writeheavy",
+		"partitioned scaling under write-heavy skew: zipfian-writeheavy on sharded stores vs single instances (name@N)",
+		"medley-hash", "medley-hash@8", "medley-skip@8", "onefile-hash"),
+	"tpcc-paper": {
+		Description: "Figure 9: TPC-C newOrder and payment 1:1 (the paper's DBx1000-style mix) on the four TPC-C backends, clause 3.3.2 consistency conditions verified after the measured phase",
+		TPCC:        tpcc.PaperMix(),
+		Phases:      onePhase(Mix{}),
+		Systems:     []string{"medley-skip", "txmontage-skip", "onefile-skip", "tdsl"},
 	},
 	"tpcc-full": {
-		Description: "full TPC-C: the standard 45/43/4/4/4 five-transaction mix over hash-partitioned warehouses, with the clause 3.3.2 consistency conditions verified after the measured phases and after a crash phase",
-		TPCC:        true,
+		Description: "full TPC-C: the standard 45/43/4/4/4 five-transaction mix over hash-partitioned warehouses, with the clause 3.3.2 consistency conditions verified after each measured phase and at a crash barrier (no TPC-C backend recovers: the barrier reports recoverable=false and the run continues on the live tables)",
+		TPCC:        tpcc.FullMix(),
 		Phases: []Phase{
 			{Name: "mixed", Weight: 0.7, Measure: true},
 			{Name: "crash", Kind: PhaseCrash},
 			{Name: "post-mixed", Weight: 0.3, Measure: true},
 		},
+		// The sharded variant exercises cross-shard deliveries and payments.
+		Systems: []string{"medley-hash", "medley-hash@4"},
 	},
 	"chaos-crash-in-recovery": {
 		Description: "chaos: a second crash lands immediately after recovery completes, before any post-crash work — recovery must be idempotent and the twice-recovered state still match the committed model",
@@ -403,12 +434,14 @@ var builtin = map[string]Scenario{
 			{Name: "post-mixed", Weight: 0.4,
 				Mix: paperMix(Ratio{Get: 2, Insert: 1, Remove: 1}), Measure: true},
 		},
+		Systems: crashSystems,
 	},
 	"chaos-hot-key": {
 		Description: "chaos: pathological contention — 90% of ops hit a single key (hotspot with a one-key hot set), 2:1:1, final state verified against the committed model",
 		Dist:        Dist{Kind: DistHotspot, HotFrac: 1e-9, HotOpFrac: 0.9},
 		VerifyFinal: true,
 		Phases:      onePhase(paperMix(Ratio{Get: 2, Insert: 1, Remove: 1})),
+		Systems:     []string{"medley-hash", "medley-skip"},
 	},
 	"chaos-oversubscribe": {
 		Description:      "chaos: 8 worker goroutines per configured thread (workers ≫ GOMAXPROCS) — helping must carry preempted commits; final state verified against the committed model",
@@ -416,12 +449,14 @@ var builtin = map[string]Scenario{
 		WorkersPerThread: 8,
 		VerifyFinal:      true,
 		Phases:           onePhase(paperMix(Ratio{Get: 2, Insert: 1, Remove: 1})),
+		Systems:          []string{"medley-hash"},
 	},
 	"chaos-shard-skew": {
 		Description: "chaos: write-heavy Zipf(1.4) skew that concentrates traffic on a few shards of a partitioned store; final state verified against the committed model",
 		Dist:        Dist{Kind: DistZipfian, Theta: 1.4},
 		VerifyFinal: true,
 		Phases:      onePhase(paperMix(Ratio{Get: 0, Insert: 1, Remove: 1})),
+		Systems:     []string{"medley-hash", "medley-hash@8"},
 	},
 	"chaos-scan-race": {
 		Description: "chaos: long range scans (4096 entries) racing write-heavy bursts 1:2; scan validation vs. churn, final state verified against the committed model",
@@ -431,6 +466,7 @@ var builtin = map[string]Scenario{
 			Ratio: Ratio{Get: 0, Insert: 1, Remove: 1}, TxMin: 1, TxMax: 10,
 			Mixed: 2, Scan: 1, ScanLen: 4096,
 		}),
+		Systems: []string{"medley-hash", "medley-skip"},
 	},
 	"groupcommit": {
 		Description: "group-commit showcase: workers submit pipelined runs of 8 independent 2:1:1 transactions (see GroupSize), measured under Zipf(1.2) skew and under a 90/10 hotspot after an unmeasured warm phase (recycling arenas at steady state) — compares merged group commits (Medley-hash) against the -nogroup ablation (Medley-hash-nogroup)",
@@ -442,6 +478,7 @@ var builtin = map[string]Scenario{
 			{Name: "hot-key", Weight: 0.33, Mix: paperMix(Ratio{Get: 2, Insert: 1, Remove: 1}), Measure: true,
 				Dist: &Dist{Kind: DistHotspot, HotFrac: 0.1, HotOpFrac: 0.9}},
 		},
+		Systems: []string{"medley-hash", "medley-hash-nogroup", "onefile-hash", "tdsl"},
 	},
 	"chaos-group-commit": {
 		Description: "chaos: group commit racing helper aborts — pipelined runs of 8 transactions over a 90/10 hotspot force merged commits to conflict and fall back mid-run; final state verified against the committed model",
@@ -449,6 +486,7 @@ var builtin = map[string]Scenario{
 		GroupSize:   8,
 		VerifyFinal: true,
 		Phases:      onePhase(paperMix(Ratio{Get: 2, Insert: 1, Remove: 1})),
+		Systems:     []string{"medley-hash", "medley-hash-nogroup"},
 	},
 	"service-mixed": {
 		Description: "network service traffic: 90/10 point mixes in short transactions with transfers interleaved 4:1, Zipf(1.2) keys — the open-loop SLO workload for medleyd and the in-process driver",
@@ -457,46 +495,9 @@ var builtin = map[string]Scenario{
 			Ratio: Ratio{Get: 18, Insert: 1, Remove: 1}, TxMin: 1, TxMax: 8,
 			Mixed: 4, Transfer: 1,
 		}),
-	},
-	"chaos-service-restart": {
-		Description:  "service chaos: medleyd over a durable backend is killed and restarted 3 times mid-traffic on a clean network; client journals of definitively acked put/delete batches must match the recovered state exactly (zero wire-level durability violations)",
-		Dist:         Dist{Kind: DistUniform},
-		ServiceChaos: true,
-		Phases: onePhase(Mix{
-			Ratio: Ratio{Get: 2, Insert: 1, Remove: 1}, TxMin: 1, TxMax: 8, Mixed: 1,
-		}),
-	},
-	"chaos-net-flaky": {
-		Description:  "service chaos: 3 restarts under a flaky network — per-chunk latency and jitter, every 7th connection reset after its request is delivered — exercising retry backoff, the circuit breaker and the dedup window together; wire-level verification on the recovered state",
-		Dist:         Dist{Kind: DistUniform},
-		ServiceChaos: true,
-		Phases: onePhase(Mix{
-			Ratio: Ratio{Get: 2, Insert: 1, Remove: 1}, TxMin: 1, TxMax: 8, Mixed: 1,
-		}),
-	},
-	"chaos-slow-client": {
-		Description:  "service chaos: a slow, lossy edge — heavy per-chunk latency and slow half-open closes — with tight request deadlines, so expired dispositions and deadline culls dominate; one restart, wire-level verification on the recovered state",
-		Dist:         Dist{Kind: DistUniform},
-		ServiceChaos: true,
-		Phases: onePhase(Mix{
-			Ratio: Ratio{Get: 4, Insert: 1, Remove: 1}, TxMin: 1, TxMax: 6, Mixed: 1,
-		}),
-	},
-	"chaos-replica-failover": {
-		Description:  "replica chaos: 3 leader kill + follower promotion cycles mid-traffic, each dead address rebound by a fresh snapshot-bootstrapped follower; acked writes lost at promotion are enumerated from the dead feed and tainted, everything else must match the final replica exactly (zero divergence), availability budgeted at 0.99",
-		Dist:         Dist{Kind: DistUniform},
-		ReplicaChaos: true,
-		Phases: onePhase(Mix{
-			Ratio: Ratio{Get: 8, Insert: 2, Remove: 1}, TxMin: 1, TxMax: 4, Mixed: 1,
-		}),
-	},
-	"chaos-replica-lag": {
-		Description:  "replica chaos: the replication path is partitioned twice mid-run; replay lag must build past the staleness bound, lagging follower reads must be rejected (409, driver falls back to the leader), and post-heal catch-up must converge with zero lost writes and zero divergence",
-		Dist:         Dist{Kind: DistUniform},
-		ReplicaChaos: true,
-		Phases: onePhase(Mix{
-			Ratio: Ratio{Get: 12, Insert: 2, Remove: 1}, TxMin: 1, TxMax: 4, Mixed: 1,
-		}),
+		// The service path runs on the sharded flagship configuration; the
+		// open-loop sweep compares drivers, not store variants.
+		Systems: []string{"medley-hash@8"},
 	},
 	"load-mixed-drain": {
 		Description: "working-set lifecycle: insert-only load, 2:1:1 steady state, remove-heavy drain",
@@ -512,22 +513,78 @@ var builtin = map[string]Scenario{
 	},
 }
 
-// LookupScenario returns the named built-in scenario.
+// LookupScenario returns the named scenario: a hand-written row or a
+// member of the paper family.
 func LookupScenario(name string) (Scenario, error) {
 	sc, ok := builtin[name]
+	if !ok {
+		sc, ok = paperScenario(name)
+	}
 	if !ok {
 		return Scenario{}, fmt.Errorf("unknown scenario %q (known: %v)", name, ScenarioNames())
 	}
 	sc.Name = name
+	if sc.Systems == nil {
+		sc.Systems = transientSystems
+	}
 	return sc, nil
 }
 
-// ScenarioNames lists the built-in scenarios in stable order.
+// ScenarioNames lists every name LookupScenario resolves, in stable order.
 func ScenarioNames() []string {
-	names := make([]string, 0, len(builtin))
-	for n := range builtin {
-		names = append(names, n)
+	names := slices.Collect(maps.Keys(builtin))
+	for _, pd := range paperDists {
+		for _, pr := range paperRatios {
+			names = append(names, pd.name+"-"+pr.name)
+		}
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	return names
+}
+
+// ScenarioUsage is what the CLI's list prints, name to description: the
+// hand-written rows and, the way SystemUsage prints spec grammar, one
+// entry for the whole paper family.
+func ScenarioUsage() map[string]string {
+	usage := map[string]string{
+		paperGrammar: "paper microbenchmark: 1-10 ops/txn at 2:1:1 | 18:1:1 | 0:1:1 get:insert:remove over uniform, Zipf(1.2), newest-first or 90/10 hotspot keys",
+	}
+	for n, sc := range builtin {
+		usage[n] = sc.Description
+	}
+	return usage
+}
+
+// ----------------------------------------------------------------- figures
+
+// Figure is one plot of the paper's evaluation: scenario rows run on one
+// list of system specs. cmd/medley-bench -fig and the root package's
+// BenchmarkFigure both range over Figures.
+type Figure struct {
+	Name, Title string
+	Scenarios   []string
+	Systems     []string
+	// LargestOnly runs only the largest requested thread count: the paper
+	// reports the latency figures at 40 threads, not as a sweep.
+	LargestOnly bool
+}
+
+// uniformRatios is the x-axis Figures 7, 8 and 10 share: the paper's
+// three ratios over uniform keys.
+var uniformRatios = []string{"uniform-writeheavy", "uniform-mixed", "uniform-readmostly"}
+
+// Figures is Section 6, one row per plot.
+var Figures = []Figure{
+	{Name: "7", Title: "Figure 7 (hash table)", Scenarios: uniformRatios,
+		Systems: []string{"medley-hash", "txmontage-hash", "onefile-hash", "ponefile-hash"}},
+	{Name: "8", Title: "Figure 8 (skiplist)", Scenarios: uniformRatios,
+		Systems: []string{"medley-skip", "txmontage-skip", "onefile-skip", "ponefile-skip", "tdsl", "lftt"}},
+	{Name: "9", Title: "Figure 9 (TPC-C: newOrder+payment 1:1)", Scenarios: []string{"tpcc-paper"},
+		Systems: builtin["tpcc-paper"].Systems},
+	{Name: "10a", Title: "Figure 10a (skiplist latency, DRAM)", Scenarios: uniformRatios, LargestOnly: true,
+		Systems: []string{"plain-skip", "txoff-skip", "medley-skip"}},
+	{Name: "10b", Title: "Figure 10b (latency, payloads on NVM, persistence off)", Scenarios: uniformRatios, LargestOnly: true,
+		Systems: []string{"txmontage-skip-persistoff"}},
+	{Name: "10c", Title: "Figure 10c (latency, txMontage fully persistent)", Scenarios: uniformRatios, LargestOnly: true,
+		Systems: []string{"txmontage-skip"}},
 }

@@ -1,6 +1,9 @@
 package harness
 
 import (
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -121,5 +124,70 @@ func TestScenarioPhaseWeightsAndMeasure(t *testing.T) {
 	}
 	if measured != 1 {
 		t.Fatalf("want exactly the steady-state phase measured, got %d", measured)
+	}
+}
+
+// TestPaperFamilyMatchesHandWrittenRows pins the product of the dist and
+// ratio tables to the rows it replaced: each name resolves to the Dist and
+// Phases that were written out by hand (here, not derived from the
+// tables), and the two rows that only renamed another row's workload are
+// gone.
+func TestPaperFamilyMatchesHandWrittenRows(t *testing.T) {
+	uniform := Dist{Kind: DistUniform}
+	zipf := Dist{Kind: DistZipfian, Theta: 1.2}
+	phases := func(get int) []Phase {
+		return []Phase{{Name: "mixed", Weight: 1, Measure: true,
+			Mix: Mix{Ratio: Ratio{Get: get, Insert: 1, Remove: 1}, TxMin: 1, TxMax: 10, Mixed: 1}}}
+	}
+	for _, c := range []struct {
+		name   string
+		dist   Dist
+		phases []Phase
+	}{
+		{"uniform-mixed", uniform, phases(2)},
+		{"uniform-readmostly", uniform, phases(18)},
+		{"uniform-writeheavy", uniform, phases(0)},
+		{"zipfian-mixed", zipf, phases(2)},
+		{"zipfian-readmostly", zipf, phases(18)},
+		{"latest-mixed", Dist{Kind: DistLatest, Theta: 1.2}, phases(2)},
+		{"hotspot-readmostly", Dist{Kind: DistHotspot, HotFrac: 0.1, HotOpFrac: 0.9}, phases(18)},
+		{"sharded-zipfian", zipf, phases(0)},
+		{"alloc-pressure", zipf, phases(2)},
+	} {
+		sc, err := LookupScenario(c.name)
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		if sc.Name != c.name || sc.Description == "" {
+			t.Errorf("%s: resolved as %q, description %q", c.name, sc.Name, sc.Description)
+		}
+		if sc.Dist != c.dist || !reflect.DeepEqual(sc.Phases, c.phases) {
+			t.Errorf("%s: dist %+v phases %+v, want %+v %+v", c.name, sc.Dist, sc.Phases, c.dist, c.phases)
+		}
+	}
+	for _, gone := range []string{"sharded-uniform", "sharded-transfer"} {
+		_, err := LookupScenario(gone)
+		if err == nil || !strings.Contains(err.Error(), "known:") || !strings.Contains(err.Error(), "uniform-mixed") {
+			t.Errorf("%s: err = %v, want the known-names error", gone, err)
+		}
+	}
+	// Every listed name resolves, and the list line for the family spells
+	// the grammar the tables implement.
+	for _, n := range ScenarioNames() {
+		if _, err := LookupScenario(n); err != nil {
+			t.Errorf("listed name does not resolve: %v", err)
+		}
+	}
+	var ds, rs []string
+	for _, d := range paperDists {
+		ds = append(ds, d.name)
+	}
+	for _, r := range paperRatios {
+		rs = append(rs, r.name)
+	}
+	slices.Sort(rs)
+	if got := "{" + strings.Join(ds, "|") + "}-{" + strings.Join(rs, "|") + "}"; got != paperGrammar {
+		t.Errorf("paperGrammar = %q, tables say %q", paperGrammar, got)
 	}
 }

@@ -224,55 +224,3 @@ func SystemUsage() []string {
 	}
 	return lines
 }
-
-// DefaultSystems is the -systems 'auto' set for a scenario: persistent
-// systems for crash scenarios, the single-vs-sharded comparison for
-// sharded scenarios, and the full transient set (every registry
-// structure plus the competitors) otherwise.
-func DefaultSystems(sc Scenario) []string {
-	switch {
-	case sc.TPCC:
-		// TPC-C scenarios run only on the Medley registry backends; the
-		// sharded variant exercises cross-shard deliveries and payments.
-		return []string{"medley-hash", "medley-hash@4"}
-	case sc.ServiceChaos:
-		// Crash-restart over the wire needs a durable, snapshot-capable
-		// backend; POneFile persists eagerly at every commit, so an acked
-		// batch is durable by construction — the strongest gate.
-		return []string{"ponefile-hash"}
-	case sc.ReplicaChaos:
-		// Replication chaos needs a snapshot-capable backend (follower
-		// bootstrap and the divergence diff); durability is the replica's
-		// job here, not the store's, so the transient flagship serves.
-		return []string{"medley-hash@2"}
-	case sc.HasCrash():
-		return []string{"txmontage-hash", "ponefile-hash", "medley-hash"}
-	case sc.Name == "chaos-hot-key":
-		return []string{"medley-hash", "medley-skip"}
-	case sc.Name == "chaos-oversubscribe":
-		return []string{"medley-hash"}
-	case sc.Name == "chaos-shard-skew":
-		return []string{"medley-hash", "medley-hash@8"}
-	case sc.Name == "chaos-scan-race":
-		return []string{"medley-hash", "medley-skip"}
-	case sc.Name == "alloc-pressure":
-		return []string{"medley-hash", "medley-hash-nopool"}
-	case sc.Name == "service-mixed":
-		// The service path runs on the sharded flagship configuration; the
-		// open-loop sweep compares drivers, not store variants.
-		return []string{"medley-hash@8"}
-	case sc.Name == "read-mostly" || sc.Name == "scan-heavy":
-		return []string{"medley-hash", "medley-hash-nofast"}
-	case sc.Name == "groupcommit":
-		return []string{"medley-hash", "medley-hash-nogroup", "onefile-hash", "tdsl"}
-	case sc.Name == "chaos-group-commit":
-		return []string{"medley-hash", "medley-hash-nogroup"}
-	case strings.HasPrefix(sc.Name, "sharded-"):
-		return []string{"medley-hash", "medley-hash@8", "medley-skip@8", "onefile-hash"}
-	default:
-		return []string{
-			"medley-hash", "medley-skip", "medley-bst", "medley-rotating",
-			"onefile-hash", "tdsl", "lftt",
-		}
-	}
-}

@@ -182,15 +182,15 @@ func TestRangeScanEverySystem(t *testing.T) {
 	}
 }
 
-// TestShardedSystemsRunShardedScenarios drives the sharded default set —
-// including the 8-shard stores — through each sharded scenario.
+// TestShardedSystemsRunShardedScenarios drives the single-vs-sharded
+// comparison set — sharded-zipfian's own, including the 8-shard stores —
+// through the paper mix, the skewed write-heavy mix and cross-shard
+// transfers.
 func TestShardedSystemsRunShardedScenarios(t *testing.T) {
-	for _, scName := range []string{"sharded-uniform", "sharded-zipfian", "sharded-transfer"} {
-		sc, err := LookupScenario(scName)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, name := range DefaultSystems(sc) {
+	set := mustScenario(t, "sharded-zipfian").Systems
+	for _, scName := range []string{"uniform-mixed", "sharded-zipfian", "transfer"} {
+		sc := mustScenario(t, scName)
+		for _, name := range set {
 			sys, err := NewSystem(name, SystemOpts{Buckets: 1 << 10, KeyRange: 1 << 10})
 			if err != nil {
 				t.Fatal(err)

@@ -65,13 +65,16 @@ type MontageOpts struct {
 	AdvanceEvery     time.Duration // epoch length (paper: ~10-100ms)
 }
 
+// defaultAdvanceEvery is the txMontage epoch length when none is given.
+const defaultAdvanceEvery = 20 * time.Millisecond
+
 // NewMontage creates a txMontage benchmark system.
 func NewMontage(o MontageOpts) *MontageSystem {
 	if o.RegionWords == 0 {
 		o.RegionWords = 1 << 26
 	}
 	if o.AdvanceEvery == 0 {
-		o.AdvanceEvery = 20 * time.Millisecond
+		o.AdvanceEvery = defaultAdvanceEvery
 	}
 	// The worker-side kv.NewSharded and the recovery-side kv.ShardOf
 	// both assume power-of-two counts; stores are sized here, before

@@ -2,76 +2,109 @@ package harness
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 
+	"medley/internal/core"
+	"medley/internal/montage"
+	"medley/internal/onefile"
 	"medley/internal/tpcc"
 )
 
-// This file adapts the TPC-C backend to the workload engine. A TPCCSystem
+// This file adapts the TPC-C backends to the workload engine. A TPCCSystem
 // ignores the engine's generated key mixes: each Worker.Do call runs one
-// transaction of the standard 45/43/4/4/4 TPC-C mix through a per-worker
-// tpcc.Driver, so the engine's phase script, latency reservoirs, telemetry
-// snapshots and consistency barriers all apply unchanged to a real
-// composed-transaction workload. Tables are hash-partitioned over @N
-// shards of the kv registry under one TxManager, so cross-shard TPC-C
-// transactions (remote stock updates, whole-warehouse deliveries) stay
-// strictly serializable.
+// transaction of the scenario's TPC-C mix (the paper's newOrder+payment
+// 1:1 for tpcc-paper, the standard 45/43/4/4/4 for tpcc-full) through a
+// per-worker tpcc.Driver, so the engine's phase script, latency
+// reservoirs, telemetry snapshots and consistency barriers all apply
+// unchanged to a real composed-transaction workload.
 
-// tpccStructures maps -systems specs onto registry structures for the
-// TPC-C backend. The rotating skiplist is excluded: its background index
-// maintenance needs the KVSystem start path, which the TPC-C backend does
-// not run.
-var tpccStructures = map[string]string{
-	"medley-hash": "hash",
-	"medley-skip": "skip",
-	"medley-bst":  "bst",
+// tpccEntry is one base the TPC-C scenarios accept. A Medley base names
+// the registry structure its tables are built from and honors @N: tables
+// are hash-partitioned over N shards of the kv registry under one
+// TxManager, so cross-shard TPC-C transactions (remote stock updates,
+// whole-warehouse deliveries) stay strictly serializable. The others are
+// Figure 9's competitors over skiplists, single-instance.
+type tpccEntry struct {
+	name      string // as the registry system of the same spec reports it
+	structure string
+	mk        func(SystemOpts) tpcc.Backend
 }
 
-// resolveTPCCSpec checks a system spec for the TPC-C backend without
-// building tables: a tpccStructures base, optionally "@N", no ablation
-// suffix (the TPC-C backend builds its own manager).
-func resolveTPCCSpec(spec string) (structure string, shards int, err error) {
+// tpccBackends is the TPC-C spec table. The rotating skiplist is excluded:
+// its background index maintenance needs the KVSystem start path, which
+// the TPC-C backend does not run.
+var tpccBackends = map[string]tpccEntry{
+	"medley-hash": {name: "Medley-hash", structure: "hash"},
+	"medley-skip": {name: "Medley-skip", structure: "skip"},
+	"medley-bst":  {name: "Medley-bst", structure: "bst"},
+	"txmontage-skip": {name: "txMontage-skip", mk: func(o SystemOpts) tpcc.Backend {
+		return tpcc.NewMontageBackend(montage.NewSystem(montage.Config{
+			RegionWords:      o.montageRegionWords(),
+			WriteBackLatency: o.WriteBackLatency, FenceLatency: o.FenceLatency,
+			StoreLatency: o.StoreLatency,
+		}))
+	}},
+	"onefile-skip": {name: "OneFile-skip", mk: func(SystemOpts) tpcc.Backend {
+		return tpcc.NewOneFileBackend(onefile.New(), "OneFile-skip")
+	}},
+	"tdsl": {name: "TDSL-skip", mk: func(SystemOpts) tpcc.Backend { return tpcc.NewTDSLBackend() }},
+}
+
+// resolveTPCCSpec checks a system spec for the TPC-C scenarios without
+// building tables: a tpccBackends base, "@N" on the Medley ones only, no
+// ablation suffix (a TPC-C backend builds its own manager).
+func resolveTPCCSpec(spec string) (tpccEntry, int, error) {
 	s, _, err := parseSpec(spec)
 	if err != nil {
-		return "", 0, err
+		return tpccEntry{}, 0, err
 	}
-	structure, ok := tpccStructures[s.base]
-	if !ok || len(s.off) > 0 {
-		known := make([]string, 0, len(tpccStructures))
-		for n := range tpccStructures {
-			known = append(known, n)
-		}
-		sort.Strings(known)
-		return "", 0, fmt.Errorf("TPC-C scenarios support systems %s (optionally @N), not %q",
-			strings.Join(known, ", "), spec)
+	e, ok := tpccBackends[s.base]
+	if !ok || len(s.off) > 0 || (s.shards > 1 && e.structure == "") {
+		return tpccEntry{}, 0, fmt.Errorf("TPC-C scenarios support systems %s (medley-* optionally @N), not %q",
+			strings.Join(slices.Sorted(maps.Keys(tpccBackends)), ", "), spec)
 	}
-	return structure, s.shards, nil
+	return e, s.shards, nil
 }
 
-// NewTPCCSystem resolves a -systems spec into a TPC-C benchmark system at
-// the given scale.
-func NewTPCCSystem(spec string, sc tpcc.Scale) (System, error) {
-	structure, shards, err := resolveTPCCSpec(spec)
+// NewTPCCSystem resolves a -systems spec into a TPC-C benchmark system
+// running mix at the given scale. o times and sizes the simulated NVM of
+// the txMontage backend, like the registry system of the same spec.
+func NewTPCCSystem(spec string, sc tpcc.Scale, mix tpcc.MixWeights, o SystemOpts) (System, error) {
+	e, shards, err := resolveTPCCSpec(spec)
 	if err != nil {
 		return nil, err
 	}
-	kvb, err := tpcc.NewKVBackend(shardedName("Medley-"+structure, shards), structure, shards)
-	if err != nil {
-		return nil, err
+	s := &TPCCSystem{name: shardedName(e.name, shards), sc: sc, mix: mix, shards: shards,
+		advEvery: o.AdvanceEvery}
+	if s.advEvery == 0 {
+		s.advEvery = defaultAdvanceEvery
 	}
-	return &TPCCSystem{backend: kvb, kvb: kvb, sc: sc, mix: tpcc.FullMix(), shards: shards}, nil
+	if e.structure != "" {
+		if s.backend, err = tpcc.NewKVBackend(s.name, e.structure, shards); err != nil {
+			return nil, err
+		}
+	} else {
+		s.backend = e.mk(o)
+	}
+	if m, ok := s.backend.(interface{ Manager() *core.TxManager }); ok {
+		s.mgr = m.Manager()
+	}
+	return s, nil
 }
 
 // TPCCSystem runs the TPC-C workload on a tpcc.Backend under the engine.
 type TPCCSystem struct {
-	backend tpcc.Backend
-	kvb     *tpcc.KVBackend // non-nil for Medley backends (stats source)
-	sc      tpcc.Scale
-	mix     tpcc.MixWeights
-	shards  int
+	name     string
+	backend  tpcc.Backend
+	mgr      *core.TxManager // nil on backends with their own STM (no stats source)
+	sc       tpcc.Scale
+	mix      tpcc.MixWeights
+	shards   int
+	advEvery time.Duration
 
 	mu      sync.Mutex
 	seq     int64
@@ -79,16 +112,10 @@ type TPCCSystem struct {
 }
 
 // Name implements System.
-func (s *TPCCSystem) Name() string { return s.backend.Name() }
+func (s *TPCCSystem) Name() string { return s.name }
 
 // ShardCount implements ShardCounter.
 func (s *TPCCSystem) ShardCount() int { return s.shards }
-
-// Scale exposes the configured TPC-C cardinalities.
-func (s *TPCCSystem) Scale() tpcc.Scale { return s.sc }
-
-// Backend exposes the underlying TPC-C backend, for tests.
-func (s *TPCCSystem) Backend() tpcc.Backend { return s.backend }
 
 // Preload implements System: the engine's generated keys are ignored — the
 // TPC-C initial population (clause 4.3) is the preload.
@@ -98,8 +125,13 @@ func (s *TPCCSystem) Preload([]uint64) {
 	}
 }
 
-// Start implements System.
-func (s *TPCCSystem) Start() (stop func()) { return func() {} }
+// Start implements System: txMontage needs its epoch advancer running.
+func (s *TPCCSystem) Start() (stop func()) {
+	if mb, ok := s.backend.(*tpcc.MontageBackend); ok {
+		return mb.StartAdvancer(s.advEvery)
+	}
+	return func() {}
+}
 
 // NewWorker implements System: one tpcc.Driver per worker, deterministic
 // in registration order.
@@ -116,10 +148,10 @@ func (s *TPCCSystem) NewWorker() Worker {
 
 // TxStats implements TxStatser.
 func (s *TPCCSystem) TxStats() (commits, aborts uint64) {
-	if s.kvb == nil {
+	if s.mgr == nil {
 		return 0, 0
 	}
-	st := s.kvb.Manager().Stats()
+	st := s.mgr.Stats()
 	return st.Commits, st.Aborts
 }
 
@@ -127,10 +159,10 @@ func (s *TPCCSystem) TxStats() (commits, aborts uint64) {
 // transactions (orderStatus, stockLevel) commit through the read-only
 // elision, so the fastpath block derived from these is meaningful here.
 func (s *TPCCSystem) MetricsSnapshot() []Metric {
-	if s.kvb == nil {
+	if s.mgr == nil {
 		return nil
 	}
-	return txCounters(s.kvb.Manager().Stats())
+	return txCounters(s.mgr.Stats())
 }
 
 // TxKindStats implements TxKindStatser by summing the per-worker kind
@@ -227,8 +259,8 @@ func (w *tpccWorker) Do([]Op) {
 // scenarios construct through NewTPCCSystem at the given scale, everything
 // else through the ordinary system registry.
 func NewScenarioSystem(sc Scenario, spec string, scale tpcc.Scale, o SystemOpts) (System, error) {
-	if sc.TPCC {
-		return NewTPCCSystem(spec, scale)
+	if sc.IsTPCC() {
+		return NewTPCCSystem(spec, scale, sc.TPCC, o)
 	}
 	return NewSystem(spec, o)
 }
@@ -236,7 +268,7 @@ func NewScenarioSystem(sc Scenario, spec string, scale tpcc.Scale, o SystemOpts)
 // ValidateScenarioSystemSpec checks a spec for the scenario without
 // constructing tables or regions.
 func ValidateScenarioSystemSpec(sc Scenario, spec string) error {
-	if sc.TPCC {
+	if sc.IsTPCC() {
 		_, _, err := resolveTPCCSpec(spec)
 		return err
 	}

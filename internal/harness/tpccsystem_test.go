@@ -29,10 +29,10 @@ func TestTPCCFullScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sc.TPCC || !sc.HasCrash() {
+	if sc.TPCC != tpcc.FullMix() || !sc.HasCrash() {
 		t.Fatalf("tpcc-full misdeclared: %+v", sc)
 	}
-	sys, err := NewTPCCSystem("medley-hash", tinyTPCCScale())
+	sys, err := NewScenarioSystem(sc, "medley-hash", tinyTPCCScale(), SystemOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,10 +104,11 @@ func TestTPCCFullScenario(t *testing.T) {
 	}
 }
 
-// TestTPCCSystemSpecs pins the TPC-C spec grammar: shard suffixes resolve,
-// and names outside the supported set fail validation before construction.
+// TestTPCCSystemSpecs pins the TPC-C spec grammar: shard suffixes resolve
+// on the Medley backends, and names outside the supported set, ablation
+// suffixes and sharded competitors fail validation before construction.
 func TestTPCCSystemSpecs(t *testing.T) {
-	sys, err := NewTPCCSystem("medley-hash@4", tinyTPCCScale())
+	sys, err := NewTPCCSystem("medley-hash@4", tinyTPCCScale(), tpcc.FullMix(), SystemOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,9 +118,10 @@ func TestTPCCSystemSpecs(t *testing.T) {
 	if sc, ok := sys.(ShardCounter); !ok || sc.ShardCount() != 4 {
 		t.Fatalf("shard count not 4")
 	}
-	tsc := Scenario{TPCC: true}
-	for _, bad := range []string{"medley-rotating", "medley-hash@0", "medley-hash@x", "onefile-hash", "tdsl", ""} {
-		if _, err := NewTPCCSystem(bad, tinyTPCCScale()); err == nil {
+	tsc := Scenario{TPCC: tpcc.PaperMix()}
+	for _, bad := range []string{"medley-rotating", "medley-hash@0", "medley-hash@x", "onefile-hash", "lftt", "",
+		"tdsl@2", "txmontage-skip@2", "txmontage-skip-persistoff", "medley-hash-nopool"} {
+		if _, err := NewTPCCSystem(bad, tinyTPCCScale(), tsc.TPCC, SystemOpts{}); err == nil {
 			t.Errorf("spec %q did not error", bad)
 		}
 		if err := ValidateScenarioSystemSpec(tsc, bad); err == nil {
@@ -132,9 +134,10 @@ func TestTPCCSystemSpecs(t *testing.T) {
 	}
 }
 
-// TestEveryScenarioDefaultSystemsSmoke is the registry-driven smoke: every
-// builtin scenario runs briefly on each of its -systems auto defaults
-// (resolved the same way cmd/medley-bench does) and must make progress.
+// TestEveryScenarioDefaultSystemsSmoke is the table-driven smoke: every
+// scenario the engine can run — hand-written row or paper-family member —
+// runs briefly on each of its own Systems (resolved the same way
+// cmd/medley-bench does) and must make progress.
 func TestEveryScenarioDefaultSystemsSmoke(t *testing.T) {
 	opts := SystemOpts{Buckets: 1 << 10, KeyRange: 1 << 10}
 	for _, scName := range ScenarioNames() {
@@ -142,7 +145,7 @@ func TestEveryScenarioDefaultSystemsSmoke(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, spec := range DefaultSystems(sc) {
+		for _, spec := range sc.Systems {
 			if err := ValidateScenarioSystemSpec(sc, spec); err != nil {
 				t.Fatalf("%s: default system %q invalid: %v", scName, spec, err)
 			}
@@ -166,7 +169,7 @@ func TestEveryScenarioDefaultSystemsSmoke(t *testing.T) {
 						scName, sys.Name(), fc.Violations, fc.Missing, fc.Mismatched, fc.Leaked)
 				}
 			}
-			if sc.TPCC {
+			if sc.IsTPCC() {
 				if c := res.Measured.Consistency; c == nil || !c.Checked || c.Violations != 0 {
 					t.Errorf("%s/%s: consistency check missing or failed: %+v", scName, sys.Name(), c)
 				}
