@@ -4,10 +4,15 @@
 // control), GET /metrics exports the stack's counters, GET /healthz
 // reports liveness and role.
 //
-// With -cdc-shards > 0 (the default) the node carries a commit-ordered
-// change feed: GET /v1/watch streams committed writes per shard and
-// GET /v1/snapshot serves bootstrap state, so another medleyd can follow
-// this one. With -follow the process starts as a follower of the leader
+// With -cdc-shards > 0 (the default) over a system whose executors can
+// publish one, the node carries a commit-ordered change feed: GET
+// /v1/watch streams committed writes per shard and GET /v1/snapshot
+// serves bootstrap state, so another medleyd can follow this one. A
+// system that cannot publish a feed (onefile-*, ponefile-*, plain-skip,
+// txoff-skip) is served standalone whatever -cdc-shards says — no
+// /v1/watch, no feed_shards on /healthz — and the start-up log says so;
+// -follow with such a system is refused.
+// With -follow the process starts as a follower of the leader
 // at that URL: it replays the leader's feed through its own pipeline,
 // rejects writes with 503 "not leader", serves bounded-staleness reads
 // (409 once replay lag exceeds -max-lag or the feed has been silent
@@ -110,14 +115,24 @@ func run(ctx context.Context, args []string) error {
 		DedupWindow: *dedup,
 	}
 
-	// -cdc-shards = 0: the standalone pipeline, exactly as before the
-	// replication layer existed. Otherwise a Node: a leader with a
-	// followable feed, or (with -follow) a follower of one.
+	// -cdc-shards = 0, or a system that cannot publish a feed: the
+	// standalone pipeline, exactly as before the replication layer
+	// existed. Otherwise a Node: a leader with a followable feed, or (with
+	// -follow) a follower of one.
 	var (
 		handler http.Handler
 		svc     *service.Service
 		role    = "standalone"
 	)
+	if !be.SupportsChangeFeed() {
+		if *follow != "" {
+			return fmt.Errorf("-follow: %w: %s", service.ErrNoFeed, be.Name())
+		}
+		if *cdcShards > 0 {
+			log.Printf("medleyd: %s cannot publish a change feed: serving standalone (no /v1/watch, not followable)", be.Name())
+			*cdcShards = 0
+		}
+	}
 	if *cdcShards > 0 {
 		node, err := service.NewNode(service.NodeConfig{
 			Backend:      be,

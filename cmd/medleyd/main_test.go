@@ -33,29 +33,27 @@ func (l *lockedBuffer) String() string {
 	return l.b.String()
 }
 
-// TestRunServesAndDrains boots the daemon on an ephemeral port the way an
-// operator would, finds the bound address in its serving line, reads
-// /healthz, and checks that cancelling the context (what SIGTERM does)
-// drains and returns cleanly.
-func TestRunServesAndDrains(t *testing.T) {
-	var logs lockedBuffer
-	log.SetOutput(&logs)
-	defer log.SetOutput(os.Stderr)
+// boot runs the daemon on an ephemeral port the way an operator would and
+// finds the bound address in its serving line, which must name system and
+// role. It returns the address, the log so far, and the channel run's
+// result arrives on once cancel (what SIGTERM does) is called.
+func boot(t *testing.T, system, role string, args ...string) (addr string, logs *lockedBuffer, cancel func(), done chan error) {
+	t.Helper()
+	logs = &lockedBuffer{}
+	log.SetOutput(logs)
+	t.Cleanup(func() { log.SetOutput(os.Stderr) })
 
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan error, 1)
+	t.Cleanup(cancel)
+	done = make(chan error, 1)
 	go func() {
-		done <- run(ctx, []string{"-listen", "127.0.0.1:0", "-system", "medley-hash@2",
-			"-buckets", "1024", "-keyrange", "1024"})
+		done <- run(ctx, append([]string{"-listen", "127.0.0.1:0", "-buckets", "1024", "-keyrange", "1024"}, args...))
 	}()
 
-	serving := regexp.MustCompile(`serving Medley-hash-2shard on (127\.0\.0\.1:\d+) as leader`)
-	var addr string
-	for deadline := time.Now().Add(10 * time.Second); addr == ""; time.Sleep(5 * time.Millisecond) {
+	serving := regexp.MustCompile(`serving ` + regexp.QuoteMeta(system) + ` on (127\.0\.0\.1:\d+) as ` + role)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
 		if m := serving.FindStringSubmatch(logs.String()); m != nil {
-			addr = m[1]
-			break
+			return m[1], logs, cancel, done
 		}
 		select {
 		case err := <-done:
@@ -66,15 +64,30 @@ func TestRunServesAndDrains(t *testing.T) {
 			t.Fatalf("no serving line:\n%s", logs.String())
 		}
 	}
+}
 
-	resp, err := http.Get("http://" + addr + "/healthz")
+func get(t *testing.T, url string) (int, string) {
+	t.Helper()
+	resp, err := http.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer resp.Body.Close()
 	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"role":"leader"`) {
-		t.Fatalf("/healthz = %d %q, %v", resp.StatusCode, body, err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(body)
+}
+
+// TestRunServesAndDrains boots the daemon, reads /healthz, and checks that
+// cancelling the context drains and returns cleanly.
+func TestRunServesAndDrains(t *testing.T) {
+	addr, _, cancel, done := boot(t, "Medley-hash-2shard", "leader", "-system", "medley-hash@2")
+
+	if code, body := get(t, "http://"+addr+"/healthz"); code != http.StatusOK ||
+		!strings.Contains(body, `"role":"leader"`) || !strings.Contains(body, `"feed_shards":4`) {
+		t.Fatalf("/healthz = %d %q", code, body)
 	}
 
 	cancel()
@@ -91,15 +104,46 @@ func TestRunServesAndDrains(t *testing.T) {
 	}
 }
 
+// TestRunServesFeedlessSystemStandalone pins the dead-feed fix at the
+// daemon: a system whose executors cannot publish a change feed is served
+// standalone under default flags — batches execute, the log says why, and
+// nothing advertises or serves a feed a follower could attach to.
+func TestRunServesFeedlessSystemStandalone(t *testing.T) {
+	addr, logs, _, _ := boot(t, "POneFile-hash", "standalone", "-system", "ponefile-hash")
+	base := "http://" + addr
+
+	if !strings.Contains(logs.String(), "cannot publish a change feed: serving standalone") {
+		t.Errorf("log does not say why the daemon is standalone:\n%s", logs.String())
+	}
+	resp, err := http.Post(base+"/v1/batch", "application/json",
+		strings.NewReader(`{"ops":[{"op":"put","key":1,"val":42},{"op":"get","key":1}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"val":42`) {
+		t.Errorf("/v1/batch = %d %q", resp.StatusCode, body)
+	}
+	if code, body := get(t, base+"/healthz"); code != http.StatusOK || strings.Contains(body, "feed_shards") {
+		t.Errorf("/healthz = %d %q, want 200 without feed_shards", code, body)
+	}
+	if code, _ := get(t, base+"/v1/watch?shard=0"); code != http.StatusNotFound {
+		t.Errorf("/v1/watch = %d, want 404", code)
+	}
+}
+
 // TestRunRefusals pins the start-up refusals as returned errors: a follower
-// without a feed, an unknown system, a store that cannot execute batches,
-// an unusable address.
+// without a feed (switched off, or over a system that cannot publish one),
+// an unknown system, a store that cannot execute batches, an unusable
+// address.
 func TestRunRefusals(t *testing.T) {
 	for _, c := range []struct {
 		args []string
 		want string
 	}{
 		{[]string{"-follow", "http://127.0.0.1:1", "-cdc-shards", "0"}, "-follow requires -cdc-shards > 0"},
+		{[]string{"-follow", "http://127.0.0.1:1", "-system", "ponefile-hash"}, "cannot publish a change feed"},
 		{[]string{"-system", "no-such-system"}, "unknown system"},
 		{[]string{"-system", "lftt"}, "does not support batch execution"},
 		{[]string{"-listen", "256.0.0.1:1", "-buckets", "1024"}, "listen"},

@@ -46,37 +46,17 @@ const groupAttempts = 2
 // Like every Tx method, RunGroup is owner-only: it must be called on the
 // goroutine that registered tx, with no transaction open.
 func (tx *Tx) RunGroup(n int, member func(i int) error) error {
-	return tx.RunGroupFused(n, nil, member)
-}
-
-// RunGroupFused is RunGroup with a caller-supplied merged-attempt body:
-// when fused is non-nil the merged transaction runs it instead of looping
-// over the members, letting a store-side sweep route the whole group
-// through one pass (kv.ApplyGroup flattens a group into a single
-// shard-grouped routing sweep this way). fused must be observationally
-// equivalent to running member(0..n-1) back-to-back in order — the
-// individual fallback still uses member, so any divergence would change
-// outcomes between the merged and fallen-back executions.
-func (tx *Tx) RunGroupFused(n int, fused func() error, member func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
 	if n > 1 && tx.group {
-		var memberErr error
-		body := fused
-		if body == nil {
-			body = func() error {
-				for i := 0; i < n; i++ {
-					if err := member(i); err != nil {
-						memberErr = err
-						return err
-					}
+		merged := func() error {
+			for i := 0; i < n; i++ {
+				if err := member(i); err != nil {
+					return err
 				}
-				return nil
 			}
+			return nil
 		}
 		for attempt := 0; attempt < groupAttempts; attempt++ {
-			err := tx.Run(body)
+			err := tx.Run(merged)
 			if err == nil {
 				shard := tx.desc.shard
 				bump(&shard.GroupCommits)
@@ -89,9 +69,8 @@ func (tx *Tx) RunGroupFused(n int, fused func() error, member func(i int) error)
 				// A member failed of its own accord. The merged
 				// transaction rolled back every member's effects, so the
 				// individual fallback gives each member its own outcome
-				// (including re-surfacing memberErr from its own
+				// (re-surfacing the error from that member's own
 				// transaction).
-				_ = memberErr
 				break
 			}
 			tx.backoff(attempt)

@@ -1,9 +1,13 @@
 package harness
 
 import (
+	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
+
+	"medley/internal/kv"
 )
 
 func tinyEngineConfig(threads int) EngineConfig {
@@ -318,6 +322,63 @@ func TestGroupCommitBlockReported(t *testing.T) {
 	}
 	if cfp := cres.Measured.Fastpath; cfp == nil || cfp.GroupCommits == 0 {
 		t.Fatalf("chaos-group-commit took no merged commits: %+v", cfp)
+	}
+}
+
+// TestExecGroupMatchesNoGroup is the "same answers" check on group
+// commit: the same seeded pipelined runs of eight batches — shared keys
+// across members, Adds and Deletes, an occasional scan-carrying member —
+// through ExecGroup on medley-hash@8 (members merged into one commit) and
+// on medley-hash-nogroup@8 (each member its own commit) must return
+// identical results and leave identical stores.
+func TestExecGroupMatchesNoGroup(t *testing.T) {
+	const runs, members, keySpace = 64, 8, 48
+	type outcome struct {
+		res    [][]kv.Result
+		state  map[uint64]uint64
+		merged uint64
+	}
+	exec := func(spec string) outcome {
+		sys := testSystem(spec).(*KVSystem)
+		gx := sys.NewExecutor().(kv.GroupExecutor)
+		r := rand.New(rand.NewSource(8))
+		var out outcome
+		for i := 0; i < runs; i++ {
+			batches := make([]kv.Batch, members)
+			for b := range batches {
+				ops := make([]kv.Op, 1+r.Intn(6))
+				for o := range ops {
+					kinds := []kv.OpKind{kv.OpGet, kv.OpPut, kv.OpDelete, kv.OpAdd}
+					ops[o] = kv.Op{Kind: kinds[r.Intn(len(kinds))], Key: uint64(r.Intn(keySpace)), Val: uint64(r.Intn(1000))}
+				}
+				if r.Intn(16) == 0 {
+					ops[0] = kv.Op{Kind: kv.OpScan, Val: keySpace}
+				}
+				batches[b] = kv.Batch{Ops: ops, Res: make([]kv.Result, len(ops))}
+			}
+			gx.ExecGroup(batches, nil)
+			for _, b := range batches {
+				out.res = append(out.res, b.Res)
+			}
+		}
+		out.state = map[uint64]uint64{}
+		sys.StateSnapshot(func(k, v uint64) bool { out.state[k] = v; return true })
+		out.merged = sys.Manager().Stats().GroupCommits
+		return out
+	}
+	on, off := exec("medley-hash@8"), exec("medley-hash-nogroup@8")
+	if on.merged == 0 || off.merged != 0 {
+		t.Fatalf("group commits: grouped %d, -nogroup %d; want > 0 and 0 (the two sides must differ in protocol)", on.merged, off.merged)
+	}
+	if !reflect.DeepEqual(on.res, off.res) {
+		for i := range on.res {
+			if !reflect.DeepEqual(on.res[i], off.res[i]) {
+				t.Fatalf("batch %d (run %d member %d): grouped %+v, -nogroup %+v", i, i/members, i%members, on.res[i], off.res[i])
+			}
+		}
+	}
+	if !reflect.DeepEqual(on.state, off.state) {
+		t.Fatalf("final state differs:\n  grouped %v\n-nogroup %v", on.state, off.state)
 	}
 }
 

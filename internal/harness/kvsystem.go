@@ -202,8 +202,7 @@ func (s *KVSystem) Preload(keys []uint64) {
 // kvWorker drives a bound TxMap; it is the worker of KVSystem and
 // MontageSystem both, and doubles as the kv.Executor behind NewExecutor.
 // Harness ops are kv batch requests and execute through kv.Apply — the
-// same shard-grouped routing path the network service's tick executor
-// uses.
+// same request-order loop the network service's tick executor uses.
 type kvWorker struct {
 	m  kv.TxMap
 	tx *core.Tx // nil: execute outside transactions
@@ -217,17 +216,14 @@ type kvWorker struct {
 	pub     []cdc.Write
 	feedRes []kv.Result
 
-	// Group scratch, reused across DoGroup/ExecGroup calls: the Batch
-	// headers over the members' op slices and the ApplyGroup flatten
-	// buffers.
+	// Group scratch, reused across DoGroup calls: the Batch headers over
+	// the members' op slices.
 	gbatches []kv.Batch
-	gsc      kv.GroupScratch
 }
 
-// groupMaxMembers and groupMaxOps bound one merged commit: more members
-// amortize better but widen the abort blast radius, and groupMaxOps keeps
-// the flattened group within one shard-grouped routing pass
-// (kv.ApplyGroup's bitset bound).
+// groupMaxMembers and groupMaxOps bound one merged commit's blast radius:
+// more members and more ops amortize the commit protocol better, but one
+// conflict on any cell the merged transaction touched aborts all of it.
 const (
 	groupMaxMembers = 16
 	groupMaxOps     = 64
@@ -388,11 +384,11 @@ func scanIn(ops []kv.Op) bool {
 
 // ExecGroup implements kv.GroupExecutor: batches are carved into greedy
 // runs of scan-free members within the merge bounds, and each run commits
-// through core's group-commit path — the merged attempt sweeping the whole
-// run through one flattened shard-grouped routing pass (kv.ApplyGroup),
-// the fallback re-running each member as its own transaction. Scan-
-// carrying and oversized batches execute alone via ExecBatch, exactly as
-// before grouping existed. It never fails; errs (when non-nil) is zeroed.
+// through core's group-commit path (core.Tx.RunGroup): the members applied
+// back-to-back in one merged transaction, each re-run as its own
+// transaction if that loses. Scan-carrying and oversized batches execute
+// alone via ExecBatch, exactly as before grouping existed. It never fails;
+// errs (when non-nil) is zeroed.
 func (w *kvWorker) ExecGroup(batches []kv.Batch, errs []error) {
 	if errs != nil {
 		for i := range errs {
@@ -433,15 +429,10 @@ func (w *kvWorker) ExecGroup(batches []kv.Batch, errs []error) {
 		if w.h != nil {
 			w.h.Enter()
 		}
-		_ = w.tx.RunGroupFused(len(run),
-			func() error {
-				kv.ApplyGroup(w.tx, w.m, run, &w.gsc)
-				return nil
-			},
-			func(k int) error {
-				kv.Apply(w.tx, w.m, run[k].Ops, run[k].Res)
-				return nil
-			})
+		_ = w.tx.RunGroup(len(run), func(k int) error {
+			kv.Apply(w.tx, w.m, run[k].Ops, run[k].Res)
+			return nil
+		})
 		if w.h != nil {
 			w.h.Exit()
 		}

@@ -257,6 +257,10 @@ func (s *MontageSystem) NewExecutor() kv.Executor {
 	return s.NewWorker().(*kvWorker)
 }
 
+// SupportsChangeFeed reports that Montage executors can publish a
+// commit-ordered change feed: they are kvWorkers over a real Tx.
+func (s *MontageSystem) SupportsChangeFeed() bool { return true }
+
 // ---------------------------------------------------------------- OneFile
 
 // ofMap is the shape shared by OneFile's structures and the persistent
@@ -413,6 +417,10 @@ func (s *OneFileSystem) NewWorker() Worker { return &onefileWorker{s} }
 // acked commit is already durable, the property the crash-restart chaos
 // scenarios gate on.
 func (s *OneFileSystem) NewExecutor() kv.Executor { return &onefileWorker{s} }
+
+// SupportsChangeFeed reports that OneFile executors cannot publish a
+// change feed: OneFile's commits draw no core commit ticket to order one.
+func (s *OneFileSystem) SupportsChangeFeed() bool { return false }
 
 func (w *onefileWorker) Do(ops []Op) { _ = w.ExecBatch(ops, nil) }
 

@@ -1,9 +1,10 @@
 // Package kv is the uniform transactional key–value seam of the
 // repository: one interface (TxMap) that every NBTC-transformed structure
-// and every competitor backend implements exactly once, a named
-// constructor registry so drivers select implementations by string rather
-// than by hand-rolled adapter, and a hash-partitioned ShardedStore that
-// composes N TxMap shards into one logical map.
+// implements natively, a named constructor registry so drivers select
+// implementations by string rather than by hand-rolled adapter, a
+// hash-partitioned ShardedStore that composes N TxMap shards into one
+// logical map, and the batch request API (Op, Result, Apply) the service
+// and the harness execute through.
 //
 // The paper's central claim (Cai, Wen & Scott, SPAA 2023) is that
 // NBTC-transformed structures compose freely under a single TxManager.
@@ -11,19 +12,23 @@
 // instances — each an independent lock-free structure — joined in one
 // strictly serializable transaction because they share one TxManager.
 // A cross-shard transfer is just a transaction that happens to touch two
-// shards; no extra protocol is needed.
+// shards; no extra protocol is needed, and none exists here: a batch is a
+// loop of single-key calls in request order.
 //
 // # The competitor gap
 //
-// The competitor backends (OneFile, TDSL, LFTT) also implement TxMap, but
-// their transactions live inside their own STMs, not the shared
-// TxManager; the *core.Tx argument is ignored and every operation commits
-// as its own native transaction. They therefore cannot join a cross-shard
-// transaction: a ShardedStore over competitor shards executes multi-key
-// operations as a sequence of independent single-key transactions, which
-// is NOT atomic across keys. Benchmarks express this by wrapping a single
-// competitor instance (shard count 1) — the documented gap between
-// composable NBTC structures and monolithic STM structures.
+// TxMap's one contract is that an operation handed an open *core.Tx joins
+// that transaction. The competitor backends (OneFile, TDSL, LFTT) cannot
+// keep it: their transactions live inside their own STMs, so a TxMap over
+// one could only ignore the Tx and commit every operation as its own
+// native transaction — silently non-atomic across keys. They are
+// therefore not adapted here, and this package imports none of them.
+// They are adapted where a whole batch can be handed to the backend's
+// own transaction: internal/harness (OneFileSystem, TDSLSystem,
+// LFTTSystem run one batch as one native transaction) and internal/tpcc
+// (its backends). The only registry entry that does not compose is
+// plain-skip, the untransformed baseline, which has no transactions at
+// all and is refused more than one shard.
 package kv
 
 import "medley/internal/core"
@@ -66,21 +71,6 @@ func Bind(m TxMap, tx *core.Tx) TxMap {
 		return b.Bind(tx)
 	}
 	return m
-}
-
-// Batcher is the optional capability of TxMap implementations that can
-// execute multi-key operations more cheaply than a loop of single-key
-// calls. ShardedStore implements it by grouping keys per shard, cutting
-// per-operation dispatch overhead on multi-key mixes (transfer, order).
-// Batch operations compose transactionally exactly like their single-key
-// forms: with a nil Tx each element commits independently.
-type Batcher interface {
-	// GetBatch looks up keys[i] into vals[i], oks[i]. All three slices
-	// must have equal length.
-	GetBatch(tx *core.Tx, keys []uint64, vals []uint64, oks []bool)
-	// PutBatch binds keys[i] to vals[i]. Both slices must have equal
-	// length.
-	PutBatch(tx *core.Tx, keys []uint64, vals []uint64)
 }
 
 // Lener is implemented by maps that can count their entries (not

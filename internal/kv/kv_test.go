@@ -1,8 +1,10 @@
 package kv
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -15,7 +17,7 @@ import (
 type implCase struct {
 	name string
 	// composable implementations run the transactional legs under
-	// core.Tx transactions; the rest auto-commit per op.
+	// core.Tx transactions; the rest (plain-skip) run each op bare.
 	composable bool
 	mk         func(t *testing.T, mgr *core.TxManager) TxMap
 }
@@ -238,11 +240,14 @@ func TestRegistryErrors(t *testing.T) {
 	if _, err := New("hash", Options{}); err == nil {
 		t.Fatal("missing Mgr did not error")
 	}
-	if _, err := NewShardedNamed("tdsl", 4, Options{}); err == nil {
-		t.Fatal("multi-shard competitor did not error")
+	if _, err := NewShardedNamed("plain-skip", 4, Options{}); !errors.Is(err, errNotComposable) {
+		t.Fatalf("multi-shard plain-skip: %v, want errNotComposable", err)
 	}
-	if s, err := NewShardedNamed("tdsl", 1, Options{}); err != nil || s.ShardCount() != 1 {
-		t.Fatalf("single-shard competitor: %v, %d shards", err, s.ShardCount())
+	if s, err := NewShardedNamed("plain-skip", 1, Options{}); err != nil || s.ShardCount() != 1 {
+		t.Fatalf("single-shard plain-skip: %v, %d shards", err, s.ShardCount())
+	}
+	if got, want := Names(), []string{"bst", "hash", "plain-skip", "rotating", "skip"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Names() = %v, want %v", got, want)
 	}
 }
 

@@ -6,10 +6,10 @@ import "medley/internal/core"
 // and server-friendly Op/Result pair plus one Apply routine that every
 // batch consumer — the network service's tick executor (internal/service),
 // the harness worker loop (internal/harness), and tests — runs through.
-// ShardedStore implements Applier over the same shard-grouped routing pass
-// (eachShardGroup) that backs GetBatch/PutBatch, so multi-key requests
-// touch each shard's memory once regardless of which entry point built
-// them.
+// A batch runs in request order: ops[i] executes after ops[i-1] and into
+// res[i], on whatever TxMap it is handed. A ShardedStore is just such a
+// map — each keyed operation routes itself by its key — so there is no
+// second, store-specific way to run a batch.
 
 // OpKind enumerates batch request operations.
 type OpKind uint8
@@ -70,41 +70,50 @@ type Result struct {
 	Ok  bool
 }
 
-// Applier is the optional capability of TxMap implementations that can
-// route a whole mixed-kind batch more cheaply than a loop of single-key
-// calls. ShardedStore implements it with one shard-grouped pass.
-type Applier interface {
-	// Apply executes ops[i] into res[i]. res may be nil when the caller
-	// discards outcomes; otherwise len(res) must equal len(ops).
-	Apply(tx *core.Tx, ops []Op, res []Result)
-}
-
 // Executor runs batch requests, each as one atomic transaction, retrying
 // conflict aborts internally until commit. Implementations are bound to
 // one goroutine (they carry a *core.Tx and its SMR handle); callers hold
 // one Executor per worker. The network service's tick workers and the
 // harness's driver sessions both execute through this interface.
 type Executor interface {
-	// ExecBatch applies ops as one atomic transaction. res may be nil;
-	// otherwise len(res) must equal len(ops). A non-nil error means the
-	// batch did not commit (executor shut down, not a conflict — conflicts
-	// retry internally).
+	// ExecBatch applies ops, in request order, as one atomic transaction.
+	// res may be nil; otherwise len(res) must equal len(ops) and res[i]
+	// is ops[i]'s outcome. A non-nil error means the batch did not commit
+	// (executor shut down, not a conflict — conflicts retry internally).
 	ExecBatch(ops []Op, res []Result) error
 }
 
-// Apply executes ops against m under tx: through m's Applier when it has
-// one (the shard-grouped path), one operation at a time otherwise. It is
-// the single batch-execution routine shared by every consumer of the
-// request API.
+// Batch is one logical transaction's request inside a commit group: the
+// operations to run atomically and the result slice to fill (nil when the
+// caller discards outcomes; otherwise len(Res) must equal len(Ops)).
+type Batch struct {
+	Ops []Op
+	Res []Result
+}
+
+// GroupExecutor is the optional capability of Executors that can commit a
+// group of batch requests with amortized fences (core.Tx.RunGroup). Each
+// batch remains its own logical transaction — results are exactly what a
+// loop of ExecBatch calls in batch order would produce — but the executor
+// may merge compatible batches into group commits. errs, when non-nil,
+// receives per-batch outcomes (len(errs) must equal len(batches)); as with
+// ExecBatch, conflicts retry internally and never surface.
+type GroupExecutor interface {
+	Executor
+	ExecGroup(batches []Batch, errs []error)
+}
+
+// Apply executes ops[i] against m under tx into res[i], in request order
+// (res may be nil when the caller discards outcomes; otherwise len(res)
+// must equal len(ops)). It is the single batch-execution routine shared
+// by every consumer of the request API, and the same loop for every map:
+// on a ShardedStore each keyed operation routes by its key and a scan
+// runs store-wide where it stands.
 //
 // Callers running Apply inside an open transaction must not include OpScan
 // alongside writes: see OpScan. Executors hoist scans out of the
 // transaction instead.
 func Apply(tx *core.Tx, m TxMap, ops []Op, res []Result) {
-	if a, ok := m.(Applier); ok {
-		a.Apply(tx, ops, res)
-		return
-	}
 	for i := range ops {
 		r := ApplyOne(tx, m, ops[i])
 		if res != nil {

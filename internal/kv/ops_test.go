@@ -1,13 +1,16 @@
 package kv
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"medley/internal/core"
 )
 
 // applyEnv builds an 8-shard store and a single instance over one manager,
-// so Apply's shard-grouped routing can be checked against the loop path.
+// so Apply on a store that routes by key can be checked against Apply on
+// one structure.
 func applyEnv(t *testing.T) (*core.TxManager, *ShardedStore, TxMap) {
 	t.Helper()
 	mgr := core.NewTxManager()
@@ -22,8 +25,8 @@ func applyEnv(t *testing.T) (*core.TxManager, *ShardedStore, TxMap) {
 	return mgr, sharded, single
 }
 
-// TestApplySemantics pins the Op/Result contract on both the sharded
-// Applier path and the single-instance loop path: Get/Put/Delete results,
+// TestApplySemantics pins the Op/Result contract on a sharded store and
+// on a single instance: Get/Put/Delete results,
 // Add's fetch-and-add with wraparound debits, and Scan's entry count.
 func TestApplySemantics(t *testing.T) {
 	mgr, sharded, single := applyEnv(t)
@@ -75,34 +78,74 @@ func TestApplySemantics(t *testing.T) {
 	}
 }
 
-// TestApplyShardRoutingMatchesLoop runs the same mixed batch through the
-// sharded Applier and through ApplyOne loops and requires identical
-// results — the shard-grouped reordering must be invisible.
+// TestApplyShardRoutingMatchesLoop is the differential test of "a batch
+// runs in request order on whatever map it is handed": random batches —
+// duplicate keys, Adds, Deletes, interleaved Scans, lengths on both sides
+// of 64 (where a shard-grouping pass once changed strategy) — must give
+// identical Result slices and identical final contents on a single hash
+// instance, an 8-shard store, and the Bind view of another 8-shard store.
+// Scan-free batches run as one transaction; batches with scans run with a
+// nil Tx, the way executors hoist them (see OpScan).
 func TestApplyShardRoutingMatchesLoop(t *testing.T) {
 	mgr, sharded, single := applyEnv(t)
-	var ops []Op
-	for i := uint64(0); i < 40; i++ {
-		ops = append(ops,
-			Op{Kind: OpPut, Key: i * 7, Val: i},
-			Op{Kind: OpGet, Key: i * 7},
-			Op{Kind: OpAdd, Key: i * 7, Val: 1},
-		)
+	other, err := NewShardedNamed("hash", 8, Options{Mgr: mgr, Buckets: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
 	}
-	run := func(m TxMap) []Result {
-		tx := mgr.Register()
-		res := make([]Result, len(ops))
-		if err := tx.RunRetry(func() error {
-			Apply(tx, m, ops, res)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
+	tx := mgr.Register()
+	maps := []struct {
+		name string
+		m    TxMap
+	}{{"single", single}, {"sharded", sharded}, {"bound", Bind(other, tx)}}
+
+	r := rand.New(rand.NewSource(18))
+	const keySpace = 96 // small: every longer batch repeats keys
+	for _, n := range []int{1, 2, 10, 64, 65, 200} {
+		for _, scans := range []bool{false, true} {
+			kinds := []OpKind{OpGet, OpPut, OpDelete, OpAdd}
+			if scans {
+				kinds = append(kinds, OpScan)
+			}
+			ops := make([]Op, n)
+			for i := range ops {
+				ops[i] = Op{Kind: kinds[r.Intn(len(kinds))], Key: uint64(r.Intn(keySpace)), Val: uint64(r.Intn(2 * keySpace))}
+			}
+			var want []Result
+			for _, c := range maps {
+				res := make([]Result, n)
+				if scans {
+					Apply(nil, c.m, ops, res)
+				} else if err := tx.RunRetry(func() error {
+					Apply(tx, c.m, ops, res)
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if want == nil {
+					want = res
+					continue
+				}
+				for i := range res {
+					if res[i] != want[i] {
+						t.Fatalf("n=%d scans=%v op %d %+v: %s %+v != %s %+v",
+							n, scans, i, ops[i], c.name, res[i], maps[0].name, want[i])
+					}
+				}
+			}
 		}
-		return res
 	}
-	got, want := run(sharded), run(single)
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("op %d: sharded %+v != single %+v", i, got[i], want[i])
+	contents := func(m TxMap) map[uint64]uint64 {
+		out := map[uint64]uint64{}
+		m.Range(func(k, v uint64) bool { out[k] = v; return true })
+		return out
+	}
+	want := contents(maps[0].m)
+	if len(want) == 0 {
+		t.Fatal("final contents empty: the batches exercised nothing")
+	}
+	for _, c := range maps[1:] {
+		if got := contents(c.m); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s final contents differ from %s:\n got %v\nwant %v", c.name, maps[0].name, got, want)
 		}
 	}
 }

@@ -17,8 +17,7 @@ import (
 // the fields they need; zero values get sensible defaults.
 type Options struct {
 	// Mgr is the transaction manager transactional structures attach to.
-	// Required by every NBTC-transformed structure; ignored by
-	// non-transactional and competitor implementations.
+	// Required by every NBTC-transformed structure; ignored by plain-skip.
 	Mgr *core.TxManager
 	// Buckets sizes hash-based structures (default 1<<20, the paper's 1M).
 	Buckets int
@@ -38,11 +37,9 @@ func (o Options) buckets() int {
 // Constructor builds one TxMap implementation.
 type Constructor func(Options) (TxMap, error)
 
-// Transactional reports, per registered name, whether the implementation
+// composable records, per registered name, whether the implementation
 // threads the *core.Tx into a shared TxManager (and therefore composes
-// into cross-shard transactions). Competitor implementations are
-// registered with transactional = false; see the package comment for the
-// gap this encodes.
+// into cross-shard transactions).
 var (
 	regMu      sync.RWMutex
 	registry   = map[string]Constructor{}
@@ -52,7 +49,7 @@ var (
 // Register adds a named TxMap constructor. txComposable marks
 // implementations whose operations compose under the Options.Mgr
 // TxManager (the NBTC-transformed structures, which therefore require
-// Options.Mgr); competitor and plain structures register false.
+// Options.Mgr); structures that ignore the Tx register false.
 // Registering a duplicate name panics: names are API.
 func Register(name string, txComposable bool, c Constructor) {
 	regMu.Lock()

@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 
@@ -16,9 +17,11 @@ import (
 // TxManager, a transaction that touches several shards is still strictly
 // serializable: the shards share commit machinery, so cross-shard
 // atomicity is the paper's composition claim at the architecture level
-// and costs nothing beyond the transaction itself. Shards backed by
-// competitor STMs (see competitors.go) do not compose; build those stores
-// with one shard.
+// and costs nothing beyond the transaction itself — there is no batch
+// entry point either: kv.Apply runs a batch on a store through these
+// same five methods, in request order. A structure that ignores the Tx
+// (plain-skip) does not compose; NewShardedNamed refuses it more than one
+// shard.
 type ShardedStore struct {
 	shards []TxMap
 	mask   uint64
@@ -31,6 +34,10 @@ type ShardedStore struct {
 // skip). Two fields of one Fibonacci product are as well distributed as a
 // single field of their combined width.
 const shardMul = mhash.HashMul
+
+// errNotComposable refuses a multi-shard store over a structure whose
+// operations do not join the shared TxManager's transactions.
+var errNotComposable = errors.New("kv: implementation does not compose across shards")
 
 // RoundShards rounds a requested shard count up to the power of two
 // every routing path (shardIndex, ShardOf) assumes; n <= 0 means 1.
@@ -176,106 +183,4 @@ func (s *ShardedStore) Bind(tx *core.Tx) TxMap {
 		bound.shards[i] = b.Bind(tx)
 	}
 	return bound
-}
-
-// Apply implements Applier: the batch request API's entry point, routed
-// through the same shard-grouped pass (eachShardGroup) as GetBatch and
-// PutBatch so every batch consumer — the network service's tick executor,
-// the harness worker loop, and explicit Batcher callers — shares one
-// routing path. Keyed operations are visited shard by shard; scans have no
-// key and run store-wide after the keyed pass (they are non-linearizable
-// either way, exactly like Range).
-func (s *ShardedStore) Apply(tx *core.Tx, ops []Op, res []Result) {
-	record := func(i int, r Result) {
-		if res != nil {
-			res[i] = r
-		}
-	}
-	if len(ops) <= 1 || len(s.shards) == 1 {
-		for i := range ops {
-			if ops[i].Kind == OpScan {
-				record(i, ApplyOne(tx, s, ops[i])) // store-wide, like Range
-				continue
-			}
-			record(i, ApplyOne(tx, s.shard(ops[i].Key), ops[i]))
-		}
-		return
-	}
-	scans := false
-	s.eachShardGroup(len(ops), func(i int) uint64 { return ops[i].Key }, func(sh TxMap, i int) {
-		if ops[i].Kind == OpScan {
-			scans = true // store-wide, not shard-local: second pass below
-			return
-		}
-		record(i, ApplyOne(tx, sh, ops[i]))
-	})
-	if scans {
-		for i := range ops {
-			if ops[i].Kind == OpScan {
-				record(i, ApplyOne(tx, s, ops[i]))
-			}
-		}
-	}
-}
-
-// GetBatch implements Batcher: keys are visited shard by shard, so a
-// multi-key transaction touches each shard's memory once instead of
-// ping-ponging between shards per key.
-//
-// A transaction consisting only of GetBatch calls rides the core's
-// read-only commit fast path regardless of how many shards the batch
-// straddles: the shards share one TxManager, witnesses accumulate in the
-// caller's single read set as each shard group is visited, and the commit
-// is one owner-side validation sweep with no descriptor handshake — the
-// cross-shard snapshot costs no more atomics than a single-shard one.
-func (s *ShardedStore) GetBatch(tx *core.Tx, keys []uint64, vals []uint64, oks []bool) {
-	if len(keys) <= 1 || len(s.shards) == 1 {
-		for i, k := range keys {
-			vals[i], oks[i] = s.shards[shardIndex(k, s.mask)].Get(tx, k)
-		}
-		return
-	}
-	s.eachShardGroup(len(keys), func(i int) uint64 { return keys[i] }, func(sh TxMap, i int) {
-		vals[i], oks[i] = sh.Get(tx, keys[i])
-	})
-}
-
-// PutBatch implements Batcher.
-func (s *ShardedStore) PutBatch(tx *core.Tx, keys []uint64, vals []uint64) {
-	if len(keys) <= 1 || len(s.shards) == 1 {
-		for i, k := range keys {
-			s.shards[shardIndex(k, s.mask)].Put(tx, k, vals[i])
-		}
-		return
-	}
-	s.eachShardGroup(len(keys), func(i int) uint64 { return keys[i] }, func(sh TxMap, i int) {
-		sh.Put(tx, keys[i], vals[i])
-	})
-}
-
-// eachShardGroup invokes fn(shard, i) for indices 0..n-1 whose keys are
-// supplied by key(i), grouped by shard — the one routing pass behind
-// Apply, GetBatch and PutBatch. Batches are short (transaction-sized), so
-// the grouping is a bitset pass rather than an allocation.
-func (s *ShardedStore) eachShardGroup(n int, key func(i int) uint64, fn func(sh TxMap, i int)) {
-	var done uint64 // bit i set once index i is processed; batches are <= 64 ops
-	if n > 64 {
-		for i := 0; i < n; i++ {
-			fn(s.shards[shardIndex(key(i), s.mask)], i)
-		}
-		return
-	}
-	for i := 0; i < n; i++ {
-		if done&(1<<i) != 0 {
-			continue
-		}
-		si := shardIndex(key(i), s.mask)
-		sh := s.shards[si]
-		for j := i; j < n; j++ {
-			if done&(1<<j) == 0 && shardIndex(key(j), s.mask) == si {
-				fn(sh, j)
-				done |= 1 << j
-			}
-		}
-	}
 }

@@ -106,8 +106,9 @@ func TestCrossShardTransferAtomicity(t *testing.T) {
 	}
 }
 
-// TestBatchGroupsPerShard checks batch results equal per-key results and
-// that batched writes land on the same shards single writes would.
+// TestBatchOpsMatchSingleOps checks that a batch of Puts and a batch of
+// Gets through Apply give the per-key results, and that batched writes
+// land on the same shards single writes would.
 func TestBatchOpsMatchSingleOps(t *testing.T) {
 	mgr := core.NewTxManager()
 	s, err := NewShardedNamed("hash", 4, Options{Mgr: mgr, Buckets: 1 << 8})
@@ -115,72 +116,76 @@ func TestBatchOpsMatchSingleOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rand.New(rand.NewSource(5))
-	keys := make([]uint64, 48)
-	vals := make([]uint64, len(keys))
-	for i := range keys {
-		keys[i] = uint64(r.Intn(1 << 10))
-		vals[i] = r.Uint64() % 1000
+	puts := make([]Op, 48)
+	gets := make([]Op, len(puts))
+	for i := range puts {
+		puts[i] = Op{Kind: OpPut, Key: uint64(r.Intn(1 << 10)), Val: r.Uint64() % 1000}
+		gets[i] = Op{Kind: OpGet, Key: puts[i].Key}
 	}
 	tx := mgr.Register()
-	if err := tx.RunRetry(func() error {
-		s.PutBatch(tx, keys, vals)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]uint64, len(keys))
-	oks := make([]bool, len(keys))
-	if err := tx.RunRetry(func() error {
-		s.GetBatch(tx, keys, got, oks)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+	got := make([]Result, len(gets))
+	for _, b := range []struct {
+		ops []Op
+		res []Result
+	}{{puts, nil}, {gets, got}} {
+		if err := tx.RunRetry(func() error {
+			Apply(tx, s, b.ops, b.res)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// Later duplicates override earlier ones, like sequential puts.
 	want := map[uint64]uint64{}
-	for i, k := range keys {
-		want[k] = vals[i]
+	for _, p := range puts {
+		want[p.Key] = p.Val
 	}
-	for i, k := range keys {
-		if !oks[i] || got[i] != want[k] {
-			t.Fatalf("key %d: batch get (%d,%v), want %d", k, got[i], oks[i], want[k])
+	for i, g := range gets {
+		if !got[i].Ok || got[i].Val != want[g.Key] {
+			t.Fatalf("key %d: batch get %+v, want %d", g.Key, got[i], want[g.Key])
 		}
-		if v, ok := s.Get(nil, k); !ok || v != want[k] {
-			t.Fatalf("key %d: single get (%d,%v), want %d", k, v, ok, want[k])
+		if v, ok := s.Get(nil, g.Key); !ok || v != want[g.Key] {
+			t.Fatalf("key %d: single get (%d,%v), want %d", g.Key, v, ok, want[g.Key])
 		}
 	}
 }
 
-// TestGetBatchRidesReadOnlyFastPath proves the documented GetBatch
-// guarantee: a get-only transaction over a multi-shard store commits
-// through the core's read-only fast path (no publication, no descriptor
-// handshake) no matter how many shards the batch straddles.
+// TestGetBatchRidesReadOnlyFastPath pins what a cross-shard snapshot
+// costs: a get-only batch over a multi-shard store commits through the
+// core's read-only fast path (no publication, no descriptor handshake) no
+// matter how many shards it straddles — the shards share one TxManager, so
+// the witnesses land in the caller's one read set and the commit is one
+// owner-side validation sweep.
 func TestGetBatchRidesReadOnlyFastPath(t *testing.T) {
 	mgr := core.NewTxManager()
 	s, err := NewShardedNamed("hash", 8, Options{Mgr: mgr, Buckets: 1 << 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := make([]uint64, 32)
-	vals := make([]uint64, len(keys))
-	for i := range keys {
-		keys[i] = uint64(i * 37)
-		s.Put(nil, keys[i], uint64(i))
+	ops := make([]Op, 32)
+	touched := map[int]bool{}
+	for i := range ops {
+		ops[i] = Op{Kind: OpGet, Key: uint64(i * 37)}
+		s.Put(nil, ops[i].Key, uint64(i))
+		touched[ShardOf(ops[i].Key, s.ShardCount())] = true
 	}
-	oks := make([]bool, len(keys))
+	if len(touched) < 2 {
+		t.Fatalf("batch touches %d shard(s); the test needs a cross-shard batch", len(touched))
+	}
+	res := make([]Result, len(ops))
 	tx := mgr.Register()
 	const rounds = 5
 	for r := 0; r < rounds; r++ {
 		if err := tx.RunRetry(func() error {
-			s.GetBatch(tx, keys, vals, oks)
+			Apply(tx, s, ops, res)
 			return nil
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := range keys {
-		if !oks[i] || vals[i] != uint64(i) {
-			t.Fatalf("key %d: got (%d,%v), want %d", keys[i], vals[i], oks[i], i)
+	for i := range ops {
+		if !res[i].Ok || res[i].Val != uint64(i) {
+			t.Fatalf("key %d: got %+v, want %d", ops[i].Key, res[i], i)
 		}
 	}
 	st := mgr.Stats()
@@ -190,8 +195,9 @@ func TestGetBatchRidesReadOnlyFastPath(t *testing.T) {
 	}
 }
 
-// TestCrossShardBatchAtomicity moves value between shards with PutBatch
-// inside transactions and asserts auditors never see an unbalanced batch.
+// TestCrossShardBatchAtomicity moves value between shards with a two-Put
+// batch inside transactions and asserts auditors never see it half
+// applied.
 func TestCrossShardBatchAtomicity(t *testing.T) {
 	const accounts = 32
 	mgr := core.NewTxManager()
@@ -209,22 +215,21 @@ func TestCrossShardBatchAtomicity(t *testing.T) {
 		defer wg.Done()
 		tx := mgr.Register()
 		r := rand.New(rand.NewSource(9))
-		keys := make([]uint64, 2)
-		vals := make([]uint64, 2)
+		puts := []Op{{Kind: OpPut}, {Kind: OpPut}}
 		for i := 0; i < 1500; i++ {
-			keys[0] = uint64(r.Intn(accounts))
-			keys[1] = uint64((r.Intn(accounts) + 1) % accounts)
-			if keys[0] == keys[1] {
+			puts[0].Key = uint64(r.Intn(accounts))
+			puts[1].Key = uint64((r.Intn(accounts) + 1) % accounts)
+			if puts[0].Key == puts[1].Key {
 				continue
 			}
 			_ = tx.RunRetry(func() error {
-				a, _ := s.Get(tx, keys[0])
-				b, _ := s.Get(tx, keys[1])
+				a, _ := s.Get(tx, puts[0].Key)
+				b, _ := s.Get(tx, puts[1].Key)
 				if a == 0 {
 					return nil
 				}
-				vals[0], vals[1] = a-1, b+1
-				s.PutBatch(tx, keys, vals)
+				puts[0].Val, puts[1].Val = a-1, b+1
+				Apply(tx, s, puts, nil)
 				return nil
 			})
 		}

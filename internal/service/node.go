@@ -1,6 +1,7 @@
 package service
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"sync/atomic"
@@ -86,9 +87,18 @@ const (
 // retry against the leader (or whoever /healthz now says leads).
 var ErrNotLeader = fmt.Errorf("service: not leader")
 
+// ErrNoFeed refuses a node over a backend whose executors cannot publish
+// a change feed: its /v1/watch would stream nothing, and a follower of it
+// would report lag 0 while serving ever staler reads. Serve such a
+// backend with New and Handler instead.
+var ErrNoFeed = errors.New("service: backend cannot publish a change feed")
+
 // NewNode builds and starts a node. A follower starts replaying
 // immediately (retrying until its leader is reachable).
 func NewNode(cfg NodeConfig) (*Node, error) {
+	if !cfg.Backend.SupportsChangeFeed() {
+		return nil, fmt.Errorf("%w: %s", ErrNoFeed, cfg.Backend.Name())
+	}
 	if cfg.FeedShards <= 0 {
 		cfg.FeedShards = 4
 	}

@@ -44,6 +44,11 @@ type Backend interface {
 	// NewExecutor hands out a per-goroutine batch executor; the service
 	// calls it on each worker goroutine (executors are goroutine-bound).
 	NewExecutor() kv.Executor
+	// SupportsChangeFeed reports whether the executors can publish their
+	// commits to a change feed in commit order. NewNode refuses a backend
+	// that cannot: a feed nothing publishes to reads as a follower that
+	// is never behind.
+	SupportsChangeFeed() bool
 }
 
 // ErrShed is returned by Submit when the txpool is full: the request was
@@ -84,9 +89,10 @@ type Config struct {
 	// Feed, when non-nil, is attached to every worker executor: each
 	// committed write batch publishes its absolute post-states to the
 	// feed in commit-ticket order, and the HTTP layer serves it through
-	// GET /v1/watch and GET /v1/snapshot. Attaching a feed disables
-	// group-commit merging at the executor (per-member commits keep the
-	// ticket space dense; see kvWorker.ExecGroup). nil = no replication.
+	// GET /v1/watch and GET /v1/snapshot. An executor with a feed never
+	// merges commits (per-member commits keep the ticket space dense; see
+	// kvWorker.ExecGroup), and its worker counts none as grouped. nil = no
+	// replication.
 	Feed *cdc.Feed
 }
 
@@ -166,7 +172,7 @@ type Service struct {
 	ticks     atomic.Uint64 // ticks that drained at least one request
 	batches   atomic.Uint64 // batches dispatched (== non-empty ticks)
 	batched   atomic.Uint64 // requests dispatched inside batches
-	grouped   atomic.Uint64 // requests handed to the group-commit path
+	grouped   atomic.Uint64 // requests handed to an executor that can merge commits
 }
 
 // New builds and starts the pipeline over be: backend maintenance, the
@@ -379,13 +385,16 @@ drain:
 // transaction. When the executor can group-commit (kv.GroupExecutor, the
 // Medley store path), a multi-request chunk is handed over as one group
 // so compatible neighbors merge into a single physical commit; outcomes
-// are exactly those of the per-request loop.
+// are exactly those of the per-request loop. An executor that took the
+// feed merges nothing — ExecGroup runs its members one by one — so
+// svc_grouped_txns counts a chunk only on a worker without the feed.
 func (s *Service) worker(ch chan chunk) {
 	defer s.workWG.Done()
 	ex := s.be.NewExecutor()
+	fed := false
 	if s.cfg.Feed != nil {
 		if fa, ok := ex.(feedAttacher); ok {
-			fa.SetChangeFeed(s.cfg.Feed)
+			fed = fa.SetChangeFeed(s.cfg.Feed)
 		}
 	}
 	gx, canGroup := ex.(kv.GroupExecutor)
@@ -420,7 +429,9 @@ func (s *Service) worker(ch chan chunk) {
 			}
 			errs = errs[:len(live)]
 			gx.ExecGroup(batches, errs)
-			s.grouped.Add(uint64(len(live)))
+			if !fed {
+				s.grouped.Add(uint64(len(live)))
+			}
 			for i, r := range live {
 				s.finishExecuted(r, errs[i])
 			}

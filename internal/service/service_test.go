@@ -24,6 +24,9 @@ type fakeBackend struct {
 func (b *fakeBackend) Name() string          { return "fake" }
 func (b *fakeBackend) Preload(keys []uint64) {}
 func (b *fakeBackend) Start() func()         { return func() {} }
+func (b *fakeBackend) SupportsChangeFeed() bool {
+	return false // fakeExec publishes nothing
+}
 func (b *fakeBackend) NewExecutor() kv.Executor {
 	return &fakeExec{b: b}
 }

@@ -118,9 +118,10 @@ type (
 	ShardedMap = kv.ShardedStore
 )
 
-// MapStructures lists the named structures NewShardedMap accepts
-// (transformed structures compose across shards; competitor and plain
-// structures are single-shard only).
+// MapStructures lists the named structures NewShardedMap accepts: the
+// four transformed structures, which compose across shards, and
+// "plain-skip", the untransformed baseline, which ignores the Tx and is
+// single-shard only.
 func MapStructures() []string { return kv.Names() }
 
 // NewShardedMap creates a map partitioned over shards instances of the

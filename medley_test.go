@@ -180,8 +180,9 @@ func TestFacadeShardedMap(t *testing.T) {
 	if m.Len() != n {
 		t.Fatalf("Len = %d, want %d", m.Len(), n)
 	}
-	// Competitor structures cannot shard: the facade surfaces the error.
-	if _, err := medley.NewShardedMap(mgr, "tdsl", 4, 0); err == nil {
-		t.Fatal("sharded competitor structure did not error")
+	// A structure that ignores the Tx cannot shard: the facade surfaces
+	// the error.
+	if _, err := medley.NewShardedMap(mgr, "plain-skip", 4, 0); err == nil {
+		t.Fatal("sharded plain-skip did not error")
 	}
 }
