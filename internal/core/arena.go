@@ -7,7 +7,11 @@
 // nodes (NodePool) with EBR-guarded recycling:
 //
 //   - a displaced cell or unlinked node is retired into the retiring Tx's
-//     EBR limbo (Handle.RetireInto — no closure allocation);
+//     EBR limbo (Handle.RetireInto — no closure allocation), a settle's
+//     worth of them as one entry that carries its length
+//     (Handle.RetireBatch): EBR prices limbo in blocks, so a transaction
+//     that displaces hundreds of cells attempts an epoch advance at its own
+//     settle and draws its next cells from the pool, not from a fresh slab;
 //   - after the grace period the EBR flush, which runs on the retiring
 //     goroutine, hands it to that goroutine's pool (ebr.Pool.Recycle);
 //   - reuse bumps the cell's generation counter, so a ReadWitness taken
@@ -51,6 +55,7 @@ import (
 type poolRetirer interface {
 	Retirer
 	RetireInto(pool ebr.Pool, obj any)
+	RetireBatch(pool ebr.Pool, obj any, blocks int)
 }
 
 // txPool is one per-Tx pool (a cellArena[T] or NodePool[N]); settle runs at
@@ -79,11 +84,12 @@ type cellArena[T comparable] struct {
 	def      []deferredCAS[T]
 
 	// pending accumulates displaced cells between settles; each settle
-	// ships the whole batch to EBR limbo as ONE entry (a cellBatch whose
-	// backing array cycles back through the arena), so the per-displacement
-	// cost is a plain append instead of a limbo append with its write
-	// barriers. Displacements are physical facts independent of the
-	// transaction outcome, so the batch flushes on commit and abort alike.
+	// ships the whole batch to EBR limbo as ONE entry weighing its length
+	// (a cellBatch whose backing array cycles back through the arena), so
+	// the per-displacement cost is a plain append instead of a limbo append
+	// with its write barriers. Displacements are physical facts independent
+	// of the transaction outcome, so the batch flushes on commit and abort
+	// alike.
 	pending     []*cell[T]
 	freeBatches []*cellBatch[T]
 
@@ -238,7 +244,7 @@ func (a *cellArena[T]) settle(tx *Tx, committed bool) {
 		// Swap: the batch takes the filled slice, the arena keeps the
 		// batch's empty spare for the next transaction.
 		b.cells, a.pending = a.pending, b.cells[:0]
-		tx.pr.RetireInto(a, b)
+		tx.pr.RetireBatch(a, b, len(b.cells))
 	}
 	flushPoolStats(tx, &a.gets, &a.hits, &a.retires)
 }
@@ -495,7 +501,7 @@ func (p *NodePool[N]) settle(tx *Tx, committed bool) {
 		}
 		b.nodes, p.pending = p.pending, b.nodes[:0]
 		// Swap as in cellArena.settle: batch takes the filled slice.
-		tx.pr.RetireInto(p, b)
+		tx.pr.RetireBatch(p, b, len(b.nodes))
 	}
 	clear(p.pending)
 	p.pending = p.pending[:0]

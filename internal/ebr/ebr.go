@@ -10,6 +10,12 @@
 // what the paper measures, and structures that hold resources other than
 // memory (persistent payloads in txMontage) need a real deferred-free
 // mechanism with grace-period semantics.
+//
+// Limbo is priced in blocks, not in calls. One retire may stand for many
+// blocks — a transaction's displaced cells ride to limbo as a single entry
+// (RetireBatch) — and the pressure on memory is what the entries hold, so
+// the advance trigger counts blocks: a handle attempts an epoch advance
+// every advanceEvery retired blocks, however many calls brought them.
 package ebr
 
 import (
@@ -29,30 +35,35 @@ const generations = 3
 type Manager struct {
 	globalEpoch atomic.Uint64
 
-	mu      sync.Mutex // guards handles registry only
-	handles []*Handle
+	// handles is the registry: append-only and published copy-on-write, so
+	// an advance attempt is one load and a scan. mu serializes Register.
+	mu      sync.Mutex
+	handles atomic.Pointer[[]*Handle]
 
 	// Stats. Retire/reclaim counts live in the handles (hot path, one
 	// writer each); only the advance count is global.
 	advances atomic.Uint64
 
 	// advanceEvery triggers an epoch-advance attempt after this many
-	// retires on a single handle.
+	// retired blocks on a single handle (a batch counts its length).
 	advanceEvery int
 }
 
-// A handle whose limbo holds limboSlack advance attempts' worth of retires
-// has seen that many attempts in a row reclaim nothing: some participant
-// sits in a critical section at a stale epoch — preempted, or on a
-// processor the host took away. Until it moves, everything this handle
-// retires is unreclaimable, and a pooled structure allocates a fresh block
-// for each one — blocks that then circulate for the life of the process. At
-// a few hundred thousand transactions a second one 100 ms stall is tens of
-// megabytes, so the footprint of a run used to be set by the longest stall
-// it happened to meet. Enter therefore paces such a handle (awaitGrace):
-// a bounded wait for the laggard before each critical section, not a
-// block — after graceTries the section starts regardless, so a stalled
-// participant slows its peers' retiring down without ever stopping them.
+// A handle whose last limboSlack advance attempts all failed has a
+// participant sitting in a critical section at a stale epoch — preempted,
+// or on a processor the host took away. Until it moves, everything this
+// handle retires is unreclaimable, and a pooled structure allocates a fresh
+// block for each one — blocks that then circulate for the life of the
+// process. At a few hundred thousand transactions a second one 100 ms
+// stall is tens of megabytes, so the footprint of a run used to be set by
+// the longest stall it happened to meet. Enter therefore paces such a
+// handle (awaitGrace): a bounded wait for the laggard before each critical
+// section, not a block — after graceTries the section starts regardless,
+// so a stalled participant slows its peers' retiring down without ever
+// stopping them.
+// The test is on attempts, not on how much limbo holds: a bulk transaction
+// makes one attempt per settle whatever its size, so it cannot trip the
+// pacing by size alone.
 const (
 	limboSlack  = 8
 	graceYields = 4 // Gosched first: the laggard is usually a parked goroutine
@@ -60,14 +71,15 @@ const (
 	graceNap    = 100 * time.Microsecond
 )
 
-// New creates an EBR domain. advanceEvery controls how many retires a
-// thread accumulates before attempting to advance the global epoch
+// New creates an EBR domain. advanceEvery controls how many retired blocks
+// a thread accumulates before attempting to advance the global epoch
 // (a typical value is 64; 0 selects the default).
 func New(advanceEvery int) *Manager {
 	if advanceEvery <= 0 {
 		advanceEvery = 64
 	}
 	m := &Manager{advanceEvery: advanceEvery}
+	m.handles.Store(new([]*Handle))
 	m.globalEpoch.Store(generations) // start above limbo depth
 	return m
 }
@@ -79,11 +91,12 @@ type Pool interface {
 	Recycle(obj any)
 }
 
-// limboEntry is one retired block: either a deferred-free callback (fn) or
-// a pool-routed object (pool, obj). The obj form exists so hot paths can
-// retire without allocating a closure per block: storing a pointer in an
-// interface does not heap-allocate, and the limbo slices themselves are
-// truncated and reused across epochs.
+// limboEntry is one retire: either a deferred-free callback (fn) or a
+// pool-routed object (pool, obj) — one block, or a batch of them the pool
+// unpacks. The obj form exists so hot paths can retire without allocating
+// a closure per block: storing a pointer in an interface does not
+// heap-allocate, and the limbo slices themselves are truncated and reused
+// across epochs.
 type limboEntry struct {
 	fn   func()
 	pool Pool
@@ -113,47 +126,53 @@ type Handle struct {
 
 	limbo        [generations][]limboEntry
 	limboEpochs  [generations]uint64
-	pending      int // entries across the three limbo slots
-	sinceAdvance int
+	sinceAdvance int // blocks retired since the last advance attempt
+	failed       int // advance attempts in a row that found a laggard
 
-	// Per-handle stat counters: written only by the owning goroutine on
-	// the retire hot path (atomic, so Manager.Stats can fold them
-	// cross-thread without a data race, but never contended).
+	// Per-handle stat counters, in limbo entries: written only by the
+	// owning goroutine on the retire hot path, so a bump is a load and a
+	// store (see bump) — atomic only so Manager.Stats can fold them
+	// cross-thread without a data race.
 	retired   atomic.Uint64
 	reclaimed atomic.Uint64
 }
+
+// bump adds n to a counter only its owner writes: no locked
+// read-modify-write, as core.StatShard's counters.
+func bump(c *atomic.Uint64, n uint64) { c.Store(c.Load() + n) }
 
 // Register creates a handle for the calling goroutine.
 func (m *Manager) Register() *Handle {
 	h := &Handle{mgr: m}
 	h.localEpoch.Store(m.globalEpoch.Load() << 1) // inactive
 	m.mu.Lock()
-	m.handles = append(m.handles, h)
+	old := *m.handles.Load()
+	grown := append(old[:len(old):len(old)], h) // full slice: always a copy
+	m.handles.Store(&grown)
 	m.mu.Unlock()
 	return h
 }
 
 // Enter begins a critical section: the handle announces the current global
 // epoch and is counted as a potential holder of references retired since.
-// A handle over its limbo bound first waits, boundedly, for the grace
-// period it is owed (see limboSlack): between critical sections it holds
-// no references, so this is the one point where it can.
+// A handle whose advance attempts keep failing first waits, boundedly, for
+// the laggard (see limboSlack): between critical sections it holds no
+// references, so this is the one point where it can.
 func (h *Handle) Enter() {
-	if h.pending >= limboSlack*h.mgr.advanceEvery {
+	if h.failed >= limboSlack {
 		h.awaitGrace()
 	}
 	e := h.mgr.globalEpoch.Load()
 	h.localEpoch.Store(e<<1 | 1)
 }
 
-// awaitGrace tries to advance the epoch until this handle's limbo is back
-// under its bound, handing the processor to whoever holds the epoch back
-// between attempts. Owner-only, outside any critical section.
+// awaitGrace retries the advance until one succeeds, handing the
+// processor to whoever holds the epoch back between attempts. Owner-only,
+// outside any critical section.
 func (h *Handle) awaitGrace() {
-	bound := limboSlack * h.mgr.advanceEvery
-	for i := 0; i < graceTries && h.pending >= bound; i++ {
+	for i := 0; i < graceTries; i++ {
 		if h.TryAdvance() {
-			continue
+			return
 		}
 		if i < graceYields {
 			runtime.Gosched()
@@ -176,7 +195,7 @@ func (h *Handle) Active() bool {
 // Retire registers free to be invoked once two epoch advances guarantee no
 // reader can still hold a reference obtained before the retire.
 func (h *Handle) Retire(free func()) {
-	h.retire(limboEntry{fn: free})
+	h.retire(limboEntry{fn: free}, 1)
 }
 
 // RetireInto registers obj to be handed to pool.Recycle after the grace
@@ -184,10 +203,18 @@ func (h *Handle) Retire(free func()) {
 // pointer (stored in the interface without boxing), and pool is a
 // per-goroutine freelist owned by this handle's goroutine.
 func (h *Handle) RetireInto(pool Pool, obj any) {
-	h.retire(limboEntry{pool: pool, obj: obj})
+	h.retire(limboEntry{pool: pool, obj: obj}, 1)
 }
 
-func (h *Handle) retire(e limboEntry) {
+// RetireBatch is RetireInto for an obj that stands for n blocks which
+// pool.Recycle unpacks: one limbo entry, n blocks towards the next advance
+// attempt — so a transaction that displaces advanceEvery cells attempts an
+// advance at its own settle.
+func (h *Handle) RetireBatch(pool Pool, obj any, n int) {
+	h.retire(limboEntry{pool: pool, obj: obj}, n)
+}
+
+func (h *Handle) retire(e limboEntry, blocks int) {
 	m := h.mgr
 	ge := m.globalEpoch.Load()
 	slot := int(ge % generations)
@@ -196,9 +223,8 @@ func (h *Handle) retire(e limboEntry) {
 		h.limboEpochs[slot] = ge
 	}
 	h.limbo[slot] = append(h.limbo[slot], e)
-	h.pending++
-	h.retired.Add(1)
-	h.sinceAdvance++
+	bump(&h.retired, 1)
+	h.sinceAdvance += blocks
 	if h.sinceAdvance >= m.advanceEvery {
 		h.sinceAdvance = 0
 		h.TryAdvance()
@@ -216,8 +242,7 @@ func (h *Handle) flushSlot(slot int) {
 		h.limbo[slot][i].release()
 		h.limbo[slot][i] = limboEntry{}
 	}
-	h.reclaimed.Add(uint64(len(h.limbo[slot])))
-	h.pending -= len(h.limbo[slot])
+	bump(&h.reclaimed, uint64(len(h.limbo[slot])))
 	h.limbo[slot] = h.limbo[slot][:0]
 }
 
@@ -241,19 +266,20 @@ func (h *Handle) Flush() {
 // TryAdvance attempts to advance the global epoch: it succeeds only if
 // every active handle has announced the current epoch. On success, blocks
 // retired two epochs ago become reclaimable and this handle frees its own
-// expired limbo.
+// expired limbo. Owner-only, like Retire. A handle registered after the
+// registry load below is missed by the scan, harmlessly: it announces the
+// epoch it reads at its first Enter, which is this one or the next.
 func (h *Handle) TryAdvance() bool {
 	m := h.mgr
 	e := m.globalEpoch.Load()
-	m.mu.Lock()
-	for _, other := range m.handles {
+	for _, other := range *m.handles.Load() {
 		le := other.localEpoch.Load()
 		if le&1 == 1 && le>>1 != e {
-			m.mu.Unlock()
+			h.failed++
 			return false
 		}
 	}
-	m.mu.Unlock()
+	h.failed = 0
 	if m.globalEpoch.CompareAndSwap(e, e+1) {
 		m.advances.Add(1)
 	}
@@ -277,7 +303,8 @@ func (h *Handle) Drain() {
 	}
 }
 
-// Stats is a snapshot of domain counters.
+// Stats is a snapshot of domain counters. Retired and Reclaimed count limbo
+// entries (retire calls), not the blocks they stand for.
 type Stats struct {
 	Epoch     uint64
 	Retired   uint64
@@ -292,10 +319,7 @@ func (m *Manager) Stats() Stats {
 		Epoch:    m.globalEpoch.Load(),
 		Advances: m.advances.Load(),
 	}
-	m.mu.Lock()
-	handles := m.handles
-	m.mu.Unlock()
-	for _, h := range handles {
+	for _, h := range *m.handles.Load() {
 		s.Retired += h.retired.Load()
 		s.Reclaimed += h.reclaimed.Load()
 	}

@@ -1,6 +1,7 @@
 package ebr
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -199,25 +200,57 @@ func TestRetireIntoBlockedByActiveReader(t *testing.T) {
 	}
 }
 
+// TestRetireBatchCountsBlocks pins the accounting: the advance trigger
+// counts the blocks a retire stands for, not the calls, while Stats keeps
+// counting limbo entries.
+func TestRetireBatchCountsBlocks(t *testing.T) {
+	const every = 256
+	m := New(every)
+	h := m.Register()
+	p := &recordPool{}
+	epoch := func() uint64 { return m.Stats().Epoch }
+
+	e := epoch()
+	h.RetireBatch(p, new(int), every)
+	if epoch() != e+1 {
+		t.Fatalf("a batch of %d blocks moved the epoch %d -> %d, want an advance on that call", every, e, epoch())
+	}
+	for i, want := range []uint64{e + 1, e + 1, e + 2} { // 100, 200, 300 >= 256
+		h.RetireBatch(p, new(int), 100)
+		if epoch() != want {
+			t.Fatalf("after %d batches of 100 blocks: epoch %d, want %d", i+1, epoch(), want)
+		}
+	}
+	for i := 1; i <= every; i++ { // a single block weighs one
+		h.RetireInto(p, new(int))
+		if want := e + 2 + uint64(i/every); epoch() != want {
+			t.Fatalf("after %d single retires: epoch %d, want %d", i, epoch(), want)
+		}
+	}
+	if st := m.Stats(); st.Retired != 1+3+every {
+		t.Fatalf("Retired = %d, want %d limbo entries whatever they weigh", st.Retired, 1+3+every)
+	}
+}
+
 // TestEnterWaitsOutOverfullLimbo pins the pacing in Enter: a handle whose
-// limbo has outgrown limboSlack advance attempts gets its grace period at
-// the next Enter when nothing holds the epoch back; when a stalled reader
-// does, Enter still returns (the wait is bounded) and reclaims nothing.
+// last limboSlack advance attempts all failed waits at its next Enter.
+// While a stalled reader holds the epoch that wait is bounded and reclaims
+// nothing; once the reader has left it ends at the first advance. Size
+// alone never trips it: a handle retiring batches far larger than
+// limboSlack*advanceEvery blocks, with nobody stalled, is never paced.
 func TestEnterWaitsOutOverfullLimbo(t *testing.T) {
 	const every = 4
 	m := New(every)
 	w, r := m.Register(), m.Register()
 	p := &recordPool{}
-	fill := func() {
-		for i := 0; i < limboSlack*every; i++ {
-			w.RetireInto(p, new(int))
-		}
-	}
 
 	r.Enter() // a reader stalled in its critical section
-	fill()
-	if w.pending < limboSlack*every {
-		t.Fatalf("pending = %d with a stalled reader, want >= %d", w.pending, limboSlack*every)
+	// The first attempt moves the epoch past the reader's; the rest fail.
+	for i := 0; i < (limboSlack+1)*every; i++ {
+		w.RetireInto(p, new(int))
+	}
+	if w.failed < limboSlack {
+		t.Fatalf("failed = %d with a stalled reader, want >= %d", w.failed, limboSlack)
 	}
 	held := len(p.got)
 	w.Enter() // must return although the epoch cannot move
@@ -225,14 +258,100 @@ func TestEnterWaitsOutOverfullLimbo(t *testing.T) {
 	if len(p.got) != held {
 		t.Fatalf("recycled %d objects past a stalled reader", len(p.got)-held)
 	}
+	if w.failed < limboSlack+graceTries {
+		t.Fatalf("failed = %d after a paced Enter, want the %d attempts of awaitGrace on top of %d", w.failed, graceTries, limboSlack)
+	}
 
 	r.Exit()
-	w.Enter() // advances until the limbo is back under its bound
+	w.Enter() // the first attempt succeeds: grace granted, pacing over
 	w.Exit()
-	if w.pending >= limboSlack*every || len(p.got) == held {
-		t.Fatalf("after the reader left: pending %d (bound %d), recycled %d", w.pending, limboSlack*every, len(p.got)-held)
+	if w.failed != 0 || len(p.got) == held {
+		t.Fatalf("after the reader left: failed %d, recycled %d", w.failed, len(p.got)-held)
 	}
-	if st := m.Stats(); st.Retired-st.Reclaimed != uint64(w.pending) {
-		t.Fatalf("pending %d disagrees with stats %+v", w.pending, st)
+
+	bulk := New(256)
+	b, idle := bulk.Register(), bulk.Register()
+	idle.Enter()
+	idle.Exit()
+	for i := 0; i < 3; i++ {
+		if b.failed >= limboSlack {
+			t.Fatalf("batch %d: failed = %d, the next Enter would be paced", i, b.failed)
+		}
+		b.Enter()
+		b.RetireBatch(p, new(int), 10000)
+		b.Exit()
+	}
+	if st := bulk.Stats(); st.Advances != 3 || st.Reclaimed != 2 {
+		t.Fatalf("three bulk batches: %+v, want an advance at each settle and all but the last batch back", st)
+	}
+}
+
+// TestRegisterWhileAdvancing exercises the lock-free registry scan:
+// handles register and enter critical sections while others retire and
+// advance. A reader inside a section must never see the block it loaded
+// freed — which is what an advance that missed a registered, active
+// handle would produce.
+func TestRegisterWhileAdvancing(t *testing.T) {
+	iters := 8000
+	if testing.Short() {
+		iters = 2000
+	}
+	type block struct{ freed atomic.Bool }
+	m := New(1) // an attempt on every retire
+	var cur atomic.Pointer[block]
+	cur.Store(new(block))
+	var retired, freed atomic.Int64
+
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	writers := []*Handle{m.Register(), m.Register()}
+	for _, h := range writers { // swap the block, retire the old one
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := 0; i < iters; i++ {
+				h.Enter()
+				old := cur.Swap(new(block))
+				h.Retire(func() { old.freed.Store(true); freed.Add(1) })
+				h.Exit()
+			}
+			retired.Add(int64(iters))
+		}()
+	}
+	for g := 0; g < 4; g++ { // readers: a fresh handle every 32 sections
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			var h *Handle
+			for i := 0; i < iters; i++ {
+				if i%32 == 0 {
+					h = m.Register()
+				}
+				h.Enter()
+				b := cur.Load()
+				for k := 0; k < 4; k++ {
+					if b.freed.Load() {
+						t.Error("block freed under a registered reader's critical section")
+						h.Exit()
+						return
+					}
+					runtime.Gosched()
+				}
+				h.Exit()
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for _, h := range writers {
+		h.Drain() // every reader has left
+	}
+	if freed.Load() != retired.Load() {
+		t.Fatalf("freed %d of %d retired blocks", freed.Load(), retired.Load())
+	}
+	if st := m.Stats(); st.Retired != uint64(retired.Load()) || st.Reclaimed != st.Retired {
+		t.Fatalf("stats %+v, want %d retired and reclaimed", st, retired.Load())
 	}
 }

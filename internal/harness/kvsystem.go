@@ -74,6 +74,9 @@ func newKVSystem(name, structure string, notx bool, buckets int, spec sysSpec) *
 		s.m = store
 	}
 	if !notx && mgr != nil {
+		// An advance attempt every 256 retired blocks, not retire calls: a
+		// 512-put snapshot chunk attempts at its own settle, and so draws
+		// the next chunk's descriptor cells from its pool.
 		s.smr = ebr.New(256)
 		if !spec.off["nopool"] {
 			mgr.EnablePooling()
@@ -464,6 +467,11 @@ func (w *kvWorker) ExecBatch(ops []kv.Op, res []kv.Result) error {
 			keyed, writes = true, true
 		}
 	}
+	if w.h != nil {
+		// One critical section over the transaction and the hoisted scans:
+		// a bare Range walks recyclable cells like any other operation.
+		w.h.Enter()
+	}
 	if keyed {
 		tap := w.feed != nil && writes
 		if tap && res == nil {
@@ -473,9 +481,6 @@ func (w *kvWorker) ExecBatch(ops []kv.Op, res []kv.Result) error {
 				w.feedRes = make([]kv.Result, len(ops))
 			}
 			res = w.feedRes[:len(ops)]
-		}
-		if w.h != nil {
-			w.h.Enter()
 		}
 		_ = w.tx.RunRetry(func() error {
 			if !scans {
@@ -496,9 +501,6 @@ func (w *kvWorker) ExecBatch(ops []kv.Op, res []kv.Result) error {
 		if tap {
 			w.publishBatch(ops, res)
 		}
-		if w.h != nil {
-			w.h.Exit()
-		}
 	}
 	if scans {
 		for i := range ops {
@@ -510,6 +512,9 @@ func (w *kvWorker) ExecBatch(ops []kv.Op, res []kv.Result) error {
 				res[i] = r
 			}
 		}
+	}
+	if w.h != nil {
+		w.h.Exit()
 	}
 	return nil
 }

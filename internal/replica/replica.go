@@ -328,7 +328,8 @@ const applyBatchMax = SnapshotChunkKeys
 // one batch per tick; with several in flight a tick coalesces them and
 // the bootstrap runs at the store's speed. Measured on a two-worker
 // pipeline (EXPERIMENTS.md): 1, 2, 4, 8, 16 in flight bootstrap 0.40,
-// 0.68, 1.07, 1.43, 1.46 M keys/s; a batch in flight is 12 KB of ops.
+// 0.70, 1.08, 1.45, 1.51 M keys/s, the last two ranges overlapping; a
+// batch in flight is 12 KB of ops.
 const applyInFlight = 8
 
 // applyPipe keeps up to applyInFlight Apply calls running while its

@@ -243,19 +243,93 @@ func TestWatchIdleShardHeartbeats(t *testing.T) {
 	}
 }
 
+// hashStore builds the 8-shard hash store medleyd serves by default.
+func hashStore(tb testing.TB, buckets int, keyRange uint64) Backend {
+	tb.Helper()
+	sys, err := harness.NewSystem("medley-hash@8", harness.SystemOpts{Buckets: buckets, KeyRange: keyRange})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sys.(Backend)
+}
+
+// poolMisses reads a harness backend's cumulative pool traffic: all
+// requests to its arenas, and those served by carving new memory.
+func poolMisses(be Backend) (misses, gets uint64) {
+	var hits uint64
+	for _, m := range be.(harness.MetricsSnapshotter).MetricsSnapshot() {
+		switch m.Name {
+		case "pool_gets":
+			gets = m.Value
+		case "pool_hits":
+			hits = m.Value
+		}
+	}
+	return gets - hits, gets
+}
+
+// TestFollowerBootstrapFootprint pins what a bootstrap leaves behind. A
+// snapshot chunk is one 512-put transaction; each put takes a node, a
+// descriptor cell and a value cell from the worker's arenas, and the store
+// keeps two of the three. If the displaced descriptor cells are not back
+// in the arena by the next chunk or two — EBR attempting an advance at
+// each such settle, because a batch weighs its length — every one of them
+// is carved fresh and then sits idle in a freelist for the life of the
+// follower: 56 bytes a key on top of the store's own.
+func TestFollowerBootstrapFootprint(t *testing.T) {
+	const keys = 1 << 16
+	// mhash's TestBytesPerKey ceiling plus 1 MB for what a node holds
+	// beside its store: two workers' arenas at their working size (a chunk
+	// or two of descriptor cells each), the pipeline's buffers and the feed
+	// rings, kept small here (the default rings are a fixed 2.6 MB).
+	const ceiling = 62 + 16
+	newStore := func() Backend { return hashStore(t, keys/8, 2*keys) }
+	store := newStore()
+	store.Preload(evenKeys(keys))
+	leader, err := NewNode(NodeConfig{Backend: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	ts := httptest.NewServer(leader.Handler())
+	defer ts.Close()
+
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	replicaStore := newStore()
+	before := heap()
+	fol, err := NewNode(NodeConfig{Backend: replicaStore, Follow: ts.URL, FeedRing: 1 << 8, Service: Config{Workers: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fol.Close()
+	waitFor(t, 30*time.Second, "follower bootstrap", fol.Follower().Ready)
+	perKey := float64(heap()-before) / keys
+	misses, gets := poolMisses(replicaStore)
+	hitShare := 1 - float64(misses)/float64(gets)
+	t.Logf("%.1f bytes of live heap per key; %d pool gets, hit share %.3f, %.2f misses/key", perKey, gets, hitShare, float64(misses)/keys)
+	if perKey > ceiling {
+		t.Errorf("bootstrap of %d keys left %.1f bytes of live heap per key, ceiling %d", keys, perKey, ceiling)
+	}
+	// One get in three is recyclable, so 1/3 is the most a bootstrap can
+	// hit; workers that share epochs grant each other grace a little late.
+	if hitShare < 0.2 {
+		t.Errorf("bootstrap missed the pool %.2f×/key (hit share %.3f of %d gets), want a hit share of at least 0.2", float64(misses)/keys, hitShare, gets)
+	}
+	runtime.KeepAlive(replicaStore)
+}
+
 // BenchmarkFollowerBootstrap prices the rung stack-repl's setup_s is made
 // of: a fresh follower node reaching Ready() against a leader holding 2^17
 // even keys, over a real loopback listener. B/op and allocs/op cover the
 // leader's scan and encode and the follower's decode and apply together.
 func BenchmarkFollowerBootstrap(b *testing.B) {
 	const keys = 1 << 17
-	newStore := func() Backend { // sized as cmd/medleyd sizes it
-		sys, err := harness.NewSystem("medley-hash@8", harness.SystemOpts{Buckets: 1 << 16, KeyRange: 1 << 20})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return sys.(Backend)
-	}
+	newStore := func() Backend { return hashStore(b, 1<<16, 1<<20) } // sized as cmd/medleyd sizes it
 	store := newStore()
 	store.Preload(evenKeys(keys))
 	leader, err := NewNode(NodeConfig{Backend: store})
@@ -265,6 +339,7 @@ func BenchmarkFollowerBootstrap(b *testing.B) {
 	defer leader.Close()
 	ts := httptest.NewServer(leader.Handler())
 	defer ts.Close()
+	var misses uint64 // pool gets the followers' arenas carved fresh
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -283,9 +358,12 @@ func BenchmarkFollowerBootstrap(b *testing.B) {
 		if st := fol.Follower().Stats(); st.BootstrapKeys != keys {
 			b.Fatalf("bootstrap applied %d keys, want %d", st.BootstrapKeys, keys)
 		}
+		m, _ := poolMisses(store)
+		misses += m
 		fol.Close()
 		client.CloseIdleConnections()
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(keys)*float64(b.N)/b.Elapsed().Seconds(), "keys/s")
+	b.ReportMetric(float64(misses)/float64(keys)/float64(b.N), "misses/key")
 }

@@ -243,3 +243,46 @@ func testBytesPerKey(t *testing.T, key func(i uint64) uint64) {
 	}
 	runtime.KeepAlive(m)
 }
+
+// TestBulkTransactionRecyclesItsCells pins that EBR prices limbo in blocks:
+// a transaction whose write set is large against advanceEvery attempts an
+// epoch advance at its own settle, so the descriptor cells it displaces are
+// back in its arena a batch later. Of the three pool gets a fresh-key put
+// makes — node, descriptor cell, value cell — the store keeps two; only
+// the first few batches may miss on the third. Counted in entries (one per
+// settle), 128 transactions never reach an attempt and every get misses.
+func TestBulkTransactionRecyclesItsCells(t *testing.T) {
+	const (
+		txns  = 128
+		perTx = 512
+		keys  = txns * perTx
+	)
+
+	mgr := core.NewTxManager()
+	mgr.EnablePooling()
+	tx := mgr.Register()
+	h := ebr.New(256).Register() // the harness's setting
+	tx.SetSMR(h)
+	m := NewMap[uint64](mgr, keys)
+
+	for base := uint64(0); base < keys; base += perTx {
+		h.Enter()
+		err := tx.RunRetry(func() error {
+			for k := base; k < base+perTx; k++ {
+				m.Put(tx, k, k)
+			}
+			return nil
+		})
+		h.Exit()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := mgr.Stats()
+	misses := st.PoolGets - st.PoolHits
+	t.Logf("%d pool gets, %d hits: %.2f misses/key", st.PoolGets, st.PoolHits, float64(misses)/keys)
+	if ceiling := uint64(2*keys + 4*perTx); misses > ceiling {
+		t.Errorf("bulk transaction missed the pool %.2f×/key (%d misses over %d keys), ceiling %d: a settle batch must weigh its length in limbo",
+			float64(misses)/keys, misses, keys, ceiling)
+	}
+}

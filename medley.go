@@ -188,5 +188,8 @@ type (
 	EBRHandle = ebr.Handle
 )
 
-// NewEBR creates an epoch-based reclamation domain.
+// NewEBR creates an epoch-based reclamation domain whose handles attempt
+// an epoch advance every advanceEvery retired blocks, not calls: a
+// transaction's displaced cells are retired as one batch that counts its
+// length (0 selects the default of 64).
 func NewEBR(advanceEvery int) *EBR { return ebr.New(advanceEvery) }
