@@ -10,8 +10,8 @@ import (
 
 // budget is one committed regression contract (testdata/*_budget.json): a
 // record selector plus a list of rules every selected record must satisfy.
-// All five gates — allocation, fast-path, group-commit, fault-tolerance,
-// replication — are instances of this one shape.
+// All four gates — allocation, fast-path, fault-tolerance, replication —
+// are instances of this one shape.
 type budget struct {
 	// Scenario, Phase and System select the judged records; "" matches
 	// anything. A report of another scenario passes vacuously — a budget

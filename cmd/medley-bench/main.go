@@ -31,7 +31,7 @@
 // reproduction target.
 //
 // Systems resolve through the harness registry (internal/harness) by one
-// spec grammar, base{-nopool|-nofast|-nogroup|-persistoff}[@N]: a suffix
+// spec grammar, base{-nopool|-nofast|-persistoff}[@N]: a suffix
 // switches one ablation axis off on a base that has it ('-systems list'
 // shows which), and "@N" runs a shardable system over an N-way
 // hash-partitioned ShardedStore (internal/kv): N structure instances

@@ -86,8 +86,6 @@ func TestDefaultSystemsAuto(t *testing.T) {
 		"chaos-oversubscribe":     "medley-hash",
 		"chaos-shard-skew":        "medley-hash medley-hash@8",
 		"chaos-scan-race":         "medley-hash medley-skip",
-		"groupcommit":             "medley-hash medley-hash-nogroup onefile-hash tdsl",
-		"chaos-group-commit":      "medley-hash medley-hash-nogroup",
 		"service-mixed":           "medley-hash@8",
 		"chaos-service-restart":   "ponefile-hash",
 		"chaos-net-flaky":         "ponefile-hash",

@@ -211,10 +211,6 @@ func printScenarioResult(res harness.ScenarioResult, named bool) {
 	if fp := m.Fastpath; fp != nil && fp.Commits > 0 {
 		fmt.Printf("  fastpath            read-only=%d  single-write=%d  share=%5.1f%%\n",
 			fp.ReadOnlyCommits, fp.FastPathCommits-fp.ReadOnlyCommits, 100*fp.FastpathShare)
-		if fp.GroupCommits > 0 {
-			fmt.Printf("  groupcommit         groups=%d  grouped-txns=%d  share=%5.1f%%\n",
-				fp.GroupCommits, fp.GroupedTxns, 100*fp.GroupShare)
-		}
 	}
 	if len(res.Phases) > 1 {
 		for _, ph := range res.Phases {

@@ -20,6 +20,10 @@
 // /v1/promote, or automatically after -promote-after consecutive failed
 // leader round trips. See internal/service and internal/replica.
 //
+// -system takes the registry's one spec grammar,
+// base{-nopool|-nofast|-persistoff}[@N]; -list prints each base with the
+// suffixes it accepts.
+//
 // Usage:
 //
 //	medleyd -listen :7654 -system medley-hash@8 -pool 4096 -tick 1ms
@@ -120,9 +124,10 @@ func run(ctx context.Context, args []string) error {
 	// existed. Otherwise a Node: a leader with a followable feed, or (with
 	// -follow) a follower of one.
 	var (
-		handler http.Handler
-		svc     *service.Service
-		role    = "standalone"
+		handler    http.Handler
+		svc        *service.Service
+		role       = "standalone"
+		endStreams func() // ends the open /v1/watch responses; nil without a feed
 	)
 	if !be.SupportsChangeFeed() {
 		if *follow != "" {
@@ -148,6 +153,7 @@ func run(ctx context.Context, args []string) error {
 		}
 		defer node.Close()
 		handler, svc, role = node.Handler(), node.Service(), node.Role()
+		endStreams = node.Feed().Close
 	} else {
 		svc = service.New(be, svcCfg)
 		defer svc.Close()
@@ -165,6 +171,12 @@ func run(ctx context.Context, args []string) error {
 		// the life of the follower. Batch responses are bounded by the
 		// pipeline's own deadlines.
 		WriteTimeout: 0,
+	}
+	if endStreams != nil {
+		// Shutdown waits for connections to go idle and a watch stream never
+		// does on its own: end the streams first. Publishing to the closed
+		// feed still works, so admitted batches finish and are answered.
+		srv.RegisterOnShutdown(endStreams)
 	}
 
 	errCh := make(chan error, 1)

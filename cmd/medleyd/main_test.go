@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"io"
@@ -81,16 +82,58 @@ func get(t *testing.T, url string) (int, string) {
 }
 
 // TestRunServesAndDrains boots the daemon, reads /healthz, and checks that
-// cancelling the context drains and returns cleanly.
+// cancelling the context drains and returns cleanly within a second even
+// with a follower's watch stream open: the stream ends with a clean EOF, a
+// batch admitted before the cancel is still answered, and the shutdown
+// logs no error.
 func TestRunServesAndDrains(t *testing.T) {
-	addr, _, cancel, done := boot(t, "Medley-hash-2shard", "leader", "-system", "medley-hash@2")
+	// A long tick, so the batch below is still pooled when the cancel lands.
+	addr, logs, cancel, done := boot(t, "Medley-hash-2shard", "leader", "-system", "medley-hash@2", "-tick", "250ms")
+	base := "http://" + addr
 
-	if code, body := get(t, "http://"+addr+"/healthz"); code != http.StatusOK ||
+	if code, body := get(t, base+"/healthz"); code != http.StatusOK ||
 		!strings.Contains(body, `"role":"leader"`) || !strings.Contains(body, `"feed_shards":4`) {
 		t.Fatalf("/healthz = %d %q", code, body)
 	}
 
+	watch, err := http.Get(base + "/v1/watch?shard=0&from=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer watch.Body.Close()
+	stream := bufio.NewReader(watch.Body)
+	if line, err := stream.ReadString('\n'); err != nil || !strings.Contains(line, `"hb":true`) {
+		t.Fatalf("watch stream opened with %q, %v; want a heartbeat", line, err)
+	}
+	streamEnd := make(chan error, 1)
+	go func() {
+		_, err := io.Copy(io.Discard, stream)
+		streamEnd <- err
+	}()
+
+	batchCode := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(base+"/v1/batch", "application/json",
+			strings.NewReader(`{"ops":[{"op":"put","key":1,"val":42}]}`))
+		if err != nil {
+			t.Errorf("/v1/batch across shutdown: %v", err)
+			batchCode <- 0
+			return
+		}
+		resp.Body.Close()
+		batchCode <- resp.StatusCode
+	}()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		if _, body := get(t, base+"/metrics"); strings.Contains(body, `{"name":"svc_accepted","value":1}`) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("batch never admitted")
+		}
+	}
+
 	cancel()
+	cancelled := time.Now()
 	select {
 	case err := <-done:
 		if err != nil {
@@ -99,7 +142,19 @@ func TestRunServesAndDrains(t *testing.T) {
 	case <-time.After(15 * time.Second):
 		t.Fatal("run did not return after its context was cancelled")
 	}
-	if _, err := http.Get("http://" + addr + "/healthz"); err == nil {
+	if took := time.Since(cancelled); took >= time.Second {
+		t.Errorf("run took %v to return with a watch stream open, want < 1s", took)
+	}
+	if err := <-streamEnd; err != nil {
+		t.Errorf("watch stream ended with %v, want a clean EOF", err)
+	}
+	if code := <-batchCode; code != http.StatusOK {
+		t.Errorf("batch admitted before the cancel answered %d, want 200", code)
+	}
+	if strings.Contains(logs.String(), "shutdown:") {
+		t.Errorf("shutdown logged an error:\n%s", logs.String())
+	}
+	if _, err := http.Get(base + "/healthz"); err == nil {
 		t.Error("listener still accepting after run returned")
 	}
 }

@@ -67,8 +67,8 @@ type contention struct {
 }
 
 // note folds one completed attempt into the EWMA and updates the
-// hot-conflict detector. Called by RunRetry and RunGroup after every
-// attempt, aborted or not.
+// hot-conflict detector. Called by RunRetry after every attempt, aborted
+// or not.
 func (c *contention) note(tx *Tx, aborted bool) {
 	abo := tx.desc.shard.AbortsByOthers.Load()
 	var sample uint32

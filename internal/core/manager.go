@@ -18,7 +18,6 @@ type TxManager struct {
 	nextTID atomic.Int64
 	pooling atomic.Bool
 	nofast  atomic.Bool
-	nogroup atomic.Bool
 
 	mu     sync.Mutex
 	shards []*StatShard
@@ -59,21 +58,6 @@ func (m *TxManager) DisableFastPaths() { m.nofast.Store(true) }
 // paths.
 func (m *TxManager) FastPathsEnabled() bool { return !m.nofast.Load() }
 
-// DisableGroupCommit turns the group-commit path off for Txs registered
-// afterwards: Tx.RunGroup then executes every member as its own
-// transaction instead of merging the group into one commit. Group commit
-// is on by default; the switch exists for ablation (the -nogroup system
-// suffix) and mirrors DisableFastPaths — call before registering workers.
-//
-// Like the fast paths, group commit is outcome-preserving: a merged group
-// commits its members atomically in member order, which is one of the
-// serial orders the individual path could also have produced.
-func (m *TxManager) DisableGroupCommit() { m.nogroup.Store(true) }
-
-// GroupCommitEnabled reports whether Txs registered now merge commit
-// groups.
-func (m *TxManager) GroupCommitEnabled() bool { return !m.nogroup.Load() }
-
 // StatShard is one worker's slice of the manager's statistics: every
 // counter is written by exactly one goroutine on the transaction fast path
 // (cross-thread writes happen only on the rare contention events they
@@ -89,9 +73,7 @@ type StatShard struct {
 	PoolRetires     atomic.Uint64 // blocks this worker retired into its pools
 	ReadOnlyCommits atomic.Uint64 // commits that took the read-only fast path (no publication, no status CAS)
 	FastPathCommits atomic.Uint64 // commits that took any fast path (read-only + single-write)
-	GroupCommits    atomic.Uint64 // merged commits produced by Tx.RunGroup (one per group)
-	GroupedTxns     atomic.Uint64 // logical transactions committed inside merged groups
-	_               [32]byte      // pad 12x8-byte counters out to two cache lines
+	_               [48]byte      // pad 10x8-byte counters out to two cache lines
 }
 
 // bump increments a single-writer StatShard counter without an atomic RMW:
@@ -118,8 +100,6 @@ func (s *StatShard) snapshot() Stats {
 		PoolRetires:     s.PoolRetires.Load(),
 		ReadOnlyCommits: s.ReadOnlyCommits.Load(),
 		FastPathCommits: s.FastPathCommits.Load(),
-		GroupCommits:    s.GroupCommits.Load(),
-		GroupedTxns:     s.GroupedTxns.Load(),
 	}
 }
 
@@ -136,7 +116,7 @@ func (m *TxManager) Register() *Tx {
 	// Serial 0 with a terminal status so stale references can never
 	// mistake the pristine descriptor for an in-flight transaction.
 	d.status.Store(packStatus(0, StatusAborted))
-	return &Tx{mgr: m, desc: d, fast: m.FastPathsEnabled(), group: m.GroupCommitEnabled()}
+	return &Tx{mgr: m, desc: d, fast: m.FastPathsEnabled()}
 }
 
 // Stats is a snapshot of manager counters.
@@ -151,15 +131,6 @@ type Stats struct {
 	PoolRetires     uint64 // blocks retired into pools
 	ReadOnlyCommits uint64 // commits via the read-only fast path
 	FastPathCommits uint64 // commits via any fast path (read-only + single-write)
-	GroupCommits    uint64 // merged group commits (one per group; counted once in Commits)
-	GroupedTxns     uint64 // logical transactions committed inside merged groups
-}
-
-// LogicalCommits is the number of logical transactions that committed: a
-// merged group counts once in Commits but carries GroupedTxns members, so
-// the logical total is Commits with each group re-expanded.
-func (s Stats) LogicalCommits() uint64 {
-	return s.Commits - s.GroupCommits + s.GroupedTxns
 }
 
 // add folds o into s.
@@ -174,8 +145,6 @@ func (s *Stats) add(o Stats) {
 	s.PoolRetires += o.PoolRetires
 	s.ReadOnlyCommits += o.ReadOnlyCommits
 	s.FastPathCommits += o.FastPathCommits
-	s.GroupCommits += o.GroupCommits
-	s.GroupedTxns += o.GroupedTxns
 }
 
 // Stats returns a snapshot of the manager's counters, aggregated over all

@@ -335,3 +335,109 @@ func TestManyThreadsManySlots(t *testing.T) {
 			st.Begins, st.Commits, st.Aborts)
 	}
 }
+
+// TestWideTransactionSerializable is the large-write-set storm: every
+// writer transaction is a run of 8 transfers between 16 distinct accounts,
+// so each commit installs 16 descriptor cells through the general protocol
+// where helpers can reach and eagerly abort it, while read-only sweeps of
+// every account must see the conserved total. The other stresses in this
+// file commit at most three cells per transaction. Workers park on a start
+// gate so the storm begins with all of them live.
+func TestWideTransactionSerializable(t *testing.T) {
+	const (
+		nAccounts  = 32
+		perAccount = 1000
+		writers    = 4
+		readers    = 2
+		transfers  = 8
+	)
+	rounds := 2000
+	if testing.Short() {
+		rounds = 300
+	}
+	mgr := NewTxManager()
+	accounts := make([]*CASObj[int], nAccounts)
+	for i := range accounts {
+		accounts[i] = NewCASObj[int](perAccount)
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	var torn atomic.Int64
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			tx := mgr.Register()
+			rng := rand.New(rand.NewSource(seed))
+			<-start
+			for i := 0; i < rounds; i++ {
+				idx := rng.Perm(nAccounts)[:2*transfers]
+				err := tx.RunRetry(func() error {
+					for j := 0; j < len(idx); j += 2 {
+						from, to := accounts[idx[j]], accounts[idx[j+1]]
+						tx.OpStart()
+						vf, wf := from.NbtcLoad(tx)
+						tx.AddToReadSet(wf)
+						tx.OpStart()
+						vt, wt := to.NbtcLoad(tx)
+						tx.AddToReadSet(wt)
+						tx.OpStart()
+						if !from.NbtcCAS(tx, vf, vf-1, true, true) {
+							tx.Abort()
+						}
+						tx.OpStart()
+						if !to.NbtcCAS(tx, vt, vt+1, true, true) {
+							tx.Abort()
+						}
+					}
+					return nil
+				})
+				if err != nil {
+					t.Errorf("wide transfer: %v", err)
+					return
+				}
+			}
+		}(int64(g) + 1)
+	}
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tx := mgr.Register()
+			<-start
+			for i := 0; i < rounds; i++ {
+				sum := 0
+				err := tx.Run(func() error {
+					sum = 0
+					for _, a := range accounts {
+						tx.OpStart()
+						v, w := a.NbtcLoad(tx)
+						tx.AddToReadSet(w)
+						sum += v
+					}
+					return nil
+				})
+				if err == nil && sum != nAccounts*perAccount {
+					torn.Add(1)
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if n := torn.Load(); n != 0 {
+		t.Fatalf("%d committed sweeps observed a torn wide transfer", n)
+	}
+	total := 0
+	for _, a := range accounts {
+		total += a.Load()
+	}
+	if total != nAccounts*perAccount {
+		t.Fatalf("final total = %d, want %d", total, nAccounts*perAccount)
+	}
+	st := mgr.Stats()
+	if st.Commits < uint64(writers*rounds) {
+		t.Fatalf("Commits = %d, want >= %d wide transfers", st.Commits, writers*rounds)
+	}
+	t.Logf("commits=%d aborts=%d by-others=%d helps=%d", st.Commits, st.Aborts, st.AbortsByOthers, st.HelpEvents)
+}

@@ -34,7 +34,6 @@ type Tx struct {
 	active bool
 	inSpec bool
 	fast   bool // commit fast paths enabled (TxManager.FastPathsEnabled at Register)
-	group  bool // group commit enabled (TxManager.GroupCommitEnabled at Register)
 
 	reads     []ReadWitness  // published at End; see readsFree for reuse rules
 	writes    []writeCell    // owner-only: truncate-and-reuse

@@ -17,19 +17,15 @@ import (
 
 // FastpathResult is the commit-protocol digest of one record: how many
 // commits skipped the descriptor handshake (the read-only elision, and any
-// fast path = read-only + single-write fold), how many merged a group of
-// logical transactions into one physical commit, and the derived shares.
+// fast path = read-only + single-write fold), and the derived share.
 // Present on run-phase records of systems exporting tx_commits (everything
 // built on the core's commit protocol); absent on crash phases, on
 // competitors and on the no-transaction baselines.
 type FastpathResult struct {
 	ReadOnlyCommits uint64  `json:"read_only_commits"`
 	FastPathCommits uint64  `json:"fastpath_commits"`
-	Commits         uint64  `json:"commits"`        // all physical commits
+	Commits         uint64  `json:"commits"`
 	FastpathShare   float64 `json:"fastpath_share"` // FastPathCommits / Commits
-	GroupCommits    uint64  `json:"group_commits"`  // each counted once in Commits
-	GroupedTxns     uint64  `json:"grouped_txns"`   // logical transactions inside merged groups
-	GroupShare      float64 `json:"group_share"`    // GroupedTxns / logical commits
 }
 
 // fastpathResult derives the digest from a phase's counter deltas; nil
@@ -41,15 +37,10 @@ func fastpathResult(v map[string]uint64) *FastpathResult {
 	}
 	f := &FastpathResult{
 		ReadOnlyCommits: v["tx_commits_read_only"], FastPathCommits: v["tx_commits_fastpath"],
-		Commits: commits, GroupCommits: v["tx_group_commits"], GroupedTxns: v["tx_grouped_txns"],
+		Commits: commits,
 	}
 	if commits > 0 {
 		f.FastpathShare = float64(f.FastPathCommits) / float64(commits)
-	}
-	// Logical commits re-expand merged groups: each group commit is one
-	// physical commit standing for GroupedTxns logical transactions.
-	if lc := commits - f.GroupCommits + f.GroupedTxns; lc > 0 {
-		f.GroupShare = float64(f.GroupedTxns) / float64(lc)
 	}
 	return f
 }
@@ -423,38 +414,16 @@ func runPhase(sys System, caps Caps, sc Scenario, ph Phase, phaseIdx int, cfg En
 			w := sys.NewWorker()
 			ws[tid] = w
 			gen := NewTxGen(dist, cfg.KeyRange, ph.Mix, seed)
-			// One loop for both shapes: a group scenario on a GroupWorker
-			// buffers size generated transactions — each copied out of the
-			// generator's reused buffer — and submits the run through
-			// DoGroup; everything else runs size 1 through Do. Every member
-			// remains its own logical transaction (journaled and counted
-			// individually); one latency sample covers a whole run, so
-			// grouped latencies are per-group, comparable across systems at
-			// equal GroupSize.
-			gw, _ := w.(GroupWorker)
-			size := 1
-			if sc.GroupSize > 1 && gw != nil {
-				size = sc.GroupSize
-			}
-			group := make([][]Op, size)
 			tick := 0
 			<-start
 			for !stopFlag.Load() {
-				total := 0
-				for n := range group {
-					ops := gen.Next()
-					if vs != nil && vs.partition {
-						for i := range ops {
-							if ops[i].Kind == OpInsert || ops[i].Kind == OpRemove {
-								ops[i].Key = PartitionKey(ops[i].Key, tid, workers, cfg.KeyRange)
-							}
+				ops := gen.Next()
+				if vs != nil && vs.partition {
+					for i := range ops {
+						if ops[i].Kind == OpInsert || ops[i].Kind == OpRemove {
+							ops[i].Key = PartitionKey(ops[i].Key, tid, workers, cfg.KeyRange)
 						}
 					}
-					if size > 1 {
-						ops = append(group[n][:0], ops...)
-					}
-					group[n] = ops
-					total += len(ops)
 				}
 				tick++
 				timed := tick >= every
@@ -462,21 +431,15 @@ func runPhase(sys System, caps Caps, sc Scenario, ph Phase, phaseIdx int, cfg En
 				if timed {
 					tick, t0 = 0, time.Now()
 				}
-				if size > 1 {
-					gw.DoGroup(group)
-				} else {
-					w.Do(group[0])
-				}
+				w.Do(ops)
 				if timed {
 					shard.Record(time.Since(t0), cfg.MaxLatencySamples)
 				}
 				if jm != nil {
-					for _, ops := range group {
-						applyOps(jm, ops)
-					}
+					applyOps(jm, ops)
 				}
-				shard.txns += uint64(size)
-				shard.ops += uint64(total)
+				shard.txns++
+				shard.ops += uint64(len(ops))
 			}
 		}()
 	}

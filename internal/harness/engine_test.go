@@ -1,13 +1,9 @@
 package harness
 
 import (
-	"math/rand"
-	"reflect"
 	"sort"
 	"testing"
 	"time"
-
-	"medley/internal/kv"
 )
 
 func tinyEngineConfig(threads int) EngineConfig {
@@ -270,115 +266,6 @@ func TestFastpathBlockReported(t *testing.T) {
 	}
 	if fp.FastPathCommits != 0 || fp.FastpathShare != 0 {
 		t.Fatalf("nofast system took fast paths: %+v", fp)
-	}
-}
-
-// TestGroupCommitBlockReported checks that the engine reports the
-// group-commit digest for Medley systems on a grouped scenario: merged
-// commits must dominate (each merge carries >= 2 members), the
-// -nogroup ablation must report a present-but-zero block, and
-// the VerifyFinal chaos variant must find the grouped execution
-// serializable (no state-vs-model violations).
-func TestGroupCommitBlockReported(t *testing.T) {
-	sc, err := LookupScenario("groupcommit")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := RunScenario(testSystem("medley-hash"), sc, tinyEngineConfig(2))
-	fp := res.Measured.Fastpath
-	if fp == nil {
-		t.Fatal("Medley system reported no fastpath block")
-	}
-	if fp.GroupCommits == 0 || fp.GroupedTxns == 0 {
-		t.Fatalf("no group commits on a grouped scenario: %+v", fp)
-	}
-	if fp.GroupedTxns < 2*fp.GroupCommits {
-		t.Fatalf("merges carry < 2 members on average: %+v", fp)
-	}
-	if fp.GroupShare < 0.5 {
-		t.Fatalf("group share %.2f on a GroupSize-8 scenario, want > 0.5", fp.GroupShare)
-	}
-
-	off := RunScenario(testSystem("medley-hash-nogroup"), sc, tinyEngineConfig(2))
-	fp = off.Measured.Fastpath
-	if fp == nil || fp.Commits == 0 {
-		t.Fatalf("nogroup system reported no commits: %+v", fp)
-	}
-	if fp.GroupCommits != 0 || fp.GroupedTxns != 0 || fp.GroupShare != 0 {
-		t.Fatalf("nogroup system merged commits: %+v", fp)
-	}
-
-	chaos, err := LookupScenario("chaos-group-commit")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cres := RunScenario(testSystem("medley-hash"), chaos, tinyEngineConfig(4))
-	fc := cres.FinalCheck
-	if fc == nil || !fc.Checked {
-		t.Fatalf("chaos-group-commit skipped the final check: %+v", fc)
-	}
-	if v := fc.Violations; v != 0 {
-		t.Fatalf("grouped execution diverged from the serial model: %d violations (%+v)", v, fc)
-	}
-	if cfp := cres.Measured.Fastpath; cfp == nil || cfp.GroupCommits == 0 {
-		t.Fatalf("chaos-group-commit took no merged commits: %+v", cfp)
-	}
-}
-
-// TestExecGroupMatchesNoGroup is the "same answers" check on group
-// commit: the same seeded pipelined runs of eight batches — shared keys
-// across members, Adds and Deletes, an occasional scan-carrying member —
-// through ExecGroup on medley-hash@8 (members merged into one commit) and
-// on medley-hash-nogroup@8 (each member its own commit) must return
-// identical results and leave identical stores.
-func TestExecGroupMatchesNoGroup(t *testing.T) {
-	const runs, members, keySpace = 64, 8, 48
-	type outcome struct {
-		res    [][]kv.Result
-		state  map[uint64]uint64
-		merged uint64
-	}
-	exec := func(spec string) outcome {
-		sys := testSystem(spec).(*KVSystem)
-		gx := sys.NewExecutor().(kv.GroupExecutor)
-		r := rand.New(rand.NewSource(8))
-		var out outcome
-		for i := 0; i < runs; i++ {
-			batches := make([]kv.Batch, members)
-			for b := range batches {
-				ops := make([]kv.Op, 1+r.Intn(6))
-				for o := range ops {
-					kinds := []kv.OpKind{kv.OpGet, kv.OpPut, kv.OpDelete, kv.OpAdd}
-					ops[o] = kv.Op{Kind: kinds[r.Intn(len(kinds))], Key: uint64(r.Intn(keySpace)), Val: uint64(r.Intn(1000))}
-				}
-				if r.Intn(16) == 0 {
-					ops[0] = kv.Op{Kind: kv.OpScan, Val: keySpace}
-				}
-				batches[b] = kv.Batch{Ops: ops, Res: make([]kv.Result, len(ops))}
-			}
-			gx.ExecGroup(batches, nil)
-			for _, b := range batches {
-				out.res = append(out.res, b.Res)
-			}
-		}
-		out.state = map[uint64]uint64{}
-		sys.StateSnapshot(func(k, v uint64) bool { out.state[k] = v; return true })
-		out.merged = sys.Manager().Stats().GroupCommits
-		return out
-	}
-	on, off := exec("medley-hash@8"), exec("medley-hash-nogroup@8")
-	if on.merged == 0 || off.merged != 0 {
-		t.Fatalf("group commits: grouped %d, -nogroup %d; want > 0 and 0 (the two sides must differ in protocol)", on.merged, off.merged)
-	}
-	if !reflect.DeepEqual(on.res, off.res) {
-		for i := range on.res {
-			if !reflect.DeepEqual(on.res[i], off.res[i]) {
-				t.Fatalf("batch %d (run %d member %d): grouped %+v, -nogroup %+v", i, i/members, i%members, on.res[i], off.res[i])
-			}
-		}
-	}
-	if !reflect.DeepEqual(on.state, off.state) {
-		t.Fatalf("final state differs:\n  grouped %v\n-nogroup %v", on.state, off.state)
 	}
 }
 

@@ -114,36 +114,6 @@ func TestFeedTapReadOnlyPublishesNothing(t *testing.T) {
 	}
 }
 
-func TestFeedTapGroupFallsBackToPerMember(t *testing.T) {
-	ks, f, ex := feedSystem(t)
-	_ = ks
-	gx, ok := ex.(kv.GroupExecutor)
-	if !ok {
-		t.Fatal("executor not a GroupExecutor")
-	}
-	batches := []kv.Batch{
-		{Ops: []kv.Op{{Kind: kv.OpPut, Key: 11, Val: 1}}},
-		{Ops: []kv.Op{{Kind: kv.OpPut, Key: 12, Val: 2}}},
-		{Ops: []kv.Op{{Kind: kv.OpPut, Key: 13, Val: 3}}},
-	}
-	gx.ExecGroup(batches, nil)
-	entries := feedEntries(t, f)
-	if len(entries) != 3 {
-		t.Fatalf("entries = %v, want all 3 group members", entries)
-	}
-	// Each member committed under its own ticket (per-member fallback).
-	seen := map[uint64]bool{}
-	for _, e := range entries {
-		seen[e.TxID] = true
-	}
-	if len(seen) != 3 {
-		t.Fatalf("group members shared tickets: %v", entries)
-	}
-	if st := f.Stats(); st.Pending != 0 {
-		t.Fatalf("feed stalled with pending tickets: %+v", st)
-	}
-}
-
 // TestFeedTapReplayConvergence is the end-to-end correctness claim: replay
 // a fuzzy snapshot + feed suffix into a fresh map and diff against the
 // store's final state.

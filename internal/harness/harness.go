@@ -47,16 +47,6 @@ type Worker interface {
 	Do(ops []Op)
 }
 
-// GroupWorker is the optional worker capability behind group-commit
-// scenarios (Scenario.GroupSize > 1): DoGroup executes each op list as
-// its own logical transaction — outcomes identical to calling Do once
-// per list, in order — but the worker may merge compatible neighbors
-// into one physical group commit. Workers without the capability run
-// group scenarios through the plain Do loop.
-type GroupWorker interface {
-	DoGroup(opss [][]Op)
-}
-
 // System is one concurrency-control system under the microbenchmark.
 type System interface {
 	Name() string

@@ -50,8 +50,7 @@ type KVSystem struct {
 // transaction (Original/TxOff). Pooling is sound here because every worker
 // holds its EBR handle's critical section across each transaction — see
 // kvWorker.ExecBatch — and background maintenance is guarded the same way.
-// -nofast forces every commit through the full descriptor handshake;
-// -nogroup runs every RunGroup member as its own commit.
+// -nofast forces every commit through the full descriptor handshake.
 func newKVSystem(name, structure string, notx bool, buckets int, spec sysSpec) *KVSystem {
 	var mgr *core.TxManager
 	if kv.Composable(structure) {
@@ -83,9 +82,6 @@ func newKVSystem(name, structure string, notx bool, buckets int, spec sysSpec) *
 		}
 		if spec.off["nofast"] {
 			mgr.DisableFastPaths()
-		}
-		if spec.off["nogroup"] {
-			mgr.DisableGroupCommit()
 		}
 	}
 	return s
@@ -218,19 +214,7 @@ type kvWorker struct {
 	feed    *cdc.Feed
 	pub     []cdc.Write
 	feedRes []kv.Result
-
-	// Group scratch, reused across DoGroup calls: the Batch headers over
-	// the members' op slices.
-	gbatches []kv.Batch
 }
-
-// groupMaxMembers and groupMaxOps bound one merged commit's blast radius:
-// more members and more ops amortize the commit protocol better, but one
-// conflict on any cell the merged transaction touched aborts all of it.
-const (
-	groupMaxMembers = 16
-	groupMaxOps     = 64
-)
 
 // NewWorker implements System: a worker released at an earlier phase
 // barrier when one is available (warm arenas and handle), a fresh one
@@ -319,21 +303,6 @@ func (s *KVSystem) newWorker() *kvWorker {
 
 func (w *kvWorker) Do(ops []Op) { _ = w.ExecBatch(ops, nil) }
 
-// DoGroup implements GroupWorker: each op list is one generated logical
-// transaction; the group commits through ExecGroup so compatible members
-// merge into group commits (or run individually under the
-// -nogroup ablation — same loop, different commit protocol).
-func (w *kvWorker) DoGroup(opss [][]Op) {
-	if cap(w.gbatches) < len(opss) {
-		w.gbatches = make([]kv.Batch, len(opss))
-	}
-	batches := w.gbatches[:len(opss)]
-	for i, ops := range opss {
-		batches[i] = kv.Batch{Ops: ops}
-	}
-	w.ExecGroup(batches, nil)
-}
-
 // SetChangeFeed attaches a change feed to this executor: every committed
 // batch with writes draws a commit ticket (core ticket.go) and publishes
 // its writes' absolute post-states to f. It reports false — and attaches
@@ -372,75 +341,6 @@ func (w *kvWorker) publishBatch(ops []kv.Op, res []kv.Result) {
 		}
 	}
 	w.feed.Publish(t, w.pub)
-}
-
-// scanIn reports whether ops carries an OpScan (which must execute alone:
-// scans are hoisted out of the transaction, see ExecBatch).
-func scanIn(ops []kv.Op) bool {
-	for i := range ops {
-		if ops[i].Kind == kv.OpScan {
-			return true
-		}
-	}
-	return false
-}
-
-// ExecGroup implements kv.GroupExecutor: batches are carved into greedy
-// runs of scan-free members within the merge bounds, and each run commits
-// through core's group-commit path (core.Tx.RunGroup): the members applied
-// back-to-back in one merged transaction, each re-run as its own
-// transaction if that loses. Scan-carrying and oversized batches execute
-// alone via ExecBatch, exactly as before grouping existed. It never fails;
-// errs (when non-nil) is zeroed.
-func (w *kvWorker) ExecGroup(batches []kv.Batch, errs []error) {
-	if errs != nil {
-		for i := range errs {
-			errs[i] = nil
-		}
-	}
-	if w.tx == nil || w.feed != nil {
-		// No transaction: nothing to merge. With a change feed attached,
-		// merging is skipped too: a merged group commits under ONE ticket,
-		// but the merged attempt's individual fallback would re-commit each
-		// member under its own ticket with no way to tell afterwards which
-		// happened — and an unpublished committed ticket stalls the feed's
-		// contiguity drain forever. Leaders trade group-commit batching for
-		// a sound feed; DESIGN.md documents the trade.
-		for i := range batches {
-			_ = w.ExecBatch(batches[i].Ops, batches[i].Res)
-		}
-		return
-	}
-	i := 0
-	for i < len(batches) {
-		j, ops := i, 0
-		for j < len(batches) && j-i < groupMaxMembers && ops+len(batches[j].Ops) <= groupMaxOps {
-			if scanIn(batches[j].Ops) {
-				break
-			}
-			ops += len(batches[j].Ops)
-			j++
-		}
-		if j-i <= 1 {
-			// A scan-carrying or oversized batch (j == i), or a run of one:
-			// the solo path.
-			_ = w.ExecBatch(batches[i].Ops, batches[i].Res)
-			i++
-			continue
-		}
-		run := batches[i:j]
-		if w.h != nil {
-			w.h.Enter()
-		}
-		_ = w.tx.RunGroup(len(run), func(k int) error {
-			kv.Apply(w.tx, w.m, run[k].Ops, run[k].Res)
-			return nil
-		})
-		if w.h != nil {
-			w.h.Exit()
-		}
-		i = j
-	}
 }
 
 // ExecBatch implements kv.Executor: one atomic transaction around the

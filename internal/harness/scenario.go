@@ -110,13 +110,6 @@ type Scenario struct {
 	// GOMAXPROCS stresses help-based progress under preemption).
 	WorkersPerThread int
 
-	// GroupSize, when > 1, hands each worker's generated transactions to
-	// DoGroup in runs of this size (see GroupWorker), modeling a client
-	// that submits pipelined independent requests — the group-commit
-	// workload shape. Each transaction keeps its own journal entry and
-	// txns count; one latency sample covers a whole run.
-	GroupSize int
-
 	// VerifyFinal makes every run phase partition writes and journal
 	// committed effects on all systems, then diffs the live end-of-run
 	// state against the model (see verify.go) — chaos runs are checked,
@@ -467,26 +460,6 @@ var builtin = map[string]Scenario{
 			Mixed: 2, Scan: 1, ScanLen: 4096,
 		}),
 		Systems: []string{"medley-hash", "medley-skip"},
-	},
-	"groupcommit": {
-		Description: "group-commit showcase: workers submit pipelined runs of 8 independent 2:1:1 transactions (see GroupSize), measured under Zipf(1.2) skew and under a 90/10 hotspot after an unmeasured warm phase (recycling arenas at steady state) — compares merged group commits (Medley-hash) against the -nogroup ablation (Medley-hash-nogroup)",
-		Dist:        Dist{Kind: DistZipfian, Theta: 1.2},
-		GroupSize:   8,
-		Phases: []Phase{
-			{Name: "warm", Weight: 0.34, Mix: paperMix(Ratio{Get: 2, Insert: 1, Remove: 1})},
-			{Name: "zipfian", Weight: 0.33, Mix: paperMix(Ratio{Get: 2, Insert: 1, Remove: 1}), Measure: true},
-			{Name: "hot-key", Weight: 0.33, Mix: paperMix(Ratio{Get: 2, Insert: 1, Remove: 1}), Measure: true,
-				Dist: &Dist{Kind: DistHotspot, HotFrac: 0.1, HotOpFrac: 0.9}},
-		},
-		Systems: []string{"medley-hash", "medley-hash-nogroup", "onefile-hash", "tdsl"},
-	},
-	"chaos-group-commit": {
-		Description: "chaos: group commit racing helper aborts — pipelined runs of 8 transactions over a 90/10 hotspot force merged commits to conflict and fall back mid-run; final state verified against the committed model",
-		Dist:        Dist{Kind: DistHotspot, HotFrac: 0.1, HotOpFrac: 0.9},
-		GroupSize:   8,
-		VerifyFinal: true,
-		Phases:      onePhase(paperMix(Ratio{Get: 2, Insert: 1, Remove: 1})),
-		Systems:     []string{"medley-hash", "medley-hash-nogroup"},
 	},
 	"service-mixed": {
 		Description: "network service traffic: 90/10 point mixes in short transactions with transfers interleaved 4:1, Zipf(1.2) keys — the open-loop SLO workload for medleyd and the in-process driver",

@@ -13,14 +13,13 @@ import (
 // the system spec every CLI, scenario default and budget file names a
 // configuration by:
 //
-//	base{-nopool|-nofast|-nogroup|-persistoff}[@N]
+//	base{-nopool|-nofast|-persistoff}[@N]
 //
 // base is a registered name. A suffix switches one ablation axis off
-// (recycling arenas, commit fast paths, merged group commits, txMontage
-// persistence) and is an error on a base without that axis or when
-// repeated; @N hash-partitions a shardable base over N stores. The spec is
-// the lower-cased reported name: "medley-hash-nopool@8" reports as
-// "Medley-hash-nopool-8shard".
+// (recycling arenas, commit fast paths, txMontage persistence) and is an
+// error on a base without that axis or when repeated; @N hash-partitions a
+// shardable base over N stores. The spec is the lower-cased reported name:
+// "medley-hash-nopool@8" reports as "Medley-hash-nopool-8shard".
 
 // SystemOpts carries the shared sizing knobs every constructor may read.
 // Zero values mean "benchmark default".
@@ -66,7 +65,7 @@ func (o SystemOpts) ponefileRegionWords() int {
 
 // specSuffixes are the ablation suffixes of the grammar, in the order
 // reported names carry them.
-var specSuffixes = []string{"nopool", "nofast", "nogroup", "persistoff"}
+var specSuffixes = []string{"nopool", "nofast", "persistoff"}
 
 // sysSpec is a parsed system spec.
 type sysSpec struct {
@@ -85,7 +84,7 @@ type sysEntry struct {
 }
 
 func medleyEntry(structure string) sysEntry {
-	return sysEntry{shardable: true, axes: []string{"nopool", "nofast", "nogroup"}, ctor: func(o SystemOpts, s sysSpec) System {
+	return sysEntry{shardable: true, axes: []string{"nopool", "nofast"}, ctor: func(o SystemOpts, s sysSpec) System {
 		return newKVSystem("Medley-"+structure, structure, false, o.buckets(), s)
 	}}
 }

@@ -65,17 +65,15 @@ func TestNewSystemShardSuffix(t *testing.T) {
 // is an error from NewSystem and ValidateSystemSpec alike.
 func TestSpecGrammar(t *testing.T) {
 	good := map[string]string{
-		"medley-hash-nopool":               "Medley-hash-nopool",
-		"medley-hash-nofast":               "Medley-hash-nofast",
-		"medley-hash-nogroup":              "Medley-hash-nogroup",
-		"medley-hash-nopool@8":             "Medley-hash-nopool-8shard",
-		"medley-hash-nofast@8":             "Medley-hash-nofast-8shard",
-		"medley-hash-nogroup@8":            "Medley-hash-nogroup-8shard",
-		"medley-skip-nogroup-nopool@2":     "Medley-skip-nopool-nogroup-2shard",
-		"medley-bst-nopool-nofast-nogroup": "Medley-bst-nopool-nofast-nogroup",
-		"txmontage-skip-persistoff":        "txMontage-skip-persistOff",
-		"txmontage-hash-persistoff@2":      "txMontage-hash-persistOff-2shard",
-		"tdsl@1":                           "TDSL-skip",
+		"medley-hash-nopool":          "Medley-hash-nopool",
+		"medley-hash-nofast":          "Medley-hash-nofast",
+		"medley-hash-nopool@8":        "Medley-hash-nopool-8shard",
+		"medley-hash-nofast@8":        "Medley-hash-nofast-8shard",
+		"medley-skip-nofast-nopool@2": "Medley-skip-nopool-nofast-2shard",
+		"medley-bst-nopool-nofast":    "Medley-bst-nopool-nofast",
+		"txmontage-skip-persistoff":   "txMontage-skip-persistOff",
+		"txmontage-hash-persistoff@2": "txMontage-hash-persistOff-2shard",
+		"tdsl@1":                      "TDSL-skip",
 	}
 	for spec, reported := range good {
 		if err := ValidateSystemSpec(spec); err != nil {
@@ -101,7 +99,7 @@ func TestSpecGrammar(t *testing.T) {
 		"medley-hash-nopool@8@8":     "unknown system",
 		"Medley-hash":                "unknown system",
 		"medley-hash-nopool-8shard":  "unknown system",
-		"plain-skip-nogroup":         "no -nogroup variant",
+		"plain-skip-nofast":          "no -nofast variant",
 		"txmontage-skip-persistoff-": "unknown system",
 	} {
 		err := ValidateSystemSpec(spec)
@@ -113,41 +111,40 @@ func TestSpecGrammar(t *testing.T) {
 		}
 	}
 	// The ablations take effect, not just the name.
-	mgr := testSystem("medley-hash-nopool-nofast-nogroup").(*KVSystem).Manager()
-	if mgr.PoolingEnabled() || mgr.FastPathsEnabled() || mgr.GroupCommitEnabled() {
+	mgr := testSystem("medley-hash-nopool-nofast").(*KVSystem).Manager()
+	if mgr.PoolingEnabled() || mgr.FastPathsEnabled() {
 		t.Error("suffixes parsed but an axis is still on")
 	}
 	mgr = testSystem("medley-hash").(*KVSystem).Manager()
-	if !mgr.PoolingEnabled() || !mgr.FastPathsEnabled() || !mgr.GroupCommitEnabled() {
+	if !mgr.PoolingEnabled() || !mgr.FastPathsEnabled() {
 		t.Error("plain spec has an axis off")
 	}
 }
 
 // TestRegistryNamesUnchanged pins the reported system names: benchmark
-// history across PRs depends on them. The three ablation names were
+// history across PRs depends on them. The two ablation names were
 // registered pseudo-systems once; they resolve through the parser now.
 func TestRegistryNamesUnchanged(t *testing.T) {
 	want := map[string]string{
-		"medley-hash":         "Medley-hash",
-		"medley-hash-nopool":  "Medley-hash-nopool",
-		"medley-hash-nofast":  "Medley-hash-nofast",
-		"medley-hash-nogroup": "Medley-hash-nogroup",
-		"medley-skip":         "Medley-skip",
-		"medley-bst":          "Medley-bst",
-		"medley-rotating":     "Medley-rotating",
-		"txmontage-hash":      "txMontage-hash",
-		"txmontage-skip":      "txMontage-skip",
-		"onefile-hash":        "OneFile-hash",
-		"onefile-skip":        "OneFile-skip",
-		"ponefile-hash":       "POneFile-hash",
-		"ponefile-skip":       "POneFile-skip",
-		"tdsl":                "TDSL-skip",
-		"lftt":                "LFTT-skip",
-		"plain-skip":          "Original-skip",
-		"txoff-skip":          "TxOff-skip",
+		"medley-hash":        "Medley-hash",
+		"medley-hash-nopool": "Medley-hash-nopool",
+		"medley-hash-nofast": "Medley-hash-nofast",
+		"medley-skip":        "Medley-skip",
+		"medley-bst":         "Medley-bst",
+		"medley-rotating":    "Medley-rotating",
+		"txmontage-hash":     "txMontage-hash",
+		"txmontage-skip":     "txMontage-skip",
+		"onefile-hash":       "OneFile-hash",
+		"onefile-skip":       "OneFile-skip",
+		"ponefile-hash":      "POneFile-hash",
+		"ponefile-skip":      "POneFile-skip",
+		"tdsl":               "TDSL-skip",
+		"lftt":               "LFTT-skip",
+		"plain-skip":         "Original-skip",
+		"txoff-skip":         "TxOff-skip",
 	}
-	if names := SystemNames(); len(names) != len(want)-3 {
-		t.Fatalf("registry has %d bases, want %d: %v", len(names), len(want)-3, names)
+	if names := SystemNames(); len(names) != len(want)-2 {
+		t.Fatalf("registry has %d bases, want %d: %v", len(names), len(want)-2, names)
 	}
 	for cli, reported := range want {
 		sys, err := NewSystem(cli, SystemOpts{Buckets: 1 << 8, KeyRange: 1 << 10})

@@ -37,8 +37,6 @@ func txCounters(st core.Stats) []Metric {
 		{Name: "tx_commits", Value: st.Commits},
 		{Name: "tx_commits_read_only", Value: st.ReadOnlyCommits},
 		{Name: "tx_commits_fastpath", Value: st.FastPathCommits},
-		{Name: "tx_group_commits", Value: st.GroupCommits},
-		{Name: "tx_grouped_txns", Value: st.GroupedTxns},
 		{Name: "tx_aborts", Value: st.Aborts},
 		{Name: "tx_aborts_by_others", Value: st.AbortsByOthers},
 		{Name: "tx_help_events", Value: st.HelpEvents},
@@ -98,10 +96,6 @@ func deriveGauges(v map[string]uint64) []Gauge {
 	}
 	add("abort_rate", v["tx_aborts"], v["tx_commits"]+v["tx_aborts"])
 	add("fastpath_share", v["tx_commits_fastpath"], v["tx_commits"])
-	// Logical commits re-expand merged groups: each group commit is one
-	// physical commit standing for tx_grouped_txns logical transactions.
-	add("groupcommit_share", v["tx_grouped_txns"],
-		v["tx_commits"]-v["tx_group_commits"]+v["tx_grouped_txns"])
 	add("readonly_share", v["tx_commits_read_only"], v["tx_commits"])
 	add("pool_hit_rate", v["pool_hits"], v["pool_gets"])
 	add("ebr_reclaim_ratio", v["ebr_reclaimed"], v["ebr_retired"])

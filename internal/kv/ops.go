@@ -83,26 +83,6 @@ type Executor interface {
 	ExecBatch(ops []Op, res []Result) error
 }
 
-// Batch is one logical transaction's request inside a commit group: the
-// operations to run atomically and the result slice to fill (nil when the
-// caller discards outcomes; otherwise len(Res) must equal len(Ops)).
-type Batch struct {
-	Ops []Op
-	Res []Result
-}
-
-// GroupExecutor is the optional capability of Executors that can commit a
-// group of batch requests with amortized fences (core.Tx.RunGroup). Each
-// batch remains its own logical transaction — results are exactly what a
-// loop of ExecBatch calls in batch order would produce — but the executor
-// may merge compatible batches into group commits. errs, when non-nil,
-// receives per-batch outcomes (len(errs) must equal len(batches)); as with
-// ExecBatch, conflicts retry internally and never surface.
-type GroupExecutor interface {
-	Executor
-	ExecGroup(batches []Batch, errs []error)
-}
-
 // Apply executes ops[i] against m under tx into res[i], in request order
 // (res may be nil when the caller discards outcomes; otherwise len(res)
 // must equal len(ops)). It is the single batch-execution routine shared

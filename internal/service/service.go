@@ -89,10 +89,7 @@ type Config struct {
 	// Feed, when non-nil, is attached to every worker executor: each
 	// committed write batch publishes its absolute post-states to the
 	// feed in commit-ticket order, and the HTTP layer serves it through
-	// GET /v1/watch and GET /v1/snapshot. An executor with a feed never
-	// merges commits (per-member commits keep the ticket space dense; see
-	// kvWorker.ExecGroup), and its worker counts none as grouped. nil = no
-	// replication.
+	// GET /v1/watch and GET /v1/snapshot. nil = no replication.
 	Feed *cdc.Feed
 }
 
@@ -172,7 +169,6 @@ type Service struct {
 	ticks     atomic.Uint64 // ticks that drained at least one request
 	batches   atomic.Uint64 // batches dispatched (== non-empty ticks)
 	batched   atomic.Uint64 // requests dispatched inside batches
-	grouped   atomic.Uint64 // requests handed to an executor that can merge commits
 }
 
 // New builds and starts the pipeline over be: backend maintenance, the
@@ -381,24 +377,16 @@ drain:
 }
 
 // worker executes chunks: one executor, created on this goroutine
-// (executors are goroutine-bound), each request its own logical
-// transaction. When the executor can group-commit (kv.GroupExecutor, the
-// Medley store path), a multi-request chunk is handed over as one group
-// so compatible neighbors merge into a single physical commit; outcomes
-// are exactly those of the per-request loop. An executor that took the
-// feed merges nothing — ExecGroup runs its members one by one — so
-// svc_grouped_txns counts a chunk only on a worker without the feed.
+// (executors are goroutine-bound), each request its own transaction and
+// its own commit.
 func (s *Service) worker(ch chan chunk) {
 	defer s.workWG.Done()
 	ex := s.be.NewExecutor()
-	fed := false
 	if s.cfg.Feed != nil {
 		if fa, ok := ex.(feedAttacher); ok {
-			fed = fa.SetChangeFeed(s.cfg.Feed)
+			fa.SetChangeFeed(s.cfg.Feed)
 		}
 	}
-	gx, canGroup := ex.(kv.GroupExecutor)
-	var batches []kv.Batch
 	var errs []error
 	var live []*request
 	for c := range ch {
@@ -419,27 +407,17 @@ func (s *Service) worker(ch chan chunk) {
 			c.wg.Done()
 			continue
 		}
-		if canGroup && len(live) > 1 {
-			batches = batches[:0]
-			for _, r := range live {
-				batches = append(batches, kv.Batch{Ops: r.ops, Res: r.res})
-			}
-			if cap(errs) < len(live) {
-				errs = make([]error, len(live))
-			}
-			errs = errs[:len(live)]
-			gx.ExecGroup(batches, errs)
-			if !fed {
-				s.grouped.Add(uint64(len(live)))
-			}
-			for i, r := range live {
-				s.finishExecuted(r, errs[i])
-			}
-			c.wg.Done()
-			continue
+		if cap(errs) < len(live) {
+			errs = make([]error, len(live))
 		}
-		for _, r := range live {
-			s.finishExecuted(r, ex.ExecBatch(r.ops, r.res))
+		errs = errs[:len(live)]
+		for i, r := range live {
+			errs[i] = ex.ExecBatch(r.ops, r.res)
+		}
+		// Answered once the whole chunk has run: settling inside the loop above
+		// (ROADMAP 1b) costs +15% heap_peak_mb on svc-saturate, bound 17%.
+		for i, r := range live {
+			s.finishExecuted(r, errs[i])
 		}
 		c.wg.Done()
 	}
@@ -503,7 +481,6 @@ func (s *Service) MetricsSnapshot() []harness.Metric {
 		{Name: "svc_ticks", Value: s.ticks.Load()},
 		{Name: "svc_batches", Value: s.batches.Load()},
 		{Name: "svc_batched_txns", Value: s.batched.Load()},
-		{Name: "svc_grouped_txns", Value: s.grouped.Load()},
 	}
 	if w := s.window; w != nil {
 		out = append(out,
@@ -532,7 +509,6 @@ func (s *Service) Gauges() []harness.Gauge {
 	accepted, shed := s.accepted.Load(), s.shed.Load()
 	add("svc_shed_rate", shed, accepted+shed)
 	add("svc_batch_coalesce", s.batched.Load(), s.batches.Load())
-	add("svc_group_share", s.grouped.Load(), s.executed.Load()+s.errored.Load())
 	add("svc_expired_share", s.expired.Load(),
 		s.executed.Load()+s.errored.Load()+s.expired.Load())
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })

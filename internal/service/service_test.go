@@ -6,12 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
+	"medley/internal/cdc"
 	"medley/internal/kv"
 )
 
@@ -182,55 +183,38 @@ func TestValidateOps(t *testing.T) {
 	}
 }
 
-// groupBackend's executors implement kv.GroupExecutor: ExecGroup runs
-// each batch through the ordinary fake execution, failing any batch that
-// leads with groupFailKey, so the worker's group path and its per-request
-// error routing are observable.
-type groupBackend struct {
-	fakeBackend
-	groupCalls atomic.Uint64
-}
+// failingBackend's executors fail any batch that leads with failKey (after
+// running it through the ordinary fake execution), so the worker's
+// per-request error routing is observable.
+type failingBackend struct{ fakeBackend }
 
-const groupFailKey = 666
+const failKey = 666
 
-var errGroupFail = errors.New("member failed")
+var errMemberFail = errors.New("member failed")
 
-func (b *groupBackend) NewExecutor() kv.Executor { return &groupExec{b: b} }
+func (b *failingBackend) NewExecutor() kv.Executor { return &failingExec{fakeExec{b: &b.fakeBackend}} }
 
-type groupExec struct{ b *groupBackend }
+type failingExec struct{ fakeExec }
 
-func (e *groupExec) ExecBatch(ops []kv.Op, res []kv.Result) error {
-	fe := fakeExec{b: &e.b.fakeBackend}
-	if err := fe.ExecBatch(ops, res); err != nil {
+func (e *failingExec) ExecBatch(ops []kv.Op, res []kv.Result) error {
+	if err := e.fakeExec.ExecBatch(ops, res); err != nil {
 		return err
 	}
-	if ops[0].Key == groupFailKey {
-		return errGroupFail
+	if ops[0].Key == failKey {
+		return errMemberFail
 	}
 	return nil
 }
 
-func (e *groupExec) ExecGroup(batches []kv.Batch, errs []error) {
-	e.b.groupCalls.Add(1)
-	for i := range batches {
-		err := e.ExecBatch(batches[i].Ops, batches[i].Res)
-		if errs != nil {
-			errs[i] = err
-		}
-	}
-}
-
-// TestWorkerUsesGroupExecutor pins the service's group-commit seam: a
-// multi-request chunk reaches a group-capable executor as ONE ExecGroup
-// call, every submitter still gets its own per-request outcome (including
-// a member's own error), and the svc_grouped_txns counter records the
-// requests that took the group path.
-func TestWorkerUsesGroupExecutor(t *testing.T) {
-	be := &groupBackend{}
+// TestChunkRoutesEachRequestItsOwnOutcome pins the worker's settle loop: a
+// multi-request chunk executes in pool order, and every submitter gets its
+// own results and its own error — a failing request fails alone.
+func TestChunkRoutesEachRequestItsOwnOutcome(t *testing.T) {
+	be := &failingBackend{}
 	s := New(be, Config{Workers: 1, Tick: time.Hour, PoolSize: 64})
 	defer s.Close()
 
-	keys := []uint64{1, groupFailKey, 3}
+	keys := []uint64{1, failKey, 3}
 	var reqs []*request
 	for _, k := range keys {
 		r := &request{ops: oneOp(k), res: make([]kv.Result, 1), done: make(chan error, 1)}
@@ -242,9 +226,9 @@ func TestWorkerUsesGroupExecutor(t *testing.T) {
 	}
 	for i, r := range reqs {
 		err := <-r.done
-		if keys[i] == groupFailKey {
-			if !errors.Is(err, errGroupFail) {
-				t.Errorf("failing member got err %v, want errGroupFail", err)
+		if keys[i] == failKey {
+			if !errors.Is(err, errMemberFail) {
+				t.Errorf("failing request got err %v, want errMemberFail", err)
 			}
 			continue
 		}
@@ -255,14 +239,105 @@ func TestWorkerUsesGroupExecutor(t *testing.T) {
 			t.Errorf("request %d: result %+v not scattered back", i, r.res[0])
 		}
 	}
-	if got := be.groupCalls.Load(); got != 1 {
-		t.Errorf("ExecGroup calls = %d, want 1 (chunk not grouped)", got)
-	}
-	if got := s.grouped.Load(); got != uint64(len(keys)) {
-		t.Errorf("grouped = %d, want %d", got, len(keys))
+	if got := be.executed(); len(got) != len(keys) || got[0] != 1 || got[1] != failKey || got[2] != 3 {
+		t.Errorf("execution order = %v, want %v", got, keys)
 	}
 	if ex, er := s.executed.Load(), s.errored.Load(); ex != 2 || er != 1 {
 		t.Errorf("executed/errored = %d/%d, want 2/1", ex, er)
+	}
+}
+
+// TestChunkExecutesEachRequestOnceAsItsOwnCommit is the worker contract on
+// a real store: 64 submitters, released together, each add 1 to one key
+// through a one-worker pipeline drained by hand, so all 64 requests land in
+// one chunk. Every request must execute exactly once, as its own commit,
+// and be answered: the returned post-values are a permutation of 1..64, and
+// on a node the feed holds 64 entries under 64 distinct tickets whose
+// values count 1..64 in ticket order.
+func TestChunkExecutesEachRequestOnceAsItsOwnCommit(t *testing.T) {
+	const reqs, key = 64, 7
+	cfg := Config{Workers: 1, Tick: time.Hour, PoolSize: reqs} // drained by hand below
+	node, err := NewNode(NodeConfig{Backend: kvBackend(t, "medley-hash"), Service: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	bare := New(kvBackend(t, "medley-hash"), cfg)
+	defer bare.Close()
+
+	for _, c := range []struct {
+		name string
+		s    *Service
+		feed *cdc.Feed
+	}{{"node", node.Service(), node.Feed()}, {"feedless service", bare, nil}} {
+		posts := make([]uint64, reqs)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < reqs; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				res := make([]kv.Result, 1)
+				<-start
+				if err := c.s.Submit([]kv.Op{{Kind: kv.OpAdd, Key: key, Val: 1}}, res); err != nil {
+					t.Errorf("%s: submit %d: %v", c.name, g, err)
+					return
+				}
+				posts[g] = res[0].Val
+			}(g)
+		}
+		close(start)
+		for len(c.s.pool) < reqs {
+			runtime.Gosched()
+		}
+		if got := c.s.drainTick(make([]*request, 0, reqs)); got != reqs {
+			t.Fatalf("%s: drainTick dispatched %d, want %d", c.name, got, reqs)
+		}
+		wg.Wait()
+		sort.Slice(posts, func(i, j int) bool { return posts[i] < posts[j] })
+		for i, v := range posts {
+			if v != uint64(i+1) {
+				t.Fatalf("%s: sorted post-values = %v, want 1..%d", c.name, posts, reqs)
+			}
+		}
+		counters := map[string]uint64{}
+		for _, m := range c.s.MetricsSnapshot() {
+			counters[m.Name] = m.Value
+		}
+		if counters["svc_batches"] != 1 || counters["svc_executed"] != reqs {
+			t.Errorf("%s: svc_batches/svc_executed = %d/%d, want 1/%d",
+				c.name, counters["svc_batches"], counters["svc_executed"], reqs)
+		}
+		if got := counters["tx_commits"]; got != reqs {
+			t.Errorf("%s: tx_commits = %d, want %d (one commit per request)", c.name, got, reqs)
+		}
+		if c.feed == nil {
+			res := make([]kv.Result, 1)
+			err := c.s.be.NewExecutor().ExecBatch([]kv.Op{{Kind: kv.OpGet, Key: key}}, res)
+			if err != nil || res[0].Val != reqs {
+				t.Errorf("%s: key reads %d (err %v), want %d", c.name, res[0].Val, err, reqs)
+			}
+			continue
+		}
+		entries, err := c.feed.ReadFrom(c.feed.ShardOf(key), 1, make([]cdc.Entry, 2*reqs))
+		if err != nil {
+			t.Fatalf("%s: ReadFrom: %v", c.name, err)
+		}
+		if len(entries) != reqs {
+			t.Fatalf("%s: feed holds %d entries, want %d", c.name, len(entries), reqs)
+		}
+		for i, e := range entries {
+			if e.Key != key || e.Val != uint64(i+1) {
+				t.Fatalf("%s: entry %d = %+v, want key %d val %d", c.name, i, e, key, i+1)
+			}
+			if i > 0 && e.TxID <= entries[i-1].TxID {
+				t.Fatalf("%s: tickets not strictly increasing at entry %d: %d after %d",
+					c.name, i, e.TxID, entries[i-1].TxID)
+			}
+		}
+		if st := c.feed.Stats(); st.Pending != 0 || st.Published != reqs {
+			t.Errorf("%s: feed stats %+v, want %d published and none pending", c.name, st, reqs)
+		}
 	}
 }
 
@@ -279,7 +354,7 @@ func TestFreshServiceGaugesFinite(t *testing.T) {
 			t.Errorf("gauge %s = %v on a fresh service", g.Name, g.Value)
 		}
 		switch g.Name {
-		case "svc_shed_rate", "svc_batch_coalesce", "svc_group_share":
+		case "svc_shed_rate", "svc_batch_coalesce":
 			t.Errorf("gauge %s exported with zero denominator", g.Name)
 		}
 	}
