@@ -1,4 +1,4 @@
-// Command medleyd serves the benchmark registry's transactional stores
+// Command medleyd serves the stack's transactional stores (internal/store)
 // over HTTP: POST /v1/batch executes a multi-key transaction through the
 // service pipeline (coalescing txpool, tick-batch execution, admission
 // control), GET /metrics exports the stack's counters, GET /healthz
@@ -8,8 +8,8 @@
 // publish one, the node carries a commit-ordered change feed: GET
 // /v1/watch streams committed writes per shard and GET /v1/snapshot
 // serves bootstrap state, so another medleyd can follow this one. A
-// system that cannot publish a feed (onefile-*, ponefile-*, plain-skip,
-// txoff-skip) is served standalone whatever -cdc-shards says — no
+// system that cannot publish a feed (plain-skip, txoff-skip) is served
+// standalone whatever -cdc-shards says — no
 // /v1/watch, no feed_shards on /healthz — and the start-up log says so;
 // -follow with such a system is refused.
 // With -follow the process starts as a follower of the leader
@@ -20,9 +20,12 @@
 // /v1/promote, or automatically after -promote-after consecutive failed
 // leader round trips. See internal/service and internal/replica.
 //
-// -system takes the registry's one spec grammar,
-// base{-nopool|-nofast|-persistoff}[@N]; -list prints each base with the
-// suffixes it accepts.
+// -system takes the one spec grammar, base{-nopool|-nofast|-persistoff}[@N],
+// over the bases the stack itself builds — medley-*, txmontage-*, plain-skip,
+// txoff-skip; -list prints each with the suffixes it accepts. The competitor
+// STMs the harness measures them against (lftt, tdsl, onefile-*, ponefile-*)
+// are not linked into the daemon: medley-bench -target and the chaos
+// scenarios put one behind the same pipeline in-process.
 //
 // Usage:
 //
@@ -43,8 +46,8 @@ import (
 	"syscall"
 	"time"
 
-	"medley/internal/harness"
 	"medley/internal/service"
+	"medley/internal/store"
 )
 
 func main() {
@@ -64,8 +67,8 @@ func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("medleyd", flag.ContinueOnError)
 	var (
 		listen   = fs.String("listen", ":7654", "address to serve on")
-		system   = fs.String("system", "medley-hash@8", "system spec from the benchmark registry: base{-suffix}[@N] (see -list)")
-		list     = fs.Bool("list", false, "list registered systems with the suffixes each accepts and exit")
+		system   = fs.String("system", "medley-hash@8", "system spec: base{-suffix}[@N] over the bases -list prints")
+		list     = fs.Bool("list", false, "list the systems medleyd serves with the suffixes each accepts and exit")
 		buckets  = fs.Int("buckets", 1<<16, "hash buckets for hash-structured systems")
 		keyRange = fs.Uint64("keyrange", 1<<20, "key range hint (sizes simulated NVM regions)")
 		pool     = fs.Int("pool", 4096, "txpool bound; arrivals beyond it are shed with 429")
@@ -90,7 +93,7 @@ func run(ctx context.Context, args []string) error {
 	}
 
 	if *list {
-		for _, line := range harness.SystemUsage() {
+		for _, line := range store.Systems.Usage() {
 			fmt.Println(line)
 		}
 		return nil
@@ -99,16 +102,9 @@ func run(ctx context.Context, args []string) error {
 		return errors.New("-follow requires -cdc-shards > 0 (the follower replays the leader's feed into its own)")
 	}
 
-	sys, err := harness.NewSystem(*system, harness.SystemOpts{
-		Buckets:  *buckets,
-		KeyRange: *keyRange,
-	})
+	be, err := store.New(*system, store.Opts{Buckets: *buckets, KeyRange: *keyRange})
 	if err != nil {
 		return err
-	}
-	be, ok := sys.(service.Backend)
-	if !ok {
-		return fmt.Errorf("system %q does not support batch execution (no NewExecutor)", *system)
 	}
 
 	svcCfg := service.Config{

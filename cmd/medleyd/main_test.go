@@ -13,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"medley/internal/store"
 )
 
 // lockedBuffer is a log sink the daemon goroutine writes and the test
@@ -164,7 +166,7 @@ func TestRunServesAndDrains(t *testing.T) {
 // standalone under default flags — batches execute, the log says why, and
 // nothing advertises or serves a feed a follower could attach to.
 func TestRunServesFeedlessSystemStandalone(t *testing.T) {
-	addr, logs, _, _ := boot(t, "POneFile-hash", "standalone", "-system", "ponefile-hash")
+	addr, logs, _, _ := boot(t, "Original-skip", "standalone", "-system", "plain-skip")
 	base := "http://" + addr
 
 	if !strings.Contains(logs.String(), "cannot publish a change feed: serving standalone") {
@@ -190,22 +192,53 @@ func TestRunServesFeedlessSystemStandalone(t *testing.T) {
 
 // TestRunRefusals pins the start-up refusals as returned errors: a follower
 // without a feed (switched off, or over a system that cannot publish one),
-// an unknown system, a store that cannot execute batches, an unusable
-// address.
+// an unknown system, a competitor STM the daemon does not link (refused
+// with the list of what it serves), an unusable address.
 func TestRunRefusals(t *testing.T) {
 	for _, c := range []struct {
 		args []string
 		want string
 	}{
 		{[]string{"-follow", "http://127.0.0.1:1", "-cdc-shards", "0"}, "-follow requires -cdc-shards > 0"},
-		{[]string{"-follow", "http://127.0.0.1:1", "-system", "ponefile-hash"}, "cannot publish a change feed"},
+		{[]string{"-follow", "http://127.0.0.1:1", "-system", "plain-skip"}, "cannot publish a change feed"},
 		{[]string{"-system", "no-such-system"}, "unknown system"},
-		{[]string{"-system", "lftt"}, "does not support batch execution"},
+		{[]string{"-system", "onefile-hash"}, `unknown system "onefile-hash" (known: medley-bst, medley-hash, `},
+		{[]string{"-system", "lftt"}, "txmontage-skip, txoff-skip; suffixes:"},
+		{[]string{"-system", "tdsl"}, "unknown system"},
+		{[]string{"-system", "ponefile-skip"}, "unknown system"},
 		{[]string{"-listen", "256.0.0.1:1", "-buckets", "1024"}, "listen"},
 	} {
 		err := run(context.Background(), c.args)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("run(%v) = %v, want an error containing %q", c.args, err, c.want)
+		}
+	}
+}
+
+// TestListPrintsOnlyServableSpecs pins -list to the daemon's own registry:
+// every line is a base -system accepts, and no competitor STM is offered.
+func TestListPrintsOnlyServableSpecs(t *testing.T) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	err = run(context.Background(), []string{"-list"})
+	os.Stdout = stdout
+	w.Close()
+	if err != nil {
+		t.Fatalf("run(-list) = %v", err)
+	}
+	out, _ := io.ReadAll(r)
+	lines := strings.Fields(string(out))
+	if len(lines) != len(store.Systems) {
+		t.Fatalf("-list printed %d lines for %d servable bases:\n%s", len(lines), len(store.Systems), out)
+	}
+	for _, line := range lines {
+		base, _, _ := strings.Cut(strings.TrimSuffix(line, "[@N]"), "{")
+		if _, ok := store.Systems[base]; !ok {
+			t.Errorf("-list offers %q, which -system refuses", line)
 		}
 	}
 }

@@ -10,7 +10,8 @@ package harness
 //
 // Data types produced by the capabilities (Metric, KindStat,
 // ConsistencyViolation, ...) live with their diff/merge helpers in
-// telemetry.go; this file holds only the contracts.
+// telemetry.go; this file holds only the contracts (MetricsSnapshotter is
+// the stack's own, aliased in harness.go).
 
 // TxStatser is implemented by systems that can report cumulative
 // commit/abort counters; the engine differences snapshots around each
@@ -18,18 +19,6 @@ package harness
 // implement it.
 type TxStatser interface {
 	TxStats() (commits, aborts uint64)
-}
-
-// MetricsSnapshotter is implemented by systems that can export their
-// engine-level counters (commits by path, aborts by cause, pool traffic,
-// EBR reclamation) as a point-in-time snapshot. Snapshots are cumulative
-// since system construction; the engine differences two snapshots to
-// produce a phase's telemetry block — and, from the same deltas, the
-// memory block's pool_* fields and the fastpath block, each present iff
-// its counter is — and the network service layer (internal/service)
-// serves the same snapshot from its /metrics endpoint.
-type MetricsSnapshotter interface {
-	MetricsSnapshot() []Metric
 }
 
 // ConsistencyChecker is implemented by systems whose workload maintains

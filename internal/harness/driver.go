@@ -1,10 +1,6 @@
 package harness
 
-import (
-	"errors"
-
-	"medley/internal/kv"
-)
+import "medley/internal/kv"
 
 // This file is the driver seam of the open-loop benchmark path: a Driver
 // abstracts how generated load reaches the system under test, so the same
@@ -13,19 +9,13 @@ import (
 // internal/service). The open-loop engine (openloop.go) only ever talks to
 // this interface.
 
-// ErrOverload is the sentinel a DriverSession returns when the service
-// shed the request at admission (bounded txpool full; HTTP 429 on the
-// wire). The open-loop engine counts shed requests separately from
-// errors: shedding under overload is the admission control working, not a
-// failure.
-var ErrOverload = errors.New("harness: request shed by admission control")
-
-// ErrExpired is the sentinel a DriverSession returns when the request's
-// deadline passed before the service executed it (HTTP 504 on the wire,
-// or the client giving up before sending). The server guarantees an
-// expired request never ran, so the open-loop engine counts it as its
-// own disposition — a latency casualty, not a failure and not a shed.
-var ErrExpired = errors.New("harness: request deadline expired before execution")
+// ErrOverload and ErrExpired are the two refusals a DriverSession may
+// answer with (kv.Session declares them: the service's HTTP client returns
+// them without importing this package). The open-loop engine counts shed
+// requests separately from errors — shedding under overload is the
+// admission control working, not a failure — and an expired one as its own
+// disposition: a latency casualty, not a failure and not a shed.
+var ErrOverload, ErrExpired = kv.ErrOverload, kv.ErrExpired
 
 // Driver provisions the system under test and hands out sessions. Start,
 // Preload and Close are called once per run, from one goroutine;
@@ -47,24 +37,6 @@ type Driver interface {
 	NewSession() (DriverSession, error)
 	// Close tears down whatever Start brought up.
 	Close() error
-}
-
-// DriverSession executes batch requests for one sender goroutine.
-type DriverSession interface {
-	// Do executes ops as one atomic transaction, filling res[i] per op
-	// when res is non-nil (len(res) must equal len(ops) then). It returns
-	// ErrOverload when the service shed the request, any other non-nil
-	// error for transport or server failures.
-	Do(ops []kv.Op, res []kv.Result) error
-	// Close releases the session.
-	Close() error
-}
-
-// ExecutorSystem is the capability a System needs for in-process driving:
-// handing out per-goroutine batch executors (KVSystem implements it).
-type ExecutorSystem interface {
-	System
-	NewExecutor() kv.Executor
 }
 
 // InProcDriver drives an ExecutorSystem directly: no pool, no tick loop,

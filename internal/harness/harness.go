@@ -10,7 +10,9 @@
 // and latency reservoirs (engine.go), crash–recovery verification of the
 // paper's durability claim (verify.go, the Recoverable capability in
 // systems.go), and machine-readable reports with a CI-pinned schema
-// (report.go, schema.go), over every system under test (systems.go).
+// (report.go, schema.go), over every system under test: the stack's own
+// store (internal/store, named here by alias) and the competitor STMs
+// adapted in systems.go.
 package harness
 
 import (
@@ -18,14 +20,41 @@ import (
 	"strconv"
 
 	"medley/internal/kv"
+	"medley/internal/obs"
+	"medley/internal/store"
 )
 
-// Op and OpKind are the kv batch request types: generators, workers and
-// drivers all speak one op type, so nothing is translated at the seam. The
-// paper's names for the kinds are kept as aliases of the kv constants.
+// The stack's own types, under the names every caller of this package has
+// always used. This package measures the stack; it does not define it.
 type (
+	// Op and OpKind are the kv batch request types: generators, workers
+	// and drivers all speak one op type, so nothing is translated at the
+	// seam. The paper's names for the kinds are kept as aliases below.
 	OpKind = kv.OpKind
 	Op     = kv.Op
+	// Worker executes transactions for one goroutine: Do runs ops as one
+	// atomic transaction, retrying conflict aborts internally until commit.
+	Worker = store.Worker
+	// DriverSession executes batch requests for one sender goroutine.
+	DriverSession = kv.Session
+
+	// KVSystem is the store medleyd serves — Medley, Original, TxOff —
+	// and ExecutorSystem what in-process driving needs of a System:
+	// per-goroutine batch executors, as everything the store builds hands
+	// out (and OneFileSystem, which can sit behind the service too).
+	KVSystem       = store.System
+	ExecutorSystem = store.Store
+	SystemOpts     = store.Opts
+	MontageOpts    = store.MontageOpts
+
+	// Metric is one named cumulative counter and Gauge one named derived
+	// ratio (internal/obs): their JSON shape is the report's telemetry
+	// block and medleyd's /metrics alike.
+	Metric = obs.Metric
+	Gauge  = obs.Gauge
+	// MetricsSnapshotter is the capability of exporting cumulative engine
+	// counters; the service probes its backend for the same one.
+	MetricsSnapshotter = obs.MetricsSnapshotter
 )
 
 // Operation kinds: the paper's get:insert:remove mixes plus bounded
@@ -39,13 +68,6 @@ const (
 	OpRemove = kv.OpDelete
 	OpRange  = kv.OpScan
 )
-
-// Worker executes transactions for one goroutine.
-type Worker interface {
-	// Do executes ops as one atomic transaction, retrying conflict aborts
-	// internally until commit.
-	Do(ops []Op)
-}
 
 // System is one concurrency-control system under the microbenchmark.
 type System interface {

@@ -1,10 +1,14 @@
 package harness
 
 import (
+	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"medley/internal/store"
 )
 
 func TestNewSystemShardSuffix(t *testing.T) {
@@ -153,6 +157,49 @@ func TestRegistryNamesUnchanged(t *testing.T) {
 		}
 		if sys.Name() != reported {
 			t.Fatalf("%s reports %q, want %q", cli, sys.Name(), reported)
+		}
+	}
+}
+
+// TestNewSystemIsStoreNew pins the move of the store out of this package:
+// for every spec the stack itself builds, NewSystem and store.New resolve
+// the same concrete type under the same reported name, exporting the same
+// counters in the same order — medleyd serves what the harness measures.
+// A competitor is this package's alone.
+func TestNewSystemIsStoreNew(t *testing.T) {
+	specs := []string{"medley-hash@8", "medley-hash-nopool-nofast", "txmontage-skip-persistoff@2"}
+	for base := range store.Systems {
+		specs = append(specs, base)
+	}
+	o := SystemOpts{Buckets: 1 << 8, KeyRange: 1 << 10}
+	names := func(ms MetricsSnapshotter) (out []string) {
+		for _, m := range ms.MetricsSnapshot() {
+			out = append(out, m.Name)
+		}
+		return out
+	}
+	for _, spec := range specs {
+		sys, err := NewSystem(spec, o)
+		if err != nil {
+			t.Fatalf("NewSystem(%s): %v", spec, err)
+		}
+		st, err := store.New(spec, o)
+		if err != nil {
+			t.Fatalf("store.New(%s): %v", spec, err)
+		}
+		if reflect.TypeOf(sys) != reflect.TypeOf(st) || sys.Name() != st.Name() {
+			t.Errorf("%s: harness builds %T %q, store %T %q", spec, sys, sys.Name(), st, st.Name())
+		}
+		if got, want := names(sys.(MetricsSnapshotter)), names(st.(MetricsSnapshotter)); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: harness exports %v, store %v", spec, got, want)
+		}
+	}
+	if _, ok := testSystem("medley-hash@8").(*KVSystem); !ok {
+		t.Error("medley-hash@8 is no longer a *KVSystem")
+	}
+	for _, spec := range []string{"lftt", "tdsl", "onefile-hash", "ponefile-skip"} {
+		if _, err := store.New(spec, o); err == nil || !strings.Contains(err.Error(), "known: medley-bst") {
+			t.Errorf("store.New(%s) = %v, want a refusal listing what the store builds", spec, err)
 		}
 	}
 }

@@ -2,264 +2,19 @@ package harness
 
 import (
 	"errors"
-	"fmt"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"medley/internal/core"
 	"medley/internal/kv"
 	"medley/internal/lftt"
-	"medley/internal/montage"
 	"medley/internal/onefile"
 	"medley/internal/pmem"
-	"medley/internal/structures/fraserskip"
-	"medley/internal/structures/mhash"
 	"medley/internal/tdsl"
 )
 
-// maintainer is implemented by structures with background maintenance
-// (the rotating skiplist); KVSystem.Start drives it per shard.
-type maintainer interface {
-	StartMaintenance(time.Duration) func()
-}
-
-// shardedName appends the shard suffix benchmark reports use for
-// partitioned configurations; single-instance names are unchanged.
-func shardedName(base string, shards int) string {
-	if shards <= 1 {
-		return base
-	}
-	return fmt.Sprintf("%s-%dshard", base, shards)
-}
-
-// -------------------------------------------------------------- txMontage
-
-// MontageSystem benchmarks txMontage (or its persistence-off NVM variant)
-// over any registry index structure, optionally hash-partitioned into
-// several PStores sharing one montage System and one TxManager (so
-// cross-shard transactions remain strictly serializable and epoch
-// validation is paid once per transaction).
-type MontageSystem struct {
-	name       string
-	mgr        *core.TxManager
-	sys        *montage.System
-	stores     []*montage.PStore[uint64]
-	persistOff bool
-	advEvery   time.Duration
-	skiplist   bool // index kind, needed to rebuild after a crash
-	buckets    int
-}
-
-// MontageOpts selects the txMontage benchmark variant.
-type MontageOpts struct {
-	Skiplist         bool // index: skiplist (Fig. 8) vs hash (Fig. 7)
-	Buckets          int
-	Shards           int // PStore shards over one System (default 1)
-	RegionWords      int
-	WriteBackLatency time.Duration // per line, models clwb on Optane
-	FenceLatency     time.Duration
-	StoreLatency     time.Duration // per payload word store (NVM media)
-	PersistOff       bool          // Figure 10b: payloads on NVM, no epochs
-	AdvanceEvery     time.Duration // epoch length (paper: ~10-100ms)
-}
-
-// defaultAdvanceEvery is the txMontage epoch length when none is given.
-const defaultAdvanceEvery = 20 * time.Millisecond
-
-// NewMontage creates a txMontage benchmark system.
-func NewMontage(o MontageOpts) *MontageSystem {
-	if o.RegionWords == 0 {
-		o.RegionWords = 1 << 26
-	}
-	if o.AdvanceEvery == 0 {
-		o.AdvanceEvery = defaultAdvanceEvery
-	}
-	// The worker-side kv.NewSharded and the recovery-side kv.ShardOf
-	// both assume power-of-two counts; stores are sized here, before
-	// the workers exist, so round the same way.
-	o.Shards = kv.RoundShards(o.Shards)
-	mgr := core.NewTxManager()
-	sys := montage.NewSystem(montage.Config{
-		RegionWords:      o.RegionWords,
-		WriteBackLatency: o.WriteBackLatency,
-		FenceLatency:     o.FenceLatency,
-		StoreLatency:     o.StoreLatency,
-	})
-	name := "txMontage-hash"
-	if o.Skiplist {
-		name = "txMontage-skip"
-	} else if o.Buckets == 0 {
-		o.Buckets = 1 << 20
-	}
-	if o.PersistOff {
-		name += "-persistOff"
-	}
-	s := &MontageSystem{
-		name: name, mgr: mgr, sys: sys,
-		persistOff: o.PersistOff,
-		advEvery:   o.AdvanceEvery,
-		skiplist:   o.Skiplist,
-		buckets:    o.Buckets,
-	}
-	s.stores = s.newStores(o.Shards)
-	s.name = shardedName(s.name, o.Shards)
-	return s
-}
-
-// newIndex builds one fresh transient index. The montage index holds
-// Entry values, not bare uint64s, so it comes from the structure packages
-// directly rather than the uint64 registry — and is told, as
-// kv.NewShardedNamed tells a registry shard, how many hash bits kv.ShardOf
-// spends routing to one of shards stores.
-func (s *MontageSystem) newIndex(shards int) montage.Index[montage.Entry[uint64]] {
-	if s.skiplist {
-		return fraserskip.New[montage.Entry[uint64]](s.mgr)
-	}
-	return mhash.NewMapShard[montage.Entry[uint64]](s.mgr, s.buckets, uint(bits.Len(uint(shards-1))))
-}
-
-// newStores builds n fresh persistent stores over fresh indices (used at
-// construction and again after a crash). Like kv.NewShardedNamed, each
-// shard's index is provisioned like a full instance.
-func (s *MontageSystem) newStores(n int) []*montage.PStore[uint64] {
-	stores := make([]*montage.PStore[uint64], n)
-	for i := range stores {
-		stores[i] = montage.NewPStore[uint64](s.sys, s.newIndex(n), montage.U64Codec())
-	}
-	return stores
-}
-
-// ShardCount implements ShardCounter.
-func (s *MontageSystem) ShardCount() int { return len(s.stores) }
-
-// CanRecover implements Recoverable: the persistence-off variant keeps its
-// payloads on NVM but never epoch-tags or writes them back, so nothing
-// survives a crash.
-func (s *MontageSystem) CanRecover() bool { return !s.persistOff }
-
-// Persist implements Recoverable: one epoch sync makes everything
-// committed so far durable.
-func (s *MontageSystem) Persist() {
-	if !s.persistOff {
-		s.sys.Sync()
-	}
-}
-
-// CrashAndRecover implements Recoverable: crash the region, scan the
-// persisted payloads, and rebuild the transient indices from them —
-// exactly the post-restart recovery path of nbMontage. With shards, each
-// payload is routed to its shard by the same hash live traffic uses.
-func (s *MontageSystem) CrashAndRecover() int {
-	if s.persistOff {
-		return 0
-	}
-	payloads := s.sys.CrashAndRecover()
-	n := len(s.stores)
-	parts := make([][]montage.Recovered, n)
-	for _, r := range payloads {
-		i := kv.ShardOf(r.Key, n)
-		parts[i] = append(parts[i], r)
-	}
-	for i := range s.stores {
-		s.stores[i] = montage.RebuildPStore(s.sys, s.newIndex(n), montage.U64Codec(), parts[i])
-	}
-	return len(payloads)
-}
-
-// Snapshot implements Recoverable.
-func (s *MontageSystem) Snapshot(fn func(key, val uint64) bool) {
-	for _, st := range s.stores {
-		stop := false
-		st.Range(func(k, v uint64) bool {
-			if !fn(k, v) {
-				stop = true
-				return false
-			}
-			return true
-		})
-		if stop {
-			return
-		}
-	}
-}
-
-// Name implements System.
-func (s *MontageSystem) Name() string { return s.name }
-
-// Manager exposes the TxManager for statistics.
-func (s *MontageSystem) Manager() *core.TxManager { return s.mgr }
-
-// TxStats implements TxStatser from the manager's sharded counters.
-func (s *MontageSystem) TxStats() (commits, aborts uint64) {
-	st := s.mgr.Stats()
-	return st.Commits, st.Aborts
-}
-
-// StateSnapshot implements Snapshotter (same quiescent iteration the crash
-// verifier uses), so VerifyFinal chaos scenarios can check txMontage too.
-func (s *MontageSystem) StateSnapshot(fn func(key, val uint64) bool) { s.Snapshot(fn) }
-
-// MetricsSnapshot implements MetricsSnapshotter from the shared manager's
-// counters.
-func (s *MontageSystem) MetricsSnapshot() []Metric { return txCounters(s.mgr.Stats()) }
-
-// Start implements System.
-func (s *MontageSystem) Start() (stop func()) {
-	if s.persistOff {
-		return func() {}
-	}
-	return s.sys.StartAdvancer(s.advEvery)
-}
-
-// Preload implements System.
-func (s *MontageSystem) Preload(keys []uint64) {
-	w := s.NewWorker().(*kvWorker)
-	for _, k := range keys {
-		key := k
-		_ = w.tx.RunRetry(func() error {
-			w.m.Put(w.tx, key, key)
-			return nil
-		})
-	}
-	if !s.persistOff {
-		s.sys.Sync()
-	}
-}
-
-// NewWorker implements System: one epoch handle per worker serves every
-// shard, bound through the same kvWorker loop KVSystem uses.
-func (s *MontageSystem) NewWorker() Worker {
-	tx := s.mgr.Register()
-	var h *montage.Handle
-	if s.persistOff {
-		h = s.sys.WrapTransient(tx)
-	} else {
-		h = s.sys.Wrap(tx)
-	}
-	var m kv.TxMap
-	if len(s.stores) == 1 {
-		m = kv.NewMontageMap(s.sys, s.stores[0]).BindHandle(h)
-	} else {
-		m = kv.NewSharded(len(s.stores), func(i int) kv.TxMap {
-			return kv.NewMontageMap(s.sys, s.stores[i]).BindHandle(h)
-		})
-	}
-	return &kvWorker{m: m, tx: tx}
-}
-
-// NewExecutor implements the service layer's backend seam: Montage
-// workers are kvWorkers already, so medleyd's per-goroutine executors
-// run the same epoch-wrapped transactional path as benchmark workers —
-// which is what lets medleyd serve a durable, crash-recoverable store.
-func (s *MontageSystem) NewExecutor() kv.Executor {
-	return s.NewWorker().(*kvWorker)
-}
-
-// SupportsChangeFeed reports that Montage executors can publish a
-// commit-ordered change feed: they are kvWorkers over a real Tx.
-func (s *MontageSystem) SupportsChangeFeed() bool { return true }
+// This file adapts the competitor STMs to the System contract. The stack's
+// own systems (Medley, txMontage, the plain baselines) are internal/store's.
 
 // ---------------------------------------------------------------- OneFile
 
@@ -320,7 +75,7 @@ func NewOneFile(o OneFileOpts) *OneFileSystem {
 		inner = onefile.NewSkiplist(stm)
 		name += "-skip"
 	} else {
-		if o.Buckets == 0 {
+		if o.Buckets <= 0 {
 			o.Buckets = 1 << 20
 		}
 		inner = onefile.NewHashMap(stm, o.Buckets)
@@ -404,7 +159,7 @@ func (s *OneFileSystem) Preload(keys []uint64) {
 	}
 }
 
-// onefileWorker is OneFile's Worker and, like kvWorker, doubles as its
+// onefileWorker is OneFile's Worker and, like the store's worker, doubles as its
 // kv.Executor: harness ops are kv batch requests, so Do is ExecBatch with
 // the results discarded.
 type onefileWorker struct{ s *OneFileSystem }

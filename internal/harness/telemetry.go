@@ -3,7 +3,7 @@ package harness
 import (
 	"sort"
 
-	"medley/internal/core"
+	"medley/internal/obs"
 )
 
 // This file defines the observability data types the capability
@@ -13,38 +13,6 @@ import (
 // around phases and reports the results as schema-gated blocks; the
 // network service layer (internal/service) serves the same snapshots from
 // /metrics, modeled on statsd-style counter/gauge export.
-
-// Metric is one named cumulative counter. Values are monotonically
-// non-decreasing; the engine reports per-phase deltas. The JSON shape
-// matches the report's telemetry block (and medleyd's /metrics).
-type Metric struct {
-	Name  string `json:"name"`
-	Value uint64 `json:"value"`
-}
-
-// Gauge is one named derived ratio, computed by the engine from counter
-// deltas (abort rate, fast-path share, pool hit rate).
-type Gauge struct {
-	Name  string  `json:"name"`
-	Value float64 `json:"value"`
-}
-
-// txCounters names a TxManager's cumulative counters; every system built
-// on the core (KVSystem, MontageSystem, TPCCSystem) exports this one list.
-func txCounters(st core.Stats) []Metric {
-	return []Metric{
-		{Name: "tx_begins", Value: st.Begins},
-		{Name: "tx_commits", Value: st.Commits},
-		{Name: "tx_commits_read_only", Value: st.ReadOnlyCommits},
-		{Name: "tx_commits_fastpath", Value: st.FastPathCommits},
-		{Name: "tx_aborts", Value: st.Aborts},
-		{Name: "tx_aborts_by_others", Value: st.AbortsByOthers},
-		{Name: "tx_help_events", Value: st.HelpEvents},
-		{Name: "pool_gets", Value: st.PoolGets},
-		{Name: "pool_hits", Value: st.PoolHits},
-		{Name: "pool_retires", Value: st.PoolRetires},
-	}
-}
 
 // TelemetryResult is one record's telemetry block: per-phase counter
 // deltas from the system's MetricsSnapshot plus the gauges derived from
@@ -69,10 +37,7 @@ func counterMap(counters []Metric) map[string]uint64 {
 // diffMetrics subtracts before from after by counter name, dropping
 // counters absent from either snapshot, and returns the deltas sorted.
 func diffMetrics(before, after []Metric) []Metric {
-	prev := make(map[string]uint64, len(before))
-	for _, m := range before {
-		prev[m.Name] = m.Value
-	}
+	prev := counterMap(before)
 	out := make([]Metric, 0, len(after))
 	for _, m := range after {
 		b, ok := prev[m.Name]
@@ -89,16 +54,11 @@ func diffMetrics(before, after []Metric) []Metric {
 // omitting any whose denominator is zero.
 func deriveGauges(v map[string]uint64) []Gauge {
 	out := []Gauge{}
-	add := func(name string, num, den uint64) {
-		if den > 0 {
-			out = append(out, Gauge{Name: name, Value: float64(num) / float64(den)})
-		}
-	}
-	add("abort_rate", v["tx_aborts"], v["tx_commits"]+v["tx_aborts"])
-	add("fastpath_share", v["tx_commits_fastpath"], v["tx_commits"])
-	add("readonly_share", v["tx_commits_read_only"], v["tx_commits"])
-	add("pool_hit_rate", v["pool_hits"], v["pool_gets"])
-	add("ebr_reclaim_ratio", v["ebr_reclaimed"], v["ebr_retired"])
+	out = obs.AppendRatio(out, "abort_rate", v["tx_aborts"], v["tx_commits"]+v["tx_aborts"])
+	out = obs.AppendRatio(out, "fastpath_share", v["tx_commits_fastpath"], v["tx_commits"])
+	out = obs.AppendRatio(out, "readonly_share", v["tx_commits_read_only"], v["tx_commits"])
+	out = obs.AppendRatio(out, "pool_hit_rate", v["pool_hits"], v["pool_gets"])
+	out = obs.AppendRatio(out, "ebr_reclaim_ratio", v["ebr_reclaimed"], v["ebr_retired"])
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }

@@ -10,7 +10,9 @@ import (
 
 	"medley/internal/core"
 	"medley/internal/montage"
+	"medley/internal/obs"
 	"medley/internal/onefile"
+	"medley/internal/store"
 	"medley/internal/tpcc"
 )
 
@@ -43,7 +45,7 @@ var tpccBackends = map[string]tpccEntry{
 	"medley-bst":  {name: "Medley-bst", structure: "bst"},
 	"txmontage-skip": {name: "txMontage-skip", mk: func(o SystemOpts) tpcc.Backend {
 		return tpcc.NewMontageBackend(montage.NewSystem(montage.Config{
-			RegionWords:      o.montageRegionWords(),
+			RegionWords:      o.MontageRegionWords(),
 			WriteBackLatency: o.WriteBackLatency, FenceLatency: o.FenceLatency,
 			StoreLatency: o.StoreLatency,
 		}))
@@ -58,16 +60,16 @@ var tpccBackends = map[string]tpccEntry{
 // building tables: a tpccBackends base, "@N" on the Medley ones only, no
 // ablation suffix (a TPC-C backend builds its own manager).
 func resolveTPCCSpec(spec string) (tpccEntry, int, error) {
-	s, _, err := parseSpec(spec)
+	s, _, err := systemRegistry.Parse(spec)
 	if err != nil {
 		return tpccEntry{}, 0, err
 	}
-	e, ok := tpccBackends[s.base]
-	if !ok || len(s.off) > 0 || (s.shards > 1 && e.structure == "") {
+	e, ok := tpccBackends[s.Base]
+	if !ok || len(s.Off) > 0 || (s.Shards > 1 && e.structure == "") {
 		return tpccEntry{}, 0, fmt.Errorf("TPC-C scenarios support systems %s (medley-* optionally @N), not %q",
 			strings.Join(slices.Sorted(maps.Keys(tpccBackends)), ", "), spec)
 	}
-	return e, s.shards, nil
+	return e, s.Shards, nil
 }
 
 // NewTPCCSystem resolves a -systems spec into a TPC-C benchmark system
@@ -78,10 +80,10 @@ func NewTPCCSystem(spec string, sc tpcc.Scale, mix tpcc.MixWeights, o SystemOpts
 	if err != nil {
 		return nil, err
 	}
-	s := &TPCCSystem{name: shardedName(e.name, shards), sc: sc, mix: mix, shards: shards,
+	s := &TPCCSystem{name: store.ShardedName(e.name, shards), sc: sc, mix: mix, shards: shards,
 		advEvery: o.AdvanceEvery}
 	if s.advEvery == 0 {
-		s.advEvery = defaultAdvanceEvery
+		s.advEvery = store.DefaultAdvanceEvery
 	}
 	if e.structure != "" {
 		if s.backend, err = tpcc.NewKVBackend(s.name, e.structure, shards); err != nil {
@@ -162,7 +164,7 @@ func (s *TPCCSystem) MetricsSnapshot() []Metric {
 	if s.mgr == nil {
 		return nil
 	}
-	return txCounters(s.mgr.Stats())
+	return obs.TxCounters(s.mgr.Stats())
 }
 
 // TxKindStats implements TxKindStatser by summing the per-worker kind

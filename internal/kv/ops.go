@@ -1,6 +1,10 @@
 package kv
 
-import "medley/internal/core"
+import (
+	"errors"
+
+	"medley/internal/core"
+)
 
 // This file is the first-class batch request API of the kv seam: a wire-
 // and server-friendly Op/Result pair plus one Apply routine that every
@@ -82,6 +86,31 @@ type Executor interface {
 	// (executor shut down, not a conflict — conflicts retry internally).
 	ExecBatch(ops []Op, res []Result) error
 }
+
+// Session is an Executor seen from a client that may be a network away:
+// one sender goroutine's stream of batch requests to a store, which may
+// refuse one unexecuted. The harness's in-process driver and the service's
+// HTTP client both hand these out; the open-loop engine and the chaos
+// senders only ever talk to this interface.
+type Session interface {
+	// Do executes ops as one atomic transaction, filling res[i] per op
+	// when res is non-nil (len(res) must equal len(ops) then). It returns
+	// ErrOverload or ErrExpired when the request was refused, any other
+	// non-nil error for transport or server failures.
+	Do(ops []Op, res []Result) error
+	// Close releases the session.
+	Close() error
+}
+
+// ErrOverload is the sentinel a Session returns when the service shed the
+// request at admission (bounded txpool full; HTTP 429 on the wire).
+var ErrOverload = errors.New("session: request shed by admission control")
+
+// ErrExpired is the sentinel a Session returns when the request's deadline
+// passed before the service executed it (HTTP 504 on the wire, or the
+// client giving up before sending). The server guarantees an expired
+// request never ran.
+var ErrExpired = errors.New("session: request deadline expired before execution")
 
 // Apply executes ops[i] against m under tx into res[i], in request order
 // (res may be nil when the caller discards outcomes; otherwise len(res)

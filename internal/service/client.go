@@ -13,11 +13,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"medley/internal/harness"
 	"medley/internal/kv"
+	"medley/internal/obs"
 )
 
-// HTTPDriver implements harness.Driver over the wire: the open-loop
+// HTTPDriver implements the harness's Driver over the wire: the open-loop
 // engine drives a medleyd server exactly as it drives an in-process
 // store, so one report compares raw store latency against the full
 // network pipeline. The server owns the backend's lifecycle; Start only
@@ -63,7 +63,7 @@ func (d *HTTPDriver) baseURL() string { return d.baseV.Load().(string) }
 type HTTPDriverConfig struct {
 	// Deadline, when positive, bounds each request end to end: the wire
 	// request carries the remaining budget as deadline_ms, and the
-	// client stops retrying (harness.ErrExpired) once it is spent.
+	// client stops retrying (kv.ErrExpired) once it is spent.
 	Deadline time.Duration
 	// MaxRetries caps attempts beyond the first per request. Negative
 	// disables retries entirely.
@@ -173,13 +173,13 @@ func NewHTTPDriverConfig(base string, cfg HTTPDriverConfig) *HTTPDriver {
 	return d
 }
 
-// Kind implements harness.Driver.
+// Kind implements Driver.
 func (d *HTTPDriver) Kind() string { return "http" }
 
-// System implements harness.Driver; valid after Start.
+// System implements Driver; valid after Start.
 func (d *HTTPDriver) System() string { return d.system }
 
-// ShardCount implements harness.ShardCounter with the server's answer.
+// ShardCount reports the server's answer (the harness's ShardCounter).
 func (d *HTTPDriver) ShardCount() int {
 	if d.shards > 0 {
 		return d.shards
@@ -205,16 +205,16 @@ func (d *HTTPDriver) Stats() HTTPDriverStats {
 	return s
 }
 
-// MetricsSnapshot implements harness.MetricsSnapshotter so reports and
+// MetricsSnapshot implements obs.MetricsSnapshotter so reports and
 // tooling can merge the client-side fault counters (previously internal)
 // alongside the server's svc_* set, drv_-prefixed.
-func (d *HTTPDriver) MetricsSnapshot() []harness.Metric {
+func (d *HTTPDriver) MetricsSnapshot() []obs.Metric {
 	st := d.Stats()
 	open := uint64(0)
 	if st.BreakerOpen {
 		open = 1
 	}
-	return []harness.Metric{
+	return []obs.Metric{
 		{Name: "drv_breaker_open", Value: open},
 		{Name: "drv_breaker_opens", Value: st.BreakerOpens},
 		{Name: "drv_expired", Value: st.Expired},
@@ -295,7 +295,7 @@ func (d *HTTPDriver) failover() bool {
 	return false
 }
 
-// Start implements harness.Driver: polls /healthz until the server
+// Start implements Driver: polls /healthz until the server
 // answers (it may still be starting), failing with the last probe error
 // once cfg.StartTimeout is spent — a server that never comes up is a
 // configuration mistake to report, not a condition to poll forever.
@@ -330,7 +330,7 @@ func (d *HTTPDriver) Start() error {
 // preloadChunk bounds one preload batch to the server's op limit.
 const preloadChunk = 512
 
-// Preload implements harness.Driver: installs keys (key == value) with
+// Preload implements Driver: installs keys (key == value) with
 // put batches through the ordinary wire path.
 func (d *HTTPDriver) Preload(keys []uint64) error {
 	sess := &httpSession{d: d} // zero retryBudget: preload is setup, unlimited
@@ -352,7 +352,7 @@ func (d *HTTPDriver) Preload(keys []uint64) error {
 			if err == nil {
 				break
 			}
-			if errors.Is(err, harness.ErrOverload) {
+			if errors.Is(err, kv.ErrOverload) {
 				time.Sleep(time.Millisecond)
 				continue
 			}
@@ -362,14 +362,14 @@ func (d *HTTPDriver) Preload(keys []uint64) error {
 	return nil
 }
 
-// NewSession implements harness.Driver. The http.Client is shared
+// NewSession implements Driver. The http.Client is shared
 // (connection pooling is per-transport); the session carries only its
 // encode buffer and retry budget.
-func (d *HTTPDriver) NewSession() (harness.DriverSession, error) {
+func (d *HTTPDriver) NewSession() (kv.Session, error) {
 	return &httpSession{d: d, retryBudget: d.cfg.RetryBudget}, nil
 }
 
-// Close implements harness.Driver.
+// Close implements Driver.
 func (d *HTTPDriver) Close() error {
 	d.client.CloseIdleConnections()
 	return nil
@@ -434,7 +434,7 @@ func (s *httpSession) backoff(n int) time.Duration {
 	return s.jitter(d) + time.Millisecond/4
 }
 
-// Do implements harness.DriverSession: one POST /v1/batch per
+// Do implements kv.Session: one POST /v1/batch per
 // transaction, retried under the driver's fault policy. Every request
 // carries a fresh ID, and every retry reuses it, so a server with a
 // dedup window executes the batch at most once no matter how many
@@ -443,10 +443,10 @@ func (s *httpSession) backoff(n int) time.Duration {
 // Outcome classification, in the order the loop settles it:
 //
 //   - 200 → nil (definitive; a dedup replay is indistinguishable by design)
-//   - 429 → harness.ErrOverload once cumulative honored Retry-After waits
+//   - 429 → kv.ErrOverload once cumulative honored Retry-After waits
 //     exceed RetryAfterBudget (hints pace the sender, they are not retries)
-//   - 504 → harness.ErrExpired (server never executed it)
-//   - client-side deadline spent → harness.ErrExpired
+//   - 504 → kv.ErrExpired (server never executed it)
+//   - client-side deadline spent → kv.ErrExpired
 //   - 4xx → permanent error, no retry (except 409 staleness, retryable)
 //   - transport error, 503 → retry with backoff while attempts and budget
 //     last; if the leader stays transport-dead and Replicas are known, one
@@ -533,7 +533,7 @@ func (s *httpSession) Do(ops []kv.Op, res []kv.Result) error {
 			remaining := time.Until(deadline)
 			if remaining <= 0 {
 				s.d.expired.Add(1)
-				return fail(harness.ErrExpired)
+				return fail(kv.ErrExpired)
 			}
 			req.DeadlineMs = int64(remaining / time.Millisecond)
 			if req.DeadlineMs == 0 {
@@ -574,7 +574,7 @@ func (s *httpSession) Do(ops []kv.Op, res []kv.Result) error {
 			inDoubt = true
 			lastErr = err
 			continue
-		case errors.Is(err, harness.ErrOverload):
+		case errors.Is(err, kv.ErrOverload):
 			// The server shed this attempt at admission. Honor drain
 			// hints until their cumulative wait exhausts RetryAfterBudget,
 			// then report the shed: sheds are backpressure working, not
@@ -600,7 +600,7 @@ func (s *httpSession) Do(ops []kv.Op, res []kv.Result) error {
 			// still settling): definitive not-executed, worth retrying.
 			lastErr = err
 			continue
-		case errors.Is(err, harness.ErrExpired):
+		case errors.Is(err, kv.ErrExpired):
 			// 504: the server guarantees this attempt never executed.
 			s.d.expired.Add(1)
 			return fail(err)
@@ -628,7 +628,7 @@ var (
 )
 
 // post runs one POST /v1/batch attempt against target ("" = current
-// leader). A 429 returns harness.ErrOverload along with the server's
+// leader). A 429 returns kv.ErrOverload along with the server's
 // Retry-After hint (0 when absent or unusable). Only leader attempts
 // feed the circuit breaker — a dead replica must not fail-fast writes.
 func (s *httpSession) post(target string, payload []byte, res []kv.Result) (time.Duration, error) {
@@ -648,13 +648,13 @@ func (s *httpSession) post(target string, payload []byte, res []kv.Result) (time
 	case http.StatusOK:
 	case http.StatusTooManyRequests:
 		_, _ = io.Copy(io.Discard, resp.Body)
-		return retryAfterDelay(resp.Header.Get("Retry-After")), harness.ErrOverload
+		return retryAfterDelay(resp.Header.Get("Retry-After")), kv.ErrOverload
 	case http.StatusConflict:
 		_, _ = io.Copy(io.Discard, resp.Body)
 		return retryAfterDelay(resp.Header.Get("Retry-After")), errStale
 	case http.StatusGatewayTimeout:
 		_, _ = io.Copy(io.Discard, resp.Body)
-		return 0, harness.ErrExpired
+		return 0, kv.ErrExpired
 	case http.StatusServiceUnavailable:
 		_, _ = io.Copy(io.Discard, resp.Body)
 		return 0, fmt.Errorf("%w: status 503", errRetryable)

@@ -8,8 +8,8 @@ import (
 	"time"
 
 	"medley/internal/cdc"
-	"medley/internal/harness"
 	"medley/internal/kv"
+	"medley/internal/obs"
 	"medley/internal/replica"
 )
 
@@ -123,7 +123,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	}
 
 	var scan func(shard int, fn func(key, val uint64))
-	if snap, ok := cfg.Backend.(harness.Snapshotter); ok {
+	if snap, ok := cfg.Backend.(snapshotter); ok {
 		scan = func(shard int, fn func(key, val uint64)) {
 			snap.StateSnapshot(func(key, val uint64) bool {
 				if shard == replica.AllShards || feed.ShardOf(key) == shard {
@@ -268,16 +268,16 @@ func (n *Node) gateBatch(ops []kv.Op) (code int, msg string, retry time.Duration
 }
 
 // replMetrics exports the replication counters merged into GET /metrics.
-func (n *Node) replMetrics() []harness.Metric {
+func (n *Node) replMetrics() []obs.Metric {
 	role := uint64(0)
 	if n.leader.Load() {
 		role = 1
 	}
-	out := []harness.Metric{
+	out := []obs.Metric{
 		{Name: "repl_is_leader", Value: role},
 	}
 	if n.promoted.Load() {
-		out = append(out, harness.Metric{Name: "repl_promoted", Value: 1})
+		out = append(out, obs.Metric{Name: "repl_promoted", Value: 1})
 	}
 	if n.fol != nil {
 		st := n.fol.Stats()
@@ -290,17 +290,17 @@ func (n *Node) replMetrics() []harness.Metric {
 			ready = 1
 		}
 		out = append(out,
-			harness.Metric{Name: "repl_applied", Value: st.Applied},
-			harness.Metric{Name: "repl_gaps", Value: st.Gaps},
-			harness.Metric{Name: "repl_reordered", Value: st.Reordered},
-			harness.Metric{Name: "repl_resyncs", Value: st.Resyncs},
-			harness.Metric{Name: "repl_reconnects", Value: st.Reconnects},
-			harness.Metric{Name: "repl_failures", Value: st.Failures},
-			harness.Metric{Name: "repl_lag", Value: st.Lag},
-			harness.Metric{Name: "repl_ready", Value: ready},
-			harness.Metric{Name: "repl_leader_down", Value: down},
-			harness.Metric{Name: "repl_bootstrap_keys", Value: st.BootstrapKeys},
-			harness.Metric{Name: "repl_bootstrap_ms", Value: st.BootstrapNanos / 1e6},
+			obs.Metric{Name: "repl_applied", Value: st.Applied},
+			obs.Metric{Name: "repl_gaps", Value: st.Gaps},
+			obs.Metric{Name: "repl_reordered", Value: st.Reordered},
+			obs.Metric{Name: "repl_resyncs", Value: st.Resyncs},
+			obs.Metric{Name: "repl_reconnects", Value: st.Reconnects},
+			obs.Metric{Name: "repl_failures", Value: st.Failures},
+			obs.Metric{Name: "repl_lag", Value: st.Lag},
+			obs.Metric{Name: "repl_ready", Value: ready},
+			obs.Metric{Name: "repl_leader_down", Value: down},
+			obs.Metric{Name: "repl_bootstrap_keys", Value: st.BootstrapKeys},
+			obs.Metric{Name: "repl_bootstrap_ms", Value: st.BootstrapNanos / 1e6},
 		)
 	}
 	return out

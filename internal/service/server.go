@@ -11,8 +11,8 @@ import (
 	"time"
 
 	"medley/internal/cdc"
-	"medley/internal/harness"
 	"medley/internal/kv"
+	"medley/internal/obs"
 	"medley/internal/replica"
 )
 
@@ -54,8 +54,8 @@ type healthResponse struct {
 // metricsResponse is the body of GET /metrics: cumulative counters since
 // process start plus derived gauges, the same shape reports embed.
 type metricsResponse struct {
-	Counters []harness.Metric `json:"counters"`
-	Gauges   []harness.Gauge  `json:"gauges"`
+	Counters []obs.Metric `json:"counters"`
+	Gauges   []obs.Gauge  `json:"gauges"`
 }
 
 // Handler serves the service API of a standalone (always-leader) node.
@@ -143,7 +143,7 @@ func handler(s *Service, n *Node) http.Handler {
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		shards := 1
-		if sc, ok := s.Backend().(harness.ShardCounter); ok {
+		if sc, ok := s.Backend().(shardCounter); ok {
 			shards = sc.ShardCount()
 		}
 		h := healthResponse{System: s.Backend().Name(), Shards: shards, Role: RoleLeader}
@@ -193,7 +193,11 @@ func serveWatch(feed *cdc.Feed, w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	from, _ := strconv.ParseUint(r.URL.Query().Get("from"), 10, 64)
+	from, err := strconv.ParseUint(r.URL.Query().Get("from"), 10, 64)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad from: %v", err))
+		return
+	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, http.StatusInternalServerError, "streaming unsupported")
@@ -266,7 +270,7 @@ func serveWatch(feed *cdc.Feed, w http.ResponseWriter, r *http.Request) {
 // shard parameter the scan serves every feed shard; with one, that shard.
 func serveSnapshot(s *Service, w http.ResponseWriter, r *http.Request) {
 	feed := s.cfg.Feed
-	snap, ok := s.be.(harness.Snapshotter)
+	snap, ok := s.be.(snapshotter)
 	if !ok {
 		writeError(w, http.StatusNotImplemented, "backend cannot snapshot state")
 		return

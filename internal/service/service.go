@@ -29,13 +29,14 @@ import (
 	"time"
 
 	"medley/internal/cdc"
-	"medley/internal/harness"
 	"medley/internal/kv"
+	"medley/internal/obs"
 )
 
-// Backend is the store seam: what the service needs from a system under
-// it. *harness.KVSystem satisfies it structurally — medleyd is the
-// benchmark registry's systems behind a listener.
+// Backend is the store seam: what the service needs from the system under
+// it. Everything store.New builds is one — medleyd is internal/store
+// behind a listener — and so is anything else with these five methods (the
+// chaos runner puts a competitor STM behind the same pipeline).
 type Backend interface {
 	Name() string
 	Preload(keys []uint64)
@@ -50,6 +51,17 @@ type Backend interface {
 	// is never behind.
 	SupportsChangeFeed() bool
 }
+
+// Optional capabilities of a Backend, probed where they are used: the
+// live key→value state, which a node serves as /v1/snapshot and scans to
+// bootstrap a follower, and the store's partition count for /healthz
+// (obs.MetricsSnapshotter, for /metrics, is the third).
+type (
+	snapshotter interface {
+		StateSnapshot(fn func(key, val uint64) bool)
+	}
+	shardCounter interface{ ShardCount() int }
+)
 
 // ErrShed is returned by Submit when the txpool is full: the request was
 // refused at admission, nothing executed. HTTP maps it to 429.
@@ -91,12 +103,6 @@ type Config struct {
 	// feed in commit-ticket order, and the HTTP layer serves it through
 	// GET /v1/watch and GET /v1/snapshot. nil = no replication.
 	Feed *cdc.Feed
-}
-
-// feedAttacher is the executor seam a feed attaches through;
-// *harness.kvWorker implements it.
-type feedAttacher interface {
-	SetChangeFeed(*cdc.Feed) bool
 }
 
 func (c Config) withDefaults() Config {
@@ -382,10 +388,10 @@ drain:
 func (s *Service) worker(ch chan chunk) {
 	defer s.workWG.Done()
 	ex := s.be.NewExecutor()
-	if s.cfg.Feed != nil {
-		if fa, ok := ex.(feedAttacher); ok {
-			fa.SetChangeFeed(s.cfg.Feed)
-		}
+	// A feed taps the commit order of the store's own workers (nothing
+	// else draws a core commit ticket); NewNode admits no other backend.
+	if tap, ok := ex.(interface{ SetChangeFeed(*cdc.Feed) bool }); ok && s.cfg.Feed != nil {
+		tap.SetChangeFeed(s.cfg.Feed)
 	}
 	var errs []error
 	var live []*request
@@ -414,8 +420,12 @@ func (s *Service) worker(ch chan chunk) {
 		for i, r := range live {
 			errs[i] = ex.ExecBatch(r.ops, r.res)
 		}
-		// Answered once the whole chunk has run: settling inside the loop above
-		// (ROADMAP 1b) costs +15% heap_peak_mb on svc-saturate, bound 17%.
+		// Answered once the whole chunk has run. Settling inside the loop
+		// above (ROADMAP 1b) read +36% throughput and +15% heap_peak_mb on
+		// svc-saturate, bound 17% — and there the heap follows the throughput:
+		// the mix's puts insert absent keys, so the live heap, and with it the
+		// collector's goal, grows with every transaction served
+		// (EXPERIMENTS.md "What the ruler cannot show").
 		for i, r := range live {
 			s.finishExecuted(r, errs[i])
 		}
@@ -470,8 +480,8 @@ func (s *Service) Close() {
 // MetricsSnapshot exports the pipeline counters, prefixed svc_, merged
 // with the backend's own snapshot when it exports one — one endpoint
 // serves the whole stack's counters.
-func (s *Service) MetricsSnapshot() []harness.Metric {
-	out := []harness.Metric{
+func (s *Service) MetricsSnapshot() []obs.Metric {
+	out := []obs.Metric{
 		{Name: "svc_accepted", Value: s.accepted.Load()},
 		{Name: "svc_shed", Value: s.shed.Load()},
 		{Name: "svc_executed", Value: s.executed.Load()},
@@ -484,14 +494,14 @@ func (s *Service) MetricsSnapshot() []harness.Metric {
 	}
 	if w := s.window; w != nil {
 		out = append(out,
-			harness.Metric{Name: "svc_dedup_claims", Value: w.claims.Load()},
-			harness.Metric{Name: "svc_dedup_window_hits", Value: w.hits.Load()},
-			harness.Metric{Name: "svc_dedup_abandons", Value: w.abandons.Load()},
-			harness.Metric{Name: "svc_dedup_evictions", Value: w.evictions.Load()},
-			harness.Metric{Name: "svc_dedup_completes", Value: w.completes.Load()},
+			obs.Metric{Name: "svc_dedup_claims", Value: w.claims.Load()},
+			obs.Metric{Name: "svc_dedup_window_hits", Value: w.hits.Load()},
+			obs.Metric{Name: "svc_dedup_abandons", Value: w.abandons.Load()},
+			obs.Metric{Name: "svc_dedup_evictions", Value: w.evictions.Load()},
+			obs.Metric{Name: "svc_dedup_completes", Value: w.completes.Load()},
 		)
 	}
-	if ms, ok := s.be.(harness.MetricsSnapshotter); ok {
+	if ms, ok := s.be.(obs.MetricsSnapshotter); ok {
 		out = append(out, ms.MetricsSnapshot()...)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
@@ -499,17 +509,11 @@ func (s *Service) MetricsSnapshot() []harness.Metric {
 }
 
 // Gauges derives the service-level ratios from the current counters.
-func (s *Service) Gauges() []harness.Gauge {
-	var out []harness.Gauge
-	add := func(name string, num, den uint64) {
-		if den > 0 {
-			out = append(out, harness.Gauge{Name: name, Value: float64(num) / float64(den)})
-		}
-	}
+func (s *Service) Gauges() []obs.Gauge {
 	accepted, shed := s.accepted.Load(), s.shed.Load()
-	add("svc_shed_rate", shed, accepted+shed)
-	add("svc_batch_coalesce", s.batched.Load(), s.batches.Load())
-	add("svc_expired_share", s.expired.Load(),
+	out := obs.AppendRatio(nil, "svc_shed_rate", shed, accepted+shed)
+	out = obs.AppendRatio(out, "svc_batch_coalesce", s.batched.Load(), s.batches.Load())
+	out = obs.AppendRatio(out, "svc_expired_share", s.expired.Load(),
 		s.executed.Load()+s.errored.Load()+s.expired.Load())
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out

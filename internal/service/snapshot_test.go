@@ -120,13 +120,18 @@ func TestSnapshotStreamAllShardsAndOne(t *testing.T) {
 		t.Fatalf("single-shard snapshots hold %d keys together, want %d", total, keys)
 	}
 
-	resp, err := http.Get(ts.URL + "/v1/snapshot?shard=4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("shard out of range: status %d, want 400", resp.StatusCode)
+	// A malformed cursor is refused like a malformed shard: read as 0 it
+	// would stream from sequence 1, or answer 410 and cost a follower a
+	// whole re-bootstrap.
+	for _, bad := range []string{"/v1/snapshot?shard=4", "/v1/watch?shard=4&from=1", "/v1/watch?shard=0&from=abc", "/v1/watch?shard=0"} {
+		resp, err := http.Get(ts.URL + bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", bad, resp.StatusCode)
+		}
 	}
 }
 

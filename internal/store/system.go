@@ -1,12 +1,16 @@
-package harness
-
-// This file is the registry-driven generic system: KVSystem drives any
-// kv.TxMap (a registry structure, a ShardedStore, a non-transactional
-// baseline) through one worker loop, and that same loop (kvWorker) also
-// carries MontageSystem's workers. The per-structure adapter zoo this
-// replaces lived in systems.go.
+// Package store is the thing medleyd serves: a kv.TxMap — a registry
+// structure, a hash-partitioned ShardedStore of them, a txMontage
+// persistent store — owned by a System that hands each executing
+// goroutine a worker holding its registered transaction, its EBR handle
+// and, on a replicated node, its change-feed tap. It is the top of the
+// library stack (core → structures → kv → store); the network service
+// (internal/service) runs its workers behind a txpool, and the harness
+// (internal/harness) measures it beside the competitor STMs, naming these
+// types by alias. New resolves the one system-spec grammar (spec.go).
+package store
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"time"
@@ -15,94 +19,113 @@ import (
 	"medley/internal/core"
 	"medley/internal/ebr"
 	"medley/internal/kv"
+	"medley/internal/obs"
 )
 
-// --------------------------------------------------- Medley (via registry)
+// Worker executes transactions for one goroutine.
+type Worker interface {
+	// Do executes ops as one atomic transaction, retrying conflict aborts
+	// internally until commit.
+	Do(ops []kv.Op)
+}
 
-// KVSystem benchmarks any kv.TxMap — a registry-built structure, a
+// maintainer is implemented by structures with background maintenance
+// (the rotating skiplist); System.Start drives it per shard.
+type maintainer interface {
+	StartMaintenance(time.Duration) func()
+}
+
+// ShardedName appends the shard suffix benchmark reports use for
+// partitioned configurations; single-instance names are unchanged.
+func ShardedName(base string, shards int) string {
+	if shards <= 1 {
+		return base
+	}
+	return fmt.Sprintf("%s-%dshard", base, shards)
+}
+
+// System owns any kv.TxMap — a registry-built structure, a
 // hash-partitioned ShardedStore of them, or a non-transactional baseline —
-// under one worker loop. The seven hand-rolled adapters this file once
-// carried for Medley, Original and TxOff are all configurations of this
-// one type.
-type KVSystem struct {
-	name  string
-	mgr   *core.TxManager // nil for untransformed baselines
-	m     kv.TxMap
-	smr   *ebr.Manager
-	notx  bool // run operations outside any transaction (Original/TxOff)
-	shard int
+// under one worker loop: Medley, Original and TxOff are all configurations
+// of this one type (harness.KVSystem is its alias).
+type System struct {
+	name string
+	mgr  *core.TxManager // nil for untransformed baselines
+	sh   *kv.ShardedStore
+	m    kv.TxMap // sh, or its one shard: no dispatch layer for single instances
+	// smr is nil exactly when operations run outside any transaction
+	// (Original/TxOff): no commit protocol, nothing retired, no feed to tap.
+	smr *ebr.Manager
 
 	// idle holds workers released at phase barriers for reuse (see
-	// WorkerReleaser in capabilities.go): a worker's recycling arenas and
+	// harness.WorkerReleaser): a worker's recycling arenas and
 	// EBR handle stay warm across phases instead of starting cold — and
 	// leaking their limbo — every phase. pump is the handle Quiesce uses
 	// to advance the EBR epoch at barriers; it never enters a critical
 	// section or retires anything.
 	mu   sync.Mutex
-	idle []*kvWorker
+	idle []*worker
 	pump *ebr.Handle
 }
 
-// newKVSystem is the one constructor: a system over the named registry
-// structure, hash-partitioned over spec.shards instances when > 1, named
+// newSystem is the one constructor: a system over the named registry
+// structure, hash-partitioned over spec.Shards instances when > 1, named
 // with one suffix per axis the spec switched off so every configuration
 // stays distinguishable in one report. notx runs operations outside any
 // transaction (Original/TxOff). Pooling is sound here because every worker
 // holds its EBR handle's critical section across each transaction — see
-// kvWorker.ExecBatch — and background maintenance is guarded the same way.
+// worker.ExecBatch — and background maintenance is guarded the same way.
 // -nofast forces every commit through the full descriptor handshake.
-func newKVSystem(name, structure string, notx bool, buckets int, spec sysSpec) *KVSystem {
+func newSystem(name, structure string, notx bool, buckets int, spec Spec) *System {
 	var mgr *core.TxManager
 	if kv.Composable(structure) {
 		mgr = core.NewTxManager()
 	}
-	store, err := kv.NewShardedNamed(structure, spec.shards, kv.Options{Mgr: mgr, Buckets: buckets})
+	sh, err := kv.NewShardedNamed(structure, spec.Shards, kv.Options{Mgr: mgr, Buckets: buckets})
 	if err != nil {
 		panic(err) // registry names here are static; a failure is a bug
 	}
 	for _, suffix := range specSuffixes {
-		if spec.off[suffix] {
+		if spec.Off[suffix] {
 			name += "-" + suffix
 		}
 	}
-	s := &KVSystem{name: shardedName(name, store.ShardCount()), mgr: mgr,
-		notx: notx, shard: store.ShardCount()}
-	if store.ShardCount() == 1 {
-		s.m = store.Shard(0) // no dispatch layer for single instances
-	} else {
-		s.m = store
+	s := &System{name: ShardedName(name, sh.ShardCount()), mgr: mgr, sh: sh, m: sh}
+	if sh.ShardCount() == 1 {
+		s.m = sh.Shard(0)
 	}
 	if !notx && mgr != nil {
 		// An advance attempt every 256 retired blocks, not retire calls: a
 		// 512-put snapshot chunk attempts at its own settle, and so draws
 		// the next chunk's descriptor cells from its pool.
 		s.smr = ebr.New(256)
-		if !spec.off["nopool"] {
+		if !spec.Off["nopool"] {
 			mgr.EnablePooling()
 		}
-		if spec.off["nofast"] {
+		if spec.Off["nofast"] {
 			mgr.DisableFastPaths()
 		}
 	}
 	return s
 }
 
-// Name implements System.
-func (s *KVSystem) Name() string { return s.name }
+// Name reports the configuration as benchmark reports spell it.
+func (s *System) Name() string { return s.name }
 
-// ShardCount implements ShardCounter.
-func (s *KVSystem) ShardCount() int { return s.shard }
+// ShardCount reports the store's partition count (reports and /healthz
+// carry it).
+func (s *System) ShardCount() int { return s.sh.ShardCount() }
 
 // Manager exposes the TxManager for statistics (nil for baselines).
-func (s *KVSystem) Manager() *core.TxManager { return s.mgr }
+func (s *System) Manager() *core.TxManager { return s.mgr }
 
 // Map exposes the underlying store, for tests.
-func (s *KVSystem) Map() kv.TxMap { return s.m }
+func (s *System) Map() kv.TxMap { return s.m }
 
-// TxStats implements TxStatser from the manager's sharded counters.
-// Baselines without a manager (Original) report zeros, matching their
-// nothing-can-abort semantics.
-func (s *KVSystem) TxStats() (commits, aborts uint64) {
+// TxStats reports cumulative commits and aborts from the manager's sharded
+// counters. Baselines without a manager (Original) report zeros, matching
+// their nothing-can-abort semantics.
+func (s *System) TxStats() (commits, aborts uint64) {
 	if s.mgr == nil {
 		return 0, 0
 	}
@@ -110,29 +133,26 @@ func (s *KVSystem) TxStats() (commits, aborts uint64) {
 	return st.Commits, st.Aborts
 }
 
-// MetricsSnapshot implements MetricsSnapshotter: cumulative transaction,
+// MetricsSnapshot implements obs.MetricsSnapshotter: cumulative transaction,
 // pool and EBR counters under stable statsd-style names. Systems running
 // no commit protocol (Original, TxOff) export nothing, so their reports
 // carry no fastpath block and an empty telemetry block.
-func (s *KVSystem) MetricsSnapshot() []Metric {
-	if s.notx || s.mgr == nil {
+func (s *System) MetricsSnapshot() []obs.Metric {
+	if s.smr == nil {
 		return nil
 	}
-	out := txCounters(s.mgr.Stats())
-	if s.smr != nil {
-		es := s.smr.Stats()
-		out = append(out,
-			Metric{Name: "ebr_retired", Value: es.Retired},
-			Metric{Name: "ebr_reclaimed", Value: es.Reclaimed},
-			Metric{Name: "ebr_advances", Value: es.Advances},
-		)
-	}
-	return out
+	es := s.smr.Stats()
+	return append(obs.TxCounters(s.mgr.Stats()),
+		obs.Metric{Name: "ebr_retired", Value: es.Retired},
+		obs.Metric{Name: "ebr_reclaimed", Value: es.Reclaimed},
+		obs.Metric{Name: "ebr_advances", Value: es.Advances},
+	)
 }
 
-// StateSnapshot implements Snapshotter for VerifyFinal scenarios: iterate
-// the live store. Called only at phase barriers, where it is exact.
-func (s *KVSystem) StateSnapshot(fn func(key, val uint64) bool) {
+// StateSnapshot iterates the live store: exact at a quiescent point (the
+// harness calls it only at phase barriers), fuzzy under load (a node
+// serves it as /v1/snapshot and anchors it at feed positions).
+func (s *System) StateSnapshot(fn func(key, val uint64) bool) {
 	s.m.Range(fn)
 }
 
@@ -143,14 +163,14 @@ type guardedMaintainer interface {
 	StartGuardedMaintenance(interval time.Duration, guard func(func())) (stop func())
 }
 
-// Start implements System: it starts per-shard maintenance where the
+// Start starts per-shard maintenance where the
 // structure has any (rotating skiplist). Under pooling the maintenance
 // goroutine gets its own EBR handle and brackets every rebuild with it, so
 // index traversals never observe a recycled cell.
-func (s *KVSystem) Start() (stop func()) {
+func (s *System) Start() (stop func()) {
 	var stops []func()
 	start := func(m kv.TxMap) {
-		if s.smr != nil && s.mgr != nil && s.mgr.PoolingEnabled() {
+		if s.smr != nil && s.mgr.PoolingEnabled() {
 			if gm, ok := m.(guardedMaintainer); ok {
 				h := s.smr.Register()
 				stops = append(stops, gm.StartGuardedMaintenance(25*time.Millisecond, func(f func()) {
@@ -165,12 +185,8 @@ func (s *KVSystem) Start() (stop func()) {
 			stops = append(stops, mt.StartMaintenance(25*time.Millisecond))
 		}
 	}
-	if sh, ok := s.m.(*kv.ShardedStore); ok {
-		for i := 0; i < sh.ShardCount(); i++ {
-			start(sh.Shard(i))
-		}
-	} else {
-		start(s.m)
+	for i := 0; i < s.sh.ShardCount(); i++ {
+		start(s.sh.Shard(i))
 	}
 	return func() {
 		for _, f := range stops {
@@ -179,10 +195,10 @@ func (s *KVSystem) Start() (stop func()) {
 	}
 }
 
-// Preload implements System: one contiguous range of keys per CPU, loaded
-// concurrently (a Put outside a transaction is the structure's own
-// lock-free insert).
-func (s *KVSystem) Preload(keys []uint64) {
+// Preload inserts the initial key-value pairs: one contiguous range of
+// keys per CPU, loaded concurrently (a Put outside a transaction is the
+// structure's own lock-free insert).
+func (s *System) Preload(keys []uint64) {
 	n := runtime.GOMAXPROCS(0)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -198,11 +214,11 @@ func (s *KVSystem) Preload(keys []uint64) {
 	wg.Wait()
 }
 
-// kvWorker drives a bound TxMap; it is the worker of KVSystem and
+// worker drives a bound TxMap; it is the worker of System and
 // MontageSystem both, and doubles as the kv.Executor behind NewExecutor.
 // Harness ops are kv batch requests and execute through kv.Apply — the
 // same request-order loop the network service's tick executor uses.
-type kvWorker struct {
+type worker struct {
 	m  kv.TxMap
 	tx *core.Tx // nil: execute outside transactions
 	h  *ebr.Handle
@@ -216,10 +232,10 @@ type kvWorker struct {
 	feedRes []kv.Result
 }
 
-// NewWorker implements System: a worker released at an earlier phase
+// NewWorker hands out a worker: one released at an earlier phase
 // barrier when one is available (warm arenas and handle), a fresh one
 // otherwise.
-func (s *KVSystem) NewWorker() Worker {
+func (s *System) NewWorker() Worker {
 	s.mu.Lock()
 	if n := len(s.idle); n > 0 {
 		w := s.idle[n-1]
@@ -232,13 +248,13 @@ func (s *KVSystem) NewWorker() Worker {
 	return s.newWorker()
 }
 
-// ReleaseWorker implements WorkerReleaser: the engine returns each
+// ReleaseWorker implements harness.WorkerReleaser: the engine returns each
 // phase's workers at the barrier for the next phase to reuse. The engine
 // quiesces first, so the handle flush here — run with barrier-exclusive
 // ownership of the worker — reclaims the whole phase's retired garbage
 // into the worker's freelists before the next phase starts.
-func (s *KVSystem) ReleaseWorker(w Worker) {
-	kw, ok := w.(*kvWorker)
+func (s *System) ReleaseWorker(w Worker) {
+	kw, ok := w.(*worker)
 	if !ok {
 		return
 	}
@@ -250,7 +266,7 @@ func (s *KVSystem) ReleaseWorker(w Worker) {
 	s.mu.Unlock()
 }
 
-// Quiesce implements Quiescer: with every worker parked at the barrier,
+// Quiesce implements harness.Quiescer: with every worker parked at the barrier,
 // pump the EBR epoch far enough (the three-epoch grace) that everything
 // retired during the phase becomes reclaimable — the released workers
 // then refill their freelists from it early in the next phase. Under
@@ -258,7 +274,7 @@ func (s *KVSystem) ReleaseWorker(w Worker) {
 // worker parked mid-transaction, holding a stale active epoch. Best
 // effort — a guarded maintenance goroutine mid-rebuild just stops the
 // pump early.
-func (s *KVSystem) Quiesce() {
+func (s *System) Quiesce() {
 	if s.smr == nil {
 		return
 	}
@@ -276,32 +292,28 @@ func (s *KVSystem) Quiesce() {
 // a commit-ordered change feed: the store must run real transactions
 // (baselines executing outside any commit protocol have no commit order
 // to tap).
-func (s *KVSystem) SupportsChangeFeed() bool { return !s.notx && s.mgr != nil }
+func (s *System) SupportsChangeFeed() bool { return s.smr != nil }
 
-// NewExecutor implements the backend seam of the network service layer
+// NewExecutor is the backend seam of the network service layer
 // (internal/service): a per-goroutine kv.Executor running batch requests
 // as atomic transactions over the same store, transaction registration and
 // EBR guard as the benchmark workers. Call it on the goroutine that will
 // execute (the Tx and handle are goroutine-bound).
-func (s *KVSystem) NewExecutor() kv.Executor {
+func (s *System) NewExecutor() kv.Executor {
 	return s.newWorker()
 }
 
-func (s *KVSystem) newWorker() *kvWorker {
-	if s.notx {
-		return &kvWorker{m: kv.Bind(s.m, nil)}
+func (s *System) newWorker() *worker {
+	if s.smr == nil {
+		return &worker{m: kv.Bind(s.m, nil)}
 	}
-	tx := s.mgr.Register()
-	w := &kvWorker{tx: tx}
-	if s.smr != nil {
-		w.h = s.smr.Register()
-		tx.SetSMR(w.h)
-	}
-	w.m = kv.Bind(s.m, tx)
+	w := &worker{tx: s.mgr.Register(), h: s.smr.Register()}
+	w.tx.SetSMR(w.h)
+	w.m = kv.Bind(s.m, w.tx)
 	return w
 }
 
-func (w *kvWorker) Do(ops []Op) { _ = w.ExecBatch(ops, nil) }
+func (w *worker) Do(ops []kv.Op) { _ = w.ExecBatch(ops, nil) }
 
 // SetChangeFeed attaches a change feed to this executor: every committed
 // batch with writes draws a commit ticket (core ticket.go) and publishes
@@ -309,7 +321,7 @@ func (w *kvWorker) Do(ops []Op) { _ = w.ExecBatch(ops, nil) }
 // nothing — for workers executing outside transactions (no commit order
 // exists to tap). The service layer attaches feeds through this seam on
 // each worker executor.
-func (w *kvWorker) SetChangeFeed(f *cdc.Feed) bool {
+func (w *worker) SetChangeFeed(f *cdc.Feed) bool {
 	if w.tx == nil {
 		return false
 	}
@@ -322,7 +334,7 @@ func (w *kvWorker) SetChangeFeed(f *cdc.Feed) bool {
 // commit ticket, in op order. No ticket means no descriptor cell was
 // installed (every write was a no-op, e.g. deletes of absent keys):
 // nothing visible changed, nothing to replicate.
-func (w *kvWorker) publishBatch(ops []kv.Op, res []kv.Result) {
+func (w *worker) publishBatch(ops []kv.Op, res []kv.Result) {
 	t, ok := w.tx.CommittedTicket()
 	if !ok {
 		return
@@ -351,7 +363,7 @@ func (w *kvWorker) publishBatch(ops []kv.Op, res []kv.Result) {
 // is non-linearizable by contract, and its raw loads finalize any pending
 // descriptor they meet — a scan inside the transaction that installed the
 // descriptor would abort its own speculation on every retry and livelock.
-func (w *kvWorker) ExecBatch(ops []kv.Op, res []kv.Result) error {
+func (w *worker) ExecBatch(ops []kv.Op, res []kv.Result) error {
 	if w.tx == nil {
 		kv.Apply(nil, w.m, ops, res)
 		return nil
