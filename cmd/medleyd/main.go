@@ -13,7 +13,8 @@
 // /v1/watch, no feed_shards on /healthz — and the start-up log says so;
 // -follow with such a system is refused.
 // With -follow the process starts as a follower of the leader
-// at that URL: it replays the leader's feed through its own pipeline,
+// at that URL: it replays the leader's feed on executors of its own
+// store (beside its request pipeline, so replay waits for no tick),
 // rejects writes with 503 "not leader", serves bounded-staleness reads
 // (409 once replay lag exceeds -max-lag or the feed has been silent
 // past -max-silence), and promotes itself — manually via POST

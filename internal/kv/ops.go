@@ -75,10 +75,11 @@ type Result struct {
 }
 
 // Executor runs batch requests, each as one atomic transaction, retrying
-// conflict aborts internally until commit. Implementations are bound to
-// one goroutine (they carry a *core.Tx and its SMR handle); callers hold
-// one Executor per worker. The network service's tick workers and the
-// harness's driver sessions both execute through this interface.
+// conflict aborts internally until commit. An implementation carries a
+// *core.Tx and its SMR handle, so it is used by one goroutine at a time;
+// a channel hand-off orders it. The network service's tick workers, a
+// follower's replay and the harness's driver sessions all execute
+// through this interface.
 type Executor interface {
 	// ExecBatch applies ops, in request order, as one atomic transaction.
 	// res may be nil; otherwise len(res) must equal len(ops) and res[i]

@@ -6,15 +6,19 @@
 // serving layer can enforce a bounded-staleness read contract.
 //
 // The follower does not own a store: it applies entries through the
-// Apply seam (service.Node routes applies through the node's own
-// transaction pipeline, so a follower's own change feed is populated as
-// it replays — a promoted follower is immediately followable). Replay is
+// Apply seam. service.Node runs each Apply as one transaction on an
+// executor of its own store with the node's change feed attached — not
+// through the node's client pipeline, so replay waits for no tick and no
+// admission slot — and a follower's own feed is populated as it replays:
+// a promoted follower is immediately followable. Replay is
 // idempotent: feed values are absolute post-states, so re-applying a
 // chunk after a reconnect, or double-applying writes a fuzzy snapshot
 // already contained, converges (last writer wins).
 package replica
 
 import (
+	"bufio"
+	"bytes"
 	"cmp"
 	"context"
 	"encoding/json"
@@ -47,6 +51,10 @@ type Config struct {
 	// disjoint keys (a snapshot's keys are distinct, and the stale-key
 	// deletes are exactly the local keys it lacks), so they commute, and no
 	// stream of a shard being bootstrapped runs until they all returned.
+	// Those calls are all the follower keeps out, so Apply should return
+	// as soon as its batch has committed: one queued behind other work (a
+	// batching tick, a full admission pool) stalls the bootstrap and
+	// delays every watch chunk by its wait.
 	Apply func(ops []kv.Op) error
 	// Scan, when non-nil, enumerates the local store's live keys in one
 	// feed shard, or in all of them for AllShards. Bootstraps over existing
@@ -323,13 +331,15 @@ func (f *Follower) get(path string, gone error) (*http.Response, error) {
 // per-request op limit).
 const applyBatchMax = SnapshotChunkKeys
 
-// applyInFlight is how many bootstrap Apply calls run at once. Apply
-// waits for the local pipeline's next tick, so one call at a time applies
-// one batch per tick; with several in flight a tick coalesces them and
-// the bootstrap runs at the store's speed. Measured on a two-worker
-// pipeline (EXPERIMENTS.md): 1, 2, 4, 8, 16 in flight bootstrap 0.40,
-// 0.70, 1.08, 1.45, 1.51 M keys/s, the last two ranges overlapping; a
-// batch in flight is 12 KB of ops.
+// applyInFlight is how many bootstrap Apply calls run at once while the
+// next chunk is read. A node's Apply is one transaction on one of its
+// replay executors (one per service worker), so the calls overlap the
+// stream and each other but wait for nothing else. Measured with two
+// executors on two CPUs (EXPERIMENTS.md, "A follower applies at store
+// speed"): 1, 2, 4, 8 in flight bootstrap 2^17 keys in 41.8, 38.4, 40.1,
+// 37.9 ms at the medians of ten runs — one call at a time leaves an
+// executor idle, and from two up the ranges overlap. Eight also keeps a
+// wider node's executors busy; a batch in flight is 12 KB of ops.
 const applyInFlight = 8
 
 // applyPipe keeps up to applyInFlight Apply calls running while its
@@ -402,9 +412,16 @@ func (f *Follower) bootstrap(shard int) error {
 		return err
 	}
 	defer resp.Body.Close()
-	dec := json.NewDecoder(resp.Body)
+	// Sized to hold any chunk line (512 pairs of 20-digit numbers), so a
+	// well-formed stream never takes readLine's copying path.
+	br := bufio.NewReaderSize(resp.Body, 32<<10)
+	var long []byte
+	line, err := readLine(br, &long)
+	if err != nil {
+		return fmt.Errorf("replica: snapshot header: %w", err)
+	}
 	var hdr SnapshotHeader
-	if err := dec.Decode(&hdr); err != nil {
+	if err := json.Unmarshal(line, &hdr); err != nil {
 		return fmt.Errorf("replica: snapshot header: %w", err)
 	}
 	if hdr.Shards != f.cfg.Shards || len(hdr.FromSeq) != hdr.Shards || slices.Contains(hdr.FromSeq, 0) {
@@ -425,7 +442,7 @@ func (f *Follower) bootstrap(shard int) error {
 	}
 
 	pipe := newApplyPipe(f.cfg.Apply)
-	keys, err := f.readSnapshot(dec, pipe, seen)
+	keys, err := f.readSnapshot(br, &long, pipe, seen)
 	if err == nil {
 		for _, k := range local {
 			if _, ok := seen[k]; !ok {
@@ -456,37 +473,48 @@ func (f *Follower) bootstrap(shard int) error {
 	return nil
 }
 
-// readSnapshot decodes chunks up to the trailer, handing each one's keys
-// to pipe while the next chunk decodes, and returns how many keys the
-// stream carried. It stops at the first Apply failure, at Stop, and at a
-// stream that ends early or whose trailer disagrees with what arrived.
-func (f *Follower) readSnapshot(dec *json.Decoder, pipe *applyPipe, seen map[uint64]struct{}) (uint64, error) {
-	var c SnapshotChunk
+// readSnapshot reads chunk lines up to the trailer, handing each one's
+// keys to pipe while the next line is read, and returns how many keys the
+// stream carried. It stops at the first Apply failure, at Stop, at a
+// malformed chunk line, and at a stream that ends early or whose trailer
+// disagrees with what arrived.
+func (f *Follower) readSnapshot(br *bufio.Reader, long *[]byte, pipe *applyPipe, seen map[uint64]struct{}) (uint64, error) {
+	var nums []uint64
 	var keys uint64
 	for {
-		c = SnapshotChunk{KV: c.KV[:0]}
-		if err := dec.Decode(&c); err != nil {
+		line, err := readLine(br, long)
+		if err != nil {
 			return keys, fmt.Errorf("replica: snapshot cut after %d keys: %w", keys, err)
 		}
-		if c.Done {
+		if !bytes.HasPrefix(line, chunkOpen) {
+			var c SnapshotChunk
+			if err := json.Unmarshal(line, &c); err != nil {
+				return keys, fmt.Errorf("replica: snapshot trailer: %w", err)
+			}
+			if !c.Done {
+				return keys, fmt.Errorf("replica: snapshot line after %d keys is neither a chunk nor the trailer: %.64q", keys, line)
+			}
 			if c.Count != keys {
 				return keys, fmt.Errorf("replica: snapshot trailer counts %d keys, %d arrived", c.Count, keys)
 			}
 			return keys, nil
 		}
-		if len(c.KV)%2 != 0 {
-			return keys, fmt.Errorf("replica: snapshot chunk of %d numbers is not key/value pairs", len(c.KV))
+		if nums, err = parseSnapshotChunk(line, nums[:0]); err != nil {
+			return keys, fmt.Errorf("replica: snapshot chunk after %d keys: %w", keys, err)
+		}
+		if len(nums)%2 != 0 {
+			return keys, fmt.Errorf("replica: snapshot chunk of %d numbers is not key/value pairs", len(nums))
 		}
 		if err := cmp.Or(pipe.failed(), f.ctx.Err()); err != nil {
 			return keys, err
 		}
-		for i := 0; i < len(c.KV); i += 2 {
+		for i := 0; i < len(nums); i += 2 {
 			if seen != nil {
-				seen[c.KV[i]] = struct{}{}
+				seen[nums[i]] = struct{}{}
 			}
-			pipe.add(kv.Op{Kind: kv.OpPut, Key: c.KV[i], Val: c.KV[i+1]})
+			pipe.add(kv.Op{Kind: kv.OpPut, Key: nums[i], Val: nums[i+1]})
 		}
-		keys += uint64(len(c.KV) / 2)
+		keys += uint64(len(nums) / 2)
 	}
 }
 

@@ -1,6 +1,15 @@
 package replica
 
-import "medley/internal/cdc"
+import (
+	"bufio"
+	"bytes"
+	"errors"
+	"fmt"
+	"math"
+	"strconv"
+
+	"medley/internal/cdc"
+)
 
 // This file is the replication wire protocol shared by the leader's HTTP
 // surface (internal/service server.go) and the follower (this package).
@@ -65,6 +74,87 @@ type SnapshotChunk struct {
 // one Apply on the follower, so it stays under the service layer's
 // per-request op limit.
 const SnapshotChunkKeys = 512
+
+// A chunk line is SnapshotChunk{KV: kv} as encoding/json writes it, but
+// neither end runs encoding/json over it: a bootstrap carries 2^20 and
+// more numbers, and decoding each by reflection would be the largest part
+// of the follower's read. Header and trailer lines stay on encoding/json.
+var (
+	chunkOpen  = []byte(`{"kv":[`)
+	chunkClose = []byte("]}\n")
+)
+
+// AppendSnapshotChunk appends the chunk line of kv (key, value, ...),
+// newline included, to dst.
+func AppendSnapshotChunk(dst []byte, kv []uint64) []byte {
+	dst = append(dst, chunkOpen...)
+	for i, n := range kv {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendUint(dst, n, 10)
+	}
+	return append(dst, chunkClose...)
+}
+
+var errChunk = errors.New("replica: malformed snapshot chunk")
+
+// parseSnapshotChunk appends the numbers of a chunk line — chunkOpen,
+// unsigned decimals without leading zeros separated by single commas,
+// chunkClose, nothing else — to kv. It accepts only lines encoding/json
+// decodes to the same numbers.
+func parseSnapshotChunk(line []byte, kv []uint64) ([]uint64, error) {
+	body, ok := bytes.CutPrefix(line, chunkOpen)
+	if !ok {
+		return kv, errChunk
+	}
+	if body, ok = bytes.CutSuffix(body, chunkClose); !ok {
+		return kv, fmt.Errorf("%w: no closing %q", errChunk, chunkClose)
+	}
+	if len(body) == 0 {
+		return kv, nil
+	}
+	for i := 0; ; i++ { // i is where a number starts
+		start := i
+		var n uint64
+		for ; i < len(body) && '0' <= body[i] && body[i] <= '9'; i++ {
+			d := uint64(body[i] - '0')
+			if n > (math.MaxUint64-d)/10 {
+				return kv, fmt.Errorf("%w: number at byte %d overflows uint64", errChunk, len(chunkOpen)+start)
+			}
+			n = 10*n + d
+		}
+		switch {
+		case i == start:
+			return kv, fmt.Errorf("%w: no digit at byte %d", errChunk, len(chunkOpen)+i)
+		case i-start > 1 && body[start] == '0':
+			return kv, fmt.Errorf("%w: leading zero at byte %d", errChunk, len(chunkOpen)+start)
+		}
+		kv = append(kv, n)
+		if i == len(body) {
+			return kv, nil
+		}
+		if body[i] != ',' {
+			return kv, fmt.Errorf("%w: no comma at byte %d", errChunk, len(chunkOpen)+i)
+		}
+	}
+}
+
+// readLine returns r's next line, '\n' included: a slice of r's buffer
+// when the line fits in it, else of *long, grown to fit. Either is valid
+// until the next call. A stream that ends without a newline is an error.
+func readLine(r *bufio.Reader, long *[]byte) ([]byte, error) {
+	line, err := r.ReadSlice('\n')
+	if err != bufio.ErrBufferFull {
+		return line, err
+	}
+	*long = append((*long)[:0], line...)
+	for err == bufio.ErrBufferFull {
+		line, err = r.ReadSlice('\n')
+		*long = append(*long, line...)
+	}
+	return *long, err
+}
 
 // PromoteResponse is the body of POST /v1/promote.
 type PromoteResponse struct {

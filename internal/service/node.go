@@ -15,15 +15,17 @@ import (
 
 // Node is one replicated medleyd process: a Service with a change feed
 // attached, plus (in follower mode) a replica.Follower replaying a
-// leader. The same transaction pipeline serves both roles:
+// leader. The same transaction pipeline serves both roles' clients:
 //
 //   - A leader executes client batches; every committed write publishes
 //     to the node's feed, which /v1/watch and /v1/snapshot serve.
 //   - A follower rejects writes (503 "not leader" — retryable against
 //     the real leader), serves bounded-staleness reads (replay lag above
 //     MaxLag answers 409 with Retry-After), and replays the leader's
-//     feed through its own pipeline — so the follower's feed is
-//     populated too, and a promoted follower is immediately followable.
+//     feed on executors of its own store, beside the pipeline rather than
+//     through it: a replayed commit is one ExecBatch, waiting for no tick
+//     and no pool slot. Those executors publish to the node's feed too,
+//     so a promoted follower is immediately followable.
 //
 // Promotion (POST /v1/promote, Node.Promote, or automatically once
 // PromoteAfter consecutive leader round trips fail) stops the replay
@@ -36,6 +38,9 @@ type Node struct {
 	fol        *replica.Follower // nil on a born-leader node
 	maxLag     uint64
 	maxSilence time.Duration
+	// replay holds the executors applyReplay runs on, one slot per service
+	// worker; a nil slot is an executor not yet created.
+	replay chan kv.Executor
 
 	leader   atomic.Bool
 	promoted atomic.Bool
@@ -117,6 +122,10 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		maxSilence: cfg.MaxSilence,
 		stopCh:     make(chan struct{}),
 	}
+	n.replay = make(chan kv.Executor, n.svc.Config().Workers)
+	for range cap(n.replay) {
+		n.replay <- nil
+	}
 	if cfg.Follow == "" {
 		n.leader.Store(true)
 		return n, nil
@@ -162,23 +171,19 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	return n, nil
 }
 
-// applyReplay runs one replay batch through the node's own pipeline —
-// the same admission, execution, and feed publication path client writes
-// take, safe for the concurrent calls of a bootstrap (Submit is). Shed
-// means the pool is momentarily full of reads; replay retries rather than
-// dropping entries.
+// applyReplay runs one replay batch as one transaction on a replay
+// executor — the execution and feed publication client writes get,
+// without their admission and tick. At most Workers batches run at once;
+// the concurrent calls of a bootstrap beyond that wait for an executor.
+// The follower stops before the service closes (Close, Promote), so no
+// batch runs on a closed store.
 func (n *Node) applyReplay(ops []kv.Op) error {
-	for {
-		err := n.svc.Submit(ops, nil)
-		if err != ErrShed {
-			return err
-		}
-		select {
-		case <-n.stopCh:
-			return err
-		case <-time.After(n.svc.RetryAfter()):
-		}
+	ex := <-n.replay
+	if ex == nil {
+		ex = n.svc.newExecutor()
 	}
+	defer func() { n.replay <- ex }()
+	return ex.ExecBatch(ops, nil)
 }
 
 // Service returns the node's transaction pipeline.

@@ -3,13 +3,16 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
 	"medley/internal/cdc"
 	"medley/internal/kv"
+	"medley/internal/replica"
 )
 
 // startNode builds a node over a fresh in-memory medley system and serves
@@ -116,7 +119,7 @@ func TestNodeFollowerReplaysAndServesReads(t *testing.T) {
 		return follower.Follower().Lag() == 0 && follower.Follower().Stats().Applied >= 30
 	})
 	// One more settle beat: lag counts feed entries, the last apply may
-	// still be completing its Submit.
+	// still be completing its ExecBatch.
 	time.Sleep(20 * time.Millisecond)
 
 	// Reads on the follower observe the replayed state.
@@ -308,6 +311,142 @@ func TestNodeFollowerResyncsAfterCompaction(t *testing.T) {
 		}
 		if lres[0] != fres[0] {
 			t.Fatalf("key %d diverged: leader %+v follower %+v", k, lres[0], fres[0])
+		}
+	}
+}
+
+// A follower's replay waits on nothing of its own pipeline. Its service
+// ticks once a second and its admission pool is kept full of parked
+// reads, so a replay routed through Submit would wait out a tick per
+// batch, or be shed and sleep RetryAfter (a whole tick here) per try;
+// on the node's replay executors the bootstrap is done, and a leader
+// write is in the follower's store, well inside one tick.
+func TestReplayBypassesPipeline(t *testing.T) {
+	const keys = 1 << 12
+	store := hashStore(t, keys/8, 2*keys)
+	store.Preload(evenKeys(keys))
+	leader, err := NewNode(NodeConfig{Backend: store, Service: Config{Tick: 200 * time.Microsecond, Workers: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(leader.Handler())
+	defer ts.Close()
+	defer leader.Close() // node before server, as in startNode
+
+	folStore := hashStore(t, keys/8, 2*keys)
+	start := time.Now()
+	fol, err := NewNode(NodeConfig{
+		Backend: folStore, Follow: ts.URL,
+		Service: Config{Tick: time.Second, PoolSize: 4, Workers: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// As many readers as pool slots: each resubmits as soon as a tick
+	// answers it, so the pool is full but for an instant per second.
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for i := 0; i < fol.Service().Config().PoolSize; i++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			res := make([]kv.Result, 1)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := fol.Service().Submit([]kv.Op{{Kind: kv.OpGet, Key: 0}}, res); errors.Is(err, ErrClosed) {
+					return
+				}
+			}
+		}()
+	}
+	defer readers.Wait()
+	defer fol.Close() // answers the parked reads
+	defer close(stop)
+
+	waitFor(t, 10*time.Second, "follower bootstrap", fol.Follower().Ready)
+	if d := time.Since(start); d > 500*time.Millisecond {
+		t.Errorf("bootstrap of %d keys took %v beside a 1s tick, want < 500ms", keys, d)
+	}
+	pool := fol.Service().pool
+	waitFor(t, time.Second, "follower pool full of parked reads", func() bool { return len(pool) == cap(pool) })
+
+	const key, val = 1, 77 // odd: not preloaded
+	wrote := time.Now()
+	if err := leader.Service().Submit([]kv.Op{{Kind: kv.OpPut, Key: key, Val: val}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	inStore := func() bool {
+		found := false
+		folStore.(snapshotter).StateSnapshot(func(k, v uint64) bool {
+			found = k == key && v == val
+			return !found
+		})
+		return found
+	}
+	waitFor(t, 5*time.Second, "leader write in the follower's store", inStore)
+	if d := time.Since(wrote); d > 250*time.Millisecond {
+		t.Errorf("leader write reached the follower's store after %v beside a 1s tick, want < 250ms", d)
+	}
+}
+
+// Replay executors change goroutines: eight bootstrap-sized batches, each
+// on its own goroutine released by one start signal, share the node's two
+// replay executors, round after round. The channel hand-off must be all
+// the ordering they need (run under -race); the store ends exact and the
+// feed holds one ticket per batch.
+func TestReplayExecutorsChangeGoroutines(t *testing.T) {
+	const batches, per = 8, replica.SnapshotChunkKeys
+	rounds := 20
+	if testing.Short() {
+		rounds = 4
+	}
+	n, err := NewNode(NodeConfig{Backend: hashStore(t, 1<<10, 1<<14), Service: Config{Workers: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	if got := cap(n.replay); got != 2 {
+		t.Fatalf("%d replay executors for 2 workers", got)
+	}
+	for round := 0; round < rounds; round++ {
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for b := 0; b < batches; b++ {
+			ops := make([]kv.Op, per)
+			for i := range ops {
+				k := uint64(b*per + i)
+				ops[i] = kv.Op{Kind: kv.OpPut, Key: k, Val: 3*k + uint64(round)}
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if err := n.applyReplay(ops); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+
+		got := 0
+		n.Service().Backend().(snapshotter).StateSnapshot(func(k, v uint64) bool {
+			if got++; v != 3*k+uint64(round) {
+				t.Fatalf("round %d: key %d = %d, want %d", round, k, v, 3*k+uint64(round))
+			}
+			return true
+		})
+		if got != batches*per {
+			t.Fatalf("round %d: store holds %d keys, want %d", round, got, batches*per)
+		}
+		want := uint64((round + 1) * batches)
+		if st := n.Feed().Stats(); st.Drawn != want || st.Published != want || st.Entries != want*per {
+			t.Fatalf("round %d: feed drew %d, published %d tickets of %d entries; want %d, %d, %d",
+				round, st.Drawn, st.Published, st.Entries, want, want, want*per)
 		}
 	}
 }

@@ -296,32 +296,27 @@ func serveSnapshot(s *Service, w http.ResponseWriter, r *http.Request) {
 		fl.Flush() // the follower validates the header while the scan runs
 	}
 
-	const open = `{"kv":[`
-	line := append(make([]byte, 0, 16<<10), open...)
+	kvs := make([]uint64, 0, 2*replica.SnapshotChunkKeys)
+	var line []byte // keeps whatever it grew to
 	var count uint64
 	live := true // false once a write failed or the client went away
 	emit := func() {
-		line = append(line, "]}\n"...)
+		line = replica.AppendSnapshotChunk(line[:0], kvs)
+		kvs = kvs[:0]
 		_, err := w.Write(line)
-		line = line[:len(open)] // keeps whatever the line grew to
 		live = err == nil && r.Context().Err() == nil
 	}
 	snap.StateSnapshot(func(key, val uint64) bool {
 		if shard != replica.AllShards && feed.ShardOf(key) != shard {
 			return true
 		}
-		if len(line) > len(open) {
-			line = append(line, ',')
-		}
-		line = strconv.AppendUint(line, key, 10)
-		line = append(line, ',')
-		line = strconv.AppendUint(line, val, 10)
+		kvs = append(kvs, key, val)
 		if count++; count%replica.SnapshotChunkKeys == 0 {
 			emit()
 		}
 		return live
 	})
-	if live && len(line) > len(open) {
+	if live && len(kvs) > 0 {
 		emit()
 	}
 	if live {

@@ -42,8 +42,9 @@ type Backend interface {
 	Preload(keys []uint64)
 	// Start launches background maintenance and returns its stop.
 	Start() func()
-	// NewExecutor hands out a per-goroutine batch executor; the service
-	// calls it on each worker goroutine (executors are goroutine-bound).
+	// NewExecutor hands out a batch executor: each service worker owns
+	// one, and a Node keeps a few for replay. An executor is used by one
+	// goroutine at a time; a channel hand-off orders it.
 	NewExecutor() kv.Executor
 	// SupportsChangeFeed reports whether the executors can publish their
 	// commits to a change feed in commit order. NewNode refuses a backend
@@ -382,17 +383,23 @@ drain:
 	return drained
 }
 
-// worker executes chunks: one executor, created on this goroutine
-// (executors are goroutine-bound), each request its own transaction and
-// its own commit.
-func (s *Service) worker(ch chan chunk) {
-	defer s.workWG.Done()
+// newExecutor hands out an executor of the backend with the service's
+// feed, if any, attached: a worker's, or one of a Node's replay executors.
+func (s *Service) newExecutor() kv.Executor {
 	ex := s.be.NewExecutor()
-	// A feed taps the commit order of the store's own workers (nothing
+	// A feed taps the commit order of the store's own executors (nothing
 	// else draws a core commit ticket); NewNode admits no other backend.
 	if tap, ok := ex.(interface{ SetChangeFeed(*cdc.Feed) bool }); ok && s.cfg.Feed != nil {
 		tap.SetChangeFeed(s.cfg.Feed)
 	}
+	return ex
+}
+
+// worker executes chunks: one executor, each request its own transaction
+// and its own commit.
+func (s *Service) worker(ch chan chunk) {
+	defer s.workWG.Done()
+	ex := s.newExecutor()
 	var errs []error
 	var live []*request
 	for c := range ch {

@@ -295,10 +295,10 @@ func (s *System) Quiesce() {
 func (s *System) SupportsChangeFeed() bool { return s.smr != nil }
 
 // NewExecutor is the backend seam of the network service layer
-// (internal/service): a per-goroutine kv.Executor running batch requests
+// (internal/service): a kv.Executor running batch requests
 // as atomic transactions over the same store, transaction registration and
-// EBR guard as the benchmark workers. Call it on the goroutine that will
-// execute (the Tx and handle are goroutine-bound).
+// EBR guard as the benchmark workers. The Tx and handle it carries are
+// used by one goroutine at a time; a channel hand-off orders it.
 func (s *System) NewExecutor() kv.Executor {
 	return s.newWorker()
 }
