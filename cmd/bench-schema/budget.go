@@ -14,9 +14,9 @@ import (
 // are instances of this one shape.
 type budget struct {
 	// Scenario, Phase and System select the judged records; "" matches
-	// anything. A report of another scenario passes vacuously — a budget
-	// file may ride along a BENCH_*.json glob — but within a matching
-	// report every rule must find at least one record to judge.
+	// anything. A budget may ride along a BENCH_*.json glob, so reports of
+	// other scenarios are skipped — but one report at least must be of its
+	// scenario, and within it every rule must find a record to judge.
 	Scenario string `json:"scenario"`
 	Phase    string `json:"phase"`
 	System   string `json:"system"`
@@ -25,7 +25,8 @@ type budget struct {
 	Baseline string `json:"baseline"`
 	Rules    []rule `json:"rules"`
 
-	file string // where it was loaded from, for messages
+	file    string // where it was loaded from, for messages
+	matched bool   // set once a report of Scenario has been judged
 }
 
 // rule bounds one number of a record.
@@ -41,9 +42,6 @@ type rule struct {
 	Op    string   `json:"op"`
 	Bound *float64 `json:"bound"`
 	Ratio *float64 `json:"ratio"`
-	// MinThreads restricts the rule to records at or above this thread
-	// count.
-	MinThreads int `json:"min_threads"`
 }
 
 func loadBudget(path string) (budget, error) {
@@ -98,8 +96,9 @@ func lookup(rec map[string]any, path string) (float64, error) {
 	}
 }
 
-// violations checks one report against the budget.
-func (b budget) violations(data []byte) []string {
+// violations checks one report against the budget, and marks the budget
+// matched if the report is of its scenario.
+func (b *budget) violations(data []byte) []string {
 	var doc struct {
 		Scenario string           `json:"scenario"`
 		Results  []map[string]any `json:"results"`
@@ -110,6 +109,7 @@ func (b budget) violations(data []byte) []string {
 	if b.Scenario != "" && doc.Scenario != b.Scenario {
 		return nil
 	}
+	b.matched = true
 	var judged []map[string]any
 	baseline := map[float64]map[string]any{} // threads -> baseline record
 	for _, r := range doc.Results {
@@ -126,13 +126,8 @@ func (b budget) violations(data []byte) []string {
 	}
 	var out []string
 	for _, rl := range b.Rules {
-		n := 0
 		for _, r := range judged {
 			threads, _ := r["threads"].(float64)
-			if threads < float64(rl.MinThreads) {
-				continue
-			}
-			n++
 			who := fmt.Sprintf("%v threads=%v", r["system"], threads)
 			got, err := lookup(r, rl.Path)
 			if err != nil {
@@ -161,9 +156,9 @@ func (b budget) violations(data []byte) []string {
 				out = append(out, fmt.Sprintf("%s: %s = %g, want %s %g%s", who, rl.Path, got, rl.Op, limit, versus))
 			}
 		}
-		if n == 0 {
-			out = append(out, fmt.Sprintf("no phase %q records of system %q at threads >= %d to judge %s (gate would pass vacuously)",
-				b.Phase, b.System, rl.MinThreads, rl.Path))
+		if len(judged) == 0 {
+			out = append(out, fmt.Sprintf("no phase %q records of system %q to judge %s (gate would pass vacuously)",
+				b.Phase, b.System, rl.Path))
 		}
 	}
 	return out

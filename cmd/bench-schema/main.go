@@ -20,11 +20,12 @@
 // record selector — scenario, phase, system — and a list of rules, each
 // bounding one number of every selected record from above or below,
 // absolutely or relative to a named baseline system at the same thread
-// count. Reports of other scenarios pass vacuously; within a matching
-// report a rule that finds nothing to judge is itself a violation.
+// count. Reports of other scenarios are skipped, but a budget whose
+// scenario no report carries fails the run, and within a matching report
+// a rule that finds nothing to judge is itself a violation.
 //
 //	bench-schema -schema testdata/bench_schema.json BENCH_*.json
-//	bench-schema -budget testdata/fastpath_budget.json BENCH_readmostly.json
+//	bench-schema -budget testdata/fastpath_budget.json BENCH_read-mostly.json
 package main
 
 import (
@@ -37,21 +38,16 @@ import (
 	"medley/internal/harness"
 )
 
-// budgetList collects the repeatable -budget flag.
-type budgetList []string
-
-func (l *budgetList) String() string     { return strings.Join(*l, ",") }
-func (l *budgetList) Set(v string) error { *l = append(*l, v); return nil }
-
 var (
 	schemaFlag     = flag.String("schema", "testdata/bench_schema.json", "committed schema file")
 	violationsFlag = flag.Bool("fail-on-violations", false,
 		"also fail on durability, consistency, final-state or replica-divergence violations in any record")
-	budgetFlags budgetList
+	budgetFlags []string // the repeatable -budget flag
 )
 
 func main() {
-	flag.Var(&budgetFlags, "budget", "also enforce this budget file against the reports (repeatable)")
+	flag.Func("budget", "also enforce this budget file against the reports (repeatable)",
+		func(path string) error { budgetFlags = append(budgetFlags, path); return nil })
 	os.Exit(run())
 }
 
@@ -86,6 +82,12 @@ func run() int {
 			failed = true
 		}
 	}
+	for _, b := range budgets {
+		if !b.matched {
+			fmt.Fprintf(os.Stderr, "budget %s: no report of scenario %q among the arguments (it would judge nothing)\n", b.file, b.Scenario)
+			failed = true
+		}
+	}
 	if failed {
 		return 1
 	}
@@ -104,9 +106,9 @@ func check(schema harness.Schema, budgets []budget, verifiers bool, data []byte)
 		out = append(out, "schema drift: "+msg)
 	}
 	out = append(out, recordViolations(data, verifiers)...)
-	for _, b := range budgets {
-		for _, msg := range b.violations(data) {
-			out = append(out, fmt.Sprintf("budget %s: %s", b.file, msg))
+	for i := range budgets {
+		for _, msg := range budgets[i].violations(data) {
+			out = append(out, fmt.Sprintf("budget %s: %s", budgets[i].file, msg))
 		}
 	}
 	return out

@@ -17,7 +17,7 @@ import (
 // the -server flag swaps the in-process driver for the HTTP client
 // against a running medleyd — one sweep definition, either transport:
 //
-//	medley-bench -target 5000,20000,80000 -json -out BENCH_service.json
+//	medley-bench -target 5000,20000,80000 -json -out BENCH_service-inproc.json
 //	medleyd -listen :7654 -system medley-hash@8 &
 //	medley-bench -target 20000 -server http://127.0.0.1:7654 -json
 var (

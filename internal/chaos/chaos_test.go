@@ -8,10 +8,11 @@ import (
 	"medley/internal/service"
 )
 
-// Scaled-down runs of each topology and fault kind: the committed
-// BENCH_faults.json / BENCH_replica.json run the full scenarios; these pin
-// that the runner's machinery works at test scale (one event and a shorter
-// run under -short).
+// Scaled-down runs of each topology and fault kind: CI runs the full
+// chaos-net-flaky and chaos-replica-failover scenarios through medley-bench
+// and gates them with testdata/faults_budget.json and replica_budget.json;
+// these pin that the runner's machinery works at test scale (one event and
+// a shorter run under -short).
 
 // scaled returns the full-size value, or the reduced one under -short.
 func scaled[T any](full, short T) T {

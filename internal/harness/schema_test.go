@@ -2,7 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -135,20 +134,8 @@ func TestBenchSchemaPinsReportShape(t *testing.T) {
 		}
 	}
 
-	// The schema keeps three optional paths no report emits any more: the
-	// committed BENCH_*.json carry them as zeros until they are re-captured.
-	legacy := []string{
-		".results[].fastpath.group_commits",
-		".results[].fastpath.group_share",
-		".results[].fastpath.grouped_txns",
-	}
 	full := pathsOf(schemaReport(true))
-	for _, p := range legacy {
-		if !slices.Contains(schema.Optional, p) || slices.Contains(full, p) {
-			t.Errorf("legacy path %s: want it optional in the schema and absent from reports", p)
-		}
-	}
-	if got, want := len(full), len(schema.Required)+len(schema.Optional)-len(legacy); got != want {
+	if got, want := len(full), len(schema.Required)+len(schema.Optional); got != want {
 		t.Errorf("crash report emits %d paths, schema knows %d", got, want)
 	}
 	if drift := schema.Diff(full); drift != nil {

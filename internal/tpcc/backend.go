@@ -24,7 +24,9 @@ type Ctx interface {
 type Worker interface {
 	// Run executes body atomically, retrying on concurrency-control
 	// aborts. A non-nil error from body aborts without retry and is
-	// returned.
+	// returned — if the reads it was derived from still validate; an
+	// error from reads a concurrent commit has since overwritten is an
+	// abort, and is retried.
 	Run(body func(Ctx) error) error
 	// Writer is this worker's arena lane.
 	Writer() *ArenaWriter
@@ -115,7 +117,19 @@ func (b *KVBackend) NewWorker() Worker {
 func (w *kvTpccWorker) Writer() *ArenaWriter { return w.aw }
 
 func (w *kvTpccWorker) Run(body func(Ctx) error) error {
-	return w.tx.RunRetry(func() error { return body(w) })
+	return w.tx.RunRetry(func() error { return validated(w.tx, body(w)) })
+}
+
+// validated keeps a doomed transaction's error from escaping Run. Medley
+// validates reads at commit, not as they happen, so a body can read a row,
+// lose a race to a concurrent commit, and then miss a row that commit
+// removed. That error describes no state the database was ever in: if the
+// reads no longer validate, tx is aborted and RunRetry runs the body again.
+func validated(tx *core.Tx, err error) error {
+	if err != nil && !tx.ValidateReads() {
+		tx.Abort() // unwinds to Run, which reports ErrTxAborted
+	}
+	return err
 }
 
 func (w *kvTpccWorker) Get(t int, key uint64) (uint64, bool) {
@@ -187,7 +201,8 @@ func (b *MontageBackend) NewWorker() Worker {
 func (w *montageWorker) Writer() *ArenaWriter { return w.aw }
 
 func (w *montageWorker) Run(body func(Ctx) error) error {
-	return w.h.Tx().RunRetry(func() error { return body(w) })
+	tx := w.h.Tx()
+	return tx.RunRetry(func() error { return validated(tx, body(w)) })
 }
 
 func (w *montageWorker) Get(t int, key uint64) (uint64, bool) {

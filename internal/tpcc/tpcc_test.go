@@ -1,6 +1,7 @@
 package tpcc
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -266,5 +267,78 @@ func TestMontageTPCCDurability(t *testing.T) {
 	want := 20 + 1 + 2 + 10 + 20 + 1 + 1 + 1 + 1
 	if len(rec) != want {
 		t.Fatalf("recovered %d payloads, want %d", len(rec), want)
+	}
+}
+
+// TestRunRetriesAnErrorFromAStaleRead: a body that reads a row, loses a
+// race to a concurrent commit, and then fails on what that commit changed
+// is not a failed transaction but a doomed one — its reads no longer
+// validate — so Run must retry it, not return the error. Here a second
+// worker delivers the same district between the first worker's read of the
+// delivery cursor and its removal of the new-order entry: Delivery's
+// interleaving behind the tpcc-full scenario's rare `execution`
+// violations. The backends are the ones whose workers run on core.Tx.
+func TestRunRetriesAnErrorFromAStaleRead(t *testing.T) {
+	sharded, err := NewKVBackend("Medley-hash-4shard", "hash", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dk := DistrictKey(1, 1)
+	for _, b := range []Backend{
+		NewMedleyBackend(),
+		sharded,
+		NewMontageBackend(montage.NewSystem(montage.Config{RegionWords: 1 << 20})),
+	} {
+		w1, w2 := b.NewWorker(), b.NewWorker()
+		if err := w1.Run(func(c Ctx) error {
+			c.Put(TDistrict, dk, w1.Writer().Put(Row{0, 0, 3, 1})) // orders 1 and 2 undelivered
+			c.Insert(TNewOrder, OrderKey(1, 1, 1), w1.Writer().Put(Row{}))
+			c.Insert(TNewOrder, OrderKey(1, 1, 2), w1.Writer().Put(Row{}))
+			return nil
+		}); err != nil {
+			t.Fatalf("%s: setup: %v", b.Name(), err)
+		}
+		deliverOne := func(w Worker, between func()) error {
+			return w.Run(func(c Ctx) error {
+				dh, _ := c.Get(TDistrict, dk)
+				d := dRow(c, dh)
+				between()
+				if !c.Remove(TNewOrder, OrderKey(1, 1, d[3])) {
+					return fmt.Errorf("%w: new-order 1/1/%d", errRowMissing, d[3])
+				}
+				c.Put(TDistrict, dk, w.Writer().Put(Row{d[0], d[1], d[2], d[3] + 1}))
+				return nil
+			})
+		}
+		raced := false
+		err := deliverOne(w1, func() {
+			if raced {
+				return
+			}
+			raced = true
+			done := make(chan error)
+			go func() { done <- deliverOne(w2, func() {}) }()
+			if err := <-done; err != nil {
+				t.Errorf("%s: racing delivery: %v", b.Name(), err)
+			}
+		})
+		if err != nil {
+			t.Errorf("%s: a body error from a stale read escaped Run: %v", b.Name(), err)
+			continue
+		}
+		if err := w1.Run(func(c Ctx) error {
+			dh, _ := c.Get(TDistrict, dk)
+			if cursor := dRow(c, dh)[3]; cursor != 3 {
+				t.Errorf("%s: delivery cursor %d after two deliveries, want 3", b.Name(), cursor)
+			}
+			for o := uint64(1); o <= 2; o++ {
+				if _, ok := c.Get(TNewOrder, OrderKey(1, 1, o)); ok {
+					t.Errorf("%s: new-order 1/1/%d still present", b.Name(), o)
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatalf("%s: verify: %v", b.Name(), err)
+		}
 	}
 }
