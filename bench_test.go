@@ -57,7 +57,7 @@ func benchTxns(b *testing.B, scenario, spec string) {
 	sys.Preload(keys)
 	stop := sys.Start()
 	defer stop()
-	w := sys.NewWorker()
+	ex := sys.NewExecutor()
 	mix := sc.Phases[len(sc.Phases)-1].Mix
 	for _, ph := range sc.Phases {
 		if ph.Measure {
@@ -68,7 +68,7 @@ func benchTxns(b *testing.B, scenario, spec string) {
 	gen := harness.NewTxGen(sc.Dist, benchKeyRange, mix, 42)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.Do(gen.Next())
+		_ = ex.ExecBatch(gen.Next(), nil)
 	}
 }
 

@@ -71,16 +71,11 @@ func openLoopDriver(sc harness.Scenario) (harness.Driver, error) {
 	if len(systems) != 1 {
 		return nil, fmt.Errorf("open-loop mode drives one system per run, got -systems %q", *systemsFlag)
 	}
-	name := systems[0]
-	sys, err := harness.NewSystem(name, systemOpts())
+	sys, err := harness.NewSystem(systems[0], systemOpts())
 	if err != nil {
 		return nil, err
 	}
-	es, ok := sys.(harness.ExecutorSystem)
-	if !ok {
-		return nil, fmt.Errorf("system %q does not support batch execution (no NewExecutor)", name)
-	}
-	return harness.NewInProcDriver(es), nil
+	return harness.NewInProcDriver(sys), nil
 }
 
 // runOpenLoop is the -target entry point: one rate sweep, one report.

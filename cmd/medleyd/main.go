@@ -25,8 +25,9 @@
 // over the bases the stack itself builds — medley-*, txmontage-*, plain-skip,
 // txoff-skip; -list prints each with the suffixes it accepts. The competitor
 // STMs the harness measures them against (lftt, tdsl, onefile-*, ponefile-*)
-// are not linked into the daemon: medley-bench -target and the chaos
-// scenarios put one behind the same pipeline in-process.
+// are not linked into the daemon. medley-bench -target drives them
+// in-process with no pipeline; only the chaos runner puts one (POneFile)
+// behind the same pipeline, in-process.
 //
 // Usage:
 //
@@ -74,7 +75,6 @@ func run(ctx context.Context, args []string) error {
 		keyRange = fs.Uint64("keyrange", 1<<20, "key range hint (sizes simulated NVM regions)")
 		pool     = fs.Int("pool", 4096, "txpool bound; arrivals beyond it are shed with 429")
 		tick     = fs.Duration("tick", time.Millisecond, "batch tick period")
-		batch    = fs.Int("batch", 0, "max requests drained per tick (0 = pool size)")
 		workers  = fs.Int("workers", 0, "executor goroutines per tick (0 = GOMAXPROCS)")
 		dedup    = fs.Int("dedup", 4096,
 			"idempotency window: remembered outcomes for request-ID dedup (0 disables; retried IDs then re-execute)")
@@ -111,7 +111,6 @@ func run(ctx context.Context, args []string) error {
 	svcCfg := service.Config{
 		PoolSize:    *pool,
 		Tick:        *tick,
-		MaxBatch:    *batch,
 		Workers:     *workers,
 		DedupWindow: *dedup,
 	}
@@ -179,8 +178,8 @@ func run(ctx context.Context, args []string) error {
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
 	cfg := svc.Config()
-	log.Printf("medleyd: serving %s on %s as %s (pool=%d tick=%v batch=%d workers=%d cdc-shards=%d)",
-		be.Name(), ln.Addr(), role, cfg.PoolSize, cfg.Tick, cfg.MaxBatch, cfg.Workers, *cdcShards)
+	log.Printf("medleyd: serving %s on %s as %s (pool=%d tick=%v workers=%d cdc-shards=%d)",
+		be.Name(), ln.Addr(), role, cfg.PoolSize, cfg.Tick, cfg.Workers, *cdcShards)
 	if *follow != "" {
 		log.Printf("medleyd: following %s (max-lag=%d max-silence=%v promote-after=%d)",
 			*follow, *maxLag, *maxSilence, *promoteAfter)

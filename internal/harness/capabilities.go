@@ -1,7 +1,9 @@
 package harness
 
+import "medley/internal/kv"
+
 // This file is the single home of the optional capabilities a System may
-// implement beyond the core Preload/Start/NewWorker contract. The engine,
+// implement beyond the core Preload/Start/NewExecutor contract. The engine,
 // verifier and report writer never type-assert on systems directly; they
 // probe once with Capabilities and branch on the resulting Caps. Keeping
 // every capability here (instead of scattered next to each consumer) makes
@@ -40,8 +42,8 @@ type TxKindStatser interface {
 
 // Snapshotter is implemented by systems that can iterate their live
 // key→value state at a quiescent point. Scenarios with VerifyFinal set use
-// it to diff the final state against the journaled ground-truth model —
-// the transient-system counterpart of Recoverable.Snapshot.
+// it to diff the final state against the journaled ground-truth model, and
+// the crash phase to diff the recovered state.
 type Snapshotter interface {
 	StateSnapshot(fn func(key, val uint64) bool)
 }
@@ -49,10 +51,11 @@ type Snapshotter interface {
 // Recoverable is the capability interface of systems whose committed
 // state survives a simulated power failure. The engine's crash phase
 // (engine.go) drives it: Persist, then CrashAndRecover under a timer, then
-// Snapshot for verification against the ground-truth model. Systems
+// StateSnapshot for verification against the ground-truth model. Systems
 // without durable state simply don't implement it (Medley, TDSL, LFTT,
 // the plain structures) and the crash phase reports recoverable: false.
 type Recoverable interface {
+	Snapshotter
 	// CanRecover reports whether this configuration actually persists
 	// (e.g. txMontage with persistence off implements the interface but
 	// cannot recover).
@@ -62,27 +65,24 @@ type Recoverable interface {
 	Persist()
 	// CrashAndRecover simulates a full-system crash (volatile state lost,
 	// durable media kept) and rebuilds the system from the durable image,
-	// returning the number of recovered entries. Workers created before
-	// the crash are invalid afterwards; the engine creates workers fresh
-	// per phase.
+	// returning the number of recovered entries. Executors created before
+	// the crash are invalid afterwards; the engine asks for them afresh
+	// every phase.
 	CrashAndRecover() int
-	// Snapshot iterates the live key→value state. The engine calls it
-	// only at phase barriers, where it is exact.
-	Snapshot(fn func(key, val uint64) bool)
 }
 
 // WorkerReleaser is implemented by systems that can take a phase's
-// workers back at the phase barrier and hand them out again from
-// NewWorker. Per-worker state that is expensive to rebuild — recycling
+// executors back at the phase barrier and hand them out again from
+// NewExecutor. Per-executor state that is expensive to rebuild — recycling
 // arenas, SMR handles — then stays warm across a scenario's phases
 // instead of being abandoned cold at every barrier (abandoned handles
 // also orphan their limbo: the EBR flush runs on the owning goroutine,
 // so retired blocks behind a dead handle are never recycled). Ownership
-// transfers at the barrier: the engine releases a worker only after its
+// transfers at the barrier: the engine releases an executor only after its
 // phase goroutine has exited, and hands it to at most one goroutine at a
 // time afterwards.
 type WorkerReleaser interface {
-	ReleaseWorker(w Worker)
+	ReleaseWorker(ex kv.Executor)
 }
 
 // Quiescer is implemented by systems that can use a full-stop barrier to

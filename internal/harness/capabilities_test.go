@@ -1,15 +1,19 @@
 package harness
 
-import "testing"
+import (
+	"testing"
+
+	"medley/internal/kv"
+)
 
 // bareSystem implements only the System interface — no optional
 // capabilities at all.
 type bareSystem struct{}
 
-func (bareSystem) Name() string          { return "bare" }
-func (bareSystem) Preload(keys []uint64) {}
-func (bareSystem) NewWorker() Worker     { return nil }
-func (bareSystem) Start() func()         { return func() {} }
+func (bareSystem) Name() string             { return "bare" }
+func (bareSystem) Preload(keys []uint64)    {}
+func (bareSystem) NewExecutor() kv.Executor { return nil }
+func (bareSystem) Start() func()            { return func() {} }
 
 // TestCapabilitiesProbe pins the one-stop capability probe: a full-featured
 // registry system surfaces its optional interfaces through Caps, a bare

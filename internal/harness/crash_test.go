@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"medley/internal/kv"
 )
 
 func crashEngineConfig(threads int) EngineConfig {
@@ -136,9 +138,9 @@ func (s *faultyMapSystem) Start() (stop func()) { return func() {} }
 
 type faultyWorker struct{ s *faultyMapSystem }
 
-func (s *faultyMapSystem) NewWorker() Worker { return &faultyWorker{s} }
+func (s *faultyMapSystem) NewExecutor() kv.Executor { return &faultyWorker{s} }
 
-func (w *faultyWorker) Do(ops []Op) {
+func (w *faultyWorker) ExecBatch(ops []kv.Op, _ []kv.Result) error {
 	w.s.mu.Lock()
 	defer w.s.mu.Unlock()
 	for _, op := range ops {
@@ -149,6 +151,7 @@ func (w *faultyWorker) Do(ops []Op) {
 			delete(w.s.m, op.Key)
 		}
 	}
+	return nil
 }
 
 func (s *faultyMapSystem) CanRecover() bool { return true }
@@ -180,7 +183,7 @@ func (s *faultyMapSystem) CrashAndRecover() int {
 	return len(s.m)
 }
 
-func (s *faultyMapSystem) Snapshot(fn func(key, val uint64) bool) {
+func (s *faultyMapSystem) StateSnapshot(fn func(key, val uint64) bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for k, v := range s.m {

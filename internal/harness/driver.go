@@ -39,17 +39,17 @@ type Driver interface {
 	Close() error
 }
 
-// InProcDriver drives an ExecutorSystem directly: no pool, no tick loop,
-// no wire — one kv.Executor per session. It is the zero-transport
+// InProcDriver drives a System directly: no pool, no tick loop, no wire —
+// one kv.Executor per session. It is the zero-transport
 // baseline that isolates what the service layer (queueing, coalescing,
 // HTTP) adds on top of raw store latency.
 type InProcDriver struct {
-	sys  ExecutorSystem
+	sys  System
 	stop func()
 }
 
 // NewInProcDriver wraps sys; Start/Close manage its lifecycle.
-func NewInProcDriver(sys ExecutorSystem) *InProcDriver {
+func NewInProcDriver(sys System) *InProcDriver {
 	return &InProcDriver{sys: sys}
 }
 
@@ -93,7 +93,7 @@ func (d *InProcDriver) Close() error {
 }
 
 type inprocSession struct {
-	sys ExecutorSystem
+	sys System
 	ex  kv.Executor
 }
 

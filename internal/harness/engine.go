@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"medley/internal/kv"
 )
 
 // This file is the execution half of the workload engine: it runs a
@@ -206,8 +208,9 @@ type workerShard struct {
 }
 
 // RunScenario executes sc against sys: preload once, then each phase in
-// order, workers created fresh per phase. It is deterministic in
-// cfg.Seed up to scheduling (the generators are; the interleaving is not).
+// order, each worker asking for its executor per phase. It is
+// deterministic in cfg.Seed up to scheduling (the generators are; the
+// interleaving is not).
 func RunScenario(sys System, sc Scenario, cfg EngineConfig) ScenarioResult {
 	if cfg.Threads <= 0 {
 		cfg.Threads = 1
@@ -397,7 +400,7 @@ func runPhase(sys System, caps Caps, sc Scenario, ph Phase, phaseIdx int, cfg En
 	var stopFlag atomic.Bool
 	var wg sync.WaitGroup
 	start := make(chan struct{})
-	ws := make([]Worker, workers)
+	ws := make([]kv.Executor, workers)
 	for t := 0; t < workers; t++ {
 		seed := cfg.Seed + int64(phaseIdx)*104729 + int64(t)*7919
 		shard := &workerShard{Reservoir: NewReservoir(seed ^ 0x5DEECE66D)}
@@ -411,8 +414,8 @@ func runPhase(sys System, caps Caps, sc Scenario, ph Phase, phaseIdx int, cfg En
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w := sys.NewWorker()
-			ws[tid] = w
+			ex := sys.NewExecutor()
+			ws[tid] = ex
 			gen := NewTxGen(dist, cfg.KeyRange, ph.Mix, seed)
 			tick := 0
 			<-start
@@ -431,7 +434,10 @@ func runPhase(sys System, caps Caps, sc Scenario, ph Phase, phaseIdx int, cfg En
 				if timed {
 					tick, t0 = 0, time.Now()
 				}
-				w.Do(ops)
+				// A transaction that fails outright is the system's to
+				// report (TPC-C as an execution violation); the engine
+				// counts what ran.
+				_ = ex.ExecBatch(ops, nil)
 				if timed {
 					shard.Record(time.Since(t0), cfg.MaxLatencySamples)
 				}
@@ -449,19 +455,19 @@ func runPhase(sys System, caps Caps, sc Scenario, ph Phase, phaseIdx int, cfg En
 	stopFlag.Store(true)
 	wg.Wait()
 	elapsed := time.Since(begin)
-	// Phase barrier: workers are quiescent. Hand them back for the next
-	// phase (warm arenas and SMR handles; see WorkerReleaser) and let the
-	// system run barrier-only maintenance — for EBR systems, pumping the
-	// epoch past the phase's retired garbage so the returned workers'
+	// Phase barrier: workers are quiescent. Hand their executors back for
+	// the next phase (warm arenas and SMR handles; see WorkerReleaser) and
+	// let the system run barrier-only maintenance — for EBR systems, pumping
+	// the epoch past the phase's retired garbage so the returned executors'
 	// freelists refill at the start of the next phase instead of starving
 	// all the way through it.
 	if caps.Quiescent != nil {
 		caps.Quiescent.Quiesce()
 	}
 	if caps.Release != nil {
-		for _, w := range ws {
-			if w != nil {
-				caps.Release.ReleaseWorker(w)
+		for _, ex := range ws {
+			if ex != nil {
+				caps.Release.ReleaseWorker(ex)
 			}
 		}
 	}
@@ -519,7 +525,7 @@ func runCrashPhase(rec Recoverable, vs *verifyState, ph Phase) (PhaseResult, Rec
 		Recovered:   entries,
 	}
 	got := make(map[uint64]uint64, entries)
-	rec.Snapshot(func(k, v uint64) bool {
+	rec.StateSnapshot(func(k, v uint64) bool {
 		got[k] = v
 		return true
 	})

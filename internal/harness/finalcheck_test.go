@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"medley/internal/kv"
 )
 
 // tornMapSystem is a locked-map System + Snapshotter test double whose
@@ -42,9 +44,9 @@ func (s *tornMapSystem) StateSnapshot(fn func(key, val uint64) bool) {
 
 type tornMapWorker struct{ s *tornMapSystem }
 
-func (s *tornMapSystem) NewWorker() Worker { return &tornMapWorker{s} }
+func (s *tornMapSystem) NewExecutor() kv.Executor { return &tornMapWorker{s} }
 
-func (w *tornMapWorker) Do(ops []Op) {
+func (w *tornMapWorker) ExecBatch(ops []kv.Op, _ []kv.Result) error {
 	// The transfer shape is get A, get B, insert A, insert B; tearing drops
 	// the final insert.
 	if w.s.torn && len(ops) == 4 && ops[2].Kind == OpInsert && ops[3].Kind == OpInsert {
@@ -60,6 +62,7 @@ func (w *tornMapWorker) Do(ops []Op) {
 			delete(w.s.m, op.Key)
 		}
 	}
+	return nil
 }
 
 func tornTransferScenario() Scenario {

@@ -24,28 +24,22 @@ import (
 	"medley/internal/store"
 )
 
-// The stack's own types, under the names every caller of this package has
-// always used. This package measures the stack; it does not define it.
+// The stack's own types under the names this package's callers use,
+// benchmark/ among them. This package measures the stack; it does not
+// define it.
 type (
-	// Op and OpKind are the kv batch request types: generators, workers
+	// Op and OpKind are the kv batch request types: generators, executors
 	// and drivers all speak one op type, so nothing is translated at the
 	// seam. The paper's names for the kinds are kept as aliases below.
 	OpKind = kv.OpKind
 	Op     = kv.Op
-	// Worker executes transactions for one goroutine: Do runs ops as one
-	// atomic transaction, retrying conflict aborts internally until commit.
-	Worker = store.Worker
 	// DriverSession executes batch requests for one sender goroutine.
 	DriverSession = kv.Session
 
-	// KVSystem is the store medleyd serves — Medley, Original, TxOff —
-	// and ExecutorSystem what in-process driving needs of a System:
-	// per-goroutine batch executors, as everything the store builds hands
-	// out (and OneFileSystem, which can sit behind the service too).
-	KVSystem       = store.System
-	ExecutorSystem = store.Store
-	SystemOpts     = store.Opts
-	MontageOpts    = store.MontageOpts
+	// KVSystem is the store medleyd serves: Medley, Original, TxOff.
+	KVSystem    = store.System
+	SystemOpts  = store.Opts
+	MontageOpts = store.MontageOpts
 
 	// Metric is one named cumulative counter and Gauge one named derived
 	// ratio (internal/obs): their JSON shape is the report's telemetry
@@ -75,10 +69,14 @@ type System interface {
 	// Preload inserts the initial key-value pairs (non-transactionally or
 	// in bulk transactions, system's choice).
 	Preload(keys []uint64)
-	NewWorker() Worker
 	// Start launches any background machinery (epoch advancers, index
 	// maintenance) and returns a stop function.
 	Start() (stop func())
+	// NewExecutor hands out an executor for one goroutine: ExecBatch runs
+	// ops as one atomic transaction, retrying conflict aborts internally
+	// until commit. It is the only way a transaction runs here, in the
+	// engine and the in-process driver alike.
+	NewExecutor() kv.Executor
 }
 
 // Ratio is a get:insert:remove mix. The paper uses 0:1:1, 2:1:1 and 18:1:1.

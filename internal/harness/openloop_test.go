@@ -152,3 +152,30 @@ func TestPermilleNearestRank(t *testing.T) {
 		t.Errorf("empty permille = %d, want 0", got)
 	}
 }
+
+// TestInProcDriverDrivesEverySystem is medley-bench -target over every
+// registered base: each system hands out executors, so each can be driven
+// in-process, and at a low offered rate each completes requests with no
+// errors.
+func TestInProcDriverDrivesEverySystem(t *testing.T) {
+	sc := mustScenario(t, "service-mixed")
+	for _, name := range SystemNames() {
+		t.Run(name, func(t *testing.T) {
+			sys, err := NewSystem(name, SystemOpts{Buckets: 1 << 10, KeyRange: 1 << 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := RunOpenLoop(NewInProcDriver(sys), OpenLoopConfig{
+				Rates: []float64{500}, Duration: 200 * time.Millisecond,
+				MaxInFlight: 4, KeyRange: 1 << 10, Preload: 256, Seed: 5,
+				Mix: sc.Phases[0].Mix, Dist: sc.Dist,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ph := res.Phases[0]; ph.Completed == 0 || ph.Errors != 0 {
+				t.Errorf("completed=%d errors=%d, want some and none", ph.Completed, ph.Errors)
+			}
+		})
+	}
+}

@@ -101,8 +101,8 @@ type Scenario struct {
 
 	// TPCC, when non-zero, makes this a TPC-C scenario and is its
 	// transaction mix: system specs resolve through NewTPCCSystem and the
-	// engine's generated ops are ignored by the workers (each Do call runs
-	// one TPC-C transaction drawn from the mix).
+	// engine's generated ops are ignored by the executors (each ExecBatch
+	// call runs one TPC-C transaction drawn from the mix).
 	TPCC tpcc.MixWeights
 
 	// WorkersPerThread, when > 1, multiplies the worker goroutines per

@@ -59,7 +59,9 @@ func TestNewSystemShardSuffix(t *testing.T) {
 		}
 		// The rounded system must actually work (workers route 0..3).
 		sys.Preload([]uint64{1, 2, 3, 4, 5})
-		sys.NewWorker().Do([]Op{{Kind: OpInsert, Key: 9, Val: 9}, {Kind: OpGet, Key: 1}})
+		if err := sys.NewExecutor().ExecBatch([]Op{{Kind: OpInsert, Key: 9, Val: 9}, {Kind: OpGet, Key: 1}}, nil); err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
 	}
 }
 
@@ -281,12 +283,12 @@ func TestMedleyShardedMatchesSingleSemantics(t *testing.T) {
 	}
 	run := func(shards int) map[uint64]uint64 {
 		sys := testSystem("medley-hash@" + strconv.Itoa(shards)).(*KVSystem)
-		w := sys.NewWorker()
+		ex := sys.NewExecutor()
 		gen := NewTxGen(Dist{Kind: DistUniform}, 1<<10, Mix{
 			Ratio: Ratio{Get: 1, Insert: 2, Remove: 1}, TxMin: 1, TxMax: 8, Mixed: 1,
 		}, 99)
 		for i := 0; i < 5000; i++ {
-			w.Do(gen.Next())
+			_ = ex.ExecBatch(gen.Next(), nil)
 		}
 		return snapshot(sys)
 	}

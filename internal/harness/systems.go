@@ -119,16 +119,9 @@ func (s *OneFileSystem) CrashAndRecover() int {
 	return s.pmap.Recover(inner)
 }
 
-// Snapshot implements Recoverable.
-func (s *OneFileSystem) Snapshot(fn func(key, val uint64) bool) {
-	if s.pmap != nil {
-		s.pmap.Range(fn)
-	}
-}
-
-// StateSnapshot implements Snapshotter: walk live contents through the
-// structure's own Range (the PMap for the persistent flavor). Callers
-// must be quiesced, like every StateSnapshot.
+// StateSnapshot implements Snapshotter, and so Recoverable's verification
+// walk: live contents through the structure's own Range (the PMap for the
+// persistent flavor). Callers must be quiesced, like every StateSnapshot.
 func (s *OneFileSystem) StateSnapshot(fn func(key, val uint64) bool) {
 	s.m.Range(fn)
 }
@@ -159,25 +152,18 @@ func (s *OneFileSystem) Preload(keys []uint64) {
 	}
 }
 
-// onefileWorker is OneFile's Worker and, like the store's worker, doubles as its
-// kv.Executor: harness ops are kv batch requests, so Do is ExecBatch with
-// the results discarded.
+// onefileWorker is OneFile's kv.Executor.
 type onefileWorker struct{ s *OneFileSystem }
 
-// NewWorker implements System.
-func (s *OneFileSystem) NewWorker() Worker { return &onefileWorker{s} }
-
-// NewExecutor implements the service layer's backend seam, so medleyd
-// can serve OneFile — in the persistent flavor, a store whose every
-// acked commit is already durable, the property the crash-restart chaos
-// scenarios gate on.
+// NewExecutor implements System, and with SupportsChangeFeed the service's
+// Backend, so the chaos runner can put OneFile behind the pipeline: in the
+// persistent flavor, a store whose every acked commit is already durable,
+// the property the crash-restart chaos scenarios gate on.
 func (s *OneFileSystem) NewExecutor() kv.Executor { return &onefileWorker{s} }
 
 // SupportsChangeFeed reports that OneFile executors cannot publish a
 // change feed: OneFile's commits draw no core commit ticket to order one.
 func (s *OneFileSystem) SupportsChangeFeed() bool { return false }
-
-func (w *onefileWorker) Do(ops []Op) { _ = w.ExecBatch(ops, nil) }
 
 // ExecBatch implements kv.Executor. Scans run through the structure's own
 // Range (its own read transaction), hoisted out so they never nest inside
@@ -294,8 +280,8 @@ type tdslWorker struct {
 	_               [112]byte // keep worker shards on distinct cache lines
 }
 
-// NewWorker implements System.
-func (s *TDSLSystem) NewWorker() Worker {
+// NewExecutor implements System.
+func (s *TDSLSystem) NewExecutor() kv.Executor {
 	w := &tdslWorker{s: s, tx: tdsl.NewTx()}
 	s.mu.Lock()
 	s.workers = append(s.workers, w)
@@ -303,7 +289,10 @@ func (s *TDSLSystem) NewWorker() Worker {
 	return w
 }
 
-func (w *tdslWorker) Do(ops []Op) {
+// ExecBatch implements kv.Executor: the batch as one TDSL transaction,
+// retried while it aborts. It fills no results: the engine passes nil, and
+// no TDSL system is served.
+func (w *tdslWorker) ExecBatch(ops []kv.Op, _ []kv.Result) error {
 	for {
 		w.tx.Reset()
 		for _, op := range ops {
@@ -324,10 +313,10 @@ func (w *tdslWorker) Do(ops []Op) {
 		err := w.tx.Commit()
 		if err == nil {
 			w.commits.Add(1)
-			return
+			return nil
 		}
 		if !errors.Is(err, tdsl.ErrAborted) {
-			return
+			return err
 		}
 		w.aborts.Add(1)
 	}
@@ -362,10 +351,13 @@ type lfttWorker struct {
 	buf []lftt.Op
 }
 
-// NewWorker implements System.
-func (s *LFTTSystem) NewWorker() Worker { return &lfttWorker{s: s} }
+// NewExecutor implements System.
+func (s *LFTTSystem) NewExecutor() kv.Executor { return &lfttWorker{s: s} }
 
-func (w *lfttWorker) Do(ops []Op) {
+// ExecBatch implements kv.Executor: the batch as one static LFTT
+// transaction. It fills no results: the engine passes nil, and no LFTT
+// system is served.
+func (w *lfttWorker) ExecBatch(ops []kv.Op, _ []kv.Result) error {
 	w.buf = w.buf[:0]
 	for _, op := range ops {
 		k := lftt.OpGet
@@ -386,4 +378,5 @@ func (w *lfttWorker) Do(ops []Op) {
 	if len(w.buf) > 0 {
 		w.s.sl.Execute(w.buf)
 	}
+	return nil
 }

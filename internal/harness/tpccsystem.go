@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"medley/internal/core"
+	"medley/internal/kv"
 	"medley/internal/montage"
 	"medley/internal/obs"
 	"medley/internal/onefile"
@@ -17,7 +18,7 @@ import (
 )
 
 // This file adapts the TPC-C backends to the workload engine. A TPCCSystem
-// ignores the engine's generated key mixes: each Worker.Do call runs one
+// ignores the engine's generated key mixes: each ExecBatch call runs one
 // transaction of the scenario's TPC-C mix (the paper's newOrder+payment
 // 1:1 for tpcc-paper, the standard 45/43/4/4/4 for tpcc-full) through a
 // per-worker tpcc.Driver, so the engine's phase script, latency
@@ -135,9 +136,9 @@ func (s *TPCCSystem) Start() (stop func()) {
 	return func() {}
 }
 
-// NewWorker implements System: one tpcc.Driver per worker, deterministic
-// in registration order.
-func (s *TPCCSystem) NewWorker() Worker {
+// NewExecutor implements System: one tpcc.Driver per executor,
+// deterministic in registration order.
+func (s *TPCCSystem) NewExecutor() kv.Executor {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	seed := int64(0x7C3C) + s.seq*7919
@@ -222,8 +223,7 @@ type tpccKindCell struct {
 	totalNs uint64
 }
 
-// tpccWorker runs one TPC-C driver; Do ignores the generated ops and runs
-// exactly one transaction of the mix.
+// tpccWorker runs one TPC-C driver.
 type tpccWorker struct {
 	d       *tpcc.Driver
 	sw      tpcc.StatsWorker // nil when the backend cannot attribute aborts
@@ -233,8 +233,10 @@ type tpccWorker struct {
 	_       [32]byte
 }
 
-// Do implements Worker.
-func (w *tpccWorker) Do([]Op) {
+// ExecBatch implements kv.Executor: exactly one transaction of the mix. It
+// ignores ops, which are only the engine's clock, and fills no results:
+// the engine passes nil, and no TPC-C system is served.
+func (w *tpccWorker) ExecBatch([]kv.Op, []kv.Result) error {
 	var aborts0 uint64
 	if w.sw != nil {
 		aborts0 = w.sw.TxStats().Aborts
@@ -251,10 +253,11 @@ func (w *tpccWorker) Do([]Op) {
 		if w.lastErr == nil {
 			w.lastErr = err
 		}
-		return
+		return err
 	}
 	cell.txns++
 	cell.totalNs += uint64(dt)
+	return nil
 }
 
 // NewScenarioSystem resolves a -systems spec for the given scenario: TPC-C

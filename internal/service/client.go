@@ -167,7 +167,7 @@ func NewHTTPDriverConfig(base string, cfg HTTPDriverConfig) *HTTPDriver {
 		d.breaker = &breaker{
 			threshold: cfg.BreakerThreshold,
 			cooldown:  cfg.BreakerCooldown,
-			probe:     d.healthz,
+			probe:     func() bool { return d.healthz() == nil },
 		}
 	}
 	return d
@@ -227,21 +227,30 @@ func (d *HTTPDriver) MetricsSnapshot() []obs.Metric {
 	}
 }
 
-// healthz runs one liveness probe against the current leader, recording
-// the server identity on success.
-func (d *HTTPDriver) healthz() bool {
-	resp, err := d.client.Get(d.baseURL() + "/healthz")
-	if err != nil {
-		return false
-	}
+// getHealth is the one /healthz probe: the answer of the server at ep
+// when it says it is up, else why not.
+func (d *HTTPDriver) getHealth(ep string) (healthResponse, error) {
 	var h healthResponse
+	resp, err := d.client.Get(ep + "/healthz")
+	if err != nil {
+		return h, err
+	}
 	err = json.NewDecoder(resp.Body).Decode(&h)
 	resp.Body.Close()
 	if err != nil || resp.StatusCode != http.StatusOK {
-		return false
+		return h, fmt.Errorf("healthz: status %d, %v", resp.StatusCode, err)
 	}
-	d.system, d.shards = h.System, h.Shards
-	return true
+	return h, nil
+}
+
+// healthz runs one liveness probe against the current leader, recording
+// the server identity on success.
+func (d *HTTPDriver) healthz() error {
+	h, err := d.getHealth(d.baseURL())
+	if err == nil {
+		d.system, d.shards = h.System, h.Shards
+	}
+	return err
 }
 
 // failover sweeps every known endpoint's /healthz for one now claiming
@@ -260,14 +269,8 @@ func (d *HTTPDriver) failover() bool {
 	eps = append(eps, cur)
 	eps = append(eps, d.cfg.Replicas...)
 	for _, ep := range eps {
-		resp, err := d.client.Get(ep + "/healthz")
+		h, err := d.getHealth(ep)
 		if err != nil {
-			continue
-		}
-		var h healthResponse
-		derr := json.NewDecoder(resp.Body).Decode(&h)
-		resp.Body.Close()
-		if derr != nil || resp.StatusCode != http.StatusOK {
 			continue
 		}
 		// A role-less answer is a standalone (pre-replication) server:
@@ -310,20 +313,9 @@ func (d *HTTPDriver) Start() error {
 			}
 			time.Sleep(100 * time.Millisecond)
 		}
-		resp, err := d.client.Get(d.baseURL() + "/healthz")
-		if err != nil {
-			lastErr = err
-			continue
+		if lastErr = d.healthz(); lastErr == nil {
+			return nil
 		}
-		var h healthResponse
-		err = json.NewDecoder(resp.Body).Decode(&h)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK {
-			lastErr = fmt.Errorf("healthz: status %d, %v", resp.StatusCode, err)
-			continue
-		}
-		d.system, d.shards = h.System, h.Shards
-		return nil
 	}
 }
 

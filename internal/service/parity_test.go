@@ -40,7 +40,7 @@ func TestDriverParityEmitsSchemaValidReports(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return harness.NewInProcDriver(sys.(harness.ExecutorSystem)), func() {}
+			return harness.NewInProcDriver(sys), func() {}
 		},
 		"http": func(t *testing.T) (harness.Driver, func()) {
 			svc := New(kvBackend(t, "medley-hash@2"), Config{Tick: 200 * time.Microsecond, Workers: 4})

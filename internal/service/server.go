@@ -113,8 +113,8 @@ func handler(s *Service, n *Node) http.Handler {
 		case err == nil:
 			writeJSON(w, http.StatusOK, BatchResponse{Results: encodeResults(d, rres)})
 		case errors.Is(err, ErrShed):
-			// Tell the client when capacity should free up: the time to
-			// drain the current pool backlog, in (possibly fractional)
+			// Tell the client when capacity should free up: the next
+			// tick, which drains the whole pool, in (possibly fractional)
 			// seconds. Clients that honor it retry once instead of
 			// immediately reporting the shed.
 			w.Header().Set("Retry-After",

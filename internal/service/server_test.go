@@ -182,8 +182,8 @@ func TestHTTPShedMapsTo429AndErrOverload(t *testing.T) {
 }
 
 // TestShedCarriesRetryAfter pins the server half of the backoff hint:
-// every 429 carries a Retry-After header derived from the pool backlog —
-// fractional seconds, at least one tick, at most a second.
+// every 429 carries a Retry-After header of one tick, capped — fractional
+// seconds, at most a second.
 func TestShedCarriesRetryAfter(t *testing.T) {
 	s := New(&fakeBackend{}, Config{PoolSize: 1, Tick: time.Hour, Workers: 1})
 	ts := httptest.NewServer(Handler(s))

@@ -80,16 +80,13 @@ var ErrExpired = errors.New("service: deadline expired before execution")
 // Config sizes the pipeline. Zero values take defaults.
 type Config struct {
 	// PoolSize bounds the txpool; arrivals beyond it are shed (default
-	// 4096).
+	// 4096). It also bounds one tick's drain: a tick that overruns simply
+	// delays the next, ticks never overlap.
 	PoolSize int
 	// Tick is the batch period: how long arrivals coalesce before a
 	// drain (default 1ms). Shorter ticks trade batching efficiency for
 	// lower queueing latency.
 	Tick time.Duration
-	// MaxBatch caps how many requests one tick drains (default
-	// PoolSize). A tick that overruns simply delays the next: ticks
-	// never overlap.
-	MaxBatch int
 	// Workers is the number of executor goroutines a tick's batch is
 	// split across (default GOMAXPROCS).
 	Workers int
@@ -112,9 +109,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Tick <= 0 {
 		c.Tick = time.Millisecond
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = c.PoolSize
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -173,8 +167,7 @@ type Service struct {
 	errored   atomic.Uint64 // requests whose execution failed
 	expired   atomic.Uint64 // requests dropped, unexecuted, at their deadline
 	dedupHits atomic.Uint64 // retries answered from the dedup window
-	ticks     atomic.Uint64 // ticks that drained at least one request
-	batches   atomic.Uint64 // batches dispatched (== non-empty ticks)
+	ticks     atomic.Uint64 // ticks that dispatched a batch
 	batched   atomic.Uint64 // requests dispatched inside batches
 }
 
@@ -311,7 +304,7 @@ func (s *Service) tickLoop() {
 	defer s.loopWG.Done()
 	t := time.NewTicker(s.cfg.Tick)
 	defer t.Stop()
-	batch := make([]*request, 0, s.cfg.MaxBatch)
+	batch := make([]*request, 0, s.cfg.PoolSize)
 	for {
 		select {
 		case <-s.stopCh:
@@ -330,11 +323,11 @@ func (s *Service) tickLoop() {
 	}
 }
 
-// drainTick drains up to MaxBatch pooled requests and executes them,
+// drainTick drains up to PoolSize pooled requests and executes them,
 // returning how many it disposed of (dispatched or expired).
 func (s *Service) drainTick(batch []*request) int {
 drain:
-	for len(batch) < s.cfg.MaxBatch {
+	for len(batch) < s.cfg.PoolSize {
 		select {
 		case r := <-s.pool:
 			batch = append(batch, r)
@@ -363,7 +356,6 @@ drain:
 		return drained
 	}
 	s.ticks.Add(1)
-	s.batches.Add(1)
 	s.batched.Add(uint64(len(batch)))
 	// Contiguous chunks, round-robin over workers: request order within a
 	// chunk is pool (FIFO) order, so single-worker configurations preserve
@@ -440,22 +432,11 @@ func (s *Service) worker(ch chan chunk) {
 	}
 }
 
-// RetryAfter estimates how long an overloaded client should wait before
-// retrying: the time to drain the current pool occupancy at one MaxBatch
-// per tick, clamped to [Tick, 1s]. The HTTP layer sends it with every
-// 429 so clients back off proportionally to the actual backlog instead
-// of guessing.
-func (s *Service) RetryAfter() time.Duration {
-	ticks := (len(s.pool) + s.cfg.MaxBatch - 1) / s.cfg.MaxBatch
-	if ticks < 1 {
-		ticks = 1
-	}
-	d := time.Duration(ticks) * s.cfg.Tick
-	if d > time.Second {
-		d = time.Second
-	}
-	return d
-}
+// RetryAfter is how long an overloaded client should wait before
+// retrying: one tick, at most a second. A tick drains up to PoolSize
+// requests, so the next tick empties a full pool. The HTTP layer sends it
+// with every 429 so clients wait for that drain instead of guessing.
+func (s *Service) RetryAfter() time.Duration { return min(s.cfg.Tick, time.Second) }
 
 // Close drains the pipeline and stops the backend. The drain is
 // deterministic: every request admitted before Close executes and gets
@@ -496,7 +477,6 @@ func (s *Service) MetricsSnapshot() []obs.Metric {
 		{Name: "svc_expired", Value: s.expired.Load()},
 		{Name: "svc_dedup_hits", Value: s.dedupHits.Load()},
 		{Name: "svc_ticks", Value: s.ticks.Load()},
-		{Name: "svc_batches", Value: s.batches.Load()},
 		{Name: "svc_batched_txns", Value: s.batched.Load()},
 	}
 	if w := s.window; w != nil {
@@ -519,7 +499,7 @@ func (s *Service) MetricsSnapshot() []obs.Metric {
 func (s *Service) Gauges() []obs.Gauge {
 	accepted, shed := s.accepted.Load(), s.shed.Load()
 	out := obs.AppendRatio(nil, "svc_shed_rate", shed, accepted+shed)
-	out = obs.AppendRatio(out, "svc_batch_coalesce", s.batched.Load(), s.batches.Load())
+	out = obs.AppendRatio(out, "svc_batch_coalesce", s.batched.Load(), s.ticks.Load())
 	out = obs.AppendRatio(out, "svc_expired_share", s.expired.Load(),
 		s.executed.Load()+s.errored.Load()+s.expired.Load())
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })

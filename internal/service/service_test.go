@@ -81,8 +81,8 @@ func TestTickCoalescesAndPreservesFIFO(t *testing.T) {
 			t.Fatalf("request %d: %v", i, err)
 		}
 	}
-	if got := s.batches.Load(); got != 1 {
-		t.Errorf("batches = %d, want 1 (no coalescing)", got)
+	if got := s.ticks.Load(); got != 1 {
+		t.Errorf("ticks = %d, want 1 (no coalescing)", got)
 	}
 	if got := s.batched.Load(); got != n {
 		t.Errorf("batched = %d, want %d", got, n)
@@ -304,9 +304,9 @@ func TestChunkExecutesEachRequestOnceAsItsOwnCommit(t *testing.T) {
 		for _, m := range c.s.MetricsSnapshot() {
 			counters[m.Name] = m.Value
 		}
-		if counters["svc_batches"] != 1 || counters["svc_executed"] != reqs {
-			t.Errorf("%s: svc_batches/svc_executed = %d/%d, want 1/%d",
-				c.name, counters["svc_batches"], counters["svc_executed"], reqs)
+		if counters["svc_ticks"] != 1 || counters["svc_executed"] != reqs {
+			t.Errorf("%s: svc_ticks/svc_executed = %d/%d, want 1/%d",
+				c.name, counters["svc_ticks"], counters["svc_executed"], reqs)
 		}
 		if got := counters["tx_commits"]; got != reqs {
 			t.Errorf("%s: tx_commits = %d, want %d (one commit per request)", c.name, got, reqs)

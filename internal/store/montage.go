@@ -144,8 +144,10 @@ func (s *MontageSystem) CrashAndRecover() int {
 	return len(payloads)
 }
 
-// Snapshot implements harness.Recoverable.
-func (s *MontageSystem) Snapshot(fn func(key, val uint64) bool) {
+// StateSnapshot iterates the live store, shard by shard: exact at a
+// quiescent point, where the crash verifier and VerifyFinal call it, and
+// served as /v1/snapshot by a node.
+func (s *MontageSystem) StateSnapshot(fn func(key, val uint64) bool) {
 	live := true
 	for i := 0; live && i < len(s.stores); i++ {
 		s.stores[i].Range(func(k, v uint64) bool {
@@ -168,11 +170,6 @@ func (s *MontageSystem) TxStats() (commits, aborts uint64) {
 	return st.Commits, st.Aborts
 }
 
-// StateSnapshot is Snapshot under the name the service and the harness
-// probe for (same quiescent iteration the crash
-// verifier uses), so VerifyFinal chaos scenarios can check txMontage too.
-func (s *MontageSystem) StateSnapshot(fn func(key, val uint64) bool) { s.Snapshot(fn) }
-
 // MetricsSnapshot implements obs.MetricsSnapshotter from the shared manager's
 // counters.
 func (s *MontageSystem) MetricsSnapshot() []obs.Metric { return obs.TxCounters(s.mgr.Stats()) }
@@ -187,7 +184,7 @@ func (s *MontageSystem) Start() (stop func()) {
 
 // Preload inserts the initial key-value pairs, one transaction each.
 func (s *MontageSystem) Preload(keys []uint64) {
-	w := s.NewWorker().(*worker)
+	w := s.newWorker()
 	for _, k := range keys {
 		key := k
 		_ = w.tx.RunRetry(func() error {
@@ -200,9 +197,9 @@ func (s *MontageSystem) Preload(keys []uint64) {
 	}
 }
 
-// NewWorker hands out a worker: one epoch handle per worker serves every
+// newWorker builds an executor: one epoch handle per worker serves every
 // shard, bound through the same worker loop System uses.
-func (s *MontageSystem) NewWorker() Worker {
+func (s *MontageSystem) newWorker() *worker {
 	tx := s.mgr.Register()
 	var h *montage.Handle
 	if s.persistOff {
@@ -221,13 +218,11 @@ func (s *MontageSystem) NewWorker() Worker {
 	return &worker{m: m, tx: tx}
 }
 
-// NewExecutor implements the service layer's backend seam: Montage
-// workers are store workers already, so medleyd's per-goroutine executors
-// run the same epoch-wrapped transactional path as benchmark workers —
-// which is what lets medleyd serve a durable, crash-recoverable store.
-func (s *MontageSystem) NewExecutor() kv.Executor {
-	return s.NewWorker().(*worker)
-}
+// NewExecutor hands out a fresh executor on the epoch-wrapped
+// transactional path: the one seam of medleyd's workers and the harness
+// engine, which is what lets medleyd serve a durable, crash-recoverable
+// store.
+func (s *MontageSystem) NewExecutor() kv.Executor { return s.newWorker() }
 
 // SupportsChangeFeed reports that Montage executors can publish a
 // commit-ordered change feed: they are workers over a real Tx.

@@ -69,13 +69,13 @@ type Entry[S any] struct {
 	Axes      []string // the suffixes this base accepts
 }
 
-// Store is what every base of Systems builds: the methods the service
-// needs of its backend and the harness of a system under test.
+// Store is what every base of Systems builds: exactly the methods the
+// service needs of its backend, a superset of the harness's system under
+// test.
 type Store interface {
 	Name() string
 	Preload(keys []uint64)
 	Start() (stop func())
-	NewWorker() Worker
 	NewExecutor() kv.Executor
 	SupportsChangeFeed() bool
 }

@@ -22,13 +22,6 @@ import (
 	"medley/internal/obs"
 )
 
-// Worker executes transactions for one goroutine.
-type Worker interface {
-	// Do executes ops as one atomic transaction, retrying conflict aborts
-	// internally until commit.
-	Do(ops []kv.Op)
-}
-
 // maintainer is implemented by structures with background maintenance
 // (the rotating skiplist); System.Start drives it per shard.
 type maintainer interface {
@@ -214,10 +207,9 @@ func (s *System) Preload(keys []uint64) {
 	wg.Wait()
 }
 
-// worker drives a bound TxMap; it is the worker of System and
-// MontageSystem both, and doubles as the kv.Executor behind NewExecutor.
-// Harness ops are kv batch requests and execute through kv.Apply — the
-// same request-order loop the network service's tick executor uses.
+// worker drives a bound TxMap: it is the kv.Executor System and
+// MontageSystem both hand out. Batches execute through kv.Apply, the one
+// request-order loop, whoever submits them.
 type worker struct {
 	m  kv.TxMap
 	tx *core.Tx // nil: execute outside transactions
@@ -232,29 +224,13 @@ type worker struct {
 	feedRes []kv.Result
 }
 
-// NewWorker hands out a worker: one released at an earlier phase
-// barrier when one is available (warm arenas and handle), a fresh one
-// otherwise.
-func (s *System) NewWorker() Worker {
-	s.mu.Lock()
-	if n := len(s.idle); n > 0 {
-		w := s.idle[n-1]
-		s.idle[n-1] = nil
-		s.idle = s.idle[:n-1]
-		s.mu.Unlock()
-		return w
-	}
-	s.mu.Unlock()
-	return s.newWorker()
-}
-
 // ReleaseWorker implements harness.WorkerReleaser: the engine returns each
-// phase's workers at the barrier for the next phase to reuse. The engine
+// phase's executors at the barrier for NewExecutor to reuse. The engine
 // quiesces first, so the handle flush here — run with barrier-exclusive
 // ownership of the worker — reclaims the whole phase's retired garbage
 // into the worker's freelists before the next phase starts.
-func (s *System) ReleaseWorker(w Worker) {
-	kw, ok := w.(*worker)
+func (s *System) ReleaseWorker(ex kv.Executor) {
+	kw, ok := ex.(*worker)
 	if !ok {
 		return
 	}
@@ -294,12 +270,22 @@ func (s *System) Quiesce() {
 // to tap).
 func (s *System) SupportsChangeFeed() bool { return s.smr != nil }
 
-// NewExecutor is the backend seam of the network service layer
-// (internal/service): a kv.Executor running batch requests
-// as atomic transactions over the same store, transaction registration and
-// EBR guard as the benchmark workers. The Tx and handle it carries are
-// used by one goroutine at a time; a channel hand-off orders it.
+// NewExecutor hands out a kv.Executor running batch requests as atomic
+// transactions: one released at an earlier phase barrier when one is idle
+// (warm arenas and handle), a fresh one otherwise. It is the one seam of
+// the service's workers, a node's replay and the harness engine alike.
+// The Tx and handle it carries are used by one goroutine at a time; a
+// channel hand-off orders it.
 func (s *System) NewExecutor() kv.Executor {
+	s.mu.Lock()
+	if n := len(s.idle); n > 0 {
+		w := s.idle[n-1]
+		s.idle[n-1] = nil
+		s.idle = s.idle[:n-1]
+		s.mu.Unlock()
+		return w
+	}
+	s.mu.Unlock()
 	return s.newWorker()
 }
 
@@ -312,8 +298,6 @@ func (s *System) newWorker() *worker {
 	w.m = kv.Bind(s.m, w.tx)
 	return w
 }
-
-func (w *worker) Do(ops []kv.Op) { _ = w.ExecBatch(ops, nil) }
 
 // SetChangeFeed attaches a change feed to this executor: every committed
 // batch with writes draws a commit ticket (core ticket.go) and publishes

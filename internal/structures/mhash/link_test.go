@@ -21,13 +21,20 @@ func TestLinkLayout(t *testing.T) {
 	const links = 1024
 	slots := make([]core.CASObj[ref[uint64]], links)
 	n := &node[uint64]{}
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	for i := range slots {
-		slots[i].Init(marked(n))
+	// TotalAlloc counts every goroutine's allocations, and another
+	// goroutine's can only add to a reading, never subtract: the smallest
+	// of a few readings is the loop's own.
+	per := ^uint64(0)
+	for range 5 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := range slots {
+			slots[i].Init(marked(n))
+		}
+		runtime.ReadMemStats(&m1)
+		per = min(per, (m1.TotalAlloc-m0.TotalAlloc)/links)
 	}
-	runtime.ReadMemStats(&m1)
-	if per := (m1.TotalAlloc - m0.TotalAlloc) / links; per != 24 {
+	if per != 24 {
 		t.Errorf("a link's value cell is %d bytes, want 24", per)
 	}
 	runtime.KeepAlive(slots)
