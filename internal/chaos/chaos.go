@@ -18,11 +18,14 @@
 //     the caught-up FOLLOWER.
 //
 // Verification is the wire extension of the crash-phase journal verifier
-// (harness.VerifyReplicaWire): senders write only put/delete on
-// partitioned keys (one sender per residue class, sole writer of its
-// keys), journal definitive acks, taint in-doubt outcomes, and every
-// untainted key of the surviving state must match the merged journals
-// exactly.
+// (harness.VerifyReplicaWire, the same classifier): senders write only
+// put/delete on partitioned keys (one sender per residue class, sole
+// writer of its keys), journal definitive acks, taint in-doubt outcomes,
+// and every untainted key of the surviving state must match the merged
+// journals exactly. The preload is setup, not traffic: it goes through
+// HTTPDriver.Preload straight to the writable node, its puts are
+// journaled once it lands, and a preload that fails — in doubt included —
+// fails the run.
 package chaos
 
 import (
@@ -51,8 +54,9 @@ type Config struct {
 	// window dies with an incarnation, as it would with a process.
 	Service service.Config
 
-	// Client tunes the senders' HTTPDriver. Replicas is filled in by the
-	// runner in the replicated topology.
+	// Client is the senders' HTTPDriver config: a row chooses Deadline and
+	// RetryBudget; Replicas is filled in by the runner in the replicated
+	// topology. The retry, backoff and breaker policy is the driver's own.
 	Client service.HTTPDriverConfig
 
 	// Restarts is how many daemon kill / crash-recover / rebind cycles
@@ -68,13 +72,11 @@ type Config struct {
 	Partitions   int
 	PartitionDur time.Duration
 
-	// FeedShards/FeedRing/MaxLag/MaxSilence are the replicated nodes'
-	// knobs (see service.NodeConfig). Failover runs need FeedRing to cover
-	// the run's write volume so promotion-time loss stays enumerable;
-	// partition runs need MaxSilence below PartitionDur or the partition is
-	// invisible to the read gate (a cut feed freezes the follower's lag).
+	// FeedShards/MaxLag/MaxSilence are the replicated nodes' knobs (see
+	// service.NodeConfig). Partition runs need MaxSilence below
+	// PartitionDur or the partition is invisible to the read gate (a cut
+	// feed freezes the follower's lag).
 	FeedShards int
-	FeedRing   int
 	MaxLag     uint64
 	MaxSilence time.Duration
 
@@ -243,61 +245,31 @@ func sleepUntil(at time.Time) {
 	}
 }
 
-// preloadChunk is one preload batch, under service.MaxOpsPerBatch.
-const preloadChunk = 512
-
-// preload installs cfg.Preload keys (key == value) through the wire and
-// journals them: the preload puts seed the model, so untouched keys
-// verify too. Keys are partitioned round-robin so each lands in some
+// preload installs cfg.Preload keys (key == value) through the driver's
+// Preload and journals them: the preload puts seed the model, so untouched
+// keys verify too. Keys are partitioned round-robin so each lands in some
 // sender's residue class and the journal merge stays exact.
 func preload(cfg *Config, base string, journal *harness.WireJournal) error {
 	if cfg.Preload <= 0 {
 		return nil
 	}
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	keys := make([]uint64, cfg.Preload)
+	ops := make([]kv.Op, cfg.Preload)
+	for i := range keys {
+		keys[i] = harness.PartitionKey(uint64(rng.Int63n(int64(cfg.KeyRange))), i%cfg.Senders, cfg.Senders, cfg.KeyRange)
+		ops[i] = kv.Op{Kind: kv.OpPut, Key: keys[i], Val: keys[i]}
+	}
 	d := service.NewHTTPDriver(base)
+	defer d.Close()
 	if err := d.Start(); err != nil {
 		return err
 	}
-	defer d.Close()
-	sess, err := d.NewSession()
-	if err != nil {
+	if err := d.Preload(keys); err != nil {
 		return err
 	}
-	defer sess.Close()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	ops := make([]kv.Op, 0, preloadChunk)
-	for i := 0; i < cfg.Preload; i++ {
-		k := harness.PartitionKey(uint64(rng.Int63n(int64(cfg.KeyRange))), i%cfg.Senders, cfg.Senders, cfg.KeyRange)
-		ops = append(ops, kv.Op{Kind: kv.OpPut, Key: k, Val: k})
-		if len(ops) < preloadChunk && i < cfg.Preload-1 {
-			continue
-		}
-		if err := journaledDo(sess, ops, journal); err != nil {
-			return err
-		}
-		ops = ops[:0]
-	}
+	journal.Commit(ops)
 	return nil
-}
-
-// journaledDo sends one preload batch until the server takes it (sheds
-// are retried: preload is not offered load), journaling the outcome.
-func journaledDo(sess harness.DriverSession, ops []kv.Op, journal *harness.WireJournal) error {
-	for {
-		err := sess.Do(ops, nil)
-		switch {
-		case err == nil:
-			journal.Commit(ops)
-		case service.IsInDoubt(err):
-			journal.Taint(ops)
-		case errors.Is(err, harness.ErrOverload):
-			time.Sleep(time.Millisecond)
-			continue
-		default:
-			return err
-		}
-		return nil
-	}
 }
 
 // sender is one journaling sender's counters, latency reservoir and

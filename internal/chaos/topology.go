@@ -270,7 +270,6 @@ func startNode(cfg *Config, addr, follow string) (*host, error) {
 		Backend:    be,
 		Service:    cfg.Service,
 		FeedShards: cfg.FeedShards,
-		FeedRing:   cfg.FeedRing,
 		Follow:     follow,
 		MaxLag:     cfg.MaxLag,
 		MaxSilence: cfg.MaxSilence,
@@ -397,7 +396,7 @@ func lostSuffix(dead, fol *service.Node) ([]kv.Op, error) {
 		for head := feed.Head(shard); from <= head; {
 			var err error
 			if buf, err = feed.ReadFrom(shard, from, buf[:0]); err != nil {
-				return nil, fmt.Errorf("chaos: lost-suffix shard %d from %d: %w (FeedRing too small for the run's write volume)", shard, from, err)
+				return nil, fmt.Errorf("chaos: lost-suffix shard %d from %d: %w (the feed ring is too small for the run's write volume)", shard, from, err)
 			}
 			if len(buf) == 0 {
 				break

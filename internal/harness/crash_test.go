@@ -111,21 +111,25 @@ func TestNonPersistentReportsNotRecoverable(t *testing.T) {
 
 // faultyMapSystem is a locked-map System + Recoverable test double whose
 // recovery can be sabotaged: dropping a committed write, corrupting a
-// value, or leaking a key that was never committed. It proves the
-// verifier detects each class of durability violation rather than
-// vacuously reporting zero.
+// value, leaking a key that was never committed, or bringing back a
+// removed key with its old value. It proves the verifier detects each
+// class of durability violation rather than vacuously reporting zero.
 type faultyMapSystem struct {
 	mu   sync.Mutex
 	m    map[uint64]uint64
 	seed int64
+	// removed maps each key a worker removed, and nobody re-inserted since,
+	// to the value it held.
+	removed map[uint64]uint64
 
-	dropCommitted   bool // recovery loses one committed write
-	corruptValue    bool // recovery mangles one committed value
-	leakUncommitted bool // recovery resurrects a never-committed key
+	dropCommitted    bool // recovery loses one committed write
+	corruptValue     bool // recovery mangles one committed value
+	leakUncommitted  bool // recovery resurrects a never-committed key
+	resurrectRemoved bool // recovery puts a removed key back with its old value
 }
 
 func newFaultyMapSystem(seed int64) *faultyMapSystem {
-	return &faultyMapSystem{m: make(map[uint64]uint64), seed: seed}
+	return &faultyMapSystem{m: make(map[uint64]uint64), removed: make(map[uint64]uint64), seed: seed}
 }
 
 func (s *faultyMapSystem) Name() string { return "faulty-map" }
@@ -147,8 +151,12 @@ func (w *faultyWorker) ExecBatch(ops []kv.Op, _ []kv.Result) error {
 		switch op.Kind {
 		case OpInsert:
 			w.s.m[op.Key] = op.Val
+			delete(w.s.removed, op.Key)
 		case OpRemove:
-			delete(w.s.m, op.Key)
+			if v, ok := w.s.m[op.Key]; ok {
+				w.s.removed[op.Key] = v
+				delete(w.s.m, op.Key)
+			}
 		}
 	}
 	return nil
@@ -179,6 +187,12 @@ func (s *faultyMapSystem) CrashAndRecover() int {
 		// Keys >= KeyRange are never generated, so this key was never
 		// committed by any worker or preload.
 		s.m[1<<40|rng.Uint64()>>24] = 99
+	}
+	if s.resurrectRemoved {
+		for k, v := range s.removed {
+			s.m[k] = v
+			break
+		}
 	}
 	return len(s.m)
 }
@@ -227,6 +241,17 @@ func TestVerifierDetectsInjectedFaults(t *testing.T) {
 		}, func(t *testing.T, r *RecoveryResult) {
 			if r.Leaked == 0 {
 				t.Fatalf("leaked uncommitted write not detected: %+v", r)
+			}
+		}},
+		// An older committed value is not stale here: the engine's check
+		// keeps no history, so the deleted key that came back is leaked.
+		{"resurrected removed key", func() *faultyMapSystem {
+			s := newFaultyMapSystem(46)
+			s.resurrectRemoved = true
+			return s
+		}, func(t *testing.T, r *RecoveryResult) {
+			if r.Leaked != 1 || r.Mismatched != 0 || r.Missing != 0 {
+				t.Fatalf("resurrected removed key: %+v, want exactly 1 leaked", r)
 			}
 		}},
 	}

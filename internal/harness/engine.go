@@ -524,12 +524,9 @@ func runCrashPhase(rec Recoverable, vs *verifyState, ph Phase) (PhaseResult, Rec
 		RecoveryNs:  int64(pr.Elapsed),
 		Recovered:   entries,
 	}
-	got := make(map[uint64]uint64, entries)
-	rec.StateSnapshot(func(k, v uint64) bool {
-		got[k] = v
-		return true
-	})
-	diffModel(&rr, vs.model, got)
+	fc := checkState(vs.model, rec.StateSnapshot)
+	rr.ModelEntries, rr.Missing, rr.Mismatched, rr.Leaked = fc.ModelEntries, fc.Missing, fc.Mismatched, fc.Leaked
+	rr.Violations = fc.Violations
 	return pr, rr
 }
 

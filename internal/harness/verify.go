@@ -105,38 +105,6 @@ func (r *RecoveryResult) merge(o RecoveryResult) {
 	r.Violations += o.Violations
 }
 
-// diffModel compares the recovered state against the ground-truth model
-// and fills r's violation counters.
-func diffModel(r *RecoveryResult, model map[uint64]modelVal, got map[uint64]uint64) {
-	r.ModelEntries, r.Missing, r.Mismatched, r.Leaked = diffCounts(model, got)
-	r.Violations = r.Missing + r.Mismatched + r.Leaked
-}
-
-// diffCounts compares a live or recovered key→value state against the
-// ground-truth model. It is shared between crash recovery verification
-// (diffModel) and the VerifyFinal live-state check (FinalCheckResult).
-func diffCounts(model map[uint64]modelVal, got map[uint64]uint64) (entries int, missing, mismatched, leaked uint64) {
-	for k, e := range model {
-		if !e.present {
-			continue
-		}
-		entries++
-		gv, ok := got[k]
-		switch {
-		case !ok:
-			missing++
-		case gv != e.val:
-			mismatched++
-		}
-	}
-	for k := range got {
-		if e, ok := model[k]; !ok || !e.present {
-			leaked++
-		}
-	}
-	return
-}
-
 // FinalCheckResult is the outcome of a VerifyFinal scenario's end-of-run
 // state check, and the final_check block of its measured aggregate record:
 // the system's live contents diffed against the journaled model of
@@ -162,11 +130,11 @@ type FinalCheckResult struct {
 // server executed it. The wire verifier extends the same model-diff
 // machinery across that gap: each sender journals only definitively
 // acknowledged batches, marks the write keys of in-doubt outcomes as
-// tainted, and VerifyWire excludes tainted keys from both the model and
-// the server snapshot before diffing. Everything that remains is a key
-// the client knows the committed value of, so a post-restart difference
-// there is a real durability (or duplicated-execution) violation, never
-// retry ambiguity. Exactness still requires partitioned writes
+// tainted, and VerifyReplicaWire excludes tainted keys from both the
+// model and the server snapshot before diffing. Everything that remains
+// is a key the client knows the committed value of, so a post-restart
+// difference there is a real durability (or duplicated-execution)
+// violation, never retry ambiguity. Exactness still requires partitioned writes
 // (PartitionKey): one sender per residue class, sole writer of its keys.
 
 // WireJournal is one sender's client-side record of what it knows about
@@ -224,29 +192,21 @@ func (j *WireJournal) Taint(ops []kv.Op) {
 	}
 }
 
-// VerifyWire is the crash-restart view of the one journal-merge verifier
-// (VerifyReplicaWire): a recovered store has no replay stream to fall
-// behind on, so an older acked value there is a wrong value, not a lagging
-// one — stale folds into mismatched and the rest carries over unchanged.
-func VerifyWire(journals []*WireJournal, snap func(fn func(key, val uint64) bool)) (FinalCheckResult, int) {
-	rc, tainted := VerifyReplicaWire(journals, snap)
-	return rc.FinalCheck(), tainted
-}
-
-// ----------------------------------------------- replica divergence check
+// ------------------------------------------------------ the one classifier
 //
-// The replica verifier diffs a follower (or a recovered store) against the
-// merged journals, and per-key acked-value histories let it CLASSIFY a
-// divergence instead of just counting it. A replica
-// holding an older acked value lost a replay suffix (stale); a value no
-// client ever acked is corruption (mismatched); a key the model has that
-// the replica lacks vanished in flight (missing); a key the replica has
-// that the model deleted — or never wrote — leaked. Reordered delivery
-// is not distinguishable from staleness by state alone, so the follower's
-// own seq-regression counter rides along in the result (filled by the
-// caller from replica.Stats).
+// Every journal is judged by classify: the engine's crash phase and final
+// check, the chaos runner's recovered store and its caught-up follower.
+// Per-key acked-value histories, where a wire journal keeps them, let it
+// tell a divergence apart instead of just counting it. A replica holding
+// an older acked value lost a replay suffix (stale); a value no client
+// ever acked is corruption (mismatched); a key the model has that the
+// state lacks vanished (missing); a key the state has that the model
+// deleted — or never wrote — leaked. With no history nothing reads as
+// stale, so a resurrected deleted key is leaked and a wrong value is
+// mismatched. The engine's journals stay plain models: a per-key history
+// would grow with every put of a full-speed run.
 
-// ReplicaCheckResult is the outcome of one replica divergence check.
+// ReplicaCheckResult is the outcome of one classified divergence check.
 type ReplicaCheckResult struct {
 	Checked      bool
 	ModelEntries int
@@ -254,19 +214,17 @@ type ReplicaCheckResult struct {
 	Stale        uint64 // replica holds an older acked value
 	Mismatched   uint64 // replica holds a value no client acked
 	Leaked       uint64 // replica holds a key deleted or never written
-	Reordered    uint64 // follower-observed seq regressions (from replica.Stats)
 }
 
-// Violations is the total divergence count. Reordered entries are not
-// added — every reordered entry that mattered already shows up as a
-// stale or missing key, and one skipped during transient mangling that
-// later re-converged is not a divergence.
+// Violations is the total divergence count.
 func (r ReplicaCheckResult) Violations() uint64 {
 	return r.Missing + r.Stale + r.Mismatched + r.Leaked
 }
 
 // FinalCheck projects the classified diff onto the three-way final-state
 // taxonomy, stale counted as mismatched; the violation total is unchanged.
+// It is the crash-restart view too: a recovered store has no replay stream
+// to fall behind on, so an older acked value there is a wrong value.
 func (r ReplicaCheckResult) FinalCheck() FinalCheckResult {
 	return FinalCheckResult{
 		Checked: r.Checked, ModelEntries: r.ModelEntries,
@@ -312,7 +270,12 @@ func VerifyReplicaWire(journals []*WireJournal, snap func(fn func(key, val uint6
 		}
 		return true
 	})
+	return classify(model, hist, got), len(taint)
+}
 
+// classify diffs state got against model, telling stale values from
+// mismatched ones by the per-key acked histories in hist (nil: none).
+func classify(model map[uint64]modelVal, hist map[uint64][]uint64, got map[uint64]uint64) ReplicaCheckResult {
 	acked := func(k, v uint64) bool {
 		for _, h := range hist[k] {
 			if h == v {
@@ -352,7 +315,18 @@ func VerifyReplicaWire(journals []*WireJournal, snap func(fn func(key, val uint6
 			rc.Leaked++
 		}
 	}
-	return rc, len(taint)
+	return rc
+}
+
+// checkState diffs a quiesced state against the engine's model. The
+// engine keeps no acked histories, so nothing there reads as stale.
+func checkState(model map[uint64]modelVal, snap func(fn func(key, val uint64) bool)) FinalCheckResult {
+	got := make(map[uint64]uint64, len(model))
+	snap(func(k, v uint64) bool {
+		got[k] = v
+		return true
+	})
+	return classify(model, nil, got).FinalCheck()
 }
 
 // runFinalCheck diffs the live state against the model at the end of a
@@ -361,13 +335,6 @@ func runFinalCheck(caps Caps, vs *verifyState) *FinalCheckResult {
 	if caps.Snapshot == nil || vs == nil || !vs.journal {
 		return &FinalCheckResult{}
 	}
-	got := make(map[uint64]uint64, len(vs.model))
-	caps.Snapshot.StateSnapshot(func(k, v uint64) bool {
-		got[k] = v
-		return true
-	})
-	fc := &FinalCheckResult{Checked: true}
-	fc.ModelEntries, fc.Missing, fc.Mismatched, fc.Leaked = diffCounts(vs.model, got)
-	fc.Violations = fc.Missing + fc.Mismatched + fc.Leaked
-	return fc
+	fc := checkState(vs.model, caps.Snapshot.StateSnapshot)
+	return &fc
 }

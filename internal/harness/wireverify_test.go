@@ -6,9 +6,9 @@ import (
 	"medley/internal/kv"
 )
 
-// TestVerifyWireFoldsStaleIntoMismatched pins VerifyWire as a projection
-// of the replica verifier: same journals, same snapshot, same missing and
-// leaked counts and violation total, with stale counted as mismatched.
+// TestVerifyWireFoldsStaleIntoMismatched pins the crash-restart view of
+// the replica verifier, FinalCheck: same missing and leaked counts and
+// violation total, with stale counted as mismatched.
 func TestVerifyWireFoldsStaleIntoMismatched(t *testing.T) {
 	put := func(k, v uint64) kv.Op { return kv.Op{Kind: kv.OpPut, Key: k, Val: v} }
 	pre, j := NewWireJournal(), NewWireJournal()
@@ -32,16 +32,16 @@ func TestVerifyWireFoldsStaleIntoMismatched(t *testing.T) {
 		}
 	}
 
-	rc, rTainted := VerifyReplicaWire(journals, snap)
+	rc, tainted := VerifyReplicaWire(journals, snap)
 	if want := (ReplicaCheckResult{Checked: true, ModelEntries: 3, Missing: 1, Stale: 2, Mismatched: 1, Leaked: 1}); rc != want {
 		t.Fatalf("replica verifier = %+v, want %+v", rc, want)
 	}
-	fc, tainted := VerifyWire(journals, snap)
+	fc := rc.FinalCheck()
 	if want := (FinalCheckResult{Checked: true, ModelEntries: 3, Missing: 1, Mismatched: 3, Leaked: 1, Violations: 5}); fc != want {
-		t.Errorf("VerifyWire = %+v, want %+v", fc, want)
+		t.Errorf("FinalCheck = %+v, want %+v", fc, want)
 	}
-	if tainted != 1 || tainted != rTainted {
-		t.Errorf("tainted = %d (replica verifier %d), want 1", tainted, rTainted)
+	if tainted != 1 {
+		t.Errorf("tainted = %d, want 1", tainted)
 	}
 	if fc.Violations != rc.Violations() {
 		t.Errorf("violation totals differ: %d vs %d", fc.Violations, rc.Violations())

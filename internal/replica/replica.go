@@ -68,9 +68,6 @@ type Config struct {
 	// ProbeFails is how many consecutive leader round-trip failures
 	// (across all shards) trip LeaderDown (default 5; negative disables).
 	ProbeFails int
-	// RetryInterval paces reconnects after a failed round trip
-	// (default 50ms).
-	RetryInterval time.Duration
 	// Mangle, when non-nil, transforms each received entry chunk before
 	// gap detection and apply — the fault-injection seam divergence tests
 	// use to drop, reorder, or corrupt entries in flight.
@@ -143,9 +140,6 @@ func Start(cfg Config) (*Follower, error) {
 	}
 	if cfg.ProbeFails == 0 {
 		cfg.ProbeFails = 5
-	}
-	if cfg.RetryInterval <= 0 {
-		cfg.RetryInterval = 50 * time.Millisecond
 	}
 	f := &Follower{
 		cfg:     cfg,
@@ -298,10 +292,13 @@ func (f *Follower) replay(shard int) {
 	}
 }
 
+// retryInterval paces reconnects after a failed round trip.
+const retryInterval = 50 * time.Millisecond
+
 func (f *Follower) sleep() {
 	select {
 	case <-f.ctx.Done():
-	case <-time.After(f.cfg.RetryInterval):
+	case <-time.After(retryInterval):
 	}
 }
 

@@ -190,8 +190,7 @@ func pairs(n int) []uint64 {
 func startFollower(t *testing.T, l *fakeLeader, st *memStore) *Follower {
 	t.Helper()
 	f, err := Start(Config{
-		Leader: l.ts.URL, Shards: testShards, Apply: st.apply, Scan: st.scan,
-		RetryInterval: 5 * time.Millisecond, ProbeFails: -1,
+		Leader: l.ts.URL, Shards: testShards, Apply: st.apply, Scan: st.scan, ProbeFails: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -325,6 +324,51 @@ func TestBootstrapShardsMismatchRefusedBeforeApply(t *testing.T) {
 	defer st.mu.Unlock()
 	if st.applies != 0 || len(st.m) != 0 {
 		t.Errorf("%d applies, %d keys: a mismatched header must be refused before any Apply", st.applies, len(st.m))
+	}
+}
+
+// LeaderDown closes once ProbeFails consecutive round trips are refused,
+// and never when ProbeFails is negative, not even past the default of 5.
+// The leader checks the signal still open as the threshold-th attempt
+// arrives: the failures before it must not trip it early.
+func TestLeaderDownAfterProbeFails(t *testing.T) {
+	const probeFails = 3
+	for _, tc := range []struct {
+		name       string
+		probeFails int
+		wait       uint64 // refused round trips to wait past
+		wantDown   bool
+	}{{"trips at the threshold", probeFails, probeFails, true}, {"disabled", -1, 5, false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			l := newFakeLeader(t)
+			var fol atomic.Pointer[Follower]
+			l.snapshot = func(w http.ResponseWriter, r *http.Request, attempt int) {
+				if f := fol.Load(); f != nil && attempt <= probeFails && f.Stats().LeaderDown {
+					t.Errorf("LeaderDown before attempt %d, want open until %d failures", attempt, probeFails)
+				}
+				w.WriteHeader(http.StatusServiceUnavailable)
+			}
+			f, err := Start(Config{
+				Leader: l.ts.URL, Shards: testShards, Apply: newMemStore().apply, ProbeFails: tc.probeFails,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(f.Stop)
+			fol.Store(f)
+			waitFor(t, "more refused round trips than the threshold", func() bool {
+				return f.Stats().Failures > tc.wait
+			})
+			down := false
+			select {
+			case <-f.LeaderDown():
+				down = true
+			default:
+			}
+			if st := f.Stats(); down != tc.wantDown || st.LeaderDown != tc.wantDown {
+				t.Errorf("LeaderDown closed = %v, stats %+v; want %v", down, st, tc.wantDown)
+			}
+		})
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"medley/internal/kv"
-	"medley/internal/obs"
 )
 
 // HTTPDriver implements the harness's Driver over the wire: the open-loop
@@ -23,12 +22,13 @@ import (
 // network pipeline. The server owns the backend's lifecycle; Start only
 // verifies reachability and learns the system's identity from /healthz.
 //
-// The driver is fault-tolerant: every batch carries a request ID (the
-// server's dedup window makes retries exactly-once), transport errors
-// and 503s are retried with capped exponential backoff under a
-// per-session retry budget, and a circuit breaker shared by all
-// sessions opens after consecutive transport errors — failing fast
-// until a healthz probe confirms the server is back.
+// The driver is fault-tolerant under one fixed policy (the constants
+// below): every batch carries a request ID (the server's dedup window
+// makes retries exactly-once), transport errors and 503s are retried
+// with capped exponential backoff under a per-session retry budget, and
+// a circuit breaker shared by all sessions opens after consecutive
+// transport errors — failing fast until a healthz probe confirms the
+// server is back. Stats is its one counter view.
 type HTTPDriver struct {
 	baseV  atomic.Value // string: current leader base URL (failover swaps it)
 	cfg    HTTPDriverConfig
@@ -36,7 +36,7 @@ type HTTPDriver struct {
 	system string
 	shards int
 
-	breaker *breaker
+	breaker breaker
 	idBase  string        // per-driver prefix making request IDs unique
 	idSeq   atomic.Uint64 // per-driver counter completing each ID
 
@@ -55,40 +55,39 @@ type HTTPDriver struct {
 // baseURL is the current leader base (failover may have swapped it).
 func (d *HTTPDriver) baseURL() string { return d.baseV.Load().(string) }
 
-// HTTPDriverConfig tunes the driver's fault-tolerance machinery. The
-// zero value means: no deadline, 3 retries per request, 2ms..250ms
-// backoff, a 256-retry session budget, breaker opening after 8
-// consecutive transport errors with a 200ms cooldown, and a 5s Start
-// bound.
+// The driver's fault policy. A request is retried at most maxRetries
+// times; the nth retry waits a full-jitter backoff of ~backoffBase·2ⁿ,
+// capped at backoffCap. The breaker opens after breakerThreshold
+// consecutive transport errors and fails fast for breakerCooldown before
+// half-opening with a healthz probe. A request honors the server's
+// Retry-After drain hints until their cumulative wait would pass
+// retryAfterBudget, so a sustained 429 storm degrades into reported
+// sheds instead of stalling the sender forever. Start polls /healthz for
+// at most startTimeout: a server that never comes up is a configuration
+// mistake to report, not a condition to poll forever.
+const (
+	maxRetries       = 3
+	backoffBase      = 2 * time.Millisecond
+	backoffCap       = 250 * time.Millisecond
+	breakerThreshold = 8
+	breakerCooldown  = 200 * time.Millisecond
+	retryAfterBudget = time.Second
+)
+
+// startTimeout is a variable only so a test of the bound need not wait it out.
+var startTimeout = 5 * time.Second
+
+// HTTPDriverConfig is what a caller of the driver chooses; the zero
+// value means no deadline, a 256-retry session budget and no replicas.
 type HTTPDriverConfig struct {
 	// Deadline, when positive, bounds each request end to end: the wire
 	// request carries the remaining budget as deadline_ms, and the
 	// client stops retrying (kv.ErrExpired) once it is spent.
 	Deadline time.Duration
-	// MaxRetries caps attempts beyond the first per request. Negative
-	// disables retries entirely.
-	MaxRetries int
-	// BackoffBase and BackoffCap shape the retry backoff: the nth retry
-	// waits ~BackoffBase·2ⁿ (full jitter), capped at BackoffCap.
-	BackoffBase time.Duration
-	BackoffCap  time.Duration
 	// RetryBudget caps total retries per session across all requests, so
-	// a dying server cannot multiply offered load. Negative is unlimited.
+	// a dying server cannot multiply offered load. 0 means 256; negative
+	// is unlimited.
 	RetryBudget int
-	// BreakerThreshold opens the circuit after that many consecutive
-	// transport errors. Negative disables the breaker.
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker fails fast before
-	// half-opening with a healthz probe.
-	BreakerCooldown time.Duration
-	// StartTimeout bounds Start's healthz polling.
-	StartTimeout time.Duration
-	// RetryAfterBudget caps the cumulative Retry-After wait honored per
-	// request (default 1s). Under a sustained 429 storm the client keeps
-	// pacing itself by the server's drain hints until the budget is
-	// spent, then reports the shed — graceful degradation instead of
-	// giving up on the second hint. Negative disables honoring hints.
-	RetryAfterBudget time.Duration
 	// Replicas lists follower base URLs. Read-only batches route to
 	// replicas round-robin; a replica that answers 409 (stale), 503 (not
 	// leader), or dies on the wire falls the same request back to the
@@ -97,34 +96,6 @@ type HTTPDriverConfig struct {
 	// endpoint's /healthz and adopts whichever now reports itself
 	// leader.
 	Replicas []string
-}
-
-func (c HTTPDriverConfig) withDefaults() HTTPDriverConfig {
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 3
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 2 * time.Millisecond
-	}
-	if c.BackoffCap <= 0 {
-		c.BackoffCap = 250 * time.Millisecond
-	}
-	if c.RetryBudget == 0 {
-		c.RetryBudget = 256
-	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = 8
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 200 * time.Millisecond
-	}
-	if c.StartTimeout <= 0 {
-		c.StartTimeout = 5 * time.Second
-	}
-	if c.RetryAfterBudget == 0 {
-		c.RetryAfterBudget = time.Second
-	}
-	return c
 }
 
 // HTTPDriverStats is a snapshot of the driver's fault counters.
@@ -141,14 +112,16 @@ type HTTPDriverStats struct {
 }
 
 // NewHTTPDriver targets a running medleyd at base (e.g.
-// "http://127.0.0.1:7654") with default fault tolerance.
+// "http://127.0.0.1:7654") with the zero HTTPDriverConfig.
 func NewHTTPDriver(base string) *HTTPDriver {
 	return NewHTTPDriverConfig(base, HTTPDriverConfig{})
 }
 
-// NewHTTPDriverConfig is NewHTTPDriver with explicit tuning.
+// NewHTTPDriverConfig is NewHTTPDriver with the caller's choices.
 func NewHTTPDriverConfig(base string, cfg HTTPDriverConfig) *HTTPDriver {
-	cfg = cfg.withDefaults()
+	if cfg.RetryBudget == 0 {
+		cfg.RetryBudget = 256
+	}
 	d := &HTTPDriver{
 		cfg: cfg,
 		client: &http.Client{
@@ -163,13 +136,7 @@ func NewHTTPDriverConfig(base string, cfg HTTPDriverConfig) *HTTPDriver {
 		idBase: fmt.Sprintf("%08x", rand.Uint32()),
 	}
 	d.baseV.Store(base)
-	if cfg.BreakerThreshold > 0 {
-		d.breaker = &breaker{
-			threshold: cfg.BreakerThreshold,
-			cooldown:  cfg.BreakerCooldown,
-			probe:     func() bool { return d.healthz() == nil },
-		}
-	}
+	d.breaker.probe = func() bool { return d.healthz() == nil }
 	return d
 }
 
@@ -189,41 +156,16 @@ func (d *HTTPDriver) ShardCount() int {
 
 // Stats snapshots the driver's fault counters across all sessions.
 func (d *HTTPDriver) Stats() HTTPDriverStats {
-	s := HTTPDriverStats{
+	return HTTPDriverStats{
 		Retries:         d.retries.Load(),
 		InDoubt:         d.inDoubt.Load(),
 		Expired:         d.expired.Load(),
+		BreakerOpens:    d.breaker.opens.Load(),
+		BreakerOpen:     d.breaker.isOpen(),
 		RetryAfterWaits: d.raWaits.Load(),
 		StaleReads:      d.staleReads.Load(),
 		Failovers:       d.failovers.Load(),
 		Recoveries:      d.recoveries.Load(),
-	}
-	if d.breaker != nil {
-		s.BreakerOpens = d.breaker.opens.Load()
-		s.BreakerOpen = d.breaker.isOpen()
-	}
-	return s
-}
-
-// MetricsSnapshot implements obs.MetricsSnapshotter so reports and
-// tooling can merge the client-side fault counters (previously internal)
-// alongside the server's svc_* set, drv_-prefixed.
-func (d *HTTPDriver) MetricsSnapshot() []obs.Metric {
-	st := d.Stats()
-	open := uint64(0)
-	if st.BreakerOpen {
-		open = 1
-	}
-	return []obs.Metric{
-		{Name: "drv_breaker_open", Value: open},
-		{Name: "drv_breaker_opens", Value: st.BreakerOpens},
-		{Name: "drv_expired", Value: st.Expired},
-		{Name: "drv_failover_recoveries", Value: st.Recoveries},
-		{Name: "drv_failovers", Value: st.Failovers},
-		{Name: "drv_in_doubt", Value: st.InDoubt},
-		{Name: "drv_retries", Value: st.Retries},
-		{Name: "drv_retry_after_waits", Value: st.RetryAfterWaits},
-		{Name: "drv_stale_reads", Value: st.StaleReads},
 	}
 }
 
@@ -290,9 +232,7 @@ func (d *HTTPDriver) failover() bool {
 			// this sweep ran. Leadership is confirmed without a swap.
 			d.recoveries.Add(1)
 		}
-		if b := d.breaker; b != nil {
-			b.reset()
-		}
+		d.breaker.reset()
 		return true
 	}
 	return false
@@ -300,16 +240,15 @@ func (d *HTTPDriver) failover() bool {
 
 // Start implements Driver: polls /healthz until the server
 // answers (it may still be starting), failing with the last probe error
-// once cfg.StartTimeout is spent — a server that never comes up is a
-// configuration mistake to report, not a condition to poll forever.
+// once startTimeout is spent.
 func (d *HTTPDriver) Start() error {
-	deadline := time.Now().Add(d.cfg.StartTimeout)
+	deadline := time.Now().Add(startTimeout)
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			if time.Now().After(deadline) {
 				return fmt.Errorf("service: %s unreachable after %v: %w",
-					d.baseURL(), d.cfg.StartTimeout, lastErr)
+					d.baseURL(), startTimeout, lastErr)
 			}
 			time.Sleep(100 * time.Millisecond)
 		}
@@ -418,10 +357,9 @@ func (s *httpSession) jitter(max time.Duration) time.Duration {
 // backoff returns the full-jitter backoff before retry n (0-based):
 // uniform in (0, min(base·2ⁿ, cap)].
 func (s *httpSession) backoff(n int) time.Duration {
-	c := s.d.cfg
-	d := c.BackoffBase << uint(n)
-	if d <= 0 || d > c.BackoffCap {
-		d = c.BackoffCap
+	d := backoffBase << uint(n)
+	if d <= 0 || d > backoffCap {
+		d = backoffCap
 	}
 	return s.jitter(d) + time.Millisecond/4
 }
@@ -436,7 +374,7 @@ func (s *httpSession) backoff(n int) time.Duration {
 //
 //   - 200 → nil (definitive; a dedup replay is indistinguishable by design)
 //   - 429 → kv.ErrOverload once cumulative honored Retry-After waits
-//     exceed RetryAfterBudget (hints pace the sender, they are not retries)
+//     exceed retryAfterBudget (hints pace the sender, they are not retries)
 //   - 504 → kv.ErrExpired (server never executed it)
 //   - client-side deadline spent → kv.ErrExpired
 //   - 4xx → permanent error, no retry (except 409 staleness, retryable)
@@ -498,7 +436,7 @@ func (s *httpSession) Do(ops []kv.Op, res []kv.Result) error {
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
-			if attempt > s.d.cfg.MaxRetries ||
+			if attempt > maxRetries ||
 				(s.retryBudget > 0 && s.retryUsed >= s.retryBudget) {
 				// Out of attempts against this leader. If it looks gone —
 				// transport-dead, breaker open, or answering 503 (which is
@@ -533,7 +471,7 @@ func (s *httpSession) Do(ops []kv.Op, res []kv.Result) error {
 			}
 		}
 		// The breaker tracks the leader only; replica attempts bypass it.
-		if b := s.d.breaker; b != nil && target == "" && !b.allow() {
+		if target == "" && !s.d.breaker.allow() {
 			lastErr = ErrCircuitOpen
 			continue
 		}
@@ -568,7 +506,7 @@ func (s *httpSession) Do(ops []kv.Op, res []kv.Result) error {
 			continue
 		case errors.Is(err, kv.ErrOverload):
 			// The server shed this attempt at admission. Honor drain
-			// hints until their cumulative wait exhausts RetryAfterBudget,
+			// hints until their cumulative wait exhausts retryAfterBudget,
 			// then report the shed: sheds are backpressure working, not
 			// faults, so honored waits pace the sender without counting
 			// as retries. The budget cap means a sustained storm degrades
@@ -577,8 +515,7 @@ func (s *httpSession) Do(ops []kv.Op, res []kv.Result) error {
 			// a shed answers for this attempt only (after a restart the
 			// dedup window is empty, so it says nothing about whether the
 			// original executed).
-			if wait > 0 && s.d.cfg.RetryAfterBudget > 0 &&
-				raUsed+wait <= s.d.cfg.RetryAfterBudget {
+			if wait > 0 && raUsed+wait <= retryAfterBudget {
 				raUsed += wait
 				s.d.raWaits.Add(1)
 				time.Sleep(wait)
@@ -629,8 +566,8 @@ func (s *httpSession) post(target string, payload []byte, res []kv.Result) (time
 		target = s.d.baseURL()
 	}
 	resp, err := s.d.client.Post(target+"/v1/batch", "application/json", bytes.NewReader(payload))
-	if b := s.d.breaker; b != nil && leaderward {
-		b.observe(err == nil)
+	if leaderward {
+		s.d.breaker.observe(err == nil)
 	}
 	if err != nil {
 		return 0, fmt.Errorf("%w: %w", errTransport, err)
@@ -694,16 +631,14 @@ func retryAfterDelay(h string) time.Duration {
 func (s *httpSession) Close() error { return nil }
 
 // breaker is the driver-wide circuit breaker. Closed, it only counts
-// consecutive transport failures; at threshold it opens and every
-// session fails fast (no network) for cooldown, after which exactly one
+// consecutive transport failures; at breakerThreshold it opens and every
+// session fails fast (no network) for breakerCooldown, after which exactly one
 // caller per cooldown half-opens the circuit by probing healthz —
 // success closes it, failure re-arms the cooldown. Sharing one breaker
 // across sessions means one recovered probe re-admits the whole fleet
 // at once instead of each sender rediscovering the server.
 type breaker struct {
-	threshold int
-	cooldown  time.Duration
-	probe     func() bool
+	probe func() bool
 
 	mu         sync.Mutex
 	open       bool
@@ -727,7 +662,7 @@ func (b *breaker) allow() bool {
 	}
 	// Claim the probe slot before unlocking so concurrent callers fail
 	// fast instead of stampeding healthz.
-	b.until = time.Now().Add(b.cooldown)
+	b.until = time.Now().Add(breakerCooldown)
 	b.mu.Unlock()
 	if b.probe() {
 		b.mu.Lock()
@@ -766,9 +701,9 @@ func (b *breaker) observe(ok bool) {
 		return
 	}
 	b.downconsec++
-	if !b.open && b.downconsec >= b.threshold {
+	if !b.open && b.downconsec >= breakerThreshold {
 		b.open = true
-		b.until = time.Now().Add(b.cooldown)
+		b.until = time.Now().Add(breakerCooldown)
 		b.opens.Add(1)
 	}
 }

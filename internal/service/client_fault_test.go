@@ -38,7 +38,7 @@ func hijackKill(w http.ResponseWriter, r *http.Request) {
 }
 
 // TestHTTPDriverRetriesTransportWithSameID pins the retry loop: transport
-// errors are retried under MaxRetries with the SAME request ID on every
+// errors are retried under maxRetries with the SAME request ID on every
 // attempt (the ID is what makes the server-side dedup window able to
 // answer the retry), and the eventual success returns decoded results.
 func TestHTTPDriverRetriesTransportWithSameID(t *testing.T) {
@@ -62,10 +62,7 @@ func TestHTTPDriverRetriesTransportWithSameID(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	d := NewHTTPDriverConfig(ts.URL, HTTPDriverConfig{
-		MaxRetries: 3, BackoffBase: time.Millisecond, BackoffCap: 2 * time.Millisecond,
-		BreakerThreshold: -1,
-	})
+	d := NewHTTPDriver(ts.URL)
 	sess, err := d.NewSession()
 	if err != nil {
 		t.Fatal(err)
@@ -109,9 +106,7 @@ func TestHTTPDriverInDoubtAfterTransportExhaustion(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(hijackKill))
 	defer ts.Close()
 
-	d := NewHTTPDriverConfig(ts.URL, HTTPDriverConfig{
-		MaxRetries: 1, BackoffBase: time.Millisecond, BreakerThreshold: -1,
-	})
+	d := NewHTTPDriver(ts.URL)
 	sess, _ := d.NewSession()
 	err := sess.Do([]kv.Op{{Kind: kv.OpPut, Key: 1, Val: 1}}, nil)
 	if err == nil {
@@ -124,24 +119,24 @@ func TestHTTPDriverInDoubtAfterTransportExhaustion(t *testing.T) {
 		t.Fatalf("err = %v, want wrapped transport cause", err)
 	}
 	st := d.Stats()
-	if st.InDoubt != 1 || st.Retries != 1 {
-		t.Errorf("stats = %+v, want 1 in-doubt, 1 retry", st)
+	if st.InDoubt != 1 || st.Retries != maxRetries {
+		t.Errorf("stats = %+v, want 1 in-doubt, %d retries", st, maxRetries)
 	}
 }
 
 // TestHTTPDriverDeadlineStopsRetrying pins the client-side deadline: a
-// generous retry allowance still stops at the configured deadline with
-// harness.ErrExpired, and the outcome stays in doubt (attempts did reach
-// the network).
+// server that holds each attempt past the deadline before killing the
+// connection leaves retries to spare, yet the request stops at the
+// configured deadline with harness.ErrExpired, and the outcome stays in
+// doubt (attempts did reach the network).
 func TestHTTPDriverDeadlineStopsRetrying(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(hijackKill))
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(60 * time.Millisecond)
+		hijackKill(w, r)
+	}))
 	defer ts.Close()
 
-	d := NewHTTPDriverConfig(ts.URL, HTTPDriverConfig{
-		Deadline: 50 * time.Millisecond, MaxRetries: 1000, RetryBudget: -1,
-		BackoffBase: 8 * time.Millisecond, BackoffCap: 8 * time.Millisecond,
-		BreakerThreshold: -1,
-	})
+	d := NewHTTPDriverConfig(ts.URL, HTTPDriverConfig{Deadline: 50 * time.Millisecond, RetryBudget: -1})
 	sess, _ := d.NewSession()
 	start := time.Now()
 	err := sess.Do([]kv.Op{{Kind: kv.OpGet, Key: 1}}, nil)
@@ -154,15 +149,16 @@ func TestHTTPDriverDeadlineStopsRetrying(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Errorf("deadline honored after %v, want ~50ms", elapsed)
 	}
-	if got := d.Stats().Expired; got != 1 {
-		t.Errorf("expired = %d, want 1", got)
+	if st := d.Stats(); st.Expired != 1 || st.Retries >= maxRetries {
+		t.Errorf("stats = %+v, want 1 expired with retries to spare", st)
 	}
 }
 
 // TestHTTPDriverBreakerOpensAndRecovers pins the breaker state machine:
-// consecutive transport errors open it, an open breaker fails fast
-// without touching the network, and after the cooldown a healthz probe
-// on a recovered server closes it again.
+// consecutive transport errors open it (each request makes 1+maxRetries
+// attempts), an open breaker fails fast without touching the network,
+// and after the cooldown a healthz probe on a recovered server closes it
+// again. Stats reports the state throughout.
 func TestHTTPDriverBreakerOpensAndRecovers(t *testing.T) {
 	var down atomic.Bool
 	down.Store(true)
@@ -182,20 +178,20 @@ func TestHTTPDriverBreakerOpensAndRecovers(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	d := NewHTTPDriverConfig(ts.URL, HTTPDriverConfig{
-		MaxRetries: -1, BackoffBase: time.Millisecond,
-		BreakerThreshold: 3, BreakerCooldown: 50 * time.Millisecond,
-	})
+	d := NewHTTPDriver(ts.URL)
 	sess, _ := d.NewSession()
 	ops := []kv.Op{{Kind: kv.OpGet, Key: 1}}
 
-	for i := 0; i < 3; i++ {
+	if d.Stats().BreakerOpen {
+		t.Fatal("fresh driver reports an open breaker")
+	}
+	for i := 0; i < breakerThreshold/(1+maxRetries); i++ {
 		if err := sess.Do(ops, nil); err == nil || errors.Is(err, ErrCircuitOpen) {
-			t.Fatalf("attempt %d: err = %v, want a transport error before the breaker opens", i, err)
+			t.Fatalf("request %d: err = %v, want a transport error before the breaker opens", i, err)
 		}
 	}
-	if got := d.Stats().BreakerOpens; got != 1 {
-		t.Fatalf("breaker opens = %d, want 1 after threshold", got)
+	if st := d.Stats(); st.BreakerOpens != 1 || !st.BreakerOpen {
+		t.Fatalf("stats = %+v, want the breaker opened once and open after threshold", st)
 	}
 
 	if err := sess.Do(ops, nil); !errors.Is(err, ErrCircuitOpen) {
@@ -203,7 +199,7 @@ func TestHTTPDriverBreakerOpensAndRecovers(t *testing.T) {
 	}
 
 	down.Store(false)
-	time.Sleep(60 * time.Millisecond) // past the cooldown: next attempt probes
+	time.Sleep(breakerCooldown + 10*time.Millisecond) // past the cooldown: next attempt probes
 	res := make([]kv.Result, 1)
 	if err := sess.Do(ops, res); err != nil {
 		t.Fatalf("recovered server: err = %v, want nil (probe should close the breaker)", err)
@@ -211,13 +207,13 @@ func TestHTTPDriverBreakerOpensAndRecovers(t *testing.T) {
 	if got := batchAttempts.Load(); got != 1 {
 		t.Errorf("batch attempts while open/recovered = %d, want 1 (open breaker must not touch the network)", got)
 	}
-	if got := d.Stats().BreakerOpens; got != 1 {
-		t.Errorf("breaker opens = %d, want still 1", got)
+	if st := d.Stats(); st.BreakerOpens != 1 || st.BreakerOpen {
+		t.Errorf("stats = %+v, want still 1 open and the breaker closed", st)
 	}
 }
 
-// TestHTTPDriverStartBounded pins the satellite contract: Start against
-// a dead address fails within StartTimeout with an error that names the
+// TestHTTPDriverStartBounded pins the Start contract: Start against a
+// dead address fails within startTimeout with an error that names the
 // unreachable base URL instead of polling forever.
 func TestHTTPDriverStartBounded(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -227,7 +223,9 @@ func TestHTTPDriverStartBounded(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close() // nothing listens here anymore
 
-	d := NewHTTPDriverConfig("http://"+addr, HTTPDriverConfig{StartTimeout: 200 * time.Millisecond})
+	defer func(was time.Duration) { startTimeout = was }(startTimeout)
+	startTimeout = 200 * time.Millisecond
+	d := NewHTTPDriver("http://" + addr)
 	start := time.Now()
 	err = d.Start()
 	if err == nil {
@@ -236,8 +234,8 @@ func TestHTTPDriverStartBounded(t *testing.T) {
 	if !strings.Contains(err.Error(), "unreachable") || !strings.Contains(err.Error(), addr) {
 		t.Errorf("err = %v, want the unreachable address named", err)
 	}
-	if elapsed := time.Since(start); elapsed > 3*time.Second {
-		t.Errorf("Start took %v, want bounded by the 200ms StartTimeout", elapsed)
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("Start took %v, want bounded by the 200ms startTimeout", elapsed)
 	}
 }
 
@@ -276,10 +274,7 @@ func transferThroughFault(t *testing.T, window int) (bal1, bal2 uint64, st HTTPD
 		t.Fatal(err)
 	}
 
-	d := NewHTTPDriverConfig("http://"+proxy.Addr(), HTTPDriverConfig{
-		MaxRetries: 4, BackoffBase: time.Millisecond, BackoffCap: 5 * time.Millisecond,
-		BreakerThreshold: -1,
-	})
+	d := NewHTTPDriver("http://" + proxy.Addr())
 	sess, err := d.NewSession()
 	if err != nil {
 		t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"medley/internal/kv"
 )
@@ -133,13 +132,7 @@ func TestHTTPDriverReplicaDeadFallsBackToLeader(t *testing.T) {
 func TestHTTPDriverFailsOverToPromotedReplica(t *testing.T) {
 	leader := newScriptedEndpoint(t, RoleLeader, okBatch(`[{"val":0,"ok":true}]`))
 	rep := newScriptedEndpoint(t, RoleFollower, okBatch(`[{"val":0,"ok":true}]`))
-	d := NewHTTPDriverConfig(leader.ts.URL, HTTPDriverConfig{
-		Replicas:         []string{rep.ts.URL},
-		MaxRetries:       2,
-		BackoffBase:      time.Millisecond,
-		BackoffCap:       2 * time.Millisecond,
-		BreakerThreshold: -1, // isolate failover from breaker behavior
-	})
+	d := NewHTTPDriverConfig(leader.ts.URL, HTTPDriverConfig{Replicas: []string{rep.ts.URL}})
 	sess := &httpSession{d: d}
 
 	ops := []kv.Op{{Kind: kv.OpPut, Key: 1, Val: 1}}
@@ -178,13 +171,7 @@ func TestHTTPDriverFailsOverToPromotedReplica(t *testing.T) {
 func TestHTTPDriverFailoverSkipsUnpromotedFollower(t *testing.T) {
 	leader := newScriptedEndpoint(t, RoleLeader, okBatch(`[]`))
 	rep := newScriptedEndpoint(t, RoleFollower, okBatch(`[]`))
-	d := NewHTTPDriverConfig(leader.ts.URL, HTTPDriverConfig{
-		Replicas:         []string{rep.ts.URL},
-		MaxRetries:       1,
-		BackoffBase:      time.Millisecond,
-		BackoffCap:       2 * time.Millisecond,
-		BreakerThreshold: -1,
-	})
+	d := NewHTTPDriverConfig(leader.ts.URL, HTTPDriverConfig{Replicas: []string{rep.ts.URL}})
 	sess := &httpSession{d: d}
 	leader.ts.Close()
 

@@ -124,7 +124,6 @@ func TestSeededFaultDivergenceDetectedAndClassed(t *testing.T) {
 		t.Fatal("backend not snapshottable")
 	}
 	rc, tainted := harness.VerifyReplicaWire([]*harness.WireJournal{journal}, snap.StateSnapshot)
-	rc.Reordered = st.Reordered
 	if tainted != 0 {
 		t.Fatalf("tainted = %d, want 0 (no in-doubt outcomes)", tainted)
 	}

@@ -114,7 +114,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		cfg.MaxSilence = time.Second
 	}
 	feed := cdc.New(cfg.FeedShards, cfg.FeedRing, nil)
-	cfg.Service.Feed = feed
+	cfg.Service.feed = feed
 	n := &Node{
 		svc:        New(cfg.Backend, cfg.Service),
 		feed:       feed,

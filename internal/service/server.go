@@ -150,14 +150,14 @@ func handler(s *Service, n *Node) http.Handler {
 		if n != nil {
 			h.Role = n.Role()
 		}
-		if s.cfg.Feed != nil {
-			h.FeedShards = s.cfg.Feed.ShardCount()
+		if s.cfg.feed != nil {
+			h.FeedShards = s.cfg.feed.ShardCount()
 		}
 		writeJSON(w, http.StatusOK, h)
 	})
-	if s.cfg.Feed != nil {
+	if s.cfg.feed != nil {
 		mux.HandleFunc("GET /v1/watch", func(w http.ResponseWriter, r *http.Request) {
-			serveWatch(s.cfg.Feed, w, r)
+			serveWatch(s.cfg.feed, w, r)
 		})
 		mux.HandleFunc("GET /v1/snapshot", func(w http.ResponseWriter, r *http.Request) {
 			serveSnapshot(s, w, r)
@@ -269,7 +269,7 @@ func serveWatch(feed *cdc.Feed, w http.ResponseWriter, r *http.Request) {
 // + replay from from_seq converges (feed values are absolute). Without a
 // shard parameter the scan serves every feed shard; with one, that shard.
 func serveSnapshot(s *Service, w http.ResponseWriter, r *http.Request) {
-	feed := s.cfg.Feed
+	feed := s.cfg.feed
 	snap, ok := s.be.(snapshotter)
 	if !ok {
 		writeError(w, http.StatusNotImplemented, "backend cannot snapshot state")

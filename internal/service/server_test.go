@@ -214,7 +214,7 @@ func TestShedCarriesRetryAfter(t *testing.T) {
 // TestHTTPDriverHonorsRetryAfter pins the client half: a 429 with a
 // Retry-After hint is retried after the advertised wait, a persistent
 // 429 keeps getting honored until the cumulative waits exhaust
-// RetryAfterBudget and then classifies as harness.ErrOverload, and a
+// retryAfterBudget and then classifies as harness.ErrOverload, and a
 // 429 without the hint sheds immediately.
 func TestHTTPDriverHonorsRetryAfter(t *testing.T) {
 	var attempts atomic.Int64
@@ -234,16 +234,14 @@ func TestHTTPDriverHonorsRetryAfter(t *testing.T) {
 		case mode == "bare":
 			shed(w, "")
 		default:
-			shed(w, "0.01")
+			shed(w, "0.4")
 		}
 	}))
 	defer ts.Close()
 
-	// Budget of 25ms with 10ms hints: two honored waits fit, the third
-	// (cumulative 30ms) would not.
-	sess := &httpSession{d: NewHTTPDriverConfig(ts.URL, HTTPDriverConfig{
-		RetryAfterBudget: 25 * time.Millisecond,
-	})}
+	// The 1s budget with 0.4s hints: two honored waits fit, the third
+	// (cumulative 1.2s) would not.
+	sess := &httpSession{d: NewHTTPDriver(ts.URL)}
 	ops := []kv.Op{{Kind: kv.OpGet, Key: 7}}
 
 	res := make([]kv.Result, 1)
@@ -254,8 +252,8 @@ func TestHTTPDriverHonorsRetryAfter(t *testing.T) {
 	if got := attempts.Load(); got != 2 {
 		t.Fatalf("recovering server: %d attempts, want 2", got)
 	}
-	if elapsed := time.Since(start); elapsed < 10*time.Millisecond {
-		t.Errorf("retried after %v, want >= the 10ms Retry-After hint", elapsed)
+	if elapsed := time.Since(start); elapsed < 400*time.Millisecond {
+		t.Errorf("retried after %v, want >= the 0.4s Retry-After hint", elapsed)
 	}
 	if res[0].Val != 7 || !res[0].Ok {
 		t.Errorf("retried result = %+v, want {7 true}", res[0])
@@ -267,10 +265,10 @@ func TestHTTPDriverHonorsRetryAfter(t *testing.T) {
 		t.Fatalf("persistent 429: err = %v, want harness.ErrOverload", err)
 	}
 	if got := attempts.Load(); got != 3 {
-		t.Errorf("persistent 429: %d attempts, want 3 (two 10ms waits fit the 25ms budget)", got)
+		t.Errorf("persistent 429: %d attempts, want 3 (two 0.4s waits fit the 1s budget)", got)
 	}
-	if elapsed := time.Since(start); elapsed < 20*time.Millisecond {
-		t.Errorf("persistent 429 shed after %v, want >= 20ms of honored waits", elapsed)
+	if elapsed := time.Since(start); elapsed < 800*time.Millisecond {
+		t.Errorf("persistent 429 shed after %v, want >= 0.8s of honored waits", elapsed)
 	}
 	if got := sess.d.Stats().RetryAfterWaits; got != 3 {
 		t.Errorf("RetryAfterWaits = %d, want 3 (one recovery + two storm waits)", got)

@@ -96,11 +96,12 @@ type Config struct {
 	// inside the window returns the original results instead of
 	// re-executing. 0 disables deduplication (retries re-execute).
 	DedupWindow int
-	// Feed, when non-nil, is attached to every worker executor: each
+
+	// feed, set by NewNode, is attached to every worker executor: each
 	// committed write batch publishes its absolute post-states to the
 	// feed in commit-ticket order, and the HTTP layer serves it through
 	// GET /v1/watch and GET /v1/snapshot. nil = no replication.
-	Feed *cdc.Feed
+	feed *cdc.Feed
 }
 
 func (c Config) withDefaults() Config {
@@ -381,8 +382,8 @@ func (s *Service) newExecutor() kv.Executor {
 	ex := s.be.NewExecutor()
 	// A feed taps the commit order of the store's own executors (nothing
 	// else draws a core commit ticket); NewNode admits no other backend.
-	if tap, ok := ex.(interface{ SetChangeFeed(*cdc.Feed) bool }); ok && s.cfg.Feed != nil {
-		tap.SetChangeFeed(s.cfg.Feed)
+	if tap, ok := ex.(interface{ SetChangeFeed(*cdc.Feed) bool }); ok && s.cfg.feed != nil {
+		tap.SetChangeFeed(s.cfg.feed)
 	}
 	return ex
 }
@@ -459,9 +460,9 @@ func (s *Service) Close() {
 	if s.stopBE != nil {
 		s.stopBE()
 	}
-	if s.cfg.Feed != nil {
+	if s.cfg.feed != nil {
 		// Wake watch streamers so their handlers can return.
-		s.cfg.Feed.Close()
+		s.cfg.feed.Close()
 	}
 }
 

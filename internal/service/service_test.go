@@ -456,36 +456,3 @@ func TestMetricsMergeDedupCounters(t *testing.T) {
 		t.Error("merged metrics not name-sorted")
 	}
 }
-
-// TestDriverMetricsSnapshotExportsBreakerState pins the client-side
-// export: breaker state and fault counters, previously reachable only
-// through HTTPDriverStats, surface through the same Metric shape the
-// server merges.
-func TestDriverMetricsSnapshotExportsBreakerState(t *testing.T) {
-	d := NewHTTPDriver("http://127.0.0.1:0")
-	got := map[string]uint64{}
-	for _, m := range d.MetricsSnapshot() {
-		got[m.Name] = m.Value
-	}
-	for _, name := range []string{
-		"drv_breaker_open", "drv_breaker_opens", "drv_retries",
-		"drv_in_doubt", "drv_expired", "drv_retry_after_waits",
-		"drv_stale_reads", "drv_failovers",
-	} {
-		if _, ok := got[name]; !ok {
-			t.Errorf("driver metric %s missing", name)
-		}
-	}
-	if got["drv_breaker_open"] != 0 {
-		t.Error("fresh driver reports an open breaker")
-	}
-	// Trip the breaker against a dead endpoint and watch the state flip.
-	d.breaker.threshold = 2
-	sess := &httpSession{d: d}
-	_ = sess.Do(oneOp(1), nil)
-	for _, m := range d.MetricsSnapshot() {
-		if m.Name == "drv_breaker_open" && m.Value != 1 {
-			t.Error("breaker state not exported after consecutive transport failures")
-		}
-	}
-}
