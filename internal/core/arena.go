@@ -79,8 +79,8 @@ type deferredCAS[T comparable] struct {
 // deferred-CAS list for T. Single-owner; see the package comment.
 type cellArena[T comparable] struct {
 	tx       *Tx
-	free     []*cell[T] // value cells (d == nil)
-	freeDesc []*cell[T] // descriptor cells (d != nil)
+	free     []*cell[T] // value cells (even gen)
+	freeDesc []*cell[T] // descriptor cells (odd gen)
 	def      []deferredCAS[T]
 
 	// pending accumulates displaced cells between settles; each settle
@@ -163,7 +163,8 @@ func (a *cellArena[T]) get() *cell[T] {
 	return c
 }
 
-// getDesc is get for descriptor cells; the caller fills the descPart.
+// getDesc is get for descriptor cells; the caller fills the descPart. A
+// cell carved fresh gets its kind bit here, before it can be published.
 func (a *cellArena[T]) getDesc() *cell[T] {
 	a.gets++
 	if c := pop(&a.freeDesc); c != nil {
@@ -173,10 +174,10 @@ func (a *cellArena[T]) getDesc() *cell[T] {
 	if len(a.descSlab) == 0 {
 		a.descSlab = make([]descCell[T], slabCells(unsafe.Sizeof(descCell[T]{})))
 	}
-	dc := &a.descSlab[0]
+	c := &a.descSlab[0].cell
 	a.descSlab = a.descSlab[1:]
-	dc.d = &dc.descPart
-	return &dc.cell
+	c.gen.Store(1)
+	return c
 }
 
 // put clears c of everything it references and returns it to the freelist
@@ -186,11 +187,11 @@ func (a *cellArena[T]) getDesc() *cell[T] {
 func (a *cellArena[T]) put(c *cell[T]) {
 	var zero T
 	c.val = zero
-	if c.d == nil {
+	if !c.isDesc() {
 		a.free = append(a.free, c)
 		return
 	}
-	*c.d = descPart[T]{}
+	*c.dp() = descPart[T]{}
 	a.freeDesc = append(a.freeDesc, c)
 }
 
@@ -212,7 +213,7 @@ func (a *cellArena[T]) Recycle(obj any) {
 }
 
 func (a *cellArena[T]) recycleCell(c *cell[T]) {
-	c.gen.Add(1)
+	c.gen.Add(2) // bit 0 is the kind
 	a.put(c)
 }
 
@@ -281,11 +282,10 @@ func newDescCell[T comparable](tx *Tx, o *CASObj[T], prev *cell[T]) *cell[T] {
 	if tx.pooled {
 		c = arenaFor[T](tx).getDesc()
 	} else {
-		dc := &descCell[T]{}
-		dc.d = &dc.descPart
-		c = &dc.cell
+		c = &(&descCell[T]{}).cell
+		c.gen.Store(1)
 	}
-	*c.d = descPart[T]{desc: tx.desc, serial: tx.serial, prev: prev, slot: o}
+	*c.dp() = descPart[T]{desc: tx.desc, serial: tx.serial, prev: prev, slot: o}
 	return c
 }
 
@@ -360,11 +360,11 @@ func DeferCASRetire[T comparable, N any](tx *Tx, o *CASObj[T], expected, desired
 // function).
 func ResetSlot[T comparable](o *CASObj[T]) {
 	c := o.state.Load()
-	if c == nil || c.d != nil {
+	if c == nil || c.isDesc() {
 		o.state.Store(&cell[T]{})
 		return
 	}
-	c.gen.Add(1)
+	c.gen.Add(2)
 	var zero T
 	c.val = zero
 }

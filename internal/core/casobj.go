@@ -22,14 +22,17 @@ import (
 // generation counter additionally covers witnesses that outlive the grace
 // period inside a stale published read set (see publishedReads).
 //
-// There are two kinds of cell, and a cell keeps its kind for life. A value
-// cell (d == nil) holds the slot's real value and nothing else: it is what
-// a store at rest consists of, so it carries no descriptor state — 32 bytes
-// for a pointer-plus-mark T, 24 for a pointer. A descriptor cell is the
-// head of a descCell: d points at the descPart laid out behind it in the
-// same allocation, val is the speculative new value of the critical CAS
-// that installed it. Every reader therefore handles one pointer type and
-// tells the kinds apart with c.d != nil.
+// There are two kinds of cell, and a cell keeps its kind for life. The kind
+// is bit 0 of gen, set before a descriptor cell is first published; every
+// reuse adds 2, so the bit never flips, and a witness comparing the whole
+// word checks kind and generation together — the paper's CASObj, a value
+// plus a counter that tells an installed descriptor apart. A value cell
+// (even gen) holds the slot's real value and nothing else: it is what a
+// store at rest consists of, so it carries no descriptor state — 24 bytes
+// for a pointer-plus-mark T, 16 for a pointer. A descriptor cell (odd gen)
+// is the head of a descCell: its descPart is laid out behind it in the same
+// allocation (see dp), and val is the speculative new value of the critical
+// CAS that installed it. Every reader therefore handles one pointer type.
 //
 // A nil *cell is the third state a slot can be in: a CASObj nobody has
 // written yet holds the zero value of T without any cell at all — loading
@@ -38,14 +41,12 @@ import (
 // nil-receiver safe.
 //
 // gen is atomic because it is the only field a thread may read on a cell
-// that has possibly been recycled (via a stale witness), and d is written
-// once, before the cell is first published; every other field is read only
-// on cells reached through a live slot, which the reader's EBR critical
-// section keeps stable.
+// that has possibly been recycled (via a stale witness); every other field
+// is read only on cells reached through a live slot, which the reader's EBR
+// critical section keeps stable.
 type cell[T comparable] struct {
 	val T
 	gen atomic.Uint64
-	d   *descPart[T]
 }
 
 // descPart is what a descriptor cell knows beyond its speculative value:
@@ -60,7 +61,7 @@ type descPart[T comparable] struct {
 }
 
 // descCell is the allocation unit of a descriptor cell; only its embedded
-// cell is ever pointed at from outside.
+// cell is ever pointed at from outside, and dp relies on it coming first.
 type descCell[T comparable] struct {
 	cell[T]
 	descPart[T]
@@ -76,12 +77,15 @@ func (c *cell[T]) value() T {
 }
 
 // isDesc reports whether c is an installed descriptor cell.
-func (c *cell[T]) isDesc() bool { return c != nil && c.d != nil }
+func (c *cell[T]) isDesc() bool { return c != nil && c.gen.Load()&1 != 0 }
+
+// dp is descriptor cell c's descPart: c is the head of a descCell.
+func (c *cell[T]) dp() *descPart[T] { return &(*descCell[T])(unsafe.Pointer(c)).descPart }
 
 // ownedBy reports whether descriptor cell c was installed by tx's open
 // transaction.
 func (c *cell[T]) ownedBy(tx *Tx) bool {
-	return c.d.desc == tx.desc && c.d.serial == tx.serial
+	return c.dp().desc == tx.desc && c.dp().serial == tx.serial
 }
 
 // witnessValid implements witnessCell: slot (the *CASObj[T] the witness was
@@ -104,7 +108,7 @@ func (c *cell[T]) witnessValid(slot unsafe.Pointer, d *Desc, serial, gen uint64)
 	// this (EBR-protected) reader.
 	cur := (*CASObj[T])(slot).state.Load()
 	if cur != c {
-		if !cur.isDesc() || cur.d.desc != d || cur.d.serial != serial || cur.d.prev != c {
+		if !cur.isDesc() || cur.dp().desc != d || cur.dp().serial != serial || cur.dp().prev != c {
 			return false
 		}
 	}
@@ -118,7 +122,7 @@ func (c *cell[T]) witnessValid(slot unsafe.Pointer, d *Desc, serial, gen uint64)
 // state and uninstall this one cell. tx is the helping thread's context
 // (nil outside transactions), used to source and retire cells.
 func (c *cell[T]) helpFinalize(tx *Tx) {
-	dp := c.d
+	dp := c.dp()
 	st := dp.desc.status.Load()
 	if dp.slot.state.Load() != c {
 		return // already uninstalled; st may belong to a later serial
@@ -137,19 +141,19 @@ func (c *cell[T]) helpFinalize(tx *Tx) {
 // winner owns retirement: the displaced descriptor cell, and on commit the
 // original value cell it shadowed, go to the winner's arena limbo.
 func (c *cell[T]) uninstall(tx *Tx, committed bool) {
-	slot := c.d.slot
+	dp := c.dp()
 	if committed {
 		nc := newCell[T](tx)
 		nc.val = c.val
-		if slot.state.CompareAndSwap(c, nc) {
-			retireCell(tx, c.d.prev)
+		if dp.slot.state.CompareAndSwap(c, nc) {
+			retireCell(tx, dp.prev)
 			retireCell(tx, c)
 		} else {
 			freeCell(tx, nc) // lost the uninstall race; nc never published
 		}
 		return
 	}
-	if slot.state.CompareAndSwap(c, c.d.prev) {
+	if dp.slot.state.CompareAndSwap(c, dp.prev) {
 		retireCell(tx, c)
 	}
 }
@@ -194,8 +198,8 @@ func (o *CASObj[T]) InitTx(tx *Tx, v T) {
 	if c == nil && v == zero {
 		return
 	}
-	if c != nil && c.d == nil {
-		c.gen.Add(1)
+	if c != nil && !c.isDesc() {
+		c.gen.Add(2)
 		c.val = v
 		return
 	}
@@ -363,7 +367,7 @@ func (o *CASObj[T]) NbtcCAS(tx *Tx, expected, desired T, linPt, pubPt bool) bool
 			// access. Compare against the speculative value and, on match,
 			// replace our own cell in place.
 			tx.startSpec()
-			prev, own = cur.d.prev, true
+			prev, own = cur.dp().prev, true
 		}
 		if cur.value() != expected {
 			return false
@@ -418,7 +422,7 @@ func (o *CASObj[T]) debugState(tx *Tx) string {
 		return fmt.Sprintf("value{%v}", c.value())
 	}
 	own := tx.InTx() && c.ownedBy(tx)
-	st := c.d.desc.status.Load()
+	st := c.dp().desc.status.Load()
 	return fmt.Sprintf("desc{val=%v serial=%d own=%v status(serial=%d,st=%d)}",
-		c.val, c.d.serial, own, serialOf(st), statusOf(st))
+		c.val, c.dp().serial, own, serialOf(st), statusOf(st))
 }

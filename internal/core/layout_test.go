@@ -8,8 +8,9 @@ import (
 // TestCellLayout pins the sizes the store's footprint is made of, so that a
 // field added to a cell fails here, by the struct's name, and not as a heap
 // number three layers up. A value cell is what every link of a structure at
-// rest costs beyond its 8-byte CASObj; a ReadWitness is what every read of a
-// transaction appends to its read set.
+// rest costs beyond its 8-byte CASObj: the value and a generation whose bit
+// 0 is the kind, as in the paper's 16-byte CASObj. A ReadWitness is what
+// every read of a transaction appends to its read set.
 func TestCellLayout(t *testing.T) {
 	type link struct { // the skiplists' ref: pointer plus mark
 		node *int
@@ -19,9 +20,9 @@ func TestCellLayout(t *testing.T) {
 		name      string
 		size, max uintptr
 	}{
-		{"cell[pointer+bool] (value cell of a marked link)", unsafe.Sizeof(cell[link]{}), 32},
-		{"cell[pointer] (value cell of a plain link, or of mhash's mark-in-pointer ref)", unsafe.Sizeof(cell[unsafe.Pointer]{}), 24},
-		{"descCell[pointer+bool] (descriptor cell, one allocation)", unsafe.Sizeof(descCell[link]{}), 64},
+		{"cell[pointer+bool] (value cell of a marked link)", unsafe.Sizeof(cell[link]{}), 24},
+		{"cell[pointer] (value cell of a plain link, or of mhash's mark-in-pointer ref)", unsafe.Sizeof(cell[unsafe.Pointer]{}), 16},
+		{"descCell[pointer+bool] (descriptor cell, one allocation)", unsafe.Sizeof(descCell[link]{}), 56},
 		{"ReadWitness", unsafe.Sizeof(ReadWitness{}), 32},
 		{"CASObj[pointer+bool]", unsafe.Sizeof(CASObj[link]{}), 8},
 	} {

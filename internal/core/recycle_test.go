@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"unsafe"
 
 	"medley/internal/ebr"
 )
@@ -51,9 +50,9 @@ func TestGenerationMismatchRejectsWitness(t *testing.T) {
 	// Inject the fault: pretend the witnessed cell went through a
 	// retire→grace→recycle cycle and was reinstalled in the same slot with
 	// the same value. Pointer identity and value are unchanged; only the
-	// generation differs.
+	// generation differs. A reuse adds 2: bit 0 is the cell's kind.
 	c := o.state.Load()
-	c.gen.Add(1)
+	c.gen.Add(2)
 	if tx.ValidateReads() {
 		t.Fatal("validator accepted a recycled cell: stale witness forged")
 	}
@@ -63,7 +62,7 @@ func TestGenerationMismatchRejectsWitness(t *testing.T) {
 	tx.Begin()
 	_, w = o.NbtcLoad(tx)
 	tx.AddToReadSet(w)
-	o.state.Load().gen.Add(1)
+	o.state.Load().gen.Add(2)
 	if err := tx.End(); err == nil {
 		t.Fatal("commit succeeded over a recycled witness")
 	}
@@ -310,8 +309,8 @@ func TestWitnessInRecycledNodeNeverValidates(t *testing.T) {
 
 // TestCellKindsNeverCross pins the two-freelist routing. A committed write
 // retires one value cell and one descriptor cell; each must come back as
-// its own kind — a descriptor cell whose d still points at its own tail, a
-// value cell with none — and with a bumped generation. The witness half:
+// its own kind — a descriptor cell with its tail cleared, a value cell with
+// none — and with a bumped generation. The witness half:
 // when the recycled value cell returns to the same slot and the validating
 // transaction then installs its (recycled) descriptor cell over it, the
 // old witness sees prev pointer-equal to its cell and must still fail.
@@ -330,7 +329,7 @@ func TestCellKindsNeverCross(t *testing.T) {
 		t.Fatal("install failed")
 	}
 	d0 := o.state.Load()
-	if !d0.isDesc() || d0.d.prev != v0 || d0.d.slot != o {
+	if !d0.isDesc() || d0.dp().prev != v0 || d0.dp().slot != o {
 		t.Fatalf("installed cell is not a descriptor cell over v0: %+v", d0)
 	}
 	if err := tx.End(); err != nil {
@@ -343,14 +342,14 @@ func TestCellKindsNeverCross(t *testing.T) {
 	if len(a.free) != 1 || a.free[0] != v0 || len(a.freeDesc) != 1 || a.freeDesc[0] != d0 {
 		t.Fatalf("freelists after one committed write: value %v desc %v, want [v0] [d0]", a.free, a.freeDesc)
 	}
-	if v0.d != nil {
-		t.Fatal("recycled value cell grew a descriptor part")
+	if v0.isDesc() {
+		t.Fatal("recycled value cell became a descriptor cell")
 	}
-	if d0.d != &(*descCell[int])(unsafe.Pointer(d0)).descPart {
-		t.Fatal("recycled descriptor cell no longer points at its own tail")
+	if !d0.isDesc() {
+		t.Fatal("recycled descriptor cell became a value cell")
 	}
-	if *d0.d != (descPart[int]{}) {
-		t.Fatalf("recycled descriptor cell retains references: %+v", *d0.d)
+	if *d0.dp() != (descPart[int]{}) {
+		t.Fatalf("recycled descriptor cell retains references: %+v", *d0.dp())
 	}
 
 	// The next committed write draws d0 to install and v0 to commit, so v0
@@ -379,11 +378,87 @@ func TestCellKindsNeverCross(t *testing.T) {
 	if !o.NbtcCAS(tx, 0, 2, true, true) {
 		t.Fatal("install failed")
 	}
-	if cur := o.state.Load(); cur != d0 || cur.d.prev != v0 {
+	if cur := o.state.Load(); cur != d0 || cur.dp().prev != v0 {
 		t.Fatal("expected the recycled descriptor cell installed over the recycled value cell")
 	}
 	if w0.valid(tx.desc, tx.serial) {
 		t.Fatal("own descriptor over a recycled cell validated a witness from the cell's previous life")
+	}
+}
+
+// TestCellKindSurvivesRecycling pins the kind bit: bit 0 of gen tells a
+// descriptor cell from a value cell, so every generation bump must step
+// over it. One slot's cells go round retire→grace→recycle many times; each
+// must keep the kind it was first seen with, and no witness of an earlier
+// life may validate. The in-place reuses — InitTx and ResetSlot over a
+// resident value cell — must keep it a value cell, and ResetSlot over a
+// slot holding a descriptor cell must install a value cell, not adopt the
+// descriptor.
+func TestCellKindSurvivesRecycling(t *testing.T) {
+	mgr := NewTxManager()
+	mgr.EnablePooling()
+	tx, h := pooledTx(t, mgr, ebr.New(1))
+	o := NewCASObj(0)
+
+	isDesc := map[*cell[int]]bool{}
+	// seen checks that every cell recorded so far kept its kind, then
+	// records the kind the slot's current cell must have for life.
+	seen := func(desc bool) {
+		t.Helper()
+		for c, was := range isDesc {
+			if c.isDesc() != was {
+				t.Fatalf("a cell first seen with isDesc %v now reads %v (gen %d)", was, !was, c.gen.Load())
+			}
+		}
+		isDesc[o.state.Load()] = desc
+	}
+	seen(false)
+	var stale []ReadWitness
+	const lives = 100
+	for i := 1; i <= lives; i++ {
+		stale = append(stale, o.witness(o.state.Load()))
+		h.Enter()
+		tx.Begin()
+		if !o.NbtcCAS(tx, i-1, i, true, true) {
+			t.Fatalf("life %d: install failed", i)
+		}
+		seen(true)
+		if err := tx.End(); err != nil {
+			t.Fatalf("life %d: %v", i, err)
+		}
+		h.Exit()
+		seen(false)
+		h.Drain()
+		for j, w := range stale {
+			if w.valid(tx.desc, tx.serial) {
+				t.Fatalf("life %d: a witness of the value cell from life %d validates", i, j)
+			}
+		}
+	}
+	seen(false) // the last recycle
+	if len(isDesc) > 4 {
+		t.Fatalf("%d distinct cells over %d committed writes: the cells are not being recycled", len(isDesc), lives)
+	}
+
+	var p CASObj[int]
+	p.InitTx(tx, 1)
+	c := p.state.Load()
+	p.InitTx(tx, 2)
+	ResetSlot(&p)
+	if p.state.Load() != c || c.isDesc() {
+		t.Fatalf("in-place reuse of a value cell: cell kept %v, isDesc %v; want the same value cell", p.state.Load() == c, c.isDesc())
+	}
+
+	h.Enter()
+	defer h.Exit()
+	tx.Begin()
+	defer tx.AbortNow()
+	if !p.NbtcCAS(tx, 0, 3, true, true) {
+		t.Fatal("install failed")
+	}
+	ResetSlot(&p)
+	if r := p.state.Load(); r.isDesc() || r.value() != 0 {
+		t.Fatalf("ResetSlot over a descriptor cell left isDesc %v, value %d; want a zero value cell", r.isDesc(), r.value())
 	}
 }
 
@@ -543,12 +618,12 @@ func TestRecycleStormSnapshots(t *testing.T) {
 			// Kinds never crossed on this worker's freelists.
 			a := arenaFor[int](tx)
 			for _, c := range a.free {
-				if c.d != nil {
+				if c.isDesc() {
 					t.Error("descriptor cell on the value freelist")
 				}
 			}
 			for _, c := range a.freeDesc {
-				if c.d == nil {
+				if !c.isDesc() {
 					t.Error("value cell on the descriptor freelist")
 				}
 			}

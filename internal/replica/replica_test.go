@@ -372,6 +372,49 @@ func TestLeaderDownAfterProbeFails(t *testing.T) {
 	}
 }
 
+// A stream that skips a sequence number is counted as one gap and applied
+// past it; an entry at or below the cursor — here a duplicate of seq 2
+// carrying a value the key has since moved on from — is counted as
+// reordered and skipped, or it would overwrite the newer value.
+func TestStreamCountsGapAndSkipsReordered(t *testing.T) {
+	l := newFakeLeader(t)
+	l.snapshot = func(w http.ResponseWriter, r *http.Request, _ int) {
+		writeSnapshot(w, []uint64{1, 1, 1, 1}, nil, SnapshotChunkKeys, 0, false)
+	}
+	l.entries[0] = []cdc.Entry{
+		{Seq: 1, Key: 0, Val: 1},
+		{Seq: 2, Key: 4, Val: 2},
+		{Seq: 3, Key: 8, Val: 3},
+		{Seq: 4, Key: 4, Val: 4},
+	}
+	st := newMemStore()
+	f, err := Start(Config{
+		Leader: l.ts.URL, Shards: testShards, Apply: st.apply, Scan: st.scan, ProbeFails: -1,
+		Mangle: func(shard int, entries []cdc.Entry) []cdc.Entry {
+			if shard != 0 {
+				return entries
+			}
+			// Serve seqs 1, 2, 4, then seq 2 again with a stale value.
+			var out []cdc.Entry
+			for _, e := range entries {
+				if e.Seq != 3 {
+					out = append(out, e)
+				}
+			}
+			return append(out, cdc.Entry{Seq: 2, Key: 4, Val: 22})
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(f.Stop)
+	waitFor(t, "the mangled chunk applied", func() bool { return f.Stats().Applied >= 3 })
+	if s := f.Stats(); s.Gaps != 1 || s.Reordered != 1 || s.Applied != 3 || f.Applied(0) != 4 {
+		t.Errorf("stats %+v, cursor %d; want 1 gap, 1 reordered, 3 applied, cursor 4", s, f.Applied(0))
+	}
+	wantState(t, st, map[uint64]uint64{0: 1, 4: 4})
+}
+
 // An Apply failing while others are in flight aborts the bootstrap; the
 // shards stay not ready until a whole retry succeeds.
 func TestBootstrapApplyErrorAborts(t *testing.T) {

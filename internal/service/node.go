@@ -56,8 +56,6 @@ type NodeConfig struct {
 	// FeedShards is the change feed's stream count (default 4). Leader
 	// and follower must agree; the follower validates at bootstrap.
 	FeedShards int
-	// FeedRing bounds each stream's retained entries (default cdc's).
-	FeedRing int
 	// Follow, when non-empty, starts the node as a follower of the
 	// leader at this base URL.
 	Follow string
@@ -80,6 +78,10 @@ type NodeConfig struct {
 	// Mangle is the replication fault-injection seam, passed through to
 	// the follower (tests only).
 	Mangle func(shard int, entries []cdc.Entry) []cdc.Entry
+
+	// feedRing bounds each stream's retained entries (0: cdc's default).
+	// Tests shrink it to force compaction.
+	feedRing int
 }
 
 // Role strings reported by /healthz and PromoteResponse.
@@ -113,7 +115,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.MaxSilence == 0 {
 		cfg.MaxSilence = time.Second
 	}
-	feed := cdc.New(cfg.FeedShards, cfg.FeedRing, nil)
+	feed := cdc.New(cfg.FeedShards, cfg.feedRing, nil)
 	cfg.Service.feed = feed
 	n := &Node{
 		svc:        New(cfg.Backend, cfg.Service),

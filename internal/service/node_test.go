@@ -266,7 +266,7 @@ func TestNodeStaleReadsRejected(t *testing.T) {
 
 func TestNodeWatchCompactedGone(t *testing.T) {
 	// A cursor below the ring floor answers 410 at connect time.
-	n, ts := startNode(t, NodeConfig{FeedRing: 4, FeedShards: 1})
+	n, ts := startNode(t, NodeConfig{feedRing: 4, FeedShards: 1})
 	for i := 0; i < 40; i++ {
 		postNodeBatch(t, ts.URL, BatchRequest{Ops: []WireOp{
 			{Op: "put", Key: uint64(i), Val: 1},
@@ -286,8 +286,8 @@ func TestNodeWatchCompactedGone(t *testing.T) {
 func TestNodeFollowerResyncsAfterCompaction(t *testing.T) {
 	// Tiny ring + follower that cannot keep up bootstraps again and still
 	// converges (overflow-to-snapshot end to end).
-	leader, lts := startNode(t, NodeConfig{FeedRing: 8, FeedShards: 1})
-	follower, _ := startNode(t, NodeConfig{Follow: lts.URL, FeedShards: 1, FeedRing: 8})
+	leader, lts := startNode(t, NodeConfig{feedRing: 8, FeedShards: 1})
+	follower, _ := startNode(t, NodeConfig{Follow: lts.URL, FeedShards: 1, feedRing: 8})
 	waitFor(t, 5*time.Second, "follower ready", func() bool {
 		return follower.Follower().Ready()
 	})

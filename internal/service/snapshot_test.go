@@ -280,14 +280,14 @@ func poolMisses(be Backend) (misses, gets uint64) {
 // in the arena by the next chunk or two — EBR attempting an advance at
 // each such settle, because a batch weighs its length — every one of them
 // is carved fresh and then sits idle in a freelist for the life of the
-// follower: 56 bytes a key on top of the store's own.
+// follower: 48 bytes a key on top of the store's own.
 func TestFollowerBootstrapFootprint(t *testing.T) {
 	const keys = 1 << 16
 	// mhash's TestBytesPerKey ceiling plus 1 MB for what a node holds
 	// beside its store: two workers' arenas at their working size (a chunk
 	// or two of descriptor cells each), the pipeline's buffers and the feed
 	// rings, kept small here (the default rings are a fixed 2.6 MB).
-	const ceiling = 62 + 16
+	const ceiling = 54 + 16
 	newStore := func() Backend { return hashStore(t, keys/8, 2*keys) }
 	store := newStore()
 	store.Preload(evenKeys(keys))
@@ -307,7 +307,7 @@ func TestFollowerBootstrapFootprint(t *testing.T) {
 	}
 	replicaStore := newStore()
 	before := heap()
-	fol, err := NewNode(NodeConfig{Backend: replicaStore, Follow: ts.URL, FeedRing: 1 << 8, Service: Config{Workers: 2}})
+	fol, err := NewNode(NodeConfig{Backend: replicaStore, Follow: ts.URL, feedRing: 1 << 8, Service: Config{Workers: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

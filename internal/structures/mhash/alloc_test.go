@@ -158,10 +158,11 @@ func TestAllocsBaselineNonZero(t *testing.T) {
 // TestBytesPerKey pins the store's footprint where it is decided — node,
 // link cell, bucket slot, head cell — on the configuration medleyd builds
 // (pooling on, as many buckets as keys). Each key costs a 24-byte node, an
-// 8-byte bucket slot, and one 24-byte cell: the one behind the link that
+// 8-byte bucket slot, and one 16-byte cell: the one behind the link that
 // leads to it, a bucket head or its predecessor's, since a link that leads
-// nowhere has none. That is 56 bytes however the keys fall into chains,
-// against ~84 when a link was two words and every node's link had a cell.
+// nowhere has none. That is 48 bytes however the keys fall into chains,
+// against 56 when a value cell carried a descriptor pointer and ~84 when a
+// link was two words and every node's link had a cell.
 // The second half is the read side of the same contract: looking up absent
 // keys — many of them in buckets nobody has ever written — must leave no
 // cell behind.
@@ -178,7 +179,7 @@ func TestBytesPerKey(t *testing.T) {
 
 func testBytesPerKey(t *testing.T, key func(i uint64) uint64) {
 	const keys = 1 << 16
-	const ceiling = 62 // bytes of live heap per preloaded key
+	const ceiling = 54 // bytes of live heap per preloaded key
 
 	mgr := core.NewTxManager()
 	mgr.EnablePooling()

@@ -12,7 +12,7 @@ import (
 )
 
 // TestLinkLayout pins what a chain link costs: the ref is one word, and the
-// value cell a written link holds is therefore the 24 bytes
+// value cell a written link holds is therefore the 16 bytes
 // core.TestCellLayout allows a one-word value.
 func TestLinkLayout(t *testing.T) {
 	if s := unsafe.Sizeof(ref[uint64]{}); s != 8 {
@@ -34,8 +34,8 @@ func TestLinkLayout(t *testing.T) {
 		runtime.ReadMemStats(&m1)
 		per = min(per, (m1.TotalAlloc-m0.TotalAlloc)/links)
 	}
-	if per != 24 {
-		t.Errorf("a link's value cell is %d bytes, want 24", per)
+	if per != 16 {
+		t.Errorf("a link's value cell is %d bytes, want 16", per)
 	}
 	runtime.KeepAlive(slots)
 }

@@ -19,7 +19,7 @@ import (
 // both into one CASObj value preserves the algorithm's key property that a
 // marked node's link can no longer change (every CAS expects an unmarked
 // link); packing them into 8 bytes makes the value cell behind every link
-// 24 bytes rather than 32.
+// 16 bytes rather than 24.
 //
 // The marked form of a link to n is the address one byte inside n. That is
 // an interior pointer, so the collector keeps n alive through it exactly as
