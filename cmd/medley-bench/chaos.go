@@ -116,12 +116,11 @@ var chaosRows = map[string]chaosRow{
 
 // runChaosScenario is the chaos entry point: one run per selected system
 // (auto → the row's own), senders = the largest -threads count, one
-// Report. The dedup window stays at the medleyd default so retries under
-// connection resets stay exactly-once.
+// Report. Every incarnation serves the default pipeline, dedup window
+// included, so retries under connection resets stay exactly-once.
 func runChaosScenario(name string, row chaosRow, threads []int) error {
 	cfg := row.Config
 	cfg.SystemOpts = systemOpts()
-	cfg.Service = service.Config{DedupWindow: 4096}
 	cfg.Senders = slices.Max(threads)
 	cfg.Duration = *durationFlag
 	cfg.KeyRange = uint64(*keyRange)

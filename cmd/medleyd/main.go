@@ -1,17 +1,17 @@
 // Command medleyd serves the stack's transactional stores (internal/store)
-// over HTTP: POST /v1/batch executes a multi-key transaction through the
-// service pipeline (coalescing txpool, tick-batch execution, admission
-// control), GET /metrics exports the stack's counters, GET /healthz
-// reports liveness and role.
+// over HTTP as one service.Node: POST /v1/batch executes a multi-key
+// transaction through the service pipeline (coalescing txpool, tick-batch
+// execution, admission control, a request-ID dedup window), GET /metrics
+// exports the stack's counters, GET /healthz reports liveness and role.
 //
-// With -cdc-shards > 0 (the default) over a system whose executors can
-// publish one, the node carries a commit-ordered change feed: GET
-// /v1/watch streams committed writes per shard and GET /v1/snapshot
-// serves bootstrap state, so another medleyd can follow this one. A
-// system that cannot publish a feed (plain-skip, txoff-skip) is served
-// standalone whatever -cdc-shards says — no
-// /v1/watch, no feed_shards on /healthz — and the start-up log says so;
-// -follow with such a system is refused.
+// Whether a node is followable is decided by the system, not by a flag.
+// Over a system whose executors can publish one, the node carries a
+// commit-ordered change feed: GET /v1/watch streams committed writes per
+// shard and GET /v1/snapshot serves bootstrap state, so another medleyd
+// can follow this one. A system that cannot publish a feed (plain-skip,
+// txoff-skip) is served by a leader without one — no /v1/watch, no
+// feed_shards on /healthz — and the start-up log says so; -follow with
+// such a system is refused.
 // With -follow the process starts as a follower of the leader
 // at that URL: it replays the leader's feed on executors of its own
 // store (beside its request pipeline, so replay waits for no tick),
@@ -77,11 +77,9 @@ func run(ctx context.Context, args []string) error {
 		tick     = fs.Duration("tick", time.Millisecond, "batch tick period")
 		workers  = fs.Int("workers", 0, "executor goroutines per tick (0 = GOMAXPROCS)")
 		dedup    = fs.Int("dedup", 4096,
-			"idempotency window: remembered outcomes for request-ID dedup (0 disables; retried IDs then re-execute)")
-		cdcShards = fs.Int("cdc-shards", 4,
-			"commit-ordered change feed streams for /v1/watch (0 disables the feed; the node is then not followable)")
+			"idempotency window: how many request-ID outcomes are remembered to answer retries")
 		follow = fs.String("follow", "",
-			"start as a follower replaying the leader at this base URL (requires -cdc-shards > 0)")
+			"start as a follower replaying the leader at this base URL (the system must publish a change feed)")
 		maxLag = fs.Uint64("max-lag", 4096,
 			"follower staleness bound: reads answer 409 while replay lag exceeds this many entries")
 		maxSilence = fs.Duration("max-silence", time.Second,
@@ -99,87 +97,54 @@ func run(ctx context.Context, args []string) error {
 		}
 		return nil
 	}
-	if *follow != "" && *cdcShards <= 0 {
-		return errors.New("-follow requires -cdc-shards > 0 (the follower replays the leader's feed into its own)")
-	}
-
 	be, err := store.New(*system, store.Opts{Buckets: *buckets, KeyRange: *keyRange})
 	if err != nil {
 		return err
 	}
-
-	svcCfg := service.Config{
-		PoolSize:    *pool,
-		Tick:        *tick,
-		Workers:     *workers,
-		DedupWindow: *dedup,
+	node, err := service.NewNode(service.NodeConfig{
+		Backend: be,
+		Service: service.Config{
+			PoolSize:    *pool,
+			Tick:        *tick,
+			Workers:     *workers,
+			DedupWindow: *dedup,
+		},
+		Follow:       *follow,
+		MaxLag:       *maxLag,
+		MaxSilence:   *maxSilence,
+		PromoteAfter: *promoteAfter,
+	})
+	if err != nil {
+		return err
 	}
-
-	// -cdc-shards = 0, or a system that cannot publish a feed: the
-	// standalone pipeline, exactly as before the replication layer
-	// existed. Otherwise a Node: a leader with a followable feed, or (with
-	// -follow) a follower of one.
-	var (
-		handler    http.Handler
-		svc        *service.Service
-		role       = "standalone"
-		endStreams func() // ends the open /v1/watch responses; nil without a feed
-	)
-	if !be.SupportsChangeFeed() {
-		if *follow != "" {
-			return fmt.Errorf("-follow: %w: %s", service.ErrNoFeed, be.Name())
-		}
-		if *cdcShards > 0 {
-			log.Printf("medleyd: %s cannot publish a change feed: serving standalone (no /v1/watch, not followable)", be.Name())
-			*cdcShards = 0
-		}
-	}
-	if *cdcShards > 0 {
-		node, err := service.NewNode(service.NodeConfig{
-			Backend:      be,
-			Service:      svcCfg,
-			FeedShards:   *cdcShards,
-			Follow:       *follow,
-			MaxLag:       *maxLag,
-			MaxSilence:   *maxSilence,
-			PromoteAfter: *promoteAfter,
-		})
-		if err != nil {
-			return err
-		}
-		defer node.Close()
-		handler, svc, role = node.Handler(), node.Service(), node.Role()
-		endStreams = node.Feed().Close
-	} else {
-		svc = service.New(be, svcCfg)
-		defer svc.Close()
-		handler = service.Handler(svc)
-	}
+	defer node.Close()
 
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		return err
 	}
 	srv := &http.Server{
-		Handler:     handler,
+		Handler:     node.Handler(),
 		ReadTimeout: 30 * time.Second,
 		// No write timeout: /v1/watch streams hold their response open for
 		// the life of the follower. Batch responses are bounded by the
 		// pipeline's own deadlines.
 		WriteTimeout: 0,
 	}
-	if endStreams != nil {
+	feed := "no change feed: not followable"
+	if f := node.Feed(); f != nil {
+		feed = fmt.Sprintf("feed-shards=%d", f.ShardCount())
 		// Shutdown waits for connections to go idle and a watch stream never
 		// does on its own: end the streams first. Publishing to the closed
 		// feed still works, so admitted batches finish and are answered.
-		srv.RegisterOnShutdown(endStreams)
+		srv.RegisterOnShutdown(f.Close)
 	}
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
-	cfg := svc.Config()
-	log.Printf("medleyd: serving %s on %s as %s (pool=%d tick=%v workers=%d cdc-shards=%d)",
-		be.Name(), ln.Addr(), role, cfg.PoolSize, cfg.Tick, cfg.Workers, *cdcShards)
+	cfg := node.Service().Config()
+	log.Printf("medleyd: serving %s on %s as %s (pool=%d tick=%v workers=%d dedup=%d, %s)",
+		be.Name(), ln.Addr(), node.Role(), cfg.PoolSize, cfg.Tick, cfg.Workers, cfg.DedupWindow, feed)
 	if *follow != "" {
 		log.Printf("medleyd: following %s (max-lag=%d max-silence=%v promote-after=%d)",
 			*follow, *maxLag, *maxSilence, *promoteAfter)

@@ -161,16 +161,17 @@ func TestRunServesAndDrains(t *testing.T) {
 	}
 }
 
-// TestRunServesFeedlessSystemStandalone pins the dead-feed fix at the
+// TestRunServesFeedlessSystemUnfollowable pins the dead-feed fix at the
 // daemon: a system whose executors cannot publish a change feed is served
-// standalone under default flags — batches execute, the log says why, and
-// nothing advertises or serves a feed a follower could attach to.
-func TestRunServesFeedlessSystemStandalone(t *testing.T) {
-	addr, logs, _, _ := boot(t, "Original-skip", "standalone", "-system", "plain-skip")
+// by a leader without one — batches execute, the log says the node is not
+// followable, and nothing advertises or serves a feed a follower could
+// attach to.
+func TestRunServesFeedlessSystemUnfollowable(t *testing.T) {
+	addr, logs, _, _ := boot(t, "Original-skip", "leader", "-system", "plain-skip")
 	base := "http://" + addr
 
-	if !strings.Contains(logs.String(), "cannot publish a change feed: serving standalone") {
-		t.Errorf("log does not say why the daemon is standalone:\n%s", logs.String())
+	if !strings.Contains(logs.String(), "no change feed: not followable") {
+		t.Errorf("log does not say the node is not followable:\n%s", logs.String())
 	}
 	resp, err := http.Post(base+"/v1/batch", "application/json",
 		strings.NewReader(`{"ops":[{"op":"put","key":1,"val":42},{"op":"get","key":1}]}`))
@@ -182,8 +183,9 @@ func TestRunServesFeedlessSystemStandalone(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"val":42`) {
 		t.Errorf("/v1/batch = %d %q", resp.StatusCode, body)
 	}
-	if code, body := get(t, base+"/healthz"); code != http.StatusOK || strings.Contains(body, "feed_shards") {
-		t.Errorf("/healthz = %d %q, want 200 without feed_shards", code, body)
+	if code, body := get(t, base+"/healthz"); code != http.StatusOK ||
+		!strings.Contains(body, `"role":"leader"`) || strings.Contains(body, "feed_shards") {
+		t.Errorf("/healthz = %d %q, want 200, role leader and no feed_shards", code, body)
 	}
 	if code, _ := get(t, base+"/v1/watch?shard=0"); code != http.StatusNotFound {
 		t.Errorf("/v1/watch = %d, want 404", code)
@@ -191,15 +193,13 @@ func TestRunServesFeedlessSystemStandalone(t *testing.T) {
 }
 
 // TestRunRefusals pins the start-up refusals as returned errors: a follower
-// without a feed (switched off, or over a system that cannot publish one),
-// an unknown system, a competitor STM the daemon does not link (refused
+// over a system that cannot publish a change feed, an unknown system, a competitor STM the daemon does not link (refused
 // with the list of what it serves), an unusable address.
 func TestRunRefusals(t *testing.T) {
 	for _, c := range []struct {
 		args []string
 		want string
 	}{
-		{[]string{"-follow", "http://127.0.0.1:1", "-cdc-shards", "0"}, "-follow requires -cdc-shards > 0"},
 		{[]string{"-follow", "http://127.0.0.1:1", "-system", "plain-skip"}, "cannot publish a change feed"},
 		{[]string{"-system", "no-such-system"}, "unknown system"},
 		{[]string{"-system", "onefile-hash"}, `unknown system "onefile-hash" (known: medley-bst, medley-hash, `},

@@ -61,20 +61,29 @@ func newBackend(cfg *Config) (service.Backend, harness.Caps, error) {
 	return be, caps, nil
 }
 
-// host is one server incarnation behind a real TCP listener.
+// host is one node incarnation behind a real TCP listener.
 type host struct {
 	addr string
 	srv  *http.Server
-	stop func()        // drains what the handler serves
-	node *service.Node // nil for the standalone daemon
+	node *service.Node
 }
 
-// serve binds addr and serves h. The first bind may use ":0"; rebinding a
-// dead incarnation's port retries briefly, because the old listener's
-// close races the rebind. stop is called if the bind fails.
-func serve(addr string, h http.Handler, stop func()) (*host, error) {
+// startNode builds a node over be and serves it on addr; follow "" starts a
+// leader. The first bind may use ":0"; rebinding a dead incarnation's port
+// retries briefly, because the old listener's close races the rebind.
+func startNode(cfg *Config, be service.Backend, addr, follow string) (*host, error) {
+	n, err := service.NewNode(service.NodeConfig{
+		Backend:    be,
+		Service:    cfg.Service,
+		FeedShards: cfg.FeedShards,
+		Follow:     follow,
+		MaxLag:     cfg.MaxLag,
+		MaxSilence: cfg.MaxSilence,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("chaos: %w", err)
+	}
 	var ln net.Listener
-	var err error
 	for i := 0; i < 100; i++ {
 		if ln, err = net.Listen("tcp", addr); err == nil {
 			break
@@ -82,12 +91,12 @@ func serve(addr string, h http.Handler, stop func()) (*host, error) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	if err != nil {
-		stop()
+		n.Close()
 		return nil, fmt.Errorf("chaos: bind %s: %w", addr, err)
 	}
-	srv := &http.Server{Handler: h}
+	srv := &http.Server{Handler: n.Handler()}
 	go func() { _ = srv.Serve(ln) }() // returns when kill closes srv
-	return &host{addr: ln.Addr().String(), srv: srv, stop: stop}, nil
+	return &host{addr: ln.Addr().String(), srv: srv, node: n}, nil
 }
 
 func (h *host) url() string { return "http://" + h.addr }
@@ -103,7 +112,7 @@ func (h *host) kill() {
 		return
 	}
 	_ = h.srv.Close()
-	h.stop()
+	h.node.Close()
 }
 
 // ------------------------------------------------------------ crash-restart
@@ -145,8 +154,7 @@ func deployDaemon(cfg *Config) (topology, error) {
 
 // boot starts a fresh incarnation over the surviving backend.
 func (t *daemonTopo) boot(addr string) error {
-	svc := service.New(t.be, t.cfg.Service)
-	d, err := serve(addr, service.Handler(svc), svc.Close)
+	d, err := startNode(t.cfg, t.be, addr, "")
 	if err == nil {
 		t.d = d
 	}
@@ -231,7 +239,7 @@ type pairTopo struct {
 func deployPair(cfg *Config) (topology, error) {
 	t := &pairTopo{cfg: cfg, samplerStop: make(chan struct{})}
 	var err error
-	if t.leader, err = startNode(cfg, "127.0.0.1:0", ""); err != nil {
+	if t.leader, err = startFresh(cfg, "127.0.0.1:0", ""); err != nil {
 		return nil, err
 	}
 	follow := t.leader.url()
@@ -242,7 +250,7 @@ func deployPair(cfg *Config) (topology, error) {
 		}
 		follow = "http://" + t.proxy.Addr()
 	}
-	if t.follower, err = startNode(cfg, "127.0.0.1:0", follow); err != nil {
+	if t.follower, err = startFresh(cfg, "127.0.0.1:0", follow); err != nil {
 		t.close()
 		return nil, err
 	}
@@ -257,31 +265,15 @@ func deployPair(cfg *Config) (topology, error) {
 	return t, nil
 }
 
-// startNode builds a fresh backend + node and serves it on addr. The
-// backend is fresh per incarnation — a killed leader's state dies with it,
-// and its replacement bootstraps over the wire like any follower. follow
-// "" starts a leader.
-func startNode(cfg *Config, addr, follow string) (*host, error) {
+// startFresh serves a node over a fresh backend. The backend is fresh per
+// incarnation — a killed leader's state dies with it, and its replacement
+// bootstraps over the wire like any follower.
+func startFresh(cfg *Config, addr, follow string) (*host, error) {
 	be, _, err := newBackend(cfg)
 	if err != nil {
 		return nil, err
 	}
-	n, err := service.NewNode(service.NodeConfig{
-		Backend:    be,
-		Service:    cfg.Service,
-		FeedShards: cfg.FeedShards,
-		Follow:     follow,
-		MaxLag:     cfg.MaxLag,
-		MaxSilence: cfg.MaxSilence,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("chaos: %w", err)
-	}
-	h, err := serve(addr, n.Handler(), n.Close)
-	if err == nil {
-		h.node = n
-	}
-	return h, err
+	return startNode(cfg, be, addr, follow)
 }
 
 func (t *pairTopo) pair() (leader, follower *host) {
@@ -364,14 +356,14 @@ func (t *pairTopo) fault(res *Result, lost *harness.WireJournal) error {
 	dead, heir := t.pair()
 	_ = dead.srv.Close()
 	heir.node.Promote()
-	dead.stop()
+	dead.node.Close()
 	ops, err := lostSuffix(dead.node, heir.node)
 	if err != nil {
 		return err
 	}
 	lost.Taint(ops)
 	res.LostWrites += len(ops)
-	fresh, err := startNode(t.cfg, dead.addr, heir.url())
+	fresh, err := startFresh(t.cfg, dead.addr, heir.url())
 	if err != nil {
 		return err
 	}

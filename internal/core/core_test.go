@@ -470,3 +470,83 @@ func TestConcurrentPlainCAS(t *testing.T) {
 		t.Fatalf("count = %d, want %d", got, goroutines*perG)
 	}
 }
+
+// TestRunNeverReturnsAnErrorFromAStaleRead pins Run's error contract: a
+// body's error comes only from reads that still validate. Every commit
+// keeps a and b equal, so a body that finds them unequal has read across a
+// concurrent commit and must be run again, never answered. A gated writer
+// commits between each reader's two reads on its first attempt, so every
+// round reproduces the race; a start gate releases the readers together.
+func TestRunNeverReturnsAnErrorFromAStaleRead(t *testing.T) {
+	rounds := 400
+	if testing.Short() {
+		rounds = 40
+	}
+	const readers = 4
+	mgr := NewTxManager()
+	a, b := NewCASObj[int](0), NewCASObj[int](0)
+	errTorn := errors.New("a and b disagree")
+
+	gate := make(chan chan struct{})
+	writerDone := make(chan struct{})
+	go func() {
+		defer close(writerDone)
+		tx := mgr.Register()
+		v := 0
+		for done := range gate {
+			// RunRetry: a reader's load may abort the writer's InPrep
+			// descriptor (eager contention management).
+			if err := tx.RunRetry(func() error {
+				tx.OpStart()
+				a.NbtcCAS(tx, v, v+1, true, true)
+				tx.OpStart()
+				b.NbtcCAS(tx, v, v+1, true, true)
+				return nil
+			}); err != nil {
+				t.Errorf("writer: %v", err)
+			}
+			v++
+			close(done)
+		}
+	}()
+
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tx := mgr.Register()
+			<-start
+			for range rounds {
+				first := true
+				err := tx.RunRetry(func() error {
+					tx.OpStart()
+					x, w := a.NbtcLoad(tx)
+					tx.AddToReadSet(w)
+					if first {
+						first = false
+						done := make(chan struct{})
+						gate <- done
+						<-done
+					}
+					tx.OpStart()
+					y, w := b.NbtcLoad(tx)
+					tx.AddToReadSet(w)
+					if x != y {
+						return errTorn
+					}
+					return nil
+				})
+				if err != nil {
+					t.Errorf("RunRetry = %v: a body error from a stale read escaped", err)
+					return
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(gate)
+	<-writerDone
+}

@@ -508,8 +508,13 @@ func (tx *Tx) finish(committed bool) error {
 
 // Run executes fn inside a transaction: Begin, fn, End. If fn calls
 // Tx.Abort the unwind is caught here and ErrTxAborted is returned. If fn
-// returns a non-nil error the transaction is aborted and that error is
-// returned. Run does not retry; see RunRetry.
+// returns a non-nil error the transaction is aborted, and that error is
+// returned only if fn's reads still validate: reads are checked at commit,
+// not as they happen, so a body can read, lose a race to a concurrent
+// commit, read again and decide on a state that never existed. Such an
+// error is reported as ErrTxAborted instead. A non-abort error from Run
+// was therefore decided on reads that were consistent when Run returned.
+// Run does not retry; see RunRetry.
 func (tx *Tx) Run(fn func() error) (err error) {
 	tx.Begin()
 	defer func() {
@@ -523,7 +528,11 @@ func (tx *Tx) Run(fn func() error) (err error) {
 		}
 	}()
 	if ferr := fn(); ferr != nil {
+		valid := tx.ValidateReads()
 		tx.AbortNow()
+		if !valid {
+			return ErrTxAborted
+		}
 		return ferr
 	}
 	return tx.End()
@@ -531,7 +540,9 @@ func (tx *Tx) Run(fn func() error) (err error) {
 
 // RunRetry executes fn as with Run, retrying on ErrTxAborted until it
 // commits or fn returns a different error. This is the catch-block retry
-// loop of the paper's Figure 3, packaged for convenience.
+// loop of the paper's Figure 3, packaged for convenience. A body error
+// decided on reads that no longer validate is such an abort, so the error
+// RunRetry returns comes from a run whose reads were consistent.
 //
 // The backoff is allocation-free and contention-adaptive (backoff.go): a
 // Gosched-first spin ladder followed by exponential sleeps jittered by a

@@ -130,17 +130,17 @@ type EngineConfig struct {
 	KeyRange uint64
 	Preload  int
 	Seed     int64
-
-	// MaxLatencySamples bounds each worker's latency reservoir
-	// (default 4096). Reservoir sampling keeps the samples uniform over
-	// the phase regardless of its length.
-	MaxLatencySamples int
-
-	// LatencyEvery times every Nth transaction (default 4): clock reads
-	// cost tens of nanoseconds, so timing every transaction would tax the
-	// fastest systems most and compress cross-system ratios.
-	LatencyEvery int
 }
+
+// reservoirSamples bounds each worker's and each open-loop sender's
+// latency reservoir. Reservoir sampling keeps the samples uniform over the
+// phase regardless of its length.
+const reservoirSamples = 4096
+
+// latencyEvery times every Nth closed-loop transaction: clock reads cost
+// tens of nanoseconds, so timing every transaction would tax the fastest
+// systems most and compress cross-system ratios.
+const latencyEvery = 4
 
 // PhaseResult is the measurement of one phase (or the aggregate of the
 // measured phases), and the phase half of a report Record.
@@ -214,9 +214,6 @@ type workerShard struct {
 func RunScenario(sys System, sc Scenario, cfg EngineConfig) ScenarioResult {
 	if cfg.Threads <= 0 {
 		cfg.Threads = 1
-	}
-	if cfg.MaxLatencySamples <= 0 {
-		cfg.MaxLatencySamples = 4096
 	}
 	if cfg.KeyRange == 0 {
 		cfg.KeyRange = 1
@@ -384,10 +381,6 @@ func runPhase(sys System, caps Caps, sc Scenario, ph Phase, phaseIdx int, cfg En
 	}
 	mem0 := readMemSample()
 
-	every := cfg.LatencyEvery
-	if every <= 0 {
-		every = 4
-	}
 	dist := sc.Dist
 	if ph.Dist != nil {
 		dist = *ph.Dist
@@ -429,7 +422,7 @@ func runPhase(sys System, caps Caps, sc Scenario, ph Phase, phaseIdx int, cfg En
 					}
 				}
 				tick++
-				timed := tick >= every
+				timed := tick >= latencyEvery
 				var t0 time.Time
 				if timed {
 					tick, t0 = 0, time.Now()
@@ -439,7 +432,7 @@ func runPhase(sys System, caps Caps, sc Scenario, ph Phase, phaseIdx int, cfg En
 				// counts what ran.
 				_ = ex.ExecBatch(ops, nil)
 				if timed {
-					shard.Record(time.Since(t0), cfg.MaxLatencySamples)
+					shard.Record(time.Since(t0), reservoirSamples)
 				}
 				if jm != nil {
 					applyOps(jm, ops)

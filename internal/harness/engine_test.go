@@ -127,23 +127,6 @@ func TestWeightedPercentileWeighsByTxns(t *testing.T) {
 	}
 }
 
-func TestWorkerShardReservoirBounded(t *testing.T) {
-	sc := Scenario{
-		Name: "bounded", Dist: Dist{Kind: DistUniform},
-		Phases: []Phase{{Name: "m", Weight: 1, Measure: true,
-			Mix: Mix{Ratio: Ratio{Get: 1}, TxMin: 1, TxMax: 1, Mixed: 1}}},
-	}
-	cfg := tinyEngineConfig(2)
-	cfg.MaxLatencySamples = 64
-	res := RunScenario(testSystem("plain-skip"), sc, cfg)
-	if res.Measured.Txns < 64 {
-		t.Skip("machine too slow to fill the reservoir")
-	}
-	if res.Measured.Latency.P50Ns <= 0 {
-		t.Fatal("reservoir produced no percentile")
-	}
-}
-
 // TestZeroWeightPhaseDefaultsToEqualShare pins the engine's weight
 // defaulting: a phase with Weight 0 is not skipped or starved — it takes
 // an equal share of the budget, exactly as if every unweighted phase had

@@ -31,23 +31,17 @@ type OpenLoopConfig struct {
 	Duration time.Duration
 
 	// MaxInFlight bounds concurrent outstanding requests (sender
-	// sessions); default 64. Together with QueueDepth it is the client's
-	// own admission bound: arrivals that find the dispatch queue full are
-	// counted as Dropped rather than stalling the arrival process.
+	// sessions); default 64. With the dispatch queue between the arrival
+	// process and the senders (2 * MaxInFlight deep) it is the client's
+	// own admission bound: arrivals that find the queue full are counted
+	// as Dropped rather than stalling the arrival process.
 	MaxInFlight int
-	// QueueDepth is the dispatch queue between the arrival process and
-	// the senders; default 2 * MaxInFlight.
-	QueueDepth int
 
 	KeyRange uint64
 	Preload  int
 	Seed     int64
 	Mix      Mix
 	Dist     Dist
-
-	// MaxLatencySamples bounds each sender's latency reservoir per rate
-	// step (default 4096).
-	MaxLatencySamples int
 }
 
 // OpenLoopPhase is the measurement of one offered-rate step.
@@ -99,12 +93,6 @@ func RunOpenLoop(d Driver, cfg OpenLoopConfig) (OpenLoopResult, error) {
 	}
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 64
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 2 * cfg.MaxInFlight
-	}
-	if cfg.MaxLatencySamples <= 0 {
-		cfg.MaxLatencySamples = 4096
 	}
 	if cfg.KeyRange == 0 {
 		cfg.KeyRange = 1
@@ -163,7 +151,7 @@ type olSender struct {
 // generates Poisson arrivals into a bounded queue; MaxInFlight senders
 // drain it, one driver session each.
 func runOpenLoopStep(d Driver, cfg OpenLoopConfig, rate float64, step int) (OpenLoopPhase, error) {
-	work := make(chan olReq, cfg.QueueDepth)
+	work := make(chan olReq, 2*cfg.MaxInFlight)
 	senders := make([]*olSender, cfg.MaxInFlight)
 	var wg sync.WaitGroup
 	var sessErr error
@@ -190,7 +178,7 @@ func runOpenLoopStep(d Driver, cfg OpenLoopConfig, rate float64, step int) (Open
 				case err == nil:
 					s.completed++
 					s.ops += uint64(len(req.ops))
-					s.Record(lat, cfg.MaxLatencySamples)
+					s.Record(lat, reservoirSamples)
 				case errors.Is(err, ErrOverload):
 					s.shed++
 				case errors.Is(err, ErrExpired):

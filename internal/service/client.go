@@ -215,11 +215,10 @@ func (d *HTTPDriver) failover() bool {
 		if err != nil {
 			continue
 		}
-		// A role-less answer is a standalone (pre-replication) server:
-		// it leads by definition. Followers are skipped — they may be
-		// promoted any moment, but routing writes at them now would only
-		// bounce off the not-leader gate.
-		if h.Role != "" && h.Role != RoleLeader {
+		// Followers are skipped — they may be promoted any moment, but
+		// routing writes at them now would only bounce off the not-leader
+		// gate.
+		if h.Role != RoleLeader {
 			continue
 		}
 		d.system, d.shards = h.System, h.Shards

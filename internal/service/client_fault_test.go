@@ -239,20 +239,14 @@ func TestHTTPDriverStartBounded(t *testing.T) {
 	}
 }
 
-// transferThroughFault runs the seeded-fault scenario once: a real store
-// behind the HTTP server, reached through a faultnet proxy armed to eat
-// exactly one response — the canonical "transfer executed, answer died"
-// fault. The client retries; the returned balances show whether the
-// retry re-executed the transfer (duplication) or was answered from the
-// dedup window (exactly-once).
-func transferThroughFault(t *testing.T, window int) (bal1, bal2 uint64, st HTTPDriverStats) {
-	t.Helper()
-	svc := New(kvBackend(t, "medley-hash@2"), Config{
-		Tick: 200 * time.Microsecond, Workers: 2, DedupWindow: window,
-	})
-	defer svc.Close()
-	ts := httptest.NewServer(Handler(svc))
-	defer ts.Close()
+// TestRetryExactlyOnceWithDedupWindow is the seeded fault the dedup
+// window exists for: a real store behind the HTTP server, reached through
+// a faultnet proxy armed to eat exactly one response — the canonical
+// "transfer executed, answer died" fault. The client retries with the same
+// ID and the window answers the retry, so the money moves exactly once
+// instead of twice.
+func TestRetryExactlyOnceWithDedupWindow(t *testing.T) {
+	_, ts := startNode(t, NodeConfig{})
 
 	proxy, err := faultnet.New("127.0.0.1:0", strings.TrimPrefix(ts.URL, "http://"))
 	if err != nil {
@@ -294,33 +288,10 @@ func transferThroughFault(t *testing.T, window int) (bal1, bal2 uint64, st HTTPD
 	if err := dsess.Do([]kv.Op{{Kind: kv.OpGet, Key: 1}, {Kind: kv.OpGet, Key: 2}}, res); err != nil {
 		t.Fatal(err)
 	}
-	return res[0].Val, res[1].Val, d.Stats()
-}
-
-// TestRetryDuplicatesWithoutDedupWindow is the seeded-fault half the
-// dedup window exists to fix: with the window disabled, the retry of a
-// transfer whose answer was eaten re-executes it — the money moves
-// twice. This test documents the failure mode; its sibling below proves
-// the window removes it under the identical fault.
-func TestRetryDuplicatesWithoutDedupWindow(t *testing.T) {
-	bal1, bal2, st := transferThroughFault(t, 0)
-	if st.Retries == 0 {
+	if d.Stats().Retries == 0 {
 		t.Fatal("injected fault never fired: no retry happened")
 	}
-	if bal1 != 800 || bal2 != 1200 {
-		t.Fatalf("balances = %d/%d, want 800/1200 (the documented duplication: both attempts executed)", bal1, bal2)
-	}
-}
-
-// TestRetryExactlyOnceWithDedupWindow is the acceptance half: same
-// seeded fault, dedup window enabled — the retry is answered from the
-// window, the transfer lands exactly once.
-func TestRetryExactlyOnceWithDedupWindow(t *testing.T) {
-	bal1, bal2, st := transferThroughFault(t, 4096)
-	if st.Retries == 0 {
-		t.Fatal("injected fault never fired: no retry happened")
-	}
-	if bal1 != 900 || bal2 != 1100 {
-		t.Fatalf("balances = %d/%d, want 900/1100 (exactly-once across the retry)", bal1, bal2)
+	if res[0].Val != 900 || res[1].Val != 1100 {
+		t.Fatalf("balances = %d/%d, want 900/1100 (exactly-once across the retry)", res[0].Val, res[1].Val)
 	}
 }

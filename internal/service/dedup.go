@@ -54,9 +54,6 @@ type dedupWindow struct {
 }
 
 func newDedupWindow(n int) *dedupWindow {
-	if n <= 0 {
-		return nil
-	}
 	return &dedupWindow{cap: n, m: make(map[string]*dedupEntry, n)}
 }
 
@@ -123,7 +120,7 @@ func (w *dedupWindow) abandon(e *dedupEntry, err error) {
 // await parks on a prior claim of the same ID and returns its outcome,
 // copying the original results into res when the prior executed (hit
 // true). stop aborts the wait (service shutdown); a non-zero deadline
-// aborts it at the retry's own deadline with ErrExpired.
+// aborts it at the retry's own deadline with kv.ErrExpired.
 func (e *dedupEntry) await(res []kv.Result, stop <-chan struct{}, deadline time.Time) (hit bool, err error) {
 	var timeout <-chan time.Time
 	if !deadline.IsZero() {
@@ -136,7 +133,7 @@ func (e *dedupEntry) await(res []kv.Result, stop <-chan struct{}, deadline time.
 	case <-stop:
 		return false, ErrClosed
 	case <-timeout:
-		return false, ErrExpired
+		return false, kv.ErrExpired
 	}
 	if !e.executed {
 		return false, e.err

@@ -35,18 +35,18 @@ func (e *gatedExec) ExecBatch(ops []kv.Op, res []kv.Result) error {
 // TestExpiredRequestsNeverExecute pins the deadline contract at its two
 // observable choke points: a context already past its deadline is
 // refused at admission, and a pooled request whose deadline passes
-// before the tick drain is answered ErrExpired without its ops ever
+// before the tick drain is answered kv.ErrExpired without its ops ever
 // reaching the backend — while a live neighbor in the same batch still
 // executes.
 func TestExpiredRequestsNeverExecute(t *testing.T) {
 	be := &fakeBackend{}
-	s := New(be, Config{Workers: 1, Tick: time.Hour, PoolSize: 64})
+	s := newService(be, Config{Workers: 1, Tick: time.Hour, PoolSize: 64})
 	defer s.Close()
 
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Millisecond))
 	defer cancel()
-	if err := s.SubmitCtx(ctx, "", oneOp(1), nil); !errors.Is(err, ErrExpired) {
-		t.Fatalf("pre-expired admission: err = %v, want ErrExpired", err)
+	if err := s.SubmitCtx(ctx, "", oneOp(1), nil); !errors.Is(err, kv.ErrExpired) {
+		t.Fatalf("pre-expired admission: err = %v, want kv.ErrExpired", err)
 	}
 
 	dead := &request{ops: oneOp(2), done: make(chan error, 1),
@@ -57,8 +57,8 @@ func TestExpiredRequestsNeverExecute(t *testing.T) {
 	if got := s.drainTick(make([]*request, 0, 64)); got != 2 {
 		t.Fatalf("drainTick disposed of %d, want 2", got)
 	}
-	if err := <-dead.done; !errors.Is(err, ErrExpired) {
-		t.Fatalf("expired request: err = %v, want ErrExpired", err)
+	if err := <-dead.done; !errors.Is(err, kv.ErrExpired) {
+		t.Fatalf("expired request: err = %v, want kv.ErrExpired", err)
 	}
 	if err := <-live.done; err != nil {
 		t.Fatalf("live request: %v", err)
@@ -77,7 +77,7 @@ func TestExpiredRequestsNeverExecute(t *testing.T) {
 // of being answered "already done" by a request that never ran.
 func TestExpiredClaimAbandonedForRetry(t *testing.T) {
 	be := &fakeBackend{}
-	s := New(be, Config{Workers: 1, Tick: time.Hour, PoolSize: 64, DedupWindow: 8})
+	s := newService(be, Config{Workers: 1, Tick: time.Hour, PoolSize: 64, DedupWindow: 8})
 	defer s.Close()
 
 	mine, prior := s.window.claim("retry-me")
@@ -88,8 +88,8 @@ func TestExpiredClaimAbandonedForRetry(t *testing.T) {
 		deadline: time.Now().Add(-time.Millisecond), ent: mine}
 	s.pool <- dead
 	s.drainTick(make([]*request, 0, 64))
-	if err := <-dead.done; !errors.Is(err, ErrExpired) {
-		t.Fatalf("err = %v, want ErrExpired", err)
+	if err := <-dead.done; !errors.Is(err, kv.ErrExpired) {
+		t.Fatalf("err = %v, want kv.ErrExpired", err)
 	}
 	s.window.mu.Lock()
 	_, still := s.window.m["retry-me"]
@@ -126,7 +126,7 @@ func TestExpiredClaimAbandonedForRetry(t *testing.T) {
 // same retry re-executes.
 func TestDedupWindowHitAndEviction(t *testing.T) {
 	be := &fakeBackend{}
-	s := New(be, Config{Tick: 200 * time.Microsecond, DedupWindow: 2})
+	s := newService(be, Config{Tick: 200 * time.Microsecond, DedupWindow: 2})
 	defer s.Close()
 	ctx := context.Background()
 
@@ -167,13 +167,33 @@ func TestDedupWindowHitAndEviction(t *testing.T) {
 	}
 }
 
+// TestZeroConfigDedupsRetries pins the window as always on: a zero Config
+// takes the default window, and a retried ID is answered from it rather
+// than executed a second time.
+func TestZeroConfigDedupsRetries(t *testing.T) {
+	be := &fakeBackend{}
+	s := newService(be, Config{})
+	defer s.Close()
+	for range 2 {
+		if err := s.SubmitCtx(context.Background(), "once", oneOp(1), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := len(be.executed()); got != 1 {
+		t.Fatalf("%d executions of one ID, want 1", got)
+	}
+	if got := s.dedupHits.Load(); got != 1 {
+		t.Errorf("dedupHits = %d, want 1", got)
+	}
+}
+
 // TestDedupRetryParksOnInflight pins the in-flight race: a retry that
 // arrives while its original is still executing parks on the claim and
 // wakes with the original's results — one execution, two identical
 // answers.
 func TestDedupRetryParksOnInflight(t *testing.T) {
 	be := &gatedBackend{started: make(chan struct{}, 1), release: make(chan struct{})}
-	s := New(be, Config{Tick: 200 * time.Microsecond, Workers: 1, DedupWindow: 8})
+	s := newService(be, Config{Tick: 200 * time.Microsecond, Workers: 1, DedupWindow: 8})
 	defer s.Close()
 	ctx := context.Background()
 
@@ -209,12 +229,12 @@ func TestDedupRetryParksOnInflight(t *testing.T) {
 // whole point of the ID) executes fresh instead of finding a ghost entry.
 func TestDedupClaimAbandonedOnShed(t *testing.T) {
 	be := &fakeBackend{}
-	s := New(be, Config{PoolSize: 1, Tick: time.Hour, Workers: 1, DedupWindow: 8})
+	s := newService(be, Config{PoolSize: 1, Tick: time.Hour, Workers: 1, DedupWindow: 8})
 
 	blocker := &request{ops: oneOp(1), done: make(chan error, 1)}
 	s.pool <- blocker
-	if err := s.SubmitCtx(context.Background(), "shed-me", oneOp(2), nil); !errors.Is(err, ErrShed) {
-		t.Fatalf("err = %v, want ErrShed", err)
+	if err := s.SubmitCtx(context.Background(), "shed-me", oneOp(2), nil); !errors.Is(err, kv.ErrOverload) {
+		t.Fatalf("err = %v, want kv.ErrOverload", err)
 	}
 	s.window.mu.Lock()
 	_, still := s.window.m["shed-me"]
@@ -228,12 +248,12 @@ func TestDedupClaimAbandonedOnShed(t *testing.T) {
 
 // TestCloseDrainsDeterministically pins the shutdown contract under
 // race: with Submits racing Close, every caller gets exactly one of
-// {nil, ErrShed, ErrClosed}, and the number of nil answers equals the
+// {nil, kv.ErrOverload, ErrClosed}, and the number of nil answers equals the
 // number of backend executions — no request is half-admitted, lost, or
 // answered twice. Run under -race this also pins the mu-gated admission.
 func TestCloseDrainsDeterministically(t *testing.T) {
 	be := &fakeBackend{}
-	s := New(be, Config{Tick: 50 * time.Microsecond, Workers: 2, PoolSize: 8})
+	s := newService(be, Config{Tick: 50 * time.Microsecond, Workers: 2, PoolSize: 8})
 
 	const n = 64
 	errs := make([]error, n)
@@ -254,7 +274,7 @@ func TestCloseDrainsDeterministically(t *testing.T) {
 		switch {
 		case err == nil:
 			completed++
-		case errors.Is(err, ErrShed), errors.Is(err, ErrClosed):
+		case errors.Is(err, kv.ErrOverload), errors.Is(err, ErrClosed):
 		default:
 			t.Fatalf("submit %d: unexpected disposition %v", i, err)
 		}

@@ -13,9 +13,10 @@ import (
 	"medley/internal/replica"
 )
 
-// Node is one replicated medleyd process: a Service with a change feed
-// attached, plus (in follower mode) a replica.Follower replaying a
-// leader. The same transaction pipeline serves both roles' clients:
+// Node is one medleyd process: a Service, the change feed its backend
+// publishes, and (in follower mode) a replica.Follower replaying a
+// leader. It is the one way to serve a Backend, and the same transaction
+// pipeline serves both roles' clients:
 //
 //   - A leader executes client batches; every committed write publishes
 //     to the node's feed, which /v1/watch and /v1/snapshot serve.
@@ -27,6 +28,10 @@ import (
 //     and no pool slot. Those executors publish to the node's feed too,
 //     so a promoted follower is immediately followable.
 //
+// A backend that cannot publish a change feed gets a node without one: a
+// leader that serves batches but no /v1/watch or /v1/snapshot, which
+// nothing can follow and which cannot follow.
+//
 // Promotion (POST /v1/promote, Node.Promote, or automatically once
 // PromoteAfter consecutive leader round trips fail) stops the replay
 // loops and flips the role; acked-but-unreplicated leader writes are
@@ -34,7 +39,7 @@ import (
 // internal/chaos).
 type Node struct {
 	svc        *Service
-	feed       *cdc.Feed
+	feed       *cdc.Feed         // nil when the backend cannot publish one
 	fol        *replica.Follower // nil on a born-leader node
 	maxLag     uint64
 	maxSilence time.Duration
@@ -47,8 +52,8 @@ type Node struct {
 	stopCh   chan struct{}
 }
 
-// NodeConfig assembles a Node. Backend and Service mean what they do for
-// New; the rest is replication.
+// NodeConfig assembles a Node: the store it serves, the pipeline's
+// sizing, and replication.
 type NodeConfig struct {
 	Backend Backend
 	Service Config
@@ -94,20 +99,23 @@ const (
 // retry against the leader (or whoever /healthz now says leads).
 var ErrNotLeader = fmt.Errorf("service: not leader")
 
-// ErrNoFeed refuses a node over a backend whose executors cannot publish
-// a change feed: its /v1/watch would stream nothing, and a follower of it
-// would report lag 0 while serving ever staler reads. Serve such a
-// backend with New and Handler instead.
+// ErrNoFeed refuses a follower over a backend whose executors cannot
+// publish a change feed: a leader of that system serves no feed to
+// replay, and one that did would read as a follower never behind.
 var ErrNoFeed = errors.New("service: backend cannot publish a change feed")
 
 // NewNode builds and starts a node. A follower starts replaying
 // immediately (retrying until its leader is reachable).
 func NewNode(cfg NodeConfig) (*Node, error) {
-	if !cfg.Backend.SupportsChangeFeed() {
+	var feed *cdc.Feed
+	switch {
+	case cfg.Backend.SupportsChangeFeed():
+		if cfg.FeedShards <= 0 {
+			cfg.FeedShards = 4
+		}
+		feed = cdc.New(cfg.FeedShards, cfg.feedRing, nil)
+	case cfg.Follow != "":
 		return nil, fmt.Errorf("%w: %s", ErrNoFeed, cfg.Backend.Name())
-	}
-	if cfg.FeedShards <= 0 {
-		cfg.FeedShards = 4
 	}
 	if cfg.MaxLag == 0 {
 		cfg.MaxLag = 4096
@@ -115,10 +123,9 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.MaxSilence == 0 {
 		cfg.MaxSilence = time.Second
 	}
-	feed := cdc.New(cfg.FeedShards, cfg.feedRing, nil)
 	cfg.Service.feed = feed
 	n := &Node{
-		svc:        New(cfg.Backend, cfg.Service),
+		svc:        newService(cfg.Backend, cfg.Service),
 		feed:       feed,
 		maxLag:     cfg.MaxLag,
 		maxSilence: cfg.MaxSilence,
@@ -191,7 +198,8 @@ func (n *Node) applyReplay(ops []kv.Op) error {
 // Service returns the node's transaction pipeline.
 func (n *Node) Service() *Service { return n.svc }
 
-// Feed returns the node's change feed.
+// Feed returns the node's change feed, nil when its backend cannot
+// publish one.
 func (n *Node) Feed() *cdc.Feed { return n.feed }
 
 // Role reports "leader" or "follower".
@@ -228,9 +236,8 @@ func (n *Node) Promote() bool {
 	return false
 }
 
-// Handler serves the node's HTTP surface: the standalone API plus
-// role gating, /v1/promote, and repl_* metrics.
-func (n *Node) Handler() http.Handler { return handler(n.svc, n) }
+// Handler serves the node's HTTP surface (server.go).
+func (n *Node) Handler() http.Handler { return handler(n) }
 
 // Close stops replication and drains the pipeline.
 func (n *Node) Close() {

@@ -15,11 +15,13 @@ import (
 	"medley/internal/replica"
 )
 
-// startNode builds a node over a fresh in-memory medley system and serves
-// it; cleanup closes both.
+// startNode builds a node over cfg.Backend (default: a fresh in-memory
+// medley system) and serves it; cleanup closes both.
 func startNode(t *testing.T, cfg NodeConfig) (*Node, *httptest.Server) {
 	t.Helper()
-	cfg.Backend = kvBackend(t, "medley-hash@2")
+	if cfg.Backend == nil {
+		cfg.Backend = kvBackend(t, "medley-hash@2")
+	}
 	if cfg.Service.Tick == 0 {
 		cfg.Service.Tick = 200 * time.Microsecond
 	}

@@ -43,11 +43,15 @@ func TestDriverParityEmitsSchemaValidReports(t *testing.T) {
 			return harness.NewInProcDriver(sys), func() {}
 		},
 		"http": func(t *testing.T) (harness.Driver, func()) {
-			svc := New(kvBackend(t, "medley-hash@2"), Config{Tick: 200 * time.Microsecond, Workers: 4})
-			ts := httptest.NewServer(Handler(svc))
+			n, err := NewNode(NodeConfig{Backend: kvBackend(t, "medley-hash@2"),
+				Service: Config{Tick: 200 * time.Microsecond, Workers: 4}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(n.Handler())
 			return NewHTTPDriver(ts.URL), func() {
+				n.Close()
 				ts.Close()
-				svc.Close()
 			}
 		},
 	}

@@ -21,15 +21,15 @@ import (
 //	POST /v1/batch    — execute one atomic transaction (wire.go)
 //	GET  /metrics     — counter/gauge snapshot of the whole stack
 //	GET  /healthz     — liveness + system identity + replication role
-//	GET  /v1/watch    — chunked change-feed stream (replication enabled)
+//	GET  /v1/watch    — chunked change-feed stream (a node with a feed)
 //	GET  /v1/snapshot — streamed fuzzy state snapshot (all feed shards, or one)
-//	POST /v1/promote  — flip a follower node into a leader (Node only)
+//	POST /v1/promote  — flip a follower node into a leader
 //
-// Handlers are thin: decode, Submit, encode. Admission control lives in
-// the Service (Submit sheds with ErrShed → 429), not in the handler, so
-// in-process and HTTP callers are throttled identically. Replication
-// gating (follower nodes rejecting writes and over-lag reads) lives in
-// Node, threaded through here the same way.
+// Handlers are thin: decode, gate, Submit, encode. Admission control lives
+// in the Service (Submit sheds with kv.ErrOverload → 429), not in the
+// handler, so in-process and HTTP callers are throttled identically.
+// Replication gating (follower nodes rejecting writes and over-lag reads)
+// lives in Node, threaded through here the same way.
 
 // maxBodyBytes bounds a request body; a batch of MaxOpsPerBatch ops fits
 // comfortably.
@@ -47,7 +47,7 @@ const watchHeartbeat = 100 * time.Millisecond
 type healthResponse struct {
 	System     string `json:"system"`
 	Shards     int    `json:"shards"`
-	Role       string `json:"role,omitempty"`
+	Role       string `json:"role"`
 	FeedShards int    `json:"feed_shards,omitempty"`
 }
 
@@ -58,13 +58,10 @@ type metricsResponse struct {
 	Gauges   []obs.Gauge  `json:"gauges"`
 }
 
-// Handler serves the service API of a standalone (always-leader) node.
-// Replicated deployments serve Node.Handler instead, which adds the
-// follower gating and the promote endpoint on top of the same mux.
-func Handler(s *Service) http.Handler { return handler(s, nil) }
-
-// handler builds the mux; n is nil for standalone services.
-func handler(s *Service, n *Node) http.Handler {
+// handler builds a node's mux. The watch and snapshot routes exist only
+// when the node has a feed.
+func handler(n *Node) http.Handler {
+	s := n.svc
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/batch", func(w http.ResponseWriter, r *http.Request) {
 		var req BatchRequest
@@ -92,15 +89,13 @@ func handler(s *Service, n *Node) http.Handler {
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		if n != nil {
-			if code, msg, retry := n.gateBatch(d.ops); code != 0 {
-				if retry > 0 {
-					w.Header().Set("Retry-After",
-						strconv.FormatFloat(retry.Seconds(), 'f', 3, 64))
-				}
-				writeError(w, code, msg)
-				return
+		if code, msg, retry := n.gateBatch(d.ops); code != 0 {
+			if retry > 0 {
+				w.Header().Set("Retry-After",
+					strconv.FormatFloat(retry.Seconds(), 'f', 3, 64))
 			}
+			writeError(w, code, msg)
+			return
 		}
 		ctx := r.Context()
 		if req.DeadlineMs > 0 {
@@ -112,7 +107,7 @@ func handler(s *Service, n *Node) http.Handler {
 		switch err := s.SubmitCtx(ctx, req.ID, d.ops, rres); {
 		case err == nil:
 			writeJSON(w, http.StatusOK, BatchResponse{Results: encodeResults(d, rres)})
-		case errors.Is(err, ErrShed):
+		case errors.Is(err, kv.ErrOverload):
 			// Tell the client when capacity should free up: the next
 			// tick, which drains the whole pool, in (possibly fractional)
 			// seconds. Clients that honor it retry once instead of
@@ -120,7 +115,7 @@ func handler(s *Service, n *Node) http.Handler {
 			w.Header().Set("Retry-After",
 				strconv.FormatFloat(s.RetryAfter().Seconds(), 'f', 3, 64))
 			writeError(w, http.StatusTooManyRequests, err.Error())
-		case errors.Is(err, ErrExpired):
+		case errors.Is(err, kv.ErrExpired):
 			// The deadline passed before execution began; nothing ran, so
 			// the client may retry (a fresh deadline, the same ID).
 			writeError(w, http.StatusGatewayTimeout, err.Error())
@@ -131,11 +126,8 @@ func handler(s *Service, n *Node) http.Handler {
 		}
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		counters := s.MetricsSnapshot()
-		if n != nil {
-			counters = append(counters, n.replMetrics()...)
-			sort.Slice(counters, func(i, j int) bool { return counters[i].Name < counters[j].Name })
-		}
+		counters := append(s.MetricsSnapshot(), n.replMetrics()...)
+		sort.Slice(counters, func(i, j int) bool { return counters[i].Name < counters[j].Name })
 		writeJSON(w, http.StatusOK, metricsResponse{
 			Counters: counters,
 			Gauges:   s.Gauges(),
@@ -146,29 +138,24 @@ func handler(s *Service, n *Node) http.Handler {
 		if sc, ok := s.Backend().(shardCounter); ok {
 			shards = sc.ShardCount()
 		}
-		h := healthResponse{System: s.Backend().Name(), Shards: shards, Role: RoleLeader}
-		if n != nil {
-			h.Role = n.Role()
-		}
-		if s.cfg.feed != nil {
-			h.FeedShards = s.cfg.feed.ShardCount()
+		h := healthResponse{System: s.Backend().Name(), Shards: shards, Role: n.Role()}
+		if n.feed != nil {
+			h.FeedShards = n.feed.ShardCount()
 		}
 		writeJSON(w, http.StatusOK, h)
 	})
-	if s.cfg.feed != nil {
+	if n.feed != nil {
 		mux.HandleFunc("GET /v1/watch", func(w http.ResponseWriter, r *http.Request) {
-			serveWatch(s.cfg.feed, w, r)
+			serveWatch(n.feed, w, r)
 		})
 		mux.HandleFunc("GET /v1/snapshot", func(w http.ResponseWriter, r *http.Request) {
 			serveSnapshot(s, w, r)
 		})
 	}
-	if n != nil {
-		mux.HandleFunc("POST /v1/promote", func(w http.ResponseWriter, r *http.Request) {
-			promoted := n.Promote()
-			writeJSON(w, http.StatusOK, replica.PromoteResponse{Role: n.Role(), Promoted: promoted})
-		})
-	}
+	mux.HandleFunc("POST /v1/promote", func(w http.ResponseWriter, r *http.Request) {
+		promoted := n.Promote()
+		writeJSON(w, http.StatusOK, replica.PromoteResponse{Role: n.Role(), Promoted: promoted})
+	})
 	return mux
 }
 

@@ -51,10 +51,7 @@ func postBatch(t *testing.T, url string, body string) (*http.Response, []byte) {
 // deviation means a reader saw a half-applied transfer through the full
 // network path (JSON decode, txpool, tick batch, executor).
 func TestHTTPTransferAtomicity(t *testing.T) {
-	svc := New(kvBackend(t, "medley-hash@2"), Config{Tick: 200 * time.Microsecond, Workers: 4})
-	defer svc.Close()
-	ts := httptest.NewServer(Handler(svc))
-	defer ts.Close()
+	_, ts := startNode(t, NodeConfig{Service: Config{Workers: 4}})
 
 	const keyA, keyB, initial = 100, 200, 10000
 	resp, body := postBatch(t, ts.URL,
@@ -148,10 +145,9 @@ func TestHTTPTransferAtomicity(t *testing.T) {
 // wire: a full txpool answers 429, and the HTTP driver maps 429 back to
 // harness.ErrOverload so open-loop accounting classifies it as shed.
 func TestHTTPShedMapsTo429AndErrOverload(t *testing.T) {
-	be := &fakeBackend{}
-	s := New(be, Config{PoolSize: 1, Tick: time.Hour, Workers: 1})
-	ts := httptest.NewServer(Handler(s))
-	defer ts.Close()
+	n, ts := startNode(t, NodeConfig{Backend: &fakeBackend{},
+		Service: Config{PoolSize: 1, Tick: time.Hour, Workers: 1}})
+	s := n.Service()
 
 	// Occupy the only pool slot directly (white-box) so the next wire
 	// request must shed.
@@ -185,9 +181,9 @@ func TestHTTPShedMapsTo429AndErrOverload(t *testing.T) {
 // every 429 carries a Retry-After header of one tick, capped — fractional
 // seconds, at most a second.
 func TestShedCarriesRetryAfter(t *testing.T) {
-	s := New(&fakeBackend{}, Config{PoolSize: 1, Tick: time.Hour, Workers: 1})
-	ts := httptest.NewServer(Handler(s))
-	defer ts.Close()
+	n, ts := startNode(t, NodeConfig{Backend: &fakeBackend{},
+		Service: Config{PoolSize: 1, Tick: time.Hour, Workers: 1}})
+	s := n.Service()
 
 	blocker := &request{ops: oneOp(1), done: make(chan error, 1)}
 	s.pool <- blocker
@@ -287,10 +283,7 @@ func TestHTTPDriverHonorsRetryAfter(t *testing.T) {
 // unknown verbs, self-transfers and oversized batches are all refused
 // before admission.
 func TestHTTPValidation(t *testing.T) {
-	svc := New(&fakeBackend{}, Config{Tick: 200 * time.Microsecond})
-	defer svc.Close()
-	ts := httptest.NewServer(Handler(svc))
-	defer ts.Close()
+	n, ts := startNode(t, NodeConfig{Backend: &fakeBackend{}})
 
 	var big strings.Builder
 	big.WriteString(`{"ops":[`)
@@ -317,17 +310,14 @@ func TestHTTPValidation(t *testing.T) {
 			t.Errorf("%s: status = %d, want 400 (%s)", tc.name, resp.StatusCode, body)
 		}
 	}
-	if got := svc.accepted.Load(); got != 0 {
+	if got := n.Service().accepted.Load(); got != 0 {
 		t.Errorf("invalid requests reached the pool: accepted = %d", got)
 	}
 }
 
 // TestMetricsAndHealthz pins the observability surface's shape.
 func TestMetricsAndHealthz(t *testing.T) {
-	svc := New(kvBackend(t, "medley-hash@2"), Config{Tick: 200 * time.Microsecond})
-	defer svc.Close()
-	ts := httptest.NewServer(Handler(svc))
-	defer ts.Close()
+	_, ts := startNode(t, NodeConfig{})
 
 	if resp, body := postBatch(t, ts.URL, `{"ops":[{"op":"put","key":1,"val":9}]}`); resp.StatusCode != http.StatusOK {
 		t.Fatalf("put: status %d: %s", resp.StatusCode, body)
@@ -342,8 +332,8 @@ func TestMetricsAndHealthz(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if h.System == "" || h.Shards != 2 {
-		t.Errorf("healthz = %+v, want system name and 2 shards", h)
+	if h.System == "" || h.Shards != 2 || h.Role != RoleLeader || h.FeedShards != 2 {
+		t.Errorf("healthz = %+v, want system name, 2 shards, role leader and 2 feed shards", h)
 	}
 
 	resp, err = http.Get(ts.URL + "/metrics")

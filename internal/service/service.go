@@ -47,9 +47,9 @@ type Backend interface {
 	// goroutine at a time; a channel hand-off orders it.
 	NewExecutor() kv.Executor
 	// SupportsChangeFeed reports whether the executors can publish their
-	// commits to a change feed in commit order. NewNode refuses a backend
-	// that cannot: a feed nothing publishes to reads as a follower that
-	// is never behind.
+	// commits to a change feed in commit order. A node over a backend that
+	// cannot has no feed and cannot follow: a feed nothing publishes to
+	// reads as a follower that is never behind.
 	SupportsChangeFeed() bool
 }
 
@@ -64,18 +64,8 @@ type (
 	shardCounter interface{ ShardCount() int }
 )
 
-// ErrShed is returned by Submit when the txpool is full: the request was
-// refused at admission, nothing executed. HTTP maps it to 429.
-var ErrShed = errors.New("service: overloaded, request shed")
-
 // ErrClosed is returned by Submit after Close.
 var ErrClosed = errors.New("service: closed")
-
-// ErrExpired is returned by Submit when the request's deadline passed
-// before execution began: the request was dropped at admission, in the
-// tick loop, or by the worker — never executed, so it is always safe to
-// retry. HTTP maps it to 504.
-var ErrExpired = errors.New("service: deadline expired before execution")
 
 // Config sizes the pipeline. Zero values take defaults.
 type Config struct {
@@ -94,13 +84,14 @@ type Config struct {
 	// idempotent retries (requests carrying an ID): the outcomes of the
 	// last DedupWindow ID-carrying requests are remembered, so a retry
 	// inside the window returns the original results instead of
-	// re-executing. 0 disables deduplication (retries re-execute).
+	// re-executing (default 4096).
 	DedupWindow int
 
 	// feed, set by NewNode, is attached to every worker executor: each
 	// committed write batch publishes its absolute post-states to the
 	// feed in commit-ticket order, and the HTTP layer serves it through
-	// GET /v1/watch and GET /v1/snapshot. nil = no replication.
+	// GET /v1/watch and GET /v1/snapshot. nil when the backend cannot
+	// publish one.
 	feed *cdc.Feed
 }
 
@@ -113,6 +104,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
+	}
+	if c.DedupWindow <= 0 {
+		c.DedupWindow = 4096
 	}
 	return c
 }
@@ -141,7 +135,7 @@ type chunk struct {
 	wg   *sync.WaitGroup
 }
 
-// Service is the running pipeline. Create with New, stop with Close.
+// Service is the running pipeline of a Node (NewNode builds it).
 type Service struct {
 	be  Backend
 	cfg Config
@@ -152,7 +146,7 @@ type Service struct {
 	loopWG  sync.WaitGroup
 	workWG  sync.WaitGroup
 	stopBE  func()
-	window  *dedupWindow // nil when deduplication is disabled
+	window  *dedupWindow
 
 	// mu gates admission against Close: Submit holds the read side across
 	// the closed check and the pool send, Close takes the write side to
@@ -172,9 +166,9 @@ type Service struct {
 	batched   atomic.Uint64 // requests dispatched inside batches
 }
 
-// New builds and starts the pipeline over be: backend maintenance, the
-// worker executors, and the tick loop.
-func New(be Backend, cfg Config) *Service {
+// newService builds and starts the pipeline over be: backend maintenance,
+// the worker executors, and the tick loop.
+func newService(be Backend, cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	s := &Service{
 		be:     be,
@@ -206,7 +200,9 @@ func (s *Service) Config() Config { return s.cfg }
 // filling res when non-nil (len(res) must equal len(ops) then), and
 // blocks until the transaction executed or was refused. It is safe for
 // concurrent use. Admission is instantaneous: a full pool sheds
-// immediately with ErrShed rather than queueing the caller.
+// immediately with kv.ErrOverload (HTTP 429) rather than queueing the
+// caller. Its refusals are the ones an HTTPDriver session returns, so an
+// in-process caller and a wire client classify them alike.
 func (s *Service) Submit(ops []kv.Op, res []kv.Result) error {
 	return s.SubmitCtx(context.Background(), "", ops, res)
 }
@@ -216,23 +212,23 @@ func (s *Service) Submit(ops []kv.Op, res []kv.Result) error {
 // ctx's deadline, when set, bounds the request end to end: a request
 // whose deadline passes before execution begins is dropped — at
 // admission, at tick drain, or by the worker immediately before the
-// transaction would start — and answered with ErrExpired. Expired
-// requests are never executed, so retrying one is always safe. A request
-// whose execution has already started runs to completion regardless
-// (the store's transactions are not cancellable mid-flight).
+// transaction would start — and answered with kv.ErrExpired (HTTP 504).
+// Expired requests are never executed, so retrying one is always safe. A
+// request whose execution has already started runs to completion
+// regardless (the store's transactions are not cancellable mid-flight).
 //
 // id, when non-empty, makes the request idempotent across retries: the
 // outcome is remembered in the dedup window (Config.DedupWindow), and a
 // second SubmitCtx with the same id inside the window returns the
 // original results without re-executing — including when the retry races
 // the original in flight, in which case it parks until the original
-// settles. With id == "" or the window disabled, every call executes.
+// settles. With id == "", every call executes.
 func (s *Service) SubmitCtx(ctx context.Context, id string, ops []kv.Op, res []kv.Result) error {
 	deadline, _ := ctx.Deadline()
 	now := time.Now()
 	if !deadline.IsZero() && now.After(deadline) {
 		s.expired.Add(1)
-		return ErrExpired
+		return kv.ErrExpired
 	}
 
 	s.mu.RLock()
@@ -241,7 +237,7 @@ func (s *Service) SubmitCtx(ctx context.Context, id string, ops []kv.Op, res []k
 		return ErrClosed
 	}
 	var ent *dedupEntry
-	if id != "" && s.window != nil {
+	if id != "" {
 		mine, prior := s.window.claim(id)
 		if prior != nil {
 			stop := s.stopCh
@@ -249,7 +245,7 @@ func (s *Service) SubmitCtx(ctx context.Context, id string, ops []kv.Op, res []k
 			hit, err := prior.await(res, stop, deadline)
 			if hit {
 				s.dedupHits.Add(1)
-			} else if errors.Is(err, ErrExpired) {
+			} else if errors.Is(err, kv.ErrExpired) {
 				s.expired.Add(1)
 			}
 			return err
@@ -263,10 +259,10 @@ func (s *Service) SubmitCtx(ctx context.Context, id string, ops []kv.Op, res []k
 	default:
 		s.shed.Add(1)
 		if ent != nil {
-			s.window.abandon(ent, ErrShed)
+			s.window.abandon(ent, kv.ErrOverload)
 		}
 		s.mu.RUnlock()
-		return ErrShed
+		return kv.ErrOverload
 	}
 	s.mu.RUnlock()
 	return <-req.done
@@ -292,9 +288,9 @@ func (s *Service) finishExecuted(r *request, err error) {
 func (s *Service) finishExpired(r *request) {
 	s.expired.Add(1)
 	if r.ent != nil {
-		s.window.abandon(r.ent, ErrExpired)
+		s.window.abandon(r.ent, kv.ErrExpired)
 	}
-	r.done <- ErrExpired
+	r.done <- kv.ErrExpired
 }
 
 // tickLoop drains the pool once per tick. Dispatch is synchronous — the
@@ -381,7 +377,8 @@ drain:
 func (s *Service) newExecutor() kv.Executor {
 	ex := s.be.NewExecutor()
 	// A feed taps the commit order of the store's own executors (nothing
-	// else draws a core commit ticket); NewNode admits no other backend.
+	// else draws a core commit ticket); NewNode attaches one to no other
+	// backend.
 	if tap, ok := ex.(interface{ SetChangeFeed(*cdc.Feed) bool }); ok && s.cfg.feed != nil {
 		tap.SetChangeFeed(s.cfg.feed)
 	}
@@ -441,7 +438,7 @@ func (s *Service) RetryAfter() time.Duration { return min(s.cfg.Tick, time.Secon
 
 // Close drains the pipeline and stops the backend. The drain is
 // deterministic: every request admitted before Close executes and gets
-// an answer (or ErrExpired at its deadline), and every Submit after it
+// an answer (or kv.ErrExpired at its deadline), and every Submit after it
 // gets ErrClosed — the mu write lock below cannot be taken while any
 // Submit sits between its closed check and its pool send, so once it is
 // held the pool holds the complete set of outstanding requests and the
@@ -479,15 +476,11 @@ func (s *Service) MetricsSnapshot() []obs.Metric {
 		{Name: "svc_dedup_hits", Value: s.dedupHits.Load()},
 		{Name: "svc_ticks", Value: s.ticks.Load()},
 		{Name: "svc_batched_txns", Value: s.batched.Load()},
-	}
-	if w := s.window; w != nil {
-		out = append(out,
-			obs.Metric{Name: "svc_dedup_claims", Value: w.claims.Load()},
-			obs.Metric{Name: "svc_dedup_window_hits", Value: w.hits.Load()},
-			obs.Metric{Name: "svc_dedup_abandons", Value: w.abandons.Load()},
-			obs.Metric{Name: "svc_dedup_evictions", Value: w.evictions.Load()},
-			obs.Metric{Name: "svc_dedup_completes", Value: w.completes.Load()},
-		)
+		{Name: "svc_dedup_claims", Value: s.window.claims.Load()},
+		{Name: "svc_dedup_window_hits", Value: s.window.hits.Load()},
+		{Name: "svc_dedup_abandons", Value: s.window.abandons.Load()},
+		{Name: "svc_dedup_evictions", Value: s.window.evictions.Load()},
+		{Name: "svc_dedup_completes", Value: s.window.completes.Load()},
 	}
 	if ms, ok := s.be.(obs.MetricsSnapshotter); ok {
 		out = append(out, ms.MetricsSnapshot()...)

@@ -63,7 +63,7 @@ func oneOp(key uint64) []kv.Op {
 // the tick forced by hand, so the test is deterministic.
 func TestTickCoalescesAndPreservesFIFO(t *testing.T) {
 	be := &fakeBackend{}
-	s := New(be, Config{Workers: 1, Tick: time.Hour, PoolSize: 64})
+	s := newService(be, Config{Workers: 1, Tick: time.Hour, PoolSize: 64})
 	defer s.Close()
 
 	const n = 10
@@ -102,7 +102,7 @@ func TestTickCoalescesAndPreservesFIFO(t *testing.T) {
 // Submits through a running tick loop, results filled per request.
 func TestSubmitRoundTrip(t *testing.T) {
 	be := &fakeBackend{}
-	s := New(be, Config{Tick: 200 * time.Microsecond, Workers: 2})
+	s := newService(be, Config{Tick: 200 * time.Microsecond, Workers: 2})
 	defer s.Close()
 
 	const n = 64
@@ -131,11 +131,11 @@ func TestSubmitRoundTrip(t *testing.T) {
 }
 
 // TestShedOnOverflow pins admission control: a full pool refuses
-// instantly with ErrShed, already-admitted requests still complete (Close
-// drains them), and a closed service answers ErrClosed.
+// instantly with kv.ErrOverload, already-admitted requests still complete
+// (Close drains them), and a closed service answers ErrClosed.
 func TestShedOnOverflow(t *testing.T) {
 	be := &fakeBackend{}
-	s := New(be, Config{PoolSize: 1, Tick: time.Hour, Workers: 1})
+	s := newService(be, Config{PoolSize: 1, Tick: time.Hour, Workers: 1})
 
 	admitted := make(chan error, 1)
 	go func() { admitted <- s.Submit(oneOp(1), nil) }()
@@ -147,8 +147,8 @@ func TestShedOnOverflow(t *testing.T) {
 		time.Sleep(100 * time.Microsecond)
 	}
 
-	if err := s.Submit(oneOp(2), nil); err != ErrShed {
-		t.Fatalf("overflow submit: err = %v, want ErrShed", err)
+	if err := s.Submit(oneOp(2), nil); !errors.Is(err, kv.ErrOverload) {
+		t.Fatalf("overflow submit: err = %v, want kv.ErrOverload", err)
 	}
 	if got := s.shed.Load(); got != 1 {
 		t.Errorf("shed = %d, want 1", got)
@@ -211,7 +211,7 @@ func (e *failingExec) ExecBatch(ops []kv.Op, res []kv.Result) error {
 // own results and its own error — a failing request fails alone.
 func TestChunkRoutesEachRequestItsOwnOutcome(t *testing.T) {
 	be := &failingBackend{}
-	s := New(be, Config{Workers: 1, Tick: time.Hour, PoolSize: 64})
+	s := newService(be, Config{Workers: 1, Tick: time.Hour, PoolSize: 64})
 	defer s.Close()
 
 	keys := []uint64{1, failKey, 3}
@@ -262,7 +262,7 @@ func TestChunkExecutesEachRequestOnceAsItsOwnCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer node.Close()
-	bare := New(kvBackend(t, "medley-hash"), cfg)
+	bare := newService(kvBackend(t, "medley-hash"), cfg)
 	defer bare.Close()
 
 	for _, c := range []struct {
@@ -347,7 +347,7 @@ func TestChunkExecutesEachRequestOnceAsItsOwnCommit(t *testing.T) {
 // shape must stay encodable (encoding/json rejects NaN, so one bad gauge
 // would break the endpoint, silently with json.Encoder).
 func TestFreshServiceGaugesFinite(t *testing.T) {
-	s := New(&fakeBackend{}, Config{Tick: time.Hour})
+	s := newService(&fakeBackend{}, Config{Tick: time.Hour})
 	defer s.Close()
 	for _, g := range s.Gauges() {
 		if math.IsNaN(g.Value) || math.IsInf(g.Value, 0) {
@@ -370,7 +370,7 @@ func TestFreshServiceGaugesFinite(t *testing.T) {
 // counters.
 func TestGaugesDeriveRatios(t *testing.T) {
 	be := &fakeBackend{}
-	s := New(be, Config{Tick: 200 * time.Microsecond})
+	s := newService(be, Config{Tick: 200 * time.Microsecond})
 	defer s.Close()
 	for i := 0; i < 8; i++ {
 		if err := s.Submit(oneOp(uint64(i)), nil); err != nil {
@@ -409,7 +409,7 @@ func TestGaugesDeriveRatios(t *testing.T) {
 // and the merged list stays name-sorted (the wire contract since the
 // backend merge landed).
 func TestMetricsMergeDedupCounters(t *testing.T) {
-	s := New(&fakeBackend{}, Config{Tick: 200 * time.Microsecond, DedupWindow: 1})
+	s := newService(&fakeBackend{}, Config{Tick: 200 * time.Microsecond, DedupWindow: 1})
 	defer s.Close()
 
 	// claim+complete, then a same-ID retry (window hit).
@@ -429,7 +429,7 @@ func TestMetricsMergeDedupCounters(t *testing.T) {
 	if mine == nil || prior != nil {
 		t.Fatalf("claim rq-3: mine=%v prior=%v", mine, prior)
 	}
-	s.window.abandon(mine, ErrShed)
+	s.window.abandon(mine, kv.ErrOverload)
 
 	want := map[string]uint64{
 		"svc_dedup_claims":      3, // rq-1, rq-2, rq-3

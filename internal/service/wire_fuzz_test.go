@@ -13,10 +13,7 @@ import (
 // fault-tolerance wire fields: negative deadlines and oversized request
 // IDs are refused before admission, while boundary-legal values pass.
 func TestHTTPFaultFieldValidation(t *testing.T) {
-	svc := New(&fakeBackend{}, Config{Tick: 200 * time.Microsecond, DedupWindow: 8})
-	defer svc.Close()
-	ts := httptest.NewServer(Handler(svc))
-	defer ts.Close()
+	_, ts := startNode(t, NodeConfig{Backend: &fakeBackend{}, Service: Config{DedupWindow: 8}})
 
 	cases := []struct {
 		name, body string
@@ -41,9 +38,13 @@ func TestHTTPFaultFieldValidation(t *testing.T) {
 // the fault-tolerance fields, and the malformed shapes the table tests
 // pin individually.
 func FuzzBatchHandler(f *testing.F) {
-	svc := New(&fakeBackend{}, Config{Tick: 200 * time.Microsecond, DedupWindow: 8})
-	f.Cleanup(svc.Close)
-	h := Handler(svc)
+	n, err := NewNode(NodeConfig{Backend: &fakeBackend{},
+		Service: Config{Tick: 200 * time.Microsecond, DedupWindow: 8}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(n.Close)
+	h := n.Handler()
 
 	seeds := []string{
 		`{"ops":[{"op":"put","key":1,"val":2}]}`,

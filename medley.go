@@ -24,6 +24,12 @@
 //		return nil
 //	})
 //
+// A body's error is returned only if the reads it was decided on still
+// validate. Reads are checked at commit, not as they happen, so a body
+// that read across a concurrent commit (here: ht1 before a transfer, ht2
+// after it) is retried instead of answered: ErrInsufficient above is never
+// about a state the maps were not in.
+//
 // Passing a nil *Tx (or one with no open transaction) to any structure
 // operation runs it non-transactionally with the structure's native
 // lock-free semantics.
