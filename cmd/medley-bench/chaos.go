@@ -136,105 +136,57 @@ func runChaosScenario(name string, row chaosRow, threads []int) error {
 
 	rep := harness.NewReport(name, []int{cfg.Senders}, cfg.Duration, cfg.KeyRange, cfg.Preload, cfg.Seed)
 	for _, cfg.System = range systems {
-		res, err := chaos.Run(cfg)
+		rec, err := chaos.Run(cfg)
 		if err != nil {
 			return err
 		}
-		rep.Results = append(rep.Results, chaosRecord(name, res))
+		rec.Scenario = name
+		rep.Results = append(rep.Results, rec)
 		if !*jsonFlag {
-			printChaosResult(name, res)
+			printChaosRecord(rec)
 		}
 	}
 	return emitReport(rep)
 }
 
-// chaosRecord converts a run into one report record. The service block
-// (dispositions, availability) is always there; the verification diff
-// rides in the recovery block for the crash-restart topology (phase
-// "chaos": accumulated recovery time, stale counted as mismatched — model
-// entries and violations come from the wire journals, not an in-process
-// one) and in the replica block for the replicated one (phase
-// "replica-chaos": fault schedule, leadership tracking, promotion-time
-// loss and the classified diff).
-func chaosRecord(scenario string, res chaos.Result) harness.Record {
-	rec := harness.Record{
-		System: res.System, Scenario: scenario, Threads: res.Senders, Shards: 1,
-		PhaseResult: harness.PhaseResult{
-			Phase: "chaos", Txns: res.Completed, Elapsed: res.Elapsed, Throughput: res.Goodput,
-			Latency: harness.LatencySummary{AvgNs: res.AvgNs, P50Ns: res.P50Ns, P99Ns: res.P99Ns},
-		},
-		Service: &harness.ServiceRecord{
-			Driver:        "http",
-			OfferedTxns:   res.Completed + res.Shed + res.Errors + res.Expired + res.InDoubt,
-			CompletedTxns: res.Completed,
-			ShedTxns:      res.Shed,
-			ErrorTxns:     res.Errors,
-			ExpiredTxns:   res.Expired,
-			InDoubtTxns:   res.InDoubt,
-			RetriedTxns:   res.Retries,
-			Restarts:      res.Restarts,
-			DowntimeNs:    res.DowntimeNs,
-			Availability:  res.Availability,
-			TaintedKeys:   res.Tainted,
-			Goodput:       res.Goodput,
-			P999Ns:        res.P999Ns,
-		},
-	}
-	if res.Restarts > 0 {
-		// Not on replica records: a leader kill trips the breaker by
-		// design, and their driver story is the replica block's swaps
-		// and recoveries.
-		rec.Service.BreakerOpens = res.BreakerOpens
-		fc := res.Verify.FinalCheck()
-		rec.Recovery = &harness.RecoveryResult{
-			Recoverable: true, RecoveryNs: res.RecoveryNs,
-			Recovered: fc.ModelEntries, ModelEntries: fc.ModelEntries,
-			Missing: fc.Missing, Mismatched: fc.Mismatched, Leaked: fc.Leaked,
-			Violations: fc.Violations,
-		}
-		return rec
-	}
-	rec.Phase = "replica-chaos"
-	rec.Replica = &harness.ReplicaRecord{
-		Failovers:        res.Failovers,
-		Partitions:       res.Partitions,
-		DriverFailovers:  res.DriverFailovers,
-		DriverRecoveries: res.DriverRecoveries,
-		StaleRejections:  res.StaleRejections,
-		LostWrites:       res.LostWrites,
-		MaxReplayLag:     res.MaxReplayLag,
-		ModelEntries:     res.Verify.ModelEntries,
-		MissingKeys:      res.Verify.Missing,
-		StaleKeys:        res.Verify.Stale,
-		MismatchedKeys:   res.Verify.Mismatched,
-		LeakedKeys:       res.Verify.Leaked,
-		Violations:       res.Violations(),
-	}
-	return rec
-}
-
-func printChaosResult(scenario string, res chaos.Result) {
+// printChaosRecord prints a chaos run's record as text: the headline, the
+// dispositions, the fault schedule performed and the verification verdict.
+// Only a restart record carries breaker opens (a leader kill trips the
+// breaker by design), and only a replica record tells stale keys apart.
+func printChaosRecord(rec harness.Record) {
+	svc := rec.Service
 	fmt.Printf("%-24s %-24s senders=%-3d goodput=%8.0f txn/s  avail=%6.4f  p50=%8.0fns  p99=%8.0fns  p99.9=%8.0fns\n",
-		scenario, res.System, res.Senders, res.Goodput, res.Availability,
-		res.P50Ns, res.P99Ns, res.P999Ns)
-	fmt.Printf("  disposition           completed=%d shed=%d errors=%d expired=%d in-doubt=%d retries=%d breaker-opens=%d\n",
-		res.Completed, res.Shed, res.Errors, res.Expired, res.InDoubt, res.Retries, res.BreakerOpens)
-	switch {
-	case res.Restarts > 0:
-		fmt.Printf("  restarts              n=%d downtime=%v recovery=%v\n",
-			res.Restarts, time.Duration(res.DowntimeNs), time.Duration(res.RecoveryNs))
-	case res.Failovers > 0:
-		fmt.Printf("  failovers             cycles=%d driver-swaps=%d driver-recoveries=%d lost-at-promotion=%d downtime=%v\n",
-			res.Failovers, res.DriverFailovers, res.DriverRecoveries, res.LostWrites, time.Duration(res.DowntimeNs))
-	case res.Partitions > 0:
-		fmt.Printf("  partitions            episodes=%d max-replay-lag=%d stale-rejections=%d lost=%d\n",
-			res.Partitions, res.MaxReplayLag, res.StaleRejections, res.LostWrites)
+		rec.Scenario, rec.System, rec.Threads, svc.Goodput, svc.Availability,
+		rec.Latency.P50Ns, rec.Latency.P99Ns, svc.P999Ns)
+	breaker := ""
+	if rec.Recovery != nil {
+		breaker = fmt.Sprintf(" breaker-opens=%d", svc.BreakerOpens)
 	}
-	v := res.Verify
-	if res.Violations() == 0 {
-		fmt.Printf("  wire-verify           OK (%d entries, %d tainted keys excluded)\n", v.ModelEntries, res.Tainted)
+	fmt.Printf("  disposition           completed=%d shed=%d errors=%d expired=%d in-doubt=%d retries=%d%s\n",
+		svc.CompletedTxns, svc.ShedTxns, svc.ErrorTxns, svc.ExpiredTxns, svc.InDoubtTxns, svc.RetriedTxns, breaker)
+	var entries int
+	var violations uint64
+	var diff string
+	if r := rec.Recovery; r != nil {
+		fmt.Printf("  restarts              n=%d downtime=%v recovery=%v\n",
+			svc.Restarts, time.Duration(svc.DowntimeNs), time.Duration(r.RecoveryNs))
+		entries, violations = r.ModelEntries, r.Violations
+		diff = fmt.Sprintf("missing=%d mismatched=%d leaked=%d", r.Missing, r.Mismatched, r.Leaked)
 	} else {
-		fmt.Printf("  wire-verify           FAILED: %d violations (missing=%d stale=%d mismatched=%d leaked=%d; %d tainted)\n",
-			res.Violations(), v.Missing, v.Stale, v.Mismatched, v.Leaked, res.Tainted)
+		rp := rec.Replica
+		if rp.Failovers > 0 {
+			fmt.Printf("  failovers             cycles=%d driver-swaps=%d driver-recoveries=%d lost-at-promotion=%d downtime=%v\n",
+				rp.Failovers, rp.DriverFailovers, rp.DriverRecoveries, rp.LostWrites, time.Duration(svc.DowntimeNs))
+		} else {
+			fmt.Printf("  partitions            episodes=%d max-replay-lag=%d stale-rejections=%d lost=%d\n",
+				rp.Partitions, rp.MaxReplayLag, rp.StaleRejections, rp.LostWrites)
+		}
+		entries, violations = rp.ModelEntries, rp.Violations
+		diff = fmt.Sprintf("missing=%d stale=%d mismatched=%d leaked=%d", rp.MissingKeys, rp.StaleKeys, rp.MismatchedKeys, rp.LeakedKeys)
+	}
+	if violations == 0 {
+		fmt.Printf("  wire-verify           OK (%d entries, %d tainted keys excluded)\n", entries, svc.TaintedKeys)
+	} else {
+		fmt.Printf("  wire-verify           FAILED: %d violations (%s; %d tainted)\n", violations, diff, svc.TaintedKeys)
 	}
 }

@@ -80,7 +80,6 @@ var (
 	nvmWB        = flag.Duration("nvm-writeback", 300*time.Nanosecond, "injected NVM write-back latency per line")
 	nvmFence     = flag.Duration("nvm-fence", 100*time.Nanosecond, "injected NVM fence latency")
 	nvmStore     = flag.Duration("nvm-store", 60*time.Nanosecond, "injected NVM store latency per word")
-	advEvery     = flag.Duration("advance-every", 20*time.Millisecond, "txMontage epoch length (paper: ~10-100ms)")
 	short        = flag.Bool("short", false, "tiny configuration for smoke runs")
 	cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile   = flag.String("memprofile", "", "write an allocation profile to this file at exit")

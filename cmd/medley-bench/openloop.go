@@ -92,7 +92,7 @@ func runOpenLoop() error {
 	if err != nil {
 		return err
 	}
-	res, err := harness.RunOpenLoop(d, harness.OpenLoopConfig{
+	recs, err := harness.RunOpenLoop(d, harness.OpenLoopConfig{
 		Rates:       rates,
 		Duration:    *durationFlag,
 		MaxInFlight: *inflightFlag,
@@ -106,19 +106,22 @@ func runOpenLoop() error {
 		return err
 	}
 
-	if !*jsonFlag {
-		for _, ph := range res.Phases {
-			fmt.Printf("%-20s %-24s driver=%-6s target=%8.0f offered=%8.0f goodput=%8.0f txn/s  shed=%-6d p50=%8.0fns  p99=%8.0fns  p99.9=%8.0fns\n",
-				sc.Name, res.System, res.Driver, ph.TargetRate, ph.OfferedRate, ph.Goodput,
-				ph.Shed, ph.P50Ns, ph.P99Ns, ph.P999Ns)
-			if ph.Dropped > 0 || ph.Errors > 0 {
-				fmt.Printf("  disposition         dropped=%d errors=%d (client queue overflow / failures)\n",
-					ph.Dropped, ph.Errors)
-			}
-		}
-	}
 	rep := harness.NewReport(sc.Name, []int{*inflightFlag}, *durationFlag,
 		uint64(*keyRange), *preload, *seedFlag)
-	rep.AddOpenLoop(res, sc.Name, *inflightFlag)
+	for _, rec := range recs {
+		rec.Scenario = sc.Name
+		rep.Results = append(rep.Results, rec)
+		if *jsonFlag {
+			continue
+		}
+		svc := rec.Service
+		fmt.Printf("%-20s %-24s driver=%-6s target=%8.0f offered=%8.0f goodput=%8.0f txn/s  shed=%-6d p50=%8.0fns  p99=%8.0fns  p99.9=%8.0fns\n",
+			sc.Name, rec.System, svc.Driver, svc.TargetRate, svc.OfferedRate, svc.Goodput,
+			svc.ShedTxns, rec.Latency.P50Ns, rec.Latency.P99Ns, svc.P999Ns)
+		if svc.DroppedTxns > 0 || svc.ErrorTxns > 0 {
+			fmt.Printf("  disposition         dropped=%d errors=%d (client queue overflow / failures)\n",
+				svc.DroppedTxns, svc.ErrorTxns)
+		}
+	}
 	return emitReport(rep)
 }

@@ -19,7 +19,6 @@ func systemOpts() harness.SystemOpts {
 	return harness.SystemOpts{
 		Buckets: *buckets, KeyRange: uint64(*keyRange),
 		WriteBackLatency: *nvmWB, FenceLatency: *nvmFence, StoreLatency: *nvmStore,
-		AdvanceEvery: *advEvery,
 	}
 }
 

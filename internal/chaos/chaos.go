@@ -93,69 +93,23 @@ type Config struct {
 	Dist     harness.Dist
 }
 
-// Result is the outcome of one run: dispositions, tail latency, the
-// fault schedule as performed, and the verification diff.
-type Result struct {
-	System  string // report label: backend name, or the spec for a replicated pair
-	Senders int
-	Elapsed time.Duration
-
-	Completed uint64
-	Shed      uint64
-	Errors    uint64
-	Expired   uint64
-	InDoubt   uint64
-
-	Retries      uint64
-	BreakerOpens uint64
-	// DriverFailovers counts leader base swaps the driver performed;
-	// DriverRecoveries counts failover sweeps resolved by the current base
-	// answering as leader again — what a kill looks like to the driver
-	// when the promoted node rebinds the dead leader's address before the
-	// sweep runs. Together they measure how often leadership was
-	// re-confirmed. StaleRejections counts follower reads refused for lag
-	// that fell back to the leader.
-	DriverFailovers  uint64
-	DriverRecoveries uint64
-	StaleRejections  uint64
-
-	// Fault events performed, by kind.
-	Restarts   int
-	Failovers  int
-	Partitions int
-
-	DowntimeNs int64 // wall time from each kill to serving (restart) or followed (failover) again
-	RecoveryNs int64 // time inside CrashAndRecover, final crash included
-
-	// LostWrites counts feed entries acked by a killed leader that its
-	// follower had not replayed at promotion — the asynchronous
-	// replication loss, enumerated and tainted rather than hidden.
-	LostWrites   int
-	MaxReplayLag uint64 // highest true replay lag sampled (leader head − follower cursor)
-
-	Goodput      float64 // completed / elapsed, txn/s
-	Availability float64 // completed / (completed + errors + expired + in-doubt)
-
-	AvgNs, P50Ns, P99Ns, P999Ns float64 // over completed transactions
-
-	// Verify diffs the surviving state against the merged journals;
-	// Tainted counts the keys excluded from it as unknowable.
-	Verify  harness.ReplicaCheckResult
-	Tainted int
-}
-
-// Violations is the verification violation total.
-func (r Result) Violations() uint64 { return r.Verify.Violations() }
-
 // Run executes one chaos run: deploy → preload (journaled) → senders
 // offer load while the fault schedule runs → stop → settle the topology
 // (final crash, or follower catch-up) → verify. Every resource is released
 // by a defer taken where it is acquired, so no exit path tears down by
 // hand and none returns before the senders it started have stopped.
-func Run(cfg Config) (Result, error) {
+//
+// The run is one report record; the caller names its scenario. The service
+// block (dispositions, availability) is always there. The crash-restart
+// topology's record is phase "chaos", its verification diff in the
+// recovery block (stale counted as mismatched: a recovered store has no
+// replay stream to lag behind). The replicated topology's is phase
+// "replica-chaos", with the replica block: fault schedule, leadership
+// tracking, promotion-time loss and the classified diff.
+func Run(cfg Config) (harness.Record, error) {
 	events := cfg.Restarts + cfg.Failovers + cfg.Partitions
 	if events <= 0 || events != max(cfg.Restarts, cfg.Failovers, cfg.Partitions) {
-		return Result{}, fmt.Errorf("chaos: exactly one of Restarts (%d), Failovers (%d) and Partitions (%d) must be positive",
+		return harness.Record{}, fmt.Errorf("chaos: exactly one of Restarts (%d), Failovers (%d) and Partitions (%d) must be positive",
 			cfg.Restarts, cfg.Failovers, cfg.Partitions)
 	}
 	if cfg.Senders <= 0 {
@@ -171,7 +125,7 @@ func Run(cfg Config) (Result, error) {
 		cfg.KeyRange = 1 << 16
 	}
 	if cfg.KeyRange < uint64(cfg.Senders) {
-		return Result{}, fmt.Errorf("chaos: key range %d < %d senders", cfg.KeyRange, cfg.Senders)
+		return harness.Record{}, fmt.Errorf("chaos: key range %d < %d senders", cfg.KeyRange, cfg.Senders)
 	}
 	if cfg.PartitionDur <= 0 {
 		cfg.PartitionDur = 300 * time.Millisecond
@@ -179,16 +133,18 @@ func Run(cfg Config) (Result, error) {
 
 	t, err := deploy(&cfg)
 	if err != nil {
-		return Result{}, err
+		return harness.Record{}, err
 	}
 	defer t.close()
-	res := Result{System: t.label(), Senders: cfg.Senders}
+	rec := t.record()
+	rec.Threads, rec.Shards = cfg.Senders, 1
+	rec.Service = &harness.ServiceRecord{Driver: "http"}
 
 	direct, traffic, replicas := t.endpoints()
 	cfg.Client.Replicas = replicas
 	driver := service.NewHTTPDriverConfig(traffic, cfg.Client)
 	if err := driver.Start(); err != nil {
-		return res, fmt.Errorf("chaos: %w", err)
+		return rec, fmt.Errorf("chaos: %w", err)
 	}
 	defer driver.Close()
 
@@ -197,13 +153,13 @@ func Run(cfg Config) (Result, error) {
 	// the senders' deadline. Faults are armed only once the store is loaded.
 	base := harness.NewWireJournal()
 	if err := preload(&cfg, direct, base); err != nil {
-		return res, fmt.Errorf("chaos: preload: %w", err)
+		return rec, fmt.Errorf("chaos: preload: %w", err)
 	}
 	t.arm()
 
 	fl, err := startFleet(&cfg, driver)
 	if err != nil {
-		return res, err
+		return rec, err
 	}
 	defer fl.stop()
 
@@ -213,30 +169,43 @@ func Run(cfg Config) (Result, error) {
 	start := time.Now()
 	for i := 0; i < events && err == nil; i++ {
 		sleepUntil(start.Add(cfg.Duration * time.Duration(i+1) / time.Duration(events+1)))
-		err = t.fault(&res, lost)
+		err = t.fault(&rec, lost)
 	}
 	if err == nil {
 		sleepUntil(start.Add(cfg.Duration))
 	}
 	fl.stop()
-	res.Elapsed = time.Since(start)
+	rec.Elapsed = time.Since(start)
 	if err != nil {
-		return res, err
+		return rec, err
 	}
 
-	survivor, err := t.settle(&res)
+	survivor, err := t.settle(&rec)
 	if err != nil {
-		return res, err
+		return rec, err
 	}
 	// Preload first: a key's sender journal overrides its preloaded value.
 	journals := append([]*harness.WireJournal{base, lost}, fl.journals()...)
-	res.Verify, res.Tainted = harness.VerifyReplicaWire(journals, survivor.StateSnapshot)
-
-	fl.tally(&res)
+	v, tainted := harness.VerifyReplicaWire(journals, survivor.StateSnapshot)
+	rec.Service.TaintedKeys = tainted
+	fl.tally(&rec)
 	st := driver.Stats()
-	res.Retries, res.BreakerOpens = st.Retries, st.BreakerOpens
-	res.DriverFailovers, res.DriverRecoveries, res.StaleRejections = st.Failovers, st.Recoveries, st.StaleReads
-	return res, nil
+	rec.Service.RetriedTxns = st.Retries
+	if r := rec.Recovery; r != nil {
+		// Only here: a leader kill trips the breaker by design, and a
+		// replicated run's driver story is the replica block's swaps and
+		// recoveries.
+		rec.Service.BreakerOpens = st.BreakerOpens
+		fc := v.FinalCheck()
+		r.Recovered, r.ModelEntries = fc.ModelEntries, fc.ModelEntries
+		r.Missing, r.Mismatched, r.Leaked, r.Violations = fc.Missing, fc.Mismatched, fc.Leaked, fc.Violations
+		return rec, nil
+	}
+	r := rec.Replica
+	r.DriverFailovers, r.DriverRecoveries, r.StaleRejections = st.Failovers, st.Recoveries, st.StaleReads
+	r.ModelEntries, r.MissingKeys, r.StaleKeys = v.ModelEntries, v.Missing, v.Stale
+	r.MismatchedKeys, r.LeakedKeys, r.Violations = v.Mismatched, v.Leaked, v.Violations()
+	return rec, nil
 }
 
 func sleepUntil(at time.Time) {
@@ -373,22 +342,27 @@ func (f *fleet) journals() []*harness.WireJournal {
 	return js
 }
 
-// tally folds the stopped fleet's counters and reservoirs into res.
-func (f *fleet) tally(res *Result) {
+// tally folds the stopped fleet's counters and reservoirs into rec's
+// headline and service block.
+func (f *fleet) tally(rec *harness.Record) {
+	svc := rec.Service
 	var samples []int64
 	for _, s := range f.senders {
-		res.Completed += s.completed
-		res.Shed += s.shed
-		res.Errors += s.errors
-		res.Expired += s.expired
-		res.InDoubt += s.indoubt
+		svc.CompletedTxns += s.completed
+		svc.ShedTxns += s.shed
+		svc.ErrorTxns += s.errors
+		svc.ExpiredTxns += s.expired
+		svc.InDoubtTxns += s.indoubt
 		samples = append(samples, s.Samples...)
 	}
-	if res.Elapsed > 0 {
-		res.Goodput = float64(res.Completed) / res.Elapsed.Seconds()
+	svc.OfferedTxns = svc.CompletedTxns + svc.ShedTxns + svc.ErrorTxns + svc.ExpiredTxns + svc.InDoubtTxns
+	if rec.Elapsed > 0 {
+		svc.Goodput = float64(svc.CompletedTxns) / rec.Elapsed.Seconds()
 	}
-	if answered := res.Completed + res.Errors + res.Expired + res.InDoubt; answered > 0 {
-		res.Availability = float64(res.Completed) / float64(answered)
+	// Availability: completed / (completed + errors + expired + in-doubt).
+	if answered := svc.OfferedTxns - svc.ShedTxns; answered > 0 {
+		svc.Availability = float64(svc.CompletedTxns) / float64(answered)
 	}
-	res.AvgNs, res.P50Ns, res.P99Ns, res.P999Ns = harness.LatencyDigest(samples)
+	rec.Txns, rec.Throughput = svc.CompletedTxns, svc.Goodput
+	rec.Latency.AvgNs, rec.Latency.P50Ns, rec.Latency.P99Ns, svc.P999Ns = harness.LatencyDigest(samples)
 }

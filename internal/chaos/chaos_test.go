@@ -40,21 +40,54 @@ func testConfig(system string, seed int64) Config {
 	}
 }
 
-// checkRun asserts what every topology owes: traffic completed, its
-// latency was measured, and the surviving state matches the journals.
-func checkRun(t *testing.T, res Result) {
+// checkRun asserts what every topology owes, on the record the report
+// carries: one record of the topology's phase with its own block and not
+// the other's, traffic completed, its latency measured, the dispositions
+// adding up, and the surviving state matching the journals.
+func checkRun(t *testing.T, rec harness.Record, cfg Config) {
 	t.Helper()
-	if res.Completed == 0 {
-		t.Fatal("no transactions completed")
+	svc := rec.Service
+	if svc == nil || svc.Driver != "http" {
+		t.Fatalf("service block = %+v, want an http one", svc)
 	}
-	if res.AvgNs <= 0 || res.P50Ns <= 0 || res.P99Ns < res.P50Ns {
-		t.Errorf("latency not measured: avg=%.0f p50=%.0f p99=%.0f", res.AvgNs, res.P50Ns, res.P99Ns)
+	if rec.Threads != cfg.Senders || rec.Shards != 1 || rec.Scenario != "" {
+		t.Errorf("threads=%d shards=%d scenario=%q, want %d/1/unset", rec.Threads, rec.Shards, rec.Scenario, cfg.Senders)
 	}
-	if !res.Verify.Checked || res.Verify.ModelEntries == 0 {
-		t.Errorf("verification did not run: %+v", res.Verify)
+	if rec.Txns == 0 || rec.Txns != svc.CompletedTxns {
+		t.Fatalf("txns = %d, completed = %d: want equal and non-zero", rec.Txns, svc.CompletedTxns)
 	}
-	if v := res.Violations(); v != 0 {
-		t.Errorf("violations = %d (%+v), want 0", v, res.Verify)
+	if rec.Throughput != svc.Goodput || rec.Elapsed <= 0 {
+		t.Errorf("throughput = %.0f, goodput = %.0f, elapsed = %v", rec.Throughput, svc.Goodput, rec.Elapsed)
+	}
+	if sum := svc.CompletedTxns + svc.ShedTxns + svc.ErrorTxns + svc.ExpiredTxns + svc.InDoubtTxns; svc.OfferedTxns != sum {
+		t.Errorf("offered = %d, dispositions sum to %d", svc.OfferedTxns, sum)
+	}
+	if svc.Availability <= 0 || svc.Availability > 1 {
+		t.Errorf("availability = %v, want in (0, 1]", svc.Availability)
+	}
+	lat := rec.Latency
+	if lat.AvgNs <= 0 || lat.P50Ns <= 0 || lat.P99Ns < lat.P50Ns || svc.P999Ns < lat.P99Ns {
+		t.Errorf("latency not measured: avg=%.0f p50=%.0f p99=%.0f p99.9=%.0f", lat.AvgNs, lat.P50Ns, lat.P99Ns, svc.P999Ns)
+	}
+	var entries int
+	var violations uint64
+	if cfg.Restarts > 0 {
+		if rec.Phase != "chaos" || rec.Recovery == nil || rec.Replica != nil {
+			t.Fatalf("restart record: phase %q, recovery %v, replica %v", rec.Phase, rec.Recovery, rec.Replica)
+		}
+		entries, violations = rec.Recovery.ModelEntries, rec.Recovery.Violations
+	} else {
+		if rec.Phase != "replica-chaos" || rec.Replica == nil || rec.Recovery != nil || svc.BreakerOpens != 0 {
+			t.Fatalf("replica record: phase %q, replica %v, recovery %v, breaker opens %d",
+				rec.Phase, rec.Replica, rec.Recovery, svc.BreakerOpens)
+		}
+		entries, violations = rec.Replica.ModelEntries, rec.Replica.Violations
+	}
+	if entries == 0 {
+		t.Error("verification did not run: no model entries")
+	}
+	if violations != 0 {
+		t.Errorf("violations = %d (recovery %+v, replica %+v), want 0", violations, rec.Recovery, rec.Replica)
 	}
 }
 
@@ -63,23 +96,27 @@ func TestRunRestart(t *testing.T) {
 	cfg.Restarts = scaled(2, 1)
 	cfg.Rate = 600
 	cfg.Duration = scaled(1500*time.Millisecond, 600*time.Millisecond)
-	res, err := Run(cfg)
+	rec, err := Run(cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	checkRun(t, res)
-	if res.Restarts != cfg.Restarts {
-		t.Errorf("restarts = %d, want %d", res.Restarts, cfg.Restarts)
+	checkRun(t, rec, cfg)
+	svc, r := rec.Service, rec.Recovery
+	if svc.Restarts != cfg.Restarts {
+		t.Errorf("restarts = %d, want %d", svc.Restarts, cfg.Restarts)
 	}
-	if res.System != "POneFile-hash" {
-		t.Errorf("label = %q, want the backend's name", res.System)
+	if rec.System != "POneFile-hash" {
+		t.Errorf("label = %q, want the backend's name", rec.System)
 	}
-	if res.DowntimeNs <= 0 || res.RecoveryNs <= 0 {
-		t.Errorf("downtime=%v recovery=%v not accounted", time.Duration(res.DowntimeNs), time.Duration(res.RecoveryNs))
+	if svc.DowntimeNs <= 0 || r.RecoveryNs <= 0 {
+		t.Errorf("downtime=%v recovery=%v not accounted", time.Duration(svc.DowntimeNs), time.Duration(r.RecoveryNs))
+	}
+	if !r.Recoverable || r.Recovered != r.ModelEntries {
+		t.Errorf("recovery block = %+v, want recoverable with recovered == model entries", *r)
 	}
 	t.Logf("restart: completed=%d avail=%.4f in-doubt=%d tainted=%d downtime=%v recovery=%v",
-		res.Completed, res.Availability, res.InDoubt, res.Tainted,
-		time.Duration(res.DowntimeNs), time.Duration(res.RecoveryNs))
+		svc.CompletedTxns, svc.Availability, svc.InDoubtTxns, svc.TaintedKeys,
+		time.Duration(svc.DowntimeNs), time.Duration(r.RecoveryNs))
 }
 
 func TestRunFailover(t *testing.T) {
@@ -87,33 +124,34 @@ func TestRunFailover(t *testing.T) {
 	cfg.Failovers = scaled(2, 1)
 	cfg.Rate = 600
 	cfg.Duration = scaled(1500*time.Millisecond, 700*time.Millisecond)
-	res, err := Run(cfg)
+	rec, err := Run(cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	checkRun(t, res)
-	if res.Failovers != cfg.Failovers {
-		t.Errorf("failovers = %d, want %d", res.Failovers, cfg.Failovers)
+	checkRun(t, rec, cfg)
+	svc, rp := rec.Service, rec.Replica
+	if rp.Failovers != cfg.Failovers || rp.Partitions != 0 {
+		t.Errorf("failovers = %d, partitions = %d, want %d and 0", rp.Failovers, rp.Partitions, cfg.Failovers)
 	}
-	if res.System != "medley-hash@2" {
-		t.Errorf("label = %q, want the spec", res.System)
+	if rec.System != "medley-hash@2" {
+		t.Errorf("label = %q, want the spec", rec.System)
 	}
 	// The driver must have followed the leadership: at least one failover
 	// sweep per run confirmed a live leader — usually by swapping the
 	// base to the promoted node, but a sweep that runs after the NEXT
 	// promotion rebinds the dead address finds its existing base leading
 	// again and rightly swaps nothing (a recovery, not a swap).
-	if res.DriverFailovers+res.DriverRecoveries == 0 {
+	if rp.DriverFailovers+rp.DriverRecoveries == 0 {
 		t.Error("driver never re-confirmed leadership after a kill")
 	}
 	// Low bar at test scale; the committed scenario budgets 0.99. (No such
 	// bar on the restart run: under the race detector recovery outlasts it.)
-	if res.Availability < 0.5 {
-		t.Errorf("availability = %.3f, suspiciously low", res.Availability)
+	if svc.Availability < 0.5 {
+		t.Errorf("availability = %.3f, suspiciously low", svc.Availability)
 	}
 	t.Logf("failover: completed=%d avail=%.4f lost=%d tainted=%d driverFO=%d recov=%d downtime=%v",
-		res.Completed, res.Availability, res.LostWrites, res.Tainted,
-		res.DriverFailovers, res.DriverRecoveries, time.Duration(res.DowntimeNs))
+		svc.CompletedTxns, svc.Availability, rp.LostWrites, svc.TaintedKeys,
+		rp.DriverFailovers, rp.DriverRecoveries, time.Duration(svc.DowntimeNs))
 }
 
 func TestRunPartition(t *testing.T) {
@@ -125,28 +163,29 @@ func TestRunPartition(t *testing.T) {
 	cfg.PartitionDur = 400 * time.Millisecond
 	cfg.Rate = 800
 	cfg.Duration = scaled(1800*time.Millisecond, 1000*time.Millisecond)
-	res, err := Run(cfg)
+	rec, err := Run(cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	checkRun(t, res)
-	if res.Partitions != cfg.Partitions {
-		t.Errorf("partitions = %d, want %d", res.Partitions, cfg.Partitions)
+	checkRun(t, rec, cfg)
+	svc, rp := rec.Service, rec.Replica
+	if rp.Partitions != cfg.Partitions || rp.Failovers != 0 {
+		t.Errorf("partitions = %d, failovers = %d, want %d and 0", rp.Partitions, rp.Failovers, cfg.Partitions)
 	}
 	// The partition must have built observable lag past the bound, and
 	// lagging reads must have been refused and redirected.
-	if res.MaxReplayLag <= cfg.MaxLag {
-		t.Errorf("max replay lag = %d, want > MaxLag (partition never bit)", res.MaxReplayLag)
+	if rp.MaxReplayLag <= cfg.MaxLag {
+		t.Errorf("max replay lag = %d, want > MaxLag (partition never bit)", rp.MaxReplayLag)
 	}
-	if res.StaleRejections == 0 {
+	if rp.StaleRejections == 0 {
 		t.Error("no stale read was rejected during the partition")
 	}
 	// A partition loses nothing: catch-up after heal must converge exactly.
-	if res.LostWrites != 0 {
-		t.Errorf("lost writes = %d under partition, want 0", res.LostWrites)
+	if rp.LostWrites != 0 {
+		t.Errorf("lost writes = %d under partition, want 0", rp.LostWrites)
 	}
 	t.Logf("partition: completed=%d avail=%.4f maxLag=%d stale=%d tainted=%d",
-		res.Completed, res.Availability, res.MaxReplayLag, res.StaleRejections, res.Tainted)
+		svc.CompletedTxns, svc.Availability, rp.MaxReplayLag, rp.StaleRejections, svc.TaintedKeys)
 }
 
 // TestRunRejectsAmbiguousFaultKind pins that the topology is implied by

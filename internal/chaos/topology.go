@@ -19,8 +19,10 @@ import (
 // clients connect, what one fault event does, and how the state that
 // survives is produced for verification.
 type topology interface {
-	// label is the system label reports carry.
-	label() string
+	// record seeds the run's report record: the system label reports carry
+	// (the backend's name, or the spec for a replicated pair), the phase,
+	// and the block this topology's faults and verdict fill in.
+	record() harness.Record
 	// endpoints returns the base URL that takes writes before any fault
 	// (the preload target), the base URL the senders' driver starts on,
 	// and the read-routing / failover candidates for that driver.
@@ -28,11 +30,11 @@ type topology interface {
 	// arm marks the end of setup: the store is loaded, chaos may begin.
 	arm()
 	// fault performs one scheduled fault event start to finish, recording
-	// it in res; keys whose acked writes it knowingly destroyed go to lost.
-	fault(res *Result, lost *harness.WireJournal) error
+	// it in rec; keys whose acked writes it knowingly destroyed go to lost.
+	fault(rec *harness.Record, lost *harness.WireJournal) error
 	// settle runs once the senders have stopped and yields the quiescent
 	// state to verify.
-	settle(res *Result) (harness.Snapshotter, error)
+	settle(rec *harness.Record) (harness.Snapshotter, error)
 	// close tears down whatever is still up; safe after any failure.
 	close()
 }
@@ -164,15 +166,18 @@ func (t *daemonTopo) boot(addr string) error {
 // crash kills the incarnation and puts the store through the crash
 // machinery of the engine's crash phases: Persist barrier, simulated
 // device crash, timed recovery.
-func (t *daemonTopo) crash(res *Result) {
+func (t *daemonTopo) crash(rec *harness.Record) {
 	t.d.kill()
 	t.caps.Recovery.Persist()
 	begin := time.Now()
 	t.caps.Recovery.CrashAndRecover()
-	res.RecoveryNs += int64(time.Since(begin))
+	rec.Recovery.RecoveryNs += int64(time.Since(begin))
 }
 
-func (t *daemonTopo) label() string { return t.be.Name() }
+func (t *daemonTopo) record() harness.Record {
+	return harness.Record{System: t.be.Name(), PhaseResult: harness.PhaseResult{Phase: "chaos"},
+		Recovery: &harness.RecoveryResult{Recoverable: true}}
+}
 
 func (t *daemonTopo) endpoints() (string, string, []string) {
 	return t.d.url(), "http://" + t.proxy.Addr(), nil
@@ -180,22 +185,22 @@ func (t *daemonTopo) endpoints() (string, string, []string) {
 
 func (t *daemonTopo) arm() { t.proxy.Set(t.cfg.Faults) }
 
-func (t *daemonTopo) fault(res *Result, _ *harness.WireJournal) error {
+func (t *daemonTopo) fault(rec *harness.Record, _ *harness.WireJournal) error {
 	begin := time.Now()
 	t.proxy.CutConnections()
-	t.crash(res)
+	t.crash(rec)
 	if err := t.boot(t.d.addr); err != nil {
 		return err
 	}
-	res.DowntimeNs += int64(time.Since(begin))
-	res.Restarts++
+	rec.Service.DowntimeNs += int64(time.Since(begin))
+	rec.Service.Restarts++
 	return nil
 }
 
 // settle crashes once more: the verification target is the RECOVERED
 // state, so the last incarnation goes down the way the mid-run ones did.
-func (t *daemonTopo) settle(res *Result) (harness.Snapshotter, error) {
-	t.crash(res)
+func (t *daemonTopo) settle(rec *harness.Record) (harness.Snapshotter, error) {
+	t.crash(rec)
 	return t.caps.Snapshot, nil
 }
 
@@ -305,7 +310,10 @@ func (t *pairTopo) replayLag() (lag uint64, ready bool) {
 	return lag, true
 }
 
-func (t *pairTopo) label() string { return t.cfg.System }
+func (t *pairTopo) record() harness.Record {
+	return harness.Record{System: t.cfg.System, PhaseResult: harness.PhaseResult{Phase: "replica-chaos"},
+		Replica: &harness.ReplicaRecord{}}
+}
 
 // endpoints: the two ADDRESSES are stable for the whole run; roles rotate
 // between them, and the driver's failover sweeps follow the rotation.
@@ -340,12 +348,12 @@ func (t *pairTopo) stopSampler() {
 	t.samplerWG.Wait()
 }
 
-func (t *pairTopo) fault(res *Result, lost *harness.WireJournal) error {
+func (t *pairTopo) fault(rec *harness.Record, lost *harness.WireJournal) error {
 	if t.cfg.Partitions > 0 {
 		t.proxy.Set(faultnet.Faults{Partition: true})
 		time.Sleep(t.cfg.PartitionDur)
 		t.proxy.Heal()
-		res.Partitions++
+		rec.Replica.Partitions++
 		return nil
 	}
 	// Promotion happens the instant the connections die — a real SIGKILL
@@ -362,7 +370,7 @@ func (t *pairTopo) fault(res *Result, lost *harness.WireJournal) error {
 		return err
 	}
 	lost.Taint(ops)
-	res.LostWrites += len(ops)
+	rec.Replica.LostWrites += len(ops)
 	fresh, err := startFresh(t.cfg, dead.addr, heir.url())
 	if err != nil {
 		return err
@@ -370,8 +378,8 @@ func (t *pairTopo) fault(res *Result, lost *harness.WireJournal) error {
 	t.mu.Lock()
 	t.leader, t.follower = heir, fresh
 	t.mu.Unlock()
-	res.DowntimeNs += int64(time.Since(begin))
-	res.Failovers++
+	rec.Service.DowntimeNs += int64(time.Since(begin))
+	rec.Replica.Failovers++
 	return nil
 }
 
@@ -404,7 +412,7 @@ func lostSuffix(dead, fol *service.Node) ([]kv.Op, error) {
 
 // settle waits for the final follower to catch up: replication is
 // asynchronous, and the divergence check targets the caught-up replica.
-func (t *pairTopo) settle(res *Result) (harness.Snapshotter, error) {
+func (t *pairTopo) settle(rec *harness.Record) (harness.Snapshotter, error) {
 	for deadline := time.Now().Add(15 * time.Second); ; time.Sleep(2 * time.Millisecond) {
 		lag, ready := t.replayLag()
 		if ready && lag == 0 {
@@ -415,7 +423,7 @@ func (t *pairTopo) settle(res *Result) (harness.Snapshotter, error) {
 		}
 	}
 	t.stopSampler()
-	res.MaxReplayLag = t.maxLag.Load()
+	rec.Replica.MaxReplayLag = t.maxLag.Load()
 	_, f := t.pair()
 	// newBackend vetted the capability when the node was built.
 	return f.node.Service().Backend().(harness.Snapshotter), nil

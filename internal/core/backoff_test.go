@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 	"time"
+
+	"medley/internal/ebr"
 )
 
 // instrumentBackoff swaps the ladder's yield/sleep seams for recorders and
@@ -60,6 +62,45 @@ func TestBackoffLadderContract(t *testing.T) {
 				t.Fatalf("state %+v: sleep %v outside (0, %v]", st, d, backoffMax)
 			}
 		}
+	}
+}
+
+// TestBackoffSleepsOutsideTheSMRSection pins backoff.go's claim that sleeps
+// happen at an SMR quiescent point: a Tx whose EBR handle is entered runs
+// a body that aborts a dozen times, and every ladder sleep must see the
+// section released, while the section is held again once RunRetry returns.
+func TestBackoffSleepsOutsideTheSMRSection(t *testing.T) {
+	_, _, restore := instrumentBackoff()
+	defer restore()
+	tx := NewTxManager().Register()
+	h := ebr.New(1).Register()
+	tx.SetSMR(h)
+	var held []bool
+	backoffSleep = func(time.Duration) { held = append(held, h.Active()) }
+
+	h.Enter()
+	defer h.Exit()
+	const aborts = 12
+	runs := 0
+	err := tx.RunRetry(func() error {
+		if runs++; runs <= aborts {
+			return ErrTxAborted
+		}
+		return nil
+	})
+	if err != nil || runs != aborts+1 {
+		t.Fatalf("RunRetry = %v after %d runs, want nil after %d", err, runs, aborts+1)
+	}
+	if len(held) == 0 {
+		t.Fatalf("%d aborts and the ladder never slept", aborts)
+	}
+	for i, active := range held {
+		if active {
+			t.Errorf("sleep %d of %d held the SMR section", i+1, len(held))
+		}
+	}
+	if !h.Active() {
+		t.Error("RunRetry returned with the SMR section released")
 	}
 }
 

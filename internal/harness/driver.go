@@ -32,8 +32,9 @@ type Driver interface {
 	// Preload installs the initial keys (key == value), exactly like
 	// System.Preload.
 	Preload(keys []uint64) error
-	// NewSession creates one sender's session. Sessions are goroutine-
-	// bound: only the goroutine that first calls Do may keep calling it.
+	// NewSession creates one sender's session. A session is used by one
+	// goroutine at a time; a hand-off between goroutines (a channel send,
+	// say) must order its calls.
 	NewSession() (DriverSession, error)
 	// Close tears down whatever Start brought up.
 	Close() error
@@ -71,9 +72,9 @@ func (d *InProcDriver) Preload(keys []uint64) error {
 	return nil
 }
 
-// NewSession implements Driver. The executor is created lazily on the
-// session's first Do, because executors are bound to the goroutine that
-// creates them and NewSession runs on the engine's goroutine.
+// NewSession implements Driver. The session's executor is created on its
+// first Do. Like the session, an executor is used by one goroutine at a
+// time, and a channel hand-off orders it.
 func (d *InProcDriver) NewSession() (DriverSession, error) {
 	return &inprocSession{sys: d.sys}, nil
 }

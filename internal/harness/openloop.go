@@ -26,7 +26,7 @@ import (
 // rates over one driver.
 type OpenLoopConfig struct {
 	// Rates is the offered-load sweep, in transactions per second; each
-	// rate runs for Duration and becomes one phase of the result.
+	// rate runs for Duration and becomes one record of the result.
 	Rates    []float64
 	Duration time.Duration
 
@@ -44,51 +44,23 @@ type OpenLoopConfig struct {
 	Dist     Dist
 }
 
-// OpenLoopPhase is the measurement of one offered-rate step.
-type OpenLoopPhase struct {
-	TargetRate  float64 // configured arrival rate, txn/s
-	OfferedRate float64 // arrivals actually generated / elapsed
-	Offered     uint64  // arrivals generated (dispatched + dropped)
-	Completed   uint64  // transactions executed and acknowledged
-	Shed        uint64  // rejected by the service's admission control
-	Errors      uint64  // transport or server failures
-	Expired     uint64  // deadline passed before execution (never ran)
-	Dropped     uint64  // arrivals dropped at the full client queue
-	Ops         uint64  // operations inside completed transactions
-	Elapsed     time.Duration
-	Goodput     float64 // Completed / Elapsed, txn/s
-
-	// Latency percentiles over completed transactions, measured from the
-	// scheduled arrival time (coordinated-omission-free).
-	AvgNs  float64
-	P50Ns  float64
-	P99Ns  float64
-	P999Ns float64
-
-	// Memory is the step's memory digest. It samples this process — the
-	// client side when the driver targets a remote server.
-	Memory *MemoryResult
-}
-
-// OpenLoopResult is one driver's sweep.
-type OpenLoopResult struct {
-	Driver string // driver kind: "inproc" or "http"
-	System string // system under test
-	Shards int    // store partitions, 1 when the driver cannot tell
-	Phases []OpenLoopPhase
-}
-
 // RunOpenLoop executes the configured rate sweep against d: start,
 // preload once, then one step per rate. Steps reuse the driver's backend,
 // so later steps see the working set earlier steps left behind — exactly
 // like phases of a closed-loop scenario.
-func RunOpenLoop(d Driver, cfg OpenLoopConfig) (OpenLoopResult, error) {
+//
+// Each step is one report record, phase "rate-<target>", with the service
+// block carrying the open-loop disposition. The shared fields keep their
+// closed-loop meaning where one exists (txns = completed transactions,
+// throughput = goodput); threads is the in-flight bound, the open-loop
+// analogue of the worker count. The caller names the scenario.
+func RunOpenLoop(d Driver, cfg OpenLoopConfig) ([]Record, error) {
 	if len(cfg.Rates) == 0 {
-		return OpenLoopResult{}, fmt.Errorf("open-loop: no rates configured")
+		return nil, fmt.Errorf("open-loop: no rates configured")
 	}
 	for _, r := range cfg.Rates {
 		if r <= 0 {
-			return OpenLoopResult{}, fmt.Errorf("open-loop: non-positive rate %v", r)
+			return nil, fmt.Errorf("open-loop: non-positive rate %v", r)
 		}
 	}
 	if cfg.MaxInFlight <= 0 {
@@ -101,7 +73,7 @@ func RunOpenLoop(d Driver, cfg OpenLoopConfig) (OpenLoopResult, error) {
 		cfg.Duration = time.Second
 	}
 	if err := d.Start(); err != nil {
-		return OpenLoopResult{}, fmt.Errorf("open-loop: start: %w", err)
+		return nil, fmt.Errorf("open-loop: start: %w", err)
 	}
 	defer d.Close()
 
@@ -111,21 +83,23 @@ func RunOpenLoop(d Driver, cfg OpenLoopConfig) (OpenLoopResult, error) {
 		keys[i] = uint64(rng.Int63n(int64(cfg.KeyRange)))
 	}
 	if err := d.Preload(keys); err != nil {
-		return OpenLoopResult{}, fmt.Errorf("open-loop: preload: %w", err)
+		return nil, fmt.Errorf("open-loop: preload: %w", err)
 	}
 
-	res := OpenLoopResult{Driver: d.Kind(), System: d.System(), Shards: 1}
+	shards := 1
 	if sc, ok := d.(ShardCounter); ok {
-		res.Shards = sc.ShardCount()
+		shards = max(sc.ShardCount(), 1)
 	}
+	var recs []Record
 	for i, rate := range cfg.Rates {
-		ph, err := runOpenLoopStep(d, cfg, rate, i)
+		rec, err := runOpenLoopStep(d, cfg, rate, i)
 		if err != nil {
-			return res, err
+			return recs, err
 		}
-		res.Phases = append(res.Phases, ph)
+		rec.System, rec.Threads, rec.Shards = d.System(), cfg.MaxInFlight, shards
+		recs = append(recs, rec)
 	}
-	return res, nil
+	return recs, nil
 }
 
 // olReq is one scheduled transaction: its operations and the arrival time
@@ -150,7 +124,7 @@ type olSender struct {
 // runOpenLoopStep runs one offered-rate step: a dispatcher goroutine
 // generates Poisson arrivals into a bounded queue; MaxInFlight senders
 // drain it, one driver session each.
-func runOpenLoopStep(d Driver, cfg OpenLoopConfig, rate float64, step int) (OpenLoopPhase, error) {
+func runOpenLoopStep(d Driver, cfg OpenLoopConfig, rate float64, step int) (Record, error) {
 	work := make(chan olReq, 2*cfg.MaxInFlight)
 	senders := make([]*olSender, cfg.MaxInFlight)
 	var wg sync.WaitGroup
@@ -163,7 +137,7 @@ func runOpenLoopStep(d Driver, cfg OpenLoopConfig, rate float64, step int) (Open
 		sess, err := d.NewSession()
 		if err != nil {
 			close(work)
-			return OpenLoopPhase{}, fmt.Errorf("open-loop: session: %w", err)
+			return Record{}, fmt.Errorf("open-loop: session: %w", err)
 		}
 		wg.Add(1)
 		go func() {
@@ -223,29 +197,28 @@ func runOpenLoopStep(d Driver, cfg OpenLoopConfig, rate float64, step int) (Open
 	elapsed := time.Since(start)
 	mem1 := readMemSample()
 
-	ph := OpenLoopPhase{
-		TargetRate: rate,
-		Offered:    offered,
-		Dropped:    dropped,
-		Elapsed:    elapsed,
-	}
+	svc := &ServiceRecord{Driver: d.Kind(), TargetRate: rate, OfferedTxns: offered, DroppedTxns: dropped}
+	ph := PhaseResult{Phase: fmt.Sprintf("rate-%.0f", rate), Elapsed: elapsed}
 	var samples []int64
 	for _, s := range senders {
-		ph.Completed += s.completed
-		ph.Shed += s.shed
-		ph.Errors += s.errors
-		ph.Expired += s.expired
+		svc.CompletedTxns += s.completed
+		svc.ShedTxns += s.shed
+		svc.ErrorTxns += s.errors
+		svc.ExpiredTxns += s.expired
 		ph.Ops += s.ops
 		samples = append(samples, s.Samples...)
 	}
 	if elapsed > 0 {
-		ph.OfferedRate = float64(offered) / elapsed.Seconds()
-		ph.Goodput = float64(ph.Completed) / elapsed.Seconds()
+		svc.OfferedRate = float64(offered) / elapsed.Seconds()
+		svc.Goodput = float64(svc.CompletedTxns) / elapsed.Seconds()
 	}
-	ph.AvgNs, ph.P50Ns, ph.P99Ns, ph.P999Ns = LatencyDigest(samples)
+	ph.Txns, ph.Throughput = svc.CompletedTxns, svc.Goodput
+	ph.Latency.AvgNs, ph.Latency.P50Ns, ph.Latency.P99Ns, svc.P999Ns = LatencyDigest(samples)
+	// The memory digest samples this process: the client side when the
+	// driver targets a remote server.
 	ph.Memory = memoryResult(mem0, mem1, ph.Ops, nil)
-	if ph.Completed == 0 && sessErr != nil {
-		return ph, fmt.Errorf("open-loop: no transaction completed at rate %v: %w", rate, sessErr)
+	if ph.Txns == 0 && sessErr != nil {
+		return Record{}, fmt.Errorf("open-loop: no transaction completed at rate %v: %w", rate, sessErr)
 	}
-	return ph, nil
+	return Record{PhaseResult: ph, Service: svc}, nil
 }

@@ -49,7 +49,7 @@ func (s *fakeOLSession) Close() error { return nil }
 func TestOpenLoopArrivalRateAccuracy(t *testing.T) {
 	const rate = 4000.0
 	d := &fakeOLDriver{}
-	res, err := RunOpenLoop(d, OpenLoopConfig{
+	recs, err := RunOpenLoop(d, OpenLoopConfig{
 		Rates:       []float64{rate},
 		Duration:    500 * time.Millisecond,
 		MaxInFlight: 8,
@@ -60,26 +60,33 @@ func TestOpenLoopArrivalRateAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Phases) != 1 {
-		t.Fatalf("phases = %d, want 1", len(res.Phases))
+	if len(recs) != 1 {
+		t.Fatalf("records = %d, want 1", len(recs))
 	}
-	ph := res.Phases[0]
-	if ratio := ph.OfferedRate / rate; ratio < 0.9 || ratio > 1.1 {
-		t.Errorf("offered rate %.0f is off target %.0f by more than 10%%", ph.OfferedRate, rate)
+	rec, svc := recs[0], recs[0].Service
+	if ratio := svc.OfferedRate / rate; ratio < 0.9 || ratio > 1.1 {
+		t.Errorf("offered rate %.0f is off target %.0f by more than 10%%", svc.OfferedRate, rate)
 	}
-	if ph.Completed+ph.Dropped != ph.Offered {
+	if svc.CompletedTxns+svc.DroppedTxns != svc.OfferedTxns {
 		t.Errorf("disposition leak: offered=%d completed=%d dropped=%d",
-			ph.Offered, ph.Completed, ph.Dropped)
+			svc.OfferedTxns, svc.CompletedTxns, svc.DroppedTxns)
 	}
-	if ph.Shed != 0 || ph.Errors != 0 {
-		t.Errorf("instant backend shed=%d errors=%d, want 0/0", ph.Shed, ph.Errors)
+	if svc.ShedTxns != 0 || svc.ErrorTxns != 0 {
+		t.Errorf("instant backend shed=%d errors=%d, want 0/0", svc.ShedTxns, svc.ErrorTxns)
 	}
-	if ph.Completed > 0 && (ph.P50Ns <= 0 || ph.P99Ns < ph.P50Ns || ph.P999Ns < ph.P99Ns) {
+	lat := rec.Latency
+	if svc.CompletedTxns > 0 && (lat.P50Ns <= 0 || lat.P99Ns < lat.P50Ns || svc.P999Ns < lat.P99Ns) {
 		t.Errorf("percentiles not ordered: p50=%.0f p99=%.0f p99.9=%.0f",
-			ph.P50Ns, ph.P99Ns, ph.P999Ns)
+			lat.P50Ns, lat.P99Ns, svc.P999Ns)
 	}
-	if res.Driver != "fake" || res.System != "fake-system" {
-		t.Errorf("identity = %s/%s", res.Driver, res.System)
+	if svc.Driver != "fake" || rec.System != "fake-system" {
+		t.Errorf("identity = %s/%s", svc.Driver, rec.System)
+	}
+	// The record is the report's: the closed-loop fields carry their
+	// open-loop meaning.
+	if rec.Phase != "rate-4000" || rec.Threads != 8 || rec.Shards != 1 ||
+		rec.Txns != svc.CompletedTxns || rec.Throughput != svc.Goodput || svc.TargetRate != rate {
+		t.Errorf("record = %+v, service = %+v", rec, *svc)
 	}
 }
 
@@ -97,21 +104,21 @@ func TestOpenLoopClassifiesShedSeparately(t *testing.T) {
 		}
 		return nil
 	}}
-	res, err := RunOpenLoop(d, OpenLoopConfig{
+	recs, err := RunOpenLoop(d, OpenLoopConfig{
 		Rates: []float64{2000}, Duration: 200 * time.Millisecond,
 		MaxInFlight: 4, KeyRange: 64, Seed: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ph := res.Phases[0]
-	if ph.Shed == 0 || ph.Errors == 0 || ph.Completed == 0 {
+	svc := recs[0].Service
+	if svc.ShedTxns == 0 || svc.ErrorTxns == 0 || svc.CompletedTxns == 0 {
 		t.Errorf("expected all three dispositions, got completed=%d shed=%d errors=%d",
-			ph.Completed, ph.Shed, ph.Errors)
+			svc.CompletedTxns, svc.ShedTxns, svc.ErrorTxns)
 	}
-	if ph.Completed+ph.Shed+ph.Errors+ph.Dropped != ph.Offered {
+	if svc.CompletedTxns+svc.ShedTxns+svc.ErrorTxns+svc.DroppedTxns != svc.OfferedTxns {
 		t.Errorf("disposition leak: offered=%d completed=%d shed=%d errors=%d dropped=%d",
-			ph.Offered, ph.Completed, ph.Shed, ph.Errors, ph.Dropped)
+			svc.OfferedTxns, svc.CompletedTxns, svc.ShedTxns, svc.ErrorTxns, svc.DroppedTxns)
 	}
 }
 
@@ -165,7 +172,7 @@ func TestInProcDriverDrivesEverySystem(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := RunOpenLoop(NewInProcDriver(sys), OpenLoopConfig{
+			recs, err := RunOpenLoop(NewInProcDriver(sys), OpenLoopConfig{
 				Rates: []float64{500}, Duration: 200 * time.Millisecond,
 				MaxInFlight: 4, KeyRange: 1 << 10, Preload: 256, Seed: 5,
 				Mix: sc.Phases[0].Mix, Dist: sc.Dist,
@@ -173,8 +180,8 @@ func TestInProcDriverDrivesEverySystem(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ph := res.Phases[0]; ph.Completed == 0 || ph.Errors != 0 {
-				t.Errorf("completed=%d errors=%d, want some and none", ph.Completed, ph.Errors)
+			if svc := recs[0].Service; svc.CompletedTxns == 0 || svc.ErrorTxns != 0 {
+				t.Errorf("completed=%d errors=%d, want some and none", svc.CompletedTxns, svc.ErrorTxns)
 			}
 		})
 	}

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"runtime"
 	"time"
@@ -26,8 +25,8 @@ type LatencySummary struct {
 // failed, dropped at the client queue) and the tail the completions saw.
 // Latencies in the parent record are measured from each transaction's
 // scheduled arrival time, so queueing delay under overload is charged to
-// the system (no coordinated omission). Present on records produced by
-// the open-loop driver path (AddOpenLoop).
+// the system (no coordinated omission). Present on the records RunOpenLoop
+// and the chaos runner return.
 type ServiceRecord struct {
 	Driver        string  `json:"driver"` // "inproc" or "http"
 	TargetRate    float64 `json:"target_rate_txn_per_sec"`
@@ -52,7 +51,7 @@ type ServiceRecord struct {
 	RetriedTxns  uint64  `json:"retried_txns,omitempty"`
 	BreakerOpens uint64  `json:"breaker_opens,omitempty"`
 	Restarts     int     `json:"restarts,omitempty"`
-	DowntimeNs   int64   `json:"downtime_ns,omitempty"`
+	DowntimeNs   int64   `json:"downtime_ns,omitempty"` // from each kill to serving (restart) or followed (failover) again
 	Availability float64 `json:"availability,omitempty"`
 	TaintedKeys  int     `json:"tainted_keys,omitempty"`
 }
@@ -62,21 +61,32 @@ type ServiceRecord struct {
 // how the driver followed the leadership, what asynchronous replication
 // lost at promotion (enumerated, not hidden), and the classified
 // divergence diff of the final caught-up replica against the journaled
-// model. Present only on records produced by the replica chaos runner.
+// model. Present only on the replica chaos runner's records.
 type ReplicaRecord struct {
-	Failovers        int    `json:"failovers,omitempty"`
-	Partitions       int    `json:"partitions,omitempty"`
+	Failovers  int `json:"failovers,omitempty"`
+	Partitions int `json:"partitions,omitempty"`
+	// DriverFailovers counts leader base swaps the driver performed;
+	// DriverRecoveries counts failover sweeps resolved by the current base
+	// answering as leader again — what a kill looks like to the driver
+	// when the promoted node rebinds the dead leader's address before the
+	// sweep runs. Together they measure how often leadership was
+	// re-confirmed. StaleRejections counts follower reads refused for lag
+	// that fell back to the leader.
 	DriverFailovers  uint64 `json:"driver_failovers,omitempty"`
 	DriverRecoveries uint64 `json:"driver_recoveries,omitempty"`
 	StaleRejections  uint64 `json:"stale_rejections,omitempty"`
-	LostWrites       int    `json:"lost_writes"`
-	MaxReplayLag     uint64 `json:"max_replay_lag"`
-	ModelEntries     int    `json:"model_entries"`
-	MissingKeys      uint64 `json:"missing_keys"`
-	StaleKeys        uint64 `json:"stale_keys"`
-	MismatchedKeys   uint64 `json:"mismatched_keys"`
-	LeakedKeys       uint64 `json:"leaked_keys"`
-	Violations       uint64 `json:"divergence_violations"`
+	// LostWrites counts feed entries acked by a killed leader that its
+	// follower had not replayed at promotion — the asynchronous
+	// replication loss, enumerated and tainted rather than hidden.
+	LostWrites   int    `json:"lost_writes"`
+	MaxReplayLag uint64 `json:"max_replay_lag"` // highest true replay lag sampled (leader head − follower cursor)
+
+	ModelEntries   int    `json:"model_entries"`
+	MissingKeys    uint64 `json:"missing_keys"`
+	StaleKeys      uint64 `json:"stale_keys"`
+	MismatchedKeys uint64 `json:"mismatched_keys"`
+	LeakedKeys     uint64 `json:"leaked_keys"`
+	Violations     uint64 `json:"divergence_violations"`
 }
 
 // Record is one (system, scenario, phase, thread count) measurement: the
@@ -88,12 +98,13 @@ type Record struct {
 	Threads  int    `json:"threads"`
 	Shards   int    `json:"shards"`
 	PhaseResult
-	// Recovery is present only on crash-phase records of crash scenarios.
+	// Recovery is present on crash-phase records of crash scenarios and on
+	// the crash-restart chaos runner's records.
 	Recovery *RecoveryResult `json:"recovery,omitempty"`
 	// FinalCheck is present only on the measured aggregate record of
 	// VerifyFinal scenarios.
 	FinalCheck *FinalCheckResult `json:"final_check,omitempty"`
-	// Service is present on open-loop records (AddOpenLoop).
+	// Service is present on open-loop and chaos records.
 	Service *ServiceRecord `json:"service,omitempty"`
 	// Replica is present only on replica-chaos records.
 	Replica *ReplicaRecord `json:"replica,omitempty"`
@@ -146,37 +157,6 @@ func (rep *Report) Add(res ScenarioResult) {
 	}
 	rec.PhaseResult, rec.Recovery, rec.FinalCheck = res.Measured, nil, res.FinalCheck
 	rep.Results = append(rep.Results, rec)
-}
-
-// AddOpenLoop converts an open-loop sweep into records: one per rate
-// step, phase "rate-<target>", with the service block carrying the
-// open-loop disposition. The shared fields keep their closed-loop
-// meaning where one exists (txns = completed transactions,
-// throughput = goodput); threads reports the in-flight bound, the
-// open-loop analogue of the worker count.
-func (rep *Report) AddOpenLoop(res OpenLoopResult, scenario string, inFlight int) {
-	for _, ph := range res.Phases {
-		rep.Results = append(rep.Results, Record{
-			System: res.System, Scenario: scenario,
-			Threads: inFlight, Shards: max(res.Shards, 1),
-			PhaseResult: PhaseResult{
-				Phase: fmt.Sprintf("rate-%.0f", ph.TargetRate),
-				Txns:  ph.Completed, Ops: ph.Ops,
-				Elapsed: ph.Elapsed, Throughput: ph.Goodput,
-				Latency: LatencySummary{AvgNs: ph.AvgNs, P50Ns: ph.P50Ns, P99Ns: ph.P99Ns},
-				Memory:  ph.Memory,
-			},
-			Service: &ServiceRecord{
-				Driver:      res.Driver,
-				TargetRate:  ph.TargetRate,
-				OfferedRate: ph.OfferedRate,
-				OfferedTxns: ph.Offered, CompletedTxns: ph.Completed,
-				ShedTxns: ph.Shed, ErrorTxns: ph.Errors, DroppedTxns: ph.Dropped,
-				ExpiredTxns: ph.Expired,
-				Goodput:     ph.Goodput, P999Ns: ph.P999Ns,
-			},
-		})
-	}
 }
 
 // WriteJSON emits the report, indented, to w.

@@ -99,8 +99,8 @@ func TestReportAddMultiPhase(t *testing.T) {
 	}
 }
 
-// TestReportGolden pins values as well as shape: the document Add and
-// AddOpenLoop emit for schemaReport(true) must decode to the one captured
+// TestReportGolden pins values as well as shape: the document
+// schemaReport(true) emits must decode to the one captured
 // before the engine's result types became the records (same keys, same
 // values; key order is free).
 func TestReportGolden(t *testing.T) {

@@ -12,7 +12,9 @@ import (
 // record with the recovery block, the fastpath, telemetry, kind,
 // consistency and final-check blocks on the run records, a chaos
 // record carrying the service fault-disposition fields, and a
-// replica-chaos record carrying the replication block.
+// replica-chaos record carrying the replication block. The open-loop and
+// chaos records are built by hand the way RunOpenLoop and chaos.Run build
+// theirs.
 func schemaReport(full bool) *Report {
 	rep := NewReport("crash-recover-uniform", []int{2}, time.Second, 1<<10, 1<<8, 42)
 	res := sampleResult()
@@ -40,16 +42,19 @@ func schemaReport(full bool) *Report {
 	}
 	rep.Add(res)
 	if full {
-		rep.AddOpenLoop(OpenLoopResult{
-			Driver: "inproc", System: "medley-hash", Shards: 8,
-			Phases: []OpenLoopPhase{{
-				TargetRate: 1000, OfferedRate: 990, Offered: 990,
-				Completed: 980, Shed: 5, Errors: 1, Dropped: 4,
-				Ops: 4900, Elapsed: time.Second, Goodput: 980,
-				AvgNs: 1000, P50Ns: 900, P99Ns: 5000, P999Ns: 9000,
-				Memory: &MemoryResult{TotalAllocs: 100, TotalBytes: 1 << 16},
-			}},
-		}, "service-mixed", 64)
+		rep.Results = append(rep.Results, Record{
+			System: "medley-hash", Scenario: "service-mixed", Threads: 64, Shards: 8,
+			PhaseResult: PhaseResult{
+				Phase: "rate-1000", Txns: 980, Ops: 4900, Elapsed: time.Second, Throughput: 980,
+				Latency: LatencySummary{AvgNs: 1000, P50Ns: 900, P99Ns: 5000},
+				Memory:  &MemoryResult{TotalAllocs: 100, TotalBytes: 1 << 16},
+			},
+			Service: &ServiceRecord{
+				Driver: "inproc", TargetRate: 1000, OfferedRate: 990,
+				OfferedTxns: 990, CompletedTxns: 980, ShedTxns: 5, ErrorTxns: 1, DroppedTxns: 4,
+				Goodput: 980, P999Ns: 9000,
+			},
+		})
 		rep.Results = append(rep.Results, Record{
 			System: "medley-hash", Scenario: "chaos-net-flaky", Threads: 8, Shards: 1,
 			PhaseResult: PhaseResult{

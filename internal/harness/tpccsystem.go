@@ -81,11 +81,7 @@ func NewTPCCSystem(spec string, sc tpcc.Scale, mix tpcc.MixWeights, o SystemOpts
 	if err != nil {
 		return nil, err
 	}
-	s := &TPCCSystem{name: store.ShardedName(e.name, shards), sc: sc, mix: mix, shards: shards,
-		advEvery: o.AdvanceEvery}
-	if s.advEvery == 0 {
-		s.advEvery = store.DefaultAdvanceEvery
-	}
+	s := &TPCCSystem{name: store.ShardedName(e.name, shards), sc: sc, mix: mix, shards: shards}
 	if e.structure != "" {
 		if s.backend, err = tpcc.NewKVBackend(s.name, e.structure, shards); err != nil {
 			return nil, err
@@ -101,13 +97,12 @@ func NewTPCCSystem(spec string, sc tpcc.Scale, mix tpcc.MixWeights, o SystemOpts
 
 // TPCCSystem runs the TPC-C workload on a tpcc.Backend under the engine.
 type TPCCSystem struct {
-	name     string
-	backend  tpcc.Backend
-	mgr      *core.TxManager // nil on backends with their own STM (no stats source)
-	sc       tpcc.Scale
-	mix      tpcc.MixWeights
-	shards   int
-	advEvery time.Duration
+	name    string
+	backend tpcc.Backend
+	mgr     *core.TxManager // nil on backends with their own STM (no stats source)
+	sc      tpcc.Scale
+	mix     tpcc.MixWeights
+	shards  int
 
 	mu      sync.Mutex
 	seq     int64
@@ -128,10 +123,11 @@ func (s *TPCCSystem) Preload([]uint64) {
 	}
 }
 
-// Start implements System: txMontage needs its epoch advancer running.
+// Start implements System: txMontage needs its epoch advancer running, at
+// the registry system's epoch length.
 func (s *TPCCSystem) Start() (stop func()) {
 	if mb, ok := s.backend.(*tpcc.MontageBackend); ok {
-		return mb.StartAdvancer(s.advEvery)
+		return mb.StartAdvancer(store.DefaultAdvanceEvery)
 	}
 	return func() {}
 }

@@ -60,27 +60,28 @@ func TestDriverParityEmitsSchemaValidReports(t *testing.T) {
 		t.Run(kind, func(t *testing.T) {
 			d, cleanup := mk(t)
 			defer cleanup()
-			res, err := harness.RunOpenLoop(d, cfg)
+			recs, err := harness.RunOpenLoop(d, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Driver != kind {
-				t.Errorf("driver kind = %q, want %q", res.Driver, kind)
+			rec := recs[0]
+			if rec.Service.Driver != kind {
+				t.Errorf("driver kind = %q, want %q", rec.Service.Driver, kind)
 			}
-			if res.Shards != 2 {
-				t.Errorf("shards = %d, want 2", res.Shards)
+			if rec.Shards != 2 {
+				t.Errorf("shards = %d, want 2", rec.Shards)
 			}
-			ph := res.Phases[0]
-			if ph.Completed == 0 {
+			if rec.Txns == 0 {
 				t.Fatal("no transaction completed")
 			}
-			if ph.Errors > 0 {
-				t.Errorf("errors = %d, want 0", ph.Errors)
+			if rec.Service.ErrorTxns > 0 {
+				t.Errorf("errors = %d, want 0", rec.Service.ErrorTxns)
 			}
 
 			rep := harness.NewReport("service-mixed", []int{cfg.MaxInFlight}, cfg.Duration,
 				cfg.KeyRange, cfg.Preload, cfg.Seed)
-			rep.AddOpenLoop(res, "service-mixed", cfg.MaxInFlight)
+			rec.Scenario = "service-mixed"
+			rep.Results = append(rep.Results, rec)
 			var buf bytes.Buffer
 			if err := rep.WriteJSON(&buf); err != nil {
 				t.Fatal(err)

@@ -38,7 +38,6 @@ type Opts struct {
 	WriteBackLatency time.Duration // injected NVM write-back, per line
 	FenceLatency     time.Duration // injected NVM fence
 	StoreLatency     time.Duration // injected NVM store, per payload word
-	AdvanceEvery     time.Duration // txMontage epoch length
 }
 
 // MontageRegionWords sizes the simulated NVM with the key space.
@@ -95,7 +94,7 @@ func montageEntry(skiplist bool) Entry[Store] {
 			PersistOff:       s.Off["persistoff"],
 			RegionWords:      o.MontageRegionWords(),
 			WriteBackLatency: o.WriteBackLatency, FenceLatency: o.FenceLatency,
-			StoreLatency: o.StoreLatency, AdvanceEvery: o.AdvanceEvery,
+			StoreLatency: o.StoreLatency,
 		})
 	}}
 }
