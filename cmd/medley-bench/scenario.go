@@ -82,13 +82,13 @@ func runExperiments(report string, exps []experiment) error {
 				if err != nil {
 					return err
 				}
-				res := harness.RunScenario(sys, e.sc, harness.EngineConfig{
+				recs := harness.RunScenario(sys, e.sc, harness.EngineConfig{
 					Threads: th, Duration: *durationFlag,
 					KeyRange: uint64(*keyRange), Preload: *preload, Seed: *seedFlag,
 				})
-				rep.Add(res)
+				rep.Results = append(rep.Results, recs...)
 				if !*jsonFlag {
-					printScenarioResult(res, e.heading == "")
+					printScenarioResult(recs, e.heading == "")
 				}
 			}
 		}
@@ -175,19 +175,20 @@ func emitReport(rep *harness.Report) error {
 	return f.Close()
 }
 
-// printScenarioResult prints the headline row of one point and, below it,
-// every block the run produced. Under a figure heading (named false) a
-// point is its headline and consistency verdict alone — one aligned row
-// per system and thread count, the scenario left to the heading.
-func printScenarioResult(res harness.ScenarioResult, named bool) {
-	m := res.Measured
+// printScenarioResult prints the headline row of one point (its measured
+// record, RunScenario's last) and, below it, every block the run produced.
+// Under a figure heading (named false) a point is its headline and
+// consistency verdict alone — one aligned row per system and thread
+// count, the scenario left to the heading.
+func printScenarioResult(recs []harness.Record, named bool) {
+	phases, m := recs[:len(recs)-1], recs[len(recs)-1]
 	if named {
-		fmt.Printf("%-20s ", res.Scenario)
+		fmt.Printf("%-20s ", m.Scenario)
 	} else {
 		fmt.Print("  ")
 	}
 	fmt.Printf("%-24s threads=%-3d throughput=%12.0f txn/s  abort=%6.2f%%  avg=%8.0fns  p50=%8.0fns  p99=%8.0fns\n",
-		res.System, res.Threads, m.Throughput, 100*m.AbortRate, m.Latency.AvgNs, m.Latency.P50Ns, m.Latency.P99Ns)
+		m.System, m.Threads, m.Throughput, 100*m.AbortRate, m.Latency.AvgNs, m.Latency.P50Ns, m.Latency.P99Ns)
 	if c := m.Consistency; c != nil {
 		if c.Violations == 0 {
 			fmt.Printf("  consistency         OK\n")
@@ -211,19 +212,25 @@ func printScenarioResult(res harness.ScenarioResult, named bool) {
 		fmt.Printf("  fastpath            read-only=%d  single-write=%d  share=%5.1f%%\n",
 			fp.ReadOnlyCommits, fp.FastPathCommits-fp.ReadOnlyCommits, 100*fp.FastpathShare)
 	}
-	if len(res.Phases) > 1 {
-		for _, ph := range res.Phases {
-			if ph.Crash {
-				continue // summarized by the recovery line below
-			}
+	// A multi-phase run lists its phases in script order, a crash phase
+	// as its own recovery line.
+	for _, ph := range phases {
+		switch r := ph.Recovery; {
+		case len(phases) == 1:
+		case r == nil:
 			fmt.Printf("  phase %-12s throughput=%12.0f txn/s  abort=%6.2f%%  p50=%8.0fns  p99=%8.0fns\n",
 				ph.Phase, ph.Throughput, 100*ph.AbortRate, ph.Latency.P50Ns, ph.Latency.P99Ns)
+		case !r.Recoverable:
+			fmt.Printf("  phase %-12s recoverable=false\n", ph.Phase)
+		default:
+			fmt.Printf("  phase %-12s recovered=%d/%d entries  violations=%d  recovery=%v\n",
+				ph.Phase, r.Recovered, r.ModelEntries, r.Violations, time.Duration(r.RecoveryNs))
 		}
 	}
 	for _, k := range m.Kinds {
 		fmt.Printf("  tx %-16s txns=%-10d aborts=%-8d avg=%8.0fns\n", k.Kind, k.Txns, k.Aborts, k.AvgNs)
 	}
-	if fc := res.FinalCheck; fc != nil && fc.Checked {
+	if fc := m.FinalCheck; fc != nil && fc.Checked {
 		if v := fc.Violations; v == 0 {
 			fmt.Printf("  final-check         OK (%d entries)\n", fc.ModelEntries)
 		} else {
@@ -237,13 +244,5 @@ func printScenarioResult(res harness.ScenarioResult, named bool) {
 			gs = append(gs, fmt.Sprintf("%s=%.3f", g.Name, g.Value))
 		}
 		fmt.Printf("  telemetry           %s\n", strings.Join(gs, "  "))
-	}
-	if r := res.Recovery; r != nil {
-		if !r.Recoverable {
-			fmt.Printf("  crash-recover       recoverable=false\n")
-		} else {
-			fmt.Printf("  crash-recover       recovered=%d/%d entries  violations=%d  recovery=%v\n",
-				r.Recovered, r.ModelEntries, r.Violations, time.Duration(r.RecoveryNs))
-		}
 	}
 }

@@ -254,9 +254,6 @@ type sender struct {
 	_       [40]byte
 }
 
-// maxSamples bounds each sender's latency reservoir.
-const maxSamples = 8192
-
 // run is the sender loop: paced at interval with exponential
 // interarrivals, writes rewritten into the sender's residue class,
 // definitive acks journaled, in-doubt outcomes tainted.
@@ -285,13 +282,13 @@ func (s *sender) run(cfg *Config, sess harness.DriverSession, tid int, seed int6
 		case err == nil:
 			s.completed++
 			s.journal.Commit(ops)
-			s.Record(time.Since(sent), maxSamples)
+			s.Record(time.Since(sent))
 		case service.IsInDoubt(err):
 			s.indoubt++
 			s.journal.Taint(ops)
-		case errors.Is(err, harness.ErrOverload):
+		case errors.Is(err, kv.ErrOverload):
 			s.shed++
-		case errors.Is(err, harness.ErrExpired):
+		case errors.Is(err, kv.ErrExpired):
 			s.expired++
 		default:
 			s.errors++

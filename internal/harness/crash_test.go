@@ -25,12 +25,23 @@ func crashScenario(t *testing.T, name string) Scenario {
 	return sc
 }
 
+// recoveryOf is the recovery block of a run's first crash record; nil
+// when no record carries one.
+func recoveryOf(recs []Record) *RecoveryResult {
+	for _, rec := range recs {
+		if rec.Recovery != nil {
+			return rec.Recovery
+		}
+	}
+	return nil
+}
+
 // requireCleanRecovery runs sys through a crash scenario and asserts the
 // recovered state matched the committed-operation model exactly.
 func requireCleanRecovery(t *testing.T, sys System, scenario string) {
 	t.Helper()
-	res := RunScenario(sys, crashScenario(t, scenario), crashEngineConfig(2))
-	r := res.Recovery
+	recs := RunScenario(sys, crashScenario(t, scenario), crashEngineConfig(2))
+	r := recoveryOf(recs)
 	if r == nil {
 		t.Fatalf("%s: crash scenario produced no recovery result", sys.Name())
 	}
@@ -48,7 +59,7 @@ func requireCleanRecovery(t *testing.T, sys System, scenario string) {
 		t.Fatalf("%s: recovered %d entries, model has %d", sys.Name(), r.Recovered, r.ModelEntries)
 	}
 	// The system must be healthy after recovery, not just correct.
-	post := res.Phases[len(res.Phases)-1]
+	post := recs[len(recs)-2]
 	if post.Phase != "post-mixed" || post.Txns == 0 {
 		t.Fatalf("%s: no post-crash progress: %+v", sys.Name(), post)
 	}
@@ -92,8 +103,8 @@ func TestNonPersistentReportsNotRecoverable(t *testing.T) {
 		NewTDSL(),
 		NewMontage(MontageOpts{Buckets: 1 << 10, RegionWords: 1 << 22, PersistOff: true}),
 	} {
-		res := RunScenario(sys, crashScenario(t, "crash-recover-uniform"), crashEngineConfig(2))
-		r := res.Recovery
+		recs := RunScenario(sys, crashScenario(t, "crash-recover-uniform"), crashEngineConfig(2))
+		r := recoveryOf(recs)
 		if r == nil {
 			t.Fatalf("%s: crash scenario produced no recovery result", sys.Name())
 		}
@@ -101,9 +112,38 @@ func TestNonPersistentReportsNotRecoverable(t *testing.T) {
 			t.Fatalf("%s: want clean recoverable=false result, got %+v", sys.Name(), r)
 		}
 		// The system keeps running: the scenario completes all phases.
-		if len(res.Phases) != 4 || res.Phases[3].Txns == 0 {
-			t.Fatalf("%s: scenario did not complete around the skipped crash: %+v", sys.Name(), res.Phases)
+		if len(recs) != 5 || recs[3].Txns == 0 {
+			t.Fatalf("%s: scenario did not complete around the skipped crash: %+v", sys.Name(), recs)
 		}
+	}
+}
+
+// TestCrashRecordsReportTheirOwnCrash runs a scenario that crashes twice
+// and checks each crash record against itself: its recovery block times
+// that crash alone, so recovery_ns equals the record's elapsed_ns.
+func TestCrashRecordsReportTheirOwnCrash(t *testing.T) {
+	sc := crashScenario(t, "chaos-crash-in-recovery")
+	sys, err := NewScenarioSystem(sc, "txmontage-hash", tinyTPCCScale(), SystemOpts{Buckets: 1 << 10, KeyRange: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	crashes := 0
+	for _, rec := range RunScenario(sys, sc, crashEngineConfig(2)) {
+		r := rec.Recovery
+		if r == nil {
+			continue
+		}
+		crashes++
+		if !r.Recoverable || r.Violations != 0 {
+			t.Fatalf("%s: recovery %+v, want recoverable and clean", rec.Phase, r)
+		}
+		if r.RecoveryNs <= 0 || r.RecoveryNs != int64(rec.Elapsed) {
+			t.Errorf("%s: recovery_ns %d, elapsed_ns %d: a crash record must time its own crash",
+				rec.Phase, r.RecoveryNs, int64(rec.Elapsed))
+		}
+	}
+	if crashes != 2 {
+		t.Fatalf("%d crash records, want 2", crashes)
 	}
 }
 
@@ -257,14 +297,14 @@ func TestVerifierDetectsInjectedFaults(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			res := RunScenario(c.mk(), crashScenario(t, "crash-recover-uniform"), crashEngineConfig(2))
-			if res.Recovery == nil || !res.Recovery.Recoverable {
-				t.Fatalf("no recovery result: %+v", res.Recovery)
+			r := recoveryOf(RunScenario(c.mk(), crashScenario(t, "crash-recover-uniform"), crashEngineConfig(2)))
+			if r == nil || !r.Recoverable {
+				t.Fatalf("no recovery result: %+v", r)
 			}
-			if res.Recovery.Violations == 0 {
+			if r.Violations == 0 {
 				t.Fatalf("verifier reported zero violations despite injected fault")
 			}
-			c.check(t, res.Recovery)
+			c.check(t, r)
 		})
 	}
 }
@@ -272,8 +312,7 @@ func TestVerifierDetectsInjectedFaults(t *testing.T) {
 // TestVerifierCleanOnHonestSystem is the control for the fault-injection
 // tests: the same double with no fault injected verifies clean.
 func TestVerifierCleanOnHonestSystem(t *testing.T) {
-	res := RunScenario(newFaultyMapSystem(45), crashScenario(t, "crash-recover-uniform"), crashEngineConfig(4))
-	r := res.Recovery
+	r := recoveryOf(RunScenario(newFaultyMapSystem(45), crashScenario(t, "crash-recover-uniform"), crashEngineConfig(4)))
 	if r == nil || !r.Recoverable {
 		t.Fatalf("no recovery result: %+v", r)
 	}
@@ -324,8 +363,7 @@ func TestDrainPhaseShrinksState(t *testing.T) {
 		}},
 	}
 	cfg := crashEngineConfig(2)
-	res := RunScenario(sys, sc, cfg)
-	if res.Measured.Txns == 0 {
+	if measuredOf(RunScenario(sys, sc, cfg)).Txns == 0 {
 		t.Fatal("drain phase made no progress")
 	}
 	sys.mu.Lock()

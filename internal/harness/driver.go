@@ -9,14 +9,6 @@ import "medley/internal/kv"
 // internal/service). The open-loop engine (openloop.go) only ever talks to
 // this interface.
 
-// ErrOverload and ErrExpired are the two refusals a DriverSession may
-// answer with (kv.Session declares them: the service's HTTP client returns
-// them without importing this package). The open-loop engine counts shed
-// requests separately from errors — shedding under overload is the
-// admission control working, not a failure — and an expired one as its own
-// disposition: a latency casualty, not a failure and not a shed.
-var ErrOverload, ErrExpired = kv.ErrOverload, kv.ErrExpired
-
 // Driver provisions the system under test and hands out sessions. Start,
 // Preload and Close are called once per run, from one goroutine;
 // NewSession is called once per sender goroutine.

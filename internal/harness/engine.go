@@ -4,7 +4,7 @@ import (
 	"math/rand"
 	"runtime"
 	"runtime/metrics"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -65,19 +65,6 @@ type MemoryResult struct {
 	PoolHitRate float64 `json:"pool_hit_rate"`
 }
 
-// finish fills the arena counters from the counter deltas v (zeros for a
-// system exporting none) and derives the per-op and hit-rate ratios.
-func (m *MemoryResult) finish(ops uint64, v map[string]uint64) {
-	m.PoolGets, m.PoolHits, m.PoolRetires = v["pool_gets"], v["pool_hits"], v["pool_retires"]
-	if ops > 0 {
-		m.AllocsPerOp = float64(m.TotalAllocs) / float64(ops)
-		m.BytesPerOp = float64(m.TotalBytes) / float64(ops)
-	}
-	if m.PoolGets > 0 {
-		m.PoolHitRate = float64(m.PoolHits) / float64(m.PoolGets)
-	}
-}
-
 // memSample is one point-in-time memory reading; phases report the delta
 // of two samples.
 type memSample struct {
@@ -110,17 +97,110 @@ func readMemSample() memSample {
 	return s
 }
 
-// memoryResult folds two samples and the phase's counter deltas into the
-// reported block.
-func memoryResult(before, after memSample, ops uint64, v map[string]uint64) *MemoryResult {
-	m := &MemoryResult{
-		TotalAllocs: after.allocObjs - before.allocObjs,
-		TotalBytes:  after.allocBytes - before.allocBytes,
-		GCPauseNs:   int64(after.pauseNs - before.pauseNs),
-		NumGC:       after.numGC - before.numGC,
+// minus is the delta from an earlier sample b to a.
+func (a memSample) minus(b memSample) memSample {
+	return memSample{a.allocObjs - b.allocObjs, a.allocBytes - b.allocBytes, a.pauseNs - b.pauseNs, a.numGC - b.numGC}
+}
+
+// tally is what one phase measured, before any report block is derived
+// from it. Tallies add, and one derivation (result) turns a phase's tally
+// into its record and the sum of the measured phases' tallies into the
+// measured aggregate.
+type tally struct {
+	txns, ops, aborts uint64
+	elapsed           time.Duration
+	// samples are the phase's latency reservoir, each weighted by the
+	// transactions it stands for (see weigh).
+	samples []weightedSample
+	mem     memSample // allocator and GC delta
+	// counters are the counter deltas by name; nil when the system
+	// exports none.
+	counters map[string]uint64
+	kinds    []KindStat // per-kind deltas
+	// checked is set when the domain-invariant check ran at the phase
+	// barrier; violations is what it found.
+	checked    bool
+	violations []ConsistencyViolation
+}
+
+// weigh adds one phase's reservoir samples, each weighted by the phase's
+// txns ÷ samples. Every reservoir holds the same number of samples however
+// many transactions its phase ran, so without the weight a slow,
+// low-throughput phase would dominate the aggregate's percentiles far
+// beyond its share of the run.
+func (t *tally) weigh(samples []int64) {
+	w := float64(t.txns) / float64(len(samples))
+	for _, ns := range samples {
+		t.samples = append(t.samples, weightedSample{ns: ns, w: w})
 	}
-	m.finish(ops, v)
-	return m
+}
+
+// add sums o into t: counts, samples, memory, counters and kinds by name,
+// and the consistency findings.
+func (t *tally) add(o tally) {
+	t.txns += o.txns
+	t.ops += o.ops
+	t.aborts += o.aborts
+	t.elapsed += o.elapsed
+	t.samples = append(t.samples, o.samples...)
+	t.mem = memSample{t.mem.allocObjs + o.mem.allocObjs, t.mem.allocBytes + o.mem.allocBytes,
+		t.mem.pauseNs + o.mem.pauseNs, t.mem.numGC + o.mem.numGC}
+	if o.counters != nil && t.counters == nil {
+		t.counters = make(map[string]uint64, len(o.counters))
+	}
+	for name, v := range o.counters {
+		t.counters[name] += v
+	}
+	for _, k := range o.kinds {
+		i := slices.IndexFunc(t.kinds, func(a KindStat) bool { return a.Kind == k.Kind })
+		if i < 0 {
+			t.kinds = append(t.kinds, k)
+			continue
+		}
+		t.kinds[i].Txns += k.Txns
+		t.kinds[i].Aborts += k.Aborts
+		t.kinds[i].TotalNs += k.TotalNs
+	}
+	t.checked = t.checked || o.checked
+	t.violations = append(t.violations, o.violations...)
+}
+
+// result derives every block of a run-phase record from the tally:
+// throughput, abort rate, latency, memory (its arena fields from the
+// counters) and, when the tally holds what they derive from, fastpath,
+// telemetry, kinds and consistency. The samples are sorted in place.
+func (t *tally) result(phase string) Record {
+	ph := PhaseResult{Phase: phase, Txns: t.txns, Ops: t.ops, Aborts: t.aborts, Elapsed: t.elapsed}
+	if t.elapsed > 0 {
+		ph.Throughput = float64(t.txns) / t.elapsed.Seconds()
+	}
+	if total := t.txns + t.aborts; total > 0 {
+		ph.AbortRate = float64(t.aborts) / float64(total)
+	}
+	ph.Latency.AvgNs, ph.Latency.P50Ns, ph.Latency.P99Ns, _ = weightedDigest(t.samples)
+	c := t.counters
+	m := &MemoryResult{
+		TotalAllocs: t.mem.allocObjs, TotalBytes: t.mem.allocBytes,
+		GCPauseNs: int64(t.mem.pauseNs), NumGC: t.mem.numGC,
+		PoolGets: c["pool_gets"], PoolHits: c["pool_hits"], PoolRetires: c["pool_retires"],
+	}
+	if t.ops > 0 {
+		m.AllocsPerOp = float64(m.TotalAllocs) / float64(t.ops)
+		m.BytesPerOp = float64(m.TotalBytes) / float64(t.ops)
+	}
+	if m.PoolGets > 0 {
+		m.PoolHitRate = float64(m.PoolHits) / float64(m.PoolGets)
+	}
+	ph.Memory = m
+	ph.Fastpath = fastpathResult(c)
+	if c != nil {
+		ph.Telemetry = &TelemetryResult{Counters: sortedCounters(c), Gauges: deriveGauges(c)}
+	}
+	ph.Kinds = kindResults(t.kinds)
+	if t.checked {
+		ph.Consistency = consistencyResult(t.violations)
+	}
+	return Record{PhaseResult: ph}
 }
 
 // EngineConfig parameterizes one scenario run.
@@ -132,21 +212,16 @@ type EngineConfig struct {
 	Seed     int64
 }
 
-// reservoirSamples bounds each worker's and each open-loop sender's
-// latency reservoir. Reservoir sampling keeps the samples uniform over the
-// phase regardless of its length.
-const reservoirSamples = 4096
-
 // latencyEvery times every Nth closed-loop transaction: clock reads cost
 // tens of nanoseconds, so timing every transaction would tax the fastest
 // systems most and compress cross-system ratios.
 const latencyEvery = 4
 
 // PhaseResult is the measurement of one phase (or the aggregate of the
-// measured phases), and the phase half of a report Record.
+// measured phases), and the phase half of a report Record. On a crash
+// phase's record Elapsed is the recovery latency.
 type PhaseResult struct {
 	Phase      string         `json:"phase"`
-	Crash      bool           `json:"-"` // crash phase: Elapsed is the recovery latency
 	Txns       uint64         `json:"txns"`
 	Ops        uint64         `json:"ops"`
 	Aborts     uint64         `json:"aborts"`
@@ -176,26 +251,6 @@ type PhaseResult struct {
 	Consistency *ConsistencyResult `json:"consistency,omitempty"`
 }
 
-// ScenarioResult is one (system, scenario, thread count) measurement.
-type ScenarioResult struct {
-	Scenario string
-	System   string
-	Threads  int
-	// Shards is the store partition count (1 for single-instance systems,
-	// including the competitors that cannot shard — see internal/kv).
-	Shards int
-	Phases []PhaseResult
-	// Measured aggregates the phases marked Measure (all phases when none
-	// are marked) and is the headline number of the run.
-	Measured PhaseResult
-	// Recovery is set by crash scenarios: recovery metrics and durability
-	// verification for recoverable systems, Recoverable: false otherwise.
-	Recovery *RecoveryResult
-	// FinalCheck is set by VerifyFinal scenarios: the live end-of-run state
-	// diffed against the journaled model of committed effects.
-	FinalCheck *FinalCheckResult
-}
-
 // workerShard is one worker's slice of the harness's own statistics,
 // padded so that concurrently running workers never write the same cache
 // line. Counters are plain: only the owning worker writes them, and the
@@ -208,10 +263,12 @@ type workerShard struct {
 }
 
 // RunScenario executes sc against sys: preload once, then each phase in
-// order, each worker asking for its executor per phase. It is
-// deterministic in cfg.Seed up to scheduling (the generators are; the
-// interleaving is not).
-func RunScenario(sys System, sc Scenario, cfg EngineConfig) ScenarioResult {
+// order, each worker asking for its executor per phase. It returns one
+// record per phase, in script order, then the measured aggregate — so
+// phase == "measured" selects the headline number whatever the phase
+// count. It is deterministic in cfg.Seed up to scheduling (the generators
+// are; the interleaving is not).
+func RunScenario(sys System, sc Scenario, cfg EngineConfig) []Record {
 	if cfg.Threads <= 0 {
 		cfg.Threads = 1
 	}
@@ -274,29 +331,12 @@ func RunScenario(sys System, sc Scenario, cfg EngineConfig) ScenarioResult {
 		totalWeight = 1
 	}
 
-	res := ScenarioResult{Scenario: sc.Name, System: sys.Name(), Threads: cfg.Threads, Shards: caps.ShardCount()}
-	var agg PhaseResult
-	agg.Phase = "measured"
-	var parts []phaseSamples
-	anyMeasured := false
-	for _, ph := range sc.Phases {
-		if ph.Measure {
-			anyMeasured = true
-		}
-	}
-
+	anyMeasured := slices.ContainsFunc(sc.Phases, func(ph Phase) bool { return ph.Measure })
+	var recs []Record
+	var agg tally // the measured phases (all run phases when none is marked)
 	for pi, ph := range sc.Phases {
 		if ph.Kind == PhaseCrash {
-			pr, rr := runCrashPhase(caps.Recovery, vs, ph)
-			if caps.Consistency != nil {
-				pr.Consistency = consistencyResult(caps.Consistency.ConsistencyCheck())
-			}
-			res.Phases = append(res.Phases, pr)
-			if res.Recovery == nil {
-				res.Recovery = &rr
-			} else {
-				res.Recovery.merge(rr)
-			}
+			recs = append(recs, runCrashPhase(caps, vs, ph))
 			continue
 		}
 		w := ph.Weight
@@ -304,69 +344,34 @@ func RunScenario(sys System, sc Scenario, cfg EngineConfig) ScenarioResult {
 			w = 1
 		}
 		d := time.Duration(float64(cfg.Duration) * w / totalWeight)
-		pr, samples := runPhase(sys, caps, sc, ph, pi, cfg, workers, d, vs)
+		t := runPhase(sys, caps, sc, ph, pi, cfg, workers, d, vs)
 		if caps.Consistency != nil && ph.Measure {
-			pr.Consistency = consistencyResult(caps.Consistency.ConsistencyCheck())
+			t.checked, t.violations = true, caps.Consistency.ConsistencyCheck()
 		}
-		res.Phases = append(res.Phases, pr)
 		if ph.Measure || !anyMeasured {
-			agg.Txns += pr.Txns
-			agg.Ops += pr.Ops
-			agg.Aborts += pr.Aborts
-			agg.Elapsed += pr.Elapsed
-			parts = append(parts, phaseSamples{samples: samples, txns: pr.Txns})
-			if pr.Memory != nil {
-				if agg.Memory == nil {
-					agg.Memory = &MemoryResult{}
-				}
-				agg.Memory.TotalAllocs += pr.Memory.TotalAllocs
-				agg.Memory.TotalBytes += pr.Memory.TotalBytes
-				agg.Memory.GCPauseNs += pr.Memory.GCPauseNs
-				agg.Memory.NumGC += pr.Memory.NumGC
-			}
-			if pr.Telemetry != nil {
-				if agg.Telemetry == nil {
-					agg.Telemetry = &TelemetryResult{}
-				}
-				mergeTelemetry(agg.Telemetry, pr.Telemetry)
-			}
-			if len(pr.Kinds) > 0 {
-				agg.Kinds = mergeKinds(agg.Kinds, pr.Kinds)
-			}
-			if pr.Consistency != nil {
-				if agg.Consistency == nil {
-					agg.Consistency = &ConsistencyResult{}
-				}
-				mergeConsistency(agg.Consistency, pr.Consistency)
-			}
+			agg.add(t)
 		}
+		recs = append(recs, t.result(ph.Name))
 	}
-	// The aggregate's gauges, arena counters and fastpath block derive from
-	// its summed counters exactly as a phase's do from its deltas.
-	var v map[string]uint64
-	if agg.Telemetry != nil {
-		v = counterMap(agg.Telemetry.Counters)
-		agg.Telemetry.Gauges = deriveGauges(v)
-	}
-	if agg.Memory != nil {
-		agg.Memory.finish(agg.Ops, v)
-	}
-	agg.Fastpath = fastpathResult(v)
-	finishAggregate(&agg, parts)
-	res.Measured = agg
+	m := agg.result("measured")
 	if sc.VerifyFinal {
-		res.FinalCheck = runFinalCheck(caps, vs)
+		m.FinalCheck = runFinalCheck(caps, vs)
 	}
-	return res
+	recs = append(recs, m)
+	for i := range recs {
+		recs[i].System, recs[i].Scenario = sys.Name(), sc.Name
+		recs[i].Threads, recs[i].Shards = cfg.Threads, max(caps.ShardCount(), 1)
+	}
+	return recs
 }
 
 // runPhase spawns the phase's workers (cfg.Threads, multiplied by the
-// scenario's WorkersPerThread) and collects their shards. The returned
-// samples back the scenario-level aggregate. In crash and VerifyFinal
+// scenario's WorkersPerThread) and tallies their shards and the system's
+// counters around the phase. In crash and VerifyFinal
 // scenarios (vs non-nil) write keys are partitioned per worker and, when
 // journaling, committed effects are merged into the ground-truth model at
 // the phase barrier.
-func runPhase(sys System, caps Caps, sc Scenario, ph Phase, phaseIdx int, cfg EngineConfig, workers int, d time.Duration, vs *verifyState) (PhaseResult, []int64) {
+func runPhase(sys System, caps Caps, sc Scenario, ph Phase, phaseIdx int, cfg EngineConfig, workers int, d time.Duration, vs *verifyState) tally {
 	var aborts0 uint64
 	if caps.TxStats != nil {
 		_, aborts0 = caps.TxStats.TxStats()
@@ -432,7 +437,7 @@ func runPhase(sys System, caps Caps, sc Scenario, ph Phase, phaseIdx int, cfg En
 				// counts what ran.
 				_ = ex.ExecBatch(ops, nil)
 				if timed {
-					shard.Record(time.Since(t0), reservoirSamples)
+					shard.Record(time.Since(t0))
 				}
 				if jm != nil {
 					applyOps(jm, ops)
@@ -464,23 +469,17 @@ func runPhase(sys System, caps Caps, sc Scenario, ph Phase, phaseIdx int, cfg En
 			}
 		}
 	}
-	mem1 := readMemSample()
-
-	pr := PhaseResult{Phase: ph.Name, Elapsed: elapsed}
+	t := tally{elapsed: elapsed, mem: readMemSample().minus(mem0)}
 	var samples []int64
 	for _, s := range shards {
-		pr.Txns += s.txns
-		pr.Ops += s.ops
+		t.txns += s.txns
+		t.ops += s.ops
 		samples = append(samples, s.Samples...)
 	}
-	var v map[string]uint64
+	t.weigh(samples)
 	if caps.Metrics != nil {
-		counters := diffMetrics(met0, caps.Metrics.MetricsSnapshot())
-		v = counterMap(counters)
-		pr.Telemetry = &TelemetryResult{Counters: counters, Gauges: deriveGauges(v)}
+		t.counters = diffMetrics(met0, caps.Metrics.MetricsSnapshot())
 	}
-	pr.Memory = memoryResult(mem0, mem1, pr.Ops, v)
-	pr.Fastpath = fastpathResult(v)
 	// Worker write domains are disjoint (residue classes), so merging the
 	// journals is conflict-free.
 	for _, jm := range journals {
@@ -490,109 +489,36 @@ func runPhase(sys System, caps Caps, sc Scenario, ph Phase, phaseIdx int, cfg En
 	}
 	if caps.TxStats != nil {
 		_, aborts1 := caps.TxStats.TxStats()
-		pr.Aborts = aborts1 - aborts0
+		t.aborts = aborts1 - aborts0
 	}
 	if caps.Kinds != nil {
-		pr.Kinds = diffKinds(kin0, caps.Kinds.TxKindStats())
+		t.kinds = diffKinds(kin0, caps.Kinds.TxKindStats())
 	}
-	finishPhaseResult(&pr, samples)
-	return pr, samples
+	return t
 }
 
 // runCrashPhase executes a PhaseCrash phase: flush committed state, crash,
 // time recovery, and verify the recovered contents against the model. All
 // workers are stopped at this point (phases are barriers), so the model is
-// exactly the committed history and the snapshot is quiescent.
-func runCrashPhase(rec Recoverable, vs *verifyState, ph Phase) (PhaseResult, RecoveryResult) {
-	pr := PhaseResult{Phase: ph.Name, Crash: true}
-	if rec == nil || !rec.CanRecover() {
-		return pr, RecoveryResult{}
-	}
-	rec.Persist()
-	t0 := time.Now()
-	entries := rec.CrashAndRecover()
-	pr.Elapsed = time.Since(t0)
-	rr := RecoveryResult{
-		Recoverable: true,
-		RecoveryNs:  int64(pr.Elapsed),
-		Recovered:   entries,
-	}
-	fc := checkState(vs.model, rec.StateSnapshot)
-	rr.ModelEntries, rr.Missing, rr.Mismatched, rr.Leaked = fc.ModelEntries, fc.Missing, fc.Mismatched, fc.Leaked
-	rr.Violations = fc.Violations
-	return pr, rr
-}
-
-// finishPhaseResult derives rates and percentiles; samples is consumed
-// (sorted in place).
-func finishPhaseResult(pr *PhaseResult, samples []int64) {
-	if pr.Elapsed > 0 {
-		pr.Throughput = float64(pr.Txns) / pr.Elapsed.Seconds()
-	}
-	if total := pr.Txns + pr.Aborts; total > 0 {
-		pr.AbortRate = float64(pr.Aborts) / float64(total)
-	}
-	pr.Latency.AvgNs, pr.Latency.P50Ns, pr.Latency.P99Ns, _ = LatencyDigest(samples)
-}
-
-// phaseSamples pairs one measured phase's latency reservoir with the
-// transaction count it represents.
-type phaseSamples struct {
-	samples []int64
-	txns    uint64
-}
-
-type weightedSample struct {
-	ns int64
-	w  float64
-}
-
-// finishAggregate derives the scenario-level aggregate. Each phase's
-// reservoir is capped at the same size regardless of how many
-// transactions the phase ran, so samples are weighted by the transaction
-// count they stand for — otherwise a slow, low-throughput phase would
-// dominate the headline percentiles far beyond its share of the run.
-func finishAggregate(pr *PhaseResult, parts []phaseSamples) {
-	if pr.Elapsed > 0 {
-		pr.Throughput = float64(pr.Txns) / pr.Elapsed.Seconds()
-	}
-	if total := pr.Txns + pr.Aborts; total > 0 {
-		pr.AbortRate = float64(pr.Aborts) / float64(total)
-	}
-	var all []weightedSample
-	var totalW, weightedSum float64
-	for _, p := range parts {
-		if len(p.samples) == 0 || p.txns == 0 {
-			continue
-		}
-		w := float64(p.txns) / float64(len(p.samples))
-		for _, s := range p.samples {
-			all = append(all, weightedSample{ns: s, w: w})
-			weightedSum += float64(s) * w
-		}
-		totalW += float64(p.txns)
-	}
-	if len(all) == 0 {
-		return
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].ns < all[j].ns })
-	pr.Latency = LatencySummary{
-		AvgNs: weightedSum / totalW,
-		P50Ns: float64(weightedPercentile(all, totalW, 0.50)),
-		P99Ns: float64(weightedPercentile(all, totalW, 0.99)),
-	}
-}
-
-// weightedPercentile returns the smallest sample whose cumulative weight
-// reaches p of totalW; all must be sorted by ns.
-func weightedPercentile(all []weightedSample, totalW, p float64) int64 {
-	target := p * totalW
-	var cum float64
-	for _, s := range all {
-		cum += s.w
-		if cum >= target {
-			return s.ns
+// exactly the committed history and the snapshot is quiescent. The record
+// carries this crash's recovery block (Recoverable false when the system
+// keeps no durable state) and the consistency check run after it.
+func runCrashPhase(caps Caps, vs *verifyState, ph Phase) Record {
+	rec := Record{PhaseResult: PhaseResult{Phase: ph.Name}, Recovery: &RecoveryResult{}}
+	if caps.CanRecover() {
+		caps.Recovery.Persist()
+		t0 := time.Now()
+		entries := caps.Recovery.CrashAndRecover()
+		rec.Elapsed = time.Since(t0)
+		fc := checkState(vs.model, caps.Recovery.StateSnapshot)
+		*rec.Recovery = RecoveryResult{
+			Recoverable: true, RecoveryNs: int64(rec.Elapsed), Recovered: entries,
+			ModelEntries: fc.ModelEntries, Missing: fc.Missing, Mismatched: fc.Mismatched,
+			Leaked: fc.Leaked, Violations: fc.Violations,
 		}
 	}
-	return all[len(all)-1].ns
+	if caps.Consistency != nil {
+		rec.Consistency = consistencyResult(caps.Consistency.ConsistencyCheck())
+	}
+	return rec
 }

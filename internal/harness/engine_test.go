@@ -1,7 +1,8 @@
 package harness
 
 import (
-	"sort"
+	"math"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -13,20 +14,31 @@ func tinyEngineConfig(threads int) EngineConfig {
 	}
 }
 
+// measuredOf is a run's headline record: the last one RunScenario returns.
+func measuredOf(recs []Record) Record { return recs[len(recs)-1] }
+
 func TestRunScenarioAllBuiltinsOnMedley(t *testing.T) {
 	for _, name := range ScenarioNames() {
 		sc, err := LookupScenario(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := RunScenario(testSystem("medley-hash"), sc, tinyEngineConfig(2))
-		if res.Scenario != name || res.System != "Medley-hash" {
-			t.Fatalf("%s: bad labels %+v", name, res)
+		recs := RunScenario(testSystem("medley-hash"), sc, tinyEngineConfig(2))
+		if len(recs) != len(sc.Phases)+1 {
+			t.Fatalf("%s: %d records for %d phases", name, len(recs), len(sc.Phases))
 		}
-		if len(res.Phases) != len(sc.Phases) {
-			t.Fatalf("%s: %d phase results for %d phases", name, len(res.Phases), len(sc.Phases))
+		for i, rec := range recs {
+			if rec.Scenario != name || rec.System != "Medley-hash" || rec.Threads != 2 || rec.Shards != 1 {
+				t.Fatalf("%s: bad labels %+v", name, rec)
+			}
+			if i < len(sc.Phases) && rec.Phase != sc.Phases[i].Name {
+				t.Fatalf("%s: record %d is phase %q, want %q", name, i, rec.Phase, sc.Phases[i].Name)
+			}
 		}
-		m := res.Measured
+		m := measuredOf(recs)
+		if m.Phase != "measured" {
+			t.Fatalf("%s: last record is phase %q, want measured", name, m.Phase)
+		}
 		if m.Txns == 0 || m.Throughput <= 0 {
 			t.Errorf("%s: no progress: %+v", name, m)
 		}
@@ -52,12 +64,12 @@ func TestRunScenarioCompetitorsReportAborts(t *testing.T) {
 		if _, ok := sys.(TxStatser); !ok {
 			t.Fatalf("%s does not implement TxStatser", sys.Name())
 		}
-		res := RunScenario(sys, sc, tinyEngineConfig(2))
-		if res.Measured.Txns == 0 {
+		m := measuredOf(RunScenario(sys, sc, tinyEngineConfig(2)))
+		if m.Txns == 0 {
 			t.Fatalf("%s: no transactions", sys.Name())
 		}
-		if res.Measured.AbortRate < 0 || res.Measured.AbortRate >= 1 {
-			t.Fatalf("%s: abort rate %f out of range", sys.Name(), res.Measured.AbortRate)
+		if m.AbortRate < 0 || m.AbortRate >= 1 {
+			t.Fatalf("%s: abort rate %f out of range", sys.Name(), m.AbortRate)
 		}
 	}
 }
@@ -67,9 +79,9 @@ func TestRunScenarioPhaseIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := RunScenario(testSystem("medley-hash"), sc, tinyEngineConfig(2))
+	recs := RunScenario(testSystem("medley-hash"), sc, tinyEngineConfig(2))
 	names := []string{"load", "mixed", "drain"}
-	for i, ph := range res.Phases {
+	for i, ph := range recs[:len(recs)-1] {
 		if ph.Phase != names[i] {
 			t.Fatalf("phase %d = %q, want %q", i, ph.Phase, names[i])
 		}
@@ -78,52 +90,202 @@ func TestRunScenarioPhaseIsolation(t *testing.T) {
 		}
 	}
 	// The aggregate covers exactly the measured phase.
-	if res.Measured.Txns != res.Phases[1].Txns {
-		t.Fatalf("aggregate %d txns, measured phase %d", res.Measured.Txns, res.Phases[1].Txns)
+	if m := measuredOf(recs); m.Txns != recs[1].Txns {
+		t.Fatalf("aggregate %d txns, measured phase %d", m.Txns, recs[1].Txns)
 	}
 }
 
-func TestPercentileNearestRank(t *testing.T) {
-	sorted := make([]int64, 100)
-	for i := range sorted {
-		sorted[i] = int64(i + 1)
+// TestMeasuredIsSumOfPhases checks that the measured record is derived
+// from the sum of its measured phases: counts, elapsed time, memory
+// totals, counters, kinds and consistency findings add up, and every
+// ratio is recomputed from the sums. read-mostly has two measured phases;
+// tpcc-full adds kinds, consistency and a crash between its phases.
+func TestMeasuredIsSumOfPhases(t *testing.T) {
+	tpccFull := mustScenario(t, "tpcc-full")
+	tpccSys, err := NewScenarioSystem(tpccFull, "medley-hash", tinyTPCCScale(), SystemOpts{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	cases := []struct {
-		p    int
-		want int64
-	}{{50, 50}, {99, 99}, {100, 100}, {1, 1}}
-	for _, c := range cases {
-		if got := Quantile(sorted, 10*c.p); got != c.want {
-			t.Fatalf("p%d of 1..100 = %d, want %d", c.p, got, c.want)
+	for _, c := range []struct {
+		sc  Scenario
+		sys System
+		cfg EngineConfig
+	}{
+		{mustScenario(t, "read-mostly"), testSystem("medley-hash"), tinyEngineConfig(2)},
+		{tpccFull, tpccSys, tpccEngineConfig(2)},
+	} {
+		recs := RunScenario(c.sys, c.sc, c.cfg)
+		m := measuredOf(recs)
+		var sum PhaseResult
+		mem := MemoryResult{}
+		counters := map[string]uint64{}
+		kinds := map[string]KindResult{}
+		violations, phases := 0, 0
+		for i, ph := range c.sc.Phases {
+			if !ph.Measure {
+				continue
+			}
+			r := recs[i]
+			phases++
+			sum.Txns += r.Txns
+			sum.Ops += r.Ops
+			sum.Aborts += r.Aborts
+			sum.Elapsed += r.Elapsed
+			mem.TotalAllocs += r.Memory.TotalAllocs
+			mem.TotalBytes += r.Memory.TotalBytes
+			mem.GCPauseNs += r.Memory.GCPauseNs
+			mem.NumGC += r.Memory.NumGC
+			mem.PoolGets += r.Memory.PoolGets
+			mem.PoolHits += r.Memory.PoolHits
+			mem.PoolRetires += r.Memory.PoolRetires
+			for _, ctr := range r.Telemetry.Counters {
+				counters[ctr.Name] += ctr.Value
+			}
+			for _, k := range r.Kinds {
+				sk := kinds[k.Kind]
+				sk.Kind, sk.Txns, sk.Aborts = k.Kind, sk.Txns+k.Txns, sk.Aborts+k.Aborts
+				kinds[k.Kind] = sk
+			}
+			if r.Consistency != nil {
+				violations += r.Consistency.Violations
+			}
+		}
+		name := c.sc.Name
+		if phases < 2 || m.Txns == 0 {
+			t.Fatalf("%s: %d measured phases, %d txns", name, phases, m.Txns)
+		}
+		if m.Txns != sum.Txns || m.Ops != sum.Ops || m.Aborts != sum.Aborts || m.Elapsed != sum.Elapsed {
+			t.Errorf("%s: measured %+v, phases sum to %+v", name, m.PhaseResult, sum)
+		}
+		mem.AllocsPerOp = float64(mem.TotalAllocs) / float64(sum.Ops)
+		mem.BytesPerOp = float64(mem.TotalBytes) / float64(sum.Ops)
+		if mem.PoolGets > 0 {
+			mem.PoolHitRate = float64(mem.PoolHits) / float64(mem.PoolGets)
+		}
+		if *m.Memory != mem {
+			t.Errorf("%s: memory %+v, phases sum to %+v", name, *m.Memory, mem)
+		}
+		got := map[string]uint64{}
+		for _, ctr := range m.Telemetry.Counters {
+			got[ctr.Name] = ctr.Value
+		}
+		if !reflect.DeepEqual(got, counters) {
+			t.Errorf("%s: counters %v, phases sum to %v", name, got, counters)
+		}
+		for _, k := range m.Kinds {
+			if sk := kinds[k.Kind]; k.Txns != sk.Txns || k.Aborts != sk.Aborts {
+				t.Errorf("%s: kind %+v, phases sum to %+v", name, k, sk)
+			}
+			delete(kinds, k.Kind)
+		}
+		if len(kinds) != 0 {
+			t.Errorf("%s: kinds %v missing from the aggregate", name, kinds)
+		}
+		if c.sc.IsTPCC() && (m.Consistency == nil || !m.Consistency.Checked || m.Consistency.Violations != violations) {
+			t.Errorf("%s: consistency %+v, phases found %d violations", name, m.Consistency, violations)
+		}
+
+		// The ratios are the sums' ratios, not an average of the phases'.
+		if want := float64(sum.Txns) / sum.Elapsed.Seconds(); m.Throughput != want {
+			t.Errorf("%s: throughput %v, want %v", name, m.Throughput, want)
+		}
+		if want := float64(sum.Aborts) / float64(sum.Txns+sum.Aborts); m.AbortRate != want {
+			t.Errorf("%s: abort rate %v, want %v", name, m.AbortRate, want)
+		}
+		if !reflect.DeepEqual(m.Telemetry.Gauges, deriveGauges(counters)) {
+			t.Errorf("%s: gauges %v, want those of the summed counters", name, m.Telemetry.Gauges)
+		}
+		fp := m.Fastpath
+		if fp == nil || fp.Commits != counters["tx_commits"] || fp.FastPathCommits != counters["tx_commits_fastpath"] ||
+			fp.FastpathShare != float64(fp.FastPathCommits)/float64(fp.Commits) {
+			t.Errorf("%s: fastpath %+v, want the summed counters' share", name, fp)
 		}
 	}
-	if got := Quantile([]int64{7}, 990); got != 7 {
-		t.Fatalf("p99 of singleton = %d", got)
+}
+
+// TestOneMeasuredPhaseIsItsRecord checks the one-phase case of the sum:
+// with a single measured phase, the aggregate is that phase's record in
+// everything but its name — latency, kinds and consistency included.
+func TestOneMeasuredPhaseIsItsRecord(t *testing.T) {
+	tpccPaper := mustScenario(t, "tpcc-paper")
+	tpccSys, err := NewScenarioSystem(tpccPaper, "medley-hash", tinyTPCCScale(), SystemOpts{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := Quantile(nil, 500); got != 0 {
-		t.Fatalf("p50 of empty = %d", got)
+	for _, c := range []struct {
+		sc    Scenario
+		sys   System
+		phase int // the one measured phase
+	}{
+		{mustScenario(t, "load-mixed-drain"), testSystem("medley-hash"), 1},
+		{tpccPaper, tpccSys, 0},
+	} {
+		recs := RunScenario(c.sys, c.sc, tpccEngineConfig(2))
+		ph, m := recs[c.phase], measuredOf(recs)
+		if ph.Txns == 0 || m.Phase != "measured" {
+			t.Fatalf("%s: phase %+v, aggregate %+v", c.sc.Name, ph, m)
+		}
+		ph.Phase = m.Phase
+		if !reflect.DeepEqual(ph, m) {
+			t.Errorf("%s: aggregate differs from its one phase:\n%+v\n%+v", c.sc.Name, m, ph)
+		}
 	}
 }
 
+// TestPercentileNearestRank pins the unit-weight case of the one
+// quantile: LatencyDigest's p50/p99/p99.9 are nearest rank.
+func TestPercentileNearestRank(t *testing.T) {
+	seq := func(n int) []int64 {
+		s := make([]int64, n)
+		for i := range s {
+			s[i] = int64(n - i) // unsorted: the digest sorts
+		}
+		return s
+	}
+	for _, c := range []struct {
+		samples             []int64
+		avg, p50, p99, p999 float64
+	}{
+		{seq(100), 50.5, 50, 99, 100},
+		{seq(1000), 500.5, 500, 990, 999},
+		{[]int64{7}, 7, 7, 7, 7},
+		{nil, 0, 0, 0, 0},
+	} {
+		n := len(c.samples)
+		avg, p50, p99, p999 := LatencyDigest(c.samples)
+		if avg != c.avg || p50 != c.p50 || p99 != c.p99 || p999 != c.p999 {
+			t.Errorf("%d samples: digest = %v %v %v %v, want %v %v %v %v",
+				n, avg, p50, p99, p999, c.avg, c.p50, c.p99, c.p999)
+		}
+	}
+}
+
+// TestWeightedPercentileWeighsByTxns sums a slow and a fast phase's
+// tallies: each sample stands for its phase's txns ÷ samples, so the slow
+// phase weighs by its share of the transactions, not of the samples.
 func TestWeightedPercentileWeighsByTxns(t *testing.T) {
 	// Slow phase: 4 samples of 1000ns standing for 4 txns. Fast phase:
 	// 4 samples of 10ns standing for 996 txns. Unweighted concatenation
 	// would put p50 at 1000ns; weighting must keep it at 10ns.
-	var pr PhaseResult
-	pr.Txns = 1000
-	pr.Elapsed = time.Second
-	finishAggregate(&pr, []phaseSamples{
-		{samples: []int64{1000, 1000, 1000, 1000}, txns: 4},
-		{samples: []int64{10, 10, 10, 10}, txns: 996},
-	})
-	if pr.Latency.P50Ns != 10 {
-		t.Fatalf("weighted p50 = %f, want 10", pr.Latency.P50Ns)
+	slow := tally{txns: 4, elapsed: time.Second / 2}
+	slow.weigh([]int64{1000, 1000, 1000, 1000})
+	fast := tally{txns: 996, elapsed: time.Second / 2}
+	fast.weigh([]int64{10, 10, 10, 10})
+	var sum tally
+	sum.add(slow)
+	sum.add(fast)
+	m := sum.result("measured")
+	if m.Txns != 1000 || m.Throughput != 1000 {
+		t.Fatalf("summed txns=%d throughput=%f, want 1000 and 1000/s", m.Txns, m.Throughput)
 	}
-	if pr.Latency.P99Ns != 10 {
-		t.Fatalf("weighted p99 = %f, want 10 (slow phase is only 0.4%% of txns)", pr.Latency.P99Ns)
+	if m.Latency.P50Ns != 10 {
+		t.Fatalf("weighted p50 = %f, want 10", m.Latency.P50Ns)
 	}
-	if pr.Latency.AvgNs >= 100 {
-		t.Fatalf("weighted avg = %f, want ~14", pr.Latency.AvgNs)
+	if m.Latency.P99Ns != 10 {
+		t.Fatalf("weighted p99 = %f, want 10 (slow phase is only 0.4%% of txns)", m.Latency.P99Ns)
+	}
+	if m.Latency.AvgNs != 13.96 {
+		t.Fatalf("weighted avg = %f, want (4*1000 + 996*10)/1000 = 13.96", m.Latency.AvgNs)
 	}
 }
 
@@ -143,11 +305,11 @@ func TestZeroWeightPhaseDefaultsToEqualShare(t *testing.T) {
 		},
 	}
 	cfg := tinyEngineConfig(2)
-	res := RunScenario(testSystem("medley-hash"), sc, cfg)
-	if len(res.Phases) != 2 {
-		t.Fatalf("%d phase results, want 2", len(res.Phases))
+	recs := RunScenario(testSystem("medley-hash"), sc, cfg)
+	if len(recs) != 3 {
+		t.Fatalf("%d records, want 2 phases and the aggregate", len(recs))
 	}
-	for _, ph := range res.Phases {
+	for _, ph := range recs[:2] {
 		if ph.Txns == 0 {
 			t.Fatalf("phase %q made no progress", ph.Phase)
 		}
@@ -157,65 +319,53 @@ func TestZeroWeightPhaseDefaultsToEqualShare(t *testing.T) {
 			t.Fatalf("phase %q ran %v of a %v budget, want ~half", ph.Phase, ph.Elapsed, cfg.Duration)
 		}
 	}
-	if res.Measured.Txns != res.Phases[1].Txns {
-		t.Fatalf("measured aggregate %d txns, phase %d", res.Measured.Txns, res.Phases[1].Txns)
+	if m := measuredOf(recs); m.Txns != recs[1].Txns {
+		t.Fatalf("measured aggregate %d txns, phase %d", m.Txns, recs[1].Txns)
 	}
 }
 
 // TestReservoirQuantilesMatchSortedReference feeds a known population
 // through the latency reservoir and compares its percentiles with
-// the exact ones from the full sorted population: below capacity they are
+// the exact ones from the full population: below capacity they are
 // identical, above it within a sampling tolerance.
 func TestReservoirQuantilesMatchSortedReference(t *testing.T) {
-	exactPercentile := func(population []int64, p int) int64 {
-		sorted := append([]int64(nil), population...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		return Quantile(sorted, 10*p)
-	}
-	quantiles := func(w *Reservoir) (p50, p99 int64) {
-		sorted := append([]int64(nil), w.Samples...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		return Quantile(sorted, 500), Quantile(sorted, 990)
+	quantiles := func(samples []int64) (p50, p99 float64) {
+		_, p50, p99, _ = LatencyDigest(append([]int64(nil), samples...))
+		return p50, p99
 	}
 
 	// Below capacity: the reservoir holds everything, quantiles are exact.
 	small := NewReservoir(1)
 	var population []int64
 	for i := int64(1); i <= 100; i++ {
-		small.Record(time.Duration(i), 4096)
+		small.Record(time.Duration(i))
 		population = append(population, i)
 	}
-	p50, p99 := quantiles(&small)
-	if p50 != exactPercentile(population, 50) || p99 != exactPercentile(population, 99) {
-		t.Fatalf("sub-capacity reservoir inexact: p50=%d p99=%d", p50, p99)
+	p50, p99 := quantiles(small.Samples)
+	if ref50, ref99 := quantiles(population); p50 != ref50 || p99 != ref99 {
+		t.Fatalf("sub-capacity reservoir inexact: p50=%v p99=%v", p50, p99)
 	}
 
 	// Above capacity: uniform reservoir sampling keeps quantiles close to
-	// the reference. Population 1..100_000 with a 2048 reservoir.
+	// the reference. Population 1..100_000, 24 times the reservoir.
 	big := NewReservoir(2)
 	population = population[:0]
-	const n, cap = 100_000, 2048
+	const n = 100_000
 	for i := int64(1); i <= n; i++ {
-		big.Record(time.Duration(i), cap)
+		big.Record(time.Duration(i))
 		population = append(population, i)
 	}
-	if len(big.Samples) != cap || big.seen != n {
-		t.Fatalf("reservoir holds %d of %d seen, want %d", len(big.Samples), big.seen, cap)
+	if len(big.Samples) != reservoirSamples || big.seen != n {
+		t.Fatalf("reservoir holds %d of %d seen, want %d", len(big.Samples), big.seen, reservoirSamples)
 	}
-	p50, p99 = quantiles(&big)
-	if ref := exactPercentile(population, 50); absInt64(p50-ref) > n/20 {
-		t.Fatalf("sampled p50=%d, reference %d", p50, ref)
+	p50, p99 = quantiles(big.Samples)
+	ref50, ref99 := quantiles(population)
+	if math.Abs(p50-ref50) > n/20 {
+		t.Fatalf("sampled p50=%v, reference %v", p50, ref50)
 	}
-	if ref := exactPercentile(population, 99); absInt64(p99-ref) > n/20 {
-		t.Fatalf("sampled p99=%d, reference %d", p99, ref)
+	if math.Abs(p99-ref99) > n/20 {
+		t.Fatalf("sampled p99=%v, reference %v", p99, ref99)
 	}
-}
-
-func absInt64(x int64) int64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // TestFastpathBlockReported checks that the engine reports the commit
@@ -227,8 +377,7 @@ func TestFastpathBlockReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := RunScenario(testSystem("medley-hash"), sc, tinyEngineConfig(2))
-	fp := res.Measured.Fastpath
+	fp := measuredOf(RunScenario(testSystem("medley-hash"), sc, tinyEngineConfig(2))).Fastpath
 	if fp == nil {
 		t.Fatal("Medley system reported no fastpath block")
 	}
@@ -242,8 +391,7 @@ func TestFastpathBlockReported(t *testing.T) {
 		t.Fatalf("fastpath counters inconsistent: %+v", fp)
 	}
 
-	off := RunScenario(testSystem("medley-hash-nofast"), sc, tinyEngineConfig(2))
-	fp = off.Measured.Fastpath
+	fp = measuredOf(RunScenario(testSystem("medley-hash-nofast"), sc, tinyEngineConfig(2))).Fastpath
 	if fp == nil || fp.Commits == 0 {
 		t.Fatalf("nofast system reported no commits: %+v", fp)
 	}

@@ -77,11 +77,10 @@ func tornTransferScenario() Scenario {
 // second leg's account still carries its old value (mismatched) or never
 // appeared (missing).
 func TestFinalCheckDetectsTornTransfer(t *testing.T) {
-	res := RunScenario(newTornMapSystem(true), tornTransferScenario(), EngineConfig{
+	fc := measuredOf(RunScenario(newTornMapSystem(true), tornTransferScenario(), EngineConfig{
 		Threads: 2, Duration: 60 * time.Millisecond,
 		KeyRange: 1 << 10, Preload: 1 << 8, Seed: 13,
-	})
-	fc := res.FinalCheck
+	})).FinalCheck
 	if fc == nil || !fc.Checked {
 		t.Fatalf("no final check: %+v", fc)
 	}
@@ -96,11 +95,10 @@ func TestFinalCheckDetectsTornTransfer(t *testing.T) {
 // TestFinalCheckCleanOnHonestTransfers is the control: the same double
 // applying every op verifies clean under the identical workload.
 func TestFinalCheckCleanOnHonestTransfers(t *testing.T) {
-	res := RunScenario(newTornMapSystem(false), tornTransferScenario(), EngineConfig{
+	fc := measuredOf(RunScenario(newTornMapSystem(false), tornTransferScenario(), EngineConfig{
 		Threads: 2, Duration: 60 * time.Millisecond,
 		KeyRange: 1 << 10, Preload: 1 << 8, Seed: 13,
-	})
-	fc := res.FinalCheck
+	})).FinalCheck
 	if fc == nil || !fc.Checked {
 		t.Fatalf("no final check: %+v", fc)
 	}

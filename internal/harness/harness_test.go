@@ -53,7 +53,7 @@ func allSystems() []System {
 func TestEverySystemRunsEveryRatio(t *testing.T) {
 	for _, sys := range allSystems() {
 		for _, name := range uniformRatios {
-			m := RunScenario(sys, mustScenario(t, name), tinyConfig(2)).Measured
+			m := measuredOf(RunScenario(sys, mustScenario(t, name), tinyConfig(2)))
 			if m.Txns == 0 {
 				t.Errorf("%s @ %s: zero transactions completed", sys.Name(), name)
 			}
@@ -68,12 +68,12 @@ func TestThreadSweepMonotoneAccounting(t *testing.T) {
 	sys := testSystem("medley-hash")
 	sc := mustScenario(t, "uniform-mixed")
 	for _, th := range []int{1, 2, 4} {
-		res := RunScenario(sys, sc, tinyConfig(th))
-		if res.Threads != th || res.Measured.Txns == 0 {
-			t.Fatalf("bad result at %d threads: %+v", th, res)
+		m := measuredOf(RunScenario(sys, sc, tinyConfig(th)))
+		if m.Threads != th || m.Txns == 0 {
+			t.Fatalf("bad result at %d threads: %+v", th, m)
 		}
-		if res.Measured.Ops < res.Measured.Txns {
-			t.Fatalf("ops < txns: %+v", res.Measured)
+		if m.Ops < m.Txns {
+			t.Fatalf("ops < txns: %+v", m)
 		}
 	}
 }

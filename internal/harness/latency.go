@@ -1,15 +1,21 @@
 package harness
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
 	"time"
 )
 
+// reservoirSamples bounds every latency reservoir: each closed-loop
+// worker's, each open-loop sender's and each chaos sender's.
+const reservoirSamples = 4096
+
 // Reservoir is one goroutine's bounded latency sample (Vitter's
-// algorithm R): the first max observations are kept, later ones replace
-// a kept one with probability max/seen, so the sample stays uniform over
-// everything offered. Single-writer, like the stat shards that embed it.
+// algorithm R): the first reservoirSamples observations are kept, later
+// ones replace a kept one with probability reservoirSamples/seen, so the
+// sample stays uniform over everything offered regardless of the run's
+// length. Single-writer, like the stat shards that embed it.
 type Reservoir struct {
 	Samples []int64 // ns
 	seen    int64
@@ -21,47 +27,58 @@ func NewReservoir(seed int64) Reservoir {
 	return Reservoir{r: rand.New(rand.NewSource(seed))}
 }
 
-// Record offers one observation to a reservoir bounded at max samples.
-func (v *Reservoir) Record(d time.Duration, max int) {
+// Record offers one observation to the reservoir.
+func (v *Reservoir) Record(d time.Duration) {
 	v.seen++
-	if len(v.Samples) < max {
+	if len(v.Samples) < reservoirSamples {
 		v.Samples = append(v.Samples, int64(d))
 		return
 	}
-	if j := v.r.Int63n(v.seen); j < int64(max) {
+	if j := v.r.Int63n(v.seen); j < reservoirSamples {
 		v.Samples[j] = int64(d)
 	}
 }
 
-// Quantile is nearest-rank over a sorted slice, p in tenths of a percent
-// (500 = median, 999 = p99.9); 0 for an empty slice. Every per-phase
-// latency quantile in a report comes from here (the cross-phase aggregate
-// weighs samples by transaction count: weightedPercentile).
-func Quantile(sorted []int64, p int) int64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := (p*len(sorted) + 999) / 1000 // ceil(p/1000 * n)
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
-	return sorted[rank-1]
+// weightedSample is one latency sample and the number of transactions it
+// stands for.
+type weightedSample struct {
+	ns int64
+	w  float64
 }
 
-// LatencyDigest sorts samples in place and returns their mean and
-// nearest-rank p50/p99/p99.9, all zero when there are no samples.
-func LatencyDigest(samples []int64) (avg, p50, p99, p999 float64) {
-	if len(samples) == 0 {
+// weightedDigest sorts samples in place and returns their weighted mean
+// and p50/p99/p99.9, all zero when there is no weight. A quantile is the
+// smallest sample whose cumulative weight reaches its share of the total:
+// with unit weights, nearest rank. Every latency quantile in a report
+// comes from here.
+func weightedDigest(samples []weightedSample) (avg, p50, p99, p999 float64) {
+	slices.SortFunc(samples, func(a, b weightedSample) int { return cmp.Compare(a.ns, b.ns) })
+	var total, sum float64
+	for _, s := range samples {
+		total += s.w
+		sum += float64(s.ns) * s.w
+	}
+	if total == 0 {
 		return
 	}
-	slices.Sort(samples)
-	var sum int64
-	for _, s := range samples {
-		sum += s
+	quantile := func(permille float64) float64 {
+		target, cum := permille*total/1000, 0.0
+		for _, s := range samples {
+			if cum += s.w; cum >= target {
+				return float64(s.ns)
+			}
+		}
+		return float64(samples[len(samples)-1].ns)
 	}
-	return float64(sum) / float64(len(samples)),
-		float64(Quantile(samples, 500)), float64(Quantile(samples, 990)), float64(Quantile(samples, 999))
+	return sum / total, quantile(500), quantile(990), quantile(999)
+}
+
+// LatencyDigest is weightedDigest over samples that each stand for one
+// transaction: their mean and nearest-rank p50/p99/p99.9.
+func LatencyDigest(samples []int64) (avg, p50, p99, p999 float64) {
+	ws := make([]weightedSample, len(samples))
+	for i, ns := range samples {
+		ws[i] = weightedSample{ns: ns, w: 1}
+	}
+	return weightedDigest(ws)
 }

@@ -152,10 +152,10 @@ func runOpenLoopStep(d Driver, cfg OpenLoopConfig, rate float64, step int) (Reco
 				case err == nil:
 					s.completed++
 					s.ops += uint64(len(req.ops))
-					s.Record(lat, reservoirSamples)
-				case errors.Is(err, ErrOverload):
+					s.Record(lat)
+				case errors.Is(err, kv.ErrOverload):
 					s.shed++
-				case errors.Is(err, ErrExpired):
+				case errors.Is(err, kv.ErrExpired):
 					s.expired++
 				default:
 					s.errors++
@@ -194,31 +194,29 @@ func runOpenLoopStep(d Driver, cfg OpenLoopConfig, rate float64, step int) (Reco
 	}
 	close(work)
 	wg.Wait()
-	elapsed := time.Since(start)
-	mem1 := readMemSample()
-
+	// The memory delta samples this process: the client side when the
+	// driver targets a remote server. A step has no counters.
+	t := tally{elapsed: time.Since(start), mem: readMemSample().minus(mem0)}
 	svc := &ServiceRecord{Driver: d.Kind(), TargetRate: rate, OfferedTxns: offered, DroppedTxns: dropped}
-	ph := PhaseResult{Phase: fmt.Sprintf("rate-%.0f", rate), Elapsed: elapsed}
 	var samples []int64
 	for _, s := range senders {
 		svc.CompletedTxns += s.completed
 		svc.ShedTxns += s.shed
 		svc.ErrorTxns += s.errors
 		svc.ExpiredTxns += s.expired
-		ph.Ops += s.ops
+		t.ops += s.ops
 		samples = append(samples, s.Samples...)
 	}
-	if elapsed > 0 {
-		svc.OfferedRate = float64(offered) / elapsed.Seconds()
-		svc.Goodput = float64(svc.CompletedTxns) / elapsed.Seconds()
-	}
-	ph.Txns, ph.Throughput = svc.CompletedTxns, svc.Goodput
-	ph.Latency.AvgNs, ph.Latency.P50Ns, ph.Latency.P99Ns, svc.P999Ns = LatencyDigest(samples)
-	// The memory digest samples this process: the client side when the
-	// driver targets a remote server.
-	ph.Memory = memoryResult(mem0, mem1, ph.Ops, nil)
-	if ph.Txns == 0 && sessErr != nil {
+	t.txns = svc.CompletedTxns
+	if t.txns == 0 && sessErr != nil {
 		return Record{}, fmt.Errorf("open-loop: no transaction completed at rate %v: %w", rate, sessErr)
 	}
-	return Record{PhaseResult: ph, Service: svc}, nil
+	t.weigh(samples)
+	rec := t.result(fmt.Sprintf("rate-%.0f", rate))
+	_, _, _, svc.P999Ns = weightedDigest(t.samples)
+	if rec.Elapsed > 0 {
+		svc.OfferedRate = float64(offered) / rec.Elapsed.Seconds()
+	}
+	svc.Goodput, rec.Service = rec.Throughput, svc
+	return rec, nil
 }

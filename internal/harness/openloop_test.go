@@ -91,14 +91,14 @@ func TestOpenLoopArrivalRateAccuracy(t *testing.T) {
 }
 
 // TestOpenLoopClassifiesShedSeparately pins the disposition taxonomy:
-// ErrOverload counts as shed (admission control working), any other
+// kv.ErrOverload counts as shed (admission control working), any other
 // error as a failure.
 func TestOpenLoopClassifiesShedSeparately(t *testing.T) {
 	boom := errors.New("boom")
 	d := &fakeOLDriver{do: func(seq uint64) error {
 		switch seq % 3 {
 		case 0:
-			return ErrOverload
+			return kv.ErrOverload
 		case 1:
 			return boom
 		}
@@ -134,29 +134,6 @@ func TestOpenLoopFailsWhenNothingCompletes(t *testing.T) {
 	})
 	if err == nil || !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped %v", err, boom)
-	}
-}
-
-func TestPermilleNearestRank(t *testing.T) {
-	s := make([]int64, 1000)
-	for i := range s {
-		s[i] = int64(i + 1)
-	}
-	for _, tc := range []struct {
-		p    int
-		want int64
-	}{
-		{500, 500}, {990, 990}, {999, 999}, {1000, 1000},
-	} {
-		if got := Quantile(s, tc.p); got != tc.want {
-			t.Errorf("Quantile(1..1000, %d) = %d, want %d", tc.p, got, tc.want)
-		}
-	}
-	if got := Quantile([]int64{7}, 999); got != 7 {
-		t.Errorf("singleton permille = %d, want 7", got)
-	}
-	if got := Quantile(nil, 500); got != 0 {
-		t.Errorf("empty permille = %d, want 0", got)
 	}
 }
 

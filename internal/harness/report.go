@@ -91,15 +91,16 @@ type ReplicaRecord struct {
 
 // Record is one (system, scenario, phase, thread count) measurement: the
 // engine's PhaseResult beside what identifies the run, plus the blocks
-// that belong to a run rather than a phase.
+// that only some runners or phases carry. Every runner returns the
+// records it reports (RunScenario, RunOpenLoop, chaos.Run).
 type Record struct {
 	System   string `json:"system"`
 	Scenario string `json:"scenario"`
 	Threads  int    `json:"threads"`
 	Shards   int    `json:"shards"`
 	PhaseResult
-	// Recovery is present on crash-phase records of crash scenarios and on
-	// the crash-restart chaos runner's records.
+	// Recovery is present on crash-phase records of crash scenarios (each
+	// its own crash's) and on the crash-restart chaos runner's records.
 	Recovery *RecoveryResult `json:"recovery,omitempty"`
 	// FinalCheck is present only on the measured aggregate record of
 	// VerifyFinal scenarios.
@@ -140,23 +141,6 @@ func NewReport(scenario string, threads []int, duration time.Duration, keyRange 
 			GoMaxProcs: runtime.GOMAXPROCS(0),
 		},
 	}
-}
-
-// Add converts a ScenarioResult into records: one per phase plus the
-// measured aggregate, so phase == "measured" is a stable cross-scenario
-// selector for the headline number regardless of phase count. Crash-phase
-// records carry the recovery digest.
-func (rep *Report) Add(res ScenarioResult) {
-	rec := Record{System: res.System, Scenario: res.Scenario, Threads: res.Threads, Shards: max(res.Shards, 1)}
-	for _, ph := range res.Phases {
-		rec.PhaseResult, rec.Recovery = ph, nil
-		if ph.Crash {
-			rec.Recovery = res.Recovery
-		}
-		rep.Results = append(rep.Results, rec)
-	}
-	rec.PhaseResult, rec.Recovery, rec.FinalCheck = res.Measured, nil, res.FinalCheck
-	rep.Results = append(rep.Results, rec)
 }
 
 // WriteJSON emits the report, indented, to w.

@@ -9,23 +9,25 @@ import (
 	"time"
 )
 
-func sampleResult() ScenarioResult {
-	mixed := PhaseResult{
-		Phase: "mixed", Txns: 1000, Ops: 5000, Aborts: 10,
-		Elapsed: time.Second, Throughput: 1000, AbortRate: 10.0 / 1010,
-		Latency: LatencySummary{AvgNs: 900, P50Ns: 800, P99Ns: 4000},
-		Memory: &MemoryResult{
-			TotalAllocs: 25000, TotalBytes: 800000,
-			AllocsPerOp: 5, BytesPerOp: 160, GCPauseNs: 120000, NumGC: 2,
-			PoolGets: 9000, PoolHits: 8500, PoolRetires: 8800, PoolHitRate: 8500.0 / 9000,
+// sampleRecords is a one-phase run as RunScenario returns it: the phase's
+// record, then the measured aggregate.
+func sampleRecords() []Record {
+	mixed := Record{
+		System: "Medley-hash", Scenario: "zipfian-mixed", Threads: 4, Shards: 1,
+		PhaseResult: PhaseResult{
+			Phase: "mixed", Txns: 1000, Ops: 5000, Aborts: 10,
+			Elapsed: time.Second, Throughput: 1000, AbortRate: 10.0 / 1010,
+			Latency: LatencySummary{AvgNs: 900, P50Ns: 800, P99Ns: 4000},
+			Memory: &MemoryResult{
+				TotalAllocs: 25000, TotalBytes: 800000,
+				AllocsPerOp: 5, BytesPerOp: 160, GCPauseNs: 120000, NumGC: 2,
+				PoolGets: 9000, PoolHits: 8500, PoolRetires: 8800, PoolHitRate: 8500.0 / 9000,
+			},
 		},
 	}
 	measured := mixed
 	measured.Phase = "measured"
-	return ScenarioResult{
-		Scenario: "zipfian-mixed", System: "Medley-hash", Threads: 4,
-		Phases: []PhaseResult{mixed}, Measured: measured,
-	}
+	return []Record{mixed, measured}
 }
 
 // TestReportJSONSchema pins the BENCH_*.json contract: field names and
@@ -33,7 +35,7 @@ func sampleResult() ScenarioResult {
 // depend on.
 func TestReportJSONSchema(t *testing.T) {
 	rep := NewReport("zipfian-mixed", []int{1, 4}, 2*time.Second, 1<<20, 1<<19, 42)
-	rep.Add(sampleResult())
+	rep.Results = append(rep.Results, sampleRecords()...)
 	var buf bytes.Buffer
 	if err := rep.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -80,22 +82,6 @@ func TestReportJSONSchema(t *testing.T) {
 	}
 	if rec["throughput_txn_per_sec"].(float64) != 1000 {
 		t.Fatalf("throughput mangled: %v", rec["throughput_txn_per_sec"])
-	}
-}
-
-// TestReportAddMultiPhase checks that multi-phase results also emit the
-// measured aggregate record.
-func TestReportAddMultiPhase(t *testing.T) {
-	res := sampleResult()
-	res.Phases = append(res.Phases, PhaseResult{Phase: "drain", Txns: 1, Elapsed: time.Second})
-	res.Measured.Phase = "measured"
-	rep := NewReport("load-mixed-drain", []int{2}, time.Second, 1<<10, 1<<9, 1)
-	rep.Add(res)
-	if len(rep.Results) != 3 {
-		t.Fatalf("want 2 phase records + aggregate, got %d", len(rep.Results))
-	}
-	if rep.Results[2].Phase != "measured" {
-		t.Fatalf("aggregate record missing: %+v", rep.Results)
 	}
 }
 

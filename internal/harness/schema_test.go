@@ -17,30 +17,26 @@ import (
 // theirs.
 func schemaReport(full bool) *Report {
 	rep := NewReport("crash-recover-uniform", []int{2}, time.Second, 1<<10, 1<<8, 42)
-	res := sampleResult()
+	recs := sampleRecords()
 	if full {
-		fp := &FastpathResult{ReadOnlyCommits: 700, FastPathCommits: 900, Commits: 1000, FastpathShare: 0.9}
-		res.Phases[0].Fastpath = fp
-		res.Measured.Fastpath = fp
-		tel := &TelemetryResult{
-			Counters: []Metric{{Name: "tx_commits", Value: 1000}},
-			Gauges:   []Gauge{{Name: "abort_rate", Value: 0.01}},
+		for i := range recs {
+			recs[i].Fastpath = &FastpathResult{ReadOnlyCommits: 700, FastPathCommits: 900, Commits: 1000, FastpathShare: 0.9}
+			recs[i].Telemetry = &TelemetryResult{
+				Counters: []Metric{{Name: "tx_commits", Value: 1000}},
+				Gauges:   []Gauge{{Name: "abort_rate", Value: 0.01}},
+			}
+			recs[i].Kinds = []KindResult{{Kind: "newOrder", Txns: 450, Aborts: 3, AvgNs: 1500}}
+			recs[i].Consistency = &ConsistencyResult{Checked: true, Violations: 1,
+				Classes: []ClassCount{{Class: "money", Count: 1}}}
 		}
-		res.Phases[0].Telemetry = tel
-		res.Measured.Telemetry = tel
-		kinds := []KindResult{{Kind: "newOrder", Txns: 450, Aborts: 3, AvgNs: 1500}}
-		res.Phases[0].Kinds = kinds
-		res.Measured.Kinds = kinds
-		cons := &ConsistencyResult{Checked: true, Violations: 1,
-			Classes: []ClassCount{{Class: "money", Count: 1}}}
-		res.Phases[0].Consistency = cons
-		res.Measured.Consistency = cons
-		res.Phases = append(res.Phases, PhaseResult{Phase: "crash", Crash: true, Elapsed: time.Millisecond})
-		res.Recovery = &RecoveryResult{Recoverable: true, RecoveryNs: int64(time.Millisecond),
-			Recovered: 10, ModelEntries: 10}
-		res.FinalCheck = &FinalCheckResult{Checked: true, ModelEntries: 10}
+		crash := Record{System: recs[0].System, Scenario: recs[0].Scenario, Threads: 4, Shards: 1,
+			PhaseResult: PhaseResult{Phase: "crash", Elapsed: time.Millisecond},
+			Recovery: &RecoveryResult{Recoverable: true, RecoveryNs: int64(time.Millisecond),
+				Recovered: 10, ModelEntries: 10}}
+		recs[1].FinalCheck = &FinalCheckResult{Checked: true, ModelEntries: 10}
+		recs = []Record{recs[0], crash, recs[1]}
 	}
-	rep.Add(res)
+	rep.Results = append(rep.Results, recs...)
 	if full {
 		rep.Results = append(rep.Results, Record{
 			System: "medley-hash", Scenario: "service-mixed", Threads: 64, Shards: 8,

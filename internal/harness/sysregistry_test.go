@@ -218,11 +218,11 @@ func TestRangeScanEverySystem(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := RunScenario(sys, sc, EngineConfig{
+		res := measuredOf(RunScenario(sys, sc, EngineConfig{
 			Threads: 2, Duration: 40 * time.Millisecond,
 			KeyRange: 1 << 10, Preload: 1 << 8, Seed: 3,
-		})
-		if res.Measured.Txns == 0 {
+		}))
+		if res.Txns == 0 {
 			t.Errorf("%s: no progress under range-scan", sys.Name())
 		}
 	}
@@ -241,11 +241,11 @@ func TestShardedSystemsRunShardedScenarios(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res := RunScenario(sys, sc, EngineConfig{
+			res := measuredOf(RunScenario(sys, sc, EngineConfig{
 				Threads: 2, Duration: 30 * time.Millisecond,
 				KeyRange: 1 << 10, Preload: 1 << 8, Seed: 3,
-			})
-			if res.Measured.Txns == 0 {
+			}))
+			if res.Txns == 0 {
 				t.Errorf("%s/%s: no progress", scName, sys.Name())
 			}
 			wantShards := 1

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"maps"
+	"slices"
 	"sort"
 
 	"medley/internal/obs"
@@ -9,8 +11,9 @@ import (
 // This file defines the observability data types the capability
 // interfaces in capabilities.go produce — counter/gauge snapshots,
 // consistency digests, per-transaction-kind attribution — along with
-// their diff/merge helpers. The engine differences cumulative snapshots
-// around phases and reports the results as schema-gated blocks; the
+// the helpers that difference them and derive their blocks. The engine
+// differences cumulative snapshots around each phase into its tally
+// (engine.go) and derives the schema-gated blocks from that; the
 // network service layer (internal/service) serves the same snapshots from
 // /metrics, modeled on statsd-style counter/gauge export.
 
@@ -25,28 +28,28 @@ type TelemetryResult struct {
 	Gauges   []Gauge  `json:"gauges"`
 }
 
-// counterMap indexes a counter list by name.
-func counterMap(counters []Metric) map[string]uint64 {
-	v := make(map[string]uint64, len(counters))
-	for _, m := range counters {
-		v[m.Name] = m.Value
+// diffMetrics subtracts before from after by counter name, dropping
+// counters absent from either snapshot.
+func diffMetrics(before, after []Metric) map[string]uint64 {
+	prev := make(map[string]uint64, len(before))
+	for _, m := range before {
+		prev[m.Name] = m.Value
 	}
-	return v
+	out := make(map[string]uint64, len(after))
+	for _, m := range after {
+		if b, ok := prev[m.Name]; ok {
+			out[m.Name] = m.Value - b
+		}
+	}
+	return out
 }
 
-// diffMetrics subtracts before from after by counter name, dropping
-// counters absent from either snapshot, and returns the deltas sorted.
-func diffMetrics(before, after []Metric) []Metric {
-	prev := counterMap(before)
-	out := make([]Metric, 0, len(after))
-	for _, m := range after {
-		b, ok := prev[m.Name]
-		if !ok {
-			continue
-		}
-		out = append(out, Metric{Name: m.Name, Value: m.Value - b})
+// sortedCounters lists counter values by name.
+func sortedCounters(v map[string]uint64) []Metric {
+	out := make([]Metric, 0, len(v))
+	for _, name := range slices.Sorted(maps.Keys(v)) {
+		out = append(out, Metric{Name: name, Value: v[name]})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
@@ -61,21 +64,6 @@ func deriveGauges(v map[string]uint64) []Gauge {
 	out = obs.AppendRatio(out, "ebr_reclaim_ratio", v["ebr_reclaimed"], v["ebr_retired"])
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// mergeTelemetry folds one measured phase's telemetry into an aggregate,
-// summing counters by name; gauges are re-derived by the caller once all
-// phases are folded.
-func mergeTelemetry(agg *TelemetryResult, ph *TelemetryResult) {
-	sum := counterMap(agg.Counters)
-	for _, m := range ph.Counters {
-		sum[m.Name] += m.Value
-	}
-	agg.Counters = make([]Metric, 0, len(sum))
-	for name, val := range sum {
-		agg.Counters = append(agg.Counters, Metric{Name: name, Value: val})
-	}
-	sort.Slice(agg.Counters, func(i, j int) bool { return agg.Counters[i].Name < agg.Counters[j].Name })
 }
 
 // ConsistencyViolation is one failed domain invariant, tagged with its
@@ -114,24 +102,6 @@ func consistencyResult(vs []ConsistencyViolation) *ConsistencyResult {
 	return res
 }
 
-// mergeConsistency folds one phase's consistency digest into an aggregate.
-func mergeConsistency(agg *ConsistencyResult, ph *ConsistencyResult) {
-	agg.Checked = true
-	agg.Violations += ph.Violations
-	counts := map[string]int{}
-	for _, c := range agg.Classes {
-		counts[c.Class] = c.Count
-	}
-	for _, c := range ph.Classes {
-		counts[c.Class] += c.Count
-	}
-	agg.Classes = agg.Classes[:0]
-	for class, n := range counts {
-		agg.Classes = append(agg.Classes, ClassCount{Class: class, Count: n})
-	}
-	sort.Slice(agg.Classes, func(i, j int) bool { return agg.Classes[i].Class < agg.Classes[j].Class })
-}
-
 // KindStat is one transaction kind's cumulative tally: committed
 // transactions, aborted attempts, and total committed-transaction latency.
 type KindStat struct {
@@ -152,48 +122,32 @@ type KindResult struct {
 
 // diffKinds subtracts two kind snapshots, preserving after's kind order and
 // dropping kinds that ran no transaction and suffered no abort.
-func diffKinds(before, after []KindStat) []KindResult {
+func diffKinds(before, after []KindStat) []KindStat {
 	prev := make(map[string]KindStat, len(before))
 	for _, k := range before {
 		prev[k.Kind] = k
 	}
-	var out []KindResult
+	var out []KindStat
 	for _, k := range after {
 		p := prev[k.Kind]
-		d := KindResult{Kind: k.Kind, Txns: k.Txns - p.Txns, Aborts: k.Aborts - p.Aborts}
-		if d.Txns > 0 {
-			d.AvgNs = float64(k.TotalNs-p.TotalNs) / float64(d.Txns)
+		d := KindStat{Kind: k.Kind, Txns: k.Txns - p.Txns, Aborts: k.Aborts - p.Aborts, TotalNs: k.TotalNs - p.TotalNs}
+		if d.Txns > 0 || d.Aborts > 0 {
+			out = append(out, d)
 		}
-		if d.Txns == 0 && d.Aborts == 0 {
-			continue
-		}
-		out = append(out, d)
 	}
 	return out
 }
 
-// mergeKinds folds one phase's kind attribution into an aggregate by kind
-// name, keeping first-seen order and recomputing the latency average as a
-// transaction-weighted mean.
-func mergeKinds(agg []KindResult, ph []KindResult) []KindResult {
-	idx := make(map[string]int, len(agg))
-	for i, k := range agg {
-		idx[k.Kind] = i
-	}
-	for _, k := range ph {
-		i, ok := idx[k.Kind]
-		if !ok {
-			agg = append(agg, k)
-			idx[k.Kind] = len(agg) - 1
-			continue
+// kindResults derives the kinds block: each kind's counts and mean
+// committed latency.
+func kindResults(ks []KindStat) []KindResult {
+	var out []KindResult
+	for _, k := range ks {
+		r := KindResult{Kind: k.Kind, Txns: k.Txns, Aborts: k.Aborts}
+		if k.Txns > 0 {
+			r.AvgNs = float64(k.TotalNs) / float64(k.Txns)
 		}
-		a := &agg[i]
-		totalNs := a.AvgNs*float64(a.Txns) + k.AvgNs*float64(k.Txns)
-		a.Txns += k.Txns
-		a.Aborts += k.Aborts
-		if a.Txns > 0 {
-			a.AvgNs = totalNs / float64(a.Txns)
-		}
+		out = append(out, r)
 	}
-	return agg
+	return out
 }

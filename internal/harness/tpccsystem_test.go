@@ -36,21 +36,22 @@ func TestTPCCFullScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := RunScenario(sys, sc, tpccEngineConfig(2))
-	if res.Measured.Txns == 0 {
+	recs := RunScenario(sys, sc, tpccEngineConfig(2))
+	res := measuredOf(recs)
+	if res.Txns == 0 {
 		t.Fatal("no transactions")
 	}
 
 	kinds := map[string]KindResult{}
 	var kindTxns uint64
-	for _, k := range res.Measured.Kinds {
+	for _, k := range res.Kinds {
 		kinds[k.Kind] = k
 		kindTxns += k.Txns
 	}
 	for _, name := range []string{"newOrder", "payment", "delivery", "orderStatus", "stockLevel"} {
 		k, ok := kinds[name]
 		if !ok || k.Txns == 0 {
-			t.Errorf("kind %s not attributed: %+v", name, res.Measured.Kinds)
+			t.Errorf("kind %s not attributed: %+v", name, res.Kinds)
 			continue
 		}
 		if k.AvgNs <= 0 {
@@ -58,18 +59,18 @@ func TestTPCCFullScenario(t *testing.T) {
 		}
 	}
 	// Every committed step is attributed to exactly one kind.
-	if kindTxns != res.Measured.Txns {
-		t.Errorf("kinds sum to %d txns, measured %d", kindTxns, res.Measured.Txns)
+	if kindTxns != res.Txns {
+		t.Errorf("kinds sum to %d txns, measured %d", kindTxns, res.Txns)
 	}
 
-	if c := res.Measured.Consistency; c == nil || !c.Checked {
+	if c := res.Consistency; c == nil || !c.Checked {
 		t.Fatal("no consistency check on the measured aggregate")
 	} else if c.Violations != 0 {
 		t.Fatalf("consistency violations: %+v", c.Classes)
 	}
 	crashChecked := false
-	for _, ph := range res.Phases {
-		if !ph.Crash {
+	for _, ph := range recs {
+		if ph.Recovery == nil {
 			continue
 		}
 		crashChecked = true
@@ -83,7 +84,7 @@ func TestTPCCFullScenario(t *testing.T) {
 		t.Fatal("tpcc-full ran no crash phase")
 	}
 
-	tel := res.Measured.Telemetry
+	tel := res.Telemetry
 	if tel == nil {
 		t.Fatal("no telemetry block")
 	}
@@ -153,11 +154,11 @@ func TestEveryScenarioDefaultSystemsSmoke(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", scName, spec, err)
 			}
-			res := RunScenario(sys, sc, EngineConfig{
+			res := measuredOf(RunScenario(sys, sc, EngineConfig{
 				Threads: 2, Duration: 30 * time.Millisecond,
 				KeyRange: 1 << 10, Preload: 1 << 7, Seed: 5,
-			})
-			if res.Measured.Txns == 0 {
+			}))
+			if res.Txns == 0 {
 				t.Errorf("%s/%s: no progress", scName, sys.Name())
 			}
 			if sc.VerifyFinal {
@@ -170,7 +171,7 @@ func TestEveryScenarioDefaultSystemsSmoke(t *testing.T) {
 				}
 			}
 			if sc.IsTPCC() {
-				if c := res.Measured.Consistency; c == nil || !c.Checked || c.Violations != 0 {
+				if c := res.Consistency; c == nil || !c.Checked || c.Violations != 0 {
 					t.Errorf("%s/%s: consistency check missing or failed: %+v", scName, sys.Name(), c)
 				}
 			}

@@ -92,19 +92,6 @@ type RecoveryResult struct {
 	Violations uint64 `json:"durability_violations"`
 }
 
-// merge folds a second crash phase's outcome into r (scenarios may crash
-// more than once; counts accumulate, entry counts track the last crash).
-func (r *RecoveryResult) merge(o RecoveryResult) {
-	r.Recoverable = r.Recoverable || o.Recoverable
-	r.RecoveryNs += o.RecoveryNs
-	r.Recovered = o.Recovered
-	r.ModelEntries = o.ModelEntries
-	r.Missing += o.Missing
-	r.Mismatched += o.Mismatched
-	r.Leaked += o.Leaked
-	r.Violations += o.Violations
-}
-
 // FinalCheckResult is the outcome of a VerifyFinal scenario's end-of-run
 // state check, and the final_check block of its measured aggregate record:
 // the system's live contents diffed against the journaled model of

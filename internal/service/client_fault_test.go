@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"medley/internal/faultnet"
-	"medley/internal/harness"
 	"medley/internal/kv"
 )
 
@@ -127,7 +126,7 @@ func TestHTTPDriverInDoubtAfterTransportExhaustion(t *testing.T) {
 // TestHTTPDriverDeadlineStopsRetrying pins the client-side deadline: a
 // server that holds each attempt past the deadline before killing the
 // connection leaves retries to spare, yet the request stops at the
-// configured deadline with harness.ErrExpired, and the outcome stays in
+// configured deadline with kv.ErrExpired, and the outcome stays in
 // doubt (attempts did reach the network).
 func TestHTTPDriverDeadlineStopsRetrying(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -140,8 +139,8 @@ func TestHTTPDriverDeadlineStopsRetrying(t *testing.T) {
 	sess, _ := d.NewSession()
 	start := time.Now()
 	err := sess.Do([]kv.Op{{Kind: kv.OpGet, Key: 1}}, nil)
-	if !errors.Is(err, harness.ErrExpired) {
-		t.Fatalf("err = %v, want harness.ErrExpired", err)
+	if !errors.Is(err, kv.ErrExpired) {
+		t.Fatalf("err = %v, want kv.ErrExpired", err)
 	}
 	if !IsInDoubt(err) {
 		t.Fatalf("err = %v, want in-doubt (attempts reached the wire)", err)

@@ -121,7 +121,7 @@ func TestHTTPTransferAtomicity(t *testing.T) {
 							res[0].Val, res[1].Val, sum, 2*initial)
 						return
 					}
-				case harness.ErrOverload:
+				case kv.ErrOverload:
 					// shed read: retry
 				default:
 					errCh <- err
@@ -143,7 +143,7 @@ func TestHTTPTransferAtomicity(t *testing.T) {
 
 // TestHTTPShedMapsTo429AndErrOverload pins the overload path across the
 // wire: a full txpool answers 429, and the HTTP driver maps 429 back to
-// harness.ErrOverload so open-loop accounting classifies it as shed.
+// kv.ErrOverload so open-loop accounting classifies it as shed.
 func TestHTTPShedMapsTo429AndErrOverload(t *testing.T) {
 	n, ts := startNode(t, NodeConfig{Backend: &fakeBackend{},
 		Service: Config{PoolSize: 1, Tick: time.Hour, Workers: 1}})
@@ -168,8 +168,8 @@ func TestHTTPShedMapsTo429AndErrOverload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.Do([]kv.Op{{Kind: kv.OpGet, Key: 7}}, nil); err != harness.ErrOverload {
-		t.Fatalf("driver err = %v, want harness.ErrOverload", err)
+	if err := sess.Do([]kv.Op{{Kind: kv.OpGet, Key: 7}}, nil); err != kv.ErrOverload {
+		t.Fatalf("driver err = %v, want kv.ErrOverload", err)
 	}
 	s.Close() // drains the blocker
 	if err := <-blocker.done; err != nil {
@@ -210,7 +210,7 @@ func TestShedCarriesRetryAfter(t *testing.T) {
 // TestHTTPDriverHonorsRetryAfter pins the client half: a 429 with a
 // Retry-After hint is retried after the advertised wait, a persistent
 // 429 keeps getting honored until the cumulative waits exhaust
-// retryAfterBudget and then classifies as harness.ErrOverload, and a
+// retryAfterBudget and then classifies as kv.ErrOverload, and a
 // 429 without the hint sheds immediately.
 func TestHTTPDriverHonorsRetryAfter(t *testing.T) {
 	var attempts atomic.Int64
@@ -257,8 +257,8 @@ func TestHTTPDriverHonorsRetryAfter(t *testing.T) {
 
 	mode, _ = "always", attempts.Swap(0)
 	start = time.Now()
-	if err := sess.Do(ops, nil); err != harness.ErrOverload {
-		t.Fatalf("persistent 429: err = %v, want harness.ErrOverload", err)
+	if err := sess.Do(ops, nil); err != kv.ErrOverload {
+		t.Fatalf("persistent 429: err = %v, want kv.ErrOverload", err)
 	}
 	if got := attempts.Load(); got != 3 {
 		t.Errorf("persistent 429: %d attempts, want 3 (two 0.4s waits fit the 1s budget)", got)
@@ -271,8 +271,8 @@ func TestHTTPDriverHonorsRetryAfter(t *testing.T) {
 	}
 
 	mode, _ = "bare", attempts.Swap(0)
-	if err := sess.Do(ops, nil); err != harness.ErrOverload {
-		t.Fatalf("bare 429: err = %v, want harness.ErrOverload", err)
+	if err := sess.Do(ops, nil); err != kv.ErrOverload {
+		t.Fatalf("bare 429: err = %v, want kv.ErrOverload", err)
 	}
 	if got := attempts.Load(); got != 1 {
 		t.Errorf("bare 429: %d attempts, want 1 (no hint, no retry)", got)
