@@ -3,6 +3,7 @@ package harness
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 )
@@ -257,6 +258,37 @@ func TestPercentileNearestRank(t *testing.T) {
 			t.Errorf("%d samples: digest = %v %v %v %v, want %v %v %v %v",
 				n, avg, p50, p99, p999, c.avg, c.p50, c.p99, c.p999)
 		}
+	}
+}
+
+// TestPermilleNearestRank pins the weighted digest's quantile: the
+// permille quantile is the smallest sample whose cumulative weight reaches
+// permille/1000 of the total, so a sample of weight k answers exactly as k
+// unit samples of the same latency would.
+func TestPermilleNearestRank(t *testing.T) {
+	weighted := []weightedSample{{40, 1}, {10, 500}, {30, 9}, {20, 490}}
+	var unit []int64
+	for _, s := range weighted {
+		for range int(s.w) {
+			unit = append(unit, s.ns)
+		}
+	}
+	avg, p50, p99, p999 := weightedDigest(slices.Clone(weighted))
+	if p50 != 10 || p99 != 20 || p999 != 30 {
+		t.Errorf("weighted p50/p99/p99.9 = %v %v %v, want 10 20 30", p50, p99, p999)
+	}
+	uavg, up50, up99, up999 := LatencyDigest(unit)
+	if avg != uavg || p50 != up50 || p99 != up99 || p999 != up999 {
+		t.Errorf("weighted digest %v %v %v %v, unit expansion %v %v %v %v",
+			avg, p50, p99, p999, uavg, up50, up99, up999)
+	}
+	// One unit of weight short of a permille's share moves it to the next sample.
+	_, p50, _, _ = weightedDigest([]weightedSample{{10, 499}, {20, 501}})
+	if p50 != 20 {
+		t.Errorf("p50 with 499/1000 weight at 10 = %v, want 20", p50)
+	}
+	if avg, p50, p99, p999 := weightedDigest([]weightedSample{{7, 0}}); avg != 0 || p50 != 0 || p99 != 0 || p999 != 0 {
+		t.Errorf("zero-weight digest = %v %v %v %v, want all 0", avg, p50, p99, p999)
 	}
 }
 
