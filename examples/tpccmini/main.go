@@ -36,7 +36,7 @@ func main() {
 				StoreLatency:     60 * time.Nanosecond,
 			}))
 		}},
-		{"OneFile", func() tpcc.Backend { return tpcc.NewOneFileBackend(onefile.New(), "OneFile") }},
+		{"OneFile", func() tpcc.Backend { return tpcc.NewOneFileBackend(onefile.New()) }},
 		{"TDSL", func() tpcc.Backend { return tpcc.NewTDSLBackend() }},
 	}
 
@@ -45,7 +45,8 @@ func main() {
 	var medleyTput float64
 	for _, be := range backends {
 		b := be.mk()
-		if err := tpcc.Load(b, scale); err != nil {
+		db := tpcc.NewDB(b)
+		if err := tpcc.Load(db, scale); err != nil {
 			log.Fatalf("load %s: %v", be.name, err)
 		}
 		var stopAdv func()
@@ -59,7 +60,7 @@ func main() {
 			wg.Add(1)
 			go func(seed int64) {
 				defer wg.Done()
-				d := tpcc.NewDriver(b, scale, seed)
+				d := tpcc.NewDriver(db, scale, seed, tpcc.PaperMix())
 				var local uint64
 				for !stop.Load() {
 					if _, err := d.Step(); err != nil {

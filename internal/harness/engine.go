@@ -415,7 +415,7 @@ func runPhase(sys System, caps Caps, sc Scenario, ph Phase, phaseIdx int, cfg En
 			ex := sys.NewExecutor()
 			ws[tid] = ex
 			gen := NewTxGen(dist, cfg.KeyRange, ph.Mix, seed)
-			tick := 0
+			tick := latencyEvery - 1 // time the first transaction, then every latencyEvery-th
 			<-start
 			for !stopFlag.Load() {
 				ops := gen.Next()

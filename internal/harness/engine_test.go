@@ -6,6 +6,8 @@ import (
 	"slices"
 	"testing"
 	"time"
+
+	"medley/internal/kv"
 )
 
 func tinyEngineConfig(threads int) EngineConfig {
@@ -230,6 +232,32 @@ func TestOneMeasuredPhaseIsItsRecord(t *testing.T) {
 		if !reflect.DeepEqual(ph, m) {
 			t.Errorf("%s: aggregate differs from its one phase:\n%+v\n%+v", c.sc.Name, m, ph)
 		}
+	}
+}
+
+// slowSystem's executors take 30 ms a transaction, so a worker commits
+// two or three in a 60 ms phase: fewer than latencyEvery.
+type slowSystem struct{ bareSystem }
+
+func (slowSystem) NewExecutor() kv.Executor { return slowExecutor{} }
+
+type slowExecutor struct{}
+
+func (slowExecutor) ExecBatch([]kv.Op, []kv.Result) error {
+	time.Sleep(30 * time.Millisecond)
+	return nil
+}
+
+// TestFewTransactionsStillReportLatency: every worker times its first
+// transaction, so a phase whose workers commit fewer than latencyEvery
+// transactions each still reports latency.
+func TestFewTransactionsStillReportLatency(t *testing.T) {
+	sc := Scenario{Name: "slow", Phases: []Phase{
+		{Name: "run", Weight: 1, Mix: paperMix(Ratio{Get: 1}), Measure: true},
+	}}
+	m := measuredOf(RunScenario(slowSystem{}, sc, tinyEngineConfig(2)))
+	if m.Txns == 0 || m.Latency.AvgNs <= 0 || m.Latency.P50Ns <= 0 {
+		t.Fatalf("%d txns reported latency %+v, want a timed first transaction per worker", m.Txns, m.Latency)
 	}
 }
 

@@ -52,7 +52,7 @@ var tpccBackends = map[string]tpccEntry{
 		}))
 	}},
 	"onefile-skip": {name: "OneFile-skip", mk: func(SystemOpts) tpcc.Backend {
-		return tpcc.NewOneFileBackend(onefile.New(), "OneFile-skip")
+		return tpcc.NewOneFileBackend(onefile.New())
 	}},
 	"tdsl": {name: "TDSL-skip", mk: func(SystemOpts) tpcc.Backend { return tpcc.NewTDSLBackend() }},
 }
@@ -83,7 +83,7 @@ func NewTPCCSystem(spec string, sc tpcc.Scale, mix tpcc.MixWeights, o SystemOpts
 	}
 	s := &TPCCSystem{name: store.ShardedName(e.name, shards), sc: sc, mix: mix, shards: shards}
 	if e.structure != "" {
-		if s.backend, err = tpcc.NewKVBackend(s.name, e.structure, shards); err != nil {
+		if s.backend, err = tpcc.NewKVBackend(e.structure, shards); err != nil {
 			return nil, err
 		}
 	} else {
@@ -92,6 +92,7 @@ func NewTPCCSystem(spec string, sc tpcc.Scale, mix tpcc.MixWeights, o SystemOpts
 	if m, ok := s.backend.(interface{ Manager() *core.TxManager }); ok {
 		s.mgr = m.Manager()
 	}
+	s.db = tpcc.NewDB(s.backend)
 	return s, nil
 }
 
@@ -99,6 +100,7 @@ func NewTPCCSystem(spec string, sc tpcc.Scale, mix tpcc.MixWeights, o SystemOpts
 type TPCCSystem struct {
 	name    string
 	backend tpcc.Backend
+	db      *tpcc.DB        // on backend, built once: Load, Check and every Driver share it
 	mgr     *core.TxManager // nil on backends with their own STM (no stats source)
 	sc      tpcc.Scale
 	mix     tpcc.MixWeights
@@ -118,7 +120,7 @@ func (s *TPCCSystem) ShardCount() int { return s.shards }
 // Preload implements System: the engine's generated keys are ignored — the
 // TPC-C initial population (clause 4.3) is the preload.
 func (s *TPCCSystem) Preload([]uint64) {
-	if err := tpcc.Load(s.backend, s.sc); err != nil {
+	if err := tpcc.Load(s.db, s.sc); err != nil {
 		panic("harness: tpcc load: " + err.Error())
 	}
 }
@@ -139,7 +141,7 @@ func (s *TPCCSystem) NewExecutor() kv.Executor {
 	defer s.mu.Unlock()
 	seed := int64(0x7C3C) + s.seq*7919
 	s.seq++
-	w := &tpccWorker{d: tpcc.NewMixDriver(s.backend, s.sc, seed, s.mix)}
+	w := &tpccWorker{d: tpcc.NewDriver(s.db, s.sc, seed, s.mix)}
 	w.sw, _ = w.d.Worker().(tpcc.StatsWorker)
 	s.workers = append(s.workers, w)
 	return w
@@ -190,7 +192,7 @@ func (s *TPCCSystem) TxKindStats() []KindStat {
 // any transaction body that failed outright (a row missing mid-run means
 // atomicity broke long before the check).
 func (s *TPCCSystem) ConsistencyCheck() []ConsistencyViolation {
-	vs, err := tpcc.Check(s.backend, s.sc)
+	vs, err := tpcc.Check(s.db, s.sc)
 	out := make([]ConsistencyViolation, 0, len(vs)+1)
 	for _, v := range vs {
 		out = append(out, ConsistencyViolation{Class: v.Class, Detail: v.Detail})

@@ -29,9 +29,10 @@ func (m *MontageMap) Bind(tx *core.Tx) TxMap {
 	return boundMontageMap{store: m.store, h: m.sys.Wrap(tx)}
 }
 
-// BindHandle returns the view over an existing handle; harness code that
-// manages handles itself (transient-on-NVM variants, shared handles
-// across shards) binds this way.
+// BindHandle returns the view over an existing handle. Callers that
+// manage handles themselves bind this way: store (transient-on-NVM
+// variants, one handle shared across shards) and tpcc (one handle shared
+// across a worker's tables).
 func (m *MontageMap) BindHandle(h *montage.Handle) TxMap {
 	return boundMontageMap{store: m.store, h: h}
 }

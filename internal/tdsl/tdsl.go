@@ -11,7 +11,8 @@
 //   - Commit is blocking two-phase: re-locate each written key, try-lock
 //     its level-0 predecessor and (if present) the node itself in one
 //     atomic sweep, validate the read set against per-node versions, apply
-//     (link / mark / write value, bumping versions), and unlock.
+//     (link / mark / write value) with every changed node's version odd
+//     until the whole apply is done, and unlock.
 //
 // Index levels above 0 are maintained with best-effort CAS as hints, the
 // same discipline as the nonblocking skiplists in this repository; level 0
@@ -39,7 +40,7 @@ type node struct {
 	val     atomic.Uint64 // written under lock; read lock-free by Get
 	level   int
 	lock    sync.Mutex
-	version atomic.Uint64 // bumped on every semantic change at this node
+	version atomic.Uint64 // odd while a commit changes this node; +2 per change
 	marked  atomic.Bool   // logically deleted
 	next    []atomic.Pointer[node]
 }
@@ -141,22 +142,32 @@ func (t *Tx) Reset() {
 	clear(t.writes)
 }
 
-// read records the current state of key with its semantic witness.
+// read records the current state of key with its semantic witness. The
+// version witness makes this read consistent-or-aborted at commit
+// validation; it is taken before the located node is re-checked, so a
+// change that landed between the locate and the witness is located again.
 func (t *Tx) read(sl *Skiplist, key uint64) (uint64, bool) {
 	if ov, ok := t.writes[wkey{sl, key}]; ok {
 		return ov.val, ov.present
 	}
-	pred, curr := sl.locate(key)
-	if curr != nil {
-		v := curr.version.Load()
-		val := curr.val.Load()
-		// The version witness makes this read consistent-or-aborted at
-		// commit validation.
-		t.reads = append(t.reads, readEntry{curr, v})
-		return val, true
+	for {
+		pred, curr := sl.locate(key)
+		if curr != nil {
+			v := curr.version.Load()
+			val := curr.val.Load()
+			if curr.marked.Load() {
+				continue
+			}
+			t.reads = append(t.reads, readEntry{curr, v})
+			return val, true
+		}
+		v := pred.version.Load()
+		if !adjacent(pred, nil, key, sl.head) {
+			continue
+		}
+		t.reads = append(t.reads, readEntry{pred, v})
+		return 0, false
 	}
-	t.reads = append(t.reads, readEntry{pred, pred.version.Load()})
-	return 0, false
 }
 
 // Get returns the value bound to key in sl.
@@ -196,15 +207,12 @@ func (t *Tx) Remove(sl *Skiplist, key uint64) (uint64, bool) {
 // Commit applies the transaction atomically: lock, validate, apply,
 // unlock. On ErrAborted the transaction had no effect and may be retried.
 func (t *Tx) Commit() error {
+	defer t.Reset()
 	if len(t.writes) == 0 {
 		// Read-only: validate versions.
-		for _, re := range t.reads {
-			if re.n.version.Load() != re.ver {
-				t.Reset()
-				return ErrAborted
-			}
+		if !t.valid() {
+			return ErrAborted
 		}
-		t.Reset()
 		return nil
 	}
 
@@ -269,32 +277,45 @@ func (t *Tx) Commit() error {
 			time.Sleep(time.Duration(rand.IntN(20)+1) * time.Microsecond)
 		}
 		if attempt > 64 {
-			t.Reset()
 			return ErrAborted
 		}
 	}
 
 	// Validate the read set while holding all write locks.
-	for _, re := range t.reads {
-		if re.n.version.Load() != re.ver {
-			unlockAll()
-			t.Reset()
-			return ErrAborted
-		}
+	if !t.valid() {
+		unlockAll()
+		return ErrAborted
 	}
 
-	// Apply.
+	// Apply as a seqlock over the nodes this commit changes: each turns odd
+	// before the first write and even after the last, so a lock-free read
+	// that overlaps the apply fails validation instead of seeing half a
+	// commit. An inserted node is born odd.
+	changed := make(map[*node]bool, 2*len(targets))
+	for _, tg := range targets {
+		ov := t.writes[tg.k]
+		if tg.curr != nil {
+			changed[tg.curr] = true // update or remove
+		}
+		if (tg.curr == nil) == ov.present {
+			changed[tg.pred] = true // insert or remove
+		}
+	}
+	for n := range changed {
+		n.version.Add(1)
+	}
 	for _, tg := range targets {
 		ov := t.writes[tg.k]
 		switch {
 		case ov.present && tg.curr != nil: // value update
 			tg.curr.val.Store(ov.val)
-			tg.curr.version.Add(1)
 		case ov.present && tg.curr == nil: // insert
 			lvl := randomLevel()
 			n := &node{key: tg.k.key, level: lvl,
 				next: make([]atomic.Pointer[node], lvl)}
 			n.val.Store(ov.val)
+			n.version.Store(1)
+			changed[n] = true
 			// Re-walk forward from the locked predecessor: earlier applies
 			// of this very transaction may have inserted into the same gap.
 			p := tg.pred
@@ -309,18 +330,28 @@ func (t *Tx) Commit() error {
 					break
 				}
 			}
-			tg.pred.version.Add(1)
 			buildTower(tg.k.sl, n)
 		case !ov.present && tg.curr != nil: // remove
 			// Mark only; physical unlink is lock-free helping in locate.
 			tg.curr.marked.Store(true)
-			tg.curr.version.Add(1)
-			tg.pred.version.Add(1)
 		}
 	}
+	for n := range changed {
+		n.version.Add(1)
+	}
 	unlockAll()
-	t.Reset()
 	return nil
+}
+
+// valid reports whether every critical node read still has the version
+// the transaction saw, and saw it outside any commit's apply (even).
+func (t *Tx) valid() bool {
+	for _, re := range t.reads {
+		if re.ver&1 != 0 || re.n.version.Load() != re.ver {
+			return false
+		}
+	}
+	return true
 }
 
 // adjacent verifies, under locks, that pred is live and that curr (when
@@ -383,14 +414,19 @@ func indexPosition(sl *Skiplist, l int, self *node) (*node, *node) {
 }
 
 // RunRetry executes body in a fresh transaction, committing with retry on
-// ErrAborted. A non-nil error from body aborts without retry.
+// ErrAborted. A non-nil error from body aborts without retry and is
+// returned — if the reads it was derived from still validate; reads are
+// not opaque, so an error from reads a concurrent commit has since
+// changed is an abort, and is retried.
 func RunRetry(body func(tx *Tx) error) error {
 	tx := NewTx()
 	for {
 		tx.Reset()
 		if err := body(tx); err != nil {
-			tx.Reset()
-			return err
+			if tx.valid() {
+				return err
+			}
+			continue
 		}
 		err := tx.Commit()
 		if err == nil {

@@ -212,6 +212,63 @@ func TestConcurrentConservation(t *testing.T) {
 	}
 }
 
+// TestReadersNeverSeeHalfACommit: a writer bumps a counter in one
+// skiplist and inserts the new count as a key in another, so the two
+// always agree in a committed state. Reads are lock-free and may overlap
+// a commit's apply; a reader that saw half of one must not commit, and an
+// error it derived from that half must be retried, not returned.
+func TestReadersNeverSeeHalfACommit(t *testing.T) {
+	counter, log := New(), New()
+	errHalf := errors.New("half a commit seen")
+	iters := 3000
+	if testing.Short() {
+		iters = 600
+	}
+	var stop sync.WaitGroup
+	done := make(chan struct{})
+	stop.Add(1)
+	go func() {
+		defer stop.Done()
+		defer close(done)
+		for i := 0; i < iters; i++ {
+			_ = RunRetry(func(tx *Tx) error {
+				n, _ := tx.Get(counter, 0)
+				tx.Put(counter, 0, n+1)
+				tx.Insert(log, n+1, 1)
+				return nil
+			})
+		}
+	}()
+	for r := 0; r < 2; r++ {
+		stop.Add(1)
+		go func(asError bool) {
+			defer stop.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				half := false
+				err := RunRetry(func(tx *Tx) error {
+					n, _ := tx.Get(counter, 0)
+					_, logged := tx.Get(log, n)
+					half = n > 0 && !logged
+					if half && asError {
+						return errHalf
+					}
+					return nil
+				})
+				if err != nil || half {
+					t.Errorf("reader committed or returned half a commit: err %v, half %v", err, half)
+					return
+				}
+			}
+		}(r == 0)
+	}
+	stop.Wait()
+}
+
 func TestConcurrentInsertRemoveChurn(t *testing.T) {
 	sl := New()
 	var wg sync.WaitGroup

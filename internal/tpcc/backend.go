@@ -28,8 +28,6 @@ type Worker interface {
 	// error from reads a concurrent commit has since overwritten is an
 	// abort, and is retried.
 	Run(body func(Ctx) error) error
-	// Writer is this worker's arena lane.
-	Writer() *ArenaWriter
 }
 
 // StatsWorker is implemented by workers whose backend can attribute
@@ -40,14 +38,41 @@ type StatsWorker interface {
 	TxStats() core.Stats
 }
 
-// Backend is one concurrency-control system under test.
+// Backend is one concurrency-control system under test: the tables, and
+// nothing else (the rows live in the DB).
 type Backend interface {
-	Name() string
 	NewWorker() Worker
-	Arena() *Arena
 }
 
-// ------------------------------------------------- Medley (any kv.TxMap)
+// DB is a database on a backend: its tables plus the one row arena.
+type DB struct {
+	b    Backend
+	rows arena
+}
+
+// NewDB creates an empty database on b.
+func NewDB(b Backend) *DB { return &DB{b: b} }
+
+// Conn is one goroutine's session on a DB: a backend worker plus its
+// append position in the row arena.
+type Conn struct {
+	Worker
+	aw arenaWriter
+}
+
+// Conn opens a session for one goroutine. It claims no arena space until
+// it writes a row.
+func (db *DB) Conn() *Conn {
+	return &Conn{Worker: db.b.NewWorker(), aw: arenaWriter{a: &db.rows}}
+}
+
+// row resolves a handle to its row.
+func (cn *Conn) row(h uint64) Row { return cn.aw.a.get(h) }
+
+// put appends a row and returns its handle.
+func (cn *Conn) put(r Row) uint64 { return cn.aw.put(r) }
+
+// ------------------------------------------- Medley (any kv.TxMap), txMontage
 
 // KVBackend runs TPC-C on any registry structure: one kv.TxMap per table,
 // all under a single TxManager, so every TPC-C transaction is one Medley
@@ -55,16 +80,14 @@ type Backend interface {
 // tables, whose cross-shard reads and writes stay strictly serializable
 // for free.
 type KVBackend struct {
-	name   string
 	mgr    *core.TxManager
 	tables [NumTables]kv.TxMap
-	arena  *Arena
 }
 
 // NewKVBackend creates a backend whose tables are the named registry
 // structure, partitioned over shards instances per table when shards > 1.
-func NewKVBackend(name, structure string, shards int) (*KVBackend, error) {
-	b := &KVBackend{name: name, mgr: core.NewTxManager(), arena: NewArena()}
+func NewKVBackend(structure string, shards int) (*KVBackend, error) {
+	b := &KVBackend{mgr: core.NewTxManager()}
 	for i := range b.tables {
 		s, err := kv.NewShardedNamed(structure, shards, kv.Options{Mgr: b.mgr, Buckets: 1 << 16})
 		if err != nil {
@@ -82,88 +105,72 @@ func NewKVBackend(name, structure string, shards int) (*KVBackend, error) {
 // NewMedleyBackend creates the paper's Figure 9 Medley configuration
 // (NBTC-transformed Fraser skiplists), expressed through the registry.
 func NewMedleyBackend() *KVBackend {
-	b, err := NewKVBackend("Medley", "skip", 1)
+	b, err := NewKVBackend("skip", 1)
 	if err != nil {
 		panic(err) // static registry name; cannot fail
 	}
 	return b
 }
 
-// Name implements Backend.
-func (b *KVBackend) Name() string { return b.name }
-
-// Arena implements Backend.
-func (b *KVBackend) Arena() *Arena { return b.arena }
-
 // Manager exposes the TxManager for statistics.
 func (b *KVBackend) Manager() *core.TxManager { return b.mgr }
 
-type kvTpccWorker struct {
-	tx     *core.Tx
-	tables [NumTables]kv.TxMap // bound per worker
-	arena  *Arena
-	aw     *ArenaWriter
-}
-
 // NewWorker implements Backend.
 func (b *KVBackend) NewWorker() Worker {
-	w := &kvTpccWorker{tx: b.mgr.Register(), arena: b.arena, aw: b.arena.Writer()}
+	w := &kvWorker{tx: b.mgr.Register()}
 	for i := range b.tables {
 		w.tables[i] = kv.Bind(b.tables[i], w.tx)
 	}
 	return w
 }
 
-func (w *kvTpccWorker) Writer() *ArenaWriter { return w.aw }
+// kvWorker runs TPC-C transactions as Medley transactions over tables
+// bound to its Tx: a KVBackend's, or a MontageBackend's through one epoch
+// handle.
+type kvWorker struct {
+	tx     *core.Tx
+	tables [NumTables]kv.TxMap
+}
 
-func (w *kvTpccWorker) Run(body func(Ctx) error) error {
+func (w *kvWorker) Run(body func(Ctx) error) error {
 	return w.tx.RunRetry(func() error { return body(w) })
 }
 
-func (w *kvTpccWorker) Get(t int, key uint64) (uint64, bool) {
+func (w *kvWorker) Get(t int, key uint64) (uint64, bool) {
 	return w.tables[t].Get(w.tx, key)
 }
-func (w *kvTpccWorker) Put(t int, key uint64, h uint64) {
+func (w *kvWorker) Put(t int, key uint64, h uint64) {
 	w.tables[t].Put(w.tx, key, h)
 }
-func (w *kvTpccWorker) Insert(t int, key uint64, h uint64) bool {
+func (w *kvWorker) Insert(t int, key uint64, h uint64) bool {
 	return w.tables[t].Insert(w.tx, key, h)
 }
-func (w *kvTpccWorker) Remove(t int, key uint64) bool {
+func (w *kvWorker) Remove(t int, key uint64) bool {
 	_, ok := w.tables[t].Remove(w.tx, key)
 	return ok
 }
 
 // TxStats implements StatsWorker.
-func (w *kvTpccWorker) TxStats() core.Stats { return w.tx.ShardStats() }
-
-// -------------------------------------------------------------- txMontage
+func (w *kvWorker) TxStats() core.Stats { return w.tx.ShardStats() }
 
 // MontageBackend runs TPC-C on txMontage persistent stores over skiplist
 // indices (Figure 9's txMontage line).
 type MontageBackend struct {
 	mgr    *core.TxManager
 	sys    *montage.System
-	tables [NumTables]*montage.PStore[uint64]
-	arena  *Arena
+	tables [NumTables]*kv.MontageMap
 }
 
 // NewMontageBackend creates the txMontage configuration over the given
 // montage system.
 func NewMontageBackend(sys *montage.System) *MontageBackend {
-	b := &MontageBackend{mgr: core.NewTxManager(), sys: sys, arena: NewArena()}
+	b := &MontageBackend{mgr: core.NewTxManager(), sys: sys}
 	for i := range b.tables {
 		idx := fraserskip.New[montage.Entry[uint64]](b.mgr)
-		b.tables[i] = montage.NewPStore[uint64](sys, idx, montage.U64Codec())
+		b.tables[i] = kv.NewMontageMap(sys, montage.NewPStore[uint64](sys, idx, montage.U64Codec()))
 	}
 	return b
 }
-
-// Name implements Backend.
-func (b *MontageBackend) Name() string { return "txMontage" }
-
-// Arena implements Backend.
-func (b *MontageBackend) Arena() *Arena { return b.arena }
 
 // Manager exposes the TxManager for statistics.
 func (b *MontageBackend) Manager() *core.TxManager { return b.mgr }
@@ -174,40 +181,16 @@ func (b *MontageBackend) StartAdvancer(every time.Duration) (stop func()) {
 	return b.sys.StartAdvancer(every)
 }
 
-type montageWorker struct {
-	b  *MontageBackend
-	h  *montage.Handle
-	aw *ArenaWriter
-}
-
-// NewWorker implements Backend.
+// NewWorker implements Backend: the Medley worker, its tables bound
+// through one epoch handle.
 func (b *MontageBackend) NewWorker() Worker {
-	tx := b.mgr.Register()
-	return &montageWorker{b: b, h: b.sys.Wrap(tx), aw: b.arena.Writer()}
+	w := &kvWorker{tx: b.mgr.Register()}
+	h := b.sys.Wrap(w.tx)
+	for i := range b.tables {
+		w.tables[i] = b.tables[i].BindHandle(h)
+	}
+	return w
 }
-
-func (w *montageWorker) Writer() *ArenaWriter { return w.aw }
-
-func (w *montageWorker) Run(body func(Ctx) error) error {
-	return w.h.Tx().RunRetry(func() error { return body(w) })
-}
-
-func (w *montageWorker) Get(t int, key uint64) (uint64, bool) {
-	return w.b.tables[t].Get(w.h, key)
-}
-func (w *montageWorker) Put(t int, key uint64, h uint64) {
-	w.b.tables[t].Put(w.h, key, h)
-}
-func (w *montageWorker) Insert(t int, key uint64, h uint64) bool {
-	return w.b.tables[t].Insert(w.h, key, h)
-}
-func (w *montageWorker) Remove(t int, key uint64) bool {
-	_, ok := w.b.tables[t].Remove(w.h, key)
-	return ok
-}
-
-// TxStats implements StatsWorker.
-func (w *montageWorker) TxStats() core.Stats { return w.h.Tx().ShardStats() }
 
 // ---------------------------------------------------------------- OneFile
 
@@ -216,37 +199,24 @@ func (w *montageWorker) TxStats() core.Stats { return w.h.Tx().ShardStats() }
 type OneFileBackend struct {
 	stm    *onefile.STM
 	tables [NumTables]*onefile.Skiplist
-	arena  *Arena
-	name   string
 }
 
 // NewOneFileBackend creates the OneFile configuration.
-func NewOneFileBackend(stm *onefile.STM, name string) *OneFileBackend {
-	b := &OneFileBackend{stm: stm, arena: NewArena(), name: name}
+func NewOneFileBackend(stm *onefile.STM) *OneFileBackend {
+	b := &OneFileBackend{stm: stm}
 	for i := range b.tables {
 		b.tables[i] = onefile.NewSkiplist(stm)
 	}
 	return b
 }
 
-// Name implements Backend.
-func (b *OneFileBackend) Name() string { return b.name }
-
-// Arena implements Backend.
-func (b *OneFileBackend) Arena() *Arena { return b.arena }
-
 type onefileWorker struct {
 	b  *OneFileBackend
-	aw *ArenaWriter
 	tx *onefile.Tx // valid during Run
 }
 
 // NewWorker implements Backend.
-func (b *OneFileBackend) NewWorker() Worker {
-	return &onefileWorker{b: b, aw: b.arena.Writer()}
-}
-
-func (w *onefileWorker) Writer() *ArenaWriter { return w.aw }
+func (b *OneFileBackend) NewWorker() Worker { return &onefileWorker{b: b} }
 
 func (w *onefileWorker) Run(body func(Ctx) error) error {
 	return w.b.stm.WriteTx(func(tx *onefile.Tx) error {
@@ -275,36 +245,24 @@ func (w *onefileWorker) Remove(t int, key uint64) bool {
 // line).
 type TDSLBackend struct {
 	tables [NumTables]*tdsl.Skiplist
-	arena  *Arena
 }
 
 // NewTDSLBackend creates the TDSL configuration.
 func NewTDSLBackend() *TDSLBackend {
-	b := &TDSLBackend{arena: NewArena()}
+	b := &TDSLBackend{}
 	for i := range b.tables {
 		b.tables[i] = tdsl.New()
 	}
 	return b
 }
 
-// Name implements Backend.
-func (b *TDSLBackend) Name() string { return "TDSL" }
-
-// Arena implements Backend.
-func (b *TDSLBackend) Arena() *Arena { return b.arena }
-
 type tdslWorker struct {
 	b  *TDSLBackend
-	aw *ArenaWriter
 	tx *tdsl.Tx
 }
 
 // NewWorker implements Backend.
-func (b *TDSLBackend) NewWorker() Worker {
-	return &tdslWorker{b: b, aw: b.arena.Writer()}
-}
-
-func (w *tdslWorker) Writer() *ArenaWriter { return w.aw }
+func (b *TDSLBackend) NewWorker() Worker { return &tdslWorker{b: b} }
 
 func (w *tdslWorker) Run(body func(Ctx) error) error {
 	return tdsl.RunRetry(func(tx *tdsl.Tx) error {

@@ -7,11 +7,12 @@
 // scenario, with Consistency-check identities from the TPC-C specification
 // (clause 3.3.2) verifiable at any quiescent point via Check.
 //
-// Tables are ordered maps from packed uint64 keys to row handles. Rows are
-// immutable [4]uint64 records in a lock-free append-only arena shared by
-// all backends, so every backend (Medley, txMontage, OneFile, TDSL) pays
-// the same indirection and the comparison isolates concurrency control, as
-// in the paper's setup. Row updates replace the handle transactionally.
+// Tables are ordered maps from packed uint64 keys to row handles, and a
+// Backend is nothing but those tables. Rows are immutable [4]uint64 records
+// in one lock-free append-only arena per DB, outside every backend, so
+// each backend (Medley, txMontage, OneFile, TDSL) pays the same indirection
+// and the comparison isolates concurrency control, as in the paper's
+// setup. Row updates replace the handle transactionally.
 package tpcc
 
 import "sync/atomic"
@@ -81,60 +82,47 @@ func OrderLineKey(w, d, o, ol uint64) uint64 { return w<<48 | d<<40 | o<<8 | ol 
 type Row [4]uint64
 
 const (
-	arenaMaxWorkers = 128
-	arenaChunkBits  = 14
-	arenaChunkSize  = 1 << arenaChunkBits
-	arenaMaxChunks  = 1 << 12
+	arenaChunkBits = 14
+	arenaChunkSize = 1 << arenaChunkBits
+	arenaMaxChunks = 1 << 16
 )
 
 type arenaChunk [arenaChunkSize]Row
 
-// Arena is a lock-free append-only row store. Each worker appends only to
-// its own lane; any worker may read any handle. Publication happens-before
-// is provided by the transactional table stores that carry handles.
-type Arena struct {
-	lanes [arenaMaxWorkers][arenaMaxChunks]atomic.Pointer[arenaChunk]
-	nextW atomic.Int64
+// arena is a lock-free append-only row store. A writer appends to a chunk
+// it alone claimed, claiming the next free one when it fills; any session
+// may read any handle. Publication happens-before is provided by the
+// transactional table stores that carry handles.
+type arena struct {
+	chunks  [arenaMaxChunks]atomic.Pointer[arenaChunk]
+	claimed atomic.Int64
 }
 
-// NewArena creates an empty arena.
-func NewArena() *Arena { return &Arena{} }
+// get resolves a handle to its row.
+func (a *arena) get(h uint64) Row {
+	return a.chunks[h>>arenaChunkBits].Load()[h&(arenaChunkSize-1)]
+}
 
-// Writer returns an append lane for one worker goroutine.
-func (a *Arena) Writer() *ArenaWriter {
-	w := int(a.nextW.Add(1) - 1)
-	if w >= arenaMaxWorkers {
-		panic("tpcc: too many arena writers")
+// arenaWriter is one session's append position.
+type arenaWriter struct {
+	a     *arena
+	chunk *arenaChunk
+	next  uint64 // handle of the next row; on a chunk boundary, claim first
+}
+
+// put appends a row and returns its handle.
+func (w *arenaWriter) put(r Row) uint64 {
+	if w.next&(arenaChunkSize-1) == 0 {
+		ci := w.a.claimed.Add(1) - 1
+		if ci >= arenaMaxChunks {
+			panic("tpcc: row arena full")
+		}
+		w.chunk = new(arenaChunk)
+		w.a.chunks[ci].Store(w.chunk)
+		w.next = uint64(ci) << arenaChunkBits
 	}
-	return &ArenaWriter{a: a, lane: w}
-}
-
-// Get resolves a handle to its row.
-func (a *Arena) Get(h uint64) Row {
-	lane := int(h >> 40)
-	idx := h & (1<<40 - 1)
-	chunk := a.lanes[lane][idx>>arenaChunkBits].Load()
-	return chunk[idx&(arenaChunkSize-1)]
-}
-
-// ArenaWriter is a single goroutine's append lane.
-type ArenaWriter struct {
-	a    *Arena
-	lane int
-	n    uint64
-}
-
-// Put appends a row and returns its handle.
-func (w *ArenaWriter) Put(r Row) uint64 {
-	ci := w.n >> arenaChunkBits
-	slot := &w.a.lanes[w.lane][ci]
-	chunk := slot.Load()
-	if chunk == nil {
-		chunk = new(arenaChunk)
-		slot.Store(chunk)
-	}
-	chunk[w.n&(arenaChunkSize-1)] = r
-	h := uint64(w.lane)<<40 | w.n
-	w.n++
+	h := w.next
+	w.chunk[h&(arenaChunkSize-1)] = r
+	w.next++
 	return h
 }

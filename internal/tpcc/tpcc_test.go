@@ -13,111 +13,120 @@ func smallScale() Scale {
 	return Scale{Warehouses: 2, Districts: 2, Customers: 10, Items: 50}
 }
 
-func backends(t *testing.T) []Backend {
+// namedBackend is a backend under the name its subtests run as.
+type namedBackend struct {
+	name string
+	b    Backend
+}
+
+func backends(t *testing.T) []namedBackend {
 	t.Helper()
-	mustKV := func(name, structure string, shards int) Backend {
-		b, err := NewKVBackend(name, structure, shards)
+	mustKV := func(structure string, shards int) Backend {
+		b, err := NewKVBackend(structure, shards)
 		if err != nil {
-			t.Fatalf("NewKVBackend(%s): %v", name, err)
+			t.Fatalf("NewKVBackend(%s): %v", structure, err)
 		}
 		return b
 	}
-	return []Backend{
-		NewMedleyBackend(),
-		mustKV("Medley-bst", "bst", 1),
-		mustKV("Medley-hash-4shard", "hash", 4),
-		NewMontageBackend(montage.NewSystem(montage.Config{RegionWords: 1 << 20})),
-		NewOneFileBackend(onefile.New(), "OneFile"),
-		NewTDSLBackend(),
+	return []namedBackend{
+		{"Medley", NewMedleyBackend()},
+		{"Medley-bst", mustKV("bst", 1)},
+		{"Medley-hash-4shard", mustKV("hash", 4)},
+		{"txMontage", NewMontageBackend(montage.NewSystem(montage.Config{RegionWords: 1 << 20}))},
+		{"OneFile", NewOneFileBackend(onefile.New())},
+		{"TDSL", NewTDSLBackend()},
 	}
 }
 
 func TestLoadAllBackends(t *testing.T) {
 	sc := smallScale()
-	for _, b := range backends(t) {
-		if err := Load(b, sc); err != nil {
-			t.Fatalf("%s: load: %v", b.Name(), err)
+	for _, e := range backends(t) {
+		db := NewDB(e.b)
+		if err := Load(db, sc); err != nil {
+			t.Fatalf("%s: load: %v", e.name, err)
 		}
-		w := b.NewWorker()
+		w := db.Conn()
 		err := w.Run(func(c Ctx) error {
 			if _, ok := c.Get(TWarehouse, WarehouseKey(1)); !ok {
-				t.Errorf("%s: warehouse 1 missing", b.Name())
+				t.Errorf("%s: warehouse 1 missing", e.name)
 			}
 			if _, ok := c.Get(TDistrict, DistrictKey(2, 2)); !ok {
-				t.Errorf("%s: district 2/2 missing", b.Name())
+				t.Errorf("%s: district 2/2 missing", e.name)
 			}
 			if _, ok := c.Get(TStock, StockKey(1, 50)); !ok {
-				t.Errorf("%s: stock 1/50 missing", b.Name())
+				t.Errorf("%s: stock 1/50 missing", e.name)
 			}
 			return nil
 		})
 		if err != nil {
-			t.Fatalf("%s: verify: %v", b.Name(), err)
+			t.Fatalf("%s: verify: %v", e.name, err)
 		}
 	}
 }
 
 func TestNewOrderEffects(t *testing.T) {
 	sc := smallScale()
-	for _, b := range backends(t) {
-		if err := Load(b, sc); err != nil {
-			t.Fatalf("%s: load: %v", b.Name(), err)
+	for _, e := range backends(t) {
+		db := NewDB(e.b)
+		if err := Load(db, sc); err != nil {
+			t.Fatalf("%s: load: %v", e.name, err)
 		}
-		w := b.NewWorker()
+		w := db.Conn()
 		items := []OrderItem{{Item: 1, SupplyW: 1, Qty: 3}, {Item: 2, SupplyW: 1, Qty: 5}}
 		if err := NewOrder(w, 1, 1, 1, items); err != nil {
-			t.Fatalf("%s: newOrder: %v", b.Name(), err)
+			t.Fatalf("%s: newOrder: %v", e.name, err)
 		}
 		err := w.Run(func(c Ctx) error {
 			dh, _ := c.Get(TDistrict, DistrictKey(1, 1))
-			if got := b.Arena().Get(dh)[2]; got != 2 {
-				t.Errorf("%s: nextOID = %d, want 2", b.Name(), got)
+			if got := w.row(dh)[2]; got != 2 {
+				t.Errorf("%s: nextOID = %d, want 2", e.name, got)
 			}
 			if _, ok := c.Get(TOrder, OrderKey(1, 1, 1)); !ok {
-				t.Errorf("%s: order row missing", b.Name())
+				t.Errorf("%s: order row missing", e.name)
 			}
 			if _, ok := c.Get(TNewOrder, OrderKey(1, 1, 1)); !ok {
-				t.Errorf("%s: new-order row missing", b.Name())
+				t.Errorf("%s: new-order row missing", e.name)
 			}
 			if _, ok := c.Get(TOrderLine, OrderLineKey(1, 1, 1, 1)); !ok {
-				t.Errorf("%s: order line missing", b.Name())
+				t.Errorf("%s: order line missing", e.name)
 			}
 			sh, _ := c.Get(TStock, StockKey(1, 1))
-			if got := b.Arena().Get(sh)[2]; got != 1 {
-				t.Errorf("%s: stock orderCnt = %d, want 1", b.Name(), got)
+			if got := w.row(sh)[2]; got != 1 {
+				t.Errorf("%s: stock orderCnt = %d, want 1", e.name, got)
 			}
 			return nil
 		})
 		if err != nil {
-			t.Fatalf("%s: verify: %v", b.Name(), err)
+			t.Fatalf("%s: verify: %v", e.name, err)
 		}
 	}
 }
 
 func TestPaymentEffects(t *testing.T) {
 	sc := smallScale()
-	for _, b := range backends(t) {
-		if err := Load(b, sc); err != nil {
-			t.Fatalf("%s: load: %v", b.Name(), err)
+	for _, e := range backends(t) {
+		db := NewDB(e.b)
+		if err := Load(db, sc); err != nil {
+			t.Fatalf("%s: load: %v", e.name, err)
 		}
-		w := b.NewWorker()
+		w := db.Conn()
 		if err := Payment(w, 1, 1, 1, 12345); err != nil {
-			t.Fatalf("%s: payment: %v", b.Name(), err)
+			t.Fatalf("%s: payment: %v", e.name, err)
 		}
 		err := w.Run(func(c Ctx) error {
 			wh, _ := c.Get(TWarehouse, WarehouseKey(1))
-			if got := b.Arena().Get(wh)[0]; got != 30000000+12345 {
-				t.Errorf("%s: warehouse ytd = %d", b.Name(), got)
+			if got := w.row(wh)[0]; got != 30000000+12345 {
+				t.Errorf("%s: warehouse ytd = %d", e.name, got)
 			}
 			ch, _ := c.Get(TCustomer, CustomerKey(1, 1, 1))
-			crow := b.Arena().Get(ch)
+			crow := w.row(ch)
 			if crow[1] != 12345 || crow[2] != 1 {
-				t.Errorf("%s: customer row = %v", b.Name(), crow)
+				t.Errorf("%s: customer row = %v", e.name, crow)
 			}
 			return nil
 		})
 		if err != nil {
-			t.Fatalf("%s: verify: %v", b.Name(), err)
+			t.Fatalf("%s: verify: %v", e.name, err)
 		}
 	}
 }
@@ -130,10 +139,10 @@ func TestConcurrentMixConsistency(t *testing.T) {
 	if testing.Short() {
 		iters = 40
 	}
-	for _, b := range backends(t) {
-		b := b
-		t.Run(b.Name(), func(t *testing.T) {
-			if err := Load(b, sc); err != nil {
+	for _, e := range backends(t) {
+		db := NewDB(e.b)
+		t.Run(e.name, func(t *testing.T) {
+			if err := Load(db, sc); err != nil {
 				t.Fatalf("load: %v", err)
 			}
 			var wg sync.WaitGroup
@@ -145,7 +154,7 @@ func TestConcurrentMixConsistency(t *testing.T) {
 				wg.Add(1)
 				go func(seed int64) {
 					defer wg.Done()
-					d := NewDriver(b, sc, seed)
+					d := NewDriver(db, sc, seed, PaperMix())
 					localNO, localPay := 0, 0
 					var localPaid uint64
 					for i := 0; i < iters; i++ {
@@ -172,7 +181,7 @@ func TestConcurrentMixConsistency(t *testing.T) {
 
 			// Invariant 1: sum over districts of (nextOID - 1) == total
 			// committed newOrder transactions.
-			w := b.NewWorker()
+			w := db.Conn()
 			totalOrders := uint64(0)
 			err := w.Run(func(c Ctx) error {
 				totalOrders = 0
@@ -182,7 +191,7 @@ func TestConcurrentMixConsistency(t *testing.T) {
 						if !ok {
 							t.Fatal("district missing")
 						}
-						totalOrders += b.Arena().Get(dh)[2] - 1
+						totalOrders += w.row(dh)[2] - 1
 					}
 				}
 				return nil
@@ -200,7 +209,7 @@ func TestConcurrentMixConsistency(t *testing.T) {
 				for wh := 1; wh <= sc.Warehouses; wh++ {
 					for d := 1; d <= sc.Districts; d++ {
 						dh, _ := c.Get(TDistrict, DistrictKey(uint64(wh), uint64(d)))
-						next := b.Arena().Get(dh)[2]
+						next := w.row(dh)[2]
 						for o := uint64(1); o < next; o++ {
 							if _, ok := c.Get(TOrder, OrderKey(uint64(wh), uint64(d), o)); !ok {
 								t.Fatalf("order %d/%d/%d missing", wh, d, o)
@@ -209,7 +218,7 @@ func TestConcurrentMixConsistency(t *testing.T) {
 								t.Fatalf("new-order %d/%d/%d missing", wh, d, o)
 							}
 							oh, _ := c.Get(TOrder, OrderKey(uint64(wh), uint64(d), o))
-							olCnt := b.Arena().Get(oh)[1]
+							olCnt := w.row(oh)[1]
 							for ol := uint64(0); ol < olCnt; ol++ {
 								if _, ok := c.Get(TOrderLine, OrderLineKey(uint64(wh), uint64(d), o, ol)); !ok {
 									t.Fatalf("order line %d/%d/%d/%d missing", wh, d, o, ol)
@@ -229,11 +238,11 @@ func TestConcurrentMixConsistency(t *testing.T) {
 			err = w.Run(func(c Ctx) error {
 				for wh := 1; wh <= sc.Warehouses; wh++ {
 					whh, _ := c.Get(TWarehouse, WarehouseKey(uint64(wh)))
-					wytd := b.Arena().Get(whh)[0] - 30000000
+					wytd := w.row(whh)[0] - 30000000
 					var dsum uint64
 					for d := 1; d <= sc.Districts; d++ {
 						dhh, _ := c.Get(TDistrict, DistrictKey(uint64(wh), uint64(d)))
-						dsum += b.Arena().Get(dhh)[0] - 3000000
+						dsum += w.row(dhh)[0] - 3000000
 					}
 					if wytd != dsum {
 						t.Fatalf("warehouse %d ytd delta %d != district sum %d", wh, wytd, dsum)
@@ -248,14 +257,65 @@ func TestConcurrentMixConsistency(t *testing.T) {
 	}
 }
 
+// TestDBServesAnyNumberOfConns: a database takes as many sessions as its
+// callers open, well past one per CPU. Each writing Conn claims a chunk of
+// its own, and Check, which writes nothing, claims none.
+func TestDBServesAnyNumberOfConns(t *testing.T) {
+	sc := smallScale()
+	db := NewDB(NewMedleyBackend())
+	if err := Load(db, sc); err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	conns := make([]*Conn, 200)
+	for i := range conns {
+		conns[i] = db.Conn()
+	}
+	for i, cn := range conns {
+		if err := Payment(cn, uint64(i%sc.Warehouses+1), 1, 1, 100); err != nil {
+			t.Fatalf("conn %d: payment: %v", i, err)
+		}
+	}
+	if got := db.rows.claimed.Load(); got != 1+int64(len(conns)) {
+		t.Errorf("%d arena chunks claimed, want one for Load and one per Conn (%d)", got, 1+len(conns))
+	}
+	requireClean(t, db, sc)
+}
+
+// TestArenaRowsResolveAcrossChunks: two writers interleave past a chunk
+// boundary each, so their chunks alternate in the arena; every handle is
+// distinct and resolves to the row put under it.
+func TestArenaRowsResolveAcrossChunks(t *testing.T) {
+	db := NewDB(NewTDSLBackend())
+	cns := [2]*Conn{db.Conn(), db.Conn()}
+	seen := make(map[uint64]Row)
+	for i := uint64(0); i < arenaChunkSize+3; i++ {
+		for c, cn := range cns {
+			r := Row{uint64(c), i}
+			h := cn.put(r)
+			if _, dup := seen[h]; dup {
+				t.Fatalf("handle %#x handed out twice", h)
+			}
+			seen[h] = r
+		}
+	}
+	for h, r := range seen {
+		if got := cns[0].row(h); got != r {
+			t.Fatalf("handle %#x reads %v, want %v", h, got, r)
+		}
+	}
+	if got := db.rows.claimed.Load(); got != 4 {
+		t.Errorf("%d arena chunks claimed, want 4", got)
+	}
+}
+
 func TestMontageTPCCDurability(t *testing.T) {
 	sc := Scale{Warehouses: 1, Districts: 2, Customers: 5, Items: 20}
 	sys := montage.NewSystem(montage.Config{RegionWords: 1 << 20})
-	b := NewMontageBackend(sys)
-	if err := Load(b, sc); err != nil {
+	db := NewDB(NewMontageBackend(sys))
+	if err := Load(db, sc); err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	w := b.NewWorker()
+	w := db.Conn()
 	if err := NewOrder(w, 1, 1, 1, []OrderItem{{Item: 1, SupplyW: 1, Qty: 2}}); err != nil {
 		t.Fatalf("newOrder: %v", err)
 	}
@@ -277,36 +337,31 @@ func TestMontageTPCCDurability(t *testing.T) {
 // worker delivers the same district between the first worker's read of the
 // delivery cursor and its removal of the new-order entry: Delivery's
 // interleaving behind the tpcc-full scenario's rare `execution`
-// violations. The backends are the ones whose workers run on core.Tx.
+// violations. Every backend keeps this contract: core.Tx (Medley,
+// txMontage) and TDSL validate the reads behind a body error, and OneFile
+// restarts the body at the stale read itself.
 func TestRunRetriesAnErrorFromAStaleRead(t *testing.T) {
-	sharded, err := NewKVBackend("Medley-hash-4shard", "hash", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
 	dk := DistrictKey(1, 1)
-	for _, b := range []Backend{
-		NewMedleyBackend(),
-		sharded,
-		NewMontageBackend(montage.NewSystem(montage.Config{RegionWords: 1 << 20})),
-	} {
-		w1, w2 := b.NewWorker(), b.NewWorker()
+	for _, e := range backends(t) {
+		db := NewDB(e.b)
+		w1, w2 := db.Conn(), db.Conn()
 		if err := w1.Run(func(c Ctx) error {
-			c.Put(TDistrict, dk, w1.Writer().Put(Row{0, 0, 3, 1})) // orders 1 and 2 undelivered
-			c.Insert(TNewOrder, OrderKey(1, 1, 1), w1.Writer().Put(Row{}))
-			c.Insert(TNewOrder, OrderKey(1, 1, 2), w1.Writer().Put(Row{}))
+			c.Put(TDistrict, dk, w1.put(Row{0, 0, 3, 1})) // orders 1 and 2 undelivered
+			c.Insert(TNewOrder, OrderKey(1, 1, 1), w1.put(Row{}))
+			c.Insert(TNewOrder, OrderKey(1, 1, 2), w1.put(Row{}))
 			return nil
 		}); err != nil {
-			t.Fatalf("%s: setup: %v", b.Name(), err)
+			t.Fatalf("%s: setup: %v", e.name, err)
 		}
-		deliverOne := func(w Worker, between func()) error {
+		deliverOne := func(w *Conn, between func()) error {
 			return w.Run(func(c Ctx) error {
 				dh, _ := c.Get(TDistrict, dk)
-				d := dRow(c, dh)
+				d := w.row(dh)
 				between()
 				if !c.Remove(TNewOrder, OrderKey(1, 1, d[3])) {
 					return fmt.Errorf("%w: new-order 1/1/%d", errRowMissing, d[3])
 				}
-				c.Put(TDistrict, dk, w.Writer().Put(Row{d[0], d[1], d[2], d[3] + 1}))
+				c.Put(TDistrict, dk, w.put(Row{d[0], d[1], d[2], d[3] + 1}))
 				return nil
 			})
 		}
@@ -319,26 +374,26 @@ func TestRunRetriesAnErrorFromAStaleRead(t *testing.T) {
 			done := make(chan error)
 			go func() { done <- deliverOne(w2, func() {}) }()
 			if err := <-done; err != nil {
-				t.Errorf("%s: racing delivery: %v", b.Name(), err)
+				t.Errorf("%s: racing delivery: %v", e.name, err)
 			}
 		})
 		if err != nil {
-			t.Errorf("%s: a body error from a stale read escaped Run: %v", b.Name(), err)
+			t.Errorf("%s: a body error from a stale read escaped Run: %v", e.name, err)
 			continue
 		}
 		if err := w1.Run(func(c Ctx) error {
 			dh, _ := c.Get(TDistrict, dk)
-			if cursor := dRow(c, dh)[3]; cursor != 3 {
-				t.Errorf("%s: delivery cursor %d after two deliveries, want 3", b.Name(), cursor)
+			if cursor := w1.row(dh)[3]; cursor != 3 {
+				t.Errorf("%s: delivery cursor %d after two deliveries, want 3", e.name, cursor)
 			}
 			for o := uint64(1); o <= 2; o++ {
 				if _, ok := c.Get(TNewOrder, OrderKey(1, 1, o)); ok {
-					t.Errorf("%s: new-order 1/1/%d still present", b.Name(), o)
+					t.Errorf("%s: new-order 1/1/%d still present", e.name, o)
 				}
 			}
 			return nil
 		}); err != nil {
-			t.Fatalf("%s: verify: %v", b.Name(), err)
+			t.Fatalf("%s: verify: %v", e.name, err)
 		}
 	}
 }

@@ -30,50 +30,33 @@ const (
 	InitDistrictYTD  = 3000000
 )
 
-// Load populates the database per TPC-C's initial state.
-func Load(b Backend, sc Scale) error {
-	w := b.NewWorker()
-	aw := w.Writer()
-	// Items (shared, read-only).
-	for i := 1; i <= sc.Items; i++ {
-		h := aw.Put(Row{uint64(100 + i%9900), uint64(i), 0, 0}) // price cents
-		key := ItemKey(uint64(i))
-		if err := w.Run(func(c Ctx) error { c.Put(TItem, key, h); return nil }); err != nil {
-			return err
+// Load populates the database per TPC-C's initial state, one row per
+// transaction.
+func Load(db *DB, sc Scale) error {
+	cn := db.Conn()
+	var err error
+	load := func(table int, key uint64, r Row) {
+		if err == nil {
+			h := cn.put(r)
+			err = cn.Run(func(c Ctx) error { c.Put(table, key, h); return nil })
 		}
 	}
-	for wh := 1; wh <= sc.Warehouses; wh++ {
-		whu := uint64(wh)
-		h := aw.Put(Row{InitWarehouseYTD, 100, 0, 0})
-		if err := w.Run(func(c Ctx) error { c.Put(TWarehouse, WarehouseKey(whu), h); return nil }); err != nil {
-			return err
-		}
-		for d := 1; d <= sc.Districts; d++ {
-			du := uint64(d)
-			dh := aw.Put(Row{InitDistrictYTD, 150, 1, 1}) // nextOID = nextDeliveryOID = 1
-			if err := w.Run(func(c Ctx) error { c.Put(TDistrict, DistrictKey(whu, du), dh); return nil }); err != nil {
-				return err
-			}
-			for cst := 1; cst <= sc.Customers; cst++ {
-				cu := uint64(cst)
-				ch := aw.Put(Row{0, 0, 0, 0})
-				if err := w.Run(func(c Ctx) error {
-					c.Put(TCustomer, CustomerKey(whu, du, cu), ch)
-					return nil
-				}); err != nil {
-					return err
-				}
+	for i := uint64(1); i <= uint64(sc.Items); i++ {
+		load(TItem, ItemKey(i), Row{100 + i%9900, i, 0, 0}) // price cents; shared, read-only
+	}
+	for wh := uint64(1); wh <= uint64(sc.Warehouses); wh++ {
+		load(TWarehouse, WarehouseKey(wh), Row{InitWarehouseYTD, 100, 0, 0})
+		for d := uint64(1); d <= uint64(sc.Districts); d++ {
+			load(TDistrict, DistrictKey(wh, d), Row{InitDistrictYTD, 150, 1, 1}) // nextOID = nextDeliveryOID = 1
+			for c := uint64(1); c <= uint64(sc.Customers); c++ {
+				load(TCustomer, CustomerKey(wh, d, c), Row{})
 			}
 		}
-		for i := 1; i <= sc.Items; i++ {
-			iu := uint64(i)
-			sh := aw.Put(Row{uint64(10 + i%91), 0, 0, 0})
-			if err := w.Run(func(c Ctx) error { c.Put(TStock, StockKey(whu, iu), sh); return nil }); err != nil {
-				return err
-			}
+		for i := uint64(1); i <= uint64(sc.Items); i++ {
+			load(TStock, StockKey(wh, i), Row{10 + i%91, 0, 0, 0})
 		}
 	}
-	return nil
+	return err
 }
 
 // OrderItem is one line of a newOrder request.
@@ -86,17 +69,16 @@ type OrderItem struct {
 // NewOrder executes the TPC-C newOrder transaction: allocate the district's
 // next order id, create the order and its new-order entry, and for each
 // line read the item, update the stock, and create the order line.
-func NewOrder(w Worker, whID, dID, cID uint64, items []OrderItem) error {
-	aw := w.Writer()
-	return w.Run(func(c Ctx) error {
+func NewOrder(cn *Conn, whID, dID, cID uint64, items []OrderItem) error {
+	return cn.Run(func(c Ctx) error {
 		dk := DistrictKey(whID, dID)
 		dh, ok := c.Get(TDistrict, dk)
 		if !ok {
 			return fmt.Errorf("%w: district %d/%d", errRowMissing, whID, dID)
 		}
-		drow := dRow(c, dh)
+		drow := cn.row(dh)
 		oid := drow[2]
-		c.Put(TDistrict, dk, aw.Put(Row{drow[0], drow[1], oid + 1, drow[3]}))
+		c.Put(TDistrict, dk, cn.put(Row{drow[0], drow[1], oid + 1, drow[3]}))
 
 		if _, ok := c.Get(TWarehouse, WarehouseKey(whID)); !ok {
 			return fmt.Errorf("%w: warehouse %d", errRowMissing, whID)
@@ -106,22 +88,22 @@ func NewOrder(w Worker, whID, dID, cID uint64, items []OrderItem) error {
 		}
 
 		c.Insert(TOrder, OrderKey(whID, dID, oid),
-			aw.Put(Row{cID, uint64(len(items)), 0, 0}))
-		c.Insert(TNewOrder, OrderKey(whID, dID, oid), aw.Put(Row{}))
-		c.Put(TCustOrder, CustomerKey(whID, dID, cID), aw.Put(Row{oid, 0, 0, 0}))
+			cn.put(Row{cID, uint64(len(items)), 0, 0}))
+		c.Insert(TNewOrder, OrderKey(whID, dID, oid), cn.put(Row{}))
+		c.Put(TCustOrder, CustomerKey(whID, dID, cID), cn.put(Row{oid, 0, 0, 0}))
 
 		for ol, it := range items {
 			ih, ok := c.Get(TItem, ItemKey(it.Item))
 			if !ok {
 				return fmt.Errorf("%w: item %d", errRowMissing, it.Item)
 			}
-			price := rowField(c, ih, 0)
+			price := cn.row(ih)[0]
 			sk := StockKey(it.SupplyW, it.Item)
 			sh, ok := c.Get(TStock, sk)
 			if !ok {
 				return fmt.Errorf("%w: stock %d/%d", errRowMissing, it.SupplyW, it.Item)
 			}
-			srow := dRow(c, sh)
+			srow := cn.row(sh)
 			qty := srow[0]
 			if qty >= it.Qty+10 {
 				qty -= it.Qty
@@ -132,10 +114,10 @@ func NewOrder(w Worker, whID, dID, cID uint64, items []OrderItem) error {
 			if it.SupplyW != whID {
 				remote++
 			}
-			c.Put(TStock, sk, aw.Put(Row{qty, srow[1] + it.Qty, srow[2] + 1, remote}))
+			c.Put(TStock, sk, cn.put(Row{qty, srow[1] + it.Qty, srow[2] + 1, remote}))
 			amount := it.Qty * price
 			c.Insert(TOrderLine, OrderLineKey(whID, dID, oid, uint64(ol)),
-				aw.Put(Row{it.Item, it.Qty, amount, it.SupplyW}))
+				cn.put(Row{it.Item, it.Qty, amount, it.SupplyW}))
 		}
 		return nil
 	})
@@ -143,32 +125,31 @@ func NewOrder(w Worker, whID, dID, cID uint64, items []OrderItem) error {
 
 // Payment executes the TPC-C payment transaction: update warehouse and
 // district year-to-date totals and the customer's balance.
-func Payment(w Worker, whID, dID, cID uint64, amount uint64) error {
-	aw := w.Writer()
-	return w.Run(func(c Ctx) error {
+func Payment(cn *Conn, whID, dID, cID uint64, amount uint64) error {
+	return cn.Run(func(c Ctx) error {
 		wk := WarehouseKey(whID)
 		wh, ok := c.Get(TWarehouse, wk)
 		if !ok {
 			return fmt.Errorf("%w: warehouse %d", errRowMissing, whID)
 		}
-		wrow := dRow(c, wh)
-		c.Put(TWarehouse, wk, aw.Put(Row{wrow[0] + amount, wrow[1], 0, 0}))
+		wrow := cn.row(wh)
+		c.Put(TWarehouse, wk, cn.put(Row{wrow[0] + amount, wrow[1], 0, 0}))
 
 		dk := DistrictKey(whID, dID)
 		dh, ok := c.Get(TDistrict, dk)
 		if !ok {
 			return fmt.Errorf("%w: district %d/%d", errRowMissing, whID, dID)
 		}
-		drow := dRow(c, dh)
-		c.Put(TDistrict, dk, aw.Put(Row{drow[0] + amount, drow[1], drow[2], drow[3]}))
+		drow := cn.row(dh)
+		c.Put(TDistrict, dk, cn.put(Row{drow[0] + amount, drow[1], drow[2], drow[3]}))
 
 		ck := CustomerKey(whID, dID, cID)
 		ch, ok := c.Get(TCustomer, ck)
 		if !ok {
 			return fmt.Errorf("%w: customer %d", errRowMissing, cID)
 		}
-		crow := dRow(c, ch)
-		c.Put(TCustomer, ck, aw.Put(Row{crow[0] - amount, crow[1] + amount, crow[2] + 1, crow[3]}))
+		crow := cn.row(ch)
+		c.Put(TCustomer, ck, cn.put(Row{crow[0] - amount, crow[1] + amount, crow[2] + 1, crow[3]}))
 		return nil
 	})
 }
@@ -179,10 +160,9 @@ func Payment(w Worker, whID, dID, cID uint64, amount uint64) error {
 // order with the carrier, crediting the order's total amount to the
 // customer's balance, and advancing the district's delivery cursor. It
 // returns how many districts had an order to deliver.
-func Delivery(w Worker, districts int, whID, carrier uint64) (int, error) {
-	aw := w.Writer()
+func Delivery(cn *Conn, districts int, whID, carrier uint64) (int, error) {
 	delivered := 0
-	err := w.Run(func(c Ctx) error {
+	err := cn.Run(func(c Ctx) error {
 		delivered = 0
 		for d := 1; d <= districts; d++ {
 			dID := uint64(d)
@@ -191,7 +171,7 @@ func Delivery(w Worker, districts int, whID, carrier uint64) (int, error) {
 			if !ok {
 				return fmt.Errorf("%w: district %d/%d", errRowMissing, whID, dID)
 			}
-			drow := dRow(c, dh)
+			drow := cn.row(dh)
 			oid := drow[3]
 			if oid >= drow[2] { // nothing undelivered in this district
 				continue
@@ -204,25 +184,25 @@ func Delivery(w Worker, districts int, whID, carrier uint64) (int, error) {
 			if !ok {
 				return fmt.Errorf("%w: order %d/%d/%d", errRowMissing, whID, dID, oid)
 			}
-			orow := dRow(c, oh)
+			orow := cn.row(oh)
 			var total uint64
 			for ol := uint64(0); ol < orow[1]; ol++ {
 				lh, ok := c.Get(TOrderLine, OrderLineKey(whID, dID, oid, ol))
 				if !ok {
 					return fmt.Errorf("%w: order line %d/%d/%d/%d", errRowMissing, whID, dID, oid, ol)
 				}
-				total += rowField(c, lh, 2)
+				total += cn.row(lh)[2]
 			}
 			c.Put(TOrder, OrderKey(whID, dID, oid),
-				aw.Put(Row{orow[0], orow[1], orow[2], carrier}))
+				cn.put(Row{orow[0], orow[1], orow[2], carrier}))
 			ck := CustomerKey(whID, dID, orow[0])
 			ch, ok := c.Get(TCustomer, ck)
 			if !ok {
 				return fmt.Errorf("%w: customer %d/%d/%d", errRowMissing, whID, dID, orow[0])
 			}
-			crow := dRow(c, ch)
-			c.Put(TCustomer, ck, aw.Put(Row{crow[0] + total, crow[1], crow[2], crow[3] + 1}))
-			c.Put(TDistrict, dk, aw.Put(Row{drow[0], drow[1], drow[2], oid + 1}))
+			crow := cn.row(ch)
+			c.Put(TCustomer, ck, cn.put(Row{crow[0] + total, crow[1], crow[2], crow[3] + 1}))
+			c.Put(TDistrict, dk, cn.put(Row{drow[0], drow[1], drow[2], oid + 1}))
 			delivered++
 		}
 		return nil
@@ -239,26 +219,26 @@ type OrderStatusResult struct {
 
 // OrderStatus executes the read-only TPC-C orderStatus transaction: report
 // a customer's balance and the line items of their most recent order.
-func OrderStatus(w Worker, whID, dID, cID uint64) (OrderStatusResult, error) {
+func OrderStatus(cn *Conn, whID, dID, cID uint64) (OrderStatusResult, error) {
 	var res OrderStatusResult
-	err := w.Run(func(c Ctx) error {
+	err := cn.Run(func(c Ctx) error {
 		res = OrderStatusResult{}
 		ch, ok := c.Get(TCustomer, CustomerKey(whID, dID, cID))
 		if !ok {
 			return fmt.Errorf("%w: customer %d/%d/%d", errRowMissing, whID, dID, cID)
 		}
-		res.Balance = dRow(c, ch)[0]
+		res.Balance = cn.row(ch)[0]
 		loh, ok := c.Get(TCustOrder, CustomerKey(whID, dID, cID))
 		if !ok {
 			return nil // no order yet
 		}
-		oid := dRow(c, loh)[0]
+		oid := cn.row(loh)[0]
 		res.LastOID = oid
 		oh, ok := c.Get(TOrder, OrderKey(whID, dID, oid))
 		if !ok {
 			return fmt.Errorf("%w: order %d/%d/%d", errRowMissing, whID, dID, oid)
 		}
-		olCnt := dRow(c, oh)[1]
+		olCnt := cn.row(oh)[1]
 		for ol := uint64(0); ol < olCnt; ol++ {
 			if _, ok := c.Get(TOrderLine, OrderLineKey(whID, dID, oid, ol)); !ok {
 				return fmt.Errorf("%w: order line %d/%d/%d/%d", errRowMissing, whID, dID, oid, ol)
@@ -273,15 +253,15 @@ func OrderStatus(w Worker, whID, dID, cID uint64) (OrderStatusResult, error) {
 // StockLevel executes the read-only TPC-C stockLevel transaction: over the
 // district's most recent orders (up to the standard 20), count distinct
 // items whose stock quantity is below threshold.
-func StockLevel(w Worker, whID, dID, threshold uint64) (int, error) {
+func StockLevel(cn *Conn, whID, dID, threshold uint64) (int, error) {
 	low := 0
-	err := w.Run(func(c Ctx) error {
+	err := cn.Run(func(c Ctx) error {
 		low = 0
 		dh, ok := c.Get(TDistrict, DistrictKey(whID, dID))
 		if !ok {
 			return fmt.Errorf("%w: district %d/%d", errRowMissing, whID, dID)
 		}
-		next := dRow(c, dh)[2]
+		next := cn.row(dh)[2]
 		first := uint64(1)
 		if next > 21 {
 			first = next - 20
@@ -292,13 +272,13 @@ func StockLevel(w Worker, whID, dID, threshold uint64) (int, error) {
 			if !ok {
 				return fmt.Errorf("%w: order %d/%d/%d", errRowMissing, whID, dID, oid)
 			}
-			olCnt := dRow(c, oh)[1]
+			olCnt := cn.row(oh)[1]
 			for ol := uint64(0); ol < olCnt; ol++ {
 				lh, ok := c.Get(TOrderLine, OrderLineKey(whID, dID, oid, ol))
 				if !ok {
 					return fmt.Errorf("%w: order line %d/%d/%d/%d", errRowMissing, whID, dID, oid, ol)
 				}
-				item := rowField(c, lh, 0)
+				item := cn.row(lh)[0]
 				if seen[item] {
 					continue
 				}
@@ -307,7 +287,7 @@ func StockLevel(w Worker, whID, dID, threshold uint64) (int, error) {
 				if !ok {
 					return fmt.Errorf("%w: stock %d/%d", errRowMissing, whID, item)
 				}
-				if rowField(c, sh, 0) < threshold {
+				if cn.row(sh)[0] < threshold {
 					low++
 				}
 			}
@@ -315,27 +295,6 @@ func StockLevel(w Worker, whID, dID, threshold uint64) (int, error) {
 		return nil
 	})
 	return low, err
-}
-
-// ctxArena recovers the arena through the worker-bound Ctx implementations;
-// each Ctx here is also its Worker, so expose helpers instead.
-func dRow(c Ctx, h uint64) Row { return arenaOf(c).Get(h) }
-
-func rowField(c Ctx, h uint64, f int) uint64 { return arenaOf(c).Get(h)[f] }
-
-func arenaOf(c Ctx) *Arena {
-	switch w := c.(type) {
-	case *kvTpccWorker:
-		return w.arena
-	case *montageWorker:
-		return w.b.arena
-	case *onefileWorker:
-		return w.b.arena
-	case *tdslWorker:
-		return w.b.arena
-	default:
-		panic("tpcc: unknown ctx")
-	}
 }
 
 // TxKind identifies one of the five TPC-C transaction types.
@@ -377,18 +336,13 @@ func FullMix() MixWeights { return MixWeights{45, 43, 4, 4, 4} }
 type Driver struct {
 	sc    Scale
 	rng   *rand.Rand
-	w     Worker
+	cn    *Conn
 	mix   MixWeights
 	total int
 }
 
-// NewDriver creates a per-goroutine driver running the paper's 1:1 mix.
-func NewDriver(b Backend, sc Scale, seed int64) *Driver {
-	return NewMixDriver(b, sc, seed, PaperMix())
-}
-
-// NewMixDriver creates a per-goroutine driver with an explicit mix.
-func NewMixDriver(b Backend, sc Scale, seed int64, mix MixWeights) *Driver {
+// NewDriver creates a per-goroutine driver running mix on its own Conn.
+func NewDriver(db *DB, sc Scale, seed int64, mix MixWeights) *Driver {
 	total := 0
 	for _, w := range mix {
 		if w < 0 {
@@ -399,11 +353,11 @@ func NewMixDriver(b Backend, sc Scale, seed int64, mix MixWeights) *Driver {
 	if total == 0 {
 		panic("tpcc: empty mix")
 	}
-	return &Driver{sc: sc, rng: rand.New(rand.NewSource(seed)), w: b.NewWorker(), mix: mix, total: total}
+	return &Driver{sc: sc, rng: rand.New(rand.NewSource(seed)), cn: db.Conn(), mix: mix, total: total}
 }
 
 // Worker exposes the driver's worker, e.g. for StatsWorker assertions.
-func (d *Driver) Worker() Worker { return d.w }
+func (d *Driver) Worker() Worker { return d.cn.Worker }
 
 func (d *Driver) pick() TxKind {
 	n := d.rng.Intn(d.total)
@@ -444,20 +398,20 @@ func (d *Driver) Step() (TxKind, error) {
 			}
 			items[i] = OrderItem{Item: it, SupplyW: sw, Qty: uint64(d.rng.Intn(10) + 1)}
 		}
-		return TxNewOrder, NewOrder(d.w, whID, dID, cID, items)
+		return TxNewOrder, NewOrder(d.cn, whID, dID, cID, items)
 	case TxPayment:
 		amount := uint64(d.rng.Intn(500000) + 100)
-		return TxPayment, Payment(d.w, whID, dID, cID, amount)
+		return TxPayment, Payment(d.cn, whID, dID, cID, amount)
 	case TxDelivery:
 		carrier := uint64(d.rng.Intn(10) + 1)
-		_, err := Delivery(d.w, d.sc.Districts, whID, carrier)
+		_, err := Delivery(d.cn, d.sc.Districts, whID, carrier)
 		return TxDelivery, err
 	case TxOrderStatus:
-		_, err := OrderStatus(d.w, whID, dID, cID)
+		_, err := OrderStatus(d.cn, whID, dID, cID)
 		return TxOrderStatus, err
 	default:
 		threshold := uint64(d.rng.Intn(11) + 10) // 10..20 per TPC-C
-		_, err := StockLevel(d.w, whID, dID, threshold)
+		_, err := StockLevel(d.cn, whID, dID, threshold)
 		return TxStockLevel, err
 	}
 }

@@ -33,11 +33,11 @@ func (v Violation) String() string { return v.Class + ": " + v.Detail }
 // quiescent point (harness phase barriers) and still safe, if abort-prone,
 // under concurrent load. The returned error reports a broken execution
 // (e.g. an unreachable row), not a failed condition.
-func Check(b Backend, sc Scale) ([]Violation, error) {
-	w := b.NewWorker()
+func Check(db *DB, sc Scale) ([]Violation, error) {
+	cn := db.Conn()
 	var out []Violation
 	for wh := 1; wh <= sc.Warehouses; wh++ {
-		vs, err := checkWarehouse(w, sc, uint64(wh))
+		vs, err := checkWarehouse(cn, sc, uint64(wh))
 		if err != nil {
 			return nil, err
 		}
@@ -52,9 +52,9 @@ type custAgg struct {
 	cnt uint64
 }
 
-func checkWarehouse(w Worker, sc Scale, whu uint64) ([]Violation, error) {
+func checkWarehouse(cn *Conn, sc Scale, whu uint64) ([]Violation, error) {
 	var vs []Violation
-	err := w.Run(func(c Ctx) error {
+	err := cn.Run(func(c Ctx) error {
 		vs = vs[:0] // retry-safe: restart collection on concurrency aborts
 		delivered := make(map[uint64]custAgg)
 
@@ -62,7 +62,7 @@ func checkWarehouse(w Worker, sc Scale, whu uint64) ([]Violation, error) {
 		if !ok {
 			return fmt.Errorf("%w: warehouse %d", errRowMissing, whu)
 		}
-		wytd := dRow(c, whh)[0] - InitWarehouseYTD
+		wytd := cn.row(whh)[0] - InitWarehouseYTD
 		var dsum uint64
 		for d := 1; d <= sc.Districts; d++ {
 			du := uint64(d)
@@ -70,7 +70,7 @@ func checkWarehouse(w Worker, sc Scale, whu uint64) ([]Violation, error) {
 			if !ok {
 				return fmt.Errorf("%w: district %d/%d", errRowMissing, whu, du)
 			}
-			drow := dRow(c, dh)
+			drow := cn.row(dh)
 			dsum += drow[0] - InitDistrictYTD
 			next, dnext := drow[2], drow[3]
 			if dnext > next {
@@ -84,7 +84,7 @@ func checkWarehouse(w Worker, sc Scale, whu uint64) ([]Violation, error) {
 						"order %d/%d/%d missing", whu, du, oid)})
 					continue
 				}
-				orow := dRow(c, oh)
+				orow := cn.row(oh)
 				olCnt := orow[1]
 				var total uint64
 				for ol := uint64(0); ol < olCnt; ol++ {
@@ -94,7 +94,7 @@ func checkWarehouse(w Worker, sc Scale, whu uint64) ([]Violation, error) {
 							"order line %d/%d/%d/%d missing", whu, du, oid, ol)})
 						continue
 					}
-					total += rowField(c, lh, 2)
+					total += cn.row(lh)[2]
 				}
 				if _, ok := c.Get(TOrderLine, OrderLineKey(whu, du, oid, olCnt)); ok {
 					vs = append(vs, Violation{ClassOrders, fmt.Sprintf(
@@ -136,7 +136,7 @@ func checkWarehouse(w Worker, sc Scale, whu uint64) ([]Violation, error) {
 				if !ok {
 					return fmt.Errorf("%w: customer %d/%d/%d", errRowMissing, whu, du, cst)
 				}
-				crow := dRow(c, ch)
+				crow := cn.row(ch)
 				agg := delivered[ck]
 				// Unsigned arithmetic wraps; the identity holds mod 2^64.
 				if crow[0] != agg.sum-crow[1] {

@@ -13,11 +13,17 @@ func classesOf(vs []Violation) map[string]int {
 	return m
 }
 
-func requireClean(t *testing.T, b Backend, sc Scale) {
+// requireClean checks db and fails on any violation, or if the check,
+// which writes no row, claimed an arena chunk.
+func requireClean(t *testing.T, db *DB, sc Scale) {
 	t.Helper()
-	vs, err := Check(b, sc)
+	claimed := db.rows.claimed.Load()
+	vs, err := Check(db, sc)
 	if err != nil {
 		t.Fatalf("check: %v", err)
+	}
+	if n := db.rows.claimed.Load() - claimed; n != 0 {
+		t.Fatalf("check claimed %d arena chunks, want 0", n)
 	}
 	if len(vs) != 0 {
 		t.Fatalf("unexpected violations: %v", vs)
@@ -26,13 +32,13 @@ func requireClean(t *testing.T, b Backend, sc Scale) {
 
 func TestDeliveryEffects(t *testing.T) {
 	sc := smallScale()
-	for _, b := range backends(t) {
-		b := b
-		t.Run(b.Name(), func(t *testing.T) {
-			if err := Load(b, sc); err != nil {
+	for _, e := range backends(t) {
+		db := NewDB(e.b)
+		t.Run(e.name, func(t *testing.T) {
+			if err := Load(db, sc); err != nil {
 				t.Fatalf("load: %v", err)
 			}
-			w := b.NewWorker()
+			w := db.Conn()
 			items := []OrderItem{{Item: 1, SupplyW: 1, Qty: 2}, {Item: 3, SupplyW: 1, Qty: 4}}
 			if err := NewOrder(w, 1, 1, 7, items); err != nil {
 				t.Fatalf("newOrder: %v", err)
@@ -49,11 +55,11 @@ func TestDeliveryEffects(t *testing.T) {
 					t.Error("new-order entry survived delivery")
 				}
 				oh, _ := c.Get(TOrder, OrderKey(1, 1, 1))
-				if carrier := b.Arena().Get(oh)[3]; carrier != 5 {
+				if carrier := w.row(oh)[3]; carrier != 5 {
 					t.Errorf("carrier = %d, want 5", carrier)
 				}
 				ch, _ := c.Get(TCustomer, CustomerKey(1, 1, 7))
-				crow := b.Arena().Get(ch)
+				crow := w.row(ch)
 				if crow[3] != 1 {
 					t.Errorf("deliveryCnt = %d, want 1", crow[3])
 				}
@@ -61,7 +67,7 @@ func TestDeliveryEffects(t *testing.T) {
 					t.Error("balance not credited with order amount")
 				}
 				dh, _ := c.Get(TDistrict, DistrictKey(1, 1))
-				if cursor := b.Arena().Get(dh)[3]; cursor != 2 {
+				if cursor := w.row(dh)[3]; cursor != 2 {
 					t.Errorf("delivery cursor = %d, want 2", cursor)
 				}
 				return nil
@@ -83,7 +89,7 @@ func TestDeliveryEffects(t *testing.T) {
 			if _, err := StockLevel(w, 1, 1, 1000); err != nil {
 				t.Fatalf("stockLevel: %v", err)
 			}
-			requireClean(t, b, sc)
+			requireClean(t, db, sc)
 		})
 	}
 }
@@ -96,10 +102,10 @@ func TestFullMixConsistency(t *testing.T) {
 	if testing.Short() {
 		iters = 40
 	}
-	for _, b := range backends(t) {
-		b := b
-		t.Run(b.Name(), func(t *testing.T) {
-			if err := Load(b, sc); err != nil {
+	for _, e := range backends(t) {
+		db := NewDB(e.b)
+		t.Run(e.name, func(t *testing.T) {
+			if err := Load(db, sc); err != nil {
 				t.Fatalf("load: %v", err)
 			}
 			var wg sync.WaitGroup
@@ -107,7 +113,7 @@ func TestFullMixConsistency(t *testing.T) {
 				wg.Add(1)
 				go func(seed int64) {
 					defer wg.Done()
-					d := NewMixDriver(b, sc, seed, FullMix())
+					d := NewDriver(db, sc, seed, FullMix())
 					for i := 0; i < iters; i++ {
 						if _, err := d.Step(); err != nil {
 							t.Errorf("step: %v", err)
@@ -117,7 +123,7 @@ func TestFullMixConsistency(t *testing.T) {
 				}(int64(g) + 31)
 			}
 			wg.Wait()
-			requireClean(t, b, sc)
+			requireClean(t, db, sc)
 		})
 	}
 }
@@ -126,11 +132,11 @@ func TestFullMixConsistency(t *testing.T) {
 // every kind.
 func TestMixDistribution(t *testing.T) {
 	sc := smallScale()
-	b := NewMedleyBackend()
-	if err := Load(b, sc); err != nil {
+	db := NewDB(NewMedleyBackend())
+	if err := Load(db, sc); err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	d := NewMixDriver(b, sc, 1, FullMix())
+	d := NewDriver(db, sc, 1, FullMix())
 	counts := map[TxKind]int{}
 	steps := 2000
 	if testing.Short() {
@@ -159,35 +165,34 @@ func TestMixDistribution(t *testing.T) {
 // Only the money class may fire.
 func TestCheckDetectsDroppedDYTD(t *testing.T) {
 	sc := smallScale()
-	b := NewMedleyBackend()
-	if err := Load(b, sc); err != nil {
+	db := NewDB(NewMedleyBackend())
+	if err := Load(db, sc); err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	w := b.NewWorker()
+	w := db.Conn()
 	if err := Payment(w, 1, 1, 1, 500); err != nil {
 		t.Fatalf("payment: %v", err)
 	}
-	requireClean(t, b, sc)
+	requireClean(t, db, sc)
 
-	aw := w.Writer()
 	const amount = 777
 	err := w.Run(func(c Ctx) error {
 		wk := WarehouseKey(1)
 		wh, _ := c.Get(TWarehouse, wk)
-		wrow := dRow(c, wh)
-		c.Put(TWarehouse, wk, aw.Put(Row{wrow[0] + amount, wrow[1], 0, 0}))
+		wrow := w.row(wh)
+		c.Put(TWarehouse, wk, w.put(Row{wrow[0] + amount, wrow[1], 0, 0}))
 		// Fault: the matching district Y-T-D update is dropped.
 		ck := CustomerKey(1, 1, 1)
 		ch, _ := c.Get(TCustomer, ck)
-		crow := dRow(c, ch)
-		c.Put(TCustomer, ck, aw.Put(Row{crow[0] - amount, crow[1] + amount, crow[2] + 1, crow[3]}))
+		crow := w.row(ch)
+		c.Put(TCustomer, ck, w.put(Row{crow[0] - amount, crow[1] + amount, crow[2] + 1, crow[3]}))
 		return nil
 	})
 	if err != nil {
 		t.Fatalf("faulty payment: %v", err)
 	}
 
-	vs, err := Check(b, sc)
+	vs, err := Check(db, sc)
 	if err != nil {
 		t.Fatalf("check: %v", err)
 	}
@@ -205,11 +210,11 @@ func TestCheckDetectsDroppedDYTD(t *testing.T) {
 // the delivery class may fire.
 func TestCheckDetectsDuplicatedDelivery(t *testing.T) {
 	sc := smallScale()
-	b := NewMedleyBackend()
-	if err := Load(b, sc); err != nil {
+	db := NewDB(NewMedleyBackend())
+	if err := Load(db, sc); err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	w := b.NewWorker()
+	w := db.Conn()
 	items := []OrderItem{{Item: 2, SupplyW: 1, Qty: 3}}
 	if err := NewOrder(w, 1, 1, 4, items); err != nil {
 		t.Fatalf("newOrder: %v", err)
@@ -217,31 +222,30 @@ func TestCheckDetectsDuplicatedDelivery(t *testing.T) {
 	if _, err := Delivery(w, sc.Districts, 1, 2); err != nil {
 		t.Fatalf("delivery: %v", err)
 	}
-	requireClean(t, b, sc)
+	requireClean(t, db, sc)
 
 	// Fault: re-apply the delivery's customer credit without moving the
 	// district cursor — the order is delivered twice from the customer's
 	// point of view.
-	aw := w.Writer()
 	err := w.Run(func(c Ctx) error {
 		oh, _ := c.Get(TOrder, OrderKey(1, 1, 1))
 		var total uint64
-		olCnt := dRow(c, oh)[1]
+		olCnt := w.row(oh)[1]
 		for ol := uint64(0); ol < olCnt; ol++ {
 			lh, _ := c.Get(TOrderLine, OrderLineKey(1, 1, 1, ol))
-			total += rowField(c, lh, 2)
+			total += w.row(lh)[2]
 		}
 		ck := CustomerKey(1, 1, 4)
 		ch, _ := c.Get(TCustomer, ck)
-		crow := dRow(c, ch)
-		c.Put(TCustomer, ck, aw.Put(Row{crow[0] + total, crow[1], crow[2], crow[3] + 1}))
+		crow := w.row(ch)
+		c.Put(TCustomer, ck, w.put(Row{crow[0] + total, crow[1], crow[2], crow[3] + 1}))
 		return nil
 	})
 	if err != nil {
 		t.Fatalf("faulty delivery: %v", err)
 	}
 
-	vs, err := Check(b, sc)
+	vs, err := Check(db, sc)
 	if err != nil {
 		t.Fatalf("check: %v", err)
 	}
