@@ -66,23 +66,9 @@ type Recoverable interface {
 	// CrashAndRecover simulates a full-system crash (volatile state lost,
 	// durable media kept) and rebuilds the system from the durable image,
 	// returning the number of recovered entries. Executors created before
-	// the crash are invalid afterwards; the engine asks for them afresh
-	// every phase.
+	// the crash are invalid afterwards; the engine drops them and asks for
+	// fresh ones in the next phase.
 	CrashAndRecover() int
-}
-
-// WorkerReleaser is implemented by systems that can take a phase's
-// executors back at the phase barrier and hand them out again from
-// NewExecutor. Per-executor state that is expensive to rebuild — recycling
-// arenas, SMR handles — then stays warm across a scenario's phases
-// instead of being abandoned cold at every barrier (abandoned handles
-// also orphan their limbo: the EBR flush runs on the owning goroutine,
-// so retired blocks behind a dead handle are never recycled). Ownership
-// transfers at the barrier: the engine releases an executor only after its
-// phase goroutine has exited, and hands it to at most one goroutine at a
-// time afterwards.
-type WorkerReleaser interface {
-	ReleaseWorker(ex kv.Executor)
 }
 
 // Quiescer is implemented by systems that can use a full-stop barrier to
@@ -91,9 +77,12 @@ type WorkerReleaser interface {
 // workers mid-transaction, each a critical section blocking epoch
 // advance, so in-phase reclamation starves — the barrier, where every
 // worker is quiescent, is the one reliable point to advance past the
-// phase's garbage and make it reclaimable.
+// phase's garbage and make it reclaimable. exs are the run's executors,
+// owned by the barrier for the call: the system flushes their limbo into
+// their freelists (the EBR flush runs on the owner, and the barrier is
+// the owner here).
 type Quiescer interface {
-	Quiesce()
+	Quiesce(exs []kv.Executor)
 }
 
 // ShardCounter is the capability interface of systems whose store is
@@ -114,7 +103,6 @@ type Caps struct {
 	Snapshot    Snapshotter
 	Recovery    Recoverable
 	Shards      ShardCounter
-	Release     WorkerReleaser
 	Quiescent   Quiescer
 }
 
@@ -128,7 +116,6 @@ func Capabilities(sys System) Caps {
 	c.Snapshot, _ = sys.(Snapshotter)
 	c.Recovery, _ = sys.(Recoverable)
 	c.Shards, _ = sys.(ShardCounter)
-	c.Release, _ = sys.(WorkerReleaser)
 	c.Quiescent, _ = sys.(Quiescer)
 	return c
 }

@@ -69,30 +69,22 @@ func TestMontageCrashRecoverNoViolations(t *testing.T) {
 	for _, scenario := range []string{
 		"crash-recover-uniform", "crash-recover-zipfian", "crash-recover-writeheavy",
 	} {
-		requireCleanRecovery(t, NewMontage(MontageOpts{
-			Buckets: 1 << 10, RegionWords: 1 << 22, AdvanceEvery: 5 * time.Millisecond,
-		}), scenario)
+		requireCleanRecovery(t, testSystem("txmontage-hash"), scenario)
 	}
 }
 
 func TestMontageSkipCrashRecoverNoViolations(t *testing.T) {
-	requireCleanRecovery(t, NewMontage(MontageOpts{
-		Skiplist: true, RegionWords: 1 << 22, AdvanceEvery: 5 * time.Millisecond,
-	}), "crash-recover-zipfian")
+	requireCleanRecovery(t, testSystem("txmontage-skip"), "crash-recover-zipfian")
 }
 
 func TestOneFileCrashRecoverNoViolations(t *testing.T) {
 	for _, scenario := range []string{"crash-recover-uniform", "crash-recover-zipfian"} {
-		requireCleanRecovery(t, NewOneFile(OneFileOpts{
-			Buckets: 1 << 10, Persistent: true, RegionWords: 1 << 20,
-		}), scenario)
+		requireCleanRecovery(t, testSystem("ponefile-hash"), scenario)
 	}
 }
 
 func TestOneFileSkipCrashRecoverNoViolations(t *testing.T) {
-	requireCleanRecovery(t, NewOneFile(OneFileOpts{
-		Skiplist: true, Persistent: true, RegionWords: 1 << 20,
-	}), "crash-recover-uniform")
+	requireCleanRecovery(t, testSystem("ponefile-skip"), "crash-recover-uniform")
 }
 
 // TestNonPersistentReportsNotRecoverable covers both not-recoverable
@@ -100,8 +92,8 @@ func TestOneFileSkipCrashRecoverNoViolations(t *testing.T) {
 // implements it but runs with persistence off (txMontage persistOff).
 func TestNonPersistentReportsNotRecoverable(t *testing.T) {
 	for _, sys := range []System{
-		NewTDSL(),
-		NewMontage(MontageOpts{Buckets: 1 << 10, RegionWords: 1 << 22, PersistOff: true}),
+		testSystem("tdsl"),
+		testSystem("txmontage-hash-persistoff"),
 	} {
 		recs := RunScenario(sys, crashScenario(t, "crash-recover-uniform"), crashEngineConfig(2))
 		r := recoveryOf(recs)
@@ -144,6 +136,33 @@ func TestCrashRecordsReportTheirOwnCrash(t *testing.T) {
 	}
 	if crashes != 2 {
 		t.Fatalf("%d crash records, want 2", crashes)
+	}
+}
+
+// TestCrashRunCrashRecoversTwice runs on the recovered system and crashes
+// it again: the engine must drop the executors the first recovery
+// invalidated, or the second crash finds the post-crash writes missing.
+func TestCrashRunCrashRecoversTwice(t *testing.T) {
+	mix := paperMix(Ratio{Get: 2, Insert: 1, Remove: 1})
+	sc := Scenario{Name: "crash-run-crash", Dist: Dist{Kind: DistUniform}, Phases: []Phase{
+		{Name: "mixed", Weight: 1, Mix: mix, Measure: true},
+		{Name: "crash", Kind: PhaseCrash},
+		{Name: "post-mixed", Weight: 1, Mix: mix, Measure: true},
+		{Name: "re-crash", Kind: PhaseCrash},
+	}}
+	for _, spec := range []string{"txmontage-hash", "txmontage-skip@4", "ponefile-hash"} {
+		crashes := 0
+		for _, rec := range RunScenario(testSystem(spec), sc, crashEngineConfig(2)) {
+			if r := rec.Recovery; r != nil {
+				crashes++
+				if !r.Recoverable || r.Violations != 0 || r.Recovered != r.ModelEntries {
+					t.Errorf("%s %s: recovery %+v, want recoverable and clean", spec, rec.Phase, r)
+				}
+			}
+		}
+		if crashes != 2 {
+			t.Errorf("%s: %d crash records, want 2", spec, crashes)
+		}
 	}
 }
 

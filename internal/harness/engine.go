@@ -263,11 +263,14 @@ type workerShard struct {
 }
 
 // RunScenario executes sc against sys: preload once, then each phase in
-// order, each worker asking for its executor per phase. It returns one
-// record per phase, in script order, then the measured aggregate — so
-// phase == "measured" selects the headline number whatever the phase
-// count. It is deterministic in cfg.Seed up to scheduling (the generators
-// are; the interleaving is not).
+// order. Each worker keeps one executor for the whole scenario, so its
+// arenas and SMR handle stay warm across phases; at every phase barrier
+// the executors go to the system's Quiescer, and a crash phase that
+// recovers drops them (recovery invalidates them), so the next phase asks
+// for fresh ones. It returns one record per phase, in script order, then
+// the measured aggregate — so phase == "measured" selects the headline
+// number whatever the phase count. It is deterministic in cfg.Seed up to
+// scheduling (the generators are; the interleaving is not).
 func RunScenario(sys System, sc Scenario, cfg EngineConfig) []Record {
 	if cfg.Threads <= 0 {
 		cfg.Threads = 1
@@ -334,9 +337,13 @@ func RunScenario(sys System, sc Scenario, cfg EngineConfig) []Record {
 	anyMeasured := slices.ContainsFunc(sc.Phases, func(ph Phase) bool { return ph.Measure })
 	var recs []Record
 	var agg tally // the measured phases (all run phases when none is marked)
+	exs := make([]kv.Executor, workers)
 	for pi, ph := range sc.Phases {
 		if ph.Kind == PhaseCrash {
 			recs = append(recs, runCrashPhase(caps, vs, ph))
+			if caps.CanRecover() {
+				clear(exs)
+			}
 			continue
 		}
 		w := ph.Weight
@@ -344,7 +351,7 @@ func RunScenario(sys System, sc Scenario, cfg EngineConfig) []Record {
 			w = 1
 		}
 		d := time.Duration(float64(cfg.Duration) * w / totalWeight)
-		t := runPhase(sys, caps, sc, ph, pi, cfg, workers, d, vs)
+		t := runPhase(sys, caps, sc, ph, pi, cfg, exs, d, vs)
 		if caps.Consistency != nil && ph.Measure {
 			t.checked, t.violations = true, caps.Consistency.ConsistencyCheck()
 		}
@@ -365,13 +372,14 @@ func RunScenario(sys System, sc Scenario, cfg EngineConfig) []Record {
 	return recs
 }
 
-// runPhase spawns the phase's workers (cfg.Threads, multiplied by the
-// scenario's WorkersPerThread) and tallies their shards and the system's
-// counters around the phase. In crash and VerifyFinal
+// runPhase spawns the phase's workers, one per executor in exs (cfg.Threads,
+// multiplied by the scenario's WorkersPerThread), making each nil executor
+// first, and tallies their shards and the system's counters around the
+// phase. In crash and VerifyFinal
 // scenarios (vs non-nil) write keys are partitioned per worker and, when
 // journaling, committed effects are merged into the ground-truth model at
 // the phase barrier.
-func runPhase(sys System, caps Caps, sc Scenario, ph Phase, phaseIdx int, cfg EngineConfig, workers int, d time.Duration, vs *verifyState) tally {
+func runPhase(sys System, caps Caps, sc Scenario, ph Phase, phaseIdx int, cfg EngineConfig, exs []kv.Executor, d time.Duration, vs *verifyState) tally {
 	var aborts0 uint64
 	if caps.TxStats != nil {
 		_, aborts0 = caps.TxStats.TxStats()
@@ -390,6 +398,7 @@ func runPhase(sys System, caps Caps, sc Scenario, ph Phase, phaseIdx int, cfg En
 	if ph.Dist != nil {
 		dist = *ph.Dist
 	}
+	workers := len(exs)
 	shards := make([]*workerShard, workers)
 	var journals []map[uint64]modelVal
 	if vs != nil && vs.journal {
@@ -398,8 +407,11 @@ func runPhase(sys System, caps Caps, sc Scenario, ph Phase, phaseIdx int, cfg En
 	var stopFlag atomic.Bool
 	var wg sync.WaitGroup
 	start := make(chan struct{})
-	ws := make([]kv.Executor, workers)
 	for t := 0; t < workers; t++ {
+		if exs[t] == nil {
+			exs[t] = sys.NewExecutor()
+		}
+		ex := exs[t]
 		seed := cfg.Seed + int64(phaseIdx)*104729 + int64(t)*7919
 		shard := &workerShard{Reservoir: NewReservoir(seed ^ 0x5DEECE66D)}
 		shards[t] = shard
@@ -412,8 +424,6 @@ func runPhase(sys System, caps Caps, sc Scenario, ph Phase, phaseIdx int, cfg En
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ex := sys.NewExecutor()
-			ws[tid] = ex
 			gen := NewTxGen(dist, cfg.KeyRange, ph.Mix, seed)
 			tick := latencyEvery - 1 // time the first transaction, then every latencyEvery-th
 			<-start
@@ -453,21 +463,13 @@ func runPhase(sys System, caps Caps, sc Scenario, ph Phase, phaseIdx int, cfg En
 	stopFlag.Store(true)
 	wg.Wait()
 	elapsed := time.Since(begin)
-	// Phase barrier: workers are quiescent. Hand their executors back for
-	// the next phase (warm arenas and SMR handles; see WorkerReleaser) and
-	// let the system run barrier-only maintenance — for EBR systems, pumping
-	// the epoch past the phase's retired garbage so the returned executors'
-	// freelists refill at the start of the next phase instead of starving
-	// all the way through it.
+	// Phase barrier: workers are quiescent. Let the system run
+	// barrier-only maintenance over the executors — for EBR systems,
+	// pumping the epoch past the phase's retired garbage and flushing it
+	// into the executors' freelists, so they start the next phase full
+	// instead of starving all the way through it.
 	if caps.Quiescent != nil {
-		caps.Quiescent.Quiesce()
-	}
-	if caps.Release != nil {
-		for _, ex := range ws {
-			if ex != nil {
-				caps.Release.ReleaseWorker(ex)
-			}
-		}
+		caps.Quiescent.Quiesce(exs)
 	}
 	t := tally{elapsed: elapsed, mem: readMemSample().minus(mem0)}
 	var samples []int64

@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -60,9 +61,9 @@ func TestRunScenarioCompetitorsReportAborts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sys := range []System{
-		NewOneFile(OneFileOpts{Buckets: 1 << 10}),
-		NewTDSL(),
-		NewLFTT(),
+		testSystem("onefile-hash"),
+		testSystem("tdsl"),
+		testSystem("lftt"),
 	} {
 		if _, ok := sys.(TxStatser); !ok {
 			t.Fatalf("%s does not implement TxStatser", sys.Name())
@@ -95,6 +96,37 @@ func TestRunScenarioPhaseIsolation(t *testing.T) {
 	// The aggregate covers exactly the measured phase.
 	if m := measuredOf(recs); m.Txns != recs[1].Txns {
 		t.Fatalf("aggregate %d txns, measured phase %d", m.Txns, recs[1].Txns)
+	}
+}
+
+// countingSystem is the recoverable locked-map double, counting the
+// executors a run asks it for.
+type countingSystem struct {
+	*faultyMapSystem
+	executors atomic.Int64
+}
+
+func (s *countingSystem) NewExecutor() kv.Executor {
+	s.executors.Add(1)
+	return s.faultyMapSystem.NewExecutor()
+}
+
+// TestWorkersKeepTheirExecutors pins the executors' lifetime: each worker
+// asks for one for the whole run, and again only after a crash that
+// recovers, which invalidates them.
+func TestWorkersKeepTheirExecutors(t *testing.T) {
+	for _, c := range []struct {
+		scenario string
+		want     int64
+	}{
+		{"load-mixed-drain", 2},
+		{"crash-recover-uniform", 4},
+	} {
+		sys := &countingSystem{faultyMapSystem: newFaultyMapSystem(1)}
+		RunScenario(sys, mustScenario(t, c.scenario), tinyEngineConfig(2))
+		if got := sys.executors.Load(); got != c.want {
+			t.Errorf("%s at 2 threads made %d executors, want %d", c.scenario, got, c.want)
+		}
 	}
 }
 

@@ -37,9 +37,8 @@ type (
 	DriverSession = kv.Session
 
 	// KVSystem is the store medleyd serves: Medley, Original, TxOff.
-	KVSystem    = store.System
-	SystemOpts  = store.Opts
-	MontageOpts = store.MontageOpts
+	KVSystem   = store.System
+	SystemOpts = store.Opts
 
 	// Metric is one named cumulative counter and Gauge one named derived
 	// ratio (internal/obs): their JSON shape is the report's telemetry

@@ -45,9 +45,10 @@ type OpenLoopConfig struct {
 }
 
 // RunOpenLoop executes the configured rate sweep against d: start,
-// preload once, then one step per rate. Steps reuse the driver's backend,
-// so later steps see the working set earlier steps left behind — exactly
-// like phases of a closed-loop scenario.
+// preload once, open MaxInFlight sessions, then one step per rate. Steps
+// reuse the driver's backend and the sessions, so later steps see the
+// working set earlier steps left behind — exactly like phases of a
+// closed-loop scenario, whose workers keep their executors too.
 //
 // Each step is one report record, phase "rate-<target>", with the service
 // block carrying the open-loop disposition. The shared fields keep their
@@ -86,13 +87,27 @@ func RunOpenLoop(d Driver, cfg OpenLoopConfig) ([]Record, error) {
 		return nil, fmt.Errorf("open-loop: preload: %w", err)
 	}
 
+	sessions := make([]DriverSession, 0, cfg.MaxInFlight)
+	defer func() {
+		for _, sess := range sessions {
+			sess.Close()
+		}
+	}()
+	for range cfg.MaxInFlight {
+		sess, err := d.NewSession()
+		if err != nil {
+			return nil, fmt.Errorf("open-loop: session: %w", err)
+		}
+		sessions = append(sessions, sess)
+	}
+
 	shards := 1
 	if sc, ok := d.(ShardCounter); ok {
 		shards = max(sc.ShardCount(), 1)
 	}
 	var recs []Record
 	for i, rate := range cfg.Rates {
-		rec, err := runOpenLoopStep(d, cfg, rate, i)
+		rec, err := runOpenLoopStep(d, sessions, cfg, rate, i)
 		if err != nil {
 			return recs, err
 		}
@@ -122,27 +137,21 @@ type olSender struct {
 }
 
 // runOpenLoopStep runs one offered-rate step: a dispatcher goroutine
-// generates Poisson arrivals into a bounded queue; MaxInFlight senders
-// drain it, one driver session each.
-func runOpenLoopStep(d Driver, cfg OpenLoopConfig, rate float64, step int) (Record, error) {
-	work := make(chan olReq, 2*cfg.MaxInFlight)
-	senders := make([]*olSender, cfg.MaxInFlight)
+// generates Poisson arrivals into a bounded queue; one sender per session
+// drains it.
+func runOpenLoopStep(d Driver, sessions []DriverSession, cfg OpenLoopConfig, rate float64, step int) (Record, error) {
+	work := make(chan olReq, 2*len(sessions))
+	senders := make([]*olSender, len(sessions))
 	var wg sync.WaitGroup
 	var sessErr error
 	var sessErrOnce sync.Once
-	for i := 0; i < cfg.MaxInFlight; i++ {
+	for i, sess := range sessions {
 		seed := cfg.Seed + int64(step)*104729 + int64(i)*7919
 		s := &olSender{Reservoir: NewReservoir(seed ^ 0x5DEECE66D)}
 		senders[i] = s
-		sess, err := d.NewSession()
-		if err != nil {
-			close(work)
-			return Record{}, fmt.Errorf("open-loop: session: %w", err)
-		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer sess.Close()
 			for req := range work {
 				err := sess.Do(req.ops, nil)
 				lat := time.Since(req.sched)

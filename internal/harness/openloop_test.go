@@ -13,9 +13,10 @@ import (
 // or follows a per-request script. It isolates the open-loop engine's
 // arrival process and accounting from any real system.
 type fakeOLDriver struct {
-	started atomic.Bool
-	n       atomic.Uint64
-	do      func(seq uint64) error
+	started  atomic.Bool
+	n        atomic.Uint64
+	sessions atomic.Int64 // NewSession calls
+	do       func(seq uint64) error
 }
 
 func (d *fakeOLDriver) Kind() string   { return "fake" }
@@ -27,8 +28,11 @@ func (d *fakeOLDriver) Preload(keys []uint64) error {
 	}
 	return nil
 }
-func (d *fakeOLDriver) NewSession() (DriverSession, error) { return &fakeOLSession{d: d}, nil }
-func (d *fakeOLDriver) Close() error                       { return nil }
+func (d *fakeOLDriver) NewSession() (DriverSession, error) {
+	d.sessions.Add(1)
+	return &fakeOLSession{d: d}, nil
+}
+func (d *fakeOLDriver) Close() error { return nil }
 
 type fakeOLSession struct{ d *fakeOLDriver }
 
@@ -119,6 +123,26 @@ func TestOpenLoopClassifiesShedSeparately(t *testing.T) {
 	if svc.CompletedTxns+svc.ShedTxns+svc.ErrorTxns+svc.DroppedTxns != svc.OfferedTxns {
 		t.Errorf("disposition leak: offered=%d completed=%d shed=%d errors=%d dropped=%d",
 			svc.OfferedTxns, svc.CompletedTxns, svc.ShedTxns, svc.ErrorTxns, svc.DroppedTxns)
+	}
+}
+
+// TestOpenLoopKeepsItsSessions pins the sessions' lifetime: a sweep opens
+// MaxInFlight of them once and keeps them for every rate step, so an
+// in-process session's executor is not abandoned at each step.
+func TestOpenLoopKeepsItsSessions(t *testing.T) {
+	d := &fakeOLDriver{}
+	recs, err := RunOpenLoop(d, OpenLoopConfig{
+		Rates: []float64{500, 1000, 2000}, Duration: 50 * time.Millisecond,
+		MaxInFlight: 4, KeyRange: 64, Seed: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 3 {
+		t.Fatalf("records = %d, want 3", len(recs))
+	}
+	if got := d.sessions.Load(); got != 4 {
+		t.Errorf("a 3-rate sweep at MaxInFlight 4 opened %d sessions, want 4", got)
 	}
 }
 

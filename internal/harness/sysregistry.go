@@ -1,6 +1,10 @@
 package harness
 
-import "medley/internal/store"
+import (
+	"medley/internal/lftt"
+	"medley/internal/store"
+	"medley/internal/tdsl"
+)
 
 // This file is the registry of benchmark systems: everything the stack
 // itself can build (store.Systems: Medley, txMontage, the plain and txoff
@@ -8,9 +12,6 @@ import "medley/internal/store"
 // parsed by the one parser of the grammar, store.Registry.Parse:
 //
 //	base{-nopool|-nofast|-persistoff}[@N]
-
-// NewMontage creates a txMontage benchmark system.
-var NewMontage = store.NewMontage
 
 // ponefileRegionWords sizes POneFile's region: home words for the object
 // graph plus the per-key durable directory, with room for the post-crash
@@ -21,12 +22,7 @@ type sysEntry = store.Entry[System]
 
 func onefileEntry(skiplist, persistent bool) sysEntry {
 	return sysEntry{Ctor: func(o SystemOpts, _ store.Spec) System {
-		of := OneFileOpts{Skiplist: skiplist, Buckets: o.Buckets}
-		if persistent {
-			of.Persistent, of.RegionWords = true, ponefileRegionWords(o)
-			of.WriteBackLatency, of.FenceLatency = o.WriteBackLatency, o.FenceLatency
-		}
-		return NewOneFile(of)
+		return newOneFile(o, skiplist, persistent)
 	}}
 }
 
@@ -37,8 +33,8 @@ var systemRegistry = store.Registry[System]{
 	"onefile-skip":  onefileEntry(true, false),
 	"ponefile-hash": onefileEntry(false, true),
 	"ponefile-skip": onefileEntry(true, true),
-	"tdsl":          {Ctor: func(SystemOpts, store.Spec) System { return NewTDSL() }},
-	"lftt":          {Ctor: func(SystemOpts, store.Spec) System { return NewLFTT() }},
+	"tdsl":          {Ctor: func(SystemOpts, store.Spec) System { return &TDSLSystem{sl: tdsl.New()} }},
+	"lftt":          {Ctor: func(SystemOpts, store.Spec) System { return &LFTTSystem{sl: lftt.New()} }},
 }
 
 func init() {

@@ -263,10 +263,7 @@ func TestShardedSystemsRunShardedScenarios(t *testing.T) {
 // the partitioned txMontage configuration: payloads recovered after a
 // crash must be routed back to the right shards with zero violations.
 func TestShardedMontageCrashRecovery(t *testing.T) {
-	requireCleanRecovery(t, NewMontage(MontageOpts{
-		Buckets: 1 << 10, Shards: 4, RegionWords: 1 << 22,
-		AdvanceEvery: 5 * time.Millisecond,
-	}), "crash-recover-uniform")
+	requireCleanRecovery(t, testSystem("txmontage-hash@4"), "crash-recover-uniform")
 }
 
 // TestMedleyShardedMatchesSingleSemantics runs the same deterministic
@@ -275,7 +272,7 @@ func TestShardedMontageCrashRecovery(t *testing.T) {
 func TestMedleyShardedMatchesSingleSemantics(t *testing.T) {
 	snapshot := func(sys *KVSystem) map[uint64]uint64 {
 		got := map[uint64]uint64{}
-		sys.Map().Range(func(k, v uint64) bool {
+		sys.StateSnapshot(func(k, v uint64) bool {
 			got[k] = v
 			return true
 		})

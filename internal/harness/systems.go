@@ -4,7 +4,6 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"medley/internal/kv"
 	"medley/internal/lftt"
@@ -41,50 +40,33 @@ type OneFileSystem struct {
 	buckets  int
 }
 
-// OneFileOpts selects the OneFile benchmark variant.
-type OneFileOpts struct {
-	Skiplist         bool
-	Buckets          int
-	Persistent       bool // POneFile: eager per-commit persistence
-	RegionWords      int
-	WriteBackLatency time.Duration
-	FenceLatency     time.Duration
-}
-
-// NewOneFile creates a OneFile benchmark system.
-func NewOneFile(o OneFileOpts) *OneFileSystem {
-	var stm *onefile.STM
-	var pstm *onefile.PSTM
-	name := "OneFile"
-	if o.Persistent {
-		if o.RegionWords == 0 {
-			o.RegionWords = 1 << 24
-		}
-		pstm = onefile.NewPersistent(pmem.Config{
-			Words:            o.RegionWords,
+// newOneFile builds transient or persistent (POneFile: eager per-commit
+// persistence) OneFile over either structure.
+func newOneFile(o SystemOpts, skiplist, persistent bool) *OneFileSystem {
+	s := &OneFileSystem{name: "OneFile", skiplist: skiplist, buckets: o.Buckets}
+	if persistent {
+		s.pstm = onefile.NewPersistent(pmem.Config{
+			Words:            ponefileRegionWords(o),
 			WriteBackLatency: o.WriteBackLatency,
 			FenceLatency:     o.FenceLatency,
 		})
-		stm = pstm.STM
-		name = "POneFile"
+		s.stm, s.name = s.pstm.STM, "POneFile"
 	} else {
-		stm = onefile.New()
+		s.stm = onefile.New()
 	}
 	var inner onefile.KV
-	if o.Skiplist {
-		inner = onefile.NewSkiplist(stm)
-		name += "-skip"
+	if skiplist {
+		inner = onefile.NewSkiplist(s.stm)
+		s.name += "-skip"
 	} else {
-		if o.Buckets <= 0 {
-			o.Buckets = 1 << 20
+		if s.buckets <= 0 {
+			s.buckets = 1 << 20
 		}
-		inner = onefile.NewHashMap(stm, o.Buckets)
-		name += "-hash"
+		inner = onefile.NewHashMap(s.stm, s.buckets)
+		s.name += "-hash"
 	}
-	s := &OneFileSystem{name: name, stm: stm, pstm: pstm,
-		skiplist: o.Skiplist, buckets: o.Buckets}
-	if pstm != nil {
-		s.pmap = onefile.NewPMap(pstm, inner)
+	if persistent {
+		s.pmap = onefile.NewPMap(s.pstm, inner)
 		s.m = s.pmap
 	} else {
 		s.m = inner.(ofMap)
@@ -239,9 +221,6 @@ type TDSLSystem struct {
 	workers []*tdslWorker
 }
 
-// NewTDSL creates the TDSL benchmark system.
-func NewTDSL() *TDSLSystem { return &TDSLSystem{sl: tdsl.New()} }
-
 // Name implements System.
 func (s *TDSLSystem) Name() string { return "TDSL-skip" }
 
@@ -326,9 +305,6 @@ func (w *tdslWorker) ExecBatch(ops []kv.Op, _ []kv.Result) error {
 
 // LFTTSystem benchmarks the LFTT skiplist (static transactions).
 type LFTTSystem struct{ sl *lftt.Skiplist }
-
-// NewLFTT creates the LFTT benchmark system.
-func NewLFTT() *LFTTSystem { return &LFTTSystem{sl: lftt.New()} }
 
 // Name implements System.
 func (s *LFTTSystem) Name() string { return "LFTT-skip" }

@@ -85,8 +85,9 @@ type HTTPDriverConfig struct {
 	// client stops retrying (kv.ErrExpired) once it is spent.
 	Deadline time.Duration
 	// RetryBudget caps total retries per session across all requests, so
-	// a dying server cannot multiply offered load. 0 means 256; negative
-	// is unlimited.
+	// a dying server cannot multiply offered load. An open-loop sweep
+	// keeps its sessions for every rate step, so the budget covers the
+	// whole sweep. 0 means 256; negative is unlimited.
 	RetryBudget int
 	// Replicas lists follower base URLs. Read-only batches route to
 	// replicas round-robin; a replica that answers 409 (stale), 503 (not

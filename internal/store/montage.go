@@ -23,65 +23,40 @@ type MontageSystem struct {
 	sys        *montage.System
 	stores     []*montage.PStore[uint64]
 	persistOff bool
-	advEvery   time.Duration
 	skiplist   bool // index kind, needed to rebuild after a crash
 	buckets    int
 }
 
-// MontageOpts selects the txMontage variant.
-type MontageOpts struct {
-	Skiplist         bool // index: skiplist (Fig. 8) vs hash (Fig. 7)
-	Buckets          int
-	Shards           int // PStore shards over one System (default 1)
-	RegionWords      int
-	WriteBackLatency time.Duration // per line, models clwb on Optane
-	FenceLatency     time.Duration
-	StoreLatency     time.Duration // per payload word store (NVM media)
-	PersistOff       bool          // Figure 10b: payloads on NVM, no epochs
-	AdvanceEvery     time.Duration // epoch length (paper: ~10-100ms)
-}
-
-// DefaultAdvanceEvery is the txMontage epoch length when none is given.
+// DefaultAdvanceEvery is the txMontage epoch length (the paper's epochs
+// run ~10-100 ms).
 const DefaultAdvanceEvery = 20 * time.Millisecond
 
-// NewMontage creates a txMontage system.
-func NewMontage(o MontageOpts) *MontageSystem {
-	if o.RegionWords == 0 {
-		o.RegionWords = 1 << 26
-	}
-	if o.AdvanceEvery == 0 {
-		o.AdvanceEvery = DefaultAdvanceEvery
-	}
-	// The worker-side kv.NewSharded and the recovery-side kv.ShardOf
-	// both assume power-of-two counts; stores are sized here, before
-	// the workers exist, so round the same way.
-	o.Shards = kv.RoundShards(o.Shards)
-	mgr := core.NewTxManager()
+// newMontage builds txMontage from its spec: the skiplist (Figure 8) or
+// hash (Figure 7) index, s.Shards PStores over one region sized with the
+// key space, and -persistoff as the Figure 10b payloads-on-NVM variant.
+func newMontage(o Opts, s Spec, skiplist bool) *MontageSystem {
 	sys := montage.NewSystem(montage.Config{
-		RegionWords:      o.RegionWords,
+		RegionWords:      o.MontageRegionWords(),
 		WriteBackLatency: o.WriteBackLatency,
 		FenceLatency:     o.FenceLatency,
 		StoreLatency:     o.StoreLatency,
 	})
-	name := "txMontage-hash"
-	if o.Skiplist {
-		name = "txMontage-skip"
-	} else if o.Buckets <= 0 {
-		o.Buckets = 1 << 20
+	m := &MontageSystem{name: "txMontage-hash", mgr: core.NewTxManager(), sys: sys,
+		persistOff: s.Off["persistoff"], skiplist: skiplist, buckets: o.Buckets}
+	if skiplist {
+		m.name = "txMontage-skip"
+	} else if m.buckets <= 0 {
+		m.buckets = 1 << 20
 	}
-	if o.PersistOff {
-		name += "-persistOff"
+	if m.persistOff {
+		m.name += "-persistOff"
 	}
-	s := &MontageSystem{
-		name: name, mgr: mgr, sys: sys,
-		persistOff: o.PersistOff,
-		advEvery:   o.AdvanceEvery,
-		skiplist:   o.Skiplist,
-		buckets:    o.Buckets,
-	}
-	s.stores = s.newStores(o.Shards)
-	s.name = ShardedName(s.name, o.Shards)
-	return s
+	// The worker-side kv.NewSharded and the recovery-side kv.ShardOf
+	// both assume power-of-two counts; stores are sized here, before
+	// the workers exist, so round the same way.
+	m.stores = m.newStores(kv.RoundShards(s.Shards))
+	m.name = ShardedName(m.name, len(m.stores))
+	return m
 }
 
 // newIndex builds one fresh transient index. The montage index holds
@@ -160,9 +135,6 @@ func (s *MontageSystem) StateSnapshot(fn func(key, val uint64) bool) {
 // Name reports the configuration as benchmark reports spell it.
 func (s *MontageSystem) Name() string { return s.name }
 
-// Manager exposes the TxManager for statistics.
-func (s *MontageSystem) Manager() *core.TxManager { return s.mgr }
-
 // TxStats reports cumulative commits and aborts from the manager's sharded
 // counters.
 func (s *MontageSystem) TxStats() (commits, aborts uint64) {
@@ -179,7 +151,7 @@ func (s *MontageSystem) Start() (stop func()) {
 	if s.persistOff {
 		return func() {}
 	}
-	return s.sys.StartAdvancer(s.advEvery)
+	return s.sys.StartAdvancer(DefaultAdvanceEvery)
 }
 
 // Preload inserts the initial key-value pairs, one transaction each.

@@ -89,13 +89,7 @@ func medleyEntry(structure string) Entry[Store] {
 // TxManager); -persistoff is the Figure 10b payloads-on-NVM variant.
 func montageEntry(skiplist bool) Entry[Store] {
 	return Entry[Store]{Shardable: true, Axes: []string{"persistoff"}, Ctor: func(o Opts, s Spec) Store {
-		return NewMontage(MontageOpts{
-			Skiplist: skiplist, Buckets: o.Buckets, Shards: s.Shards,
-			PersistOff:       s.Off["persistoff"],
-			RegionWords:      o.MontageRegionWords(),
-			WriteBackLatency: o.WriteBackLatency, FenceLatency: o.FenceLatency,
-			StoreLatency: o.StoreLatency,
-		})
+		return newMontage(o, s, skiplist)
 	}}
 }
 

@@ -22,12 +22,6 @@ import (
 	"medley/internal/obs"
 )
 
-// maintainer is implemented by structures with background maintenance
-// (the rotating skiplist); System.Start drives it per shard.
-type maintainer interface {
-	StartMaintenance(time.Duration) func()
-}
-
 // ShardedName appends the shard suffix benchmark reports use for
 // partitioned configurations; single-instance names are unchanged.
 func ShardedName(base string, shards int) string {
@@ -49,15 +43,8 @@ type System struct {
 	// smr is nil exactly when operations run outside any transaction
 	// (Original/TxOff): no commit protocol, nothing retired, no feed to tap.
 	smr *ebr.Manager
-
-	// idle holds workers released at phase barriers for reuse (see
-	// harness.WorkerReleaser): a worker's recycling arenas and
-	// EBR handle stay warm across phases instead of starting cold — and
-	// leaking their limbo — every phase. pump is the handle Quiesce uses
-	// to advance the EBR epoch at barriers; it never enters a critical
-	// section or retires anything.
-	mu   sync.Mutex
-	idle []*worker
+	// pump is the handle Quiesce uses to advance the EBR epoch at
+	// barriers; it never enters a critical section or retires anything.
 	pump *ebr.Handle
 }
 
@@ -112,9 +99,6 @@ func (s *System) ShardCount() int { return s.sh.ShardCount() }
 // Manager exposes the TxManager for statistics (nil for baselines).
 func (s *System) Manager() *core.TxManager { return s.mgr }
 
-// Map exposes the underlying store, for tests.
-func (s *System) Map() kv.TxMap { return s.m }
-
 // TxStats reports cumulative commits and aborts from the manager's sharded
 // counters. Baselines without a manager (Original) report zeros, matching
 // their nothing-can-abort semantics.
@@ -156,30 +140,27 @@ type guardedMaintainer interface {
 	StartGuardedMaintenance(interval time.Duration, guard func(func())) (stop func())
 }
 
-// Start starts per-shard maintenance where the
-// structure has any (rotating skiplist). Under pooling the maintenance
-// goroutine gets its own EBR handle and brackets every rebuild with it, so
-// index traversals never observe a recycled cell.
+// Start starts per-shard maintenance where the structure has any
+// (rotating skiplist). Under pooling the maintenance goroutine gets its
+// own EBR handle and brackets every rebuild with it, so index traversals
+// never observe a recycled cell; without pooling it runs unguarded.
 func (s *System) Start() (stop func()) {
 	var stops []func()
-	start := func(m kv.TxMap) {
+	for i := 0; i < s.sh.ShardCount(); i++ {
+		gm, ok := s.sh.Shard(i).(guardedMaintainer)
+		if !ok {
+			continue
+		}
+		var guard func(func())
 		if s.smr != nil && s.mgr.PoolingEnabled() {
-			if gm, ok := m.(guardedMaintainer); ok {
-				h := s.smr.Register()
-				stops = append(stops, gm.StartGuardedMaintenance(25*time.Millisecond, func(f func()) {
-					h.Enter()
-					f()
-					h.Exit()
-				}))
-				return
+			h := s.smr.Register()
+			guard = func(f func()) {
+				h.Enter()
+				f()
+				h.Exit()
 			}
 		}
-		if mt, ok := m.(maintainer); ok {
-			stops = append(stops, mt.StartMaintenance(25*time.Millisecond))
-		}
-	}
-	for i := 0; i < s.sh.ShardCount(); i++ {
-		start(s.sh.Shard(i))
+		stops = append(stops, gm.StartGuardedMaintenance(25*time.Millisecond, guard))
 	}
 	return func() {
 		for _, f := range stops {
@@ -224,33 +205,16 @@ type worker struct {
 	feedRes []kv.Result
 }
 
-// ReleaseWorker implements harness.WorkerReleaser: the engine returns each
-// phase's executors at the barrier for NewExecutor to reuse. The engine
-// quiesces first, so the handle flush here — run with barrier-exclusive
-// ownership of the worker — reclaims the whole phase's retired garbage
-// into the worker's freelists before the next phase starts.
-func (s *System) ReleaseWorker(ex kv.Executor) {
-	kw, ok := ex.(*worker)
-	if !ok {
-		return
-	}
-	if kw.h != nil {
-		kw.h.Flush()
-	}
-	s.mu.Lock()
-	s.idle = append(s.idle, kw)
-	s.mu.Unlock()
-}
-
-// Quiesce implements harness.Quiescer: with every worker parked at the barrier,
-// pump the EBR epoch far enough (the three-epoch grace) that everything
-// retired during the phase becomes reclaimable — the released workers
-// then refill their freelists from it early in the next phase. Under
-// load this advance starves: an oversubscribed phase always has some
-// worker parked mid-transaction, holding a stale active epoch. Best
-// effort — a guarded maintenance goroutine mid-rebuild just stops the
-// pump early.
-func (s *System) Quiesce() {
+// Quiesce implements harness.Quiescer: with every worker parked at the
+// barrier, pump the EBR epoch far enough (the three-epoch grace) that
+// everything retired during the phase becomes reclaimable, then flush
+// each of exs — the executors the engine keeps for the run, owned by the
+// barrier until the next phase starts — so their freelists hold the
+// whole phase's garbage before the next phase begins. Under load this
+// advance starves: an oversubscribed phase always has some worker parked
+// mid-transaction, holding a stale active epoch. Best effort — a guarded
+// maintenance goroutine mid-rebuild just stops the pump early.
+func (s *System) Quiesce(exs []kv.Executor) {
 	if s.smr == nil {
 		return
 	}
@@ -262,6 +226,11 @@ func (s *System) Quiesce() {
 			break
 		}
 	}
+	for _, ex := range exs {
+		if w, ok := ex.(*worker); ok && w.h != nil {
+			w.h.Flush()
+		}
+	}
 }
 
 // SupportsChangeFeed reports whether this system's executors can publish
@@ -270,26 +239,12 @@ func (s *System) Quiesce() {
 // to tap).
 func (s *System) SupportsChangeFeed() bool { return s.smr != nil }
 
-// NewExecutor hands out a kv.Executor running batch requests as atomic
-// transactions: one released at an earlier phase barrier when one is idle
-// (warm arenas and handle), a fresh one otherwise. It is the one seam of
-// the service's workers, a node's replay and the harness engine alike.
-// The Tx and handle it carries are used by one goroutine at a time; a
-// channel hand-off orders it.
+// NewExecutor hands out a new kv.Executor running batch requests as
+// atomic transactions: the one seam of the service's workers, a node's
+// replay and the harness engine alike, each of which keeps its executors
+// for as long as it runs. The Tx and handle it carries are used by one
+// goroutine at a time; a channel hand-off orders it.
 func (s *System) NewExecutor() kv.Executor {
-	s.mu.Lock()
-	if n := len(s.idle); n > 0 {
-		w := s.idle[n-1]
-		s.idle[n-1] = nil
-		s.idle = s.idle[:n-1]
-		s.mu.Unlock()
-		return w
-	}
-	s.mu.Unlock()
-	return s.newWorker()
-}
-
-func (s *System) newWorker() *worker {
 	if s.smr == nil {
 		return &worker{m: kv.Bind(s.m, nil)}
 	}
