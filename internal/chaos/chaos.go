@@ -1,10 +1,11 @@
 // Package chaos is the fault-verification runner behind medley-bench's
 // chaos-service-* and chaos-replica-* scenarios: medleyd hosted in-process
-// behind real TCP listeners, a fleet of paced, journaling HTTP senders, a
-// schedule of fault events landing mid-traffic, and a final diff of the
-// surviving state against what the senders were told had committed. It is
-// harness-side code — it imports the service, never the reverse — so
-// nothing here (nor internal/faultnet) is linked into medleyd.
+// behind real TCP listeners, the harness's one sender loop driving HTTP
+// sessions under per-sender Poisson pacing, a schedule of fault events
+// landing mid-traffic, and a final diff of the surviving state against
+// what the senders were told had committed. It is harness-side code — it
+// imports the service, never the reverse — so nothing here (nor
+// internal/faultnet) is linked into medleyd.
 //
 // One Run serves two deployments (topology.go):
 //
@@ -20,19 +21,19 @@
 // Verification is the wire extension of the crash-phase journal verifier
 // (harness.VerifyReplicaWire, the same classifier): senders write only
 // put/delete on partitioned keys (one sender per residue class, sole
-// writer of its keys), journal definitive acks, taint in-doubt outcomes,
-// and every untainted key of the surviving state must match the merged
-// journals exactly. The preload is setup, not traffic: it goes through
-// HTTPDriver.Preload straight to the writable node, its puts are
-// journaled once it lands, and a preload that fails — in doubt included —
-// fails the run.
+// writer of its keys), journal definitive acks, taint in-doubt outcomes
+// (kv.ErrInDoubt), and every untainted key of the surviving state must
+// match the merged journals exactly. Sending, classifying and journaling
+// are harness.Sender's, as in the closed-loop engine and the open loop,
+// and so is the partitioning, as in the engine's crash scenarios. The
+// preload is setup, not traffic: it goes through HTTPDriver.Preload
+// straight to the writable node, its puts are journaled once it lands,
+// and a preload that fails — in doubt included — fails the run.
 package chaos
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"medley/internal/faultnet"
@@ -157,24 +158,39 @@ func Run(cfg Config) (harness.Record, error) {
 	}
 	t.arm()
 
-	fl, err := startFleet(&cfg, driver)
-	if err != nil {
-		return rec, err
-	}
-	defer fl.stop()
-
-	// lost collects the keys whose acked writes a fault event knowingly
-	// destroyed (promotion-time replication loss); they verify as tainted.
+	// The journals the survivor is verified against, the preload's first:
+	// a key's sender journal overrides its preloaded value. lost collects
+	// the keys whose acked writes a fault event knowingly destroyed
+	// (promotion-time replication loss); they verify as tainted.
 	lost := harness.NewWireJournal()
+	journals := []*harness.WireJournal{base, lost}
+	// One Poisson-paced sender per session, each the sole writer of its
+	// residue class, journaling its definitive acks and tainting its
+	// in-doubt outcomes.
+	ss := make([]*harness.Sender, cfg.Senders)
+	for i := range ss {
+		sess, err := driver.NewSession()
+		if err != nil {
+			return rec, err
+		}
+		defer sess.Close()
+		seed := cfg.Seed + int64(i)*7919 + 1
+		ss[i] = &harness.Sender{Sess: sess, Gen: harness.NewTxGen(cfg.Dist, cfg.KeyRange, cfg.Mix, seed^0x5DEECE66D),
+			Journal: harness.NewWireJournal(), Class: i, Classes: cfg.Senders, KeyRange: cfg.KeyRange, Seed: seed}
+		journals = append(journals, ss[i].Journal)
+	}
+	stop := harness.StartSenders(ss, harness.Poisson(time.Duration(float64(time.Second)*float64(cfg.Senders)/cfg.Rate)))
+	defer stop()
+
 	start := time.Now()
 	for i := 0; i < events && err == nil; i++ {
-		sleepUntil(start.Add(cfg.Duration * time.Duration(i+1) / time.Duration(events+1)))
+		time.Sleep(time.Until(start.Add(cfg.Duration * time.Duration(i+1) / time.Duration(events+1))))
 		err = t.fault(&rec, lost)
 	}
 	if err == nil {
-		sleepUntil(start.Add(cfg.Duration))
+		time.Sleep(time.Until(start.Add(cfg.Duration)))
 	}
-	fl.stop()
+	stop()
 	rec.Elapsed = time.Since(start)
 	if err != nil {
 		return rec, err
@@ -184,18 +200,23 @@ func Run(cfg Config) (harness.Record, error) {
 	if err != nil {
 		return rec, err
 	}
-	// Preload first: a key's sender journal overrides its preloaded value.
-	journals := append([]*harness.WireJournal{base, lost}, fl.journals()...)
 	v, tainted := harness.VerifyReplicaWire(journals, survivor.StateSnapshot)
-	rec.Service.TaintedKeys = tainted
-	fl.tally(&rec)
+	svc := rec.Service
+	svc.TaintedKeys = tainted
+	ph := harness.Served(ss, rec.Elapsed, svc)
+	rec.Txns, rec.Throughput, rec.Latency = ph.Txns, ph.Throughput, ph.Latency
+	svc.OfferedTxns = svc.CompletedTxns + svc.ShedTxns + svc.ErrorTxns + svc.ExpiredTxns + svc.InDoubtTxns
+	// Availability: completed / (completed + errors + expired + in-doubt).
+	if answered := svc.OfferedTxns - svc.ShedTxns; answered > 0 {
+		svc.Availability = float64(svc.CompletedTxns) / float64(answered)
+	}
 	st := driver.Stats()
-	rec.Service.RetriedTxns = st.Retries
+	svc.RetriedTxns = st.Retries
 	if r := rec.Recovery; r != nil {
 		// Only here: a leader kill trips the breaker by design, and a
 		// replicated run's driver story is the replica block's swaps and
 		// recoveries.
-		rec.Service.BreakerOpens = st.BreakerOpens
+		svc.BreakerOpens = st.BreakerOpens
 		fc := v.FinalCheck()
 		r.Recovered, r.ModelEntries = fc.ModelEntries, fc.ModelEntries
 		r.Missing, r.Mismatched, r.Leaked, r.Violations = fc.Missing, fc.Mismatched, fc.Leaked, fc.Violations
@@ -206,12 +227,6 @@ func Run(cfg Config) (harness.Record, error) {
 	r.ModelEntries, r.MissingKeys, r.StaleKeys = v.ModelEntries, v.Missing, v.Stale
 	r.MismatchedKeys, r.LeakedKeys, r.Violations = v.Mismatched, v.Leaked, v.Violations()
 	return rec, nil
-}
-
-func sleepUntil(at time.Time) {
-	if wait := time.Until(at); wait > 0 {
-		time.Sleep(wait)
-	}
 }
 
 // preload installs cfg.Preload keys (key == value) through the driver's
@@ -239,127 +254,4 @@ func preload(cfg *Config, base string, journal *harness.WireJournal) error {
 	}
 	journal.Commit(ops)
 	return nil
-}
-
-// sender is one journaling sender's counters, latency reservoir and
-// journal, padded like the engine's worker shards.
-type sender struct {
-	completed uint64
-	shed      uint64
-	errors    uint64
-	expired   uint64
-	indoubt   uint64
-	harness.Reservoir
-	journal *harness.WireJournal
-	_       [40]byte
-}
-
-// run is the sender loop: paced at interval with exponential
-// interarrivals, writes rewritten into the sender's residue class,
-// definitive acks journaled, in-doubt outcomes tainted.
-func (s *sender) run(cfg *Config, sess harness.DriverSession, tid int, seed int64, stop <-chan struct{}) {
-	interval := float64(time.Second) * float64(cfg.Senders) / cfg.Rate
-	pace := rand.New(rand.NewSource(seed))
-	gen := harness.NewTxGen(cfg.Dist, cfg.KeyRange, cfg.Mix, seed^0x5DEECE66D)
-	next := time.Now()
-	for {
-		select {
-		case <-stop:
-			return
-		default:
-		}
-		next = next.Add(time.Duration(pace.ExpFloat64() * interval))
-		sleepUntil(next)
-		ops := gen.Next()
-		for j := range ops {
-			if ops[j].Kind != kv.OpGet {
-				ops[j].Key = harness.PartitionKey(ops[j].Key, tid, cfg.Senders, cfg.KeyRange)
-			}
-		}
-		sent := time.Now()
-		err := sess.Do(ops, nil)
-		switch {
-		case err == nil:
-			s.completed++
-			s.journal.Commit(ops)
-			s.Record(time.Since(sent))
-		case service.IsInDoubt(err):
-			s.indoubt++
-			s.journal.Taint(ops)
-		case errors.Is(err, kv.ErrOverload):
-			s.shed++
-		case errors.Is(err, kv.ErrExpired):
-			s.expired++
-		default:
-			s.errors++
-		}
-	}
-}
-
-// fleet is the running sender set. stop is idempotent and returns once
-// every sender has exited; the counters are read only after it.
-type fleet struct {
-	senders []*sender
-	stopCh  chan struct{}
-	once    sync.Once
-	wg      sync.WaitGroup
-}
-
-func startFleet(cfg *Config, driver *service.HTTPDriver) (*fleet, error) {
-	f := &fleet{stopCh: make(chan struct{})}
-	for i := 0; i < cfg.Senders; i++ {
-		sess, err := driver.NewSession()
-		if err != nil {
-			f.stop()
-			return nil, err
-		}
-		seed := cfg.Seed + int64(i)*7919 + 1
-		s := &sender{Reservoir: harness.NewReservoir(seed), journal: harness.NewWireJournal()}
-		f.senders = append(f.senders, s)
-		f.wg.Add(1)
-		go func() {
-			defer f.wg.Done()
-			defer sess.Close()
-			s.run(cfg, sess, i, seed, f.stopCh)
-		}()
-	}
-	return f, nil
-}
-
-func (f *fleet) stop() {
-	f.once.Do(func() { close(f.stopCh) })
-	f.wg.Wait()
-}
-
-func (f *fleet) journals() []*harness.WireJournal {
-	js := make([]*harness.WireJournal, 0, len(f.senders))
-	for _, s := range f.senders {
-		js = append(js, s.journal)
-	}
-	return js
-}
-
-// tally folds the stopped fleet's counters and reservoirs into rec's
-// headline and service block.
-func (f *fleet) tally(rec *harness.Record) {
-	svc := rec.Service
-	var samples []int64
-	for _, s := range f.senders {
-		svc.CompletedTxns += s.completed
-		svc.ShedTxns += s.shed
-		svc.ErrorTxns += s.errors
-		svc.ExpiredTxns += s.expired
-		svc.InDoubtTxns += s.indoubt
-		samples = append(samples, s.Samples...)
-	}
-	svc.OfferedTxns = svc.CompletedTxns + svc.ShedTxns + svc.ErrorTxns + svc.ExpiredTxns + svc.InDoubtTxns
-	if rec.Elapsed > 0 {
-		svc.Goodput = float64(svc.CompletedTxns) / rec.Elapsed.Seconds()
-	}
-	// Availability: completed / (completed + errors + expired + in-doubt).
-	if answered := svc.OfferedTxns - svc.ShedTxns; answered > 0 {
-		svc.Availability = float64(svc.CompletedTxns) / float64(answered)
-	}
-	rec.Txns, rec.Throughput = svc.CompletedTxns, svc.Goodput
-	rec.Latency.AvgNs, rec.Latency.P50Ns, rec.Latency.P99Ns, svc.P999Ns = harness.LatencyDigest(samples)
 }

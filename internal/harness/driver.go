@@ -64,11 +64,11 @@ func (d *InProcDriver) Preload(keys []uint64) error {
 	return nil
 }
 
-// NewSession implements Driver. The session's executor is created on its
-// first Do. Like the session, an executor is used by one goroutine at a
-// time, and a channel hand-off orders it.
+// NewSession implements Driver: a session over one executor. Like the
+// session, an executor is used by one goroutine at a time, and a channel
+// hand-off orders it.
 func (d *InProcDriver) NewSession() (DriverSession, error) {
-	return &inprocSession{sys: d.sys}, nil
+	return &inprocSession{d.sys.NewExecutor()}, nil
 }
 
 // ShardCount implements ShardCounter when the underlying system does.
@@ -85,16 +85,10 @@ func (d *InProcDriver) Close() error {
 	return nil
 }
 
-type inprocSession struct {
-	sys System
-	ex  kv.Executor
-}
+// inprocSession is a session over one executor: the closed-loop engine's
+// workers and the in-process driver's senders both send through one.
+type inprocSession struct{ ex kv.Executor }
 
-func (s *inprocSession) Do(ops []kv.Op, res []kv.Result) error {
-	if s.ex == nil {
-		s.ex = s.sys.NewExecutor()
-	}
-	return s.ex.ExecBatch(ops, res)
-}
+func (s *inprocSession) Do(ops []kv.Op, res []kv.Result) error { return s.ex.ExecBatch(ops, res) }
 
 func (s *inprocSession) Close() error { return nil }

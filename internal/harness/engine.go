@@ -1,21 +1,22 @@
 package harness
 
 import (
+	"cmp"
 	"math/rand"
 	"runtime"
 	"runtime/metrics"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"medley/internal/kv"
 )
 
 // This file is the execution half of the workload engine: it runs a
-// Scenario's phase script against a System, with every per-transaction
-// counter and latency sample kept in a per-worker shard so that the
-// harness adds no shared-memory traffic of its own to the measurement.
+// Scenario's phase script against a System. Each phase's workers are
+// closed-loop senders (sender.go), each over an in-process session on its
+// run-long executor, so every per-transaction counter and latency sample
+// stays in its own sender and the harness adds no shared-memory traffic of
+// its own to the measurement.
 
 // FastpathResult is the commit-protocol digest of one record: how many
 // commits skipped the descriptor handshake (the read-only elision, and any
@@ -108,6 +109,7 @@ func (a memSample) minus(b memSample) memSample {
 // measured aggregate.
 type tally struct {
 	txns, ops, aborts uint64
+	sent              [numOutcomes]uint64 // the senders' transactions by outcome
 	elapsed           time.Duration
 	// samples are the phase's latency reservoir, each weighted by the
 	// transactions it stands for (see weigh).
@@ -141,6 +143,9 @@ func (t *tally) add(o tally) {
 	t.txns += o.txns
 	t.ops += o.ops
 	t.aborts += o.aborts
+	for i, n := range o.sent {
+		t.sent[i] += n
+	}
 	t.elapsed += o.elapsed
 	t.samples = append(t.samples, o.samples...)
 	t.mem = memSample{t.mem.allocObjs + o.mem.allocObjs, t.mem.allocBytes + o.mem.allocBytes,
@@ -212,11 +217,6 @@ type EngineConfig struct {
 	Seed     int64
 }
 
-// latencyEvery times every Nth closed-loop transaction: clock reads cost
-// tens of nanoseconds, so timing every transaction would tax the fastest
-// systems most and compress cross-system ratios.
-const latencyEvery = 4
-
 // PhaseResult is the measurement of one phase (or the aggregate of the
 // measured phases), and the phase half of a report Record. On a crash
 // phase's record Elapsed is the recovery latency.
@@ -251,17 +251,6 @@ type PhaseResult struct {
 	Consistency *ConsistencyResult `json:"consistency,omitempty"`
 }
 
-// workerShard is one worker's slice of the harness's own statistics,
-// padded so that concurrently running workers never write the same cache
-// line. Counters are plain: only the owning worker writes them, and the
-// engine reads them after the phase barrier.
-type workerShard struct {
-	txns uint64
-	ops  uint64
-	Reservoir
-	_ [40]byte
-}
-
 // RunScenario executes sc against sys: preload once, then each phase in
 // order. Each worker keeps one executor for the whole scenario, so its
 // arenas and SMR handle stay warm across phases; at every phase barrier
@@ -279,9 +268,9 @@ func RunScenario(sys System, sc Scenario, cfg EngineConfig) []Record {
 		cfg.KeyRange = 1
 	}
 	// Oversubscription scenarios run several worker goroutines per
-	// configured thread; everything per-worker (seeds, partitions, shards)
-	// scales with the worker count, while reports keep the configured
-	// thread count.
+	// configured thread; everything per-worker (seeds, partitions,
+	// senders) scales with the worker count, while reports keep the
+	// configured thread count.
 	workers := cfg.Threads
 	if sc.WorkersPerThread > 1 {
 		workers = cfg.Threads * sc.WorkersPerThread
@@ -289,69 +278,47 @@ func RunScenario(sys System, sc Scenario, cfg EngineConfig) []Record {
 	// Every optional capability is probed once, here; the phase loop and
 	// the verifier branch on the fields (see capabilities.go).
 	caps := Capabilities(sys)
-	// Crash scenarios verify recovered state against a ground-truth model
-	// of committed operations; see verify.go for the partitioning that
-	// makes the model exact. VerifyFinal scenarios journal on every system
-	// and diff the live end-of-run state instead of a recovered one.
-	var vs *verifyState
+	// Crash and VerifyFinal scenarios partition writes per worker (see
+	// verify.go) on every system, so all systems see the same workload.
+	// Where there is a state to check — a recovered one, or the live
+	// end-of-run one — the workers journal for the run, after a preload
+	// journal: journals[0] is the preload's, journals[1+w] worker w's.
+	classes := 0 // write partitioning's residue classes; 0: none
 	if sc.HasCrash() || sc.VerifyFinal {
-		if cfg.KeyRange < uint64(workers) {
-			cfg.KeyRange = uint64(workers)
-		}
-		vs = &verifyState{partition: true}
-		if sc.VerifyFinal || caps.CanRecover() {
-			vs.journal = true
-			vs.model = make(map[uint64]modelVal, cfg.Preload)
-		}
+		classes, cfg.KeyRange = workers, max(cfg.KeyRange, uint64(workers))
 	}
-
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	keys := make([]uint64, cfg.Preload)
 	for i := range keys {
 		keys[i] = uint64(rng.Int63n(int64(cfg.KeyRange)))
 	}
 	sys.Preload(keys)
-	if vs != nil && vs.journal {
+	journals := make([]*WireJournal, 1+workers) // left nil when there is no state to check
+	if classes > 0 && (sc.VerifyFinal || caps.CanRecover()) {
+		for i := range journals {
+			journals[i] = newJournal(false)
+		}
 		for _, k := range keys {
-			vs.model[k] = modelVal{val: k, present: true}
+			journals[0].Commit([]Op{{Kind: OpInsert, Key: k, Val: k}})
 		}
 	}
 	stop := sys.Start()
 	defer stop()
 
-	totalWeight := 0.0
-	for _, ph := range sc.Phases {
-		if ph.Kind == PhaseCrash {
-			continue
-		}
-		if ph.Weight > 0 {
-			totalWeight += ph.Weight
-		} else {
-			totalWeight += 1
-		}
-	}
-	if totalWeight == 0 {
-		totalWeight = 1
-	}
-
 	anyMeasured := slices.ContainsFunc(sc.Phases, func(ph Phase) bool { return ph.Measure })
+	budgets := phaseBudgets(sc.Phases, cfg.Duration)
 	var recs []Record
 	var agg tally // the measured phases (all run phases when none is marked)
 	exs := make([]kv.Executor, workers)
 	for pi, ph := range sc.Phases {
 		if ph.Kind == PhaseCrash {
-			recs = append(recs, runCrashPhase(caps, vs, ph))
+			recs = append(recs, runCrashPhase(caps, journals, ph))
 			if caps.CanRecover() {
 				clear(exs)
 			}
 			continue
 		}
-		w := ph.Weight
-		if w <= 0 {
-			w = 1
-		}
-		d := time.Duration(float64(cfg.Duration) * w / totalWeight)
-		t := runPhase(sys, caps, sc, ph, pi, cfg, exs, d, vs)
+		t := runPhase(sys, caps, sc, ph, pi, cfg, exs, budgets[pi], classes, journals)
 		if caps.Consistency != nil && ph.Measure {
 			t.checked, t.violations = true, caps.Consistency.ConsistencyCheck()
 		}
@@ -362,7 +329,12 @@ func RunScenario(sys System, sc Scenario, cfg EngineConfig) []Record {
 	}
 	m := agg.result("measured")
 	if sc.VerifyFinal {
-		m.FinalCheck = runFinalCheck(caps, vs)
+		// All workers have stopped, so the snapshot of the live state is exact.
+		m.FinalCheck = &FinalCheckResult{}
+		if caps.Snapshot != nil {
+			rc, _ := VerifyReplicaWire(journals, caps.Snapshot.StateSnapshot)
+			*m.FinalCheck = rc.FinalCheck()
+		}
 	}
 	recs = append(recs, m)
 	for i := range recs {
@@ -372,14 +344,33 @@ func RunScenario(sys System, sc Scenario, cfg EngineConfig) []Record {
 	return recs
 }
 
-// runPhase spawns the phase's workers, one per executor in exs (cfg.Threads,
-// multiplied by the scenario's WorkersPerThread), making each nil executor
-// first, and tallies their shards and the system's counters around the
-// phase. In crash and VerifyFinal
-// scenarios (vs non-nil) write keys are partitioned per worker and, when
-// journaling, committed effects are merged into the ground-truth model at
-// the phase barrier.
-func runPhase(sys System, caps Caps, sc Scenario, ph Phase, phaseIdx int, cfg EngineConfig, exs []kv.Executor, d time.Duration, vs *verifyState) tally {
+// phaseBudgets splits d across the run phases by weight, a phase without
+// one weighing 1, so omitted weights give even phases and never a
+// zero-length one. A crash phase takes no share.
+func phaseBudgets(phases []Phase, d time.Duration) []time.Duration {
+	ws := make([]float64, len(phases))
+	total := 0.0
+	for i, ph := range phases {
+		if ph.Kind != PhaseCrash {
+			ws[i] = cmp.Or(max(ph.Weight, 0), 1)
+			total += ws[i]
+		}
+	}
+	budgets := make([]time.Duration, len(phases))
+	for i, w := range ws {
+		if w > 0 {
+			budgets[i] = time.Duration(float64(d) * w / total)
+		}
+	}
+	return budgets
+}
+
+// runPhase runs the phase's closed-loop senders for d, one per executor in
+// exs (cfg.Threads, multiplied by the scenario's WorkersPerThread), making
+// each nil executor first, and tallies them and the system's counters
+// around the phase. With classes > 0 worker w's writes go into residue
+// class w, and worker w journals into journals[1+w] (nil: not at all).
+func runPhase(sys System, caps Caps, sc Scenario, ph Phase, phaseIdx int, cfg EngineConfig, exs []kv.Executor, d time.Duration, classes int, journals []*WireJournal) tally {
 	var aborts0 uint64
 	if caps.TxStats != nil {
 		_, aborts0 = caps.TxStats.TxStats()
@@ -398,70 +389,19 @@ func runPhase(sys System, caps Caps, sc Scenario, ph Phase, phaseIdx int, cfg En
 	if ph.Dist != nil {
 		dist = *ph.Dist
 	}
-	workers := len(exs)
-	shards := make([]*workerShard, workers)
-	var journals []map[uint64]modelVal
-	if vs != nil && vs.journal {
-		journals = make([]map[uint64]modelVal, workers)
-	}
-	var stopFlag atomic.Bool
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	for t := 0; t < workers; t++ {
-		if exs[t] == nil {
-			exs[t] = sys.NewExecutor()
+	ss := make([]*Sender, len(exs))
+	for w := range ss {
+		if exs[w] == nil {
+			exs[w] = sys.NewExecutor()
 		}
-		ex := exs[t]
-		seed := cfg.Seed + int64(phaseIdx)*104729 + int64(t)*7919
-		shard := &workerShard{Reservoir: NewReservoir(seed ^ 0x5DEECE66D)}
-		shards[t] = shard
-		var jm map[uint64]modelVal
-		if journals != nil {
-			jm = make(map[uint64]modelVal)
-			journals[t] = jm
-		}
-		tid := t
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			gen := NewTxGen(dist, cfg.KeyRange, ph.Mix, seed)
-			tick := latencyEvery - 1 // time the first transaction, then every latencyEvery-th
-			<-start
-			for !stopFlag.Load() {
-				ops := gen.Next()
-				if vs != nil && vs.partition {
-					for i := range ops {
-						if ops[i].Kind == OpInsert || ops[i].Kind == OpRemove {
-							ops[i].Key = PartitionKey(ops[i].Key, tid, workers, cfg.KeyRange)
-						}
-					}
-				}
-				tick++
-				timed := tick >= latencyEvery
-				var t0 time.Time
-				if timed {
-					tick, t0 = 0, time.Now()
-				}
-				// A transaction that fails outright is the system's to
-				// report (TPC-C as an execution violation); the engine
-				// counts what ran.
-				_ = ex.ExecBatch(ops, nil)
-				if timed {
-					shard.Record(time.Since(t0))
-				}
-				if jm != nil {
-					applyOps(jm, ops)
-				}
-				shard.txns++
-				shard.ops += uint64(len(ops))
-			}
-		}()
+		seed := cfg.Seed + int64(phaseIdx)*104729 + int64(w)*7919
+		ss[w] = &Sender{Sess: &inprocSession{exs[w]}, Gen: NewTxGen(dist, cfg.KeyRange, ph.Mix, seed), Journal: journals[1+w],
+			Class: w, Classes: classes, KeyRange: cfg.KeyRange, Seed: seed ^ 0x5DEECE66D}
 	}
 	begin := time.Now()
-	close(start)
+	stop := StartSenders(ss, Pacing{})
 	time.Sleep(d)
-	stopFlag.Store(true)
-	wg.Wait()
+	stop()
 	elapsed := time.Since(begin)
 	// Phase barrier: workers are quiescent. Let the system run
 	// barrier-only maintenance over the executors — for EBR systems,
@@ -471,23 +411,12 @@ func runPhase(sys System, caps Caps, sc Scenario, ph Phase, phaseIdx int, cfg En
 	if caps.Quiescent != nil {
 		caps.Quiescent.Quiesce(exs)
 	}
-	t := tally{elapsed: elapsed, mem: readMemSample().minus(mem0)}
-	var samples []int64
-	for _, s := range shards {
-		t.txns += s.txns
-		t.ops += s.ops
-		samples = append(samples, s.Samples...)
-	}
-	t.weigh(samples)
+	// A transaction that fails outright is the system's to report (TPC-C
+	// as an execution violation); the engine counts every one that ran.
+	t := tallySenders(ss, true)
+	t.elapsed, t.mem = elapsed, readMemSample().minus(mem0)
 	if caps.Metrics != nil {
 		t.counters = diffMetrics(met0, caps.Metrics.MetricsSnapshot())
-	}
-	// Worker write domains are disjoint (residue classes), so merging the
-	// journals is conflict-free.
-	for _, jm := range journals {
-		for k, v := range jm {
-			vs.model[k] = v
-		}
 	}
 	if caps.TxStats != nil {
 		_, aborts1 := caps.TxStats.TxStats()
@@ -500,19 +429,21 @@ func runPhase(sys System, caps Caps, sc Scenario, ph Phase, phaseIdx int, cfg En
 }
 
 // runCrashPhase executes a PhaseCrash phase: flush committed state, crash,
-// time recovery, and verify the recovered contents against the model. All
-// workers are stopped at this point (phases are barriers), so the model is
-// exactly the committed history and the snapshot is quiescent. The record
-// carries this crash's recovery block (Recoverable false when the system
-// keeps no durable state) and the consistency check run after it.
-func runCrashPhase(caps Caps, vs *verifyState, ph Phase) Record {
+// time recovery, and verify the recovered contents against the journals.
+// All workers are stopped at this point (phases are barriers), so the
+// journals are exactly the committed history and the snapshot is
+// quiescent. The record carries this crash's recovery block (Recoverable
+// false when the system keeps no durable state) and the consistency check
+// run after it.
+func runCrashPhase(caps Caps, journals []*WireJournal, ph Phase) Record {
 	rec := Record{PhaseResult: PhaseResult{Phase: ph.Name}, Recovery: &RecoveryResult{}}
 	if caps.CanRecover() {
 		caps.Recovery.Persist()
 		t0 := time.Now()
 		entries := caps.Recovery.CrashAndRecover()
 		rec.Elapsed = time.Since(t0)
-		fc := checkState(vs.model, caps.Recovery.StateSnapshot)
+		rc, _ := VerifyReplicaWire(journals, caps.Recovery.StateSnapshot)
+		fc := rc.FinalCheck()
 		*rec.Recovery = RecoveryResult{
 			Recoverable: true, RecoveryNs: int64(rec.Elapsed), Recovered: entries,
 			ModelEntries: fc.ModelEntries, Missing: fc.Missing, Mismatched: fc.Mismatched,

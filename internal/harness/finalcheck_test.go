@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -18,6 +20,8 @@ type tornMapSystem struct {
 	mu   sync.Mutex
 	m    map[uint64]uint64
 	torn bool
+	// refuseWrites fails every batch that writes, applying none of it.
+	refuseWrites bool
 }
 
 func newTornMapSystem(torn bool) *tornMapSystem {
@@ -51,6 +55,9 @@ func (w *tornMapWorker) ExecBatch(ops []kv.Op, _ []kv.Result) error {
 	// the final insert.
 	if w.s.torn && len(ops) == 4 && ops[2].Kind == OpInsert && ops[3].Kind == OpInsert {
 		ops = ops[:3]
+	}
+	if w.s.refuseWrites && slices.ContainsFunc(ops, func(op kv.Op) bool { return op.Kind != OpGet }) {
+		return errors.New("write refused")
 	}
 	w.s.mu.Lock()
 	defer w.s.mu.Unlock()
@@ -108,5 +115,35 @@ func TestFinalCheckCleanOnHonestTransfers(t *testing.T) {
 	}
 	if fc.ModelEntries == 0 {
 		t.Fatal("model is empty")
+	}
+}
+
+// TestFailedSendIsNotJournaled runs a VerifyFinal scenario on a system
+// that fails every batch that writes: nothing it refused was committed,
+// so nothing may be journaled, and the final check must find the preload
+// intact — no missing, mismatched or leaked writes. The failed
+// transactions still count in the record: the engine counts what ran.
+func TestFailedSendIsNotJournaled(t *testing.T) {
+	sys := newTornMapSystem(false)
+	sys.refuseWrites = true
+	sc := Scenario{
+		Name: "refused-writes", Dist: Dist{Kind: DistUniform}, VerifyFinal: true,
+		Phases: []Phase{{Name: "mixed", Weight: 1, Measure: true,
+			Mix: Mix{Ratio: Ratio{Get: 1, Insert: 1, Remove: 1}, TxMin: 1, TxMax: 4, Mixed: 1}}},
+	}
+	m := measuredOf(RunScenario(sys, sc, EngineConfig{
+		Threads: 2, Duration: 60 * time.Millisecond,
+		KeyRange: 1 << 10, Preload: 1 << 8, Seed: 17,
+	}))
+	fc := m.FinalCheck
+	if fc == nil || !fc.Checked || fc.ModelEntries == 0 {
+		t.Fatalf("no final check over the preload: %+v", fc)
+	}
+	if fc.Violations != 0 {
+		t.Fatalf("refused writes were journaled: missing=%d mismatched=%d leaked=%d",
+			fc.Missing, fc.Mismatched, fc.Leaked)
+	}
+	if m.Txns == 0 || m.Ops < m.Txns {
+		t.Fatalf("txns=%d ops=%d, want every transaction that ran counted", m.Txns, m.Ops)
 	}
 }

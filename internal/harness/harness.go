@@ -5,9 +5,10 @@
 // Figure 9 — is rows of one scenario table (scenario.go: Figures names the
 // rows and systems of each plot), beside the scenarios that go beyond it:
 // key-distribution generators (generator.go), transaction mixes with
-// multi-key compositions and working-set phases (scenario.go), a
-// phase-scripted measurement engine with per-worker statistics shards
-// and latency reservoirs (engine.go), crash–recovery verification of the
+// multi-key compositions and working-set phases (scenario.go), one
+// sender loop with per-sender statistics and latency reservoirs behind
+// every runner (sender.go), a phase-scripted measurement engine
+// (engine.go), crash–recovery verification of the
 // paper's durability claim (verify.go, the Recoverable capability in
 // systems.go), and machine-readable reports with a CI-pinned schema
 // (report.go, schema.go), over every system under test: the stack's own

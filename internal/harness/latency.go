@@ -7,15 +7,15 @@ import (
 	"time"
 )
 
-// reservoirSamples bounds every latency reservoir: each closed-loop
-// worker's, each open-loop sender's and each chaos sender's.
+// reservoirSamples bounds every latency reservoir: each sender's, whether
+// a closed-loop worker, an open-loop sender or a chaos sender.
 const reservoirSamples = 4096
 
 // Reservoir is one goroutine's bounded latency sample (Vitter's
 // algorithm R): the first reservoirSamples observations are kept, later
 // ones replace a kept one with probability reservoirSamples/seen, so the
 // sample stays uniform over everything offered regardless of the run's
-// length. Single-writer, like the stat shards that embed it.
+// length. Single-writer, like the sender that embeds it.
 type Reservoir struct {
 	Samples []int64 // ns
 	seen    int64
@@ -71,14 +71,4 @@ func weightedDigest(samples []weightedSample) (avg, p50, p99, p999 float64) {
 		return float64(samples[len(samples)-1].ns)
 	}
 	return sum / total, quantile(500), quantile(990), quantile(999)
-}
-
-// LatencyDigest is weightedDigest over samples that each stand for one
-// transaction: their mean and nearest-rank p50/p99/p99.9.
-func LatencyDigest(samples []int64) (avg, p50, p99, p999 float64) {
-	ws := make([]weightedSample, len(samples))
-	for i, ns := range samples {
-		ws[i] = weightedSample{ns: ns, w: 1}
-	}
-	return weightedDigest(ws)
 }

@@ -1,10 +1,8 @@
 package harness
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"medley/internal/kv"
@@ -21,6 +19,8 @@ import (
 // configured rate, independent of completions, and every latency is
 // measured from the transaction's *scheduled arrival time*, so time spent
 // queueing behind a slow system is charged to the system, not forgiven.
+// The senders are the engine's (sender.go); only their pacing differs:
+// one dispatcher's schedule, shared through a bounded queue.
 
 // OpenLoopConfig parameterizes one open-loop run: a sweep of offered
 // rates over one driver.
@@ -87,18 +87,14 @@ func RunOpenLoop(d Driver, cfg OpenLoopConfig) ([]Record, error) {
 		return nil, fmt.Errorf("open-loop: preload: %w", err)
 	}
 
-	sessions := make([]DriverSession, 0, cfg.MaxInFlight)
-	defer func() {
-		for _, sess := range sessions {
-			sess.Close()
-		}
-	}()
-	for range cfg.MaxInFlight {
+	sessions := make([]DriverSession, cfg.MaxInFlight)
+	for i := range sessions {
 		sess, err := d.NewSession()
 		if err != nil {
 			return nil, fmt.Errorf("open-loop: session: %w", err)
 		}
-		sessions = append(sessions, sess)
+		defer sess.Close()
+		sessions[i] = sess
 	}
 
 	shards := 1
@@ -117,62 +113,16 @@ func RunOpenLoop(d Driver, cfg OpenLoopConfig) ([]Record, error) {
 	return recs, nil
 }
 
-// olReq is one scheduled transaction: its operations and the arrival time
-// the Poisson process assigned it. Latency is measured from sched.
-type olReq struct {
-	ops   []kv.Op
-	sched time.Time
-}
-
-// olSender is one sender goroutine's counters and latency reservoir,
-// padded like workerShard so concurrent senders never share a line.
-type olSender struct {
-	completed uint64
-	shed      uint64
-	errors    uint64
-	expired   uint64
-	ops       uint64
-	Reservoir
-	_ [40]byte
-}
-
-// runOpenLoopStep runs one offered-rate step: a dispatcher goroutine
-// generates Poisson arrivals into a bounded queue; one sender per session
-// drains it.
+// runOpenLoopStep runs one offered-rate step: a dispatcher generates
+// Poisson arrivals into a bounded queue, and one sender per session
+// drains it under the shared schedule's pacing.
 func runOpenLoopStep(d Driver, sessions []DriverSession, cfg OpenLoopConfig, rate float64, step int) (Record, error) {
-	work := make(chan olReq, 2*len(sessions))
-	senders := make([]*olSender, len(sessions))
-	var wg sync.WaitGroup
-	var sessErr error
-	var sessErrOnce sync.Once
+	arrivals := make(chan arrival, 2*len(sessions))
+	ss := make([]*Sender, len(sessions))
 	for i, sess := range sessions {
-		seed := cfg.Seed + int64(step)*104729 + int64(i)*7919
-		s := &olSender{Reservoir: NewReservoir(seed ^ 0x5DEECE66D)}
-		senders[i] = s
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for req := range work {
-				err := sess.Do(req.ops, nil)
-				lat := time.Since(req.sched)
-				// errors.Is, not ==: a fault-tolerant driver may wrap the
-				// sentinel (e.g. in an in-doubt marker) after retries.
-				switch {
-				case err == nil:
-					s.completed++
-					s.ops += uint64(len(req.ops))
-					s.Record(lat)
-				case errors.Is(err, kv.ErrOverload):
-					s.shed++
-				case errors.Is(err, kv.ErrExpired):
-					s.expired++
-				default:
-					s.errors++
-					sessErrOnce.Do(func() { sessErr = err })
-				}
-			}
-		}()
+		ss[i] = &Sender{Sess: sess, Seed: (cfg.Seed + int64(step)*104729 + int64(i)*7919) ^ 0x5DEECE66D}
 	}
+	stop := StartSenders(ss, Pacing{arrivals: arrivals})
 
 	mem0 := readMemSample()
 	gen := NewTxGen(cfg.Dist, cfg.KeyRange, cfg.Mix, cfg.Seed+int64(step)*15485863)
@@ -190,42 +140,42 @@ func runOpenLoopStep(d Driver, sessions []DriverSession, cfg OpenLoopConfig, rat
 		if next.After(deadline) {
 			break
 		}
-		if wait := time.Until(next); wait > 0 {
-			time.Sleep(wait)
-		}
+		time.Sleep(time.Until(next))
 		ops := append([]kv.Op(nil), gen.Next()...) // the generator reuses its buffer
 		offered++
 		select {
-		case work <- olReq{ops: ops, sched: next}:
+		case arrivals <- arrival{ops: ops, at: next}:
 		default:
 			dropped++
 		}
 	}
-	close(work)
-	wg.Wait()
+	close(arrivals)
+	stop()
 	// The memory delta samples this process: the client side when the
 	// driver targets a remote server. A step has no counters.
-	t := tally{elapsed: time.Since(start), mem: readMemSample().minus(mem0)}
+	t := tallySenders(ss, false)
+	t.elapsed, t.mem = time.Since(start), readMemSample().minus(mem0)
+	for _, s := range ss {
+		if t.txns == 0 && s.err != nil {
+			return Record{}, fmt.Errorf("open-loop: no transaction completed at rate %v: %w", rate, s.err)
+		}
+	}
 	svc := &ServiceRecord{Driver: d.Kind(), TargetRate: rate, OfferedTxns: offered, DroppedTxns: dropped}
-	var samples []int64
-	for _, s := range senders {
-		svc.CompletedTxns += s.completed
-		svc.ShedTxns += s.shed
-		svc.ErrorTxns += s.errors
-		svc.ExpiredTxns += s.expired
-		t.ops += s.ops
-		samples = append(samples, s.Samples...)
-	}
-	t.txns = svc.CompletedTxns
-	if t.txns == 0 && sessErr != nil {
-		return Record{}, fmt.Errorf("open-loop: no transaction completed at rate %v: %w", rate, sessErr)
-	}
-	t.weigh(samples)
-	rec := t.result(fmt.Sprintf("rate-%.0f", rate))
-	_, _, _, svc.P999Ns = weightedDigest(t.samples)
+	rec := t.served(fmt.Sprintf("rate-%.0f", rate), svc)
 	if rec.Elapsed > 0 {
 		svc.OfferedRate = float64(offered) / rec.Elapsed.Seconds()
 	}
-	svc.Goodput, rec.Service = rec.Throughput, svc
 	return rec, nil
+}
+
+// served derives a paced run's record from its tally: the record as
+// result derives it, with svc — the dispositions by outcome, goodput and
+// p99.9 filled in — as its service block.
+func (t *tally) served(phase string, svc *ServiceRecord) Record {
+	rec := t.result(phase)
+	svc.CompletedTxns, svc.ShedTxns, svc.ExpiredTxns = t.sent[completed], t.sent[shed], t.sent[expired]
+	svc.InDoubtTxns, svc.ErrorTxns = t.sent[inDoubt], t.sent[failed]
+	_, _, _, svc.P999Ns = weightedDigest(t.samples)
+	svc.Goodput, rec.Service = rec.Throughput, svc
+	return rec
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -95,16 +96,19 @@ func TestOpenLoopArrivalRateAccuracy(t *testing.T) {
 }
 
 // TestOpenLoopClassifiesShedSeparately pins the disposition taxonomy:
-// kv.ErrOverload counts as shed (admission control working), any other
-// error as a failure.
+// kv.ErrOverload counts as shed (admission control working), an error
+// wrapping kv.ErrInDoubt as in doubt — even when its cause is a shed — and
+// any other error as a failure.
 func TestOpenLoopClassifiesShedSeparately(t *testing.T) {
 	boom := errors.New("boom")
 	d := &fakeOLDriver{do: func(seq uint64) error {
-		switch seq % 3 {
+		switch seq % 4 {
 		case 0:
 			return kv.ErrOverload
 		case 1:
 			return boom
+		case 2:
+			return fmt.Errorf("%w: %w", kv.ErrInDoubt, kv.ErrOverload)
 		}
 		return nil
 	}}
@@ -116,13 +120,13 @@ func TestOpenLoopClassifiesShedSeparately(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc := recs[0].Service
-	if svc.ShedTxns == 0 || svc.ErrorTxns == 0 || svc.CompletedTxns == 0 {
-		t.Errorf("expected all three dispositions, got completed=%d shed=%d errors=%d",
-			svc.CompletedTxns, svc.ShedTxns, svc.ErrorTxns)
+	if svc.ShedTxns == 0 || svc.ErrorTxns == 0 || svc.InDoubtTxns == 0 || svc.CompletedTxns == 0 {
+		t.Errorf("expected all four dispositions, got completed=%d shed=%d errors=%d in-doubt=%d",
+			svc.CompletedTxns, svc.ShedTxns, svc.ErrorTxns, svc.InDoubtTxns)
 	}
-	if svc.CompletedTxns+svc.ShedTxns+svc.ErrorTxns+svc.DroppedTxns != svc.OfferedTxns {
-		t.Errorf("disposition leak: offered=%d completed=%d shed=%d errors=%d dropped=%d",
-			svc.OfferedTxns, svc.CompletedTxns, svc.ShedTxns, svc.ErrorTxns, svc.DroppedTxns)
+	if svc.CompletedTxns+svc.ShedTxns+svc.ErrorTxns+svc.InDoubtTxns+svc.DroppedTxns != svc.OfferedTxns {
+		t.Errorf("disposition leak: offered=%d completed=%d shed=%d errors=%d in-doubt=%d dropped=%d",
+			svc.OfferedTxns, svc.CompletedTxns, svc.ShedTxns, svc.ErrorTxns, svc.InDoubtTxns, svc.DroppedTxns)
 	}
 }
 
@@ -167,7 +171,7 @@ func TestOpenLoopFailsWhenNothingCompletes(t *testing.T) {
 // errors.
 func TestInProcDriverDrivesEverySystem(t *testing.T) {
 	sc := mustScenario(t, "service-mixed")
-	for _, name := range SystemNames() {
+	for _, name := range systemRegistry.Names() {
 		t.Run(name, func(t *testing.T) {
 			sys, err := NewSystem(name, SystemOpts{Buckets: 1 << 10, KeyRange: 1 << 10})
 			if err != nil {

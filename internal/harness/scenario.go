@@ -139,12 +139,16 @@ const orderLineBit = uint64(1) << 62
 
 // TxGen generates the transactions of one phase for one worker. It is
 // deterministic in its seed and, like KeyGen, single-goroutine by design.
+// Every Next writes buf's header, and the engine makes its workers'
+// generators one after another, so the padding keeps that write off the
+// cache line the next generator's fields sit on.
 type TxGen struct {
 	r        *rand.Rand
 	kg       KeyGen
 	mix      Mix
 	keyRange uint64
 	buf      []Op
+	_        [64]byte
 }
 
 // NewTxGen builds a per-worker transaction generator: keys from dist over

@@ -54,9 +54,6 @@ func ValidateSystemSpec(spec string) error {
 // NewSystem resolves a system spec into a system.
 func NewSystem(spec string, o SystemOpts) (System, error) { return systemRegistry.New(spec, o) }
 
-// SystemNames lists the registered bases in stable order.
-func SystemNames() []string { return systemRegistry.Names() }
-
 // SystemUsage lists each base with the suffixes it accepts, one grammar
 // line per base, for the CLIs' list output.
 func SystemUsage() []string { return systemRegistry.Usage() }

@@ -149,7 +149,7 @@ func TestRegistryNamesUnchanged(t *testing.T) {
 		"plain-skip":         "Original-skip",
 		"txoff-skip":         "TxOff-skip",
 	}
-	if names := SystemNames(); len(names) != len(want)-2 {
+	if names := systemRegistry.Names(); len(names) != len(want)-2 {
 		t.Fatalf("registry has %d bases, want %d: %v", len(names), len(want)-2, names)
 	}
 	for cli, reported := range want {
@@ -213,7 +213,7 @@ func TestRangeScanEverySystem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range SystemNames() {
+	for _, name := range systemRegistry.Names() {
 		sys, err := NewSystem(name, SystemOpts{Buckets: 1 << 10, KeyRange: 1 << 10})
 		if err != nil {
 			t.Fatal(err)

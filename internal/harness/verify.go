@@ -6,10 +6,12 @@ import "medley/internal/kv"
 // engine. The paper's headline property is nonblocking persistence: after
 // a crash, every committed transaction's effects are recoverable and no
 // aborted transaction's effects survive. The engine checks it end to end:
-// while a crash scenario runs, each worker journals the key→value effects
-// of its committed transactions; at the crash phase the journals are
-// merged into a ground-truth model, the system is flushed, crashed and
+// while a crash scenario runs, each worker's sender journals the
+// key→value effects of its acknowledged transactions into a WireJournal
+// that lives for the run; at each crash phase the journals are merged
+// into a ground-truth model, the system is flushed, crashed and
 // recovered, and the recovered state is compared against the model.
+// A transaction whose send failed is not journaled: it did not commit.
 //
 // Exactness of the model depends on write partitioning. Concurrent
 // workers racing on one key would leave the final committed value
@@ -29,14 +31,6 @@ type modelVal struct {
 	present bool
 }
 
-// verifyState carries the crash-scenario machinery through a run: whether
-// writes are partitioned, whether workers journal, and the merged model.
-type verifyState struct {
-	partition bool // rewrite write keys into per-worker residue classes
-	journal   bool // record committed effects (recoverable systems only)
-	model     map[uint64]modelVal
-}
-
 // PartitionKey maps k into worker tid's residue class modulo threads,
 // staying inside [0, keyRange). Callers guarantee keyRange >= threads
 // (RunScenario for crash scenarios, the chaos runner for its senders), so
@@ -48,20 +42,6 @@ func PartitionKey(k uint64, tid, threads int, keyRange uint64) uint64 {
 		p -= t
 	}
 	return p
-}
-
-// applyOps folds one committed transaction's effects into a journal, in
-// operation order (a later op on the same key overrides an earlier one,
-// matching transactional semantics).
-func applyOps(j map[uint64]modelVal, ops []Op) {
-	for _, op := range ops {
-		switch op.Kind {
-		case OpInsert:
-			j[op.Key] = modelVal{val: op.Val, present: true}
-		case OpRemove:
-			j[op.Key] = modelVal{}
-		}
-	}
 }
 
 // RecoveryResult is the outcome of one crash phase, and the recovery
@@ -111,8 +91,8 @@ type FinalCheckResult struct {
 
 // --------------------------------------------------- wire-level verification
 //
-// The journal verifier above lives inside the engine: workers journal
-// in-process, so "committed" is unambiguous. Behind a wire it is not — a
+// In process, "committed" is unambiguous: an executor's answer is
+// definitive. Behind a wire it is not — a
 // client whose connection dies mid-request cannot know whether the
 // server executed it. The wire verifier extends the same model-diff
 // machinery across that gap: each sender journals only definitively
@@ -125,23 +105,28 @@ type FinalCheckResult struct {
 // (PartitionKey): one sender per residue class, sole writer of its keys.
 
 // WireJournal is one sender's client-side record of what it knows about
-// the server's state: the last committed value of every key it wrote
+// the store's state: the last committed value of every key it wrote
 // with a definitive acknowledgement, and the set of keys whose state is
-// unknowable (touched by an in-doubt request). Single-goroutine, like
-// the engine's per-worker journals.
+// unknowable (touched by an in-doubt request). It is the one journal —
+// the engine's workers, the chaos senders and both preloads keep one —
+// and single-goroutine, like the sender that writes it.
 type WireJournal struct {
 	model map[uint64]modelVal
 	hist  map[uint64][]uint64 // every acked put value per key, in order
 	taint map[uint64]struct{}
 }
 
-// NewWireJournal creates an empty journal.
-func NewWireJournal() *WireJournal {
-	return &WireJournal{
-		model: make(map[uint64]modelVal),
-		hist:  make(map[uint64][]uint64),
-		taint: make(map[uint64]struct{}),
+// NewWireJournal creates an empty journal that keeps put histories.
+func NewWireJournal() *WireJournal { return newJournal(true) }
+
+// newJournal creates an empty journal, keeping per-key put histories only
+// when history is set.
+func newJournal(history bool) *WireJournal {
+	j := &WireJournal{model: make(map[uint64]modelVal), taint: make(map[uint64]struct{})}
+	if history {
+		j.hist = make(map[uint64][]uint64)
 	}
+	return j
 }
 
 // Commit folds a definitively acknowledged batch's effects into the
@@ -149,16 +134,18 @@ func NewWireJournal() *WireJournal {
 // modelable from the client side; an acked OpAdd is tainted instead —
 // its final value depends on how many times it ran, which is exactly
 // what a client cannot count (chaos workloads avoid adds for this
-// reason). Put values are additionally kept as a per-key history, which
-// is what lets the replica verifier tell a stale value (an older acked
-// write — replication lost the suffix) from a mismatched one (a value
-// no client ever acked — corruption).
+// reason). A journal made by NewWireJournal also keeps put values as a
+// per-key history, which is what lets the replica verifier tell a stale
+// value (an older acked write — replication lost the suffix) from a
+// mismatched one (a value no client ever acked — corruption).
 func (j *WireJournal) Commit(ops []kv.Op) {
 	for _, op := range ops {
 		switch op.Kind {
 		case kv.OpPut:
 			j.model[op.Key] = modelVal{val: op.Val, present: true}
-			j.hist[op.Key] = append(j.hist[op.Key], op.Val)
+			if j.hist != nil {
+				j.hist[op.Key] = append(j.hist[op.Key], op.Val)
+			}
 		case kv.OpDelete:
 			j.model[op.Key] = modelVal{}
 		case kv.OpAdd:
@@ -190,8 +177,9 @@ func (j *WireJournal) Taint(ops []kv.Op) {
 // state lacks vanished (missing); a key the state has that the model
 // deleted — or never wrote — leaked. With no history nothing reads as
 // stale, so a resurrected deleted key is leaked and a wrong value is
-// mismatched. The engine's journals stay plain models: a per-key history
-// would grow with every put of a full-speed run.
+// mismatched. That is why the engine's journals keep no history: a
+// full-speed closed-loop run would grow it with every put, so an engine
+// check folds what would be stale into mismatched and leaked.
 
 // ReplicaCheckResult is the outcome of one classified divergence check.
 type ReplicaCheckResult struct {
@@ -303,25 +291,4 @@ func classify(model map[uint64]modelVal, hist map[uint64][]uint64, got map[uint6
 		}
 	}
 	return rc
-}
-
-// checkState diffs a quiesced state against the engine's model. The
-// engine keeps no acked histories, so nothing there reads as stale.
-func checkState(model map[uint64]modelVal, snap func(fn func(key, val uint64) bool)) FinalCheckResult {
-	got := make(map[uint64]uint64, len(model))
-	snap(func(k, v uint64) bool {
-		got[k] = v
-		return true
-	})
-	return classify(model, nil, got).FinalCheck()
-}
-
-// runFinalCheck diffs the live state against the model at the end of a
-// VerifyFinal scenario; all workers have stopped, so the snapshot is exact.
-func runFinalCheck(caps Caps, vs *verifyState) *FinalCheckResult {
-	if caps.Snapshot == nil || vs == nil || !vs.journal {
-		return &FinalCheckResult{}
-	}
-	fc := checkState(vs.model, caps.Snapshot.StateSnapshot)
-	return &fc
 }

@@ -96,7 +96,8 @@ type Executor interface {
 type Session interface {
 	// Do executes ops as one atomic transaction, filling res[i] per op
 	// when res is non-nil (len(res) must equal len(ops) then). It returns
-	// ErrOverload or ErrExpired when the request was refused, any other
+	// ErrOverload or ErrExpired when the request was refused, an error
+	// wrapping ErrInDoubt when it may or may not have executed, any other
 	// non-nil error for transport or server failures.
 	Do(ops []Op, res []Result) error
 	// Close releases the session.
@@ -112,6 +113,13 @@ var ErrOverload = errors.New("session: request shed by admission control")
 // client giving up before sending). The server guarantees an expired
 // request never ran.
 var ErrExpired = errors.New("session: request deadline expired before execution")
+
+// ErrInDoubt marks an outcome where the request may or may not have
+// executed: an attempt reached the network and died without a definitive
+// answer. A session wraps the final cause with it (errors.Is still finds
+// the cause), and a verifier must treat the request's effects as neither
+// committed nor absent.
+var ErrInDoubt = errors.New("session: request may have executed")
 
 // Apply executes ops[i] against m under tx into res[i], in request order
 // (res may be nil when the caller discards outcomes; otherwise len(res)

@@ -312,24 +312,6 @@ func (d *HTTPDriver) Close() error {
 // yet confirmed recovery. The request was never sent.
 var ErrCircuitOpen = errors.New("service: circuit breaker open")
 
-// inDoubtError marks an outcome where the request may or may not have
-// executed: some attempt reached into the network and died without a
-// definitive server answer. Unwrap keeps sentinel classification
-// (errors.Is on the underlying cause) working.
-type inDoubtError struct{ err error }
-
-func (e *inDoubtError) Error() string { return "in doubt: " + e.err.Error() }
-func (e *inDoubtError) Unwrap() error { return e.err }
-
-// IsInDoubt reports whether err leaves the request's execution unknown —
-// a transport failure after the request may have reached the server,
-// never resolved by a later definitive answer. Verifiers must treat the
-// request's effects as neither committed nor absent.
-func IsInDoubt(err error) bool {
-	var ide *inDoubtError
-	return errors.As(err, &ide)
-}
-
 type httpSession struct {
 	d   *HTTPDriver
 	buf bytes.Buffer
@@ -386,8 +368,8 @@ func (s *httpSession) backoff(n int) time.Duration {
 // failure (staleness 409, not-leader 503, transport) falls the same
 // request back to the leader without burning a retry.
 //
-// Any terminal error after a transport-errored attempt is wrapped so
-// IsInDoubt reports true: the dead attempt may have executed. Only a
+// Any terminal error after a transport-errored attempt is wrapped in
+// kv.ErrInDoubt: the dead attempt may have executed. Only a
 // 200 clears the doubt — success means the batch's effects are in
 // (directly, or replayed out of the dedup window). Non-200 answers
 // speak for their own attempt only: after a server restart the dedup
@@ -410,7 +392,7 @@ func (s *httpSession) Do(ops []kv.Op, res []kv.Result) error {
 	fail := func(err error) error {
 		if inDoubt {
 			s.d.inDoubt.Add(1)
-			return &inDoubtError{err: err}
+			return fmt.Errorf("%w: %w", kv.ErrInDoubt, err)
 		}
 		return err
 	}

@@ -111,7 +111,7 @@ func TestHTTPDriverInDoubtAfterTransportExhaustion(t *testing.T) {
 	if err == nil {
 		t.Fatal("want error from a server that never answers")
 	}
-	if !IsInDoubt(err) {
+	if !errors.Is(err, kv.ErrInDoubt) {
 		t.Fatalf("err = %v, want in-doubt", err)
 	}
 	if !errors.Is(err, errTransport) {
@@ -142,7 +142,7 @@ func TestHTTPDriverDeadlineStopsRetrying(t *testing.T) {
 	if !errors.Is(err, kv.ErrExpired) {
 		t.Fatalf("err = %v, want kv.ErrExpired", err)
 	}
-	if !IsInDoubt(err) {
+	if !errors.Is(err, kv.ErrInDoubt) {
 		t.Fatalf("err = %v, want in-doubt (attempts reached the wire)", err)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {

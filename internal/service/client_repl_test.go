@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -181,7 +182,7 @@ func TestHTTPDriverFailoverSkipsUnpromotedFollower(t *testing.T) {
 	if err == nil {
 		t.Fatal("write succeeded with no leader anywhere")
 	}
-	if !IsInDoubt(err) {
+	if !errors.Is(err, kv.ErrInDoubt) {
 		t.Fatalf("dead-leader write err = %v, want in-doubt transport error", err)
 	}
 	if got := d.Stats().Failovers; got != 0 {
