@@ -64,14 +64,10 @@ type txPool interface {
 	settle(tx *Tx, committed bool)
 }
 
-// deferredCAS is one commit-deferred CAS (see DeferCAS). pool/obj, when
-// set, name a block to retire iff the CAS succeeds — the "whoever unlinks
-// retires" rule for deferred unlinks.
+// deferredCAS is one commit-deferred CAS (see DeferCAS).
 type deferredCAS[T comparable] struct {
 	slot              *CASObj[T]
 	expected, desired T
-	pool              ebr.Pool
-	obj               any
 }
 
 // cellArena is the per-Tx pair of cell[T] freelists — value cells and
@@ -218,17 +214,13 @@ func (a *cellArena[T]) recycleCell(c *cell[T]) {
 }
 
 // settle implements txPool: on commit, execute the deferred CASes in
-// registration order, retiring attached blocks on CAS success; in both
-// outcomes, ship the pending displaced cells to limbo as one batch and
-// truncate for reuse.
+// registration order; in both outcomes, ship the pending displaced cells
+// to limbo as one batch and truncate for reuse.
 func (a *cellArena[T]) settle(tx *Tx, committed bool) {
 	if committed {
 		for i := range a.def {
 			d := &a.def[i]
-			if d.slot.casTx(tx, d.expected, d.desired) && d.pool != nil {
-				a.retires++
-				tx.pr.RetireInto(d.pool, d.obj)
-			}
+			d.slot.casTx(tx, d.expected, d.desired)
 		}
 	}
 	clear(a.def)
@@ -326,27 +318,6 @@ func DeferCAS[T comparable](tx *Tx, o *CASObj[T], expected, desired T) {
 	}
 	a := arenaFor[T](tx)
 	a.def = append(a.def, deferredCAS[T]{slot: o, expected: expected, desired: desired})
-}
-
-// DeferCASRetire is DeferCAS for deferred unlinks under node pooling: if
-// (and only if) the deferred CAS succeeds, n is retired into pool — the
-// thread that unlinks a node is the one that retires it, so a node whose
-// unlink is instead performed by a later traversal is retired exactly once,
-// by that traversal. With a nil pool (pooling off) it degrades to DeferCAS
-// and the node is left to the garbage collector.
-func DeferCASRetire[T comparable, N any](tx *Tx, o *CASObj[T], expected, desired T, pool *NodePool[N], n *N) {
-	if pool == nil {
-		DeferCAS(tx, o, expected, desired)
-		return
-	}
-	if !tx.InTx() {
-		if o.casTx(tx, expected, desired) {
-			pool.Retire(n)
-		}
-		return
-	}
-	a := arenaFor[T](tx)
-	a.def = append(a.def, deferredCAS[T]{slot: o, expected: expected, desired: desired, pool: pool, obj: n})
 }
 
 // ResetSlot prepares a pooled node's embedded CASObj for reuse: the

@@ -163,7 +163,9 @@ func (c *cell[T]) uninstall(tx *Tx, committed bool) {
 // zero value is ready to use and holds the zero value of T.
 //
 // T must be comparable; it is typically a pointer, or a small struct of a
-// pointer and a mark bit for structures that tag their links.
+// pointer and a mark bit for structures that tag their links. A structure
+// whose links fit 32 bits — an index into its own slab — uses Word, the
+// one-word form with no cell behind it (word.go).
 type CASObj[T comparable] struct {
 	state atomic.Pointer[cell[T]]
 }

@@ -97,10 +97,10 @@ type writeCell interface {
 // store) immediately before the InPrep→InProg transition, so that helpers
 // observing InProg can validate on the owner's behalf. The slice is frozen:
 // the owner never mutates a published one. Under pooling the struct and its
-// backing array are recycled through EBR — the previous publication is
-// retired when the next one replaces it, so a slow helper still iterating
-// the old array always sees intact (if stale) entries, and the serial check
-// plus per-cell generation counters make stale validation harmless.
+// backing array are recycled through EBR — a publication is withdrawn and
+// retired when its transaction finishes, so a slow helper still iterating
+// it always sees intact (if stale) entries, and the serial check plus
+// per-cell generation counters make stale validation harmless.
 type publishedReads struct {
 	serial  uint64
 	entries []ReadWitness
@@ -110,13 +110,22 @@ type publishedReads struct {
 // CASObjs by critical CASes, and the carrier of the status word on which
 // MCNS linearizes. One Desc belongs to exactly one Tx and is reused across
 // that Tx's transactions, distinguished by serial number.
+//
+// Its word entries are what an installed Word names (word.go): grow-only
+// chunks, reused by every transaction of the Desc. nwords is the entry
+// count as of the open transaction's last install past wordPosOverflow,
+// where helpers search; any word that names that position was installed
+// after it was stored.
 type Desc struct {
 	status   atomic.Uint64 // serial<<2 | status
 	reads    atomic.Pointer[publishedReads]
 	tid      int
 	mgr      *TxManager
 	shard    *StatShard // owner's statistics shard
-	_padding [4]uint64  // keep descriptors on distinct cache lines
+	words    atomic.Pointer[[]*[wordChunk]wordEntry]
+	nwords   atomic.Int64
+	wid      uint32    // word id (wordDescs), 0 until the first install
+	_padding [1]uint64 // keep descriptors on distinct cache lines
 }
 
 // stsCAS attempts the expected→desired status transition carrying the full

@@ -159,31 +159,6 @@ type funcRetirer func(func())
 
 func (f funcRetirer) Retire(free func()) { f(free) }
 
-// TestTNewAndTDelete covers the allocation API surface.
-func TestTNewAndTDelete(t *testing.T) {
-	mgr := NewTxManager()
-	tx := mgr.Register()
-	deleted := false
-	err := tx.Run(func() error {
-		p := TNew[int](tx)
-		*p = 5
-		TDelete(tx, func() { deleted = true })
-		return nil
-	})
-	if err != nil || !deleted {
-		t.Fatalf("err=%v deleted=%v", err, deleted)
-	}
-	deleted = false
-	_ = tx.Run(func() error {
-		TDelete(tx, func() { deleted = true })
-		tx.Abort()
-		return nil
-	})
-	if deleted {
-		t.Fatal("tDelete took effect despite abort")
-	}
-}
-
 // TestExplicitBeginEnd drives the low-level API directly.
 func TestExplicitBeginEnd(t *testing.T) {
 	mgr := NewTxManager()

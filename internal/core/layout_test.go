@@ -21,7 +21,7 @@ func TestCellLayout(t *testing.T) {
 		size, max uintptr
 	}{
 		{"cell[pointer+bool] (value cell of a marked link)", unsafe.Sizeof(cell[link]{}), 24},
-		{"cell[pointer] (value cell of a plain link, or of mhash's mark-in-pointer ref)", unsafe.Sizeof(cell[unsafe.Pointer]{}), 16},
+		{"cell[pointer] (value cell of a plain link)", unsafe.Sizeof(cell[unsafe.Pointer]{}), 16},
 		{"descCell[pointer+bool] (descriptor cell, one allocation)", unsafe.Sizeof(descCell[link]{}), 56},
 		{"ReadWitness", unsafe.Sizeof(ReadWitness{}), 32},
 		{"CASObj[pointer+bool]", unsafe.Sizeof(CASObj[link]{}), 8},

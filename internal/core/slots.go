@@ -1,0 +1,244 @@
+package core
+
+import (
+	"sync"
+	"sync/atomic"
+
+	"medley/internal/ebr"
+)
+
+// Slots hands out the indexes of a grow-only slab — a structure's nodes,
+// addressed by uint32 so that a Word can link them — and takes back the
+// ones its operations unlink. Index 0 is never handed out: a structure's
+// nil.
+//
+// Every registered transaction context gets its own cache of indexes, so
+// the hot path takes no lock: a never-used index comes from the cache's
+// current segment, claimed from the shared frontier slotSegment at a time
+// (one atomic add, and under contention still one per segment), and an
+// unlinked index comes back through EBR. A caller without a Tx (a bare
+// Put, a concurrent preload) draws its segments through a sync.Pool.
+//
+// An unlinked index is reused only after an EBR grace period, so only a Tx
+// with an SMR handle (Tx.SetSMR) recycles what it unlinks, whether or not
+// its manager pools cells: every thread that may still hold the index from
+// a traversal holds a critical section of the same domain. An index
+// unlinked without one is never reused. Reuse needs no more than the grace
+// period: the Words in a recycled node are Init'ed, which advances their
+// counters, so no witness taken in its previous life validates.
+type Slots struct {
+	next   atomic.Uint32
+	grow   func(end uint32)
+	mu     sync.Mutex // serializes cache registration
+	caches atomic.Pointer[[]*slotCache]
+	bare   sync.Pool // *slotSpan for callers without a Tx
+}
+
+// slotSegment is how many never-used indexes one claim on the frontier
+// takes.
+const slotSegment = 64
+
+// maxSlot bounds the index space: a structure keeps one payload bit
+// beside an index (mhash: Michael's mark).
+const maxSlot = 1 << 31
+
+// Init prepares s before first use: grow is called, serialized by the
+// caller's own lock if it needs one, with the end of every segment claimed
+// before any index in it is handed out, and must make every index below
+// end addressable.
+func (s *Slots) Init(grow func(end uint32)) {
+	s.grow = grow
+	s.next.Store(1)
+}
+
+// slotSpan is a claimed range [lo, hi) of never-used indexes.
+type slotSpan struct{ lo, hi uint32 }
+
+func (s *Slots) claim() slotSpan {
+	hi := s.next.Add(slotSegment)
+	if hi > maxSlot || hi < slotSegment {
+		panic("medley: slab index space exhausted")
+	}
+	s.grow(hi)
+	return slotSpan{hi - slotSegment, hi}
+}
+
+// take hands out the span's next index, claiming a segment when it is
+// spent.
+func (sp *slotSpan) take(s *Slots) uint32 {
+	if sp.lo == sp.hi {
+		*sp = s.claim()
+	}
+	i := sp.lo
+	sp.lo++
+	return i
+}
+
+// Get hands out an index no thread can reach: never used, or unlinked and
+// past its grace period. The caller initializes the slab entry before
+// publishing it.
+func (s *Slots) Get(tx *Tx) uint32 {
+	if tx == nil {
+		sp, _ := s.bare.Get().(*slotSpan)
+		if sp == nil {
+			sp = new(slotSpan)
+		}
+		i := sp.take(s)
+		s.bare.Put(sp)
+		return i
+	}
+	c := s.cacheOf(tx)
+	c.gets++
+	var i uint32
+	if n := len(c.free); n > 0 {
+		c.hits++
+		i = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		i = c.span.take(s)
+	}
+	if tx.InTx() {
+		c.fresh = append(c.fresh, i)
+	}
+	return i
+}
+
+// Put returns an index that was never published (an insert whose node lost
+// its race and is no longer needed) for immediate reuse.
+func (s *Slots) Put(tx *Tx, i uint32) {
+	if tx == nil {
+		return
+	}
+	c := s.cacheOf(tx)
+	c.free = append(c.free, i)
+	for j := len(c.fresh) - 1; j >= 0; j-- {
+		if c.fresh[j] == i {
+			c.fresh[j] = c.fresh[len(c.fresh)-1]
+			c.fresh = c.fresh[:len(c.fresh)-1]
+			break
+		}
+	}
+}
+
+// Retire takes back index i, which the caller has just unlinked. Inside the
+// speculation interval the unlink is a critical CAS that takes effect only
+// if the transaction commits, and so does the retirement; otherwise the
+// unlink has happened and the index goes to EBR at the Tx's next settle,
+// or, outside transactions, a batch at a time.
+func (s *Slots) Retire(tx *Tx, i uint32) {
+	if tx == nil || tx.pr == nil {
+		return // no grace period to wait out: never reused
+	}
+	c := s.cacheOf(tx)
+	c.retires++
+	if tx.InSpeculation() {
+		c.pending = append(c.pending, i)
+		return
+	}
+	c.ready = append(c.ready, i)
+	if !tx.InTx() && len(c.ready) >= slotSegment {
+		c.ship()
+	}
+}
+
+// cacheOf is tx's cache, registered on first use. The index is by tid,
+// which is unique only within a manager; a Tx of another manager whose tid
+// is taken finds its cache among its own pools.
+func (s *Slots) cacheOf(tx *Tx) *slotCache {
+	tid := tx.desc.tid
+	if cs := s.caches.Load(); cs != nil && tid < len(*cs) {
+		if c := (*cs)[tid]; c != nil && c.tx == tx {
+			return c
+		}
+	}
+	for _, p := range tx.pools {
+		if c, ok := p.(*slotCache); ok && c.s == s {
+			return c
+		}
+	}
+	c := &slotCache{s: s, tx: tx}
+	tx.pools = append(tx.pools, c)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var cs []*slotCache
+	if p := s.caches.Load(); p != nil {
+		cs = append(cs, *p...)
+	}
+	for len(cs) <= tid {
+		cs = append(cs, nil)
+	}
+	if cs[tid] == nil {
+		cs[tid] = c
+		s.caches.Store(&cs)
+	}
+	return c
+}
+
+// slotCache is one Tx's indexes of one Slots. Single-owner, like every
+// per-Tx pool (arena.go).
+type slotCache struct {
+	s       *Slots
+	tx      *Tx
+	free    []uint32 // grace period elapsed
+	span    slotSpan // never used
+	fresh   []uint32 // handed out to the open transaction
+	pending []uint32 // unlinked by the open transaction's critical CASes
+	ready   []uint32 // unlinked; not yet in EBR limbo
+
+	freeBatches []*slotBatch
+
+	gets, hits, retires uint64 // owner-only; flushed per settle
+}
+
+// slotBatch is a settle's worth of retired indexes riding through EBR limbo
+// as one entry that weighs its length.
+type slotBatch struct{ idx []uint32 }
+
+// ship sends the ready indexes to EBR limbo as one batch.
+func (c *slotCache) ship() {
+	var b *slotBatch
+	if n := len(c.freeBatches); n > 0 {
+		b = c.freeBatches[n-1]
+		c.freeBatches[n-1] = nil
+		c.freeBatches = c.freeBatches[:n-1]
+	} else {
+		b = &slotBatch{}
+	}
+	// Swap: the batch takes the filled slice, the cache keeps its spare.
+	b.idx, c.ready = c.ready, b.idx[:0]
+	c.tx.pr.RetireBatch(c, b, len(b.idx))
+}
+
+// Recycle implements ebr.Pool: the batch's grace period has elapsed. It
+// runs on the owning goroutine.
+func (c *slotCache) Recycle(obj any) {
+	b := obj.(*slotBatch)
+	c.free = append(c.free, b.idx...)
+	b.idx = b.idx[:0]
+	c.freeBatches = append(c.freeBatches, b)
+}
+
+// settle implements txPool: a commit makes the transaction's unlinks real;
+// an abort's never happened, and neither did its links. A node the aborted
+// transaction took was published only as the new word of its own installs,
+// which helpers never follow (they finalize an install and use the word it
+// leaves), so its index is nobody's and goes straight back to free.
+func (c *slotCache) settle(tx *Tx, committed bool) {
+	if committed {
+		c.ready = append(c.ready, c.pending...)
+	} else {
+		c.free = append(c.free, c.fresh...)
+	}
+	c.fresh = c.fresh[:0]
+	c.pending = c.pending[:0]
+	if len(c.ready) > 0 {
+		c.ship()
+	}
+	if tx.pooled {
+		flushPoolStats(tx, &c.gets, &c.hits, &c.retires)
+	} else {
+		c.gets, c.hits, c.retires = 0, 0, 0
+	}
+}
+
+var _ ebr.Pool = (*slotCache)(nil)

@@ -38,7 +38,9 @@ type Tx struct {
 	reads     []ReadWitness  // published at End; see readsFree for reuse rules
 	writes    []writeCell    // owner-only: truncate-and-reuse
 	cleanups  []cleanupEntry // post-commit work (addToCleanups); owner-only
-	allocUndo []func()       // tNew compensation on abort; owner-only
+	allocUndo []func()       // compensation on abort (OnAbortUndo); owner-only
+	nwords    int            // word entries installed this transaction (word.go)
+	wdefs     []deferredWord // commit-deferred Word CASes (DeferWordCAS)
 
 	beginHooks  []func(*Tx)       // run at Begin; txMontage hooks the epoch here
 	finishHooks []func(*Tx, bool) // run after settle; arg is committed
@@ -47,9 +49,11 @@ type Tx struct {
 	boost       *boostState       // transactional-boosting locks/inverses
 
 	// Pooling state (TxManager.EnablePooling + an SMR handle that supports
-	// RetireInto). pools holds this Tx's cell arenas and node pools;
-	// readsFree/rpFree recycle read-set backing arrays and publishedReads
-	// shells whose grace period (or non-publication) makes reuse safe.
+	// RetireInto). pools holds this Tx's cell arenas, node pools and slab
+	// index caches; readsFree/rpFree recycle read-set backing arrays and
+	// publishedReads shells whose grace period (or non-publication) makes
+	// reuse safe. pr is set by any such handle: slab indexes (Slots) are
+	// recycled with or without pooling.
 	pooled    bool
 	pr        poolRetirer
 	pools     []txPool
@@ -176,9 +180,9 @@ func (tx *Tx) Defer(f func()) {
 	tx.cleanups = append(tx.cleanups, cleanupEntry{fn: f})
 }
 
-// OnAbortUndo registers compensation to run if the transaction aborts; tNew
-// uses it to release speculatively allocated blocks. Outside a transaction
-// it is a no-op.
+// OnAbortUndo registers compensation to run if the transaction aborts, such
+// as releasing a block allocated speculatively. Outside a transaction it is
+// a no-op.
 func (tx *Tx) OnAbortUndo(f func()) {
 	if !tx.InTx() {
 		return
@@ -238,6 +242,9 @@ func (tx *Tx) Begin() {
 	tx.writes = tx.writes[:0]
 	tx.cleanups = tx.cleanups[:0]
 	tx.allocUndo = tx.allocUndo[:0]
+	tx.nwords = 0
+	clear(tx.wdefs)
+	tx.wdefs = tx.wdefs[:0]
 	tx.inSpec = false
 	tx.active = true
 	if tx.ticketer != nil {
@@ -299,16 +306,12 @@ func (tx *Tx) End() error {
 	}
 	d := tx.desc
 	// Publish the read set so helpers that observe InProg can validate on
-	// our behalf, then announce readiness. The previous publication is
-	// retired through EBR under pooling: a slow helper may still iterate it.
+	// our behalf, then announce readiness; finish withdraws it.
 	rp := tx.takeRP()
 	rp.serial = tx.serial
 	rp.entries = tx.reads
-	old := d.reads.Swap(rp)
+	d.reads.Store(rp)
 	tx.published = true
-	if old != nil && tx.pooled {
-		tx.pr.RetireInto(&tx.rpBin, old)
-	}
 	// Draw the commit ticket while still InPrep: the InPrep→InProg CAS
 	// below is the first step from which a helper can drive this
 	// transaction to Committed, so the draw is strictly pre-visibility
@@ -472,7 +475,21 @@ func (tx *Tx) finish(committed bool) error {
 	tx.settleTicket(committed)
 	tx.active = false
 	tx.inSpec = false
+	if tx.published {
+		// The publication has served: with the status terminal, a helper
+		// still validating it fails its status CAS whatever it finds. It
+		// goes now rather than at the next End so that a descriptor left
+		// idle — and one that has written Words is never freed — keeps no
+		// read set, and through it no structure, alive. Under pooling it
+		// is retired through EBR: a slow helper may still iterate it.
+		if rp := tx.desc.reads.Swap(nil); rp != nil && tx.pooled {
+			tx.pr.RetireInto(&tx.rpBin, rp)
+		}
+	}
 	if committed {
+		tx.runWordDefers()
+		clear(tx.wdefs)
+		tx.wdefs = tx.wdefs[:0]
 		for i := range tx.cleanups {
 			c := &tx.cleanups[i]
 			switch {
@@ -568,23 +585,6 @@ type sectionPauser interface {
 	Active() bool
 }
 
-// TNew allocates a block inside a transaction (the paper's tNew). Under
-// Go's garbage collector no explicit compensation is required for plain
-// heap blocks, so this is an ordinary allocation whose reference is simply
-// dropped on abort; it exists so transformed structures read like the
-// paper's, and so allocators with real side effects (e.g., persistent
-// payloads) have a single choke point to hook via Tx.OnAbortUndo.
-func TNew[T any](tx *Tx) *T {
-	return new(T)
-}
-
-// TDelete logically deletes a block at commit (the paper's tDelete):
-// deferred to post-commit cleanup inside a transaction, immediate outside.
-// del is invoked when the deletion takes effect.
-func TDelete(tx *Tx, del func()) {
-	tx.Defer(del)
-}
-
 // Retirer is the safe-memory-reclamation hook consumed by Tx.Retire; an
 // *ebr.Handle satisfies it.
 type Retirer interface {
@@ -605,9 +605,9 @@ type Retirer interface {
 func (tx *Tx) SetSMR(r Retirer) {
 	tx.smr = r
 	tx.pauser, _ = r.(sectionPauser)
-	if pr, ok := r.(poolRetirer); ok && tx.mgr != nil && tx.mgr.PoolingEnabled() {
+	if pr, ok := r.(poolRetirer); ok {
 		tx.pr = pr
-		tx.pooled = true
+		tx.pooled = tx.mgr != nil && tx.mgr.PoolingEnabled()
 		tx.rpBin.tx = tx
 	}
 }

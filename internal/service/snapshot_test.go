@@ -274,20 +274,18 @@ func poolMisses(be Backend) (misses, gets uint64) {
 }
 
 // TestFollowerBootstrapFootprint pins what a bootstrap leaves behind. A
-// snapshot chunk is one 512-put transaction; each put takes a node, a
-// descriptor cell and a value cell from the worker's arenas, and the store
-// keeps two of the three. If the displaced descriptor cells are not back
-// in the arena by the next chunk or two — EBR attempting an advance at
-// each such settle, because a batch weighs its length — every one of them
-// is carved fresh and then sits idle in a freelist for the life of the
-// follower: 48 bytes a key on top of the store's own.
+// snapshot chunk is one 512-put transaction; each put takes a node slot
+// and a descriptor entry, and the store keeps the slot. The entries are
+// the worker's own, reused from one chunk to the next, so about one get in
+// two hits; if they were carved fresh per chunk, or the store kept more
+// than a slot and its bucket head per key, it would show here.
 func TestFollowerBootstrapFootprint(t *testing.T) {
 	const keys = 1 << 16
 	// mhash's TestBytesPerKey ceiling plus 1 MB for what a node holds
-	// beside its store: two workers' arenas at their working size (a chunk
-	// or two of descriptor cells each), the pipeline's buffers and the feed
-	// rings, kept small here (the default rings are a fixed 2.6 MB).
-	const ceiling = 54 + 16
+	// beside its store: two workers' descriptor entries and read sets, the
+	// pipeline's buffers and the feed rings, kept small here (the default
+	// rings are a fixed 2.6 MB).
+	const ceiling = 40 + 16
 	newStore := func() Backend { return hashStore(t, keys/8, 2*keys) }
 	store := newStore()
 	store.Preload(evenKeys(keys))
@@ -320,8 +318,7 @@ func TestFollowerBootstrapFootprint(t *testing.T) {
 	if perKey > ceiling {
 		t.Errorf("bootstrap of %d keys left %.1f bytes of live heap per key, ceiling %d", keys, perKey, ceiling)
 	}
-	// One get in three is recyclable, so 1/3 is the most a bootstrap can
-	// hit; workers that share epochs grant each other grace a little late.
+	// One get in two is reusable, so 1/2 is the most a bootstrap can hit.
 	if hitShare < 0.2 {
 		t.Errorf("bootstrap missed the pool %.2f×/key (hit share %.3f of %d gets), want a hit share of at least 0.2", float64(misses)/keys, hitShare, gets)
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"medley/internal/core"
+	"medley/internal/ebr"
 	"medley/internal/kv"
 	"medley/internal/montage"
 	"medley/internal/obs"
@@ -20,6 +21,7 @@ import (
 type MontageSystem struct {
 	name       string
 	mgr        *core.TxManager
+	smr        *ebr.Manager // grace periods for the hash index's node slots
 	sys        *montage.System
 	stores     []*montage.PStore[uint64]
 	persistOff bool
@@ -41,7 +43,7 @@ func newMontage(o Opts, s Spec, skiplist bool) *MontageSystem {
 		FenceLatency:     o.FenceLatency,
 		StoreLatency:     o.StoreLatency,
 	})
-	m := &MontageSystem{name: "txMontage-hash", mgr: core.NewTxManager(), sys: sys,
+	m := &MontageSystem{name: "txMontage-hash", mgr: core.NewTxManager(), smr: ebr.New(256), sys: sys,
 		persistOff: s.Off["persistoff"], skiplist: skiplist, buckets: o.Buckets}
 	if skiplist {
 		m.name = "txMontage-skip"
@@ -170,9 +172,13 @@ func (s *MontageSystem) Preload(keys []uint64) {
 }
 
 // newWorker builds an executor: one epoch handle per worker serves every
-// shard, bound through the same worker loop System uses.
+// shard, bound through the same worker loop System uses. Its EBR handle
+// lets a hash index reuse the node slots the worker unlinks; cells are not
+// pooled.
 func (s *MontageSystem) newWorker() *worker {
 	tx := s.mgr.Register()
+	eh := s.smr.Register()
+	tx.SetSMR(eh)
 	var h *montage.Handle
 	if s.persistOff {
 		h = s.sys.WrapTransient(tx)
@@ -187,7 +193,7 @@ func (s *MontageSystem) newWorker() *worker {
 			return kv.NewMontageMap(s.sys, s.stores[i]).BindHandle(h)
 		})
 	}
-	return &worker{m: m, tx: tx}
+	return &worker{m: m, tx: tx, h: eh}
 }
 
 // NewExecutor hands out a fresh executor on the epoch-wrapped

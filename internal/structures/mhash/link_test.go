@@ -1,6 +1,7 @@
 package mhash
 
 import (
+	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -11,97 +12,144 @@ import (
 	"medley/internal/ebr"
 )
 
-// TestLinkLayout pins what a chain link costs: the ref is one word, and the
-// value cell a written link holds is therefore the 16 bytes
-// core.TestCellLayout allows a one-word value.
+// TestLinkLayout pins what a chain link costs: it is one 8-byte word with
+// no cell behind it, a node is its key, value and link, and a committed put
+// over an existing key — a node slot, a descriptor entry, a deferred
+// unlink, all reused — allocates nothing.
 func TestLinkLayout(t *testing.T) {
-	if s := unsafe.Sizeof(ref[uint64]{}); s != 8 {
-		t.Errorf("ref is %d bytes, want 8", s)
+	if s := unsafe.Sizeof(core.Word{}); s != 8 {
+		t.Errorf("a link is %d bytes, want 8", s)
 	}
-	const links = 1024
-	slots := make([]core.CASObj[ref[uint64]], links)
-	n := &node[uint64]{}
-	// TotalAlloc counts every goroutine's allocations, and another
-	// goroutine's can only add to a reading, never subtract: the smallest
-	// of a few readings is the loop's own.
-	per := ^uint64(0)
-	for range 5 {
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		for i := range slots {
-			slots[i].Init(marked(n))
+	if s := unsafe.Sizeof(node[uint64]{}); s != 24 {
+		t.Errorf("node[uint64] is %d bytes, want 24", s)
+	}
+	m, tx, h := pooledMap(t)
+	put := func(k uint64) {
+		h.Enter()
+		if err := tx.RunRetry(func() error { m.Put(tx, k, k); return nil }); err != nil {
+			t.Fatal(err)
 		}
-		runtime.ReadMemStats(&m1)
-		per = min(per, (m1.TotalAlloc-m0.TotalAlloc)/links)
+		h.Exit()
 	}
-	if per != 16 {
-		t.Errorf("a link's value cell is %d bytes, want 16", per)
+	for k := uint64(0); k < 64; k++ {
+		put(k)
 	}
-	runtime.KeepAlive(slots)
+	i := uint64(0)
+	allocs := testing.AllocsPerRun(2000, func() {
+		i++
+		put(i % 64)
+	})
+	if allocs != 0 {
+		t.Errorf("a committed put over an existing key allocates %.3f objects, want 0", allocs)
+	}
 }
 
 func TestLinkEncoding(t *testing.T) {
-	n := &node[uint64]{key: 7}
 	for _, c := range []struct {
-		name string
-		r    ref[uint64]
-		node *node[uint64]
-		mark bool
+		name   string
+		l      uint32
+		target uint32
+		mark   bool
 	}{
-		{"link(nil)", link[uint64](nil), nil, false},
-		{"link(n)", link(n), n, false},
-		{"marked(nil)", marked[uint64](nil), nil, true},
-		{"marked(n)", marked(n), n, true},
+		{"link(0)", link(0), 0, false},
+		{"link(7)", link(7), 7, false},
+		{"deleted(0)", deleted(0), 0, true},
+		{"deleted(7)", deleted(7), 7, true},
+		{"link(max)", link(1<<31 - 1), 1<<31 - 1, false},
 	} {
-		if c.r.node() != c.node || c.r.mark() != c.mark {
-			t.Errorf("%s decodes to (%p, %v), want (%p, %v)", c.name, c.r.node(), c.r.mark(), c.node, c.mark)
+		if target(c.l) != c.target || isDeleted(c.l) != c.mark {
+			t.Errorf("%s decodes to (%d, %v), want (%d, %v)", c.name, target(c.l), isDeleted(c.l), c.target, c.mark)
 		}
 	}
-	if link[uint64](nil) != (ref[uint64]{}) {
-		t.Error("the unmarked nil link is not the zero ref: a never-written slot would not read as an empty chain")
+	if link(0) != 0 {
+		t.Error("the unmarked nil link is not the zero payload: a never-written bucket would not read as an empty chain")
 	}
-	if marked[uint64](nil) == link[uint64](nil) || marked(n) == link(n) {
+	if deleted(0) == link(0) || deleted(7) == link(7) {
 		t.Error("a marked link compares equal to its unmarked form: a CAS expecting an unmarked link could change a marked one")
 	}
 }
 
 // TestMarkedLinkKeepsReplacementAlive stops a replace of the tail node
 // between its linearizing CAS and its unlink, where the replacement hangs
-// off the list by nothing but its victim's marked link — an address one
-// byte inside it — and has the collector run. The node must survive: the
-// collector has to see that word as a pointer into the node.
+// off the chain by nothing but its victim's marked link, and has the
+// collector run and the allocator hand out slots. The replacement's slot
+// must stay its own: no later allocation may return it, and the chain must
+// read through the marked link to it.
 func TestMarkedLinkKeepsReplacementAlive(t *testing.T) {
-	var l chain[uint64]
-	l.Put(nil, 1, 10)
-	l.Put(nil, 2, 20)
+	mgr := core.NewTxManager()
+	m := NewMap[uint64](mgr, 1)
+	m.Put(nil, 1, 10)
+	m.Put(nil, 2, 20)
 
-	var collected atomic.Bool
-	func() { // its own frame, so no stack slot keeps the replacement alive
-		r := l.find(nil, 2)
-		nn := newNode[uint64](nil, 2, 21, link(r.next))
-		runtime.SetFinalizer(nn, func(*node[uint64]) { collected.Store(true) })
-		if !r.curr.next.NbtcCAS(nil, link(r.next), marked(nn), true, true) {
-			t.Fatal("uncontended replace CAS failed")
-		}
-	}()
+	r := m.find(nil, 2)
+	nn := m.newNode(nil, 2, 21, link(r.next))
+	if !m.slab.at(r.curr).next.NbtcCAS(nil, link(r.next), deleted(nn), true, true) {
+		t.Fatal("uncontended replace CAS failed")
+	}
 	for i := 0; i < 3; i++ {
 		runtime.GC()
 	}
-	if collected.Load() {
-		t.Fatal("the replacement was collected while its victim's marked link still led to it")
+	for i := 0; i < 4*chunkLen; i++ {
+		if got := m.slots.Get(nil); got == nn {
+			t.Fatalf("allocation %d handed out slot %d, which the replacement still occupies", i, nn)
+		}
 	}
-	if v, ok := l.Get(nil, 2); !ok || v != 21 { // unlinks the victim on its way
+	if v, ok := m.Get(nil, 2); !ok || v != 21 { // unlinks the victim on its way
 		t.Fatalf("Get(2) = %d, %v after the replace; want 21, true", v, ok)
 	}
-	if n := l.Len(); n != 2 {
+	if n := m.Len(); n != 2 {
 		t.Fatalf("chain holds %d keys, want 2", n)
 	}
-	if v, ok := l.Remove(nil, 2); !ok || v != 21 { // the tail: a marked nil link
+	if v, ok := m.Remove(nil, 2); !ok || v != 21 { // the tail: a marked nil link
 		t.Fatalf("Remove(2) = %d, %v; want 21, true", v, ok)
 	}
-	runtime.GC()
-	if _, ok := l.Get(nil, 2); ok || l.Len() != 1 {
+	if _, ok := m.Get(nil, 2); ok || m.Len() != 1 {
 		t.Fatal("removed tail still present")
+	}
+}
+
+// TestRecycledSlotNeverValidatesStaleWitness has a reader witness key 5's
+// link, then a writer remove key 5, wait out the grace period and reuse
+// the very slot for key 6, whose link holds the same payload (the nil
+// link) as the one witnessed. The reader keeps no critical section — its
+// witness outlives the grace period, as one in a stale published read set
+// does — so only the counter its slot's Init advanced can tell the two
+// lives apart: the reader's commit must fail.
+func TestRecycledSlotNeverValidatesStaleWitness(t *testing.T) {
+	mgr := core.NewTxManager()
+	m := NewMap[uint64](mgr, 1)
+	writer := mgr.Register()
+	h := ebr.New(1).Register()
+	writer.SetSMR(h)
+	write := func(body func()) {
+		h.Enter()
+		if err := writer.RunRetry(func() error { body(); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		h.Exit()
+	}
+	write(func() { m.Insert(writer, 5, 50) })
+	slot := m.find(nil, 5).curr
+
+	reader := mgr.Register()
+	reader.Begin()
+	if v, ok := m.Get(reader, 5); !ok || v != 50 {
+		t.Fatalf("reader Get(5) = %d, %v", v, ok)
+	}
+
+	write(func() { m.Remove(writer, 5) })
+	for i := 0; i < 4; i++ {
+		h.TryAdvance()
+	}
+	write(func() { m.Insert(writer, 6, 60) })
+	if got := m.find(nil, 6).curr; got != slot {
+		t.Fatalf("key 6 went to slot %d, not key 5's recycled slot %d: the test did not reach its case", got, slot)
+	}
+	if reader.ValidateReads() {
+		t.Error("a witness of key 5's link validates against the recycled slot now holding key 6")
+	}
+	if err := reader.End(); !errors.Is(err, core.ErrTxAborted) {
+		t.Errorf("reader End = %v, want ErrTxAborted", err)
 	}
 }
 
@@ -111,10 +159,10 @@ func TestMarkedLinkKeepsReplacementAlive(t *testing.T) {
 // its neighbours' links flip between node, marked node, nil and marked nil
 // — while the collector runs back to back. Each worker is its key's only
 // writer and so knows what every one of its operations must return; a lost
-// node, a duplicated key or a link the collector mistook for an integer
-// shows up as a wrong answer, under -race as a checkptr or race report.
-// Unpooled, unlinked nodes are the collector's to free; pooled, they come
-// back through ResetForReuse and the never-written-slot rule.
+// node, a duplicated key or a slot reused before its grace period shows up
+// as a wrong answer, under -race as a race report. Both ways the workers
+// hold EBR handles, so unlinked slots come back through the grace period
+// and Init; pooled, the transactions' read sets recycle too.
 func TestLinkStorm(t *testing.T) {
 	const (
 		stable  = 4
@@ -218,5 +266,119 @@ func TestLinkStorm(t *testing.T) {
 				t.Errorf("chain holds %d keys, want %d", want, stable+workers)
 			}
 		})
+	}
+}
+
+// TestAbortedInsertReturnsItsSlot aborts thousands of transactions that
+// insert a fresh key: each takes a node slot and links it speculatively,
+// and the abort must give the slot back, or the slab grows by one node per
+// abort for ever. It runs without an SMR handle, like a plain Tx.
+func TestAbortedInsertReturnsItsSlot(t *testing.T) {
+	mgr := core.NewTxManager()
+	m := NewMap[uint64](mgr, 64)
+	tx := mgr.Register()
+	for i := uint64(0); i < 4*chunkLen; i++ {
+		err := tx.Run(func() error {
+			m.Insert(tx, i, i)
+			m.Put(tx, i+1<<32, i)
+			tx.Abort()
+			return nil
+		})
+		if !errors.Is(err, core.ErrTxAborted) {
+			t.Fatalf("Run = %v, want ErrTxAborted", err)
+		}
+	}
+	if n := len(*m.slab.dir.Load()); n != 1 {
+		t.Errorf("%d aborted inserts grew the slab to %d chunks, want 1", 4*chunkLen, n)
+	}
+	if m.Len() != 0 {
+		t.Errorf("aborted inserts left %d keys", m.Len())
+	}
+}
+
+// TestTxsOfTwoManagersKeepTheirOwnSlots has transactions of two managers —
+// both their first Tx, so both tid 0 — insert into one map at once. Each
+// must draw node slots from a cache of its own: a shared one would hand
+// both the same slot, and a key would lose its node.
+func TestTxsOfTwoManagersKeepTheirOwnSlots(t *testing.T) {
+	m := NewMap[uint64](core.NewTxManager(), 1<<10)
+	dom := ebr.New(4)
+	const keys = 2000
+	var wg sync.WaitGroup
+	for w := uint64(0); w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tx := core.NewTxManager().Register()
+			h := dom.Register()
+			tx.SetSMR(h)
+			for k := w; k < 2*keys; k += 2 {
+				h.Enter()
+				if err := tx.RunRetry(func() error { m.Put(tx, k, k); return nil }); err != nil {
+					t.Error(err)
+				}
+				h.Exit()
+			}
+		}()
+	}
+	wg.Wait()
+	for k := uint64(0); k < 2*keys; k++ {
+		if v, ok := m.Get(nil, k); !ok || v != k {
+			t.Fatalf("Get(%d) = %d, %v; want %d, true", k, v, ok, k)
+		}
+	}
+}
+
+// TestDroppedTxHoldsNoMap writes a map of 2^20 buckets — 8 MB of heads —
+// through a Tx and drops both. The Tx's descriptor has installed words, so
+// it is kept for the life of the process (core's wordDescs), and it must
+// let go of what its last transaction touched: its entries' slots and its
+// published read set both point into the map's heads.
+func TestDroppedTxHoldsNoMap(t *testing.T) {
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	func() {
+		tx := core.NewTxManager().Register()
+		m := NewMap[uint64](tx.Manager(), 1<<20)
+		err := tx.RunRetry(func() error { // two writes: the full commit, which publishes
+			m.Get(tx, 3)
+			m.Put(tx, 1, 1)
+			m.Put(tx, 2, 2)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}()
+	if held := int64(heap()) - int64(before); held > 1<<20 {
+		t.Errorf("a dropped 8 MB map still holds %.1f MB after its Tx was dropped too", float64(held)/(1<<20))
+	}
+}
+
+// TestUnpooledTxRecyclesSlots replaces 64 keys over and over through a Tx
+// whose manager does not pool (as in medley-hash-nopool) but which has an
+// EBR handle: every put unlinks a node, and its slot must come back, so the
+// slab stays at one chunk instead of growing a node per put.
+func TestUnpooledTxRecyclesSlots(t *testing.T) {
+	mgr := core.NewTxManager()
+	m := NewMap[uint64](mgr, 64)
+	tx := mgr.Register()
+	h := ebr.New(64).Register()
+	tx.SetSMR(h)
+	const puts = 32 * chunkLen
+	for i := uint64(0); i < puts; i++ {
+		h.Enter()
+		if err := tx.RunRetry(func() error { m.Put(tx, i%64, i); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		h.Exit()
+	}
+	if n := len(*m.slab.dir.Load()); n != 1 {
+		t.Errorf("%d puts over 64 keys grew the slab to %d chunks, want 1", puts, n)
 	}
 }

@@ -9,11 +9,18 @@ import (
 // Map is Michael's chained hash table: a fixed array of NBTC-transformed
 // lock-free lists. The paper's microbenchmark uses 1M buckets for a 1M key
 // space; the bucket count is fixed at construction, as in the original.
+//
+// A bucket head is one bare core.Word and a node lives in the map's slab,
+// so a key costs a 24-byte node plus its share of the heads (8 bytes a
+// bucket) and the collector has nothing to mark inside the table but the
+// slab's chunks (DESIGN.md, "Word link (mhash)").
 type Map[V any] struct {
-	buckets []chain[V]
+	buckets []core.Word
 	skip    uint // product bits above the bucket field, spent by a partitioner
 	shift   uint // 64 - log2(len(buckets))
 	mgr     *core.TxManager
+	slab    slab[V]
+	slots   core.Slots
 }
 
 // NewMap creates a table with at least nBuckets buckets (rounded up to a
@@ -32,12 +39,14 @@ func NewMapShard[V any](mgr *core.TxManager, nBuckets int, shardBits uint) *Map[
 	for n < nBuckets {
 		n <<= 1
 	}
-	return &Map[V]{
-		buckets: make([]chain[V], n),
+	m := &Map[V]{
+		buckets: make([]core.Word, n),
 		skip:    shardBits,
 		shift:   uint(64 - bits.Len(uint(n-1))),
 		mgr:     mgr,
 	}
+	m.slots.Init(m.slab.grow)
+	return m
 }
 
 // Manager returns the TxManager this map participates in.
@@ -63,41 +72,14 @@ func (m *Map[V]) hash(key uint64) uint64 {
 // diagnostics of the hash's spread.
 func (m *Map[V]) BucketOf(key uint64) int { return int(m.hash(key)) }
 
-func (m *Map[V]) bucket(key uint64) *chain[V] {
+func (m *Map[V]) bucket(key uint64) *core.Word {
 	return &m.buckets[m.hash(key)]
-}
-
-// Get returns the value bound to key.
-func (m *Map[V]) Get(tx *core.Tx, key uint64) (V, bool) {
-	return m.bucket(key).Get(tx, key)
-}
-
-// Contains reports whether key is present.
-func (m *Map[V]) Contains(tx *core.Tx, key uint64) bool {
-	return m.bucket(key).Contains(tx, key)
-}
-
-// Put binds key to val, returning the previous value if the key existed.
-func (m *Map[V]) Put(tx *core.Tx, key uint64, val V) (V, bool) {
-	return m.bucket(key).Put(tx, key, val)
-}
-
-// Insert adds key only if absent.
-func (m *Map[V]) Insert(tx *core.Tx, key uint64, val V) bool {
-	return m.bucket(key).Insert(tx, key, val)
-}
-
-// Remove deletes key, returning the removed value.
-func (m *Map[V]) Remove(tx *core.Tx, key uint64) (V, bool) {
-	return m.bucket(key).Remove(tx, key)
 }
 
 // Len counts entries; not linearizable, for tests and diagnostics.
 func (m *Map[V]) Len() int {
 	n := 0
-	for i := range m.buckets {
-		n += m.buckets[i].Len()
-	}
+	m.Range(func(uint64, V) bool { n++; return true })
 	return n
 }
 
@@ -105,15 +87,7 @@ func (m *Map[V]) Len() int {
 // order, then key order within a bucket), stopping if fn returns false.
 func (m *Map[V]) Range(fn func(key uint64, val V) bool) {
 	for i := range m.buckets {
-		stop := false
-		m.buckets[i].Range(func(k uint64, v V) bool {
-			if !fn(k, v) {
-				stop = true
-				return false
-			}
-			return true
-		})
-		if stop {
+		if !m.chainRange(&m.buckets[i], fn) {
 			return
 		}
 	}

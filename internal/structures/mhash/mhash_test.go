@@ -10,9 +10,12 @@ import (
 	"medley/internal/core"
 )
 
+// The list tests run on a one-bucket map: its one chain is the whole of
+// Michael's list.
+
 func TestListSequentialBasics(t *testing.T) {
 	mgr := core.NewTxManager()
-	l := NewList[string](mgr)
+	l := NewMap[string](mgr, 1)
 	if _, ok := l.Get(nil, 5); ok {
 		t.Fatal("empty list Get found something")
 	}
@@ -47,7 +50,7 @@ func TestListSequentialBasics(t *testing.T) {
 
 func TestListSortedOrder(t *testing.T) {
 	mgr := core.NewTxManager()
-	l := NewList[int](mgr)
+	l := NewMap[int](mgr, 1)
 	for _, k := range []uint64{9, 1, 7, 3, 5} {
 		l.Put(nil, k, int(k))
 	}

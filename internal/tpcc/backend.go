@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"medley/internal/core"
+	"medley/internal/ebr"
 	"medley/internal/kv"
 	"medley/internal/montage"
 	"medley/internal/onefile"
@@ -79,15 +80,19 @@ func (cn *Conn) put(r Row) uint64 { return cn.aw.put(r) }
 // transaction whatever the structure choice — including hash-partitioned
 // tables, whose cross-shard reads and writes stay strictly serializable
 // for free.
+//
+// Workers hold EBR handles, so a hash table reuses the node slots they
+// unlink; cells are not pooled.
 type KVBackend struct {
 	mgr    *core.TxManager
+	smr    *ebr.Manager
 	tables [NumTables]kv.TxMap
 }
 
 // NewKVBackend creates a backend whose tables are the named registry
 // structure, partitioned over shards instances per table when shards > 1.
 func NewKVBackend(structure string, shards int) (*KVBackend, error) {
-	b := &KVBackend{mgr: core.NewTxManager()}
+	b := &KVBackend{mgr: core.NewTxManager(), smr: ebr.New(256)}
 	for i := range b.tables {
 		s, err := kv.NewShardedNamed(structure, shards, kv.Options{Mgr: b.mgr, Buckets: 1 << 16})
 		if err != nil {
@@ -117,7 +122,8 @@ func (b *KVBackend) Manager() *core.TxManager { return b.mgr }
 
 // NewWorker implements Backend.
 func (b *KVBackend) NewWorker() Worker {
-	w := &kvWorker{tx: b.mgr.Register()}
+	w := &kvWorker{tx: b.mgr.Register(), h: b.smr.Register()}
+	w.tx.SetSMR(w.h)
 	for i := range b.tables {
 		w.tables[i] = kv.Bind(b.tables[i], w.tx)
 	}
@@ -129,10 +135,15 @@ func (b *KVBackend) NewWorker() Worker {
 // handle.
 type kvWorker struct {
 	tx     *core.Tx
+	h      *ebr.Handle // nil on a MontageBackend
 	tables [NumTables]kv.TxMap
 }
 
 func (w *kvWorker) Run(body func(Ctx) error) error {
+	if w.h != nil {
+		w.h.Enter()
+		defer w.h.Exit()
+	}
 	return w.tx.RunRetry(func() error { return body(w) })
 }
 

@@ -94,7 +94,9 @@ type (
 	Queue[V any] = msqueue.Queue[V]
 )
 
-// NewHashMap creates a hash table with at least nBuckets buckets.
+// NewHashMap creates a hash table with at least nBuckets buckets. Its
+// nodes live in slabs: the slot of a node a transaction unlinks is reused
+// only if that Tx has an EBR handle (Tx.SetSMR).
 func NewHashMap[V any](mgr *TxManager, nBuckets int) *HashMap[V] {
 	return mhash.NewMap[V](mgr, nBuckets)
 }
