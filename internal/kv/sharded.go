@@ -4,6 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"medley/internal/core"
 	"medley/internal/structures/mhash"
@@ -116,6 +119,49 @@ func shardIndex(key, mask uint64) int {
 
 func (s *ShardedStore) shard(key uint64) TxMap {
 	return s.shards[shardIndex(key, s.mask)]
+}
+
+// Load puts key → key for every key, on GOMAXPROCS workers. The keys are
+// split into parts by the top bits of key × shardMul, the product a shard
+// and a hash shard's bucket are chosen by: a part is a shard, several
+// shards in a store of more than maxLoadParts, or a bucket range of one
+// when workers outnumber shards. Each worker takes whole parts and loads
+// one in a pass over all the keys, putting the ones that fall in it in
+// the caller's order. A hash part's heads and the nodes it links then
+// stay in one core's cache for the pass, where a load in key order would
+// jump through every shard for every key. Every put is the bare,
+// linearizable Put. keys is read, never written or copied.
+func (s *ShardedStore) Load(keys []uint64) {
+	workers := runtime.GOMAXPROCS(0)
+	partBits := loadPartBits(uint(bits.Len64(s.mask)), workers)
+	var next atomic.Uint64
+	var wg sync.WaitGroup
+	for range min(workers, 1<<partBits) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for p := next.Add(1) - 1; p < 1<<partBits; p = next.Add(1) - 1 {
+				for _, k := range keys {
+					if k*shardMul>>(64-partBits) == p {
+						s.shard(k).Put(nil, k, k)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// maxLoadParts caps the parts a load splits keys into beyond what its
+// workers need, and with them the passes over the keys: a store of more
+// shards than this loads several in each part.
+const maxLoadParts = 16
+
+// loadPartBits is how many top product bits a Load over a store of
+// 2^shardBits shards splits keys by: one part a shard, up to
+// maxLoadParts, and at least one part a worker.
+func loadPartBits(shardBits uint, workers int) uint {
+	return max(min(shardBits, uint(bits.Len(maxLoadParts-1))), uint(bits.Len(uint(workers-1))))
 }
 
 // Get implements TxMap.

@@ -264,3 +264,22 @@ func TestCrossShardBatchAtomicity(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadPartBitsBoundsPasses pins how many parts, and so passes over
+// the keys, a Load makes: one part a shard up to maxLoadParts, and one a
+// worker when workers outnumber them. A store of many shards must not
+// cost a pass per shard.
+func TestLoadPartBitsBoundsPasses(t *testing.T) {
+	for _, c := range []struct {
+		shardBits uint
+		workers   int
+		want      uint
+	}{
+		{0, 1, 0}, {0, 2, 1}, {0, 3, 2}, {3, 1, 3}, {3, 2, 3}, {3, 16, 4},
+		{4, 2, 4}, {10, 2, 4}, {10, 64, 6},
+	} {
+		if got := loadPartBits(c.shardBits, c.workers); got != c.want {
+			t.Errorf("loadPartBits(%d shard bits, %d workers) = %d, want %d", c.shardBits, c.workers, got, c.want)
+		}
+	}
+}

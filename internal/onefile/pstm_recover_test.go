@@ -1,6 +1,7 @@
 package onefile
 
 import (
+	"errors"
 	"testing"
 
 	"medley/internal/pmem"
@@ -65,7 +66,7 @@ func TestPMapRecoverKVRoundTrip(t *testing.T) {
 func TestPMapRecoverKVDropsAbortedWrites(t *testing.T) {
 	p, pm := newTestPMap(t)
 	pmapPut(t, p, pm, 1, 11)
-	sentinel := ErrAborted
+	sentinel := errors.New("body aborts")
 	if err := p.WriteTx(func(tx *Tx) error {
 		pm.Put(tx, 2, 22)
 		return sentinel

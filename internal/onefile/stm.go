@@ -23,10 +23,7 @@
 // mechanism and is noted in DESIGN.md.)
 package onefile
 
-import (
-	"errors"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // pair is an immutable (value, sequence) version of a word.
 type pair[T any] struct {
@@ -101,9 +98,6 @@ type desc struct {
 
 // restartSignal unwinds a transaction body whose snapshot became stale.
 type restartSignal struct{}
-
-// ErrAborted is returned when a transaction body asks to abort.
-var ErrAborted = errors.New("onefile: transaction aborted")
 
 // STM is one OneFile instance: a global sequence and an announce slot.
 type STM struct {

@@ -11,8 +11,6 @@ package store
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"medley/internal/cdc"
@@ -169,23 +167,12 @@ func (s *System) Start() (stop func()) {
 	}
 }
 
-// Preload inserts the initial key-value pairs: one contiguous range of
-// keys per CPU, loaded concurrently (a Put outside a transaction is the
-// structure's own lock-free insert).
+// Preload inserts the initial key-value pairs, key → key, through the
+// store's bulk load (kv.ShardedStore.Load): GOMAXPROCS workers each take
+// whole shards, or bucket ranges of one, and fill them with the
+// structure's own lock-free insert (a Put outside a transaction).
 func (s *System) Preload(keys []uint64) {
-	n := runtime.GOMAXPROCS(0)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		part := keys[len(keys)*i/n : len(keys)*(i+1)/n]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for _, k := range part {
-				s.m.Put(nil, k, k)
-			}
-		}()
-	}
-	wg.Wait()
+	s.sh.Load(keys)
 }
 
 // worker drives a bound TxMap: it is the kv.Executor System and
