@@ -293,8 +293,9 @@ func retireCell[T comparable](tx *Tx, c *cell[T]) {
 	a.pending = append(a.pending, c)
 	// The batch ships at this Tx's next settle. A displacement outside any
 	// transaction (deferred unlinks run post-settle, helping during bare
-	// ops) just waits in pending until the Tx transacts again — the grace
-	// clock starts later than necessary, which is always safe.
+	// ops) just waits in pending until the Tx transacts again, or closes
+	// its run of bare ops (SettleBare) — the grace clock starts later than
+	// necessary, which is always safe.
 }
 
 // freeCell returns a never-published cell directly to tx's arena.

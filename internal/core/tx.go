@@ -626,3 +626,17 @@ func (tx *Tx) Retire(free func()) {
 	}
 	tx.cleanups = append(tx.cleanups, cleanupEntry{free: free})
 }
+
+// SettleBare closes a run of bare operations on tx — operations outside
+// any transaction — the way a settle closes a transaction: the cells they
+// displaced and the slab indexes they unlinked wait in tx's pools for a
+// settle, which a run of bare operations never reaches, so they go to the
+// SMR domain now, and the pools' counters fold into the statistics.
+func (tx *Tx) SettleBare() {
+	if tx.InTx() {
+		panic("medley: SettleBare inside an open transaction")
+	}
+	for _, p := range tx.pools {
+		p.settle(tx, true)
+	}
+}

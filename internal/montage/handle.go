@@ -21,7 +21,7 @@ type Handle struct {
 	tx  *core.Tx
 
 	txEpoch uint64
-	active  atomic.Uint64 // epoch<<1 | 1 while a transaction is open
+	active  atomic.Uint64 // epoch<<1 | 1 while a transaction or BeginOp section is open
 
 	mu      sync.Mutex
 	pending []flushRange
@@ -93,11 +93,36 @@ func (h *Handle) drainUpTo(e uint64) []flushRange {
 	return out
 }
 
-// opEpoch returns the epoch this payload work belongs to: the transaction's
-// begin epoch inside a transaction (commit validates it), else the current
-// clock.
+// BeginOp opens a run of non-transactional operations on h, nbMontage's
+// BEGIN_OP: it announces the epoch they run in, so the payloads they create
+// and kill are stamped with an epoch the advancer cannot write back and
+// record as persisted before EndOp. The announcement is re-checked against
+// the clock (the advancer bumps the clock, then waits out every handle
+// announcing an older epoch), so one of the two always sees the other. A
+// transaction needs none of this: its commit validates its begin epoch.
+// A persistence-off handle announces nothing.
+func (h *Handle) BeginOp() {
+	if h.noPersist {
+		return
+	}
+	for {
+		e := h.sys.epoch.Load()
+		h.txEpoch = e
+		h.active.Store(e<<1 | 1)
+		if h.sys.epoch.Load() == e {
+			return
+		}
+	}
+}
+
+// EndOp closes the run of operations BeginOp opened.
+func (h *Handle) EndOp() { h.active.Store(0) }
+
+// opEpoch returns the epoch this payload work belongs to: the announced
+// one inside a transaction (its begin epoch, which commit validates) or a
+// BeginOp section, else the current clock.
 func (h *Handle) opEpoch() uint64 {
-	if !h.noPersist && h.tx.InTx() {
+	if h.active.Load()&1 == 1 {
 		return h.txEpoch
 	}
 	return h.sys.epoch.Load()

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"medley/internal/core"
 	"medley/internal/structures/mhash"
@@ -55,6 +56,36 @@ func TestUnsyncedEpochLost(t *testing.T) {
 	rec := sys.CrashAndRecover()
 	if len(rec) != 1 || rec[0].Key != 1 {
 		t.Fatalf("recovered %v, want only key 1", rec)
+	}
+}
+
+// Non-transactional operations in a BeginOp section belong to the epoch
+// the section announced, and the advancer cannot persist that epoch before
+// EndOp: it waits the section out, and a crash after it recovers the
+// section's put and delete.
+func TestOpSectionHoldsItsEpoch(t *testing.T) {
+	sys, st, mgr := newStore(t)
+	h := sys.Wrap(mgr.Register())
+	_ = RunOp(h, func() error { st.Put(h, 1, 100); return nil })
+	sys.Sync()
+	h.BeginOp()
+	e := sys.Epoch()
+	done := make(chan uint64)
+	go func() { done <- sys.Advance() }()
+	st.Put(h, 2, 200)
+	st.Remove(h, 1)
+	select {
+	case p := <-done:
+		t.Fatalf("Advance persisted epoch %d with a section of epoch %d open", p, e)
+	case <-time.After(20 * time.Millisecond):
+	}
+	h.EndOp()
+	if p := <-done; p != e {
+		t.Fatalf("Advance persisted epoch %d, want the section's %d", p, e)
+	}
+	rec := sys.CrashAndRecover()
+	if len(rec) != 1 || rec[0].Key != 2 || rec[0].Data[0] != 200 {
+		t.Fatalf("recovered %v, want only key 2 = 200", rec)
 	}
 }
 

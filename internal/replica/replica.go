@@ -1,19 +1,22 @@
 // Package replica is the follower half of the replication subsystem: it
 // bootstraps every shard from one streamed fuzzy snapshot of the leader
-// (GET /v1/snapshot), applied through a pipeline of concurrent batches,
+// (GET /v1/snapshot), loaded through a pipeline of concurrent chunks,
 // then replays the commit-ordered change feed (GET /v1/watch) per shard
 // with gap and reorder detection, and tracks per-shard replay lag so the
 // serving layer can enforce a bounded-staleness read contract.
 //
-// The follower does not own a store: it applies entries through the
-// Apply seam. service.Node runs each Apply as one transaction on an
-// executor of its own store with the node's change feed attached — not
-// through the node's client pipeline, so replay waits for no tick and no
-// admission slot — and a follower's own feed is populated as it replays:
-// a promoted follower is immediately followable. Replay is
-// idempotent: feed values are absolute post-states, so re-applying a
-// chunk after a reconnect, or double-applying writes a fuzzy snapshot
-// already contained, converges (last writer wins).
+// The follower does not own a store: it writes through two seams. Load
+// takes a bootstrap's chunks, whose keys are distinct and unread until
+// Ready, so nothing in one needs to be atomic: service.Node runs each as
+// the structure's bare linearizable operations, outside any transaction.
+// Apply takes a watch chunk, which is a run of commits: service.Node runs
+// it as one transaction. Both run on executors of the node's own store
+// with its change feed attached — not through the node's client pipeline,
+// so replay waits for no tick and no admission slot — and a follower's own
+// feed is populated as it replays: a promoted follower is immediately
+// followable. Replay is idempotent: feed values are absolute post-states,
+// so re-applying a chunk after a reconnect, or double-applying writes a
+// fuzzy snapshot already contained, converges (last writer wins).
 package replica
 
 import (
@@ -43,19 +46,26 @@ type Config struct {
 	// against the leader's reported count and refuses to apply on
 	// mismatch (the shard routing would scatter keys).
 	Shards int
-	// Apply runs one batch of replay writes (puts and deletes only)
-	// atomically against the local store, and must be safe for concurrent
-	// use. Stream replay issues one Apply per shard at a time, in feed
-	// order — per-key order is per-shard order. A bootstrap keeps up to
-	// applyInFlight calls running at once, in no order: its batches touch
-	// disjoint keys (a snapshot's keys are distinct, and the stale-key
-	// deletes are exactly the local keys it lacks), so they commute, and no
-	// stream of a shard being bootstrapped runs until they all returned.
-	// Those calls are all the follower keeps out, so Apply should return
-	// as soon as its batch has committed: one queued behind other work (a
-	// batching tick, a full admission pool) stalls the bootstrap and
-	// delays every watch chunk by its wait.
+	// Apply runs one watch chunk (puts and deletes only) atomically
+	// against the local store, and must be safe for concurrent use, with
+	// itself and with Load. Stream replay issues one Apply per shard at a
+	// time, in feed order — per-key order is per-shard order. Apply should
+	// return as soon as its chunk has committed: one queued behind other
+	// work (a batching tick, a full admission pool) delays every later
+	// chunk of its shard by its wait.
 	Apply func(ops []kv.Op) error
+	// Load writes one bootstrap chunk (puts and deletes only) into the
+	// local store. It need not be atomic: each op may take effect on its
+	// own, as a linearizable operation. A bootstrap keeps up to
+	// loadInFlight calls running at once, in no order, beside other
+	// shards' Apply calls. Its chunks touch keys nothing else writes: a
+	// snapshot's keys are distinct, the stale-key deletes are exactly the
+	// local keys it lacks, no stream of a shard being bootstrapped runs
+	// until every Load returned, and other shards' streams hold other
+	// keys. Nothing reads them either, until the shards are Ready: a
+	// follower serves no reads before. Those calls are all the bootstrap
+	// waits on, so Load should return as soon as its chunk is written.
+	Load func(ops []kv.Op) error
 	// Scan, when non-nil, enumerates the local store's live keys in one
 	// feed shard, or in all of them for AllShards. Bootstraps over existing
 	// state use it to delete keys the fresh snapshot no longer contains (a
@@ -132,8 +142,8 @@ var errCompacted = fmt.Errorf("replica: cursor compacted")
 // goroutine per feed shard. It returns immediately; an unreachable leader
 // is retried until Stop (the follower may legitimately start first).
 func Start(cfg Config) (*Follower, error) {
-	if cfg.Leader == "" || cfg.Shards <= 0 || cfg.Apply == nil {
-		return nil, fmt.Errorf("replica: Leader, Shards and Apply are required")
+	if cfg.Leader == "" || cfg.Shards <= 0 || cfg.Apply == nil || cfg.Load == nil {
+		return nil, fmt.Errorf("replica: Leader, Shards, Apply and Load are required")
 	}
 	if cfg.Client == nil {
 		cfg.Client = &http.Client{}
@@ -324,51 +334,52 @@ func (f *Follower) get(path string, gone error) (*http.Response, error) {
 	return resp, nil
 }
 
-// applyBatchMax bounds one Apply call (stays under the service layer's
+// chunkMax bounds one Apply or Load call (stays under the service layer's
 // per-request op limit).
-const applyBatchMax = SnapshotChunkKeys
+const chunkMax = SnapshotChunkKeys
 
-// applyInFlight is how many bootstrap Apply calls run at once while the
-// next chunk is read. A node's Apply is one transaction on one of its
+// loadInFlight is how many bootstrap Load calls run at once while the
+// next chunk is read. A node's Load is a chunk of bare puts on one of its
 // replay executors (one per service worker), so the calls overlap the
 // stream and each other but wait for nothing else. Measured with two
-// executors on two CPUs (EXPERIMENTS.md, "A follower applies at store
-// speed"): 1, 2, 4, 8 in flight bootstrap 2^17 keys in 41.8, 38.4, 40.1,
-// 37.9 ms at the medians of ten runs — one call at a time leaves an
-// executor idle, and from two up the ranges overlap. Eight also keeps a
-// wider node's executors busy; a batch in flight is 12 KB of ops.
-const applyInFlight = 8
+// executors on two CPUs (EXPERIMENTS.md, "A bootstrap chunk is a load"):
+// 1, 2, 4, 8 in flight bootstrap 2^17 keys in 38.5, 35.2, 32.6, 32.7 ms
+// at the medians of ten rotated runs. One call at a time leaves an
+// executor idle while the next chunk is parsed; from four up both
+// executors stay busy and the times tie. Eight keeps a node with up to
+// eight executors busy too, at 12 KB of ops per chunk in flight.
+const loadInFlight = 8
 
-// applyPipe keeps up to applyInFlight Apply calls running while its
-// owner fills the next batch.
-type applyPipe struct {
-	apply func([]kv.Op) error
-	free  chan []kv.Op // idle batch buffers; its capacity bounds the calls in flight
-	cur   []kv.Op
-	wg    sync.WaitGroup
-	err   atomic.Pointer[error] // first Apply failure
+// loadPipe keeps up to loadInFlight Load calls running while its
+// owner fills the next chunk.
+type loadPipe struct {
+	load func([]kv.Op) error
+	free chan []kv.Op // idle chunk buffers; its capacity bounds the calls in flight
+	cur  []kv.Op
+	wg   sync.WaitGroup
+	err  atomic.Pointer[error] // first Load failure
 }
 
-func newApplyPipe(apply func([]kv.Op) error) *applyPipe {
-	p := &applyPipe{apply: apply, free: make(chan []kv.Op, applyInFlight)}
-	for i := 0; i < applyInFlight; i++ {
-		p.free <- make([]kv.Op, 0, applyBatchMax)
+func newLoadPipe(load func([]kv.Op) error) *loadPipe {
+	p := &loadPipe{load: load, free: make(chan []kv.Op, loadInFlight)}
+	for i := 0; i < loadInFlight; i++ {
+		p.free <- make([]kv.Op, 0, chunkMax)
 	}
 	return p
 }
 
-// add appends op to the batch being filled, sending it off when full; it
-// blocks while applyInFlight batches are already out.
-func (p *applyPipe) add(op kv.Op) {
+// add appends op to the chunk being filled, sending it off when full; it
+// blocks while loadInFlight chunks are already out.
+func (p *loadPipe) add(op kv.Op) {
 	if p.cur == nil {
 		p.cur = <-p.free
 	}
-	if p.cur = append(p.cur, op); len(p.cur) == applyBatchMax {
+	if p.cur = append(p.cur, op); len(p.cur) == chunkMax {
 		p.flush()
 	}
 }
 
-func (p *applyPipe) flush() {
+func (p *loadPipe) flush() {
 	ops := p.cur
 	if p.cur = nil; len(ops) == 0 {
 		return
@@ -376,15 +387,15 @@ func (p *applyPipe) flush() {
 	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()
-		if err := p.apply(ops); err != nil {
+		if err := p.load(ops); err != nil {
 			p.err.CompareAndSwap(nil, &err)
 		}
 		p.free <- ops[:0]
 	}()
 }
 
-// failed returns the first Apply error so far.
-func (p *applyPipe) failed() error {
+// failed returns the first Load error so far.
+func (p *loadPipe) failed() error {
 	if e := p.err.Load(); e != nil {
 		return *e
 	}
@@ -394,7 +405,7 @@ func (p *applyPipe) failed() error {
 // bootstrap streams a fuzzy snapshot of shard (or AllShards) into the
 // local store: puts for every snapshot key as its chunk arrives, then
 // deletes for local keys the snapshot did not hold (via Scan). Only when
-// the trailer confirmed the stream complete and every Apply has returned
+// the trailer confirmed the stream complete and every Load has returned
 // does it set the replay cursors to the snapshot's anchors and mark the
 // shards ready — a cut or failed bootstrap publishes nothing and is
 // retried whole. Idempotent and safe over existing state.
@@ -438,7 +449,7 @@ func (f *Follower) bootstrap(shard int) error {
 		seen = make(map[uint64]struct{}, len(local))
 	}
 
-	pipe := newApplyPipe(f.cfg.Apply)
+	pipe := newLoadPipe(f.cfg.Load)
 	keys, err := f.readSnapshot(br, &long, pipe, seen)
 	if err == nil {
 		for _, k := range local {
@@ -472,10 +483,10 @@ func (f *Follower) bootstrap(shard int) error {
 
 // readSnapshot reads chunk lines up to the trailer, handing each one's
 // keys to pipe while the next line is read, and returns how many keys the
-// stream carried. It stops at the first Apply failure, at Stop, at a
+// stream carried. It stops at the first Load failure, at Stop, at a
 // malformed chunk line, and at a stream that ends early or whose trailer
 // disagrees with what arrived.
-func (f *Follower) readSnapshot(br *bufio.Reader, long *[]byte, pipe *applyPipe, seen map[uint64]struct{}) (uint64, error) {
+func (f *Follower) readSnapshot(br *bufio.Reader, long *[]byte, pipe *loadPipe, seen map[uint64]struct{}) (uint64, error) {
 	var nums []uint64
 	var keys uint64
 	for {
@@ -525,7 +536,7 @@ func (f *Follower) stream(shard int) error {
 	defer resp.Body.Close()
 
 	dec := json.NewDecoder(resp.Body)
-	ops := make([]kv.Op, 0, applyBatchMax)
+	ops := make([]kv.Op, 0, chunkMax)
 	for {
 		var c WatchChunk
 		if err := dec.Decode(&c); err != nil {

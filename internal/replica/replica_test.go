@@ -18,20 +18,23 @@ import (
 )
 
 // These tests run the follower against a scripted leader: an httptest
-// server speaking wire.go, and an in-memory map behind Apply and Scan.
+// server speaking wire.go, and an in-memory map behind Apply, Load and Scan.
 
 const testShards = 4
 
 func shardOf(key uint64) int { return int(key % testShards) }
 
-// memStore is the local store behind the follower's Apply/Scan seams.
+// memStore is the local store behind the follower's Apply, Load and Scan
+// seams. It counts the ops each write seam took.
 type memStore struct {
-	mu      sync.Mutex
-	m       map[uint64]uint64
-	applies int
-	// failAt, when positive, makes that Apply call (1-based) fail, once.
-	failAt  int
-	deleted []uint64
+	mu    sync.Mutex
+	m     map[uint64]uint64
+	calls int // Apply and Load calls
+	// failAt, when positive, makes that Apply or Load call (1-based) fail,
+	// once.
+	failAt          int
+	deleted         []uint64
+	applied, loaded int
 }
 
 func newMemStore(kvs ...uint64) *memStore {
@@ -44,12 +47,16 @@ func newMemStore(kvs ...uint64) *memStore {
 
 var errApply = errors.New("memStore: injected apply failure")
 
-func (s *memStore) apply(ops []kv.Op) error {
+func (s *memStore) apply(ops []kv.Op) error { return s.write(ops, &s.applied) }
+func (s *memStore) load(ops []kv.Op) error  { return s.write(ops, &s.loaded) }
+
+func (s *memStore) write(ops []kv.Op, count *int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.applies++; s.applies == s.failAt {
+	if s.calls++; s.calls == s.failAt {
 		return errApply
 	}
+	*count += len(ops)
 	for _, op := range ops {
 		switch op.Kind {
 		case kv.OpPut:
@@ -96,7 +103,9 @@ type fakeLeader struct {
 
 	mu      sync.Mutex
 	entries [testShards][]cdc.Entry // seq i+1 at index i
-	gone    [testShards]bool        // answer the next watch of the shard 410, once
+	// gone answers every watch of the shard 410 until the shard's snapshot
+	// is requested, as a real leader answers a compacted cursor.
+	gone [testShards]bool
 	// gate, when non-nil, holds every watch stream until it is closed.
 	gate chan struct{}
 }
@@ -105,6 +114,11 @@ func newFakeLeader(t *testing.T) *fakeLeader {
 	l := &fakeLeader{t: t}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/snapshot", func(w http.ResponseWriter, r *http.Request) {
+		if shard, err := strconv.Atoi(r.URL.Query().Get("shard")); err == nil {
+			l.mu.Lock()
+			l.gone[shard] = false
+			l.mu.Unlock()
+		}
 		l.snapshot(w, r, int(l.attempts.Add(1)))
 	})
 	mux.HandleFunc("GET /v1/watch", l.watch)
@@ -118,7 +132,6 @@ func (l *fakeLeader) watch(w http.ResponseWriter, r *http.Request) {
 	from, _ := strconv.ParseUint(r.URL.Query().Get("from"), 10, 64)
 	l.mu.Lock()
 	gone, gate := l.gone[shard], l.gate
-	l.gone[shard] = false
 	l.mu.Unlock()
 	if gone {
 		w.WriteHeader(http.StatusGone)
@@ -190,7 +203,7 @@ func pairs(n int) []uint64 {
 func startFollower(t *testing.T, l *fakeLeader, st *memStore) *Follower {
 	t.Helper()
 	f, err := Start(Config{
-		Leader: l.ts.URL, Shards: testShards, Apply: st.apply, Scan: st.scan, ProbeFails: -1,
+		Leader: l.ts.URL, Shards: testShards, Apply: st.apply, Load: st.load, Scan: st.scan, ProbeFails: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -322,8 +335,8 @@ func TestBootstrapShardsMismatchRefusedBeforeApply(t *testing.T) {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.applies != 0 || len(st.m) != 0 {
-		t.Errorf("%d applies, %d keys: a mismatched header must be refused before any Apply", st.applies, len(st.m))
+	if st.calls != 0 || len(st.m) != 0 {
+		t.Errorf("%d calls, %d keys: a mismatched header must be refused before any Load", st.calls, len(st.m))
 	}
 }
 
@@ -348,8 +361,9 @@ func TestLeaderDownAfterProbeFails(t *testing.T) {
 				}
 				w.WriteHeader(http.StatusServiceUnavailable)
 			}
+			st := newMemStore()
 			f, err := Start(Config{
-				Leader: l.ts.URL, Shards: testShards, Apply: newMemStore().apply, ProbeFails: tc.probeFails,
+				Leader: l.ts.URL, Shards: testShards, Apply: st.apply, Load: st.load, ProbeFails: tc.probeFails,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -389,7 +403,7 @@ func TestStreamCountsGapAndSkipsReordered(t *testing.T) {
 	}
 	st := newMemStore()
 	f, err := Start(Config{
-		Leader: l.ts.URL, Shards: testShards, Apply: st.apply, Scan: st.scan, ProbeFails: -1,
+		Leader: l.ts.URL, Shards: testShards, Apply: st.apply, Load: st.load, Scan: st.scan, ProbeFails: -1,
 		Mangle: func(shard int, entries []cdc.Entry) []cdc.Entry {
 			if shard != 0 {
 				return entries
@@ -415,7 +429,7 @@ func TestStreamCountsGapAndSkipsReordered(t *testing.T) {
 	wantState(t, st, map[uint64]uint64{0: 1, 4: 4})
 }
 
-// An Apply failing while others are in flight aborts the bootstrap; the
+// A Load failing while others are in flight aborts the bootstrap; the
 // shards stay not ready until a whole retry succeeds.
 func TestBootstrapApplyErrorAborts(t *testing.T) {
 	l := newFakeLeader(t)
@@ -564,5 +578,13 @@ func TestShardStreamsReplayConcurrently(t *testing.T) {
 	wantState(t, st, want)
 	if stats := f.Stats(); stats.Gaps != 0 || stats.Reordered != 0 || stats.Lag != 0 {
 		t.Errorf("stats = %+v, want no gaps, no reorders, no lag", stats)
+	}
+	// The snapshot is a load; the watch streams are transactions.
+	st.mu.Lock()
+	loaded, applied := st.loaded, st.applied
+	st.mu.Unlock()
+	if loaded != 2000 || applied != testShards*perShard {
+		t.Errorf("%d ops loaded and %d applied, want the 2000 snapshot keys loaded and the %d stream entries applied",
+			loaded, applied, testShards*perShard)
 	}
 }

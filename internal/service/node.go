@@ -24,9 +24,11 @@ import (
 //     the real leader), serves bounded-staleness reads (replay lag above
 //     MaxLag answers 409 with Retry-After), and replays the leader's
 //     feed on executors of its own store, beside the pipeline rather than
-//     through it: a replayed commit is one ExecBatch, waiting for no tick
-//     and no pool slot. Those executors publish to the node's feed too,
-//     so a promoted follower is immediately followable.
+//     through it, waiting for no tick and no pool slot: a watch chunk is
+//     one ExecBatch, a transaction, and a bootstrap chunk is one Load,
+//     the structure's bare puts outside any transaction. Those executors
+//     publish to the node's feed too, one ticket a chunk, so a promoted
+//     follower is immediately followable.
 //
 // A backend that cannot publish a change feed gets a node without one: a
 // leader that serves batches but no /v1/watch or /v1/snapshot, which
@@ -43,8 +45,8 @@ type Node struct {
 	fol        *replica.Follower // nil on a born-leader node
 	maxLag     uint64
 	maxSilence time.Duration
-	// replay holds the executors applyReplay runs on, one slot per service
-	// worker; a nil slot is an executor not yet created.
+	// replay holds the executors applyReplay and loadReplay run on, one
+	// slot per service worker; a nil slot is an executor not yet created.
 	replay chan kv.Executor
 
 	leader   atomic.Bool
@@ -155,6 +157,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		Leader: cfg.Follow,
 		Shards: cfg.FeedShards,
 		Apply:  n.applyReplay,
+		Load:   n.loadReplay,
 		Scan:   scan,
 		Client: cfg.Client,
 		// Auto-promotion reuses the follower's failure threshold; with
@@ -180,19 +183,39 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	return n, nil
 }
 
-// applyReplay runs one replay batch as one transaction on a replay
+// applyReplay runs one watch chunk as one transaction on a replay
 // executor — the execution and feed publication client writes get,
-// without their admission and tick. At most Workers batches run at once;
-// the concurrent calls of a bootstrap beyond that wait for an executor.
-// The follower stops before the service closes (Close, Promote), so no
-// batch runs on a closed store.
+// without their admission and tick. At most Workers chunks, of watch
+// streams and bootstraps together, run at once; the rest wait for an
+// executor. The follower stops before the service closes (Close,
+// Promote), so no chunk runs on a closed store.
 func (n *Node) applyReplay(ops []kv.Op) error {
-	ex := <-n.replay
-	if ex == nil {
-		ex = n.svc.newExecutor()
-	}
+	ex := n.takeReplay()
 	defer func() { n.replay <- ex }()
 	return ex.ExecBatch(ops, nil)
+}
+
+// loadReplay applies one bootstrap chunk on a replay executor through the
+// store's bulk load: the chunk's puts and deletes run as bare linearizable
+// operations, not as a transaction, and publish to the node's feed as one
+// ticket (see the Load contract in replica.Config).
+func (n *Node) loadReplay(ops []kv.Op) error {
+	ex := n.takeReplay()
+	defer func() { n.replay <- ex }()
+	l, ok := ex.(loader)
+	if !ok {
+		return fmt.Errorf("service: %s executors cannot load a snapshot chunk", n.svc.be.Name())
+	}
+	l.Load(ops)
+	return nil
+}
+
+// takeReplay takes a replay executor, creating it on first use.
+func (n *Node) takeReplay() kv.Executor {
+	if ex := <-n.replay; ex != nil {
+		return ex
+	}
+	return n.svc.newExecutor()
 }
 
 // Service returns the node's transaction pipeline.

@@ -452,3 +452,172 @@ func TestReplayExecutorsChangeGoroutines(t *testing.T) {
 		}
 	}
 }
+
+// A resync loads one feed shard over a live store: its snapshot's puts
+// land on keys the store already holds and its stale-key deletes remove
+// others, as bare operations, while the other shards' streams replay
+// transactions on the same executors. Every goroutine waits on one start
+// signal (run under -race). The store must end exact; the node's feed must
+// hold every write, under one ticket per load chunk and per replayed
+// transaction; and every node the load replaced or deleted must be retired
+// into its executor's pool for reuse — a load on a nil Tx unlinks them
+// with no grace period to wait out, so they are never retired, and the
+// count falls short.
+func TestResyncLoadOverLiveStore(t *testing.T) {
+	keys, rounds := 1<<14, 3
+	if testing.Short() {
+		keys, rounds = 1<<12, 2
+	}
+	const resynced, perTx = 1, 16
+	n, err := NewNode(NodeConfig{Backend: hashStore(t, 1<<10, 1<<16), Service: Config{Workers: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	be := n.Service().Backend()
+	feed := n.Feed()
+
+	// The first bootstrap: every key, loaded into the empty store.
+	model := map[uint64]uint64{}
+	var loads [][]kv.Op
+	for k := uint64(0); k < uint64(keys); k++ {
+		if len(loads) == 0 || len(loads[len(loads)-1]) == replica.SnapshotChunkKeys {
+			loads = append(loads, nil)
+		}
+		loads[len(loads)-1] = append(loads[len(loads)-1], kv.Op{Kind: kv.OpPut, Key: k, Val: k})
+		model[k] = k
+	}
+	for _, ops := range loads {
+		if err := n.loadReplay(ops); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The resync of one shard: every fifth of its keys is stale, the rest
+	// take new values, and a few keys are new. The other shards' streams
+	// each overwrite and delete their own keys, perTx distinct keys a
+	// transaction, round after round.
+	var resync []kv.Op
+	var deletes []kv.Op
+	unlinked := 0 // nodes replaced or deleted, by the load and the streams
+	streams := map[int][]uint64{}
+	for k := uint64(0); k < uint64(keys)+64; k++ {
+		s := feed.ShardOf(k)
+		_, exists := model[k]
+		switch {
+		case s == resynced && k%5 == 0 && exists:
+			deletes = append(deletes, kv.Op{Kind: kv.OpDelete, Key: k})
+		case s == resynced:
+			resync = append(resync, kv.Op{Kind: kv.OpPut, Key: k, Val: 3*k + 1})
+		case exists:
+			streams[s] = append(streams[s], k)
+		}
+	}
+	resync = append(resync, deletes...) // as a bootstrap sends them: after the snapshot
+	loads = loads[:0]
+	for i := 0; i < len(resync); i += replica.SnapshotChunkKeys {
+		loads = append(loads, resync[i:min(i+replica.SnapshotChunkKeys, len(resync))])
+	}
+	for _, op := range resync {
+		if _, ok := model[op.Key]; ok {
+			unlinked++
+		}
+		if op.Kind == kv.OpDelete {
+			delete(model, op.Key)
+		} else {
+			model[op.Key] = op.Val
+		}
+	}
+	txs := map[int][][]kv.Op{}
+	for s, ks := range streams {
+		for r := 0; r < rounds; r++ {
+			for i := 0; i+perTx <= len(ks); i += perTx {
+				ops := make([]kv.Op, perTx)
+				for j := range ops {
+					k := ks[i+j]
+					if _, ok := model[k]; ok {
+						unlinked++
+					}
+					if (r+j)%7 == 0 {
+						ops[j] = kv.Op{Kind: kv.OpDelete, Key: k}
+						delete(model, k)
+					} else {
+						ops[j] = kv.Op{Kind: kv.OpPut, Key: k, Val: uint64(r)<<32 | k}
+						model[k] = ops[j].Val
+					}
+				}
+				txs[s] = append(txs[s], ops)
+			}
+		}
+	}
+
+	before := feed.Stats()
+	retiresBefore := counter(be, "pool_retires")
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	run := func(f func() error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if err := f(); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	for _, ops := range loads {
+		run(func() error { return n.loadReplay(ops) })
+	}
+	for _, batch := range txs {
+		run(func() error {
+			for _, ops := range batch {
+				if err := n.applyReplay(ops); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+	close(start)
+	wg.Wait()
+
+	chunks, writes := uint64(len(loads)), uint64(len(resync))
+	for _, batch := range txs {
+		chunks += uint64(len(batch))
+		writes += uint64(len(batch) * perTx)
+	}
+	st := feed.Stats()
+	if pub, ent := st.Published-before.Published, st.Entries-before.Entries; pub != chunks || ent != writes || st.Drawn != st.Published+st.Cancelled {
+		t.Errorf("feed published %d tickets of %d entries (drew %d, cancelled %d); want %d tickets, one per load chunk and transaction, of %d entries",
+			pub, ent, st.Drawn-before.Drawn, st.Cancelled-before.Cancelled, chunks, writes)
+	}
+
+	// A node whose unlink lost a race stays marked until a traversal
+	// passes it; reading every key once retires the stragglers.
+	sweep := make([]kv.Op, 0, keys+64)
+	for k := uint64(0); k < uint64(keys)+64; k++ {
+		sweep = append(sweep, kv.Op{Kind: kv.OpGet, Key: k})
+	}
+	if err := n.applyReplay(sweep); err != nil {
+		t.Fatal(err)
+	}
+	retired := counter(be, "pool_retires") - retiresBefore
+	t.Logf("%d load chunks and %d transactions; %d nodes replaced or deleted, %d retired", len(loads), chunks-uint64(len(loads)), unlinked, retired)
+	if retired < uint64(unlinked) {
+		t.Errorf("%d nodes retired into the pools, want at least the %d the resync and the streams replaced or deleted", retired, unlinked)
+	}
+
+	got := map[uint64]uint64{}
+	be.(snapshotter).StateSnapshot(func(k, v uint64) bool {
+		got[k] = v
+		return true
+	})
+	if len(got) != len(model) {
+		t.Errorf("store holds %d keys, want %d", len(got), len(model))
+	}
+	for k, v := range model {
+		if g, ok := got[k]; !ok || g != v {
+			t.Fatalf("key %d = %d (present %v), want %d", k, g, ok, v)
+		}
+	}
+}

@@ -56,12 +56,15 @@ type Backend interface {
 // Optional capabilities of a Backend, probed where they are used: the
 // live key→value state, which a node serves as /v1/snapshot and scans to
 // bootstrap a follower, and the store's partition count for /healthz
-// (obs.MetricsSnapshotter, for /metrics, is the third).
+// (obs.MetricsSnapshotter, for /metrics, is the third). A follower's
+// executors must also be loaders: a bootstrap chunk is a load, not a
+// transaction (replica.Config.Load).
 type (
 	snapshotter interface {
 		StateSnapshot(fn func(key, val uint64) bool)
 	}
 	shardCounter interface{ ShardCount() int }
+	loader       interface{ Load(ops []kv.Op) }
 )
 
 // ErrClosed is returned by Submit after Close.

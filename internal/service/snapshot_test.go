@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -14,6 +15,7 @@ import (
 
 	"medley/internal/cdc"
 	"medley/internal/harness"
+	"medley/internal/kv"
 	"medley/internal/replica"
 )
 
@@ -258,33 +260,37 @@ func hashStore(tb testing.TB, buckets int, keyRange uint64) Backend {
 	return sys.(Backend)
 }
 
+// counter reads one of a harness backend's cumulative counters.
+func counter(be Backend, name string) uint64 {
+	for _, m := range be.(harness.MetricsSnapshotter).MetricsSnapshot() {
+		if m.Name == name {
+			return m.Value
+		}
+	}
+	return 0
+}
+
 // poolMisses reads a harness backend's cumulative pool traffic: all
 // requests to its arenas, and those served by carving new memory.
 func poolMisses(be Backend) (misses, gets uint64) {
-	var hits uint64
-	for _, m := range be.(harness.MetricsSnapshotter).MetricsSnapshot() {
-		switch m.Name {
-		case "pool_gets":
-			gets = m.Value
-		case "pool_hits":
-			hits = m.Value
-		}
-	}
-	return gets - hits, gets
+	gets = counter(be, "pool_gets")
+	return gets - counter(be, "pool_hits"), gets
 }
 
 // TestFollowerBootstrapFootprint pins what a bootstrap leaves behind. A
-// snapshot chunk is one 512-put transaction; each put takes a node slot
-// and a descriptor entry, and the store keeps the slot. The entries are
-// the worker's own, reused from one chunk to the next, so about one get in
-// two hits; if they were carved fresh per chunk, or the store kept more
-// than a slot and its bucket head per key, it would show here.
+// snapshot chunk is a load, not a transaction: each put is the structure's
+// bare insert on a replay executor's Tx, which takes one node slot from the
+// Tx's own cache and no descriptor entry, and the store keeps the slot. So
+// a bootstrap makes exactly one pool get per key — two would mean chunks
+// ran as transactions again, none that the load ran without a registered
+// Tx, whose replaced nodes could never be recycled — and if the store kept
+// more than a slot and its bucket head per key, it would show here.
 func TestFollowerBootstrapFootprint(t *testing.T) {
 	const keys = 1 << 16
 	// mhash's TestBytesPerKey ceiling plus 1 MB for what a node holds
-	// beside its store: two workers' descriptor entries and read sets, the
-	// pipeline's buffers and the feed rings, kept small here (the default
-	// rings are a fixed 2.6 MB).
+	// beside its store: two workers' slot caches, the pipeline's buffers
+	// and the feed rings, kept small here (the default rings are a fixed
+	// 2.6 MB).
 	const ceiling = 40 + 16
 	newStore := func() Backend { return hashStore(t, keys/8, 2*keys) }
 	store := newStore()
@@ -313,16 +319,89 @@ func TestFollowerBootstrapFootprint(t *testing.T) {
 	waitFor(t, 30*time.Second, "follower bootstrap", fol.Follower().Ready)
 	perKey := float64(heap()-before) / keys
 	misses, gets := poolMisses(replicaStore)
-	hitShare := 1 - float64(misses)/float64(gets)
-	t.Logf("%.1f bytes of live heap per key; %d pool gets, hit share %.3f, %.2f misses/key", perKey, gets, hitShare, float64(misses)/keys)
+	t.Logf("%.1f bytes of live heap per key; %d pool gets for %d keys, %.2f misses/key", perKey, gets, keys, float64(misses)/keys)
 	if perKey > ceiling {
 		t.Errorf("bootstrap of %d keys left %.1f bytes of live heap per key, ceiling %d", keys, perKey, ceiling)
 	}
-	// One get in two is reusable, so 1/2 is the most a bootstrap can hit.
-	if hitShare < 0.2 {
-		t.Errorf("bootstrap missed the pool %.2f×/key (hit share %.3f of %d gets), want a hit share of at least 0.2", float64(misses)/keys, hitShare, gets)
+	if gets != keys {
+		t.Errorf("bootstrap of %d keys made %d pool gets, want exactly one node slot per key", keys, gets)
+	}
+	if n := counter(replicaStore, "tx_begins"); n != 0 {
+		t.Errorf("bootstrap began %d transactions, want none: a snapshot chunk is a load", n)
 	}
 	runtime.KeepAlive(replicaStore)
+}
+
+// A txMontage follower loads its bootstrap with nbMontage's own
+// non-transactional operations, each in an epoch section the advancer
+// waits out, and the load is as durable as a commit: bootstrap a follower
+// whose store already holds stale keys and old values (so the load both
+// births and kills payloads, beside the running advancer), persist, crash,
+// and the recovered store is exactly the leader's.
+func TestTxMontageFollowerLoadIsDurable(t *testing.T) {
+	const keys = 1 << 12
+	store := hashStore(t, keys/8, 2*keys)
+	store.Preload(evenKeys(keys))
+	leader, err := NewNode(NodeConfig{Backend: store, Service: Config{Tick: 200 * time.Microsecond}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	ts := httptest.NewServer(leader.Handler())
+	defer ts.Close()
+	var ops []kv.Op
+	for k := uint64(0); k < 2*keys; k += 6 {
+		ops = append(ops, kv.Op{Kind: kv.OpPut, Key: k, Val: 7 * k}, kv.Op{Kind: kv.OpDelete, Key: k + 2})
+	}
+	if err := leader.Service().Submit(ops, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	sys, err := harness.NewSystem("txmontage-hash", harness.SystemOpts{Buckets: keys, KeyRange: 2 * keys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	folStore := sys.(Backend)
+	local := make([]uint64, 2*keys) // every key, odd ones stale, with the preload's old values
+	for i := range local {
+		local[i] = uint64(i)
+	}
+	folStore.Preload(local)
+	fol, err := NewNode(NodeConfig{Backend: folStore, Follow: ts.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 10*time.Second, "follower bootstrap", fol.Follower().Ready)
+	fol.Close()
+
+	state := func(be Backend) map[uint64]uint64 {
+		m := map[uint64]uint64{}
+		be.(snapshotter).StateSnapshot(func(k, v uint64) bool {
+			m[k] = v
+			return true
+		})
+		return m
+	}
+	want := state(store)
+	if got := state(folStore); !maps.Equal(got, want) {
+		t.Fatalf("follower holds %d keys before the crash, leader %d: the bootstrap is wrong, not its durability", len(got), len(want))
+	}
+	rec := folStore.(harness.Recoverable)
+	rec.Persist()
+	if n := rec.CrashAndRecover(); n != len(want) {
+		t.Errorf("recovered %d payloads, want %d", n, len(want))
+	}
+	got := state(folStore)
+	for k, v := range want {
+		if g, ok := got[k]; !ok || g != v {
+			t.Errorf("after the crash key %d = %d (present %v), want %d", k, g, ok, v)
+		}
+	}
+	for k := range got {
+		if _, ok := want[k]; !ok {
+			t.Errorf("after the crash key %d is back: the bootstrap deleted it", k)
+		}
+	}
 }
 
 // BenchmarkFollowerBootstrap prices the rung stack-repl's setup_s is made

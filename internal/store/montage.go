@@ -193,7 +193,7 @@ func (s *MontageSystem) newWorker() *worker {
 			return kv.NewMontageMap(s.sys, s.stores[i]).BindHandle(h)
 		})
 	}
-	return &worker{m: m, tx: tx, h: eh}
+	return &worker{m: m, tx: tx, h: eh, mh: h}
 }
 
 // NewExecutor hands out a fresh executor on the epoch-wrapped

@@ -17,6 +17,7 @@ import (
 	"medley/internal/core"
 	"medley/internal/ebr"
 	"medley/internal/kv"
+	"medley/internal/montage"
 	"medley/internal/obs"
 )
 
@@ -74,8 +75,11 @@ func newSystem(name, structure string, notx bool, buckets int, spec Spec) *Syste
 	}
 	if !notx && mgr != nil {
 		// An advance attempt every 256 retired blocks, not retire calls: a
-		// 512-put snapshot chunk attempts at its own settle, and so draws
-		// the next chunk's descriptor cells from its pool.
+		// replayed watch chunk of up to 512 writes, one transaction,
+		// attempts at its own settle, and so draws the next chunk's
+		// descriptor entries from its pool; a bootstrap chunk, a load of
+		// bare puts, ships the slots it unlinks 64 at a time and attempts
+		// every fourth batch.
 		s.smr = ebr.New(256)
 		if !spec.Off["nopool"] {
 			mgr.EnablePooling()
@@ -182,6 +186,9 @@ type worker struct {
 	m  kv.TxMap
 	tx *core.Tx // nil: execute outside transactions
 	h  *ebr.Handle
+	// mh is a txMontage worker's epoch handle: a Load runs in one of its
+	// operation sections. nil on every other worker.
+	mh *montage.Handle
 
 	// Change-feed tap (SetChangeFeed): committed batches publish their
 	// writes under the transaction's commit ticket. pub and feedRes are
@@ -257,14 +264,17 @@ func (w *worker) SetChangeFeed(f *cdc.Feed) bool {
 }
 
 // publishBatch publishes a just-committed batch's writes under its
-// commit ticket, in op order. No ticket means no descriptor cell was
-// installed (every write was a no-op, e.g. deletes of absent keys):
-// nothing visible changed, nothing to replicate.
+// commit ticket. No ticket means no descriptor cell was installed (every
+// write was a no-op, e.g. deletes of absent keys): nothing visible
+// changed, nothing to replicate.
 func (w *worker) publishBatch(ops []kv.Op, res []kv.Result) {
-	t, ok := w.tx.CommittedTicket()
-	if !ok {
-		return
+	if t, ok := w.tx.CommittedTicket(); ok {
+		w.publish(t, ops, res)
 	}
+}
+
+// publish hands ops' writes to the feed under ticket t, in op order.
+func (w *worker) publish(t uint64, ops []kv.Op, res []kv.Result) {
 	w.pub = w.pub[:0]
 	for i := range ops {
 		switch ops[i].Kind {
@@ -355,4 +365,38 @@ func (w *worker) ExecBatch(ops []kv.Op, res []kv.Result) error {
 		w.h.Exit()
 	}
 	return nil
+}
+
+// Load applies a follower's bootstrap chunk: puts and deletes of distinct
+// keys that no concurrent writer touches and nothing reads before the
+// follower is ready. Such a chunk has nothing that must be atomic, so each
+// op runs as the structure's own linearizable operation outside any
+// transaction — no descriptor, no commit — on the worker's registered Tx,
+// so that the nodes it replaces and unlinks are recycled through EBR, all
+// in one EBR critical section (and, on txMontage, one epoch operation
+// section, nbMontage's non-transactional path). With a feed attached the
+// chunk publishes as one ticket, drawn before its first write: every
+// later write to one of its keys draws after it.
+func (w *worker) Load(ops []kv.Op) {
+	if w.tx == nil {
+		kv.Apply(nil, w.m, ops, nil)
+		return
+	}
+	var t uint64
+	if w.feed != nil {
+		t = w.feed.DrawTicket()
+	}
+	w.h.Enter()
+	if w.mh != nil {
+		w.mh.BeginOp()
+	}
+	kv.Apply(w.tx, w.m, ops, nil)
+	w.tx.SettleBare()
+	if w.mh != nil {
+		w.mh.EndOp()
+	}
+	w.h.Exit()
+	if w.feed != nil {
+		w.publish(t, ops, nil)
+	}
 }
