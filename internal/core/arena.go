@@ -3,22 +3,21 @@
 // Every successful critical CAS used to install a freshly heap-allocated
 // cell, and every structure insert a freshly allocated node, so at high
 // transaction rates GC pressure dominated the non-algorithmic cost of the
-// core. This file adds per-Tx freelists for cells (cellArena) and structure
-// nodes (NodePool) with EBR-guarded recycling:
+// core. This file adds per-Tx freelists for cells (cellArena) with
+// EBR-guarded recycling; a structure whose links are Words recycles its
+// nodes through its slab's Slots instead (slots.go):
 //
-//   - a displaced cell or unlinked node is retired into the retiring Tx's
-//     EBR limbo (Handle.RetireInto — no closure allocation), a settle's
-//     worth of them as one entry that carries its length
-//     (Handle.RetireBatch): EBR prices limbo in blocks, so a transaction
-//     that displaces hundreds of cells attempts an epoch advance at its own
-//     settle and draws its next cells from the pool, not from a fresh slab;
+//   - a displaced cell is retired into the retiring Tx's EBR limbo
+//     (Handle.RetireInto — no closure allocation), a settle's worth of
+//     them as one entry that carries its length (Handle.RetireBatch): EBR
+//     prices limbo in blocks, so a transaction that displaces hundreds of
+//     cells attempts an epoch advance at its own settle and draws its next
+//     cells from the pool, not from a fresh slab;
 //   - after the grace period the EBR flush, which runs on the retiring
 //     goroutine, hands it to that goroutine's pool (ebr.Pool.Recycle);
 //   - reuse bumps the cell's generation counter, so a ReadWitness taken
 //     during the cell's previous life can never validate (see
-//     cell.witnessValid); nodes carry no identity of their own — their
-//     embedded CASObjs do — so node reuse reduces to cell reuse plus the
-//     structure's own reset.
+//     cell.witnessValid).
 //
 // Pools are single-owner: only the owning goroutine gets from or recycles
 // into them, because EBR flushes run on the retiring handle's goroutine and
@@ -32,9 +31,8 @@
 //  1. every goroutine touching pooled structures holds an EBR critical
 //     section (Handle.Enter/Exit) across each transaction or bare
 //     operation — the harness workers already do; and
-//  2. blocks are retired only once unreachable from the live structure
-//     (cells when displaced from their slot; nodes at the successful
-//     unlink CAS, not at the logical delete).
+//  2. cells are retired only once unreachable from the live structure:
+//     when displaced from their slot.
 //
 // Witnesses in a stale published read set are the one reference that can
 // outlive rule 1 (the read set keeps cells reachable after they are
@@ -58,7 +56,7 @@ type poolRetirer interface {
 	RetireBatch(pool ebr.Pool, obj any, blocks int)
 }
 
-// txPool is one per-Tx pool (a cellArena[T] or NodePool[N]); settle runs at
+// txPool is one per-Tx pool (a cellArena[T] or a slotCache); settle runs at
 // transaction settle to execute deferred CASes and flush pending retires.
 type txPool interface {
 	settle(tx *Tx, committed bool)
@@ -319,163 +317,4 @@ func DeferCAS[T comparable](tx *Tx, o *CASObj[T], expected, desired T) {
 	}
 	a := arenaFor[T](tx)
 	a.def = append(a.def, deferredCAS[T]{slot: o, expected: expected, desired: desired})
-}
-
-// ResetSlot prepares a pooled node's embedded CASObj for reuse: the
-// resident cell stays attached (InitTx will reuse it in place) but has its
-// generation bumped and contents cleared so it retains no references and
-// can never satisfy an old witness. A slot that was never written gets a
-// zero-valued cell, because its old witnesses name no cell to bump: they
-// hold only while the state is nil. (So does one holding a descriptor cell,
-// which no post-grace slot should: a cell never changes kind.) Only call on
-// nodes whose grace period has elapsed (i.e., from a NodePool reset
-// function).
-func ResetSlot[T comparable](o *CASObj[T]) {
-	c := o.state.Load()
-	if c == nil || c.isDesc() {
-		o.state.Store(&cell[T]{})
-		return
-	}
-	c.gen.Add(2)
-	var zero T
-	c.val = zero
-}
-
-// NodePool is a per-Tx freelist of structure nodes of type N with the same
-// EBR retire-to-pool cycle as cells. A nil *NodePool (pooling off) is a
-// valid receiver for every method, so structures can call through it
-// unconditionally.
-//
-// Nodes must only be retired once they are unreachable from the live
-// structure — at the successful physical unlink, not the logical delete —
-// and reused nodes must be fully reinitialized by the caller (keys, values,
-// and every embedded CASObj via InitTx). Structures whose lazy maintenance
-// keeps references to unlinked nodes beyond any EBR grace period (e.g. a
-// rebuilt-on-a-timer index snapshot) must not pool nodes at all; see the
-// audit notes in the structure packages.
-type NodePool[N any] struct {
-	tx      *Tx
-	free    []*N
-	pending []*N // retired this transaction; routed to EBR on commit
-
-	freeBatches []*nodeBatch[N]
-
-	gets, hits, retires uint64 // owner-only; flushed per settle
-}
-
-// nodeBatch is one settle's worth of retired nodes riding through EBR
-// limbo as a single entry.
-type nodeBatch[N any] struct {
-	nodes []*N
-}
-
-// Resettable is implemented by pooled node types that need to drop
-// references and invalidate embedded CASObj cells (via ResetSlot) before
-// reuse; ResetForReuse runs post-grace, on the recycling goroutine. It is
-// an interface method rather than a callback parameter because
-// materializing a generic function value allocates a dictionary closure on
-// every call — on the hot path, exactly the allocation this file removes.
-type Resettable interface {
-	ResetForReuse()
-}
-
-// PoolOf returns tx's node pool for N, or nil when pooling is off.
-func PoolOf[N any](tx *Tx) *NodePool[N] {
-	if tx == nil || !tx.pooled {
-		return nil
-	}
-	for _, p := range tx.pools {
-		if np, ok := p.(*NodePool[N]); ok {
-			return np
-		}
-	}
-	np := &NodePool[N]{tx: tx}
-	tx.pools = append(tx.pools, np)
-	return np
-}
-
-// Get pops a recycled node, or returns nil when the pool is empty or the
-// receiver is nil — callers fall back to the heap.
-func (p *NodePool[N]) Get() *N {
-	if p == nil {
-		return nil
-	}
-	p.gets++
-	if n := len(p.free); n > 0 {
-		nd := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		p.hits++
-		return nd
-	}
-	return nil
-}
-
-// Put returns a never-published node for immediate reuse (a failed insert
-// attempt whose node was never linked).
-func (p *NodePool[N]) Put(n *N) {
-	if p == nil {
-		return
-	}
-	p.free = append(p.free, n)
-}
-
-// Retire schedules a node for recycling: deferred to commit inside a
-// transaction (an aborted transaction's unlinks never took effect),
-// routed straight to EBR limbo outside one. A nil receiver (pooling off)
-// leaves the node to the garbage collector, which is the pre-pooling
-// behavior and always safe.
-func (p *NodePool[N]) Retire(n *N) {
-	if p == nil {
-		return
-	}
-	if p.tx.InTx() {
-		p.pending = append(p.pending, n)
-		return
-	}
-	p.retires++
-	p.tx.pr.RetireInto(p, n)
-}
-
-// Recycle implements ebr.Pool.
-func (p *NodePool[N]) Recycle(obj any) {
-	if b, ok := obj.(*nodeBatch[N]); ok {
-		for i, n := range b.nodes {
-			p.recycleNode(n)
-			b.nodes[i] = nil
-		}
-		b.nodes = b.nodes[:0]
-		p.freeBatches = append(p.freeBatches, b)
-		return
-	}
-	p.recycleNode(obj.(*N))
-}
-
-func (p *NodePool[N]) recycleNode(n *N) {
-	if r, ok := any(n).(Resettable); ok {
-		r.ResetForReuse()
-	}
-	p.free = append(p.free, n)
-}
-
-// settle implements txPool: commit ships the pending retires to EBR as
-// one batch, abort discards them (their unlinks never happened).
-func (p *NodePool[N]) settle(tx *Tx, committed bool) {
-	if committed && len(p.pending) > 0 {
-		p.retires += uint64(len(p.pending))
-		var b *nodeBatch[N]
-		if n := len(p.freeBatches); n > 0 {
-			b = p.freeBatches[n-1]
-			p.freeBatches[n-1] = nil
-			p.freeBatches = p.freeBatches[:n-1]
-		} else {
-			b = &nodeBatch[N]{}
-		}
-		b.nodes, p.pending = p.pending, b.nodes[:0]
-		// Swap as in cellArena.settle: batch takes the filled slice.
-		tx.pr.RetireBatch(p, b, len(b.nodes))
-	}
-	clear(p.pending)
-	p.pending = p.pending[:0]
-	flushPoolStats(tx, &p.gets, &p.hits, &p.retires)
 }

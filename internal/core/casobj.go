@@ -184,32 +184,6 @@ func (o *CASObj[T]) Init(v T) {
 	o.state.Store(&cell[T]{val: v})
 }
 
-// InitTx is Init with a transaction context: the initial cell is drawn from
-// tx's arena when pooling is on. Like Init it must only be called while the
-// object is private to the caller (a node under construction, or a node
-// just popped from a pool whose grace period has passed). If a value cell
-// is already installed it is reinitialized in place with a bumped
-// generation, so witnesses taken during the cell's previous life can never
-// validate. (A resident descriptor cell — which no private slot should
-// hold — would be replaced, never reinterpreted as a value cell.) The zero
-// value needs no cell in a slot that has never had one: nil already reads
-// as zero, so the last node of a chain is a single allocation.
-func (o *CASObj[T]) InitTx(tx *Tx, v T) {
-	c := o.state.Load()
-	var zero T
-	if c == nil && v == zero {
-		return
-	}
-	if c != nil && !c.isDesc() {
-		c.gen.Add(2)
-		c.val = v
-		return
-	}
-	nc := newCell[T](tx)
-	nc.val = v
-	o.state.Store(nc)
-}
-
 // witness captures c — the cell just loaded from o, possibly nil — and its
 // generation as read evidence.
 func (o *CASObj[T]) witness(c *cell[T]) ReadWitness {

@@ -325,27 +325,6 @@ func TestDeferRunsOnlyOnCommit(t *testing.T) {
 	}
 }
 
-func TestOnAbortUndoRunsOnlyOnAbort(t *testing.T) {
-	mgr := NewTxManager()
-	tx := mgr.Register()
-	undone := false
-	err := tx.Run(func() error {
-		tx.OnAbortUndo(func() { undone = true })
-		return nil
-	})
-	if err != nil || undone {
-		t.Fatalf("commit path: err=%v undone=%v", err, undone)
-	}
-	_ = tx.Run(func() error {
-		tx.OnAbortUndo(func() { undone = true })
-		tx.Abort()
-		return nil
-	})
-	if !undone {
-		t.Fatal("abort compensation did not run")
-	}
-}
-
 func TestEagerContentionManagementAbortsInPrep(t *testing.T) {
 	mgr := NewTxManager()
 	t1 := mgr.Register()

@@ -56,22 +56,17 @@ func statusOf(word uint64) uint64             { return word & statusMask }
 // A ReadWitness is opaque; pass it to Tx.AddToReadSet from the linearizing
 // load of a read-only operation.
 type ReadWitness struct {
-	c    witnessCell    // witnessed cell (typed nil: slot never written), or a readCheck
-	gen  uint64         // cell generation observed at load time
-	slot unsafe.Pointer // the *CASObj[T] c was loaded from; nil for a readCheck
+	c    witnessCell    // witnessed cell (typed nil: slot never written), or wordWitness
+	gen  uint64         // cell generation observed at load time (a Word's whole word)
+	slot unsafe.Pointer // the *CASObj[T] or *Word c was loaded from
 }
 
 // witnessCell is the one indirect call a witness needs; it is implemented
-// by *cell[T] for every T and by readCheck, and holding either in the
+// by *cell[T] for every T and by wordWitness, and holding either in the
 // interface does not allocate.
 type witnessCell interface {
 	witnessValid(slot unsafe.Pointer, d *Desc, serial, gen uint64) bool
 }
-
-// readCheck is a predicate witness (Tx.AddReadCheck).
-type readCheck func() bool
-
-func (f readCheck) witnessValid(unsafe.Pointer, *Desc, uint64, uint64) bool { return f() }
 
 // isZero reports whether the witness carries no evidence (the witness of a
 // speculative self-read, or an unset field).

@@ -5,36 +5,6 @@ import (
 	"testing"
 )
 
-// TestAddReadCheckGatesCommit verifies that arbitrary read-check
-// predicates (txMontage's epoch check) gate commit for both the owner and
-// helper validation paths.
-func TestAddReadCheckGatesCommit(t *testing.T) {
-	mgr := NewTxManager()
-	tx := mgr.Register()
-	o := NewCASObj[int](0)
-	allow := true
-	err := tx.Run(func() error {
-		tx.AddReadCheck(func() bool { return allow })
-		_ = o.NbtcCAS(tx, 0, 1, true, true)
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("commit with passing check: %v", err)
-	}
-	allow = false
-	err = tx.Run(func() error {
-		tx.AddReadCheck(func() bool { return allow })
-		_ = o.NbtcCAS(tx, 1, 2, true, true)
-		return nil
-	})
-	if !errors.Is(err, ErrTxAborted) {
-		t.Fatalf("commit with failing check: %v", err)
-	}
-	if o.Load() != 1 {
-		t.Fatalf("failed check leaked a write: %d", o.Load())
-	}
-}
-
 // TestHelperAbortsOnFailedValidation puts a transaction into InProg with a
 // stale read set; a helping thread must drive it to Aborted, not
 // Committed.
@@ -105,59 +75,6 @@ func TestInSpeculationLifecycle(t *testing.T) {
 		t.Fatal("both critical CASes must commit together")
 	}
 }
-
-// TestRetirePathways covers Tx.Retire with and without an SMR domain, in
-// and outside transactions.
-func TestRetirePathways(t *testing.T) {
-	mgr := NewTxManager()
-	tx := mgr.Register()
-	ran := 0
-	// No SMR, outside tx: immediate.
-	tx.Retire(func() { ran++ })
-	if ran != 1 {
-		t.Fatal("retire outside tx not immediate")
-	}
-	// No SMR, inside tx: on commit only.
-	_ = tx.Run(func() error {
-		tx.Retire(func() { ran++ })
-		tx.Abort()
-		return nil
-	})
-	if ran != 1 {
-		t.Fatal("retire ran despite abort")
-	}
-	_ = tx.Run(func() error {
-		tx.Retire(func() { ran++ })
-		return nil
-	})
-	if ran != 2 {
-		t.Fatal("retire skipped on commit")
-	}
-	// With SMR: routed through the domain.
-	var got []func()
-	tx.SetSMR(funcRetirer(func(f func()) { got = append(got, f) }))
-	_ = tx.Run(func() error {
-		tx.Retire(func() { ran++ })
-		return nil
-	})
-	if len(got) != 1 {
-		t.Fatalf("SMR received %d retirements, want 1", len(got))
-	}
-	got[0]()
-	if ran != 3 {
-		t.Fatal("SMR-deferred free did not run")
-	}
-	// Nil Tx: immediate.
-	var nilTx *Tx
-	nilTx.Retire(func() { ran++ })
-	if ran != 4 {
-		t.Fatal("nil-tx retire not immediate")
-	}
-}
-
-type funcRetirer func(func())
-
-func (f funcRetirer) Retire(free func()) { f(free) }
 
 // TestExplicitBeginEnd drives the low-level API directly.
 func TestExplicitBeginEnd(t *testing.T) {

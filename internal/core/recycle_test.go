@@ -251,18 +251,15 @@ func TestDeferCASRunsOnCommitOnly(t *testing.T) {
 	}
 }
 
-// poolNode is a minimal pooled structure node: one link slot, reset the way
-// the real structures reset theirs.
-type poolNode struct{ next CASObj[int] }
+// wordNode is a minimal slab node: one Word link.
+type wordNode struct{ next Word }
 
-func (n *poolNode) ResetForReuse() { ResetSlot(&n.next) }
-
-// TestWitnessInRecycledNodeNeverValidates covers the back-pointer's move
-// from the cell into the witness: the witness now names a slot that lives
-// inside a node, and the node can be retired, recycled and relinked
-// elsewhere holding the very same value. Neither a witness of the slot's
-// resident cell nor the cell-less witness of a never-written slot may
-// survive that.
+// TestWitnessInRecycledNodeNeverValidates covers a witness that names a
+// Word inside a slab node: the node can be retired, recycled and relinked
+// elsewhere holding the very same payload, and the witness must not
+// survive that. Init advances the counter it finds, so neither a witness
+// of a written link nor one of a never-written (zero) link validates
+// against the node's next life.
 func TestWitnessInRecycledNodeNeverValidates(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -272,11 +269,12 @@ func TestWitnessInRecycledNodeNeverValidates(t *testing.T) {
 			mgr := NewTxManager()
 			mgr.EnablePooling()
 			tx, h := pooledTx(t, mgr, ebr.New(1))
-			pool := PoolOf[poolNode](tx)
+			var s Slab[wordNode]
 
-			n := &poolNode{}
+			i := s.Get(tx)
+			n := s.At(i)
 			if tc.written {
-				n.next.InitTx(tx, 0)
+				n.next.Init(0)
 			}
 			h.Enter()
 			tx.Begin()
@@ -288,18 +286,13 @@ func TestWitnessInRecycledNodeNeverValidates(t *testing.T) {
 			tx.AbortNow()
 			h.Exit()
 
-			pool.Retire(n)
-			h.Drain() // grace period over: the node is reset and pooled
-			if got := pool.Get(); got != n {
-				t.Fatalf("pool returned %p, want the retired node %p", got, n)
+			s.Retire(tx, i, false)
+			tx.SettleBare()
+			h.Drain() // grace period over: the index is free
+			if got := s.Get(tx); got != i {
+				t.Fatalf("slab returned index %d, want the retired node's %d", got, i)
 			}
-			if n.next.state.Load() == nil {
-				t.Fatal("reset left a never-written slot nil: its old witnesses would still hold")
-			}
-			if w.valid(tx.desc, tx.serial) {
-				t.Fatal("witness validates against a recycled node before reinitialization")
-			}
-			n.next.InitTx(tx, 0) // relinked elsewhere, same value as witnessed
+			n.next.Init(0) // relinked elsewhere, same payload as witnessed
 			if w.valid(tx.desc, tx.serial) {
 				t.Fatal("witness validates against a recycled, relinked node")
 			}
@@ -390,10 +383,7 @@ func TestCellKindsNeverCross(t *testing.T) {
 // descriptor cell from a value cell, so every generation bump must step
 // over it. One slot's cells go round retire→grace→recycle many times; each
 // must keep the kind it was first seen with, and no witness of an earlier
-// life may validate. The in-place reuses — InitTx and ResetSlot over a
-// resident value cell — must keep it a value cell, and ResetSlot over a
-// slot holding a descriptor cell must install a value cell, not adopt the
-// descriptor.
+// life may validate.
 func TestCellKindSurvivesRecycling(t *testing.T) {
 	mgr := NewTxManager()
 	mgr.EnablePooling()
@@ -438,27 +428,6 @@ func TestCellKindSurvivesRecycling(t *testing.T) {
 	seen(false) // the last recycle
 	if len(isDesc) > 4 {
 		t.Fatalf("%d distinct cells over %d committed writes: the cells are not being recycled", len(isDesc), lives)
-	}
-
-	var p CASObj[int]
-	p.InitTx(tx, 1)
-	c := p.state.Load()
-	p.InitTx(tx, 2)
-	ResetSlot(&p)
-	if p.state.Load() != c || c.isDesc() {
-		t.Fatalf("in-place reuse of a value cell: cell kept %v, isDesc %v; want the same value cell", p.state.Load() == c, c.isDesc())
-	}
-
-	h.Enter()
-	defer h.Exit()
-	tx.Begin()
-	defer tx.AbortNow()
-	if !p.NbtcCAS(tx, 0, 3, true, true) {
-		t.Fatal("install failed")
-	}
-	ResetSlot(&p)
-	if r := p.state.Load(); r.isDesc() || r.value() != 0 {
-		t.Fatalf("ResetSlot over a descriptor cell left isDesc %v, value %d; want a zero value cell", r.isDesc(), r.value())
 	}
 }
 

@@ -7,10 +7,61 @@ import (
 	"medley/internal/ebr"
 )
 
-// Slots hands out the indexes of a grow-only slab — a structure's nodes,
-// addressed by uint32 so that a Word can link them — and takes back the
-// ones its operations unlink. Index 0 is never handed out: a structure's
-// nil.
+// Slab is a structure's grow-only node storage: fixed-size chunks that
+// never move, so node i stays at one address for the life of the slab,
+// found through a directory that only grows. A node is addressed by a
+// uint32 index, so that a Word can link it, and holds no Go pointer of its
+// own if N holds none: for uint64 keys and values the collector has
+// nothing to mark in a slab but its chunks. Index 0 is never handed out: a
+// structure's nil. The zero Slab is ready to use.
+//
+// The embedded Slots hands the indexes out and takes back the ones a
+// structure unlinks. Get grows the directory before it returns an index
+// the directory does not cover yet, and a reader reaches an index only
+// through a link published after that, so the directory it loads covers
+// the index.
+type Slab[N any] struct {
+	Slots
+	mu  sync.Mutex // serializes growth
+	dir atomic.Pointer[[]*[SlabChunk]N]
+}
+
+// SlabChunk is how many nodes one slab chunk holds: 24 KB of 24-byte
+// nodes, 40 KB of 40-byte ones, each a size class or a page multiple of
+// its own.
+const SlabChunk = 1 << slabChunkBits
+
+const slabChunkBits = 10
+
+// At is node i.
+func (s *Slab[N]) At(i uint32) *N {
+	return &(*s.dir.Load())[i>>slabChunkBits][i&(SlabChunk-1)]
+}
+
+// Get hands out the index of a node no thread can reach: never used, or
+// unlinked and past its grace period. The caller initializes the node
+// before publishing it.
+func (s *Slab[N]) Get(tx *Tx) uint32 {
+	i := s.get(tx)
+	if c := int(i>>slabChunkBits) + 1; c > s.Chunks() {
+		s.mu.Lock()
+		GrowChunks(&s.dir, c)
+		s.mu.Unlock()
+	}
+	return i
+}
+
+// Chunks is how many chunks the slab has grown to; for tests and
+// diagnostics.
+func (s *Slab[N]) Chunks() int {
+	if d := s.dir.Load(); d != nil {
+		return len(*d)
+	}
+	return 0
+}
+
+// Slots hands out the indexes of a Slab and takes back the ones its
+// structure's operations unlink.
 //
 // Every registered transaction context gets its own cache of indexes, so
 // the hot path takes no lock: a never-used index comes from the cache's
@@ -28,7 +79,6 @@ import (
 // counters, so no witness taken in its previous life validates.
 type Slots struct {
 	next   atomic.Uint32
-	grow   func(end uint32)
 	mu     sync.Mutex // serializes cache registration
 	caches atomic.Pointer[[]*slotCache]
 	bare   sync.Pool // *slotSpan for callers without a Tx
@@ -38,29 +88,19 @@ type Slots struct {
 // takes.
 const slotSegment = 64
 
-// maxSlot bounds the index space: a structure keeps one payload bit
-// beside an index (mhash: Michael's mark).
-const maxSlot = 1 << 31
-
-// Init prepares s before first use: grow is called, serialized by the
-// caller's own lock if it needs one, with the end of every segment claimed
-// before any index in it is handed out, and must make every index below
-// end addressable.
-func (s *Slots) Init(grow func(end uint32)) {
-	s.grow = grow
-	s.next.Store(1)
-}
+// maxSlot bounds the index space: a structure keeps up to two payload bits
+// beside an index (mhash: Michael's mark; nmbst: an edge's flag and tag).
+const maxSlot = 1 << 30
 
 // slotSpan is a claimed range [lo, hi) of never-used indexes.
 type slotSpan struct{ lo, hi uint32 }
 
 func (s *Slots) claim() slotSpan {
 	hi := s.next.Add(slotSegment)
-	if hi > maxSlot || hi < slotSegment {
+	if hi > maxSlot {
 		panic("medley: slab index space exhausted")
 	}
-	s.grow(hi)
-	return slotSpan{hi - slotSegment, hi}
+	return slotSpan{max(hi-slotSegment, 1), hi} // index 0 is nil
 }
 
 // take hands out the span's next index, claiming a segment when it is
@@ -74,10 +114,8 @@ func (sp *slotSpan) take(s *Slots) uint32 {
 	return i
 }
 
-// Get hands out an index no thread can reach: never used, or unlinked and
-// past its grace period. The caller initializes the slab entry before
-// publishing it.
-func (s *Slots) Get(tx *Tx) uint32 {
+// get hands out an index for Slab.Get.
+func (s *Slots) get(tx *Tx) uint32 {
 	if tx == nil {
 		sp, _ := s.bare.Get().(*slotSpan)
 		if sp == nil {
@@ -120,18 +158,19 @@ func (s *Slots) Put(tx *Tx, i uint32) {
 	}
 }
 
-// Retire takes back index i, which the caller has just unlinked. Inside the
-// speculation interval the unlink is a critical CAS that takes effect only
-// if the transaction commits, and so does the retirement; otherwise the
-// unlink has happened and the index goes to EBR at the Tx's next settle,
-// or, outside transactions, a batch at a time.
-func (s *Slots) Retire(tx *Tx, i uint32) {
+// Retire takes back index i, which the caller has just unlinked. critical
+// says whether that unlink was a critical CAS — as a linearizing CAS always
+// is, and a helping one inside the speculation interval — which takes
+// effect only if the transaction commits: so then does the retirement.
+// Otherwise the unlink has happened and the index goes to EBR at the Tx's
+// next settle, or, outside transactions, a batch at a time.
+func (s *Slots) Retire(tx *Tx, i uint32, critical bool) {
 	if tx == nil || tx.pr == nil {
 		return // no grace period to wait out: never reused
 	}
 	c := s.cacheOf(tx)
 	c.retires++
-	if tx.InSpeculation() {
+	if critical && tx.InTx() {
 		c.pending = append(c.pending, i)
 		return
 	}

@@ -12,14 +12,6 @@ var ErrTxAborted = errors.New("medley: transaction aborted")
 // TransactionAborted exception. Tx.Run recovers it.
 type abortSignal struct{}
 
-// cleanupEntry is one deferred post-commit action: a closure (fn) or an
-// SMR-routed free (free). Two fields instead of one closure so Tx.Retire
-// does not have to allocate a wrapper per call to route through the SMR.
-type cleanupEntry struct {
-	fn   func()
-	free func()
-}
-
 // Tx is a per-goroutine transaction context. It owns one Desc, reused
 // across transactions and distinguished by serial number. A Tx must not be
 // shared between goroutines.
@@ -35,22 +27,19 @@ type Tx struct {
 	inSpec bool
 	fast   bool // commit fast paths enabled (TxManager.FastPathsEnabled at Register)
 
-	reads     []ReadWitness  // published at End; see readsFree for reuse rules
-	writes    []writeCell    // owner-only: truncate-and-reuse
-	cleanups  []cleanupEntry // post-commit work (addToCleanups); owner-only
-	allocUndo []func()       // compensation on abort (OnAbortUndo); owner-only
-	nwords    int            // word entries installed this transaction (word.go)
-	wdefs     []deferredWord // commit-deferred Word CASes (DeferWordCAS)
+	reads    []ReadWitness  // published at End; see readsFree for reuse rules
+	writes   []writeCell    // owner-only: truncate-and-reuse
+	cleanups []func()       // post-commit work (Defer); owner-only
+	nwords   int            // word entries installed this transaction (word.go)
+	wdefs    []deferredWord // commit-deferred Word CASes (DeferWordCAS)
 
 	beginHooks  []func(*Tx)       // run at Begin; txMontage hooks the epoch here
 	finishHooks []func(*Tx, bool) // run after settle; arg is committed
-	smr         Retirer           // optional SMR domain for Retire
-	pauser      sectionPauser     // smr's critical section, released across backoff sleeps
-	boost       *boostState       // transactional-boosting locks/inverses
+	pauser      sectionPauser     // the SMR handle's critical section, released across backoff sleeps
 
 	// Pooling state (TxManager.EnablePooling + an SMR handle that supports
-	// RetireInto). pools holds this Tx's cell arenas, node pools and slab
-	// index caches; readsFree/rpFree recycle read-set backing arrays and
+	// RetireInto). pools holds this Tx's cell arenas and slab index
+	// caches; readsFree/rpFree recycle read-set backing arrays and
 	// publishedReads shells whose grace period (or non-publication) makes
 	// reuse safe. pr is set by any such handle: slab indexes (Slots) are
 	// recycled with or without pooling.
@@ -147,26 +136,10 @@ func (tx *Tx) AddToReadSet(w ReadWitness) {
 	if !tx.InTx() || w.isZero() {
 		return
 	}
-	if n := len(tx.reads); n > 0 {
-		// Slot first: last may be a predicate entry (AddReadCheck), whose
-		// func value must not reach the interface comparison, and it has no
-		// slot.
-		if last := &tx.reads[n-1]; last.slot == w.slot && last.gen == w.gen && last.c == w.c {
-			return
-		}
-	}
-	tx.reads = append(tx.reads, w)
-}
-
-// AddReadCheck registers an arbitrary predicate to be validated along with
-// the read set at commit, both by the owner and by helping threads.
-// txMontage uses this to require that the transaction commit in the epoch
-// observed at Begin.
-func (tx *Tx) AddReadCheck(f func() bool) {
-	if !tx.InTx() {
+	if n := len(tx.reads); n > 0 && tx.reads[n-1] == w {
 		return
 	}
-	tx.reads = append(tx.reads, ReadWitness{c: readCheck(f)})
+	tx.reads = append(tx.reads, w)
 }
 
 // Defer registers post-critical cleanup work to run after the transaction
@@ -177,17 +150,7 @@ func (tx *Tx) Defer(f func()) {
 		f()
 		return
 	}
-	tx.cleanups = append(tx.cleanups, cleanupEntry{fn: f})
-}
-
-// OnAbortUndo registers compensation to run if the transaction aborts, such
-// as releasing a block allocated speculatively. Outside a transaction it is
-// a no-op.
-func (tx *Tx) OnAbortUndo(f func()) {
-	if !tx.InTx() {
-		return
-	}
-	tx.allocUndo = append(tx.allocUndo, f)
+	tx.cleanups = append(tx.cleanups, f)
 }
 
 // OnBegin registers a hook invoked at every subsequent Begin on this Tx.
@@ -240,8 +203,8 @@ func (tx *Tx) Begin() {
 	}
 	tx.published = false
 	tx.writes = tx.writes[:0]
+	clear(tx.cleanups)
 	tx.cleanups = tx.cleanups[:0]
-	tx.allocUndo = tx.allocUndo[:0]
 	tx.nwords = 0
 	clear(tx.wdefs)
 	tx.wdefs = tx.wdefs[:0]
@@ -466,12 +429,11 @@ func (tx *Tx) settle() error {
 }
 
 // finish is the outcome-independent tail of every commit path (settle and
-// the End fast paths): boost locks, cleanups or compensation, pool settles,
+// the End fast paths): the commit ticket, cleanups, pool settles,
 // statistics, finish hooks. The descriptor is already terminal and every
 // installed cell already uninstalled when it runs. It returns nil iff the
 // transaction committed.
 func (tx *Tx) finish(committed bool) error {
-	tx.settleBoost(committed)
 	tx.settleTicket(committed)
 	tx.active = false
 	tx.inSpec = false
@@ -490,16 +452,8 @@ func (tx *Tx) finish(committed bool) error {
 		tx.runWordDefers()
 		clear(tx.wdefs)
 		tx.wdefs = tx.wdefs[:0]
-		for i := range tx.cleanups {
-			c := &tx.cleanups[i]
-			switch {
-			case c.fn != nil:
-				c.fn()
-			case tx.smr != nil:
-				tx.smr.Retire(c.free)
-			default:
-				c.free()
-			}
+		for _, f := range tx.cleanups {
+			f()
 		}
 		for _, p := range tx.pools {
 			p.settle(tx, true)
@@ -509,9 +463,6 @@ func (tx *Tx) finish(committed bool) error {
 			f(tx, true)
 		}
 		return nil
-	}
-	for _, f := range tx.allocUndo {
-		f()
 	}
 	for _, p := range tx.pools {
 		p.settle(tx, false)
@@ -585,46 +536,27 @@ type sectionPauser interface {
 	Active() bool
 }
 
-// Retirer is the safe-memory-reclamation hook consumed by Tx.Retire; an
-// *ebr.Handle satisfies it.
+// Retirer is a safe-memory-reclamation domain handle; an *ebr.Handle
+// satisfies it.
 type Retirer interface {
 	Retire(free func())
 }
 
 // SetSMR attaches a safe-memory-reclamation handle (typically an
-// *ebr.Handle) to this Tx. When set, Tx.Retire routes unlinked blocks
-// through it; when unset, retirement falls back to dropping the reference
-// and letting the garbage collector reclaim it.
-//
-// If the manager has pooling enabled (TxManager.EnablePooling) and r
-// supports pool-routed retirement (as *ebr.Handle does), this also
-// activates the Tx's recycling arenas: cells and nodes displaced by this
-// Tx are retired into its pools and reused after a grace period. The
-// owning goroutine must then hold r's critical section (ebr.Handle.Enter /
-// Exit) around every transaction and bare operation on pooled structures.
+// *ebr.Handle) to this Tx. If r supports pool-routed retirement (as
+// *ebr.Handle does), the slab nodes this Tx unlinks are reused after a
+// grace period (Slots); without one they never are. If the manager also
+// has pooling enabled (TxManager.EnablePooling), the Tx's cell arenas and
+// read sets recycle the same way. The owning goroutine must then hold r's
+// critical section (ebr.Handle.Enter / Exit) around every transaction and
+// bare operation on the structures it touches.
 func (tx *Tx) SetSMR(r Retirer) {
-	tx.smr = r
 	tx.pauser, _ = r.(sectionPauser)
 	if pr, ok := r.(poolRetirer); ok {
 		tx.pr = pr
 		tx.pooled = tx.mgr != nil && tx.mgr.PoolingEnabled()
 		tx.rpBin.tx = tx
 	}
-}
-
-// Retire is the paper's tRetire: schedule a block for safe reclamation once
-// the enclosing transaction commits (immediately when no transaction is
-// open). Safe on a nil Tx.
-func (tx *Tx) Retire(free func()) {
-	if !tx.InTx() {
-		if tx != nil && tx.smr != nil {
-			tx.smr.Retire(free)
-			return
-		}
-		free()
-		return
-	}
-	tx.cleanups = append(tx.cleanups, cleanupEntry{free: free})
 }
 
 // SettleBare closes a run of bare operations on tx — operations outside

@@ -416,7 +416,7 @@ type deferredWord struct {
 func DeferWordCAS(tx *Tx, o *Word, expected, desired uint32, s *Slots, idx uint32) {
 	if !tx.InTx() {
 		if o.CAS(expected, desired) {
-			s.Retire(tx, idx)
+			s.Retire(tx, idx, false)
 		}
 		return
 	}
@@ -429,7 +429,7 @@ func (tx *Tx) runWordDefers() {
 	for i := range tx.wdefs {
 		d := &tx.wdefs[i]
 		if d.o.CAS(d.expected, d.desired) {
-			d.slots.Retire(tx, d.idx)
+			d.slots.Retire(tx, d.idx, false)
 		}
 	}
 }

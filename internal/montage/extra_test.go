@@ -31,7 +31,7 @@ func TestCrashRecoverTwiceIdempotent(t *testing.T) {
 	sys, st, _ := newStore(t)
 	mgr := core.NewTxManager()
 	h := sys.Wrap(mgr.Register())
-	_ = RunOp(h, func() error { st.Put(h, 1, 100); st.Put(h, 2, 200); return nil })
+	_ = h.tx.RunRetry(func() error { st.Put(h, 1, 100); st.Put(h, 2, 200); return nil })
 	sys.Sync()
 	rec1 := sys.CrashAndRecover()
 	rec2 := sys.CrashAndRecover()
@@ -62,9 +62,9 @@ func TestSkiplistIndexBackend(t *testing.T) {
 	h := sys.Wrap(mgr.Register())
 	for k := uint64(0); k < 64; k++ {
 		key := k
-		_ = RunOp(h, func() error { st.Put(h, key, key*3); return nil })
+		_ = h.tx.RunRetry(func() error { st.Put(h, key, key*3); return nil })
 	}
-	_ = RunOp(h, func() error { st.Remove(h, 10); st.Remove(h, 20); return nil })
+	_ = h.tx.RunRetry(func() error { st.Remove(h, 10); st.Remove(h, 20); return nil })
 	sys.Sync()
 	rec := sys.CrashAndRecover()
 	if len(rec) != 62 {
@@ -87,7 +87,7 @@ func TestWrapTransientNeverPersists(t *testing.T) {
 	sys, st, _ := newStore(t)
 	mgr := core.NewTxManager()
 	h := sys.WrapTransient(mgr.Register())
-	_ = RunOp(h, func() error { st.Put(h, 1, 100); return nil })
+	_ = h.tx.RunRetry(func() error { st.Put(h, 1, 100); return nil })
 	if sys.Stats().PayloadsBorn != 1 {
 		t.Fatal("payload not written")
 	}
@@ -105,7 +105,7 @@ func TestInsertFailureReleasesBlock(t *testing.T) {
 	mgr := core.NewTxManager()
 	tx := mgr.Register()
 	h := sys.Wrap(tx)
-	_ = RunOp(h, func() error { st.Put(h, 1, 100); return nil })
+	_ = h.tx.RunRetry(func() error { st.Put(h, 1, 100); return nil })
 	// Commit path.
 	if err := tx.RunRetry(func() error {
 		if st.Insert(h, 1, 999) {
@@ -128,6 +128,37 @@ func TestInsertFailureReleasesBlock(t *testing.T) {
 	}
 }
 
+// TestAbortReleasesStagedPayloads aborts transactions that stage payloads,
+// on a persistent and on a transient handle: each abort must release the
+// blocks it allocated, so a hundred aborts carve no more blocks than the
+// first.
+func TestAbortReleasesStagedPayloads(t *testing.T) {
+	for _, transient := range []bool{false, true} {
+		sys, st, mgr := newStore(t)
+		tx := mgr.Register()
+		h := sys.Wrap(tx)
+		if transient {
+			h = sys.WrapTransient(mgr.Register())
+			tx = h.tx
+		}
+		for i := 0; i < 100; i++ {
+			_ = tx.Run(func() error {
+				st.Put(h, 1, 100)
+				st.Put(h, 2, 200)
+				tx.Abort()
+				return nil
+			})
+		}
+		carved := 0
+		for i := range sys.arenas {
+			carved += sys.arenas[i].bump
+		}
+		if carved != 2 {
+			t.Errorf("transient %v: 100 aborted transactions of two puts carved %d blocks, want 2", transient, carved)
+		}
+	}
+}
+
 // TestLargePayloadClassSelection: values spanning size classes round-trip.
 func TestLargePayloadClassSelection(t *testing.T) {
 	sys := NewSystem(Config{RegionWords: 1 << 18})
@@ -146,7 +177,7 @@ func TestLargePayloadClassSelection(t *testing.T) {
 			data[j] = uint64(i*1000 + j)
 		}
 		key, val := uint64(i), data
-		_ = RunOp(h, func() error { st.Put(h, key, val); return nil })
+		_ = h.tx.RunRetry(func() error { st.Put(h, key, val); return nil })
 	}
 	sys.Sync()
 	rec := sys.CrashAndRecover()

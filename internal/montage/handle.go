@@ -26,6 +26,8 @@ type Handle struct {
 	mu      sync.Mutex
 	pending []flushRange
 
+	staged []int // payloads the open transaction allocated; released if it aborts
+
 	// noPersist marks a handle whose payloads live in NVM but are never
 	// epoch-tagged or written back: the "transient on NVM" configuration
 	// of the paper's Figure 10b.
@@ -34,23 +36,21 @@ type Handle struct {
 
 // Wrap attaches a Medley transaction context to this montage system,
 // turning it into a txMontage context: every transaction begun on tx will
-// observe the epoch at Begin and validate it at commit through the MCNS
-// read set — the "one small change" of Section 4.4 — and the handle's
-// cleanup work is coordinated with the epoch advancer.
+// load the epoch clock at Begin and validate that load at commit through
+// the MCNS read set — the "one small change" of Section 4.4 — and the
+// handle's cleanup work is coordinated with the epoch advancer.
 func (s *System) Wrap(tx *core.Tx) *Handle {
 	h := &Handle{sys: s, tx: tx}
 	s.mu.Lock()
 	s.handles = append(s.handles, h)
 	s.mu.Unlock()
 	tx.OnBegin(func(t *core.Tx) {
-		e := s.epoch.Load()
+		e, w := s.epoch.NbtcLoad(t)
 		h.txEpoch = e
 		h.active.Store(e<<1 | 1)
-		t.AddReadCheck(func() bool { return s.epoch.Load() == e })
+		t.AddToReadSet(w)
 	})
-	tx.OnFinish(func(*core.Tx, bool) {
-		h.active.Store(0)
-	})
+	tx.OnFinish(h.finish)
 	return h
 }
 
@@ -60,7 +60,21 @@ func (s *System) Wrap(tx *core.Tx) *Handle {
 // written back. This is the paper's Figure 10b configuration.
 func (s *System) WrapTransient(tx *core.Tx) *Handle {
 	h := &Handle{sys: s, tx: tx, noPersist: true}
+	tx.OnFinish(h.finish)
 	return h
+}
+
+// finish closes a transaction on h: an abort releases the payloads it
+// staged (a commit gave them birth), and the handle stops announcing its
+// epoch.
+func (h *Handle) finish(_ *core.Tx, committed bool) {
+	if !committed {
+		for _, off := range h.staged {
+			h.sys.release(off, 0)
+		}
+	}
+	h.staged = h.staged[:0]
+	h.active.Store(0)
 }
 
 // Tx returns the wrapped Medley transaction context.
@@ -131,7 +145,7 @@ func (h *Handle) opEpoch() uint64 {
 // newPayload stages a persistent payload for (key, data): the block is
 // allocated and its content written immediately, but it is born — epoch
 // stamped and scheduled for write-back — only if the enclosing transaction
-// commits. Returns the block offset.
+// commits, and released if it aborts (finish). Returns the block offset.
 func (h *Handle) newPayload(key uint64, data []uint64) int {
 	s := h.sys
 	off, blockWords := s.alloc(len(data))
@@ -148,9 +162,9 @@ func (h *Handle) newPayload(key uint64, data []uint64) int {
 		}
 		s.payloadsBorn.Add(1)
 	})
-	h.tx.OnAbortUndo(func() {
-		s.release(off, 0)
-	})
+	if h.tx.InTx() {
+		h.staged = append(h.staged, off)
+	}
 	return off
 }
 

@@ -28,7 +28,7 @@ func TestPersistAcrossCrash(t *testing.T) {
 	sys, st, _ := newStore(t)
 	mgr2 := core.NewTxManager()
 	h := sys.Wrap(mgr2.Register())
-	if err := RunOp(h, func() error {
+	if err := h.tx.RunRetry(func() error {
 		st.Put(h, 1, 100)
 		st.Put(h, 2, 200)
 		return nil
@@ -50,9 +50,9 @@ func TestUnsyncedEpochLost(t *testing.T) {
 	sys, st, _ := newStore(t)
 	mgr := core.NewTxManager()
 	h := sys.Wrap(mgr.Register())
-	_ = RunOp(h, func() error { st.Put(h, 1, 100); return nil })
+	_ = h.tx.RunRetry(func() error { st.Put(h, 1, 100); return nil })
 	sys.Sync()
-	_ = RunOp(h, func() error { st.Put(h, 2, 200); return nil }) // not synced
+	_ = h.tx.RunRetry(func() error { st.Put(h, 2, 200); return nil }) // not synced
 	rec := sys.CrashAndRecover()
 	if len(rec) != 1 || rec[0].Key != 1 {
 		t.Fatalf("recovered %v, want only key 1", rec)
@@ -66,7 +66,7 @@ func TestUnsyncedEpochLost(t *testing.T) {
 func TestOpSectionHoldsItsEpoch(t *testing.T) {
 	sys, st, mgr := newStore(t)
 	h := sys.Wrap(mgr.Register())
-	_ = RunOp(h, func() error { st.Put(h, 1, 100); return nil })
+	_ = h.tx.RunRetry(func() error { st.Put(h, 1, 100); return nil })
 	sys.Sync()
 	h.BeginOp()
 	e := sys.Epoch()
@@ -93,10 +93,10 @@ func TestRemoveDurable(t *testing.T) {
 	sys, st, _ := newStore(t)
 	mgr := core.NewTxManager()
 	h := sys.Wrap(mgr.Register())
-	_ = RunOp(h, func() error { st.Put(h, 1, 100); return nil })
-	_ = RunOp(h, func() error { st.Put(h, 2, 200); return nil })
+	_ = h.tx.RunRetry(func() error { st.Put(h, 1, 100); return nil })
+	_ = h.tx.RunRetry(func() error { st.Put(h, 2, 200); return nil })
 	sys.Sync()
-	_ = RunOp(h, func() error {
+	_ = h.tx.RunRetry(func() error {
 		if _, ok := st.Remove(h, 1); !ok {
 			t.Fatal("remove failed")
 		}
@@ -113,9 +113,9 @@ func TestReplaceDurable(t *testing.T) {
 	sys, st, _ := newStore(t)
 	mgr := core.NewTxManager()
 	h := sys.Wrap(mgr.Register())
-	_ = RunOp(h, func() error { st.Put(h, 1, 100); return nil })
+	_ = h.tx.RunRetry(func() error { st.Put(h, 1, 100); return nil })
 	sys.Sync()
-	_ = RunOp(h, func() error { st.Put(h, 1, 111); return nil })
+	_ = h.tx.RunRetry(func() error { st.Put(h, 1, 111); return nil })
 	sys.Sync()
 	rec := sys.CrashAndRecover()
 	if len(rec) != 1 {
@@ -131,9 +131,9 @@ func TestRecoveryToOlderEpochSeesOldValue(t *testing.T) {
 	sys, st, _ := newStore(t)
 	mgr := core.NewTxManager()
 	h := sys.Wrap(mgr.Register())
-	_ = RunOp(h, func() error { st.Put(h, 1, 100); return nil })
+	_ = h.tx.RunRetry(func() error { st.Put(h, 1, 100); return nil })
 	sys.Sync()
-	_ = RunOp(h, func() error { st.Put(h, 1, 111); return nil }) // unsynced replace
+	_ = h.tx.RunRetry(func() error { st.Put(h, 1, 111); return nil }) // unsynced replace
 	rec := sys.CrashAndRecover()
 	if len(rec) != 1 || rec[0].Data[0] != 100 {
 		t.Fatalf("recovered %+v, want old value 100", rec)
@@ -206,7 +206,7 @@ func TestEpochValidationAbortsStragglers(t *testing.T) {
 		// The epoch advances inside an open transaction: the advancer's
 		// grace wait only applies at write-back time; bumping the clock is
 		// what kills stragglers. Simulate the bump directly.
-		sys.epoch.Add(1)
+		sys.epoch.Store(sys.epoch.Load() + 1)
 		return nil
 	})
 	if !errors.Is(err, core.ErrTxAborted) {
@@ -218,10 +218,10 @@ func TestBlockReuseOnlyAfterDeathPersisted(t *testing.T) {
 	sys, st, _ := newStore(t)
 	mgr := core.NewTxManager()
 	h := sys.Wrap(mgr.Register())
-	_ = RunOp(h, func() error { st.Put(h, 1, 100); return nil })
+	_ = h.tx.RunRetry(func() error { st.Put(h, 1, 100); return nil })
 	sys.Sync()
 	var oldOff int
-	_ = RunOp(h, func() error {
+	_ = h.tx.RunRetry(func() error {
 		e, _ := st.idx.Get(h.tx, 1)
 		oldOff = e.Off
 		st.Remove(h, 1)
@@ -260,7 +260,7 @@ func TestConservationAcrossRandomCrash(t *testing.T) {
 	sys, st, _ := newStore(t)
 	mgr := core.NewTxManager()
 	seedH := sys.Wrap(mgr.Register())
-	if err := RunOp(seedH, func() error {
+	if err := seedH.tx.RunRetry(func() error {
 		for k := uint64(0); k < nAccounts; k++ {
 			st.Put(seedH, k, initial)
 		}
@@ -329,12 +329,12 @@ func TestRecycledRegionSurvivesChurn(t *testing.T) {
 	for round := 0; round < 30; round++ {
 		for k := uint64(0); k < 20; k++ {
 			key := k
-			_ = RunOp(h, func() error { st.Put(h, key, key*uint64(round+1)); return nil })
+			_ = h.tx.RunRetry(func() error { st.Put(h, key, key*uint64(round+1)); return nil })
 		}
 		sys.Sync()
 		for k := uint64(0); k < 20; k += 2 {
 			key := k
-			_ = RunOp(h, func() error { st.Remove(h, key); return nil })
+			_ = h.tx.RunRetry(func() error { st.Remove(h, key); return nil })
 		}
 		sys.Sync()
 	}
@@ -356,8 +356,8 @@ func TestStatsAccounting(t *testing.T) {
 	sys, st, _ := newStore(t)
 	mgr := core.NewTxManager()
 	h := sys.Wrap(mgr.Register())
-	_ = RunOp(h, func() error { st.Put(h, 1, 1); st.Put(h, 2, 2); return nil })
-	_ = RunOp(h, func() error { st.Remove(h, 1); return nil })
+	_ = h.tx.RunRetry(func() error { st.Put(h, 1, 1); st.Put(h, 2, 2); return nil })
+	_ = h.tx.RunRetry(func() error { st.Remove(h, 1); return nil })
 	sys.Sync()
 	s := sys.Stats()
 	if s.PayloadsBorn != 2 || s.PayloadsKilled != 1 {

@@ -42,7 +42,7 @@ func U64Codec() Codec[uint64] {
 // PStore is a txMontage persistent map: a transient Medley index over
 // epoch-tagged payloads in simulated NVM. All operations must run on a
 // Handle whose transaction is open (ops compose transactionally and commit
-// with epoch validation); single ops may use RunOp.
+// with epoch validation); a single op runs as h.Tx().RunRetry(op).
 type PStore[V any] struct {
 	sys   *System
 	idx   Index[Entry[V]]
@@ -89,8 +89,7 @@ func (p *PStore[V]) Insert(h *Handle, key uint64, val V) bool {
 		return true
 	}
 	// Not inserted: the staged block was never born. On commit the deferred
-	// release below returns it; on abort the undo registered by newPayload
-	// does (Defer and OnAbortUndo are mutually exclusive paths).
+	// release below returns it; on abort the handle's finish does.
 	h.tx.Defer(func() { p.sys.release(off, 0) })
 	return false
 }
@@ -110,12 +109,6 @@ func (p *PStore[V]) Len() int { return p.idx.Len() }
 // Range iterates a non-linearizable snapshot of entries.
 func (p *PStore[V]) Range(fn func(key uint64, val V) bool) {
 	p.idx.Range(func(k uint64, e Entry[V]) bool { return fn(k, e.Val) })
-}
-
-// RunOp runs a single-operation transaction on h with retry: the
-// convenience path for non-composed durable operations.
-func RunOp(h *Handle, op func() error) error {
-	return h.tx.RunRetry(op)
 }
 
 // Recovered is one payload surviving a crash.

@@ -34,6 +34,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"medley/internal/core"
 	"medley/internal/pmem"
 )
 
@@ -89,7 +90,7 @@ type arena struct {
 type System struct {
 	Region *pmem.Region
 
-	epoch     atomic.Uint64
+	epoch     core.CASObj[uint64] // a transaction witnesses it (Wrap)
 	persisted atomic.Uint64
 
 	arenas []arena

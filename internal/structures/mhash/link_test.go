@@ -83,14 +83,14 @@ func TestMarkedLinkKeepsReplacementAlive(t *testing.T) {
 
 	r := m.find(nil, 2)
 	nn := m.newNode(nil, 2, 21, link(r.next))
-	if !m.slab.at(r.curr).next.NbtcCAS(nil, link(r.next), deleted(nn), true, true) {
+	if !m.slab.At(r.curr).next.NbtcCAS(nil, link(r.next), deleted(nn), true, true) {
 		t.Fatal("uncontended replace CAS failed")
 	}
 	for i := 0; i < 3; i++ {
 		runtime.GC()
 	}
-	for i := 0; i < 4*chunkLen; i++ {
-		if got := m.slots.Get(nil); got == nn {
+	for i := 0; i < 4*core.SlabChunk; i++ {
+		if got := m.slab.Get(nil); got == nn {
 			t.Fatalf("allocation %d handed out slot %d, which the replacement still occupies", i, nn)
 		}
 	}
@@ -277,7 +277,7 @@ func TestAbortedInsertReturnsItsSlot(t *testing.T) {
 	mgr := core.NewTxManager()
 	m := NewMap[uint64](mgr, 64)
 	tx := mgr.Register()
-	for i := uint64(0); i < 4*chunkLen; i++ {
+	for i := uint64(0); i < 4*core.SlabChunk; i++ {
 		err := tx.Run(func() error {
 			m.Insert(tx, i, i)
 			m.Put(tx, i+1<<32, i)
@@ -288,8 +288,8 @@ func TestAbortedInsertReturnsItsSlot(t *testing.T) {
 			t.Fatalf("Run = %v, want ErrTxAborted", err)
 		}
 	}
-	if n := len(*m.slab.dir.Load()); n != 1 {
-		t.Errorf("%d aborted inserts grew the slab to %d chunks, want 1", 4*chunkLen, n)
+	if n := m.slab.Chunks(); n != 1 {
+		t.Errorf("%d aborted inserts grew the slab to %d chunks, want 1", 4*core.SlabChunk, n)
 	}
 	if m.Len() != 0 {
 		t.Errorf("aborted inserts left %d keys", m.Len())
@@ -370,7 +370,7 @@ func TestUnpooledTxRecyclesSlots(t *testing.T) {
 	tx := mgr.Register()
 	h := ebr.New(64).Register()
 	tx.SetSMR(h)
-	const puts = 32 * chunkLen
+	const puts = 32 * core.SlabChunk
 	for i := uint64(0); i < puts; i++ {
 		h.Enter()
 		if err := tx.RunRetry(func() error { m.Put(tx, i%64, i); return nil }); err != nil {
@@ -378,7 +378,7 @@ func TestUnpooledTxRecyclesSlots(t *testing.T) {
 		}
 		h.Exit()
 	}
-	if n := len(*m.slab.dir.Load()); n != 1 {
+	if n := m.slab.Chunks(); n != 1 {
 		t.Errorf("%d puts over 64 keys grew the slab to %d chunks, want 1", puts, n)
 	}
 }

@@ -20,7 +20,7 @@ func target(l uint32) uint32  { return l >> 1 }
 func isDeleted(l uint32) bool { return l&1 != 0 }
 
 // node is a list cell. key and val are immutable while the node is linked;
-// updates replace the node. Nodes live in the map's slab (slab.go) and hold
+// updates replace the node. Nodes live in the map's core.Slab and hold
 // no pointer of their own: for V = uint64 a store is invisible to the
 // collector.
 //
@@ -37,8 +37,8 @@ type node[V any] struct {
 // newNode takes a slot and fills it; next is Init'ed, which advances the
 // counter a recycled slot's link carries.
 func (m *Map[V]) newNode(tx *core.Tx, key uint64, val V, next uint32) uint32 {
-	i := m.slots.Get(tx)
-	n := m.slab.at(i)
+	i := m.slab.Get(tx)
+	n := m.slab.At(i)
 	n.key = key
 	n.val = val
 	n.next.Init(next)
@@ -73,7 +73,7 @@ retry:
 			if curr == 0 {
 				return findResult{prev: prev, prevWitness: prevW}
 			}
-			cn := m.slab.at(curr)
+			cn := m.slab.At(curr)
 			nl, currW := cn.next.NbtcLoad(tx)
 			next := target(nl)
 			if isDeleted(nl) {
@@ -84,7 +84,7 @@ retry:
 				if !prev.NbtcCAS(tx, link(curr), link(next), false, false) {
 					continue retry
 				}
-				m.slots.Retire(tx, curr)
+				m.slab.Retire(tx, curr, tx.InSpeculation())
 				curr = next
 				continue
 			}
@@ -111,7 +111,7 @@ func (m *Map[V]) Get(tx *core.Tx, key uint64) (V, bool) {
 	r := m.find(tx, key)
 	if r.found {
 		tx.AddToReadSet(r.currWitness)
-		return m.slab.at(r.curr).val, true
+		return m.slab.At(r.curr).val, true
 	}
 	tx.AddToReadSet(r.prevWitness)
 	var zero V
@@ -136,12 +136,12 @@ func (m *Map[V]) Put(tx *core.Tx, key uint64, val V) (V, bool) {
 		r := m.find(tx, key)
 		if r.found {
 			nn = m.prepare(tx, nn, key, val, link(r.next))
-			cn := m.slab.at(r.curr)
+			cn := m.slab.At(r.curr)
 			if cn.next.NbtcCAS(tx, link(r.next), deleted(nn), true, true) {
 				// Unlink (and retire) the replaced node post-commit; if the
 				// unlink CAS fails, a later find unlinks and retires it on
 				// our behalf.
-				core.DeferWordCAS(tx, r.prev, link(r.curr), link(nn), &m.slots, r.curr)
+				core.DeferWordCAS(tx, r.prev, link(r.curr), link(nn), &m.slab.Slots, r.curr)
 				return cn.val, true
 			}
 		} else {
@@ -160,7 +160,7 @@ func (m *Map[V]) prepare(tx *core.Tx, n uint32, key uint64, val V, next uint32) 
 	if n == 0 {
 		return m.newNode(tx, key, val, next)
 	}
-	m.slab.at(n).next.Init(next)
+	m.slab.At(n).next.Init(next)
 	return n
 }
 
@@ -175,7 +175,7 @@ func (m *Map[V]) Insert(tx *core.Tx, key uint64, val V) bool {
 		if r.found {
 			tx.AddToReadSet(r.currWitness)
 			if nn != 0 {
-				m.slots.Put(tx, nn) // never published: immediate reuse
+				m.slab.Put(tx, nn) // never published: immediate reuse
 			}
 			return false
 		}
@@ -198,9 +198,9 @@ func (m *Map[V]) Remove(tx *core.Tx, key uint64) (V, bool) {
 			var zero V
 			return zero, false
 		}
-		cn := m.slab.at(r.curr)
+		cn := m.slab.At(r.curr)
 		if cn.next.NbtcCAS(tx, link(r.next), deleted(r.next), true, true) {
-			core.DeferWordCAS(tx, r.prev, link(r.curr), link(r.next), &m.slots, r.curr)
+			core.DeferWordCAS(tx, r.prev, link(r.curr), link(r.next), &m.slab.Slots, r.curr)
 			return cn.val, true
 		}
 	}
@@ -211,7 +211,7 @@ func (m *Map[V]) Remove(tx *core.Tx, key uint64) (V, bool) {
 // returning false) if fn returns false.
 func (m *Map[V]) chainRange(head *core.Word, fn func(key uint64, val V) bool) bool {
 	for i := target(head.Load()); i != 0; {
-		n := m.slab.at(i)
+		n := m.slab.At(i)
 		nl := n.next.Load()
 		if !isDeleted(nl) && !fn(n.key, n.val) {
 			return false

@@ -13,14 +13,13 @@ import (
 // A bucket head is one bare core.Word and a node lives in the map's slab,
 // so a key costs a 24-byte node plus its share of the heads (8 bytes a
 // bucket) and the collector has nothing to mark inside the table but the
-// slab's chunks (DESIGN.md, "Word link (mhash)").
+// slab's chunks (DESIGN.md, "Word link").
 type Map[V any] struct {
 	buckets []core.Word
 	skip    uint // product bits above the bucket field, spent by a partitioner
 	shift   uint // 64 - log2(len(buckets))
 	mgr     *core.TxManager
-	slab    slab[V]
-	slots   core.Slots
+	slab    core.Slab[node[V]]
 }
 
 // NewMap creates a table with at least nBuckets buckets (rounded up to a
@@ -39,14 +38,12 @@ func NewMapShard[V any](mgr *core.TxManager, nBuckets int, shardBits uint) *Map[
 	for n < nBuckets {
 		n <<= 1
 	}
-	m := &Map[V]{
+	return &Map[V]{
 		buckets: make([]core.Word, n),
 		skip:    shardBits,
 		shift:   uint(64 - bits.Len(uint(n-1))),
 		mgr:     mgr,
 	}
-	m.slots.Init(m.slab.grow)
-	return m
 }
 
 // Manager returns the TxManager this map participates in.

@@ -80,13 +80,11 @@ func (q *Queue[V]) Dequeue(tx *core.Tx) (V, bool) {
 			return zero, false
 		}
 		if q.head.NbtcCAS(tx, h, next, true, true) {
-			old := h
-			tx.Retire(func() { _ = old })
 			// If the tail still points at the removed dummy (single-element
 			// queue), help it forward after commit so non-transactional
-			// peers never chase a retired node.
+			// peers never chase a removed node.
 			tx.Defer(func() {
-				q.tail.CAS(old, next)
+				q.tail.CAS(h, next)
 			})
 			return next.val, true
 		}

@@ -12,9 +12,12 @@
 // with the rest of the transaction.
 //
 // Like the original, the tree is leaf-oriented: internal nodes route, keys
-// live in leaves, and every internal node has exactly two children. GC
-// replaces the original's epoch-based reclamation; fresh-cell identity in
-// the Medley core replaces its pointer-packing of flag/tag bits.
+// live in leaves, and every internal node has exactly two children. Nodes
+// live in the tree's core.Slab and an edge is a core.Word, whose payload
+// packs the child's slab index with the flag and tag bits as the original
+// packs them into a pointer. A node the tree unlinks is reused after an EBR
+// grace period by a Tx with an SMR handle (Tx.SetSMR), and never by one
+// without.
 package nmbst
 
 import (
@@ -31,50 +34,35 @@ const (
 	MaxKey = inf0 - 1
 )
 
-// edge is the value of a child pointer: target node plus the deletion
-// protocol bits. flag marks an edge to a leaf being deleted; tag freezes a
-// sibling edge while its subtree is spliced up.
-type edge[V any] struct {
-	n    *node[V]
-	flag bool
-	tag  bool
-}
+// An edge is the payload of a child Word: the slab index of the node it
+// leads to above two protocol bits. flag marks an edge to a leaf being
+// deleted; tag freezes a sibling edge while its subtree is spliced up.
+// Every CAS that moves an edge expects it clean, so a flagged or tagged
+// edge no longer changes.
+const (
+	tagBit  = 1
+	flagBit = 2
+)
 
+func edgeTo(i uint32) uint32 { return i << 2 }
+func target(e uint32) uint32 { return e >> 2 }
+func flagged(e uint32) bool  { return e&flagBit != 0 }
+func tagged(e uint32) bool   { return e&tagBit != 0 }
+
+// node is a tree node. key, val and internal are fixed while the node is
+// linked; only an internal node's edges are ever loaded or CAS'd.
+//
+// A node's index is retired when the operation that unlinks it succeeds —
+// a replace its old leaf, a delete its leaf and that leaf's parent — and,
+// inside a transaction, only if the transaction commits.
 type node[V any] struct {
-	key      uint64
-	val      V
-	internal bool
-	left     core.CASObj[edge[V]]
-	right    core.CASObj[edge[V]]
+	key         uint64
+	val         V
+	internal    bool
+	left, right core.Word
 }
 
-// ResetForReuse implements core.Resettable: clear references and bump the
-// resident edge cells' generations so no stale witness can validate
-// against a reused node. Leaves and internal nodes share the pool.
-func (n *node[V]) ResetForReuse() {
-	var zero V
-	n.key = 0
-	n.val = zero
-	n.internal = false
-	core.ResetSlot(&n.left)
-	core.ResetSlot(&n.right)
-}
-
-// pool returns tx's node pool (nil when pooling is off; all NodePool
-// methods are nil-receiver safe).
-func pool[V any](tx *core.Tx) *core.NodePool[node[V]] {
-	return core.PoolOf[node[V]](tx)
-}
-
-// getNode sources a node from the pool or the heap.
-func getNode[V any](p *core.NodePool[node[V]]) *node[V] {
-	if n := p.Get(); n != nil {
-		return n
-	}
-	return &node[V]{}
-}
-
-func (n *node[V]) child(k uint64) *core.CASObj[edge[V]] {
+func (n *node[V]) child(k uint64) *core.Word {
 	if k < n.key {
 		return &n.left
 	}
@@ -84,35 +72,53 @@ func (n *node[V]) child(k uint64) *core.CASObj[edge[V]] {
 // Tree is an NBTC-transformed external BST mapping uint64 keys (≤ MaxKey)
 // to V.
 type Tree[V any] struct {
-	root *node[V]
+	root uint32
 	mgr  *core.TxManager
+	slab core.Slab[node[V]]
 }
 
 // New creates an empty tree attached to mgr.
 func New[V any](mgr *core.TxManager) *Tree[V] {
-	s := &node[V]{key: inf1, internal: true}
-	s.left.Init(edge[V]{n: &node[V]{key: inf0}})
-	s.right.Init(edge[V]{n: &node[V]{key: inf1}})
-	r := &node[V]{key: inf2, internal: true}
-	r.left.Init(edge[V]{n: s})
-	r.right.Init(edge[V]{n: &node[V]{key: inf2}})
-	return &Tree[V]{root: r, mgr: mgr}
+	t := &Tree[V]{mgr: mgr}
+	var zero V
+	leaf := func(k uint64) uint32 { return edgeTo(t.set(t.slab.Get(nil), k, zero, false, 0, 0)) }
+	s := t.set(t.slab.Get(nil), inf1, zero, true, leaf(inf0), leaf(inf1))
+	t.root = t.set(t.slab.Get(nil), inf2, zero, true, edgeTo(s), leaf(inf2))
+	return t
 }
 
 // Manager returns the TxManager this tree participates in.
 func (t *Tree[V]) Manager() *core.TxManager { return t.mgr }
 
+// set fills node i, which no other thread can reach, and returns i. Init
+// advances the counters a recycled node's edges carry, so no witness of
+// its previous life validates.
+func (t *Tree[V]) set(i uint32, key uint64, val V, internal bool, left, right uint32) uint32 {
+	n := t.slab.At(i)
+	n.key, n.val, n.internal = key, val, internal
+	n.left.Init(left)
+	n.right.Init(right)
+	return i
+}
+
+// give returns node i, taken but never published, for immediate reuse.
+func (t *Tree[V]) give(tx *core.Tx, i uint32) {
+	if i != 0 {
+		t.slab.Put(tx, i)
+	}
+}
+
 // seekResult is the position of key: gp --gpEdge--> p --pEdge--> leaf, with
-// the witnessed load of pEdge (the linearizing load of read-only
-// outcomes). pEdgeVal carries the flag observed on the leaf edge.
-type seekResult[V any] struct {
-	gp     *node[V]
-	gpEdge *core.CASObj[edge[V]]
-	gpVal  edge[V]
-	p      *node[V]
-	pEdge  *core.CASObj[edge[V]]
-	pVal   edge[V]
-	leaf   *node[V]
+// the edges observed on gpEdge and pEdge and the witnessed load of pEdge
+// (the linearizing load of read-only outcomes). gpEdge is nil when p is
+// the root.
+type seekResult struct {
+	gpEdge *core.Word
+	gpVal  uint32
+	p      uint32
+	pEdge  *core.Word
+	pVal   uint32
+	leaf   uint32
 	pW     core.ReadWitness
 	found  bool
 }
@@ -121,36 +127,27 @@ type seekResult[V any] struct {
 // foreign pending deletion it encounters (flagged or tagged edges), except
 // a deletion identified by (ownP, ownLeaf), which belongs to the calling
 // operation itself.
-func (t *Tree[V]) seek(tx *core.Tx, key uint64, ownP, ownLeaf *node[V]) seekResult[V] {
-retry:
+func (t *Tree[V]) seek(tx *core.Tx, key uint64, ownP, ownLeaf uint32) seekResult {
 	for {
-		var r seekResult[V]
-		r.p = t.root
-		r.pEdge = t.root.child(key)
-		var pV edge[V]
-		pV, r.pW = r.pEdge.NbtcLoad(tx)
-		r.pVal = pV
-		r.leaf = pV.n
-		for r.leaf.internal {
-			r.gp, r.gpEdge, r.gpVal = r.p, r.pEdge, r.pVal
-			r.p = r.leaf
-			r.pEdge = r.p.child(key)
-			pV, r.pW = r.pEdge.NbtcLoad(tx)
-			r.pVal = pV
-			r.leaf = pV.n
+		r := seekResult{leaf: t.root}
+		for n := t.slab.At(r.leaf); n.internal; n = t.slab.At(r.leaf) {
+			r.gpEdge, r.gpVal = r.pEdge, r.pVal
+			r.p, r.pEdge = r.leaf, n.child(key)
+			r.pVal, r.pW = r.pEdge.NbtcLoad(tx)
+			r.leaf = target(r.pVal)
 		}
-		if (r.pVal.flag || r.pVal.tag) && !(r.p == ownP && r.leaf == ownLeaf) {
+		if (flagged(r.pVal) || tagged(r.pVal)) && !(r.p == ownP && r.leaf == ownLeaf) {
 			// A foreign deletion is pending at our destination; help it
 			// finish and retry. (Tagged leaf edges occur transiently when
 			// the sibling of a pending delete is itself a leaf.)
-			if r.pVal.flag {
-				t.helpDelete(tx, r.gp, r.gpEdge, r.p, r.leaf)
+			if flagged(r.pVal) {
+				t.helpDelete(tx, r.gpEdge, r.p, r.leaf)
 			} else {
-				t.helpTagged(tx, r.gp, r.gpEdge, r.gpVal)
+				t.helpTagged(tx, r.gpEdge, r.gpVal)
 			}
-			continue retry
+			continue
 		}
-		r.found = r.leaf.key == key
+		r.found = t.slab.At(r.leaf).key == key
 		return r
 	}
 }
@@ -159,56 +156,55 @@ retry:
 // freeze p's other edge with a tag, then splice the sibling into gp. Safe
 // to run concurrently by any number of helpers; every CAS tolerates having
 // already been done.
-func (t *Tree[V]) helpDelete(tx *core.Tx, gp *node[V], gpEdge *core.CASObj[edge[V]], p, leaf *node[V]) {
-	if gp == nil || gpEdge == nil {
+func (t *Tree[V]) helpDelete(tx *core.Tx, gpEdge *core.Word, p, leaf uint32) {
+	if gpEdge == nil {
 		return // flags directly under the root never happen: sentinels are never deleted
 	}
-	sibEdge := &p.right
-	if !leafIsLeft(p, leaf, tx) {
-		sibEdge = &p.left
-	}
-	// Freeze the sibling edge: tag it if clean; a flag (competing deletion
-	// of the sibling leaf) freezes it just as well.
-	var sv edge[V]
-	for {
-		sv, _ = sibEdge.NbtcLoad(tx)
-		if sv.flag || sv.tag {
-			break
-		}
-		if sibEdge.NbtcCAS(tx, sv, edge[V]{sv.n, false, true}, false, false) {
-			sv.tag = true
-			break
-		}
-	}
+	sv := freeze(tx, t.sibling(tx, p, leaf))
 	// Splice: gp's edge to p becomes an edge to the frozen sibling.
-	gpEdge.NbtcCAS(tx, edge[V]{p, false, false}, edge[V]{sv.n, false, false}, false, false)
+	gpEdge.NbtcCAS(tx, edgeTo(p), edgeTo(target(sv)), false, false)
 }
 
 // helpTagged resolves an encountered tagged edge by re-running the
 // deletion that owns it: the tag's owner flagged p's other edge, so locate
 // that flag and help. gpEdge/gpVal address the tagged edge's parent edge.
-func (t *Tree[V]) helpTagged(tx *core.Tx, gp *node[V], gpEdge *core.CASObj[edge[V]], gpVal edge[V]) {
-	// The tagged edge hangs off gpVal.n's parent p = the node whose other
-	// edge is flagged. Our caller found the tag on p's edge, with p
-	// reachable from gp; the flagged edge is p's other child.
-	p := gpVal.n
-	if p == nil || !p.internal {
-		return
+func (t *Tree[V]) helpTagged(tx *core.Tx, gpEdge *core.Word, gpVal uint32) {
+	p := target(gpVal)
+	n := t.slab.At(p)
+	if !n.internal {
+		return // also p == 0: node 0 is never linked, so never internal
 	}
-	lv, _ := p.left.NbtcLoad(tx)
-	rv, _ := p.right.NbtcLoad(tx)
-	if lv.flag && lv.n != nil && !lv.n.internal {
-		t.helpDelete(tx, gp, gpEdge, p, lv.n)
-	} else if rv.flag && rv.n != nil && !rv.n.internal {
-		t.helpDelete(tx, gp, gpEdge, p, rv.n)
+	for _, e := range [2]*core.Word{&n.left, &n.right} {
+		if v, _ := e.NbtcLoad(tx); flagged(v) && target(v) != 0 && !t.slab.At(target(v)).internal {
+			t.helpDelete(tx, gpEdge, p, target(v))
+			return
+		}
 	}
 }
 
-// leafIsLeft reports which side of p holds leaf, reading through any
+// sibling is p's edge that does not lead to leaf, reading through any
 // installed descriptors.
-func leafIsLeft[V any](p *node[V], leaf *node[V], tx *core.Tx) bool {
-	lv, _ := p.left.NbtcLoad(tx)
-	return lv.n == leaf
+func (t *Tree[V]) sibling(tx *core.Tx, p, leaf uint32) *core.Word {
+	n := t.slab.At(p)
+	if l, _ := n.left.NbtcLoad(tx); target(l) == leaf {
+		return &n.right
+	}
+	return &n.left
+}
+
+// freeze tags the sibling edge e if it is clean — a flag (a competing
+// deletion of the sibling leaf) freezes it just as well — and returns the
+// frozen edge.
+func freeze(tx *core.Tx, e *core.Word) uint32 {
+	for {
+		v, _ := e.NbtcLoad(tx)
+		if flagged(v) || tagged(v) {
+			return v
+		}
+		if e.NbtcCAS(tx, v, v|tagBit, false, false) {
+			return v | tagBit
+		}
+	}
 }
 
 // Get returns the value bound to key; the witnessed load of the leaf edge
@@ -217,10 +213,10 @@ func leafIsLeft[V any](p *node[V], leaf *node[V], tx *core.Tx) bool {
 // internal node).
 func (t *Tree[V]) Get(tx *core.Tx, key uint64) (V, bool) {
 	tx.OpStart()
-	r := t.seek(tx, key, nil, nil)
+	r := t.seek(tx, key, 0, 0)
 	tx.AddToReadSet(r.pW)
 	if r.found {
-		return r.leaf.val, true
+		return t.slab.At(r.leaf).val, true
 	}
 	var zero V
 	return zero, false
@@ -233,27 +229,31 @@ func (t *Tree[V]) Contains(tx *core.Tx, key uint64) bool {
 }
 
 // Put binds key to val, inserting or replacing; one linearizing CAS on the
-// leaf edge in either path.
+// leaf edge in either path. The new leaf, and the internal node an insert
+// adds, are kept across attempts and given back if unused.
 func (t *Tree[V]) Put(tx *core.Tx, key uint64, val V) (V, bool) {
 	tx.OpStart()
+	var nl, in uint32
 	for {
-		r := t.seek(tx, key, nil, nil)
+		r := t.seek(tx, key, 0, 0)
+		if nl == 0 {
+			nl = t.set(t.slab.Get(tx), key, val, false, 0, 0)
+		}
 		if r.found {
-			p := pool[V](tx)
-			newLeaf := getNode(p)
-			newLeaf.key, newLeaf.val, newLeaf.internal = key, val, false
-			old := r.leaf.val
-			if r.pEdge.NbtcCAS(tx, edge[V]{r.leaf, false, false}, edge[V]{newLeaf, false, false}, true, true) {
+			old := t.slab.At(r.leaf).val
+			if r.pEdge.NbtcCAS(tx, edgeTo(r.leaf), edgeTo(nl), true, true) {
 				// The replaced leaf is unreachable the moment the edge CAS
-				// takes effect; retire it (commit-gated inside a
-				// transaction).
-				p.Retire(r.leaf)
+				// takes effect: at commit, inside a transaction.
+				t.slab.Retire(tx, r.leaf, true)
+				t.give(tx, in)
 				return old, true
 			}
-			p.Put(newLeaf) // never published
 			continue
 		}
-		if t.insertAt(tx, r, key, val) {
+		if in == 0 {
+			in = t.slab.Get(tx)
+		}
+		if t.insertAt(tx, r, key, nl, in) {
 			var zero V
 			return zero, false
 		}
@@ -263,43 +263,35 @@ func (t *Tree[V]) Put(tx *core.Tx, key uint64, val V) (V, bool) {
 // Insert adds key only if absent; a failed insert is a read-only outcome.
 func (t *Tree[V]) Insert(tx *core.Tx, key uint64, val V) bool {
 	tx.OpStart()
+	var nl, in uint32
 	for {
-		r := t.seek(tx, key, nil, nil)
+		r := t.seek(tx, key, 0, 0)
 		if r.found {
 			tx.AddToReadSet(r.pW)
+			t.give(tx, nl)
+			t.give(tx, in)
 			return false
 		}
-		if t.insertAt(tx, r, key, val) {
+		if nl == 0 {
+			nl = t.set(t.slab.Get(tx), key, val, false, 0, 0)
+			in = t.slab.Get(tx)
+		}
+		if t.insertAt(tx, r, key, nl, in) {
 			return true
 		}
 	}
 }
 
-// insertAt replaces the reached leaf with an internal node holding the old
-// leaf and the new one in key order. Both nodes come from the Tx's pool
-// when pooling is on; a failed attempt returns them (never published) for
-// immediate reuse by the retry.
-func (t *Tree[V]) insertAt(tx *core.Tx, r seekResult[V], key uint64, val V) bool {
-	p := pool[V](tx)
-	newLeaf := getNode(p)
-	newLeaf.key, newLeaf.val, newLeaf.internal = key, val, false
-	in := getNode(p)
-	in.internal = true
-	if key < r.leaf.key {
-		in.key = r.leaf.key
-		in.left.InitTx(tx, edge[V]{n: newLeaf})
-		in.right.InitTx(tx, edge[V]{n: r.leaf})
+// insertAt replaces the reached leaf with internal node in, holding the old
+// leaf and the new leaf nl in key order.
+func (t *Tree[V]) insertAt(tx *core.Tx, r seekResult, key uint64, nl, in uint32) bool {
+	var zero V
+	if lk := t.slab.At(r.leaf).key; key < lk {
+		t.set(in, lk, zero, true, edgeTo(nl), edgeTo(r.leaf))
 	} else {
-		in.key = key
-		in.left.InitTx(tx, edge[V]{n: r.leaf})
-		in.right.InitTx(tx, edge[V]{n: newLeaf})
+		t.set(in, key, zero, true, edgeTo(r.leaf), edgeTo(nl))
 	}
-	if r.pEdge.NbtcCAS(tx, edge[V]{r.leaf, false, false}, edge[V]{in, false, false}, true, true) {
-		return true
-	}
-	p.Put(newLeaf)
-	p.Put(in)
-	return false
+	return r.pEdge.NbtcCAS(tx, edgeTo(r.leaf), edgeTo(in), true, true)
 }
 
 // Remove deletes key. Protocol: flag the leaf edge (publication point),
@@ -308,19 +300,19 @@ func (t *Tree[V]) insertAt(tx *core.Tx, r seekResult[V], key uint64, val V) bool
 // transaction and commit together.
 func (t *Tree[V]) Remove(tx *core.Tx, key uint64) (V, bool) {
 	tx.OpStart()
-	var ownP, ownLeaf *node[V]
+	var ownP, ownLeaf uint32
 	var val V
 	for {
 		r := t.seek(tx, key, ownP, ownLeaf)
-		if ownP == nil {
+		if ownP == 0 {
 			if !r.found {
 				tx.AddToReadSet(r.pW)
 				var zero V
 				return zero, false
 			}
-			val = r.leaf.val
+			val = t.slab.At(r.leaf).val
 			// Publication point: flag the edge to the victim leaf.
-			if !r.pEdge.NbtcCAS(tx, edge[V]{r.leaf, false, false}, edge[V]{r.leaf, true, false}, false, true) {
+			if !r.pEdge.NbtcCAS(tx, edgeTo(r.leaf), edgeTo(r.leaf)|flagBit, false, true) {
 				continue
 			}
 			ownP, ownLeaf = r.p, r.leaf
@@ -330,33 +322,18 @@ func (t *Tree[V]) Remove(tx *core.Tx, key uint64) (V, bool) {
 			// transaction, where the flag is immediately visible). Nothing
 			// is retired here — a racing deletion of the sibling leaf can
 			// splice OUR flagged leaf up to the grandparent (dropping the
-			// flag), in which case ownLeaf is still reachable and ownP may
-			// already have been retired by that racer; both therefore fall
-			// back to the garbage collector, which is always safe.
+			// flag), in which case ownLeaf is still reachable and ownP was
+			// retired by that racer; neither index is ever reused by us.
 			return val, true
 		}
 		// Freeze the sibling edge, then splice (linearization point).
-		sibEdge := &ownP.right
-		if !leafIsLeft(ownP, ownLeaf, tx) {
-			sibEdge = &ownP.left
-		}
-		var sv edge[V]
-		for {
-			sv, _ = sibEdge.NbtcLoad(tx)
-			if sv.flag || sv.tag {
-				break
-			}
-			if sibEdge.NbtcCAS(tx, sv, edge[V]{sv.n, false, true}, false, false) {
-				break
-			}
-		}
-		if r.gpEdge.NbtcCAS(tx, edge[V]{ownP, false, false}, edge[V]{sv.n, false, false}, true, true) {
+		sv := freeze(tx, t.sibling(tx, ownP, ownLeaf))
+		if r.gpEdge.NbtcCAS(tx, edgeTo(ownP), edgeTo(target(sv)), true, true) {
 			// The splice detaches both the victim leaf and its parent; the
 			// leaf stays reachable only through the parent's frozen edge, so
-			// retiring them together keeps their grace periods aligned.
-			p := pool[V](tx)
-			p.Retire(ownLeaf)
-			p.Retire(ownP)
+			// they retire together, at commit inside a transaction.
+			t.slab.Retire(tx, ownP, true)
+			t.slab.Retire(tx, ownLeaf, true)
 			return val, true
 		}
 		// Splice failed: the grandparent edge changed (e.g., another
@@ -375,21 +352,13 @@ func (t *Tree[V]) Len() int {
 // Range iterates a non-linearizable snapshot of user entries in key order;
 // for tests.
 func (t *Tree[V]) Range(fn func(key uint64, val V) bool) {
-	var walk func(nd *node[V]) bool
-	walk = func(nd *node[V]) bool {
-		if nd == nil {
-			return true
+	var walk func(i uint32) bool
+	walk = func(i uint32) bool {
+		n := t.slab.At(i)
+		if !n.internal {
+			return n.key > MaxKey || fn(n.key, n.val)
 		}
-		if !nd.internal {
-			if nd.key <= MaxKey {
-				return fn(nd.key, nd.val)
-			}
-			return true
-		}
-		if !walk(nd.left.Load().n) {
-			return false
-		}
-		return walk(nd.right.Load().n)
+		return walk(target(n.left.Load())) && walk(target(n.right.Load()))
 	}
 	walk(t.root)
 }

@@ -109,7 +109,10 @@ func NewRotatingSkiplist[V any](mgr *TxManager) *RotatingSkiplist[V] {
 	return rotatingskip.New[V](mgr)
 }
 
-// NewBST creates an empty binary search tree.
+// NewBST creates an empty binary search tree. Its nodes live in a slab,
+// like the hash table's: the nodes a transaction removes are reused only
+// if that Tx has an EBR handle (Tx.SetSMR); a Tx without one never reuses
+// them.
 func NewBST[V any](mgr *TxManager) *BST[V] { return nmbst.New[V](mgr) }
 
 // NewQueue creates an empty queue.
