@@ -5,14 +5,12 @@ import (
 )
 
 // Ablation benchmarks for the design choices DESIGN.md calls out: the cost
-// of the cell indirection, of transactional instrumentation relative to
-// plain CAS, of read-set validation as transactions grow, and of the
+// of transactional instrumentation relative to plain CAS, of read-set validation as transactions grow, and of the
 // publish-at-commit read-set copy.
 
-// BenchmarkPlainCAS is the baseline: uncontended CAS through the cell
-// indirection.
+// BenchmarkPlainCAS is the baseline: uncontended CAS on a Word.
 func BenchmarkPlainCAS(b *testing.B) {
-	o := NewCASObj[uint64](0)
+	o := newWord(0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		v := o.Load()
@@ -25,7 +23,7 @@ func BenchmarkPlainCAS(b *testing.B) {
 func BenchmarkNbtcCASInTx(b *testing.B) {
 	mgr := NewTxManager()
 	tx := mgr.Register()
-	o := NewCASObj[uint64](0)
+	o := newWord(0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = tx.Run(func() error {
@@ -43,9 +41,9 @@ func BenchmarkTxSizeSweep(b *testing.B) {
 		b.Run(itoa(size), func(b *testing.B) {
 			mgr := NewTxManager()
 			tx := mgr.Register()
-			slots := make([]*CASObj[uint64], size)
+			slots := make([]*Word, size)
 			for i := range slots {
-				slots[i] = NewCASObj[uint64](0)
+				slots[i] = newWord(0)
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -70,9 +68,9 @@ func BenchmarkReadOnlyTxValidation(b *testing.B) {
 		b.Run(itoa(size), func(b *testing.B) {
 			mgr := NewTxManager()
 			tx := mgr.Register()
-			slots := make([]*CASObj[uint64], size)
+			slots := make([]*Word, size)
 			for i := range slots {
-				slots[i] = NewCASObj[uint64](uint64(i))
+				slots[i] = newWord(uint32(i))
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -94,9 +92,9 @@ func BenchmarkReadOnlyTxValidation(b *testing.B) {
 func BenchmarkAbortRollback(b *testing.B) {
 	mgr := NewTxManager()
 	tx := mgr.Register()
-	slots := make([]*CASObj[uint64], 4)
+	slots := make([]*Word, 4)
 	for i := range slots {
-		slots[i] = NewCASObj[uint64](0)
+		slots[i] = newWord(0)
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -126,7 +124,7 @@ func BenchmarkCommitFastPathAblation(b *testing.B) {
 			mgr.DisableFastPaths()
 		}
 		tx := mgr.Register()
-		o := NewCASObj[uint64](0)
+		o := newWord(0)
 		b.Run("readonly/"+cfg.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

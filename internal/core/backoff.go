@@ -117,7 +117,7 @@ func (c *contention) windowLimit() time.Duration {
 
 // backoff delays the attempt-th retry. Sleeps happen outside the Tx's SMR
 // critical section: between attempts the previous transaction has settled
-// and no cell reference survives into the next attempt, so this is a
+// and no node reference survives into the next attempt, so this is a
 // quiescent point — and a worker sleeping tens of microseconds while
 // announcing an old epoch would otherwise stall reclamation for the whole
 // domain exactly when contention (and displacement traffic) peaks.
@@ -135,13 +135,13 @@ func (tx *Tx) backoff(attempt int) {
 	if lim := tx.cm.windowLimit(); window > lim {
 		window = lim
 	}
-	pause := tx.pauser != nil && tx.pauser.Active()
+	pause := tx.smr != nil && tx.smr.Active()
 	if pause {
-		tx.pauser.Exit()
+		tx.smr.Exit()
 	}
 	backoffSleep(time.Duration(tx.nextRand()%uint64(window)) + 1)
 	if pause {
-		tx.pauser.Enter()
+		tx.smr.Enter()
 	}
 }
 

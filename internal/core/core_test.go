@@ -6,10 +6,23 @@ import (
 	"testing"
 )
 
-func TestCASObjZeroValue(t *testing.T) {
-	var o CASObj[int]
+// newWord returns a Word holding payload v.
+func newWord(v uint32) *Word {
+	o := new(Word)
+	o.Init(v)
+	return o
+}
+
+// store is a plain store on o by a CAS loop, which composes with installs.
+func store(o *Word, v uint32) {
+	for !o.CAS(o.Load(), v) {
+	}
+}
+
+func TestWordZeroValue(t *testing.T) {
+	var o Word
 	if got := o.Load(); got != 0 {
-		t.Fatalf("zero CASObj Load = %d, want 0", got)
+		t.Fatalf("zero Word Load = %d, want 0", got)
 	}
 	if !o.CAS(0, 42) {
 		t.Fatal("CAS(0,42) on zero object failed")
@@ -19,14 +32,14 @@ func TestCASObjZeroValue(t *testing.T) {
 	}
 }
 
-func TestCASObjPlainOps(t *testing.T) {
-	o := NewCASObj[int](7)
+func TestWordPlainOps(t *testing.T) {
+	o := newWord(7)
 	if got := o.Load(); got != 7 {
 		t.Fatalf("Load = %d, want 7", got)
 	}
-	o.Store(9)
+	store(o, 9)
 	if got := o.Load(); got != 9 {
-		t.Fatalf("Load after Store = %d, want 9", got)
+		t.Fatalf("Load after store = %d, want 9", got)
 	}
 	if o.CAS(7, 1) {
 		t.Fatal("CAS with wrong expected succeeded")
@@ -34,24 +47,15 @@ func TestCASObjPlainOps(t *testing.T) {
 	if !o.CAS(9, 1) {
 		t.Fatal("CAS with right expected failed")
 	}
-}
-
-func TestCASObjPointerValues(t *testing.T) {
-	type node struct{ k int }
-	a, b := &node{1}, &node{2}
-	o := NewCASObj[*node](a)
-	if !o.CAS(a, b) {
-		t.Fatal("pointer CAS failed")
-	}
-	if o.Load() != b {
-		t.Fatal("pointer Load mismatch")
+	if !o.CAS(1, 1<<32-1) || o.Load() != 1<<32-1 {
+		t.Fatal("a Word must hold every 32-bit payload")
 	}
 }
 
 func TestTxCommitSingleWrite(t *testing.T) {
 	mgr := NewTxManager()
 	tx := mgr.Register()
-	o := NewCASObj[int](1)
+	o := newWord(1)
 	err := tx.Run(func() error {
 		if !o.NbtcCAS(tx, 1, 2, true, true) {
 			t.Fatal("nbtcCAS failed with no contention")
@@ -69,7 +73,7 @@ func TestTxCommitSingleWrite(t *testing.T) {
 func TestTxAbortRestoresOldValue(t *testing.T) {
 	mgr := NewTxManager()
 	tx := mgr.Register()
-	o := NewCASObj[int](1)
+	o := newWord(1)
 	err := tx.Run(func() error {
 		if !o.NbtcCAS(tx, 1, 2, true, true) {
 			t.Fatal("nbtcCAS failed")
@@ -88,8 +92,8 @@ func TestTxAbortRestoresOldValue(t *testing.T) {
 func TestTxMultiWordAtomicity(t *testing.T) {
 	mgr := NewTxManager()
 	tx := mgr.Register()
-	a := NewCASObj[int](10)
-	b := NewCASObj[int](20)
+	a := newWord(10)
+	b := newWord(20)
 	err := tx.Run(func() error {
 		tx.OpStart()
 		if !a.NbtcCAS(tx, 10, 5, true, true) {
@@ -112,7 +116,7 @@ func TestTxMultiWordAtomicity(t *testing.T) {
 func TestTxReadOwnWrite(t *testing.T) {
 	mgr := NewTxManager()
 	tx := mgr.Register()
-	o := NewCASObj[int](3)
+	o := newWord(3)
 	err := tx.Run(func() error {
 		tx.OpStart()
 		if !o.NbtcCAS(tx, 3, 4, true, true) {
@@ -137,7 +141,7 @@ func TestTxReadOwnWrite(t *testing.T) {
 func TestTxCASOwnWriteTwice(t *testing.T) {
 	mgr := NewTxManager()
 	tx := mgr.Register()
-	o := NewCASObj[int](3)
+	o := newWord(3)
 	err := tx.Run(func() error {
 		tx.OpStart()
 		if !o.NbtcCAS(tx, 3, 4, true, true) {
@@ -163,7 +167,7 @@ func TestTxCASOwnWriteTwice(t *testing.T) {
 func TestTxCASOwnWriteTwiceAbortRestoresOriginal(t *testing.T) {
 	mgr := NewTxManager()
 	tx := mgr.Register()
-	o := NewCASObj[int](3)
+	o := newWord(3)
 	_ = tx.Run(func() error {
 		if !o.NbtcCAS(tx, 3, 4, true, true) || !o.NbtcCAS(tx, 4, 5, true, true) {
 			t.Fatal("CASes failed")
@@ -179,10 +183,10 @@ func TestTxCASOwnWriteTwiceAbortRestoresOriginal(t *testing.T) {
 func TestReadThenWriteSameSlotCommits(t *testing.T) {
 	// The paper's Fig. 3 transfer performs get(a2) (records a read on a
 	// slot) then put(a2) (installs a descriptor over the same slot); commit
-	// validation must accept the displaced cell.
+	// validation must accept the displaced word.
 	mgr := NewTxManager()
 	tx := mgr.Register()
-	o := NewCASObj[int](3)
+	o := newWord(3)
 	err := tx.Run(func() error {
 		tx.OpStart()
 		v, w := o.NbtcLoad(tx)
@@ -204,12 +208,12 @@ func TestReadThenWriteSameSlotCommits(t *testing.T) {
 func TestReadValidationFailureAborts(t *testing.T) {
 	mgr := NewTxManager()
 	tx := mgr.Register()
-	o := NewCASObj[int](3)
+	o := newWord(3)
 	err := tx.Run(func() error {
 		_, w := o.NbtcLoad(tx)
 		tx.AddToReadSet(w)
 		// A non-transactional writer invalidates the read before commit.
-		o.Store(99)
+		store(o, 99)
 		return nil
 	})
 	if !errors.Is(err, ErrTxAborted) {
@@ -220,14 +224,14 @@ func TestReadValidationFailureAborts(t *testing.T) {
 func TestValidateReadsMidTx(t *testing.T) {
 	mgr := NewTxManager()
 	tx := mgr.Register()
-	o := NewCASObj[int](3)
+	o := newWord(3)
 	_ = tx.Run(func() error {
 		_, w := o.NbtcLoad(tx)
 		tx.AddToReadSet(w)
 		if !tx.ValidateReads() {
 			t.Fatal("ValidateReads false with no interference")
 		}
-		o.Store(99)
+		store(o, 99)
 		if tx.ValidateReads() {
 			t.Fatal("ValidateReads true after invalidation")
 		}
@@ -239,7 +243,7 @@ func TestValidateReadsMidTx(t *testing.T) {
 func TestRunUserError(t *testing.T) {
 	mgr := NewTxManager()
 	tx := mgr.Register()
-	o := NewCASObj[int](1)
+	o := newWord(1)
 	myErr := errors.New("business rule")
 	err := tx.Run(func() error {
 		if !o.NbtcCAS(tx, 1, 2, true, true) {
@@ -258,7 +262,7 @@ func TestRunUserError(t *testing.T) {
 func TestRunRepanicsForeignPanics(t *testing.T) {
 	mgr := NewTxManager()
 	tx := mgr.Register()
-	o := NewCASObj[int](1)
+	o := newWord(1)
 	defer func() {
 		if r := recover(); r == nil {
 			t.Fatal("foreign panic swallowed")
@@ -277,7 +281,7 @@ func TestRunRepanicsForeignPanics(t *testing.T) {
 }
 
 func TestNonTransactionalElision(t *testing.T) {
-	o := NewCASObj[int](1)
+	o := newWord(1)
 	var tx *Tx // nil Tx elides instrumentation
 	if !o.NbtcCAS(tx, 1, 2, true, true) {
 		t.Fatal("nil-tx NbtcCAS failed")
@@ -301,7 +305,7 @@ func TestNonTransactionalElision(t *testing.T) {
 func TestDeferRunsOnlyOnCommit(t *testing.T) {
 	mgr := NewTxManager()
 	tx := mgr.Register()
-	o := NewCASObj[int](1)
+	o := newWord(1)
 	ran := false
 	_ = tx.Run(func() error {
 		_ = o.NbtcCAS(tx, 1, 2, true, true)
@@ -329,7 +333,7 @@ func TestEagerContentionManagementAbortsInPrep(t *testing.T) {
 	mgr := NewTxManager()
 	t1 := mgr.Register()
 	t2 := mgr.Register()
-	o := NewCASObj[int](0)
+	o := newWord(0)
 
 	t1.Begin()
 	if !o.NbtcCAS(t1, 0, 1, true, true) {
@@ -364,7 +368,7 @@ func TestHelperCommitsInProgTx(t *testing.T) {
 	// abort.
 	mgr := NewTxManager()
 	t1 := mgr.Register()
-	o := NewCASObj[int](0)
+	o := newWord(0)
 
 	t1.Begin()
 	if !o.NbtcCAS(t1, 0, 1, true, true) {
@@ -391,10 +395,10 @@ func TestHelperCommitsInProgTx(t *testing.T) {
 func TestStatsCounters(t *testing.T) {
 	mgr := NewTxManager()
 	tx := mgr.Register()
-	o := NewCASObj[int](0)
+	o := newWord(0)
 	for i := 0; i < 5; i++ {
 		_ = tx.Run(func() error {
-			_ = o.NbtcCAS(tx, o.Load(), i, true, true)
+			_ = o.NbtcCAS(tx, o.Load(), uint32(i), true, true)
 			if i%2 == 1 {
 				tx.Abort()
 			}
@@ -426,7 +430,7 @@ func TestBeginInsideTxPanics(t *testing.T) {
 func TestConcurrentPlainCAS(t *testing.T) {
 	// The plain CAS path must be linearizable on its own: N goroutines each
 	// increment via CAS loops; total must be exact.
-	o := NewCASObj[int](0)
+	o := newWord(0)
 	const goroutines = 8
 	const perG = 2000
 	var wg sync.WaitGroup
@@ -463,7 +467,7 @@ func TestRunNeverReturnsAnErrorFromAStaleRead(t *testing.T) {
 	}
 	const readers = 4
 	mgr := NewTxManager()
-	a, b := NewCASObj[int](0), NewCASObj[int](0)
+	a, b := newWord(0), newWord(0)
 	errTorn := errors.New("a and b disagree")
 
 	gate := make(chan chan struct{})
@@ -471,7 +475,7 @@ func TestRunNeverReturnsAnErrorFromAStaleRead(t *testing.T) {
 	go func() {
 		defer close(writerDone)
 		tx := mgr.Register()
-		v := 0
+		v := uint32(0)
 		for done := range gate {
 			// RunRetry: a reader's load may abort the writer's InPrep
 			// descriptor (eager contention management).

@@ -17,14 +17,12 @@
 // The C++ system packs each transactional word into a 128-bit
 // {value, counter} pair and uses CMPXCHG16B; the counter distinguishes
 // installed descriptors (odd) from real values (even) and defeats ABA. Go
-// has no 128-bit CAS, but it has a garbage collector, so this package keeps
-// each transactional word (CASObj) as an atomic pointer to an immutable
-// cell. A fresh cell is allocated for every successful CAS; pointer
-// identity of cells therefore provides exactly the validation the paper's
-// counters provide, and a non-nil desc field plays the role of the odd
-// counter. Descriptor cells additionally carry a back-pointer to their slot
-// and the displaced value cell, which lets any helper uninstall a descriptor
-// it encounters without touching the owner's (unsynchronized) write set.
+// has no 128-bit CAS, so this package's Word is one 64-bit word: a 32-bit
+// payload — a structure's slab index and mark bits — beside a 31-bit
+// counter at rest, or, installed, the descriptor's id, the entry of its
+// write set and its serial number. Structures therefore keep their nodes
+// in pointer-free slabs (Slab) and link them by index; an index unlinked
+// by a Tx with an EBR handle is reused after a grace period (Slots).
 //
 // # Transaction lifecycle
 //

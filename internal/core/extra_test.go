@@ -11,8 +11,8 @@ import (
 func TestHelperAbortsOnFailedValidation(t *testing.T) {
 	mgr := NewTxManager()
 	t1 := mgr.Register()
-	o := NewCASObj[int](0)
-	witnessSrc := NewCASObj[int](7)
+	o := newWord(0)
+	witnessSrc := newWord(7)
 
 	t1.Begin()
 	v, w := witnessSrc.NbtcLoad(t1)
@@ -24,7 +24,7 @@ func TestHelperAbortsOnFailedValidation(t *testing.T) {
 		t.Fatal("install failed")
 	}
 	// Invalidate the read, then hand the InProg descriptor to a helper.
-	witnessSrc.Store(8)
+	store(witnessSrc, 8)
 	d := t1.desc
 	d.reads.Store(&publishedReads{serial: t1.serial, entries: t1.reads})
 	if !d.stsCAS(packStatus(t1.serial, StatusInPrep), StatusInPrep, StatusInProg) {
@@ -48,8 +48,8 @@ func TestHelperAbortsOnFailedValidation(t *testing.T) {
 func TestInSpeculationLifecycle(t *testing.T) {
 	mgr := NewTxManager()
 	tx := mgr.Register()
-	a := NewCASObj[int](0)
-	b := NewCASObj[int](0)
+	a := newWord(0)
+	b := newWord(0)
 	_ = tx.Run(func() error {
 		tx.OpStart()
 		if tx.InSpeculation() {
@@ -80,7 +80,7 @@ func TestInSpeculationLifecycle(t *testing.T) {
 func TestExplicitBeginEnd(t *testing.T) {
 	mgr := NewTxManager()
 	tx := mgr.Register()
-	o := NewCASObj[int](0)
+	o := newWord(0)
 	tx.Begin()
 	if !o.NbtcCAS(tx, 0, 9, true, true) {
 		t.Fatal("CAS failed")

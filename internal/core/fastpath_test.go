@@ -12,7 +12,7 @@ import (
 func TestReadOnlyFastPathCounters(t *testing.T) {
 	mgr := NewTxManager()
 	tx := mgr.Register()
-	o := NewCASObj[int](7)
+	o := newWord(7)
 	for i := 0; i < 3; i++ {
 		err := tx.Run(func() error {
 			v, w := o.NbtcLoad(tx)
@@ -39,13 +39,13 @@ func TestReadOnlyFastPathCounters(t *testing.T) {
 }
 
 // TestSingleWriteFastPathCounters checks that a transaction with exactly
-// one installed descriptor cell commits through the single-write fast path
+// one installed word commits through the single-write fast path
 // (a fast-path commit that is not a read-only commit) and that larger
 // write sets fall back to the general protocol.
 func TestSingleWriteFastPathCounters(t *testing.T) {
 	mgr := NewTxManager()
 	tx := mgr.Register()
-	a, b := NewCASObj[int](0), NewCASObj[int](0)
+	a, b := newWord(0), newWord(0)
 	if err := tx.Run(func() error {
 		if !a.NbtcCAS(tx, 0, 1, true, true) {
 			t.Fatal("single-write install failed")
@@ -82,7 +82,7 @@ func TestFastPathsDisabled(t *testing.T) {
 	mgr := NewTxManager()
 	mgr.DisableFastPaths()
 	tx := mgr.Register()
-	o := NewCASObj[int](0)
+	o := newWord(0)
 	if err := tx.Run(func() error {
 		v, w := o.NbtcLoad(tx)
 		tx.AddToReadSet(w)
@@ -123,7 +123,7 @@ func TestReadOnlyFastPathSerializable(t *testing.T) {
 		rounds  = 20000
 	)
 	mgr := NewTxManager()
-	a, b := NewCASObj[int](total), NewCASObj[int](0)
+	a, b := newWord(total), newWord(0)
 	var wg sync.WaitGroup
 	var torn atomic.Int64
 	var readOnly atomic.Uint64
@@ -141,9 +141,9 @@ func TestReadOnlyFastPathSerializable(t *testing.T) {
 						tx.AddToReadSet(aw)
 						bv, bw := b.NbtcLoad(tx)
 						tx.AddToReadSet(bw)
-						d := 1
+						d := uint32(1)
 						if av == 0 {
-							d = -1
+							d = ^uint32(0) // -1
 						}
 						if !a.NbtcCAS(tx, av, av-d, false, true) {
 							tx.Abort()
@@ -155,7 +155,7 @@ func TestReadOnlyFastPathSerializable(t *testing.T) {
 					})
 					continue
 				}
-				var av, bv int
+				var av, bv uint32
 				err := tx.Run(func() error {
 					v, w := a.NbtcLoad(tx)
 					tx.AddToReadSet(w)
@@ -200,7 +200,7 @@ func TestSingleWriteFastPathLinearizable(t *testing.T) {
 		rounds  = 20000
 	)
 	mgr := NewTxManager()
-	o := NewCASObj[int](0)
+	o := newWord(0)
 	var wg sync.WaitGroup
 	var commits atomic.Int64
 	for g := 0; g < workers; g++ {
@@ -232,13 +232,13 @@ func TestSingleWriteFastPathLinearizable(t *testing.T) {
 	}
 }
 
-// TestReadSetDedup checks that consecutive witnesses of the same cell and
-// generation collapse to one read-set entry, while distinct cells and
-// recycled generations do not.
+// TestReadSetDedup checks that consecutive witnesses of the same word and
+// loaded value collapse to one read-set entry, while distinct words and
+// changed values do not.
 func TestReadSetDedup(t *testing.T) {
 	mgr := NewTxManager()
 	tx := mgr.Register()
-	a, b := NewCASObj[int](1), NewCASObj[int](2)
+	a, b := newWord(1), newWord(2)
 	tx.Begin()
 	defer tx.AbortNow()
 	_, wa := a.NbtcLoad(tx)
@@ -249,18 +249,18 @@ func TestReadSetDedup(t *testing.T) {
 		t.Fatalf("read set has %d entries after duplicate add, want 1", len(tx.reads))
 	}
 	tx.AddToReadSet(wb)
-	tx.AddToReadSet(wa) // same cell, but not consecutive: kept
+	tx.AddToReadSet(wa) // same word, but not consecutive: kept
 	if len(tx.reads) != 3 {
 		t.Fatalf("read set has %d entries, want 3", len(tx.reads))
 	}
-	// A bumped generation is new evidence, not a duplicate: the repeated
-	// same-generation witness is dropped, the bumped one is kept.
+	// A changed word — here its counter advanced — is new evidence, not a
+	// duplicate: the repeated witness is dropped, the changed one is kept.
 	wa2 := wa
-	wa2.gen++
+	wa2.w += 2
 	tx.AddToReadSet(wa)
 	tx.AddToReadSet(wa2)
 	if len(tx.reads) != 4 {
-		t.Fatalf("read set has %d entries after generation bump, want 4", len(tx.reads))
+		t.Fatalf("read set has %d entries after a counter advance, want 4", len(tx.reads))
 	}
 }
 
@@ -272,7 +272,7 @@ func TestReadSetDedup(t *testing.T) {
 func TestReadOnlyAllocsUnpooledZero(t *testing.T) {
 	mgr := NewTxManager() // pooling off
 	tx := mgr.Register()
-	a, b := NewCASObj[uint64](1), NewCASObj[uint64](2)
+	a, b := newWord(1), newWord(2)
 	body := func() error {
 		v, w := a.NbtcLoad(tx)
 		tx.AddToReadSet(w)

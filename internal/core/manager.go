@@ -28,17 +28,16 @@ func NewTxManager() *TxManager {
 	return &TxManager{}
 }
 
-// EnablePooling opts this manager's transactions into cell/node recycling:
-// a Tx registered afterwards that is given an SMR handle supporting
-// pool-routed retirement (Tx.SetSMR with an *ebr.Handle) sources cells and
-// structure nodes from per-Tx arenas and recycles them after an EBR grace
-// period instead of allocating fresh blocks.
+// EnablePooling opts this manager's transactions into read-set recycling:
+// a Tx registered afterwards that is given an EBR handle (Tx.SetSMR)
+// recycles its published read sets after a grace period instead of
+// allocating fresh ones, and counts its pool traffic (slab indexes and
+// descriptor word entries) in the statistics. Slab nodes are recycled
+// through the handle whether or not the manager pools.
 //
-// Pooling requires every goroutine operating on this manager's structures
-// to hold its handle's critical section (ebr.Handle.Enter/Exit) around
-// each transaction or bare operation; goroutines without a handle (nil Tx,
-// or SetSMR never called) stay safe but their displaced blocks fall back
-// to the garbage collector. Call before registering workers.
+// Every goroutine operating on this manager's structures with a handle
+// must hold its critical section (ebr.Handle.Enter/Exit) around each
+// transaction or bare operation. Call before registering workers.
 func (m *TxManager) EnablePooling() { m.pooling.Store(true) }
 
 // PoolingEnabled reports whether EnablePooling was called.
@@ -68,7 +67,7 @@ type StatShard struct {
 	Aborts          atomic.Uint64 // transactions aborted (any cause)
 	AbortsByOthers  atomic.Uint64 // aborts inflicted on this worker by eager contention management
 	HelpEvents      atomic.Uint64 // foreign descriptors this worker finalized
-	PoolGets        atomic.Uint64 // cell/node requests served by this worker's pools
+	PoolGets        atomic.Uint64 // slot/entry requests served by this worker's pools
 	PoolHits        atomic.Uint64 // requests satisfied from a freelist (rest hit the heap)
 	PoolRetires     atomic.Uint64 // blocks this worker retired into its pools
 	ReadOnlyCommits atomic.Uint64 // commits that took the read-only fast path (no publication, no status CAS)
@@ -84,7 +83,7 @@ type StatShard struct {
 // between zero RMWs per transaction and three.
 func bump(c *atomic.Uint64) { c.Store(c.Load() + 1) }
 
-// bumpN is bump for batched counter flushes (flushPoolStats).
+// bumpN is bump for batched counter flushes (slotCache.settle).
 func bumpN(c *atomic.Uint64, n uint64) { c.Store(c.Load() + n) }
 
 // snapshot reads the shard into a Stats value.
@@ -126,7 +125,7 @@ type Stats struct {
 	Aborts          uint64 // transactions aborted (any cause)
 	AbortsByOthers  uint64 // aborts inflicted by eager contention management
 	HelpEvents      uint64 // foreign descriptors finalized while operating
-	PoolGets        uint64 // pool requests (cells + nodes) under pooling
+	PoolGets        uint64 // pool requests (slots + entries) under pooling
 	PoolHits        uint64 // pool requests served from a freelist
 	PoolRetires     uint64 // blocks retired into pools
 	ReadOnlyCommits uint64 // commits via the read-only fast path

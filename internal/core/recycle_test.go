@@ -23,17 +23,17 @@ func pooledTx(t *testing.T, mgr *TxManager, dom *ebr.Manager) (*Tx, *ebr.Handle)
 }
 
 // TestGenerationMismatchRejectsWitness is the fault-injection half of the
-// recycling contract: a witness whose cell has been recycled (generation
-// bumped) must fail validation even if the cell is reinstalled, bitwise
-// identical, in the very same slot — the scenario that pointer identity
-// alone would wrongly validate.
+// recycling contract: a witness whose word has changed and come back —
+// the same payload in the very same slot, the scenario a bare value
+// comparison would wrongly validate — must fail validation, because every
+// change advanced the word's counter.
 func TestGenerationMismatchRejectsWitness(t *testing.T) {
 	mgr := NewTxManager()
 	mgr.EnablePooling()
 	dom := ebr.New(1)
 	tx, h := pooledTx(t, mgr, dom)
 
-	o := NewCASObj(100)
+	o := newWord(100)
 	h.Enter()
 	defer h.Exit()
 
@@ -47,14 +47,12 @@ func TestGenerationMismatchRejectsWitness(t *testing.T) {
 		t.Fatal("fresh witness must validate")
 	}
 
-	// Inject the fault: pretend the witnessed cell went through a
-	// retire→grace→recycle cycle and was reinstalled in the same slot with
-	// the same value. Pointer identity and value are unchanged; only the
-	// generation differs. A reuse adds 2: bit 0 is the cell's kind.
-	c := o.state.Load()
-	c.gen.Add(2)
+	// Inject the fault: a change that leaves the payload as it was.
+	if !o.CAS(100, 100) {
+		t.Fatal("CAS failed")
+	}
 	if tx.ValidateReads() {
-		t.Fatal("validator accepted a recycled cell: stale witness forged")
+		t.Fatal("validator accepted a word that changed and came back: stale witness forged")
 	}
 	tx.AbortNow()
 
@@ -62,60 +60,69 @@ func TestGenerationMismatchRejectsWitness(t *testing.T) {
 	tx.Begin()
 	_, w = o.NbtcLoad(tx)
 	tx.AddToReadSet(w)
-	o.state.Load().gen.Add(2)
+	o.CAS(100, 100)
 	if err := tx.End(); err == nil {
-		t.Fatal("commit succeeded over a recycled witness")
+		t.Fatal("commit succeeded over a changed word")
 	}
 }
 
-// TestRecycledCellReuseBumpsGeneration checks the real cycle: a displaced
-// cell that travels retire→limbo→arena→reuse comes back with a higher
-// generation, so any witness captured in its previous life is dead.
-func TestRecycledCellReuseBumpsGeneration(t *testing.T) {
-	mgr := NewTxManager()
-	mgr.EnablePooling()
-	dom := ebr.New(1) // advance attempt on every retire: shortest grace
-	tx, h := pooledTx(t, mgr, dom)
+// box is a value kept in a slab node that a Word links, as the structures
+// keep theirs: a write links a fresh node and retires the one it
+// displaced, so every write churns a slot through EBR.
+type box struct{ v int }
 
-	o := NewCASObj(uint64(0))
-	// Capture the initial cell and a witness to it.
-	c0 := o.state.Load()
-	gen0 := c0.gen.Load()
-	w := o.witness(c0)
-
-	// Churn transactions until c0 reappears from the arena (its grace
-	// period takes a couple of epoch advances).
-	reused := false
-	for i := uint64(1); i < 200; i++ {
-		h.Enter()
-		tx.Begin()
-		if !o.NbtcCAS(tx, i-1, i, true, true) {
-			t.Fatalf("iteration %d: CAS failed single-threaded", i)
-		}
-		if err := tx.End(); err != nil {
-			t.Fatalf("iteration %d: %v", i, err)
-		}
-		h.Exit()
-		if o.state.Load() == c0 {
-			reused = true
-			break
-		}
-	}
-	if !reused {
-		t.Skip("cell never recycled back into this slot (pool ordering changed); covered by fault injection above")
-	}
-	if g := c0.gen.Load(); g == gen0 {
-		t.Fatal("recycled cell reinstalled with unchanged generation")
-	}
-	if w.valid(tx.desc, tx.serial) {
-		t.Fatal("witness from the cell's previous life still validates")
-	}
+// boxes is a row of Words, each linking the box that holds its value.
+type boxes struct {
+	words []Word
+	slab  Slab[box]
 }
 
-// TestRecycleStressConservation hammers cell recycling with concurrent
-// transfers over a small, hot slot array: every displaced cell cycles
-// through limbo and back into an arena within a few transactions, so a
-// single recycle-then-validate hole (a stale witness validating, a cell
+func newBoxes(n int, v func(i int) int) *boxes {
+	b := &boxes{words: make([]Word, n)}
+	for i := range b.words {
+		j := b.slab.Get(nil)
+		b.slab.At(j).v = v(i)
+		b.words[i].Init(j)
+	}
+	return b
+}
+
+// load is the value of box i and the witness of its link.
+func (b *boxes) load(tx *Tx, i int) (int, ReadWitness) {
+	j, w := b.words[i].NbtcLoad(tx)
+	return b.slab.At(j).v, w
+}
+
+// write replaces box i, whose link was observed holding a box of value
+// old, with a fresh box of value v, and retires the displaced box when the
+// write takes effect. It reports false if the link moved.
+func (b *boxes) write(tx *Tx, i, old, v int) bool {
+	cur, _ := b.words[i].NbtcLoad(tx)
+	if b.slab.At(cur).v != old {
+		return false
+	}
+	j := b.slab.Get(tx)
+	b.slab.At(j).v = v
+	if !b.words[i].NbtcCAS(tx, cur, j, true, true) {
+		b.slab.Put(tx, j)
+		return false
+	}
+	b.slab.Retire(tx, cur, true)
+	return true
+}
+
+func (b *boxes) sum() int {
+	s := 0
+	for i := range b.words {
+		s += b.slab.At(b.words[i].Load()).v
+	}
+	return s
+}
+
+// TestRecycleStressConservation hammers slot recycling with concurrent
+// transfers over a small, hot row of boxes: every displaced box cycles
+// through limbo and back into a cache within a few transactions, so a
+// single recycle-then-validate hole (a stale witness validating, a slot
 // reused before its grace period) shows up as a conservation violation or
 // as a data race under -race.
 func TestRecycleStressConservation(t *testing.T) {
@@ -130,10 +137,7 @@ func TestRecycleStressConservation(t *testing.T) {
 	mgr := NewTxManager()
 	mgr.EnablePooling()
 	dom := ebr.New(4)
-	accounts := make([]*CASObj[int], nAccounts)
-	for i := range accounts {
-		accounts[i] = NewCASObj[int](perAccount)
-	}
+	accounts := newBoxes(nAccounts, func(int) int { return perAccount })
 
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -154,20 +158,20 @@ func TestRecycleStressConservation(t *testing.T) {
 				h.Enter()
 				_ = tx.RunRetry(func() error {
 					tx.OpStart()
-					vf, wf := accounts[from].NbtcLoad(tx)
+					vf, wf := accounts.load(tx, from)
 					tx.AddToReadSet(wf)
 					if vf < amt {
 						return errInsufficient
 					}
 					tx.OpStart()
-					vt, wt := accounts[to].NbtcLoad(tx)
+					vt, wt := accounts.load(tx, to)
 					tx.AddToReadSet(wt)
 					tx.OpStart()
-					if !accounts[from].NbtcCAS(tx, vf, vf-amt, true, true) {
+					if !accounts.write(tx, from, vf, vf-amt) {
 						tx.Abort()
 					}
 					tx.OpStart()
-					if !accounts[to].NbtcCAS(tx, vt, vt+amt, true, true) {
+					if !accounts.write(tx, to, vt, vt+amt) {
 						tx.Abort()
 					}
 					return nil
@@ -178,11 +182,7 @@ func TestRecycleStressConservation(t *testing.T) {
 	}
 	wg.Wait()
 
-	sum := 0
-	for _, a := range accounts {
-		sum += a.Load()
-	}
-	if sum != nAccounts*perAccount {
+	if sum := accounts.sum(); sum != nAccounts*perAccount {
 		t.Fatalf("conservation violated under recycling: sum %d, want %d",
 			sum, nAccounts*perAccount)
 	}
@@ -194,9 +194,9 @@ func TestRecycleStressConservation(t *testing.T) {
 		st.PoolGets, st.PoolHits, 100*float64(st.PoolHits)/float64(st.PoolGets), st.PoolRetires)
 }
 
-// TestPoolingOffUnchanged pins the default: without EnablePooling (or
-// without an SMR handle) no pooling state activates and counters stay
-// zero, so existing users see the historical allocation behavior.
+// TestPoolingOffUnchanged pins the default: without EnablePooling no
+// pooling state activates and the pool counters stay zero, though a Tx
+// with an EBR handle still recycles what it unlinks.
 func TestPoolingOffUnchanged(t *testing.T) {
 	mgr := NewTxManager()
 	tx := mgr.Register()
@@ -205,10 +205,10 @@ func TestPoolingOffUnchanged(t *testing.T) {
 	if tx.pooled {
 		t.Fatal("pooling active without EnablePooling")
 	}
-	o := NewCASObj(1)
+	b := newBoxes(1, func(int) int { return 1 })
 	tx.Begin()
-	if !o.NbtcCAS(tx, 1, 2, true, true) {
-		t.Fatal("CAS failed")
+	if !b.write(tx, 0, 1, 2) {
+		t.Fatal("write failed")
 	}
 	if err := tx.End(); err != nil {
 		t.Fatal(err)
@@ -218,16 +218,17 @@ func TestPoolingOffUnchanged(t *testing.T) {
 	}
 }
 
-// TestDeferCASRunsOnCommitOnly pins DeferCAS semantics against the Defer
+// TestDeferWordCASRunsOnCommitOnly pins DeferWordCAS against the Defer
 // closure idiom it replaces: deferred CASes run after commit, are dropped
-// on abort, and execute immediately outside a transaction.
-func TestDeferCASRunsOnCommitOnly(t *testing.T) {
+// on abort, and execute immediately outside a transaction; a nil Slots
+// retires nothing.
+func TestDeferWordCASRunsOnCommitOnly(t *testing.T) {
 	mgr := NewTxManager()
 	tx := mgr.Register()
-	o := NewCASObj(10)
+	o := newWord(10)
 
 	tx.Begin()
-	DeferCAS(tx, o, 10, 11)
+	DeferWordCAS(tx, o, 10, 11, nil, 0)
 	if o.Load() != 10 {
 		t.Fatal("deferred CAS ran before commit")
 	}
@@ -239,15 +240,15 @@ func TestDeferCASRunsOnCommitOnly(t *testing.T) {
 	}
 
 	tx.Begin()
-	DeferCAS(tx, o, 11, 12)
+	DeferWordCAS(tx, o, 11, 12, nil, 0)
 	tx.AbortNow()
 	if o.Load() != 11 {
 		t.Fatal("deferred CAS ran on abort")
 	}
 
-	DeferCAS(tx, o, 11, 12) // outside a transaction: immediate
+	DeferWordCAS(tx, o, 11, 12, nil, 0) // outside a transaction: immediate
 	if o.Load() != 12 {
-		t.Fatal("bare DeferCAS not immediate")
+		t.Fatal("bare DeferWordCAS not immediate")
 	}
 }
 
@@ -300,180 +301,49 @@ func TestWitnessInRecycledNodeNeverValidates(t *testing.T) {
 	}
 }
 
-// TestCellKindsNeverCross pins the two-freelist routing. A committed write
-// retires one value cell and one descriptor cell; each must come back as
-// its own kind — a descriptor cell with its tail cleared, a value cell with
-// none — and with a bumped generation. The witness half:
-// when the recycled value cell returns to the same slot and the validating
-// transaction then installs its (recycled) descriptor cell over it, the
-// old witness sees prev pointer-equal to its cell and must still fail.
-func TestCellKindsNeverCross(t *testing.T) {
-	mgr := NewTxManager()
-	mgr.EnablePooling()
-	tx, h := pooledTx(t, mgr, ebr.New(1))
-	o := NewCASObj(0)
-
-	v0 := o.state.Load()
-	w0 := o.witness(v0)
-
-	h.Enter()
-	tx.Begin()
-	if !o.NbtcCAS(tx, 0, 1, true, true) {
-		t.Fatal("install failed")
-	}
-	d0 := o.state.Load()
-	if !d0.isDesc() || d0.dp().prev != v0 || d0.dp().slot != o {
-		t.Fatalf("installed cell is not a descriptor cell over v0: %+v", d0)
-	}
-	if err := tx.End(); err != nil {
-		t.Fatal(err)
-	}
-	h.Exit()
-	h.Drain() // v0 and d0 recycle
-
-	a := arenaFor[int](tx)
-	if len(a.free) != 1 || a.free[0] != v0 || len(a.freeDesc) != 1 || a.freeDesc[0] != d0 {
-		t.Fatalf("freelists after one committed write: value %v desc %v, want [v0] [d0]", a.free, a.freeDesc)
-	}
-	if v0.isDesc() {
-		t.Fatal("recycled value cell became a descriptor cell")
-	}
-	if !d0.isDesc() {
-		t.Fatal("recycled descriptor cell became a value cell")
-	}
-	if *d0.dp() != (descPart[int]{}) {
-		t.Fatalf("recycled descriptor cell retains references: %+v", *d0.dp())
-	}
-
-	// The next committed write draws d0 to install and v0 to commit, so v0
-	// is back in the slot it was witnessed in.
-	h.Enter()
-	tx.Begin()
-	if !o.NbtcCAS(tx, 1, 0, true, true) {
-		t.Fatal("install failed")
-	}
-	if err := tx.End(); err != nil {
-		t.Fatal(err)
-	}
-	h.Exit()
-	if o.state.Load() != v0 {
-		t.Fatal("recycled value cell did not return to its slot (pool ordering changed)")
-	}
-	if w0.valid(tx.desc, tx.serial) {
-		t.Fatal("witness from the value cell's previous life validates")
-	}
-	h.Drain()
-
-	h.Enter()
-	defer h.Exit()
-	tx.Begin()
-	defer tx.AbortNow()
-	if !o.NbtcCAS(tx, 0, 2, true, true) {
-		t.Fatal("install failed")
-	}
-	if cur := o.state.Load(); cur != d0 || cur.dp().prev != v0 {
-		t.Fatal("expected the recycled descriptor cell installed over the recycled value cell")
-	}
-	if w0.valid(tx.desc, tx.serial) {
-		t.Fatal("own descriptor over a recycled cell validated a witness from the cell's previous life")
-	}
-}
-
-// TestCellKindSurvivesRecycling pins the kind bit: bit 0 of gen tells a
-// descriptor cell from a value cell, so every generation bump must step
-// over it. One slot's cells go round retire→grace→recycle many times; each
-// must keep the kind it was first seen with, and no witness of an earlier
-// life may validate.
-func TestCellKindSurvivesRecycling(t *testing.T) {
-	mgr := NewTxManager()
-	mgr.EnablePooling()
-	tx, h := pooledTx(t, mgr, ebr.New(1))
-	o := NewCASObj(0)
-
-	isDesc := map[*cell[int]]bool{}
-	// seen checks that every cell recorded so far kept its kind, then
-	// records the kind the slot's current cell must have for life.
-	seen := func(desc bool) {
-		t.Helper()
-		for c, was := range isDesc {
-			if c.isDesc() != was {
-				t.Fatalf("a cell first seen with isDesc %v now reads %v (gen %d)", was, !was, c.gen.Load())
-			}
-		}
-		isDesc[o.state.Load()] = desc
-	}
-	seen(false)
-	var stale []ReadWitness
-	const lives = 100
-	for i := 1; i <= lives; i++ {
-		stale = append(stale, o.witness(o.state.Load()))
-		h.Enter()
-		tx.Begin()
-		if !o.NbtcCAS(tx, i-1, i, true, true) {
-			t.Fatalf("life %d: install failed", i)
-		}
-		seen(true)
-		if err := tx.End(); err != nil {
-			t.Fatalf("life %d: %v", i, err)
-		}
-		h.Exit()
-		seen(false)
-		h.Drain()
-		for j, w := range stale {
-			if w.valid(tx.desc, tx.serial) {
-				t.Fatalf("life %d: a witness of the value cell from life %d validates", i, j)
-			}
-		}
-	}
-	seen(false) // the last recycle
-	if len(isDesc) > 4 {
-		t.Fatalf("%d distinct cells over %d committed writes: the cells are not being recycled", len(isDesc), lives)
-	}
-}
-
-// TestNilStateWitness pins the cell-less witness of a never-written slot:
-// loading allocates nothing and leaves the state nil; the witness holds
-// while the state is nil — including after a foreign install that aborted
-// back to nil, and under the validating transaction's own first write —
-// and never again once anything has committed to the slot, whatever value
-// the slot holds afterwards.
+// TestNilStateWitness pins the witness of a never-written Word, the zero
+// word: loading it writes nothing; the witness holds while the word is
+// still zero — including after a foreign install that aborted back to it,
+// and under the validating transaction's own first write — and never
+// again once anything has committed to the word, whatever payload it
+// holds afterwards.
 func TestNilStateWitness(t *testing.T) {
 	mgr := NewTxManager()
 	tx, other := mgr.Register(), mgr.Register()
-	var o, o2 CASObj[int]
+	var o, o2 Word
 
 	tx.Begin()
 	v, w := o.NbtcLoad(tx)
 	_, w2 := o2.NbtcLoad(tx)
 	if v != 0 || w.isZero() {
-		t.Fatalf("load of a never-written slot: value %d, zero witness %v", v, w.isZero())
+		t.Fatalf("load of a never-written word: value %d, zero witness %v", v, w.isZero())
 	}
 	tx.AddToReadSet(w)
-	tx.AddToReadSet(w) // same slot: dropped
+	tx.AddToReadSet(w) // same word: dropped
 	tx.AddToReadSet(w2)
 	if len(tx.reads) != 2 {
-		t.Fatalf("read set has %d entries, want 2: cell-less witnesses of distinct slots are distinct evidence", len(tx.reads))
+		t.Fatalf("read set has %d entries, want 2: witnesses of distinct words are distinct evidence", len(tx.reads))
 	}
-	if o.state.Load() != nil {
-		t.Fatal("a load installed a cell in a never-written slot")
+	if o.v.Load() != 0 {
+		t.Fatal("a load wrote a never-written word")
 	}
 	if !tx.ValidateReads() {
-		t.Fatal("witness of an untouched slot must validate")
+		t.Fatal("witness of an untouched word must validate")
 	}
 
 	other.Begin()
 	if !o.NbtcCAS(other, 0, 5, true, true) {
-		t.Fatal("install over a nil state failed")
+		t.Fatal("install over a never-written word failed")
 	}
 	if w.valid(tx.desc, tx.serial) {
-		t.Fatal("witness validates under a foreign descriptor")
+		t.Fatal("witness validates under a foreign install")
 	}
 	other.AbortNow()
-	if o.state.Load() != nil {
-		t.Fatal("abort did not restore the nil state")
+	if o.v.Load() != 0 {
+		t.Fatal("abort did not restore the zero word")
 	}
 	if !tx.ValidateReads() {
-		t.Fatal("witness must survive an install that aborted back to nil")
+		t.Fatal("witness must survive an install that aborted back to zero")
 	}
 
 	if !o.NbtcCAS(tx, 0, 7, true, true) {
@@ -483,22 +353,22 @@ func TestNilStateWitness(t *testing.T) {
 		t.Fatal("witness must hold under the validating transaction's own first write")
 	}
 	if err := tx.End(); err != nil {
-		t.Fatalf("get-then-put of a never-written slot: %v", err)
+		t.Fatalf("get-then-put of a never-written word: %v", err)
 	}
 	if got := o.Load(); got != 7 {
-		t.Fatalf("slot holds %d after commit, want 7", got)
+		t.Fatalf("word holds %d after commit, want 7", got)
 	}
 	if w.valid(tx.desc, tx.serial) {
-		t.Fatal("witness validates after a commit to the slot")
+		t.Fatal("witness validates after a commit to the word")
 	}
 	if !o.CAS(7, 0) {
 		t.Fatal("CAS back to zero failed")
 	}
 	if w.valid(tx.desc, tx.serial) {
-		t.Fatal("witness validates again once the slot holds zero in a cell")
+		t.Fatal("witness validates again once the word holds zero again")
 	}
 
-	var fresh CASObj[int]
+	var fresh Word
 	if n := testing.AllocsPerRun(100, func() {
 		_ = fresh.Load()
 		tx.Begin()
@@ -506,17 +376,17 @@ func TestNilStateWitness(t *testing.T) {
 		tx.AddToReadSet(fw)
 		_ = tx.End()
 	}); n != 0 {
-		t.Fatalf("loading a never-written slot allocates %.1f objects/run, want 0", n)
+		t.Fatalf("loading a never-written word allocates %.1f objects/run, want 0", n)
 	}
 }
 
-// TestRecycleStormSnapshots is the -race storm over both cell kinds: slots
-// that start cell-less, transfers that install and commit (one descriptor
-// cell and one value cell recycled per write), installs that abort (back to
-// nil while a slot is still unwritten), and read-only sweeps whose every
-// commit must have seen a consistent snapshot — a stale witness of either
-// flavour validating shows up as a sweep that commits a wrong total.
-// Workers park on a start gate so the storm begins with all of them live.
+// TestRecycleStormSnapshots is the -race storm over recycled boxes: words
+// that start at zero, transfers that install and commit (one box retired
+// per write), installs that abort (their fresh boxes straight back to the
+// cache), and read-only sweeps whose every commit must have seen a
+// consistent snapshot — a stale witness validating shows up as a sweep
+// that commits a wrong total. Workers park on a start gate so the storm
+// begins with all of them live.
 func TestRecycleStormSnapshots(t *testing.T) {
 	const nSlots = 8
 	const total = 1000
@@ -529,8 +399,12 @@ func TestRecycleStormSnapshots(t *testing.T) {
 	mgr := NewTxManager()
 	mgr.EnablePooling()
 	dom := ebr.New(2)
-	slots := make([]CASObj[int], nSlots) // all never-written
-	slots[0].Init(total)
+	slots := newBoxes(nSlots, func(i int) int {
+		if i == 0 {
+			return total
+		}
+		return 0
+	})
 
 	start := make(chan struct{})
 	var wg sync.WaitGroup
@@ -549,9 +423,9 @@ func TestRecycleStormSnapshots(t *testing.T) {
 				case i%3 == 0:
 					sum := 0
 					tx.Begin()
-					for s := range slots {
+					for s := range slots.words {
 						tx.OpStart()
-						v, w := slots[s].NbtcLoad(tx)
+						v, w := slots.load(tx, s)
 						tx.AddToReadSet(w)
 						sum += v
 					}
@@ -562,21 +436,21 @@ func TestRecycleStormSnapshots(t *testing.T) {
 					abort := i%7 == 0
 					_ = tx.Run(func() error {
 						tx.OpStart()
-						vf, wf := slots[from].NbtcLoad(tx)
+						vf, wf := slots.load(tx, from)
 						tx.AddToReadSet(wf)
 						tx.OpStart()
-						vt, wt := slots[to].NbtcLoad(tx)
+						vt, wt := slots.load(tx, to)
 						tx.AddToReadSet(wt)
 						amt := 0
 						if vf > 0 {
 							amt = rng.Intn(vf) + 1
 						}
 						tx.OpStart()
-						if !slots[from].NbtcCAS(tx, vf, vf-amt, true, true) {
+						if !slots.write(tx, from, vf, vf-amt) {
 							tx.Abort()
 						}
 						tx.OpStart()
-						if !slots[to].NbtcCAS(tx, vt, vt+amt, true, true) || abort {
+						if !slots.write(tx, to, vt, vt+amt) || abort {
 							tx.Abort()
 						}
 						return nil
@@ -584,28 +458,12 @@ func TestRecycleStormSnapshots(t *testing.T) {
 				}
 				h.Exit()
 			}
-			// Kinds never crossed on this worker's freelists.
-			a := arenaFor[int](tx)
-			for _, c := range a.free {
-				if c.isDesc() {
-					t.Error("descriptor cell on the value freelist")
-				}
-			}
-			for _, c := range a.freeDesc {
-				if !c.isDesc() {
-					t.Error("value cell on the descriptor freelist")
-				}
-			}
 		}(int64(g)*104729 + 3)
 	}
 	close(start)
 	wg.Wait()
 
-	sum := 0
-	for s := range slots {
-		sum += slots[s].Load()
-	}
-	if sum != total {
+	if sum := slots.sum(); sum != total {
 		t.Fatalf("conservation violated: sum %d, want %d", sum, total)
 	}
 	if st := mgr.Stats(); st.PoolHits == 0 || st.PoolRetires == 0 {

@@ -71,8 +71,8 @@ func (s *Slab[N]) Chunks() int {
 // Put, a concurrent preload) draws its segments through a sync.Pool.
 //
 // An unlinked index is reused only after an EBR grace period, so only a Tx
-// with an SMR handle (Tx.SetSMR) recycles what it unlinks, whether or not
-// its manager pools cells: every thread that may still hold the index from
+// with an EBR handle (Tx.SetSMR) recycles what it unlinks, whether or not
+// its manager pools: every thread that may still hold the index from
 // a traversal holds a critical section of the same domain. An index
 // unlinked without one is never reused. Reuse needs no more than the grace
 // period: the Words in a recycled node are Init'ed, which advances their
@@ -165,7 +165,7 @@ func (s *Slots) Put(tx *Tx, i uint32) {
 // Otherwise the unlink has happened and the index goes to EBR at the Tx's
 // next settle, or, outside transactions, a batch at a time.
 func (s *Slots) Retire(tx *Tx, i uint32, critical bool) {
-	if tx == nil || tx.pr == nil {
+	if tx == nil || tx.smr == nil {
 		return // no grace period to wait out: never reused
 	}
 	c := s.cacheOf(tx)
@@ -190,8 +190,8 @@ func (s *Slots) cacheOf(tx *Tx) *slotCache {
 			return c
 		}
 	}
-	for _, p := range tx.pools {
-		if c, ok := p.(*slotCache); ok && c.s == s {
+	for _, c := range tx.pools {
+		if c.s == s {
 			return c
 		}
 	}
@@ -213,8 +213,9 @@ func (s *Slots) cacheOf(tx *Tx) *slotCache {
 	return c
 }
 
-// slotCache is one Tx's indexes of one Slots. Single-owner, like every
-// per-Tx pool (arena.go).
+// slotCache is one Tx's indexes of one Slots. Single-owner: only the
+// owning goroutine gets from or recycles into it, because EBR flushes run
+// on the retiring handle's goroutine.
 type slotCache struct {
 	s       *Slots
 	tx      *Tx
@@ -245,7 +246,7 @@ func (c *slotCache) ship() {
 	}
 	// Swap: the batch takes the filled slice, the cache keeps its spare.
 	b.idx, c.ready = c.ready, b.idx[:0]
-	c.tx.pr.RetireBatch(c, b, len(b.idx))
+	c.tx.smr.RetireBatch(c, b, len(b.idx))
 }
 
 // Recycle implements ebr.Pool: the batch's grace period has elapsed. It
@@ -257,11 +258,14 @@ func (c *slotCache) Recycle(obj any) {
 	c.freeBatches = append(c.freeBatches, b)
 }
 
-// settle implements txPool: a commit makes the transaction's unlinks real;
-// an abort's never happened, and neither did its links. A node the aborted
-// transaction took was published only as the new word of its own installs,
-// which helpers never follow (they finalize an install and use the word it
-// leaves), so its index is nobody's and goes straight back to free.
+// settle closes the Tx's transaction, or run of bare operations: a commit
+// makes the transaction's unlinks real; an abort's never happened, and
+// neither did its links. A node the aborted transaction took was published
+// only as the new word of its own installs, which helpers never follow
+// (they finalize an install and use the word it leaves), so its index is
+// nobody's and goes straight back to free. Under pooling the counters fold
+// into the owner's StatShard, a few single-writer stores a settle rather
+// than an atomic add a get.
 func (c *slotCache) settle(tx *Tx, committed bool) {
 	if committed {
 		c.ready = append(c.ready, c.pending...)
@@ -274,10 +278,12 @@ func (c *slotCache) settle(tx *Tx, committed bool) {
 		c.ship()
 	}
 	if tx.pooled {
-		flushPoolStats(tx, &c.gets, &c.hits, &c.retires)
-	} else {
-		c.gets, c.hits, c.retires = 0, 0, 0
+		shard := tx.desc.shard
+		bumpN(&shard.PoolGets, c.gets)
+		bumpN(&shard.PoolHits, c.hits)
+		bumpN(&shard.PoolRetires, c.retires)
 	}
+	c.gets, c.hits, c.retires = 0, 0, 0
 }
 
 var _ ebr.Pool = (*slotCache)(nil)

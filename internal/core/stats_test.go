@@ -7,7 +7,7 @@ import "testing"
 // totals Stats always reported.
 func TestShardStatsAttributesWorkPerWorker(t *testing.T) {
 	mgr := NewTxManager()
-	obj := NewCASObj(uint64(0))
+	obj := newWord(0)
 	tx1 := mgr.Register()
 	tx2 := mgr.Register()
 
@@ -15,7 +15,7 @@ func TestShardStatsAttributesWorkPerWorker(t *testing.T) {
 		if err := tx1.Run(func() error {
 			v, w := obj.NbtcLoad(tx1)
 			tx1.AddToReadSet(w)
-			obj.NbtcCAS(tx1, v, uint64(i), true, true)
+			obj.NbtcCAS(tx1, v, uint32(i), true, true)
 			return nil
 		}); err != nil {
 			t.Fatal(err)

@@ -21,9 +21,9 @@ func TestTransferConservation(t *testing.T) {
 	}
 
 	mgr := NewTxManager()
-	accounts := make([]*CASObj[int], nAccounts)
+	accounts := make([]*Word, nAccounts)
 	for i := range accounts {
-		accounts[i] = NewCASObj[int](perAccount)
+		accounts[i] = newWord(perAccount)
 	}
 
 	var wg sync.WaitGroup
@@ -39,7 +39,7 @@ func TestTransferConservation(t *testing.T) {
 				if from == to {
 					continue
 				}
-				amt := rng.Intn(10) + 1
+				amt := uint32(rng.Intn(10) + 1)
 				_ = tx.RunRetry(func() error {
 					tx.OpStart()
 					vf, wf := accounts[from].NbtcLoad(tx)
@@ -65,11 +65,11 @@ func TestTransferConservation(t *testing.T) {
 	}
 	wg.Wait()
 
-	total := 0
+	total := uint32(0)
 	for _, a := range accounts {
 		v := a.Load()
-		if v < 0 {
-			t.Fatalf("negative balance %d", v)
+		if v > nAccounts*perAccount {
+			t.Fatalf("negative balance %d", int32(v))
 		}
 		total += v
 	}
@@ -83,8 +83,8 @@ func TestTransferConservation(t *testing.T) {
 // readers must never observe a mixed state.
 func TestSnapshotConsistency(t *testing.T) {
 	mgr := NewTxManager()
-	a := NewCASObj[int](0)
-	b := NewCASObj[int](0)
+	a := newWord(0)
+	b := newWord(0)
 	var stop atomic.Bool
 	var bad atomic.Int64
 	var wg sync.WaitGroup
@@ -96,7 +96,7 @@ func TestSnapshotConsistency(t *testing.T) {
 			tx := mgr.Register()
 			rng := rand.New(rand.NewSource(seed))
 			for !stop.Load() {
-				d := rng.Intn(100) - 50
+				d := uint32(rng.Intn(100) - 50) // a negative d wraps: a+b stays 0
 				_ = tx.RunRetry(func() error {
 					tx.OpStart()
 					va, _ := a.NbtcLoad(tx)
@@ -121,7 +121,7 @@ func TestSnapshotConsistency(t *testing.T) {
 			defer wg.Done()
 			tx := mgr.Register()
 			for !stop.Load() {
-				var va, vb int
+				var va, vb uint32
 				err := tx.Run(func() error {
 					tx.OpStart()
 					v1, w1 := a.NbtcLoad(tx)
@@ -178,7 +178,7 @@ func TestSnapshotConsistency(t *testing.T) {
 func TestObstructionFreedomSolo(t *testing.T) {
 	mgr := NewTxManager()
 	tStale := mgr.Register()
-	o := NewCASObj[int](0)
+	o := newWord(0)
 	tStale.Begin()
 	if !o.NbtcCAS(tStale, 0, 77, true, true) {
 		t.Fatal("stale install failed")
@@ -206,11 +206,11 @@ func TestQuickSequentialTx(t *testing.T) {
 	f := func(ops []int8) bool {
 		mgr := NewTxManager()
 		tx := mgr.Register()
-		a := NewCASObj[int](0)
-		b := NewCASObj[int](0)
-		refA, refB := 0, 0
+		a := newWord(0)
+		b := newWord(0)
+		refA, refB := uint32(0), uint32(0)
 		for _, op := range ops {
-			d := int(op)
+			d := uint32(op)
 			err := tx.Run(func() error {
 				va, _ := a.NbtcLoad(tx)
 				tx.OpStart()
@@ -243,9 +243,9 @@ func TestQuickAbortIsNoop(t *testing.T) {
 	f := func(writes []uint8) bool {
 		mgr := NewTxManager()
 		tx := mgr.Register()
-		slots := make([]*CASObj[int], 4)
+		slots := make([]*Word, 4)
 		for i := range slots {
-			slots[i] = NewCASObj[int](i * 100)
+			slots[i] = newWord(uint32(i * 100))
 		}
 		_ = tx.Run(func() error {
 			for _, w := range writes {
@@ -258,7 +258,7 @@ func TestQuickAbortIsNoop(t *testing.T) {
 			return nil
 		})
 		for i, s := range slots {
-			if s.Load() != i*100 {
+			if s.Load() != uint32(i*100) {
 				return false
 			}
 		}
@@ -279,9 +279,9 @@ func TestManyThreadsManySlots(t *testing.T) {
 		iters = 300
 	}
 	mgr := NewTxManager()
-	slots := make([]*CASObj[uint64], nSlots)
+	slots := make([]*Word, nSlots)
 	for i := range slots {
-		slots[i] = NewCASObj[uint64](0)
+		slots[i] = newWord(0)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -338,10 +338,10 @@ func TestManyThreadsManySlots(t *testing.T) {
 
 // TestWideTransactionSerializable is the large-write-set storm: every
 // writer transaction is a run of 8 transfers between 16 distinct accounts,
-// so each commit installs 16 descriptor cells through the general protocol
+// so each commit installs 16 words through the general protocol
 // where helpers can reach and eagerly abort it, while read-only sweeps of
 // every account must see the conserved total. The other stresses in this
-// file commit at most three cells per transaction. Workers park on a start
+// file commit at most three words per transaction. Workers park on a start
 // gate so the storm begins with all of them live.
 func TestWideTransactionSerializable(t *testing.T) {
 	const (
@@ -356,9 +356,9 @@ func TestWideTransactionSerializable(t *testing.T) {
 		rounds = 300
 	}
 	mgr := NewTxManager()
-	accounts := make([]*CASObj[int], nAccounts)
+	accounts := make([]*Word, nAccounts)
 	for i := range accounts {
-		accounts[i] = NewCASObj[int](perAccount)
+		accounts[i] = newWord(perAccount)
 	}
 	start := make(chan struct{})
 	var wg sync.WaitGroup
@@ -406,7 +406,7 @@ func TestWideTransactionSerializable(t *testing.T) {
 			tx := mgr.Register()
 			<-start
 			for i := 0; i < rounds; i++ {
-				sum := 0
+				sum := uint32(0)
 				err := tx.Run(func() error {
 					sum = 0
 					for _, a := range accounts {
@@ -428,7 +428,7 @@ func TestWideTransactionSerializable(t *testing.T) {
 	if n := torn.Load(); n != 0 {
 		t.Fatalf("%d committed sweeps observed a torn wide transfer", n)
 	}
-	total := 0
+	total := uint32(0)
 	for _, a := range accounts {
 		total += a.Load()
 	}

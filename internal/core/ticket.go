@@ -7,7 +7,7 @@ package core
 //
 // The ordering argument. A transaction's writes become visible to others
 // only once its status word is terminal-Committed (readers resolving an
-// installed descriptor cell consult the status; uninstalls happen after
+// installed word consult the status; uninstalls happen after
 // the terminal CAS). The draw sites are placed strictly before the first
 // CAS that can lead to Committed:
 //
@@ -19,14 +19,14 @@ package core
 //
 // So for any two writing transactions A and B where B depends on A
 // (B read or overwrote one of A's writes): B's conflicting access
-// resolved A's cell, which requires terminal(A) < access(B); B draws
+// resolved A's install, which requires terminal(A) < access(B); B draws
 // after its own accesses and before its own terminal CAS, giving
 // draw(A) < terminal(A) < access(B) < draw(B). Replaying a feed in ticket
 // order therefore never applies a dependent write before the write it
 // depends on.
 //
 // Tickets are drawn only by transactions that installed at least one
-// descriptor cell (len(writes) > 0): read-only transactions publish
+// word (len(writes) > 0): read-only transactions publish
 // nothing and would only punch permanent holes in the sequence. A drawn
 // ticket is settled exactly once — the owner publishes it after a
 // committed run (CommittedTicket), or finish(false) cancels it on abort —

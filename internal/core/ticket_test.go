@@ -23,7 +23,7 @@ func TestTicketCommittedWrite(t *testing.T) {
 	tx := mgr.Register()
 	rt := &recordTicketer{}
 	tx.SetCommitTicketer(rt)
-	o := NewCASObj[int](1)
+	o := newWord(1)
 	if err := tx.Run(func() error {
 		if !o.NbtcCAS(tx, 1, 2, true, true) {
 			t.Fatal("CAS failed")
@@ -46,8 +46,8 @@ func TestTicketMultiWriteDrawsOnce(t *testing.T) {
 	tx := mgr.Register()
 	rt := &recordTicketer{}
 	tx.SetCommitTicketer(rt)
-	a := NewCASObj[int](10)
-	b := NewCASObj[int](20)
+	a := newWord(10)
+	b := newWord(20)
 	if err := tx.Run(func() error {
 		tx.OpStart()
 		a.NbtcCAS(tx, 10, 11, true, true)
@@ -70,7 +70,7 @@ func TestTicketReadOnlyDrawsNothing(t *testing.T) {
 	tx := mgr.Register()
 	rt := &recordTicketer{}
 	tx.SetCommitTicketer(rt)
-	o := NewCASObj[int](5)
+	o := newWord(5)
 	if err := tx.Run(func() error {
 		if got, _ := o.NbtcLoad(tx); got != 5 {
 			t.Fatalf("read = %d", got)
@@ -94,7 +94,7 @@ func TestTicketAbortBeforeCommitPathDrawsNothing(t *testing.T) {
 	tx := mgr.Register()
 	rt := &recordTicketer{}
 	tx.SetCommitTicketer(rt)
-	o := NewCASObj[int](1)
+	o := newWord(1)
 	err := tx.Run(func() error {
 		o.NbtcCAS(tx, 1, 2, true, true)
 		tx.Abort()
@@ -120,7 +120,7 @@ func TestTicketDrawnThenAbortedCancels(t *testing.T) {
 	tx := mgr.Register()
 	rt := &recordTicketer{}
 	tx.SetCommitTicketer(rt)
-	o := NewCASObj[int](1)
+	o := newWord(1)
 	if err := tx.Run(func() error {
 		o.NbtcCAS(tx, 1, 2, true, true)
 		return nil
@@ -144,7 +144,7 @@ func TestTicketClearedByNextBegin(t *testing.T) {
 	tx := mgr.Register()
 	rt := &recordTicketer{}
 	tx.SetCommitTicketer(rt)
-	o := NewCASObj[int](1)
+	o := newWord(1)
 	if err := tx.Run(func() error {
 		o.NbtcCAS(tx, 1, 2, true, true)
 		return nil
@@ -175,7 +175,7 @@ func TestTicketOrderRespectsDependency(t *testing.T) {
 	txA.SetCommitTicketer(rt)
 	txB := mgr.Register()
 	txB.SetCommitTicketer(rt)
-	o := NewCASObj[int](0)
+	o := newWord(0)
 	if err := txA.Run(func() error {
 		o.NbtcCAS(txA, 0, 1, true, true)
 		return nil

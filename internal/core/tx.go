@@ -1,6 +1,10 @@
 package core
 
-import "errors"
+import (
+	"errors"
+
+	"medley/internal/ebr"
+)
 
 // ErrTxAborted is returned by Tx.End / Tx.Run when the transaction aborted,
 // whether explicitly (Tx.Abort), by failed read validation, or by a
@@ -28,24 +32,24 @@ type Tx struct {
 	fast   bool // commit fast paths enabled (TxManager.FastPathsEnabled at Register)
 
 	reads    []ReadWitness  // published at End; see readsFree for reuse rules
-	writes   []writeCell    // owner-only: truncate-and-reuse
+	writes   []*wordEntry   // owner-only: truncate-and-reuse
 	cleanups []func()       // post-commit work (Defer); owner-only
 	nwords   int            // word entries installed this transaction (word.go)
 	wdefs    []deferredWord // commit-deferred Word CASes (DeferWordCAS)
 
 	beginHooks  []func(*Tx)       // run at Begin; txMontage hooks the epoch here
 	finishHooks []func(*Tx, bool) // run after settle; arg is committed
-	pauser      sectionPauser     // the SMR handle's critical section, released across backoff sleeps
 
-	// Pooling state (TxManager.EnablePooling + an SMR handle that supports
-	// RetireInto). pools holds this Tx's cell arenas and slab index
-	// caches; readsFree/rpFree recycle read-set backing arrays and
-	// publishedReads shells whose grace period (or non-publication) makes
-	// reuse safe. pr is set by any such handle: slab indexes (Slots) are
-	// recycled with or without pooling.
+	// smr is the EBR handle (SetSMR): the critical section RunRetry steps
+	// out of across backoff sleeps, and the domain the slab indexes this
+	// Tx unlinks wait out their grace period in, pooled or not. pools
+	// holds this Tx's slab index caches (Slots). Under pooling
+	// (TxManager.EnablePooling) readsFree/rpFree also recycle read-set
+	// backing arrays and publishedReads shells whose grace period (or
+	// non-publication) makes reuse safe.
+	smr       *ebr.Handle
 	pooled    bool
-	pr        poolRetirer
-	pools     []txPool
+	pools     []*slotCache
 	published bool // current read set was published to helpers at End
 	readsFree [][]ReadWitness
 	rpFree    []*publishedReads
@@ -121,17 +125,18 @@ func (tx *Tx) checkDoomed() {
 // intervals (publication point before linearization point).
 func (tx *Tx) InSpeculation() bool { return tx.InTx() && tx.inSpec }
 
-func (tx *Tx) addWrite(w writeCell) { tx.writes = append(tx.writes, w) }
+func (tx *Tx) addWrite(e *wordEntry) { tx.writes = append(tx.writes, e) }
 
 // AddToReadSet registers the witness of a linearizing load for commit-time
 // validation (the paper's addToReadSet). Calling it outside a transaction,
 // or with a zero witness, is a no-op.
 //
-// A witness naming the same slot, cell and generation as the read set's
-// last entry is dropped: it is evidence of the same fact, so validating it
-// twice proves nothing. Hand-over-hand range reads re-witness their anchor
-// cell on every step, which would otherwise grow the read set — and
-// commit-time validation cost — quadratically in the scan length.
+// A witness naming the same word and the same loaded value as the read
+// set's last entry is dropped: it is evidence of the same fact, so
+// validating it twice proves nothing. Hand-over-hand range reads
+// re-witness their anchor word on every step, which would otherwise grow
+// the read set — and commit-time validation cost — quadratically in the
+// scan length.
 func (tx *Tx) AddToReadSet(w ReadWitness) {
 	if !tx.InTx() || w.isZero() {
 		return
@@ -195,7 +200,7 @@ func (tx *Tx) Begin() {
 		// Never published: no helper ever observed the backing array, so it
 		// is reusable in place regardless of pooling. Read-only fast-path
 		// commits never publish, which is what makes a warm read-only
-		// transaction allocation-free even without recycling arenas.
+		// transaction allocation-free even without pooling.
 		clear(tx.reads)
 		tx.reads = tx.reads[:0]
 	} else {
@@ -239,12 +244,12 @@ func (tx *Tx) ValidateReads() bool {
 }
 
 // End attempts to commit (the paper's txEnd). On success it uninstalls all
-// descriptor cells with their new values and runs deferred cleanups; on
+// installed words with their new values and runs deferred cleanups; on
 // failure it rolls back and returns ErrTxAborted.
 //
 // The general protocol — publish the read set, announce InProg, validate,
 // settle — exists so that helpers which encounter this transaction's
-// installed descriptor cells can finish the commit on its behalf. When the
+// installed words can finish the commit on its behalf. When the
 // write set is small that machinery is mostly or entirely dead weight, so
 // End dispatches to two tiered fast paths (ablatable via
 // TxManager.DisableFastPaths):
@@ -292,9 +297,9 @@ func (tx *Tx) End() error {
 	return tx.settle()
 }
 
-// endReadOnly commits a transaction that installed no descriptor cell this
-// serial. Helpers discover a descriptor only by encountering one of its
-// installed cells — there is no other route to a foreign Desc — so with an
+// endReadOnly commits a transaction that installed no word this serial.
+// Helpers discover a descriptor only by encountering one of its installed
+// words — there is no other route to a foreign Desc — so with an
 // empty write set no helper can ever reach this transaction: nobody can
 // abort it, help it, or observe its status word at this serial. The owner
 // is therefore the sole status writer, owner-side validation is
@@ -306,9 +311,9 @@ func (tx *Tx) End() error {
 // invariant settle asserts and debug tooling relies on.
 //
 // Serializability is unchanged: a read-only transaction linearizes at its
-// validation sweep. Every witnessed cell still governing its slot at that
+// validation sweep. Every witnessed word still holding its value at that
 // point means the reads form a consistent snapshot at that instant; a
-// writer displacing a witnessed cell before the sweep fails it, and one
+// writer changing a witnessed word before the sweep fails it, and one
 // displacing after serializes after this transaction.
 func (tx *Tx) endReadOnly() error {
 	committed := tx.ValidateReads()
@@ -325,8 +330,8 @@ func (tx *Tx) endReadOnly() error {
 	return tx.finish(committed)
 }
 
-// endSingleWrite commits a transaction with exactly one installed
-// descriptor cell. That cell makes the descriptor reachable, so helpers
+// endSingleWrite commits a transaction with exactly one installed word.
+// That word makes the descriptor reachable, so helpers
 // may race us — but the only move a helper has against an InPrep
 // transaction is the eager-contention-management abort (helpers validate
 // on a transaction's behalf only from InProg, which this path never
@@ -351,7 +356,7 @@ func (tx *Tx) endSingleWrite() error {
 		// cancelled by settle's finish(false).
 		tx.drawTicket()
 		if d.stsCAS(word, StatusInPrep, StatusCommitted) {
-			tx.writes[0].uninstall(tx, true)
+			tx.writes[0].uninstall(true)
 			bump(&d.shard.FastPathCommits)
 			return tx.finish(true)
 		}
@@ -359,7 +364,7 @@ func (tx *Tx) endSingleWrite() error {
 	// Validation failed, or a helper's eager-contention-management abort
 	// won the status race; settle resolves whatever state the descriptor
 	// is in (including states only reachable when callers drive the
-	// handshake by hand) and uninstalls the cell accordingly.
+	// handshake by hand) and uninstalls the word accordingly.
 	return tx.settle()
 }
 
@@ -397,7 +402,7 @@ func (tx *Tx) AbortNow() {
 }
 
 // settle drives the descriptor to a terminal state if it is not already
-// there, then uninstalls every installed cell accordingly, runs cleanups or
+// there, then uninstalls every installed word accordingly, runs cleanups or
 // compensation, gathers statistics, and closes the transaction. It returns
 // nil iff the transaction committed. Note that a helper may have committed
 // us even while the owner was trying to abort-from-InProg; the terminal
@@ -422,8 +427,8 @@ func (tx *Tx) settle() error {
 	}
 	st = d.status.Load()
 	committed := statusOf(st) == StatusCommitted
-	for _, w := range tx.writes {
-		w.uninstall(tx, committed)
+	for _, e := range tx.writes {
+		e.uninstall(committed)
 	}
 	return tx.finish(committed)
 }
@@ -431,7 +436,7 @@ func (tx *Tx) settle() error {
 // finish is the outcome-independent tail of every commit path (settle and
 // the End fast paths): the commit ticket, cleanups, pool settles,
 // statistics, finish hooks. The descriptor is already terminal and every
-// installed cell already uninstalled when it runs. It returns nil iff the
+// installed word already uninstalled when it runs. It returns nil iff the
 // transaction committed.
 func (tx *Tx) finish(committed bool) error {
 	tx.settleTicket(committed)
@@ -445,7 +450,7 @@ func (tx *Tx) finish(committed bool) error {
 		// read set, and through it no structure, alive. Under pooling it
 		// is retired through EBR: a slow helper may still iterate it.
 		if rp := tx.desc.reads.Swap(nil); rp != nil && tx.pooled {
-			tx.pr.RetireInto(&tx.rpBin, rp)
+			tx.smr.RetireInto(&tx.rpBin, rp)
 		}
 	}
 	if committed {
@@ -455,8 +460,8 @@ func (tx *Tx) finish(committed bool) error {
 		for _, f := range tx.cleanups {
 			f()
 		}
-		for _, p := range tx.pools {
-			p.settle(tx, true)
+		for _, c := range tx.pools {
+			c.settle(tx, true)
 		}
 		bump(&tx.desc.shard.Commits)
 		for _, f := range tx.finishHooks {
@@ -464,8 +469,8 @@ func (tx *Tx) finish(committed bool) error {
 		}
 		return nil
 	}
-	for _, p := range tx.pools {
-		p.settle(tx, false)
+	for _, c := range tx.pools {
+		c.settle(tx, false)
 	}
 	bump(&tx.desc.shard.Aborts)
 	for _, f := range tx.finishHooks {
@@ -528,47 +533,28 @@ func (tx *Tx) RunRetry(fn func() error) error {
 	}
 }
 
-// sectionPauser is the slice of an SMR handle RunRetry needs to step out
-// of its critical section while sleeping; *ebr.Handle satisfies it.
-type sectionPauser interface {
-	Enter()
-	Exit()
-	Active() bool
-}
-
-// Retirer is a safe-memory-reclamation domain handle; an *ebr.Handle
-// satisfies it.
-type Retirer interface {
-	Retire(free func())
-}
-
-// SetSMR attaches a safe-memory-reclamation handle (typically an
-// *ebr.Handle) to this Tx. If r supports pool-routed retirement (as
-// *ebr.Handle does), the slab nodes this Tx unlinks are reused after a
-// grace period (Slots); without one they never are. If the manager also
-// has pooling enabled (TxManager.EnablePooling), the Tx's cell arenas and
-// read sets recycle the same way. The owning goroutine must then hold r's
-// critical section (ebr.Handle.Enter / Exit) around every transaction and
-// bare operation on the structures it touches.
-func (tx *Tx) SetSMR(r Retirer) {
-	tx.pauser, _ = r.(sectionPauser)
-	if pr, ok := r.(poolRetirer); ok {
-		tx.pr = pr
-		tx.pooled = tx.mgr != nil && tx.mgr.PoolingEnabled()
-		tx.rpBin.tx = tx
-	}
+// SetSMR attaches an EBR handle to this Tx. The slab indexes this Tx
+// unlinks are then reused after a grace period (Slots); without one they
+// never are. If the manager also has pooling enabled
+// (TxManager.EnablePooling), the Tx's read sets recycle the same way. The
+// owning goroutine must then hold h's critical section (ebr.Handle.Enter
+// / Exit) around every transaction and bare operation on the structures
+// it touches.
+func (tx *Tx) SetSMR(h *ebr.Handle) {
+	tx.smr = h
+	tx.pooled = tx.mgr != nil && tx.mgr.PoolingEnabled()
+	tx.rpBin.tx = tx
 }
 
 // SettleBare closes a run of bare operations on tx — operations outside
-// any transaction — the way a settle closes a transaction: the cells they
-// displaced and the slab indexes they unlinked wait in tx's pools for a
-// settle, which a run of bare operations never reaches, so they go to the
+// any transaction — the way a settle closes a transaction: the slab
+// indexes they unlinked wait in tx's pools for a settle, which a run of bare operations never reaches, so they go to the
 // SMR domain now, and the pools' counters fold into the statistics.
 func (tx *Tx) SettleBare() {
 	if tx.InTx() {
 		panic("medley: SettleBare inside an open transaction")
 	}
-	for _, p := range tx.pools {
-		p.settle(tx, true)
+	for _, c := range tx.pools {
+		c.settle(tx, true)
 	}
 }

@@ -2,30 +2,29 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 )
 
-// Word is the paper's one-word CASObj (Figure 1): a transactional shared
-// word that every access CASes in place, with no cell behind it. It holds a
-// 32-bit payload, which the structure interprets (mhash: a node index and
-// Michael's mark), and one of two states:
+// Word is the paper's transactional object (Figure 1): a shared word that
+// every access CASes in place. It holds a 32-bit payload, which the
+// structure interprets (mhash: a node index and Michael's mark), and one of
+// two states:
 //
 //   - at rest (bit 0 clear): payload<<32 | counter<<1. Every change of the
 //     word advances the 31-bit counter, so the whole word is the read
 //     evidence a witness keeps: a witness validates while the slot holds
-//     that exact word (see wordWitness).
+//     that exact word (see witnessValid).
 //   - installed (bit 0 set): serial<<33 | pos<<21 | id<<1 | 1. A critical
 //     CAS of the transaction whose descriptor has word id id (wordDescs)
 //     and serial number serial (its low 31 bits) is pending here; the
 //     speculative and displaced words are entry pos of that descriptor's
 //     word entries (wordEntry).
 //
-// The protocol is the cell-based CASObj's — install, help, finalize on the
-// descriptor's status word, uninstall — and it plugs into Tx through the
-// same two seams: an installed word's entry is a writeCell, a loaded word
-// a witnessCell.
+// The protocol is the paper's: install, help, finalize on the
+// descriptor's status word, uninstall. An installed word's entry joins the
+// owner's write set, and a loaded word's witness its read set.
 //
 // The zero Word is ready to use: payload 0, counter 0. A Word must not be
 // copied after first use.
@@ -94,9 +93,9 @@ type wordEntry struct {
 	old, new atomic.Uint64
 }
 
-// uninstall implements writeCell for the owner: replace the installed word
-// with the outcome. Helpers race it on the same expected word; one wins.
-func (e *wordEntry) uninstall(_ *Tx, committed bool) {
+// uninstall is the owner's: replace the installed word with the outcome.
+// Helpers race it on the same expected word; one wins.
+func (e *wordEntry) uninstall(committed bool) {
 	out := e.old.Load()
 	if committed {
 		out = e.new.Load()
@@ -209,33 +208,25 @@ func descOf(w uint64) *Desc {
 	return (*wordDescs.dir.Load())[id/descChunk][id%descChunk].Load()
 }
 
-// wordWitness is the witnessCell of a Word: the witness's gen is the whole
-// at-rest word loaded, its slot the Word. Holding the empty struct in the
-// interface allocates nothing.
-type wordWitness struct{}
-
-// witnessValid holds while the slot still holds the witnessed word, or an
+// witnessValid holds while o still holds the witnessed word w, or an
 // install of the validating transaction that displaced it. A word that has
 // changed and come back carries a counter advanced by every change in
 // between, so only 2^31 changes to one slot inside one transaction's
 // lifetime could make it validate again (DESIGN.md, "Word link").
-func (wordWitness) witnessValid(slot unsafe.Pointer, d *Desc, serial, gen uint64) bool {
-	o := (*Word)(slot)
+func (o *Word) witnessValid(d *Desc, serial, w uint64) bool {
 	cur := o.v.Load()
-	if cur == gen {
+	if cur == w {
 		return true
 	}
 	if !isInstalled(cur) || !installedBy(cur, d, serial) {
 		return false
 	}
 	e := d.wordEntryOf(cur, o)
-	return e != nil && e.old.Load() == gen
+	return e != nil && e.old.Load() == w
 }
 
 // witness is the read evidence of at-rest word w loaded from o.
-func (o *Word) witness(w uint64) ReadWitness {
-	return ReadWitness{c: wordWitness{}, gen: w, slot: unsafe.Pointer(o)}
-}
+func (o *Word) witness(w uint64) ReadWitness { return ReadWitness{slot: o, w: w} }
 
 // Init sets a word nobody else can reach yet — a node's link being built,
 // or reused after its grace period — to payload p. It advances the counter
@@ -286,8 +277,9 @@ func (o *Word) resolve() uint64 {
 	}
 }
 
-// Load is the regular atomic load of the payload; an installed word it
-// meets is finalized first, as CASObj.Load does.
+// Load is the regular atomic load of the payload. It never returns a
+// speculative value: an installed word it meets is finalized first, per
+// the paper's nbtcLoad fallback.
 func (o *Word) Load() uint32 { return payloadOf(o.resolve()) }
 
 // CAS is the regular compare-and-swap on payloads.
@@ -304,8 +296,11 @@ func (o *Word) CAS(expected, desired uint32) bool {
 }
 
 // NbtcLoad is the transactional load (the paper's Figure 5) on a Word: the
-// speculative payload of this transaction's own install, or the at-rest
-// payload with its witness. Outside a transaction it degrades to Load.
+// speculative payload of this transaction's own install (starting the
+// speculation interval), or the at-rest payload with a witness the caller
+// may pass to Tx.AddToReadSet if this load turns out to be the
+// linearization point of a read-only operation. A foreign install it meets
+// is finalized first. Outside a transaction it degrades to Load.
 func (o *Word) NbtcLoad(tx *Tx) (uint32, ReadWitness) {
 	if !tx.InTx() {
 		w := o.resolve()
@@ -330,11 +325,14 @@ func (o *Word) NbtcLoad(tx *Tx) (uint32, ReadWitness) {
 	}
 }
 
-// NbtcCAS is the transactional CAS (the paper's Figure 5) on a Word, with
-// CASObj.NbtcCAS's flags and outcomes: a critical CAS installs the
-// transaction's word, which takes effect when it commits; one outside the
-// speculation interval executes at once. Outside a transaction it degrades
-// to CAS.
+// NbtcCAS is the transactional CAS (the paper's Figure 5) on a Word. linPt
+// marks a CAS that, if successful, is the operation's linearization point;
+// pubPt marks the operation's publication point (the first CAS that could
+// commit the operation to success — a linearizing CAS is always also a
+// publication point). A critical CAS — one inside the speculation interval
+// — installs the transaction's word, which takes effect only when the
+// whole transaction commits; one outside the interval (helping) executes
+// at once. Outside a transaction it degrades to CAS.
 func (o *Word) NbtcCAS(tx *Tx, expected, desired uint32, linPt, pubPt bool) bool {
 	if !tx.InTx() {
 		return o.CAS(expected, desired)
@@ -411,11 +409,11 @@ type deferredWord struct {
 
 // DeferWordCAS registers a payload CAS on o to run after the transaction
 // commits — the unlink a structure defers past its linearizing CAS — and,
-// if it succeeds, retires slab index idx of s: whoever unlinks a node
-// retires it. Outside a transaction it runs at once.
+// if it succeeds and s is not nil, retires slab index idx of s: whoever
+// unlinks a node retires it. Outside a transaction it runs at once.
 func DeferWordCAS(tx *Tx, o *Word, expected, desired uint32, s *Slots, idx uint32) {
 	if !tx.InTx() {
-		if o.CAS(expected, desired) {
+		if o.CAS(expected, desired) && s != nil {
 			s.Retire(tx, idx, false)
 		}
 		return
@@ -428,11 +426,34 @@ func DeferWordCAS(tx *Tx, o *Word, expected, desired uint32, s *Slots, idx uint3
 func (tx *Tx) runWordDefers() {
 	for i := range tx.wdefs {
 		d := &tx.wdefs[i]
-		if d.o.CAS(d.expected, d.desired) {
+		if d.o.CAS(d.expected, d.desired) && d.slots != nil {
 			d.slots.Retire(tx, d.idx, false)
 		}
 	}
 }
+
+// spinYield yields the processor every spinYieldEvery iterations of a help
+// loop. The loops above retry until a foreign install is out of the way;
+// that normally takes one or two rounds, but on an oversubscribed box the
+// thread that must make progress (the descriptor's owner, or another
+// helper) may not be scheduled at all — and a spinning GOMAXPROCS-pinned
+// helper occupying its P is exactly what keeps it unscheduled. Yielding
+// periodically bounds that livelock without costing the common case a
+// branch miss; the debugWedgeThreshold panic stays as the invariant
+// backstop far beyond any legitimate wait.
+func spinYield(i int) {
+	if i != 0 && i&(spinYieldEvery-1) == 0 {
+		runtime.Gosched()
+	}
+}
+
+const spinYieldEvery = 1024
+
+// debugWedgeThreshold turns a silently spinning retry loop — which would
+// indicate a broken invariant (e.g., an orphaned install) — into a
+// diagnosable panic. Legitimate contention never approaches this count on
+// a single slot within one call.
+const debugWedgeThreshold = 200_000_000
 
 // debugState renders the word for wedge diagnostics.
 func (o *Word) debugState(tx *Tx) string {

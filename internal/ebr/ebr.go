@@ -2,20 +2,19 @@
 // reclamation scheme used by the paper's data structures (following Fraser's
 // thesis and Hart et al., JPDC 2007).
 //
-// Under Go's garbage collector, reclamation of plain heap nodes is handled
-// by the runtime, so retiring a node is *logically* sufficient for safety.
-// This package nevertheless implements the full protocol — per-thread epoch
-// announcement, three-generation limbo lists, and deferred reclamation
-// callbacks — for two reasons: the protocol's bookkeeping cost is part of
-// what the paper measures, and structures that hold resources other than
-// memory (persistent payloads in txMontage) need a real deferred-free
-// mechanism with grace-period semantics.
+// The transformed structures keep their nodes in slabs and link them by
+// index, so the garbage collector cannot tell when an unlinked node may be
+// reused: this package provides the grace period — per-thread epoch
+// announcement, three-generation limbo lists, and recycling into the
+// retiring goroutine's own pools once no reader can still hold a
+// reference.
 //
 // Limbo is priced in blocks, not in calls. One retire may stand for many
-// blocks — a transaction's displaced cells ride to limbo as a single entry
-// (RetireBatch) — and the pressure on memory is what the entries hold, so
-// the advance trigger counts blocks: a handle attempts an epoch advance
-// every advanceEvery retired blocks, however many calls brought them.
+// blocks — the slab indexes a transaction unlinks ride to limbo as a
+// single entry (RetireBatch) — and the pressure on memory is what the
+// entries hold, so the advance trigger counts blocks: a handle attempts an
+// epoch advance every advanceEvery retired blocks, however many calls
+// brought them.
 package ebr
 
 import (
@@ -91,25 +90,16 @@ type Pool interface {
 	Recycle(obj any)
 }
 
-// limboEntry is one retire: either a deferred-free callback (fn) or a
-// pool-routed object (pool, obj) — one block, or a batch of them the pool
-// unpacks. The obj form exists so hot paths can retire without allocating
-// a closure per block: storing a pointer in an interface does not
-// heap-allocate, and the limbo slices themselves are truncated and reused
-// across epochs.
+// limboEntry is one retire: a pool-routed object — one block, or a batch
+// of them the pool unpacks. Hot paths retire without allocating: storing a
+// pointer in an interface does not heap-allocate, and the limbo slices
+// themselves are truncated and reused across epochs.
 type limboEntry struct {
-	fn   func()
 	pool Pool
 	obj  any
 }
 
-func (e *limboEntry) release() {
-	if e.fn != nil {
-		e.fn()
-		return
-	}
-	e.pool.Recycle(e.obj)
-}
+func (e *limboEntry) release() { e.pool.Recycle(e.obj) }
 
 // Handle is a per-goroutine participant in the EBR protocol. A Handle must
 // not be used from multiple goroutines simultaneously.
@@ -192,23 +182,18 @@ func (h *Handle) Active() bool {
 	return h.localEpoch.Load()&1 == 1
 }
 
-// Retire registers free to be invoked once two epoch advances guarantee no
-// reader can still hold a reference obtained before the retire.
-func (h *Handle) Retire(free func()) {
-	h.retire(limboEntry{fn: free}, 1)
-}
-
-// RetireInto registers obj to be handed to pool.Recycle after the grace
-// period. It is the allocation-free form of Retire: obj is typically a
-// pointer (stored in the interface without boxing), and pool is a
-// per-goroutine freelist owned by this handle's goroutine.
+// RetireInto registers obj to be handed to pool.Recycle once two epoch
+// advances guarantee no reader can still hold a reference obtained before
+// the retire. obj is typically a pointer (stored in the interface without
+// boxing), and pool a per-goroutine freelist owned by this handle's
+// goroutine.
 func (h *Handle) RetireInto(pool Pool, obj any) {
 	h.retire(limboEntry{pool: pool, obj: obj}, 1)
 }
 
 // RetireBatch is RetireInto for an obj that stands for n blocks which
 // pool.Recycle unpacks: one limbo entry, n blocks towards the next advance
-// attempt — so a transaction that displaces advanceEvery cells attempts an
+// attempt — so a transaction that unlinks advanceEvery nodes attempts an
 // advance at its own settle.
 func (h *Handle) RetireBatch(pool Pool, obj any, n int) {
 	h.retire(limboEntry{pool: pool, obj: obj}, n)
@@ -247,7 +232,7 @@ func (h *Handle) flushSlot(slot int) {
 }
 
 // Flush frees every limbo entry whose grace period has elapsed, without
-// attempting to advance the epoch. Owner-only, like Retire. Useful at
+// attempting to advance the epoch. Owner-only, like RetireInto. Useful at
 // full-stop barriers: steady-state retiring only revisits the slot of the
 // current epoch, so entries parked in the other slots wait for the epoch
 // to rotate back around — which under a starved advance (oversubscription
@@ -266,7 +251,7 @@ func (h *Handle) Flush() {
 // TryAdvance attempts to advance the global epoch: it succeeds only if
 // every active handle has announced the current epoch. On success, blocks
 // retired two epochs ago become reclaimable and this handle frees its own
-// expired limbo. Owner-only, like Retire. A handle registered after the
+// expired limbo. Owner-only, like RetireInto. A handle registered after the
 // registry load below is missed by the scan, harmlessly: it announces the
 // epoch it reads at its first Enter, which is this one or the next.
 func (h *Handle) TryAdvance() bool {

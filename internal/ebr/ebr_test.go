@@ -7,6 +7,12 @@ import (
 	"testing"
 )
 
+// fnPool recycles a retired func() by calling it: a block whose "free" the
+// test observes.
+type fnPool struct{}
+
+func (fnPool) Recycle(obj any) { obj.(func())() }
+
 func TestRetireNotFreedWhileReaderActive(t *testing.T) {
 	m := New(1)
 	reader := m.Register()
@@ -15,7 +21,7 @@ func TestRetireNotFreedWhileReaderActive(t *testing.T) {
 	reader.Enter() // reader pins current epoch
 
 	freed := false
-	writer.Retire(func() { freed = true })
+	writer.RetireInto(fnPool{}, func() { freed = true })
 	for i := 0; i < 10; i++ {
 		writer.TryAdvance()
 	}
@@ -26,7 +32,7 @@ func TestRetireNotFreedWhileReaderActive(t *testing.T) {
 	reader.Exit()
 	for i := 0; i < 4; i++ {
 		writer.TryAdvance()
-		writer.Retire(func() {}) // churn slots
+		writer.RetireInto(fnPool{}, func() {}) // churn slots
 	}
 	if !freed {
 		t.Fatal("block never freed after reader exited and epochs advanced")
@@ -39,7 +45,7 @@ func TestGracePeriodTwoEpochs(t *testing.T) {
 	e0 := m.Stats().Epoch
 
 	freed := false
-	h.Retire(func() { freed = true })
+	h.RetireInto(fnPool{}, func() { freed = true })
 
 	if !h.TryAdvance() {
 		t.Fatal("advance 1 failed with no active readers")
@@ -81,7 +87,7 @@ func TestDrain(t *testing.T) {
 	h := m.Register()
 	var n atomic.Int64
 	for i := 0; i < 100; i++ {
-		h.Retire(func() { n.Add(1) })
+		h.RetireInto(fnPool{}, func() { n.Add(1) })
 	}
 	h.Drain()
 	if n.Load() != 100 {
@@ -106,7 +112,7 @@ func TestConcurrentRetireReclaimAll(t *testing.T) {
 			h := m.Register()
 			for i := 0; i < perG; i++ {
 				h.Enter()
-				h.Retire(func() { freed.Add(1) })
+				h.RetireInto(fnPool{}, func() { freed.Add(1) })
 				h.Exit()
 			}
 			h.Drain()
@@ -313,7 +319,7 @@ func TestRegisterWhileAdvancing(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				h.Enter()
 				old := cur.Swap(new(block))
-				h.Retire(func() { old.freed.Store(true); freed.Add(1) })
+				h.RetireInto(fnPool{}, func() { old.freed.Store(true); freed.Add(1) })
 				h.Exit()
 			}
 			retired.Add(int64(iters))

@@ -49,24 +49,20 @@ func (m Mix) shapeWeights() (mixed, transfer, order, scan int) {
 	return
 }
 
-// PhaseKind selects what a phase does.
+// PhaseKind selects what a phase does. The zero PhaseKind is the ordinary
+// measurement phase: it generates and executes transactions for the
+// phase's duration slice.
 type PhaseKind uint8
 
-// Phase kinds of the workload engine.
-const (
-	// PhaseRun generates and executes transactions for the phase's
-	// duration slice — the ordinary measurement phase.
-	PhaseRun PhaseKind = iota
-	// PhaseCrash takes no duration slice: the engine flushes committed
-	// state, simulates a full-system crash, times recovery, and verifies
-	// the recovered state against the ground-truth model of committed
-	// operations (see verify.go). On systems without durable state it
-	// records recoverable: false and leaves the system running.
-	PhaseCrash
-)
+// PhaseCrash takes no duration slice: the engine flushes committed state,
+// simulates a full-system crash, times recovery, and verifies the
+// recovered state against the ground-truth model of committed operations
+// (see verify.go). On systems without durable state it records
+// recoverable: false and leaves the system running.
+const PhaseCrash PhaseKind = 1
 
 // Phase is one stage of a scenario. Weights slice the run's total duration
-// across the PhaseRun phases, so a scenario's wall-clock cost is
+// across the measurement phases, so a scenario's wall-clock cost is
 // independent of its phase count; PhaseCrash phases take no slice (their
 // elapsed time is the measured recovery latency).
 type Phase struct {

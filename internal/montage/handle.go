@@ -46,8 +46,8 @@ func (s *System) Wrap(tx *core.Tx) *Handle {
 	s.mu.Unlock()
 	tx.OnBegin(func(t *core.Tx) {
 		e, w := s.epoch.NbtcLoad(t)
-		h.txEpoch = e
-		h.active.Store(e<<1 | 1)
+		h.txEpoch = uint64(e)
+		h.active.Store(h.txEpoch<<1 | 1)
 		t.AddToReadSet(w)
 	})
 	tx.OnFinish(h.finish)
@@ -120,10 +120,10 @@ func (h *Handle) BeginOp() {
 		return
 	}
 	for {
-		e := h.sys.epoch.Load()
+		e := h.sys.Epoch()
 		h.txEpoch = e
 		h.active.Store(e<<1 | 1)
-		if h.sys.epoch.Load() == e {
+		if h.sys.Epoch() == e {
 			return
 		}
 	}
@@ -139,7 +139,7 @@ func (h *Handle) opEpoch() uint64 {
 	if h.active.Load()&1 == 1 {
 		return h.txEpoch
 	}
-	return h.sys.epoch.Load()
+	return h.sys.Epoch()
 }
 
 // newPayload stages a persistent payload for (key, data): the block is

@@ -206,7 +206,7 @@ func TestEpochValidationAbortsStragglers(t *testing.T) {
 		// The epoch advances inside an open transaction: the advancer's
 		// grace wait only applies at write-back time; bumping the clock is
 		// what kills stragglers. Simulate the bump directly.
-		sys.epoch.Store(sys.epoch.Load() + 1)
+		sys.setEpoch(sys.Epoch() + 1)
 		return nil
 	})
 	if !errors.Is(err, core.ErrTxAborted) {

@@ -129,7 +129,7 @@ func (s *System) CrashAndRecover() []Recovered {
 	s.Region.Crash()
 	p := s.Region.Load(epochWord)
 	s.persisted.Store(p)
-	s.epoch.Store(p + 1)
+	s.setEpoch(p + 1)
 	s.mu.Lock()
 	s.handles = nil // old threads disappear under the full-system-crash model
 	s.mu.Unlock()

@@ -29,6 +29,7 @@
 package montage
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -90,7 +91,12 @@ type arena struct {
 type System struct {
 	Region *pmem.Region
 
-	epoch     core.CASObj[uint64] // a transaction witnesses it (Wrap)
+	// epoch is the clock, a Word a transaction witnesses (Wrap). Its
+	// payload is 32 bits: at the store's 20 ms advance it is exhausted
+	// after about 2.7 years of one process's uptime (2^32 × 20 ms; the
+	// simulated region does not outlive the process), and setEpoch
+	// panics rather than wrap.
+	epoch     core.Word
 	persisted atomic.Uint64
 
 	arenas []arena
@@ -121,7 +127,7 @@ func NewSystem(cfg Config) *System {
 		}),
 	}
 	s.layoutArenas(cfg.RegionWords)
-	s.epoch.Store(1)
+	s.epoch.Init(1)
 	return s
 }
 
@@ -138,7 +144,17 @@ func (s *System) layoutArenas(words int) {
 }
 
 // Epoch returns the current epoch.
-func (s *System) Epoch() uint64 { return s.epoch.Load() }
+func (s *System) Epoch() uint64 { return uint64(s.epoch.Load()) }
+
+// setEpoch moves the clock to e. Only the advancer and recovery write the
+// clock, both under advMu, and transactions only load it, so the one CAS
+// never loses a race.
+func (s *System) setEpoch(e uint64) {
+	if e > math.MaxUint32 {
+		panic("montage: epoch clock exhausted")
+	}
+	s.epoch.CAS(s.epoch.Load(), uint32(e))
+}
 
 // PersistedEpoch returns the newest durably recorded epoch.
 func (s *System) PersistedEpoch() uint64 { return s.persisted.Load() }
@@ -200,8 +216,8 @@ func (s *System) release(off int, safe uint64) {
 func (s *System) Advance() uint64 {
 	s.advMu.Lock()
 	defer s.advMu.Unlock()
-	e := s.epoch.Load()
-	s.epoch.Store(e + 1)
+	e := s.Epoch()
+	s.setEpoch(e + 1)
 
 	// Grace period: wait for every transaction that began in epoch <= e to
 	// finish settling (its cleanups registered all epoch-e payload work).
@@ -274,7 +290,7 @@ type Stats struct {
 // Stats returns a snapshot of the system's counters.
 func (s *System) Stats() Stats {
 	return Stats{
-		Epoch:          s.epoch.Load(),
+		Epoch:          s.Epoch(),
 		PersistedEpoch: s.persisted.Load(),
 		PayloadsBorn:   s.payloadsBorn.Load(),
 		PayloadsKilled: s.payloadsKilled.Load(),

@@ -173,8 +173,8 @@ func (s *MontageSystem) Preload(keys []uint64) {
 
 // newWorker builds an executor: one epoch handle per worker serves every
 // shard, bound through the same worker loop System uses. Its EBR handle
-// lets a hash index reuse the node slots the worker unlinks; cells are not
-// pooled.
+// lets the index reuse the node slots the worker unlinks; read sets are
+// not pooled.
 func (s *MontageSystem) newWorker() *worker {
 	tx := s.mgr.Register()
 	eh := s.smr.Register()

@@ -39,8 +39,13 @@ type System struct {
 	mgr  *core.TxManager // nil for untransformed baselines
 	sh   *kv.ShardedStore
 	m    kv.TxMap // sh, or its one shard: no dispatch layer for single instances
-	// smr is nil exactly when operations run outside any transaction
-	// (Original/TxOff): no commit protocol, nothing retired, no feed to tap.
+	// notx runs operations outside any transaction (TxOff): no commit
+	// protocol and no feed to tap, but a transformed structure's workers
+	// still hold registered Txs and EBR handles, so the nodes their bare
+	// operations unlink are recycled.
+	notx bool
+	// smr is nil exactly when the structure has no manager (Original):
+	// nothing is retired, nothing recycled.
 	smr *ebr.Manager
 	// pump is the handle Quiesce uses to advance the EBR epoch at
 	// barriers; it never enters a critical section or retires anything.
@@ -69,11 +74,11 @@ func newSystem(name, structure string, notx bool, buckets int, spec Spec) *Syste
 			name += "-" + suffix
 		}
 	}
-	s := &System{name: ShardedName(name, sh.ShardCount()), mgr: mgr, sh: sh, m: sh}
+	s := &System{name: ShardedName(name, sh.ShardCount()), mgr: mgr, sh: sh, m: sh, notx: notx}
 	if sh.ShardCount() == 1 {
 		s.m = sh.Shard(0)
 	}
-	if !notx && mgr != nil {
+	if mgr != nil {
 		// An advance attempt every 256 retired blocks, not retire calls: a
 		// replayed watch chunk of up to 512 writes, one transaction,
 		// attempts at its own settle, and so draws the next chunk's
@@ -81,10 +86,10 @@ func newSystem(name, structure string, notx bool, buckets int, spec Spec) *Syste
 		// bare puts, ships the slots it unlinks 64 at a time and attempts
 		// every fourth batch.
 		s.smr = ebr.New(256)
-		if !spec.Off["nopool"] {
+		if !notx && !spec.Off["nopool"] {
 			mgr.EnablePooling()
 		}
-		if spec.Off["nofast"] {
+		if !notx && spec.Off["nofast"] {
 			mgr.DisableFastPaths()
 		}
 	}
@@ -117,7 +122,7 @@ func (s *System) TxStats() (commits, aborts uint64) {
 // no commit protocol (Original, TxOff) export nothing, so their reports
 // carry no fastpath block and an empty telemetry block.
 func (s *System) MetricsSnapshot() []obs.Metric {
-	if s.smr == nil {
+	if !s.transacts() {
 		return nil
 	}
 	es := s.smr.Stats()
@@ -136,16 +141,17 @@ func (s *System) StateSnapshot(fn func(key, val uint64) bool) {
 }
 
 // guardedMaintainer is the capability of structures whose background
-// maintenance must run inside an EBR critical section under pooling
-// (rotating skiplist index rebuilds traverse recyclable cells).
+// maintenance must run inside an EBR critical section (rotating skiplist
+// index rebuilds traverse nodes that workers unlink and recycle).
 type guardedMaintainer interface {
 	StartGuardedMaintenance(interval time.Duration, guard func(func())) (stop func())
 }
 
 // Start starts per-shard maintenance where the structure has any
-// (rotating skiplist). Under pooling the maintenance goroutine gets its
-// own EBR handle and brackets every rebuild with it, so index traversals
-// never observe a recycled cell; without pooling it runs unguarded.
+// (rotating skiplist, a transformed structure, so the system has an EBR
+// domain). The maintenance goroutine gets its own EBR handle and brackets
+// every rebuild with it, so an index traversal never meets a recycled
+// node.
 func (s *System) Start() (stop func()) {
 	var stops []func()
 	for i := 0; i < s.sh.ShardCount(); i++ {
@@ -153,16 +159,12 @@ func (s *System) Start() (stop func()) {
 		if !ok {
 			continue
 		}
-		var guard func(func())
-		if s.smr != nil && s.mgr.PoolingEnabled() {
-			h := s.smr.Register()
-			guard = func(f func()) {
-				h.Enter()
-				f()
-				h.Exit()
-			}
-		}
-		stops = append(stops, gm.StartGuardedMaintenance(25*time.Millisecond, guard))
+		h := s.smr.Register()
+		stops = append(stops, gm.StartGuardedMaintenance(25*time.Millisecond, func(f func()) {
+			h.Enter()
+			f()
+			h.Exit()
+		}))
 	}
 	return func() {
 		for _, f := range stops {
@@ -184,8 +186,11 @@ func (s *System) Preload(keys []uint64) {
 // request-order loop, whoever submits them.
 type worker struct {
 	m  kv.TxMap
-	tx *core.Tx // nil: execute outside transactions
+	tx *core.Tx // nil: no manager, nothing to recycle (Original)
 	h  *ebr.Handle
+	// bare runs operations outside any transaction on tx (TxOff): each
+	// batch in one critical section, closed by SettleBare.
+	bare bool
 	// mh is a txMontage worker's epoch handle: a Load runs in one of its
 	// operation sections. nil on every other worker.
 	mh *montage.Handle
@@ -231,7 +236,11 @@ func (s *System) Quiesce(exs []kv.Executor) {
 // a commit-ordered change feed: the store must run real transactions
 // (baselines executing outside any commit protocol have no commit order
 // to tap).
-func (s *System) SupportsChangeFeed() bool { return s.smr != nil }
+func (s *System) SupportsChangeFeed() bool { return s.transacts() }
+
+// transacts reports whether operations run as transactions (Medley, not
+// the Original or TxOff baselines).
+func (s *System) transacts() bool { return s.smr != nil && !s.notx }
 
 // NewExecutor hands out a new kv.Executor running batch requests as
 // atomic transactions: the one seam of the service's workers, a node's
@@ -242,7 +251,7 @@ func (s *System) NewExecutor() kv.Executor {
 	if s.smr == nil {
 		return &worker{m: kv.Bind(s.m, nil)}
 	}
-	w := &worker{tx: s.mgr.Register(), h: s.smr.Register()}
+	w := &worker{tx: s.mgr.Register(), h: s.smr.Register(), bare: s.notx}
 	w.tx.SetSMR(w.h)
 	w.m = kv.Bind(s.m, w.tx)
 	return w
@@ -255,7 +264,7 @@ func (s *System) NewExecutor() kv.Executor {
 // exists to tap). The service layer attaches feeds through this seam on
 // each worker executor.
 func (w *worker) SetChangeFeed(f *cdc.Feed) bool {
-	if w.tx == nil {
+	if w.tx == nil || w.bare {
 		return false
 	}
 	w.feed = f
@@ -264,7 +273,7 @@ func (w *worker) SetChangeFeed(f *cdc.Feed) bool {
 }
 
 // publishBatch publishes a just-committed batch's writes under its
-// commit ticket. No ticket means no descriptor cell was installed (every
+// commit ticket. No ticket means no word was installed (every
 // write was a no-op, e.g. deletes of absent keys): nothing visible
 // changed, nothing to replicate.
 func (w *worker) publishBatch(ops []kv.Op, res []kv.Result) {
@@ -304,6 +313,13 @@ func (w *worker) ExecBatch(ops []kv.Op, res []kv.Result) error {
 		kv.Apply(nil, w.m, ops, res)
 		return nil
 	}
+	if w.bare {
+		w.h.Enter()
+		kv.Apply(w.tx, w.m, ops, res)
+		w.tx.SettleBare()
+		w.h.Exit()
+		return nil
+	}
 	keyed, scans, writes := false, false, false
 	for i := range ops {
 		switch ops[i].Kind {
@@ -315,11 +331,9 @@ func (w *worker) ExecBatch(ops []kv.Op, res []kv.Result) error {
 			keyed, writes = true, true
 		}
 	}
-	if w.h != nil {
-		// One critical section over the transaction and the hoisted scans:
-		// a bare Range walks recyclable cells like any other operation.
-		w.h.Enter()
-	}
+	// One critical section over the transaction and the hoisted scans: a
+	// bare Range walks recyclable nodes like any other operation.
+	w.h.Enter()
 	if keyed {
 		tap := w.feed != nil && writes
 		if tap && res == nil {
@@ -361,9 +375,7 @@ func (w *worker) ExecBatch(ops []kv.Op, res []kv.Result) error {
 			}
 		}
 	}
-	if w.h != nil {
-		w.h.Exit()
-	}
+	w.h.Exit()
 	return nil
 }
 

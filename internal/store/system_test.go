@@ -2,6 +2,7 @@ package store
 
 import (
 	"maps"
+	"runtime"
 	"testing"
 
 	"medley/internal/cdc"
@@ -129,5 +130,52 @@ func TestLoadEverySystem(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// liveHeap is the heap the live objects hold, after a collection.
+func liveHeap() int64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC() // a sync.Pool empties over two collections
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestTxOffChurnRecyclesNodes replaces the same 64 keys of a TxOff store
+// over and over. Its operations run outside any transaction, but on the
+// executor's registered Tx with an EBR handle, each batch closed by
+// SettleBare, so every node a replace unlinks comes back to the skiplist's
+// slab after a grace period: a long churn retains no more heap than its
+// first rounds did. Run on a nil Tx, as TxOff executors once were, each of
+// the 128k replaces strands its node, about 45 bytes of slab a put.
+func TestTxOffChurnRecyclesNodes(t *testing.T) {
+	st, err := New("txoff-skip", Opts{KeyRange: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := st.(*System)
+	ex := sys.NewExecutor()
+	ops := make([]kv.Op, 64)
+	churn := func(rounds int) {
+		for r := 0; r < rounds; r++ {
+			for i := range ops {
+				ops[i] = kv.Op{Kind: kv.OpPut, Key: uint64(i), Val: uint64(r)}
+			}
+			if err := ex.ExecBatch(ops, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	churn(100)
+	sys.Quiesce([]kv.Executor{ex})
+	before := liveHeap()
+	churn(2000)
+	sys.Quiesce([]kv.Executor{ex})
+	if grown := liveHeap() - before; grown > 1<<20 {
+		t.Errorf("128k replaces of 64 keys grew the live heap by %d KB: unlinked nodes are not recycled", grown>>10)
+	}
+	if n := sys.m.(kv.Lener).Len(); n != len(ops) {
+		t.Errorf("store holds %d keys, want %d", n, len(ops))
 	}
 }

@@ -18,11 +18,11 @@ func checkNoCycles[V any](t *testing.T, s *List[V], maxNodes int) {
 	t.Helper()
 	for l := 0; l < MaxLevel; l++ {
 		steps := 0
-		seen := map[*node[V]]int{}
-		for c := s.head.next[l].Load().node; c != nil; c = c.next[l].Load().node {
+		seen := map[uint32]int{}
+		for c := target(s.linkAt(s.head, l)); c != 0; c = target(s.linkAt(c, l)) {
 			if prev, dup := seen[c]; dup {
 				t.Fatalf("cycle at level %d: node key=%d revisited (first at step %d, now %d)",
-					l, c.key, prev, steps)
+					l, s.slab.At(c).key, prev, steps)
 			}
 			seen[c] = steps
 			steps++
@@ -31,6 +31,16 @@ func checkNoCycles[V any](t *testing.T, s *List[V], maxNodes int) {
 			}
 		}
 	}
+}
+
+// linkAt is node i's link at level l: its level-0 Word's payload, or an
+// index link.
+func (s *List[V]) linkAt(i uint32, l int) uint32 {
+	n := s.slab.At(i)
+	if l == 0 {
+		return n.next.Load()
+	}
+	return s.links(n)[l-1].Load()
 }
 
 // TestReplaceChurnNoIndexCycle hammers Put (replace) and Remove on a tiny

@@ -9,54 +9,103 @@
 // performance-only: towers are built and torn down post-linearization, so
 // the NBTC transform defers them to post-commit cleanup, and readers treat
 // the index as a hint that is repaired en passant.
+//
+// Nodes live in the list's core.Slab. A level-0 link is a core.Word, the
+// transactional object, holding a slab index and the deletion mark; an
+// index link is a plain atomic word of the same shape, since level 0
+// decides every operation and no transaction ever needs to validate a
+// hint. A node's index links live in a tower: a slot of one of four tower
+// slabs, by height class, so the half of the nodes that stand one level
+// high carry none.
+//
+// Reclamation follows Fraser's own rule: a node is retired only once no
+// link at any level names it. The node's remover and its tower builder
+// each flag their end of the node's life (built, dead); whichever comes
+// second tears the tower down — marks each index link, then searches
+// Harris-style, unlinking every marked node on the path at every level,
+// level 0 included — and retires the node and its tower. A marked index
+// link never changes, and nothing links to a node whose builder is done,
+// so after that search nothing names the node, and its slot is reused
+// after an EBR grace period by a Tx with an SMR handle (Tx.SetSMR). Every
+// search walks the index the same way, never past a marked node and never
+// down from one, so every hop, index levels included, stays inside the
+// nodes its critical section protects.
 package fraserskip
 
 import (
 	"math/bits"
 	"math/rand/v2"
+	"sync/atomic"
 
 	"medley/internal/core"
-	"sync/atomic"
 )
 
 // MaxLevel matches the paper's experimental configuration ("each skiplist
 // has up to 20 levels").
 const MaxLevel = 20
 
-// ref is a level-0 link: successor plus logical-deletion mark. Index levels
-// reuse the type with mark always false.
-type ref[V any] struct {
-	node *node[V]
-	mark bool
-}
+// A link — a level-0 Word's payload or an index link — is the slab index
+// of the node it leads to (0 for none) above the deletion mark in bit 0.
+// At level 0 the mark is Michael's logical deletion; at an index level it
+// means the node is being torn down there. Every CAS expects an unmarked
+// link, so a marked link no longer changes.
+func link(i uint32) uint32    { return i << 1 }
+func deleted(i uint32) uint32 { return i<<1 | 1 }
+func target(l uint32) uint32  { return l >> 1 }
+func isDeleted(l uint32) bool { return l&1 != 0 }
 
-// node reclamation audit (pooling): fraserskip nodes are deliberately NOT
-// pool-recycled. Tower teardown is lazy — a removed node's index-level
-// links are repaired best-effort by finishRemove and later traversals, so a
-// node can remain physically linked at index levels long after its level-0
-// unlink, with no bound tied to any EBR grace period. Recycling such a node
-// would let a descending search reach a reused node through a stale index
-// link. Nodes therefore stay GC-reclaimed; the *cells* inside their links
-// still recycle safely, because cells are only ever reached through live
-// slots of reachable (never-freed) nodes and are retired at displacement.
+// A node's state holds its height above two flags: built, set once its
+// tower builder is done, and dead, set once its removal has committed.
+const (
+	built      = 1
+	dead       = 2
+	stateShift = 2
+)
+
+// node is a skiplist node. key, val, height and tower are fixed while the
+// node is linked at any level.
 type node[V any] struct {
 	key   uint64
 	val   V
-	level int         // tower height, 1..MaxLevel
-	dead  atomic.Bool // set post-commit; index-level hygiene only
-	next  []core.CASObj[ref[V]]
+	next  core.Word     // level 0
+	state atomic.Uint32 // height<<stateShift | dead | built
+	tower uint32        // its slot in the tower slab of its height class
+}
+
+func (n *node[V]) height() int { return int(n.state.Load() >> stateShift) }
+
+// flag sets flag f in n's state and returns the state it replaced. It is
+// a CAS loop, not atomic.Uint32.Or: go1.24.0 compiled a value-returning Or
+// here into code that clobbered the caller's receiver.
+func (n *node[V]) flag(f uint32) uint32 {
+	for {
+		old := n.state.Load()
+		if n.state.CompareAndSwap(old, old|f) {
+			return old
+		}
+	}
 }
 
 // List is an NBTC-transformed Fraser skiplist mapping uint64 keys to V.
 type List[V any] struct {
-	head *node[V] // sentinel, full height, key ignored
+	head uint32 // sentinel, full height, key ignored
 	mgr  *core.TxManager
+	slab core.Slab[node[V]]
+
+	// Towers by height class: a node of height h has h-1 index links,
+	// links[l-1] at level l.
+	t1  core.Slab[[1]atomic.Uint32]            // height 2
+	t3  core.Slab[[3]atomic.Uint32]            // heights 3-4
+	t7  core.Slab[[7]atomic.Uint32]            // heights 5-8
+	t19 core.Slab[[MaxLevel - 1]atomic.Uint32] // heights 9-20 and the head
 }
 
 // New creates an empty skiplist attached to mgr.
 func New[V any](mgr *core.TxManager) *List[V] {
-	h := &node[V]{level: MaxLevel, next: make([]core.CASObj[ref[V]], MaxLevel)}
-	return &List[V]{head: h, mgr: mgr}
+	s := &List[V]{mgr: mgr}
+	var zero V
+	s.head = s.newNode(nil, 0, zero, MaxLevel, 0)
+	return s
 }
 
 // Manager returns the TxManager this skiplist participates in.
@@ -64,110 +113,187 @@ func (s *List[V]) Manager() *core.TxManager { return s.mgr }
 
 // randomLevel draws a geometric(1/2) height in [1, MaxLevel].
 func randomLevel() int {
-	l := bits.TrailingZeros64(rand.Uint64()|1<<(MaxLevel-1)) + 1
-	return l
+	return bits.TrailingZeros64(rand.Uint64()|1<<(MaxLevel-1)) + 1
 }
 
-// searchResult is the postcondition of search at level 0: pred.next[0] held
-// {curr, unmarked}; curr is the first node with key >= the search key (nil
-// at the end). predW / currW witness the loads of pred.next[0] and
-// curr.next[0].
-type searchResult[V any] struct {
-	pred  *node[V]
-	curr  *node[V]
-	next  *node[V]
-	found bool
-	predW core.ReadWitness
-	currW core.ReadWitness
+// links is node n's index links.
+func (s *List[V]) links(n *node[V]) []atomic.Uint32 {
+	switch h := n.height(); {
+	case h == 1:
+		return nil
+	case h == 2:
+		return s.t1.At(n.tower)[:]
+	case h <= 4:
+		return s.t3.At(n.tower)[:h-1]
+	case h <= 8:
+		return s.t7.At(n.tower)[:h-1]
+	default:
+		return s.t19.At(n.tower)[:h-1]
+	}
 }
 
-// search locates key. The index levels are a best-effort fast path: the
-// descent repairs dead towers opportunistically and hands the level-0
-// stage a starting predecessor. The level-0 stage is exact Michael-style
-// traversal (the same discipline as mhash, whose anchors — bucket heads —
-// are immortal): whenever the inherited anchor proves stale (its link is
-// marked, or an unlink CAS fails), the walk restarts from the list head at
-// level 0, which is immortal and therefore always converges. All loads go
-// through NbtcLoad so a transaction observes its own speculative links;
-// helper unlinks go through NbtcCAS with no lin/pub flags.
-func (s *List[V]) search(tx *core.Tx, key uint64) searchResult[V] {
-	pred := s.head
-	// Fast-path descent. Each dead tower gets one repair attempt; on CAS
-	// failure we walk through it (hint quality only — level 0 decides).
-	for l := MaxLevel - 1; l >= 1; l-- {
-		for {
-			cr, _ := pred.next[l].NbtcLoad(tx)
-			curr := cr.node
-			if curr == nil {
-				break
-			}
-			nr0, _ := curr.next[0].NbtcLoad(tx)
-			if curr.dead.Load() || nr0.mark {
-				// curr is logically deleted (lazy flag, committed mark with
-				// pending cleanup, or this transaction's own speculative
-				// mark): swing pred past its tower, best effort.
-				sr, _ := curr.next[l].NbtcLoad(tx)
-				if pred.next[l].NbtcCAS(tx, ref[V]{curr, false}, ref[V]{sr.node, false}, false, false) {
+// towerSlots is the slots of the tower slab for height h.
+func (s *List[V]) towerSlots(h int) *core.Slots {
+	switch {
+	case h == 2:
+		return &s.t1.Slots
+	case h <= 4:
+		return &s.t3.Slots
+	case h <= 8:
+		return &s.t7.Slots
+	default:
+		return &s.t19.Slots
+	}
+}
+
+// newNode takes a slot, and a tower for a node taller than one level, and
+// fills them; Init advances the counter a recycled slot's link carries.
+func (s *List[V]) newNode(tx *core.Tx, key uint64, val V, h int, next uint32) uint32 {
+	i := s.slab.Get(tx)
+	n := s.slab.At(i)
+	n.key, n.val = key, val
+	n.state.Store(uint32(h) << stateShift)
+	switch {
+	case h == 1:
+		n.tower = 0
+	case h == 2:
+		n.tower = s.t1.Get(tx)
+	case h <= 4:
+		n.tower = s.t3.Get(tx)
+	case h <= 8:
+		n.tower = s.t7.Get(tx)
+	default:
+		n.tower = s.t19.Get(tx)
+	}
+	lks := s.links(n)
+	for l := range lks {
+		lks[l].Store(0)
+	}
+	n.next.Init(next)
+	return i
+}
+
+// give returns node i, taken but never published, for immediate reuse.
+func (s *List[V]) give(tx *core.Tx, i uint32) {
+	if i == 0 {
+		return
+	}
+	if n := s.slab.At(i); n.height() > 1 {
+		s.towerSlots(n.height()).Put(tx, n.tower)
+	}
+	s.slab.Put(tx, i)
+}
+
+// searchResult is the postcondition of search at level 0: pred's link held
+// {curr, unmarked}; curr is the first node with key >= the search key (0
+// at the end). predW / currW witness the loads of pred's and curr's
+// level-0 links.
+type searchResult struct {
+	pred, curr, next uint32
+	found            bool
+	predW, currW     core.ReadWitness
+}
+
+// descend walks the index levels from the head toward key, down to level
+// stop, and returns the last node it passed — the head or a node keyed
+// below key — and the node its link at level stop led to when read,
+// unmarked: 0, or the first node there keyed key or above. A node whose
+// link at a level is marked is being torn down there and is unlinked
+// Harris-style — its predecessor's link swings to its successor — before
+// the walk goes on; a walk never passes it, and never descends from one:
+// where its own predecessor's link is marked it restarts from the head.
+// So every node it reaches was linked at that level when reached (towers
+// have no holes, and a level is unlinked only after it is marked, top
+// down), which keeps each hop inside what the caller's critical section
+// protects, and after a walk no link on its path names a marked node.
+func (s *List[V]) descend(key uint64, stop int) (pred, succ uint32) {
+restart:
+	for {
+		pred = s.head
+		for l := MaxLevel - 1; l >= stop; l-- {
+			lk := &s.links(s.slab.At(pred))[l-1]
+			for {
+				cl := lk.Load()
+				if isDeleted(cl) {
+					continue restart
+				}
+				succ = target(cl)
+				if succ == 0 {
+					break
+				}
+				cn := s.slab.At(succ)
+				if nl := s.links(cn)[l-1].Load(); isDeleted(nl) {
+					lk.CompareAndSwap(cl, link(target(nl)))
 					continue
 				}
-				// Repair raced; fall through the dead node as a mere hint.
+				if cn.key >= key {
+					break
+				}
+				pred, lk = succ, &s.links(cn)[l-1]
 			}
-			if curr.key < key {
-				pred = curr
-				continue
-			}
-			break
 		}
+		return pred, succ
 	}
-	// Exact level-0 stage.
+}
+
+// search locates key. The index descent hands the level-0 stage a
+// starting predecessor, linked at level 1 when reached. The level-0 stage
+// is exact Michael-style traversal (the same discipline as mhash, whose
+// anchors — bucket heads — are immortal): whenever the inherited anchor
+// proves stale (its link is marked, or an unlink CAS fails), the walk
+// restarts from the list head at level 0, which is immortal and therefore
+// always converges. All loads go through NbtcLoad so a transaction
+// observes its own speculative links; helper unlinks go through NbtcCAS
+// with no lin/pub flags. A node is retired by its teardown, not by
+// whoever unlinks it here.
+func (s *List[V]) search(tx *core.Tx, key uint64) searchResult {
+	anchor, _ := s.descend(key, 1)
+retry:
 	for attempt := 0; ; attempt++ {
-		prev := pred
+		prev := anchor
 		if attempt > 0 {
 			prev = s.head // inherited anchor proved stale: immortal restart
 		}
-		cr, prevW := prev.next[0].NbtcLoad(tx)
-		if cr.mark {
-			// The anchor itself is deleted; only possible for an inherited
-			// (non-head) anchor.
-			continue
+		pn := s.slab.At(prev)
+		cl, prevW := pn.next.NbtcLoad(tx)
+		if isDeleted(cl) {
+			continue // the anchor itself is deleted; never the head
 		}
-		curr := cr.node
-		ok := true
-		for ok {
-			if curr == nil {
-				return searchResult[V]{pred: prev, predW: prevW}
+		curr := target(cl)
+		for {
+			if curr == 0 {
+				return searchResult{pred: prev, predW: prevW}
 			}
-			nr, currW := curr.next[0].NbtcLoad(tx)
-			if nr.mark {
-				if prev.next[0].NbtcCAS(tx, ref[V]{curr, false}, ref[V]{nr.node, false}, false, false) {
-					curr = nr.node
-					continue
+			cn := s.slab.At(curr)
+			nl, currW := cn.next.NbtcLoad(tx)
+			if isDeleted(nl) {
+				if !pn.next.NbtcCAS(tx, link(curr), link(target(nl)), false, false) {
+					continue retry // lost an unlink race: restart from the head
 				}
-				ok = false // lost an unlink race: restart from the head
-				break
+				curr = target(nl)
+				continue
 			}
-			if curr.key >= key {
-				return searchResult[V]{
-					pred: prev, curr: curr, next: nr.node,
-					found: curr.key == key,
+			if cn.key >= key {
+				return searchResult{
+					pred: prev, curr: curr, next: target(nl),
+					found: cn.key == key,
 					predW: prevW, currW: currW,
 				}
 			}
-			prev = curr
-			prevW = currW
-			curr = nr.node
+			prev, pn, prevW = curr, cn, currW
+			curr = target(nl)
 		}
 	}
 }
 
 // Get returns the value bound to key; see mhash for the witness discipline
-// (curr.next[0] when present, pred.next[0] when absent).
+// (curr's level-0 link when present, pred's when absent).
 func (s *List[V]) Get(tx *core.Tx, key uint64) (V, bool) {
 	tx.OpStart()
 	r := s.search(tx, key)
 	if r.found {
 		tx.AddToReadSet(r.currW)
-		return r.curr.val, true
+		return s.slab.At(r.curr).val, true
 	}
 	tx.AddToReadSet(r.predW)
 	var zero V
@@ -180,28 +306,39 @@ func (s *List[V]) Contains(tx *core.Tx, key uint64) bool {
 	return ok
 }
 
+// prepare fills (or re-targets, on a retried attempt) the operation's
+// private not-yet-published node.
+func (s *List[V]) prepare(tx *core.Tx, n uint32, key uint64, val V, next uint32) uint32 {
+	if n == 0 {
+		return s.newNode(tx, key, val, randomLevel(), next)
+	}
+	s.slab.At(n).next.Init(next)
+	return n
+}
+
 // Put binds key to val, inserting or replacing; returns the prior value if
 // any. One linearizing CAS on the level-0 list in either path.
 func (s *List[V]) Put(tx *core.Tx, key uint64, val V) (V, bool) {
 	tx.OpStart()
-	n := &node[V]{key: key, val: val, level: randomLevel()}
-	n.next = make([]core.CASObj[ref[V]], n.level)
+	var nn uint32
 	for {
 		r := s.search(tx, key)
 		if r.found {
-			victim, next := r.curr, r.next
-			n.next[0].Init(ref[V]{next, false})
-			if victim.next[0].NbtcCAS(tx, ref[V]{next, false}, ref[V]{n, true}, true, true) {
-				// victim is GC-reclaimed, not pooled: its tower may stay
-				// index-linked past any grace period (see the node audit
-				// note above).
-				tx.Defer(func() { s.finishReplace(victim, n, key) })
-				return victim.val, true
+			nn = s.prepare(tx, nn, key, val, link(r.next))
+			cn := s.slab.At(r.curr)
+			if cn.next.NbtcCAS(tx, link(r.next), deleted(nn), true, true) {
+				victim, n := r.curr, nn
+				tx.Defer(func() {
+					s.kill(tx, victim)
+					s.buildTower(tx, n)
+				})
+				return cn.val, true
 			}
 		} else {
-			n.next[0].Init(ref[V]{r.curr, false})
-			if r.pred.next[0].NbtcCAS(tx, ref[V]{r.curr, false}, ref[V]{n, false}, true, true) {
-				tx.Defer(func() { s.buildTower(n, key) })
+			nn = s.prepare(tx, nn, key, val, link(r.curr))
+			if s.slab.At(r.pred).next.NbtcCAS(tx, link(r.curr), link(nn), true, true) {
+				n := nn
+				tx.Defer(func() { s.buildTower(tx, n) })
 				var zero V
 				return zero, false
 			}
@@ -212,17 +349,18 @@ func (s *List[V]) Put(tx *core.Tx, key uint64, val V) (V, bool) {
 // Insert adds key only if absent; a failed insert is a read-only outcome.
 func (s *List[V]) Insert(tx *core.Tx, key uint64, val V) bool {
 	tx.OpStart()
-	n := &node[V]{key: key, val: val, level: randomLevel()}
-	n.next = make([]core.CASObj[ref[V]], n.level)
+	var nn uint32
 	for {
 		r := s.search(tx, key)
 		if r.found {
 			tx.AddToReadSet(r.currW)
+			s.give(tx, nn)
 			return false
 		}
-		n.next[0].Init(ref[V]{r.curr, false})
-		if r.pred.next[0].NbtcCAS(tx, ref[V]{r.curr, false}, ref[V]{n, false}, true, true) {
-			tx.Defer(func() { s.buildTower(n, key) })
+		nn = s.prepare(tx, nn, key, val, link(r.curr))
+		if s.slab.At(r.pred).next.NbtcCAS(tx, link(r.curr), link(nn), true, true) {
+			n := nn
+			tx.Defer(func() { s.buildTower(tx, n) })
 			return true
 		}
 	}
@@ -239,103 +377,108 @@ func (s *List[V]) Remove(tx *core.Tx, key uint64) (V, bool) {
 			var zero V
 			return zero, false
 		}
-		victim, next := r.curr, r.next
-		if victim.next[0].NbtcCAS(tx, ref[V]{next, false}, ref[V]{next, true}, true, true) {
-			// victim is GC-reclaimed, not pooled (see the node audit note).
-			tx.Defer(func() { s.finishRemove(victim, key) })
-			return victim.val, true
+		cn := s.slab.At(r.curr)
+		if cn.next.NbtcCAS(tx, link(r.next), deleted(r.next), true, true) {
+			victim := r.curr
+			tx.Defer(func() { s.kill(tx, victim) })
+			return cn.val, true
 		}
 	}
 }
 
-// finishRemove is post-commit cleanup: flag the tower dead and repair the
-// index and level-0 list by re-searching.
-func (s *List[V]) finishRemove(victim *node[V], key uint64) {
-	victim.dead.Store(true)
-	s.search(nil, key)
+// kill is post-commit cleanup for a removed or replaced node: flag it dead,
+// and tear it down if its builder is done.
+func (s *List[V]) kill(tx *core.Tx, i uint32) {
+	if s.slab.At(i).flag(dead)&built != 0 {
+		s.teardown(tx, i)
+	}
 }
 
-// finishReplace is post-commit cleanup for the update path: retire the old
-// tower and raise the replacement's.
-func (s *List[V]) finishReplace(victim, n *node[V], key uint64) {
-	victim.dead.Store(true)
-	s.search(nil, key) // unlink victim at level 0 and in the index
-	s.buildTower(n, key)
-}
-
-// buildTower links a committed node into index levels 1..level-1. Purely
-// performance work: a failure at any level simply leaves a shorter tower.
-func (s *List[V]) buildTower(n *node[V], key uint64) {
-	for l := 1; l < n.level; l++ {
-		for attempt := 0; attempt < 4; attempt++ {
-			if n.dead.Load() {
-				return
+// buildTower links a committed node into index levels 1..height-1, bottom
+// up, then flags it built, tearing it down if it died meanwhile. Purely
+// performance work: the first level it fails to link in four attempts
+// ends the tower there, so a node linked at a level is linked at every
+// level below it.
+func (s *List[V]) buildTower(tx *core.Tx, i uint32) {
+	n := s.slab.At(i)
+	lks := s.links(n)
+build:
+	for l := 1; l <= len(lks); l++ {
+		for attempt := 0; ; attempt++ {
+			if attempt == 4 || n.state.Load()&dead != 0 {
+				break build
 			}
-			pred, succ := s.indexPosition(l, key, n)
-			if pred == nil {
-				return
+			pred, succ, ok := s.indexPosition(l, n.key)
+			if !ok {
+				break build
 			}
-			n.next[l].Store(ref[V]{succ, false})
-			if pred.next[l].CAS(ref[V]{succ, false}, ref[V]{n, false}) {
+			lks[l-1].Store(link(succ)) // nobody reaches n at level l yet
+			if s.links(s.slab.At(pred))[l-1].CompareAndSwap(link(succ), link(i)) {
 				break
 			}
 		}
 	}
+	if n.flag(built)&dead != 0 {
+		s.teardown(tx, i)
+	}
 }
 
-// indexPosition finds (pred, succ) for key at index level l, skipping dead
-// towers and the node being linked. Returns pred == nil if the position is
-// unavailable: the node is already linked, or a node with the SAME key
-// occupies the position. The same-key refusal is load-bearing: it keeps
-// every index link strictly key-increasing, so no cycle can ever form even
-// when the tower builds of a replaced node and its replacement race (a
-// same-key back-link between the two would otherwise wedge search forever).
-func (s *List[V]) indexPosition(l int, key uint64, self *node[V]) (*node[V], *node[V]) {
-	pred := s.head
-	for lvl := MaxLevel - 1; lvl >= l; lvl-- {
+// teardown retires node i, dead and built: it marks the tower's links top
+// down, unlinks the node at every level with a descent and a level-0
+// search, and retires the node and its tower. Nothing links to a node
+// whose builder is done, a marked link never changes, and a swing past a
+// marked node only ever reaches its successor, so after the search no link
+// at any level names the node.
+func (s *List[V]) teardown(tx *core.Tx, i uint32) {
+	n := s.slab.At(i)
+	lks := s.links(n)
+	for l := len(lks) - 1; l >= 0; l-- {
 		for {
-			cr := pred.next[lvl].Load()
-			curr := cr.node
-			if curr == nil || curr == self || curr.key >= key {
+			x := lks[l].Load()
+			if isDeleted(x) || lks[l].CompareAndSwap(x, x|1) {
 				break
 			}
-			pred = curr
 		}
 	}
-	cr := pred.next[l].Load()
-	if cr.node == self {
-		return nil, nil // already linked at this level
+	s.search(tx, n.key) // outside any transaction: unlinks marked nodes at once
+	if h := n.height(); h > 1 {
+		s.towerSlots(h).Retire(tx, n.tower, false)
 	}
-	if cr.node != nil && cr.node.key == key {
-		return nil, nil // a same-key replace chain holds this position
+	s.slab.Retire(tx, i, false)
+}
+
+// indexPosition finds (pred, succ) for key at index level l: succ is what
+// pred's link held when the walk read it, so a CAS expecting it links a
+// node in key order (a fresh load could return a node inserted since,
+// keyed below key). It reports false if a node with the SAME key occupies
+// the position. The same-key refusal is load-bearing: it keeps every index link strictly
+// key-increasing, so no cycle can ever form even when the tower builds of
+// a replaced node and its replacement race (a same-key back-link between
+// the two would otherwise wedge search forever), and a teardown's descent
+// meets its node wherever it is linked.
+func (s *List[V]) indexPosition(l int, key uint64) (pred, succ uint32, ok bool) {
+	pred, succ = s.descend(key, l)
+	if succ != 0 && s.slab.At(succ).key == key {
+		return 0, 0, false
 	}
-	return pred, cr.node
+	return pred, succ, true
 }
 
 // Len counts unmarked level-0 nodes; not linearizable, for tests.
 func (s *List[V]) Len() int {
 	n := 0
-	cr := s.head.next[0].Load()
-	for c := cr.node; c != nil; {
-		nr := c.next[0].Load()
-		if !nr.mark {
-			n++
-		}
-		c = nr.node
-	}
+	s.Range(func(uint64, V) bool { n++; return true })
 	return n
 }
 
 // Range iterates a non-linearizable ascending snapshot; for tests.
 func (s *List[V]) Range(fn func(key uint64, val V) bool) {
-	cr := s.head.next[0].Load()
-	for c := cr.node; c != nil; {
-		nr := c.next[0].Load()
-		if !nr.mark {
-			if !fn(c.key, c.val) {
-				return
-			}
+	for c := target(s.slab.At(s.head).next.Load()); c != 0; {
+		n := s.slab.At(c)
+		nl := n.next.Load()
+		if !isDeleted(nl) && !fn(n.key, n.val) {
+			return
 		}
-		c = nr.node
+		c = target(nl)
 	}
 }

@@ -310,26 +310,24 @@ func TestTowerIntegrityAfterChurn(t *testing.T) {
 			s.Remove(nil, k)
 		}
 	}
-	level0 := map[*node[int]]bool{}
-	for c := s.head.next[0].Load().node; c != nil; c = c.next[0].Load().node {
-		if !c.next[0].Load().mark {
+	level0 := map[uint32]bool{}
+	for c := target(s.linkAt(s.head, 0)); c != 0; c = target(s.linkAt(c, 0)) {
+		if !isDeleted(s.linkAt(c, 0)) {
 			level0[c] = true
 		}
 	}
 	for l := 1; l < MaxLevel; l++ {
 		var prevKey uint64
 		first := true
-		for c := s.head.next[l].Load().node; c != nil; c = c.next[l].Load().node {
-			if c.dead.Load() {
-				continue // awaiting unlink; hygiene only
-			}
+		for c := target(s.linkAt(s.head, l)); c != 0; c = target(s.linkAt(c, l)) {
 			if !level0[c] {
-				t.Fatalf("level %d references node %d not live at level 0", l, c.key)
+				t.Fatalf("level %d references node %d not live at level 0", l, s.slab.At(c).key)
 			}
-			if !first && c.key < prevKey {
+			if k := s.slab.At(c).key; !first && k <= prevKey {
 				t.Fatalf("level %d key order violated", l)
+			} else {
+				prevKey, first = k, false
 			}
-			prevKey, first = c.key, false
 		}
 	}
 }

@@ -6,10 +6,11 @@
 // between the two isolates the cost of the transform itself.
 //
 // Note for readers comparing against the paper: in C++ the transform's raw
-// cost is widening every CAS word to 128 bits; in this Go port both the
-// plain and transformed structures use pointer-to-immutable-cell links
-// (the idiomatic GC-safe design), so the measured gap isolates the
-// NBTC bookkeeping and is expected to be smaller than the paper's 1.8x.
+// cost is widening every CAS word to 128 bits; in this Go port the plain
+// structure links pointers to immutable {node, mark} refs (the idiomatic
+// GC-safe design), and the transformed one links 32-bit slab indexes in
+// one-word core.Words, so the measured gap is the NBTC bookkeeping net of
+// the transformed structure's cheaper links.
 package plainskip
 
 import (

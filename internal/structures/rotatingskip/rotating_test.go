@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"medley/internal/core"
+	"medley/internal/ebr"
 )
 
 func TestSequentialBasics(t *testing.T) {
@@ -74,10 +75,21 @@ func TestIndexStaysCorrectAfterRemovals(t *testing.T) {
 	}
 }
 
+// newGuard brackets a maintenance rebuild in a critical section of a
+// handle of its own, as store.System.Start does.
+func newGuard() func(func()) {
+	h := ebr.New(1).Register()
+	return func(f func()) {
+		h.Enter()
+		f()
+		h.Exit()
+	}
+}
+
 func TestBackgroundMaintenance(t *testing.T) {
 	mgr := core.NewTxManager()
 	l := New[int](mgr)
-	stop := l.StartMaintenance(time.Millisecond)
+	stop := l.StartGuardedMaintenance(time.Millisecond, newGuard())
 	defer stop()
 	for k := uint64(0); k < 3000; k++ {
 		l.Put(nil, k, int(k))
@@ -194,7 +206,7 @@ func TestStaleReadAborts(t *testing.T) {
 func TestConcurrentMixedWithMaintenance(t *testing.T) {
 	mgr := core.NewTxManager()
 	l := New[uint64](mgr)
-	stop := l.StartMaintenance(500 * time.Microsecond)
+	stop := l.StartGuardedMaintenance(500*time.Microsecond, newGuard())
 	defer stop()
 	const goroutines = 6
 	iters := 2000
@@ -237,7 +249,7 @@ func TestConcurrentMixedWithMaintenance(t *testing.T) {
 func TestConcurrentTransactionalConservation(t *testing.T) {
 	mgr := core.NewTxManager()
 	l := New[int](mgr)
-	stop := l.StartMaintenance(time.Millisecond)
+	stop := l.StartGuardedMaintenance(time.Millisecond, newGuard())
 	defer stop()
 	const nAccounts = 16
 	const initial = 250

@@ -405,7 +405,7 @@ func indexPosition(sl *Skiplist, l int, self *node) (*node, *node) {
 		return nil, nil
 	}
 	if c != nil && c.key == self.key {
-		// Same-key refusal: see fraserskip.indexPosition — racing tower
+		// Same-key refusal, as in fraserskip.indexPosition: racing tower
 		// builds across a remove/insert chain must never create a
 		// same-key index link, which could form a cycle.
 		return nil, nil

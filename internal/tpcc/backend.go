@@ -135,15 +135,13 @@ func (b *KVBackend) NewWorker() Worker {
 // handle.
 type kvWorker struct {
 	tx     *core.Tx
-	h      *ebr.Handle // nil on a MontageBackend
+	h      *ebr.Handle
 	tables [NumTables]kv.TxMap
 }
 
 func (w *kvWorker) Run(body func(Ctx) error) error {
-	if w.h != nil {
-		w.h.Enter()
-		defer w.h.Exit()
-	}
+	w.h.Enter()
+	defer w.h.Exit()
 	return w.tx.RunRetry(func() error { return body(w) })
 }
 
@@ -168,6 +166,7 @@ func (w *kvWorker) TxStats() core.Stats { return w.tx.ShardStats() }
 // indices (Figure 9's txMontage line).
 type MontageBackend struct {
 	mgr    *core.TxManager
+	smr    *ebr.Manager // grace periods for the skiplists' node slots
 	sys    *montage.System
 	tables [NumTables]*kv.MontageMap
 }
@@ -175,7 +174,7 @@ type MontageBackend struct {
 // NewMontageBackend creates the txMontage configuration over the given
 // montage system.
 func NewMontageBackend(sys *montage.System) *MontageBackend {
-	b := &MontageBackend{mgr: core.NewTxManager(), sys: sys}
+	b := &MontageBackend{mgr: core.NewTxManager(), smr: ebr.New(256), sys: sys}
 	for i := range b.tables {
 		idx := fraserskip.New[montage.Entry[uint64]](b.mgr)
 		b.tables[i] = kv.NewMontageMap(sys, montage.NewPStore[uint64](sys, idx, montage.U64Codec()))
@@ -192,10 +191,12 @@ func (b *MontageBackend) StartAdvancer(every time.Duration) (stop func()) {
 	return b.sys.StartAdvancer(every)
 }
 
-// NewWorker implements Backend: the Medley worker, its tables bound
+// NewWorker implements Backend: the Medley worker, with an EBR handle
+// entered around each transaction as a KVBackend's, its tables bound
 // through one epoch handle.
 func (b *MontageBackend) NewWorker() Worker {
-	w := &kvWorker{tx: b.mgr.Register()}
+	w := &kvWorker{tx: b.mgr.Register(), h: b.smr.Register()}
+	w.tx.SetSMR(w.h)
 	h := b.sys.Wrap(w.tx)
 	for i := range b.tables {
 		w.tables[i] = b.tables[i].BindHandle(h)

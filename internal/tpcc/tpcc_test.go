@@ -2,8 +2,10 @@ package tpcc
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"medley/internal/montage"
 	"medley/internal/onefile"
@@ -395,5 +397,45 @@ func TestRunRetriesAnErrorFromAStaleRead(t *testing.T) {
 		}); err != nil {
 			t.Fatalf("%s: verify: %v", e.name, err)
 		}
+	}
+}
+
+// TestMontageChurnRecyclesNodes replaces the same 16 keys of one table of
+// a txMontage backend over and over, with the epoch advancer running so
+// the payloads come back too. Each worker holds an EBR handle, entered
+// around each transaction, so every index node a replace unlinks comes
+// back to its skiplist's slab after a grace period: a long churn retains
+// no more heap than its first rounds did. A worker without a handle, as
+// MontageBackend's once were, strands a node a put, about 45 bytes of slab.
+func TestMontageChurnRecyclesNodes(t *testing.T) {
+	b := NewMontageBackend(montage.NewSystem(montage.DefaultConfig()))
+	stop := b.StartAdvancer(time.Millisecond)
+	defer stop()
+	w := b.NewWorker()
+	churn := func(rounds int) {
+		for r := 0; r < rounds; r++ {
+			err := w.Run(func(c Ctx) error {
+				for k := uint64(0); k < 16; k++ {
+					c.Put(0, k, uint64(r))
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	heap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC() // a sync.Pool empties over two collections
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	churn(500)
+	before := heap()
+	churn(4000)
+	if grown := heap() - before; grown > 1<<20 {
+		t.Errorf("64k replaces of 16 keys grew the live heap by %d KB: unlinked index nodes are not recycled", grown>>10)
 	}
 }

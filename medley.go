@@ -58,9 +58,11 @@ type (
 	TxManager = core.TxManager
 	// Tx is a per-goroutine transaction context.
 	Tx = core.Tx
-	// CASObj is a transactional shared word, for building custom NBTC
-	// structures.
-	CASObj[T comparable] = core.CASObj[T]
+	// Word is the transactional shared word of the paper's Figure 1, for
+	// building custom NBTC structures: a 32-bit payload — typically a
+	// node's index in the structure's own slab, with mark bits — CAS'd in
+	// place beside a counter. The zero Word holds 0 and is ready to use.
+	Word = core.Word
 	// ReadWitness is the evidence of a linearizing load, registered via
 	// Tx.AddToReadSet.
 	ReadWitness = core.ReadWitness
@@ -73,9 +75,6 @@ var ErrTxAborted = core.ErrTxAborted
 
 // NewTxManager creates a transaction manager.
 func NewTxManager() *TxManager { return core.NewTxManager() }
-
-// NewCASObj returns a transactional word initialized to v.
-func NewCASObj[T comparable](v T) *CASObj[T] { return core.NewCASObj(v) }
 
 // Transformed data structures.
 type (
@@ -94,9 +93,14 @@ type (
 	Queue[V any] = msqueue.Queue[V]
 )
 
-// NewHashMap creates a hash table with at least nBuckets buckets. Its
-// nodes live in slabs: the slot of a node a transaction unlinks is reused
-// only if that Tx has an EBR handle (Tx.SetSMR).
+// Every transformed structure keeps its nodes in slabs and links them by
+// Word: the slot of a node an operation unlinks is reused, after an EBR
+// grace period, only if the operation's Tx has an EBR handle (Tx.SetSMR);
+// a Tx without one never reuses it. A goroutine whose Tx has a handle
+// holds the handle's critical section (EBRHandle.Enter/Exit) around every
+// transaction and bare operation.
+
+// NewHashMap creates a hash table with at least nBuckets buckets.
 func NewHashMap[V any](mgr *TxManager, nBuckets int) *HashMap[V] {
 	return mhash.NewMap[V](mgr, nBuckets)
 }
@@ -109,10 +113,7 @@ func NewRotatingSkiplist[V any](mgr *TxManager) *RotatingSkiplist[V] {
 	return rotatingskip.New[V](mgr)
 }
 
-// NewBST creates an empty binary search tree. Its nodes live in a slab,
-// like the hash table's: the nodes a transaction removes are reused only
-// if that Tx has an EBR handle (Tx.SetSMR); a Tx without one never reuses
-// them.
+// NewBST creates an empty binary search tree.
 func NewBST[V any](mgr *TxManager) *BST[V] { return nmbst.New[V](mgr) }
 
 // NewQueue creates an empty queue.
@@ -200,7 +201,7 @@ type (
 )
 
 // NewEBR creates an epoch-based reclamation domain whose handles attempt
-// an epoch advance every advanceEvery retired blocks, not calls: a
-// transaction's displaced cells are retired as one batch that counts its
+// an epoch advance every advanceEvery retired blocks, not calls: the slab
+// slots a transaction unlinks are retired as one batch that counts its
 // length (0 selects the default of 64).
 func NewEBR(advanceEvery int) *EBR { return ebr.New(advanceEvery) }
