@@ -71,30 +71,51 @@ type Stats struct {
 }
 
 // pendingTx is one settled-but-not-yet-admitted ticket in the reorder
-// buffer: its writes, or a cancellation marker.
+// buffer: a copy of its writes, or a cancellation marker.
 type pendingTx struct {
 	writes    []Write
 	cancelled bool
 }
 
-// ring is one shard's bounded entry buffer. Entries seq s lives at
-// buf[(s-1) % cap] while head-s < len: head is the last assigned seq,
-// and the oldest retained seq is head-count+1.
-type ring struct {
-	buf   []Entry
-	head  uint64 // last assigned seq (0 = none yet)
-	count int    // live entries, <= cap(buf)
+// record is one ring slot, 24 bytes: a write without its seq, which the
+// slot's position implies. tx is the commit ticket, with the tombstone
+// flag in its top bit.
+type record struct {
+	key, val, tx uint64
 }
 
-func (r *ring) push(e Entry) (compacted bool) {
+// delBit is record.tx's tombstone flag; tickets stay below it.
+const delBit = 1 << 63
+
+// ring is one shard's bounded record buffer. Seq s lives at
+// buf[(s-1) % len(buf)] while head-s < count: head is the last assigned
+// seq, and the oldest retained seq is head-count+1.
+type ring struct {
+	buf   []record
+	head  uint64 // last assigned seq (0 = none yet)
+	count int    // live records, <= len(buf)
+}
+
+func (r *ring) push(w Write, ticket uint64) (compacted bool) {
+	if ticket >= delBit {
+		panic("cdc: commit ticket reached 2^63, past what a ring record holds")
+	}
+	if w.Del {
+		ticket |= delBit
+	}
 	r.head++
-	e.Seq = r.head
-	r.buf[(r.head-1)%uint64(cap(r.buf))] = e
-	if r.count < cap(r.buf) {
+	r.buf[(r.head-1)%uint64(len(r.buf))] = record{key: w.Key, val: w.Val, tx: ticket}
+	if r.count < len(r.buf) {
 		r.count++
 		return false
 	}
-	return true // overwrote the oldest retained entry
+	return true // overwrote the oldest retained record
+}
+
+// entry rebuilds seq s's public Entry from its slot.
+func (r *ring) entry(s uint64) Entry {
+	rec := r.buf[(s-1)%uint64(len(r.buf))]
+	return Entry{Seq: s, Key: rec.key, Val: rec.val, Del: rec.tx&delBit != 0, TxID: rec.tx &^ delBit}
 }
 
 // oldest returns the lowest retained seq (head+1 when empty: nothing
@@ -111,16 +132,15 @@ type Feed struct {
 	next    atomic.Uint64 // last ticket drawn
 
 	mu        sync.Mutex
-	watermark uint64 // all tickets <= watermark admitted or skipped
+	watermark atomic.Uint64 // all tickets <= watermark admitted or skipped; written under mu
 	pending   map[uint64]pendingTx
 	shards    []ring
-	notify    chan struct{} // closed and replaced on every admission
+	notify    chan struct{} // closed and replaced by the first admission after Notify
+	armed     bool          // Notify handed out notify since it was last replaced
 	closed    bool
 
-	published atomic.Uint64
-	cancelled atomic.Uint64
-	entries   atomic.Uint64
-	compacted atomic.Uint64
+	// Stats counters, under mu.
+	published, cancelled, entries, compacted uint64
 }
 
 // routeMul is the default routing's multiplier: the multiplicative-hash
@@ -152,7 +172,7 @@ func New(nshards, ringCap int, shardOf func(key uint64) int) *Feed {
 		notify:  make(chan struct{}),
 	}
 	for i := range f.shards {
-		f.shards[i].buf = make([]Entry, ringCap)
+		f.shards[i].buf = make([]record, ringCap)
 	}
 	return f
 }
@@ -171,54 +191,67 @@ func (f *Feed) DrawTicket() uint64 { return f.next.Add(1) }
 // CancelTicket implements core.CommitTicketer: the ticket's transaction
 // aborted after drawing; mark the hole so the contiguity drain can pass.
 func (f *Feed) CancelTicket(t uint64) {
-	f.cancelled.Add(1)
 	f.mu.Lock()
+	f.cancelled++
 	f.pending[t] = pendingTx{cancelled: true}
 	f.drainLocked()
 	f.mu.Unlock()
 }
 
 // Publish hands a committed ticket's writes to the feed, in transaction
-// (op) order. writes is copied; the caller's slice is reusable on
-// return. Publishing admits the ticket once every lower ticket has
-// settled — until then it parks in the reorder buffer.
+// (op) order; the caller's slice is reusable on return. The ticket right
+// after the watermark is admitted in place, straight from writes. Any
+// other parks a copy, made before the lock, in the reorder buffer until
+// every lower ticket has settled. The watermark only grows and cannot
+// pass an unsettled ticket, so a ticket that was next stays next.
 func (f *Feed) Publish(ticket uint64, writes []Write) {
-	f.published.Add(1)
-	cp := make([]Write, len(writes))
-	copy(cp, writes)
+	var p pendingTx
+	if ticket != f.watermark.Load()+1 {
+		p.writes = append([]Write(nil), writes...)
+	}
 	f.mu.Lock()
-	f.pending[ticket] = pendingTx{writes: cp}
-	f.drainLocked()
+	f.published++
+	if ticket == f.watermark.Load()+1 {
+		f.admitLocked(writes)
+		f.drainLocked()
+	} else {
+		f.pending[ticket] = p
+	}
 	f.mu.Unlock()
 }
 
 // drainLocked advances the watermark over every contiguously settled
-// ticket, appending published writes to their shards' rings and skipping
-// cancelled holes, then wakes waiting readers if anything was admitted.
+// parked ticket, admitting published writes and skipping cancelled holes.
 func (f *Feed) drainLocked() {
-	admitted := false
 	for {
-		p, ok := f.pending[f.watermark+1]
+		next := f.watermark.Load() + 1
+		p, ok := f.pending[next]
 		if !ok {
-			break
+			return
 		}
-		f.watermark++
-		delete(f.pending, f.watermark)
+		delete(f.pending, next)
 		if p.cancelled {
-			continue
+			f.watermark.Store(next)
+		} else {
+			f.admitLocked(p.writes)
 		}
-		for _, w := range p.writes {
-			r := &f.shards[f.shardOf(w.Key)]
-			if r.push(Entry{Key: w.Key, Val: w.Val, Del: w.Del, TxID: f.watermark}) {
-				f.compacted.Add(1)
-			}
-			f.entries.Add(1)
-		}
-		admitted = true
 	}
-	if admitted {
+}
+
+// admitLocked admits ticket watermark+1: its writes go to their shards'
+// rings, and a reader armed by Notify is woken.
+func (f *Feed) admitLocked(writes []Write) {
+	t := f.watermark.Add(1)
+	for _, w := range writes {
+		if f.shards[f.shardOf(w.Key)].push(w, t) {
+			f.compacted++
+		}
+	}
+	f.entries += uint64(len(writes))
+	if f.armed {
 		close(f.notify)
 		f.notify = make(chan struct{})
+		f.armed = false
 	}
 }
 
@@ -269,22 +302,22 @@ func (f *Feed) ReadFrom(shard int, from uint64, buf []Entry) ([]Entry, error) {
 	if from < r.oldest() {
 		return nil, ErrCompacted
 	}
-	n := 0
-	for s := from; s <= r.head && n < cap(buf); s++ {
-		buf = buf[:n+1]
-		buf[n] = r.buf[(s-1)%uint64(cap(r.buf))]
-		n++
+	buf = buf[:0]
+	for s := from; s <= r.head && len(buf) < cap(buf); s++ {
+		buf = append(buf, r.entry(s))
 	}
-	return buf[:n], nil
+	return buf, nil
 }
 
 // Notify returns a channel closed at the next admission (any shard); a
-// caught-up reader selects on it alongside its own cancellation. Each
-// admission replaces the channel, so re-arm by calling again after every
-// wake.
+// caught-up reader selects on it alongside its own cancellation. Calling
+// it arms the channel: only an armed channel is closed and replaced, so
+// an admission nobody waits for allocates none. Re-arm by calling again
+// after every wake, before reading.
 func (f *Feed) Notify() <-chan struct{} {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	f.armed = true
 	return f.notify
 }
 
@@ -310,14 +343,13 @@ func (f *Feed) Closed() bool {
 // Stats snapshots the feed's counters.
 func (f *Feed) Stats() Stats {
 	f.mu.Lock()
-	pending := len(f.pending)
-	f.mu.Unlock()
+	defer f.mu.Unlock()
 	return Stats{
 		Drawn:     f.next.Load(),
-		Published: f.published.Load(),
-		Cancelled: f.cancelled.Load(),
-		Entries:   f.entries.Load(),
-		Compacted: f.compacted.Load(),
-		Pending:   pending,
+		Published: f.published,
+		Cancelled: f.cancelled,
+		Entries:   f.entries,
+		Compacted: f.compacted,
+		Pending:   len(f.pending),
 	}
 }

@@ -163,10 +163,12 @@ func testBytesPerKey(t *testing.T, key func(i uint64) uint64) {
 	h := ebr.New(1).Register()
 	tx.SetSMR(h)
 
-	heap := func() (ms runtime.MemStats) {
+	heap := func() int64 { // twice: a sync.Pool empties over two collections
+		var ms runtime.MemStats
+		runtime.GC()
 		runtime.GC()
 		runtime.ReadMemStats(&ms)
-		return ms
+		return int64(ms.HeapAlloc)
 	}
 	before := heap()
 	m := NewMap[uint64](mgr, keys)
@@ -188,8 +190,7 @@ func testBytesPerKey(t *testing.T, key func(i uint64) uint64) {
 	for base = 0; base < keys; base += perTx {
 		run(put)
 	}
-	after := heap()
-	perKey := float64(after.HeapAlloc-before.HeapAlloc) / keys
+	perKey := float64(heap()-before) / keys
 	t.Logf("%.1f bytes of live heap per key", perKey)
 	if perKey > ceiling {
 		t.Errorf("preload of %d keys into %d buckets holds %.1f bytes/key, ceiling %d", keys, keys, perKey, ceiling)

@@ -313,11 +313,12 @@ func TestBytesPerKey(t *testing.T) {
 		z = (z ^ z>>27) * 0x94D049BB133111EB
 		return (z ^ z>>31) >> 1
 	}
-	heap := func() uint64 {
+	heap := func() int64 { // twice: a sync.Pool empties over two collections
 		var ms runtime.MemStats
 		runtime.GC()
+		runtime.GC()
 		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
+		return int64(ms.HeapAlloc)
 	}
 	mgr := core.NewTxManager()
 	mgr.EnablePooling()
