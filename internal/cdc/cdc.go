@@ -22,10 +22,14 @@
 // snapshot taken at shard head S and replay from S+1 — entries replayed
 // twice, or already folded into the snapshot, converge to the same state.
 //
-// Bounded memory. Each shard keeps the last ringCap entries. A reader
-// whose cursor has fallen off the ring gets ErrCompacted and must
+// Bounded memory. Each shard keeps at most the last ringCap entries, in
+// chunks allocated as entries arrive, so a ring holds what it retains. A
+// reader whose cursor has fallen off the ring gets ErrCompacted and must
 // re-bootstrap from a snapshot — the overflow-to-snapshot contract the
-// service layer maps to HTTP 410.
+// service layer maps to HTTP 410. A bootstrap load (PublishLoad) is a
+// compaction point: its writes take seqs but are not retained, and the
+// shards it touches drop their windows, since a snapshot already holds
+// what it wrote.
 package cdc
 
 import (
@@ -71,9 +75,11 @@ type Stats struct {
 }
 
 // pendingTx is one settled-but-not-yet-admitted ticket in the reorder
-// buffer: a copy of its writes, or a cancellation marker.
+// buffer: a copy of its writes (flagged when they are a load), or a
+// cancellation marker.
 type pendingTx struct {
 	writes    []Write
+	load      bool
 	cancelled bool
 }
 
@@ -87,13 +93,36 @@ type record struct {
 // delBit is record.tx's tombstone flag; tickets stay below it.
 const delBit = 1 << 63
 
-// ring is one shard's bounded record buffer. Seq s lives at
-// buf[(s-1) % len(buf)] while head-s < count: head is the last assigned
-// seq, and the oldest retained seq is head-count+1.
+// ringChunk is how many records a ring allocates at once: 24 KB.
+const ringChunk = 1024
+
+// ring is one shard's bounded record buffer: size slots in chunks of
+// ringChunk records behind a directory, each chunk allocated at the first
+// push into it (the last one holds size's remainder), so a ring holds what
+// it has retained, and a full one exactly size records. Seq s lives in slot
+// (s-1-base) % size while head-s < count: head is the last assigned seq,
+// the oldest retained seq is head-count+1, and base is the head at the
+// last load ticket, which emptied the ring (0 before one), so that the
+// records after it start at slot 0 again.
 type ring struct {
-	buf   []record
-	head  uint64 // last assigned seq (0 = none yet)
-	count int    // live records, <= len(buf)
+	chunks     [][]record
+	size       uint64
+	head, base uint64
+	count      int // live records, <= size
+}
+
+func newRing(n int) ring {
+	return ring{chunks: make([][]record, (n+ringChunk-1)/ringChunk), size: uint64(n)}
+}
+
+// slot returns seq s's record, allocating its chunk on first use.
+func (r *ring) slot(s uint64) *record {
+	i := (s - 1 - r.base) % r.size
+	c := &r.chunks[i/ringChunk]
+	if *c == nil {
+		*c = make([]record, min(ringChunk, r.size-i/ringChunk*ringChunk))
+	}
+	return &(*c)[i%ringChunk]
 }
 
 func (r *ring) push(w Write, ticket uint64) (compacted bool) {
@@ -104,17 +133,28 @@ func (r *ring) push(w Write, ticket uint64) (compacted bool) {
 		ticket |= delBit
 	}
 	r.head++
-	r.buf[(r.head-1)%uint64(len(r.buf))] = record{key: w.Key, val: w.Val, tx: ticket}
-	if r.count < len(r.buf) {
+	*r.slot(r.head) = record{key: w.Key, val: w.Val, tx: ticket}
+	if uint64(r.count) < r.size {
 		r.count++
 		return false
 	}
 	return true // overwrote the oldest retained record
 }
 
+// skip assigns the next seq to a load ticket's write without storing it
+// and drops the retained window, returning how many seqs that leaves
+// unretained: the write's own and the window's.
+func (r *ring) skip() (compacted uint64) {
+	r.head++
+	compacted = uint64(r.count) + 1
+	r.count = 0
+	r.base = r.head
+	return compacted
+}
+
 // entry rebuilds seq s's public Entry from its slot.
 func (r *ring) entry(s uint64) Entry {
-	rec := r.buf[(s-1)%uint64(len(r.buf))]
+	rec := *r.slot(s)
 	return Entry{Seq: s, Key: rec.key, Val: rec.val, Del: rec.tx&delBit != 0, TxID: rec.tx &^ delBit}
 }
 
@@ -172,7 +212,7 @@ func New(nshards, ringCap int, shardOf func(key uint64) int) *Feed {
 		notify:  make(chan struct{}),
 	}
 	for i := range f.shards {
-		f.shards[i].buf = make([]record, ringCap)
+		f.shards[i] = newRing(ringCap)
 	}
 	return f
 }
@@ -204,15 +244,26 @@ func (f *Feed) CancelTicket(t uint64) {
 // other parks a copy, made before the lock, in the reorder buffer until
 // every lower ticket has settled. The watermark only grows and cannot
 // pass an unsettled ticket, so a ticket that was next stays next.
-func (f *Feed) Publish(ticket uint64, writes []Write) {
-	var p pendingTx
+func (f *Feed) Publish(ticket uint64, writes []Write) { f.publish(ticket, writes, false) }
+
+// PublishLoad hands the feed a bootstrap load's writes, admitted in
+// ticket order as Publish admits them, but as a compaction point: each
+// write takes its shard's next seq and stores no record, and every shard
+// it touches drops its retained window. A reader at or below such a
+// shard's new head gets ErrCompacted and resyncs from a snapshot, which
+// already holds what the load wrote: a load is a snapshot's state, not a
+// run of commits a reader could replay.
+func (f *Feed) PublishLoad(ticket uint64, writes []Write) { f.publish(ticket, writes, true) }
+
+func (f *Feed) publish(ticket uint64, writes []Write, load bool) {
+	p := pendingTx{load: load}
 	if ticket != f.watermark.Load()+1 {
 		p.writes = append([]Write(nil), writes...)
 	}
 	f.mu.Lock()
 	f.published++
 	if ticket == f.watermark.Load()+1 {
-		f.admitLocked(writes)
+		f.admitLocked(writes, load)
 		f.drainLocked()
 	} else {
 		f.pending[ticket] = p
@@ -233,17 +284,21 @@ func (f *Feed) drainLocked() {
 		if p.cancelled {
 			f.watermark.Store(next)
 		} else {
-			f.admitLocked(p.writes)
+			f.admitLocked(p.writes, p.load)
 		}
 	}
 }
 
 // admitLocked admits ticket watermark+1: its writes go to their shards'
-// rings, and a reader armed by Notify is woken.
-func (f *Feed) admitLocked(writes []Write) {
+// rings (a load's only take their seqs, see PublishLoad), and a reader
+// armed by Notify is woken.
+func (f *Feed) admitLocked(writes []Write, load bool) {
 	t := f.watermark.Add(1)
 	for _, w := range writes {
-		if f.shards[f.shardOf(w.Key)].push(w, t) {
+		r := &f.shards[f.shardOf(w.Key)]
+		if load {
+			f.compacted += r.skip()
+		} else if r.push(w, t) {
 			f.compacted++
 		}
 	}

@@ -24,13 +24,20 @@ import (
 // were never executed (shed, expired, closed) abandon their claim: the
 // entry leaves the map so a later retry registers fresh, and any parked
 // waiters get the disposition error (they will retry and re-register).
+// A claim makes no channel: the first retry that parks on an unsettled
+// entry makes it, so a request nobody retries costs its entry alone.
 
 // dedupEntry is one request ID's slot in the window.
 type dedupEntry struct {
-	id   string
-	done chan struct{} // closed when the outcome is published
+	id string
 
-	// Written once before done is closed; read only after.
+	// Under the window's mu: settled once the outcome is published, and
+	// done, made by the first waiter on an unsettled entry and closed when
+	// it settles.
+	settled bool
+	done    chan struct{}
+
+	// Written once before the entry settles; read only after.
 	res      []kv.Result
 	err      error
 	executed bool // false when the claim was abandoned without executing
@@ -54,7 +61,7 @@ type dedupWindow struct {
 }
 
 func newDedupWindow(n int) *dedupWindow {
-	return &dedupWindow{cap: n, m: make(map[string]*dedupEntry, n)}
+	return &dedupWindow{cap: n, m: make(map[string]*dedupEntry)}
 }
 
 // claim registers id as in-flight. It returns (entry, nil) when this call
@@ -71,7 +78,7 @@ func (w *dedupWindow) claim(id string) (mine, prior *dedupEntry) {
 		w.hits.Add(1)
 		return nil, e
 	}
-	e := &dedupEntry{id: id, done: make(chan struct{})}
+	e := &dedupEntry{id: id}
 	if len(w.ring) < w.cap {
 		w.ring = append(w.ring, e)
 	} else {
@@ -99,7 +106,9 @@ func (w *dedupWindow) complete(e *dedupEntry, res []kv.Result, err error) {
 	}
 	e.err = err
 	e.executed = true
-	close(e.done)
+	w.mu.Lock()
+	e.settleLocked()
+	w.mu.Unlock()
 	w.completes.Add(1)
 }
 
@@ -107,33 +116,51 @@ func (w *dedupWindow) complete(e *dedupEntry, res []kv.Result, err error) {
 // service closed): the ID leaves the map so a later retry claims fresh,
 // and parked waiters wake with the disposition error.
 func (w *dedupWindow) abandon(e *dedupEntry, err error) {
+	e.err = err
 	w.mu.Lock()
 	if cur, ok := w.m[e.id]; ok && cur == e {
 		delete(w.m, e.id)
 	}
+	e.settleLocked()
 	w.mu.Unlock()
-	e.err = err
-	close(e.done)
 	w.abandons.Add(1)
 }
 
-// await parks on a prior claim of the same ID and returns its outcome,
+// settleLocked publishes e's outcome, written before the call, and wakes
+// its waiters if any parked. The caller holds the window's mu.
+func (e *dedupEntry) settleLocked() {
+	e.settled = true
+	if e.done != nil {
+		close(e.done)
+	}
+}
+
+// await parks on a prior claim e of the same ID and returns its outcome,
 // copying the original results into res when the prior executed (hit
 // true). stop aborts the wait (service shutdown); a non-zero deadline
 // aborts it at the retry's own deadline with kv.ErrExpired.
-func (e *dedupEntry) await(res []kv.Result, stop <-chan struct{}, deadline time.Time) (hit bool, err error) {
-	var timeout <-chan time.Time
-	if !deadline.IsZero() {
-		t := time.NewTimer(time.Until(deadline))
-		defer t.Stop()
-		timeout = t.C
+func (w *dedupWindow) await(e *dedupEntry, res []kv.Result, stop <-chan struct{}, deadline time.Time) (hit bool, err error) {
+	w.mu.Lock()
+	settled := e.settled
+	if !settled && e.done == nil {
+		e.done = make(chan struct{})
 	}
-	select {
-	case <-e.done:
-	case <-stop:
-		return false, ErrClosed
-	case <-timeout:
-		return false, kv.ErrExpired
+	done := e.done
+	w.mu.Unlock()
+	if !settled {
+		var timeout <-chan time.Time
+		if !deadline.IsZero() {
+			t := time.NewTimer(time.Until(deadline))
+			defer t.Stop()
+			timeout = t.C
+		}
+		select {
+		case <-done:
+		case <-stop:
+			return false, ErrClosed
+		case <-timeout:
+			return false, kv.ErrExpired
+		}
 	}
 	if !e.executed {
 		return false, e.err

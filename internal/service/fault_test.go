@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -221,6 +222,58 @@ func TestDedupRetryParksOnInflight(t *testing.T) {
 	}
 	if res2[0] != res1[0] {
 		t.Errorf("parked retry results %+v != original %+v", res2[0], res1[0])
+	}
+}
+
+// A claim that settles with no retry parked on it costs its entry and
+// nothing else: the wake-up channel is made by the first waiter, so a
+// claim plus complete, with the window full and evicting, allocates once.
+func TestDedupClaimAllocatesOnlyItsEntry(t *testing.T) {
+	const window, runs = 64, 512
+	w := newDedupWindow(window)
+	ids := make([]string, window+runs+1)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("rq-%d", i)
+	}
+	next := 0
+	claimComplete := func() {
+		e, _ := w.claim(ids[next])
+		w.complete(e, nil, nil)
+		next++
+	}
+	for range window {
+		claimComplete()
+	}
+	if a := testing.AllocsPerRun(runs, claimComplete); a > 1 {
+		t.Errorf("a claim and its complete with no waiter allocate %.2f times, want 1: the entry", a)
+	}
+}
+
+// Retries that park on a claim race its settle: some make the channel
+// before the outcome lands, some find the entry already settled. Every
+// one must answer with the original's results (run under -race).
+func TestDedupWaitersRaceTheSettle(t *testing.T) {
+	w := newDedupWindow(8)
+	for round := uint64(0); round < 200; round++ {
+		id := fmt.Sprint(round)
+		mine, _ := w.claim(id)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				_, prior := w.claim(id)
+				res := make([]kv.Result, 1)
+				if hit, err := w.await(prior, res, nil, time.Time{}); !hit || err != nil || res[0].Val != round {
+					t.Errorf("round %d: a parked retry answered %+v, hit %v, %v", round, res[0], hit, err)
+				}
+			}()
+		}
+		close(start)
+		w.complete(mine, []kv.Result{{Val: round}}, nil)
+		wg.Wait()
 	}
 }
 

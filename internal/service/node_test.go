@@ -458,8 +458,8 @@ func TestReplayExecutorsChangeGoroutines(t *testing.T) {
 // others, as bare operations, while the other shards' streams replay
 // transactions on the same executors. Every goroutine waits on one start
 // signal (run under -race). The store must end exact; the node's feed must
-// hold every write, under one ticket per load chunk and per replayed
-// transaction; and every node the load replaced or deleted must be retired
+// assign a seq to every write, under one ticket per load chunk and per
+// replayed transaction; and every node the load replaced or deleted must be retired
 // into its executor's pool for reuse — a load on a nil Tx unlinks them
 // with no grace period to wait out, so they are never retired, and the
 // count falls short.

@@ -245,7 +245,7 @@ func (s *Service) SubmitCtx(ctx context.Context, id string, ops []kv.Op, res []k
 		if prior != nil {
 			stop := s.stopCh
 			s.mu.RUnlock()
-			hit, err := prior.await(res, stop, deadline)
+			hit, err := s.window.await(prior, res, stop, deadline)
 			if hit {
 				s.dedupHits.Add(1)
 			} else if errors.Is(err, kv.ErrExpired) {

@@ -287,11 +287,13 @@ func poolMisses(be Backend) (misses, gets uint64) {
 // more than a slot and its bucket head per key, it would show here.
 func TestFollowerBootstrapFootprint(t *testing.T) {
 	const keys = 1 << 16
-	// mhash's TestBytesPerKey ceiling plus 1 MB for what a node holds
+	// mhash's TestBytesPerKey ceiling plus half a MB for what a node holds
 	// beside its store: two workers' slot caches, the pipeline's buffers
-	// and the feed rings, kept small here (the default rings are a fixed
-	// 2.6 MB).
-	const ceiling = 40 + 16
+	// and the feed's default rings. Those hold what they retain, which is
+	// none of a bootstrap, whose load tickets compact the feed, so they
+	// are only their chunk directories here (rings allocated whole, 1.5
+	// MB, read about 56 bytes a key).
+	const ceiling = 40 + 8
 	newStore := func() Backend { return hashStore(t, keys/8, 2*keys) }
 	store := newStore()
 	store.Preload(evenKeys(keys))
@@ -311,7 +313,7 @@ func TestFollowerBootstrapFootprint(t *testing.T) {
 	}
 	replicaStore := newStore()
 	before := heap()
-	fol, err := NewNode(NodeConfig{Backend: replicaStore, Follow: ts.URL, feedRing: 1 << 8, Service: Config{Workers: 2}})
+	fol, err := NewNode(NodeConfig{Backend: replicaStore, Follow: ts.URL, Service: Config{Workers: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -278,12 +278,12 @@ func (w *worker) SetChangeFeed(f *cdc.Feed) bool {
 // changed, nothing to replicate.
 func (w *worker) publishBatch(ops []kv.Op, res []kv.Result) {
 	if t, ok := w.tx.CommittedTicket(); ok {
-		w.publish(t, ops, res)
+		w.feed.Publish(t, w.writes(ops, res))
 	}
 }
 
-// publish hands ops' writes to the feed under ticket t, in op order.
-func (w *worker) publish(t uint64, ops []kv.Op, res []kv.Result) {
+// writes collects ops' writes for the feed, in op order, into w.pub.
+func (w *worker) writes(ops []kv.Op, res []kv.Result) []cdc.Write {
 	w.pub = w.pub[:0]
 	for i := range ops {
 		switch ops[i].Kind {
@@ -297,7 +297,7 @@ func (w *worker) publish(t uint64, ops []kv.Op, res []kv.Result) {
 			w.pub = append(w.pub, cdc.Write{Key: ops[i].Key, Val: res[i].Val})
 		}
 	}
-	w.feed.Publish(t, w.pub)
+	return w.pub
 }
 
 // ExecBatch implements kv.Executor: one atomic transaction around the
@@ -387,8 +387,10 @@ func (w *worker) ExecBatch(ops []kv.Op, res []kv.Result) error {
 // so that the nodes it replaces and unlinks are recycled through EBR, all
 // in one EBR critical section (and, on txMontage, one epoch operation
 // section, nbMontage's non-transactional path). With a feed attached the
-// chunk publishes as one ticket, drawn before its first write: every
-// later write to one of its keys draws after it.
+// chunk publishes as one load ticket (cdc.Feed.PublishLoad), drawn before
+// its first write, so every later write to one of its keys draws after
+// it: its writes take seqs but the feed keeps none of them, and the shards
+// they touch compact, since a snapshot already holds what a load wrote.
 func (w *worker) Load(ops []kv.Op) {
 	if w.tx == nil {
 		kv.Apply(nil, w.m, ops, nil)
@@ -409,6 +411,6 @@ func (w *worker) Load(ops []kv.Op) {
 	}
 	w.h.Exit()
 	if w.feed != nil {
-		w.publish(t, ops, nil)
+		w.feed.PublishLoad(t, w.writes(ops, nil))
 	}
 }
