@@ -119,6 +119,14 @@ func (c Config) withDefaults() Config {
 // (when non-zero) is checked at admission, at tick drain, and once more
 // by the worker just before execution; ent (when non-nil) is the
 // request's claim in the dedup window, settled with the outcome.
+//
+// Requests are recycled (Service.reqs), so exactly one party owns one at
+// a time: the submitter, from the pool's Get until it sends the request
+// to the txpool; the service, until its one send on done (finishExecuted
+// or finishExpired), after which no service code reads it, the tick
+// loop's batch and the worker's live list included; then the submitter
+// again, which receives that answer and only then puts the request back.
+// A request shed at admission never leaves its submitter.
 type request struct {
 	ops      []kv.Op
 	res      []kv.Result
@@ -132,24 +140,22 @@ func (r *request) expired(now time.Time) bool {
 	return !r.deadline.IsZero() && now.After(r.deadline)
 }
 
-// chunk is one worker's contiguous slice of a tick's batch.
-type chunk struct {
-	reqs []*request
-	wg   *sync.WaitGroup
-}
-
 // Service is the running pipeline of a Node (NewNode builds it).
 type Service struct {
 	be  Backend
 	cfg Config
 
 	pool    chan *request
-	workers []chan chunk
+	workers []chan []*request // a worker's chunk: its slice of a tick's batch
 	stopCh  chan struct{}
 	loopWG  sync.WaitGroup
 	workWG  sync.WaitGroup
 	stopBE  func()
 	window  *dedupWindow
+	// reqs recycles requests with their done channels; see request.
+	reqs sync.Pool
+	// dispatch is the tick loop's count of its batch's chunks in flight.
+	dispatch sync.WaitGroup
 
 	// mu gates admission against Close: Submit holds the read side across
 	// the closed check and the pool send, Close takes the write side to
@@ -180,10 +186,11 @@ func newService(be Backend, cfg Config) *Service {
 		stopCh: make(chan struct{}),
 		window: newDedupWindow(cfg.DedupWindow),
 	}
+	s.reqs.New = func() any { return &request{done: make(chan error, 1)} }
 	s.stopBE = be.Start()
-	s.workers = make([]chan chunk, cfg.Workers)
+	s.workers = make([]chan []*request, cfg.Workers)
 	for i := range s.workers {
-		ch := make(chan chunk, 1)
+		ch := make(chan []*request, 1)
 		s.workers[i] = ch
 		s.workWG.Add(1)
 		go s.worker(ch)
@@ -255,7 +262,8 @@ func (s *Service) SubmitCtx(ctx context.Context, id string, ops []kv.Op, res []k
 		}
 		ent = mine
 	}
-	req := &request{ops: ops, res: res, done: make(chan error, 1), deadline: deadline, ent: ent}
+	req := s.reqs.Get().(*request)
+	req.ops, req.res, req.deadline, req.ent = ops, res, deadline, ent
 	select {
 	case s.pool <- req:
 		s.accepted.Add(1)
@@ -265,14 +273,24 @@ func (s *Service) SubmitCtx(ctx context.Context, id string, ops []kv.Op, res []k
 			s.window.abandon(ent, kv.ErrOverload)
 		}
 		s.mu.RUnlock()
+		s.recycle(req)
 		return kv.ErrOverload
 	}
 	s.mu.RUnlock()
-	return <-req.done
+	err := <-req.done
+	s.recycle(req)
+	return err
+}
+
+// recycle returns a request its submitter owns again to the pool, keeping
+// only its done channel, which the one answer has left empty.
+func (s *Service) recycle(r *request) {
+	*r = request{done: r.done}
+	s.reqs.Put(r)
 }
 
 // finishExecuted settles a request that ran: counters, dedup window,
-// promise.
+// promise. The send on done hands the request back to its submitter.
 func (s *Service) finishExecuted(r *request, err error) {
 	if err != nil {
 		s.errored.Add(1)
@@ -338,7 +356,11 @@ drain:
 	if len(batch) == 0 {
 		return 0
 	}
-	drained := len(batch)
+	drained := batch
+	// Every request of the batch is answered below, so its slots are
+	// cleared before the buffer waits for the next tick: each request
+	// belongs to its submitter again and may already carry another call.
+	defer clear(drained)
 	// Deadline cull: requests that expired while pooled are answered here
 	// and never reach a worker, so a backlogged pool sheds dead work
 	// before spending execution capacity on it.
@@ -353,14 +375,13 @@ drain:
 	}
 	batch = live
 	if len(batch) == 0 {
-		return drained
+		return len(drained)
 	}
 	s.ticks.Add(1)
 	s.batched.Add(uint64(len(batch)))
 	// Contiguous chunks, round-robin over workers: request order within a
 	// chunk is pool (FIFO) order, so single-worker configurations preserve
 	// submission order end to end.
-	var wg sync.WaitGroup
 	n := len(s.workers)
 	per := (len(batch) + n - 1) / n
 	for i := 0; i < len(batch); i += per {
@@ -368,11 +389,11 @@ drain:
 		if end > len(batch) {
 			end = len(batch)
 		}
-		wg.Add(1)
-		s.workers[(i/per)%n] <- chunk{reqs: batch[i:end], wg: &wg}
+		s.dispatch.Add(1)
+		s.workers[(i/per)%n] <- batch[i:end]
 	}
-	wg.Wait()
-	return drained
+	s.dispatch.Wait()
+	return len(drained)
 }
 
 // newExecutor hands out an executor of the backend with the service's
@@ -390,28 +411,24 @@ func (s *Service) newExecutor() kv.Executor {
 
 // worker executes chunks: one executor, each request its own transaction
 // and its own commit.
-func (s *Service) worker(ch chan chunk) {
+func (s *Service) worker(ch chan []*request) {
 	defer s.workWG.Done()
 	ex := s.newExecutor()
 	var errs []error
 	var live []*request
-	for c := range ch {
+	for reqs := range ch {
 		// Last deadline check, immediately before execution: a request can
 		// expire between the tick drain and its worker slot, and once the
 		// transaction starts it is not cancellable — this is the final
 		// point where "expired" can still mean "never executed".
 		now := time.Now()
 		live = live[:0]
-		for _, r := range c.reqs {
+		for _, r := range reqs {
 			if r.expired(now) {
 				s.finishExpired(r)
 				continue
 			}
 			live = append(live, r)
-		}
-		if len(live) == 0 {
-			c.wg.Done()
-			continue
 		}
 		if cap(errs) < len(live) {
 			errs = make([]error, len(live))
@@ -421,15 +438,18 @@ func (s *Service) worker(ch chan chunk) {
 			errs[i] = ex.ExecBatch(r.ops, r.res)
 		}
 		// Answered once the whole chunk has run. Settling inside the loop
-		// above (ROADMAP 1b) read +36% throughput and +15% heap_peak_mb on
-		// svc-saturate, bound 17% — and there the heap follows the throughput:
-		// the mix's puts insert absent keys, so the live heap, and with it the
-		// collector's goal, grows with every transaction served
-		// (EXPERIMENTS.md "What the ruler cannot show").
+		// above read +17% svc-saturate throughput and -22% p50 latency over
+		// recycled requests, but +32% heap_peak_mb (33 -> 44 MB) against a
+		// 17% bound: the mix's puts grow the store, the peak is the heap
+		// when the run's last collection starts, and serving faster fit a
+		// second collection, at a higher goal, into the run (EXPERIMENTS.md
+		// "A submitted request is recycled").
 		for i, r := range live {
 			s.finishExecuted(r, errs[i])
 		}
-		c.wg.Done()
+		// Each answer handed its request back to its submitter.
+		clear(live)
+		s.dispatch.Done()
 	}
 }
 
