@@ -7,8 +7,9 @@
 // Whether a node is followable is decided by the system, not by a flag.
 // Over a system whose executors can publish one, the node carries a
 // commit-ordered change feed: GET /v1/watch streams committed writes per
-// shard and GET /v1/snapshot serves bootstrap state, so another medleyd
-// can follow this one. A system that cannot publish a feed (plain-skip,
+// shard and GET /v1/snapshot serves bootstrap state (a JSON header, binary
+// frames of key/value pairs, a JSON trailer; replica/wire.go), so another
+// medleyd can follow this one. A system that cannot publish a feed (plain-skip,
 // txoff-skip) is served by a leader without one — no /v1/watch, no
 // feed_shards on /healthz — and the start-up log says so; -follow with
 // such a system is refused.

@@ -126,11 +126,14 @@ func (s *ShardedStore) shard(key uint64) TxMap {
 // and a hash shard's bucket are chosen by: a part is a shard, several
 // shards in a store of more than maxLoadParts, or a bucket range of one
 // when workers outnumber shards. Each worker takes whole parts and loads
-// one in a pass over all the keys, putting the ones that fall in it in
-// the caller's order. A hash part's heads and the nodes it links then
-// stay in one core's cache for the pass, where a load in key order would
-// jump through every shard for every key. Every put is the bare,
-// linearizable Put. keys is read, never written or copied.
+// one in a pass over all the keys, gathering the ones that fall in it in
+// windows of loadWindow keys and putting each window in bucket order
+// (putWindow). A hash part's heads and the nodes it links then stay in
+// one core's cache for the pass, where a load in key order would jump
+// through every shard for every key, and the nodes a shard's slab hands
+// out lie in the order its Range walks the buckets. Every put is the
+// bare, linearizable Put; a key's repeats are put in the caller's order.
+// keys is read, never written; a worker's copies are two windows.
 func (s *ShardedStore) Load(keys []uint64) {
 	workers := runtime.GOMAXPROCS(0)
 	partBits := loadPartBits(uint(bits.Len64(s.mask)), workers)
@@ -140,16 +143,57 @@ func (s *ShardedStore) Load(keys []uint64) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			buf := make([]uint64, 2*loadWindow)
+			window, sorted := buf[:0:loadWindow], buf[loadWindow:]
 			for p := next.Add(1) - 1; p < 1<<partBits; p = next.Add(1) - 1 {
 				for _, k := range keys {
-					if k*shardMul>>(64-partBits) == p {
-						s.shard(k).Put(nil, k, k)
+					if k*shardMul>>(64-partBits) != p {
+						continue
+					}
+					if window = append(window, k); len(window) == loadWindow {
+						s.putWindow(window, sorted, partBits)
+						window = window[:0]
 					}
 				}
+				s.putWindow(window, sorted, partBits)
+				window = window[:0]
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// loadWindow is how many of a part's keys a Load worker gathers before
+// putting them: with their sorted copy, 16 KB a worker.
+const loadWindow = 1024
+
+// loadField is the field a load split by partBits sorts a window on: the
+// 8 bits of key × shardMul below the part bits, the top of a hash
+// shard's bucket index when a part is a shard.
+func loadField(key uint64, partBits uint) uint8 {
+	return uint8(key * shardMul << partBits >> 56)
+}
+
+// putWindow puts the keys of window in order of loadField, by a stable
+// counting sort into sorted, which holds as many.
+func (s *ShardedStore) putWindow(window, sorted []uint64, partBits uint) {
+	var at [256]int // per field value, where its next key goes
+	for _, k := range window {
+		at[loadField(k, partBits)]++
+	}
+	next := 0
+	for f, n := range at {
+		at[f] = next
+		next += n
+	}
+	for _, k := range window {
+		f := loadField(k, partBits)
+		sorted[at[f]] = k
+		at[f]++
+	}
+	for _, k := range sorted[:len(window)] {
+		s.shard(k).Put(nil, k, k)
+	}
 }
 
 // maxLoadParts caps the parts a load splits keys into beyond what its

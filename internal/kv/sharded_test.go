@@ -2,6 +2,8 @@ package kv
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -280,6 +282,67 @@ func TestLoadPartBitsBoundsPasses(t *testing.T) {
 	} {
 		if got := loadPartBits(c.shardBits, c.workers); got != c.want {
 			t.Errorf("loadPartBits(%d shard bits, %d workers) = %d, want %d", c.shardBits, c.workers, got, c.want)
+		}
+	}
+}
+
+// putRecorder is a shard that records the keys put into it, in order.
+type putRecorder struct {
+	TxMap // nil: only Put is called
+	mu    sync.Mutex
+	puts  []uint64
+}
+
+func (r *putRecorder) Put(_ *core.Tx, key, _ uint64) (uint64, bool) {
+	r.mu.Lock()
+	r.puts = append(r.puts, key)
+	r.mu.Unlock()
+	return 0, false
+}
+
+// TestLoadPutsWindowsInBucketOrder pins the order a Load puts keys in:
+// each shard gets its keys in windows of loadWindow of them, in the
+// caller's order from window to window, and within a window sorted
+// stably on loadField, so a window's puts are non-decreasing in it and a
+// key's repeats keep the caller's order. A loader that puts keys as the
+// caller gave them, or sorts a window unstably, fails here.
+func TestLoadPutsWindowsInBucketOrder(t *testing.T) {
+	const shards = 8
+	keys := make([]uint64, 3*shards*loadWindow+500) // three windows a shard and a partial one
+	for i := range keys {
+		keys[i] = uint64(i) * 0x5851F42D4C957F2D >> (64 - 14) // scrambled, most keys repeated
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 3} {
+		runtime.GOMAXPROCS(procs)
+		partBits := loadPartBits(3, procs)
+		recs := make([]*putRecorder, shards)
+		s := NewSharded(shards, func(i int) TxMap {
+			recs[i] = &putRecorder{}
+			return recs[i]
+		})
+		s.Load(keys)
+		for i, rec := range recs {
+			var want []uint64 // shard i's keys in the caller's order
+			for _, k := range keys {
+				if shardIndex(k, shards-1) == i {
+					want = append(want, k)
+				}
+			}
+			if len(rec.puts) != len(want) {
+				t.Fatalf("procs=%d: shard %d got %d puts, its keys appear %d times", procs, i, len(rec.puts), len(want))
+			}
+			for lo := 0; lo < len(want); lo += loadWindow {
+				hi := min(lo+loadWindow, len(want))
+				win := slices.Clone(want[lo:hi])
+				slices.SortStableFunc(win, func(a, b uint64) int {
+					return int(loadField(a, partBits)) - int(loadField(b, partBits))
+				})
+				if got := rec.puts[lo:hi]; !slices.Equal(got, win) {
+					t.Fatalf("procs=%d: shard %d puts %v…, want its window [%d, %d) stably in bucket order %v…",
+						procs, i, got[:8], lo, hi, win[:8])
+				}
+			}
 		}
 	}
 }

@@ -21,7 +21,6 @@ package replica
 
 import (
 	"bufio"
-	"bytes"
 	"cmp"
 	"context"
 	"encoding/json"
@@ -420,11 +419,8 @@ func (f *Follower) bootstrap(shard int) error {
 		return err
 	}
 	defer resp.Body.Close()
-	// Sized to hold any chunk line (512 pairs of 20-digit numbers), so a
-	// well-formed stream never takes readLine's copying path.
 	br := bufio.NewReaderSize(resp.Body, 32<<10)
-	var long []byte
-	line, err := readLine(br, &long)
+	line, err := br.ReadBytes('\n')
 	if err != nil {
 		return fmt.Errorf("replica: snapshot header: %w", err)
 	}
@@ -450,7 +446,7 @@ func (f *Follower) bootstrap(shard int) error {
 	}
 
 	pipe := newLoadPipe(f.cfg.Load)
-	keys, err := f.readSnapshot(br, &long, pipe, seen)
+	keys, err := f.readSnapshot(br, pipe, seen)
 	if err == nil {
 		for _, k := range local {
 			if _, ok := seen[k]; !ok {
@@ -481,49 +477,49 @@ func (f *Follower) bootstrap(shard int) error {
 	return nil
 }
 
-// readSnapshot reads chunk lines up to the trailer, handing each one's
-// keys to pipe while the next line is read, and returns how many keys the
-// stream carried. It stops at the first Load failure, at Stop, at a
-// malformed chunk line, and at a stream that ends early or whose trailer
-// disagrees with what arrived.
-func (f *Follower) readSnapshot(br *bufio.Reader, long *[]byte, pipe *loadPipe, seen map[uint64]struct{}) (uint64, error) {
-	var nums []uint64
+// readSnapshot reads frames up to the zero count and the trailer after
+// it, handing each frame's keys to pipe while the next is read, and
+// returns how many keys the stream carried. It stops at the first Load
+// failure, at Stop, at a malformed frame, and at a stream that ends early
+// or whose trailer disagrees with what arrived.
+func (f *Follower) readSnapshot(br *bufio.Reader, pipe *loadPipe, seen map[uint64]struct{}) (uint64, error) {
+	buf := make([]byte, SnapshotFrameMax)
 	var keys uint64
 	for {
-		line, err := readLine(br, long)
+		pairs, err := ReadSnapshotFrame(br, buf)
 		if err != nil {
 			return keys, fmt.Errorf("replica: snapshot cut after %d keys: %w", keys, err)
 		}
-		if !bytes.HasPrefix(line, chunkOpen) {
-			var c SnapshotChunk
-			if err := json.Unmarshal(line, &c); err != nil {
-				return keys, fmt.Errorf("replica: snapshot trailer: %w", err)
-			}
-			if !c.Done {
-				return keys, fmt.Errorf("replica: snapshot line after %d keys is neither a chunk nor the trailer: %.64q", keys, line)
-			}
-			if c.Count != keys {
-				return keys, fmt.Errorf("replica: snapshot trailer counts %d keys, %d arrived", c.Count, keys)
-			}
-			return keys, nil
-		}
-		if nums, err = parseSnapshotChunk(line, nums[:0]); err != nil {
-			return keys, fmt.Errorf("replica: snapshot chunk after %d keys: %w", keys, err)
-		}
-		if len(nums)%2 != 0 {
-			return keys, fmt.Errorf("replica: snapshot chunk of %d numbers is not key/value pairs", len(nums))
+		if len(pairs) == 0 {
+			break
 		}
 		if err := cmp.Or(pipe.failed(), f.ctx.Err()); err != nil {
 			return keys, err
 		}
-		for i := 0; i < len(nums); i += 2 {
+		for i := range pairs.Len() {
+			k, v := pairs.At(i)
 			if seen != nil {
-				seen[nums[i]] = struct{}{}
+				seen[k] = struct{}{}
 			}
-			pipe.add(kv.Op{Kind: kv.OpPut, Key: nums[i], Val: nums[i+1]})
+			pipe.add(kv.Op{Kind: kv.OpPut, Key: k, Val: v})
 		}
-		keys += uint64(len(nums) / 2)
+		keys += uint64(pairs.Len())
 	}
+	line, err := br.ReadBytes('\n')
+	if err != nil {
+		return keys, fmt.Errorf("replica: snapshot trailer: %w", err)
+	}
+	var c SnapshotTrailer
+	if err := json.Unmarshal(line, &c); err != nil {
+		return keys, fmt.Errorf("replica: snapshot trailer: %w", err)
+	}
+	if !c.Done {
+		return keys, fmt.Errorf("replica: snapshot line after %d keys is not the trailer: %.64q", keys, line)
+	}
+	if c.Count != keys {
+		return keys, fmt.Errorf("replica: snapshot trailer counts %d keys, %d arrived", c.Count, keys)
+	}
+	return keys, nil
 }
 
 // stream opens one watch stream from the cursor and replays chunks until

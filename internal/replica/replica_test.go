@@ -1,9 +1,12 @@
 package replica
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -170,25 +173,40 @@ func (l *fakeLeader) watch(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeSnapshot writes a well-formed stream of the pairs in kvs, chunk
-// keys per line. cut > 0 ends the response cut bytes into the last chunk
-// line instead; short makes the trailer count one key fewer.
+// keys a frame. cut > 0 ends the response cut bytes into the last frame
+// instead; short makes the trailer count one key fewer.
 func writeSnapshot(w http.ResponseWriter, from []uint64, kvs []uint64, chunk, cut int, short bool) {
 	enc := json.NewEncoder(w)
 	_ = enc.Encode(SnapshotHeader{Shards: len(from), FromSeq: from})
+	frame := NewSnapshotFrame()
 	for i := 0; i < len(kvs); i += 2 * chunk {
 		end := min(i+2*chunk, len(kvs))
-		line, _ := json.Marshal(SnapshotChunk{KV: kvs[i:end]})
+		for j := i; j < end; j += 2 {
+			frame.Add(kvs[j], kvs[j+1])
+		}
 		if cut > 0 && end == len(kvs) {
-			_, _ = w.Write(line[:cut])
+			var last bytes.Buffer
+			_ = frame.Flush(&last)
+			_, _ = w.Write(last.Bytes()[:cut])
 			return
 		}
-		_, _ = w.Write(append(line, '\n'))
+		_ = frame.Flush(w)
 	}
+	_ = frame.Flush(w) // the zero count
 	count := uint64(len(kvs) / 2)
 	if short {
 		count--
 	}
-	_ = enc.Encode(SnapshotChunk{Done: true, Count: count})
+	_ = enc.Encode(SnapshotTrailer{Done: true, Count: count})
+}
+
+// writeFrame writes the pairs of kvs as one frame.
+func writeFrame(w io.Writer, kvs []uint64) {
+	frame := NewSnapshotFrame()
+	for i := 0; i < len(kvs); i += 2 {
+		frame.Add(kvs[i], kvs[i+1])
+	}
+	_ = frame.Flush(w)
 }
 
 // pairs returns key, val, ... for keys [0, n) with val = key*10.
@@ -268,15 +286,44 @@ func TestBootstrapAllShardsSetsCursors(t *testing.T) {
 	}
 }
 
-// A stream that ends inside a chunk, or whose trailer counts fewer keys
-// than arrived, is a failed bootstrap: counted, nothing published,
-// retried whole.
+// A stream that ends inside a frame, whose trailer counts fewer keys
+// than arrived, or that breaks the framing is a failed bootstrap:
+// counted, nothing published, retried whole.
 func TestBootstrapCutOrShortStreamRetries(t *testing.T) {
+	// headed writes the header and then body, the stream's first attempt.
+	headed := func(body func(w http.ResponseWriter)) func(w http.ResponseWriter, from []uint64) {
+		return func(w http.ResponseWriter, from []uint64) {
+			_ = json.NewEncoder(w).Encode(SnapshotHeader{Shards: testShards, FromSeq: from})
+			body(w)
+		}
+	}
 	for _, tc := range []struct {
 		name  string
-		cut   int
-		short bool
-	}{{"cut mid-chunk", 40, false}, {"trailer short", 0, true}, {"no trailer", -1, false}} {
+		first func(w http.ResponseWriter, from []uint64)
+	}{
+		{"cut mid-chunk", func(w http.ResponseWriter, from []uint64) {
+			writeSnapshot(w, from, pairs(1200), SnapshotChunkKeys, 40, false)
+		}},
+		{"trailer short", func(w http.ResponseWriter, from []uint64) {
+			writeSnapshot(w, from, pairs(1200), SnapshotChunkKeys, 0, true)
+		}},
+		{"no trailer", headed(func(w http.ResponseWriter) { // every frame, then EOF where the zero count belongs
+			writeFrame(w, pairs(100))
+		})},
+		{"count over the frame bound", headed(func(w http.ResponseWriter) {
+			frame := binary.LittleEndian.AppendUint32(nil, SnapshotChunkKeys+1)
+			for _, n := range pairs(SnapshotChunkKeys + 1) {
+				frame = binary.LittleEndian.AppendUint64(frame, n)
+			}
+			_, _ = w.Write(frame)
+			_, _ = w.Write(make([]byte, 4))
+			_ = json.NewEncoder(w).Encode(SnapshotTrailer{Done: true, Count: SnapshotChunkKeys + 1})
+		})},
+		{"trailer without the zero count", headed(func(w http.ResponseWriter) {
+			writeFrame(w, pairs(100))
+			_ = json.NewEncoder(w).Encode(SnapshotTrailer{Done: true, Count: 100})
+		})},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
 			l := newFakeLeader(t)
 			var fol atomic.Pointer[Follower]
@@ -284,13 +331,7 @@ func TestBootstrapCutOrShortStreamRetries(t *testing.T) {
 			l.snapshot = func(w http.ResponseWriter, r *http.Request, attempt int) {
 				switch attempt {
 				case 1:
-					if tc.cut < 0 { // header and every chunk, then EOF where the trailer belongs
-						_ = json.NewEncoder(w).Encode(SnapshotHeader{Shards: testShards, FromSeq: from})
-						line, _ := json.Marshal(SnapshotChunk{KV: pairs(100)})
-						_, _ = w.Write(append(line, '\n'))
-						return
-					}
-					writeSnapshot(w, from, pairs(1200), SnapshotChunkKeys, tc.cut, tc.short)
+					tc.first(w, from)
 				default:
 					if f := fol.Load(); f != nil {
 						if st := f.Stats(); st.Ready || st.Failures == 0 {
@@ -516,8 +557,7 @@ func TestStopDuringStalledBootstrap(t *testing.T) {
 	streaming := make(chan struct{})
 	l.snapshot = func(w http.ResponseWriter, r *http.Request, _ int) {
 		_ = json.NewEncoder(w).Encode(SnapshotHeader{Shards: testShards, FromSeq: []uint64{1, 1, 1, 1}})
-		line, _ := json.Marshal(SnapshotChunk{KV: pairs(SnapshotChunkKeys)})
-		_, _ = w.Write(append(line, '\n'))
+		writeFrame(w, pairs(SnapshotChunkKeys))
 		w.(http.Flusher).Flush()
 		close(streaming)
 		<-r.Context().Done() // stall: no further chunk, no trailer

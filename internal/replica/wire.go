@@ -1,12 +1,10 @@
 package replica
 
 import (
-	"bufio"
-	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
-	"strconv"
+	"io"
 
 	"medley/internal/cdc"
 )
@@ -19,10 +17,11 @@ import (
 //	    heartbeats (hb, head) while it is caught up, a compacted marker
 //	    when the cursor fell off the leader's ring mid-stream. A cursor
 //	    already compacted at connect time is answered 410 Gone.
-//	GET /v1/snapshot[?shard=S] — chunked application/x-ndjson stream of
-//	    the store's live keys: one SnapshotHeader line, SnapshotChunk
-//	    lines written as the leader's scan proceeds (it holds one chunk,
-//	    whatever the store's size), and a trailer chunk (done, count).
+//	GET /v1/snapshot[?shard=S] — chunked application/octet-stream of the
+//	    store's live keys: one SnapshotHeader JSON line, binary frames of
+//	    key/value pairs (SnapshotFrame) written as the leader's scan
+//	    proceeds (it holds one frame, whatever the store's size), a frame
+//	    of zero count, and one SnapshotTrailer JSON line (done, count).
 //	    Without shard the one scan covers every feed shard — a follower's
 //	    initial bootstrap; ?shard=S keeps only that shard's keys, for the
 //	    resync of one compacted stream. The leader reads the feed heads
@@ -30,7 +29,8 @@ import (
 //	    miss has seq >= from_seq and is replayed; entries the scan caught
 //	    twice converge because feed values are absolute. A stream that
 //	    ends before its trailer, or whose trailer counts other than what
-//	    arrived, is a failed snapshot: the follower publishes no cursor
+//	    arrived, or that holds a frame of more than SnapshotChunkKeys
+//	    pairs, is a failed snapshot: the follower publishes no cursor
 //	    from it.
 //	POST /v1/promote — flip a follower into a leader (see service.Node).
 
@@ -58,102 +58,93 @@ type SnapshotHeader struct {
 	FromSeq []uint64 `json:"from_seq"`
 }
 
-// SnapshotChunk is every later line of a snapshot stream: up to
-// SnapshotChunkKeys live keys, or the trailer.
-type SnapshotChunk struct {
-	// KV is key, value, key, value, ... — flat, so a line is one array of
-	// numbers for both ends' codecs rather than an object per key.
-	KV []uint64 `json:"kv,omitempty"`
-	// Done marks the trailer, the stream's last line; Count is how many
-	// keys the chunks before it carried.
+// SnapshotTrailer is the last line of a snapshot stream, after the frame
+// of zero count that ends the chunks.
+type SnapshotTrailer struct {
+	// Done marks the trailer; Count is how many keys the frames before it
+	// carried.
 	Done  bool   `json:"done,omitempty"`
 	Count uint64 `json:"count,omitempty"`
 }
 
-// SnapshotChunkKeys bounds the keys of one SnapshotChunk: one chunk is
-// one Apply on the follower, so it stays under the service layer's
+// SnapshotChunkKeys bounds the keys of one snapshot frame: one frame is
+// one Load on the follower, so it stays under the service layer's
 // per-request op limit.
 const SnapshotChunkKeys = 512
 
-// A chunk line is SnapshotChunk{KV: kv} as encoding/json writes it, but
-// neither end runs encoding/json over it: a bootstrap carries 2^20 and
-// more numbers, and decoding each by reflection would be the largest part
-// of the follower's read. Header and trailer lines stay on encoding/json.
-var (
-	chunkOpen  = []byte(`{"kv":[`)
-	chunkClose = []byte("]}\n")
+// A snapshot frame is a little-endian uint32 pair count, 1 to
+// SnapshotChunkKeys, then that many little-endian uint64 key/value pairs;
+// a zero count ends the frames. Neither end formats or parses a number:
+// a bootstrap carries 2^20 and more of them.
+const (
+	frameHeader = 4
+	pairBytes   = 16
+	// SnapshotFrameMax is the size of the largest frame.
+	SnapshotFrameMax = frameHeader + pairBytes*SnapshotChunkKeys
 )
 
-// AppendSnapshotChunk appends the chunk line of kv (key, value, ...),
-// newline included, to dst.
-func AppendSnapshotChunk(dst []byte, kv []uint64) []byte {
-	dst = append(dst, chunkOpen...)
-	for i, n := range kv {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = strconv.AppendUint(dst, n, 10)
-	}
-	return append(dst, chunkClose...)
+// SnapshotFrame is a snapshot frame being filled, one pair at a time, in
+// one buffer that Flush empties for the next.
+type SnapshotFrame struct{ b []byte }
+
+// NewSnapshotFrame returns an empty frame with room for SnapshotChunkKeys
+// pairs.
+func NewSnapshotFrame() *SnapshotFrame {
+	return &SnapshotFrame{b: make([]byte, frameHeader, SnapshotFrameMax)}
 }
 
-var errChunk = errors.New("replica: malformed snapshot chunk")
-
-// parseSnapshotChunk appends the numbers of a chunk line — chunkOpen,
-// unsigned decimals without leading zeros separated by single commas,
-// chunkClose, nothing else — to kv. It accepts only lines encoding/json
-// decodes to the same numbers.
-func parseSnapshotChunk(line []byte, kv []uint64) ([]uint64, error) {
-	body, ok := bytes.CutPrefix(line, chunkOpen)
-	if !ok {
-		return kv, errChunk
-	}
-	if body, ok = bytes.CutSuffix(body, chunkClose); !ok {
-		return kv, fmt.Errorf("%w: no closing %q", errChunk, chunkClose)
-	}
-	if len(body) == 0 {
-		return kv, nil
-	}
-	for i := 0; ; i++ { // i is where a number starts
-		start := i
-		var n uint64
-		for ; i < len(body) && '0' <= body[i] && body[i] <= '9'; i++ {
-			d := uint64(body[i] - '0')
-			if n > (math.MaxUint64-d)/10 {
-				return kv, fmt.Errorf("%w: number at byte %d overflows uint64", errChunk, len(chunkOpen)+start)
-			}
-			n = 10*n + d
-		}
-		switch {
-		case i == start:
-			return kv, fmt.Errorf("%w: no digit at byte %d", errChunk, len(chunkOpen)+i)
-		case i-start > 1 && body[start] == '0':
-			return kv, fmt.Errorf("%w: leading zero at byte %d", errChunk, len(chunkOpen)+start)
-		}
-		kv = append(kv, n)
-		if i == len(body) {
-			return kv, nil
-		}
-		if body[i] != ',' {
-			return kv, fmt.Errorf("%w: no comma at byte %d", errChunk, len(chunkOpen)+i)
-		}
-	}
+// Add appends a pair and reports whether the frame is now full: it must
+// be flushed before the next Add.
+func (f *SnapshotFrame) Add(key, val uint64) (full bool) {
+	f.b = binary.LittleEndian.AppendUint64(f.b, key)
+	f.b = binary.LittleEndian.AppendUint64(f.b, val)
+	return len(f.b) == SnapshotFrameMax
 }
 
-// readLine returns r's next line, '\n' included: a slice of r's buffer
-// when the line fits in it, else of *long, grown to fit. Either is valid
-// until the next call. A stream that ends without a newline is an error.
-func readLine(r *bufio.Reader, long *[]byte) ([]byte, error) {
-	line, err := r.ReadSlice('\n')
-	if err != bufio.ErrBufferFull {
-		return line, err
+// Pairs returns how many pairs the frame holds.
+func (f *SnapshotFrame) Pairs() int { return (len(f.b) - frameHeader) / pairBytes }
+
+// Flush writes the frame to w and empties it. Flushing an empty frame
+// writes the zero count that ends the frames.
+func (f *SnapshotFrame) Flush(w io.Writer) error {
+	binary.LittleEndian.PutUint32(f.b, uint32(f.Pairs()))
+	_, err := w.Write(f.b)
+	f.b = f.b[:frameHeader]
+	return err
+}
+
+var errFrame = errors.New("replica: malformed snapshot frame")
+
+// SnapshotPairs is the pairs of one frame as ReadSnapshotFrame read them.
+type SnapshotPairs []byte
+
+// Len returns how many pairs there are.
+func (p SnapshotPairs) Len() int { return len(p) / pairBytes }
+
+// At returns the i'th pair.
+func (p SnapshotPairs) At(i int) (key, val uint64) {
+	b := p[pairBytes*i:]
+	return binary.LittleEndian.Uint64(b), binary.LittleEndian.Uint64(b[8:])
+}
+
+// ReadSnapshotFrame reads the next frame from r into buf, which holds
+// SnapshotFrameMax bytes, and returns its pairs; none is the zero count
+// that ends the frames. A count over SnapshotChunkKeys is an error, and so
+// is a stream that ends inside a frame (io.ErrUnexpectedEOF) or where one
+// belongs (io.EOF).
+func ReadSnapshotFrame(r io.Reader, buf []byte) (SnapshotPairs, error) {
+	if _, err := io.ReadFull(r, buf[:frameHeader]); err != nil {
+		return nil, err
 	}
-	*long = append((*long)[:0], line...)
-	for err == bufio.ErrBufferFull {
-		line, err = r.ReadSlice('\n')
-		*long = append(*long, line...)
+	n := binary.LittleEndian.Uint32(buf)
+	if n > SnapshotChunkKeys {
+		return nil, fmt.Errorf("%w: %d pairs, at most %d", errFrame, n, SnapshotChunkKeys)
 	}
-	return *long, err
+	pairs := buf[frameHeader : frameHeader+pairBytes*int(n)]
+	if _, err := io.ReadFull(r, pairs); err != nil {
+		return nil, fmt.Errorf("%w: cut inside a frame of %d pairs: %w", errFrame, n, io.ErrUnexpectedEOF)
+	}
+	return pairs, nil
 }
 
 // PromoteResponse is the body of POST /v1/promote.

@@ -4,75 +4,114 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"slices"
-	"strings"
 	"testing"
 )
 
-// readChunk reads data's first line through a bufio.Reader of size bytes
-// and parses it as a chunk line, as a bootstrap does.
-func readChunk(data []byte, size int) ([]uint64, error) {
-	var long []byte
-	line, err := readLine(bufio.NewReaderSize(bytes.NewReader(data), size), &long)
-	if err != nil {
-		return nil, err
+// readFrames reads data's frames up to the zero count, through a
+// bufio.Reader of size bytes as a bootstrap does, and returns each
+// frame's pairs (key, value, ...) and how many bytes of data they took.
+func readFrames(data []byte, size int) (frames [][]uint64, used int, err error) {
+	r := bufio.NewReaderSize(bytes.NewReader(data), size)
+	buf := make([]byte, SnapshotFrameMax)
+	for {
+		pairs, err := ReadSnapshotFrame(r, buf)
+		if err != nil {
+			return frames, used, err
+		}
+		used += frameHeader + len(pairs)
+		if len(pairs) == 0 {
+			return frames, used, nil
+		}
+		var nums []uint64
+		for i := range pairs.Len() {
+			k, v := pairs.At(i)
+			nums = append(nums, k, v)
+		}
+		frames = append(frames, nums)
 	}
-	return parseSnapshotChunk(line, nil)
 }
 
-// FuzzSnapshotChunk holds the hand-written chunk codec to encoding/json:
-// every line the reader accepts decodes to the same numbers under
-// encoding/json, and every line the writer produces reads back unchanged.
-// The reader runs through a buffer smaller than most lines (the copying
-// path) and one larger (the in-buffer path); both must agree.
-func FuzzSnapshotChunk(f *testing.F) {
-	long := AppendSnapshotChunk(nil, slices.Repeat([]uint64{18446744073709551615}, 2000))
-	for _, seed := range []string{
-		`{"kv":[]}` + "\n",
-		`{"kv":[1,2,3]}` + "\n",
-		`{"kv":[0,0,10,100]}` + "\n",
-		`{"kv":[01,2]}` + "\n",
-		`{"kv":[18446744073709551615,0]}` + "\n",
-		`{"kv":[18446744073709551616,0]}` + "\n",
-		`{"kv":[1, 2]}` + "\n",
-		`{"kv": [1,2]}` + "\n",
-		`{"kv":[1,2]} ` + "\n",
-		`{"kv":[1,2` + "\n",
-		`{"kv":[1,2,]}` + "\n",
-		`{"kv":[-1,2]}` + "\n",
-		`{"kv":[1,2]}`,
-		`{"done":true,"count":3}` + "\n",
-		string(long),
-	} {
-		f.Add([]byte(seed))
+// writeFrames writes frames as the leader does, through one reused
+// SnapshotFrame, and then the zero count.
+func writeFrames(frames [][]uint64) []byte {
+	var out bytes.Buffer
+	f := NewSnapshotFrame()
+	for _, nums := range frames {
+		for i := 0; i < len(nums); i += 2 {
+			f.Add(nums[i], nums[i+1])
+		}
+		_ = f.Flush(&out)
+	}
+	_ = f.Flush(&out)
+	return out.Bytes()
+}
+
+// FuzzSnapshotFrame holds the frame reader and writer to each other: the
+// reader accepts only what the writer could have produced (re-encoding
+// the frames it read gives back the bytes they took), never panics, and
+// refuses a count over SnapshotChunkKeys, a stream cut inside a frame and
+// a trailer where the zero count belongs; whatever the writer produces
+// reads back unchanged. The reader runs through a buffer smaller than a
+// frame header and one larger than most frames; both must agree.
+func FuzzSnapshotFrame(f *testing.F) {
+	full := slices.Repeat([][]uint64{slices.Repeat([]uint64{1<<64 - 1}, 2*SnapshotChunkKeys)}, 2)
+	over := binary.LittleEndian.AppendUint32(nil, SnapshotChunkKeys+1)
+	over = append(over, make([]byte, pairBytes*(SnapshotChunkKeys+1)+frameHeader)...)
+	oneFrame := writeFrames([][]uint64{{1, 2}})
+	bad := [][]byte{
+		over,
+		oneFrame[:len(oneFrame)-7], // cut inside a frame
+		append(oneFrame[:len(oneFrame)-frameHeader:len(oneFrame)-frameHeader], `{"done":true,"count":1}`+"\n"...),
+	}
+	for _, data := range bad {
+		if frames, _, err := readFrames(data, 4096); err == nil {
+			f.Fatalf("reader accepted %.40x as %d frames", data, len(frames))
+		}
+	}
+	for _, seed := range append(bad,
+		nil,
+		oneFrame[:2], // cut inside the count
+		binary.LittleEndian.AppendUint32(nil, SnapshotChunkKeys), // a full count, no pairs
+		[]byte{0, 0, 0, 1},          // a big-endian 1
+		[]byte(`{"kv":[1,2]}`+"\n"), // a text chunk line
+		writeFrames(nil),
+		oneFrame,
+		writeFrames([][]uint64{{1, 2, 3, 4}, {5, 6}}),
+		writeFrames([][]uint64{{0, 1<<64 - 1}, {1 << 63, 1}}),
+		writeFrames(full),
+		append(writeFrames([][]uint64{{1, 2}}), `{"done":true,"count":1}`+"\n"...), // the trailer after the zero count
+		append(writeFrames(nil), oneFrame...),                                      // frames after the zero count
+	) {
+		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		small, errSmall := readChunk(data, 16)
-		large, errLarge := readChunk(data, 4096)
-		if (errSmall == nil) != (errLarge == nil) || !slices.Equal(small, large) {
+		small, usedSmall, errSmall := readFrames(data, 16)
+		large, usedLarge, errLarge := readFrames(data, 4096)
+		if (errSmall == nil) != (errLarge == nil) || usedSmall != usedLarge || !slices.EqualFunc(small, large, slices.Equal) {
 			t.Fatalf("buffer sizes disagree: %v (%v) against %v (%v)", small, errSmall, large, errLarge)
 		}
 		if errSmall == nil {
-			line, _, _ := bytes.Cut(data, []byte("\n"))
-			var c SnapshotChunk
-			if err := json.Unmarshal(line, &c); err != nil || c.Done || !slices.Equal(c.KV, small) {
-				t.Fatalf("reader accepted %.80q as %v; encoding/json reads %+v (%v)", line, small, c, err)
+			if again := writeFrames(small); !bytes.Equal(again, data[:usedSmall]) {
+				t.Fatalf("reader accepted %x as %v, which the writer encodes as %x", data[:usedSmall], small, again)
 			}
 		}
 
-		nums := make([]uint64, len(data)/8)
-		for i := range nums {
-			nums[i] = binary.LittleEndian.Uint64(data[8*i:])
+		// The writer's turn: data as pairs, in frames of sizes data picks.
+		var frames [][]uint64
+		for i := 0; i+pairBytes <= len(data); {
+			n := 1 + int(data[i])*SnapshotChunkKeys/256
+			var nums []uint64
+			for ; n > 0 && i+pairBytes <= len(data); n, i = n-1, i+pairBytes {
+				nums = append(nums, binary.LittleEndian.Uint64(data[i:]), binary.LittleEndian.Uint64(data[i+8:]))
+			}
+			frames = append(frames, nums)
 		}
-		line := AppendSnapshotChunk(nil, nums)
-		if strings.Count(string(line), "\n") != 1 {
-			t.Fatalf("writer produced %q, want one newline-terminated line", line)
-		}
+		out := writeFrames(frames)
 		for _, size := range []int{16, 4096} {
-			got, err := readChunk(line, size)
-			if err != nil || !slices.Equal(got, nums) {
-				t.Fatalf("writer's %.80q read back as %v (%v) through %d bytes, want %v", line, got, err, size, nums)
+			got, used, err := readFrames(out, size)
+			if err != nil || used != len(out) || !slices.EqualFunc(got, frames, slices.Equal) {
+				t.Fatalf("writer's %d bytes read back as %v (%v, %d bytes) through %d bytes, want %v", len(out), got, err, used, size, frames)
 			}
 		}
 	})

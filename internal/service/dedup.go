@@ -37,8 +37,11 @@ type dedupEntry struct {
 	settled bool
 	done    chan struct{}
 
-	// Written once before the entry settles; read only after.
+	// Written once before the entry settles; read only after. res is a
+	// copy of the request's results, in inline when they fit: the service
+	// mix's batches carry one to four ops.
 	res      []kv.Result
+	inline   [4]kv.Result
 	err      error
 	executed bool // false when the claim was abandoned without executing
 }
@@ -101,8 +104,7 @@ func (w *dedupWindow) claim(id string) (mine, prior *dedupEntry) {
 // the caller's slice is reused by its owner after Submit returns.
 func (w *dedupWindow) complete(e *dedupEntry, res []kv.Result, err error) {
 	if len(res) > 0 {
-		e.res = make([]kv.Result, len(res))
-		copy(e.res, res)
+		e.res = append(e.inline[:0:len(e.inline)], res...)
 	}
 	e.err = err
 	e.executed = true

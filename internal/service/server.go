@@ -249,8 +249,9 @@ func serveWatch(feed *cdc.Feed, w http.ResponseWriter, r *http.Request) {
 }
 
 // serveSnapshot streams a fuzzy snapshot (replica/wire.go): header,
-// chunks written as the one state scan proceeds, trailer. It holds one
-// chunk whatever the store's size, and a departed client ends the scan.
+// frames written as the one state scan proceeds, each pair appended
+// straight into one reused frame, the zero count, trailer. It holds one
+// frame whatever the store's size, and a departed client ends the scan.
 // The feed heads are read BEFORE the scan: every committed write the scan
 // might miss has a feed seq at or above the header's from_seq, so snapshot
 // + replay from from_seq converges (feed values are absolute). Without a
@@ -274,7 +275,7 @@ func serveSnapshot(s *Service, w http.ResponseWriter, r *http.Request) {
 	for i := range hdr.FromSeq {
 		hdr.FromSeq[i]++
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("Content-Type", "application/octet-stream")
 	enc := json.NewEncoder(w)
 	if enc.Encode(hdr) != nil {
 		return
@@ -283,31 +284,27 @@ func serveSnapshot(s *Service, w http.ResponseWriter, r *http.Request) {
 		fl.Flush() // the follower validates the header while the scan runs
 	}
 
-	kvs := make([]uint64, 0, 2*replica.SnapshotChunkKeys)
-	var line []byte // keeps whatever it grew to
+	frame := replica.NewSnapshotFrame()
 	var count uint64
 	live := true // false once a write failed or the client went away
 	emit := func() {
-		line = replica.AppendSnapshotChunk(line[:0], kvs)
-		kvs = kvs[:0]
-		_, err := w.Write(line)
-		live = err == nil && r.Context().Err() == nil
+		live = frame.Flush(w) == nil && r.Context().Err() == nil
 	}
 	snap.StateSnapshot(func(key, val uint64) bool {
 		if shard != replica.AllShards && feed.ShardOf(key) != shard {
 			return true
 		}
-		kvs = append(kvs, key, val)
-		if count++; count%replica.SnapshotChunkKeys == 0 {
+		count++
+		if frame.Add(key, val) {
 			emit()
 		}
 		return live
 	})
-	if live && len(kvs) > 0 {
+	if live && frame.Pairs() > 0 {
 		emit()
 	}
-	if live {
-		_ = enc.Encode(replica.SnapshotChunk{Done: true, Count: count})
+	if live && frame.Flush(w) == nil { // an empty frame: the zero count that ends the frames
+		_ = enc.Encode(replica.SnapshotTrailer{Done: true, Count: count})
 	}
 }
 

@@ -113,11 +113,12 @@ func TestPreloadLoadsEveryKey(t *testing.T) {
 }
 
 // TestPreloadTransientMemory bounds what a load allocates beyond the
-// table it fills: the loader must not copy the caller's keys or gather
-// them into buffers. Its own allocations are measured against the same
-// store filled by one goroutine's bare puts, which allocate exactly the
-// slab chunks, and must stay under 1/64 of one copy of the keys (64 KB
-// of 4 MB for 2^19 keys), less than a window of 2^13 keys a loader. Under
+// table it fills: the loader must not copy the caller's keys, and each
+// worker may hold only a window of 1,024 of them and its sorted copy, 16
+// KB. Its own allocations are measured against the same store filled by
+// one goroutine's bare puts, which allocate exactly the slab chunks, and
+// must stay under 1/64 of one copy of the keys (64 KB of 4 MB for 2^19
+// keys): two workers' windows fit, windows of 2^13 keys would not. Under
 // the race detector a sync.Pool drops a quarter of what it is given, so
 // every bare put may claim a fresh slab segment and the twin no longer
 // measures the slab: the bound is checked only without it.
