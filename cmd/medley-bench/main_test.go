@@ -77,7 +77,7 @@ func TestDefaultSystemsAuto(t *testing.T) {
 		"range-scan": transient, "load-mixed-drain": transient,
 		"crash-recover-uniform": crash, "crash-recover-zipfian": crash, "crash-recover-writeheavy": crash,
 		"chaos-crash-in-recovery": crash,
-		"alloc-pressure":          "medley-hash medley-hash-nopool",
+		"alloc-pressure":          "medley-hash",
 		"read-mostly":             "medley-hash medley-hash-nofast",
 		"scan-heavy":              "medley-hash medley-hash-nofast",
 		"sharded-zipfian":         "medley-hash medley-hash@8 medley-skip@8 onefile-hash",

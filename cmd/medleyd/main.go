@@ -22,7 +22,7 @@
 // /v1/promote, or automatically after -promote-after consecutive failed
 // leader round trips. See internal/service and internal/replica.
 //
-// -system takes the one spec grammar, base{-nopool|-nofast|-persistoff}[@N],
+// -system takes the one spec grammar, base{-nofast|-persistoff}[@N],
 // over the bases the stack itself builds — medley-*, txmontage-*, plain-skip,
 // txoff-skip; -list prints each with the suffixes it accepts. The competitor
 // STMs the harness measures them against (lftt, tdsl, onefile-*, ponefile-*)

@@ -1,6 +1,7 @@
 package cdc
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"unsafe"
@@ -144,6 +145,42 @@ func TestLoadTicketCompactsCaughtUpReader(t *testing.T) {
 	f.Publish(f.DrawTicket(), []Write{{Key: 14, Val: 4}})
 	if got, err := f.ReadFrom(0, 6, nil); err != nil || len(got) != 1 || got[0] != (Entry{Seq: 6, Key: 14, Val: 4, TxID: 10}) {
 		t.Fatalf("first write after the load read %v, %v", got, err)
+	}
+}
+
+// A load parked behind a lower ticket keeps only its count of writes per
+// shard, which is all its admission reads: parking a 512-write bootstrap
+// chunk, the size a follower loads, costs a few bytes, not a 12 KB copy
+// of its writes. Admitted, it takes its seqs as an in-order load does.
+func TestParkedLoadKeepsCountsNotWrites(t *testing.T) {
+	f := New(4, 64, func(key uint64) int { return int(key % 4) })
+	writes := make([]Write, 512)
+	for i := range writes {
+		writes[i] = Write{Key: uint64(i), Val: uint64(i)}
+	}
+	const rounds = 64
+	park := func() {
+		hole := f.DrawTicket()
+		f.PublishLoad(f.DrawTicket(), writes)
+		f.CancelTicket(hole)
+	}
+	park() // the reorder buffer's first entry grows the map once
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range rounds {
+		park()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / rounds; per > 256 {
+		t.Errorf("parking a 512-write load allocates %d bytes, want at most 256", per)
+	}
+	if h := f.Heads(); h[0] != (rounds+1)*128 || h[3] != (rounds+1)*128 {
+		t.Errorf("heads after %d parked loads of 128 writes a shard = %v, want %d each", rounds+1, h, (rounds+1)*128)
+	}
+	want := Stats{Drawn: 2 * (rounds + 1), Published: rounds + 1, Cancelled: rounds + 1,
+		Entries: (rounds + 1) * 512, Compacted: (rounds + 1) * 512}
+	if st := f.Stats(); st != want {
+		t.Errorf("Stats after the parked loads = %+v, want %+v", st, want)
 	}
 }
 

@@ -75,11 +75,11 @@ type Stats struct {
 }
 
 // pendingTx is one settled-but-not-yet-admitted ticket in the reorder
-// buffer: a copy of its writes (flagged when they are a load), or a
-// cancellation marker.
+// buffer: a copy of its writes, a load's count of writes per shard (all
+// that admitting a load reads, see PublishLoad), or a cancellation marker.
 type pendingTx struct {
 	writes    []Write
-	load      bool
+	skips     []uint32 // non-nil exactly for a load
 	cancelled bool
 }
 
@@ -141,12 +141,12 @@ func (r *ring) push(w Write, ticket uint64) (compacted bool) {
 	return true // overwrote the oldest retained record
 }
 
-// skip assigns the next seq to a load ticket's write without storing it
-// and drops the retained window, returning how many seqs that leaves
-// unretained: the write's own and the window's.
-func (r *ring) skip() (compacted uint64) {
-	r.head++
-	compacted = uint64(r.count) + 1
+// skip assigns the next n > 0 seqs to a load ticket's writes without
+// storing them and drops the retained window, returning how many seqs
+// that leaves unretained: the writes' own and the window's.
+func (r *ring) skip(n uint64) (compacted uint64) {
+	r.head += n
+	compacted = uint64(r.count) + n
 	r.count = 0
 	r.base = r.head
 	return compacted
@@ -242,8 +242,9 @@ func (f *Feed) CancelTicket(t uint64) {
 // (op) order; the caller's slice is reusable on return. The ticket right
 // after the watermark is admitted in place, straight from writes. Any
 // other parks a copy, made before the lock, in the reorder buffer until
-// every lower ticket has settled. The watermark only grows and cannot
-// pass an unsettled ticket, so a ticket that was next stays next.
+// every lower ticket has settled (a load parks only its writes per
+// shard). The watermark only grows and cannot pass an unsettled ticket,
+// so a ticket that was next stays next.
 func (f *Feed) Publish(ticket uint64, writes []Write) { f.publish(ticket, writes, false) }
 
 // PublishLoad hands the feed a bootstrap load's writes, admitted in
@@ -256,14 +257,20 @@ func (f *Feed) Publish(ticket uint64, writes []Write) { f.publish(ticket, writes
 func (f *Feed) PublishLoad(ticket uint64, writes []Write) { f.publish(ticket, writes, true) }
 
 func (f *Feed) publish(ticket uint64, writes []Write, load bool) {
-	p := pendingTx{load: load}
-	if ticket != f.watermark.Load()+1 {
+	var p pendingTx
+	if load {
+		p.skips = make([]uint32, len(f.shards))
+		for _, w := range writes {
+			p.skips[f.shardOf(w.Key)]++
+		}
+		writes = nil
+	} else if ticket != f.watermark.Load()+1 {
 		p.writes = append([]Write(nil), writes...)
 	}
 	f.mu.Lock()
 	f.published++
 	if ticket == f.watermark.Load()+1 {
-		f.admitLocked(writes, load)
+		f.admitLocked(writes, p.skips)
 		f.drainLocked()
 	} else {
 		f.pending[ticket] = p
@@ -284,22 +291,25 @@ func (f *Feed) drainLocked() {
 		if p.cancelled {
 			f.watermark.Store(next)
 		} else {
-			f.admitLocked(p.writes, p.load)
+			f.admitLocked(p.writes, p.skips)
 		}
 	}
 }
 
 // admitLocked admits ticket watermark+1: its writes go to their shards'
-// rings (a load's only take their seqs, see PublishLoad), and a reader
-// armed by Notify is woken.
-func (f *Feed) admitLocked(writes []Write, load bool) {
+// rings, a load's skips[i] writes to shard i only take their seqs (see
+// PublishLoad), and a reader armed by Notify is woken.
+func (f *Feed) admitLocked(writes []Write, skips []uint32) {
 	t := f.watermark.Add(1)
 	for _, w := range writes {
-		r := &f.shards[f.shardOf(w.Key)]
-		if load {
-			f.compacted += r.skip()
-		} else if r.push(w, t) {
+		if f.shards[f.shardOf(w.Key)].push(w, t) {
 			f.compacted++
+		}
+	}
+	for i, n := range skips {
+		if n > 0 {
+			f.compacted += f.shards[i].skip(uint64(n))
+			f.entries += uint64(n)
 		}
 	}
 	f.entries += uint64(len(writes))

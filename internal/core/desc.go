@@ -59,11 +59,11 @@ func (w ReadWitness) valid(d *Desc, serial uint64) bool {
 // publishedReads is the owner's read set as published (with a release
 // store) immediately before the InPrep→InProg transition, so that helpers
 // observing InProg can validate on the owner's behalf. The slice is frozen:
-// the owner never mutates a published one. Under pooling the struct and its
-// backing array are recycled through EBR — a publication is withdrawn and
-// retired when its transaction finishes, so a slow helper still iterating
-// it always sees intact (if stale) entries, and the serial check plus the
-// Words' counters make stale validation harmless.
+// the owner never mutates a published one. On a Tx with an EBR handle the
+// struct and its backing array are recycled through EBR — a publication is
+// withdrawn and retired when its transaction finishes, so a slow helper
+// still iterating it always sees intact (if stale) entries, and the serial
+// check plus the Words' counters make stale validation harmless.
 type publishedReads struct {
 	serial  uint64
 	entries []ReadWitness

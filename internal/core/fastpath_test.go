@@ -265,12 +265,13 @@ func TestReadSetDedup(t *testing.T) {
 }
 
 // TestReadOnlyAllocsUnpooledZero pins the allocation cost of a warm
-// read-only transaction at zero WITHOUT pooling: the read-set array is
+// read-only transaction at zero on a Tx WITHOUT an EBR handle, which
+// recycles nothing it publishes: the read-set array is
 // reused in place because a fast-path commit never publishes it, and the
 // elided publication is the only allocation the general read-only path
 // performs.
 func TestReadOnlyAllocsUnpooledZero(t *testing.T) {
-	mgr := NewTxManager() // pooling off
+	mgr := NewTxManager() // and no EBR handle: nothing recycles
 	tx := mgr.Register()
 	a, b := newWord(1), newWord(2)
 	body := func() error {
@@ -292,6 +293,6 @@ func TestReadOnlyAllocsUnpooledZero(t *testing.T) {
 		_ = tx.RunRetry(body)
 	})
 	if allocs != 0 {
-		t.Fatalf("warm read-only transaction allocates %.2f objects/run without pooling, want 0", allocs)
+		t.Fatalf("warm read-only transaction allocates %.2f objects/run without an EBR handle, want 0", allocs)
 	}
 }

@@ -16,7 +16,6 @@ import (
 // shards into one snapshot on demand.
 type TxManager struct {
 	nextTID atomic.Int64
-	pooling atomic.Bool
 	nofast  atomic.Bool
 
 	mu     sync.Mutex
@@ -28,26 +27,17 @@ func NewTxManager() *TxManager {
 	return &TxManager{}
 }
 
-// EnablePooling opts this manager's transactions into read-set recycling:
-// a Tx registered afterwards that is given an EBR handle (Tx.SetSMR)
-// recycles its published read sets after a grace period instead of
-// allocating fresh ones, and counts its pool traffic (slab indexes and
-// descriptor word entries) in the statistics. Slab nodes are recycled
-// through the handle whether or not the manager pools.
-//
-// Every goroutine operating on this manager's structures with a handle
-// must hold its critical section (ebr.Handle.Enter/Exit) around each
-// transaction or bare operation. Call before registering workers.
-func (m *TxManager) EnablePooling() { m.pooling.Store(true) }
-
-// PoolingEnabled reports whether EnablePooling was called.
-func (m *TxManager) PoolingEnabled() bool { return m.pooling.Load() }
+// EnablePooling does nothing. A Tx recycles its read sets, as it does
+// the slab indexes it unlinks, exactly when it has an EBR handle
+// (Tx.SetSMR); there is no second switch. The method is kept only because
+// the benchmark's layer ladder (benchmark/ladder.go) still calls it.
+func (m *TxManager) EnablePooling() {}
 
 // DisableFastPaths turns the commit fast paths off for Txs registered
 // afterwards: every transaction then runs the full publish/InProg commit
 // handshake regardless of its write-set size. The fast paths are on by
-// default; the switch exists for ablation (the -nofast system suffix)
-// and mirrors the EnablePooling pattern — call before registering workers.
+// default; the switch exists for ablation (the -nofast system suffix).
+// Call it before registering workers.
 //
 // The fast paths are pure eliding optimizations (see Tx.End): disabling
 // them changes the atomic-operation count of a commit, never its outcome.
@@ -125,7 +115,7 @@ type Stats struct {
 	Aborts          uint64 // transactions aborted (any cause)
 	AbortsByOthers  uint64 // aborts inflicted by eager contention management
 	HelpEvents      uint64 // foreign descriptors finalized while operating
-	PoolGets        uint64 // pool requests (slots + entries) under pooling
+	PoolGets        uint64 // pool requests (slots + entries) by Txs with an EBR handle
 	PoolHits        uint64 // pool requests served from a freelist
 	PoolRetires     uint64 // blocks retired into pools
 	ReadOnlyCommits uint64 // commits via the read-only fast path

@@ -8,17 +8,13 @@ import (
 	"medley/internal/ebr"
 )
 
-// pooledTx registers a Tx with pooling active: manager pooling enabled and
-// an EBR handle attached. Returns the handle so tests can bracket
-// transactions in critical sections, as the harness workers do.
-func pooledTx(t *testing.T, mgr *TxManager, dom *ebr.Manager) (*Tx, *ebr.Handle) {
-	t.Helper()
+// pooledTx registers a Tx with an EBR handle attached, which is what makes
+// it recycle. Returns the handle so tests can bracket transactions in
+// critical sections, as the harness workers do.
+func pooledTx(mgr *TxManager, dom *ebr.Manager) (*Tx, *ebr.Handle) {
 	tx := mgr.Register()
 	h := dom.Register()
 	tx.SetSMR(h)
-	if !tx.pooled {
-		t.Fatal("pooling did not activate (SetSMR with an *ebr.Handle on a pooling manager)")
-	}
 	return tx, h
 }
 
@@ -29,9 +25,8 @@ func pooledTx(t *testing.T, mgr *TxManager, dom *ebr.Manager) (*Tx, *ebr.Handle)
 // change advanced the word's counter.
 func TestGenerationMismatchRejectsWitness(t *testing.T) {
 	mgr := NewTxManager()
-	mgr.EnablePooling()
 	dom := ebr.New(1)
-	tx, h := pooledTx(t, mgr, dom)
+	tx, h := pooledTx(mgr, dom)
 
 	o := newWord(100)
 	h.Enter()
@@ -135,7 +130,6 @@ func TestRecycleStressConservation(t *testing.T) {
 	}
 
 	mgr := NewTxManager()
-	mgr.EnablePooling()
 	dom := ebr.New(4)
 	accounts := newBoxes(nAccounts, func(int) int { return perAccount })
 
@@ -194,27 +188,55 @@ func TestRecycleStressConservation(t *testing.T) {
 		st.PoolGets, st.PoolHits, 100*float64(st.PoolHits)/float64(st.PoolGets), st.PoolRetires)
 }
 
-// TestPoolingOffUnchanged pins the default: without EnablePooling no
-// pooling state activates and the pool counters stay zero, though a Tx
-// with an EBR handle still recycles what it unlinks.
-func TestPoolingOffUnchanged(t *testing.T) {
-	mgr := NewTxManager()
-	tx := mgr.Register()
-	h := ebr.New(1).Register()
-	tx.SetSMR(h) // handle without EnablePooling: no pooling
-	if tx.pooled {
-		t.Fatal("pooling active without EnablePooling")
+// TestReadSetsRecycleOnlyWithAHandle runs warm two-write transactions,
+// each of which publishes its read set to helpers, on a Tx with an EBR
+// handle and on one without. The handle alone decides: with it the
+// published read sets and their shells come back after a grace period and
+// the pool counters move; without it every such transaction allocates
+// both afresh and nothing is counted.
+func TestReadSetsRecycleOnlyWithAHandle(t *testing.T) {
+	allocs := map[bool]float64{}
+	for _, withHandle := range []bool{true, false} {
+		mgr := NewTxManager()
+		tx := mgr.Register()
+		h := ebr.New(1).Register()
+		if withHandle {
+			tx.SetSMR(h)
+		}
+		b := newBoxes(2, func(int) int { return 0 })
+		v := 0
+		transfer := func() {
+			h.Enter()
+			err := tx.RunRetry(func() error {
+				for i := range 2 {
+					tx.OpStart()
+					if !b.write(tx, i, v, v+1) {
+						tx.Abort()
+					}
+				}
+				return nil
+			})
+			h.Exit()
+			if err != nil {
+				t.Fatal(err)
+			}
+			v++
+		}
+		for range 64 {
+			transfer()
+		}
+		allocs[withHandle] = testing.AllocsPerRun(256, transfer)
+		st := mgr.Stats()
+		if withHandle && st.PoolHits == 0 {
+			t.Errorf("a Tx with an EBR handle reused nothing: %+v", st)
+		}
+		if !withHandle && (st.PoolGets != 0 || st.PoolRetires != 0) {
+			t.Errorf("a Tx without an EBR handle counted pool traffic: %+v", st)
+		}
 	}
-	b := newBoxes(1, func(int) int { return 1 })
-	tx.Begin()
-	if !b.write(tx, 0, 1, 2) {
-		t.Fatal("write failed")
-	}
-	if err := tx.End(); err != nil {
-		t.Fatal(err)
-	}
-	if st := mgr.Stats(); st.PoolGets != 0 || st.PoolRetires != 0 {
-		t.Fatalf("pool counters moved without pooling: %+v", st)
+	if allocs[true] != 0 || allocs[false] < 2 {
+		t.Errorf("a warm published transaction allocates %.0f objects with an EBR handle and %.0f without, want 0 and at least 2 (the read set and its shell)",
+			allocs[true], allocs[false])
 	}
 }
 
@@ -268,8 +290,7 @@ func TestWitnessInRecycledNodeNeverValidates(t *testing.T) {
 	}{{"written slot", true}, {"never-written slot", false}} {
 		t.Run(tc.name, func(t *testing.T) {
 			mgr := NewTxManager()
-			mgr.EnablePooling()
-			tx, h := pooledTx(t, mgr, ebr.New(1))
+			tx, h := pooledTx(mgr, ebr.New(1))
 			var s Slab[wordNode]
 
 			i := s.Get(tx)
@@ -397,7 +418,6 @@ func TestRecycleStormSnapshots(t *testing.T) {
 	}
 
 	mgr := NewTxManager()
-	mgr.EnablePooling()
 	dom := ebr.New(2)
 	slots := newBoxes(nSlots, func(i int) int {
 		if i == 0 {

@@ -71,12 +71,12 @@ func (s *Slab[N]) Chunks() int {
 // Put, a concurrent preload) draws its segments through a sync.Pool.
 //
 // An unlinked index is reused only after an EBR grace period, so only a Tx
-// with an EBR handle (Tx.SetSMR) recycles what it unlinks, whether or not
-// its manager pools: every thread that may still hold the index from
-// a traversal holds a critical section of the same domain. An index
-// unlinked without one is never reused. Reuse needs no more than the grace
-// period: the Words in a recycled node are Init'ed, which advances their
-// counters, so no witness taken in its previous life validates.
+// with an EBR handle (Tx.SetSMR) recycles what it unlinks: every thread
+// that may still hold the index from a traversal holds a critical section
+// of the same domain. An index unlinked without one is never reused.
+// Reuse needs no more than the grace period: the Words in a recycled node
+// are Init'ed, which advances their counters, so no witness taken in its
+// previous life validates.
 type Slots struct {
 	next   atomic.Uint32
 	mu     sync.Mutex // serializes cache registration
@@ -127,11 +127,9 @@ func (s *Slots) get(tx *Tx) uint32 {
 	}
 	c := s.cacheOf(tx)
 	c.gets++
-	var i uint32
-	if n := len(c.free); n > 0 {
+	i, ok := pop(&c.free)
+	if ok {
 		c.hits++
-		i = c.free[n-1]
-		c.free = c.free[:n-1]
 	} else {
 		i = c.span.take(s)
 	}
@@ -236,12 +234,8 @@ type slotBatch struct{ idx []uint32 }
 
 // ship sends the ready indexes to EBR limbo as one batch.
 func (c *slotCache) ship() {
-	var b *slotBatch
-	if n := len(c.freeBatches); n > 0 {
-		b = c.freeBatches[n-1]
-		c.freeBatches[n-1] = nil
-		c.freeBatches = c.freeBatches[:n-1]
-	} else {
+	b, ok := pop(&c.freeBatches)
+	if !ok {
 		b = &slotBatch{}
 	}
 	// Swap: the batch takes the filled slice, the cache keeps its spare.
@@ -263,9 +257,9 @@ func (c *slotCache) Recycle(obj any) {
 // neither did its links. A node the aborted transaction took was published
 // only as the new word of its own installs, which helpers never follow
 // (they finalize an install and use the word it leaves), so its index is
-// nobody's and goes straight back to free. Under pooling the counters fold
-// into the owner's StatShard, a few single-writer stores a settle rather
-// than an atomic add a get.
+// nobody's and goes straight back to free. On a Tx with an EBR handle the
+// counters fold into the owner's StatShard, a few single-writer stores a
+// settle rather than an atomic add a get.
 func (c *slotCache) settle(tx *Tx, committed bool) {
 	if committed {
 		c.ready = append(c.ready, c.pending...)
@@ -277,7 +271,7 @@ func (c *slotCache) settle(tx *Tx, committed bool) {
 	if len(c.ready) > 0 {
 		c.ship()
 	}
-	if tx.pooled {
+	if tx.smr != nil {
 		shard := tx.desc.shard
 		bumpN(&shard.PoolGets, c.gets)
 		bumpN(&shard.PoolHits, c.hits)

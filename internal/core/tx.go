@@ -42,13 +42,11 @@ type Tx struct {
 
 	// smr is the EBR handle (SetSMR): the critical section RunRetry steps
 	// out of across backoff sleeps, and the domain the slab indexes this
-	// Tx unlinks wait out their grace period in, pooled or not. pools
-	// holds this Tx's slab index caches (Slots). Under pooling
-	// (TxManager.EnablePooling) readsFree/rpFree also recycle read-set
-	// backing arrays and publishedReads shells whose grace period (or
-	// non-publication) makes reuse safe.
+	// Tx unlinks and its published read sets wait out their grace period
+	// in. pools holds this Tx's slab index caches (Slots); readsFree/rpFree
+	// hold read-set backing arrays and publishedReads shells whose grace
+	// period (or non-publication) makes reuse safe.
 	smr       *ebr.Handle
-	pooled    bool
 	pools     []*slotCache
 	published bool // current read set was published to helpers at End
 	readsFree [][]ReadWitness
@@ -171,21 +169,29 @@ func (tx *Tx) OnFinish(f func(*Tx, bool)) {
 }
 
 // takeReads sources the read-set backing array for a new transaction after
-// the previous one was published. Under pooling, published arrays cycle
-// back through EBR into readsFree (helpers may iterate a publication until
-// a grace period passes); without pooling a published array is left to the
-// garbage collector and a fresh one is allocated. Never-published arrays
-// are reused in place by Begin and do not come through here.
+// the previous one was published. On a Tx with an EBR handle, published
+// arrays cycle back through EBR into readsFree (helpers may iterate a
+// publication until a grace period passes); without one a published array
+// is left to the garbage collector and a fresh one is allocated.
+// Never-published arrays are reused in place by Begin and do not come
+// through here.
 func (tx *Tx) takeReads() []ReadWitness {
-	if tx.pooled {
-		if n := len(tx.readsFree); n > 0 {
-			buf := tx.readsFree[n-1]
-			tx.readsFree[n-1] = nil
-			tx.readsFree = tx.readsFree[:n-1]
-			return buf
-		}
+	if buf, ok := pop(&tx.readsFree); ok {
+		return buf
 	}
 	return make([]ReadWitness, 0, 8)
+}
+
+// pop takes the last element off the free list *s, clearing its slot;
+// ok is false when the list is empty.
+func pop[T any](s *[]T) (v T, ok bool) {
+	n := len(*s)
+	if n == 0 {
+		return v, false
+	}
+	v, (*s)[n-1] = (*s)[n-1], v
+	*s = (*s)[:n-1]
+	return v, true
 }
 
 // Begin opens a transaction (the paper's txBegin): bumps the serial number,
@@ -198,9 +204,9 @@ func (tx *Tx) Begin() {
 	tx.desc.status.Store(packStatus(tx.serial, StatusInPrep))
 	if tx.reads != nil && !tx.published {
 		// Never published: no helper ever observed the backing array, so it
-		// is reusable in place regardless of pooling. Read-only fast-path
+		// is reusable in place, EBR handle or not. Read-only fast-path
 		// commits never publish, which is what makes a warm read-only
-		// transaction allocation-free even without pooling.
+		// transaction allocation-free even without a handle.
 		clear(tx.reads)
 		tx.reads = tx.reads[:0]
 	} else {
@@ -368,13 +374,10 @@ func (tx *Tx) endSingleWrite() error {
 	return tx.settle()
 }
 
-// takeRP sources a publishedReads shell, reusing recycled ones under
-// pooling.
+// takeRP sources a publishedReads shell, reusing recycled ones (a Tx with
+// an EBR handle).
 func (tx *Tx) takeRP() *publishedReads {
-	if n := len(tx.rpFree); n > 0 {
-		rp := tx.rpFree[n-1]
-		tx.rpFree[n-1] = nil
-		tx.rpFree = tx.rpFree[:n-1]
+	if rp, ok := pop(&tx.rpFree); ok {
 		return rp
 	}
 	return &publishedReads{}
@@ -447,9 +450,10 @@ func (tx *Tx) finish(committed bool) error {
 		// still validating it fails its status CAS whatever it finds. It
 		// goes now rather than at the next End so that a descriptor left
 		// idle — and one that has written Words is never freed — keeps no
-		// read set, and through it no structure, alive. Under pooling it
-		// is retired through EBR: a slow helper may still iterate it.
-		if rp := tx.desc.reads.Swap(nil); rp != nil && tx.pooled {
+		// read set, and through it no structure, alive. With an EBR
+		// handle it is retired through EBR: a slow helper may still
+		// iterate it.
+		if rp := tx.desc.reads.Swap(nil); rp != nil && tx.smr != nil {
 			tx.smr.RetireInto(&tx.rpBin, rp)
 		}
 	}
@@ -534,15 +538,13 @@ func (tx *Tx) RunRetry(fn func() error) error {
 }
 
 // SetSMR attaches an EBR handle to this Tx. The slab indexes this Tx
-// unlinks are then reused after a grace period (Slots); without one they
-// never are. If the manager also has pooling enabled
-// (TxManager.EnablePooling), the Tx's read sets recycle the same way. The
-// owning goroutine must then hold h's critical section (ebr.Handle.Enter
-// / Exit) around every transaction and bare operation on the structures
-// it touches.
+// unlinks and the read sets it publishes are then reused after a grace
+// period (Slots, takeReads), and its pool traffic is counted in the
+// statistics; without a handle nothing is reused. The owning goroutine
+// must then hold h's critical section (ebr.Handle.Enter / Exit) around
+// every transaction and bare operation on the structures it touches.
 func (tx *Tx) SetSMR(h *ebr.Handle) {
 	tx.smr = h
-	tx.pooled = tx.mgr != nil && tx.mgr.PoolingEnabled()
 	tx.rpBin.tx = tx
 }
 

@@ -140,7 +140,7 @@ func (tx *Tx) nextWordEntry() (*wordEntry, int) {
 	if fresh {
 		GrowChunks(&d.words, pos/wordChunk+1)
 	}
-	if tx.pooled {
+	if tx.smr != nil {
 		bump(&d.shard.PoolGets)
 		if !fresh {
 			bump(&d.shard.PoolHits)

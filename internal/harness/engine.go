@@ -60,7 +60,7 @@ type MemoryResult struct {
 	TotalBytes  uint64  `json:"total_bytes"`
 	GCPauseNs   int64   `json:"gc_pause_total_ns"` // stop-the-world total
 	NumGC       uint32  `json:"num_gc"`
-	PoolGets    uint64  `json:"pool_gets"`    // arena requests (cells + nodes)
+	PoolGets    uint64  `json:"pool_gets"`    // pool requests (node slots + word entries)
 	PoolHits    uint64  `json:"pool_hits"`    // served from a freelist
 	PoolRetires uint64  `json:"pool_retires"` // blocks retired into arenas
 	PoolHitRate float64 `json:"pool_hit_rate"`

@@ -365,8 +365,8 @@ var builtin = map[string]Scenario{
 		Systems:     crashSystems,
 	},
 	"alloc-pressure": paperOn("zipfian-mixed",
-		"GC pressure: zipfian-mixed instrumented for allocs/op — compares recycling arenas (Medley-hash) against the unpooled baseline (Medley-hash-nopool) in one report",
-		"medley-hash", "medley-hash-nopool"),
+		"GC pressure: zipfian-mixed instrumented for allocs/op on Medley-hash, whose workers recycle node slots and read sets through EBR",
+		"medley-hash"),
 	"read-mostly": {
 		Description: "commit fast-path showcase: 95/5 point mix (2.5% inserts, 2.5% removes), short 1-4 op transactions, uniform and Zipf(1.2) phases measured separately",
 		Dist:        Dist{Kind: DistUniform},

@@ -11,7 +11,7 @@ import (
 // baselines) plus the competitor STMs it is compared with. Specs are
 // parsed by the one parser of the grammar, store.Registry.Parse:
 //
-//	base{-nopool|-nofast|-persistoff}[@N]
+//	base{-nofast|-persistoff}[@N]
 
 // ponefileRegionWords sizes POneFile's region: home words for the object
 // graph plus the per-key durable directory, with room for the post-crash

@@ -66,17 +66,15 @@ func TestNewSystemShardSuffix(t *testing.T) {
 }
 
 // TestSpecGrammar is the table test of the one spec parser: every suffix
-// with and without @N yields the reported name (suffixes in canonical
-// order however the spec wrote them), and everything the grammar refuses
-// is an error from NewSystem and ValidateSystemSpec alike.
+// with and without @N yields the reported name, and everything the
+// grammar refuses is an error from NewSystem and ValidateSystemSpec
+// alike — the retired -nopool suffix included, as an unknown system.
 func TestSpecGrammar(t *testing.T) {
 	good := map[string]string{
-		"medley-hash-nopool":          "Medley-hash-nopool",
 		"medley-hash-nofast":          "Medley-hash-nofast",
-		"medley-hash-nopool@8":        "Medley-hash-nopool-8shard",
 		"medley-hash-nofast@8":        "Medley-hash-nofast-8shard",
-		"medley-skip-nofast-nopool@2": "Medley-skip-nopool-nofast-2shard",
-		"medley-bst-nopool-nofast":    "Medley-bst-nopool-nofast",
+		"medley-skip-nofast@2":        "Medley-skip-nofast-2shard",
+		"medley-bst-nofast":           "Medley-bst-nofast",
 		"txmontage-skip-persistoff":   "txMontage-skip-persistOff",
 		"txmontage-hash-persistoff@2": "txMontage-hash-persistOff-2shard",
 		"tdsl@1":                      "TDSL-skip",
@@ -91,20 +89,21 @@ func TestSpecGrammar(t *testing.T) {
 		}
 	}
 	for spec, want := range map[string]string{
-		"medley-hash-nopool-nopool":  "repeats -nopool",
+		"medley-hash-nofast-nofast":  "repeats -nofast",
 		"medley-hash-nofoo":          "unknown system",
+		"medley-hash-nopool":         "unknown system",
 		"medley-hash-":               "unknown system",
-		"nopool":                     "unknown system",
-		"onefile-hash-nopool":        "no -nopool variant",
+		"nofast":                     "unknown system",
+		"onefile-hash-nofast":        "no -nofast variant",
 		"medley-hash-persistoff":     "no -persistoff variant",
 		"txmontage-hash-nofast":      "no -nofast variant",
 		"tdsl@8":                     "cannot shard",
 		"medley-hash@0":              "bad shard suffix",
-		"medley-hash@8-nopool":       "bad shard suffix",
-		"medley-hash-nopool@":        "bad shard suffix",
-		"medley-hash-nopool@8@8":     "unknown system",
+		"medley-hash@8-nofast":       "bad shard suffix",
+		"medley-hash-nofast@":        "bad shard suffix",
+		"medley-hash-nofast@8@8":     "unknown system",
 		"Medley-hash":                "unknown system",
-		"medley-hash-nopool-8shard":  "unknown system",
+		"medley-hash-nofast-8shard":  "unknown system",
 		"plain-skip-nofast":          "no -nofast variant",
 		"txmontage-skip-persistoff-": "unknown system",
 	} {
@@ -116,24 +115,21 @@ func TestSpecGrammar(t *testing.T) {
 			t.Errorf("NewSystem(%q) did not error", spec)
 		}
 	}
-	// The ablations take effect, not just the name.
-	mgr := testSystem("medley-hash-nopool-nofast").(*KVSystem).Manager()
-	if mgr.PoolingEnabled() || mgr.FastPathsEnabled() {
-		t.Error("suffixes parsed but an axis is still on")
+	// The ablation takes effect, not just the name.
+	if testSystem("medley-hash-nofast").(*KVSystem).Manager().FastPathsEnabled() {
+		t.Error("-nofast parsed but the fast paths are still on")
 	}
-	mgr = testSystem("medley-hash").(*KVSystem).Manager()
-	if !mgr.PoolingEnabled() || !mgr.FastPathsEnabled() {
-		t.Error("plain spec has an axis off")
+	if !testSystem("medley-hash").(*KVSystem).Manager().FastPathsEnabled() {
+		t.Error("plain spec has the fast paths off")
 	}
 }
 
 // TestRegistryNamesUnchanged pins the reported system names: benchmark
-// history across PRs depends on them. The two ablation names were
-// registered pseudo-systems once; they resolve through the parser now.
+// history across PRs depends on them. The ablation name was a registered
+// pseudo-system once; it resolves through the parser now.
 func TestRegistryNamesUnchanged(t *testing.T) {
 	want := map[string]string{
 		"medley-hash":        "Medley-hash",
-		"medley-hash-nopool": "Medley-hash-nopool",
 		"medley-hash-nofast": "Medley-hash-nofast",
 		"medley-skip":        "Medley-skip",
 		"medley-bst":         "Medley-bst",
@@ -149,8 +145,8 @@ func TestRegistryNamesUnchanged(t *testing.T) {
 		"plain-skip":         "Original-skip",
 		"txoff-skip":         "TxOff-skip",
 	}
-	if names := systemRegistry.Names(); len(names) != len(want)-2 {
-		t.Fatalf("registry has %d bases, want %d: %v", len(names), len(want)-2, names)
+	if names := systemRegistry.Names(); len(names) != len(want)-1 {
+		t.Fatalf("registry has %d bases, want %d: %v", len(names), len(want)-1, names)
 	}
 	for cli, reported := range want {
 		sys, err := NewSystem(cli, SystemOpts{Buckets: 1 << 8, KeyRange: 1 << 10})
@@ -169,7 +165,7 @@ func TestRegistryNamesUnchanged(t *testing.T) {
 // counters in the same order — medleyd serves what the harness measures.
 // A competitor is this package's alone.
 func TestNewSystemIsStoreNew(t *testing.T) {
-	specs := []string{"medley-hash@8", "medley-hash-nopool-nofast", "txmontage-skip-persistoff@2"}
+	specs := []string{"medley-hash@8", "medley-hash-nofast", "txmontage-skip-persistoff@2"}
 	for base := range store.Systems {
 		specs = append(specs, base)
 	}

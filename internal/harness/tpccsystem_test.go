@@ -121,7 +121,7 @@ func TestTPCCSystemSpecs(t *testing.T) {
 	}
 	tsc := Scenario{TPCC: tpcc.PaperMix()}
 	for _, bad := range []string{"medley-rotating", "medley-hash@0", "medley-hash@x", "onefile-hash", "lftt", "",
-		"tdsl@2", "txmontage-skip@2", "txmontage-skip-persistoff", "medley-hash-nopool"} {
+		"tdsl@2", "txmontage-skip@2", "txmontage-skip-persistoff", "medley-hash-nofast"} {
 		if _, err := NewTPCCSystem(bad, tinyTPCCScale(), tsc.TPCC, SystemOpts{}); err == nil {
 			t.Errorf("spec %q did not error", bad)
 		}

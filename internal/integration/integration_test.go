@@ -162,13 +162,11 @@ func TestPersistentAndTransientMix(t *testing.T) {
 }
 
 // TestStatsPlumbing checks that manager statistics reflect a mixed
-// workload plausibly across modules. Pooling is enabled so the EBR domain
-// sees real retire traffic: fraserskip recycles its link cells through the
-// workers' arenas (its nodes stay GC-reclaimed by design — see the node
-// audit note in the package).
+// workload plausibly across modules. The workers' Txs hold EBR handles,
+// so the domain sees real retire traffic: the skiplist's unlinked nodes
+// and the transactions' published read sets wait out grace periods in it.
 func TestStatsPlumbing(t *testing.T) {
 	mgr := core.NewTxManager()
-	mgr.EnablePooling()
 	sk := fraserskip.New[uint64](mgr)
 	smr := ebr.New(16)
 	var wg sync.WaitGroup

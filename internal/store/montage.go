@@ -156,15 +156,22 @@ func (s *MontageSystem) Start() (stop func()) {
 	return s.sys.StartAdvancer(DefaultAdvanceEvery)
 }
 
-// Preload inserts the initial key-value pairs, one transaction each.
+// preloadChunk is how many keys one Load of Preload puts: the size of a
+// follower's bootstrap chunk, so a preload and a bootstrap load alike.
+const preloadChunk = 512
+
+// Preload inserts the initial key-value pairs through one worker's Load,
+// a chunk at a time: bare puts inside the worker's EBR critical section
+// and epoch operation section, as a follower's bootstrap runs them.
 func (s *MontageSystem) Preload(keys []uint64) {
 	w := s.newWorker()
-	for _, k := range keys {
-		key := k
-		_ = w.tx.RunRetry(func() error {
-			w.m.Put(w.tx, key, key)
-			return nil
-		})
+	ops := make([]kv.Op, 0, preloadChunk)
+	for i, k := range keys {
+		ops = append(ops, kv.Op{Kind: kv.OpPut, Key: k, Val: k})
+		if len(ops) == preloadChunk || i == len(keys)-1 {
+			w.Load(ops)
+			ops = ops[:0]
+		}
 	}
 	if !s.persistOff {
 		s.sys.Sync()
@@ -173,8 +180,8 @@ func (s *MontageSystem) Preload(keys []uint64) {
 
 // newWorker builds an executor: one epoch handle per worker serves every
 // shard, bound through the same worker loop System uses. Its EBR handle
-// lets the index reuse the node slots the worker unlinks; read sets are
-// not pooled.
+// lets the worker reuse the node slots it unlinks and the read sets it
+// publishes.
 func (s *MontageSystem) newWorker() *worker {
 	tx := s.mgr.Register()
 	eh := s.smr.Register()

@@ -37,14 +37,17 @@ func scramble(n int, bits uint) []uint64 {
 	return keys
 }
 
-// checkPreload loads keys into a fresh system and checks that it holds
+// checkPreload loads keys into a fresh store and checks that it holds
 // exactly the key set, each key bound to itself, and that the caller's
 // slice comes back untouched.
 func checkPreload(t *testing.T, spec string, buckets int, keys []uint64) {
 	t.Helper()
-	sys := newPreloadSystem(t, spec, buckets)
+	st, err := New(spec, Opts{Buckets: buckets, KeyRange: 1 << 14})
+	if err != nil {
+		t.Fatal(err)
+	}
 	orig := slices.Clone(keys)
-	sys.Preload(keys)
+	st.Preload(keys)
 	if !slices.Equal(keys, orig) {
 		t.Fatal("Preload modified the caller's slice")
 	}
@@ -53,7 +56,9 @@ func checkPreload(t *testing.T, spec string, buckets int, keys []uint64) {
 		want[k] = true
 	}
 	got := map[uint64]bool{}
-	sys.StateSnapshot(func(k, v uint64) bool {
+	st.(interface {
+		StateSnapshot(func(k, v uint64) bool)
+	}).StateSnapshot(func(k, v uint64) bool {
 		if v != k {
 			t.Errorf("key %d holds %d", k, v)
 		}
@@ -71,8 +76,8 @@ func checkPreload(t *testing.T, spec string, buckets int, keys []uint64) {
 	if len(got) != len(want) {
 		t.Errorf("store holds %d keys, want %d", len(got), len(want))
 	}
-	if n := sys.sh.Len(); n != len(want) {
-		t.Errorf("Len %d, want %d", n, len(want))
+	if sys, ok := st.(*System); ok && sys.sh.Len() != len(want) {
+		t.Errorf("Len %d, want %d", sys.sh.Len(), len(want))
 	}
 }
 
@@ -80,7 +85,8 @@ func checkPreload(t *testing.T, spec string, buckets int, keys []uint64) {
 // it sees (hash, skiplist and BST shards, the baselines outside
 // transactions) with fewer, as many and more workers than shards, and on
 // a store of more shards than a load has parts, so that a part spans
-// several shards.
+// several shards; and txMontage's load, a worker's Load a chunk at a
+// time, over more keys than one chunk holds.
 func TestPreloadLoadsEveryKey(t *testing.T) {
 	inputs := map[string][]uint64{
 		"scrambled": append(scramble(6000, 13), 1<<40, 0, 1<<40),
@@ -98,6 +104,7 @@ func TestPreloadLoadsEveryKey(t *testing.T) {
 		{"medley-bst", 0},
 		{"plain-skip", 0},
 		{"txoff-skip", 0},
+		{"txmontage-hash", 1 << 12},
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 3} {

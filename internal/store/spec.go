@@ -14,13 +14,13 @@ import (
 // This file is the one parser of the system spec every CLI, scenario
 // default and budget file names a configuration by:
 //
-//	base{-nopool|-nofast|-persistoff}[@N]
+//	base{-nofast|-persistoff}[@N]
 //
 // base is a registered name. A suffix switches one ablation axis off
-// (recycling arenas, commit fast paths, txMontage persistence) and is an
+// (commit fast paths, txMontage persistence) and is an
 // error on a base without that axis or when repeated; @N hash-partitions a
 // shardable base over N stores. The spec is the lower-cased reported name:
-// "medley-hash-nopool@8" reports as "Medley-hash-nopool-8shard".
+// "medley-hash-nofast@8" reports as "Medley-hash-nofast-8shard".
 //
 // The parser works over any Registry of bases. Systems, below, holds what
 // this package can build and medleyd can serve; the harness parses the
@@ -45,7 +45,7 @@ func (o Opts) MontageRegionWords() int { return max(1<<22, int(o.KeyRange)<<6) }
 
 // specSuffixes are the ablation suffixes of the grammar, in the order
 // reported names carry them.
-var specSuffixes = []string{"nopool", "nofast", "persistoff"}
+var specSuffixes = []string{"nofast", "persistoff"}
 
 // Spec is a parsed system spec.
 type Spec struct {
@@ -80,7 +80,7 @@ type Store interface {
 }
 
 func medleyEntry(structure string) Entry[Store] {
-	return Entry[Store]{Shardable: true, Axes: []string{"nopool", "nofast"}, Ctor: func(o Opts, s Spec) Store {
+	return Entry[Store]{Shardable: true, Axes: []string{"nofast"}, Ctor: func(o Opts, s Spec) Store {
 		return newSystem("Medley-"+structure, structure, false, o.Buckets, s)
 	}}
 }

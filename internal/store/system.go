@@ -56,10 +56,11 @@ type System struct {
 // structure, hash-partitioned over spec.Shards instances when > 1, named
 // with one suffix per axis the spec switched off so every configuration
 // stays distinguishable in one report. notx runs operations outside any
-// transaction (Original/TxOff). Pooling is sound here because every worker
-// holds its EBR handle's critical section across each transaction — see
-// worker.ExecBatch — and background maintenance is guarded the same way.
-// -nofast forces every commit through the full descriptor handshake.
+// transaction (Original/TxOff). Every worker's Tx has an EBR handle, so it
+// recycles what it unlinks and its read sets; that is sound because every
+// worker holds the handle's critical section across each transaction —
+// see worker.ExecBatch — and background maintenance is guarded the same
+// way. -nofast forces every commit through the full descriptor handshake.
 func newSystem(name, structure string, notx bool, buckets int, spec Spec) *System {
 	var mgr *core.TxManager
 	if kv.Composable(structure) {
@@ -86,9 +87,6 @@ func newSystem(name, structure string, notx bool, buckets int, spec Spec) *Syste
 		// bare puts, ships the slots it unlinks 64 at a time and attempts
 		// every fourth batch.
 		s.smr = ebr.New(256)
-		if !notx && !spec.Off["nopool"] {
-			mgr.EnablePooling()
-		}
 		if !notx && spec.Off["nofast"] {
 			mgr.DisableFastPaths()
 		}

@@ -65,10 +65,12 @@ func TestQuiesceFlushesExecutorLimbo(t *testing.T) {
 // a chunk of fresh puts, then one of puts over existing keys and deletes,
 // each op a bare operation on the executor's Tx. The store ends exact, no
 // transaction begins, the feed holds one ticket a chunk and one entry a
-// write, and on a pooled store everything the second chunk replaced or
-// unlinked has been retired into the pools by the time Load returns.
+// write, and on a store whose executors transact — each over a Tx with an
+// EBR handle, which counts its pool traffic — everything the second chunk
+// replaced or unlinked has been retired into the pools by the time Load
+// returns.
 func TestLoadEverySystem(t *testing.T) {
-	for _, spec := range append(Systems.Names(), "medley-hash@4", "medley-skip-nopool") {
+	for _, spec := range append(Systems.Names(), "medley-hash@4", "medley-skip-nofast") {
 		t.Run(spec, func(t *testing.T) {
 			st, err := New(spec, Opts{Buckets: 1 << 10, KeyRange: 1 << 14})
 			if err != nil {
@@ -124,7 +126,7 @@ func TestLoadEverySystem(t *testing.T) {
 				t.Errorf("feed drew %d and published %d tickets of %d entries, want 2 and 2 of %d",
 					fs.Drawn, fs.Published, fs.Entries, len(fresh)+len(over))
 			}
-			if sys, ok := st.(*System); ok && sys.mgr != nil && sys.mgr.PoolingEnabled() {
+			if tapped {
 				if n := counter("pool_retires") - retires; n < uint64(len(over)) {
 					t.Errorf("the second load retired %d blocks into the pools, want at least one per op (%d)", n, len(over))
 				}
@@ -177,5 +179,50 @@ func TestTxOffChurnRecyclesNodes(t *testing.T) {
 	}
 	if n := sys.m.(kv.Lener).Len(); n != len(ops) {
 		t.Errorf("store holds %d keys, want %d", n, len(ops))
+	}
+}
+
+// TestTxMontageWorkerRecyclesReadSets runs a warm txMontage executor
+// through batches of two adds — a read and a write of each of two keys,
+// a full commit that publishes its read set to helpers. The executor's Tx
+// has an EBR handle, so it recycles what it publishes: its pool counters
+// move, and a transaction allocates two objects fewer than when each
+// published read set and its shell were made afresh (8 on txmontage-hash;
+// the rest are the epoch system's staged payloads).
+func TestTxMontageWorkerRecyclesReadSets(t *testing.T) {
+	st, err := New("txmontage-hash", Opts{Buckets: 1 << 8, KeyRange: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]uint64, 64)
+	for i := range keys {
+		keys[i] = uint64(i)
+	}
+	st.Preload(keys)
+	ex := st.NewExecutor()
+	ops := make([]kv.Op, 2)
+	i := uint64(0)
+	batch := func() {
+		ops[0] = kv.Op{Kind: kv.OpAdd, Key: i % 64, Val: 1}
+		ops[1] = kv.Op{Kind: kv.OpAdd, Key: (i + 1) % 64, Val: 1}
+		i++
+		if err := ex.ExecBatch(ops, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 256 {
+		batch()
+	}
+	if allocs := testing.AllocsPerRun(512, batch); allocs > 6 {
+		t.Errorf("a warm two-add transaction allocates %.0f objects, want at most 6: its published read sets are not recycled", allocs)
+	}
+	var hits uint64
+	for _, m := range st.(obs.MetricsSnapshotter).MetricsSnapshot() {
+		if m.Name == "pool_hits" {
+			hits = m.Value
+		}
+	}
+	if hits == 0 {
+		t.Error("the executor's Tx counted no pool hits")
 	}
 }

@@ -30,7 +30,7 @@ func smrTx(t testing.TB, mgr *core.TxManager) (*core.Tx, *ebr.Handle, func(body 
 
 // TestBytesPerKey pins the skiplist's footprint where it is decided — a
 // 32-byte slab node a key and, for the half of the keys that stand taller
-// than one level, a tower slot — on a pooled Tx with an EBR handle, as
+// than one level, a tower slot — on a Tx with an EBR handle, as
 // medleyd builds one. The ceiling is what the list cost when nodes were
 // heap objects whose links pointed to cells (128.4 bytes/key): the slab
 // layout must never cost more.
@@ -55,7 +55,6 @@ func TestBytesPerKey(t *testing.T) {
 		return int64(ms.HeapAlloc)
 	}
 	mgr := core.NewTxManager()
-	mgr.EnablePooling()
 	tx, _, run := smrTx(t, mgr)
 	before := heap()
 	s := New[uint64](mgr)
@@ -181,6 +180,9 @@ func TestAbortedUnlinkRecyclesNoSlot(t *testing.T) {
 // answer, as a broken index after the storm, or under -race as a race
 // report. Workers park on a start gate so the storm begins with all of
 // them live.
+//
+// The unpooled run gives the workers' Txs no EBR handle, so nothing is
+// reused: a fault both runs show is the list's own, not recycling's.
 func TestRecycleStorm(t *testing.T) {
 	const (
 		stable  = 8
@@ -195,9 +197,6 @@ func TestRecycleStorm(t *testing.T) {
 	for _, pooled := range []bool{false, true} {
 		t.Run(map[bool]string{false: "unpooled", true: "pooled"}[pooled], func(t *testing.T) {
 			mgr := core.NewTxManager()
-			if pooled {
-				mgr.EnablePooling()
-			}
 			dom := ebr.New(1)
 			s := New[uint64](mgr)
 			// Stable keys are multiples of 1000; worker w's keys are odd
@@ -223,7 +222,9 @@ func TestRecycleStorm(t *testing.T) {
 					defer wg.Done()
 					tx := mgr.Register()
 					h := dom.Register()
-					tx.SetSMR(h)
+					if pooled {
+						tx.SetSMR(h)
+					}
 					rng := rand.New(rand.NewPCG(w, 7))
 					var has [owned]bool
 					var vals [owned]uint64

@@ -8,14 +8,13 @@ import (
 	"medley/internal/ebr"
 )
 
-// pooledMap builds a pooling-enabled map with one registered worker whose
-// EBR grace periods are as short as possible, then churns it until the
-// recycling economy is warm (cells and nodes for the working set have been
-// minted, retired, and recycled at least once).
+// pooledMap builds a map with one registered worker whose Tx has an EBR
+// handle, with grace periods as short as possible, then churns it until
+// the recycling economy is warm (nodes and read sets for the working set
+// have been minted, retired, and recycled at least once).
 func pooledMap(t testing.TB) (*Map[uint64], *core.Tx, *ebr.Handle) {
 	t.Helper()
 	mgr := core.NewTxManager()
-	mgr.EnablePooling()
 	dom := ebr.New(1)
 	m := NewMap[uint64](mgr, 1<<8)
 	tx := mgr.Register()
@@ -102,12 +101,12 @@ func TestAllocsPerOpTransfer(t *testing.T) {
 }
 
 // TestAllocsPerOpGetUnpooled pins the read-only hot path at zero
-// allocations with pooling OFF: a read-only fast-path commit never
+// allocations on a Tx WITHOUT an EBR handle: a read-only fast-path commit never
 // publishes its read set, so the backing array is reused in place and no
 // publishedReads shell is ever minted — the recycling arenas have nothing
 // left to remove from this path.
 func TestAllocsPerOpGetUnpooled(t *testing.T) {
-	mgr := core.NewTxManager() // pooling off
+	mgr := core.NewTxManager() // and no EBR handle: nothing recycles
 	m := NewMap[uint64](mgr, 1<<8)
 	tx := mgr.Register()
 	for i := uint64(0); i < 64; i++ {
@@ -132,7 +131,7 @@ func TestAllocsPerOpGetUnpooled(t *testing.T) {
 }
 
 // TestBytesPerKey pins the store's footprint where it is decided — node
-// slot and bucket head — on the configuration medleyd builds (pooling on,
+// slot and bucket head — on the configuration medleyd builds (an EBR handle,
 // as many buckets as keys). Each key costs a 24-byte node in the slab and
 // an 8-byte bucket head, both words with no cell behind them: 32 bytes
 // however the keys fall into chains, plus the slab's unused tail. It was
@@ -158,7 +157,6 @@ func testBytesPerKey(t *testing.T, key func(i uint64) uint64) {
 	const ceiling = 40 // bytes of live heap per preloaded key
 
 	mgr := core.NewTxManager()
-	mgr.EnablePooling()
 	tx := mgr.Register()
 	h := ebr.New(1).Register()
 	tx.SetSMR(h)
@@ -239,7 +237,6 @@ func TestBulkTransactionRecyclesItsCells(t *testing.T) {
 	)
 
 	mgr := core.NewTxManager()
-	mgr.EnablePooling()
 	tx := mgr.Register()
 	h := ebr.New(256).Register() // the harness's setting
 	tx.SetSMR(h)

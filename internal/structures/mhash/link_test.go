@@ -160,9 +160,11 @@ func TestRecycledSlotNeverValidatesStaleWitness(t *testing.T) {
 // — while the collector runs back to back. Each worker is its key's only
 // writer and so knows what every one of its operations must return; a lost
 // node, a duplicated key or a slot reused before its grace period shows up
-// as a wrong answer, under -race as a race report. Both ways the workers
-// hold EBR handles, so unlinked slots come back through the grace period
-// and Init; pooled, the transactions' read sets recycle too.
+// as a wrong answer, under -race as a race report. Pooled, the workers'
+// Txs hold EBR handles, so unlinked slots come back through the grace
+// period and Init and the transactions' read sets recycle too; unpooled,
+// they hold none and nothing is reused, so a fault both runs show is the
+// map's own, not recycling's.
 func TestLinkStorm(t *testing.T) {
 	const (
 		stable  = 4
@@ -180,9 +182,6 @@ func TestLinkStorm(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			mgr := core.NewTxManager()
-			if pooled {
-				mgr.EnablePooling()
-			}
 			dom := ebr.New(4)
 			m := NewMap[uint64](mgr, 1)
 			for k := uint64(0); k < stable; k++ {
@@ -206,7 +205,9 @@ func TestLinkStorm(t *testing.T) {
 					defer wg.Done()
 					tx := mgr.Register()
 					h := dom.Register()
-					tx.SetSMR(h)
+					if pooled {
+						tx.SetSMR(h)
+					}
 					op := func(body func()) {
 						h.Enter()
 						if err := tx.RunRetry(func() error { body(); return nil }); err != nil {
@@ -360,25 +361,33 @@ func TestDroppedTxHoldsNoMap(t *testing.T) {
 	}
 }
 
-// TestUnpooledTxRecyclesSlots replaces 64 keys over and over through a Tx
-// whose manager does not pool (as in medley-hash-nopool) but which has an
-// EBR handle: every put unlinks a node, and its slot must come back, so the
-// slab stays at one chunk instead of growing a node per put.
-func TestUnpooledTxRecyclesSlots(t *testing.T) {
-	mgr := core.NewTxManager()
-	m := NewMap[uint64](mgr, 64)
-	tx := mgr.Register()
-	h := ebr.New(64).Register()
-	tx.SetSMR(h)
+// TestTxWithHandleRecyclesSlots replaces 64 keys over and over: every put
+// unlinks a node. Through a Tx with an EBR handle each unlinked slot must
+// come back, so the slab stays at one chunk; through a Tx without one no
+// slot ever does, so the slab grows a node a put.
+func TestTxWithHandleRecyclesSlots(t *testing.T) {
 	const puts = 32 * core.SlabChunk
-	for i := uint64(0); i < puts; i++ {
-		h.Enter()
-		if err := tx.RunRetry(func() error { m.Put(tx, i%64, i); return nil }); err != nil {
-			t.Fatal(err)
+	for _, withHandle := range []bool{true, false} {
+		mgr := core.NewTxManager()
+		m := NewMap[uint64](mgr, 64)
+		tx := mgr.Register()
+		h := ebr.New(64).Register()
+		if withHandle {
+			tx.SetSMR(h)
 		}
-		h.Exit()
-	}
-	if n := m.slab.Chunks(); n != 1 {
-		t.Errorf("%d puts over 64 keys grew the slab to %d chunks, want 1", puts, n)
+		for i := uint64(0); i < puts; i++ {
+			h.Enter()
+			if err := tx.RunRetry(func() error { m.Put(tx, i%64, i); return nil }); err != nil {
+				t.Fatal(err)
+			}
+			h.Exit()
+		}
+		want := 1
+		if !withHandle {
+			want = puts / core.SlabChunk
+		}
+		if n := m.slab.Chunks(); n < want || withHandle && n > want {
+			t.Errorf("EBR handle %v: %d puts over 64 keys grew the slab to %d chunks, want %d", withHandle, puts, n, want)
+		}
 	}
 }

@@ -24,7 +24,6 @@ func TestRecycleStressMap(t *testing.T) {
 	}
 
 	mgr := core.NewTxManager()
-	mgr.EnablePooling()
 	dom := ebr.New(4)
 	m := NewMap[uint64](mgr, 1<<6) // few buckets: long chains, hot unlinks
 

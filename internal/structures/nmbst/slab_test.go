@@ -157,9 +157,11 @@ func TestAbortedUnlinkRecyclesNoSlot(t *testing.T) {
 // TestRecycleStorm churns keys that sit side by side in the tree — every
 // worker removes, reinserts and replaces a key of its own among stable
 // keys, so the workers' deletions flag, tag and splice neighbouring edges
-// and help each other — while the collector runs back to back. Every
-// worker holds an EBR handle, so each unlinked leaf and parent comes back
-// through the grace period and Init; a quarter of the operations run
+// and help each other — while the collector runs back to back. Pooled,
+// every worker's Tx holds an EBR handle, so each unlinked leaf and parent
+// comes back through the grace period and Init; unpooled, none does and
+// nothing is reused, so a fault both runs show is the tree's own, not
+// recycling's. A quarter of the operations run
 // outside any transaction. Each worker is its key's only writer and so
 // knows what every one of its operations must return; a lost node, a
 // duplicated key or a slot reused before its grace period shows up as a
@@ -177,9 +179,6 @@ func TestRecycleStorm(t *testing.T) {
 	for _, pooled := range []bool{false, true} {
 		t.Run(map[bool]string{false: "unpooled", true: "pooled"}[pooled], func(t *testing.T) {
 			mgr := core.NewTxManager()
-			if pooled {
-				mgr.EnablePooling()
-			}
 			dom := ebr.New(4)
 			tr := New[uint64](mgr)
 			for k := uint64(0); k < 2*stable; k += 2 { // workers' keys fall between
@@ -203,7 +202,9 @@ func TestRecycleStorm(t *testing.T) {
 					defer wg.Done()
 					tx := mgr.Register()
 					h := dom.Register()
-					tx.SetSMR(h)
+					if pooled {
+						tx.SetSMR(h)
+					}
 					<-start
 					present, val := false, uint64(0)
 					for i := 0; i < rounds && !t.Failed(); i++ {
@@ -270,7 +271,6 @@ func TestNodeLayout(t *testing.T) {
 		t.Errorf("node[uint64] is %d bytes, want 40", s)
 	}
 	mgr := core.NewTxManager()
-	mgr.EnablePooling()
 	tr := New[uint64](mgr)
 	tx, h, run := smrTx(t, mgr)
 	churn := func(k uint64) { // run's closures would allocate: call RunRetry directly
@@ -300,7 +300,7 @@ func TestNodeLayout(t *testing.T) {
 }
 
 // TestBytesPerKey pins the tree's footprint where it is decided — two slab
-// nodes a key — on a pooled Tx with an EBR handle, as medleyd builds one.
+// nodes a key — on a Tx with an EBR handle, as medleyd builds one.
 // It was ~144 bytes/key when nodes were heap objects whose edges were
 // pointers to cells.
 func TestBytesPerKey(t *testing.T) {
@@ -321,7 +321,6 @@ func TestBytesPerKey(t *testing.T) {
 		return int64(ms.HeapAlloc)
 	}
 	mgr := core.NewTxManager()
-	mgr.EnablePooling()
 	tx, _, run := smrTx(t, mgr)
 	before := heap()
 	tr := New[uint64](mgr)

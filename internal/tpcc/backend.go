@@ -81,8 +81,8 @@ func (cn *Conn) put(r Row) uint64 { return cn.aw.put(r) }
 // tables, whose cross-shard reads and writes stay strictly serializable
 // for free.
 //
-// Workers hold EBR handles, so a hash table reuses the node slots they
-// unlink; cells are not pooled.
+// Workers hold EBR handles, so the tables reuse the node slots they
+// unlink and each worker the read sets it publishes.
 type KVBackend struct {
 	mgr    *core.TxManager
 	smr    *ebr.Manager

@@ -400,6 +400,43 @@ func TestRunRetriesAnErrorFromAStaleRead(t *testing.T) {
 	}
 }
 
+// TestKVWorkerRecyclesReadSets runs a warm KVBackend worker through
+// transactions that read and write two keys — full commits that publish
+// their read sets to helpers. The worker's Tx has an EBR handle, so it
+// recycles what it publishes: its pool counters move, and a transaction
+// allocates nothing (two objects, the read set and its shell, when each
+// publication was made afresh).
+func TestKVWorkerRecyclesReadSets(t *testing.T) {
+	b, err := NewKVBackend("hash", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := b.NewWorker()
+	i := uint64(0)
+	body := func(c Ctx) error {
+		for k := i % 64; k < i%64+2; k++ {
+			v, _ := c.Get(0, k)
+			c.Put(0, k, v+1)
+		}
+		return nil
+	}
+	txn := func() {
+		if err := w.Run(body); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	for range 256 {
+		txn()
+	}
+	if allocs := testing.AllocsPerRun(512, txn); allocs != 0 {
+		t.Errorf("a warm two-key transaction allocates %.0f objects, want 0: its published read sets are not recycled", allocs)
+	}
+	if st := w.(StatsWorker).TxStats(); st.PoolHits == 0 {
+		t.Errorf("the worker's Tx counted no pool hits: %+v", st)
+	}
+}
+
 // TestMontageChurnRecyclesNodes replaces the same 16 keys of one table of
 // a txMontage backend over and over, with the epoch advancer running so
 // the payloads come back too. Each worker holds an EBR handle, entered

@@ -96,9 +96,10 @@ type (
 // Every transformed structure keeps its nodes in slabs and links them by
 // Word: the slot of a node an operation unlinks is reused, after an EBR
 // grace period, only if the operation's Tx has an EBR handle (Tx.SetSMR);
-// a Tx without one never reuses it. A goroutine whose Tx has a handle
-// holds the handle's critical section (EBRHandle.Enter/Exit) around every
-// transaction and bare operation.
+// a Tx without one never reuses it. The same handle, and nothing else,
+// recycles the read sets the Tx's transactions publish. A goroutine whose
+// Tx has a handle holds the handle's critical section
+// (EBRHandle.Enter/Exit) around every transaction and bare operation.
 
 // NewHashMap creates a hash table with at least nBuckets buckets.
 func NewHashMap[V any](mgr *TxManager, nBuckets int) *HashMap[V] {

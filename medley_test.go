@@ -128,13 +128,12 @@ func TestFacadeDurable(t *testing.T) {
 	}
 }
 
-// TestFacadeEBR wires epoch-based reclamation through a Tx: with pooling
-// enabled, displaced link cells and unlinked hash nodes retire into the
-// Tx's arenas through the EBR grace period (single goroutine, so no
+// TestFacadeEBR wires epoch-based reclamation through a Tx: with a handle
+// attached, unlinked hash nodes and published read sets retire into the
+// Tx's pools through the EBR grace period (single goroutine, so no
 // Enter/Exit bracketing is needed for safety).
 func TestFacadeEBR(t *testing.T) {
 	mgr := medley.NewTxManager()
-	mgr.EnablePooling()
 	m := medley.NewHashMap[int](mgr, 64)
 	smr := medley.NewEBR(4)
 	tx := mgr.Register()
