@@ -29,10 +29,12 @@ func TestMain(m *testing.M) {
 // passing it a glob of reports judges something.
 func TestEveryBudgetLoadsAndNamesItsScenario(t *testing.T) {
 	want := map[string]string{
-		"alloc_budget.json":    "alloc-pressure",
-		"fastpath_budget.json": "read-mostly",
-		"faults_budget.json":   "chaos-net-flaky",
-		"replica_budget.json":  "chaos-replica-failover",
+		"alloc_budget.json":           "alloc-pressure",
+		"alloc_skip_budget.json":      "alloc-pressure",
+		"alloc_txmontage_budget.json": "alloc-pressure",
+		"fastpath_budget.json":        "read-mostly",
+		"faults_budget.json":          "chaos-net-flaky",
+		"replica_budget.json":         "chaos-replica-failover",
 	}
 	budgets, err := filepath.Glob(filepath.Join(root, "testdata/*_budget.json"))
 	if err != nil || len(budgets) != len(want) {

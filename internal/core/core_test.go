@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -293,40 +294,55 @@ func TestNonTransactionalElision(t *testing.T) {
 	if v != 2 {
 		t.Fatalf("nil-tx NbtcLoad = %d, want 2", v)
 	}
-	ran := false
 	tx.OpStart() // must not panic on nil receiver
-	mgrTx := NewTxManager().Register()
-	mgrTx.Defer(func() { ran = true })
-	if !ran {
-		t.Fatal("Defer outside tx must run immediately")
-	}
 }
 
+// wordProbe is a Cleaner that records the payload of its word when it runs.
+type wordProbe struct{ seen []uint32 }
+
+func (p *wordProbe) Cleanup(_ *Tx, o *Word, _, _ uint64) { p.seen = append(p.seen, o.Load()) }
+
+// TestDeferRunsOnlyOnCommit mixes DeferWordCAS and Defer records in the
+// one cleanup queue: a commit runs them in registration order, an abort
+// runs none, and outside a transaction each runs at once.
 func TestDeferRunsOnlyOnCommit(t *testing.T) {
-	mgr := NewTxManager()
-	tx := mgr.Register()
-	o := newWord(1)
-	ran := false
-	_ = tx.Run(func() error {
-		_ = o.NbtcCAS(tx, 1, 2, true, true)
-		tx.Defer(func() { ran = true })
-		tx.Abort()
-		return nil
-	})
-	if ran {
-		t.Fatal("cleanup ran on abort")
+	tx := NewTxManager().Register()
+	o, w := newWord(10), newWord(0)
+	p := &wordProbe{}
+	want := func(o0 uint32, seen ...uint32) {
+		t.Helper()
+		if o.Load() != o0 || !slices.Equal(p.seen, seen) {
+			t.Fatalf("word %d, cleanups saw %v; want %d and %v", o.Load(), p.seen, o0, seen)
+		}
 	}
 	err := tx.Run(func() error {
-		_ = o.NbtcCAS(tx, 1, 2, true, true)
-		tx.Defer(func() { ran = true })
+		_ = w.NbtcCAS(tx, 0, 1, true, true)
+		tx.Defer(p, o, 0, 0)
+		DeferWordCAS(tx, o, 10, 11, nil, 0)
+		tx.Defer(p, o, 0, 0)
+		DeferWordCAS(tx, o, 11, 12, nil, 0)
+		tx.Defer(p, o, 0, 0)
+		want(10)
 		return nil
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if !ran {
-		t.Fatal("cleanup did not run on commit")
-	}
+	want(12, 10, 11, 12)
+
+	_ = tx.Run(func() error {
+		_ = w.NbtcCAS(tx, 1, 2, true, true)
+		tx.Defer(p, o, 0, 0)
+		DeferWordCAS(tx, o, 12, 13, nil, 0)
+		tx.Abort()
+		return nil
+	})
+	want(12, 10, 11, 12)
+
+	tx.Defer(p, o, 0, 0)
+	DeferWordCAS(tx, o, 12, 13, nil, 0)
+	tx.Defer(p, o, 0, 0)
+	want(13, 10, 11, 12, 12, 13)
 }
 
 func TestEagerContentionManagementAbortsInPrep(t *testing.T) {

@@ -240,10 +240,9 @@ func TestReadSetsRecycleOnlyWithAHandle(t *testing.T) {
 	}
 }
 
-// TestDeferWordCASRunsOnCommitOnly pins DeferWordCAS against the Defer
-// closure idiom it replaces: deferred CASes run after commit, are dropped
-// on abort, and execute immediately outside a transaction; a nil Slots
-// retires nothing.
+// TestDeferWordCASRunsOnCommitOnly pins DeferWordCAS on its own: the
+// deferred CAS runs after commit, is dropped on abort, and executes
+// immediately outside a transaction; a nil Slots retires nothing.
 func TestDeferWordCASRunsOnCommitOnly(t *testing.T) {
 	mgr := NewTxManager()
 	tx := mgr.Register()

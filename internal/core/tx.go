@@ -31,11 +31,10 @@ type Tx struct {
 	inSpec bool
 	fast   bool // commit fast paths enabled (TxManager.FastPathsEnabled at Register)
 
-	reads    []ReadWitness  // published at End; see readsFree for reuse rules
-	writes   []*wordEntry   // owner-only: truncate-and-reuse
-	cleanups []func()       // post-commit work (Defer); owner-only
-	nwords   int            // word entries installed this transaction (word.go)
-	wdefs    []deferredWord // commit-deferred Word CASes (DeferWordCAS)
+	reads    []ReadWitness // published at End; see readsFree for reuse rules
+	writes   []*wordEntry  // owner-only: truncate-and-reuse
+	cleanups []cleanup     // post-commit work (Defer); owner-only
+	nwords   int           // word entries installed this transaction (word.go)
 
 	beginHooks  []func(*Tx)       // run at Begin; txMontage hooks the epoch here
 	finishHooks []func(*Tx, bool) // run after settle; arg is committed
@@ -145,15 +144,31 @@ func (tx *Tx) AddToReadSet(w ReadWitness) {
 	tx.reads = append(tx.reads, w)
 }
 
-// Defer registers post-critical cleanup work to run after the transaction
-// commits (the paper's addToCleanups). Outside a transaction the work runs
-// immediately, which is what a non-transactional operation wants.
-func (tx *Tx) Defer(f func()) {
+// Cleaner is post-commit work (Defer). What one cleanup needs beyond its
+// Cleaner — a word, a slab index, an offset, an epoch — travels in the
+// record's o, a and b, so registering one allocates nothing: a Cleaner is
+// a pointer to the structure that does the work.
+type Cleaner interface {
+	Cleanup(tx *Tx, o *Word, a, b uint64)
+}
+
+// cleanup is one deferred call of c.Cleanup(tx, o, a, b).
+type cleanup struct {
+	c    Cleaner
+	o    *Word
+	a, b uint64
+}
+
+// Defer registers c.Cleanup(tx, o, a, b) to run after the transaction
+// commits (the paper's addToCleanups); an abort drops it. Cleanups run in
+// registration order. Outside a transaction it runs immediately, which is
+// what a non-transactional operation wants.
+func (tx *Tx) Defer(c Cleaner, o *Word, a, b uint64) {
 	if !tx.InTx() {
-		f()
+		c.Cleanup(tx, o, a, b)
 		return
 	}
-	tx.cleanups = append(tx.cleanups, f)
+	tx.cleanups = append(tx.cleanups, cleanup{c, o, a, b})
 }
 
 // OnBegin registers a hook invoked at every subsequent Begin on this Tx.
@@ -217,8 +232,6 @@ func (tx *Tx) Begin() {
 	clear(tx.cleanups)
 	tx.cleanups = tx.cleanups[:0]
 	tx.nwords = 0
-	clear(tx.wdefs)
-	tx.wdefs = tx.wdefs[:0]
 	tx.inSpec = false
 	tx.active = true
 	if tx.ticketer != nil {
@@ -458,11 +471,8 @@ func (tx *Tx) finish(committed bool) error {
 		}
 	}
 	if committed {
-		tx.runWordDefers()
-		clear(tx.wdefs)
-		tx.wdefs = tx.wdefs[:0]
-		for _, f := range tx.cleanups {
-			f()
+		for _, c := range tx.cleanups {
+			c.c.Cleanup(tx, c.o, c.a, c.b)
 		}
 		for _, c := range tx.pools {
 			c.settle(tx, true)

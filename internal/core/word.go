@@ -399,36 +399,20 @@ func (o *Word) NbtcCAS(tx *Tx, expected, desired uint32, linPt, pubPt bool) bool
 	}
 }
 
-// deferredWord is one commit-deferred CAS on a Word (DeferWordCAS).
-type deferredWord struct {
-	o                 *Word
-	expected, desired uint32
-	slots             *Slots
-	idx               uint32
-}
-
 // DeferWordCAS registers a payload CAS on o to run after the transaction
 // commits — the unlink a structure defers past its linearizing CAS — and,
 // if it succeeds and s is not nil, retires slab index idx of s: whoever
 // unlinks a node retires it. Outside a transaction it runs at once.
 func DeferWordCAS(tx *Tx, o *Word, expected, desired uint32, s *Slots, idx uint32) {
-	if !tx.InTx() {
-		if o.CAS(expected, desired) && s != nil {
-			s.Retire(tx, idx, false)
-		}
-		return
-	}
-	tx.wdefs = append(tx.wdefs, deferredWord{o: o, expected: expected, desired: desired, slots: s, idx: idx})
+	tx.Defer(s, o, uint64(expected)<<32|uint64(desired), uint64(idx))
 }
 
-// runWordDefers executes the committed transaction's deferred word CASes in
-// registration order.
-func (tx *Tx) runWordDefers() {
-	for i := range tx.wdefs {
-		d := &tx.wdefs[i]
-		if d.o.CAS(d.expected, d.desired) && d.slots != nil {
-			d.slots.Retire(tx, d.idx, false)
-		}
+// Cleanup is the Cleaner hook DeferWordCAS registers, not for callers: it
+// CASes o from a's high half to its low half and, if that succeeds and s
+// is not nil, retires index b.
+func (s *Slots) Cleanup(tx *Tx, o *Word, a, b uint64) {
+	if o.CAS(uint32(a>>32), uint32(a)) && s != nil {
+		s.Retire(tx, uint32(b), false)
 	}
 }
 

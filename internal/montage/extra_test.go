@@ -164,7 +164,7 @@ func TestLargePayloadClassSelection(t *testing.T) {
 	sys := NewSystem(Config{RegionWords: 1 << 18})
 	mgr := core.NewTxManager()
 	codec := Codec[[]uint64]{
-		Enc: func(v []uint64) []uint64 { return v },
+		Enc: func(v, dst []uint64) []uint64 { return append(dst, v...) },
 		Dec: func(w []uint64) []uint64 { return append([]uint64(nil), w...) },
 	}
 	idx := fraserskip.New[Entry[[]uint64]](mgr)

@@ -26,7 +26,8 @@ type Handle struct {
 	mu      sync.Mutex
 	pending []flushRange
 
-	staged []int // payloads the open transaction allocated; released if it aborts
+	staged []int    // payloads the open transaction allocated; released if it aborts
+	enc    []uint64 // the codec's buffer for the value being written (PStore)
 
 	// noPersist marks a handle whose payloads live in NVM but are never
 	// epoch-tagged or written back: the "transient on NVM" configuration
@@ -144,28 +145,37 @@ func (h *Handle) opEpoch() uint64 {
 
 // newPayload stages a persistent payload for (key, data): the block is
 // allocated and its content written immediately, but it is born — epoch
-// stamped and scheduled for write-back — only if the enclosing transaction
-// commits, and released if it aborts (finish). Returns the block offset.
-func (h *Handle) newPayload(key uint64, data []uint64) int {
+// stamped and scheduled for write-back — only if the caller defers its
+// birth (bear) once the index holds it and the enclosing transaction
+// commits; an abort releases it (finish). Returns the block offset and
+// size in words.
+func (h *Handle) newPayload(key uint64, data []uint64) (off, words int) {
 	s := h.sys
-	off, blockWords := s.alloc(len(data))
+	off, words = s.alloc(len(data))
 	s.Region.Store(off+hdrKey, key)
 	s.Region.Store(off+hdrLen, uint64(len(data)))
 	for i, w := range data {
 		s.Region.Store(off+hdrWords+i, w)
 	}
-	e := h.opEpoch()
-	h.tx.Defer(func() {
-		s.Region.Store(off+hdrBirth, e)
-		if !h.noPersist {
-			h.addPending(off, blockWords, e)
-		}
-		s.payloadsBorn.Add(1)
-	})
 	if h.tx.InTx() {
 		h.staged = append(h.staged, off)
 	}
-	return off
+	return off, words
+}
+
+// bear gives the staged payload at off, a block of words, birth when the
+// enclosing transaction commits.
+func (h *Handle) bear(off, words int) {
+	h.tx.Defer(h, nil, uint64(off), h.opEpoch()<<32|uint64(words))
+}
+
+// unstage releases the last payload newPayload staged, which nothing
+// links, at once: it was never born.
+func (h *Handle) unstage(off int) {
+	if h.tx.InTx() {
+		h.staged = h.staged[:len(h.staged)-1]
+	}
+	h.sys.release(off, 0)
 }
 
 // killPayload retires the payload at off when the enclosing transaction
@@ -173,16 +183,28 @@ func (h *Handle) newPayload(key uint64, data []uint64) int {
 // line is scheduled for write-back, and the block becomes reusable once
 // that epoch persists.
 func (h *Handle) killPayload(off int) {
-	s := h.sys
-	e := h.opEpoch()
-	h.tx.Defer(func() {
-		s.Region.Store(off+hdrDeath, e)
-		if h.noPersist {
-			s.release(off, 0)
-		} else {
-			h.addPending(off, hdrWords, e)
-			s.release(off, e)
+	h.tx.Defer(h, nil, uint64(off), h.opEpoch()<<32)
+}
+
+// Cleanup is the core.Cleaner hook bear and killPayload defer, not for
+// callers: ew is an epoch e above a block size in words. A size stamps the
+// payload at off born in e, 0 stamps it dead in e.
+func (h *Handle) Cleanup(_ *core.Tx, _ *core.Word, off, ew uint64) {
+	s, o, e, words := h.sys, int(off), ew>>32, int(uint32(ew))
+	if words != 0 {
+		s.Region.Store(o+hdrBirth, e)
+		if !h.noPersist {
+			h.addPending(o, words, e)
 		}
-		s.payloadsKilled.Add(1)
-	})
+		s.payloadsBorn.Add(1)
+		return
+	}
+	s.Region.Store(o+hdrDeath, e)
+	if h.noPersist {
+		s.release(o, 0)
+	} else {
+		h.addPending(o, hdrWords, e)
+		s.release(o, e)
+	}
+	s.payloadsKilled.Add(1)
 }

@@ -23,18 +23,19 @@ type Entry[V any] struct {
 	Off int
 }
 
-// Codec serializes values into payload words. Values in the paper's
-// benchmarks are 8-byte integers (see U64Codec); richer values provide
-// their own.
+// Codec serializes values into payload words: Enc appends v's words to dst
+// and returns the result, so a store encodes into one buffer per handle.
+// Values in the paper's benchmarks are 8-byte integers (see U64Codec);
+// richer values provide their own.
 type Codec[V any] struct {
-	Enc func(V) []uint64
+	Enc func(v V, dst []uint64) []uint64
 	Dec func([]uint64) V
 }
 
 // U64Codec is the identity codec for uint64 values.
 func U64Codec() Codec[uint64] {
 	return Codec[uint64]{
-		Enc: func(v uint64) []uint64 { return []uint64{v} },
+		Enc: func(v uint64, dst []uint64) []uint64 { return append(dst, v) },
 		Dec: func(w []uint64) uint64 { return w[0] },
 	}
 }
@@ -74,8 +75,10 @@ func (p *PStore[V]) Contains(h *Handle, key uint64) bool {
 // Put binds key to val: a new payload is staged and the old one (if any)
 // retired, all taking effect at commit.
 func (p *PStore[V]) Put(h *Handle, key uint64, val V) (V, bool) {
-	off := h.newPayload(key, p.codec.Enc(val))
+	h.enc = p.codec.Enc(val, h.enc[:0])
+	off, words := h.newPayload(key, h.enc)
 	old, replaced := p.idx.Put(h.tx, key, Entry[V]{Val: val, Off: off})
+	h.bear(off, words)
 	if replaced {
 		h.killPayload(old.Off)
 	}
@@ -84,13 +87,13 @@ func (p *PStore[V]) Put(h *Handle, key uint64, val V) (V, bool) {
 
 // Insert adds key only if absent.
 func (p *PStore[V]) Insert(h *Handle, key uint64, val V) bool {
-	off := h.newPayload(key, p.codec.Enc(val))
+	h.enc = p.codec.Enc(val, h.enc[:0])
+	off, words := h.newPayload(key, h.enc)
 	if p.idx.Insert(h.tx, key, Entry[V]{Val: val, Off: off}) {
+		h.bear(off, words)
 		return true
 	}
-	// Not inserted: the staged block was never born. On commit the deferred
-	// release below returns it; on abort the handle's finish does.
-	h.tx.Defer(func() { p.sys.release(off, 0) })
+	h.unstage(off)
 	return false
 }
 

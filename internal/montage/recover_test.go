@@ -153,3 +153,31 @@ func TestCrashAndRecoverSkipsTornPayload(t *testing.T) {
 		t.Fatalf("recovery after negative-length tear found %d payloads, want 48", len(third))
 	}
 }
+
+// TestLosingInsertIsNotRecovered commits a transaction whose Insert loses
+// to a present key, then crashes: only the payload the index holds may
+// come back. A losing Insert's block is never born, so nothing stamps or
+// writes it back. (TestInsertFailureReleasesBlock misses this: its
+// aborted Insert reuses the same block and zeroes its birth before the
+// write-back.)
+func TestLosingInsertIsNotRecovered(t *testing.T) {
+	sys, store, h := newTestStore(t)
+	put(t, store, h, 1, 100)
+	if err := h.Tx().RunRetry(func() error {
+		if store.Insert(h, 1, 999) {
+			t.Error("Insert over a present key succeeded")
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sys.Sync()
+	rec := sys.CrashAndRecover()
+	if len(rec) != 1 || rec[0].Key != 1 || rec[0].Data[0] != 100 {
+		t.Fatalf("recovered %+v, want key 1 = 100 alone", rec)
+	}
+	idx := mhash.NewMap[Entry[uint64]](core.NewTxManager(), 1<<8)
+	if got := contents(RebuildPStore(sys, idx, U64Codec(), rec)); len(got) != 1 || got[1] != 100 {
+		t.Fatalf("rebuilt store holds %v, want key 1 = 100", got)
+	}
+}

@@ -327,18 +327,13 @@ func (s *List[V]) Put(tx *core.Tx, key uint64, val V) (V, bool) {
 			nn = s.prepare(tx, nn, key, val, link(r.next))
 			cn := s.slab.At(r.curr)
 			if cn.next.NbtcCAS(tx, link(r.next), deleted(nn), true, true) {
-				victim, n := r.curr, nn
-				tx.Defer(func() {
-					s.kill(tx, victim)
-					s.buildTower(tx, n)
-				})
+				tx.Defer(s, nil, uint64(r.curr), uint64(nn))
 				return cn.val, true
 			}
 		} else {
 			nn = s.prepare(tx, nn, key, val, link(r.curr))
 			if s.slab.At(r.pred).next.NbtcCAS(tx, link(r.curr), link(nn), true, true) {
-				n := nn
-				tx.Defer(func() { s.buildTower(tx, n) })
+				tx.Defer(s, nil, 0, uint64(nn))
 				var zero V
 				return zero, false
 			}
@@ -359,8 +354,7 @@ func (s *List[V]) Insert(tx *core.Tx, key uint64, val V) bool {
 		}
 		nn = s.prepare(tx, nn, key, val, link(r.curr))
 		if s.slab.At(r.pred).next.NbtcCAS(tx, link(r.curr), link(nn), true, true) {
-			n := nn
-			tx.Defer(func() { s.buildTower(tx, n) })
+			tx.Defer(s, nil, 0, uint64(nn))
 			return true
 		}
 	}
@@ -379,10 +373,21 @@ func (s *List[V]) Remove(tx *core.Tx, key uint64) (V, bool) {
 		}
 		cn := s.slab.At(r.curr)
 		if cn.next.NbtcCAS(tx, link(r.next), deleted(r.next), true, true) {
-			victim := r.curr
-			tx.Defer(func() { s.kill(tx, victim) })
+			tx.Defer(s, nil, uint64(r.curr), 0)
 			return cn.val, true
 		}
+	}
+}
+
+// Cleanup is the core.Cleaner hook the list's updates defer, not for
+// callers: it kills node victim (removed or replaced) and builds node n's
+// tower (inserted); 0 names neither.
+func (s *List[V]) Cleanup(tx *core.Tx, _ *core.Word, victim, n uint64) {
+	if victim != 0 {
+		s.kill(tx, uint32(victim))
+	}
+	if n != 0 {
+		s.buildTower(tx, uint32(n))
 	}
 }
 

@@ -124,8 +124,9 @@ func (l *List[V]) Maintain() {
 	l.index.Store(&idx)
 }
 
-// noteUpdate counts a modification and amortizes index rebuilds.
-func (l *List[V]) noteUpdate() {
+// Cleanup is the core.Cleaner hook each update defers, not for callers: it
+// counts a modification and amortizes index rebuilds.
+func (l *List[V]) Cleanup(*core.Tx, *core.Word, uint64, uint64) {
 	if l.updates.Add(1)&l.rebuildMask == 0 {
 		l.Maintain()
 	}
@@ -269,13 +270,13 @@ func (l *List[V]) Put(tx *core.Tx, key uint64, val V) (V, bool) {
 				// Unlink (and retire) the replaced node post-commit; if the
 				// unlink CAS fails, a later find unlinks and retires it.
 				core.DeferWordCAS(tx, r.prev, link(r.curr), link(nn), &l.slab.Slots, r.curr)
-				tx.Defer(l.noteUpdate)
+				tx.Defer(l, nil, 0, 0)
 				return cn.val, true
 			}
 		} else {
 			nn = l.prepare(tx, nn, key, val, link(r.curr))
 			if r.prev.NbtcCAS(tx, link(r.curr), link(nn), true, true) {
-				tx.Defer(l.noteUpdate)
+				tx.Defer(l, nil, 0, 0)
 				var zero V
 				return zero, false
 			}
@@ -298,7 +299,7 @@ func (l *List[V]) Insert(tx *core.Tx, key uint64, val V) bool {
 		}
 		nn = l.prepare(tx, nn, key, val, link(r.curr))
 		if r.prev.NbtcCAS(tx, link(r.curr), link(nn), true, true) {
-			tx.Defer(l.noteUpdate)
+			tx.Defer(l, nil, 0, 0)
 			return true
 		}
 	}
@@ -317,7 +318,7 @@ func (l *List[V]) Remove(tx *core.Tx, key uint64) (V, bool) {
 		cn := l.slab.At(r.curr)
 		if cn.next.NbtcCAS(tx, link(r.next), deleted(r.next), true, true) {
 			core.DeferWordCAS(tx, r.prev, link(r.curr), link(r.next), &l.slab.Slots, r.curr)
-			tx.Defer(l.noteUpdate)
+			tx.Defer(l, nil, 0, 0)
 			return cn.val, true
 		}
 	}

@@ -80,6 +80,42 @@ func TestBytesPerKey(t *testing.T) {
 	}
 }
 
+// TestWarmChurnAllocatesNothing runs a warm churn of inserts and removes
+// on a Tx with an EBR handle: the node slots come back through the slab,
+// and the post-commit work — an unlink after each remove and an update count after each — is a cleanup record, not a
+// closure, so a pair allocates nothing (2 when each deferred a closure).
+func TestWarmChurnAllocatesNothing(t *testing.T) {
+	mgr := core.NewTxManager()
+	l := New[uint64](mgr)
+	tx, h, run := smrTx(t, mgr)
+	churn := func(k uint64) { // run's closures would allocate: call RunRetry directly
+		h.Enter()
+		defer h.Exit()
+		if err := tx.RunRetry(func() error { l.Insert(tx, k, k); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.RunRetry(func() error { l.Remove(tx, k); return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := uint64(0); k < 4000; k++ {
+		if k%2 == 0 {
+			if err := run(func() { l.Insert(tx, k, k) }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		churn(k % 64)
+	}
+	k := uint64(0)
+	allocs := testing.AllocsPerRun(2000, func() {
+		k++
+		churn(k % 64)
+	})
+	if allocs != 0 {
+		t.Errorf("an insert/remove churn allocates %.3f objects, want 0", allocs)
+	}
+}
+
 // TestRecycledSlotNeverValidatesStaleWitness has a reader witness key 5's
 // level-0 link, then a writer remove key 5, wait out the grace period and
 // reuse the very slot for key 6, whose link holds the same payload (the

@@ -400,40 +400,54 @@ func TestRunRetriesAnErrorFromAStaleRead(t *testing.T) {
 	}
 }
 
-// TestKVWorkerRecyclesReadSets runs a warm KVBackend worker through
-// transactions that read and write two keys — full commits that publish
-// their read sets to helpers. The worker's Tx has an EBR handle, so it
-// recycles what it publishes: its pool counters move, and a transaction
-// allocates nothing (two objects, the read set and its shell, when each
-// publication was made afresh).
+// TestKVWorkerRecyclesReadSets runs a warm worker of each Medley backend
+// through transactions that read and write two keys — full commits that
+// publish their read sets to helpers. The worker's Tx has an EBR handle,
+// so it recycles what it publishes and its pool counters move, and the
+// post-commit work (a skiplist's tower build and kill, a txMontage
+// payload's birth and death) is a cleanup record, not a closure: a
+// transaction allocates nothing. Fresh read sets cost 2 a transaction;
+// closures cost 2 on the KV skiplist, and closures and encoded values 8 on
+// txMontage.
 func TestKVWorkerRecyclesReadSets(t *testing.T) {
-	b, err := NewKVBackend("hash", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := b.NewWorker()
-	i := uint64(0)
-	body := func(c Ctx) error {
-		for k := i % 64; k < i%64+2; k++ {
-			v, _ := c.Get(0, k)
-			c.Put(0, k, v+1)
-		}
-		return nil
-	}
-	txn := func() {
-		if err := w.Run(body); err != nil {
-			t.Fatal(err)
-		}
-		i++
-	}
-	for range 256 {
-		txn()
-	}
-	if allocs := testing.AllocsPerRun(512, txn); allocs != 0 {
-		t.Errorf("a warm two-key transaction allocates %.0f objects, want 0: its published read sets are not recycled", allocs)
-	}
-	if st := w.(StatsWorker).TxStats(); st.PoolHits == 0 {
-		t.Errorf("the worker's Tx counted no pool hits: %+v", st)
+	for _, tc := range []struct {
+		name string
+		b    func() (Backend, error)
+	}{
+		{"hash", func() (Backend, error) { return NewKVBackend("hash", 1) }},
+		{"skip", func() (Backend, error) { return NewKVBackend("skip", 1) }},
+		{"montage", func() (Backend, error) { return NewMontageBackend(montage.NewSystem(montage.DefaultConfig())), nil }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b, err := tc.b()
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := b.NewWorker()
+			i := uint64(0)
+			body := func(c Ctx) error {
+				for k := i % 64; k < i%64+2; k++ {
+					v, _ := c.Get(0, k)
+					c.Put(0, k, v+1)
+				}
+				return nil
+			}
+			txn := func() {
+				if err := w.Run(body); err != nil {
+					t.Fatal(err)
+				}
+				i++
+			}
+			for range 256 {
+				txn()
+			}
+			if allocs := testing.AllocsPerRun(512, txn); allocs != 0 {
+				t.Errorf("a warm two-key transaction allocates %.0f objects, want 0", allocs)
+			}
+			if st := w.(StatsWorker).TxStats(); st.PoolHits == 0 {
+				t.Errorf("the worker's Tx counted no pool hits: %+v", st)
+			}
+		})
 	}
 }
 

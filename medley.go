@@ -66,6 +66,10 @@ type (
 	// ReadWitness is the evidence of a linearizing load, registered via
 	// Tx.AddToReadSet.
 	ReadWitness = core.ReadWitness
+	// Cleaner is post-commit work a custom structure registers with
+	// Tx.Defer (the paper's addToCleanups): a pointer to the structure,
+	// with a Word and two uint64s as the record's arguments.
+	Cleaner = core.Cleaner
 	// Stats is a snapshot of transaction counters.
 	Stats = core.Stats
 )
@@ -169,7 +173,8 @@ type (
 	PStore[V any] = montage.PStore[V]
 	// PEntry is what a PStore keeps in its transient index.
 	PEntry[V any] = montage.Entry[V]
-	// PCodec serializes values into payload words.
+	// PCodec serializes values into payload words: Enc appends v's words
+	// to dst and returns the result.
 	PCodec[V any] = montage.Codec[V]
 	// Recovered is one payload surviving a crash.
 	Recovered = montage.Recovered
