@@ -43,11 +43,31 @@ func (s *Slab[N]) At(i uint32) *N {
 // before publishing it.
 func (s *Slab[N]) Get(tx *Tx) uint32 {
 	i := s.get(tx)
+	s.cover(i)
+	return i
+}
+
+// cover grows the directory, if it must, to reach index i.
+func (s *Slab[N]) cover(i uint32) {
 	if c := int(i>>slabChunkBits) + 1; c > s.Chunks() {
 		s.mu.Lock()
 		GrowChunks(&s.dir, c)
 		s.mu.Unlock()
 	}
+}
+
+// Take hands out the next index of run, a bulk loader's private run of
+// never-used indexes: no Tx, no cache and no pool between them. The run
+// claims slotSegment indexes of the shared frontier at a time. A run
+// moved to another slab gives its unused tail back first
+// (SlotRun.Release).
+func (s *Slab[N]) Take(run *SlotRun) uint32 {
+	if run.s != &s.Slots {
+		run.Release()
+		run.s = &s.Slots
+	}
+	i := run.take(&s.Slots)
+	s.cover(i)
 	return i
 }
 
@@ -67,8 +87,9 @@ func (s *Slab[N]) Chunks() int {
 // the hot path takes no lock: a never-used index comes from the cache's
 // current segment, claimed from the shared frontier slotSegment at a time
 // (one atomic add, and under contention still one per segment), and an
-// unlinked index comes back through EBR. A caller without a Tx (a bare
-// Put, a concurrent preload) draws its segments through a sync.Pool.
+// unlinked index comes back through EBR. A bulk loader holds a SlotRun of
+// its own, and any other caller without a Tx (a bare Put) draws its
+// segments through a sync.Pool.
 //
 // An unlinked index is reused only after an EBR grace period, so only a Tx
 // with an EBR handle (Tx.SetSMR) recycles what it unlinks: every thread
@@ -112,6 +133,25 @@ func (sp *slotSpan) take(s *Slots) uint32 {
 	i := sp.lo
 	sp.lo++
 	return i
+}
+
+// SlotRun is one bulk loader's run of never-used indexes of one slab
+// (Slab.Take). The zero SlotRun is empty and bound to no slab. A run is
+// owned by one goroutine.
+type SlotRun struct {
+	s *Slots
+	slotSpan
+}
+
+// Release gives the run's unused indexes back to its slab's frontier when
+// nothing has been claimed past them since, and empties the run. A load
+// that is one shard's only claimant thus hands out exactly one index a
+// key; a tail some later claim stands above stays unused for good.
+func (r *SlotRun) Release() {
+	if r.s != nil && r.lo < r.hi {
+		r.s.next.CompareAndSwap(r.hi, r.lo)
+	}
+	*r = SlotRun{}
 }
 
 // get hands out an index for Slab.Get.

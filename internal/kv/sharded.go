@@ -121,6 +121,14 @@ func (s *ShardedStore) shard(key uint64) TxMap {
 	return s.shards[shardIndex(key, s.mask)]
 }
 
+// RunPutter is the capability of a shard whose bare Put can take its node
+// from a bulk loader's private run of never-used slots
+// (mhash.Map.PutRun), so that a load holds one run a worker instead of
+// drawing a node a key through the shard's pool.
+type RunPutter interface {
+	PutRun(run *core.SlotRun, key, val uint64)
+}
+
 // Load puts key → key for every key, on GOMAXPROCS workers. The keys are
 // split into parts by the top bits of key × shardMul, the product a shard
 // and a hash shard's bucket are chosen by: a part is a shard, several
@@ -133,8 +141,15 @@ func (s *ShardedStore) shard(key uint64) TxMap {
 // through every shard for every key, and the nodes a shard's slab hands
 // out lie in the order its Range walks the buckets. Every put is the
 // bare, linearizable Put; a key's repeats are put in the caller's order.
-// keys is read, never written; a worker's copies are two windows.
+// A shard that advertises RunPutter gets its puts with nodes from the
+// worker's one slot run, held for the whole load; on a hash shard, a key
+// whose bucket is empty is then one CAS. keys is read, never written; a
+// worker's copies are two windows.
 func (s *ShardedStore) Load(keys []uint64) {
+	runPut := make([]RunPutter, len(s.shards)) // nil where a shard has no PutRun
+	for i, sh := range s.shards {
+		runPut[i], _ = sh.(RunPutter)
+	}
 	workers := runtime.GOMAXPROCS(0)
 	partBits := loadPartBits(uint(bits.Len64(s.mask)), workers)
 	var next atomic.Uint64
@@ -143,6 +158,8 @@ func (s *ShardedStore) Load(keys []uint64) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var run core.SlotRun
+			defer run.Release()
 			buf := make([]uint64, 2*loadWindow)
 			window, sorted := buf[:0:loadWindow], buf[loadWindow:]
 			for p := next.Add(1) - 1; p < 1<<partBits; p = next.Add(1) - 1 {
@@ -151,11 +168,11 @@ func (s *ShardedStore) Load(keys []uint64) {
 						continue
 					}
 					if window = append(window, k); len(window) == loadWindow {
-						s.putWindow(window, sorted, partBits)
+						s.putWindow(runPut, &run, window, sorted, partBits)
 						window = window[:0]
 					}
 				}
-				s.putWindow(window, sorted, partBits)
+				s.putWindow(runPut, &run, window, sorted, partBits)
 				window = window[:0]
 			}
 		}()
@@ -175,8 +192,9 @@ func loadField(key uint64, partBits uint) uint8 {
 }
 
 // putWindow puts the keys of window in order of loadField, by a stable
-// counting sort into sorted, which holds as many.
-func (s *ShardedStore) putWindow(window, sorted []uint64, partBits uint) {
+// counting sort into sorted, which holds as many: through PutRun with
+// nodes from run where the shard has one (runPut), through Put elsewhere.
+func (s *ShardedStore) putWindow(runPut []RunPutter, run *core.SlotRun, window, sorted []uint64, partBits uint) {
 	var at [256]int // per field value, where its next key goes
 	for _, k := range window {
 		at[loadField(k, partBits)]++
@@ -192,7 +210,12 @@ func (s *ShardedStore) putWindow(window, sorted []uint64, partBits uint) {
 		at[f]++
 	}
 	for _, k := range sorted[:len(window)] {
-		s.shard(k).Put(nil, k, k)
+		i := shardIndex(k, s.mask)
+		if p := runPut[i]; p != nil {
+			p.PutRun(run, k, k)
+		} else {
+			s.shards[i].Put(nil, k, k)
+		}
 	}
 }
 

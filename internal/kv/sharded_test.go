@@ -346,3 +346,54 @@ func TestLoadPutsWindowsInBucketOrder(t *testing.T) {
 		}
 	}
 }
+
+// slabShard is a shard with PutRun that takes each put's node from run,
+// out of a slab of its own, as a hash shard's (mhash.Map.PutRun) does,
+// and counts its puts; Put is never called.
+type slabShard struct {
+	TxMap // nil
+	slab  core.Slab[uint64]
+	puts  atomic.Int64
+}
+
+func (s *slabShard) PutRun(run *core.SlotRun, _, _ uint64) {
+	s.slab.Take(run)
+	s.puts.Add(1)
+}
+
+// TestLoadTakesASlotAKey bounds the node slots a Load claims from its
+// shards' slabs: one a key, plus at most one unused 64-slot segment a
+// worker, the tail of a run that another worker filling the same shard
+// claimed past. A loader that draws a run a window, or does not give a
+// run's tail back when it moves to another shard, claims more, and the
+// slab, which heap_peak_mb reads, grows with it.
+func TestLoadTakesASlotAKey(t *testing.T) {
+	keys := make([]uint64, 1<<15)
+	for i := range keys {
+		keys[i] = uint64(i) * 0x5851F42D4C957F2D >> (64 - 16) // repeats: a put a key all the same
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, shards := range []int{8, 1} {
+		for _, procs := range []int{1, 2, 3} {
+			runtime.GOMAXPROCS(procs)
+			ss := make([]*slabShard, shards)
+			s := NewSharded(shards, func(i int) TxMap {
+				ss[i] = &slabShard{}
+				return ss[i]
+			})
+			s.Load(keys)
+			puts, claimed := 0, 0
+			for _, sh := range ss {
+				puts += int(sh.puts.Load())
+				var probe core.SlotRun // its first slot is the frontier's next
+				claimed += int(sh.slab.Take(&probe)) - 1
+			}
+			if puts != len(keys) {
+				t.Fatalf("%d shards, %d workers: %d PutRuns for %d keys", shards, procs, puts, len(keys))
+			}
+			if limit := len(keys) + procs*64; claimed > limit {
+				t.Errorf("%d shards, %d workers: a load of %d keys claimed %d slots, over %d", shards, procs, len(keys), claimed, limit)
+			}
+		}
+	}
+}

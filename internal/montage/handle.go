@@ -91,21 +91,23 @@ func (h *Handle) addPending(off, words int, e uint64) {
 	h.mu.Unlock()
 }
 
-// drainUpTo removes and returns all spans registered for epochs <= e.
-func (h *Handle) drainUpTo(e uint64) []flushRange {
+// drainUpTo removes all spans registered for epochs <= e and appends
+// them to dst, so that the advancer can write them back from a buffer it
+// reuses once h.mu is released: a handle registering work never waits
+// out a write-back.
+func (h *Handle) drainUpTo(e uint64, dst []flushRange) []flushRange {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	var out []flushRange
 	kept := h.pending[:0]
 	for _, rg := range h.pending {
 		if rg.epoch <= e {
-			out = append(out, rg)
+			dst = append(dst, rg)
 		} else {
 			kept = append(kept, rg)
 		}
 	}
 	h.pending = kept
-	return out
+	return dst
 }
 
 // BeginOp opens a run of non-transactional operations on h, nbMontage's

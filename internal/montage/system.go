@@ -104,7 +104,9 @@ type System struct {
 	mu      sync.Mutex // handle registry
 	handles []*Handle
 
-	advMu sync.Mutex // serializes advancers
+	advMu    sync.Mutex   // serializes advancers
+	advHs    []*Handle    // under advMu: the handles an advance waits for
+	advFlush []flushRange // under advMu: what an advance writes back
 
 	// Stats.
 	payloadsBorn   atomic.Uint64
@@ -222,8 +224,8 @@ func (s *System) Advance() uint64 {
 	// Grace period: wait for every transaction that began in epoch <= e to
 	// finish settling (its cleanups registered all epoch-e payload work).
 	s.mu.Lock()
-	hs := make([]*Handle, len(s.handles))
-	copy(hs, s.handles)
+	s.advHs = append(s.advHs[:0], s.handles...)
+	hs := s.advHs
 	s.mu.Unlock()
 	for _, h := range hs {
 		for {
@@ -237,7 +239,8 @@ func (s *System) Advance() uint64 {
 
 	// Write back everything registered for epochs <= e.
 	for _, h := range hs {
-		for _, rg := range h.drainUpTo(e) {
+		s.advFlush = h.drainUpTo(e, s.advFlush[:0])
+		for _, rg := range s.advFlush {
 			s.Region.WriteBack(rg.off, rg.words)
 		}
 	}

@@ -174,7 +174,9 @@ func (s *System) Start() (stop func()) {
 // Preload inserts the initial key-value pairs, key → key, through the
 // store's bulk load (kv.ShardedStore.Load): GOMAXPROCS workers each take
 // whole shards, or bucket ranges of one, and fill them with the
-// structure's own lock-free insert (a Put outside a transaction).
+// structure's own lock-free insert (a Put outside a transaction). A hash
+// shard's Put takes its node from the worker's own slot run and links a
+// key whose bucket is empty with one CAS of the head.
 func (s *System) Preload(keys []uint64) {
 	s.sh.Load(keys)
 }
@@ -384,7 +386,9 @@ func (w *worker) ExecBatch(ops []kv.Op, res []kv.Result) error {
 // transaction — no descriptor, no commit — on the worker's registered Tx,
 // so that the nodes it replaces and unlinks are recycled through EBR, all
 // in one EBR critical section (and, on txMontage, one epoch operation
-// section, nbMontage's non-transactional path). With a feed attached the
+// section, nbMontage's non-transactional path). A put takes its node from
+// the Tx's slot cache and, on a hash shard whose bucket is empty, links
+// it with one CAS of the head (mhash.Map.Put). With a feed attached the
 // chunk publishes as one load ticket (cdc.Feed.PublishLoad), drawn before
 // its first write, so every later write to one of its keys draws after
 // it: its writes take seqs but the feed keeps none of them, and the shards

@@ -391,3 +391,161 @@ func TestTxWithHandleRecyclesSlots(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadLinkStorm races the bare Put's one-CAS link into an empty
+// bucket against everything else that writes a bucket head, on a table
+// of four buckets whose heads keep going empty: loaders putting with
+// nodes from slot runs (PutRun; the runs released every few rounds, so
+// their unused tails go back to the frontier under contention) and bare
+// Puts on Txs with EBR handles, with nodes from their slot caches, or on
+// no Tx at all, against transactional Put/Insert/Remove — so an
+// empty-head CAS meets installed descriptors and invalidates read
+// witnesses. Each worker writes only its own keys, linking and removing
+// them in rounds, and so knows what every operation must return; the
+// quiescent table must hold every worker's keys with its last values,
+// and no slot may be reachable twice. All start at once on a gate, and
+// every worker writes inside EBR critical sections: a Tx with a handle
+// recycles the nodes it unlinks, whoever linked them. A slot handed out
+// twice — a run giving back a tail that a later claim already took,
+// say — more often ties a chain into a loop than returns a wrong value,
+// and then wedges the storm: run it with a timeout.
+func TestLoadLinkStorm(t *testing.T) {
+	const (
+		kinds    = 4 // run loader, bare Put on a Tx, transactional, bare Put
+		workers  = 2 * kinds
+		keysEach = 3
+		tag      = uint64(1) << 40
+	)
+	rounds := 3000
+	if testing.Short() {
+		rounds = 300
+	}
+	mgr := core.NewTxManager()
+	dom := ebr.New(4)
+	m := NewMap[uint64](mgr, 4)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tx := mgr.Register()
+			h := dom.Register()
+			tx.SetSMR(h)
+			var run core.SlotRun
+			defer run.Release()
+			var keys [keysEach]uint64
+			for j := range keys {
+				keys[j] = uint64(w*keysEach + j)
+			}
+			check := func(k, want uint64, what string) {
+				if v, ok := m.Get(nil, k); !ok || v != want {
+					t.Errorf("worker %d key %d after %s: Get = %#x, %v; want %#x", w, k, what, v, ok, want)
+				}
+			}
+			// write binds every key to val and, unless last, removes it again.
+			write := func(val uint64, last bool) {
+				h.Enter()
+				defer h.Exit()
+				switch w % kinds {
+				case 0:
+					for _, k := range keys {
+						m.PutRun(&run, k, val)
+						m.PutRun(&run, k, val|k) // a repeat: the replace
+						check(k, val|k, "PutRun")
+					}
+					for _, k := range keys {
+						if !last {
+							if v, ok := m.Remove(nil, k); !ok || v != val|k {
+								t.Errorf("worker %d key %d: Remove = %#x, %v", w, k, v, ok)
+							}
+						}
+					}
+					if val>>8&7 == 0 {
+						run.Release()
+					}
+				case 1:
+					for _, k := range keys {
+						m.Put(tx, k, val|k)
+						check(k, val|k, "bare put on a Tx")
+					}
+					for _, k := range keys {
+						if !last {
+							if v, ok := m.Remove(tx, k); !ok || v != val|k {
+								t.Errorf("worker %d key %d: Remove = %#x, %v", w, k, v, ok)
+							}
+						}
+					}
+					tx.SettleBare()
+				case 2:
+					if err := tx.RunRetry(func() error {
+						for _, k := range keys {
+							if !m.Insert(tx, k, val|k) {
+								t.Errorf("worker %d key %d: Insert of an absent key refused", w, k)
+							}
+						}
+						return nil
+					}); err != nil {
+						t.Error(err)
+					}
+					for _, k := range keys {
+						check(k, val|k, "transactional insert")
+					}
+					if !last {
+						if err := tx.RunRetry(func() error {
+							for _, k := range keys {
+								m.Put(tx, k, val|k|1<<39) // a replace, then the remove of the replacement
+								if v, ok := m.Remove(tx, k); !ok || v != val|k|1<<39 {
+									t.Errorf("worker %d key %d: Remove = %#x, %v", w, k, v, ok)
+								}
+							}
+							return nil
+						}); err != nil {
+							t.Error(err)
+						}
+					}
+				case 3:
+					for _, k := range keys {
+						m.Put(nil, k, val|k)
+						check(k, val|k, "bare put")
+						if !last {
+							m.Remove(nil, k)
+						}
+					}
+				}
+			}
+			<-start
+			for i := 0; i < rounds && !t.Failed(); i++ {
+				write(tag|uint64(i)<<8, false)
+			}
+			write(tag|uint64(rounds)<<8, true)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	linked := map[uint32]bool{} // and no chain runs into another, or itself
+	for b := range m.buckets {
+		for i := target(m.buckets[b].Load()); i != 0; i = target(m.slab.At(i).next.Load()) {
+			if linked[i] {
+				t.Fatalf("slot %d is linked twice (bucket %d)", i, b)
+			}
+			linked[i] = true
+		}
+	}
+	want := tag | uint64(rounds)<<8
+	n := 0
+	m.Range(func(k, v uint64) bool {
+		if k >= workers*keysEach || v != want|k {
+			t.Errorf("key %d holds %#x, want %#x", k, v, want|k)
+		}
+		n++
+		return true
+	})
+	if n != workers*keysEach {
+		t.Errorf("table holds %d keys, want %d", n, workers*keysEach)
+	}
+}

@@ -129,9 +129,41 @@ func (m *Map[V]) Contains(tx *core.Tx, key uint64) bool {
 // value, if any. The linearization point is a single CAS in both paths:
 // marking the victim's next with the replacement spliced in (update), or
 // linking the new node (insert).
+//
+// Outside a transaction Put takes its node whether it inserts or
+// replaces, so it fills it first and, when key's bucket is empty, links
+// it with the insert's own CAS of the head from empty, without a find:
+// one CAS for a key a bulk load puts into an empty bucket.
 func (m *Map[V]) Put(tx *core.Tx, key uint64, val V) (V, bool) {
-	tx.OpStart()
 	var nn uint32
+	if !tx.InTx() {
+		nn = m.slab.Get(tx)
+	}
+	return m.put(tx, key, val, nn)
+}
+
+// PutRun is a bare Put (Put outside any transaction) whose node is the
+// next of run, a bulk loader's private run of never-used slots
+// (core.Slab.Take); kv.ShardedStore.Load finds it through
+// kv.RunPutter.
+func (m *Map[V]) PutRun(run *core.SlotRun, key uint64, val V) {
+	m.put(nil, key, val, m.slab.Take(run))
+}
+
+// put is Put with nn, unless 0, a slot of the bare operation's own that
+// no thread can reach yet.
+func (m *Map[V]) put(tx *core.Tx, key uint64, val V, nn uint32) (V, bool) {
+	var zero V
+	if nn != 0 {
+		n := m.slab.At(nn)
+		n.key = key
+		n.val = val
+		n.next.Init(0)
+		if m.bucket(key).CAS(link(0), link(nn)) {
+			return zero, false
+		}
+	}
+	tx.OpStart()
 	for {
 		r := m.find(tx, key)
 		if r.found {
@@ -147,7 +179,6 @@ func (m *Map[V]) Put(tx *core.Tx, key uint64, val V) (V, bool) {
 		} else {
 			nn = m.prepare(tx, nn, key, val, link(r.curr))
 			if r.prev.NbtcCAS(tx, link(r.curr), link(nn), true, true) {
-				var zero V
 				return zero, false
 			}
 		}
